@@ -3,9 +3,9 @@
 //! A [`BrachaEngine`] holds one quorum-tracking `Instance` per broadcast tag it has
 //! heard about. Feed it gossip frames ([`BrachaEngine::on_gossip`]) and it
 //! returns [`Action`]s: more gossip to flood, and at most one delivery per
-//! instance. The engine never talks to a network — the sim flooder, the
-//! threaded runner and the TCP runtime all wrap this same type, so the
-//! protocol logic is tested once and reused verbatim.
+//! instance. The engine never talks to a network — the sim flooder and
+//! the TCP runtime both wrap this same type, so the protocol logic is
+//! tested once and reused verbatim.
 //!
 //! Validation rules (the "signed-enough" model):
 //!

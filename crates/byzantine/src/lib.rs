@@ -32,10 +32,11 @@
 //!   and the FNV payload digest;
 //! * [`engine`] — the network-agnostic quorum state machine
 //!   ([`engine::BrachaEngine`]): feed gossip in, get gossip + deliveries
-//!   out; shared verbatim by all three engines;
+//!   out; shared verbatim by both engines;
 //! * [`sim`] — [`sim::ByzantineFlooder`] for the discrete-event simulator,
 //!   plus seeded traitor processes ([`sim::ByzantineTraitor`]);
-//! * [`threaded`] — the same protocol on real OS threads.
+//! * [`attack`] — the traitor payloads (equivocation pair, forged votes,
+//!   forged catch-up summaries), built once for both engines.
 //!
 //! The TCP runtime integration lives in `lhg-runtime` (which depends on
 //! this crate), and the adversarial chaos family in `lhg-chaos`.
@@ -43,10 +44,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod attack;
 pub mod engine;
 pub mod frame;
 pub mod sim;
-pub mod threaded;
 
 pub use engine::{Action, BrachaEngine, ByzDelivery, InstanceSummary, MembershipView, Phase};
 pub use frame::{
@@ -58,7 +59,6 @@ pub use sim::{
     ByzantineFlooder, ByzantineTraitor, ScheduledByzBroadcast, TraitorBehavior,
     EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE,
 };
-pub use threaded::{run_threaded_byzantine, ThreadedByzReport};
 
 /// Membership too small for the configured traitor budget: Bracha's quorum
 /// intersection arguments need `n ≥ 3f + 1`, and this view does not have it.

@@ -22,13 +22,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use lhg_graph::{Graph, NodeId};
-use lhg_net::message::{ByzTag, Message};
+use lhg_net::message::Message;
 use lhg_net::seen::SeenSet;
 use lhg_net::sim::{Context, LinkModel, Process, SimReport, Simulation, Time};
 
-use crate::engine::{Action, BrachaEngine, InstanceSummary, Phase};
-use crate::frame::{digest, CatchupPull, CatchupPush, GossipFrame, GossipKind};
-use crate::BrachaConfig;
+use crate::engine::{Action, BrachaEngine};
+use crate::frame::{CatchupPull, CatchupPush, GossipFrame};
+use crate::{attack, BrachaConfig};
 
 /// Timer token space for scheduled broadcasts (token = schedule index).
 const SCHEDULE_TOKEN_LIMIT: u64 = 1 << 32;
@@ -65,10 +65,7 @@ const ATTACK_DELAY_US: Time = 20_000;
 /// Replay period for [`TraitorBehavior::Replay`].
 const REPLAY_PERIOD_US: Time = 50_000;
 
-/// Nonce base for equivocation instances a traitor originates itself.
-pub const EQUIVOCATE_NONCE_BASE: u64 = 0xE000_0000;
-/// Nonce base for instances a traitor forges under a correct origin.
-pub const FORGE_NONCE_BASE: u64 = 0xF000_0000;
+pub use crate::attack::{EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE};
 
 /// A broadcast a correct node originates at a scheduled time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -469,91 +466,32 @@ impl ByzantineTraitor {
         }
     }
 
-    /// Split-brain origination: payload A to even-indexed neighbors,
-    /// payload B to odd-indexed ones, same instance tag.
+    /// Mounts [`attack::equivocation_pair`]: story A to even-indexed
+    /// neighbors, story B to odd-indexed ones.
     fn equivocate(&mut self, ctx: &mut Context<'_>) {
-        let tag = ByzTag {
-            origin: self.me,
-            nonce: EQUIVOCATE_NONCE_BASE + u64::from(self.me),
-        };
-        let mk = |payload: &'static [u8]| GossipFrame {
-            kind: GossipKind::Send,
-            witness: self.me,
-            tag,
-            digest: digest(payload),
-            payload: Bytes::from_static(payload),
-        };
-        let (a, b) = (mk(b"two-faced: A"), mk(b"two-faced: B"));
-        self.seen.insert(a.to_message().broadcast_id);
-        self.seen.insert(b.to_message().broadcast_id);
+        let pair = attack::equivocation_pair(self.me).map(|f| f.to_message());
+        self.seen.insert(pair[0].broadcast_id);
+        self.seen.insert(pair[1].broadcast_id);
         for (i, w) in ctx.neighbors().to_vec().into_iter().enumerate() {
-            let msg = if i % 2 == 0 {
-                a.to_message()
-            } else {
-                b.to_message()
-            };
-            ctx.send(w, msg);
+            ctx.send(w, pair[i % 2].clone());
         }
     }
 
-    /// Fabricates an instance claiming a correct origin sent it, then
-    /// vouches for it with its own ECHO + READY. Under the bound this is
-    /// one witness where f+1 are needed, so correct nodes ignore it.
+    /// Floods [`attack::forged_votes`] impersonating the lowest other node.
     fn forge(&mut self, ctx: &mut Context<'_>) {
-        let victim = if self.me == 0 { 1 } else { 0 };
-        let tag = ByzTag {
-            origin: victim,
-            nonce: FORGE_NONCE_BASE + u64::from(self.me),
-        };
-        let payload = Bytes::from_static(b"the origin never said this");
-        let d = digest(&payload);
-        let echo = GossipFrame {
-            kind: GossipKind::Echo,
-            witness: self.me,
-            tag,
-            digest: d,
-            payload,
-        };
-        let ready = GossipFrame {
-            kind: GossipKind::Ready,
-            witness: self.me,
-            tag,
-            digest: d,
-            payload: Bytes::new(),
-        };
-        self.flood(&echo, ctx);
-        self.flood(&ready, ctx);
+        for frame in attack::forged_votes(self.me, u32::from(self.me == 0)) {
+            self.flood(&frame, ctx);
+        }
     }
 
-    /// Answers a rejoiner's catch-up solicitation with poison: a fabricated
-    /// Delivered instance the majority never saw, plus digest-flipped
-    /// copies of every real summary this traitor holds. All of it is one
-    /// witness's word — f short of amplification, 2f short of delivery.
+    /// Answers a rejoiner's catch-up solicitation with
+    /// [`attack::forged_summaries`].
     fn forged_catchup_reply(&mut self, pull: &CatchupPull, ctx: &mut Context<'_>) {
-        let victim = if pull.requester == 0 { 1 } else { 0 };
-        let payload = Bytes::from_static(b"forged catch-up: majority never delivered this");
-        let mut items = vec![InstanceSummary {
-            tag: ByzTag {
-                origin: victim,
-                nonce: FORGE_NONCE_BASE + 0x500 + u64::from(self.me),
-            },
-            phase: Phase::Delivered,
-            digest: digest(&payload),
-            payload,
-        }];
-        for real in self.engine.summaries() {
-            items.push(InstanceSummary {
-                tag: real.tag,
-                phase: Phase::Delivered,
-                digest: real.digest.wrapping_add(1),
-                payload: Bytes::new(),
-            });
-        }
         let push = CatchupPush {
             witness: self.me,
             requester: pull.requester,
             round: pull.round,
-            items,
+            items: attack::forged_summaries(self.me, pull.requester, self.engine.summaries()),
         };
         let msg = push.to_message();
         self.seen.insert(msg.broadcast_id);

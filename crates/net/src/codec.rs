@@ -2,9 +2,8 @@
 //! [`Message`]s over a byte stream.
 //!
 //! The discrete-event simulator hands whole [`Message`] values around, but
-//! real transports — the [`crate::threaded`] channel runner and the
-//! `lhg-runtime` TCP runtime — move opaque bytes. This module fixes the
-//! framing those transports share:
+//! real transports — the `lhg-runtime` TCP runtime — move opaque bytes.
+//! This module fixes the framing they share:
 //!
 //! ```text
 //! 4 bytes  frame length L (big-endian), counting only the body

@@ -1,8 +1,7 @@
 //! Deterministic per-link fault injection.
 //!
-//! [`FaultInjector`] is the shared seam every engine (the discrete-event
-//! simulator, the threaded runner, and the TCP runtime) consults before a
-//! frame crosses a link. Decisions are *deterministic functions of the
+//! [`FaultInjector`] is the shared seam both engines (the discrete-event
+//! simulator and the TCP runtime) consult before a frame crosses a link. Decisions are *deterministic functions of the
 //! injector seed and the frame's identity* — a hash of
 //! `(seed, from, to, seq)` — never of shared mutable RNG state. Two runs
 //! with the same seed and the same per-link sequence numbers therefore make

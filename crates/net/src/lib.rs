@@ -12,7 +12,7 @@
 //! * [`message`] — the wire format ([`message::Message`], encoded over
 //!   [`bytes::Bytes`]);
 //! * [`codec`] — length-prefixed framing of messages over byte streams,
-//!   shared by the threaded runner and the `lhg-runtime` TCP runtime;
+//!   used by the `lhg-runtime` TCP runtime;
 //! * [`sim`] — the deterministic discrete-event simulator
 //!   ([`sim::Simulation`], the [`sim::Process`] trait);
 //! * [`broadcast`] — flooding reliable broadcast as a process
@@ -22,9 +22,10 @@
 //!   anti-entropy summaries, so flooding's delivery guarantee survives
 //!   lossy links ([`reliable::LinkSender`], [`reliable::ReliableFlooder`]);
 //! * [`seen`] — capacity-capped dedup of seen broadcast ids
-//!   ([`seen::SeenSet`]), bounding flooding state on long-lived nodes;
-//! * [`threaded`] — the same protocol on real OS threads with crossbeam
-//!   channels, demonstrating the logic outside the simulator.
+//!   ([`seen::SeenSet`]), bounding flooding state on long-lived nodes.
+//!
+//! The same protocol runs on real sockets in `lhg-runtime`, which drives
+//! the [`reliable::ReliableCore`] this crate's simulator adapter drives.
 //!
 //! # Example
 //!
@@ -63,5 +64,4 @@ pub mod metrics;
 pub mod reliable;
 pub mod seen;
 pub mod sim;
-pub mod threaded;
 pub mod wirecost;

@@ -129,11 +129,13 @@ impl Message {
     /// A copy with the hop count incremented (what a forwarder sends).
     /// The trace id and byz tag, if any, ride along unchanged; the link
     /// sequence is stripped because it only ever names the hop it arrived
-    /// on.
+    /// on. The count saturates: `hops` comes straight off the wire, and a
+    /// traitor's `u32::MAX` must neither panic the node loop nor wrap to 0
+    /// and slip back under the hop bound.
     #[must_use]
     pub fn forwarded(&self) -> Self {
         Message {
-            hops: self.hops + 1,
+            hops: self.hops.saturating_add(1),
             link_seq: None,
             ..self.clone()
         }
@@ -405,6 +407,16 @@ mod tests {
         assert_eq!(f.origin, 3);
         assert_eq!(f.payload, m.payload);
         assert_eq!(f.trace, Some(77), "trace id rides along on forwards");
+    }
+
+    #[test]
+    fn forwarded_saturates_a_max_hops_frame() {
+        // `hops` is decoded straight off the wire: a forged u32::MAX must
+        // stay at the ceiling, not panic (debug) or wrap to 0 (release).
+        let mut m = Message::new(9, 3, Bytes::new());
+        m.hops = u32::MAX;
+        assert_eq!(m.forwarded().hops, u32::MAX);
+        assert_eq!(m.forwarded().forwarded().hops, u32::MAX);
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //!   their own dedup set and pull whatever they are missing, so a
 //!   broadcast lost on *every* copy is still repaired through any
 //!   surviving path.
-//! * **[`ReliableFlooder`]** plugs the whole stack into the discrete-event
-//!   simulator: flooding + per-link reliability + periodic anti-entropy,
-//!   the same protocol the TCP runtime speaks.
+//! * **[`ReliableCore`]** is the whole data plane as one sans-IO state
+//!   machine: flooding + per-link reliability + anti-entropy repair. It
+//!   has exactly two drivers — **[`ReliableFlooder`]**, its adapter to
+//!   the discrete-event simulator, and the TCP runtime's node loop — so
+//!   both engines run the same protocol code, not copies of it.
 //!
 //! The layer is engine-agnostic: time is a caller-supplied `u64` of
 //! microseconds (virtual in the simulator, a monotonic-epoch offset in the
@@ -40,6 +42,7 @@
 //! past (e.g. after a link reset), again by the dedup set.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::Hash;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -75,11 +78,21 @@ pub struct ReliableConfig {
     /// Reliability tick period for [`ReliableFlooder`]: retransmit sweeps
     /// and ack emission run on this cadence.
     pub tick_us: u64,
-    /// Send an anti-entropy summary every this many ticks.
+    /// Send an anti-entropy summary every this many ticks (heartbeat
+    /// periods on TCP). 0 is read as 1 — see [`ReliableConfig::summary_ticks`].
     pub summary_every: u64,
     /// How many recently-seen broadcasts are retained for summaries and
     /// pull serving.
     pub store_cap: usize,
+}
+
+impl ReliableConfig {
+    /// The summary cadence both drivers use: `summary_every`, with 0 read
+    /// as 1 (every tick) so that no cadence test ever divides by zero.
+    #[must_use]
+    pub fn summary_ticks(&self) -> u64 {
+        self.summary_every.max(1)
+    }
 }
 
 impl Default for ReliableConfig {
@@ -402,6 +415,304 @@ pub fn decode_summary_payload(mut raw: Bytes) -> Option<(bool, Vec<u64>)> {
     Some((pull, ids))
 }
 
+/// The sink [`ReliableCore`] transitions append their `(peer, frame)`
+/// sends to; the caller owns it, drains it and hands it back.
+pub type Sends<P> = Vec<(P, Message)>;
+
+/// What [`ReliableCore::on_data`] made of an arriving data frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DataOutcome {
+    /// A retransmitted copy whose original already crossed this link:
+    /// dropped, but the ack it re-earns goes out on the next tick.
+    LinkDuplicate,
+    /// New on this link but already flooded past: absorbed by the dedup set.
+    Duplicate,
+    /// First receipt: retained and forwarded; the driver delivers it.
+    Fresh,
+}
+
+/// What [`ReliableCore::on_summary`] answered an anti-entropy frame with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SummaryOutcome {
+    /// Malformed, or an advertisement naming nothing we lack.
+    Ignored,
+    /// An advertisement exposed a gap; one pull frame went back.
+    Pulled,
+    /// A pull was served with this many retained broadcasts.
+    Served(u64),
+}
+
+/// Frames one [`ReliableCore::tick`] emitted, by kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickReport {
+    /// Data frames re-sent by the retransmit sweeps.
+    pub retransmits: u64,
+    /// Ack frames emitted.
+    pub acks: u64,
+}
+
+/// The reliable-flood data plane as one sans-IO state machine: flooding
+/// over per-link ack/retransmit with anti-entropy repair on top. It owns
+/// the per-peer [`LinkSender`]/[`LinkReceiver`] pairs, the store of recent
+/// broadcasts that summaries advertise and pulls are served from, and the
+/// frames parked while a replaced link waits for its successor.
+///
+/// Everything environmental is an argument. Time is `now_us`; the live
+/// links are the driver's `peers` list, and sends are emitted in exactly
+/// that order (simulator determinism rests on it); the flooding dedup set
+/// is the driver's, because a driver may share it with other traffic; the
+/// ids stamped on ack and summary frames are fixed at construction
+/// ([`ACK_TAG`]/[`SUMMARY_TAG`] on the simulator, per-member ids on TCP).
+/// Every transition appends `(peer, frame)` sends to the caller's `out`
+/// and touches no socket, timer or counter: [`ReliableFlooder`] adapts it
+/// to the simulator, `lhg-runtime`'s node loop to TCP.
+#[derive(Debug)]
+pub struct ReliableCore<P> {
+    cfg: ReliableConfig,
+    origin: u32,
+    ack_id: u64,
+    summary_id: u64,
+    tx: HashMap<P, LinkSender>,
+    rx: HashMap<P, LinkReceiver>,
+    /// Data frames a torn-down link never delivered, until [`Self::flush`].
+    parked: HashMap<P, Vec<Message>>,
+    /// Recent data messages retained for pull serving, plus the
+    /// insertion-ordered id window backing summaries and eviction.
+    store: HashMap<u64, Message>,
+    recent: VecDeque<u64>,
+}
+
+impl<P: Copy + Eq + Hash> ReliableCore<P> {
+    /// An idle core whose ack, summary and pull frames carry `origin` and
+    /// the given broadcast ids.
+    #[must_use]
+    pub fn new(cfg: ReliableConfig, origin: u32, ack_id: u64, summary_id: u64) -> Self {
+        ReliableCore {
+            cfg,
+            origin,
+            ack_id,
+            summary_id,
+            tx: HashMap::new(),
+            rx: HashMap::new(),
+            parked: HashMap::new(),
+            store: HashMap::new(),
+            recent: VecDeque::new(),
+        }
+    }
+
+    /// Retains `kept` (link stamp stripped) for summaries and pull
+    /// serving, evicting the oldest entry past `store_cap`.
+    fn remember(&mut self, mut kept: Message) {
+        if self.recent.len() >= self.cfg.store_cap {
+            if let Some(old) = self.recent.pop_front() {
+                self.store.remove(&old);
+            }
+        }
+        kept.link_seq = None;
+        self.recent.push_back(kept.broadcast_id);
+        self.store.insert(kept.broadcast_id, kept);
+    }
+
+    /// Hands `msg` to `to`'s sender; emits it if the window admits it now
+    /// (otherwise it queues and surfaces from a later ack or sweep).
+    fn send(&mut self, to: P, msg: Message, now_us: u64, out: &mut Sends<P>) {
+        let sender = self.tx.entry(to).or_default();
+        if let Some(stamped) = sender.send(msg, &self.cfg, now_us) {
+            out.push((to, stamped));
+        }
+    }
+
+    fn flood(
+        &mut self,
+        msg: &Message,
+        except: Option<P>,
+        now_us: u64,
+        peers: impl IntoIterator<Item = P>,
+        out: &mut Sends<P>,
+    ) {
+        for peer in peers {
+            if Some(peer) != except {
+                self.send(peer, msg.clone(), now_us, out);
+            }
+        }
+    }
+
+    /// Originates a broadcast: floods `wire` to every peer and retains it
+    /// at hop count 0 — the origin's own copy has travelled no edge,
+    /// whatever count the driver's convention puts on the wire copy.
+    pub fn originate(
+        &mut self,
+        wire: &Message,
+        now_us: u64,
+        peers: impl IntoIterator<Item = P>,
+        out: &mut Sends<P>,
+    ) {
+        self.remember(Message {
+            hops: 0,
+            ..wire.clone()
+        });
+        self.flood(wire, None, now_us, peers, out);
+    }
+
+    /// A data frame arrived from `from`: link-level dedup first, then the
+    /// flooding dedup set. A fresh frame is retained and forwarded to
+    /// every peer but `from`; delivering it is the driver's job.
+    pub fn on_data(
+        &mut self,
+        from: P,
+        msg: &Message,
+        seen: &mut SeenSet,
+        now_us: u64,
+        peers: impl IntoIterator<Item = P>,
+        out: &mut Sends<P>,
+    ) -> DataOutcome {
+        if let Some(seq) = msg.link_seq {
+            if !self.rx.entry(from).or_default().on_frame(seq) {
+                return DataOutcome::LinkDuplicate;
+            }
+        }
+        if !seen.insert(msg.broadcast_id) {
+            return DataOutcome::Duplicate;
+        }
+        self.remember(msg.clone());
+        self.flood(&msg.forwarded(), Some(from), now_us, peers, out);
+        DataOutcome::Fresh
+    }
+
+    /// An ack frame's payload arrived from `from`: NACKed holes are
+    /// retransmitted at once and the opened window drains the queue.
+    pub fn on_ack(&mut self, from: P, payload: Bytes, now_us: u64, out: &mut Sends<P>) {
+        let Some((cum, nacks)) = decode_ack_payload(payload) else {
+            return;
+        };
+        if let Some(tx) = self.tx.get_mut(&from) {
+            for frame in tx.on_ack(cum, &nacks, &self.cfg, now_us) {
+                out.push((from, frame));
+            }
+        }
+    }
+
+    /// A summary frame's payload arrived from `from`. An advertisement is
+    /// diffed against `seen` and any gap answered with one pull; a pull is
+    /// served from the store over the reliable link. Served copies keep
+    /// their stored hop count: repair traffic is not part of the
+    /// dissemination tree.
+    pub fn on_summary(
+        &mut self,
+        from: P,
+        payload: Bytes,
+        seen: &SeenSet,
+        now_us: u64,
+        out: &mut Sends<P>,
+    ) -> SummaryOutcome {
+        match decode_summary_payload(payload) {
+            Some((false, mut ids)) => {
+                ids.retain(|&id| !seen.contains(id));
+                if ids.is_empty() {
+                    return SummaryOutcome::Ignored;
+                }
+                let pull = encode_summary_payload(true, &ids);
+                out.push((from, Message::new(self.summary_id, self.origin, pull)));
+                SummaryOutcome::Pulled
+            }
+            Some((true, ids)) => {
+                let mut served = 0;
+                for id in ids {
+                    if let Some(kept) = self.store.get(&id).cloned() {
+                        self.send(from, kept, now_us, out);
+                        served += 1;
+                    }
+                }
+                SummaryOutcome::Served(served)
+            }
+            None => SummaryOutcome::Ignored,
+        }
+    }
+
+    /// One reliability tick: per peer, the retransmit sweep and then the
+    /// ack its receiver owes, if any.
+    pub fn tick(
+        &mut self,
+        now_us: u64,
+        peers: impl IntoIterator<Item = P>,
+        out: &mut Sends<P>,
+    ) -> TickReport {
+        let mut report = TickReport::default();
+        for peer in peers {
+            if let Some(tx) = self.tx.get_mut(&peer) {
+                for frame in tx.sweep(&self.cfg, now_us) {
+                    out.push((peer, frame));
+                    report.retransmits += 1;
+                }
+            }
+            if let Some(rx) = self.rx.get_mut(&peer).filter(|rx| rx.dirty()) {
+                let (cum, nacks) = rx.ack_payload();
+                let ack = encode_ack_payload(cum, &nacks);
+                out.push((peer, Message::new(self.ack_id, self.origin, ack)));
+                report.acks += 1;
+            }
+        }
+        report
+    }
+
+    /// Advertises the most recent [`MAX_SUMMARY_IDS`] retained broadcast
+    /// ids to every peer (best-effort frames). Returns whether anything
+    /// was sent: nothing is with no broadcast retained or nobody to tell.
+    pub fn advertise(&mut self, peers: impl IntoIterator<Item = P>, out: &mut Sends<P>) -> bool {
+        if self.recent.is_empty() {
+            return false;
+        }
+        let ids: Vec<u64> = self
+            .recent
+            .iter()
+            .rev()
+            .take(MAX_SUMMARY_IDS)
+            .copied()
+            .collect();
+        let summary = Message::new(
+            self.summary_id,
+            self.origin,
+            encode_summary_payload(false, &ids),
+        );
+        let before = out.len();
+        out.extend(peers.into_iter().map(|peer| (peer, summary.clone())));
+        out.len() > before
+    }
+
+    /// The connection behind `peer` was replaced or lost: both sequence
+    /// spaces restart, and whatever the old sender never got acknowledged
+    /// is parked, unstamped, for [`Self::flush`]. The park is bounded like
+    /// the sender queue (`queue_cap`, oldest dropped first): a peer down
+    /// long enough to overflow it is left to anti-entropy repair.
+    pub fn reset_link(&mut self, peer: P) {
+        self.rx.remove(&peer);
+        let Some(mut tx) = self.tx.remove(&peer) else {
+            return;
+        };
+        let undelivered = tx.take_undelivered();
+        if !undelivered.is_empty() {
+            let parked = self.parked.entry(peer).or_default();
+            parked.extend(undelivered);
+            let excess = parked.len().saturating_sub(self.cfg.queue_cap);
+            parked.drain(..excess);
+        }
+    }
+
+    /// Abandons the frames parked for `peer` (it was excommunicated; if it
+    /// ever rejoins, summaries catch it up instead).
+    pub fn abandon(&mut self, peer: P) {
+        self.parked.remove(&peer);
+    }
+
+    /// A replacement link to `peer` is up: re-sends what [`Self::reset_link`]
+    /// parked. Duplicates are harmless — the peer's dedup set absorbs them.
+    pub fn flush(&mut self, peer: P, now_us: u64, out: &mut Sends<P>) {
+        for msg in self.parked.remove(&peer).unwrap_or_default() {
+            self.send(peer, msg, now_us, out);
+        }
+    }
+}
+
 /// A broadcast the [`ReliableFlooder`] hosting its origin injects at a
 /// scheduled virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,26 +729,20 @@ pub struct ScheduledBroadcast {
 /// they index the broadcast schedule.
 const TICK_TOKEN_BASE: u64 = 1 << 32;
 
-/// Flooding over reliable links, as a simulator [`Process`]: the
-/// protocol of [`crate::broadcast::FloodProcess`] with per-link
-/// ack/retransmit underneath and a periodic anti-entropy pass on top —
-/// the same layering the TCP runtime uses, so lossy chaos runs exercise
-/// one protocol on both engines.
+/// [`ReliableCore`] as a simulator [`Process`]: timers and arrivals in,
+/// `ctx.send`/`ctx.deliver` out — the same data plane the TCP runtime
+/// drives, so lossy chaos runs exercise one protocol on both engines.
 ///
 /// Reliability ticks are pre-armed for the whole horizon at start (a
 /// chained-timer design would die silently the first time a tick landed
 /// inside a fault-injected down window).
 pub struct ReliableFlooder {
-    cfg: ReliableConfig,
     schedule: Vec<ScheduledBroadcast>,
     horizon_us: u64,
     seen: SeenSet,
-    /// Recently-seen data messages retained for pull serving, plus the
-    /// insertion-ordered id window backing summaries and eviction.
-    store: HashMap<u64, Message>,
-    recent: VecDeque<u64>,
-    tx: HashMap<u32, LinkSender>,
-    rx: HashMap<u32, LinkReceiver>,
+    core: ReliableCore<NodeId>,
+    /// Reused sink for the core's sends, drained into the context.
+    out: Sends<NodeId>,
 }
 
 impl ReliableFlooder {
@@ -447,173 +752,82 @@ impl ReliableFlooder {
     #[must_use]
     pub fn new(cfg: ReliableConfig, schedule: Vec<ScheduledBroadcast>, horizon_us: u64) -> Self {
         ReliableFlooder {
-            cfg,
             schedule,
             horizon_us,
             seen: SeenSet::default(),
-            store: HashMap::new(),
-            recent: VecDeque::new(),
-            tx: HashMap::new(),
-            rx: HashMap::new(),
+            // The origin is set in `on_start`, where the node id is first known.
+            core: ReliableCore::new(cfg, 0, ACK_TAG, SUMMARY_TAG),
+            out: Vec::new(),
         }
     }
 
-    fn remember(&mut self, msg: &Message) {
-        if self.recent.len() >= self.cfg.store_cap {
-            if let Some(old) = self.recent.pop_front() {
-                self.store.remove(&old);
-            }
-        }
-        self.recent.push_back(msg.broadcast_id);
-        let mut kept = msg.clone();
-        kept.link_seq = None;
-        self.store.insert(msg.broadcast_id, kept);
-    }
-
-    fn reliable_send(&mut self, ctx: &mut Context<'_>, to: NodeId, msg: Message) {
-        let sender = self.tx.entry(to.index() as u32).or_default();
-        if let Some(stamped) = sender.send(msg, &self.cfg, ctx.now()) {
-            ctx.send(to, stamped);
-        }
-    }
-
-    fn flood(&mut self, ctx: &mut Context<'_>, msg: &Message, except: Option<NodeId>) {
-        for &w in &ctx.neighbors().to_vec() {
-            if Some(w) != except {
-                self.reliable_send(ctx, w, msg.clone());
-            }
-        }
-    }
-
-    fn send_ack(&mut self, ctx: &mut Context<'_>, to: NodeId) {
-        let Some(rx) = self.rx.get_mut(&(to.index() as u32)) else {
-            return;
-        };
-        if !rx.dirty() {
-            return;
-        }
-        let (cum, nacks) = rx.ack_payload();
-        let ack = Message::new(
-            ACK_TAG,
-            ctx.id().index() as u32,
-            encode_ack_payload(cum, &nacks),
-        );
-        ctx.send(to, ack);
-    }
-
-    fn on_tick(&mut self, tick: u64, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        for &w in &ctx.neighbors().to_vec() {
-            let peer = w.index() as u32;
-            if let Some(tx) = self.tx.get_mut(&peer) {
-                for frame in tx.sweep(&self.cfg, now) {
-                    ctx.send(w, frame);
-                }
-            }
-            self.send_ack(ctx, w);
-            if tick.is_multiple_of(self.cfg.summary_every) && !self.recent.is_empty() {
-                let ids: Vec<u64> = self
-                    .recent
-                    .iter()
-                    .rev()
-                    .take(MAX_SUMMARY_IDS)
-                    .copied()
-                    .collect();
-                let summary = Message::new(
-                    SUMMARY_TAG,
-                    ctx.id().index() as u32,
-                    encode_summary_payload(false, &ids),
-                );
-                ctx.send(w, summary);
-            }
+    fn emit(&mut self, ctx: &mut Context<'_>) {
+        for (to, msg) in self.out.drain(..) {
+            ctx.send(to, msg);
         }
     }
 }
 
 impl Process for ReliableFlooder {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.core.origin = ctx.id().index() as u32;
+        let cfg = self.core.cfg;
         for (idx, b) in self.schedule.iter().enumerate() {
             if b.origin as usize == ctx.id().index() {
                 ctx.set_timer(b.at_us, idx as u64);
             }
         }
         let mut tick = 1;
-        while tick * self.cfg.tick_us <= self.horizon_us {
-            ctx.set_timer(tick * self.cfg.tick_us, TICK_TOKEN_BASE + tick);
+        while tick * cfg.tick_us <= self.horizon_us {
+            ctx.set_timer(tick * cfg.tick_us, TICK_TOKEN_BASE + tick);
             tick += 1;
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+        let now = ctx.now();
         if token >= TICK_TOKEN_BASE {
-            self.on_tick(token - TICK_TOKEN_BASE, ctx);
-            return;
+            // Peer by peer, so each neighbor's sweep, ack and summary
+            // leave back to back.
+            let advertise = (token - TICK_TOKEN_BASE).is_multiple_of(self.core.cfg.summary_ticks());
+            for &w in ctx.neighbors() {
+                self.core.tick(now, [w], &mut self.out);
+                if advertise {
+                    self.core.advertise([w], &mut self.out);
+                }
+            }
+        } else {
+            let b = self.schedule[token as usize];
+            if !self.seen.insert(b.id) {
+                return;
+            }
+            let msg = Message::new(b.id, ctx.id().index() as u32, Bytes::new());
+            let peers = ctx.neighbors().iter().copied();
+            self.core.originate(&msg, now, peers, &mut self.out);
+            ctx.deliver(msg);
         }
-        let b = self.schedule[token as usize];
-        if !self.seen.insert(b.id) {
-            return;
-        }
-        let msg = Message::new(b.id, ctx.id().index() as u32, Bytes::new());
-        ctx.deliver(msg.clone());
-        self.remember(&msg);
-        self.flood(ctx, &msg, None);
+        self.emit(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
-        let peer = from.index() as u32;
-        if msg.broadcast_id == ACK_TAG {
-            if let Some((cum, nacks)) = decode_ack_payload(msg.payload) {
-                if let Some(tx) = self.tx.get_mut(&peer) {
-                    for frame in tx.on_ack(cum, &nacks, &self.cfg, ctx.now()) {
-                        ctx.send(from, frame);
-                    }
+        let now = ctx.now();
+        match msg.broadcast_id {
+            ACK_TAG => self.core.on_ack(from, msg.payload, now, &mut self.out),
+            SUMMARY_TAG => {
+                self.core
+                    .on_summary(from, msg.payload, &self.seen, now, &mut self.out);
+            }
+            _ => {
+                let peers = ctx.neighbors().iter().copied();
+                let outcome =
+                    self.core
+                        .on_data(from, &msg, &mut self.seen, now, peers, &mut self.out);
+                if outcome == DataOutcome::Fresh {
+                    ctx.deliver(msg);
                 }
             }
-            return;
         }
-        if msg.broadcast_id == SUMMARY_TAG {
-            match decode_summary_payload(msg.payload) {
-                Some((false, ids)) => {
-                    let missing: Vec<u64> = ids
-                        .into_iter()
-                        .filter(|id| !self.seen.contains(*id))
-                        .collect();
-                    if !missing.is_empty() {
-                        let pull = Message::new(
-                            SUMMARY_TAG,
-                            ctx.id().index() as u32,
-                            encode_summary_payload(true, &missing),
-                        );
-                        ctx.send(from, pull);
-                    }
-                }
-                Some((true, ids)) => {
-                    for id in ids {
-                        // Serve the stored copy as-is: repair traffic is
-                        // not part of the dissemination tree, so it does
-                        // not advance the hop count.
-                        if let Some(kept) = self.store.get(&id).cloned() {
-                            self.reliable_send(ctx, from, kept);
-                        }
-                    }
-                }
-                None => {}
-            }
-            return;
-        }
-        // Data plane: link-level dedup first, then flooding dedup.
-        if let Some(seq) = msg.link_seq {
-            if !self.rx.entry(peer).or_default().on_frame(seq) {
-                return;
-            }
-        }
-        if !self.seen.insert(msg.broadcast_id) {
-            return;
-        }
-        ctx.deliver(msg.clone());
-        self.remember(&msg);
-        let fwd = msg.forwarded();
-        self.flood(ctx, &fwd, Some(from));
+        self.emit(ctx);
     }
 }
 
@@ -771,12 +985,165 @@ mod tests {
         );
     }
 
+    /// A core for node 0 on the simulator's tags, plus a data frame maker.
+    fn core(cfg: ReliableConfig) -> ReliableCore<u32> {
+        ReliableCore::new(cfg, 0, ACK_TAG, SUMMARY_TAG)
+    }
+
+    fn ids(out: &Sends<u32>) -> Vec<(u32, u64, Option<u64>)> {
+        out.iter()
+            .map(|(to, m)| (*to, m.broadcast_id, m.link_seq))
+            .collect()
+    }
+
+    #[test]
+    fn replaced_link_parks_unstamped_capped_and_flush_restarts_at_seq_1() {
+        let mut c = core(cfg()); // window 4, queue_cap 8
+        let mut out = Vec::new();
+        for id in 1..=12 {
+            c.originate(&msg(id), 0, [7], &mut out);
+        }
+        assert_eq!(out.len(), 4, "window admits 4; 8 queue behind them");
+        c.on_ack(7, encode_ack_payload(1, &[]), 0, &mut out);
+        assert_eq!(ids(&out)[4], (7, 5, Some(5)), "the ack admitted one more");
+
+        c.reset_link(7);
+        let parked = &c.parked[&7];
+        assert!(parked.iter().all(|m| m.link_seq.is_none()), "unstamped");
+        let parked_ids: Vec<u64> = parked.iter().map(|m| m.broadcast_id).collect();
+        // Unacked 2..=5 then queued 6..=12 is 11 frames: the cap keeps the
+        // newest `queue_cap`, in order.
+        assert_eq!(parked_ids, (5..=12).collect::<Vec<u64>>());
+
+        out.clear();
+        c.flush(7, 50, &mut out);
+        let want: Vec<_> = (1..=4).map(|i| (7, 4 + i, Some(i))).collect();
+        assert_eq!(ids(&out), want, "fresh sequence space from 1");
+        assert!(c.parked.is_empty());
+    }
+
+    #[test]
+    fn pull_serves_retained_ids_with_stored_hops_and_nothing_once_evicted() {
+        let mut c = core(ReliableConfig {
+            store_cap: 2,
+            ..cfg()
+        });
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        for id in 1..=3u64 {
+            let mut m = msg(id).with_link_seq(id);
+            m.hops = 2 + id as u32;
+            assert_eq!(
+                c.on_data(1, &m, &mut seen, 0, [1], &mut out),
+                DataOutcome::Fresh
+            );
+        }
+        assert!(out.is_empty(), "the only peer is the sender: no forwards");
+        // Id 1 fell out of the 2-entry store; id 3 is retained as received.
+        let pull = encode_summary_payload(true, &[1, 3]);
+        assert_eq!(
+            c.on_summary(2, pull, &seen, 0, &mut out),
+            SummaryOutcome::Served(1)
+        );
+        assert_eq!(ids(&out), vec![(2, 3, Some(1))]);
+        assert_eq!(out[0].1.hops, 5, "repair copies keep the stored hop count");
+
+        // An advertisement naming one unseen id is answered with one pull.
+        out.clear();
+        let advert = encode_summary_payload(false, &[3, 99]);
+        assert_eq!(
+            c.on_summary(2, advert, &seen, 0, &mut out),
+            SummaryOutcome::Pulled
+        );
+        assert_eq!(out[0].1.broadcast_id, SUMMARY_TAG);
+        assert_eq!(
+            decode_summary_payload(out[0].1.payload.clone()),
+            Some((true, vec![99]))
+        );
+    }
+
+    #[test]
+    fn link_duplicate_is_dropped_but_earns_an_ack_on_the_next_tick() {
+        let mut c = core(cfg());
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        let m = msg(1).with_link_seq(1);
+        assert_eq!(
+            c.on_data(1, &m, &mut seen, 0, [1, 2], &mut out),
+            DataOutcome::Fresh
+        );
+        assert_eq!(
+            ids(&out),
+            vec![(2, 1, Some(1))],
+            "forwarded past the sender"
+        );
+        assert_eq!(out[0].1.hops, 1);
+        assert_eq!(c.tick(10, [1, 2], &mut out).acks, 1);
+        assert_eq!(c.tick(20, [1, 2], &mut out), TickReport::default());
+
+        out.clear();
+        assert_eq!(
+            c.on_data(1, &m, &mut seen, 30, [1, 2], &mut out),
+            DataOutcome::LinkDuplicate
+        );
+        assert!(out.is_empty(), "a retransmitted copy is not re-forwarded");
+        assert_eq!(c.tick(40, [1, 2], &mut out).acks, 1, "but it is re-acked");
+        assert_eq!((out[0].0, out[0].1.broadcast_id), (1, ACK_TAG));
+        assert_eq!(
+            decode_ack_payload(out[0].1.payload.clone()),
+            Some((1, vec![]))
+        );
+        // A copy over another link is new there, and the dedup set's call.
+        let other = msg(1).with_link_seq(1);
+        assert_eq!(
+            c.on_data(2, &other, &mut seen, 50, [1, 2], &mut out),
+            DataOutcome::Duplicate
+        );
+    }
+
+    #[test]
+    fn sends_follow_the_drivers_peer_order() {
+        let mut c = core(cfg());
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        let order = |out: &Sends<u32>| out.iter().map(|(to, _)| *to).collect::<Vec<_>>();
+
+        c.originate(&msg(1), 0, [9, 2, 5], &mut out);
+        assert_eq!(order(&out), vec![9, 2, 5]);
+        out.clear();
+        let m = msg(2).with_link_seq(1);
+        c.on_data(2, &m, &mut seen, 0, [5, 2, 9], &mut out);
+        assert_eq!(order(&out), vec![5, 9], "every peer but the sender");
+        out.clear();
+        // Past the rto every link retransmits; link 2 also owes an ack,
+        // which leaves right behind its own sweep.
+        let report = c.tick(1_000, [2, 9, 5], &mut out);
+        assert_eq!((report.retransmits, report.acks), (5, 1));
+        assert_eq!(order(&out), vec![2, 2, 9, 9, 5, 5]);
+        assert_eq!(out[1].1.broadcast_id, ACK_TAG);
+        out.clear();
+        assert!(c.advertise([5, 9, 2], &mut out));
+        assert_eq!(order(&out), vec![5, 9, 2]);
+        assert!(!c.advertise([], &mut out), "nobody to tell");
+    }
+
     fn cycle(n: usize) -> Graph {
         let mut g = Graph::with_nodes(n);
         for i in 0..n {
             g.add_edge(NodeId(i), NodeId((i + 1) % n));
         }
         g
+    }
+
+    /// One flooder per node, node 0 originating broadcast 0x1000 at `at_us`.
+    fn flooders(n: usize, cfg: ReliableConfig, at_us: u64, horizon: u64) -> Vec<Box<dyn Process>> {
+        let schedule = vec![ScheduledBroadcast {
+            id: 0x1000,
+            origin: 0,
+            at_us,
+        }];
+        (0..n)
+            .map(|_| {
+                Box::new(ReliableFlooder::new(cfg, schedule.clone(), horizon)) as Box<dyn Process>
+            })
+            .collect()
     }
 
     #[test]
@@ -810,20 +1177,7 @@ mod tests {
         let baseline = base_sim.run(base_procs, horizon).first_delivery_times(n);
 
         let mut rel_sim = Simulation::new(&g, link, 7);
-        let schedule = vec![ScheduledBroadcast {
-            id: 0x1000,
-            origin: 0,
-            at_us: 0,
-        }];
-        let rel_procs: Vec<Box<dyn Process>> = (0..n)
-            .map(|_| {
-                Box::new(ReliableFlooder::new(
-                    ReliableConfig::default(),
-                    schedule.clone(),
-                    horizon,
-                )) as Box<dyn Process>
-            })
-            .collect();
+        let rel_procs = flooders(n, ReliableConfig::default(), 0, horizon);
         let reliable = rel_sim.run(rel_procs, horizon).first_delivery_times(n);
 
         for v in 1..n {
@@ -858,20 +1212,7 @@ mod tests {
         );
         sim.with_faults(Arc::new(inj));
         let horizon = 1_000_000;
-        let schedule = vec![ScheduledBroadcast {
-            id: 0x1000,
-            origin: 0,
-            at_us: 10_000,
-        }];
-        let processes: Vec<Box<dyn Process>> = (0..n)
-            .map(|_| {
-                Box::new(ReliableFlooder::new(
-                    ReliableConfig::default(),
-                    schedule.clone(),
-                    horizon,
-                )) as Box<dyn Process>
-            })
-            .collect();
+        let processes = flooders(n, ReliableConfig::default(), 10_000, horizon);
         let report = sim.run(processes, horizon);
         let first = report.first_delivery_times(n);
         for (v, t) in first.iter().enumerate() {
@@ -882,5 +1223,26 @@ mod tests {
             n,
             "exactly-once at every node despite retransmits and duplicates"
         );
+    }
+
+    #[test]
+    fn summary_every_zero_means_every_tick() {
+        let every = |summary_every| ReliableConfig {
+            summary_every,
+            ..ReliableConfig::default()
+        };
+        assert_eq!(every(0).summary_ticks(), 1);
+        assert_eq!(every(1).summary_ticks(), 1);
+        assert_eq!(every(5).summary_ticks(), 5);
+
+        // On the simulator: 0 advertises on every tick, exactly like 1 —
+        // and so sends more frames than the default cadence of 5.
+        let frames = |summary_every| {
+            let mut sim = Simulation::new(&cycle(4), LinkModel::default(), 3);
+            sim.run(flooders(4, every(summary_every), 0, 200_000), 200_000)
+                .messages_sent
+        };
+        assert_eq!(frames(0), frames(1));
+        assert!(frames(0) > frames(5));
     }
 }

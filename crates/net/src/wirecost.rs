@@ -36,7 +36,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::codec::LEN_PREFIX;
 use crate::reliable::{ACK_TAG, SUMMARY_TAG};
 
 /// Tag bit for Byzantine gossip ids (canonical definition;
@@ -135,15 +134,6 @@ impl MessageClass {
             MessageClass::Byz => "byz",
         }
     }
-}
-
-/// Peeks the broadcast id out of an encoded frame (length prefix + body)
-/// without decoding the message — the id is the first 8 body bytes.
-/// Returns `None` on frames too short to carry one.
-#[must_use]
-pub fn peek_broadcast_id(frame: &[u8]) -> Option<u64> {
-    let body = frame.get(LEN_PREFIX..LEN_PREFIX + 8)?;
-    Some(u64::from_be_bytes(body.try_into().ok()?))
 }
 
 /// Frame and byte counters for each message class: a pair of fixed atomic
@@ -388,9 +378,6 @@ impl WireAccountant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_frame;
-    use crate::message::Message;
-    use bytes::Bytes;
 
     #[test]
     fn classify_covers_every_tag_bit() {
@@ -427,14 +414,6 @@ mod tests {
             assert_eq!(class.index(), i);
             assert!(!class.name().is_empty());
         }
-    }
-
-    #[test]
-    fn peek_matches_encoded_id() {
-        let msg = Message::new(0xdead_beef_cafe, 3, Bytes::from_static(b"x"));
-        let frame = encode_frame(&msg);
-        assert_eq!(peek_broadcast_id(&frame), Some(0xdead_beef_cafe));
-        assert_eq!(peek_broadcast_id(&frame[..6]), None);
     }
 
     #[test]

@@ -145,6 +145,24 @@ proptest! {
     }
 
     #[test]
+    fn max_hops_frames_decode_forward_and_reencode(
+        id in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        seq in any::<u64>(),
+    ) {
+        // What a relay does to a frame a traitor stamped with hops = MAX:
+        // decode, forward, re-encode. The hop count must stay saturated
+        // (never wrap back under the hop bound) and nothing may panic.
+        let mut msg = Message::new(id, 1, Bytes::from(payload)).with_link_seq(seq);
+        msg.hops = u32::MAX;
+        let arrived = decode_frame(&encode_frame(&msg)).expect("framed encoding decodes");
+        let relayed = decode_frame(&encode_frame(&arrived.forwarded())).expect("forward decodes");
+        prop_assert_eq!(relayed.hops, u32::MAX);
+        prop_assert_eq!(relayed.link_seq, None);
+        prop_assert_eq!(relayed.payload, msg.payload);
+    }
+
+    #[test]
     fn fifo_id_round_trips(origin in any::<u32>(), seq in any::<u32>()) {
         prop_assert_eq!(fifo_parts(fifo_id(origin, seq)), (origin, seq));
     }

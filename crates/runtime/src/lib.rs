@@ -1,8 +1,7 @@
 //! lhg-runtime: a self-healing LHG overlay over real TCP sockets.
 //!
 //! Where [`lhg_net::sim`] measures the flooding protocol in a discrete-event
-//! simulator and [`lhg_net::threaded`] runs it over in-process channels,
-//! this crate runs it over the real thing: each node is a set of OS threads
+//! simulator, this crate runs it over the real thing: each node is a set of OS threads
 //! owning a loopback [`std::net::TcpListener`], links are TCP connections,
 //! and frames are the same length-prefixed [`lhg_net::message::Message`]
 //! encoding ([`lhg_net::codec`]) used everywhere else in the workspace.

@@ -17,20 +17,23 @@
 //!
 //! # Reliable delivery
 //!
-//! Data frames ride the reliable layer from [`lhg_net::reliable`]: each
-//! directed link stamps them with per-link sequence numbers
-//! ([`LinkSender`]), the receiving side acks cumulatively and NACKs holes
-//! ([`LinkReceiver`]), and retransmit sweeps run on the main-loop tick.
-//! Sequence spaces are **per connection**: every new socket (dial or
-//! accept) resets both halves, and frames a torn-down link never delivered
-//! are re-sent over the replacement. On the heartbeat cadence each node
-//! additionally floods anti-entropy *summaries* of its recently-delivered
-//! broadcast ids; a peer that spots a gap pulls the missing broadcasts, so
-//! even a frame lost on every copy (or a node that was down when it
-//! flooded past) is repaired through any surviving path. Control frames
-//! (hello/heartbeat/crash/join/sync and the ack/summary frames themselves)
-//! stay best-effort: they are periodic, idempotent, or answered, so their
-//! loss only costs latency.
+//! Data frames ride [`ReliableCore`], the sans-IO data plane the simulator
+//! drives too: each directed link stamps them with per-link sequence
+//! numbers, the receiving side acks cumulatively and NACKs holes, and
+//! retransmit sweeps run on the main-loop tick. This loop only feeds the
+//! core its events — frames, ticks, link replacements — with a monotonic
+//! `now_us` and the live links as peer list, and writes what it emits
+//! through its `send_to` (fault injector, `runtime.*` counters,
+//! flight recorder). Sequence spaces are **per connection**: every new
+//! socket (dial or accept) resets both halves, and frames a torn-down link
+//! never delivered are re-sent over the replacement. On the heartbeat
+//! cadence each node additionally floods anti-entropy *summaries* of its
+//! recently-delivered broadcast ids; a peer that spots a gap pulls the
+//! missing broadcasts, so even a frame lost on every copy (or a node that
+//! was down when it flooded past) is repaired through any surviving path.
+//! Control frames (hello/heartbeat/crash/join/sync and the ack/summary
+//! frames themselves) stay best-effort: they are periodic, idempotent, or
+//! answered, so their loss only costs latency.
 //!
 //! # Fault model and recovery
 //!
@@ -58,7 +61,7 @@
 //!   the `JOIN`. Survivors admit joiners at a canonical sorted position, so
 //!   replicas converge regardless of announcement order.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,15 +75,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use lhg_byzantine::engine::Action as ByzAction;
-use lhg_byzantine::frame::{digest as byz_digest, GossipFrame, GossipKind};
-use lhg_byzantine::sim::{EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE};
-use lhg_byzantine::{BrachaConfig, BrachaEngine, InstanceSummary, Phase, TraitorBehavior};
+use lhg_byzantine::{
+    attack, BrachaConfig, BrachaEngine, GossipFrame, InstanceSummary, TraitorBehavior,
+};
 use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId};
 use lhg_net::backoff::{Backoff, BackoffPolicy};
 use lhg_net::codec::{read_frame, write_frame};
-use lhg_net::message::{ByzTag, Message};
+use lhg_net::message::Message;
 use lhg_net::metrics::{Gauge, MetricsRegistry};
-use lhg_net::reliable::{self, LinkReceiver, LinkSender, MAX_SUMMARY_IDS};
+use lhg_net::reliable::{DataOutcome, ReliableCore, Sends, SummaryOutcome};
 use lhg_net::seen::SeenSet;
 use lhg_trace::{EventKind, FlightRecorder, PathRecord, TraceCollector};
 
@@ -347,6 +350,12 @@ pub(crate) fn spawn_node(
         // Each node jitters independently, but the whole cluster is still
         // driven by the one configured seed (reproducible chaos runs).
         let rng = StdRng::seed_from_u64(config.rng_seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let core = ReliableCore::new(
+            config.reliable,
+            id as u32,
+            wire::ack_id(id),
+            wire::summary_id(id),
+        );
         let runtime = NodeRuntime {
             id,
             k,
@@ -382,11 +391,8 @@ pub(crate) fn spawn_node(
             crash_reporters: HashMap::new(),
             notice_senders: BTreeSet::new(),
             hb_age_gauges: HashMap::new(),
-            link_tx: HashMap::new(),
-            link_rx: HashMap::new(),
-            pending_relay: HashMap::new(),
-            store: HashMap::new(),
-            recent: VecDeque::new(),
+            core,
+            outbox: Vec::new(),
         };
         std::thread::spawn(move || runtime.run(&rx))
     };
@@ -539,19 +545,12 @@ struct NodeRuntime {
     /// Cached per-peer heartbeat-age gauges (µs since last frame), updated
     /// every suspicion sweep so snapshots read a fresh value.
     hb_age_gauges: HashMap<MemberId, Arc<Gauge>>,
-    /// Sender half of each peer's reliable link (data frames only). Reset
-    /// whenever the backing connection is replaced ([`Self::reset_link`]).
-    link_tx: HashMap<MemberId, LinkSender>,
-    /// Receiver half of each peer's reliable link.
-    link_rx: HashMap<MemberId, LinkReceiver>,
-    /// Data frames a torn-down link never delivered, parked until a
-    /// replacement connection to the same peer comes up.
-    pending_relay: HashMap<MemberId, Vec<Message>>,
-    /// Recently-delivered data messages retained for anti-entropy pull
-    /// serving, with the insertion-ordered id window backing summaries and
-    /// eviction (bounded by the reliable config's `store_cap`).
-    store: HashMap<u64, Message>,
-    recent: VecDeque<u64>,
+    /// The reliable-flood data plane: per-link sequence/ack state, the
+    /// pull store and frames parked for replaced links. Sans-IO — every
+    /// frame it emits goes out through [`Self::send_all`].
+    core: ReliableCore<MemberId>,
+    /// Reused sink for the core's sends.
+    outbox: Sends<MemberId>,
 }
 
 /// One bounded retry schedule for a rejoin-path request (membership
@@ -587,7 +586,7 @@ impl NodeRuntime {
         let summary_period = self
             .config
             .heartbeat_period
-            .saturating_mul(u32::try_from(self.config.reliable.summary_every.max(1)).unwrap_or(5));
+            .saturating_mul(u32::try_from(self.config.reliable.summary_ticks()).unwrap_or(5));
         let mut next_summary = Instant::now() + summary_period;
         let mut next_sweep = Instant::now() + self.config.tick;
         while self.shared.is_alive() {
@@ -609,7 +608,7 @@ impl NodeRuntime {
                 next_summary = now + summary_period;
             }
             if now >= next_sweep {
-                self.reliable_tick();
+                self.tick_core();
                 next_sweep = now + self.config.tick;
             }
             if self.awaiting_sync.as_ref().is_some_and(|r| now >= r.due) {
@@ -644,15 +643,6 @@ impl NodeRuntime {
                 }
             }
             Event::Accepted { peer, conn, writer } => {
-                if let Some(old) = self.writers.insert(peer, writer) {
-                    let _ = old.shutdown(Shutdown::Both);
-                }
-                self.conn_ids.insert(peer, conn);
-                self.last_seen.insert(peer, Instant::now());
-                self.reset_link(peer);
-                if let Some(b) = self.backoffs.get_mut(&peer) {
-                    b.connected(Instant::now());
-                }
                 if self.shared.crashes_applied.lock().contains(&peer) {
                     // An excommunicated peer dialed back in: hold the link
                     // open long enough for the rejoin handshake.
@@ -660,9 +650,7 @@ impl NodeRuntime {
                         .insert(peer, Instant::now() + self.config.heartbeat_timeout);
                 }
                 self.metrics.counter("runtime.accepts").inc();
-                self.recorder
-                    .record(EventKind::Connect { peer: peer as u32 });
-                self.flush_pending(peer);
+                self.link_up(peer, conn, writer);
             }
             Event::PeerClosed { peer, conn } => {
                 // Only the current connection's death is a link failure;
@@ -673,21 +661,11 @@ impl NodeRuntime {
             }
             Event::Broadcast { msg } => {
                 self.seen.insert(msg.broadcast_id);
-                if let Some(trace_id) = msg.trace {
-                    self.recorder
-                        .record(EventKind::BroadcastAccept { trace_id });
-                    self.tracer.record(PathRecord {
-                        trace_id,
-                        node: self.id as u32,
-                        parent: None,
-                        hops: 0,
-                        at_us: self.recorder.now_us(),
-                    });
-                }
-                self.deliver(&msg);
+                self.deliver(&msg, None);
                 // Send the hop-incremented copy so a receiver's `hops` field
                 // counts the edges the copy travelled.
-                self.flood(&msg.forwarded(), None);
+                let (wire, peers) = (msg.forwarded(), self.peers());
+                self.drive(|core, _, now_us, out| core.originate(&wire, now_us, peers, out));
             }
             Event::ByzBroadcast { nonce, payload } => {
                 let actions = match self.byz.as_mut() {
@@ -798,54 +776,43 @@ impl NodeRuntime {
                 }
             }
             FrameKind::Ack(_) => {
-                if let Some((cum, nacks)) = reliable::decode_ack_payload(msg.payload.clone()) {
-                    let now_us = self.recorder.now_us();
-                    let cfg = self.config.reliable;
-                    let frames = match self.link_tx.get_mut(&from) {
-                        Some(tx) => tx.on_ack(cum, &nacks, &cfg, now_us),
-                        None => Vec::new(),
-                    };
-                    for frame in frames {
-                        self.send_to(from, &frame);
+                let payload = msg.payload.clone();
+                self.drive(|core, _, now_us, out| core.on_ack(from, payload, now_us, out));
+            }
+            FrameKind::Summary(_) => {
+                let payload = msg.payload.clone();
+                match self.drive(|core, seen, now_us, out| {
+                    core.on_summary(from, payload, seen, now_us, out)
+                }) {
+                    SummaryOutcome::Pulled => self.metrics.counter("runtime.pulls_sent").inc(),
+                    SummaryOutcome::Served(n) => {
+                        self.metrics.counter("runtime.pulls_served").add(n);
                     }
+                    SummaryOutcome::Ignored => {}
                 }
             }
-            FrameKind::Summary(_) => self.on_summary(from, msg),
             FrameKind::Data => {
-                // Link-level dedup first: a retransmitted copy whose
-                // original arrived is dropped here (the ack it re-earns
-                // goes out on the next sweep), keeping the flooding dedup
-                // set's exactly-once accounting untouched.
-                if let Some(seq) = msg.link_seq {
-                    if !self.link_rx.entry(from).or_default().on_frame(seq) {
-                        self.metrics.counter("runtime.link_dups").inc();
-                        return;
+                let (peers, now_us) = (self.writers.keys().copied(), self.recorder.now_us());
+                let mut out = std::mem::take(&mut self.outbox);
+                match self
+                    .core
+                    .on_data(from, msg, &mut self.seen, now_us, peers, &mut out)
+                {
+                    // The ack the copy re-earns goes out on the next sweep.
+                    DataOutcome::LinkDuplicate => self.metrics.counter("runtime.link_dups").inc(),
+                    DataOutcome::Duplicate => {}
+                    // Deliver before the forwards the core emitted are written.
+                    DataOutcome::Fresh => {
+                        self.deliver(msg, Some(from));
+                        if let Some(trace_id) = msg.trace {
+                            self.recorder.record(EventKind::BroadcastForward {
+                                trace_id,
+                                hops: msg.hops.saturating_add(1),
+                            });
+                        }
                     }
                 }
-                if self.seen.insert(msg.broadcast_id) {
-                    if let Some(trace_id) = msg.trace {
-                        self.recorder.record(EventKind::BroadcastDeliver {
-                            trace_id,
-                            from: from as u32,
-                            hops: msg.hops,
-                        });
-                        self.tracer.record(PathRecord {
-                            trace_id,
-                            node: self.id as u32,
-                            parent: Some(from as u32),
-                            hops: msg.hops,
-                            at_us: self.recorder.now_us(),
-                        });
-                    }
-                    self.deliver(msg);
-                    if let Some(trace_id) = msg.trace {
-                        self.recorder.record(EventKind::BroadcastForward {
-                            trace_id,
-                            hops: msg.hops + 1,
-                        });
-                    }
-                    self.flood(&msg.forwarded(), Some(from));
-                }
+                self.send_all(out);
             }
             FrameKind::Byz => {
                 if self.seen.insert(msg.broadcast_id) {
@@ -860,7 +827,7 @@ impl NodeRuntime {
     /// the frame entirely; a cluster without a byzantine setup still
     /// relays (interop) but never votes or delivers.
     fn on_byz_frame(&mut self, from: MemberId, msg: &Message) {
-        let behavior = self.byz.as_ref().and_then(|b| b.behavior);
+        let behavior = self.behavior();
         if behavior == Some(TraitorBehavior::Silent) {
             return;
         }
@@ -876,8 +843,11 @@ impl NodeRuntime {
             // Re-flood the identical frame: correct peers' dedup absorbs
             // the duplicate, so the copy costs bandwidth but no votes.
             Some(TraitorBehavior::Replay) => self.flood(&msg.forwarded(), Some(from)),
-            Some(TraitorBehavior::Equivocate) => self.mount_equivocation(),
-            Some(TraitorBehavior::Forge) => self.mount_forgery(),
+            // Mounted once, on the first byz frame observed (so there is a
+            // broadcast to disrupt).
+            Some(TraitorBehavior::Equivocate) if self.first_attack() => self.mount_equivocation(),
+            Some(TraitorBehavior::Forge) if self.first_attack() => self.mount_forgery(),
+            Some(TraitorBehavior::Equivocate | TraitorBehavior::Forge) => {}
             // Failure-detector attacks relay honestly but cast no votes;
             // their teeth are in the heartbeat path (`send_heartbeats`).
             Some(TraitorBehavior::FrameCrash | TraitorBehavior::SuppressHeartbeat) => {}
@@ -914,22 +884,11 @@ impl NodeRuntime {
     /// the vote — which is what keeps churned, re-sized quorums fillable
     /// without a byz-specific ack layer.
     fn regossip_byz(&mut self) {
-        let frames: Vec<Message> = match self.byz.as_ref() {
-            Some(b) if b.behavior.is_none() => b
-                .engine
-                .regossip()
-                .into_iter()
-                .filter_map(|a| match a {
-                    ByzAction::Gossip(f) => Some(f.to_message()),
-                    ByzAction::Deliver(_) => None,
-                })
-                .collect(),
+        let actions = match self.byz.as_ref() {
+            Some(b) if b.behavior.is_none() => b.engine.regossip(),
             _ => return,
         };
-        for m in frames {
-            self.seen.insert(m.broadcast_id);
-            self.flood(&m, None);
-        }
+        self.apply_byz_actions(actions); // gossip only: votes never deliver
     }
 
     /// Re-sizes the Bracha membership view after applied churn: instances
@@ -946,78 +905,38 @@ impl NodeRuntime {
         }
     }
 
-    /// Equivocation attack (once): conflicting SENDs under our own origin,
-    /// one story to even-indexed live links, another to odd. Correct nodes
-    /// must converge on at most one of the two digests (usually neither —
-    /// neither side can reach its echo quorum without the other half).
+    /// This node's scripted misbehavior, if it is one of the run's traitors.
+    fn behavior(&self) -> Option<TraitorBehavior> {
+        self.byz.as_ref().and_then(|b| b.behavior)
+    }
+
+    /// `true` exactly once per traitor life: claims the one scripted attack.
+    fn first_attack(&mut self) -> bool {
+        self.byz
+            .as_mut()
+            .is_some_and(|b| !std::mem::replace(&mut b.attacked, true))
+    }
+
+    /// Mounts [`attack::equivocation_pair`]: one story to even-indexed
+    /// live links (sorted by member id), the other to odd.
     fn mount_equivocation(&mut self) {
-        let Some(b) = self.byz.as_mut() else { return };
-        if std::mem::replace(&mut b.attacked, true) {
-            return;
-        }
-        let tag = ByzTag {
-            origin: self.id as u32,
-            nonce: EQUIVOCATE_NONCE_BASE + self.id,
-        };
-        let mut peers: Vec<MemberId> = self.writers.keys().copied().collect();
+        let pair = attack::equivocation_pair(self.id as u32).map(|f| f.to_message());
+        let mut peers = self.peers();
         peers.sort_unstable();
         for (i, peer) in peers.into_iter().enumerate() {
-            let payload = if i % 2 == 0 {
-                Bytes::from_static(b"two-faced: A")
-            } else {
-                Bytes::from_static(b"two-faced: B")
-            };
-            let frame = GossipFrame {
-                kind: GossipKind::Send,
-                witness: self.id as u32,
-                tag,
-                digest: byz_digest(&payload),
-                payload,
-            };
-            let m = frame.to_message();
+            let m = &pair[i % 2];
             self.seen.insert(m.broadcast_id);
-            self.send_to(peer, &m);
+            self.send_to(peer, m);
         }
     }
 
-    /// Forgery attack (once): ECHO+READY votes for a SEND the impersonated
-    /// origin (lowest other member) never issued. One forged voice is f
-    /// short of every quorum, so no correct node delivers the fake.
+    /// Floods [`attack::forged_votes`] impersonating the lowest other
+    /// member of our replica.
     fn mount_forgery(&mut self) {
-        let Some(b) = self.byz.as_mut() else { return };
-        if std::mem::replace(&mut b.attacked, true) {
-            return;
-        }
-        let victim = self
-            .shared
-            .overlay
-            .lock()
-            .members()
-            .iter()
-            .copied()
-            .find(|&m| m != self.id)
-            .unwrap_or(self.id);
-        let tag = ByzTag {
-            origin: victim as u32,
-            nonce: FORGE_NONCE_BASE + self.id,
-        };
-        let payload = Bytes::from_static(b"the origin never said this");
-        let dig = byz_digest(&payload);
-        for (kind, body) in [
-            (GossipKind::Echo, payload),
-            (GossipKind::Ready, Bytes::new()),
-        ] {
-            let frame = GossipFrame {
-                kind,
-                witness: self.id as u32,
-                tag,
-                digest: dig,
-                payload: body,
-            };
-            let m = frame.to_message();
-            self.seen.insert(m.broadcast_id);
-            self.flood(&m, None);
-        }
+        let members = self.shared.overlay.lock().members().to_vec();
+        let victim = members.into_iter().find(|&m| m != self.id);
+        let votes = attack::forged_votes(self.id as u32, victim.unwrap_or(self.id) as u32);
+        self.apply_byz_actions(votes.map(ByzAction::Gossip).into());
     }
 
     /// Degraded-mode ground truth: re-admits an excommunicated peer that
@@ -1065,11 +984,7 @@ impl NodeRuntime {
     /// about us), or request a membership snapshot when it is not (we are
     /// degraded, or already resyncing — our own view cannot be trusted).
     fn on_excommunication_notice(&mut self, from: MemberId) {
-        if self
-            .byz
-            .as_ref()
-            .is_some_and(|b| b.behavior == Some(TraitorBehavior::SuppressHeartbeat))
-        {
+        if self.behavior() == Some(TraitorBehavior::SuppressHeartbeat) {
             return; // scripted: it *wants* to stay excommunicated
         }
         let now = Instant::now();
@@ -1123,7 +1038,7 @@ impl NodeRuntime {
             Some(b) => match b.behavior {
                 None => b.engine.summaries(),
                 Some(TraitorBehavior::Equivocate | TraitorBehavior::Forge) => {
-                    self.forged_summaries(from)
+                    attack::forged_summaries(self.id as u32, from as u32, b.engine.summaries())
                 }
                 Some(_) => Vec::new(),
             },
@@ -1134,34 +1049,6 @@ impl NodeRuntime {
         if self.send_to(from, &reply) {
             self.metrics.counter("runtime.syncs_served").inc();
         }
-    }
-
-    /// A traitor's catch-up reply: a fabricated already-`Delivered`
-    /// instance the stable majority never saw, plus digest-flipped copies
-    /// of its real summaries. Each lie is one voice — f short of the f+1
-    /// echo corroboration and 2f+1 delivery quorum, so a correct rejoiner
-    /// ingests it into a state that never certifies.
-    fn forged_summaries(&self, requester: MemberId) -> Vec<InstanceSummary> {
-        let victim = if requester == 0 { 1 } else { 0 };
-        let payload = Bytes::from_static(b"forged catch-up: majority never delivered this");
-        let mut items = vec![InstanceSummary {
-            tag: ByzTag {
-                origin: victim as u32,
-                nonce: FORGE_NONCE_BASE + 0x500 + self.id,
-            },
-            phase: Phase::Delivered,
-            digest: byz_digest(&payload),
-            payload,
-        }];
-        if let Some(b) = self.byz.as_ref() {
-            items.extend(b.engine.summaries().into_iter().map(|mut s| {
-                s.digest = s.digest.wrapping_add(1);
-                s.payload = Bytes::new();
-                s.phase = Phase::Delivered;
-                s
-            }));
-        }
-        items
     }
 
     /// Ingests the Bracha summaries riding a SYNC snapshot as the serving
@@ -1278,8 +1165,8 @@ impl NodeRuntime {
         }
     }
 
-    /// The shared retry/backoff policy for rejoin-path requests: same
-    /// knobs as dialing, with the suspicion timeout as probation window.
+    /// The one retry/backoff policy, for dialing and rejoin-path requests
+    /// alike, with the suspicion timeout as probation window.
     fn retry_policy(&self) -> BackoffPolicy {
         BackoffPolicy {
             base: self.config.dial_backoff,
@@ -1326,7 +1213,7 @@ impl NodeRuntime {
         if self.byz.as_ref().is_none_or(|b| b.behavior.is_some()) {
             return false;
         }
-        let peers: Vec<MemberId> = self.writers.keys().copied().collect();
+        let peers = self.peers();
         if peers.is_empty() {
             return false;
         }
@@ -1397,7 +1284,6 @@ impl NodeRuntime {
         if let Some(report) = churn {
             self.metrics.counter("runtime.joins_applied").inc();
             self.apply_churn(&report);
-            self.bump_byz_view();
             // Churn-triggered regossip, aimed at the rejoiner: our
             // standing votes go out now, not a summary cadence later, so
             // its re-sized quorums start filling immediately.
@@ -1407,10 +1293,27 @@ impl NodeRuntime {
         self.reconcile();
     }
 
-    /// Records an application delivery (and its end-to-end latency, if the
-    /// broadcast's start instant is known), retaining the message for
-    /// anti-entropy pull serving.
-    fn deliver(&mut self, msg: &Message) {
+    /// Records an application delivery: its trace event and path record
+    /// (`via` is the neighbor the winning copy arrived from, `None` at the
+    /// origin) and its end-to-end latency, if the start instant is known.
+    fn deliver(&mut self, msg: &Message, via: Option<MemberId>) {
+        if let Some(trace_id) = msg.trace {
+            self.recorder.record(match via {
+                None => EventKind::BroadcastAccept { trace_id },
+                Some(from) => EventKind::BroadcastDeliver {
+                    trace_id,
+                    from: from as u32,
+                    hops: msg.hops,
+                },
+            });
+            self.tracer.record(PathRecord {
+                trace_id,
+                node: self.id as u32,
+                parent: via.map(|from| from as u32),
+                hops: msg.hops,
+                at_us: self.recorder.now_us(),
+            });
+        }
         self.metrics.counter("runtime.deliveries").inc();
         if let Some(t0) = self.clock.read().get(&msg.broadcast_id) {
             let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1418,188 +1321,75 @@ impl NodeRuntime {
                 .histogram("runtime.delivery_latency_us")
                 .record(us);
         }
-        self.remember(msg);
         self.shared.delivered.lock().push(msg.clone());
     }
 
-    /// Retains a delivered data message (link stamp stripped) for
-    /// anti-entropy summaries and pull serving, evicting the oldest entry
-    /// past the configured store capacity.
-    fn remember(&mut self, msg: &Message) {
-        if self.recent.len() >= self.config.reliable.store_cap {
-            if let Some(old) = self.recent.pop_front() {
-                self.store.remove(&old);
-            }
-        }
-        self.recent.push_back(msg.broadcast_id);
-        let mut kept = msg.clone();
-        kept.link_seq = None;
-        self.store.insert(msg.broadcast_id, kept);
+    /// The live links, in the order every flood and core transition
+    /// walks them.
+    fn peers(&self) -> Vec<MemberId> {
+        self.writers.keys().copied().collect()
     }
 
-    /// Sends `msg` to every connected peer except `except`. Data frames go
-    /// through the per-link reliable layer; control frames stay
-    /// best-effort.
+    /// Best-effort flood of a control frame (heartbeat, crash/join wave,
+    /// byz gossip) to every connected peer except `except`. Data frames
+    /// never come this way — they go through [`Self::drive`].
     fn flood(&mut self, msg: &Message, except: Option<MemberId>) {
-        let is_data = matches!(wire::classify(msg.broadcast_id), FrameKind::Data);
-        let peers: Vec<MemberId> = self.writers.keys().copied().collect();
-        for peer in peers {
+        for peer in self.peers() {
             if Some(peer) != except {
-                if is_data {
-                    self.reliable_send_to(peer, msg.clone());
-                } else {
-                    self.send_to(peer, msg);
-                }
+                self.send_to(peer, msg);
             }
         }
     }
 
-    /// Hands a data frame to `peer`'s [`LinkSender`] and writes whatever
-    /// the window admits right now; the rest is queued (backpressure) and
-    /// surfaces from later acks or sweeps.
-    fn reliable_send_to(&mut self, peer: MemberId, msg: Message) {
+    /// Runs one transition of the reliable core — handing it the dedup
+    /// set, the monotonic clock and the reusable sink — then writes
+    /// whatever it emitted.
+    fn drive<R>(
+        &mut self,
+        step: impl FnOnce(&mut ReliableCore<MemberId>, &mut SeenSet, u64, &mut Sends<MemberId>) -> R,
+    ) -> R {
         let now_us = self.recorder.now_us();
-        let cfg = self.config.reliable;
-        let stamped = self
-            .link_tx
-            .entry(peer)
-            .or_default()
-            .send(msg, &cfg, now_us);
-        if let Some(stamped) = stamped {
-            self.send_to(peer, &stamped);
+        let mut out = std::mem::take(&mut self.outbox);
+        let result = step(&mut self.core, &mut self.seen, now_us, &mut out);
+        self.send_all(out);
+        result
+    }
+
+    /// Writes the frames the core emitted, then hands the (drained) sink
+    /// back for reuse. A failed write drops the link, which resets it in
+    /// the core; the peer's remaining frames then fall on a closed writer.
+    fn send_all(&mut self, mut out: Sends<MemberId>) {
+        for (peer, msg) in out.drain(..) {
+            self.send_to(peer, &msg);
         }
+        self.outbox = out;
     }
 
     /// Retransmit sweep + ack emission for every live link, run on the
     /// main-loop tick cadence.
-    fn reliable_tick(&mut self) {
-        let now_us = self.recorder.now_us();
-        let cfg = self.config.reliable;
-        let peers: Vec<MemberId> = self.writers.keys().copied().collect();
-        for peer in peers {
-            let frames = match self.link_tx.get_mut(&peer) {
-                Some(tx) => tx.sweep(&cfg, now_us),
-                None => Vec::new(),
-            };
-            if !frames.is_empty() {
-                self.metrics
-                    .counter("runtime.retransmits")
-                    .add(frames.len() as u64);
-            }
-            for frame in &frames {
-                self.send_to(peer, frame);
-            }
-            let owed = match self.link_rx.get_mut(&peer) {
-                Some(rx) if rx.dirty() => Some(rx.ack_payload()),
-                _ => None,
-            };
-            if let Some((cum, nacks)) = owed {
-                let ack = Message::new(
-                    wire::ack_id(self.id),
-                    self.id as u32,
-                    reliable::encode_ack_payload(cum, &nacks),
-                );
-                self.metrics.counter("runtime.acks_sent").inc();
-                self.send_to(peer, &ack);
-            }
+    fn tick_core(&mut self) {
+        let peers = self.peers();
+        let report = self.drive(|core, _, now_us, out| core.tick(now_us, peers, out));
+        if report.retransmits > 0 {
+            self.metrics
+                .counter("runtime.retransmits")
+                .add(report.retransmits);
+        }
+        if report.acks > 0 {
+            self.metrics.counter("runtime.acks_sent").add(report.acks);
         }
     }
 
-    /// Floods an anti-entropy summary of recently-delivered broadcast ids
-    /// to every connected peer (heartbeat-cadence repair channel).
+    /// Heartbeat-cadence repair channel: re-gossips standing byz votes and
+    /// advertises recently-delivered broadcast ids to every connected peer.
     fn send_summaries(&mut self) {
-        if self
-            .byz
-            .as_ref()
-            .is_some_and(|b| b.behavior == Some(TraitorBehavior::SuppressHeartbeat))
-        {
+        if self.behavior() == Some(TraitorBehavior::SuppressHeartbeat) {
             return; // any frame would refresh last_seen and spoil the act
         }
         self.regossip_byz();
-        if self.recent.is_empty() || self.writers.is_empty() {
-            return;
-        }
-        let ids: Vec<u64> = self
-            .recent
-            .iter()
-            .rev()
-            .take(MAX_SUMMARY_IDS)
-            .copied()
-            .collect();
-        let msg = Message::new(
-            wire::summary_id(self.id),
-            self.id as u32,
-            reliable::encode_summary_payload(false, &ids),
-        );
-        self.metrics.counter("runtime.summaries_sent").inc();
-        self.flood(&msg, None);
-    }
-
-    /// Reacts to an anti-entropy summary from `from`: an advertisement is
-    /// diffed against our dedup set and any gap answered with a pull; a
-    /// pull is served from the recent-message store over the reliable
-    /// layer. Served copies keep their stored hop count — repair traffic
-    /// is not part of the dissemination tree.
-    fn on_summary(&mut self, from: MemberId, msg: &Message) {
-        match reliable::decode_summary_payload(msg.payload.clone()) {
-            Some((false, ids)) => {
-                let missing: Vec<u64> = ids
-                    .into_iter()
-                    .filter(|id| !self.seen.contains(*id))
-                    .collect();
-                if !missing.is_empty() {
-                    self.metrics.counter("runtime.pulls_sent").inc();
-                    let pull = Message::new(
-                        wire::summary_id(self.id),
-                        self.id as u32,
-                        reliable::encode_summary_payload(true, &missing),
-                    );
-                    self.send_to(from, &pull);
-                }
-            }
-            Some((true, ids)) => {
-                for id in ids {
-                    if let Some(kept) = self.store.get(&id).cloned() {
-                        self.metrics.counter("runtime.pulls_served").inc();
-                        self.reliable_send_to(from, kept);
-                    }
-                }
-            }
-            None => {}
-        }
-    }
-
-    /// Resets `peer`'s link-sequence spaces for a fresh connection, parking
-    /// whatever the old sender never got acknowledged so
-    /// [`Self::flush_pending`] can re-send it.
-    fn reset_link(&mut self, peer: MemberId) {
-        self.link_rx.remove(&peer);
-        if let Some(mut tx) = self.link_tx.remove(&peer) {
-            let undelivered = tx.take_undelivered();
-            if !undelivered.is_empty() {
-                let parked = self.pending_relay.entry(peer).or_default();
-                parked.extend(undelivered);
-                // The park is bounded like the sender queue: a peer that
-                // stays down long enough to overflow it is left to
-                // anti-entropy repair.
-                let cap = self.config.reliable.queue_cap;
-                let excess = parked.len().saturating_sub(cap);
-                if excess > 0 {
-                    parked.drain(..excess);
-                }
-            }
-        }
-    }
-
-    /// Re-sends data frames parked by a previous teardown now that a
-    /// connection to `peer` is up again. Duplicates are harmless: the
-    /// peer's flooding dedup absorbs anything it already has.
-    fn flush_pending(&mut self, peer: MemberId) {
-        let Some(parked) = self.pending_relay.remove(&peer) else {
-            return;
-        };
-        for msg in parked {
-            self.reliable_send_to(peer, msg);
+        let peers = self.peers();
+        if self.drive(|core, _, _, out| core.advertise(peers, out)) {
+            self.metrics.counter("runtime.summaries_sent").inc();
         }
     }
 
@@ -1670,7 +1460,7 @@ impl NodeRuntime {
     }
 
     fn send_heartbeats(&mut self) {
-        match self.byz.as_ref().and_then(|b| b.behavior) {
+        match self.behavior() {
             // Plays dead on the control plane: no heartbeats means correct
             // nodes legitimately excommunicate it — forced churn is the
             // attack, and the dynamic views must absorb it.
@@ -1873,7 +1663,7 @@ impl NodeRuntime {
             }
             self.drop_link(victim);
             self.next_dial.remove(&victim);
-            self.pending_relay.remove(&victim);
+            self.core.abandon(victim);
             self.reconcile();
             return;
         }
@@ -1894,10 +1684,9 @@ impl NodeRuntime {
         self.next_dial.remove(&victim);
         // Frames parked for an excommunicated peer are abandoned; if it
         // ever rejoins, anti-entropy summaries catch it up instead.
-        self.pending_relay.remove(&victim);
+        self.core.abandon(victim);
         if let Some(report) = churn {
             self.apply_churn(&report);
-            self.bump_byz_view();
         }
         self.reconcile();
     }
@@ -1928,13 +1717,12 @@ impl NodeRuntime {
         };
         if let Some(report) = churn {
             self.apply_churn(&report);
-            self.bump_byz_view();
         }
         self.reconcile();
     }
 
     /// Applies one churn report: drop removed links, dial added ones (on
-    /// the dialer side).
+    /// the dialer side), and re-size the Bracha view to the new membership.
     fn apply_churn(&mut self, report: &ChurnReport) {
         for peer in report.removed_for(self.id).collect::<Vec<_>>() {
             self.drop_link(peer);
@@ -1945,6 +1733,7 @@ impl NodeRuntime {
                 self.dial(peer);
             }
         }
+        self.bump_byz_view();
     }
 
     /// Converges connections toward the overlay's desired neighbor set:
@@ -1967,8 +1756,7 @@ impl NodeRuntime {
         // Teardown is dialer-driven so a link is never closed by a node
         // that merely hasn't healed yet; connections to crashed members go
         // down too, unless the peer is a revenant mid-rejoin.
-        let current: Vec<MemberId> = self.writers.keys().copied().collect();
-        for peer in current {
+        for peer in self.peers() {
             let revenant = self.revenant_grace.contains_key(&peer);
             let unwanted = if crashed.contains(&peer) {
                 !probe_all && !revenant
@@ -2074,23 +1862,30 @@ impl NodeRuntime {
             let mut reader = reader;
             reader_loop(peer, conn, &mut reader, &tx);
         });
-        if let Some(old) = self.writers.insert(peer, stream) {
+        self.next_dial.remove(&peer);
+        self.metrics.counter("runtime.dials").inc();
+        self.link_up(peer, conn, stream);
+    }
+
+    /// Installs connection `conn` to `peer` (dialed or accepted) in place
+    /// of any older socket: the link's sequence spaces restart, and what
+    /// the old link never delivered is re-sent over the new one.
+    fn link_up(&mut self, peer: MemberId, conn: u64, writer: TcpStream) {
+        if let Some(old) = self.writers.insert(peer, writer) {
             let _ = old.shutdown(Shutdown::Both);
         }
         self.conn_ids.insert(peer, conn);
         self.last_seen.insert(peer, Instant::now());
-        self.next_dial.remove(&peer);
-        self.reset_link(peer);
-        // The success alone does not forgive the failure streak: the
+        self.core.reset_link(peer);
+        // A connect alone does not forgive a dial-failure streak: the
         // escalated schedule stays until the link survives a full
         // probation window ([`Self::settle_backoffs`]).
         if let Some(b) = self.backoffs.get_mut(&peer) {
             b.connected(Instant::now());
         }
-        self.metrics.counter("runtime.dials").inc();
         self.recorder
             .record(EventKind::Connect { peer: peer as u32 });
-        self.flush_pending(peer);
+        self.drive(|core, _, now_us, out| core.flush(peer, now_us, out));
     }
 
     /// Schedules the next dial attempt to `peer` on the jittered exponential
@@ -2099,14 +1894,7 @@ impl NodeRuntime {
     /// because a healed partition must eventually reconnect.
     fn dial_failed(&mut self, peer: MemberId) {
         self.metrics.counter("runtime.dial_failures").inc();
-        let policy = BackoffPolicy {
-            base: self.config.dial_backoff,
-            cap: self.config.dial_backoff_cap,
-            max_attempts: self.config.dial_max_attempts,
-            // A link healthy for a full suspicion window is genuinely
-            // healthy; anything shorter may be one beat of a flap.
-            probation_window: self.config.heartbeat_timeout,
-        };
+        let policy = self.retry_policy();
         let backoff = self
             .backoffs
             .entry(peer)
@@ -2135,7 +1923,7 @@ impl NodeRuntime {
         }
         self.conn_ids.remove(&peer);
         self.last_seen.remove(&peer);
-        self.reset_link(peer);
+        self.core.reset_link(peer);
         if let Some(b) = self.backoffs.get_mut(&peer) {
             b.disconnected();
         }

@@ -205,8 +205,15 @@ fn rejoined_node_catches_up_despite_forged_summaries() {
             assert_eq!(d.trace, Some(expect_dead), "digest matches the majority");
         }
     }
+    // Regossip aimed at the rejoiner can fill its quorums before the first
+    // SYNC reply lands, so the ingest may trail the deliveries: poll for it.
+    let ingests = c.metrics().counter("runtime.catchup_ingests");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while ingests.get() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     assert!(
-        c.metrics().counter("runtime.catchup_ingests").get() >= 1,
+        ingests.get() >= 1,
         "catch-up summaries were actually ingested, not just requested"
     );
     c.shutdown();

@@ -14,7 +14,7 @@
 //! ordered by `(at_us, node, seq)`, which renders as JSONL
 //! ([`Timeline::to_jsonl`]) and aggregates into per-second rates
 //! ([`Timeline::rates`]). Time is whatever clock the engine runs on:
-//! wall-clock µs for the TCP runtime and threaded runner (see
+//! wall-clock µs for the TCP runtime (see
 //! [`TelemetrySampler::spawn_periodic`]), virtual µs for the simulator
 //! (see [`attach_to_sim`]) — the timeline machinery never looks at a real
 //! clock itself.
@@ -252,8 +252,8 @@ impl TelemetrySampler {
     /// `interval` of wall-clock time (timestamps are µs since the spawn).
     /// [`PeriodicSampler::stop`] takes a final sample, joins the thread,
     /// and hands the sampler back with its ring intact — this is how the
-    /// TCP cluster and the threaded runner get live sampling without the
-    /// engines knowing about telemetry at all.
+    /// TCP cluster gets live sampling without the engine knowing about
+    /// telemetry at all.
     #[must_use]
     pub fn spawn_periodic(mut self, interval: Duration) -> PeriodicSampler {
         let stop = Arc::new(AtomicBool::new(false));

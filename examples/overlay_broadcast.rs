@@ -1,9 +1,7 @@
 //! Reliable broadcast over an asynchronous network: the discrete-event
-//! substrate end to end, plus the same protocol on real OS threads.
+//! substrate end to end.
 //!
 //! Run with: `cargo run --example overlay_broadcast`
-
-use std::time::Duration;
 
 use bytes::Bytes;
 use lhg::core::kdiamond::build_kdiamond;
@@ -11,7 +9,6 @@ use lhg::graph::paths::diameter;
 use lhg::graph::NodeId;
 use lhg::net::broadcast::run_overlay_broadcast;
 use lhg::net::sim::LinkModel;
-use lhg::net::threaded::run_threaded_broadcast;
 
 fn main() -> Result<(), lhg::core::LhgError> {
     let (n, k) = (44, 3);
@@ -45,21 +42,5 @@ fn main() -> Result<(), lhg::core::LhgError> {
         diameter(overlay.graph()).unwrap(),
         link.base_latency_us
     );
-
-    // Same protocol, real threads, two fail-stop processes.
-    let threaded = run_threaded_broadcast(
-        overlay.graph(),
-        NodeId(0),
-        Bytes::from_static(b"checkpoint #42"),
-        &[NodeId(5), NodeId(17)],
-        Duration::from_millis(150),
-    );
-    println!("\nthreaded run (one OS thread per process, crossbeam links):");
-    println!(
-        "  delivered         : {}/{}",
-        threaded.delivered_count(),
-        n - 2
-    );
-    println!("  messages sent     : {}", threaded.messages_sent);
     Ok(())
 }

@@ -3,8 +3,6 @@
 //! consistency (the round simulator and the discrete-event simulator must
 //! agree on what flooding achieves).
 
-use std::time::Duration;
-
 use bytes::Bytes;
 use lhg::baselines::harary::harary_graph;
 use lhg::core::checker::satisfies_constraint;
@@ -18,7 +16,6 @@ use lhg::graph::paths::diameter;
 use lhg::graph::NodeId;
 use lhg::net::broadcast::run_overlay_broadcast;
 use lhg::net::sim::LinkModel;
-use lhg::net::threaded::run_threaded_broadcast;
 
 #[test]
 fn construct_validate_flood_broadcast_pipeline() {
@@ -93,29 +90,6 @@ fn round_and_event_simulators_agree_on_message_count() {
     .sim
     .messages_sent;
     assert_eq!(round_msgs, event_msgs);
-}
-
-#[test]
-fn threaded_runner_agrees_with_simulator_on_coverage() {
-    let overlay = build_ktree(18, 3).unwrap();
-    let crashes = [NodeId(4), NodeId(9)];
-    let sim = run_overlay_broadcast(
-        overlay.graph(),
-        NodeId(0),
-        Bytes::new(),
-        LinkModel::default(),
-        &[(NodeId(4), 0), (NodeId(9), 0)],
-        3,
-    );
-    let threaded = run_threaded_broadcast(
-        overlay.graph(),
-        NodeId(0),
-        Bytes::new(),
-        &crashes,
-        Duration::from_millis(200),
-    );
-    assert!(sim.all_correct_delivered());
-    assert_eq!(threaded.delivered_count(), 16);
 }
 
 #[test]
