@@ -1,17 +1,21 @@
 //! Experiments E21–E22: forwarding-load balance and failure-detection
 //! latency on LHG overlays.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::time::Duration;
 
-use bytes::Bytes;
 use lhg_baselines::harary::harary_graph;
 use lhg_baselines::structured::balanced_tree;
 use lhg_core::kdiamond::build_kdiamond;
 use lhg_core::ktree::build_ktree;
+use lhg_core::overlay::MemberId;
+use lhg_core::Constraint;
 use lhg_graph::betweenness::load_profile;
-use lhg_graph::NodeId;
-use lhg_net::detector::{DetectorEvent, HeartbeatConfig, HeartbeatProcess};
-use lhg_net::sim::{LinkModel, Process, Simulation, Time};
+use lhg_net::sim::{LinkModel, Time};
+use lhg_runtime::simnode::{SimCluster, SimRun};
+use lhg_runtime::RuntimeConfig;
+use lhg_trace::EventKind;
 
 /// E21 — forwarding-load balance: max/mean betweenness across topologies.
 /// Relevant to flooding because relays on many shortest paths see the most
@@ -47,79 +51,116 @@ pub fn e21_load_balance() -> String {
     out
 }
 
-/// E22 — failure-detection latency: heartbeat detectors on a K-DIAMOND
-/// overlay; time from crash to suspicion by every neighbor.
-///
-/// # Panics
-///
-/// Panics if a build fails or a neighbor never suspects the crashed node
-/// (completeness violation — a bug).
-#[must_use]
-pub fn e22_detection_latency() -> String {
-    let k = 3;
-    let config = HeartbeatConfig {
-        period: 1_000,
-        timeout: 3_500,
-    };
-    let link = LinkModel {
+/// The E22 clock: 1 ms heartbeats, 10 ms patience, everything else scaled
+/// to match. Patience must cover more than period + link delay: a survivor
+/// starts the same clock for each *new* neighbor the heal gives it, and
+/// that neighbor dials only once the crash wave has reached it — so the
+/// timeout has to outlast the wave's flood (≈ diameter hops of 0.5–0.7 ms)
+/// plus a dial round trip, or healing itself draws false suspicions (seen
+/// at n = 64 with the old detector's 3.5 ms).
+fn e22_config() -> RuntimeConfig {
+    RuntimeConfig {
+        heartbeat_period: Duration::from_micros(1_000),
+        heartbeat_timeout: Duration::from_micros(10_000),
+        dial_backoff: Duration::from_micros(500),
+        dial_backoff_cap: Duration::from_micros(8_000),
+        dial_timeout: Duration::from_micros(3_000),
+        tick: Duration::from_micros(250),
+        recorder_capacity: 1 << 14,
+        ..RuntimeConfig::default()
+    }
+}
+
+/// Runs the node state machine ([`lhg_runtime::core::NodeCore`]) on a
+/// K-DIAMOND overlay of `n` simulated nodes, fail-stopping `victim` at
+/// `crash_at` when given.
+fn e22_run(n: usize, k: usize, victim: Option<(MemberId, Time)>, horizon: Time) -> SimRun {
+    let mut cluster = SimCluster::new(Constraint::KDiamond, n, k, e22_config()).expect("builds");
+    cluster.link = LinkModel {
         base_latency_us: 500,
         jitter_us: 200,
     };
+    cluster.seed = 7;
+    if let Some((victim, crash_at)) = victim {
+        cluster.crash(victim, crash_at, None);
+    }
+    cluster.run(horizon)
+}
+
+/// E22 — failure-detection and healing latency: the runtime's real node
+/// state machine on a K-DIAMOND overlay in virtual time; time from crash to
+/// suspicion by every neighbor, and on to every survivor holding the healed
+/// overlay's links.
+///
+/// # Panics
+///
+/// Panics if a build fails, a neighbor never suspects the crashed node
+/// (completeness violation — a bug) or a survivor never finishes healing.
+#[must_use]
+pub fn e22_detection_latency() -> String {
+    let k = 3;
     let crash_time: Time = 10_000;
     let mut out = format!(
-        "E22 — heartbeat detection latency (K-DIAMOND k={k}, period 1ms, timeout 3.5ms,\n\
-         crash at t=10ms; latency = last neighbor's suspicion − crash)\n\
-         {:>6} {:>10} {:>15} {:>17} {:>14}\n",
-        "n", "neighbors", "latency (µs)", "false suspicions", "messages"
+        "E22 — detection and heal latency (NodeCore on the simulator, K-DIAMOND k={k},\n\
+         heartbeats 1ms, timeout 10ms, links 0.5–0.7ms, crash at t=10ms; detect = last\n\
+         neighbor's suspicion − crash, heal = last survivor's heal_end − crash)\n\
+         {:>6} {:>10} {:>12} {:>10} {:>17} {:>10}\n",
+        "n", "neighbors", "detect (µs)", "heal (µs)", "false suspicions", "messages"
     );
     for n in [16usize, 32, 64, 128] {
-        let overlay = build_kdiamond(n, k).expect("builds");
-        let victim = NodeId(n / 2);
-        let neighbor_count = overlay.graph().degree(victim);
-        let mut sim = Simulation::new(overlay.graph(), link, 7);
-        sim.crash_at(victim, crash_time);
-        let processes: Vec<Box<dyn Process>> = (0..n)
-            .map(|_| -> Box<dyn Process> { Box::new(HeartbeatProcess::new(config)) })
-            .collect();
-        let report = sim.run(processes, 40_000);
-
-        let mut last_suspect: Time = 0;
-        let mut suspecting = std::collections::BTreeSet::new();
+        let victim = (n / 2) as MemberId;
+        let run = e22_run(n, k, Some((victim, crash_time)), 60_000);
+        let neighbors: BTreeSet<MemberId> = run.core(victim, |c| {
+            let wanted = c.overlay().neighbors_of(victim).expect("member");
+            wanted.into_iter().collect()
+        });
+        let (mut detect, mut heal): (Time, Time) = (0, 0);
+        let mut suspecting = BTreeSet::new();
+        let mut healed = BTreeSet::new();
         let mut false_suspicions = 0usize;
-        for d in &report.deliveries {
-            if let Some(DetectorEvent::Suspect {
-                monitor,
-                suspect,
-                time,
-            }) = DetectorEvent::from_delivery(d)
-            {
-                if suspect == victim {
-                    suspecting.insert(monitor);
-                    last_suspect = last_suspect.max(time);
-                } else {
-                    false_suspicions += 1;
+        for e in run.events() {
+            match e.kind {
+                EventKind::Suspicion { peer } if MemberId::from(peer) == victim => {
+                    suspecting.insert(MemberId::from(e.node));
+                    detect = detect.max(e.at_us);
                 }
+                EventKind::Suspicion { .. } => false_suspicions += 1,
+                EventKind::HealEnd { .. } => {
+                    healed.insert(e.node);
+                    heal = heal.max(e.at_us);
+                }
+                _ => {}
             }
         }
         assert_eq!(
-            suspecting.len(),
-            neighbor_count,
-            "completeness: every neighbor suspects the crashed node (n={n})"
+            suspecting, neighbors,
+            "completeness: exactly the victim's neighbors suspect it (n={n})"
         );
+        assert_eq!(
+            healed.len(),
+            n - 1,
+            "every survivor finishes healing (n={n})"
+        );
+        for m in (0..n as MemberId).filter(|&m| m != victim) {
+            run.core(m, |c| {
+                assert_eq!(c.overlay().len(), n - 1, "replica of {m}")
+            });
+        }
         let _ = writeln!(
             out,
-            "{n:>6} {:>10} {:>15} {:>17} {:>14}",
-            neighbor_count,
-            last_suspect - crash_time,
+            "{n:>6} {:>10} {:>12} {:>10} {:>17} {:>10}",
+            neighbors.len(),
+            detect - crash_time,
+            heal - crash_time,
             false_suspicions,
-            report.messages_sent,
+            run.report.messages_sent,
         );
-        let _ = Bytes::new(); // keep the payload type in scope for doc parity
     }
     out.push_str(
-        "shape: detection latency is independent of n (local monitoring: each node\n\
-         watches only its k neighbors) and bounded by timeout + period + delay;\n\
-         zero false suspicions at this timeout/latency margin.\n",
+        "shape: detection is independent of n (local monitoring: each node watches only\n\
+         its k neighbors) and bounded by timeout + period + delay; healing adds the crash\n\
+         wave's flood (≈ diameter hops) and one dial round trip; zero false suspicions\n\
+         at this timeout/latency margin.\n",
     );
     out
 }
@@ -154,9 +195,26 @@ mod tests {
                 .is_some_and(|c| c.parse::<usize>().is_ok())
         }) {
             let cols: Vec<&str> = line.split_whitespace().collect();
-            assert_eq!(cols[3], "0", "false suspicions: {line}");
-            let latency: u64 = cols[2].parse().unwrap();
-            assert!(latency < 6_000, "latency bounded: {line}");
+            assert_eq!(cols[4], "0", "false suspicions: {line}");
+            let (detect, heal): (u64, u64) = (cols[2].parse().unwrap(), cols[3].parse().unwrap());
+            assert!(detect < 12_500, "detection bounded: {line}");
+            assert!(
+                detect <= heal && heal < 25_000,
+                "heal follows detection: {line}"
+            );
         }
+    }
+
+    /// Accuracy (what the deleted `lhg_net::detector` tests pinned): with
+    /// timeout > period + max delay and no crash, nobody is ever suspected.
+    #[test]
+    fn e22_no_crash_no_suspicion() {
+        let run = e22_run(16, 3, None, 50_000);
+        assert_eq!(run.metrics.counter("runtime.suspects").get(), 0);
+        assert_eq!(run.metrics.counter("runtime.crashes_applied").get(), 0);
+        assert!(
+            run.report.messages_sent > 16 * 3 * 40,
+            "heartbeats kept flowing"
+        );
     }
 }

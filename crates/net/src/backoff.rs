@@ -13,35 +13,35 @@
 //! exponential backoff into a fixed-rate hammer. Instead the caller reports
 //! [`Backoff::connected`] / [`Backoff::disconnected`] transitions, and
 //! [`Backoff::maybe_reset`] clears the streak only after the link has been
-//! continuously healthy for a full [`BackoffPolicy::probation_window`].
-
-use std::time::{Duration, Instant};
+//! continuously healthy for a full [`BackoffPolicy::probation_window_us`].
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Tunable backoff parameters.
+/// Tunable backoff parameters. Time is plain microseconds on whatever
+/// clock the caller runs (wall clock on sockets, virtual time in the
+/// simulator), so the same schedule serves both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffPolicy {
-    /// Delay before the first retry (pre-jitter).
-    pub base: Duration,
-    /// Upper bound on the pre-jitter delay.
-    pub cap: Duration,
+    /// Delay before the first retry (pre-jitter, µs).
+    pub base_us: u64,
+    /// Upper bound on the pre-jitter delay (µs).
+    pub cap_us: u64,
     /// Consecutive failures after which `next_delay` returns `None`.
     pub max_attempts: u32,
-    /// How long a connection must stay continuously healthy before
+    /// How long (µs) a connection must stay continuously healthy before
     /// [`Backoff::maybe_reset`] clears the failure streak. A single
     /// successful dial inside this window keeps the escalated schedule.
-    pub probation_window: Duration,
+    pub probation_window_us: u64,
 }
 
 impl Default for BackoffPolicy {
     fn default() -> Self {
         BackoffPolicy {
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(500),
+            base_us: 10_000,
+            cap_us: 500_000,
             max_attempts: 10,
-            probation_window: Duration::from_secs(2),
+            probation_window_us: 2_000_000,
         }
     }
 }
@@ -52,7 +52,7 @@ pub struct Backoff {
     policy: BackoffPolicy,
     attempts: u32,
     /// When the current unbroken healthy stretch began, if connected.
-    healthy_since: Option<Instant>,
+    healthy_since: Option<u64>,
 }
 
 impl Backoff {
@@ -65,31 +65,29 @@ impl Backoff {
         }
     }
 
-    /// Records a failure and returns how long to wait before retrying, or
-    /// `None` once `max_attempts` consecutive failures have accumulated.
+    /// Records a failure and returns how long (µs) to wait before retrying,
+    /// or `None` once `max_attempts` consecutive failures have accumulated.
     ///
     /// The pre-jitter delay for attempt `i` (1-based) is
     /// `min(base * 2^(i-1), cap)`; the returned delay is uniform in
     /// `[delay/2, delay]`.
-    pub fn next_delay(&mut self, rng: &mut StdRng) -> Option<Duration> {
+    pub fn next_delay(&mut self, rng: &mut StdRng) -> Option<u64> {
         self.healthy_since = None; // a failure breaks any healthy stretch
         if self.attempts >= self.policy.max_attempts {
             return None;
         }
         self.attempts += 1;
-        let exp = self
+        let upper = self
             .policy
-            .base
-            .saturating_mul(1u32 << (self.attempts - 1).min(20))
-            .min(self.policy.cap);
-        let upper = exp.as_micros() as u64;
+            .base_us
+            .saturating_mul(1 << (self.attempts - 1).min(20))
+            .min(self.policy.cap_us);
         let lower = upper / 2;
-        let jittered = if upper > lower {
+        Some(if upper > lower {
             rng.random_range(lower..=upper)
         } else {
             upper
-        };
-        Some(Duration::from_micros(jittered))
+        })
     }
 
     /// Clears the failure streak unconditionally. Callers that want the
@@ -100,11 +98,11 @@ impl Backoff {
         self.healthy_since = None;
     }
 
-    /// Marks the link healthy as of `now`. An already-running healthy
+    /// Marks the link healthy as of `now_us`. An already-running healthy
     /// stretch is preserved (reconnection bookkeeping may report the same
     /// connection more than once).
-    pub fn connected(&mut self, now: Instant) {
-        self.healthy_since.get_or_insert(now);
+    pub fn connected(&mut self, now_us: u64) {
+        self.healthy_since.get_or_insert(now_us);
     }
 
     /// Marks the link down: any healthy stretch in progress is voided, so
@@ -117,10 +115,10 @@ impl Backoff {
     /// Clears the failure streak — and returns `true` — only once the link
     /// has been continuously healthy for the policy's probation window.
     /// Until then the escalated delay schedule stays in force.
-    pub fn maybe_reset(&mut self, now: Instant) -> bool {
+    pub fn maybe_reset(&mut self, now_us: u64) -> bool {
         let earned = self
             .healthy_since
-            .is_some_and(|t| now.duration_since(t) >= self.policy.probation_window);
+            .is_some_and(|t| now_us.saturating_sub(t) >= self.policy.probation_window_us);
         if earned {
             self.reset();
         }
@@ -143,12 +141,14 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    const MS: u64 = 1_000;
+
     fn policy() -> BackoffPolicy {
         BackoffPolicy {
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(160),
+            base_us: 10 * MS,
+            cap_us: 160 * MS,
             max_attempts: 6,
-            probation_window: Duration::from_millis(500),
+            probation_window_us: 500 * MS,
         }
     }
 
@@ -162,10 +162,10 @@ mod tests {
             let d = b
                 .next_delay(&mut rng)
                 .unwrap_or_else(|| panic!("attempt {} should still retry", i + 1));
-            let exp = Duration::from_millis(exp_ms);
+            let exp = exp_ms * MS;
             assert!(
                 d >= exp / 2 && d <= exp,
-                "attempt {}: delay {d:?} outside [{:?}, {exp:?}]",
+                "attempt {}: delay {d} outside [{}, {exp}]",
                 i + 1,
                 exp / 2,
             );
@@ -195,7 +195,7 @@ mod tests {
         b.reset();
         assert_eq!(b.attempts(), 0);
         let d = b.next_delay(&mut rng).expect("retries again after reset");
-        assert!(d <= Duration::from_millis(10), "back to the base rung");
+        assert!(d <= 10 * MS, "back to the base rung");
     }
 
     #[test]
@@ -222,10 +222,10 @@ mod tests {
             b.next_delay(&mut rng);
         }
         assert_eq!(b.attempts(), 4);
-        let t0 = Instant::now();
+        let t0 = 7 * MS;
         b.connected(t0);
         assert!(
-            !b.maybe_reset(t0 + Duration::from_millis(100)),
+            !b.maybe_reset(t0 + 100 * MS),
             "inside the probation window the streak must survive"
         );
         assert_eq!(b.attempts(), 4);
@@ -233,8 +233,8 @@ mod tests {
         // → pre-jitter 160ms, far above the 10ms base).
         let d = b.next_delay(&mut rng).unwrap();
         assert!(
-            d >= Duration::from_millis(80),
-            "delay {d:?} fell back toward the base rung after one flap"
+            d >= 80 * MS,
+            "delay {d} fell back toward the base rung after one flap"
         );
     }
 
@@ -245,14 +245,14 @@ mod tests {
         for _ in 0..5 {
             b.next_delay(&mut rng);
         }
-        let t0 = Instant::now();
+        let t0 = 7 * MS;
         b.connected(t0);
         // connected() again mid-window must not restart the stretch.
-        b.connected(t0 + Duration::from_millis(400));
-        assert!(b.maybe_reset(t0 + Duration::from_millis(500)));
+        b.connected(t0 + 400 * MS);
+        assert!(b.maybe_reset(t0 + 500 * MS));
         assert_eq!(b.attempts(), 0);
         let d = b.next_delay(&mut rng).unwrap();
-        assert!(d <= Duration::from_millis(10), "back to the base rung");
+        assert!(d <= 10 * MS, "back to the base rung");
     }
 
     #[test]
@@ -260,17 +260,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut b = Backoff::new(policy());
         b.next_delay(&mut rng);
-        let t0 = Instant::now();
+        let t0 = 7 * MS;
         b.connected(t0);
         b.disconnected();
         assert!(
-            !b.maybe_reset(t0 + Duration::from_secs(10)),
+            !b.maybe_reset(t0 + 10_000 * MS),
             "a voided stretch never earns the reset, however much time passes"
         );
         // Reconnecting starts a fresh stretch from its own instant.
-        b.connected(t0 + Duration::from_secs(10));
-        assert!(!b.maybe_reset(t0 + Duration::from_secs(10) + Duration::from_millis(499)));
-        assert!(b.maybe_reset(t0 + Duration::from_secs(10) + Duration::from_millis(500)));
+        b.connected(t0 + 10_000 * MS);
+        assert!(!b.maybe_reset(t0 + 10_000 * MS + 499 * MS));
+        assert!(b.maybe_reset(t0 + 10_000 * MS + 500 * MS));
     }
 
     #[test]
@@ -279,7 +279,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             Backoff::new(policy()).next_delay(&mut rng).unwrap()
         };
-        let distinct: std::collections::BTreeSet<Duration> = (0..16).map(sample).collect();
+        let distinct: std::collections::BTreeSet<u64> = (0..16).map(sample).collect();
         assert!(distinct.len() > 1, "jitter should depend on the RNG");
     }
 }

@@ -56,7 +56,6 @@
 pub mod backoff;
 pub mod broadcast;
 pub mod codec;
-pub mod detector;
 pub mod fault;
 pub mod fifo;
 pub mod message;

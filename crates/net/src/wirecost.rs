@@ -53,8 +53,9 @@ pub const JOIN_TAG: u64 = 1 << 60;
 /// Tag bit for runtime membership sync frames.
 pub const SYNC_TAG: u64 = 1 << 61;
 
-/// Every tag bit that names a message class. Ids stamp at most one.
-const CLASS_TAG_MASK: u64 =
+/// Every tag bit that names a message class. Ids stamp at most one; an
+/// id carrying two is malformed ([`MessageClass::classify_strict`]).
+pub const CLASS_TAG_MASK: u64 =
     BYZ_TAG | HELLO_TAG | HEARTBEAT_TAG | CRASH_TAG | JOIN_TAG | SYNC_TAG | ACK_TAG | SUMMARY_TAG;
 
 /// What a frame on the wire is *for*, recovered from its broadcast id.
@@ -97,10 +98,14 @@ impl MessageClass {
         MessageClass::Byz,
     ];
 
-    /// Classifies a broadcast id by its tag bits.
+    /// Classifies a broadcast id by its tag bits: the one mask and the one
+    /// match every classifier in the workspace derives from (the runtime's
+    /// `wire::classify` included). `None` for an id carrying more than one
+    /// class bit — no correct node stamps such an id, so receivers drop the
+    /// frame as malformed instead of guessing which class was meant.
     #[must_use]
-    pub fn classify(broadcast_id: u64) -> MessageClass {
-        match broadcast_id & CLASS_TAG_MASK {
+    pub fn classify_strict(broadcast_id: u64) -> Option<MessageClass> {
+        Some(match broadcast_id & CLASS_TAG_MASK {
             0 => MessageClass::Data,
             ACK_TAG => MessageClass::Ack,
             SUMMARY_TAG => MessageClass::Summary,
@@ -109,8 +114,17 @@ impl MessageClass {
             CRASH_TAG => MessageClass::Crash,
             JOIN_TAG => MessageClass::Join,
             SYNC_TAG => MessageClass::Sync,
-            _ => MessageClass::Byz, // BYZ_TAG, alone or under a digest
-        }
+            BYZ_TAG => MessageClass::Byz, // the low 56 bits are a digest
+            _ => return None,
+        })
+    }
+
+    /// The accounting view of [`MessageClass::classify_strict`]: total, so
+    /// every frame an engine writes is booked somewhere — a malformed id
+    /// (only a traitor sends one) lands under `byz`.
+    #[must_use]
+    pub fn classify(broadcast_id: u64) -> MessageClass {
+        MessageClass::classify_strict(broadcast_id).unwrap_or(MessageClass::Byz)
     }
 
     /// Dense index into per-class tables.
@@ -406,6 +420,29 @@ mod tests {
             MessageClass::classify(BYZ_TAG | 0x00ff_ffff_ffff_ffff),
             MessageClass::Byz
         );
+    }
+
+    #[test]
+    fn two_class_bits_are_malformed_but_still_booked() {
+        for id in [HELLO_TAG | HEARTBEAT_TAG | 3, BYZ_TAG | ACK_TAG, u64::MAX] {
+            assert_eq!(MessageClass::classify_strict(id), None);
+            assert_eq!(MessageClass::classify(id), MessageClass::Byz);
+        }
+        // One bit each, in `MessageClass::ALL` order.
+        let tags = [
+            0,
+            ACK_TAG,
+            SUMMARY_TAG,
+            HEARTBEAT_TAG,
+            HELLO_TAG,
+            CRASH_TAG,
+            JOIN_TAG,
+            SYNC_TAG,
+            BYZ_TAG,
+        ];
+        for (class, tag) in MessageClass::ALL.into_iter().zip(tags) {
+            assert_eq!(MessageClass::classify_strict(tag | 5), Some(class));
+        }
     }
 
     #[test]

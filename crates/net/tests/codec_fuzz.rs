@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use lhg_net::codec::{decode_frame, encode_frame};
 use lhg_net::fifo::{fifo_id, fifo_parts};
 use lhg_net::message::{ByzTag, Message, BYZ_TAG_LEN, TRACE_EXT_LEN};
+use lhg_net::wirecost::{MessageClass, CLASS_TAG_MASK};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -160,6 +161,22 @@ proptest! {
         prop_assert_eq!(relayed.hops, u32::MAX);
         prop_assert_eq!(relayed.link_seq, None);
         prop_assert_eq!(relayed.payload, msg.payload);
+    }
+
+    #[test]
+    fn class_survives_the_codec_and_two_tag_bits_never_classify(
+        id in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        // Whatever id a peer stamps, the frame decodes to the same id, and
+        // the strict classifier names a class exactly when at most one
+        // class bit is set — a two-bit id is never data (nor anything).
+        let arrived = decode_frame(&encode_frame(&Message::new(id, 1, Bytes::from(payload))))
+            .expect("framed encoding decodes");
+        prop_assert_eq!(arrived.broadcast_id, id);
+        let strict = MessageClass::classify_strict(arrived.broadcast_id);
+        prop_assert_eq!(strict.is_some(), (id & CLASS_TAG_MASK).count_ones() <= 1);
+        prop_assert_eq!(strict == Some(MessageClass::Data), id & CLASS_TAG_MASK == 0);
     }
 
     #[test]

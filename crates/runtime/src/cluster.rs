@@ -25,7 +25,8 @@ use lhg_net::metrics::MetricsRegistry;
 use lhg_telemetry::{PeriodicSampler, TelemetrySampler, Timeline};
 use lhg_trace::{merge_timelines, BroadcastTrace, FlightRecorder, TraceCollector};
 
-use crate::node::{spawn_node, BootOpts, BroadcastClock, Directory, Event, NodeHandle, NodeShared};
+use crate::core::{self, BootOpts};
+use crate::node::{spawn_node, BroadcastClock, Directory, Event, NodeHandle, NodeShared};
 use crate::wire::MAX_MEMBERS;
 use crate::RuntimeConfig;
 
@@ -327,7 +328,7 @@ impl Cluster {
         let msg = Message::new(id, origin as u32, payload).with_trace(id);
         handle
             .tx
-            .send(Event::Broadcast { msg })
+            .send(Event::App(core::Event::Broadcast(msg)))
             .map_err(|_| ClusterError::NoSuchMember(origin))?;
         Ok(id)
     }
@@ -358,7 +359,7 @@ impl Cluster {
         self.metrics.counter("runtime.byz_broadcasts").inc();
         handle
             .tx
-            .send(Event::ByzBroadcast { nonce, payload })
+            .send(Event::App(core::Event::ByzBroadcast { nonce, payload }))
             .map_err(|_| ClusterError::NoSuchMember(origin))?;
         Ok(())
     }

@@ -1,16 +1,25 @@
-//! lhg-runtime: a self-healing LHG overlay over real TCP sockets.
+//! lhg-runtime: a self-healing LHG overlay — one node state machine, run
+//! over real TCP sockets and, unchanged, on the discrete-event simulator.
 //!
-//! Where [`lhg_net::sim`] measures the flooding protocol in a discrete-event
-//! simulator, this crate runs it over the real thing: each node is a set of OS threads
-//! owning a loopback [`std::net::TcpListener`], links are TCP connections,
-//! and frames are the same length-prefixed [`lhg_net::message::Message`]
-//! encoding ([`lhg_net::codec`]) used everywhere else in the workspace.
+//! Where [`lhg_net::sim`] measures the flooding protocol alone, this crate
+//! runs the whole node: every protocol decision lives in the sans-IO
+//! [`core::NodeCore`] (events in, actions out, time a `u64` of µs), and two
+//! thin drivers execute it — [`node`], where each node is a set of OS
+//! threads owning a loopback [`std::net::TcpListener`], links are TCP
+//! connections and frames are the length-prefixed
+//! [`lhg_net::message::Message`] encoding ([`lhg_net::codec`]) used
+//! everywhere else in the workspace; and [`simnode`], where the same core
+//! is a [`lhg_net::sim::Process`] on the complete graph and a membership
+//! failure replays from one seed in virtual time.
 //!
-//! The runtime stacks seven layers (bottom to top):
+//! The stack has seven layers (bottom to top). Layer 1's transport half is
+//! the driver's; everything else is the core's:
 //!
-//! 1. **Connection manager** ([`node`]) — dials and tears down TCP links so
-//!    the live socket set tracks the current LHG topology (the smaller
-//!    member id dials, the larger accepts).
+//! 1. **Connection manager** — *which* links are wanted, when a failed
+//!    dial may be retried and which hello is acceptable are decided by the
+//!    core's reconcile pass ([`core`]); dialing, accepting, connection
+//!    generations and fault injection are the driver's ([`node`]). The
+//!    smaller member id dials, the larger accepts.
 //! 2. **Reliable links** ([`lhg_net::reliable`]) — data frames carry
 //!    per-link sequence numbers; cumulative acks with selective NACKs drive
 //!    bounded-window retransmission, and a periodic anti-entropy pass
@@ -25,24 +34,30 @@
 //!    model: crashed nodes never speak again, so suspicion is permanent).
 //!    With [`RuntimeConfig::byzantine`] set, suspicion is *corroborated*:
 //!    a crash only applies once f+1 distinct reporters (direct silence
-//!    counts as a self-report) agree, and a directly-heartbeating peer
-//!    vetoes the wave — so a lone traitor forging CRASH announcements
-//!    cannot excommunicate a live node.
+//!    counts as a self-report, and a node that applies a corroborated
+//!    crash vouches for it in turn) agree, and a directly-heartbeating
+//!    peer vetoes the wave — so a lone traitor forging CRASH
+//!    announcements cannot excommunicate a live node.
 //! 5. **Self-healing** — a detected crash is flooded as an announcement;
 //!    every survivor applies it to its
 //!    [`lhg_core::overlay::DynamicOverlay`] replica via `crash_many` and
 //!    applies the returned churn (dial added links, drop removed ones),
 //!    restoring k-connectivity at the smaller n. Replicas converge because
-//!    rebuilds are deterministic in the surviving membership.
+//!    rebuilds are deterministic in the surviving membership. Past the k−1
+//!    budget a node degrades instead of healing, and an excommunicated
+//!    node rejoins by `JOIN` announcement or membership `SYNC`.
 //! 6. **Metrics** ([`lhg_net::metrics`]) — counters, gauges and latency
 //!    histograms shared by the whole cluster, exportable as JSON and as
-//!    Prometheus text exposition.
+//!    Prometheus text exposition. Wire-level accounting is recorded by the
+//!    driver at the one site that writes a frame.
 //! 7. **Observability** ([`lhg_trace`]) — every node feeds a per-node
 //!    [`lhg_trace::FlightRecorder`] (connect/disconnect, frames,
 //!    heartbeats, suspicion, crash reports, healing, broadcast
-//!    accept/forward/deliver) dumpable as JSONL, and every broadcast
-//!    carries a trace id so a shared [`lhg_trace::TraceCollector`]
-//!    reconstructs the realized dissemination tree per broadcast.
+//!    accept/forward/deliver), stamped with the driver's clock — wall µs
+//!    on sockets, virtual µs on the simulator — and dumpable as JSONL, and
+//!    every broadcast carries a trace id so a shared
+//!    [`lhg_trace::TraceCollector`] reconstructs the realized
+//!    dissemination tree per broadcast.
 //!
 //! [`Cluster`] wires it all together for experiments and tests:
 //!
@@ -66,7 +81,9 @@
 use std::time::Duration;
 
 pub mod cluster;
+pub mod core;
 pub mod node;
+pub mod simnode;
 pub mod wire;
 
 pub use cluster::{Cluster, ClusterError};

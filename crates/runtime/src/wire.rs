@@ -23,6 +23,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use lhg_byzantine::InstanceSummary;
 use lhg_core::overlay::{DynamicOverlay, MemberId};
 use lhg_core::Constraint;
+use lhg_net::wirecost::MessageClass;
 
 pub use lhg_net::reliable::{
     decode_ack_payload, decode_summary_payload, encode_ack_payload, encode_summary_payload,
@@ -65,9 +66,6 @@ pub const SUMMARY_TAG: u64 = lhg_net::reliable::SUMMARY_TAG;
 /// [`lhg_byzantine::frame::BYZ_ID_TAG`] so all engines share one id space.
 pub const BYZ_TAG: u64 = lhg_byzantine::frame::BYZ_ID_TAG;
 
-const TAG_MASK: u64 =
-    HELLO_TAG | HEARTBEAT_TAG | CRASH_TAG | JOIN_TAG | SYNC_TAG | ACK_TAG | SUMMARY_TAG | BYZ_TAG;
-
 /// Largest member id representable in a tagged frame without colliding with
 /// the wave-nonce bits (also bounds `fifo_id` origins below bit 56, the
 /// Byzantine gossip tag).
@@ -102,23 +100,38 @@ pub enum FrameKind {
     Byz,
     /// Application broadcast data.
     Data,
+    /// More than one class-tag bit: no correct node stamps such an id, so
+    /// the frame is dropped (never treated as data, whatever else it says).
+    Malformed,
 }
 
-/// Classifies a `broadcast_id` into its [`FrameKind`].
+/// Classifies a `broadcast_id` into its [`FrameKind`] — the member-carrying
+/// view of [`MessageClass::classify_strict`], the workspace's one tag
+/// classifier, so dispatch and wire-cost accounting cannot disagree.
 #[must_use]
 pub fn classify(broadcast_id: u64) -> FrameKind {
     let member = broadcast_id & MEMBER_MASK;
-    match broadcast_id & TAG_MASK {
-        HELLO_TAG => FrameKind::Hello(member),
-        HEARTBEAT_TAG => FrameKind::Heartbeat(member),
-        CRASH_TAG => FrameKind::Crash(member),
-        JOIN_TAG => FrameKind::Join(member),
-        SYNC_TAG => FrameKind::Sync(member),
-        ACK_TAG => FrameKind::Ack(member),
-        SUMMARY_TAG => FrameKind::Summary(member),
-        BYZ_TAG => FrameKind::Byz,
-        _ => FrameKind::Data,
+    match MessageClass::classify_strict(broadcast_id) {
+        None => FrameKind::Malformed,
+        Some(MessageClass::Data) => FrameKind::Data,
+        Some(MessageClass::Hello) => FrameKind::Hello(member),
+        Some(MessageClass::Heartbeat) => FrameKind::Heartbeat(member),
+        Some(MessageClass::Crash) => FrameKind::Crash(member),
+        Some(MessageClass::Join) => FrameKind::Join(member),
+        Some(MessageClass::Sync) => FrameKind::Sync(member),
+        Some(MessageClass::Ack) => FrameKind::Ack(member),
+        Some(MessageClass::Summary) => FrameKind::Summary(member),
+        Some(MessageClass::Byz) => FrameKind::Byz,
     }
+}
+
+/// The member id a handshake frame claims, or `None` when the id is not a
+/// hello. Unlike [`classify`] the value is **not** masked to the member
+/// bits, so a hello with nonce bits set surfaces as an id at or above
+/// [`MAX_MEMBERS`] for the link-up validation to reject.
+#[must_use]
+pub fn hello_peer(broadcast_id: u64) -> Option<MemberId> {
+    matches!(classify(broadcast_id), FrameKind::Hello(_)).then_some(broadcast_id ^ HELLO_TAG)
 }
 
 /// Broadcast id of a handshake frame from `member`.
@@ -177,7 +190,7 @@ pub fn summary_id(member: MemberId) -> u64 {
 /// application data from [`lhg_net::fifo::fifo_id`]).
 #[must_use]
 pub fn is_control_id(broadcast_id: u64) -> bool {
-    broadcast_id & TAG_MASK != 0
+    broadcast_id & lhg_net::wirecost::CLASS_TAG_MASK != 0
 }
 
 /// Serializes an overlay's membership for a sync reply: constraint code,
@@ -304,6 +317,27 @@ mod tests {
         assert_eq!(classify(sync_id(3)), FrameKind::Sync(3));
         assert_eq!(classify(ack_id(9)), FrameKind::Ack(9));
         assert_eq!(classify(summary_id(2)), FrameKind::Summary(2));
+    }
+
+    #[test]
+    fn ids_with_two_class_bits_are_malformed_not_data() {
+        // Regression: the old private mask matched each tag alone, so a
+        // two-bit id fell through to `Data` and could be delivered to the
+        // application while wire accounting booked the same frame as byz.
+        for id in [
+            HELLO_TAG | HEARTBEAT_TAG | 4,
+            CRASH_TAG | JOIN_TAG | 1,
+            BYZ_TAG | ACK_TAG,
+            SUMMARY_TAG | SYNC_TAG | fifo_id(2, 9),
+        ] {
+            assert_eq!(classify(id), FrameKind::Malformed, "{id:#x}");
+            assert_eq!(hello_peer(id), None);
+            assert!(is_control_id(id));
+        }
+        assert_eq!(hello_peer(hello_id(7)), Some(7));
+        assert_eq!(hello_peer(heartbeat_id(7)), None);
+        // A hello with nonce bits set claims an out-of-range member.
+        assert!(hello_peer(HELLO_TAG | (1 << 30) | 7).unwrap() >= MAX_MEMBERS);
     }
 
     #[test]

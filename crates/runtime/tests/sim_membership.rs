@@ -1,0 +1,277 @@
+//! Membership in virtual time: the real node state machine ([`NodeCore`])
+//! on the discrete-event simulator. Every scenario is deterministic and is
+//! run twice, the two recorder timelines compared byte for byte.
+
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+use bytes::Bytes;
+use lhg_core::overlay::MemberId;
+use lhg_core::Constraint;
+use lhg_graph::connectivity::is_k_vertex_connected;
+use lhg_runtime::simnode::{SimCluster, SimRun};
+use lhg_runtime::RuntimeConfig;
+
+const N: usize = 16;
+const K: usize = 3;
+const MS: u64 = 1_000;
+
+/// The chaos runner's TCP timings, in virtual time.
+fn config() -> RuntimeConfig {
+    RuntimeConfig {
+        heartbeat_period: Duration::from_millis(10),
+        heartbeat_timeout: Duration::from_millis(250),
+        dial_backoff: Duration::from_millis(5),
+        dial_backoff_cap: Duration::from_millis(80),
+        dial_max_attempts: 8,
+        dial_timeout: Duration::from_millis(100),
+        tick: Duration::from_millis(2),
+        recorder_capacity: 1 << 16,
+        ..RuntimeConfig::default()
+    }
+}
+
+/// Runs `scenario` twice and insists on byte-identical timelines.
+fn run_twice(scenario: impl Fn() -> SimRun) -> SimRun {
+    let (a, b) = (scenario(), scenario());
+    assert!(!a.events_jsonl().is_empty());
+    assert_eq!(
+        a.events_jsonl(),
+        b.events_jsonl(),
+        "same seed, same timeline"
+    );
+    a
+}
+
+fn members_of(run: &SimRun, m: MemberId) -> BTreeSet<MemberId> {
+    run.core(m, |c| c.overlay().members().iter().copied().collect())
+}
+
+#[test]
+fn staggered_crashes_heal_and_reflood() {
+    let victims: [MemberId; K - 1] = [5, 11];
+    let run = run_twice(|| {
+        let mut c = SimCluster::new(Constraint::KDiamond, N, K, config()).unwrap();
+        c.seed = 7;
+        c.crash(victims[0], 300 * MS, None);
+        c.crash(victims[1], 450 * MS, None);
+        c.broadcast(2_000 * MS, 0, Bytes::from_static(b"after the heal"));
+        c.run(2_500 * MS)
+    });
+    let survivors: Vec<MemberId> = (0..N as MemberId)
+        .filter(|m| !victims.contains(m))
+        .collect();
+    let expected: BTreeSet<MemberId> = survivors.iter().copied().collect();
+    let links = run.core(survivors[0], |c| c.overlay().links());
+    for &m in &survivors {
+        assert_eq!(members_of(&run, m), expected, "replica of {m}");
+        run.core(m, |c| {
+            assert_eq!(c.overlay().links(), links, "replica of {m} agrees");
+            assert!(victims.iter().all(|v| c.crashes_applied().contains(v)));
+            assert!(!c.is_degraded());
+            let wanted: BTreeSet<MemberId> =
+                c.overlay().neighbors_of(m).unwrap().into_iter().collect();
+            assert!(wanted.is_subset(c.links()), "{m} holds every wanted link");
+            assert!(is_k_vertex_connected(c.overlay().graph(), K));
+        });
+    }
+    let delivered: BTreeSet<usize> = run
+        .report
+        .deliveries
+        .iter()
+        .map(|d| d.node.index())
+        .collect();
+    assert_eq!(
+        delivered.len(),
+        survivors.len(),
+        "post-heal broadcast reaches all survivors"
+    );
+}
+
+fn counter(run: &SimRun, name: &str) -> u64 {
+    run.metrics.counter(name).get()
+}
+
+#[test]
+fn minority_partition_degrades_then_sync_rejoins() {
+    use lhg_net::fault::{FaultInjector, Partition};
+    use lhg_trace::EventKind;
+
+    // 14 and 15 share no neighbor on their side of the cut: each loses all
+    // k of its links, blows the k-1 budget and degrades; the other 14 see
+    // two crashes and heal around them.
+    let minority: BTreeSet<u32> = [14u32, 15].into_iter().collect();
+    let run = run_twice(|| {
+        let mut inj = FaultInjector::new(0xC0FFEE);
+        inj.add_partition(Partition {
+            a: minority.clone(),
+            b: BTreeSet::new(),
+            from_us: 400 * MS,
+            until_us: 1_500 * MS,
+            directed: false,
+        });
+        let mut cfg = config();
+        cfg.faults = Some(std::sync::Arc::new(inj));
+        let mut c = SimCluster::new(Constraint::KDiamond, N, K, cfg).unwrap();
+        c.seed = 3;
+        c.run(5_000 * MS)
+    });
+    let degraded: BTreeSet<u32> = (run.events().iter())
+        .filter(|e| matches!(e.kind, EventKind::Degraded { .. }))
+        .map(|e| e.node)
+        .collect();
+    assert_eq!(degraded, minority, "exactly the minority degrades");
+    assert!(
+        counter(&run, "runtime.sync_rejoins") >= 2,
+        "both came back by SYNC"
+    );
+    let everyone: BTreeSet<MemberId> = (0..N as MemberId).collect();
+    let links = run.core(0, |c| c.overlay().links());
+    for m in 0..N as MemberId {
+        assert_eq!(
+            members_of(&run, m),
+            everyone,
+            "replica of {m} is whole again"
+        );
+        run.core(m, |c| {
+            assert_eq!(c.overlay().links(), links);
+            assert!(!c.is_degraded() && c.crashes_applied().is_empty());
+        });
+    }
+}
+
+fn one_traitor(traitor: MemberId, behavior: lhg_byzantine::TraitorBehavior) -> RuntimeConfig {
+    let mut cfg = config();
+    cfg.byzantine = Some(lhg_runtime::ByzantineSetup {
+        f: 1,
+        traitors: vec![(traitor, behavior)],
+    });
+    cfg
+}
+
+#[test]
+fn frame_crash_traitor_and_forged_notice_move_nobody() {
+    use lhg_byzantine::TraitorBehavior;
+    use lhg_net::message::Message;
+    use lhg_runtime::simnode::SimInput;
+    use lhg_runtime::wire;
+
+    // Traitor 15 floods forged CRASH(0) waves on every heartbeat; at 800 ms
+    // it also "sends" its overlay neighbor 1 a dead notice.
+    let run = run_twice(|| {
+        let cfg = one_traitor(15, TraitorBehavior::FrameCrash);
+        let mut c = SimCluster::new(Constraint::KDiamond, N, K, cfg).unwrap();
+        c.seed = 11;
+        let notice = Message::new(wire::crash_id(1, 0xdead), 15, Bytes::new());
+        let (from, msg) = (15, notice);
+        c.input(800 * MS, 1, SimInput::Wire { from, msg });
+        c.run(1_500 * MS)
+    });
+    assert!(counter(&run, "runtime.forged_crash_waves") > 100);
+    assert!(counter(&run, "runtime.crash_reports_pending") > 100);
+    assert_eq!(
+        counter(&run, "runtime.crashes_applied"),
+        0,
+        "one voice is no quorum"
+    );
+    assert_eq!(counter(&run, "runtime.suspects"), 0);
+    for m in 0..N as MemberId {
+        assert_eq!(
+            members_of(&run, m).len(),
+            N,
+            "{m} still holds the live victim"
+        );
+    }
+    // The lone notice reached node 1's rejoin machinery and stopped there.
+    assert_eq!(counter(&run, "runtime.join_announces"), 0);
+    assert_eq!(counter(&run, "runtime.sync_requests"), 0);
+    assert!(!run.core(1, |c| c.is_rejoining()));
+}
+
+/// The shape of chaos mixed seed 104 on TCP ('crash detection of 3 under
+/// byzantine corroboration' timing out): n = 8, k = 3, one traitor, the
+/// mixed family's lossy links, one correct node killed. Every correct
+/// survivor must apply the crash within `WINDOWS` suspicion windows.
+#[test]
+fn crash_under_corroboration_and_loss_is_applied_everywhere() {
+    use lhg_byzantine::TraitorBehavior;
+    use lhg_net::fault::{FaultInjector, LinkFaults};
+
+    const WINDOWS: u64 = 4;
+    let behaviors = [
+        TraitorBehavior::Equivocate,
+        TraitorBehavior::Forge,
+        TraitorBehavior::Silent,
+        TraitorBehavior::Replay,
+        TraitorBehavior::FrameCrash,
+        TraitorBehavior::SuppressHeartbeat,
+    ];
+    let (n, timeout_us, crash_at) = (8u64, 250 * MS, 350 * MS);
+    let mut late = Vec::new();
+    for seed in 0..50u64 {
+        let (traitor, victim) = (seed % n, (seed / 2 + 3) % n);
+        let victim = if victim == traitor {
+            (victim + 1) % n
+        } else {
+            victim
+        };
+        let scenario = || {
+            let mut inj = FaultInjector::new(seed);
+            inj.set_default_rates(LinkFaults {
+                drop: 0.05 + (seed % 11) as f64 / 100.0,
+                duplicate: (seed % 16) as f64 / 100.0,
+                extra_delay_us: seed * 30,
+                reorder: (seed % 31) as f64 / 100.0,
+                reorder_window_us: 2_000,
+            });
+            let mut cfg = one_traitor(traitor, behaviors[seed as usize % behaviors.len()]);
+            cfg.rng_seed = seed;
+            cfg.faults = Some(std::sync::Arc::new(inj));
+            let mut c = SimCluster::new(Constraint::KDiamond, n as usize, K, cfg).unwrap();
+            c.seed = seed;
+            c.crash(victim, crash_at, None);
+            c.run(crash_at + WINDOWS * timeout_us)
+        };
+        let run = if seed % 10 == 0 {
+            run_twice(scenario)
+        } else {
+            scenario()
+        };
+        for m in (0..n).filter(|&m| m != traitor && m != victim) {
+            if !run.core(m, |c| c.crashes_applied().contains(&victim)) {
+                late.push((seed, m, victim));
+            }
+        }
+    }
+    assert!(late.is_empty(), "(seed, node, unapplied victim): {late:?}");
+}
+
+/// The simulator twin of `runtime_hello_validation.rs`: an open request
+/// claiming the receiver's own id, an id outside the member space or one
+/// the roster does not know is refused by the core's link-up path.
+#[test]
+fn bogus_hellos_are_refused_by_the_core() {
+    use lhg_net::message::Message;
+    use lhg_runtime::simnode::SimInput;
+    use lhg_runtime::wire;
+
+    let bogus = [
+        wire::hello_id(0),
+        wire::HELLO_TAG | (1 << 30) | 3,
+        wire::hello_id(4242),
+    ];
+    let run = run_twice(|| {
+        let mut c = SimCluster::new(Constraint::KDiamond, N, K, config()).unwrap();
+        for (i, hello) in bogus.into_iter().enumerate() {
+            let (from, msg) = (12, Message::new(hello, 9, Bytes::new()));
+            c.input((300 + i as u64) * MS, 0, SimInput::Wire { from, msg });
+        }
+        c.run(600 * MS)
+    });
+    assert_eq!(counter(&run, "runtime.hello_rejected"), 3);
+    let everyone: BTreeSet<MemberId> = (1..N as MemberId).collect();
+    run.core(0, |c| {
+        assert!(c.links().is_subset(&everyone), "{:?}", c.links())
+    });
+    assert_eq!(counter(&run, "runtime.suspects"), 0, "and nobody minded");
+}

@@ -21,6 +21,9 @@
 //! * [`byzantine`] — Bracha echo/ready Byzantine reliable broadcast over
 //!   the k disjoint paths, tolerating f ≤ ⌊(k−1)/2⌋ nodes that lie
 //!   (equivocate, forge, replay, go silent);
+//! * [`runtime`] — the node state machine (`NodeCore`: failure detection,
+//!   healing, rejoin, Bracha dispatch) with its two drivers: real loopback
+//!   TCP (`Cluster`) and the discrete-event simulator (`simnode`);
 //! * [`trace`] — observability: per-node flight recorders (structured
 //!   lifecycle events, JSONL timelines) and causal broadcast tracing
 //!   (realized dissemination trees checked against the O(log n) bound);
@@ -65,5 +68,6 @@ pub use lhg_core as core;
 pub use lhg_flood as flood;
 pub use lhg_graph as graph;
 pub use lhg_net as net;
+pub use lhg_runtime as runtime;
 pub use lhg_telemetry as telemetry;
 pub use lhg_trace as trace;

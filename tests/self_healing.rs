@@ -1,82 +1,113 @@
 //! Capstone integration: a self-healing LHG overlay.
 //!
-//! Detection → repair → verified recovery, across four crates: the
-//! heartbeat detector (`lhg-net`) notices a crashed process on a K-DIAMOND
-//! overlay, its identification feeds the membership maintenance
-//! (`lhg-core::overlay`), and the rebuilt topology is re-validated
-//! (`lhg-core::properties`) and re-flooded (`lhg-flood`) at full
-//! reliability.
+//! Detection → crash wave → repair → verified recovery, as the real
+//! protocol in virtual time: the runtime's node state machine
+//! (`lhg-runtime`'s `NodeCore`, driven by the discrete-event simulator of
+//! `lhg-net`) notices a crashed process on a K-DIAMOND overlay from
+//! heartbeat silence, floods the announcement, and every survivor rebuilds
+//! its replica (`lhg-core::overlay`) and redials. The healed topology is
+//! re-validated (`lhg-core::properties`), carries a broadcast to every
+//! survivor, and is re-flooded (`lhg-flood`) at full reliability.
 
-use lhg::core::overlay::DynamicOverlay;
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+use lhg::core::overlay::MemberId;
 use lhg::core::properties::validate;
 use lhg::core::Constraint;
 use lhg::flood::engine::Protocol;
 use lhg::flood::experiment::{run_trials, FailureMode};
 use lhg::graph::NodeId;
-use lhg::net::detector::{DetectorEvent, HeartbeatConfig, HeartbeatProcess};
-use lhg::net::sim::{LinkModel, Process, Simulation};
+use lhg::net::sim::LinkModel;
+use lhg::runtime::simnode::SimCluster;
+use lhg::runtime::RuntimeConfig;
+use lhg::trace::EventKind;
 
 #[test]
 fn detect_repair_reflood() {
-    let k = 3;
-    let mut overlay = DynamicOverlay::bootstrap(Constraint::KDiamond, 24, k).unwrap();
+    let (n, k) = (24usize, 3usize);
+    let victim: MemberId = 7;
+    let (crash_at, period, timeout) = (8_000u64, 1_000u64, 10_000u64);
 
-    // --- Detect: run heartbeat detectors; crash the process at node 7. ---
-    let victim_node = NodeId(7);
-    let victim_member = overlay.members()[victim_node.index()];
-    let config = HeartbeatConfig {
-        period: 1_000,
-        timeout: 3_500,
+    // --- Detect + repair: 24 nodes, 1 ms heartbeats, the victim dies at
+    // 8 ms; a broadcast follows once the dust has settled. ---
+    let config = RuntimeConfig {
+        heartbeat_period: Duration::from_micros(period),
+        heartbeat_timeout: Duration::from_micros(timeout),
+        dial_backoff: Duration::from_micros(500),
+        dial_backoff_cap: Duration::from_micros(8_000),
+        dial_timeout: Duration::from_micros(3_000),
+        tick: Duration::from_micros(250),
+        recorder_capacity: 1 << 14,
+        ..RuntimeConfig::default()
     };
-    let mut sim = Simulation::new(
-        overlay.graph(),
-        LinkModel {
-            base_latency_us: 500,
-            jitter_us: 100,
-        },
-        11,
-    );
-    sim.crash_at(victim_node, 8_000);
-    let processes: Vec<Box<dyn Process>> = (0..overlay.len())
-        .map(|_| -> Box<dyn Process> { Box::new(HeartbeatProcess::new(config)) })
-        .collect();
-    let report = sim.run(processes, 30_000);
+    let mut cluster = SimCluster::new(Constraint::KDiamond, n, k, config).unwrap();
+    cluster.link = LinkModel {
+        base_latency_us: 500,
+        jitter_us: 100,
+    };
+    cluster.seed = 11;
+    cluster.crash(victim, crash_at, None);
+    let after = cluster.broadcast(45_000, 0, bytes::Bytes::from_static(b"after the heal"));
+    let run = cluster.run(60_000);
 
-    // Every overlay neighbor of the victim must have suspected it, and
-    // nobody else was suspected.
-    let mut suspected_by = std::collections::BTreeSet::new();
-    for d in &report.deliveries {
-        if let Some(DetectorEvent::Suspect {
-            monitor, suspect, ..
-        }) = DetectorEvent::from_delivery(d)
-        {
+    // Completeness: every overlay neighbor of the victim suspected it, by
+    // its own timeout. Accuracy: nobody else was ever suspected.
+    let neighbors: BTreeSet<MemberId> = run.core(victim, |c| {
+        let wanted = c.overlay().neighbors_of(victim).unwrap();
+        wanted.into_iter().collect()
+    });
+    let mut suspected_by = BTreeSet::new();
+    for e in run.events() {
+        if let EventKind::Suspicion { peer } = e.kind {
             assert_eq!(
-                suspect, victim_node,
-                "accuracy violated: {suspect} suspected"
+                MemberId::from(peer),
+                victim,
+                "accuracy violated: {peer} suspected"
             );
-            suspected_by.insert(monitor);
+            assert!(e.at_us > crash_at, "suspected before the crash");
+            assert!(
+                e.at_us <= crash_at + timeout + 2 * period,
+                "slow detection at {}",
+                e.at_us
+            );
+            suspected_by.insert(MemberId::from(e.node));
         }
     }
-    let neighbors: std::collections::BTreeSet<NodeId> =
-        overlay.graph().neighbors(victim_node).collect();
     assert_eq!(
         suspected_by, neighbors,
         "completeness: all neighbors detect"
     );
 
-    // --- Repair: evict the suspected member and rebuild. ---
-    let churn = overlay.leave(victim_member).unwrap();
-    assert!(churn.total() > 0);
-    assert_eq!(overlay.len(), 23);
-    assert!(!overlay.members().contains(&victim_member));
+    // Every survivor — neighbor or not — applied the crash wave, holds the
+    // same 23-member replica, and has every link that replica wants.
+    let survivors: Vec<MemberId> = (0..n as MemberId).filter(|&m| m != victim).collect();
+    let healed = run.core(survivors[0], |c| c.overlay().clone());
+    assert_eq!(healed.len(), 23);
+    assert!(!healed.members().contains(&victim));
+    for &m in &survivors {
+        run.core(m, |c| {
+            assert_eq!(c.overlay().links(), healed.links(), "replica of {m}");
+            assert!(c.crashes_applied().contains(&victim));
+            let wanted: BTreeSet<MemberId> =
+                c.overlay().neighbors_of(m).unwrap().into_iter().collect();
+            assert!(wanted.is_subset(c.links()), "{m} redialed its new links");
+        });
+    }
 
-    // --- Verify: the rebuilt overlay is a full LHG again... ---
-    let report = validate(overlay.graph(), k);
+    // --- Verify: the rebuilt overlay is a full LHG again, the post-heal
+    // broadcast reached every survivor over it... ---
+    let report = validate(healed.graph(), k);
     assert!(report.is_lhg(), "{report:?}");
+    let reached: BTreeSet<NodeId> = (run.report.deliveries.iter())
+        .filter(|d| d.broadcast_id == after)
+        .map(|d| d.node)
+        .collect();
+    assert_eq!(reached.len(), survivors.len(), "re-flood covers survivors");
 
-    // ...and floods at reliability 1.0 under fresh k−1 crashes.
+    // ...and it floods at reliability 1.0 under fresh k−1 crashes.
     let stats = run_trials(
-        overlay.graph(),
+        healed.graph(),
         Protocol::Flood,
         FailureMode::RandomNodes { count: k - 1 },
         40,
