@@ -423,19 +423,30 @@ impl BrachaEngine {
         out
     }
 
+    /// `digest(frame.payload) == frame.digest`, without hashing when the
+    /// answer is already known: a payload held under `frame.digest` was
+    /// hashed when it was stored, so bytes equal to it hash the same. Every
+    /// ECHO after the first re-carries that payload, which makes the common
+    /// case a comparison; anything else is hashed as before, so exactly the
+    /// same frames are accepted.
+    fn payload_matches_digest(&self, frame: &GossipFrame) -> bool {
+        let held = (self.instances.get(&frame.tag)).and_then(|i| i.payloads.get(&frame.digest));
+        held.is_some_and(|p| *p == frame.payload) || digest(&frame.payload) == frame.digest
+    }
+
     /// Applies a single frame to local state. Emitted gossip is NOT yet
     /// absorbed — [`Self::absorb`] loops it back.
     fn step(&mut self, frame: &GossipFrame) -> Vec<Action> {
         // Validate before touching state.
         let carries_payload = match frame.kind {
             GossipKind::Send => {
-                if frame.witness != frame.tag.origin || digest(&frame.payload) != frame.digest {
+                if frame.witness != frame.tag.origin || !self.payload_matches_digest(frame) {
                     return Vec::new();
                 }
                 true
             }
             GossipKind::Echo => {
-                if digest(&frame.payload) != frame.digest {
+                if !self.payload_matches_digest(frame) {
                     return Vec::new();
                 }
                 true
@@ -734,6 +745,36 @@ mod tests {
             payload: Bytes::from_static(b"does not hash to 0xdead"),
         };
         assert!(e.on_gossip(&bad).is_empty());
+    }
+
+    #[test]
+    fn echoes_of_a_held_payload_count_and_impostors_of_its_digest_do_not() {
+        // Once a payload is held under a digest, later ECHOs are accepted
+        // by comparing bytes instead of hashing them again. The accepted
+        // set must not move: equal bytes (in a different buffer) count,
+        // different bytes claiming the held digest are still refused.
+        let mut e = BrachaEngine::new(7, cfg());
+        let t = tag(0, 1);
+        let d = digest(b"held payload");
+        let echo = |w: u32, payload: &[u8]| GossipFrame {
+            kind: GossipKind::Echo,
+            witness: w,
+            tag: t,
+            digest: d,
+            payload: Bytes::copy_from_slice(payload),
+        };
+        for w in 1..=4 {
+            assert!(e.on_gossip(&echo(w, b"held payload")).is_empty());
+        }
+        // The vote that would complete the echo quorum (5), forged.
+        assert!(e.on_gossip(&echo(5, b"HELD PAYLOAD")).is_empty());
+        assert!(e.on_gossip(&echo(5, b"")).is_empty());
+        assert_eq!(e.phase(t), Phase::Init, "a refused vote is not counted");
+        // The same witness, honestly.
+        let actions = e.on_gossip(&echo(5, b"held payload"));
+        let gossip = gossip_of(&actions);
+        assert_eq!(gossip.len(), 1);
+        assert_eq!((gossip[0].kind, gossip[0].digest), (GossipKind::Ready, d));
     }
 
     #[test]

@@ -10,21 +10,36 @@
 //! L bytes  body: one Message in the crate wire format (see crate::message)
 //! ```
 //!
-//! Three entry points cover the transport shapes in the workspace:
+//! Two pairs of entry points, one layout behind both (the header and
+//! extension-block encoders of [`Message`]):
 //!
 //! * [`encode_frame`] / [`decode_frame`] — whole-frame in memory, for
-//!   transports that preserve message boundaries (channels);
+//!   callers that need a contiguous frame. One allocation each: the frame,
+//!   and the copy out of the borrowed slice.
 //! * [`write_frame`] / [`read_frame`] — blocking I/O over `Read`/`Write`,
-//!   for socket reader/writer threads;
-//! * [`FrameDecoder`] — incremental reassembly for byte streams that
-//!   arrive in arbitrary chunks.
+//!   for socket reader/writer threads.
+//!
+//! # Who owns the bytes
+//!
+//! A payload is never copied by this module on its way through a node.
+//! [`read_frame`] allocates each frame body once, at exactly its length
+//! (plus the reference count that will share it, in the same allocation),
+//! reads the socket into it and freezes it for [`Message::decode`], so
+//! `Message::payload` is a slice of the allocation the socket filled —
+//! and so is every clone of it: the delivered message, the pull store's
+//! copy, every forward. [`write_frame`] builds the length prefix, header
+//! and extension block in stack arrays and sends them around the shared
+//! payload with one vectored write: a relay's per-link copies, which
+//! differ only in `link_seq`, never materialise. A retained payload
+//! therefore pins its own frame body (payload + at most 49 bytes) and
+//! nothing larger; bodies are never carved out of a shared read buffer.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::message::Message;
+use crate::message::{Message, HEADER_LEN};
 
 /// Size of the frame length prefix in bytes.
 pub const LEN_PREFIX: usize = 4;
@@ -36,7 +51,8 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// The length prefix exceeds [`MAX_FRAME_LEN`].
+    /// The length prefix exceeds the limit in force ([`MAX_FRAME_LEN`]
+    /// unless the reader asked for less).
     FrameTooLarge(usize),
     /// The frame body is not a valid [`Message`] encoding.
     Malformed,
@@ -46,7 +62,7 @@ impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CodecError::FrameTooLarge(len) => {
-                write!(f, "frame length {len} exceeds maximum {MAX_FRAME_LEN}")
+                write!(f, "frame length {len} exceeds the maximum allowed here")
             }
             CodecError::Malformed => f.write_str("frame body is not a valid message"),
         }
@@ -61,13 +77,23 @@ impl From<CodecError> for io::Error {
     }
 }
 
+/// Length prefix and fixed header of `msg`'s frame: everything that goes
+/// on the wire before the payload.
+fn frame_head(msg: &Message) -> [u8; LEN_PREFIX + HEADER_LEN] {
+    let mut head = [0u8; LEN_PREFIX + HEADER_LEN];
+    head[..LEN_PREFIX].copy_from_slice(&(msg.encoded_len() as u32).to_be_bytes());
+    head[LEN_PREFIX..].copy_from_slice(&msg.header());
+    head
+}
+
 /// Encodes `msg` as one complete frame (length prefix + body).
 #[must_use]
 pub fn encode_frame(msg: &Message) -> Bytes {
-    let body_len = msg.encoded_len();
-    let mut buf = BytesMut::with_capacity(LEN_PREFIX + body_len);
-    buf.put_u32(body_len as u32);
-    buf.put_slice(&msg.encode());
+    let (ext, ext_len) = msg.ext_block();
+    let mut buf = BytesMut::with_capacity(LEN_PREFIX + msg.encoded_len());
+    buf.put_slice(&frame_head(msg));
+    buf.put_slice(&msg.payload);
+    buf.put_slice(&ext[..ext_len]);
     buf.freeze()
 }
 
@@ -94,13 +120,36 @@ pub fn decode_frame(frame: &[u8]) -> Result<Message, CodecError> {
 
 /// Writes `msg` as one frame; returns the number of bytes written.
 ///
+/// Nothing is allocated or copied: prefix, header and extension block are
+/// built on the stack and sent around `msg.payload` with vectored writes —
+/// one `writev` per frame on a socket unless the kernel takes less.
+///
 /// # Errors
 ///
-/// Propagates I/O errors from `w`.
+/// Propagates I/O errors from `w`; a writer that accepts no bytes is
+/// [`io::ErrorKind::WriteZero`].
 pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<usize> {
-    let frame = encode_frame(msg);
-    w.write_all(&frame)?;
-    Ok(frame.len())
+    let head = frame_head(msg);
+    let (ext, ext_len) = msg.ext_block();
+    let parts: [&[u8]; 3] = [&head, &msg.payload, &ext[..ext_len]];
+    let total = LEN_PREFIX + msg.encoded_len();
+    let mut written = 0;
+    while written < total {
+        // What is left of each part once `written` bytes are gone.
+        let mut skip = written;
+        let rest = parts.map(|part| {
+            let gone = skip.min(part.len());
+            skip -= gone;
+            IoSlice::new(&part[gone..])
+        });
+        match w.write_vectored(&rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(total)
 }
 
 /// Reads one frame from `r`, blocking until a complete frame arrives.
@@ -113,93 +162,45 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<usize> {
 /// Propagates I/O errors; corrupt prefixes and bodies surface as
 /// [`io::ErrorKind::InvalidData`].
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Message>> {
+    read_frame_limited(r, MAX_FRAME_LEN)
+}
+
+/// [`read_frame`] for a peer that is only entitled to small frames: a
+/// length prefix above `max_len` is refused before anything is allocated
+/// for it, so what an unauthenticated connection can make this process
+/// allocate is `max_len` bytes, not [`MAX_FRAME_LEN`].
+///
+/// # Errors
+///
+/// As [`read_frame`], with [`CodecError::FrameTooLarge`] beyond `max_len`.
+pub fn read_frame_limited<R: Read>(r: &mut R, max_len: usize) -> io::Result<Option<Message>> {
     let mut prefix = [0u8; LEN_PREFIX];
     let mut got = 0;
     while got < LEN_PREFIX {
-        match r.read(&mut prefix[got..])? {
-            0 if got == 0 => return Ok(None), // clean EOF between frames
-            0 => {
+        match r.read(&mut prefix[got..]) {
+            Ok(0) if got == 0 => return Ok(None), // clean EOF between frames
+            Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "stream ended inside a frame prefix",
                 ))
             }
-            n => got += n,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     let len = u32::from_be_bytes(prefix) as usize;
-    if len > MAX_FRAME_LEN {
+    if len > max_len.min(MAX_FRAME_LEN) {
         return Err(CodecError::FrameTooLarge(len).into());
     }
-    let mut body = vec![0u8; len];
+    // The frame's one allocation: `freeze` shares it as it is, and the
+    // decoded payload is a slice of it.
+    let mut body = BytesMut::zeroed(len);
     r.read_exact(&mut body)?;
-    Message::decode(Bytes::from(body))
+    Message::decode(body.freeze())
         .map(Some)
         .ok_or_else(|| CodecError::Malformed.into())
-}
-
-/// Incremental frame reassembler for byte streams delivered in arbitrary
-/// chunks.
-///
-/// Feed raw bytes with [`FrameDecoder::feed`]; pull completed messages with
-/// [`FrameDecoder::next_frame`] until it returns `Ok(None)`.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    consumed: usize,
-}
-
-impl FrameDecoder {
-    /// Creates an empty decoder.
-    #[must_use]
-    pub fn new() -> Self {
-        FrameDecoder::default()
-    }
-
-    /// Appends raw stream bytes to the internal buffer.
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Number of buffered bytes not yet consumed by a completed frame.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.consumed
-    }
-
-    /// Extracts the next complete message, if a full frame is buffered.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] on an oversized prefix or a malformed body;
-    /// the decoder should be discarded afterwards (stream framing is lost).
-    pub fn next_frame(&mut self) -> Result<Option<Message>, CodecError> {
-        let avail = &self.buf[self.consumed..];
-        if avail.len() < LEN_PREFIX {
-            self.compact();
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(CodecError::FrameTooLarge(len));
-        }
-        if avail.len() < LEN_PREFIX + len {
-            self.compact();
-            return Ok(None);
-        }
-        let body = &avail[LEN_PREFIX..LEN_PREFIX + len];
-        let msg = Message::decode(Bytes::copy_from_slice(body)).ok_or(CodecError::Malformed)?;
-        self.consumed += LEN_PREFIX + len;
-        Ok(Some(msg))
-    }
-
-    /// Drops already-consumed bytes once they dominate the buffer.
-    fn compact(&mut self) {
-        if self.consumed > 0 && self.consumed >= self.buf.len() / 2 {
-            self.buf.drain(..self.consumed);
-            self.consumed = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -261,58 +262,5 @@ mod tests {
         let mut cursor = io::Cursor::new(wire);
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn incremental_decoder_handles_byte_at_a_time() {
-        let sent: Vec<Message> = (0..4).map(sample).collect();
-        let mut wire = Vec::new();
-        for m in &sent {
-            write_frame(&mut wire, m).unwrap();
-        }
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        for b in wire {
-            dec.feed(&[b]);
-            while let Some(m) = dec.next_frame().unwrap() {
-                got.push(m);
-            }
-        }
-        assert_eq!(got, sent);
-        assert_eq!(dec.pending(), 0);
-    }
-
-    #[test]
-    fn incremental_decoder_handles_split_and_merged_chunks() {
-        let sent: Vec<Message> = (0..6).map(sample).collect();
-        let mut wire = Vec::new();
-        for m in &sent {
-            write_frame(&mut wire, m).unwrap();
-        }
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        // Deterministic irregular chunking.
-        let mut pos = 0;
-        let mut step = 1;
-        while pos < wire.len() {
-            let end = (pos + step).min(wire.len());
-            dec.feed(&wire[pos..end]);
-            while let Some(m) = dec.next_frame().unwrap() {
-                got.push(m);
-            }
-            pos = end;
-            step = step % 13 + 3;
-        }
-        assert_eq!(got, sent);
-    }
-
-    #[test]
-    fn incremental_decoder_reports_oversized_frames() {
-        let mut dec = FrameDecoder::new();
-        dec.feed(&(MAX_FRAME_LEN as u32 + 7).to_be_bytes());
-        assert_eq!(
-            dec.next_frame(),
-            Err(CodecError::FrameTooLarge(MAX_FRAME_LEN + 7))
-        );
     }
 }

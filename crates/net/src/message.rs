@@ -51,6 +51,13 @@ pub const TRACE_EXT_LEN: usize = 1 + 8;
 /// (4-byte origin + 8-byte nonce; the shared flag byte is not counted).
 pub const BYZ_TAG_LEN: usize = 4 + 8;
 
+/// Encoded size of the fixed header in front of the payload (broadcast id,
+/// origin, hops, payload length).
+pub const HEADER_LEN: usize = 8 + 4 + 4 + 4;
+
+/// Largest extension block: the flag byte and all three extensions.
+pub const MAX_EXT_LEN: usize = 1 + 8 + 8 + BYZ_TAG_LEN;
+
 /// The broadcast-instance identity carried by the byz extension: the
 /// claimed origin plus a per-origin nonce. One `(origin, nonce)` pair
 /// names one Byzantine broadcast instance end to end; every echo/ready
@@ -157,7 +164,7 @@ impl Message {
         if ext != 0 {
             ext += 1; // the flag byte
         }
-        8 + 4 + 4 + 4 + self.payload.len() + ext
+        HEADER_LEN + self.payload.len() + ext
     }
 
     /// Encodes to the wire format. Messages with no extensions produce
@@ -165,36 +172,52 @@ impl Message {
     /// identical to the pre-link-seq format.
     #[must_use]
     pub fn encode(&self) -> Bytes {
+        let (ext, ext_len) = self.ext_block();
         let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_u64(self.broadcast_id);
-        buf.put_u32(self.origin);
-        buf.put_u32(self.hops);
-        buf.put_u32(self.payload.len() as u32);
+        buf.put_slice(&self.header());
         buf.put_slice(&self.payload);
-        let mut flags = 0u8;
-        if self.trace.is_some() {
-            flags |= TRACE_EXT_FLAG;
-        }
-        if self.link_seq.is_some() {
-            flags |= SEQ_EXT_FLAG;
-        }
-        if self.byz.is_some() {
-            flags |= BYZ_EXT_FLAG;
-        }
-        if flags != 0 {
-            buf.put_u8(flags);
-            if let Some(trace_id) = self.trace {
-                buf.put_u64(trace_id);
-            }
-            if let Some(seq) = self.link_seq {
-                buf.put_u64(seq);
-            }
-            if let Some(tag) = self.byz {
-                buf.put_u32(tag.origin);
-                buf.put_u64(tag.nonce);
-            }
-        }
+        buf.put_slice(&ext[..ext_len]);
         buf.freeze()
+    }
+
+    /// The fixed header: everything that goes in front of the payload.
+    /// With [`Self::ext_block`] this is the one place that writes the
+    /// layout; [`Self::encode`] and the frame codec put the payload
+    /// between the two, each in its own way.
+    pub(crate) fn header(&self) -> [u8; HEADER_LEN] {
+        let mut h = [0u8; HEADER_LEN];
+        h[0..8].copy_from_slice(&self.broadcast_id.to_be_bytes());
+        h[8..12].copy_from_slice(&self.origin.to_be_bytes());
+        h[12..16].copy_from_slice(&self.hops.to_be_bytes());
+        h[16..20].copy_from_slice(&(self.payload.len() as u32).to_be_bytes());
+        h
+    }
+
+    /// The extension block that follows the payload and how many of its
+    /// bytes are in use (0 for a legacy frame).
+    pub(crate) fn ext_block(&self) -> ([u8; MAX_EXT_LEN], usize) {
+        let mut ext = [0u8; MAX_EXT_LEN];
+        let mut len = 1; // the flag byte, if any extension follows it
+        let mut put = |field: &[u8]| {
+            ext[len..len + field.len()].copy_from_slice(field);
+            len += field.len();
+        };
+        let mut flags = 0u8;
+        if let Some(trace_id) = self.trace {
+            flags |= TRACE_EXT_FLAG;
+            put(&trace_id.to_be_bytes());
+        }
+        if let Some(seq) = self.link_seq {
+            flags |= SEQ_EXT_FLAG;
+            put(&seq.to_be_bytes());
+        }
+        if let Some(tag) = self.byz {
+            flags |= BYZ_EXT_FLAG;
+            put(&tag.origin.to_be_bytes());
+            put(&tag.nonce.to_be_bytes());
+        }
+        ext[0] = flags;
+        (ext, if flags == 0 { 0 } else { len })
     }
 
     /// Decodes from the wire format.
@@ -204,7 +227,7 @@ impl Message {
     /// legacy (`trace = None`, `link_seq = None`).
     #[must_use]
     pub fn decode(mut raw: Bytes) -> Option<Self> {
-        if raw.len() < 20 {
+        if raw.len() < HEADER_LEN {
             return None;
         }
         let broadcast_id = raw.get_u64();

@@ -1,14 +1,259 @@
 //! Robustness tests for the wire codec: decoding must never panic, the
 //! encode/decode pair must round-trip arbitrary payloads (with or without
 //! the trace extension), and legacy frames must keep decoding unchanged.
+//! The I/O pair is held to the same bytes: whatever `write_frame` puts on
+//! a stream, however little the stream takes per call, is `encode_frame`'s
+//! output and the encoding of every release before it, and `read_frame`
+//! reassembles it however the stream hands it back.
+
+use std::io::{self, IoSlice, Read, Write};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 
-use lhg_net::codec::{decode_frame, encode_frame};
+use lhg_net::codec::{
+    decode_frame, encode_frame, read_frame, write_frame, CodecError, MAX_FRAME_LEN,
+};
 use lhg_net::fifo::{fifo_id, fifo_parts};
 use lhg_net::message::{ByzTag, Message, BYZ_TAG_LEN, TRACE_EXT_LEN};
 use lhg_net::wirecost::{MessageClass, CLASS_TAG_MASK};
+
+/// The frame encoding as it was before the codec wrote headers into stack
+/// arrays: every field appended in wire order to one growing buffer.
+fn reference_frame(msg: &Message) -> Vec<u8> {
+    let mut body = Vec::new();
+    body.put_u64(msg.broadcast_id);
+    body.put_u32(msg.origin);
+    body.put_u32(msg.hops);
+    body.put_u32(msg.payload.len() as u32);
+    body.put_slice(&msg.payload);
+    let flags = u8::from(msg.trace.is_some())
+        | u8::from(msg.link_seq.is_some()) << 1
+        | u8::from(msg.byz.is_some()) << 2;
+    if flags != 0 {
+        body.put_u8(flags);
+    }
+    if let Some(trace_id) = msg.trace {
+        body.put_u64(trace_id);
+    }
+    if let Some(seq) = msg.link_seq {
+        body.put_u64(seq);
+    }
+    if let Some(tag) = msg.byz {
+        body.put_u32(tag.origin);
+        body.put_u64(tag.nonce);
+    }
+    let mut frame = Vec::new();
+    frame.put_u32(body.len() as u32);
+    frame.put_slice(&body);
+    frame
+}
+
+/// A stream that takes 1..=7 bytes per call, across buffer boundaries.
+#[derive(Default)]
+struct Dribble {
+    taken: Vec<u8>,
+    calls: usize,
+}
+
+impl Write for Dribble {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let room = self.calls % 7 + 1;
+        self.calls += 1;
+        let before = self.taken.len();
+        let offered = bufs.iter().flat_map(|b| b.iter().copied());
+        self.taken.extend(offered.take(room));
+        Ok(self.taken.len() - before)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A stream that hands its bytes back in chunks of the sizes `step` yields.
+struct Chunked<F> {
+    wire: Vec<u8>,
+    pos: usize,
+    step: F,
+}
+
+impl<F: FnMut() -> usize> Read for Chunked<F> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (self.step)().min(buf.len()).min(self.wire.len() - self.pos);
+        buf[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+fn sample(i: u64) -> Message {
+    let msg = Message::new(i, i as u32, Bytes::from(format!("payload-{i}")));
+    match i % 3 {
+        0 => msg,
+        1 => msg.with_link_seq(i),
+        _ => msg.with_trace(i).with_byz(ByzTag {
+            origin: 1,
+            nonce: i,
+        }),
+    }
+}
+
+fn wire_of(msgs: &[Message]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for m in msgs {
+        write_frame(&mut wire, m).expect("a Vec takes everything");
+    }
+    wire
+}
+
+fn read_all(mut r: impl Read) -> io::Result<Vec<Message>> {
+    let mut got = Vec::new();
+    while let Some(m) = read_frame(&mut r)? {
+        got.push(m);
+    }
+    Ok(got)
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn three_literal_frames_are_what_every_release_put_on_the_wire() {
+    let legacy = Message::new(0x0102_0304_0506_0708, 9, Bytes::from_static(b"hello"));
+    let mut stamped = Message::new(42, 7, Bytes::from_static(b"lhg"))
+        .with_trace(0xDEAD_BEEF)
+        .with_link_seq(17);
+    stamped.hops = 3;
+    let mut full = Message::new(u64::MAX, u32::MAX, Bytes::new())
+        .with_trace(1)
+        .with_link_seq(u64::MAX)
+        .with_byz(ByzTag {
+            origin: 5,
+            nonce: 0x0A0B,
+        });
+    full.hops = 1;
+    let pinned = [
+        (
+            legacy,
+            "00000019010203040506070800000009000000000000000568656c6c6f",
+        ),
+        (
+            stamped,
+            "00000028000000000000002a0000000700000003000000036c6867\
+             0300000000deadbeef0000000000000011",
+        ),
+        (
+            full,
+            "00000031ffffffffffffffffffffffff0000000100000000\
+             070000000000000001ffffffffffffffff000000050000000000000a0b",
+        ),
+    ];
+    for (msg, want) in pinned {
+        assert_eq!(hex(&encode_frame(&msg)), want);
+        assert_eq!(hex(&wire_of(std::slice::from_ref(&msg))), want);
+        assert_eq!(hex(&reference_frame(&msg)), want);
+        assert_eq!(hex(&msg.encode()), want[8..]);
+    }
+}
+
+#[test]
+fn read_path_decodes_byte_at_a_time() {
+    let sent: Vec<Message> = (0..4).map(sample).collect();
+    let (wire, pos) = (wire_of(&sent), 0);
+    let got = read_all(Chunked {
+        wire,
+        pos,
+        step: || 1,
+    })
+    .expect("whole frames");
+    assert_eq!(got, sent);
+}
+
+#[test]
+fn read_path_decodes_split_and_merged_chunks() {
+    let sent: Vec<Message> = (0..6).map(sample).collect();
+    let (wire, pos) = (wire_of(&sent), 0);
+    // One byte, then deterministic irregular chunks of 3..=15.
+    let mut next = 1;
+    let step = || {
+        let now = next;
+        next = now % 13 + 3;
+        now
+    };
+    let got = read_all(Chunked { wire, pos, step }).expect("whole frames");
+    assert_eq!(got, sent);
+}
+
+#[test]
+fn read_path_tells_clean_eof_from_a_cut_frame_and_refuses_oversized_prefixes() {
+    assert_eq!(
+        read_all(io::Cursor::new(Vec::new())).expect("clean"),
+        vec![]
+    );
+    let wire = wire_of(&[sample(1), sample(2)]);
+    for cut in 1..wire.len() {
+        let whole = wire_of(&[sample(1)]).len();
+        let (wire, pos) = (wire[..cut].to_vec(), 0);
+        match read_all(Chunked {
+            wire,
+            pos,
+            step: || 5,
+        }) {
+            Ok(got) => assert_eq!((cut, got), (whole, vec![sample(1)])),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}"),
+        }
+    }
+    // A prefix past the limit is an error before any of the body is read
+    // (tests/wire_allocs.rs: and before anything is allocated for it).
+    let mut huge = io::Cursor::new((MAX_FRAME_LEN as u32 + 7).to_be_bytes().to_vec());
+    let err = read_frame(&mut huge).expect_err("oversized");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    let inner = err.get_ref().and_then(|e| e.downcast_ref::<CodecError>());
+    assert_eq!(inner, Some(&CodecError::FrameTooLarge(MAX_FRAME_LEN + 7)));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn written_frames_are_the_encoded_frame_however_little_the_stream_takes(
+        ids in (any::<u64>(), any::<u32>(), any::<u32>()),
+        len in 0usize..=70_000,
+        salt in any::<u8>(),
+        exts in 0u8..8,
+        ext_ids in (any::<u64>(), any::<u64>(), any::<u32>(), any::<u64>()),
+    ) {
+        let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect();
+        let (trace_id, seq, origin, nonce) = ext_ids;
+        let msg = Message {
+            broadcast_id: ids.0,
+            origin: ids.1,
+            hops: ids.2,
+            payload: Bytes::from(payload),
+            trace: (exts & 1 != 0).then_some(trace_id),
+            link_seq: (exts & 2 != 0).then_some(seq),
+            byz: (exts & 4 != 0).then_some(ByzTag { origin, nonce }),
+        };
+        let frame = encode_frame(&msg);
+        prop_assert_eq!(&frame[..], &reference_frame(&msg)[..]);
+
+        let mut whole = Vec::new();
+        prop_assert_eq!(write_frame(&mut whole, &msg).expect("Vec sink"), frame.len());
+        prop_assert_eq!(&whole[..], &frame[..]);
+
+        let mut dribble = Dribble::default();
+        prop_assert_eq!(write_frame(&mut dribble, &msg).expect("dribble sink"), frame.len());
+        prop_assert_eq!(&dribble.taken[..], &frame[..]);
+
+        prop_assert_eq!(read_all(io::Cursor::new(whole)).expect("reads back"), vec![msg]);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]

@@ -6,9 +6,12 @@
 //! gone: a loopback [`TcpListener`] and three kinds of threads,
 //!
 //! * an **acceptor** polling the listener; each accepted connection gets a
-//!   **reader** thread that takes the hello off the wire, registers the
-//!   write half with the main loop, then decodes length-prefixed frames
-//!   ([`lhg_net::codec::read_frame`]) into the node's event channel;
+//!   **reader** thread that takes the hello off the wire (hello-sized and
+//!   within [`crate::RuntimeConfig::dial_timeout`], or the stranger is
+//!   dropped), registers the write half with the main loop, then decodes
+//!   length-prefixed frames ([`lhg_net::codec::read_frame`]) into the
+//!   node's event channel — each payload a slice of the one buffer the
+//!   socket filled for its frame;
 //! * a **main loop** that owns the write halves, turns channel events into
 //!   core events stamped with the cluster's monotonic clock, and executes
 //!   the actions the core answers with, in order. Periodic duties are the
@@ -30,6 +33,8 @@
 //! * **Wire accounting** — `runtime.messages_sent` / `runtime.bytes_sent`,
 //!   the per-class wire costs and the `FrameTx` event are recorded at the
 //!   one site that writes a frame, which is what makes them reconcile.
+//!   The instruments touched per frame and per delivery are resolved once,
+//!   at boot (`Instruments`); a lookup by name takes the registry's lock.
 //! * **Publication** — the core is single-threaded; [`NodeShared`] is the
 //!   copy of its state other threads may read, republished only when the
 //!   core says it changed. The delivery-latency clock is wall time.
@@ -37,8 +42,10 @@
 //! Link ownership is asymmetric to avoid duplicate connections: the member
 //! with the **smaller id dials**, the larger one accepts.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,9 +56,10 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use lhg_core::overlay::{DynamicOverlay, MemberId};
-use lhg_net::codec::{read_frame, write_frame};
-use lhg_net::message::Message;
-use lhg_net::metrics::MetricsRegistry;
+use lhg_net::codec::{read_frame, read_frame_limited, write_frame};
+use lhg_net::message::{Message, HEADER_LEN, MAX_EXT_LEN};
+use lhg_net::metrics::{Counter, Histogram, MetricsRegistry};
+use lhg_net::wirecost::WireAccountant;
 use lhg_trace::{EventKind, FlightRecorder, PathRecord, TraceCollector};
 
 use crate::core::{self, Action, BootOpts, NodeCore};
@@ -258,6 +266,8 @@ pub(crate) fn spawn_node(
     {
         let (shared, tx, conns) = (Arc::clone(&shared), tx.clone(), Arc::clone(&conns));
         let poll = config.tick.min(Duration::from_millis(2));
+        let hello_timeout = config.dial_timeout;
+        let rejected = metrics.counter("runtime.hello_rejected");
         std::thread::spawn(move || loop {
             if !shared.is_alive() {
                 return; // listener drops, port closes
@@ -266,7 +276,12 @@ pub(crate) fn spawn_node(
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_nodelay(true);
-                    spawn_handshake_reader(stream, tx.clone(), Arc::clone(&conns));
+                    let (tx, conns, rejected) = (tx.clone(), Arc::clone(&conns), rejected.clone());
+                    std::thread::spawn(move || {
+                        if !handshake_then_read(stream, hello_timeout, &tx, &conns) {
+                            rejected.inc();
+                        }
+                    });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(poll);
@@ -281,6 +296,7 @@ pub(crate) fn spawn_node(
         shared: Arc::clone(&shared),
         config,
         directory,
+        instruments: Instruments::resolve(&metrics),
         metrics,
         clock,
         recorder,
@@ -290,7 +306,7 @@ pub(crate) fn spawn_node(
         core,
         out: Vec::new(),
         pending: VecDeque::new(),
-        writers: HashMap::new(),
+        writers: BTreeMap::new(),
         conn_ids: HashMap::new(),
         conns,
         fault_seqs: HashMap::new(),
@@ -300,24 +316,64 @@ pub(crate) fn spawn_node(
     Ok(NodeHandle { shared, tx, main })
 }
 
-/// Reads the hello frame off a freshly accepted connection, registers the
-/// write half with the main loop (the core decides whether the claimed id
-/// is acceptable), then settles into the plain reader loop.
-fn spawn_handshake_reader(mut stream: TcpStream, tx: Sender<Event>, conns: Arc<AtomicU64>) {
-    std::thread::spawn(move || {
-        let hello = read_frame(&mut stream).ok().flatten();
-        // Protocol violation unless the first frame is a hello.
-        let Some(peer) = hello.and_then(|m| wire::hello_peer(m.broadcast_id)) else {
-            return;
-        };
-        let Ok(writer) = stream.try_clone() else {
-            return;
-        };
+/// The largest frame body a hello can have: no payload, any extensions.
+const HELLO_MAX_LEN: usize = HEADER_LEN + MAX_EXT_LEN;
+
+/// A socket whose reads all fail once `deadline` has passed, however the
+/// peer paces its bytes.
+struct ReadUntil<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for ReadUntil<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        (&mut self.stream).read(buf)
+    }
+}
+
+/// Takes the hello off a freshly accepted connection. Until it has said
+/// who it is the peer is a stranger, entitled to neither memory nor
+/// patience: its first frame must be hello-sized — a longer length prefix
+/// is refused before anything is allocated for it — and complete within
+/// `timeout`, so a silent connection cannot park this thread.
+fn read_hello(stream: &TcpStream, timeout: Duration) -> Option<MemberId> {
+    let deadline = Instant::now() + timeout;
+    let mut limited = ReadUntil { stream, deadline };
+    let hello = read_frame_limited(&mut limited, HELLO_MAX_LEN).ok()??;
+    stream.set_read_timeout(None).ok()?;
+    // Protocol violation unless the first frame is a hello.
+    if !hello.payload.is_empty() {
+        return None;
+    }
+    wire::hello_peer(hello.broadcast_id)
+}
+
+/// An accepted connection's thread: the hello, then — once the write half
+/// is registered with the main loop, where the core decides whether the
+/// claimed id is acceptable — the plain reader loop. `false` if the peer
+/// never produced a hello.
+fn handshake_then_read(
+    mut stream: TcpStream,
+    hello_timeout: Duration,
+    tx: &Sender<Event>,
+    conns: &AtomicU64,
+) -> bool {
+    let Some(peer) = read_hello(&stream, hello_timeout) else {
+        return false;
+    };
+    if let Ok(writer) = stream.try_clone() {
         let conn = conns.fetch_add(1, Ordering::Relaxed);
         if tx.send(Event::Accepted { peer, conn, writer }).is_ok() {
-            reader_loop(peer, conn, &mut stream, &tx);
+            reader_loop(peer, conn, &mut stream, tx);
         }
-    });
+    }
+    true
 }
 
 /// Decodes frames until EOF/error, forwarding each into the main loop.
@@ -331,6 +387,29 @@ fn reader_loop(peer: MemberId, conn: u64, stream: &mut TcpStream, tx: &Sender<Ev
     let _ = tx.send(Event::PeerClosed { peer, conn });
 }
 
+/// The instruments the driver touches per frame written and per delivery.
+struct Instruments {
+    messages_sent: Arc<Counter>,
+    bytes_sent: Arc<Counter>,
+    wire: Arc<WireAccountant>,
+    deliveries: Arc<Counter>,
+    byz_delivered: Arc<Counter>,
+    delivery_latency_us: Arc<Histogram>,
+}
+
+impl Instruments {
+    fn resolve(metrics: &MetricsRegistry) -> Self {
+        Instruments {
+            messages_sent: metrics.counter("runtime.messages_sent"),
+            bytes_sent: metrics.counter("runtime.bytes_sent"),
+            wire: metrics.wire(),
+            deliveries: metrics.counter("runtime.deliveries"),
+            byz_delivered: metrics.counter("runtime.byz_delivered"),
+            delivery_latency_us: metrics.histogram("runtime.delivery_latency_us"),
+        }
+    }
+}
+
 /// The main loop's owned state: the core plus everything socket-shaped.
 /// Single-threaded; shared observability goes through [`NodeShared`].
 struct NodeDriver {
@@ -339,6 +418,7 @@ struct NodeDriver {
     config: RuntimeConfig,
     directory: Directory,
     metrics: Arc<MetricsRegistry>,
+    instruments: Instruments,
     clock: BroadcastClock,
     /// This node's flight recorder; its epoch (shared by the whole cluster)
     /// is the monotonic clock the core runs on.
@@ -352,9 +432,10 @@ struct NodeDriver {
     /// (dial outcomes, write failures), fed back once it is drained.
     out: Vec<Action>,
     pending: VecDeque<core::Event>,
-    /// Write halves of every live connection, keyed by peer id, and the
+    /// Write halves of every live connection, keyed by peer id (ordered:
+    /// a flood goes out in the same order on every host), and the
     /// generation id of the connection currently backing each.
-    writers: HashMap<MemberId, TcpStream>,
+    writers: BTreeMap<MemberId, TcpStream>,
     conn_ids: HashMap<MemberId, u64>,
     /// Source of connection generation ids (shared with the acceptor).
     conns: Arc<AtomicU64>,
@@ -381,7 +462,7 @@ impl NodeDriver {
         }
         // Fail-stop: slam every socket shut so peers see EOF, not silence.
         self.shared.alive.store(false, Ordering::SeqCst);
-        for (_, s) in self.writers.drain() {
+        for s in self.writers.values() {
             let _ = s.shutdown(Shutdown::Both);
         }
     }
@@ -441,10 +522,16 @@ impl NodeDriver {
             for action in out.drain(..) {
                 match action {
                     Action::Send { to, msg } => self.send_to(to, &msg),
+                    // A failed write uninstalls its writer mid-flood, so
+                    // the walk is by key, not by borrowed iterator.
                     Action::Flood { msg, except } => {
-                        let peers: Vec<MemberId> = self.writers.keys().copied().collect();
-                        for to in peers.into_iter().filter(|&p| Some(p) != except) {
-                            self.send_to(to, &msg);
+                        let mut next = self.writers.keys().next().copied();
+                        while let Some(to) = next {
+                            if Some(to) != except {
+                                self.send_to(to, &msg);
+                            }
+                            let after = (Bound::Excluded(to), Bound::Unbounded);
+                            next = self.writers.range(after).next().map(|(&p, _)| p);
                         }
                     }
                     Action::Dial { peer } => {
@@ -459,7 +546,7 @@ impl NodeDriver {
                     // the counter move may read the log at once.
                     Action::ByzDeliver { msg } => {
                         self.shared.byz_delivered.lock().push(msg);
-                        self.metrics.counter("runtime.byz_delivered").inc();
+                        self.instruments.byz_delivered.inc();
                     }
                 }
             }
@@ -501,12 +588,10 @@ impl NodeDriver {
         }
         if let Some(t0) = self.clock.read().get(&msg.broadcast_id) {
             let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-            self.metrics
-                .histogram("runtime.delivery_latency_us")
-                .record(us);
+            self.instruments.delivery_latency_us.record(us);
         }
         self.shared.delivered.lock().push(msg);
-        self.metrics.counter("runtime.deliveries").inc();
+        self.instruments.deliveries.inc();
     }
 
     /// Sends one frame to `peer` through the fault injector (if any): the
@@ -547,13 +632,12 @@ impl NodeDriver {
             self.pending.push_back(down);
             return false;
         };
-        self.metrics.counter("runtime.messages_sent").inc();
-        self.metrics.counter("runtime.bytes_sent").add(n as u64);
+        self.instruments.messages_sent.inc();
+        self.instruments.bytes_sent.add(n as u64);
         // Same site as the counters above, so per-class totals reconcile
         // with them exactly (n includes the length prefix).
-        self.metrics
-            .wire()
-            .record(self.id as u32, peer as u32, msg.broadcast_id, n as u64);
+        let wire = &self.instruments.wire;
+        wire.record(self.id as u32, peer as u32, msg.broadcast_id, n as u64);
         let (peer, bytes) = (peer as u32, n as u32);
         self.recorder.record(EventKind::FrameTx { peer, bytes });
         true
