@@ -3,7 +3,8 @@
 //! What a traitor *says* is fixed here; *when* it says it and *to whom*
 //! is the driver's business — a timer and neighbor parity in
 //! [`crate::sim::ByzantineTraitor`], the first observed byz frame and
-//! sorted live links in the TCP runtime. Every payload speaks under the
+//! sorted live links in the TCP runtime. Lies about votes are bits in a
+//! [`VotesFrame`], as every vote is ([`crate::exchange`]). Every payload speaks under the
 //! traitor's own witness identity (the "signed-enough" model), so each is
 //! one voice: f short of the f+1 amplification threshold, 2f short of
 //! the 2f+1 delivery quorum.
@@ -13,7 +14,7 @@ use bytes::Bytes;
 use lhg_net::message::ByzTag;
 
 use crate::engine::{InstanceSummary, Phase};
-use crate::frame::{digest, GossipFrame, GossipKind};
+use crate::frame::{digest, GossipFrame, GossipKind, VoteEntry, VotesFrame};
 
 /// Nonce base for equivocation instances a traitor originates itself.
 pub const EQUIVOCATE_NONCE_BASE: u64 = 0xE000_0000;
@@ -40,26 +41,18 @@ pub fn equivocation_pair(me: u32) -> [GossipFrame; 2] {
     })
 }
 
-/// Forgery: traitor `me`'s `ECHO` + `READY` for a `SEND` that `victim`,
-/// the impersonated origin, never issued.
+/// Forgery: traitor `me`'s echo and ready *bits* — set under its own id,
+/// the only one it can speak for — for a `SEND` that `victim`, the
+/// impersonated origin, never issued. One frame, for every neighbor.
 #[must_use]
-pub fn forged_votes(me: u32, victim: u32) -> [GossipFrame; 2] {
-    let payload = Bytes::from_static(b"the origin never said this");
-    let digest = digest(&payload);
-    let frame = |kind, payload| GossipFrame {
-        kind,
-        witness: me,
-        tag: ByzTag {
-            origin: victim,
-            nonce: FORGE_NONCE_BASE + u64::from(me),
-        },
-        digest,
-        payload,
+pub fn forged_votes(me: u32, victim: u32) -> VotesFrame {
+    let mine = || std::iter::once(me).collect();
+    let tag = ByzTag {
+        origin: victim,
+        nonce: FORGE_NONCE_BASE + u64::from(me),
     };
-    [
-        frame(GossipKind::Echo, payload),
-        frame(GossipKind::Ready, Bytes::new()),
-    ]
+    let said = digest(b"the origin never said this");
+    vec![VoteEntry::delta(tag, said, mine(), mine())].into()
 }
 
 /// Forged catch-up: traitor `me`'s poisoned answer to `requester`'s

@@ -1,11 +1,16 @@
 //! The Bracha quorum state machine, independent of any transport.
 //!
 //! A [`BrachaEngine`] holds one quorum-tracking `Instance` per broadcast tag it has
-//! heard about. Feed it gossip frames ([`BrachaEngine::on_gossip`]) and it
-//! returns [`Action`]s: more gossip to flood, and at most one delivery per
-//! instance. The engine never talks to a network — the sim flooder and
-//! the TCP runtime both wrap this same type, so the protocol logic is
-//! tested once and reused verbatim.
+//! heard about: per digest an echo set and a ready set, each a
+//! [`WitnessSet`] bitmap indexed by member id. Votes reach it two ways.
+//! [`crate::exchange::VoteExchange`] — what every node runs — merges the
+//! sets a neighbor sent with [`BrachaEngine::absorb_votes`]: an OR and a
+//! popcount, no frame per vote. The frame form of a vote
+//! ([`BrachaEngine::on_gossip`] with an `ECHO`/`READY` [`GossipFrame`]) is
+//! still accepted — catch-up summaries, the probes and the unit tests speak
+//! it — and lands in the same sets. Either way the engine answers with
+//! [`Action`]s: this node's own new votes, and at most one delivery per
+//! instance. It never talks to a network.
 //!
 //! Validation rules (the "signed-enough" model):
 //!
@@ -14,38 +19,52 @@
 //!   the declared digest. A traitor can still equivocate — send different
 //!   payloads to different neighbors — but cannot impersonate a correct
 //!   origin.
-//! * `ECHO` must carry a payload matching its digest (echoes re-carry the
-//!   payload so late joiners can assemble it from any quorum member).
-//! * `READY` carries no payload and is never rejected; it only counts as
-//!   one witness vote.
+//! * A vote counts only for a **member**: every instance snapshots the
+//!   roster of the view it was created under, sets are stored as
+//!   `bits & roster`, and a vote under an id outside it — nobody's id, so
+//!   forging it impersonates nobody — is dropped and counted
+//!   ([`BrachaEngine::votes_rejected`]). An instance whose claimed origin
+//!   no view has ever named is refused the same way.
+//! * An echo *bit* is a vote for a digest and nothing else. An `ECHO`
+//!   *frame* re-carries the payload, which must match its digest or the
+//!   frame is refused whole; `READY` carries none.
+//! * Delivery waits for a payload held under the certified digest.
 //!
-//! Frames the engine itself emits are absorbed back into its own state
-//! before being returned, so the local node counts as a witness without
-//! the caller having to loop frames back.
+//! This node's own votes are set in its own sets the moment it casts them,
+//! so the local node counts as a witness without the caller looping
+//! anything back.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
 use lhg_net::message::ByzTag;
 
 use crate::frame::{digest, GossipFrame, GossipKind};
+use crate::witness::WitnessSet;
 use crate::{BrachaConfig, UnsoundMembership};
 
 /// An epoch-stamped membership view: the quorum parameters in force at a
-/// particular point of the cluster's churn history.
+/// particular point of the cluster's churn history, and who the members
+/// are.
 ///
 /// The engine holds the *current* view and bumps it on every membership
 /// change ([`BrachaEngine::bump_view`]); each broadcast instance snapshots
 /// the view live when it is created and keeps it for its whole lifetime —
 /// in-flight quorum accounting never resizes mid-instance, which would
 /// silently weaken the intersection arguments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MembershipView {
-    /// Monotone churn counter: 0 at boot, +1 per applied crash/join/sync.
+    /// Monotone churn counter: 0 for an engine built by
+    /// [`BrachaEngine::new`], +1 per installed view (a node installs its
+    /// boot membership as the first, then one per applied crash/join/sync).
     pub epoch: u64,
     /// Quorum parameters sized for this view's live membership.
     pub cfg: BrachaConfig,
+    /// The members whose votes count (shared by every instance created
+    /// under this view).
+    pub roster: Arc<WitnessSet>,
 }
 
 /// Protocol phase of one broadcast instance at one node.
@@ -73,10 +92,26 @@ pub struct ByzDelivery {
     pub payload: Bytes,
 }
 
-/// What the caller must do with an engine result.
+impl ByzDelivery {
+    /// The delivery as the application message both drivers hand up:
+    /// `broadcast_id` the instance nonce, `origin` the instance origin,
+    /// `trace` the certified digest, the byz tag set — what the chaos
+    /// oracle audits.
+    #[must_use]
+    pub fn into_message(self) -> lhg_net::message::Message {
+        lhg_net::message::Message::new(self.tag.nonce, self.tag.origin, self.payload)
+            .with_trace(self.digest)
+            .with_byz(self.tag)
+    }
+}
+
+/// What the engine did in reaction to its input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
-    /// Flood this frame to all overlay neighbors.
+    /// A frame this node originated: the `SEND` of its own broadcast, or
+    /// the frame form of a vote it just cast (already counted in its own
+    /// sets). The exchange floods the former and drops the latter — its
+    /// votes travel as bits.
     Gossip(GossipFrame),
     /// Hand this payload to the application, exactly once per instance.
     Deliver(ByzDelivery),
@@ -105,36 +140,117 @@ pub struct InstanceSummary {
     pub payload: Bytes,
 }
 
-/// Per-instance quorum state.
+/// The two witness sets of one digest of one instance.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Votes {
+    /// Members that echoed the digest.
+    pub echo: WitnessSet,
+    /// Members that readied the digest.
+    pub ready: WitnessSet,
+}
+
+impl Votes {
+    /// Whether neither set holds a vote.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.echo.is_empty() && self.ready.is_empty()
+    }
+}
+
+/// What one input changed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Absorbed {
+    /// A vote (a neighbor's or, in reaction, this node's own) was learned:
+    /// the instance has something new to tell the links.
+    pub changed: bool,
+    /// Votes dropped because their witness id is not in the roster, and
+    /// inputs dropped because no view ever named their instance's origin.
+    pub rejected: u64,
+}
+
+impl std::ops::AddAssign for Absorbed {
+    fn add_assign(&mut self, other: Absorbed) {
+        self.changed |= other.changed;
+        self.rejected += other.rejected;
+    }
+}
+
+/// Per-instance quorum state. Ordered maps throughout: which digest
+/// readies first when two qualify must not depend on a hasher.
 #[derive(Debug)]
 struct Instance {
     /// The membership view snapshotted when this instance was created;
     /// every quorum threshold below reads from it, never from the
     /// engine's (possibly newer) current view.
     view: MembershipView,
-    /// Payloads seen for this instance, keyed by their digest.
-    payloads: HashMap<u64, Bytes>,
+    /// Payloads seen for this instance, keyed by their digest, and which of
+    /// them arrived in a valid `SEND` — the only ones this node may pass on
+    /// as the origin's word before they are certified.
+    payloads: BTreeMap<u64, Bytes>,
+    sent: BTreeSet<u64>,
     /// Digest this node echoed, if any (first valid SEND wins).
     echoed: Option<u64>,
     /// Digest this node readied, if any.
     readied: Option<u64>,
-    delivered: bool,
-    /// Distinct echo witnesses per digest.
-    echo_witnesses: HashMap<u64, BTreeSet<u32>>,
-    /// Distinct ready witnesses per digest.
-    ready_witnesses: HashMap<u64, BTreeSet<u32>>,
+    /// Digest this node delivered, if any.
+    delivered: Option<u64>,
+    /// Distinct echo and ready witnesses per digest, always ⊆ the roster.
+    votes: BTreeMap<u64, Votes>,
 }
 
 impl Instance {
     fn new(view: MembershipView) -> Self {
         Instance {
             view,
-            payloads: HashMap::new(),
+            payloads: BTreeMap::new(),
+            sent: BTreeSet::new(),
             echoed: None,
             readied: None,
-            delivered: false,
-            echo_witnesses: HashMap::new(),
-            ready_witnesses: HashMap::new(),
+            delivered: None,
+            votes: BTreeMap::new(),
+        }
+    }
+
+    /// Casts whatever votes the sets now justify for node `me` and delivers
+    /// if a ready certificate and its payload are both held.
+    fn settle(&mut self, me: u32, tag: ByzTag, out: &mut Vec<Action>) {
+        // Quorum thresholds come from the instance's snapshotted view, not
+        // the engine's current one: churn after origination must not move
+        // the goalposts of an in-flight quorum count.
+        let cfg = self.view.cfg;
+        if self.readied.is_none() {
+            // Ready on echo quorum or ready amplification, once.
+            let certified = (self.votes.iter())
+                .find(|(_, v)| v.echo.len() >= cfg.echo_quorum())
+                .or_else(|| (self.votes.iter()).find(|(_, v)| v.ready.len() >= cfg.ready_amplify()))
+                .map(|(&d, _)| d);
+            if let Some(d) = certified {
+                self.readied = Some(d);
+                if self.view.roster.contains(me) {
+                    self.votes.entry(d).or_default().ready.insert(me);
+                }
+                out.push(Action::Gossip(GossipFrame {
+                    kind: GossipKind::Ready,
+                    witness: me,
+                    tag,
+                    digest: d,
+                    payload: Bytes::new(),
+                }));
+            }
+        }
+        if self.delivered.is_none() {
+            // Deliver on ready quorum, once, as soon as the payload is known.
+            let decided = (self.votes.iter())
+                .find(|(_, v)| v.ready.len() >= cfg.delivery_quorum())
+                .map(|(&d, _)| d);
+            if let Some((d, payload)) = decided.and_then(|d| Some((d, self.payloads.get(&d)?))) {
+                self.delivered = Some(d);
+                out.push(Action::Deliver(ByzDelivery {
+                    tag,
+                    digest: d,
+                    payload: payload.clone(),
+                }));
+            }
         }
     }
 }
@@ -145,6 +261,10 @@ pub struct BrachaEngine {
     me: u32,
     /// The current membership view; snapshotted into each new instance.
     view: MembershipView,
+    /// Every id any view installed so far has named. An instance's origin
+    /// must be one of them: a member another node has falsely suspected for
+    /// a moment is still somebody, an id no view ever held is nobody.
+    known: WitnessSet,
     /// Set while the current view cannot support the traitor budget
     /// (n < 3f+1): new instances are refused until a sound view arrives.
     view_unsafe: bool,
@@ -152,19 +272,29 @@ pub struct BrachaEngine {
     /// view was unsafe — the signal the chaos oracle's `QuorumUnsafe`
     /// check reads (via a metrics counter each transport exports).
     unsafe_refusals: u64,
-    instances: HashMap<ByzTag, Instance>,
+    /// How many votes (and instances) were dropped for naming an id
+    /// outside the roster.
+    votes_rejected: u64,
+    instances: BTreeMap<ByzTag, Instance>,
 }
 
 impl BrachaEngine {
-    /// Engine for node `me` under quorum config `cfg` (view epoch 0).
+    /// Engine for node `me` under quorum config `cfg` (view epoch 0), with
+    /// the ids `0..cfg.n` as members.
     #[must_use]
     pub fn new(me: u32, cfg: BrachaConfig) -> Self {
         BrachaEngine {
             me,
-            view: MembershipView { epoch: 0, cfg },
+            view: MembershipView {
+                epoch: 0,
+                cfg,
+                roster: Arc::new(WitnessSet::first_n(cfg.n)),
+            },
+            known: WitnessSet::first_n(cfg.n),
             view_unsafe: false,
             unsafe_refusals: 0,
-            instances: HashMap::new(),
+            votes_rejected: 0,
+            instances: BTreeMap::new(),
         }
     }
 
@@ -183,8 +313,15 @@ impl BrachaEngine {
 
     /// The current epoch-stamped membership view.
     #[must_use]
-    pub fn view(&self) -> MembershipView {
-        self.view
+    pub fn view(&self) -> &MembershipView {
+        &self.view
+    }
+
+    /// One past the highest member id any view so far has named: the bound
+    /// a decoder holds incoming witness sets to.
+    #[must_use]
+    pub fn roster_bound(&self) -> usize {
+        self.known.capacity()
     }
 
     /// `true` while the current view is too small for the traitor budget
@@ -201,33 +338,99 @@ impl BrachaEngine {
         self.unsafe_refusals
     }
 
-    /// The view snapshot instance `tag` is running under, if it exists.
+    /// How many votes have been dropped so far for naming a witness (or an
+    /// instance origin) that is not a member.
     #[must_use]
-    pub fn instance_view(&self, tag: ByzTag) -> Option<MembershipView> {
-        self.instances.get(&tag).map(|i| i.view)
+    pub fn votes_rejected(&self) -> u64 {
+        self.votes_rejected
     }
 
-    /// Installs a new membership view with live membership `n`: the epoch
-    /// advances unconditionally, in-flight instances keep the view they
-    /// snapshotted at creation, and *new* instances will size their
-    /// quorums from `n`. The traitor budget `f` is a protocol constant —
-    /// it came from the overlay's connectivity k, which healing preserves.
+    /// The view snapshot instance `tag` is running under, if it exists.
+    #[must_use]
+    pub fn instance_view(&self, tag: ByzTag) -> Option<&MembershipView> {
+        self.instances.get(&tag).map(|i| &i.view)
+    }
+
+    /// Every instance this engine has state for, in tag order.
+    pub fn tags(&self) -> impl Iterator<Item = ByzTag> + '_ {
+        self.instances.keys().copied()
+    }
+
+    /// The witness sets held for instance `tag`, per digest in digest order.
+    pub fn votes(&self, tag: ByzTag) -> impl Iterator<Item = (u64, &Votes)> + '_ {
+        (self.instances.get(&tag).into_iter()).flat_map(|i| i.votes.iter().map(|(&d, v)| (d, v)))
+    }
+
+    /// The digest instance `tag` was delivered under, once it was.
+    #[must_use]
+    pub fn delivered_digest(&self, tag: ByzTag) -> Option<u64> {
+        self.instances.get(&tag).and_then(|i| i.delivered)
+    }
+
+    /// The payload held for `digest` of instance `tag`.
+    #[must_use]
+    pub fn payload(&self, tag: ByzTag, digest: u64) -> Option<&Bytes> {
+        self.instances.get(&tag)?.payloads.get(&digest)
+    }
+
+    /// The origin's `SEND` for `digest` of instance `tag`, if this node may
+    /// vouch for it: it received that `SEND` itself, or delivered the digest.
+    /// A payload that only ever arrived in someone's `ECHO` or catch-up
+    /// summary is *not* the origin's word — re-serving it as a `SEND` would
+    /// launder a forgery into one.
+    #[must_use]
+    pub fn send_frame(&self, tag: ByzTag, digest: u64) -> Option<GossipFrame> {
+        let inst = self.instances.get(&tag)?;
+        let vouched = inst.sent.contains(&digest) || inst.delivered == Some(digest);
+        Some(GossipFrame {
+            kind: GossipKind::Send,
+            witness: tag.origin,
+            tag,
+            digest,
+            payload: inst.payloads.get(&digest).filter(|_| vouched)?.clone(),
+        })
+    }
+
+    /// Every `(instance, digest)` of an undelivered instance this node has
+    /// heard votes for without holding the payload: what it has to ask a
+    /// neighbor for before it could echo, or deliver.
+    pub fn wanted_payloads(&self) -> impl Iterator<Item = (ByzTag, u64)> + '_ {
+        let undelivered = self.instances.iter().filter(|(_, i)| i.delivered.is_none());
+        undelivered.flat_map(|(&tag, inst)| {
+            (inst.votes.iter())
+                .filter(|(d, v)| !v.is_empty() && !inst.payloads.contains_key(d))
+                .map(move |(&d, _)| (tag, d))
+        })
+    }
+
+    /// Installs a new membership view with `members` as its roster: the
+    /// epoch advances unconditionally, in-flight instances keep the view
+    /// they snapshotted at creation, and *new* instances size their quorums
+    /// from — and count votes of — `members`. The traitor budget `f` is a
+    /// protocol constant: it came from the overlay's connectivity k, which
+    /// healing preserves.
     ///
     /// # Errors
     ///
-    /// Returns [`UnsoundMembership`] when `n < 3f + 1`: the view still
-    /// advances but is marked unsafe, and the engine refuses to create
-    /// instances (originations *and* incoming gossip for unknown tags)
-    /// until a sound view is installed. Refusing is the safe failure mode:
-    /// a quorum certified by fewer than 3f+1 members can be split by f
-    /// traitors.
-    pub fn bump_view(&mut self, n: usize) -> Result<MembershipView, UnsoundMembership> {
+    /// Returns [`UnsoundMembership`] when there are fewer than `3f + 1`
+    /// members: the view still advances but is marked unsafe, and the
+    /// engine refuses to create instances (originations *and* incoming
+    /// votes for unknown tags) until a sound view is installed. Refusing is
+    /// the safe failure mode: a quorum certified by fewer than 3f+1 members
+    /// can be split by f traitors.
+    pub fn bump_view(
+        &mut self,
+        members: impl IntoIterator<Item = u32>,
+    ) -> Result<&MembershipView, UnsoundMembership> {
+        let roster: WitnessSet = members.into_iter().collect();
         self.view.epoch += 1;
-        match BrachaConfig::new(n, self.view.cfg.f) {
+        self.known.union_with(&roster);
+        match BrachaConfig::new(roster.len(), self.view.cfg.f) {
             Ok(cfg) => {
                 self.view.cfg = cfg;
+                self.view.roster = Arc::new(roster);
                 self.view_unsafe = false;
-                Ok(self.view)
+                Ok(&self.view)
             }
             Err(e) => {
                 self.view_unsafe = true;
@@ -241,7 +444,7 @@ impl BrachaEngine {
     pub fn phase(&self, tag: ByzTag) -> Phase {
         match self.instances.get(&tag) {
             None => Phase::Init,
-            Some(i) if i.delivered => Phase::Delivered,
+            Some(i) if i.delivered.is_some() => Phase::Delivered,
             Some(i) if i.readied.is_some() => Phase::Readied,
             Some(i) if i.echoed.is_some() => Phase::Echoed,
             Some(_) => Phase::Init,
@@ -280,59 +483,47 @@ impl BrachaEngine {
             digest: digest(&payload),
             payload,
         };
-        // The SEND itself must be flooded too — absorb only returns frames
-        // the engine *reacts* with (the caller is assumed to have relayed
-        // whatever it fed in, which for an origination is this frame).
+        // An origination is not ingress: the instance exists because this
+        // node says so, whatever its own roster thinks of it.
+        let view = &self.view;
+        (self.instances.entry(tag)).or_insert_with(|| Instance::new(view.clone()));
+        // The SEND itself must be flooded too — absorbing it only returns
+        // what the engine *reacts* with.
         let mut out = vec![Action::Gossip(send.clone())];
-        out.extend(self.absorb(send));
+        self.absorb_frame(&send, &mut out);
         Ok(out)
     }
 
-    /// Re-emits this node's standing votes: the `SEND` of every instance it
-    /// originated, plus its `ECHO`/`READY` for every instance it voted on.
-    /// An anti-entropy pass for lossy links — peers that already hold these
-    /// frames absorb them in their dedup sets, peers that missed the
-    /// originals gain the lost votes. Instances are visited in tag order so
-    /// the emission is deterministic across runs.
+    /// Re-emits this node's standing votes as frames: the `SEND` of every
+    /// instance it originated, plus its `ECHO`/`READY` for every instance it
+    /// voted on, in tag order. This was the anti-entropy pass before votes
+    /// travelled as per-link set deltas; the repair rule of
+    /// [`crate::exchange`] replaced it and **nothing in the product calls it
+    /// any more**. It stays because the repo benchmark's
+    /// `bracha.regossip_frames_i4` probe (`benchmark/src/layers.rs`, frozen)
+    /// does; the next benchmark PR can drop both.
     #[must_use]
     pub fn regossip(&self) -> Vec<Action> {
-        let mut tags: Vec<ByzTag> = self.instances.keys().copied().collect();
-        tags.sort_unstable_by_key(|t| (t.origin, t.nonce));
         let mut out = Vec::new();
-        for tag in tags {
-            let inst = &self.instances[&tag];
-            if tag.origin == self.me {
-                if let Some(d) = inst.echoed {
-                    if let Some(payload) = inst.payloads.get(&d) {
-                        out.push(Action::Gossip(GossipFrame {
-                            kind: GossipKind::Send,
-                            witness: self.me,
-                            tag,
-                            digest: d,
-                            payload: payload.clone(),
-                        }));
-                    }
-                }
-            }
-            if let Some(d) = inst.echoed {
-                if let Some(payload) = inst.payloads.get(&d) {
-                    out.push(Action::Gossip(GossipFrame {
-                        kind: GossipKind::Echo,
-                        witness: self.me,
-                        tag,
-                        digest: d,
-                        payload: payload.clone(),
-                    }));
-                }
-            }
-            if let Some(d) = inst.readied {
-                out.push(Action::Gossip(GossipFrame {
-                    kind: GossipKind::Ready,
+        for (&tag, inst) in &self.instances {
+            let frame = |kind, d, payload| {
+                Action::Gossip(GossipFrame {
+                    kind,
                     witness: self.me,
                     tag,
                     digest: d,
-                    payload: Bytes::new(),
-                }));
+                    payload,
+                })
+            };
+            if let Some((d, payload)) = inst.echoed.and_then(|d| Some((d, inst.payloads.get(&d)?)))
+            {
+                if tag.origin == self.me {
+                    out.push(frame(GossipKind::Send, d, payload.clone()));
+                }
+                out.push(frame(GossipKind::Echo, d, payload.clone()));
+            }
+            if let Some(d) = inst.readied {
+                out.push(frame(GossipKind::Ready, d, Bytes::new()));
             }
         }
         out
@@ -347,11 +538,8 @@ impl BrachaEngine {
     /// rides along when it is still held for that digest.
     #[must_use]
     pub fn summaries(&self) -> Vec<InstanceSummary> {
-        let mut tags: Vec<ByzTag> = self.instances.keys().copied().collect();
-        tags.sort_unstable_by_key(|t| (t.origin, t.nonce));
         let mut out = Vec::new();
-        for tag in tags {
-            let inst = &self.instances[&tag];
+        for (&tag, inst) in &self.instances {
             let Some(d) = inst.readied.or(inst.echoed) else {
                 continue;
             };
@@ -367,201 +555,216 @@ impl BrachaEngine {
 
     /// Ingests catch-up summaries served by peer `from`, translating each
     /// into that peer's standing votes: an ECHO when the summary carries a
-    /// payload matching its digest (validated by the regular step rules),
+    /// payload matching its digest (validated by the regular frame rules),
     /// and a READY when the peer claims phase ≥ Readied. The votes run
     /// through the normal quorum machinery, so nothing certifies until f+1
     /// distinct peers corroborate a READY (amplification) and 2f+1 back a
     /// delivery — one forged summary set from a traitor moves nothing.
     pub fn ingest_summaries(&mut self, from: u32, items: &[InstanceSummary]) -> Vec<Action> {
         let mut out = Vec::new();
+        self.absorb_summaries(from, items, &mut out);
+        out
+    }
+
+    /// [`Self::ingest_summaries`] into a caller-owned sink, reporting what
+    /// changed.
+    pub fn absorb_summaries(
+        &mut self,
+        from: u32,
+        items: &[InstanceSummary],
+        out: &mut Vec<Action>,
+    ) -> Absorbed {
+        let mut total = Absorbed::default();
         for item in items {
             if from == self.me || item.phase < Phase::Echoed {
                 continue;
             }
-            // The peer's standing ECHO. step() re-validates payload-vs-digest
-            // and drops mismatches, so a forged payload under a corroborated
-            // digest dies here without poisoning the payload table.
-            out.extend(self.absorb(GossipFrame {
-                kind: GossipKind::Echo,
+            let vote = |kind, payload| GossipFrame {
+                kind,
                 witness: from,
                 tag: item.tag,
                 digest: item.digest,
-                payload: item.payload.clone(),
-            }));
+                payload,
+            };
+            // The peer's standing ECHO. The frame rules re-validate
+            // payload-vs-digest and drop mismatches, so a forged payload
+            // under a corroborated digest dies here without poisoning the
+            // payload table.
+            total += self.absorb_frame(&vote(GossipKind::Echo, item.payload.clone()), out);
             if item.phase >= Phase::Readied {
-                out.extend(self.absorb(GossipFrame {
-                    kind: GossipKind::Ready,
-                    witness: from,
-                    tag: item.tag,
-                    digest: item.digest,
-                    payload: Bytes::new(),
-                }));
+                total += self.absorb_frame(&vote(GossipKind::Ready, Bytes::new()), out);
             }
         }
-        out
+        total
     }
 
-    /// Processes one incoming gossip frame; returns frames to flood and
-    /// any delivery it unlocked.
+    /// Processes one incoming gossip frame; returns this node's reaction
+    /// (the frame form of any vote it cast, and any delivery it unlocked).
     pub fn on_gossip(&mut self, frame: &GossipFrame) -> Vec<Action> {
-        self.absorb(frame.clone())
-    }
-
-    /// Runs `first` plus every frame it causes this node to emit, until
-    /// the local cascade settles.
-    fn absorb(&mut self, first: GossipFrame) -> Vec<Action> {
         let mut out = Vec::new();
-        let mut queue = VecDeque::from([first]);
-        while let Some(frame) = queue.pop_front() {
-            for action in self.step(&frame) {
-                if let Action::Gossip(f) = &action {
-                    queue.push_back(f.clone());
-                }
-                out.push(action);
-            }
-        }
+        self.absorb_frame(frame, &mut out);
         out
     }
 
     /// `digest(frame.payload) == frame.digest`, without hashing when the
     /// answer is already known: a payload held under `frame.digest` was
-    /// hashed when it was stored, so bytes equal to it hash the same. Every
-    /// ECHO after the first re-carries that payload, which makes the common
-    /// case a comparison; anything else is hashed as before, so exactly the
-    /// same frames are accepted.
+    /// hashed when it was stored, so bytes equal to it hash the same. A
+    /// pulled or replayed `SEND` re-carries that payload, which makes the
+    /// common case a comparison; anything else is hashed as before, so
+    /// exactly the same frames are accepted.
     fn payload_matches_digest(&self, frame: &GossipFrame) -> bool {
         let held = (self.instances.get(&frame.tag)).and_then(|i| i.payloads.get(&frame.digest));
         held.is_some_and(|p| *p == frame.payload) || digest(&frame.payload) == frame.digest
     }
 
-    /// Applies a single frame to local state. Emitted gossip is NOT yet
-    /// absorbed — [`Self::absorb`] loops it back.
-    fn step(&mut self, frame: &GossipFrame) -> Vec<Action> {
-        // Validate before touching state.
-        let carries_payload = match frame.kind {
-            GossipKind::Send => {
-                if frame.witness != frame.tag.origin || !self.payload_matches_digest(frame) {
-                    return Vec::new();
-                }
-                true
-            }
-            GossipKind::Echo => {
-                if !self.payload_matches_digest(frame) {
-                    return Vec::new();
-                }
-                true
-            }
-            GossipKind::Ready => false,
-        };
+    /// The roster votes for `tag` are held to: the instance's snapshot, or
+    /// the current view's for an instance that does not exist yet.
+    fn roster_for(&self, tag: ByzTag) -> Arc<WitnessSet> {
+        let view = self.instances.get(&tag).map_or(&self.view, |i| &i.view);
+        Arc::clone(&view.roster)
+    }
 
-        // A frame for an unknown instance creates it under the *current*
-        // view — unless that view is unsafe, in which case the frame is
-        // refused outright (in-flight instances keep working under their
-        // own snapshots).
-        if !self.instances.contains_key(&frame.tag) {
+    /// The instance for `tag`, created under the *current* view if it is
+    /// new — unless that view is unsafe or no view ever named `tag.origin`,
+    /// in which case the input is refused outright (in-flight instances
+    /// keep working under their own snapshots).
+    fn admit(&mut self, tag: ByzTag) -> Option<&mut Instance> {
+        if !self.instances.contains_key(&tag) {
             if self.view_unsafe {
                 self.unsafe_refusals += 1;
-                return Vec::new();
+                return None;
             }
-            self.instances.insert(frame.tag, Instance::new(self.view));
+            if !self.known.contains(tag.origin) {
+                self.votes_rejected += 1;
+                return None;
+            }
+            self.instances.insert(tag, Instance::new(self.view.clone()));
         }
+        self.instances.get_mut(&tag)
+    }
 
-        let me = self.me;
-        let inst = self
-            .instances
-            .get_mut(&frame.tag)
-            .expect("instance inserted above");
-        // Quorum thresholds come from the instance's snapshotted view, not
-        // the engine's current one: churn after origination must not move
-        // the goalposts of an in-flight quorum count.
-        let echo_quorum = inst.view.cfg.echo_quorum();
-        let ready_amplify = inst.view.cfg.ready_amplify();
-        let delivery_quorum = inst.view.cfg.delivery_quorum();
-        if carries_payload {
-            inst.payloads
-                .entry(frame.digest)
-                .or_insert_with(|| frame.payload.clone());
+    /// Applies one frame — a `SEND`, or the frame form of one vote — and
+    /// appends this node's reaction to `out`.
+    pub fn absorb_frame(&mut self, frame: &GossipFrame, out: &mut Vec<Action>) -> Absorbed {
+        // Validate before touching state.
+        let valid = match frame.kind {
+            GossipKind::Send => {
+                frame.witness == frame.tag.origin && self.payload_matches_digest(frame)
+            }
+            GossipKind::Echo => self.payload_matches_digest(frame),
+            GossipKind::Ready => true,
+        };
+        if !valid {
+            return Absorbed::default();
         }
-        match frame.kind {
-            GossipKind::Send => {}
+        // A SEND's witness is its origin, and `admit` asks only that some
+        // view has named it: a member this node has since excommunicated
+        // (rightly or not) no longer votes, but what it originated is still
+        // its to name, and others may certify it.
+        let voter = frame.kind != GossipKind::Send;
+        if voter && !self.roster_for(frame.tag).contains(frame.witness) {
+            self.votes_rejected += 1;
+            return Absorbed {
+                changed: false,
+                rejected: 1,
+            };
+        }
+        let (me, refused) = (self.me, self.votes_rejected);
+        let Some(inst) = self.admit(frame.tag) else {
+            return Absorbed {
+                changed: false,
+                rejected: self.votes_rejected - refused,
+            };
+        };
+        if frame.kind != GossipKind::Ready {
+            (inst.payloads.entry(frame.digest)).or_insert_with(|| frame.payload.clone());
+        }
+        if frame.kind == GossipKind::Send {
+            inst.sent.insert(frame.digest);
+        }
+        let changed = match frame.kind {
+            // Echo the first valid SEND for this instance.
+            GossipKind::Send if inst.echoed.is_none() => {
+                inst.echoed = Some(frame.digest);
+                if inst.view.roster.contains(me) {
+                    inst.votes.entry(frame.digest).or_default().echo.insert(me);
+                }
+                out.push(Action::Gossip(GossipFrame {
+                    kind: GossipKind::Echo,
+                    witness: me,
+                    ..frame.clone()
+                }));
+                true
+            }
+            // A later SEND adds at most a payload a certificate waits for.
+            GossipKind::Send => false,
             GossipKind::Echo => {
-                inst.echo_witnesses
-                    .entry(frame.digest)
-                    .or_default()
-                    .insert(frame.witness);
+                let votes = inst.votes.entry(frame.digest).or_default();
+                votes.echo.insert(frame.witness)
             }
             GossipKind::Ready => {
-                inst.ready_witnesses
-                    .entry(frame.digest)
-                    .or_default()
-                    .insert(frame.witness);
+                let votes = inst.votes.entry(frame.digest).or_default();
+                votes.ready.insert(frame.witness)
             }
+        };
+        let before = out.len();
+        inst.settle(me, frame.tag, out);
+        Absorbed {
+            changed: changed || out.len() > before,
+            rejected: 0,
         }
+    }
 
-        let mut actions = Vec::new();
-
-        // Echo the first valid SEND for this instance.
-        if frame.kind == GossipKind::Send && inst.echoed.is_none() {
-            inst.echoed = Some(frame.digest);
-            actions.push(Action::Gossip(GossipFrame {
-                kind: GossipKind::Echo,
-                witness: me,
-                tag: frame.tag,
-                digest: frame.digest,
-                payload: frame.payload.clone(),
-            }));
+    /// Merges a neighbor's witness sets for `digest` of instance `tag` —
+    /// `bits & roster`, anything else dropped and counted — and appends this
+    /// node's reaction to `out`.
+    pub fn absorb_votes(
+        &mut self,
+        tag: ByzTag,
+        digest: u64,
+        echo: &WitnessSet,
+        ready: &WitnessSet,
+        out: &mut Vec<Action>,
+    ) -> Absorbed {
+        let roster = self.roster_for(tag);
+        let rejected = (echo.count_outside(&roster) + ready.count_outside(&roster)) as u64;
+        self.votes_rejected += rejected;
+        let mut absorbed = Absorbed {
+            changed: false,
+            rejected,
+        };
+        let masked;
+        let (echo, ready) = if rejected > 0 {
+            let (mut e, mut r) = (echo.clone(), ready.clone());
+            e.intersect_with(&roster);
+            r.intersect_with(&roster);
+            masked = (e, r);
+            (&masked.0, &masked.1)
+        } else {
+            (echo, ready)
+        };
+        if echo.is_empty() && ready.is_empty() {
+            return absorbed;
         }
-
-        // Ready on echo quorum or ready amplification, once.
-        if inst.readied.is_none() {
-            let ready_digest = inst
-                .echo_witnesses
-                .iter()
-                .find(|(_, w)| w.len() >= echo_quorum)
-                .or_else(|| {
-                    inst.ready_witnesses
-                        .iter()
-                        .find(|(_, w)| w.len() >= ready_amplify)
-                })
-                .map(|(&d, _)| d);
-            if let Some(d) = ready_digest {
-                inst.readied = Some(d);
-                actions.push(Action::Gossip(GossipFrame {
-                    kind: GossipKind::Ready,
-                    witness: me,
-                    tag: frame.tag,
-                    digest: d,
-                    payload: Bytes::new(),
-                }));
-            }
+        let (me, refused) = (self.me, self.votes_rejected);
+        let Some(inst) = self.admit(tag) else {
+            absorbed.rejected += self.votes_rejected - refused;
+            return absorbed;
+        };
+        let votes = inst.votes.entry(digest).or_default();
+        // Both unions must run: `|`, not `||`.
+        absorbed.changed = votes.echo.union_with(echo) | votes.ready.union_with(ready);
+        if absorbed.changed {
+            inst.settle(me, tag, out);
         }
-
-        // Deliver on ready quorum, once, as soon as the payload is known.
-        if !inst.delivered {
-            let decided = inst
-                .ready_witnesses
-                .iter()
-                .find(|(_, w)| w.len() >= delivery_quorum)
-                .map(|(&d, _)| d);
-            if let Some(d) = decided {
-                if let Some(payload) = inst.payloads.get(&d) {
-                    inst.delivered = true;
-                    actions.push(Action::Deliver(ByzDelivery {
-                        tag: frame.tag,
-                        digest: d,
-                        payload: payload.clone(),
-                    }));
-                }
-            }
-        }
-
-        actions
+        absorbed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeSet, VecDeque};
 
     fn cfg() -> BrachaConfig {
         BrachaConfig::new(8, 1).unwrap() // echo quorum 5, amplify 2, deliver 3
@@ -891,6 +1094,65 @@ mod tests {
     }
 
     #[test]
+    fn invented_witness_ids_never_count() {
+        // n = 16, f = 1: amplification at 2 readies, delivery at 3. One
+        // traitor speaks under ids nobody holds — a payload-bearing ECHO
+        // from 4,000,000,000 and READYs from 1000..1002 — for an instance no
+        // origin sent. An id outside the membership is nobody's, so the
+        // signed-enough model does not forbid forging it; the roster does.
+        let cfg = BrachaConfig::new(16, 1).unwrap();
+        let t = tag(0, 0xF00D);
+        let payload = Bytes::from_static(b"nobody said this");
+        let d = digest(&payload);
+        let vote = |kind, witness, payload: &Bytes| GossipFrame {
+            kind,
+            witness,
+            tag: t,
+            digest: d,
+            payload: payload.clone(),
+        };
+        let attack = |e: &mut BrachaEngine, echo: u32, readies: [u32; 3]| {
+            let mut out = e.on_gossip(&vote(GossipKind::Echo, echo, &payload));
+            for w in readies {
+                out.extend(e.on_gossip(&vote(GossipKind::Ready, w, &Bytes::new())));
+            }
+            out
+        };
+        let mut e = BrachaEngine::new(6, cfg);
+        let out = attack(&mut e, 4_000_000_000, [1000, 1001, 1002]);
+        assert!(out.is_empty(), "non-members move nothing: {out:?}");
+        assert_eq!(e.phase(t), Phase::Init);
+        assert_eq!(e.votes_rejected(), 4);
+        assert_eq!(e.tags().count(), 0, "and leave no state behind");
+
+        // The same lie told as bits, and an instance under a non-member
+        // origin: refused at ingress too, without growing a bitmap to 4e9.
+        let invented: WitnessSet = [20, 1000, 1001, 1002].into_iter().collect();
+        let absorbed = e.absorb_votes(t, d, &invented, &invented, &mut Vec::new());
+        assert_eq!((absorbed.changed, absorbed.rejected), (false, 8));
+        let alien = ByzTag {
+            origin: 4_000_000_000,
+            nonce: 1,
+        };
+        let send = GossipFrame {
+            kind: GossipKind::Send,
+            witness: alien.origin,
+            tag: alien,
+            digest: d,
+            payload: payload.clone(),
+        };
+        assert!(e.on_gossip(&send).is_empty());
+        assert_eq!(e.phase(alien), Phase::Init);
+
+        // The same votes from members deliver: the check is the roster's,
+        // not a side effect of something else refusing the frames.
+        let mut e = BrachaEngine::new(6, cfg);
+        let out = attack(&mut e, 4, [1, 2, 3]);
+        assert_eq!(deliveries_of(&out).len(), 1);
+        assert_eq!(e.votes_rejected(), 0);
+    }
+
+    #[test]
     fn instances_snapshot_the_view_at_creation_and_never_mix() {
         let mut e = BrachaEngine::new(0, cfg());
         assert_eq!(e.view().epoch, 0);
@@ -900,7 +1162,7 @@ mod tests {
 
         // A member crashes: the view bumps to n=7, but the in-flight
         // instance keeps its origin snapshot.
-        e.bump_view(7).unwrap();
+        e.bump_view(0..7).unwrap();
         assert_eq!(e.view().epoch, 1);
         assert_eq!(e.view().cfg.n, 7);
         let still = e.instance_view(tag(0, 1)).unwrap();
@@ -931,7 +1193,7 @@ mod tests {
             payload: payload.clone(),
         };
         let _ = e.on_gossip(&send); // instance created at n=8
-        e.bump_view(12).unwrap(); // view grows; instance must not care
+        e.bump_view(0..12).unwrap(); // view grows; instance must not care
         let mut actions = Vec::new();
         for w in 0..5u32 {
             let echo = GossipFrame {
@@ -973,7 +1235,7 @@ mod tests {
             payload: Bytes::new(),
         };
         let _ = e.on_gossip(&echo(0)); // instance exists at epoch 0
-        assert!(e.bump_view(3).is_err(), "3 < 3f+1 = 4");
+        assert!(e.bump_view(0..3).is_err(), "3 < 3f+1 = 4");
         assert!(e.view_is_unsafe());
         assert_eq!(e.view().epoch, 1, "epoch advances even on refusal");
 
@@ -1003,7 +1265,7 @@ mod tests {
         assert_eq!(delivered.len(), 1, "pre-dip instance delivers");
 
         // A sound view restores service.
-        e.bump_view(4).unwrap();
+        e.bump_view([0, 1, 2, 6]).unwrap();
         assert!(!e.view_is_unsafe());
         assert!(e.broadcast(9, Bytes::new()).is_ok());
     }
@@ -1097,7 +1359,7 @@ mod tests {
     #[test]
     fn summary_ingest_respects_unsafe_views() {
         let mut e = BrachaEngine::new(6, cfg());
-        assert!(e.bump_view(3).is_err());
+        assert!(e.bump_view(0..3).is_err());
         let item = InstanceSummary {
             tag: tag(0, 1),
             phase: Phase::Delivered,

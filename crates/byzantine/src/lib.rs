@@ -10,29 +10,36 @@
 //! k − f ≥ f + 1 traitor-free disjoint paths, so gossip among correct
 //! nodes is never cut and quorum messages always get through.
 //!
-//! The protocol is Bracha's (1987) echo/ready broadcast, run as gossip
-//! over the LHG overlay:
+//! The protocol is Bracha's (1987) echo/ready broadcast over the LHG
+//! overlay:
 //!
 //! 1. the origin floods `SEND(payload)` for instance `(origin, nonce)`;
-//! 2. a correct node echoes the first `SEND` it sees per instance:
-//!    `ECHO(digest, payload)`;
+//! 2. a correct node echoes the first `SEND` it sees per instance;
 //! 3. on ⌈(n+f+1)/2⌉ distinct echo witnesses — or f+1 distinct ready
-//!    witnesses (amplification) — it emits `READY(digest)`;
+//!    witnesses (amplification) — it readies the digest;
 //! 4. on 2f+1 distinct ready witnesses it delivers, exactly once.
 //!
 //! Every step is a per-broadcast quorum state machine
-//! (init → echoed → readied → delivered, [`engine::Phase`]). Frame
-//! identity is "signed-enough": each gossip frame carries its witness and
-//! the instance tag ([`lhg_net::message::ByzTag`]) in a backward-compatible
-//! wire extension, and the model assumes correct nodes' attributions cannot
-//! be forged — traitors may equivocate, forge *instances*, stay silent, or
-//! replay, but only under their own witness identity.
+//! (init → echoed → readied → delivered, [`engine::Phase`]). Only the
+//! payload is flooded. A vote is a member id in a witness-set bitmap, and
+//! neighbors exchange per-link *deltas* of those sets, capped by what the
+//! peer can still use ([`exchange`]) — one flood plus a few dozen small
+//! frames per node where flooding every vote cost 2n+1 floods. Identity is
+//! "signed-enough": the model assumes a vote attributed to a *correct*
+//! member was cast by it — traitors may equivocate, forge *instances*, stay
+//! silent, or replay, but only under their own witness identity — and the
+//! code enforces that a vote counts only for a **member** of the roster the
+//! instance snapshotted.
 //!
-//! * [`frame`] — gossip frame codec over [`lhg_net::message::Message`]
-//!   and the FNV payload digest;
+//! * [`frame`] — the wire codecs over [`lhg_net::message::Message`]
+//!   (`SEND` gossip frames, `VOTES` exchange frames, catch-up frames) and
+//!   the FNV payload digest;
+//! * [`witness`] — [`witness::WitnessSet`], the bitmap of member ids;
 //! * [`engine`] — the network-agnostic quorum state machine
-//!   ([`engine::BrachaEngine`]): feed gossip in, get gossip + deliveries
-//!   out; shared verbatim by both engines;
+//!   ([`engine::BrachaEngine`]): votes in, this node's votes + deliveries
+//!   out;
+//! * [`exchange`] — [`exchange::VoteExchange`], the sans-IO per-link vote
+//!   exchange that owns the engine; the one thing both drivers talk to;
 //! * [`sim`] — [`sim::ByzantineFlooder`] for the discrete-event simulator,
 //!   plus seeded traitor processes ([`sim::ByzantineTraitor`]);
 //! * [`attack`] — the traitor payloads (equivocation pair, forged votes,
@@ -46,19 +53,25 @@
 
 pub mod attack;
 pub mod engine;
+pub mod exchange;
 pub mod frame;
 pub mod sim;
+pub mod witness;
 
-pub use engine::{Action, BrachaEngine, ByzDelivery, InstanceSummary, MembershipView, Phase};
+pub use engine::{
+    Action, BrachaEngine, ByzDelivery, InstanceSummary, MembershipView, Phase, Votes,
+};
+pub use exchange::VoteExchange;
 pub use frame::{
     decode_summaries, digest, encode_summaries, gossip_frame_id, CatchupPull, CatchupPush,
-    GossipFrame, GossipKind, BYZ_ID_TAG, CATCHUP_NONCE_BASE,
+    GossipFrame, GossipKind, VoteEntry, VotesFrame, BYZ_ID_TAG, CATCHUP_NONCE_BASE, VOTES_ID,
 };
 pub use sim::{
     run_sim_byzantine, run_sim_byzantine_churn, run_sim_byzantine_with_metrics, ByzCrash,
     ByzantineFlooder, ByzantineTraitor, ScheduledByzBroadcast, TraitorBehavior,
     EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE,
 };
+pub use witness::WitnessSet;
 
 /// Membership too small for the configured traitor budget: Bracha's quorum
 /// intersection arguments need `n ≥ 3f + 1`, and this view does not have it.

@@ -2,10 +2,12 @@
 //! traitor processes implementing the adversarial behaviors the chaos
 //! engine exercises.
 //!
-//! A correct node runs [`ByzantineFlooder`]: flood every gossip frame you
-//! have not seen (so frames cross the overlay on all k disjoint paths),
-//! feed each first-seen frame to a [`BrachaEngine`], flood whatever it
-//! emits, and hand deliveries to the application via `ctx.deliver`.
+//! A correct node runs [`ByzantineFlooder`]: a thin [`Process`] adapter
+//! over [`VoteExchange`] — frames and timers in, whatever the exchange
+//! appends to its sink out, deliveries to the application via
+//! `ctx.deliver`. The payload floods once (`SEND`, relayed on first
+//! sight, so it crosses the overlay on all k disjoint paths); votes travel
+//! as witness-set deltas between neighbors.
 //!
 //! A traitor runs [`ByzantineTraitor`]: the same machinery, corrupted in
 //! one seeded way ([`TraitorBehavior`]). Traitors only ever act under
@@ -17,17 +19,22 @@
 //! `trace` the certified digest (so agreement is checkable from the
 //! [`lhg_net::sim::Delivery`] record alone), and the byz tag rides along.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use lhg_graph::{Graph, NodeId};
 use lhg_net::message::Message;
+use lhg_net::reliable::{ReliableConfig, Sends};
 use lhg_net::seen::SeenSet;
 use lhg_net::sim::{Context, LinkModel, Process, SimReport, Simulation, Time};
 
-use crate::engine::{Action, BrachaEngine};
-use crate::frame::{CatchupPull, CatchupPush, GossipFrame};
+use crate::engine::ByzDelivery;
+use crate::exchange::VoteExchange;
+use crate::frame::{CatchupPull, CatchupPush, GossipFrame, GossipKind};
+use crate::witness::WitnessSet;
 use crate::{attack, BrachaConfig};
 
 /// Timer token space for scheduled broadcasts (token = schedule index).
@@ -40,21 +47,25 @@ const REPLAY_TOKEN: u64 = (1 << 40) + 1;
 const DIE_TOKEN: u64 = 1 << 33;
 /// Token base for a flooder's scheduled membership-view bumps.
 const VIEW_BUMP_TOKEN_BASE: u64 = 1 << 34;
-/// Token for a flooder's periodic anti-entropy regossip timer.
-const REGOSSIP_TOKEN: u64 = 1 << 35;
+/// Token for a flooder's repair-round timer.
+const REPAIR_TOKEN: u64 = 1 << 35;
 /// Token for a flooder's scheduled revival (rejoin after a crash).
 const REVIVE_TOKEN: u64 = 1 << 36;
 /// Token base for a revived flooder's follow-up catch-up solicitations.
 const CATCHUP_TOKEN_BASE: u64 = 1 << 37;
 
 /// How many catch-up solicitation rounds a revived node floods (the first
-/// at revival, the rest one regossip period apart) — more than one so a
+/// at revival, the rest one repair period apart) — more than one so a
 /// pull or push lost to a lossy link cannot strand the rejoiner.
 const CATCHUP_ROUNDS: u32 = 3;
 
-/// Regossip period: correct nodes re-emit standing votes this often, so a
-/// lossy link cannot permanently starve a quorum of one dropped vote.
-const REGOSSIP_PERIOD_US: Time = 100_000;
+/// Repair period: this often a correct node declares its witness sets to
+/// each neighbor an instance is not yet settled toward
+/// ([`VoteExchange::repair`]), so a lossy link cannot permanently starve a
+/// quorum of one dropped vote. (How long an echo waits for company on its
+/// way out is no constant at all: until the link's last frame is answered,
+/// rule 4 of [`crate::exchange`].)
+pub const REGOSSIP_PERIOD_US: Time = 100_000;
 /// Delay between a scheduled crash and survivors bumping their membership
 /// view — the sim stand-in for the runtime's heartbeat failure detector.
 const VIEW_BUMP_DELAY_US: Time = 50_000;
@@ -84,24 +95,24 @@ pub enum TraitorBehavior {
     /// Originates one instance under its own identity but sends payload A
     /// to half its neighbors and payload B to the other half.
     Equivocate,
-    /// Floods `ECHO` + `READY` for an instance a correct origin never
-    /// sent, vouched only by itself.
+    /// Tells every neighbor it echoed and readied an instance a correct
+    /// origin never sent, vouched only by itself.
     Forge,
-    /// Runs the protocol correctly but forwards gossip only to a seeded
-    /// subset of its neighbors (possibly none).
+    /// Says nothing at all: no relays, no votes.
     Silent,
-    /// Runs the protocol correctly but stashes every frame it relays and
-    /// periodically re-floods stale copies.
+    /// Runs the protocol correctly but stashes every frame it receives and
+    /// periodically re-sends stale copies.
     Replay,
     /// Attacks the *failure detector*, not the gossip layer: on the TCP
     /// runtime it floods forged CRASH waves naming a live victim, trying
     /// to excommunicate a node that is still heartbeating. At the gossip
-    /// layer it relays honestly but casts no votes.
+    /// layer it relays payloads honestly but casts and passes on no votes.
     FrameCrash,
     /// Attacks *healing*: on the TCP runtime it suppresses its own
     /// heartbeats and summaries so correct nodes legitimately
     /// excommunicate it, forcing churn while it keeps listening. At the
-    /// gossip layer it relays honestly but casts no votes.
+    /// gossip layer it relays payloads honestly but casts and passes on no
+    /// votes.
     SuppressHeartbeat,
 }
 
@@ -146,10 +157,69 @@ pub struct ByzCrash {
     pub revive_at_us: Option<Time>,
 }
 
-/// A correct node: flood-relay gossip, run the Bracha engine, deliver.
-pub struct ByzantineFlooder {
-    engine: BrachaEngine,
+/// A [`VoteExchange`] hosted on one simulator node: what the correct node
+/// and the traitor share. Neighbors outside the current membership view
+/// are not peers — the stand-in for the runtime closing its link to an
+/// excommunicated member.
+struct Hosted {
+    exchange: VoteExchange<NodeId>,
     seen: SeenSet,
+    /// Reused sinks for what the exchange wants sent and delivered.
+    sends: Sends<NodeId>,
+    delivered: Vec<ByzDelivery>,
+}
+
+impl Hosted {
+    fn new(me: u32, cfg: BrachaConfig) -> Self {
+        Hosted {
+            exchange: VoteExchange::new(me, cfg, ReliableConfig::default().max_retries),
+            seen: SeenSet::default(),
+            sends: Vec::new(),
+            delivered: Vec::new(),
+        }
+    }
+
+    /// The neighbors that are members of the current view, in overlay order.
+    fn peers<'a>(&self, ctx: &'a Context<'_>) -> impl Iterator<Item = NodeId> + 'a {
+        let roster = Arc::clone(&self.exchange.engine().view().roster);
+        (ctx.neighbors().iter().copied()).filter(move |w| roster.contains(w.index() as u32))
+    }
+
+    /// Hands one byz frame to the exchange; returns the votes it refused.
+    fn on_frame(&mut self, from: NodeId, msg: &Message, ctx: &Context<'_>) -> u64 {
+        let peers = self.peers(ctx);
+        let (seen, sends, delivered) = (&mut self.seen, &mut self.sends, &mut self.delivered);
+        (self.exchange).on_frame(from, msg, seen, peers, sends, delivered)
+    }
+
+    /// Relays `msg` to every neighbor but `from` if this is its first
+    /// copy; returns whether it was.
+    fn relay_once(&mut self, from: NodeId, msg: &Message, ctx: &mut Context<'_>) -> bool {
+        let fresh = self.seen.insert(msg.broadcast_id);
+        if fresh {
+            let fwd = msg.forwarded();
+            for &w in &ctx.neighbors().to_vec() {
+                if w != from {
+                    ctx.send(w, fwd.clone());
+                }
+            }
+        }
+        fresh
+    }
+
+    /// Sends what the exchange queued; returns the deliveries for the
+    /// caller to report or drop.
+    fn emit(&mut self, ctx: &mut Context<'_>) -> std::vec::Drain<'_, ByzDelivery> {
+        for (to, msg) in self.sends.drain(..) {
+            ctx.send(to, msg);
+        }
+        self.delivered.drain(..)
+    }
+}
+
+/// A correct node: run the vote exchange, deliver.
+pub struct ByzantineFlooder {
+    host: Hosted,
     schedule: Vec<ScheduledByzBroadcast>,
     /// Scheduled crash: after this time the node is mute & deaf.
     dies_at: Option<Time>,
@@ -157,12 +227,14 @@ pub struct ByzantineFlooder {
     /// catch-up solicitations.
     revives_at: Option<Time>,
     dead: bool,
-    /// Scheduled membership-view bumps `(time, new n)` from churn waves
-    /// (downward on crashes, upward on revivals).
-    view_bumps: Vec<(Time, usize)>,
-    /// Anti-entropy period (None: regossip disabled, the lossless default).
-    regossip_period: Option<Time>,
-    metrics: Option<std::sync::Arc<lhg_net::metrics::MetricsRegistry>>,
+    /// Scheduled membership-view bumps `(time, members)` from churn waves
+    /// (a member fewer on a crash, one more on a revival).
+    view_bumps: Vec<(Time, WitnessSet)>,
+    /// Repair period (None: repair disabled, the lossless default), and
+    /// whether its timer is in flight.
+    repair_period: Option<Time>,
+    repair_armed: bool,
+    metrics: Option<Arc<lhg_net::metrics::MetricsRegistry>>,
 }
 
 impl ByzantineFlooder {
@@ -170,14 +242,14 @@ impl ByzantineFlooder {
     #[must_use]
     pub fn new(me: u32, cfg: BrachaConfig) -> Self {
         ByzantineFlooder {
-            engine: BrachaEngine::new(me, cfg),
-            seen: SeenSet::default(),
+            host: Hosted::new(me, cfg),
             schedule: Vec::new(),
             dies_at: None,
             revives_at: None,
             dead: false,
             view_bumps: Vec::new(),
-            regossip_period: None,
+            repair_period: None,
+            repair_armed: false,
             metrics: None,
         }
     }
@@ -210,56 +282,74 @@ impl ByzantineFlooder {
         self
     }
 
-    /// Schedules membership-view bumps — `(time, new n)` per detected
-    /// crash — and enables periodic regossip so the re-sized quorums can
-    /// refill even when individual vote frames were lost.
+    /// Schedules membership-view bumps — `(time, members from then on)` per
+    /// detected crash or revival — and turns the repair cadence on
+    /// ([`REGOSSIP_PERIOD_US`]), so the re-sized quorums can refill even
+    /// when individual vote frames were lost. An empty list only turns
+    /// repair on.
     #[must_use]
-    pub fn with_view_bumps(mut self, bumps: Vec<(Time, usize)>) -> Self {
+    pub fn with_view_bumps(mut self, bumps: Vec<(Time, WitnessSet)>) -> Self {
         self.view_bumps = bumps;
-        self.regossip_period = Some(REGOSSIP_PERIOD_US);
+        self.repair_period = Some(REGOSSIP_PERIOD_US);
         self
     }
 
     /// Records quorum-safety metrics: each refused view bump increments
-    /// the `byz.unsafe_views` counter the chaos oracle audits.
+    /// the `byz.unsafe_views` counter the chaos oracle audits, each vote
+    /// dropped for naming a non-member `byz.votes_rejected`.
     #[must_use]
-    pub fn with_metrics(
-        mut self,
-        metrics: std::sync::Arc<lhg_net::metrics::MetricsRegistry>,
-    ) -> Self {
+    pub fn with_metrics(mut self, metrics: Arc<lhg_net::metrics::MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
     }
 
-    fn apply(&mut self, actions: Vec<Action>, ctx: &mut Context<'_>) {
-        for action in actions {
-            match action {
-                Action::Gossip(frame) => {
-                    let msg = frame.to_message();
-                    self.flood(msg, ctx);
-                }
-                Action::Deliver(d) => {
-                    let msg = Message::new(d.tag.nonce, d.tag.origin, d.payload)
-                        .with_trace(d.digest)
-                        .with_byz(d.tag);
-                    ctx.deliver(msg);
-                }
+    /// The exchange this node runs (for tests that inspect link state).
+    #[must_use]
+    pub fn exchange(&self) -> &VoteExchange<NodeId> {
+        &self.host.exchange
+    }
+
+    /// Sends and delivers what the exchange queued, and keeps the repair
+    /// timer armed while there is something for it to do.
+    fn emit(&mut self, ctx: &mut Context<'_>) {
+        for d in self.host.emit(ctx) {
+            ctx.deliver(d.into_message());
+        }
+        if let (false, Some(period)) = (self.repair_armed, self.repair_period) {
+            if self.host.exchange.repair_pending(self.host.peers(ctx)) {
+                self.repair_armed = true;
+                ctx.set_timer(period, REPAIR_TOKEN);
             }
         }
     }
 
-    /// Floods `msg` to all neighbors, marking it seen first so relayed
-    /// copies dedup.
+    /// Floods a catch-up frame to all neighbors, marking it seen first so
+    /// relayed copies dedup.
     fn flood(&mut self, msg: Message, ctx: &mut Context<'_>) {
-        self.seen.insert(msg.broadcast_id);
+        self.host.seen.insert(msg.broadcast_id);
         for &w in &ctx.neighbors().to_vec() {
             ctx.send(w, msg.clone());
         }
     }
 
-    fn bump_count(&self, name: &'static str) {
-        if let Some(m) = &self.metrics {
-            m.counter(name).inc();
+    fn bump_count(&self, name: &'static str, by: u64) {
+        if let (Some(m), true) = (&self.metrics, by > 0) {
+            m.counter(name).add(by);
+        }
+    }
+
+    /// Installs `members` as the current view. A neighbor that left the
+    /// view or (re)entered it is a link that went down or came up.
+    fn bump_view(&mut self, members: &WitnessSet, ctx: &Context<'_>) {
+        let before = Arc::clone(&self.host.exchange.engine().view().roster);
+        if self.host.exchange.bump_view(members.iter()).is_err() {
+            self.bump_count("byz.unsafe_views", 1);
+        }
+        for &w in ctx.neighbors() {
+            let id = w.index() as u32;
+            if before.contains(id) != members.contains(id) {
+                self.host.exchange.reset_link(w);
+            }
         }
     }
 
@@ -267,11 +357,55 @@ impl ByzantineFlooder {
     /// sees it replies with a flooded [`CatchupPush`] of its summaries.
     fn solicit_catchup(&mut self, round: u32, ctx: &mut Context<'_>) {
         let pull = CatchupPull {
-            requester: self.engine.id(),
+            requester: self.host.exchange.engine().id(),
             round,
         };
         self.flood(pull.to_message(), ctx);
-        self.bump_count("byz.catchup_pulls");
+        self.bump_count("byz.catchup_pulls", 1);
+    }
+
+    /// A catch-up frame: flooded under the seen-set like any broadcast.
+    /// Returns `false` when `msg` is not one.
+    fn on_catchup(&mut self, from: NodeId, msg: &Message, ctx: &mut Context<'_>) -> bool {
+        let (pull, push) = (
+            CatchupPull::from_message(msg),
+            CatchupPush::from_message(msg),
+        );
+        if pull.is_none() && push.is_none() {
+            return false;
+        }
+        if !self.host.relay_once(from, msg, ctx) {
+            return true; // duplicate copy on another disjoint path
+        }
+        let me = self.host.exchange.engine().id();
+        if let Some(pull) = pull.filter(|p| p.requester != me) {
+            // Serve a rejoiner: flood back this node's summary attestation.
+            // The push's id is distinct per witness, so every reply crosses
+            // the overlay independently and the rejoiner hears from enough
+            // distinct peers to corroborate.
+            let push = CatchupPush {
+                witness: me,
+                requester: pull.requester,
+                round: pull.round,
+                items: self.host.exchange.engine().summaries(),
+            };
+            self.flood(push.to_message(), ctx);
+            self.bump_count("byz.catchup_pushes", 1);
+        } else if let Some(push) = push.filter(|p| p.requester == me) {
+            // Already relayed above; only the addressee ingests.
+            let peers = self.host.peers(ctx);
+            let Hosted {
+                exchange,
+                sends,
+                delivered,
+                ..
+            } = &mut self.host;
+            let rejected =
+                exchange.ingest_summaries(push.witness, &push.items, peers, sends, delivered);
+            self.bump_count("byz.votes_rejected", rejected);
+            self.bump_count("byz.catchup_ingests", 1);
+        }
+        true
     }
 }
 
@@ -289,52 +423,17 @@ impl Process for ByzantineFlooder {
         for (idx, (at, _)) in self.view_bumps.iter().enumerate() {
             ctx.set_timer(*at, VIEW_BUMP_TOKEN_BASE + idx as u64);
         }
-        if let Some(period) = self.regossip_period {
-            ctx.set_timer(period, REGOSSIP_TOKEN);
-        }
     }
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
         if self.dead {
             return; // crashed nodes neither relay nor vote
         }
-        if !self.seen.insert(msg.broadcast_id) {
-            return; // duplicate copy on another disjoint path
+        if !self.on_catchup(from, &msg, ctx) {
+            let rejected = self.host.on_frame(from, &msg, ctx);
+            self.bump_count("byz.votes_rejected", rejected);
         }
-        // Relay first so the frame keeps crossing the overlay even if the
-        // local engine rejects it.
-        let fwd = msg.forwarded();
-        for &w in &ctx.neighbors().to_vec() {
-            if w != from {
-                ctx.send(w, fwd.clone());
-            }
-        }
-        if let Some(frame) = GossipFrame::from_message(&msg) {
-            let actions = self.engine.on_gossip(&frame);
-            self.apply(actions, ctx);
-        } else if let Some(pull) = CatchupPull::from_message(&msg) {
-            // Serve a rejoiner: flood back this node's summary attestation.
-            // The push's id is distinct per witness, so every reply crosses
-            // the overlay independently and the rejoiner hears from enough
-            // distinct peers to corroborate.
-            if pull.requester != self.engine.id() {
-                let push = CatchupPush {
-                    witness: self.engine.id(),
-                    requester: pull.requester,
-                    round: pull.round,
-                    items: self.engine.summaries(),
-                };
-                self.flood(push.to_message(), ctx);
-                self.bump_count("byz.catchup_pushes");
-            }
-        } else if let Some(push) = CatchupPush::from_message(&msg) {
-            // Already relayed above; only the addressee ingests.
-            if push.requester == self.engine.id() {
-                let actions = self.engine.ingest_summaries(push.witness, &push.items);
-                self.apply(actions, ctx);
-                self.bump_count("byz.catchup_ingests");
-            }
-        }
+        self.emit(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
@@ -344,23 +443,17 @@ impl Process for ByzantineFlooder {
         }
         if token == REVIVE_TOKEN {
             // Rejoin: wake up, resync the membership view to the latest
-            // bump that fired while dead (those timers were swallowed),
-            // re-arm the anti-entropy timer chain the death cut, and start
-            // soliciting catch-up summaries.
+            // bump that fired while dead (those timers were swallowed, the
+            // repair timer with them), and start soliciting catch-up
+            // summaries.
             self.dead = false;
+            self.repair_armed = false;
             let now = ctx.now();
             let died = self.dies_at.unwrap_or(0);
-            let missed = self
-                .view_bumps
-                .iter()
-                .rfind(|(t, _)| *t > died && *t <= now);
-            if let Some(&(_, n)) = missed {
-                if self.engine.bump_view(n).is_err() {
-                    self.bump_count("byz.unsafe_views");
-                }
-            }
-            if let Some(period) = self.regossip_period {
-                ctx.set_timer(period, REGOSSIP_TOKEN);
+            let missed = (self.view_bumps.iter()).rposition(|(t, _)| *t > died && *t <= now);
+            if let Some(idx) = missed {
+                let members = self.view_bumps[idx].1.clone();
+                self.bump_view(&members, ctx);
             }
             self.solicit_catchup(0, ctx);
             for round in 1..CATCHUP_ROUNDS {
@@ -369,54 +462,43 @@ impl Process for ByzantineFlooder {
                     CATCHUP_TOKEN_BASE + u64::from(round),
                 );
             }
+            self.emit(ctx);
             return;
         }
         if self.dead {
             return;
         }
-        if token >= CATCHUP_TOKEN_BASE && token < CATCHUP_TOKEN_BASE + u64::from(CATCHUP_ROUNDS) {
-            let round = (token - CATCHUP_TOKEN_BASE) as u32;
-            self.solicit_catchup(round, ctx);
-            return;
-        }
-        if token == REGOSSIP_TOKEN {
-            // Anti-entropy: re-flood standing votes. Peers that already
-            // saw them dedup; peers that lost them to a lossy link gain
-            // the vote — which is what keeps post-churn quorums fillable.
-            for action in self.engine.regossip() {
-                if let Action::Gossip(frame) = action {
-                    let msg = frame.to_message();
-                    for &w in &ctx.neighbors().to_vec() {
-                        ctx.send(w, msg.clone());
-                    }
-                }
-            }
-            if let Some(period) = self.regossip_period {
-                ctx.set_timer(period, REGOSSIP_TOKEN);
-            }
-            return;
-        }
-        if token >= VIEW_BUMP_TOKEN_BASE {
+        if token == REPAIR_TOKEN {
+            // Anti-entropy: declare every unsettled instance to each peer;
+            // what a lossy link dropped comes back in the answers.
+            self.repair_armed = false;
+            let peers = self.host.peers(ctx);
+            self.host.exchange.repair(peers, &mut self.host.sends);
+        } else if (CATCHUP_TOKEN_BASE..CATCHUP_TOKEN_BASE + u64::from(CATCHUP_ROUNDS))
+            .contains(&token)
+        {
+            self.solicit_catchup((token - CATCHUP_TOKEN_BASE) as u32, ctx);
+        } else if token >= VIEW_BUMP_TOKEN_BASE {
             let idx = (token - VIEW_BUMP_TOKEN_BASE) as usize;
-            if let Some(&(_, new_n)) = self.view_bumps.get(idx) {
-                if self.engine.bump_view(new_n).is_err() {
-                    if let Some(m) = &self.metrics {
-                        m.counter("byz.unsafe_views").inc();
-                    }
-                }
+            if let Some((_, members)) = self.view_bumps.get(idx).cloned() {
+                self.bump_view(&members, ctx);
             }
-            return;
-        }
-        if let Some(b) = self.schedule.get(token as usize) {
+        } else if let Some(b) = self.schedule.get(token as usize) {
             let (nonce, payload) = (b.nonce, b.payload.clone());
+            let peers = self.host.peers(ctx);
+            let Hosted {
+                exchange,
+                seen,
+                sends,
+                delivered,
+            } = &mut self.host;
             // A refusal means the live view is unsound (n < 3f+1); the
             // engine counts it and the oracle reports QuorumUnsafe.
-            if let Ok(actions) = self.engine.broadcast(nonce, payload) {
-                self.apply(actions, ctx);
-            } else if let Some(m) = &self.metrics {
-                m.counter("byz.unsafe_views").inc();
+            if (exchange.broadcast(nonce, payload, seen, peers, sends, delivered)).is_err() {
+                self.bump_count("byz.unsafe_views", 1);
             }
         }
+        self.emit(ctx);
     }
 }
 
@@ -425,12 +507,9 @@ impl Process for ByzantineFlooder {
 pub struct ByzantineTraitor {
     me: u32,
     behavior: TraitorBehavior,
-    engine: BrachaEngine,
-    seen: SeenSet,
+    host: Hosted,
     rng: StdRng,
-    /// Neighbors a Silent traitor deigns to talk to (none: fully mute).
-    allowed: Option<Vec<NodeId>>,
-    /// Frames a Replay traitor has stashed for re-flooding.
+    /// Frames a Replay traitor has stashed for re-sending.
     stash: Vec<Message>,
 }
 
@@ -442,60 +521,61 @@ impl ByzantineTraitor {
         ByzantineTraitor {
             me,
             behavior,
-            engine: BrachaEngine::new(me, cfg),
-            seen: SeenSet::default(),
+            host: Hosted::new(me, cfg),
             rng: StdRng::seed_from_u64(seed ^ u64::from(me).rotate_left(17)),
-            allowed: None,
             stash: Vec::new(),
         }
     }
 
-    /// The neighbors this traitor currently sends to.
-    fn targets(&self, ctx: &Context<'_>) -> Vec<NodeId> {
-        match &self.allowed {
-            Some(subset) => subset.clone(),
-            None => ctx.neighbors().to_vec(),
-        }
+    /// `true` for the behaviors whose teeth are in the TCP runtime's
+    /// failure detector: at the gossip layer they pass payloads on and
+    /// otherwise sit the protocol out.
+    fn relay_only(&self) -> bool {
+        matches!(
+            self.behavior,
+            TraitorBehavior::FrameCrash | TraitorBehavior::SuppressHeartbeat
+        )
     }
 
-    fn flood(&mut self, frame: &GossipFrame, ctx: &mut Context<'_>) {
-        let msg = frame.to_message();
-        self.seen.insert(msg.broadcast_id);
-        for w in self.targets(ctx) {
-            ctx.send(w, msg.clone());
-        }
+    /// Sends what the exchange queued. Traitor deliveries are not
+    /// reported: the oracle only audits correct nodes.
+    fn emit(&mut self, ctx: &mut Context<'_>) {
+        self.host.emit(ctx).for_each(drop);
     }
 
     /// Mounts [`attack::equivocation_pair`]: story A to even-indexed
     /// neighbors, story B to odd-indexed ones.
     fn equivocate(&mut self, ctx: &mut Context<'_>) {
         let pair = attack::equivocation_pair(self.me).map(|f| f.to_message());
-        self.seen.insert(pair[0].broadcast_id);
-        self.seen.insert(pair[1].broadcast_id);
+        self.host.seen.insert(pair[0].broadcast_id);
+        self.host.seen.insert(pair[1].broadcast_id);
         for (i, w) in ctx.neighbors().to_vec().into_iter().enumerate() {
             ctx.send(w, pair[i % 2].clone());
         }
     }
 
-    /// Floods [`attack::forged_votes`] impersonating the lowest other node.
+    /// Sends [`attack::forged_votes`] impersonating the lowest other node
+    /// as origin to every neighbor.
     fn forge(&mut self, ctx: &mut Context<'_>) {
-        for frame in attack::forged_votes(self.me, u32::from(self.me == 0)) {
-            self.flood(&frame, ctx);
+        let msg = attack::forged_votes(self.me, u32::from(self.me == 0)).to_message(self.me);
+        for w in ctx.neighbors().to_vec() {
+            ctx.send(w, msg.clone());
         }
     }
 
     /// Answers a rejoiner's catch-up solicitation with
     /// [`attack::forged_summaries`].
     fn forged_catchup_reply(&mut self, pull: &CatchupPull, ctx: &mut Context<'_>) {
+        let real = self.host.exchange.engine().summaries();
         let push = CatchupPush {
             witness: self.me,
             requester: pull.requester,
             round: pull.round,
-            items: attack::forged_summaries(self.me, pull.requester, self.engine.summaries()),
+            items: attack::forged_summaries(self.me, pull.requester, real),
         };
         let msg = push.to_message();
-        self.seen.insert(msg.broadcast_id);
-        for w in self.targets(ctx) {
+        self.host.seen.insert(msg.broadcast_id);
+        for w in ctx.neighbors().to_vec() {
             ctx.send(w, msg.clone());
         }
     }
@@ -503,20 +583,17 @@ impl ByzantineTraitor {
 
 impl Process for ByzantineTraitor {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if self.behavior == TraitorBehavior::Silent {
-            // Fully mute, matching the TCP engine's silent traitor: no
-            // relays, no votes. One mute node is within the f budget; over
-            // budget, mute nodes starve the echo quorum and the oracle
-            // fires — which is exactly how the bound's tightness is shown.
-            self.allowed = Some(Vec::new());
-        }
         match self.behavior {
             TraitorBehavior::Equivocate | TraitorBehavior::Forge => {
                 ctx.set_timer(ATTACK_DELAY_US, ATTACK_TOKEN);
             }
             TraitorBehavior::Replay => ctx.set_timer(REPLAY_PERIOD_US, REPLAY_TOKEN),
+            // Fully mute, matching the TCP engine's silent traitor: no
+            // relays, no votes. One mute node is within the f budget; over
+            // budget, mute nodes starve the echo quorum and the oracle
+            // fires — which is exactly how the bound's tightness is shown.
             // Failure-detector attacks have no gossip-layer timer: their
-            // teeth are in the TCP runtime (node.rs mounts them there).
+            // teeth are in the TCP runtime (core.rs mounts them there).
             TraitorBehavior::Silent
             | TraitorBehavior::FrameCrash
             | TraitorBehavior::SuppressHeartbeat => {}
@@ -524,23 +601,18 @@ impl Process for ByzantineTraitor {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
-        if !self.seen.insert(msg.broadcast_id) {
+        if self.behavior == TraitorBehavior::Silent {
             return;
         }
         if self.behavior == TraitorBehavior::Replay {
             self.stash.push(msg.clone());
         }
-        let fwd = msg.forwarded();
-        for w in self.targets(ctx) {
-            if w != from {
-                ctx.send(w, fwd.clone());
-            }
-        }
         if let Some(pull) = CatchupPull::from_message(&msg) {
             // A rejoiner is asking to be caught up — poison the well. The
             // forged summaries are one uncorroborated voice, so a correct
             // rejoiner's engine must shrug them off.
-            if pull.requester != self.me
+            if self.host.relay_once(from, &msg, ctx)
+                && pull.requester != self.me
                 && matches!(
                     self.behavior,
                     TraitorBehavior::Equivocate | TraitorBehavior::Forge
@@ -548,23 +620,16 @@ impl Process for ByzantineTraitor {
             {
                 self.forged_catchup_reply(&pull, ctx);
             }
-            return;
-        }
-        if matches!(
-            self.behavior,
-            TraitorBehavior::FrameCrash | TraitorBehavior::SuppressHeartbeat
-        ) {
-            return; // honest relay, but no votes of its own
-        }
-        if let Some(frame) = GossipFrame::from_message(&msg) {
-            let actions = self.engine.on_gossip(&frame);
-            for action in actions {
-                if let Action::Gossip(out) = action {
-                    self.flood(&out, ctx);
-                }
-                // Traitor deliveries are not reported: the oracle only
-                // audits correct nodes.
+        } else if CatchupPush::from_message(&msg).is_some() {
+            self.host.relay_once(from, &msg, ctx);
+        } else if self.relay_only() {
+            let is_send = |f: GossipFrame| f.kind == GossipKind::Send;
+            if GossipFrame::from_message(&msg).is_some_and(is_send) {
+                self.host.relay_once(from, &msg, ctx);
             }
+        } else {
+            self.host.on_frame(from, &msg, ctx);
+            self.emit(ctx);
         }
     }
 
@@ -573,12 +638,13 @@ impl Process for ByzantineTraitor {
             (ATTACK_TOKEN, TraitorBehavior::Equivocate) => self.equivocate(ctx),
             (ATTACK_TOKEN, TraitorBehavior::Forge) => self.forge(ctx),
             (REPLAY_TOKEN, TraitorBehavior::Replay) => {
-                // Re-flood a few stale stashed frames; correct nodes'
-                // seen-sets must absorb them without double processing.
+                // Re-send a few stale stashed frames: a replayed SEND dies
+                // in the seen-set, a replayed VOTES frame ORs in bits its
+                // receiver already holds.
                 for _ in 0..self.stash.len().min(4) {
                     let idx = self.rng.random_range(0..self.stash.len());
                     let stale = self.stash[idx].clone();
-                    for w in self.targets(ctx) {
+                    for w in ctx.neighbors().to_vec() {
                         ctx.send(w, stale.clone());
                     }
                 }
@@ -658,17 +724,17 @@ pub fn run_sim_byzantine_with_metrics(
 /// solicitations; correct peers answer with flooded summary attestations
 /// it corroborates through the regular quorum machinery.
 ///
-/// When any crash is scheduled, correct nodes also regossip standing
-/// votes periodically (anti-entropy), so lossy links cannot permanently
-/// starve the post-churn quorums. A view that would dip below 3f+1 is
+/// When any crash is scheduled, correct nodes also run the exchange's
+/// repair rounds ([`REGOSSIP_PERIOD_US`]), so lossy links cannot
+/// permanently starve the post-churn quorums. A view that would dip below 3f+1 is
 /// refused by the engine and counted on the `byz.unsafe_views` metrics
 /// counter — the signal behind the chaos oracle's `QuorumUnsafe`
 /// violation.
 ///
 /// `faults`, when given, puts a link-fault injector under the gossip
 /// plane (drops, duplicates, reorders — the mixed chaos family): byz
-/// frames are best-effort floods, so the regossip anti-entropy above is
-/// what repairs the losses.
+/// frames are best-effort, so the repair rounds above are what repairs
+/// the losses.
 ///
 /// # Panics
 ///
@@ -706,27 +772,24 @@ pub fn run_sim_byzantine_churn(
     }
     let mut ordered: Vec<ByzCrash> = crashes.to_vec();
     ordered.sort_by_key(|c| (c.at_us, c.node.index()));
-    // One view bump per churn event — down on each detected crash, up on
-    // each detected revival — tracking the live count over time. With no
-    // revivals this reduces to the old strictly-downward sequence.
-    let mut events: Vec<(Time, i64)> = Vec::new();
+    // One view bump per churn event — a member fewer on each detected
+    // crash, one more on each detected revival — tracking who is live.
+    let mut events: Vec<(Time, usize, bool)> = Vec::new();
     for c in &ordered {
-        events.push((c.at_us + VIEW_BUMP_DELAY_US, -1));
+        events.push((c.at_us + VIEW_BUMP_DELAY_US, c.node.index(), false));
         if let Some(r) = c.revive_at_us {
             assert!(r > c.at_us, "revival must follow the crash");
-            events.push((r + VIEW_BUMP_DELAY_US, 1));
+            events.push((r + VIEW_BUMP_DELAY_US, c.node.index(), true));
         }
     }
     events.sort_unstable();
-    let mut live = n as i64;
-    let bumps: Vec<(Time, usize)> = events
+    let mut live = vec![true; n];
+    let bumps: Vec<(Time, WitnessSet)> = events
         .into_iter()
-        .map(|(t, delta)| {
-            live += delta;
-            (
-                t,
-                usize::try_from(live).expect("live membership never negative"),
-            )
+        .map(|(t, node, up)| {
+            live[node] = up;
+            let members = (0..n as u32).filter(|&v| live[v as usize]);
+            (t, members.collect())
         })
         .collect();
     let mut sim = Simulation::new(graph, link, seed);

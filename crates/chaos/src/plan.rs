@@ -335,7 +335,7 @@ impl FaultPlan {
                 // catch-up has something real to repair — then a second,
                 // permanent crash of a different correct node once the
                 // rejoin has settled. Links stay modestly lossy
-                // throughout: heavy enough that regossip anti-entropy and
+                // throughout: heavy enough that the vote exchange's repair rounds and
                 // the rejoin retry path must both do real work, light
                 // enough that the gossip plane converges in the horizon.
                 let f = lhg_byzantine::max_traitors(k);

@@ -210,7 +210,7 @@ fn byz_payload(idx: usize) -> Bytes {
 /// integrity at every correct node. Mixed plans additionally kill their
 /// scheduled victim mid-run (survivors bump their membership views and
 /// re-size quorums) and put the plan's lossy link rates under the gossip
-/// plane — regossip anti-entropy must repair the dropped votes. A view
+/// plane — the exchange's repair rounds must repair the dropped votes. A view
 /// refused for dipping below 3f+1 surfaces as [`Violation::QuorumUnsafe`].
 /// The P4 calibration pass is skipped — a Bracha delivery is a quorum
 /// event, not a single flood hop, so first-receipt hop counts do not
@@ -1317,6 +1317,123 @@ mod tests {
                 .any(|v| matches!(v, Violation::ValidityMissed { .. })),
             "over-budget traitors must surface as validity violations, got: {:?}",
             report.violations
+        );
+    }
+
+    /// The Integrity hole the roster closes, mounted by hand inside the
+    /// f = 1 budget on K-DIAMOND(16, 3): one traitor speaks under ids
+    /// *nobody* holds. The signed-enough model forbids forging another
+    /// node's attribution — an id outside the membership is no node's. At
+    /// the parent of the commit that added this test, the same process
+    /// makes every correct node deliver a broadcast no origin sent and this
+    /// oracle reports `IntegrityForged` at all fifteen of them.
+    #[test]
+    fn sim_invented_witness_ids_forge_nothing() {
+        use lhg_byzantine::{
+            BrachaConfig, ByzantineFlooder, GossipFrame, GossipKind, VoteEntry, VotesFrame,
+            FORGE_NONCE_BASE,
+        };
+        use lhg_core::Constraint;
+        use lhg_net::message::{ByzTag, Message};
+        use lhg_net::sim::Context;
+
+        const TRAITOR: u32 = 15;
+
+        /// Mute but for one burst: a payload-bearing ECHO and three READYs
+        /// under invented ids for an instance "of origin 0", the same lie
+        /// as bits, and a SEND under an invented origin.
+        struct Inventor;
+        impl Process for Inventor {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.set_timer(20_000, 0);
+            }
+            fn on_message(&mut self, _: NodeId, _: Message, _: &mut Context<'_>) {}
+            fn on_timer(&mut self, _: u64, ctx: &mut Context<'_>) {
+                let payload = Bytes::from_static(b"no origin sent this");
+                let digest = lhg_byzantine::digest(&payload);
+                let forged = ByzTag {
+                    origin: 0,
+                    nonce: FORGE_NONCE_BASE + u64::from(TRAITOR),
+                };
+                let frame = |kind, witness, tag, payload: &Bytes| GossipFrame {
+                    kind,
+                    witness,
+                    tag,
+                    digest,
+                    payload: payload.clone(),
+                };
+                let mut lies =
+                    vec![frame(GossipKind::Echo, 4_000_000_000, forged, &payload).to_message()];
+                for witness in 1000..1003 {
+                    lies.push(
+                        frame(GossipKind::Ready, witness, forged, &Bytes::new()).to_message(),
+                    );
+                }
+                let invented = || (1000..1003).collect();
+                let bits = VoteEntry::delta(forged, digest, invented(), invented());
+                lies.push(VotesFrame::from(vec![bits]).to_message(TRAITOR));
+                let alien = ByzTag {
+                    origin: 4_000_000_000,
+                    nonce: 1,
+                };
+                lies.push(frame(GossipKind::Send, alien.origin, alien, &payload).to_message());
+                for w in ctx.neighbors().to_vec() {
+                    for lie in &lies {
+                        ctx.send(w, lie.clone());
+                    }
+                }
+            }
+        }
+
+        // A byzantine-family plan re-cut to (16, 3) with node 15 the traitor.
+        let mut plan = FaultPlan::random(3, true);
+        (plan.n, plan.k, plan.constraint) = (16, 3, Constraint::KDiamond);
+        plan.traitors = vec![crate::plan::TraitorSpec {
+            node: TRAITOR,
+            behavior: TraitorBehavior::Silent,
+        }];
+        for b in &mut plan.broadcasts {
+            b.origin %= TRAITOR;
+        }
+        let overlay = DynamicOverlay::bootstrap(plan.constraint, plan.n, plan.k).unwrap();
+        let cfg = BrachaConfig::for_overlay(plan.n, plan.k).unwrap();
+        let metrics = Arc::new(MetricsRegistry::new());
+        let processes: Vec<Box<dyn Process>> = (0..plan.n as u32)
+            .map(|v| -> Box<dyn Process> {
+                if v == TRAITOR {
+                    return Box::new(Inventor);
+                }
+                let mine = plan
+                    .broadcasts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, b)| b.origin == v);
+                let schedule = mine.map(|(idx, b)| ScheduledByzBroadcast {
+                    nonce: CHAOS_BCAST_BASE + idx as u64,
+                    payload: byz_payload(idx),
+                    at_us: b.at_us,
+                });
+                let node = ByzantineFlooder::new(v, cfg).with_schedule(schedule.collect());
+                Box::new(node.with_metrics(Arc::clone(&metrics)))
+            })
+            .collect();
+        let report = Simulation::new(overlay.graph(), LinkModel::default(), plan.seed)
+            .run(processes, plan.horizon_us);
+        let records: Vec<(u32, u64, Option<u64>)> = (report.deliveries.iter())
+            .map(|d| (d.node.index() as u32, d.broadcast_id, d.trace))
+            .collect();
+        let mut violations = Vec::new();
+        check_byz_deliveries(&plan, &records, &mut violations);
+        assert_eq!(violations, Vec::new(), "validity holds, nothing forged");
+        assert_eq!(records.len(), 15 * plan.broadcasts.len());
+        // The traitor's neighbors each refused the four votes that came as
+        // frames — no correct node sends or takes one — and the same votes
+        // as bits past the roster bound did not even decode; the flooded
+        // alien SEND was refused everywhere.
+        let neighbors = overlay.graph().neighbors(NodeId(TRAITOR as usize)).count() as u64;
+        assert_eq!(
+            metrics.counter("byz.votes_rejected").get(),
+            neighbors * 4 + 15
         );
     }
 

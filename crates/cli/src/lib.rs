@@ -13,7 +13,6 @@
 //! lhg chaos     --seeds N [--engine E]        # seeded fault-injection sweep
 //! lhg byzantine --nodes N --k K [--traitor B] # Bracha broadcast vs. a live traitor
 //! lhg top       --nodes N --k K [--json]      # live cluster telemetry by message class
-//! lhg bench     --compare FILE                # perf-regression gate vs a recorded baseline
 //! ```
 //!
 //! All logic lives in [`run`], which writes to any `io::Write` — the tests
@@ -160,7 +159,6 @@ USAGE:
   lhg byzantine --nodes N --k K [--traitor none|equivocate|forge|silent|replay|frame_crash|suppress_heartbeat]
                [--seed S] [--constraint C]
   lhg top      --nodes N --k K [--broadcasts B] [--duration-ms D] [--interval-ms I] [--constraint C] [--json]
-  lhg bench    --compare FILE [--sizes N,N,..] [--threshold T] [--json]
   lhg help
 ";
 
@@ -444,33 +442,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 json,
                 out,
             )
-        }
-        "bench" => {
-            let opts = Options::parse_with_switches(rest, &["json"])?;
-            let Some(baseline_path) = opts.flags.get("compare").cloned() else {
-                return Err(err(
-                    "lhg bench requires --compare FILE (a recorded BENCH_<pr>.json)",
-                ));
-            };
-            let sizes: Option<Vec<usize>> = match opts.flags.get("sizes") {
-                None => None,
-                Some(raw) => Some(
-                    raw.split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse()
-                                .map_err(|_| err(format!("invalid size {s:?} in --sizes")))
-                        })
-                        .collect::<Result<_, _>>()?,
-                ),
-            };
-            let threshold: f64 =
-                opts.optional("threshold", lhg_bench::compare::DEFAULT_THRESHOLD)?;
-            if !(0.0..1.0).contains(&threshold) {
-                return Err(err("--threshold must be in [0, 1)"));
-            }
-            let json: bool = opts.optional("json", false)?;
-            run_bench_compare(&baseline_path, sizes.as_deref(), threshold, json, out)
         }
         other => Err(err(format!("unknown command {other:?}\n{USAGE}"))),
     }
@@ -1294,42 +1265,6 @@ fn run_top(
     .map_err(io_err)
 }
 
-/// Drives `lhg bench --compare`: parse the recorded baseline, re-measure
-/// every `(mode, n)` row on this machine (optionally restricted by
-/// `--sizes`), and exit non-zero when throughput regressed beyond the
-/// threshold. Seed-deterministic drift (message counts, virtual-time
-/// percentiles) is reported but only throughput gates.
-fn run_bench_compare(
-    baseline_path: &str,
-    sizes: Option<&[usize]>,
-    threshold: f64,
-    json: bool,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let io_err = |e: std::io::Error| err(format!("write failed: {e}"));
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| err(format!("cannot read {baseline_path}: {e}")))?;
-    let report = lhg_bench::compare::compare_against(&text, sizes, threshold)
-        .map_err(|e| err(format!("{baseline_path}: {e}")))?;
-    if json {
-        writeln!(
-            out,
-            "{}",
-            serde_json::to_string(&report.to_value()).expect("Value serialization is infallible")
-        )
-        .map_err(io_err)?;
-    } else {
-        write!(out, "{}", report.render_text()).map_err(io_err)?;
-    }
-    if report.regressed() {
-        return Err(err(format!(
-            "throughput regressed more than {:.0}% below {baseline_path} — see report above",
-            threshold * 100.0
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1805,71 +1740,6 @@ mod tests {
         let e =
             run_to_string(&["top", "--nodes", "6", "-k", "2", "--interval-ms", "0"]).unwrap_err();
         assert!(e.message.contains("interval"), "{e}");
-    }
-
-    #[test]
-    fn bench_compare_green_on_a_fresh_recording() {
-        use lhg_bench::baseline::{render_baseline_json, run_mode_baseline};
-        let rows = vec![run_mode_baseline("flood", 16)];
-        let path =
-            std::env::temp_dir().join(format!("lhg-bench-green-{}.json", std::process::id()));
-        std::fs::write(&path, render_baseline_json(&rows)).unwrap();
-        // n=16 wall times are sub-millisecond, so when the suite's other
-        // tests saturate the machine the re-measurement can swing far
-        // beyond any sane production threshold. A wide one still proves
-        // the green path end to end; thresholds themselves are exercised
-        // deterministically in lhg_bench::compare's unit tests.
-        let out = run_to_string(&[
-            "bench",
-            "--compare",
-            path.to_str().unwrap(),
-            "--threshold",
-            "0.95",
-        ])
-        .unwrap();
-        assert!(out.contains("PASS"), "{out}");
-        let out = run_to_string(&[
-            "bench",
-            "--compare",
-            path.to_str().unwrap(),
-            "--threshold",
-            "0.95",
-            "--json",
-        ])
-        .unwrap();
-        assert!(out.contains("\"regressed\":false"), "{out}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// The acceptance check for the regression gate: a recording whose
-    /// throughput the current tree cannot possibly match (doubled) must
-    /// exit non-zero.
-    #[test]
-    fn bench_compare_fails_on_synthetic_regression() {
-        use lhg_bench::baseline::{render_baseline_json, run_mode_baseline};
-        let doc = render_baseline_json(&[run_mode_baseline("flood", 16)]);
-        // Doctor the recorded throughput: 20× it, simulating a tree that
-        // has since become far slower than the recording — wide enough
-        // that parallel-suite scheduling noise can't mask the regression.
-        let marker = "\"throughput_msgs_per_sec\": ";
-        let pos = doc.find(marker).unwrap() + marker.len();
-        let end = pos + doc[pos..].find(',').unwrap();
-        let recorded: f64 = doc[pos..end].parse().unwrap();
-        let doctored = format!("{}{:.0}{}", &doc[..pos], recorded * 20.0, &doc[end..]);
-        let path =
-            std::env::temp_dir().join(format!("lhg-bench-regressed-{}.json", std::process::id()));
-        std::fs::write(&path, doctored).unwrap();
-        let e = run_to_string(&["bench", "--compare", path.to_str().unwrap()]).unwrap_err();
-        assert!(e.message.contains("regressed"), "{e}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bench_rejects_bad_options() {
-        let e = run_to_string(&["bench"]).unwrap_err();
-        assert!(e.message.contains("--compare"), "{e}");
-        let e = run_to_string(&["bench", "--compare", "/nonexistent/base.json"]).unwrap_err();
-        assert!(e.message.contains("cannot read"), "{e}");
     }
 
     #[test]

@@ -276,13 +276,51 @@ impl Simulation {
 
         // Event payloads live in `events`; the heap orders (time, seq, node,
         // payload-slot). A payload is either an in-flight message or an
-        // armed timer token.
-        enum EventKind {
-            Message { from: NodeId, msg: Message },
-            Timer { token: u64 },
+        // armed timer token. A payload is taken out of its slot when its
+        // event pops and the slot is reused, so the run holds what is in
+        // flight, not everything it ever carried; `seq` is unique, so the
+        // slot number never decides the order. Vacated slots are chained
+        // through themselves: the free list costs no allocation of its own.
+        enum Slot {
+            Message {
+                from: NodeId,
+                msg: Message,
+            },
+            Timer {
+                token: u64,
+            },
+            /// Vacant; the next vacant slot, if any.
+            Free(Option<usize>),
+        }
+        #[derive(Default)]
+        struct Slots {
+            events: Vec<Slot>,
+            free: Option<usize>,
+        }
+        impl Slots {
+            fn put(&mut self, event: Slot) -> usize {
+                match self.free {
+                    Some(slot) => {
+                        let Slot::Free(next) = std::mem::replace(&mut self.events[slot], event)
+                        else {
+                            unreachable!("the free list links vacant slots only");
+                        };
+                        self.free = next;
+                        slot
+                    }
+                    None => {
+                        self.events.push(event);
+                        self.events.len() - 1
+                    }
+                }
+            }
+            fn take(&mut self, slot: usize) -> Slot {
+                let vacant = Slot::Free(self.free.replace(slot));
+                std::mem::replace(&mut self.events[slot], vacant)
+            }
         }
         let mut queue: BinaryHeap<Reverse<(Time, u64, usize, usize)>> = BinaryHeap::new();
-        let mut events: Vec<EventKind> = Vec::new();
+        let mut events = Slots::default();
         let mut seq: u64 = 0;
         let mut fault_seq: u64 = 0;
         let mut messages_sent: u64 = 0;
@@ -316,7 +354,7 @@ impl Simulation {
                          time: Time,
                          rng_latency: &mut dyn FnMut() -> Time,
                          queue: &mut BinaryHeap<Reverse<(Time, u64, usize, usize)>>,
-                         events: &mut Vec<EventKind>,
+                         events: &mut Slots,
                          seq: &mut u64| {
             for d in ctx.delivered {
                 if let Some(c) = &m_delivs {
@@ -379,8 +417,7 @@ impl Simulation {
                         );
                     }
                     let latency = rng_latency() + extra;
-                    let slot = events.len();
-                    events.push(EventKind::Message {
+                    let slot = events.put(Slot::Message {
                         from: at,
                         msg: msg.clone(),
                     });
@@ -389,8 +426,7 @@ impl Simulation {
                 }
             }
             for (fire_at, token) in ctx.timers {
-                let slot = events.len();
-                events.push(EventKind::Timer { token });
+                let slot = events.put(Slot::Timer { token });
                 queue.push(Reverse((fire_at, *seq, at.index(), slot)));
                 *seq += 1;
             }
@@ -431,6 +467,7 @@ impl Simulation {
             if time > max_time {
                 break;
             }
+            let event = events.take(slot);
             end_time = end_time.max(time);
             if let (Some((every, on_sample)), Some(ns)) = (&mut sampler, &mut next_sample) {
                 while *ns <= time {
@@ -450,17 +487,16 @@ impl Simulation {
                 delivered: Vec::new(),
                 timers: Vec::new(),
             };
-            let parent = match &events[slot] {
-                EventKind::Message { from, msg } => {
-                    let (from, msg) = (*from, msg.clone());
+            let parent = match event {
+                Slot::Message { from, msg } => {
                     processes[node].on_message(from, msg, &mut ctx);
                     Some(from)
                 }
-                EventKind::Timer { token } => {
-                    let token = *token;
+                Slot::Timer { token } => {
                     processes[node].on_timer(token, &mut ctx);
                     None
                 }
+                Slot::Free(_) => unreachable!("a queued event owns its slot"),
             };
             let link = self.link;
             let rng = &mut self.rng;

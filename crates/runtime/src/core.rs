@@ -10,10 +10,10 @@
 //! clock, so the same code runs under two drivers: the socket loop in
 //! [`crate::node`] and the discrete-event adapter in [`crate::simnode`].
 //!
-//! It owns, with [`ReliableCore`] and [`BrachaEngine`] as its parts:
+//! It owns, with [`ReliableCore`] and [`VoteExchange`] as its parts:
 //!
 //! * **dispatch** — one classifier ([`wire::classify`]), malformed ids
-//!   dropped, data to the reliable plane, byz gossip to the engine;
+//!   dropped, data to the reliable plane, byz frames to the vote exchange;
 //! * **control waves** — best-effort flooding of crash/join announcements,
 //!   deduplicated forever under per-wave nonces;
 //! * **failure detection** — heartbeats out, `last_seen` in, suspicion past
@@ -44,10 +44,9 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use lhg_byzantine::engine::Action as ByzAction;
 use lhg_byzantine::{
-    attack, BrachaConfig, BrachaEngine, GossipFrame, InstanceSummary, TraitorBehavior,
-    UnsoundMembership,
+    attack, BrachaConfig, ByzDelivery, GossipFrame, GossipKind, InstanceSummary, TraitorBehavior,
+    UnsoundMembership, VoteExchange,
 };
 use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId};
 use lhg_net::backoff::{Backoff, BackoffPolicy};
@@ -114,8 +113,9 @@ pub enum Action {
         msg: Message,
     },
     /// Write `msg` on every link except the one to `except`: a best-effort
-    /// control flood (heartbeat, crash/join wave, byz gossip), one action
-    /// instead of one [`Action::Send`] and one frame clone per link.
+    /// control flood (heartbeat, crash/join wave, a relayed byz `SEND`),
+    /// one action instead of one [`Action::Send`] and one frame clone per
+    /// link.
     Flood {
         /// The frame.
         msg: Message,
@@ -175,10 +175,11 @@ struct RetrySchedule {
     peer: Option<MemberId>,
 }
 
-/// Per-node Byzantine state: the Bracha engine plus this node's scripted
-/// misbehavior, if it is one of the run's traitors.
+/// Per-node Byzantine state: the vote exchange (and the Bracha engine it
+/// owns) plus this node's scripted misbehavior, if it is one of the run's
+/// traitors.
 struct ByzState {
-    engine: BrachaEngine,
+    exchange: VoteExchange<MemberId>,
     /// The traitor budget quorums and corroboration are sized for.
     f: usize,
     /// `Some` makes this node a traitor — it never votes honestly.
@@ -186,6 +187,21 @@ struct ByzState {
     /// Equivocate/forge traitors mount their attack exactly once, on the
     /// first byz frame they observe (so there is a broadcast to disrupt).
     attacked: bool,
+}
+
+/// A vote exchange whose boot view is `overlay`'s membership.
+fn byz_exchange(
+    id: MemberId,
+    overlay: &DynamicOverlay,
+    f: usize,
+    max_offers: u32,
+) -> Result<VoteExchange<MemberId>, UnsoundMembership> {
+    let members = overlay.members();
+    let cfg = BrachaConfig::new(members.len(), f)?;
+    let mut exchange = VoteExchange::new(id as u32, cfg, max_offers);
+    // Member ids need not be 0..n (a rejoin boots on a healed replica).
+    exchange.bump_view(members.iter().map(|&m| m as u32))?;
+    Ok(exchange)
 }
 
 fn us(d: Duration) -> u64 {
@@ -240,7 +256,7 @@ pub struct NodeCore {
     /// membership flip is how crash/join waves used to chase each other
     /// into a churn livelock).
     seen: SeenSet,
-    /// `None` relays byz gossip like any flood but never votes or delivers.
+    /// `None` relays a byz `SEND` like any flood but never votes or delivers.
     byz: Option<ByzState>,
     life: u32,
     /// Per-life wave counter; with `life` it forms each wave's nonce.
@@ -282,9 +298,11 @@ pub struct NodeCore {
     /// Distinct peers that sent us a dead notice (byzantine runs).
     notice_senders: BTreeSet<MemberId>,
     hb_age_gauges: HashMap<MemberId, Arc<Gauge>>,
-    /// The reliable-flood data plane and the reused sink for its sends.
+    /// The reliable-flood data plane and the reused sink for its sends
+    /// (the vote exchange's too), and the one for byz deliveries.
     reliable: ReliableCore<MemberId>,
     outbox: Sends<MemberId>,
+    byz_delivered: Vec<ByzDelivery>,
     next_beat: u64,
     next_summary: u64,
     next_sweep: u64,
@@ -315,10 +333,7 @@ impl NodeCore {
         // churn bumps the view (f stays a protocol constant).
         let byz = match config.byzantine.as_ref() {
             Some(setup) => Some(ByzState {
-                engine: BrachaEngine::new(
-                    id as u32,
-                    BrachaConfig::new(overlay.members().len(), setup.f)?,
-                ),
+                exchange: byz_exchange(id, &overlay, setup.f, config.reliable.max_retries)?,
                 f: setup.f,
                 behavior: setup
                     .traitors
@@ -390,6 +405,7 @@ impl NodeCore {
                 wire::summary_id(id),
             ),
             outbox: Vec::new(),
+            byz_delivered: Vec::new(),
             next_beat: now_us + beat_us,
             next_summary: now_us + summary_us,
             next_sweep: now_us + sweep_us,
@@ -452,21 +468,17 @@ impl NodeCore {
                 self.drive(|r, _, links, now, out| r.originate(&wire, now, links, out));
             }
             Event::ByzBroadcast { nonce, payload } => {
-                let actions = match self.byz.as_mut() {
-                    // Traitors never originate honestly; their scripted
-                    // attacks fire from the frame path instead.
-                    Some(b) if b.behavior.is_none() => {
-                        b.engine.broadcast(nonce, payload).unwrap_or_else(|_| {
-                            // The live view is below 3f+1: refuse instead
-                            // of certifying under unsound quorums. The
-                            // chaos oracle reads this as QuorumUnsafe.
-                            self.metrics.counter("byz.unsafe_views").inc();
-                            Vec::new()
-                        })
-                    }
-                    _ => Vec::new(),
-                };
-                self.apply_byz_actions(actions);
+                // Traitors never originate honestly; their scripted
+                // attacks fire from the frame path instead.
+                let refused = self.drive_byz(|x, seen, links, out, delivered| {
+                    (x.broadcast(nonce, payload, seen, links, out, delivered)).is_err()
+                });
+                if refused == Some(true) {
+                    // The live view is below 3f+1: refuse instead of
+                    // certifying under unsound quorums. The chaos oracle
+                    // reads this as QuorumUnsafe.
+                    self.count("byz.unsafe_views");
+                }
             }
         }
         std::mem::swap(&mut self.out, out);
@@ -648,91 +660,89 @@ impl NodeCore {
                 }
                 self.push_sends(sends);
             }
-            FrameKind::Byz => {
-                if self.seen.insert(msg.broadcast_id) {
-                    self.on_byz_frame(from, &msg);
-                }
-            }
+            FrameKind::Byz => self.on_byz_frame(from, &msg),
         }
     }
 
-    /// A deduplicated Bracha gossip frame (SEND/ECHO/READY). Relay happens
-    /// here rather than in the classify arm so a silent traitor can swallow
-    /// the frame entirely; a cluster without a byzantine setup still
-    /// relays (interop) but never votes or delivers.
+    /// A byz-class frame: a flooded `SEND` or a neighbor's `VOTES`. A
+    /// correct node hands it to the vote exchange, which relays, counts and
+    /// answers. A traitor — and a node without a byzantine setup, for
+    /// interop — only passes payloads on: it relays a first-seen `SEND` like
+    /// any flood and neither casts nor forwards votes.
     fn on_byz_frame(&mut self, from: MemberId, msg: &Message) {
         let behavior = self.behavior();
         if behavior == Some(TraitorBehavior::Silent) {
+            return; // swallows the frame entirely
+        }
+        let ran = self.drive_byz(|x, seen, links, out, delivered| {
+            x.on_frame(from, msg, seen, links, out, delivered)
+        });
+        if let Some(rejected) = ran {
+            if rejected > 0 {
+                self.metrics.counter("byz.votes_rejected").add(rejected);
+            }
             return;
         }
-        self.flood(msg.forwarded(), Some(from));
+        let is_send = GossipFrame::from_message(msg).is_some_and(|f| f.kind == GossipKind::Send);
+        if is_send && self.seen.insert(msg.broadcast_id) {
+            self.flood(msg.forwarded(), Some(from));
+        }
         match behavior {
-            None => {
-                let actions = match (GossipFrame::from_message(msg), self.byz.as_mut()) {
-                    (Some(frame), Some(b)) => b.engine.on_gossip(&frame),
-                    _ => Vec::new(), // malformed frame, or byz off: relay-only
-                };
-                self.apply_byz_actions(actions);
-            }
-            // Re-flood the identical frame: correct peers' dedup absorbs
-            // the duplicate, so the copy costs bandwidth but no votes.
+            // Pass the identical frame on again: a replayed SEND dies in a
+            // correct peer's seen-set, replayed votes OR in bits it holds.
             Some(TraitorBehavior::Replay) => self.flood(msg.forwarded(), Some(from)),
             // Mounted once, on the first byz frame observed (so there is a
             // broadcast to disrupt).
             Some(TraitorBehavior::Equivocate) if self.first_attack() => self.mount_equivocation(),
             Some(TraitorBehavior::Forge) if self.first_attack() => self.mount_forgery(),
-            // Failure-detector attacks relay honestly but cast no votes;
-            // their teeth are in the heartbeat path (`send_heartbeats`).
-            Some(_) => {}
+            // Failure-detector attacks cast no votes; their teeth are in
+            // the heartbeat path (`send_heartbeats`).
+            _ => {}
         }
     }
 
-    /// Apply a batch of engine outputs: gossip frames flood to every live
-    /// link (marking our own dedup so the echo never re-enters), and
-    /// deliveries leave as [`Action::ByzDeliver`].
-    fn apply_byz_actions(&mut self, actions: Vec<ByzAction>) {
-        for action in actions {
-            match action {
-                ByzAction::Gossip(frame) => {
-                    let m = frame.to_message();
-                    self.seen.insert(m.broadcast_id);
-                    self.flood(m, None);
-                }
-                ByzAction::Deliver(d) => {
-                    let msg = Message::new(d.tag.nonce, d.tag.origin, d.payload)
-                        .with_trace(d.digest)
-                        .with_byz(d.tag);
-                    self.out.push(Action::ByzDeliver { msg });
-                }
-            }
-        }
-    }
-
-    /// Anti-entropy for byz gossip (summary cadence, and at once after a
-    /// join): re-floods this node's standing SEND/ECHO/READY votes. Peers
-    /// that have them dedup the copies; peers that lost them regain the
-    /// vote — which keeps churned, re-sized quorums fillable without a
-    /// byz-specific ack layer.
-    fn regossip_byz(&mut self) {
-        let actions = match self.byz.as_ref() {
-            Some(b) if b.behavior.is_none() => b.engine.regossip(),
-            _ => return,
-        };
-        self.apply_byz_actions(actions); // gossip only: votes never deliver
+    /// Runs one transition of a *correct* node's vote exchange — handing it
+    /// the dedup set, the live links and the reusable sinks —
+    /// then turns what it emitted into sends and deliveries. `None` when
+    /// this node runs no exchange (no byzantine setup, or a traitor).
+    fn drive_byz<R>(
+        &mut self,
+        step: impl FnOnce(
+            &mut VoteExchange<MemberId>,
+            &mut SeenSet,
+            std::iter::Copied<std::collections::btree_set::Iter<'_, MemberId>>,
+            &mut Sends<MemberId>,
+            &mut Vec<ByzDelivery>,
+        ) -> R,
+    ) -> Option<R> {
+        let byz = self.byz.as_mut().filter(|b| b.behavior.is_none())?;
+        let mut sends = std::mem::take(&mut self.outbox);
+        let mut delivered = std::mem::take(&mut self.byz_delivered);
+        let links = self.links.iter().copied();
+        let result = step(
+            &mut byz.exchange,
+            &mut self.seen,
+            links,
+            &mut sends,
+            &mut delivered,
+        );
+        self.push_sends(sends);
+        let out = &mut self.out;
+        out.extend(delivered.drain(..).map(|d| Action::ByzDeliver {
+            msg: d.into_message(),
+        }));
+        self.byz_delivered = delivered;
+        Some(result)
     }
 
     /// Re-sizes the Bracha membership view after applied churn: instances
-    /// created from here on quorum against live membership, while
-    /// in-flight instances keep the view they snapshotted. A view below
-    /// 3f+1 is refused by the engine and counted on `byz.unsafe_views` for
-    /// the chaos oracle's QuorumUnsafe audit.
+    /// created from here on quorum against — and count votes of — the live
+    /// membership, while in-flight instances keep the view they
+    /// snapshotted. A view below 3f+1 is refused by the engine and counted
+    /// on `byz.unsafe_views` for the chaos oracle's QuorumUnsafe audit.
     fn bump_byz_view(&mut self) {
-        let n = self.overlay.members().len();
-        if self
-            .byz
-            .as_mut()
-            .is_some_and(|b| b.engine.bump_view(n).is_err())
-        {
+        let members = self.overlay.members().iter().map(|&m| m as u32);
+        if (self.byz.as_mut()).is_some_and(|b| b.exchange.bump_view(members).is_err()) {
             self.count("byz.unsafe_views");
         }
     }
@@ -760,12 +770,12 @@ impl NodeCore {
         }
     }
 
-    /// Floods [`attack::forged_votes`] impersonating the lowest other
-    /// member of our replica.
+    /// Sends [`attack::forged_votes`], impersonating the lowest other
+    /// member of our replica as origin, to every neighbor.
     fn mount_forgery(&mut self) {
         let victim = self.lowest_other_member().unwrap_or(self.id);
         let votes = attack::forged_votes(self.id as u32, victim as u32);
-        self.apply_byz_actions(votes.map(ByzAction::Gossip).into());
+        self.flood(votes.to_message(self.id as u32), None);
     }
 
     fn lowest_other_member(&self) -> Option<MemberId> {
@@ -857,7 +867,7 @@ impl NodeCore {
     /// but only while that replica is trustworthy (not degraded, not itself
     /// waiting on a snapshot). Under a byzantine setup the snapshot also
     /// carries this node's standing Bracha instance summaries
-    /// ([`BrachaEngine::summaries`]) so a rejoiner can catch up on
+    /// (`BrachaEngine::summaries`) so a rejoiner can catch up on
     /// broadcasts that ran while it was down; Equivocate/Forge traitors
     /// serve forged summaries instead — which corroboration must defeat.
     fn serve_sync(&mut self, from: MemberId) {
@@ -866,9 +876,10 @@ impl NodeCore {
         }
         let summaries = match self.byz.as_ref() {
             Some(b) => match b.behavior {
-                None => b.engine.summaries(),
+                None => b.exchange.engine().summaries(),
                 Some(TraitorBehavior::Equivocate | TraitorBehavior::Forge) => {
-                    attack::forged_summaries(self.id as u32, from as u32, b.engine.summaries())
+                    let real = b.exchange.engine().summaries();
+                    attack::forged_summaries(self.id as u32, from as u32, real)
                 }
                 Some(_) => Vec::new(),
             },
@@ -891,13 +902,15 @@ impl NodeCore {
         if summaries.is_empty() {
             return;
         }
-        let actions = match self.byz.as_mut() {
-            Some(b) if b.behavior.is_none() => b.engine.ingest_summaries(from as u32, summaries),
-            _ => return,
-        };
+        let ran = self.drive_byz(|x, _, links, out, delivered| {
+            x.ingest_summaries(from as u32, summaries, links, out, delivered)
+        });
+        let Some(rejected) = ran else { return };
+        if rejected > 0 {
+            self.metrics.counter("byz.votes_rejected").add(rejected);
+        }
         self.count("runtime.catchup_ingests");
         self.catchup_replies.insert(from);
-        self.apply_byz_actions(actions);
     }
 
     /// Installs a membership snapshot served by `via`: rebuild the replica,
@@ -1056,10 +1069,6 @@ impl NodeCore {
             if let Ok(report) = Arc::make_mut(&mut self.overlay).admit(member) {
                 self.count("runtime.joins_applied");
                 self.apply_churn(&report);
-                // Churn-triggered regossip, aimed at the rejoiner: our
-                // standing votes go out now, not a summary cadence later,
-                // so its re-sized quorums start filling immediately.
-                self.regossip_byz();
             }
         }
         self.maybe_exit_degraded();
@@ -1091,9 +1100,9 @@ impl NodeCore {
         up
     }
 
-    /// Best-effort flood of a control frame (heartbeat, crash/join wave,
-    /// byz gossip) to every linked peer except `except`. Data frames never
-    /// come this way — they go through [`Self::drive`].
+    /// Best-effort flood of a control frame (heartbeat, crash/join wave, a
+    /// relayed byz `SEND`) to every linked peer except `except`. Data
+    /// frames never come this way — they go through [`Self::drive`].
     fn flood(&mut self, msg: Message, except: Option<MemberId>) {
         if !self.links.is_empty() {
             self.out.push(Action::Flood { msg, except });
@@ -1147,13 +1156,14 @@ impl NodeCore {
         }
     }
 
-    /// Heartbeat-cadence repair channel: re-gossips standing byz votes and
-    /// advertises recently-delivered broadcast ids to every linked peer.
+    /// Heartbeat-cadence repair channel: one vote-exchange repair round
+    /// (every unsettled Bracha instance declared to each linked peer) and
+    /// an advertisement of recently-delivered broadcast ids.
     fn send_summaries(&mut self) {
         if self.behavior() == Some(TraitorBehavior::SuppressHeartbeat) {
             return; // any frame would refresh last_seen and spoil the act
         }
-        self.regossip_byz();
+        self.drive_byz(|x, _, links, out, _| x.repair(links, out));
         if self.drive(|r, _, links, _, out| r.advertise(links, out)) {
             self.count("runtime.summaries_sent");
         }
@@ -1529,6 +1539,7 @@ impl NodeCore {
         self.links.insert(peer);
         self.last_seen.insert(peer, now);
         self.reliable.reset_link(peer);
+        self.reset_byz_link(peer);
         // A connect alone does not forgive a dial-failure streak: the
         // escalated schedule stays until the link survives a full
         // probation window.
@@ -1581,8 +1592,17 @@ impl NodeCore {
         }
         self.last_seen.remove(&peer);
         self.reliable.reset_link(peer);
+        self.reset_byz_link(peer);
         if let Some(b) = self.backoffs.get_mut(&peer) {
             b.disconnected();
+        }
+    }
+
+    /// A link went down or came up: whoever is at its other end next is
+    /// offered every Bracha instance again.
+    fn reset_byz_link(&mut self, peer: MemberId) {
+        if let Some(b) = self.byz.as_mut() {
+            b.exchange.reset_link(peer);
         }
     }
 }

@@ -133,9 +133,10 @@ pub struct RuntimeConfig {
     /// ignored here (it paces the simulator's [`lhg_net::reliable::ReliableFlooder`]).
     pub reliable: lhg_net::reliable::ReliableConfig,
     /// Byzantine broadcast setup: when set, every node runs a Bracha
-    /// echo/ready engine over the gossip frames ([`lhg_byzantine`]), and
-    /// the listed traitor nodes actively misbehave. `None` — the default —
-    /// still relays byz gossip but delivers nothing.
+    /// echo/ready engine behind a per-link vote exchange
+    /// ([`lhg_byzantine`]), and the listed traitor nodes actively
+    /// misbehave. `None` — the default — still relays Bracha payloads
+    /// (`SEND`) but delivers nothing.
     pub byzantine: Option<ByzantineSetup>,
 }
 

@@ -205,8 +205,9 @@ fn rejoined_node_catches_up_despite_forged_summaries() {
             assert_eq!(d.trace, Some(expect_dead), "digest matches the majority");
         }
     }
-    // Regossip aimed at the rejoiner can fill its quorums before the first
-    // SYNC reply lands, so the ingest may trail the deliveries: poll for it.
+    // The neighbors' repair rounds (every instance declared to the new
+    // link) can fill the rejoiner's quorums before the first SYNC reply
+    // lands, so the ingest may trail the deliveries: poll for it.
     let ingests = c.metrics().counter("runtime.catchup_ingests");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while ingests.get() == 0 && std::time::Instant::now() < deadline {

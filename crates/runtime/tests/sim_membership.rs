@@ -275,3 +275,64 @@ fn bogus_hellos_are_refused_by_the_core() {
     });
     assert_eq!(counter(&run, "runtime.suspects"), 0, "and nobody minded");
 }
+
+/// Bracha on the real node core in virtual time: a forging traitor, a
+/// correct member that dies and reboots blank, instances before, during
+/// and after its outage. Deterministic — one seed, two runs, one timeline
+/// byte for byte — and the oracle's properties hold at every correct node,
+/// the rejoiner included.
+#[test]
+fn bracha_over_the_vote_exchange_is_deterministic_and_total() {
+    use lhg_byzantine::TraitorBehavior;
+    use lhg_runtime::core::Event;
+    use lhg_runtime::simnode::SimInput;
+
+    let (n, traitor, victim): (usize, MemberId, MemberId) = (10, 9, 4);
+    let instances: [(u64, MemberId, u64); 4] = [
+        (300, 0, 0x1000),   // everyone up
+        (900, 2, 0x1001),   // the victim is dead
+        (2_400, 5, 0x1002), // it is back
+        (2_450, 4, 0x1003), // and originates
+    ];
+    let payload = |nonce: u64| Bytes::from(format!("instance {nonce:#x}"));
+    let run = run_twice(|| {
+        let cfg = one_traitor(traitor, TraitorBehavior::Forge);
+        let mut c = SimCluster::new(Constraint::KDiamond, n, K, cfg).unwrap();
+        c.seed = 23;
+        c.crash(victim, 600 * MS, Some(1_500 * MS));
+        for (at_ms, origin, nonce) in instances {
+            let event = Event::ByzBroadcast {
+                nonce,
+                payload: payload(nonce),
+            };
+            c.input(at_ms * MS, origin, SimInput::Event(event));
+        }
+        c.run(4_000 * MS)
+    });
+    for m in (0..n as MemberId).filter(|&m| m != traitor) {
+        let state = run.nodes[m as usize].borrow();
+        let mut got: Vec<(u64, Option<u64>)> = (state.byz_delivered.iter())
+            .map(|d| (d.broadcast_id, d.trace))
+            .collect();
+        if m == victim {
+            // The reboot is blank: what it certified before the outage it
+            // certifies again, from catch-up, under the same digest.
+            got.sort_unstable();
+            got.dedup();
+        }
+        for (_, _, nonce) in instances {
+            let want = (nonce, Some(lhg_byzantine::digest(&payload(nonce))));
+            assert_eq!(
+                got.iter().filter(|d| **d == want).count(),
+                1,
+                "node {m} on instance {nonce:#x}: {got:?}"
+            );
+        }
+        assert_eq!(got.len(), instances.len(), "node {m} delivered a forgery");
+    }
+    assert!(
+        counter(&run, "runtime.catchup_ingests") > 0,
+        "the rejoiner caught up"
+    );
+    assert_eq!(counter(&run, "byz.unsafe_views"), 0);
+}
