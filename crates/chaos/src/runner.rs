@@ -632,7 +632,10 @@ pub fn run_tcp_chaos(plan: &FaultPlan) -> ChaosReport {
     let deliveries = cluster
         .members()
         .iter()
-        .map(|&m| cluster.delivered_ids(m).len() + cluster.byz_delivered(m).len())
+        .map(|&m| {
+            let flooded = cluster.node(m).map_or(0, |s| s.delivered_count());
+            flooded + cluster.byz_delivered(m).len()
+        })
         .sum();
     let events_jsonl = (!violations.is_empty()).then(|| cluster.events_jsonl());
     let telemetry = cluster
@@ -677,7 +680,7 @@ fn tcp_broadcast_expect(
         return;
     }
     for &m in members.iter() {
-        if !cluster.delivered_ids(m).contains(&id) && violations.len() < MAX_VIOLATIONS_PER_CHECK {
+        if !cluster.has_delivered(m, id) && violations.len() < MAX_VIOLATIONS_PER_CHECK {
             violations.push(Violation::DeliveryMissed {
                 broadcast_id: id,
                 node: m as u32,

@@ -152,6 +152,13 @@ impl LinkSender {
         self.given_up
     }
 
+    /// Payload bytes referenced by the unacked window and the queue.
+    fn retained_bytes(&self) -> usize {
+        let unacked = self.unacked.values().map(|f| f.msg.payload.len());
+        let queued = self.queued.iter().map(|m| m.payload.len());
+        unacked.chain(queued).sum()
+    }
+
     /// Accepts `msg` for reliable transmission. Returns the stamped frame
     /// to put on the wire now, or `None` if the window is full and the
     /// frame was queued (it will surface from a later [`LinkSender::on_ack`]
@@ -511,6 +518,22 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         kept.link_seq = None;
         self.recent.push_back(kept.broadcast_id);
         self.store.insert(kept.broadcast_id, kept);
+    }
+
+    /// Payload bytes this core holds on to: the pull store, every link's
+    /// unacked window and backpressure queue, and the frames parked for
+    /// replaced links. Counted per reference — a payload in the store and in
+    /// two windows counts three times, though the three share one buffer —
+    /// so it is an upper bound on what the core keeps alive, itself bounded
+    /// by `(store_cap + (window + queue_cap) × links + queue_cap × parked
+    /// links) × max payload`. A walk over those structures: for a gauge on
+    /// the summary cadence, not for the frame path.
+    #[must_use]
+    pub fn retained_bytes(&self) -> usize {
+        let store = self.store.values().map(|m| m.payload.len());
+        let links = self.tx.values().map(LinkSender::retained_bytes);
+        let parked = self.parked.values().flatten().map(|m| m.payload.len());
+        store.chain(links).chain(parked).sum()
     }
 
     /// Hands `msg` to `to`'s sender; emits it if the window admits it now
@@ -1020,6 +1043,46 @@ mod tests {
         let want: Vec<_> = (1..=4).map(|i| (7, 4 + i, Some(i))).collect();
         assert_eq!(ids(&out), want, "fresh sequence space from 1");
         assert!(c.parked.is_empty());
+    }
+
+    #[test]
+    fn retained_bytes_rises_with_remember_falls_on_eviction_and_ack_and_stays_bounded() {
+        const LEN: usize = 100;
+        let cfg = ReliableConfig {
+            store_cap: 2,
+            ..cfg() // window 4, queue_cap 8
+        };
+        let big = |id| Message::new(id, 0, Bytes::from(vec![0u8; LEN]));
+        let (mut c, mut out) = (core(cfg), Vec::new());
+        assert_eq!(c.retained_bytes(), 0);
+        c.originate(&big(1), 0, [1, 2], &mut out);
+        assert_eq!(c.retained_bytes(), 3 * LEN, "the store and two windows");
+        c.originate(&big(2), 0, [1, 2], &mut out);
+        assert_eq!(c.retained_bytes(), 6 * LEN);
+        c.originate(&big(3), 0, [1, 2], &mut out);
+        assert_eq!(c.retained_bytes(), 8 * LEN, "the store evicted id 1");
+        c.on_ack(1, encode_ack_payload(3, &[]), 0, &mut out);
+        assert_eq!(c.retained_bytes(), 5 * LEN, "peer 1 acked its window");
+        c.on_ack(2, encode_ack_payload(3, &[]), 0, &mut out);
+        assert_eq!(c.retained_bytes(), cfg.store_cap * LEN, "only the store");
+
+        // Nobody acks any more: windows fill, queues fill, queues overflow.
+        let per_link = cfg.window + cfg.queue_cap;
+        let bound =
+            |links, parked| (cfg.store_cap + per_link * links + cfg.queue_cap * parked) * LEN;
+        for id in 4..=40 {
+            c.originate(&big(id), 0, [1, 2], &mut out);
+            assert!(c.retained_bytes() <= bound(2, 0), "at id {id}");
+        }
+        assert_eq!(c.retained_bytes(), bound(2, 0), "every structure is full");
+        c.reset_link(1);
+        assert_eq!(
+            c.retained_bytes(),
+            bound(1, 1),
+            "parked, capped at queue_cap"
+        );
+        c.abandon(1);
+        assert_eq!(c.retained_bytes(), bound(1, 0));
     }
 
     #[test]

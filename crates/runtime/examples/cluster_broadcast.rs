@@ -1,5 +1,7 @@
 //! A 10-node loopback cluster: broadcast, one injected crash, self-heal,
-//! broadcast again, then print the metrics snapshot as JSON. On teardown
+//! broadcast again, then print the metrics snapshot as JSON. Node 3 plays
+//! the application: it subscribes to its node's deliveries and prints the
+//! payloads it is handed (a node keeps ids, not payloads). On teardown
 //! (and on failure) the cluster's flight-recorder timeline is persisted as
 //! JSONL next to the system temp dir for postmortem reading.
 //!
@@ -38,6 +40,7 @@ fn main() {
     eprintln!("booting a {n}-node K-DIAMOND cluster at k={k} on 127.0.0.1 ...");
     let mut cluster = Cluster::launch(Constraint::KDiamond, n, k, RuntimeConfig::default())
         .expect("cluster boots");
+    let inbox = cluster.subscribe(3);
 
     let id = cluster
         .broadcast(0, Bytes::from_static(b"hello, overlay"))
@@ -71,6 +74,19 @@ fn main() {
         "every survivor delivers",
     );
     eprintln!("post-heal broadcast {id2:#x} delivered by all survivors");
+
+    // What the application at node 3 was handed, in delivery order.
+    for _ in 0..2 {
+        let msg = inbox
+            .recv_timeout(Duration::from_secs(10))
+            .expect("node 3 is handed both deliveries");
+        eprintln!(
+            "node 3 was handed {:#x} from node {}: {:?}",
+            msg.broadcast_id,
+            msg.origin,
+            String::from_utf8_lossy(&msg.payload)
+        );
+    }
 
     // Both broadcasts were traced: print their realized dissemination trees.
     for trace in cluster.traces() {

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::RwLock;
 
 use lhg_core::overlay::{DynamicOverlay, MemberId};
@@ -503,9 +504,7 @@ impl Cluster {
     /// timeout passes); returns whether delivery completed.
     #[must_use]
     pub fn await_delivery(&self, id: u64, timeout: Duration) -> bool {
-        self.poll_until(timeout, || {
-            self.live_shared().all(|s| s.delivered_ids().contains(&id))
-        })
+        self.poll_until(timeout, || self.live_shared().all(|s| s.has_delivered(id)))
     }
 
     /// Waits until each of `members` has delivered broadcast `id` (or the
@@ -514,11 +513,7 @@ impl Cluster {
     #[must_use]
     pub fn await_delivery_by(&self, id: u64, members: &[MemberId], timeout: Duration) -> bool {
         self.poll_until(timeout, || {
-            members.iter().all(|m| {
-                self.nodes
-                    .get(m)
-                    .is_some_and(|h| h.shared.delivered_ids().contains(&id))
-            })
+            members.iter().all(|&m| self.has_delivered(m, id))
         })
     }
 
@@ -588,6 +583,39 @@ impl Cluster {
             .get(&member)
             .map(|h| h.shared.delivered_ids())
             .unwrap_or_default()
+    }
+
+    /// Whether `member` has delivered broadcast `id` (`false` for unknown
+    /// members) — the cheap form of `delivered_ids(member).contains(&id)`.
+    #[must_use]
+    pub fn has_delivered(&self, member: MemberId, id: u64) -> bool {
+        self.nodes
+            .get(&member)
+            .is_some_and(|h| h.shared.has_delivered(id))
+    }
+
+    /// Subscribes to `member`'s deliveries: from now on every message it
+    /// delivers — floods and Bracha instances alike, payload and all — is
+    /// sent down the returned channel, in delivery order, each after its
+    /// id is in [`Self::delivered_ids`]. This is the only way to a
+    /// delivered payload: a node keeps ids, not payloads.
+    ///
+    /// One subscriber per node: subscribing again replaces the earlier
+    /// receiver, which sees the channel close; dropping the receiver
+    /// unsubscribes. The channel is unbounded, because the node's one core
+    /// thread must neither wait for a slow application (missed heartbeats
+    /// read as a crash) nor drop what a *reliable* broadcast delivered — a
+    /// backlog is the subscriber's, and only as long as its queue.
+    /// [`Self::kill`] and [`Self::shutdown`] close the channel, so a
+    /// blocked `recv` returns; a rejoin is a new life and needs a new
+    /// subscription. For an unknown or dead member the receiver is closed
+    /// from the start.
+    #[must_use]
+    pub fn subscribe(&self, member: MemberId) -> Receiver<Message> {
+        match self.nodes.get(&member) {
+            Some(handle) => handle.shared.subscribe(),
+            None => unbounded().1,
+        }
     }
 
     /// Stops every remaining node and joins their main threads. Any

@@ -298,6 +298,10 @@ pub struct NodeCore {
     /// Distinct peers that sent us a dead notice (byzantine runs).
     notice_senders: BTreeSet<MemberId>,
     hb_age_gauges: HashMap<MemberId, Arc<Gauge>>,
+    /// `runtime.payload_bytes_retained.n<id>`, resolved at boot: what the
+    /// data plane holds on to ([`ReliableCore::retained_bytes`]), fresh as
+    /// of the latest summary round.
+    retained_gauge: Arc<Gauge>,
     /// The reliable-flood data plane and the reused sink for its sends
     /// (the vote exchange's too), and the one for byz deliveries.
     reliable: ReliableCore<MemberId>,
@@ -350,6 +354,7 @@ impl NodeCore {
         // the heartbeat-driven clock).
         let summary_us = beat_us.saturating_mul(config.reliable.summary_ticks());
         let sweep_us = us(config.tick);
+        let retained_gauge = metrics.gauge(&format!("runtime.payload_bytes_retained.n{id}"));
         let mut core = NodeCore {
             id,
             k: overlay.k(),
@@ -398,6 +403,7 @@ impl NodeCore {
             crash_reporters: HashMap::new(),
             notice_senders: BTreeSet::new(),
             hb_age_gauges: HashMap::new(),
+            retained_gauge,
             reliable: ReliableCore::new(
                 config.reliable,
                 id as u32,
@@ -497,6 +503,9 @@ impl NodeCore {
         }
         if now_us >= self.next_summary {
             self.send_summaries();
+            let retained = self.reliable.retained_bytes();
+            self.retained_gauge
+                .set(i64::try_from(retained).unwrap_or(i64::MAX));
             self.next_summary = now_us + self.summary_us;
         }
         if now_us >= self.next_sweep {

@@ -67,8 +67,10 @@
 //! use std::time::Duration;
 //!
 //! let mut c = Cluster::launch(Constraint::Jd, 12, 3, RuntimeConfig::default()).unwrap();
+//! let inbox = c.subscribe(3); // a node keeps ids; payloads are handed over
 //! let id = c.broadcast(0, bytes::Bytes::from_static(b"hello")).unwrap();
 //! assert!(c.await_delivery(id, Duration::from_secs(5)));
+//! assert_eq!(&inbox.recv().unwrap().payload[..], b"hello");
 //! c.kill(7).unwrap();
 //! assert!(c.await_heal(Duration::from_secs(10)));
 //! println!("{}", c.metrics_json());

@@ -38,6 +38,8 @@
 //! * **Publication** — the core is single-threaded; [`NodeShared`] is the
 //!   copy of its state other threads may read, republished only when the
 //!   core says it changed. The delivery-latency clock is wall time.
+//!   Deliveries leave the node here too: the id into a log, the message —
+//!   payload and all — to the subscriber's channel or to nobody.
 //!
 //! Link ownership is asymmetric to avoid duplicate connections: the member
 //! with the **smaller id dials**, the larger one accepts.
@@ -115,7 +117,14 @@ pub struct NodeShared {
     /// request is outstanding. [`crate::Cluster::rejoin`] refuses to stack
     /// a second rejoin on top of one still in flight.
     join_pending: AtomicBool,
-    delivered: Mutex<Vec<Message>>,
+    /// Broadcast ids of every application delivery of this life, in
+    /// delivery order: 8 B each and complete by contract (the oracles audit
+    /// whole histories). Ids only — a delivered payload leaves the node, to
+    /// the subscriber if there is one and to nobody otherwise.
+    delivered: Mutex<Vec<u64>>,
+    /// Where delivered messages are handed to the application, if anyone
+    /// asked ([`crate::Cluster::subscribe`]).
+    subscriber: Mutex<Option<Sender<Message>>>,
     byz_delivered: Mutex<Vec<Message>>,
     overlay: Mutex<Arc<DynamicOverlay>>,
     links_up: Mutex<BTreeSet<MemberId>>,
@@ -148,17 +157,51 @@ impl NodeShared {
     /// order.
     #[must_use]
     pub fn delivered_ids(&self) -> Vec<u64> {
-        self.delivered
-            .lock()
-            .iter()
-            .map(|m| m.broadcast_id)
-            .collect()
+        self.delivered.lock().clone()
     }
 
-    /// Application messages delivered so far.
+    /// Whether broadcast `id` has been delivered here. Scans from the
+    /// newest delivery backwards: what a caller waits for is among the
+    /// latest, so a hit costs a few comparisons and a miss one walk over
+    /// the log — never a copy of it.
     #[must_use]
-    pub fn delivered_messages(&self) -> Vec<Message> {
-        self.delivered.lock().clone()
+    pub fn has_delivered(&self, id: u64) -> bool {
+        self.delivered.lock().iter().rev().any(|&d| d == id)
+    }
+
+    /// How many application messages have been delivered here.
+    #[must_use]
+    pub fn delivered_count(&self) -> usize {
+        self.delivered.lock().len()
+    }
+
+    /// Makes the caller this node's subscriber, in place of any earlier
+    /// one. A node that is already dead hands back a disconnected receiver:
+    /// the check and the node's last act ([`Self::retire`]) take the same
+    /// lock, so no sender can be installed after it.
+    pub(crate) fn subscribe(&self) -> Receiver<Message> {
+        let (tx, rx) = unbounded();
+        let mut slot = self.subscriber.lock();
+        if self.is_alive() {
+            *slot = Some(tx);
+        }
+        rx
+    }
+
+    /// Marks the node dead and drops its subscriber's sender, which is what
+    /// wakes an application blocked in `recv`.
+    fn retire(&self) {
+        self.alive.store(false, Ordering::SeqCst);
+        *self.subscriber.lock() = None;
+    }
+
+    /// Hands `msg` to the subscriber. With nobody subscribed it is dropped
+    /// here, and a receiver that went away is noticed now and forgotten.
+    fn hand_off(&self, msg: Message) {
+        let mut slot = self.subscriber.lock();
+        if slot.as_ref().is_some_and(|tx| tx.send(msg).is_err()) {
+            *slot = None;
+        }
     }
 
     /// Byzantine broadcast deliveries so far, in delivery order. Each
@@ -252,6 +295,7 @@ pub(crate) fn spawn_node(
         degraded: AtomicBool::new(false),
         join_pending: AtomicBool::new(rejoining),
         delivered: Mutex::new(Vec::new()),
+        subscriber: Mutex::new(None),
         byz_delivered: Mutex::new(Vec::new()),
         overlay: Mutex::new(Arc::clone(core.overlay())),
         links_up: Mutex::new(BTreeSet::new()),
@@ -461,7 +505,7 @@ impl NodeDriver {
             }
         }
         // Fail-stop: slam every socket shut so peers see EOF, not silence.
-        self.shared.alive.store(false, Ordering::SeqCst);
+        self.shared.retire();
         for s in self.writers.values() {
             let _ = s.shutdown(Shutdown::Both);
         }
@@ -545,7 +589,8 @@ impl NodeDriver {
                     // Published before counted, like `deliver`: whoever sees
                     // the counter move may read the log at once.
                     Action::ByzDeliver { msg } => {
-                        self.shared.byz_delivered.lock().push(msg);
+                        self.shared.byz_delivered.lock().push(msg.clone());
+                        self.shared.hand_off(msg);
                         self.instruments.byz_delivered.inc();
                     }
                 }
@@ -573,9 +618,16 @@ impl NodeDriver {
         }
     }
 
-    /// Records an application delivery: its path record (`via` is the
-    /// neighbor the winning copy arrived from, `None` at the origin) and
-    /// its end-to-end latency, if the start instant is known.
+    /// An application delivery, the moment the payload leaves the node. The
+    /// order is a contract: path record (`via` is the neighbor the winning
+    /// copy arrived from, `None` at the origin) and end-to-end latency, if
+    /// the start instant is known; then the id into the log; then the
+    /// message to the subscriber; then the counter. So whoever sees
+    /// `runtime.deliveries` move may read the log at once, and a subscriber
+    /// holding a message always finds its id in
+    /// [`NodeShared::delivered_ids`]. Nothing here keeps the payload: the
+    /// frame body behind it is freed once the pull store has evicted it and
+    /// its last forward is acked — or when the subscriber lets go of it.
     fn deliver(&mut self, msg: Message, via: Option<MemberId>) {
         if let Some(trace_id) = msg.trace {
             self.tracer.record(PathRecord {
@@ -590,7 +642,8 @@ impl NodeDriver {
             let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
             self.instruments.delivery_latency_us.record(us);
         }
-        self.shared.delivered.lock().push(msg);
+        self.shared.delivered.lock().push(msg.broadcast_id);
+        self.shared.hand_off(msg);
         self.instruments.deliveries.inc();
     }
 
@@ -691,5 +744,71 @@ impl NodeDriver {
         }
         self.conn_ids.remove(&peer);
         core::Event::LinkDown { peer }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lhg_core::Constraint;
+
+    fn shared() -> NodeShared {
+        let overlay = DynamicOverlay::bootstrap(Constraint::Jd, 6, 2).expect("overlay");
+        NodeShared {
+            id: 0,
+            addr: "127.0.0.1:0".parse().expect("addr"),
+            alive: AtomicBool::new(true),
+            degraded: AtomicBool::new(false),
+            join_pending: AtomicBool::new(false),
+            delivered: Mutex::new(Vec::new()),
+            subscriber: Mutex::new(None),
+            byz_delivered: Mutex::new(Vec::new()),
+            overlay: Mutex::new(Arc::new(overlay)),
+            links_up: Mutex::new(BTreeSet::new()),
+            crashes_applied: Mutex::new(BTreeSet::new()),
+        }
+    }
+
+    #[test]
+    fn has_delivered_agrees_with_the_id_history() {
+        let s = shared();
+        assert!(!s.has_delivered(7), "empty log");
+        let log = [7u64, 3, 900, 3 << 40, 12];
+        *s.delivered.lock() = log.to_vec();
+        assert_eq!(s.delivered_count(), log.len());
+        // Present (first and last included), absent, and near misses.
+        for id in [7, 12, 900, 3 << 40, 0, 8, 13, u64::MAX] {
+            assert_eq!(s.has_delivered(id), s.delivered_ids().contains(&id), "{id}");
+        }
+    }
+
+    #[test]
+    fn subscriber_slot_replaces_forgets_and_closes() {
+        let s = shared();
+        let msg = |id| Message::new(id, 0, Bytes::from_static(b"x"));
+        s.hand_off(msg(1)); // nobody subscribed: dropped, not queued
+        let first = s.subscribe();
+        s.hand_off(msg(2));
+        let second = s.subscribe();
+        s.hand_off(msg(3));
+        assert_eq!(
+            first.try_iter().map(|m| m.broadcast_id).collect::<Vec<_>>(),
+            [2]
+        );
+        assert!(
+            first.recv().is_err(),
+            "a replaced receiver sees the channel close"
+        );
+        assert_eq!(second.try_recv().map(|m| m.broadcast_id), Ok(3));
+        // A receiver that went away is noticed on the next send.
+        drop(second);
+        s.hand_off(msg(4));
+        assert!(s.subscriber.lock().is_none());
+        // Death closes the channel, and a dead node accepts no subscriber.
+        let third = s.subscribe();
+        s.retire();
+        assert!(third.recv().is_err());
+        assert!(s.subscribe().recv().is_err());
+        assert!(s.subscriber.lock().is_none());
     }
 }
