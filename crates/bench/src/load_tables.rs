@@ -13,7 +13,7 @@ use lhg_core::overlay::MemberId;
 use lhg_core::Constraint;
 use lhg_graph::betweenness::load_profile;
 use lhg_net::sim::{LinkModel, Time};
-use lhg_runtime::simnode::{SimCluster, SimRun};
+use lhg_runtime::simnode::SimCluster;
 use lhg_runtime::RuntimeConfig;
 use lhg_trace::EventKind;
 
@@ -74,17 +74,19 @@ fn e22_config() -> RuntimeConfig {
 /// Runs the node state machine ([`lhg_runtime::core::NodeCore`]) on a
 /// K-DIAMOND overlay of `n` simulated nodes, fail-stopping `victim` at
 /// `crash_at` when given.
-fn e22_run(n: usize, k: usize, victim: Option<(MemberId, Time)>, horizon: Time) -> SimRun {
-    let mut cluster = SimCluster::new(Constraint::KDiamond, n, k, e22_config()).expect("builds");
-    cluster.link = LinkModel {
+fn e22_run(n: usize, k: usize, victim: Option<(MemberId, Time)>, horizon: Time) -> SimCluster {
+    let link = LinkModel {
         base_latency_us: 500,
         jitter_us: 200,
     };
-    cluster.seed = 7;
+    let mut cluster =
+        SimCluster::launch(Constraint::KDiamond, n, k, e22_config(), link, 7).expect("builds");
     if let Some((victim, crash_at)) = victim {
-        cluster.crash(victim, crash_at, None);
+        cluster.run_until(crash_at);
+        cluster.kill(victim);
     }
-    cluster.run(horizon)
+    cluster.run_until(horizon);
+    cluster
 }
 
 /// E22 — failure-detection and healing latency: the runtime's real node
@@ -109,7 +111,7 @@ pub fn e22_detection_latency() -> String {
     );
     for n in [16usize, 32, 64, 128] {
         let victim = (n / 2) as MemberId;
-        let run = e22_run(n, k, Some((victim, crash_time)), 60_000);
+        let mut run = e22_run(n, k, Some((victim, crash_time)), 60_000);
         let neighbors: BTreeSet<MemberId> = run.core(victim, |c| {
             let wanted = c.overlay().neighbors_of(victim).expect("member");
             wanted.into_iter().collect()
@@ -153,7 +155,7 @@ pub fn e22_detection_latency() -> String {
             detect - crash_time,
             heal - crash_time,
             false_suspicions,
-            run.report.messages_sent,
+            run.finish().messages_sent,
         );
     }
     out.push_str(
@@ -209,11 +211,11 @@ mod tests {
     /// timeout > period + max delay and no crash, nobody is ever suspected.
     #[test]
     fn e22_no_crash_no_suspicion() {
-        let run = e22_run(16, 3, None, 50_000);
+        let mut run = e22_run(16, 3, None, 50_000);
         assert_eq!(run.metrics.counter("runtime.suspects").get(), 0);
         assert_eq!(run.metrics.counter("runtime.crashes_applied").get(), 0);
         assert!(
-            run.report.messages_sent > 16 * 3 * 40,
+            run.finish().messages_sent > 16 * 3 * 40,
             "heartbeats kept flowing"
         );
     }

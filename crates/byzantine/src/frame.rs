@@ -1,5 +1,5 @@
 //! Byzantine wire codecs: the flooded `SEND`, the per-link `VOTES`
-//! exchange, and the catch-up frames.
+//! exchange, and the catch-up summaries.
 //!
 //! A [`GossipFrame`] is one Bracha protocol step as a frame. On the links
 //! of a running cluster only `SEND` travels in that form — flooded over the
@@ -160,12 +160,10 @@ impl GossipFrame {
     }
 }
 
-// Payload kind bytes of the catch-up and vote-exchange frames.
-// Deliberately outside `GossipKind::from_u8`'s range so
-// `GossipFrame::from_message` rejects them and the codecs can share one
-// wire slot without ambiguity.
-const KIND_CATCHUP_PULL: u8 = 3;
-const KIND_CATCHUP_PUSH: u8 = 4;
+// Payload kind byte of the vote-exchange frame. Deliberately outside
+// `GossipKind::from_u8`'s range so `GossipFrame::from_message` rejects it
+// and the codecs can share one wire slot without ambiguity. (3 and 4 were
+// the simulator-only catch-up flood, gone with it; they stay unassigned.)
 const KIND_VOTES: u8 = 5;
 
 /// The broadcast id every [`VotesFrame`] travels under: byz-class (so the
@@ -325,10 +323,6 @@ impl VotesFrame {
     }
 }
 
-/// Nonce base for catch-up frame tags, far above application nonces and
-/// the traitors' forged-instance bases.
-pub const CATCHUP_NONCE_BASE: u64 = 0xCA7C_0000_0000;
-
 fn phase_to_u8(p: Phase) -> u8 {
     match p {
         Phase::Init => 0,
@@ -350,8 +344,8 @@ fn phase_from_u8(b: u8) -> Option<Phase> {
 
 /// Encodes a summary list for the wire:
 /// `[count u32 | per item: origin u32, nonce u64, phase u8, digest u64,
-/// payload_len u32, payload…]`. Shared by the sim's catch-up pushes and
-/// the TCP runtime's SYNC snapshot extension.
+/// payload_len u32, payload…]` — the extension of the runtime's SYNC
+/// snapshot, under either driver.
 #[must_use]
 pub fn encode_summaries(items: &[InstanceSummary]) -> Bytes {
     let mut buf = BytesMut::with_capacity(4 + items.len() * 25);
@@ -407,128 +401,6 @@ pub fn decode_summaries(b: &[u8]) -> Option<Vec<InstanceSummary>> {
         return None;
     }
     Some(out)
-}
-
-/// A rejoined node's flooded solicitation for catch-up summaries
-/// (simulator transport; the TCP runtime solicits over its SYNC
-/// handshake instead). The `round` counter distinguishes successive
-/// solicitations of the same node so each floods under a fresh id.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CatchupPull {
-    /// The rejoined node asking to be caught up.
-    pub requester: u32,
-    /// Solicitation round (one per revival / re-ask).
-    pub round: u32,
-}
-
-impl CatchupPull {
-    /// Deterministic flooding id.
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &b in [KIND_CATCHUP_PULL]
-            .iter()
-            .chain(self.requester.to_be_bytes().iter())
-            .chain(self.round.to_be_bytes().iter())
-        {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        BYZ_ID_TAG | (h & BYZ_ID_MASK)
-    }
-
-    /// Encodes into a wire [`Message`].
-    #[must_use]
-    pub fn to_message(&self) -> Message {
-        let mut buf = BytesMut::with_capacity(5);
-        buf.put_u8(KIND_CATCHUP_PULL);
-        buf.put_u32(self.round);
-        Message::new(self.id(), self.requester, buf.freeze()).with_byz(ByzTag {
-            origin: self.requester,
-            nonce: CATCHUP_NONCE_BASE + u64::from(self.round),
-        })
-    }
-
-    /// Decodes from a wire message; `None` when it is not a pull.
-    #[must_use]
-    pub fn from_message(msg: &Message) -> Option<Self> {
-        let mut p = msg.payload.clone();
-        if p.len() != 5 || p.get_u8() != KIND_CATCHUP_PULL {
-            return None;
-        }
-        Some(CatchupPull {
-            requester: msg.origin,
-            round: p.get_u32(),
-        })
-    }
-}
-
-/// One node's full summary statement, flooded in reply to a
-/// [`CatchupPull`]. Only `requester` ingests it; everyone relays it so
-/// the attestation reaches the rejoiner over multi-hop paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CatchupPush {
-    /// The node attesting these summaries.
-    pub witness: u32,
-    /// The rejoined node this reply is for.
-    pub requester: u32,
-    /// The solicitation round being answered.
-    pub round: u32,
-    /// The witness's per-instance summaries.
-    pub items: Vec<InstanceSummary>,
-}
-
-impl CatchupPush {
-    /// Deterministic flooding id (distinct per witness, so every node's
-    /// reply floods independently).
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &b in [KIND_CATCHUP_PUSH]
-            .iter()
-            .chain(self.witness.to_be_bytes().iter())
-            .chain(self.requester.to_be_bytes().iter())
-            .chain(self.round.to_be_bytes().iter())
-        {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        BYZ_ID_TAG | (h & BYZ_ID_MASK)
-    }
-
-    /// Encodes into a wire [`Message`].
-    #[must_use]
-    pub fn to_message(&self) -> Message {
-        let body = encode_summaries(&self.items);
-        let mut buf = BytesMut::with_capacity(9 + body.len());
-        buf.put_u8(KIND_CATCHUP_PUSH);
-        buf.put_u32(self.requester);
-        buf.put_u32(self.round);
-        buf.put_slice(&body);
-        Message::new(self.id(), self.witness, buf.freeze()).with_byz(ByzTag {
-            origin: self.requester,
-            nonce: CATCHUP_NONCE_BASE + u64::from(self.round),
-        })
-    }
-
-    /// Decodes from a wire message; `None` when it is not a push or its
-    /// summary body is malformed.
-    #[must_use]
-    pub fn from_message(msg: &Message) -> Option<Self> {
-        let mut p = msg.payload.clone();
-        if p.len() < 9 || p.get_u8() != KIND_CATCHUP_PUSH {
-            return None;
-        }
-        let requester = p.get_u32();
-        let round = p.get_u32();
-        let items = decode_summaries(&p)?;
-        Some(CatchupPush {
-            witness: msg.origin,
-            requester,
-            round,
-            items,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -677,41 +549,6 @@ mod tests {
         assert_eq!(decode_summaries(&lying.freeze()), None);
     }
 
-    #[test]
-    fn catchup_pull_round_trips_and_is_not_gossip() {
-        let pull = CatchupPull {
-            requester: 9,
-            round: 2,
-        };
-        let m = pull.to_message();
-        assert_eq!(CatchupPull::from_message(&m), Some(pull.clone()));
-        assert_eq!(GossipFrame::from_message(&m), None, "kind byte 3 rejected");
-        assert_eq!(CatchupPush::from_message(&m), None);
-        assert_ne!(m.broadcast_id & BYZ_ID_TAG, 0, "byz-tagged id");
-        let other = CatchupPull {
-            requester: 9,
-            round: 3,
-        };
-        assert_ne!(pull.id(), other.id(), "round distinguishes the flood id");
-    }
-
-    #[test]
-    fn catchup_push_round_trips_and_ids_differ_per_witness() {
-        let push = CatchupPush {
-            witness: 4,
-            requester: 9,
-            round: 1,
-            items: sample_summaries(),
-        };
-        let m = push.to_message();
-        assert_eq!(CatchupPush::from_message(&m), Some(push.clone()));
-        assert_eq!(GossipFrame::from_message(&m), None, "kind byte 4 rejected");
-        assert_eq!(CatchupPull::from_message(&m), None);
-        let mut other = push.clone();
-        other.witness = 5;
-        assert_ne!(push.id(), other.id(), "each witness's reply floods alone");
-    }
-
     fn sample_votes() -> VotesFrame {
         let entry = |nonce, full, want_payload, echo: &[u32], ready: &[u32]| VoteEntry {
             tag: ByzTag { origin: 3, nonce },
@@ -742,8 +579,6 @@ mod tests {
         assert_eq!(m.broadcast_id >> 57, 0, "no control-tag bits");
         let tagged = m.clone().with_byz(tag());
         assert_eq!(GossipFrame::from_message(&tagged), None, "kind byte 5");
-        assert_eq!(CatchupPull::from_message(&m), None);
-        assert_eq!(CatchupPush::from_message(&m), None);
         // The empty answer: four bytes, and a frame like any other.
         let answer = VotesFrame {
             ack: true,
@@ -782,7 +617,7 @@ mod tests {
             assert_eq!(VotesFrame::from_message(&with_payload(flags), 128), None);
         }
         let mut kind = good.payload.to_vec();
-        kind[0] = KIND_CATCHUP_PUSH;
+        kind[0] = KIND_VOTES - 1;
         assert_eq!(VotesFrame::from_message(&with_payload(kind), 128), None);
         let elsewhere = Message {
             broadcast_id: VOTES_ID ^ 1,

@@ -32,8 +32,8 @@
 //! instance snapshotted.
 //!
 //! * [`frame`] — the wire codecs over [`lhg_net::message::Message`]
-//!   (`SEND` gossip frames, `VOTES` exchange frames, catch-up frames) and
-//!   the FNV payload digest;
+//!   (`SEND` gossip frames, `VOTES` exchange frames, catch-up summaries)
+//!   and the FNV payload digest;
 //! * [`witness`] — [`witness::WitnessSet`], the bitmap of member ids;
 //! * [`engine`] — the network-agnostic quorum state machine
 //!   ([`engine::BrachaEngine`]): votes in, this node's votes + deliveries
@@ -41,7 +41,10 @@
 //! * [`exchange`] — [`exchange::VoteExchange`], the sans-IO per-link vote
 //!   exchange that owns the engine; the one thing both drivers talk to;
 //! * [`sim`] — [`sim::ByzantineFlooder`] for the discrete-event simulator,
-//!   plus seeded traitor processes ([`sim::ByzantineTraitor`]);
+//!   plus seeded traitor processes ([`sim::ByzantineTraitor`]): the
+//!   exchange alone, on a fixed membership. Crashes, rejoins, view churn
+//!   and catch-up are the node's business (`lhg_runtime::core`), and the
+//!   simulator runs that node too (`lhg_runtime::simnode`);
 //! * [`attack`] — the traitor payloads (equivocation pair, forged votes,
 //!   forged catch-up summaries), built once for both engines.
 //!
@@ -63,13 +66,12 @@ pub use engine::{
 };
 pub use exchange::VoteExchange;
 pub use frame::{
-    decode_summaries, digest, encode_summaries, gossip_frame_id, CatchupPull, CatchupPush,
-    GossipFrame, GossipKind, VoteEntry, VotesFrame, BYZ_ID_TAG, CATCHUP_NONCE_BASE, VOTES_ID,
+    decode_summaries, digest, encode_summaries, gossip_frame_id, GossipFrame, GossipKind,
+    VoteEntry, VotesFrame, BYZ_ID_TAG, VOTES_ID,
 };
 pub use sim::{
-    run_sim_byzantine, run_sim_byzantine_churn, run_sim_byzantine_with_metrics, ByzCrash,
-    ByzantineFlooder, ByzantineTraitor, ScheduledByzBroadcast, TraitorBehavior,
-    EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE,
+    run_sim_byzantine, run_sim_byzantine_with_metrics, ByzantineFlooder, ByzantineTraitor,
+    ScheduledByzBroadcast, TraitorBehavior, EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE,
 };
 pub use witness::WitnessSet;
 

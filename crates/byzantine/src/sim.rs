@@ -33,8 +33,7 @@ use lhg_net::sim::{Context, LinkModel, Process, SimReport, Simulation, Time};
 
 use crate::engine::ByzDelivery;
 use crate::exchange::VoteExchange;
-use crate::frame::{CatchupPull, CatchupPush, GossipFrame, GossipKind};
-use crate::witness::WitnessSet;
+use crate::frame::{GossipFrame, GossipKind};
 use crate::{attack, BrachaConfig};
 
 /// Timer token space for scheduled broadcasts (token = schedule index).
@@ -43,21 +42,8 @@ const SCHEDULE_TOKEN_LIMIT: u64 = 1 << 32;
 const ATTACK_TOKEN: u64 = 1 << 40;
 /// Token for a replay traitor's recurring re-flood timer.
 const REPLAY_TOKEN: u64 = (1 << 40) + 1;
-/// Token for a flooder's scheduled permanent crash.
-const DIE_TOKEN: u64 = 1 << 33;
-/// Token base for a flooder's scheduled membership-view bumps.
-const VIEW_BUMP_TOKEN_BASE: u64 = 1 << 34;
 /// Token for a flooder's repair-round timer.
 const REPAIR_TOKEN: u64 = 1 << 35;
-/// Token for a flooder's scheduled revival (rejoin after a crash).
-const REVIVE_TOKEN: u64 = 1 << 36;
-/// Token base for a revived flooder's follow-up catch-up solicitations.
-const CATCHUP_TOKEN_BASE: u64 = 1 << 37;
-
-/// How many catch-up solicitation rounds a revived node floods (the first
-/// at revival, the rest one repair period apart) — more than one so a
-/// pull or push lost to a lossy link cannot strand the rejoiner.
-const CATCHUP_ROUNDS: u32 = 3;
 
 /// Repair period: this often a correct node declares its witness sets to
 /// each neighbor an instance is not yet settled toward
@@ -66,10 +52,6 @@ const CATCHUP_ROUNDS: u32 = 3;
 /// way out is no constant at all: until the link's last frame is answered,
 /// rule 4 of [`crate::exchange`].)
 pub const REGOSSIP_PERIOD_US: Time = 100_000;
-/// Delay between a scheduled crash and survivors bumping their membership
-/// view — the sim stand-in for the runtime's heartbeat failure detector.
-const VIEW_BUMP_DELAY_US: Time = 50_000;
-
 /// Delay before a traitor mounts its attack: late enough that dials and
 /// first frames have propagated, early enough to race real broadcasts.
 const ATTACK_DELAY_US: Time = 20_000;
@@ -141,26 +123,8 @@ impl TraitorBehavior {
     }
 }
 
-/// A scheduled crash of a correct node mid-run: the node goes mute and
-/// deaf at `at_us`, and every survivor bumps its membership view one
-/// failure-detection delay later. When `revive_at_us` is set the node
-/// comes back at that time — it floods catch-up solicitations
-/// ([`CatchupPull`]) to converge on instances it missed, and every node
-/// bumps its view back *up* one detection delay after the revival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ByzCrash {
-    /// Simulated time the node dies.
-    pub at_us: Time,
-    /// The node that dies.
-    pub node: NodeId,
-    /// Simulated time the node rejoins (`None`: the crash is permanent).
-    pub revive_at_us: Option<Time>,
-}
-
 /// A [`VoteExchange`] hosted on one simulator node: what the correct node
-/// and the traitor share. Neighbors outside the current membership view
-/// are not peers — the stand-in for the runtime closing its link to an
-/// excommunicated member.
+/// and the traitor share.
 struct Hosted {
     exchange: VoteExchange<NodeId>,
     seen: SeenSet,
@@ -179,15 +143,9 @@ impl Hosted {
         }
     }
 
-    /// The neighbors that are members of the current view, in overlay order.
-    fn peers<'a>(&self, ctx: &'a Context<'_>) -> impl Iterator<Item = NodeId> + 'a {
-        let roster = Arc::clone(&self.exchange.engine().view().roster);
-        (ctx.neighbors().iter().copied()).filter(move |w| roster.contains(w.index() as u32))
-    }
-
     /// Hands one byz frame to the exchange; returns the votes it refused.
     fn on_frame(&mut self, from: NodeId, msg: &Message, ctx: &Context<'_>) -> u64 {
-        let peers = self.peers(ctx);
+        let peers = ctx.neighbors().iter().copied();
         let (seen, sends, delivered) = (&mut self.seen, &mut self.sends, &mut self.delivered);
         (self.exchange).on_frame(from, msg, seen, peers, sends, delivered)
     }
@@ -221,15 +179,6 @@ impl Hosted {
 pub struct ByzantineFlooder {
     host: Hosted,
     schedule: Vec<ScheduledByzBroadcast>,
-    /// Scheduled crash: after this time the node is mute & deaf.
-    dies_at: Option<Time>,
-    /// Scheduled revival: at this time a crashed node rejoins and floods
-    /// catch-up solicitations.
-    revives_at: Option<Time>,
-    dead: bool,
-    /// Scheduled membership-view bumps `(time, members)` from churn waves
-    /// (a member fewer on a crash, one more on a revival).
-    view_bumps: Vec<(Time, WitnessSet)>,
     /// Repair period (None: repair disabled, the lossless default), and
     /// whether its timer is in flight.
     repair_period: Option<Time>,
@@ -244,10 +193,6 @@ impl ByzantineFlooder {
         ByzantineFlooder {
             host: Hosted::new(me, cfg),
             schedule: Vec::new(),
-            dies_at: None,
-            revives_at: None,
-            dead: false,
-            view_bumps: Vec::new(),
             repair_period: None,
             repair_armed: false,
             metrics: None,
@@ -262,41 +207,19 @@ impl ByzantineFlooder {
         self
     }
 
-    /// The same node crashing permanently at `at_us`.
+    /// The same node running the exchange's repair rounds every
+    /// [`REGOSSIP_PERIOD_US`] while an instance is unsettled toward a
+    /// neighbor, so that a vote frame lost to a lossy link cannot starve a
+    /// quorum for good.
     #[must_use]
-    pub fn with_death(mut self, at_us: Time) -> Self {
-        self.dies_at = Some(at_us);
-        self
-    }
-
-    /// The same node reviving at `at_us` after its scheduled death: it
-    /// rejoins the gossip plane and floods [`CatchupPull`] solicitations
-    /// to converge on instances it missed while dead.
-    #[must_use]
-    pub fn with_revival(mut self, at_us: Time) -> Self {
-        assert!(
-            self.dies_at.is_some_and(|d| d < at_us),
-            "revival must follow a scheduled death"
-        );
-        self.revives_at = Some(at_us);
-        self
-    }
-
-    /// Schedules membership-view bumps — `(time, members from then on)` per
-    /// detected crash or revival — and turns the repair cadence on
-    /// ([`REGOSSIP_PERIOD_US`]), so the re-sized quorums can refill even
-    /// when individual vote frames were lost. An empty list only turns
-    /// repair on.
-    #[must_use]
-    pub fn with_view_bumps(mut self, bumps: Vec<(Time, WitnessSet)>) -> Self {
-        self.view_bumps = bumps;
+    pub fn with_repair(mut self) -> Self {
         self.repair_period = Some(REGOSSIP_PERIOD_US);
         self
     }
 
-    /// Records quorum-safety metrics: each refused view bump increments
-    /// the `byz.unsafe_views` counter the chaos oracle audits, each vote
-    /// dropped for naming a non-member `byz.votes_rejected`.
+    /// Records quorum-safety metrics: a broadcast refused under an unsound
+    /// view increments `byz.unsafe_views`, each vote dropped for naming a
+    /// non-member `byz.votes_rejected`.
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<lhg_net::metrics::MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
@@ -316,19 +239,10 @@ impl ByzantineFlooder {
             ctx.deliver(d.into_message());
         }
         if let (false, Some(period)) = (self.repair_armed, self.repair_period) {
-            if self.host.exchange.repair_pending(self.host.peers(ctx)) {
+            if (self.host.exchange).repair_pending(ctx.neighbors().iter().copied()) {
                 self.repair_armed = true;
                 ctx.set_timer(period, REPAIR_TOKEN);
             }
-        }
-    }
-
-    /// Floods a catch-up frame to all neighbors, marking it seen first so
-    /// relayed copies dedup.
-    fn flood(&mut self, msg: Message, ctx: &mut Context<'_>) {
-        self.host.seen.insert(msg.broadcast_id);
-        for &w in &ctx.neighbors().to_vec() {
-            ctx.send(w, msg.clone());
         }
     }
 
@@ -337,76 +251,6 @@ impl ByzantineFlooder {
             m.counter(name).add(by);
         }
     }
-
-    /// Installs `members` as the current view. A neighbor that left the
-    /// view or (re)entered it is a link that went down or came up.
-    fn bump_view(&mut self, members: &WitnessSet, ctx: &Context<'_>) {
-        let before = Arc::clone(&self.host.exchange.engine().view().roster);
-        if self.host.exchange.bump_view(members.iter()).is_err() {
-            self.bump_count("byz.unsafe_views", 1);
-        }
-        for &w in ctx.neighbors() {
-            let id = w.index() as u32;
-            if before.contains(id) != members.contains(id) {
-                self.host.exchange.reset_link(w);
-            }
-        }
-    }
-
-    /// Floods one catch-up solicitation round. Every correct node that
-    /// sees it replies with a flooded [`CatchupPush`] of its summaries.
-    fn solicit_catchup(&mut self, round: u32, ctx: &mut Context<'_>) {
-        let pull = CatchupPull {
-            requester: self.host.exchange.engine().id(),
-            round,
-        };
-        self.flood(pull.to_message(), ctx);
-        self.bump_count("byz.catchup_pulls", 1);
-    }
-
-    /// A catch-up frame: flooded under the seen-set like any broadcast.
-    /// Returns `false` when `msg` is not one.
-    fn on_catchup(&mut self, from: NodeId, msg: &Message, ctx: &mut Context<'_>) -> bool {
-        let (pull, push) = (
-            CatchupPull::from_message(msg),
-            CatchupPush::from_message(msg),
-        );
-        if pull.is_none() && push.is_none() {
-            return false;
-        }
-        if !self.host.relay_once(from, msg, ctx) {
-            return true; // duplicate copy on another disjoint path
-        }
-        let me = self.host.exchange.engine().id();
-        if let Some(pull) = pull.filter(|p| p.requester != me) {
-            // Serve a rejoiner: flood back this node's summary attestation.
-            // The push's id is distinct per witness, so every reply crosses
-            // the overlay independently and the rejoiner hears from enough
-            // distinct peers to corroborate.
-            let push = CatchupPush {
-                witness: me,
-                requester: pull.requester,
-                round: pull.round,
-                items: self.host.exchange.engine().summaries(),
-            };
-            self.flood(push.to_message(), ctx);
-            self.bump_count("byz.catchup_pushes", 1);
-        } else if let Some(push) = push.filter(|p| p.requester == me) {
-            // Already relayed above; only the addressee ingests.
-            let peers = self.host.peers(ctx);
-            let Hosted {
-                exchange,
-                sends,
-                delivered,
-                ..
-            } = &mut self.host;
-            let rejected =
-                exchange.ingest_summaries(push.witness, &push.items, peers, sends, delivered);
-            self.bump_count("byz.votes_rejected", rejected);
-            self.bump_count("byz.catchup_ingests", 1);
-        }
-        true
-    }
 }
 
 impl Process for ByzantineFlooder {
@@ -414,86 +258,30 @@ impl Process for ByzantineFlooder {
         for (idx, b) in self.schedule.iter().enumerate() {
             ctx.set_timer(b.at_us, idx as u64);
         }
-        if let Some(at) = self.dies_at {
-            ctx.set_timer(at, DIE_TOKEN);
-        }
-        if let Some(at) = self.revives_at {
-            ctx.set_timer(at, REVIVE_TOKEN);
-        }
-        for (idx, (at, _)) in self.view_bumps.iter().enumerate() {
-            ctx.set_timer(*at, VIEW_BUMP_TOKEN_BASE + idx as u64);
-        }
     }
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
-        if self.dead {
-            return; // crashed nodes neither relay nor vote
-        }
-        if !self.on_catchup(from, &msg, ctx) {
-            let rejected = self.host.on_frame(from, &msg, ctx);
-            self.bump_count("byz.votes_rejected", rejected);
-        }
+        let rejected = self.host.on_frame(from, &msg, ctx);
+        self.bump_count("byz.votes_rejected", rejected);
         self.emit(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
-        if token == DIE_TOKEN {
-            self.dead = true;
-            return;
-        }
-        if token == REVIVE_TOKEN {
-            // Rejoin: wake up, resync the membership view to the latest
-            // bump that fired while dead (those timers were swallowed, the
-            // repair timer with them), and start soliciting catch-up
-            // summaries.
-            self.dead = false;
-            self.repair_armed = false;
-            let now = ctx.now();
-            let died = self.dies_at.unwrap_or(0);
-            let missed = (self.view_bumps.iter()).rposition(|(t, _)| *t > died && *t <= now);
-            if let Some(idx) = missed {
-                let members = self.view_bumps[idx].1.clone();
-                self.bump_view(&members, ctx);
-            }
-            self.solicit_catchup(0, ctx);
-            for round in 1..CATCHUP_ROUNDS {
-                ctx.set_timer(
-                    REGOSSIP_PERIOD_US * Time::from(round),
-                    CATCHUP_TOKEN_BASE + u64::from(round),
-                );
-            }
-            self.emit(ctx);
-            return;
-        }
-        if self.dead {
-            return;
-        }
+        let peers = ctx.neighbors().iter().copied();
         if token == REPAIR_TOKEN {
             // Anti-entropy: declare every unsettled instance to each peer;
             // what a lossy link dropped comes back in the answers.
             self.repair_armed = false;
-            let peers = self.host.peers(ctx);
             self.host.exchange.repair(peers, &mut self.host.sends);
-        } else if (CATCHUP_TOKEN_BASE..CATCHUP_TOKEN_BASE + u64::from(CATCHUP_ROUNDS))
-            .contains(&token)
-        {
-            self.solicit_catchup((token - CATCHUP_TOKEN_BASE) as u32, ctx);
-        } else if token >= VIEW_BUMP_TOKEN_BASE {
-            let idx = (token - VIEW_BUMP_TOKEN_BASE) as usize;
-            if let Some((_, members)) = self.view_bumps.get(idx).cloned() {
-                self.bump_view(&members, ctx);
-            }
         } else if let Some(b) = self.schedule.get(token as usize) {
             let (nonce, payload) = (b.nonce, b.payload.clone());
-            let peers = self.host.peers(ctx);
             let Hosted {
                 exchange,
                 seen,
                 sends,
                 delivered,
             } = &mut self.host;
-            // A refusal means the live view is unsound (n < 3f+1); the
-            // engine counts it and the oracle reports QuorumUnsafe.
+            // A refusal means the view is unsound (n < 3f+1).
             if (exchange.broadcast(nonce, payload, seen, peers, sends, delivered)).is_err() {
                 self.bump_count("byz.unsafe_views", 1);
             }
@@ -562,23 +350,6 @@ impl ByzantineTraitor {
             ctx.send(w, msg.clone());
         }
     }
-
-    /// Answers a rejoiner's catch-up solicitation with
-    /// [`attack::forged_summaries`].
-    fn forged_catchup_reply(&mut self, pull: &CatchupPull, ctx: &mut Context<'_>) {
-        let real = self.host.exchange.engine().summaries();
-        let push = CatchupPush {
-            witness: self.me,
-            requester: pull.requester,
-            round: pull.round,
-            items: attack::forged_summaries(self.me, pull.requester, real),
-        };
-        let msg = push.to_message();
-        self.host.seen.insert(msg.broadcast_id);
-        for w in ctx.neighbors().to_vec() {
-            ctx.send(w, msg.clone());
-        }
-    }
 }
 
 impl Process for ByzantineTraitor {
@@ -607,22 +378,7 @@ impl Process for ByzantineTraitor {
         if self.behavior == TraitorBehavior::Replay {
             self.stash.push(msg.clone());
         }
-        if let Some(pull) = CatchupPull::from_message(&msg) {
-            // A rejoiner is asking to be caught up — poison the well. The
-            // forged summaries are one uncorroborated voice, so a correct
-            // rejoiner's engine must shrug them off.
-            if self.host.relay_once(from, &msg, ctx)
-                && pull.requester != self.me
-                && matches!(
-                    self.behavior,
-                    TraitorBehavior::Equivocate | TraitorBehavior::Forge
-                )
-            {
-                self.forged_catchup_reply(&pull, ctx);
-            }
-        } else if CatchupPush::from_message(&msg).is_some() {
-            self.host.relay_once(from, &msg, ctx);
-        } else if self.relay_only() {
+        if self.relay_only() {
             let is_send = |f: GossipFrame| f.kind == GossipKind::Send;
             if GossipFrame::from_message(&msg).is_some_and(is_send) {
                 self.host.relay_once(from, &msg, ctx);
@@ -700,60 +456,6 @@ pub fn run_sim_byzantine_with_metrics(
     horizon: Time,
     metrics: Option<std::sync::Arc<lhg_net::metrics::MetricsRegistry>>,
 ) -> SimReport {
-    run_sim_byzantine_churn(
-        graph,
-        k,
-        schedules,
-        traitors,
-        &[],
-        None,
-        link,
-        seed,
-        horizon,
-        metrics,
-    )
-}
-
-/// Like [`run_sim_byzantine_with_metrics`], with full-lifecycle membership
-/// churn: nodes listed in `crashes` die mid-run (permanently, or until
-/// their scheduled `revive_at_us`), and every node bumps its engine's
-/// membership view one detection delay after each death *and each
-/// revival* — so instances originated after churn size their quorums from
-/// live membership (downward and upward), while in-flight ones keep the
-/// view they snapshotted. A revived node floods [`CatchupPull`]
-/// solicitations; correct peers answer with flooded summary attestations
-/// it corroborates through the regular quorum machinery.
-///
-/// When any crash is scheduled, correct nodes also run the exchange's
-/// repair rounds ([`REGOSSIP_PERIOD_US`]), so lossy links cannot
-/// permanently starve the post-churn quorums. A view that would dip below 3f+1 is
-/// refused by the engine and counted on the `byz.unsafe_views` metrics
-/// counter — the signal behind the chaos oracle's `QuorumUnsafe`
-/// violation.
-///
-/// `faults`, when given, puts a link-fault injector under the gossip
-/// plane (drops, duplicates, reorders — the mixed chaos family): byz
-/// frames are best-effort, so the repair rounds above are what repairs
-/// the losses.
-///
-/// # Panics
-///
-/// Panics if a scheduled origin or a crash victim is listed as a traitor,
-/// or if the boot quorums would be unsound (n < 3f+1).
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_sim_byzantine_churn(
-    graph: &Graph,
-    k: usize,
-    schedules: &[(NodeId, Vec<ScheduledByzBroadcast>)],
-    traitors: &[(NodeId, TraitorBehavior)],
-    crashes: &[ByzCrash],
-    faults: Option<std::sync::Arc<lhg_net::fault::FaultInjector>>,
-    link: LinkModel,
-    seed: u64,
-    horizon: Time,
-    metrics: Option<std::sync::Arc<lhg_net::metrics::MetricsRegistry>>,
-) -> SimReport {
     let n = graph.node_count();
     let cfg = BrachaConfig::for_overlay(n, k)
         .expect("LHG overlays are quorum-sound at boot: n ≥ 2k ≥ 4f+2 > 3f+1");
@@ -763,41 +465,9 @@ pub fn run_sim_byzantine_churn(
             "scheduled origin {origin} is a traitor"
         );
     }
-    for c in crashes {
-        assert!(
-            traitors.iter().all(|(t, _)| *t != c.node),
-            "crash victim {} is a traitor (traitors lie, they don't die)",
-            c.node
-        );
-    }
-    let mut ordered: Vec<ByzCrash> = crashes.to_vec();
-    ordered.sort_by_key(|c| (c.at_us, c.node.index()));
-    // One view bump per churn event — a member fewer on each detected
-    // crash, one more on each detected revival — tracking who is live.
-    let mut events: Vec<(Time, usize, bool)> = Vec::new();
-    for c in &ordered {
-        events.push((c.at_us + VIEW_BUMP_DELAY_US, c.node.index(), false));
-        if let Some(r) = c.revive_at_us {
-            assert!(r > c.at_us, "revival must follow the crash");
-            events.push((r + VIEW_BUMP_DELAY_US, c.node.index(), true));
-        }
-    }
-    events.sort_unstable();
-    let mut live = vec![true; n];
-    let bumps: Vec<(Time, WitnessSet)> = events
-        .into_iter()
-        .map(|(t, node, up)| {
-            live[node] = up;
-            let members = (0..n as u32).filter(|&v| live[v as usize]);
-            (t, members.collect())
-        })
-        .collect();
     let mut sim = Simulation::new(graph, link, seed);
     if let Some(m) = &metrics {
         sim.with_metrics(m.clone());
-    }
-    if let Some(f) = faults {
-        sim.with_faults(f);
     }
     let processes: Vec<Box<dyn Process>> = (0..n)
         .map(|v| -> Box<dyn Process> {
@@ -811,15 +481,6 @@ pub fn run_sim_byzantine_churn(
                     .map(|(_, s)| s.clone())
                     .unwrap_or_default();
                 let mut flooder = ByzantineFlooder::new(v as u32, cfg).with_schedule(schedule);
-                if let Some(c) = ordered.iter().find(|c| c.node == id) {
-                    flooder = flooder.with_death(c.at_us);
-                    if let Some(r) = c.revive_at_us {
-                        flooder = flooder.with_revival(r);
-                    }
-                }
-                if !ordered.is_empty() {
-                    flooder = flooder.with_view_bumps(bumps.clone());
-                }
                 if let Some(m) = &metrics {
                     flooder = flooder.with_metrics(m.clone());
                 }
@@ -993,197 +654,6 @@ mod tests {
         let b = run();
         assert_eq!(a.deliveries, b.deliveries);
         assert_eq!(a.messages_sent, b.messages_sent);
-    }
-
-    #[test]
-    fn post_churn_broadcasts_deliver_at_survivor_quorums() {
-        // n=8, k=3 (f=1): node 7 dies at 300ms; node 0 originates one
-        // broadcast before the crash and one after. Survivors bump their
-        // view to n=7 and the post-churn instance must still reach every
-        // survivor under the re-sized quorums.
-        let g = overlay(8, 3);
-        let report = run_sim_byzantine_churn(
-            &g,
-            3,
-            &[(
-                NodeId(0),
-                vec![sched(0x1000, 10_000), sched(0x1001, 600_000)],
-            )],
-            &[],
-            &[ByzCrash {
-                at_us: 300_000,
-                node: NodeId(7),
-                revive_at_us: None,
-            }],
-            None,
-            no_jitter(),
-            5,
-            2_000_000,
-            None,
-        );
-        let per_node = delivered_by_node(&report, 8);
-        for (v, d) in per_node.iter().enumerate().take(7) {
-            assert!(d.contains_key(&0x1000), "survivor {v}: pre-churn");
-            assert!(d.contains_key(&0x1001), "survivor {v}: post-churn");
-        }
-        // The dead node never delivers the post-crash instance.
-        assert!(!per_node[7].contains_key(&0x1001), "the dead do not vote");
-    }
-
-    #[test]
-    fn churn_with_a_traitor_is_deterministic() {
-        let g = overlay(10, 3);
-        let run = || {
-            run_sim_byzantine_churn(
-                &g,
-                3,
-                &[(
-                    NodeId(1),
-                    vec![sched(0x1000, 10_000), sched(0x1001, 700_000)],
-                )],
-                &[(NodeId(6), TraitorBehavior::FrameCrash)],
-                &[ByzCrash {
-                    at_us: 350_000,
-                    node: NodeId(9),
-                    revive_at_us: None,
-                }],
-                None,
-                no_jitter(),
-                42,
-                2_000_000,
-                None,
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.deliveries, b.deliveries);
-        assert_eq!(a.messages_sent, b.messages_sent);
-    }
-
-    #[test]
-    fn view_dip_below_quorum_floor_is_counted_not_panicked() {
-        // k=5 ⇒ f=2 ⇒ floor 3f+1 = 7. Crash 6 of 12 nodes: the first five
-        // bumps (n = 11..7) are sound, the sixth (n = 6) is refused — each
-        // of the 6 survivors counts it on byz.unsafe_views.
-        let g = overlay(12, 5);
-        let metrics = std::sync::Arc::new(lhg_net::metrics::MetricsRegistry::new());
-        let crashes: Vec<ByzCrash> = (6..12)
-            .map(|v| ByzCrash {
-                at_us: 100_000 * (v as Time - 5),
-                node: NodeId(v),
-                revive_at_us: None,
-            })
-            .collect();
-        let _ = run_sim_byzantine_churn(
-            &g,
-            5,
-            &[(NodeId(0), vec![sched(0x1000, 10_000)])],
-            &[],
-            &crashes,
-            None,
-            no_jitter(),
-            9,
-            2_000_000,
-            Some(metrics.clone()),
-        );
-        assert_eq!(metrics.counter("byz.unsafe_views").get(), 6);
-    }
-
-    #[test]
-    fn revived_node_catches_up_on_instances_missed_while_dead() {
-        // n=8, k=3 (f=1): node 7 dies at 300ms and revives at 600ms.
-        // Node 0 originates at 400ms — entirely inside node 7's dead
-        // window — and again at 900ms. The revived node must converge on
-        // BOTH: the missed instance via catch-up summary corroboration,
-        // the later one via live gossip under the bumped-up view.
-        let g = overlay(8, 3);
-        let report = run_sim_byzantine_churn(
-            &g,
-            3,
-            &[(
-                NodeId(0),
-                vec![
-                    sched(0x1000, 10_000),
-                    sched(0x1001, 400_000),
-                    sched(0x1002, 900_000),
-                ],
-            )],
-            &[],
-            &[ByzCrash {
-                at_us: 300_000,
-                node: NodeId(7),
-                revive_at_us: Some(600_000),
-            }],
-            None,
-            no_jitter(),
-            5,
-            2_000_000,
-            None,
-        );
-        let per_node = delivered_by_node(&report, 8);
-        for (v, d) in per_node.iter().enumerate() {
-            assert!(d.contains_key(&0x1000), "node {v}: pre-churn");
-            assert!(
-                d.contains_key(&0x1001),
-                "node {v}: originated while 7 was dead"
-            );
-            assert!(d.contains_key(&0x1002), "node {v}: post-revival");
-        }
-        // Agreement: the revived node's digests match the majority's.
-        for nonce in [0x1000u64, 0x1001, 0x1002] {
-            let digests: BTreeSet<u64> = per_node.iter().map(|d| d[&nonce]).collect();
-            assert_eq!(digests.len(), 1, "nonce {nonce:#x} digest agreement");
-        }
-    }
-
-    #[test]
-    fn forged_catchup_summaries_cannot_poison_a_revived_node() {
-        // Same lifecycle, with a Forge traitor that answers the rejoiner's
-        // solicitation with a fabricated Delivered instance and
-        // digest-flipped copies of the real ones. One uncorroborated voice:
-        // the rejoiner must still converge on the true digests and must
-        // never deliver the fabricated instance.
-        let g = overlay(10, 3);
-        let report = run_sim_byzantine_churn(
-            &g,
-            3,
-            &[(
-                NodeId(0),
-                vec![sched(0x1000, 10_000), sched(0x1001, 400_000)],
-            )],
-            &[(NodeId(4), TraitorBehavior::Forge)],
-            &[ByzCrash {
-                at_us: 300_000,
-                node: NodeId(9),
-                revive_at_us: Some(600_000),
-            }],
-            None,
-            no_jitter(),
-            13,
-            2_000_000,
-            None,
-        );
-        let per_node = delivered_by_node(&report, 10);
-        let mut digests_per_nonce: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-        for (v, d) in per_node.iter().enumerate() {
-            if v == 4 {
-                continue;
-            }
-            for (nonce, dig) in d {
-                assert!(
-                    *nonce < FORGE_NONCE_BASE || *nonce >= FORGE_NONCE_BASE + 0x1000_0000,
-                    "node {v} delivered a forged instance {nonce:#x}"
-                );
-                digests_per_nonce.entry(*nonce).or_default().insert(*dig);
-            }
-            assert!(
-                d.contains_key(&0x1001),
-                "node {v} missed the dead-window instance"
-            );
-        }
-        for (nonce, digs) in digests_per_nonce {
-            assert_eq!(digs.len(), 1, "digest split on {nonce:#x}");
-        }
     }
 
     #[test]

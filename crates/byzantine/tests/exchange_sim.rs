@@ -113,7 +113,7 @@ fn run(s: &Scenario<'_>) -> (SimReport, BTreeMap<NodeId, Rc<RefCell<Probe>>>) {
                 .collect();
             let node = ByzantineFlooder::new(v as u32, cfg)
                 .with_schedule(schedule)
-                .with_view_bumps(Vec::new()); // no churn: repair on
+                .with_repair();
             let deaf = s.deaf_to_sends.filter(|d| d.0 == v).map_or(0, |d| d.1);
             let probe = Rc::new(RefCell::new(Probe {
                 node,

@@ -9,11 +9,16 @@
 //! * [`plan::FaultPlan`] — a declarative fault schedule (link drop /
 //!   duplicate / reorder rates, directed partitions, crash + recovery
 //!   times, broadcast origination times) generated deterministically from
-//!   a single `u64` seed;
-//! * [`runner`] — executes one plan on the discrete-event simulator
-//!   ([`runner::run_sim_chaos`]) or on the real TCP runtime
-//!   ([`runner::run_tcp_chaos`]), and sweeps seed ranges
-//!   ([`runner::run_suite`]);
+//!   a single `u64` seed, and compiled once to the list of
+//!   [`plan::Step`]s every engine executes;
+//! * [`runner`] — one interpreter for that list, over a small driver trait
+//!   with exactly two implementations: the TCP runtime's
+//!   `lhg_runtime::Cluster` on the wall clock ([`runner::run_tcp_chaos`])
+//!   and the simulator's `lhg_runtime::simnode::SimCluster` in virtual
+//!   time ([`runner::run_sim_chaos`]). Both host the node state machine
+//!   that ships, so the deterministic half of a sweep attacks the same
+//!   failure detector, healing, rejoin and catch-up code as the
+//!   wall-clock half; [`runner::run_suite`] sweeps seed ranges;
 //! * [`oracle`] — the invariants checked afterwards ([`oracle::Violation`])
 //!   and the per-run [`oracle::ChaosReport`].
 //!
@@ -30,9 +35,7 @@ pub mod runner;
 
 pub use oracle::{ChaosReport, Engine, Violation};
 pub use plan::{
-    BroadcastSpec, CrashSpec, Family, FaultPlan, PartitionSpec, PlanOverrides, TraitorSpec,
+    BroadcastSpec, CrashSpec, Family, FaultPlan, PartitionSpec, PlanOverrides, Step, TraitorSpec,
     CHAOS_BCAST_BASE,
 };
-pub use runner::{
-    run_sim_chaos, run_suite, run_suite_filtered, run_suite_with, run_tcp_chaos, SuiteOutcome,
-};
+pub use runner::{run_sim_chaos, run_suite, run_tcp_chaos, SuiteOutcome};

@@ -220,8 +220,9 @@ pub struct ChaosReport {
     pub end_time_us: u64,
     /// Total deliveries observed across all nodes.
     pub deliveries: usize,
-    /// JSONL trace/event dump captured on failure (TCP engine only);
-    /// written to disk by the CLI when `--events` is given.
+    /// The run's merged flight-recorder timeline as JSONL, captured on
+    /// failure (wall-clock stamps on TCP, virtual-time stamps on the
+    /// simulator); written to disk by the CLI when `--events` is given.
     pub events_jsonl: Option<String>,
     /// Pre-rendered JSON object summarizing the run's telemetry timeline
     /// (sample count, span, per-class wire costs); spliced verbatim into

@@ -4,9 +4,12 @@
 //! to build, which faults to inject when, and which broadcasts to originate.
 //! Plans are *pure data* derived deterministically from one `u64` seed
 //! ([`FaultPlan::random`]), so any failing run is reproducible by replaying
-//! the printed seed. The same plan drives every engine: the discrete-event
-//! simulator executes it in virtual time, the TCP runtime in wall-clock
-//! time (microsecond schedules map 1:1 onto wall-clock microseconds).
+//! the printed seed. A plan compiles once ([`FaultPlan::compile`]) to a list
+//! of [`Step`]s, and that list is what every engine executes — the
+//! simulator in virtual time, the TCP runtime on the wall clock. The
+//! schedule's microsecond stamps decide the *order* of the steps; how long
+//! a step takes is the protocol's business, and each waiting step carries
+//! its own deadline.
 
 use std::collections::BTreeSet;
 
@@ -15,6 +18,14 @@ use rand::{Rng, SeedableRng};
 
 use lhg_core::Constraint;
 use lhg_net::fault::{FaultInjector, LinkFaults, Partition};
+
+/// How long a [`Step::Cut`] is held before it is mended: several suspicion
+/// windows, so the majority excommunicates the minority (and an isolated
+/// minority degrades) before the heal.
+pub const PARTITION_HOLD_US: u64 = 700_000;
+/// The drain before the final audit: in-flight retransmissions, injected
+/// duplicates and trailing attack debris land before anything is counted.
+pub const DRAIN_US: u64 = 300_000;
 
 /// Which fault archetype a seed exercises. Chaos runs cycle through the
 /// three families so every seed range covers the whole failure model.
@@ -91,8 +102,8 @@ pub struct PlanOverrides {
     pub traitors: Option<usize>,
 }
 
-/// One scheduled fail-stop crash, optionally followed by a recovery
-/// (rejoin on the TCP engine, end of the down window in the simulator).
+/// One scheduled fail-stop crash, optionally followed by a recovery (a
+/// blank reboot that rejoins, on either engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashSpec {
     /// The node that crashes.
@@ -155,10 +166,8 @@ pub struct FaultPlan {
     pub k: usize,
     /// LHG construction to build.
     pub constraint: Constraint,
-    /// Fault rates applied to every link without an override.
+    /// Fault rates applied to every link.
     pub default_rates: LinkFaults,
-    /// Per-link `(from, to, rates)` overrides.
-    pub link_overrides: Vec<(u32, u32, LinkFaults)>,
     /// Scheduled partitions.
     pub partitions: Vec<PartitionSpec>,
     /// Scheduled crashes.
@@ -167,7 +176,8 @@ pub struct FaultPlan {
     pub traitors: Vec<TraitorSpec>,
     /// Scheduled broadcasts.
     pub broadcasts: Vec<BroadcastSpec>,
-    /// Virtual-time horizon: every schedule entry fits well inside it.
+    /// Virtual-time horizon: every schedule entry fits well inside it, and
+    /// a simulator run that has not finished by then is a timeout.
     pub horizon_us: u64,
 }
 
@@ -223,7 +233,6 @@ impl FaultPlan {
             k,
             constraint,
             default_rates: LinkFaults::default(),
-            link_overrides: Vec::new(),
             partitions: Vec::new(),
             crashes: Vec::new(),
             traitors: Vec::new(),
@@ -288,22 +297,13 @@ impl FaultPlan {
                     reorder: rng.random_range(0u64..=50) as f64 / 100.0,
                     reorder_window_us: 5_000,
                 };
+                // These draws once picked a fully dead directed link. A
+                // failure detector reads one as a dead peer that keeps
+                // talking — perpetual suspicion churn, not the property
+                // under test — so no engine applies it any more; the draws
+                // stay, so every seed keeps its rates and its schedule.
                 if rng.random_bool(0.3) {
-                    // One fully dead directed link: k-connectivity must
-                    // route around it.
-                    let from = rng.random_range(0..n as u32);
-                    let mut to = rng.random_range(0..n as u32);
-                    if to == from {
-                        to = (to + 1) % n as u32;
-                    }
-                    plan.link_overrides.push((
-                        from,
-                        to,
-                        LinkFaults {
-                            drop: 1.0,
-                            ..LinkFaults::default()
-                        },
-                    ));
+                    let _ = (rng.random_range(0..n as u32), rng.random_range(0..n as u32));
                 }
                 for _ in 0..5 {
                     plan.broadcasts.push(BroadcastSpec {
@@ -438,41 +438,140 @@ impl FaultPlan {
     /// reliable link layer and anti-entropy repair.
     #[must_use]
     pub fn is_lossless(&self) -> bool {
-        self.default_rates.drop == 0.0 && self.link_overrides.is_empty()
+        self.default_rates.drop == 0.0
     }
 
-    /// Compiles the full plan — rates, partitions, **and** node down
-    /// windows — into a [`FaultInjector`] for the virtual-time engines.
+    /// `true` for the families whose broadcasts run over Bracha.
     #[must_use]
-    pub fn compile(&self) -> FaultInjector {
-        let mut inj = self.compile_rates_only();
-        for p in &self.partitions {
-            inj.add_partition(Partition {
-                a: p.minority.iter().copied().collect(),
-                b: BTreeSet::new(), // wildcard: everyone else
-                from_us: p.from_us,
-                until_us: p.until_us,
-                directed: p.directed,
-            });
-        }
-        for c in &self.crashes {
-            inj.set_node_down(c.node, c.at_us, c.recover_at_us.unwrap_or(u64::MAX));
-        }
-        inj
+    pub fn is_byzantine(&self) -> bool {
+        matches!(self.family, Family::Byzantine | Family::Mixed)
     }
 
-    /// Compiles only the link-rate part of the plan. The TCP runner uses
-    /// this and orchestrates partitions/crashes itself in wall-clock time
-    /// (precompiled windows would start ticking during cluster launch).
+    /// The plan's link rates as the [`FaultInjector`] both engines put
+    /// under their links. Crashes and cuts are not in it: they are steps.
     #[must_use]
-    pub fn compile_rates_only(&self) -> FaultInjector {
+    pub fn injector(&self) -> FaultInjector {
         let mut inj = FaultInjector::new(self.seed);
         inj.set_default_rates(self.default_rates);
-        for &(from, to, rates) in &self.link_overrides {
-            inj.set_link(from, to, rates);
-        }
         inj
     }
+
+    /// Compiles the schedule to the step list every engine executes: the
+    /// broadcasts, crashes, recoveries and cuts in time order, each churn
+    /// followed by the wait for the protocol to absorb it. The flood
+    /// families wait for full convergence after each burst of churn; the
+    /// Bracha families wait per victim, on the correct nodes only — a
+    /// `suppress_heartbeat` traitor is *designed* to get itself
+    /// excommunicated, so replicas legitimately converge on less than the
+    /// survivor set.
+    #[must_use]
+    pub fn compile(&self) -> Vec<Step> {
+        let byz = self.is_byzantine();
+        let mut schedule: Vec<(u64, Step)> = Vec::new();
+        for (i, p) in self.partitions.iter().enumerate() {
+            schedule.push((p.from_us, Step::Cut(i)));
+            schedule.push((p.until_us, Step::Mend));
+        }
+        for c in &self.crashes {
+            schedule.push((c.at_us, Step::Kill(c.node)));
+            if let Some(at) = c.recover_at_us {
+                schedule.push((at, Step::Revive(c.node)));
+            }
+        }
+        for (i, b) in self.broadcasts.iter().enumerate() {
+            let step = if byz {
+                Step::ByzBroadcast(i)
+            } else {
+                Step::Broadcast(i)
+            };
+            schedule.push((b.at_us, step));
+        }
+        schedule.sort_by_key(|&(at, _)| at); // stable: ties keep the order above
+
+        let mut steps = Vec::with_capacity(2 * schedule.len() + 2);
+        // The wait a burst of flood-family churn still owes: kills in a row
+        // share one, and so do revivals.
+        let mut owed: Option<&'static str> = None;
+        for (_, step) in schedule {
+            let owes = match step {
+                Step::Kill(_) if !byz => Some("heal after crashes"),
+                Step::Revive(_) if !byz => Some("reconverge after rejoin"),
+                _ => None,
+            };
+            if owed != owes {
+                steps.extend(owed.take().map(Step::AwaitConverged));
+            }
+            owed = owes;
+            steps.push(step);
+            match step {
+                Step::Kill(v) if byz => steps.push(Step::AwaitDetected(v)),
+                Step::Revive(v) if byz => steps.push(Step::AwaitReadmitted(v)),
+                Step::Cut(_) => steps.push(Step::Settle(PARTITION_HOLD_US)),
+                Step::Mend => steps.push(Step::AwaitConverged("reconverge after partition heal")),
+                _ => {}
+            }
+        }
+        steps.extend(owed.map(Step::AwaitConverged));
+        if byz {
+            // Catch-up gets its retry budget before the audit: a rejoiner
+            // converging late is fine, never converging is the violation.
+            let rejoiners = self.crashes.iter().filter(|c| c.recover_at_us.is_some());
+            steps.extend(rejoiners.map(|c| Step::AwaitCaughtUp(c.node)));
+        }
+        steps.push(Step::Settle(DRAIN_US));
+        steps
+    }
+}
+
+impl PartitionSpec {
+    /// The cut as the fault injector applies it, open-ended: the minority
+    /// against a wildcard "everyone else", until it is cleared.
+    #[must_use]
+    pub fn cut(&self) -> Partition {
+        Partition {
+            a: self.minority.iter().copied().collect(),
+            b: BTreeSet::new(),
+            from_us: 0,
+            until_us: u64::MAX,
+            directed: self.directed,
+        }
+    }
+}
+
+/// One step of a compiled plan ([`FaultPlan::compile`]). The acting steps
+/// take effect at once; the waiting ones poll the cluster on the engine's
+/// clock until their condition holds or their deadline passes, and a missed
+/// deadline ends the run with a [`crate::Violation::Timeout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Flood the i-th scheduled broadcast and require its delivery at
+    /// every member that is up.
+    Broadcast(usize),
+    /// Originate the i-th scheduled broadcast as a Bracha instance and let
+    /// the correct nodes certify it (pacing only: a miss is charged once,
+    /// by the final audit).
+    ByzBroadcast(usize),
+    /// Fail-stop a node, without any goodbye.
+    Kill(u32),
+    /// Wait until every correct node has applied the node's crash.
+    AwaitDetected(u32),
+    /// Reboot a killed node blank.
+    Revive(u32),
+    /// Wait until every correct node has re-admitted the node.
+    AwaitReadmitted(u32),
+    /// Activate the i-th scheduled partition.
+    Cut(usize),
+    /// Heal every cut.
+    Mend,
+    /// Wait until every member that is up holds the same replica — exactly
+    /// the members that are up, nobody degraded, every wanted link open —
+    /// then check that replica's structure. Carries the phase name a
+    /// timeout is reported under.
+    AwaitConverged(&'static str),
+    /// Wait until the rejoined node has certified every scheduled instance.
+    AwaitCaughtUp(u32),
+    /// Let this much time pass (µs).
+    Settle(u64),
 }
 
 #[cfg(test)]
@@ -589,31 +688,83 @@ mod tests {
 
     #[test]
     fn compile_reflects_schedule() {
-        // Seed 0 is the crash family; its injector must carry down windows.
-        let plan = FaultPlan::random(0, false);
-        let inj = plan.compile();
-        let c = &plan.crashes[0];
-        assert!(!inj.down_windows(c.node).is_empty());
-        assert!(inj.node_down(c.node, c.at_us));
-        // Rates-only compilation never carries windows or partitions.
-        let tcp = plan.compile_rates_only();
-        assert!(tcp.down_windows(c.node).is_empty());
-        assert!(!tcp.blocked(0, 1, c.at_us));
+        for seed in 0..40u64 {
+            let plan = FaultPlan::random(seed, false);
+            let steps = plan.compile();
+            let position = |s: Step| steps.iter().position(|&x| x == s);
+            // Every crash is a kill, every recovery a later revive, and no
+            // broadcast leaves between a churn step and its wait.
+            for c in &plan.crashes {
+                let kill = position(Step::Kill(c.node)).expect("kill");
+                let revive = position(Step::Revive(c.node));
+                assert_eq!(revive.is_some(), c.recover_at_us.is_some());
+                assert!(revive.is_none_or(|r| r > kill));
+            }
+            for pair in steps.windows(2) {
+                if matches!(pair[0], Step::Kill(_) | Step::Revive(_) | Step::Mend) {
+                    assert!(
+                        !matches!(pair[1], Step::Broadcast(_) | Step::ByzBroadcast(_)),
+                        "seed {seed}: {pair:?}"
+                    );
+                }
+            }
+            // Broadcasts keep their schedule order, and the run drains last.
+            let sent: Vec<usize> = (steps.iter())
+                .filter_map(|s| match *s {
+                    Step::Broadcast(i) | Step::ByzBroadcast(i) => Some(i),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(sent, (0..plan.broadcasts.len()).collect::<Vec<_>>());
+            assert_eq!(steps.last(), Some(&Step::Settle(DRAIN_US)));
+            // The injector carries the rates and nothing else.
+            let inj = plan.injector();
+            assert_eq!(inj.rates(0, 1), plan.default_rates);
+            assert!(!inj.blocked(0, 1, 0) && inj.down_windows(0).is_empty());
+        }
+        // Seed 4, the mixed lifecycle, spelled out.
+        let plan = FaultPlan::random(4, false);
+        let (first, second) = (plan.crashes[0].node, plan.crashes[1].node);
+        let churn: Vec<Step> = (plan.compile().into_iter())
+            .filter(|s| !matches!(s, Step::ByzBroadcast(_)))
+            .collect();
+        let expected = [
+            Step::Kill(first),
+            Step::AwaitDetected(first),
+            Step::Revive(first),
+            Step::AwaitReadmitted(first),
+            Step::Kill(second),
+            Step::AwaitDetected(second),
+            Step::AwaitCaughtUp(first),
+            Step::Settle(DRAIN_US),
+        ];
+        assert_eq!(churn, expected);
     }
 
     #[test]
     fn partition_compiles_to_wildcard_cut() {
         // Seed 1 is the partition family.
         let plan = FaultPlan::random(1, false);
-        let inj = plan.compile();
+        let held = [
+            Step::Cut(0),
+            Step::Settle(PARTITION_HOLD_US),
+            Step::Mend,
+            Step::AwaitConverged("reconverge after partition heal"),
+        ];
+        assert!(plan.compile().windows(4).any(|w| w == held));
         let p = &plan.partitions[0];
+        let inj = plan.injector();
         let inside = p.minority[0];
         let outside = (0..plan.n as u32)
             .find(|v| !p.minority.contains(v))
             .unwrap();
-        let mid = (p.from_us + p.until_us) / 2;
-        assert!(inj.blocked(inside, outside, mid));
-        assert!(!inj.blocked(inside, outside, p.until_us));
+        assert!(!inj.blocked(inside, outside, 0));
+        inj.add_partition_shared(p.cut());
+        assert!(inj.blocked(inside, outside, 0));
+        assert!(inj.blocked(inside, outside, u64::MAX - 1));
+        assert_eq!(inj.blocked(outside, inside, 0), !p.directed);
+        inj.clear_partitions();
+        assert!(!inj.blocked(inside, outside, 0));
     }
 
     #[test]

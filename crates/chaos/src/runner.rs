@@ -1,20 +1,20 @@
-//! Executes fault plans on the simulator and on the TCP runtime.
+//! Executes fault plans: one interpreter, two clocks.
 //!
-//! One [`FaultPlan`] drives both engines. The simulator run is fully
-//! deterministic (virtual time, seeded jitter, seeded fault decisions); the
-//! TCP run is wall-clock and therefore only *statistically* reproducible,
-//! but every probabilistic decision inside it — fault verdicts, dial
-//! jitter — still derives from the plan seed, so a failing seed reliably
-//! re-exercises the same schedule shape.
+//! A [`FaultPlan`] compiles to a list of [`Step`]s, and `execute` runs
+//! that list against a `Driver` — the handful of things a cluster can be
+//! told and asked. There are exactly two drivers, and both host the node
+//! state machine that ships ([`lhg_runtime::core::NodeCore`]): the TCP
+//! runtime's [`Cluster`], which waits on the wall clock, and the
+//! simulator's [`SimCluster`], which advances virtual time. Steps,
+//! deadlines, fault rates, runtime timings and oracle calls are the same on
+//! both; a verdict can differ between them only by what the clock does.
 //!
-//! The TCP engine applies the plan's **default** link rates only: a
-//! per-link total blackhole (the sim-only `link_overrides` refinement)
-//! would starve heartbeats on one directed link forever and wedge the
-//! cluster in perpetual suspicion churn, which is not the property under
-//! test. Partitions and crashes are orchestrated in wall-clock time
-//! (kill/rejoin calls, shared-injector partition toggles) rather than
-//! precompiled, because the injector epoch starts before the cluster
-//! finishes launching.
+//! The simulator run is bit-for-bit deterministic in the plan seed (seeded
+//! jitter, seeded fault decisions, virtual time). The TCP run is only
+//! *statistically* reproducible, but every probabilistic decision inside it
+//! — fault verdicts, dial jitter — still derives from the plan seed, so a
+//! failing seed reliably re-exercises the same schedule shape, and what it
+//! shows can then be hunted in virtual time.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -22,24 +22,21 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use lhg_byzantine::{
-    run_sim_byzantine_churn, ByzCrash, ScheduledByzBroadcast, TraitorBehavior,
-    EQUIVOCATE_NONCE_BASE,
-};
+use lhg_byzantine::{TraitorBehavior, EQUIVOCATE_NONCE_BASE};
 use lhg_core::overlay::{DynamicOverlay, MemberId};
 use lhg_core::properties::p4_diameter_bound;
 use lhg_graph::connectivity::is_k_vertex_connected;
-use lhg_graph::NodeId;
-use lhg_net::fault::{FaultInjector, Partition};
+use lhg_net::fault::FaultInjector;
 use lhg_net::metrics::MetricsRegistry;
-use lhg_net::reliable::{ReliableConfig, ReliableFlooder, ScheduledBroadcast};
-use lhg_net::sim::{LinkModel, Process, SimReport, Simulation};
-use lhg_runtime::{Cluster, RuntimeConfig};
+use lhg_net::sim::LinkModel;
+use lhg_runtime::core::Event;
+use lhg_runtime::simnode::{SimCluster, SimInput};
+use lhg_runtime::{ByzantineSetup, Cluster, RuntimeConfig};
 use lhg_telemetry::{TelemetrySampler, Timeline};
-use parking_lot::Mutex;
+use lhg_trace::TraceCollector;
 
 use crate::oracle::{ChaosReport, Engine, Violation};
-use crate::plan::{BroadcastSpec, Family, FaultPlan, PlanOverrides};
+use crate::plan::{BroadcastSpec, Family, FaultPlan, PlanOverrides, Step};
 
 pub use crate::plan::CHAOS_BCAST_BASE;
 
@@ -47,11 +44,22 @@ pub use crate::plan::CHAOS_BCAST_BASE;
 /// systemic failure produces thousands of identical entries otherwise.
 const MAX_VIOLATIONS_PER_CHECK: usize = 8;
 
-/// Virtual-time sampling cadence of the sim telemetry timeline.
-const SIM_TELEMETRY_CADENCE_US: u64 = 100_000;
-
 /// Wall-clock sampling cadence of the TCP telemetry timeline.
 const TCP_TELEMETRY_CADENCE: Duration = Duration::from_millis(100);
+
+/// Deadline for a broadcast to reach its audience. Generous: under heavy
+/// loss, delivery rides retransmit timeouts and summary cadences rather
+/// than one flood's latency.
+const DELIVERY_TIMEOUT: Duration = Duration::from_secs(8);
+/// Deadline for one victim's crash, or one rejoiner's return, to be applied
+/// by every correct node: corroborated suspicion needs f+1 distinct
+/// reporters — several suspicion windows, plus slack for lossy links.
+const CHURN_TIMEOUT: Duration = Duration::from_secs(15);
+/// Deadline for full convergence. Deliberately slack: re-convergence takes
+/// well under a second, but a TCP sweep shares the machine with whatever
+/// else is running, and a wall-clock deadline is the one place scheduling
+/// noise can masquerade as a protocol bug.
+const CONVERGE_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Renders the per-run telemetry summary embedded in `lhg chaos --json`
 /// records: timeline shape plus the per-class wire-cost decomposition
@@ -68,243 +76,381 @@ fn telemetry_json(timeline: &Timeline, metrics: &MetricsRegistry) -> String {
     serde_json::to_string(&obj).expect("Value serialization is infallible")
 }
 
-/// The process chaos runs host on every sim node: flooding over reliable
-/// links with periodic anti-entropy ([`ReliableFlooder`]) — the same
-/// protocol stack the TCP runtime speaks, so both engines are held to the
-/// same strict delivery oracle on every family, lossy included.
-fn flooders(n: usize, broadcasts: &[BroadcastSpec], horizon_us: u64) -> Vec<Box<dyn Process>> {
-    let schedule: Vec<ScheduledBroadcast> = broadcasts
-        .iter()
-        .enumerate()
-        .map(|(idx, b)| ScheduledBroadcast {
-            id: CHAOS_BCAST_BASE + idx as u64,
-            origin: b.origin,
-            at_us: b.at_us,
-        })
-        .collect();
-    (0..n)
-        .map(|_| {
-            Box::new(ReliableFlooder::new(
-                ReliableConfig::default(),
-                schedule.clone(),
-                horizon_us,
-            )) as Box<dyn Process>
-        })
+/// A cluster as the interpreter sees it: what it can be told, the one way
+/// to let time pass, and what can be read off its members. Members are
+/// `0..n`, and a dead member's last state stays readable.
+trait Driver {
+    /// Floods `payload` from `origin`; the broadcast's id, or `None` if
+    /// the origin is down.
+    fn broadcast(&mut self, origin: MemberId, payload: Bytes) -> Option<u64>;
+    /// Originates Bracha instance `nonce` at `origin`; `false` if it is down.
+    fn byz_broadcast(&mut self, origin: MemberId, nonce: u64, payload: Bytes) -> bool;
+    /// Fail-stops `member`; `false` if it cannot be (already dead).
+    fn kill(&mut self, member: MemberId) -> bool;
+    /// Reboots a killed `member` blank; `false` if it cannot be.
+    fn revive(&mut self, member: MemberId) -> bool;
+    /// Lets the engine's clock run until `cond` holds or `timeout` has
+    /// passed; returns the final verdict.
+    fn await_until(&mut self, timeout: Duration, cond: impl FnMut(&Self) -> bool) -> bool;
+
+    /// Broadcast ids `member` has delivered in its current life, in order.
+    fn delivered_ids(&self, member: MemberId) -> Vec<u64>;
+    /// Bracha instances `member` has certified in its current life, as
+    /// `(nonce, certified digest)`.
+    fn byz_delivered(&self, member: MemberId) -> Vec<(u64, Option<u64>)>;
+    /// Members `member` has declared crashed and healed around.
+    fn crashes_applied(&self, member: MemberId) -> BTreeSet<MemberId>;
+    /// `member`'s own overlay replica.
+    fn overlay(&self, member: MemberId) -> DynamicOverlay;
+    /// `true` while `member` has suspended healing (≥ k suspects).
+    fn is_degraded(&self, member: MemberId) -> bool;
+    /// `true` when `member` holds a link to every neighbor its replica wants.
+    fn links_ready(&self, member: MemberId) -> bool;
+    /// The registry every node of the cluster records into.
+    fn metrics(&self) -> &MetricsRegistry;
+    /// Delivery path records (hop counts) of every flooded broadcast.
+    fn tracer(&self) -> &TraceCollector;
+    /// The merged flight-recorder timeline, for a failing run's postmortem.
+    fn events_jsonl(&self) -> String;
+}
+
+fn digests(delivered: &[lhg_net::message::Message]) -> Vec<(u64, Option<u64>)> {
+    (delivered.iter())
+        .map(|d| (d.broadcast_id, d.trace))
         .collect()
 }
 
-/// Runs `plan` on the discrete-event simulator and checks the oracle.
-///
-/// The run is bit-for-bit deterministic in the plan seed. A preliminary
-/// *calibration* pass (clean links, zero jitter) checks the P4 hop bound —
-/// with equal link latencies, first-receipt hop counts equal BFS distance,
-/// so they must stay within the paper's logarithmic diameter bound.
-///
-/// # Panics
-///
-/// Panics if the plan's `(n, k, constraint)` is outside the overlay
-/// builder's domain — [`FaultPlan::random`] never generates such plans.
-#[must_use]
-pub fn run_sim_chaos(plan: &FaultPlan) -> ChaosReport {
-    if matches!(plan.family, Family::Byzantine | Family::Mixed) {
-        return run_sim_byz_chaos(plan);
+/// The TCP runtime on the wall clock.
+impl Driver for Cluster {
+    fn broadcast(&mut self, origin: MemberId, payload: Bytes) -> Option<u64> {
+        Cluster::broadcast(self, origin, payload).ok()
     }
-    let overlay = DynamicOverlay::bootstrap(plan.constraint, plan.n, plan.k)
-        .expect("generated plans stay in the builder domain");
-    let graph = overlay.graph().clone();
-    let mut violations = Vec::new();
-
-    // Calibration: hop counts of a clean zero-jitter flood are BFS
-    // distances and must respect the logarithmic diameter bound.
-    let bound = p4_diameter_bound(plan.n, plan.k).ceil() as u32;
-    let calibration = {
-        let mut sim = Simulation::new(
-            &graph,
-            LinkModel {
-                base_latency_us: 1_000,
-                jitter_us: 0,
-            },
-            plan.seed,
-        );
-        sim.run(
-            flooders(
-                plan.n,
-                &[BroadcastSpec {
-                    origin: 0,
-                    at_us: 0,
-                }],
-                1_000_000,
-            ),
-            1_000_000,
-        )
-    };
-    for d in &calibration.deliveries {
-        if d.hops > bound && violations.len() < MAX_VIOLATIONS_PER_CHECK {
-            violations.push(Violation::HopBoundExceeded {
-                broadcast_id: d.broadcast_id,
-                node: d.node.index() as u32,
-                hops: d.hops,
-                bound,
-            });
+    fn byz_broadcast(&mut self, origin: MemberId, nonce: u64, payload: Bytes) -> bool {
+        self.byzantine_broadcast(origin, nonce, payload).is_ok()
+    }
+    fn kill(&mut self, member: MemberId) -> bool {
+        Cluster::kill(self, member).is_ok()
+    }
+    fn revive(&mut self, member: MemberId) -> bool {
+        self.rejoin(member).is_ok()
+    }
+    fn await_until(&mut self, timeout: Duration, mut cond: impl FnMut(&Self) -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        while !cond(self) {
+            if Instant::now() >= deadline {
+                return cond(self);
+            }
+            std::thread::sleep(Duration::from_millis(10));
         }
+        true
     }
-
-    // The chaos run proper, metered: the registry's wire accountant
-    // decomposes the run's traffic by message class, and the virtual-time
-    // sampler turns it into the timeline embedded in the JSON record.
-    let metrics = Arc::new(MetricsRegistry::new());
-    let sampler = Arc::new(Mutex::new(TelemetrySampler::new(
-        "sim",
-        Arc::clone(&metrics),
-    )));
-    let mut sim = Simulation::new(&graph, LinkModel::default(), plan.seed);
-    sim.with_metrics(Arc::clone(&metrics));
-    sim.with_faults(Arc::new(plan.compile()));
-    lhg_telemetry::attach_to_sim(&mut sim, &sampler, SIM_TELEMETRY_CADENCE_US);
-    let report = sim.run(
-        flooders(plan.n, &plan.broadcasts, plan.horizon_us),
-        plan.horizon_us,
-    );
-    let timeline = lhg_telemetry::merge(vec![sampler.lock().take_samples()]);
-    let telemetry = Some(telemetry_json(&timeline, &metrics));
-    check_sim_report(plan, &report, &mut violations);
-
-    // Structural P1 check for the crash family: the membership that
-    // survives every scheduled crash must still form a k-connected overlay.
-    if plan.family == Family::Crash {
-        let victims: Vec<MemberId> = plan.crashes.iter().map(|c| c.node as MemberId).collect();
-        let mut survivors = overlay;
-        if survivors.crash_many(&victims).is_err()
-            || !is_k_vertex_connected(survivors.graph(), plan.k)
-        {
-            violations.push(Violation::NotKConnected {
-                crashed: victims.len(),
-            });
-        }
+    fn delivered_ids(&self, member: MemberId) -> Vec<u64> {
+        Cluster::delivered_ids(self, member)
     }
-
-    ChaosReport {
-        seed: plan.seed,
-        engine: Engine::Sim,
-        family: plan.family,
-        n: plan.n,
-        k: plan.k,
-        violations,
-        end_time_us: report.end_time,
-        deliveries: report.deliveries.len(),
-        events_jsonl: None,
-        telemetry,
+    fn byz_delivered(&self, member: MemberId) -> Vec<(u64, Option<u64>)> {
+        digests(&Cluster::byz_delivered(self, member))
+    }
+    fn crashes_applied(&self, member: MemberId) -> BTreeSet<MemberId> {
+        self.node(member)
+            .map(|s| s.crashes_applied())
+            .unwrap_or_default()
+    }
+    fn overlay(&self, member: MemberId) -> DynamicOverlay {
+        let shared = self.node(member).expect("members are 0..n");
+        shared.overlay_snapshot()
+    }
+    fn is_degraded(&self, member: MemberId) -> bool {
+        self.node(member).is_some_and(|s| s.is_degraded())
+    }
+    fn links_ready(&self, member: MemberId) -> bool {
+        (self.node(member)).is_some_and(|s| s.desired_neighbors().is_subset(&s.links_up()))
+    }
+    fn metrics(&self) -> &MetricsRegistry {
+        Cluster::metrics(self)
+    }
+    fn tracer(&self) -> &TraceCollector {
+        Cluster::tracer(self)
+    }
+    fn events_jsonl(&self) -> String {
+        Cluster::events_jsonl(self)
     }
 }
 
-/// Payload of the idx-th scheduled byzantine broadcast — shared by both
-/// engines so the oracle can recompute the certified digest.
+/// The same node state machine in virtual time.
+impl Driver for SimCluster {
+    fn broadcast(&mut self, origin: MemberId, payload: Bytes) -> Option<u64> {
+        SimCluster::broadcast(self, origin, payload)
+    }
+    fn byz_broadcast(&mut self, origin: MemberId, nonce: u64, payload: Bytes) -> bool {
+        self.inject(
+            origin,
+            SimInput::Event(Event::ByzBroadcast { nonce, payload }),
+        )
+    }
+    fn kill(&mut self, member: MemberId) -> bool {
+        SimCluster::kill(self, member)
+    }
+    fn revive(&mut self, member: MemberId) -> bool {
+        SimCluster::revive(self, member)
+    }
+    fn await_until(&mut self, timeout: Duration, cond: impl FnMut(&Self) -> bool) -> bool {
+        SimCluster::await_until(self, timeout.as_micros() as u64, cond)
+    }
+    fn delivered_ids(&self, member: MemberId) -> Vec<u64> {
+        self.nodes[member as usize].borrow().delivered.clone()
+    }
+    fn byz_delivered(&self, member: MemberId) -> Vec<(u64, Option<u64>)> {
+        digests(&self.nodes[member as usize].borrow().byz_delivered)
+    }
+    fn crashes_applied(&self, member: MemberId) -> BTreeSet<MemberId> {
+        self.core(member, |c| c.crashes_applied().clone())
+    }
+    fn overlay(&self, member: MemberId) -> DynamicOverlay {
+        self.core(member, |c| DynamicOverlay::clone(c.overlay()))
+    }
+    fn is_degraded(&self, member: MemberId) -> bool {
+        self.core(member, |c| c.is_degraded())
+    }
+    fn links_ready(&self, member: MemberId) -> bool {
+        self.core(member, |c| {
+            let wanted = c.overlay().neighbors_of(member).unwrap_or_default();
+            wanted.iter().all(|w| c.links().contains(w))
+        })
+    }
+    fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+    fn tracer(&self) -> &TraceCollector {
+        &self.tracer
+    }
+    fn events_jsonl(&self) -> String {
+        SimCluster::events_jsonl(self)
+    }
+}
+
+/// Payload of the idx-th scheduled byzantine broadcast — fixed, so the
+/// oracle can recompute the certified digest.
 fn byz_payload(idx: usize) -> Bytes {
     Bytes::from(format!("chaos byz {idx}"))
 }
 
-/// Byzantine and mixed families on the simulator: every node runs the
-/// Bracha echo/ready engine over LHG gossip
-/// ([`lhg_byzantine::run_sim_byzantine_churn`]), the plan's traitors
-/// misbehave on schedule, and the oracle demands agreement, validity and
-/// integrity at every correct node. Mixed plans additionally kill their
-/// scheduled victim mid-run (survivors bump their membership views and
-/// re-size quorums) and put the plan's lossy link rates under the gossip
-/// plane — the exchange's repair rounds must repair the dropped votes. A view
-/// refused for dipping below 3f+1 surfaces as [`Violation::QuorumUnsafe`].
-/// The P4 calibration pass is skipped — a Bracha delivery is a quorum
-/// event, not a single flood hop, so first-receipt hop counts do not
-/// measure BFS distance.
-fn run_sim_byz_chaos(plan: &FaultPlan) -> ChaosReport {
-    let overlay = DynamicOverlay::bootstrap(plan.constraint, plan.n, plan.k)
-        .expect("generated plans stay in the builder domain");
-    let graph = overlay.graph().clone();
-    let mut violations = Vec::new();
+/// One run of a plan's steps against a driver.
+struct Interpreter<'a, D> {
+    plan: &'a FaultPlan,
+    driver: &'a mut D,
+    faults: &'a FaultInjector,
+    /// The members that are up, and the ones the oracle holds to account
+    /// ([`FaultPlan::correct_nodes`]).
+    up: BTreeSet<MemberId>,
+    correct: Vec<MemberId>,
+    /// Ids of the broadcasts flooded so far.
+    flooded: Vec<u64>,
+    violations: Vec<Violation>,
+}
 
-    let mut schedules: BTreeMap<usize, Vec<ScheduledByzBroadcast>> = BTreeMap::new();
-    for (idx, b) in plan.broadcasts.iter().enumerate() {
-        schedules
-            .entry(b.origin as usize)
-            .or_default()
-            .push(ScheduledByzBroadcast {
-                nonce: CHAOS_BCAST_BASE + idx as u64,
-                payload: byz_payload(idx),
-                at_us: b.at_us,
-            });
-    }
-    let schedules: Vec<(NodeId, Vec<ScheduledByzBroadcast>)> =
-        schedules.into_iter().map(|(v, s)| (NodeId(v), s)).collect();
-    let traitors: Vec<(NodeId, TraitorBehavior)> = plan
-        .traitors
-        .iter()
-        .map(|t| (NodeId(t.node as usize), t.behavior))
-        .collect();
-
-    let crashes: Vec<ByzCrash> = plan
-        .crashes
-        .iter()
-        .map(|c| ByzCrash {
-            at_us: c.at_us,
-            node: NodeId(c.node as usize),
-            revive_at_us: c.recover_at_us,
-        })
-        .collect();
-    // Mixed plans carry lossy rates; rates-only compilation leaves the
-    // crash semantics to the churn runner's death schedule above.
-    let faults = (!plan.is_lossless()).then(|| Arc::new(plan.compile_rates_only()));
-
-    // The byzantine sim builds its own Simulation internally, so there is
-    // no sampler hook; one post-run sample still yields the full per-class
-    // wire decomposition (echo/ready quorum traffic vs everything else).
-    let metrics = Arc::new(MetricsRegistry::new());
-    let report = run_sim_byzantine_churn(
-        &graph,
-        plan.k,
-        &schedules,
-        &traitors,
-        &crashes,
+/// Runs `plan` on `driver` — whose links `faults` sits under — and returns
+/// what the oracle found. A step that misses its deadline ends the steps
+/// (everything downstream would cascade off the stall); the exactly-once
+/// and hop sweep runs regardless, with `hop_bound` as the most edges a
+/// delivered copy may have crossed.
+fn execute<D: Driver>(
+    plan: &FaultPlan,
+    driver: &mut D,
+    faults: &FaultInjector,
+    hop_bound: u32,
+) -> Vec<Violation> {
+    let correct = plan.correct_nodes().into_iter().map(MemberId::from);
+    let mut run = Interpreter {
+        plan,
+        driver,
         faults,
-        LinkModel::default(),
-        plan.seed,
-        plan.horizon_us,
-        Some(Arc::clone(&metrics)),
-    );
-    let timeline = {
-        let mut sampler = TelemetrySampler::new("sim", Arc::clone(&metrics));
-        sampler.sample(report.end_time);
-        lhg_telemetry::merge(vec![sampler.take_samples()])
+        up: (0..plan.n as MemberId).collect(),
+        correct: correct.collect(),
+        flooded: Vec::new(),
+        violations: Vec::new(),
     };
-    let telemetry = Some(telemetry_json(&timeline, &metrics));
-    if report.end_time > plan.horizon_us {
-        violations.push(Violation::Timeout {
-            phase: "virtual-time horizon".into(),
-        });
+    let up = &run.up;
+    let launched =
+        (run.driver).await_until(CONVERGE_TIMEOUT, |d| up.iter().all(|&m| d.links_ready(m)));
+    let completed = run.check(launched, "launch".into())
+        && plan.compile().into_iter().all(|step| run.step(step));
+    run.check_flood(hop_bound);
+    if plan.is_byzantine() && completed {
+        run.check_byz();
     }
-    let records: Vec<(u32, u64, Option<u64>)> = report
-        .deliveries
-        .iter()
-        .map(|d| (d.node.index() as u32, d.broadcast_id, d.trace))
-        .collect();
-    check_byz_deliveries(plan, &records, &mut violations);
-    check_rejoin_divergence(plan, &records, &mut violations);
-    let unsafe_views = metrics.counter("byz.unsafe_views").get();
-    if unsafe_views > 0 {
-        violations.push(Violation::QuorumUnsafe {
-            count: unsafe_views,
-        });
+    run.violations
+}
+
+impl<D: Driver> Interpreter<'_, D> {
+    /// Charges a timeout of `phase` unless `met`; hands `met` back.
+    fn check(&mut self, met: bool, phase: String) -> bool {
+        if !met {
+            self.violations.push(Violation::Timeout { phase });
+        }
+        met
     }
 
-    ChaosReport {
-        seed: plan.seed,
-        engine: Engine::Sim,
-        family: plan.family,
-        n: plan.n,
-        k: plan.k,
-        violations,
-        end_time_us: report.end_time,
-        deliveries: report.deliveries.len(),
-        events_jsonl: None,
-        telemetry,
+    /// Executes one step; `false` ends the run's steps.
+    fn step(&mut self, step: Step) -> bool {
+        let (driver, correct) = (&mut *self.driver, &self.correct);
+        match step {
+            Step::Broadcast(idx) => self.broadcast(idx),
+            Step::ByzBroadcast(idx) => {
+                let origin = MemberId::from(self.plan.broadcasts[idx].origin);
+                let nonce = CHAOS_BCAST_BASE + idx as u64;
+                let sent = driver.byz_broadcast(origin, nonce, byz_payload(idx));
+                let _ = driver.await_until(DELIVERY_TIMEOUT, |d| {
+                    let has = |&m| d.byz_delivered(m).iter().any(|&(n, _)| n == nonce);
+                    sent && correct.iter().all(has)
+                });
+                return self.check(sent, format!("byz broadcast from {origin}"));
+            }
+            Step::Kill(v) => {
+                self.up.remove(&MemberId::from(v));
+                let killed = driver.kill(MemberId::from(v));
+                return self.check(killed, format!("kill {v}"));
+            }
+            Step::Revive(v) => {
+                self.up.insert(MemberId::from(v));
+                let revived = driver.revive(MemberId::from(v));
+                return self.check(revived, format!("rejoin {v}"));
+            }
+            Step::AwaitDetected(v) | Step::AwaitReadmitted(v) => {
+                let (gone, phase) = match step {
+                    Step::AwaitDetected(_) => (true, "crash detection of"),
+                    _ => (false, "re-admission of"),
+                };
+                let v = MemberId::from(v);
+                let applied = driver.await_until(CHURN_TIMEOUT, |d| {
+                    (correct.iter()).all(|&m| d.crashes_applied(m).contains(&v) == gone)
+                });
+                let phase = format!("{phase} {v} under byzantine corroboration");
+                return self.check(applied, phase);
+            }
+            Step::Cut(i) => (self.faults).add_partition_shared(self.plan.partitions[i].cut()),
+            Step::Mend => self.faults.clear_partitions(),
+            Step::AwaitConverged(phase) => return self.converge(phase),
+            Step::AwaitCaughtUp(v) => {
+                let scheduled =
+                    CHAOS_BCAST_BASE..CHAOS_BCAST_BASE + self.plan.broadcasts.len() as u64;
+                let _ = driver.await_until(CHURN_TIMEOUT, |d| {
+                    let got = d.byz_delivered(MemberId::from(v));
+                    (scheduled.clone()).all(|nonce| got.iter().any(|&(n, _)| n == nonce))
+                });
+            }
+            Step::Settle(us) => {
+                let _ = driver.await_until(Duration::from_micros(us), |_| false);
+            }
+        }
+        true
+    }
+
+    /// Floods the idx-th scheduled broadcast and requires delivery by every
+    /// member that is up, reporting each one that missed it.
+    fn broadcast(&mut self, idx: usize) {
+        let origin = MemberId::from(self.plan.broadcasts[idx].origin);
+        let audience = &self.up;
+        let sent = self.driver.broadcast(origin, Bytes::from_static(b"chaos"));
+        self.flooded.extend(sent);
+        // What a dead origin never sent has only its schedule-level name
+        // to be missed under.
+        let id = sent.unwrap_or(CHAOS_BCAST_BASE + idx as u64);
+        let has = |d: &D, m: MemberId| d.delivered_ids(m).contains(&id);
+        let _ = sent.is_some()
+            && (self.driver).await_until(DELIVERY_TIMEOUT, |d| audience.iter().all(|&m| has(d, m)));
+        let missed = audience.iter().filter(|&&m| !has(self.driver, m));
+        let missed = missed.take(MAX_VIOLATIONS_PER_CHECK);
+        (self.violations).extend(missed.map(|&m| Violation::DeliveryMissed {
+            broadcast_id: id,
+            node: m as u32,
+        }));
+    }
+
+    /// Waits for every member that is up to hold the same whole replica,
+    /// then checks what LHG property P1 promises of it.
+    fn converge(&mut self, phase: &'static str) -> bool {
+        let up = &self.up;
+        let dead: BTreeSet<MemberId> = (0..self.plan.n as MemberId)
+            .filter(|m| !up.contains(m))
+            .collect();
+        let converged = self.driver.await_until(CONVERGE_TIMEOUT, |d| {
+            up.iter().all(|&m| {
+                let replica = d.overlay(m);
+                replica.members().iter().copied().eq(up.iter().copied())
+                    && dead.is_subset(&d.crashes_applied(m))
+                    && !d.is_degraded(m)
+                    && d.links_ready(m)
+            })
+        });
+        if !converged {
+            return self.check(false, phase.into());
+        }
+        let replicas: Vec<(MemberId, DynamicOverlay)> =
+            up.iter().map(|&m| (m, self.driver.overlay(m))).collect();
+        let links = replicas[0].1.links();
+        if let Some((m, _)) = replicas.iter().find(|(_, r)| r.links() != links) {
+            self.violations.push(Violation::ReplicaDivergence {
+                node: *m as u32,
+                detail: format!("overlay replicas differ after '{phase}'"),
+            });
+        }
+        let k = self.plan.k;
+        if (replicas.iter()).any(|(_, r)| !is_k_vertex_connected(r.graph(), k)) {
+            self.violations.push(Violation::NotKConnected {
+                crashed: dead.len(),
+            });
+        }
+        true
+    }
+
+    /// Per-node exactly-once — no member's delivery log repeats a
+    /// broadcast id, under any fault schedule (duplication faults included:
+    /// dedup absorbs them) — and hop sanity: flooding forwards only on
+    /// first receipt, so no delivered copy crossed more than `hop_bound`
+    /// edges.
+    fn check_flood(&mut self, hop_bound: u32) {
+        let mut dups = Vec::new();
+        for m in 0..self.plan.n as MemberId {
+            let mut seen = HashSet::new();
+            let repeated = |id: &u64| !seen.insert(*id);
+            dups.extend(
+                (self.driver.delivered_ids(m).into_iter().filter(repeated)).map(|id| {
+                    Violation::DuplicateDelivery {
+                        broadcast_id: id,
+                        node: m as u32,
+                    }
+                }),
+            );
+        }
+        let paths = self.driver.tracer().records().into_iter();
+        let overruns = paths
+            .filter(|r| self.flooded.contains(&r.trace_id) && r.hops > hop_bound)
+            .map(|r| Violation::HopBoundExceeded {
+                broadcast_id: r.trace_id,
+                node: r.node,
+                hops: r.hops,
+                bound: hop_bound,
+            });
+        let dups = dups.into_iter().take(MAX_VIOLATIONS_PER_CHECK);
+        (self.violations).extend(dups.chain(overruns.take(MAX_VIOLATIONS_PER_CHECK)));
+    }
+
+    /// The Bracha audit: [`check_byz_deliveries`] on the correct nodes'
+    /// certified logs, [`Violation::QuorumUnsafe`] for any view a Bracha
+    /// engine refused, [`check_rejoin_divergence`] on the rejoiners.
+    fn check_byz(&mut self) {
+        let records: Vec<(u32, u64, Option<u64>)> = (0..self.plan.n as MemberId)
+            .flat_map(|m| {
+                let certified = self.driver.byz_delivered(m).into_iter();
+                certified.map(move |(nonce, digest)| (m as u32, nonce, digest))
+            })
+            .collect();
+        check_byz_deliveries(self.plan, &records, &mut self.violations);
+        let count = self.driver.metrics().counter("byz.unsafe_views").get();
+        if count > 0 {
+            self.violations.push(Violation::QuorumUnsafe { count });
+        }
+        check_rejoin_divergence(self.plan, &records, &mut self.violations);
     }
 }
 
@@ -482,69 +628,17 @@ fn check_rejoin_divergence(
     }
 }
 
-/// Delivery, dedup, hop-sanity, and termination checks on a sim report.
-fn check_sim_report(plan: &FaultPlan, report: &SimReport, violations: &mut Vec<Violation>) {
-    if report.end_time > plan.horizon_us {
-        violations.push(Violation::Timeout {
-            phase: "virtual-time horizon".into(),
-        });
-    }
-
-    let mut delivered: HashSet<(u32, u64)> = HashSet::new();
-    let mut dups = 0;
-    let mut hop_overruns = 0;
-    for d in &report.deliveries {
-        let node = d.node.index() as u32;
-        if !delivered.insert((node, d.broadcast_id)) && dups < MAX_VIOLATIONS_PER_CHECK {
-            dups += 1;
-            violations.push(Violation::DuplicateDelivery {
-                broadcast_id: d.broadcast_id,
-                node,
-            });
-        }
-        // Flooding forwards only on first receipt, so no delivered copy can
-        // have crossed more than n−1 edges — under any fault schedule.
-        if d.hops >= plan.n as u32 && hop_overruns < MAX_VIOLATIONS_PER_CHECK {
-            hop_overruns += 1;
-            violations.push(Violation::HopBoundExceeded {
-                broadcast_id: d.broadcast_id,
-                node,
-                hops: d.hops,
-                bound: plan.n as u32 - 1,
-            });
-        }
-    }
-
-    // Strict delivery, no lossless carve-out: every broadcast from a
-    // correct origin reaches every correct node (LHG property P1). The
-    // reliable link layer plus anti-entropy makes this hold on lossy
-    // plans too — drops, duplicates and reorders cost latency, never
-    // delivery.
-    let correct = plan.correct_nodes();
-    let mut missed = 0;
-    for (idx, _) in plan.broadcasts.iter().enumerate() {
-        let id = CHAOS_BCAST_BASE + idx as u64;
-        for &v in &correct {
-            if !delivered.contains(&(v, id)) && missed < MAX_VIOLATIONS_PER_CHECK {
-                missed += 1;
-                violations.push(Violation::DeliveryMissed {
-                    broadcast_id: id,
-                    node: v,
-                });
-            }
-        }
-    }
-}
-
-/// The aggressive-timing [`RuntimeConfig`] chaos runs use on the TCP
-/// engine: fast heartbeats and dials keep a full kill/heal/rejoin cycle
-/// within a couple of wall-clock seconds. The suspicion timeout is kept
-/// generous relative to the heartbeat period (25 missed beats) so that
-/// scheduler stalls on a loaded machine — e.g. a 100-seed sweep running
-/// back to back with other jobs — don't fire spurious suspicions outside
-/// the injected fault schedule and push a replica past the k−1 budget.
+/// The aggressive-timing [`RuntimeConfig`] chaos runs use on both engines:
+/// fast heartbeats and dials keep a full kill/heal/rejoin cycle within a
+/// couple of seconds (virtual time makes them free on the simulator). The
+/// suspicion timeout is kept generous relative to the heartbeat period (25
+/// missed beats) so that scheduler stalls on a loaded machine — e.g. a
+/// 100-seed TCP sweep running back to back with other jobs — don't fire
+/// spurious suspicions outside the injected fault schedule and push a
+/// replica past the k−1 budget. The Bracha families get the plan's traitors
+/// at the full f = ⌊(k−1)/2⌋ budget.
 #[must_use]
-pub fn tcp_chaos_config(seed: u64, faults: Arc<FaultInjector>) -> RuntimeConfig {
+pub fn chaos_config(plan: &FaultPlan, faults: Arc<FaultInjector>) -> RuntimeConfig {
     RuntimeConfig {
         heartbeat_period: Duration::from_millis(10),
         heartbeat_timeout: Duration::from_millis(250),
@@ -554,7 +648,7 @@ pub fn tcp_chaos_config(seed: u64, faults: Arc<FaultInjector>) -> RuntimeConfig 
         dial_timeout: Duration::from_millis(100),
         tick: Duration::from_millis(2),
         launch_timeout: Duration::from_secs(10),
-        rng_seed: seed,
+        rng_seed: plan.seed,
         // Deep per-node event rings: a failing run's postmortem JSONL
         // should cover the whole run, not just its quiescent tail.
         recorder_capacity: 1 << 16,
@@ -563,546 +657,153 @@ pub fn tcp_chaos_config(seed: u64, faults: Arc<FaultInjector>) -> RuntimeConfig 
         // the 10ms heartbeat period above, an anti-entropy summary every
         // 50ms — both comfortably inside the per-broadcast deadlines.
         reliable: lhg_net::reliable::ReliableConfig::default(),
-        byzantine: None,
+        byzantine: plan.is_byzantine().then(|| ByzantineSetup {
+            f: lhg_byzantine::max_traitors(plan.k),
+            traitors: (plan.traitors.iter())
+                .map(|t| (u64::from(t.node), t.behavior))
+                .collect(),
+        }),
     }
 }
 
-/// Runs `plan` on the real TCP runtime and checks the oracle.
+/// The report of a finished run; a failing one takes the driver's event
+/// timeline along for the postmortem.
+fn report<D: Driver>(
+    plan: &FaultPlan,
+    engine: Engine,
+    driver: &D,
+    violations: Vec<Violation>,
+    end_time_us: u64,
+    timeline: &Timeline,
+) -> ChaosReport {
+    let members = 0..plan.n as MemberId;
+    ChaosReport {
+        seed: plan.seed,
+        engine,
+        family: plan.family,
+        n: plan.n,
+        k: plan.k,
+        end_time_us,
+        deliveries: (members)
+            .map(|m| driver.delivered_ids(m).len() + driver.byz_delivered(m).len())
+            .sum(),
+        events_jsonl: (!violations.is_empty()).then(|| driver.events_jsonl()),
+        telemetry: Some(telemetry_json(timeline, driver.metrics())),
+        violations,
+    }
+}
+
+/// Launches `plan`'s cluster on the simulator and runs the plan on it.
 ///
-/// Crash-family plans exercise kill → heal → rejoin; partition plans cut a
-/// minority off via the shared injector, heal, and demand full
-/// re-convergence (membership agreement, no degraded stragglers, links
-/// re-established); lossy plans flood under the default
-/// drop/duplicate/reorder rates and demand **strict exactly-once delivery
-/// at every member** — the runtime's reliable link layer and anti-entropy
-/// repair must absorb the loss. On failure the cluster's merged JSONL
-/// event timeline is captured into the report.
+/// # Panics
+///
+/// Panics if the plan's `(n, k, constraint)` is outside the overlay
+/// builder's domain — [`FaultPlan::random`] never generates such plans.
+fn simulate(plan: &FaultPlan, link: LinkModel, hop_bound: u32) -> (SimCluster, Vec<Violation>) {
+    let faults = Arc::new(plan.injector());
+    let config = chaos_config(plan, Arc::clone(&faults));
+    let mut cluster = SimCluster::launch(plan.constraint, plan.n, plan.k, config, link, plan.seed)
+        .expect("generated plans stay in the builder domain");
+    let violations = execute(plan, &mut cluster, &faults, hop_bound);
+    (cluster, violations)
+}
+
+/// Runs `plan` on the discrete-event simulator and checks the oracle.
+///
+/// The run is bit-for-bit deterministic in the plan seed. The flood
+/// families are preceded by a *calibration* run through the same driver —
+/// clean links, zero jitter, one broadcast — that checks the P4 hop bound:
+/// with equal link latencies, first-receipt hop counts equal BFS distance,
+/// so they must stay within the paper's logarithmic diameter bound. (A
+/// Bracha delivery is a quorum event, not a single flood hop, so the
+/// Bracha families have nothing to calibrate.)
+///
+/// # Panics
+///
+/// Panics if the plan's `(n, k, constraint)` is outside the overlay
+/// builder's domain — [`FaultPlan::random`] never generates such plans.
+#[must_use]
+pub fn run_sim_chaos(plan: &FaultPlan) -> ChaosReport {
+    let mut calibrated = Vec::new();
+    if !plan.is_byzantine() {
+        let calibration = FaultPlan {
+            default_rates: lhg_net::fault::LinkFaults::default(),
+            partitions: Vec::new(),
+            crashes: Vec::new(),
+            broadcasts: vec![BroadcastSpec {
+                origin: 0,
+                at_us: 0,
+            }],
+            ..plan.clone()
+        };
+        let link = LinkModel {
+            base_latency_us: 1_000,
+            jitter_us: 0,
+        };
+        let bound = p4_diameter_bound(plan.n, plan.k).ceil() as u32;
+        calibrated = simulate(&calibration, link, bound).1;
+    }
+    let (mut cluster, violations) = simulate(plan, LinkModel::default(), plan.n as u32 - 1);
+    calibrated.extend(violations);
+    let end_time_us = cluster.finish().end_time;
+    if end_time_us > plan.horizon_us {
+        calibrated.push(Violation::Timeout {
+            phase: "virtual-time horizon".into(),
+        });
+    }
+    // One sample at the end carries the whole per-class wire decomposition.
+    let mut sampler = TelemetrySampler::new("sim", Arc::clone(&cluster.metrics));
+    sampler.sample(end_time_us);
+    let timeline = lhg_telemetry::merge(vec![sampler.take_samples()]);
+    report(
+        plan,
+        Engine::Sim,
+        &cluster,
+        calibrated,
+        end_time_us,
+        &timeline,
+    )
+}
+
+/// Runs `plan` on the real TCP runtime and checks the oracle.
 #[must_use]
 pub fn run_tcp_chaos(plan: &FaultPlan) -> ChaosReport {
     let started = Instant::now();
-    let mut violations = Vec::new();
-
-    let mut inj = FaultInjector::new(plan.seed);
-    inj.set_default_rates(plan.default_rates);
-    let inj = Arc::new(inj);
-
-    let mut config = tcp_chaos_config(plan.seed, Arc::clone(&inj));
-    if matches!(plan.family, Family::Byzantine | Family::Mixed) {
-        config.byzantine = Some(lhg_runtime::ByzantineSetup {
-            f: lhg_byzantine::max_traitors(plan.k),
-            traitors: plan
-                .traitors
-                .iter()
-                .map(|t| (u64::from(t.node), t.behavior))
-                .collect(),
-        });
-    }
-    let cluster = Cluster::launch(plan.constraint, plan.n, plan.k, config);
-    let mut cluster = match cluster {
-        Ok(c) => c,
+    let elapsed_us = || u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let faults = Arc::new(plan.injector());
+    let config = chaos_config(plan, Arc::clone(&faults));
+    let mut cluster = match Cluster::launch(plan.constraint, plan.n, plan.k, config) {
+        Ok(cluster) => cluster,
         Err(e) => {
-            violations.push(Violation::Timeout {
-                phase: format!("launch ({e})"),
-            });
             return ChaosReport {
                 seed: plan.seed,
                 engine: Engine::Tcp,
                 family: plan.family,
                 n: plan.n,
                 k: plan.k,
-                violations,
-                end_time_us: elapsed_us(started),
+                violations: vec![Violation::Timeout {
+                    phase: format!("launch ({e})"),
+                }],
+                end_time_us: elapsed_us(),
                 deliveries: 0,
                 events_jsonl: None,
                 telemetry: None,
-            };
+            }
         }
     };
     cluster.start_telemetry(TCP_TELEMETRY_CADENCE);
-
-    match plan.family {
-        Family::Crash => tcp_crash_schedule(plan, &mut cluster, &mut violations),
-        Family::Partition => tcp_partition_schedule(plan, &mut cluster, &inj, &mut violations),
-        Family::Lossy => tcp_lossy_schedule(plan, &mut cluster, &mut violations),
-        Family::Byzantine => tcp_byzantine_schedule(plan, &mut cluster, &mut violations),
-        Family::Mixed => tcp_mixed_schedule(plan, &mut cluster, &mut violations),
-    }
-    check_no_duplicate_deliveries(&cluster, &mut violations);
-
-    let deliveries = cluster
-        .members()
-        .iter()
-        .map(|&m| {
-            let flooded = cluster.node(m).map_or(0, |s| s.delivered_count());
-            flooded + cluster.byz_delivered(m).len()
-        })
-        .sum();
-    let events_jsonl = (!violations.is_empty()).then(|| cluster.events_jsonl());
-    let telemetry = cluster
-        .stop_telemetry()
-        .map(|tl| telemetry_json(&tl, cluster.metrics()));
+    let violations = execute(plan, &mut cluster, &faults, plan.n as u32 - 1);
+    let timeline = cluster.stop_telemetry().expect("started above");
+    let report = report(
+        plan,
+        Engine::Tcp,
+        &cluster,
+        violations,
+        elapsed_us(),
+        &timeline,
+    );
     cluster.shutdown();
-
-    ChaosReport {
-        seed: plan.seed,
-        engine: Engine::Tcp,
-        family: plan.family,
-        n: plan.n,
-        k: plan.k,
-        violations,
-        end_time_us: elapsed_us(started),
-        deliveries,
-        events_jsonl,
-        telemetry,
-    }
-}
-
-fn elapsed_us(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Broadcasts from `origin` and requires delivery by `members` within
-/// `timeout`, reporting each member that missed it.
-fn tcp_broadcast_expect(
-    cluster: &mut Cluster,
-    origin: u32,
-    members: &[MemberId],
-    timeout: Duration,
-    violations: &mut Vec<Violation>,
-) {
-    let Ok(id) = cluster.broadcast(origin as MemberId, Bytes::from_static(b"chaos")) else {
-        violations.push(Violation::Timeout {
-            phase: format!("broadcast from {origin}"),
-        });
-        return;
-    };
-    if cluster.await_delivery_by(id, members, timeout) {
-        return;
-    }
-    for &m in members.iter() {
-        if !cluster.has_delivered(m, id) && violations.len() < MAX_VIOLATIONS_PER_CHECK {
-            violations.push(Violation::DeliveryMissed {
-                broadcast_id: id,
-                node: m as u32,
-            });
-        }
-    }
-}
-
-/// Crash family on TCP: broadcast → kill the scheduled victims → heal →
-/// broadcast among survivors → rejoin the recovering victims → heal →
-/// broadcast to everyone (revenants included).
-fn tcp_crash_schedule(plan: &FaultPlan, cluster: &mut Cluster, violations: &mut Vec<Violation>) {
-    let specs = &plan.broadcasts;
-    tcp_broadcast_expect(
-        cluster,
-        specs[0].origin,
-        &cluster.survivors(),
-        Duration::from_secs(5),
-        violations,
-    );
-
-    let mut crashes = plan.crashes.clone();
-    crashes.sort_by_key(|c| c.at_us);
-    for c in &crashes {
-        if cluster.kill(c.node as MemberId).is_err() {
-            violations.push(Violation::Timeout {
-                phase: format!("kill {}", c.node),
-            });
-        }
-    }
-    if !cluster.await_heal(Duration::from_secs(8)) {
-        violations.push(Violation::Timeout {
-            phase: "heal after crashes".into(),
-        });
-        return; // everything downstream would cascade off the stuck heal
-    }
-    if !cluster.overlays_agree() {
-        violations.push(Violation::ReplicaDivergence {
-            node: cluster.survivors().first().map_or(0, |&m| m as u32),
-            detail: "survivor overlay replicas differ after heal".into(),
-        });
-    }
-    if let Some(g) = cluster.survivor_graph() {
-        if !is_k_vertex_connected(&g, plan.k) {
-            violations.push(Violation::NotKConnected {
-                crashed: crashes.len(),
-            });
-        }
-    }
-    tcp_broadcast_expect(
-        cluster,
-        specs[1].origin,
-        &cluster.survivors(),
-        Duration::from_secs(5),
-        violations,
-    );
-
-    let recovering: Vec<MemberId> = crashes
-        .iter()
-        .filter(|c| c.recover_at_us.is_some())
-        .map(|c| c.node as MemberId)
-        .collect();
-    for &m in &recovering {
-        if cluster.rejoin(m).is_err() {
-            violations.push(Violation::Timeout {
-                phase: format!("rejoin {m}"),
-            });
-        }
-    }
-    if !recovering.is_empty() && !cluster.await_heal(Duration::from_secs(8)) {
-        violations.push(Violation::Timeout {
-            phase: "reconverge after rejoin".into(),
-        });
-        return;
-    }
-    // The final broadcast must reach every survivor — the revenants too.
-    tcp_broadcast_expect(
-        cluster,
-        specs[2].origin,
-        &cluster.survivors(),
-        Duration::from_secs(5),
-        violations,
-    );
-}
-
-/// Partition family on TCP: broadcast → activate the cut through the
-/// shared injector → let suspicion and excommunication fire → heal the cut
-/// → demand full re-convergence → post-heal broadcasts to all n nodes.
-fn tcp_partition_schedule(
-    plan: &FaultPlan,
-    cluster: &mut Cluster,
-    inj: &Arc<FaultInjector>,
-    violations: &mut Vec<Violation>,
-) {
-    let specs = &plan.broadcasts;
-    let all = cluster.members();
-    tcp_broadcast_expect(
-        cluster,
-        specs[0].origin,
-        &all,
-        Duration::from_secs(5),
-        violations,
-    );
-
-    let p = &plan.partitions[0];
-    inj.add_partition_shared(Partition {
-        a: p.minority.iter().copied().collect(),
-        b: BTreeSet::new(), // wildcard: the rest of the cluster
-        from_us: 0,
-        until_us: u64::MAX,
-        directed: p.directed,
-    });
-    // Hold the cut for several suspicion windows so the majority
-    // excommunicates the minority (and an isolated minority degrades).
-    std::thread::sleep(Duration::from_millis(700));
-    inj.clear_partitions();
-
-    // Re-convergence: every replica back to full membership, all replicas
-    // identical, nobody stuck degraded, every desired link re-established.
-    // The deadline is deliberately slack: re-convergence itself takes well
-    // under a second, but chaos sweeps share the machine with whatever else
-    // is running and a wall-clock deadline is the one place scheduling
-    // noise can masquerade as a protocol bug.
-    let everyone: BTreeSet<MemberId> = all.iter().copied().collect();
-    let converged = poll_until(Duration::from_secs(20), || {
-        cluster.degraded_members().is_empty()
-            && all.iter().all(|&m| {
-                cluster.node(m).is_some_and(|s| {
-                    s.overlay_snapshot()
-                        .members()
-                        .iter()
-                        .copied()
-                        .collect::<BTreeSet<_>>()
-                        == everyone
-                })
-            })
-            && cluster.overlays_agree()
-    }) && cluster.await_links(Duration::from_secs(10));
-    if !converged {
-        violations.push(Violation::Timeout {
-            phase: "reconverge after partition heal".into(),
-        });
-        return;
-    }
-    for spec in &specs[1..] {
-        tcp_broadcast_expect(
-            cluster,
-            spec.origin,
-            &all,
-            Duration::from_secs(5),
-            violations,
-        );
-    }
-}
-
-/// Lossy family on TCP: floods under the default drop/duplicate/reorder
-/// rates with **strict delivery** — the reliable link layer (ack/NACK +
-/// retransmit) and heartbeat-cadence anti-entropy must repair every drop,
-/// so each broadcast is required at *every* member, not just its origin.
-/// The deadline is generous: under heavy loss, delivery rides retransmit
-/// timeouts and summary cadences rather than one flood's latency.
-fn tcp_lossy_schedule(plan: &FaultPlan, cluster: &mut Cluster, violations: &mut Vec<Violation>) {
-    let all = cluster.members();
-    for spec in &plan.broadcasts {
-        tcp_broadcast_expect(
-            cluster,
-            spec.origin,
-            &all,
-            Duration::from_secs(8),
-            violations,
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    // Let in-flight retransmissions (and injected duplicates) drain before
-    // the exactly-once sweep.
-    std::thread::sleep(Duration::from_millis(300));
-}
-
-/// Byzantine family on TCP: every node runs the Bracha engine over byz
-/// gossip frames on real sockets, the plan's traitor misbehaves on
-/// schedule, and the shared [`check_byz_deliveries`] oracle audits the
-/// correct nodes' certified logs afterwards. The await between
-/// broadcasts is pacing only — a miss is charged by the final sweep, not
-/// twice.
-fn tcp_byzantine_schedule(
-    plan: &FaultPlan,
-    cluster: &mut Cluster,
-    violations: &mut Vec<Violation>,
-) {
-    let correct: Vec<MemberId> = plan
-        .correct_nodes()
-        .into_iter()
-        .map(MemberId::from)
-        .collect();
-    for (idx, spec) in plan.broadcasts.iter().enumerate() {
-        tcp_byz_broadcast_step(cluster, idx, spec, &correct, violations);
-    }
-    tcp_byz_audit(plan, cluster, &correct, violations);
-}
-
-/// Originates the idx-th scheduled byz instance and paces the schedule by
-/// awaiting its certification at the correct nodes; a miss here is charged
-/// once, by the final audit sweep.
-fn tcp_byz_broadcast_step(
-    cluster: &mut Cluster,
-    idx: usize,
-    spec: &BroadcastSpec,
-    correct: &[MemberId],
-    violations: &mut Vec<Violation>,
-) {
-    let nonce = CHAOS_BCAST_BASE + idx as u64;
-    if cluster
-        .byzantine_broadcast(MemberId::from(spec.origin), nonce, byz_payload(idx))
-        .is_err()
-    {
-        violations.push(Violation::Timeout {
-            phase: format!("byz broadcast from {}", spec.origin),
-        });
-        return;
-    }
-    let _ = cluster.await_byz_delivery(nonce, correct, Duration::from_secs(8));
-}
-
-/// Drains trailing attack debris (equivocation floods, forged votes,
-/// replays, retransmitted quorum traffic), then audits the correct nodes'
-/// certified logs through the engine-shared byzantine oracle and charges
-/// [`Violation::QuorumUnsafe`] for any view the Bracha engines refused.
-fn tcp_byz_audit(
-    plan: &FaultPlan,
-    cluster: &Cluster,
-    correct: &[MemberId],
-    violations: &mut Vec<Violation>,
-) {
-    std::thread::sleep(Duration::from_millis(300));
-    let records: Vec<(u32, u64, Option<u64>)> = correct
-        .iter()
-        .flat_map(|&m| {
-            cluster
-                .byz_delivered(m)
-                .into_iter()
-                .map(move |d| (m as u32, d.broadcast_id, d.trace))
-        })
-        .collect();
-    check_byz_deliveries(plan, &records, violations);
-    let unsafe_views = cluster.metrics().counter("byz.unsafe_views").get();
-    if unsafe_views > 0 {
-        violations.push(Violation::QuorumUnsafe {
-            count: unsafe_views,
-        });
-    }
-}
-
-/// Mixed family on TCP: the full lifecycle under fire. Bracha gossip runs
-/// under lossy links while traitors attack; a correct node crashes
-/// mid-schedule and instances certify at the down-sized views; the victim
-/// then *rejoins* — a blank reboot that re-expands every survivor's view
-/// upward and catches up over the SYNC summary extension — more instances
-/// certify at the re-expanded views; finally a second correct node crashes
-/// permanently. The rejoiner sits outside [`FaultPlan::correct_nodes`], so
-/// the standard oracle never audits it; [`check_rejoin_divergence`] does,
-/// demanding it converge with the stable majority on every certified
-/// instance — including the one originated while it was dead.
-///
-/// `await_heal` is deliberately not used: a `suppress_heartbeat` traitor
-/// is *designed* to get itself excommunicated, so replicas legitimately
-/// converge on less than the survivor set.
-fn tcp_mixed_schedule(plan: &FaultPlan, cluster: &mut Cluster, violations: &mut Vec<Violation>) {
-    let correct: Vec<MemberId> = plan
-        .correct_nodes()
-        .into_iter()
-        .map(MemberId::from)
-        .collect();
-    let mut crashes = plan.crashes.clone();
-    crashes.sort_by_key(|c| c.at_us);
-    let first = crashes[0]; // recovers mid-run: the lifecycle rejoiner
-    let second = crashes[1]; // permanent
-    let revive_at = first
-        .recover_at_us
-        .expect("mixed plans schedule the first crash with a recovery");
-    let rejoiner = MemberId::from(first.node);
-    let broadcasts: Vec<(usize, &BroadcastSpec)> = plan.broadcasts.iter().enumerate().collect();
-
-    for &(idx, spec) in broadcasts.iter().filter(|(_, b)| b.at_us < first.at_us) {
-        tcp_byz_broadcast_step(cluster, idx, spec, &correct, violations);
-    }
-
-    if !tcp_kill_and_detect(cluster, rejoiner, &correct, violations) {
-        return;
-    }
-
-    // Originated while the rejoiner is dead; catch-up must repair these.
-    for &(idx, spec) in broadcasts
-        .iter()
-        .filter(|(_, b)| b.at_us >= first.at_us && b.at_us < revive_at)
-    {
-        tcp_byz_broadcast_step(cluster, idx, spec, &correct, violations);
-    }
-
-    if cluster.rejoin(rejoiner).is_err() {
-        violations.push(Violation::Timeout {
-            phase: format!("rejoin {rejoiner}"),
-        });
-        return;
-    }
-    // Upward churn: every correct survivor must re-admit the rejoiner (and
-    // re-expand its quorum views) before the post-revive instances run.
-    let readmitted = poll_until(Duration::from_secs(15), || {
-        correct.iter().all(|&m| {
-            cluster
-                .node(m)
-                .is_some_and(|s| !s.crashes_applied().contains(&rejoiner))
-        })
-    });
-    if !readmitted {
-        violations.push(Violation::Timeout {
-            phase: "rejoin re-admission under byzantine corroboration".into(),
-        });
-        return;
-    }
-
-    for &(idx, spec) in broadcasts
-        .iter()
-        .filter(|(_, b)| b.at_us >= revive_at && b.at_us < second.at_us)
-    {
-        tcp_byz_broadcast_step(cluster, idx, spec, &correct, violations);
-    }
-
-    if !tcp_kill_and_detect(cluster, MemberId::from(second.node), &correct, violations) {
-        return;
-    }
-    for &(idx, spec) in broadcasts.iter().filter(|(_, b)| b.at_us >= second.at_us) {
-        tcp_byz_broadcast_step(cluster, idx, spec, &correct, violations);
-    }
-
-    // Give catch-up its retry budget before the divergence audit: the
-    // rejoiner converging late is fine; never converging is the violation.
-    let scheduled: Vec<u64> = (0..plan.broadcasts.len())
-        .map(|i| CHAOS_BCAST_BASE + i as u64)
-        .collect();
-    let _ = poll_until(Duration::from_secs(15), || {
-        let got: BTreeSet<u64> = cluster
-            .byz_delivered(rejoiner)
-            .iter()
-            .map(|d| d.broadcast_id)
-            .collect();
-        scheduled.iter().all(|n| got.contains(n))
-    });
-
-    tcp_byz_audit(plan, cluster, &correct, violations);
-    let records: Vec<(u32, u64, Option<u64>)> = correct
-        .iter()
-        .chain(std::iter::once(&rejoiner))
-        .flat_map(|&m| {
-            cluster
-                .byz_delivered(m)
-                .into_iter()
-                .map(move |d| (m as u32, d.broadcast_id, d.trace))
-        })
-        .collect();
-    check_rejoin_divergence(plan, &records, violations);
-}
-
-/// Kills `victim` and waits until every correct survivor has applied the
-/// crash. Corroborated suspicion needs f+1 distinct crash reporters; give
-/// it several suspicion windows, plus slack for lossy-link retransmits.
-/// Returns false (after charging a timeout) if detection never converges.
-fn tcp_kill_and_detect(
-    cluster: &mut Cluster,
-    victim: MemberId,
-    correct: &[MemberId],
-    violations: &mut Vec<Violation>,
-) -> bool {
-    if cluster.kill(victim).is_err() {
-        violations.push(Violation::Timeout {
-            phase: format!("kill {victim}"),
-        });
-    }
-    let detected = poll_until(Duration::from_secs(15), || {
-        correct.iter().all(|&m| {
-            cluster
-                .node(m)
-                .is_some_and(|s| s.crashes_applied().contains(&victim))
-        })
-    });
-    if !detected {
-        violations.push(Violation::Timeout {
-            phase: format!("crash detection of {victim} under byzantine corroboration"),
-        });
-    }
-    detected
-}
-
-/// Per-node exactly-once: no member's delivery log repeats a broadcast id,
-/// under any fault schedule (duplication faults included — dedup absorbs
-/// them; rejoin keeps data ids in the dedup set).
-fn check_no_duplicate_deliveries(cluster: &Cluster, violations: &mut Vec<Violation>) {
-    let mut reported = 0;
-    for m in cluster.members() {
-        let mut seen = HashSet::new();
-        for id in cluster.delivered_ids(m) {
-            if !seen.insert(id) && reported < MAX_VIOLATIONS_PER_CHECK {
-                reported += 1;
-                violations.push(Violation::DuplicateDelivery {
-                    broadcast_id: id,
-                    node: m as u32,
-                });
-            }
-        }
-    }
-}
-
-fn poll_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if cond() {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return cond();
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    report
 }
 
 /// The outcome of a seed sweep: one [`ChaosReport`] per (seed, engine).
@@ -1125,47 +826,14 @@ impl SuiteOutcome {
     }
 }
 
-/// Sweeps `count` consecutive seeds starting at `base_seed`, running each
-/// plan on every engine in `engines` and invoking `on_report` after each
-/// run (the CLI prints progress through it).
-pub fn run_suite(
-    engines: &[Engine],
-    base_seed: u64,
-    count: u64,
-    quick: bool,
-    on_report: impl FnMut(&ChaosReport),
-) -> SuiteOutcome {
-    run_suite_filtered(engines, base_seed, count, quick, None, on_report)
-}
-
-/// Like [`run_suite`], but when `family` is given only plans of that
-/// family run: seeds are scanned upward from `base_seed` until `count`
-/// matching plans have executed, so `count` always means "runs per
-/// engine" regardless of the filter. CI uses this to sweep lossy-family
-/// seeds under the strict oracle without paying for the other families.
-pub fn run_suite_filtered(
-    engines: &[Engine],
-    base_seed: u64,
-    count: u64,
-    quick: bool,
-    family: Option<Family>,
-    on_report: impl FnMut(&ChaosReport),
-) -> SuiteOutcome {
-    run_suite_with(
-        engines,
-        base_seed,
-        count,
-        quick,
-        family,
-        &PlanOverrides::default(),
-        on_report,
-    )
-}
-
-/// Like [`run_suite_filtered`], with caller-chosen [`PlanOverrides`]
+/// Sweeps `count` seeds starting at `base_seed`, running each plan on every
+/// engine in `engines` and invoking `on_report` after each run (the CLI
+/// prints progress through it). When `family` is given only plans of that
+/// family run: seeds are scanned upward until `count` matching plans have
+/// executed, so `count` always means "runs per engine". `overrides` are
 /// layered over every generated plan — how `lhg chaos --k 5 --traitors 2`
 /// pins the byzantine/mixed sweep shape without editing seeds.
-pub fn run_suite_with(
+pub fn run_suite(
     engines: &[Engine],
     base_seed: u64,
     count: u64,
@@ -1201,6 +869,7 @@ pub fn run_suite_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{CrashSpec, TraitorSpec};
 
     #[test]
     fn sim_chaos_passes_all_five_families() {
@@ -1219,17 +888,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sim_chaos_is_deterministic() {
-        let plan = FaultPlan::random(7, true); // lossy: the faultiest pure family
-        assert_eq!(plan.family, Family::Lossy);
-        let a = run_sim_chaos(&plan);
-        let b = run_sim_chaos(&plan);
+    fn assert_deterministic(plan: &FaultPlan) -> ChaosReport {
+        let a = run_sim_chaos(plan);
+        let b = run_sim_chaos(plan);
         assert_eq!(a.deliveries, b.deliveries);
         assert_eq!(a.end_time_us, b.end_time_us);
         assert_eq!(a.violations, b.violations);
         // Virtual-time telemetry is part of the deterministic surface.
         assert_eq!(a.telemetry, b.telemetry);
+        a
+    }
+
+    #[test]
+    fn sim_chaos_is_deterministic() {
+        let plan = FaultPlan::random(7, true); // lossy: the faultiest pure family
+        assert_eq!(plan.family, Family::Lossy);
+        let a = assert_deterministic(&plan);
         assert!(
             a.telemetry
                 .as_deref()
@@ -1243,53 +917,82 @@ mod tests {
     fn sim_byzantine_chaos_is_deterministic() {
         let plan = FaultPlan::random(3, true); // byzantine family
         assert_eq!(plan.family, Family::Byzantine);
-        let a = run_sim_chaos(&plan);
-        let b = run_sim_chaos(&plan);
-        assert_eq!(a.deliveries, b.deliveries);
-        assert_eq!(a.end_time_us, b.end_time_us);
-        assert_eq!(a.violations, b.violations);
+        assert_deterministic(&plan);
     }
 
     #[test]
     fn sim_mixed_chaos_is_deterministic() {
         let plan = FaultPlan::random(4, true); // mixed: lies ∘ churn ∘ loss
         assert_eq!(plan.family, Family::Mixed);
-        let a = run_sim_chaos(&plan);
-        let b = run_sim_chaos(&plan);
-        assert_eq!(a.deliveries, b.deliveries);
-        assert_eq!(a.end_time_us, b.end_time_us);
-        assert_eq!(a.violations, b.violations);
+        assert_deterministic(&plan);
+    }
+
+    /// TCP mixed seed 104 — 'crash detection of 3 under byzantine
+    /// corroboration' timing out on 3 runs of 83 — as a simulator
+    /// regression, now that the simulator runs the same core.
+    #[test]
+    fn sim_mixed_seed_104_is_green_and_deterministic() {
+        let plan = FaultPlan::random(104, true);
+        assert_eq!(plan.family, Family::Mixed);
+        let report = assert_deterministic(&plan);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+    }
+
+    /// The seeds whose first run on `NodeCore` wedged, one per hole they
+    /// found in it (DESIGN §9 item 7 c–e), full-size as they were found:
+    /// 51 — a grave probe from the higher id was hung up on before its dead
+    /// notice crossed; 60 — a heal closed the links the other victim's
+    /// crash wave was crossing; 191 — an installed SYNC snapshot forgot a
+    /// member whose `JOIN` had raced the serve. Each fails again with its
+    /// fix taken out of `core.rs`.
+    #[test]
+    fn sim_seeds_that_found_membership_wedges_stay_green() {
+        for seed in [51, 60, 191] {
+            let report = run_sim_chaos(&FaultPlan::random(seed, false));
+            assert!(report.passed(), "seed {seed}: {:?}", report.violations);
+        }
     }
 
     #[test]
     fn sim_mixed_quorum_dip_trips_the_oracle() {
-        // Sabotage a mixed plan: crash members until the live view falls
-        // below the 3f+1 floor. Every refused bump must surface as a
-        // QuorumUnsafe violation, not a panic and not silence.
-        let mut plan = FaultPlan::random(4, true); // mixed family
+        // A node heals around at most k−1 crashes and an overlay never
+        // shrinks below 2k ≥ 3f+1 members, so with f = ⌊(k−1)/2⌋ no crash
+        // schedule can take a view below the quorum floor. Sabotage the
+        // driver instead: the same 8-node, k = 3 cluster told to tolerate
+        // f = 2 has its floor at 7, and the second of two crashes dips
+        // under it. Every refused bump must surface as a QuorumUnsafe
+        // violation, not a panic and not silence.
+        let mut plan = FaultPlan::random(14, true); // mixed family, k = 3
+        assert_eq!((plan.family, plan.n, plan.k), (Family::Mixed, 8, 3));
         plan.traitors.clear();
-        plan.crashes.clear();
-        plan.broadcasts = vec![BroadcastSpec {
-            origin: 0,
-            at_us: 10_000,
-        }];
-        let f = lhg_byzantine::max_traitors(plan.k);
-        let floor = 3 * f + 1;
-        for (i, v) in ((floor - 1)..plan.n).enumerate() {
-            plan.crashes.push(crate::plan::CrashSpec {
-                node: v as u32,
-                at_us: 100_000 * (i as u64 + 1),
+        plan.broadcasts.truncate(1);
+        plan.crashes = vec![6, 7]
+            .into_iter()
+            .map(|node| CrashSpec {
+                node,
+                at_us: 100_000 * u64::from(node),
                 recover_at_us: None,
-            });
-        }
-        let report = run_sim_chaos(&plan);
+            })
+            .collect();
+        plan.broadcasts[0].origin = 0;
+        let faults = Arc::new(plan.injector());
+        let mut config = chaos_config(&plan, Arc::clone(&faults));
+        config.byzantine.as_mut().expect("a bracha family").f = 2;
+        let mut cluster = SimCluster::launch(
+            plan.constraint,
+            plan.n,
+            plan.k,
+            config,
+            LinkModel::default(),
+            plan.seed,
+        )
+        .unwrap();
+        let violations = execute(&plan, &mut cluster, &faults, plan.n as u32 - 1);
         assert!(
-            report
-                .violations
+            violations
                 .iter()
                 .any(|v| matches!(v, Violation::QuorumUnsafe { count } if *count > 0)),
-            "a view below 3f+1 must be charged, got: {:?}",
-            report.violations
+            "a view below 3f+1 must be charged, got: {violations:?}"
         );
     }
 
@@ -1305,7 +1008,7 @@ mod tests {
         let mut node = 0u32;
         while plan.traitors.len() < plan.n / 2 {
             if !origins.contains(&node) {
-                plan.traitors.push(crate::plan::TraitorSpec {
+                plan.traitors.push(TraitorSpec {
                     node,
                     behavior: TraitorBehavior::Silent,
                 });
@@ -1327,116 +1030,84 @@ mod tests {
     /// f = 1 budget on K-DIAMOND(16, 3): one traitor speaks under ids
     /// *nobody* holds. The signed-enough model forbids forging another
     /// node's attribution — an id outside the membership is no node's. At
-    /// the parent of the commit that added this test, the same process
-    /// makes every correct node deliver a broadcast no origin sent and this
+    /// the parent of the commit that added this test, the same lies make
+    /// every correct node deliver a broadcast no origin sent and this
     /// oracle reports `IntegrityForged` at all fifteen of them.
     #[test]
     fn sim_invented_witness_ids_forge_nothing() {
-        use lhg_byzantine::{
-            BrachaConfig, ByzantineFlooder, GossipFrame, GossipKind, VoteEntry, VotesFrame,
-            FORGE_NONCE_BASE,
-        };
+        use lhg_byzantine::{GossipFrame, GossipKind, VoteEntry, VotesFrame, FORGE_NONCE_BASE};
         use lhg_core::Constraint;
-        use lhg_net::message::{ByzTag, Message};
-        use lhg_net::sim::Context;
+        use lhg_net::message::ByzTag;
 
         const TRAITOR: u32 = 15;
 
-        /// Mute but for one burst: a payload-bearing ECHO and three READYs
-        /// under invented ids for an instance "of origin 0", the same lie
-        /// as bits, and a SEND under an invented origin.
-        struct Inventor;
-        impl Process for Inventor {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(20_000, 0);
-            }
-            fn on_message(&mut self, _: NodeId, _: Message, _: &mut Context<'_>) {}
-            fn on_timer(&mut self, _: u64, ctx: &mut Context<'_>) {
-                let payload = Bytes::from_static(b"no origin sent this");
-                let digest = lhg_byzantine::digest(&payload);
-                let forged = ByzTag {
-                    origin: 0,
-                    nonce: FORGE_NONCE_BASE + u64::from(TRAITOR),
-                };
-                let frame = |kind, witness, tag, payload: &Bytes| GossipFrame {
-                    kind,
-                    witness,
-                    tag,
-                    digest,
-                    payload: payload.clone(),
-                };
-                let mut lies =
-                    vec![frame(GossipKind::Echo, 4_000_000_000, forged, &payload).to_message()];
-                for witness in 1000..1003 {
-                    lies.push(
-                        frame(GossipKind::Ready, witness, forged, &Bytes::new()).to_message(),
-                    );
-                }
-                let invented = || (1000..1003).collect();
-                let bits = VoteEntry::delta(forged, digest, invented(), invented());
-                lies.push(VotesFrame::from(vec![bits]).to_message(TRAITOR));
-                let alien = ByzTag {
-                    origin: 4_000_000_000,
-                    nonce: 1,
-                };
-                lies.push(frame(GossipKind::Send, alien.origin, alien, &payload).to_message());
-                for w in ctx.neighbors().to_vec() {
-                    for lie in &lies {
-                        ctx.send(w, lie.clone());
-                    }
-                }
-            }
-        }
-
-        // A byzantine-family plan re-cut to (16, 3) with node 15 the traitor.
+        // A byzantine-family plan re-cut to (16, 3) with node 15 the
+        // traitor: mute, but for the one burst below.
         let mut plan = FaultPlan::random(3, true);
         (plan.n, plan.k, plan.constraint) = (16, 3, Constraint::KDiamond);
-        plan.traitors = vec![crate::plan::TraitorSpec {
+        plan.traitors = vec![TraitorSpec {
             node: TRAITOR,
             behavior: TraitorBehavior::Silent,
         }];
         for b in &mut plan.broadcasts {
             b.origin %= TRAITOR;
         }
-        let overlay = DynamicOverlay::bootstrap(plan.constraint, plan.n, plan.k).unwrap();
-        let cfg = BrachaConfig::for_overlay(plan.n, plan.k).unwrap();
-        let metrics = Arc::new(MetricsRegistry::new());
-        let processes: Vec<Box<dyn Process>> = (0..plan.n as u32)
-            .map(|v| -> Box<dyn Process> {
-                if v == TRAITOR {
-                    return Box::new(Inventor);
-                }
-                let mine = plan
-                    .broadcasts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| b.origin == v);
-                let schedule = mine.map(|(idx, b)| ScheduledByzBroadcast {
-                    nonce: CHAOS_BCAST_BASE + idx as u64,
-                    payload: byz_payload(idx),
-                    at_us: b.at_us,
-                });
-                let node = ByzantineFlooder::new(v, cfg).with_schedule(schedule.collect());
-                Box::new(node.with_metrics(Arc::clone(&metrics)))
-            })
-            .collect();
-        let report = Simulation::new(overlay.graph(), LinkModel::default(), plan.seed)
-            .run(processes, plan.horizon_us);
-        let records: Vec<(u32, u64, Option<u64>)> = (report.deliveries.iter())
-            .map(|d| (d.node.index() as u32, d.broadcast_id, d.trace))
-            .collect();
-        let mut violations = Vec::new();
-        check_byz_deliveries(&plan, &records, &mut violations);
+        let faults = Arc::new(plan.injector());
+        let config = chaos_config(&plan, Arc::clone(&faults));
+        let link = LinkModel::default();
+        let mut cluster =
+            SimCluster::launch(plan.constraint, plan.n, plan.k, config, link, plan.seed).unwrap();
+
+        // The burst: a payload-bearing ECHO and three READYs under invented
+        // ids for an instance "of origin 0", the same lie as bits, and a
+        // SEND under an invented origin — on every link the traitor holds.
+        let payload = Bytes::from_static(b"no origin sent this");
+        let digest = lhg_byzantine::digest(&payload);
+        let forged = ByzTag {
+            origin: 0,
+            nonce: FORGE_NONCE_BASE + u64::from(TRAITOR),
+        };
+        let frame = |kind, witness, tag, payload: &Bytes| GossipFrame {
+            kind,
+            witness,
+            tag,
+            digest,
+            payload: payload.clone(),
+        };
+        let mut lies = vec![frame(GossipKind::Echo, 4_000_000_000, forged, &payload).to_message()];
+        for witness in 1000..1003 {
+            lies.push(frame(GossipKind::Ready, witness, forged, &Bytes::new()).to_message());
+        }
+        let invented = || (1000..1003).collect();
+        let bits = VoteEntry::delta(forged, digest, invented(), invented());
+        lies.push(VotesFrame::from(vec![bits]).to_message(TRAITOR));
+        let alien = ByzTag {
+            origin: 4_000_000_000,
+            nonce: 1,
+        };
+        lies.push(frame(GossipKind::Send, alien.origin, alien, &payload).to_message());
+        cluster.run_until(20_000);
+        let from = MemberId::from(TRAITOR);
+        let neighbors = cluster.core(from, |c| c.links().clone());
+        for &w in &neighbors {
+            for msg in lies.iter().cloned() {
+                assert!(cluster.inject(w, SimInput::Wire { from, msg }));
+            }
+        }
+
+        let violations = execute(&plan, &mut cluster, &faults, plan.n as u32 - 1);
         assert_eq!(violations, Vec::new(), "validity holds, nothing forged");
-        assert_eq!(records.len(), 15 * plan.broadcasts.len());
+        let certified: usize = (0..TRAITOR)
+            .map(|m| cluster.byz_delivered(MemberId::from(m)).len())
+            .sum();
+        assert_eq!(certified, 15 * plan.broadcasts.len());
         // The traitor's neighbors each refused the four votes that came as
         // frames — no correct node sends or takes one — and the same votes
         // as bits past the roster bound did not even decode; the flooded
         // alien SEND was refused everywhere.
-        let neighbors = overlay.graph().neighbors(NodeId(TRAITOR as usize)).count() as u64;
         assert_eq!(
-            metrics.counter("byz.votes_rejected").get(),
-            neighbors * 4 + 15
+            cluster.metrics.counter("byz.votes_rejected").get(),
+            neighbors.len() as u64 * 4 + 15
         );
     }
 
@@ -1447,7 +1118,7 @@ mod tests {
         // notice that correct nodes never deliver.
         let mut plan = FaultPlan::random(0, true); // crash family
         plan.crashes.clear();
-        plan.crashes.push(crate::plan::CrashSpec {
+        plan.crashes.push(CrashSpec {
             node: 0,
             at_us: 0,
             recover_at_us: None,
@@ -1511,7 +1182,8 @@ mod tests {
     #[test]
     fn suite_sweeps_seeds_and_reports() {
         let mut seen = 0;
-        let outcome = run_suite(&[Engine::Sim], 0, 3, true, |_| seen += 1);
+        let overrides = PlanOverrides::default();
+        let outcome = run_suite(&[Engine::Sim], 0, 3, true, None, &overrides, |_| seen += 1);
         assert_eq!(outcome.reports.len(), 3);
         assert_eq!(seen, 3);
         assert!(

@@ -6,8 +6,9 @@
 //! and compared with a constant recorded from a known-good commit. The
 //! line embeds end time, delivery count and per-class frame and byte
 //! totals, so any change to send order, timer order or wire bytes in the
-//! simulator path — the sim engine, `ReliableFlooder`, `ByzantineFlooder`,
-//! the traitor scripts, the fault injector — moves the fingerprint.
+//! simulator path — the sim engine, `NodeCore` and the planes inside it,
+//! its simulator driver `SimNode`, the plan compiler and interpreter, the
+//! traitor scripts, the fault injector — moves the fingerprint.
 //!
 //! A deliberate protocol change re-records the constant (the failure
 //! message prints the new value); a refactor must not.
@@ -16,14 +17,16 @@
 
 use lhg_chaos::{run_sim_chaos, FaultPlan};
 
-/// Fingerprint of the 20 report lines. Re-recorded on purpose in PR 22,
-/// when Bracha's votes stopped being floods and became per-link witness-set
-/// deltas (`lhg_byzantine::exchange`): the twelve lines of the crash,
-/// partition and lossy families are byte-identical to the previous
-/// recording (`0x2ea4_a2e3_6b47_3a90`, taken before `ReliableCore`), the
-/// eight byzantine and mixed lines keep verdict and delivery count and
-/// carry 1.6–4.3× fewer byz frames (per-seed table in CHANGES.md, PR 22).
-const GOLDEN_FNV1A: u64 = 0x42cf_5a57_bbec_44b9;
+/// Fingerprint of the 20 report lines. Re-recorded on purpose in PR 24,
+/// when the simulator sweep stopped flooding `ReliableFlooder` /
+/// `ByzantineFlooder` over a static graph and started running `NodeCore` —
+/// heartbeats, failure detector, healing, rejoin, SYNC catch-up — through
+/// the same plan interpreter as the TCP engine: every line now carries
+/// control traffic the stand-ins never sent, and an end time that is the
+/// protocol's, not the schedule's. All 20 verdicts are unchanged (ok); the
+/// per-seed table of verdicts and delivery counts is in CHANGES.md, PR 24.
+/// (Before: `0x42cf_5a57_bbec_44b9`, PR 22's vote exchange.)
+const GOLDEN_FNV1A: u64 = 0x376b_bec3_de79_9423;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

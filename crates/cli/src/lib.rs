@@ -479,7 +479,7 @@ fn run_chaos(
         ),
         None => None,
     };
-    let outcome = lhg_chaos::run_suite_with(
+    let outcome = lhg_chaos::run_suite(
         engines,
         base_seed,
         seeds,

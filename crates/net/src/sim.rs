@@ -17,7 +17,8 @@ use lhg_trace::{PathRecord, TraceCollector};
 
 use crate::fault::FaultInjector;
 use crate::message::Message;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Counter, Histogram, MetricsRegistry};
+use crate::wirecost::WireAccountant;
 
 /// Simulated time in microseconds.
 pub type Time = u64;
@@ -46,6 +47,8 @@ pub struct Context<'a> {
     self_id: NodeId,
     neighbors: &'a [NodeId],
     outbox: Vec<(NodeId, Message)>,
+    /// Which entries of `outbox` are connection set-up, by index.
+    setup: Vec<usize>,
     delivered: Vec<Message>,
     timers: Vec<(Time, u64)>,
 }
@@ -81,6 +84,19 @@ impl Context<'_> {
             self.self_id
         );
         self.outbox.push((to, msg));
+    }
+
+    /// Sends `msg` to `to` as connection set-up: an attached fault
+    /// injector's partitions cut it like any frame, its drop, duplicate and
+    /// delay rates do not touch it — a real transport opens and closes
+    /// connections reliably, whatever happens to the frames inside them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is not a neighbor.
+    pub fn send_setup(&mut self, to: NodeId, msg: Message) {
+        self.setup.push(self.outbox.len());
+        self.send(to, msg);
     }
 
     /// Delivers `msg` to the local application (records the delivery).
@@ -169,6 +185,9 @@ pub struct Simulation {
     tracer: Option<Arc<TraceCollector>>,
     faults: Option<Arc<FaultInjector>>,
     sampler: Option<(Time, SamplerHook)>,
+    /// The run in progress, between [`Simulation::start`] and
+    /// [`Simulation::finish`].
+    run: Option<Run>,
 }
 
 impl Simulation {
@@ -184,6 +203,7 @@ impl Simulation {
             tracer: None,
             faults: None,
             sampler: None,
+            run: None,
         }
     }
 
@@ -258,6 +278,16 @@ impl Simulation {
         self
     }
 
+    /// Brings `node` back at `time`: every outage of it still open then
+    /// ends there. With [`Self::crash_at`], how a harness kills and revives
+    /// a node in the middle of a run.
+    pub fn revive_at(&mut self, node: NodeId, time: Time) -> &mut Self {
+        for (_, until) in &mut self.down[node.index()] {
+            *until = (*until).min(time);
+        }
+        self
+    }
+
     fn is_down(&self, node: NodeId, time: Time) -> bool {
         self.down[node.index()]
             .iter()
@@ -265,265 +295,296 @@ impl Simulation {
     }
 
     /// Runs the simulation with one boxed process per node until the event
-    /// queue drains or `max_time` passes.
+    /// queue drains or `max_time` passes: [`Self::start`], one
+    /// [`Self::run_until`], [`Self::finish`].
     ///
     /// # Panics
     ///
     /// Panics if `processes.len()` differs from the node count.
-    pub fn run(&mut self, mut processes: Vec<Box<dyn Process>>, max_time: Time) -> SimReport {
+    pub fn run(&mut self, processes: Vec<Box<dyn Process>>, max_time: Time) -> SimReport {
+        self.start(processes);
+        self.run_until(max_time);
+        self.finish()
+    }
+
+    /// Begins a run: every process that is up at time 0 gets its
+    /// [`Process::on_start`]. Advance it with [`Self::run_until`], end it
+    /// with [`Self::finish`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `processes.len()` differs from the node count.
+    pub fn start(&mut self, processes: Vec<Box<dyn Process>>) {
         let n = self.topology.node_count();
         assert_eq!(processes.len(), n, "one process per node required");
-
-        // Event payloads live in `events`; the heap orders (time, seq, node,
-        // payload-slot). A payload is either an in-flight message or an
-        // armed timer token. A payload is taken out of its slot when its
-        // event pops and the slot is reused, so the run holds what is in
-        // flight, not everything it ever carried; `seq` is unique, so the
-        // slot number never decides the order. Vacated slots are chained
-        // through themselves: the free list costs no allocation of its own.
-        enum Slot {
-            Message {
-                from: NodeId,
-                msg: Message,
+        let metrics = self.metrics.as_ref();
+        let mut run = Run {
+            processes,
+            queue: BinaryHeap::new(),
+            events: Slots::default(),
+            seq: 0,
+            fault_seq: 0,
+            now: 0,
+            report: SimReport {
+                deliveries: Vec::new(),
+                messages_sent: 0,
+                messages_dropped: 0,
+                end_time: 0,
             },
-            Timer {
-                token: u64,
-            },
-            /// Vacant; the next vacant slot, if any.
-            Free(Option<usize>),
-        }
-        #[derive(Default)]
-        struct Slots {
-            events: Vec<Slot>,
-            free: Option<usize>,
-        }
-        impl Slots {
-            fn put(&mut self, event: Slot) -> usize {
-                match self.free {
-                    Some(slot) => {
-                        let Slot::Free(next) = std::mem::replace(&mut self.events[slot], event)
-                        else {
-                            unreachable!("the free list links vacant slots only");
-                        };
-                        self.free = next;
-                        slot
-                    }
-                    None => {
-                        self.events.push(event);
-                        self.events.len() - 1
-                    }
-                }
-            }
-            fn take(&mut self, slot: usize) -> Slot {
-                let vacant = Slot::Free(self.free.replace(slot));
-                std::mem::replace(&mut self.events[slot], vacant)
-            }
-        }
-        let mut queue: BinaryHeap<Reverse<(Time, u64, usize, usize)>> = BinaryHeap::new();
-        let mut events = Slots::default();
-        let mut seq: u64 = 0;
-        let mut fault_seq: u64 = 0;
-        let mut messages_sent: u64 = 0;
-        let mut messages_dropped: u64 = 0;
-        let mut deliveries = Vec::new();
-        let mut end_time = 0;
-
-        let m_msgs = self
-            .metrics
-            .as_ref()
-            .map(|m| m.counter("sim.messages_sent"));
-        let m_bytes = self.metrics.as_ref().map(|m| m.counter("sim.bytes_sent"));
-        let m_delivs = self.metrics.as_ref().map(|m| m.counter("sim.deliveries"));
-        let m_dropped = self
-            .metrics
-            .as_ref()
-            .map(|m| m.counter("sim.messages_dropped"));
-        let m_latency = self
-            .metrics
-            .as_ref()
-            .map(|m| m.histogram("sim.delivery_latency_us"));
-        let m_wire = self.metrics.as_ref().map(|m| m.wire());
-
-        let tracer = self.tracer.clone();
-        let faults = self.faults.clone();
-        // Drains a handled context into the report and the event queue.
-        // `parent` is the neighbor whose message was being handled, if any.
-        let mut flush = |ctx: Context<'_>,
-                         at: NodeId,
-                         parent: Option<NodeId>,
-                         time: Time,
-                         rng_latency: &mut dyn FnMut() -> Time,
-                         queue: &mut BinaryHeap<Reverse<(Time, u64, usize, usize)>>,
-                         events: &mut Slots,
-                         seq: &mut u64| {
-            for d in ctx.delivered {
-                if let Some(c) = &m_delivs {
-                    c.inc();
-                }
-                if let Some(h) = &m_latency {
-                    h.record(time);
-                }
-                if let (Some(t), Some(trace_id)) = (&tracer, d.trace) {
-                    t.record(PathRecord {
-                        trace_id,
-                        node: at.index() as u32,
-                        parent: parent.map(|p| p.index() as u32),
-                        hops: d.hops,
-                        at_us: time,
-                    });
-                }
-                deliveries.push(Delivery {
-                    node: at,
-                    time,
-                    hops: d.hops,
-                    broadcast_id: d.broadcast_id,
-                    parent,
-                    trace: d.trace,
-                });
-            }
-            for (to, msg) in ctx.outbox {
-                // Fault decisions key on a per-message counter that advances
-                // even for dropped frames, so a plan's verdicts line up
-                // run-to-run regardless of what earlier faults removed.
-                let copies = match &faults {
-                    Some(f) => {
-                        let c = f.decide(at.index() as u32, to.index() as u32, time, fault_seq);
-                        fault_seq += 1;
-                        c
-                    }
-                    None => vec![0],
-                };
-                if copies.is_empty() {
-                    messages_dropped += 1;
-                    if let Some(c) = &m_dropped {
-                        c.inc();
-                    }
-                    continue;
-                }
-                for extra in copies {
-                    messages_sent += 1;
-                    if let Some(c) = &m_msgs {
-                        c.inc();
-                    }
-                    if let Some(c) = &m_bytes {
-                        c.add(msg.encoded_len() as u64);
-                    }
-                    if let Some(w) = &m_wire {
-                        w.record(
-                            at.index() as u32,
-                            to.index() as u32,
-                            msg.broadcast_id,
-                            msg.encoded_len() as u64,
-                        );
-                    }
-                    let latency = rng_latency() + extra;
-                    let slot = events.put(Slot::Message {
-                        from: at,
-                        msg: msg.clone(),
-                    });
-                    queue.push(Reverse((time + latency, *seq, to.index(), slot)));
-                    *seq += 1;
-                }
-            }
-            for (fire_at, token) in ctx.timers {
-                let slot = events.put(Slot::Timer { token });
-                queue.push(Reverse((fire_at, *seq, at.index(), slot)));
-                *seq += 1;
-            }
+            m_msgs: metrics.map(|m| m.counter("sim.messages_sent")),
+            m_bytes: metrics.map(|m| m.counter("sim.bytes_sent")),
+            m_delivs: metrics.map(|m| m.counter("sim.deliveries")),
+            m_dropped: metrics.map(|m| m.counter("sim.messages_dropped")),
+            m_latency: metrics.map(|m| m.histogram("sim.delivery_latency_us")),
+            m_wire: metrics.map(|m| m.wire()),
+            next_sample: self.sampler.as_ref().map(|&(every, _)| every),
         };
-
-        // Start every live process at time 0.
-        for (v, process) in processes.iter_mut().enumerate() {
-            if self.is_down(NodeId(v), 0) {
-                continue;
+        for v in (0..n).map(NodeId) {
+            if !self.is_down(v, 0) {
+                self.dispatch(&mut run, v, 0, None);
             }
-            let mut ctx = Context {
-                now: 0,
-                self_id: NodeId(v),
-                neighbors: self.topology.neighbors(NodeId(v)),
-                outbox: Vec::new(),
-                delivered: Vec::new(),
-                timers: Vec::new(),
-            };
-            process.on_start(&mut ctx);
-            let link = self.link;
-            let rng = &mut self.rng;
-            flush(
-                ctx,
-                NodeId(v),
-                None,
-                0,
-                &mut || sample_latency_with(link, rng),
-                &mut queue,
-                &mut events,
-                &mut seq,
-            );
         }
+        self.run = Some(run);
+    }
 
-        let mut sampler = self.sampler.take();
-        let mut next_sample = sampler.as_ref().map(|&(every, _)| every);
-
-        while let Some(Reverse((time, _, node, slot))) = queue.pop() {
-            if time > max_time {
+    /// Handles every queued event due at or before `time`, in (time,
+    /// sequence) order, and moves [`Self::now`] there.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a run ([`Self::start`] … [`Self::finish`]).
+    pub fn run_until(&mut self, time: Time) {
+        let mut run = self.run.take().expect("run_until outside a run");
+        while let Some(&Reverse((at, _, node, slot))) = run.queue.peek() {
+            if at > time {
                 break;
             }
-            let event = events.take(slot);
-            end_time = end_time.max(time);
-            if let (Some((every, on_sample)), Some(ns)) = (&mut sampler, &mut next_sample) {
-                while *ns <= time {
+            run.queue.pop();
+            let event = run.events.take(slot);
+            run.report.end_time = run.report.end_time.max(at);
+            if let (Some((every, on_sample)), Some(ns)) = (&mut self.sampler, &mut run.next_sample)
+            {
+                while *ns <= at {
                     on_sample(*ns);
                     *ns += *every;
                 }
             }
-            let node_id = NodeId(node);
-            if self.is_down(node_id, time) {
+            if !self.is_down(NodeId(node), at) {
+                self.dispatch(&mut run, NodeId(node), at, Some(event));
+            }
+        }
+        run.now = run.now.max(time);
+        self.run = Some(run);
+    }
+
+    /// Ends the run and hands back its report.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a run.
+    pub fn finish(&mut self) -> SimReport {
+        let run = self.run.take().expect("finish outside a run");
+        // Flush the tail interval so a merged timeline covers the whole
+        // run even when it ends between cadence boundaries. The hook served
+        // this run and goes with it.
+        if let Some((_, mut on_sample)) = self.sampler.take() {
+            on_sample(run.report.end_time);
+        }
+        run.report
+    }
+
+    /// How far the run in progress has been advanced.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a run.
+    #[must_use]
+    pub fn now(&self) -> Time {
+        self.run.as_ref().expect("now outside a run").now
+    }
+
+    /// Arms `token` on `node`'s process at [`Self::now`]: the next
+    /// [`Self::run_until`] hands it to [`Process::on_timer`] before anything
+    /// later. How a harness reaches into a run between two slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a run.
+    pub fn inject_timer(&mut self, node: NodeId, token: u64) {
+        let run = self.run.as_mut().expect("inject_timer outside a run");
+        run.push(run.now, node, Slot::Timer { token });
+    }
+
+    /// Hands one event (`None`: the start) to `at`'s process, then drains
+    /// what it did into the report and the event queue.
+    fn dispatch(&mut self, run: &mut Run, at: NodeId, time: Time, event: Option<Slot>) {
+        let mut ctx = Context {
+            now: time,
+            self_id: at,
+            neighbors: self.topology.neighbors(at),
+            outbox: Vec::new(),
+            setup: Vec::new(),
+            delivered: Vec::new(),
+            timers: Vec::new(),
+        };
+        let process = &mut run.processes[at.index()];
+        // `parent` is the neighbor whose message was being handled, if any.
+        let parent = match event {
+            None => {
+                process.on_start(&mut ctx);
+                None
+            }
+            Some(Slot::Message { from, msg }) => {
+                process.on_message(from, msg, &mut ctx);
+                Some(from)
+            }
+            Some(Slot::Timer { token }) => {
+                process.on_timer(token, &mut ctx);
+                None
+            }
+            Some(Slot::Free(_)) => unreachable!("a queued event owns its slot"),
+        };
+        for d in ctx.delivered {
+            if let Some(c) = &run.m_delivs {
+                c.inc();
+            }
+            if let Some(h) = &run.m_latency {
+                h.record(time);
+            }
+            if let (Some(t), Some(trace_id)) = (&self.tracer, d.trace) {
+                t.record(PathRecord {
+                    trace_id,
+                    node: at.index() as u32,
+                    parent: parent.map(|p| p.index() as u32),
+                    hops: d.hops,
+                    at_us: time,
+                });
+            }
+            run.report.deliveries.push(Delivery {
+                node: at,
+                time,
+                hops: d.hops,
+                broadcast_id: d.broadcast_id,
+                parent,
+                trace: d.trace,
+            });
+        }
+        for (i, (to, msg)) in ctx.outbox.into_iter().enumerate() {
+            let setup = ctx.setup.contains(&i);
+            // Fault decisions key on a per-message counter that advances
+            // even for dropped frames, so a plan's verdicts line up
+            // run-to-run regardless of what earlier faults removed.
+            let (from, dest) = (at.index() as u32, to.index() as u32);
+            let copies = match &self.faults {
+                Some(f) if setup && f.blocked(from, dest, time) => Vec::new(),
+                Some(f) if !setup => {
+                    let c = f.decide(from, dest, time, run.fault_seq);
+                    run.fault_seq += 1;
+                    c
+                }
+                _ => vec![0],
+            };
+            if copies.is_empty() {
+                run.report.messages_dropped += 1;
+                if let Some(c) = &run.m_dropped {
+                    c.inc();
+                }
                 continue;
             }
-            let mut ctx = Context {
-                now: time,
-                self_id: node_id,
-                neighbors: self.topology.neighbors(node_id),
-                outbox: Vec::new(),
-                delivered: Vec::new(),
-                timers: Vec::new(),
-            };
-            let parent = match event {
-                Slot::Message { from, msg } => {
-                    processes[node].on_message(from, msg, &mut ctx);
-                    Some(from)
+            for extra in copies {
+                run.report.messages_sent += 1;
+                if let Some(c) = &run.m_msgs {
+                    c.inc();
                 }
-                Slot::Timer { token } => {
-                    processes[node].on_timer(token, &mut ctx);
-                    None
+                if let Some(c) = &run.m_bytes {
+                    c.add(msg.encoded_len() as u64);
                 }
-                Slot::Free(_) => unreachable!("a queued event owns its slot"),
-            };
-            let link = self.link;
-            let rng = &mut self.rng;
-            flush(
-                ctx,
-                node_id,
-                parent,
-                time,
-                &mut || sample_latency_with(link, rng),
-                &mut queue,
-                &mut events,
-                &mut seq,
-            );
+                if let Some(w) = &run.m_wire {
+                    w.record(from, dest, msg.broadcast_id, msg.encoded_len() as u64);
+                }
+                let latency = sample_latency_with(self.link, &mut self.rng) + extra;
+                let msg = msg.clone();
+                run.push(time + latency, to, Slot::Message { from: at, msg });
+            }
         }
+        for (fire_at, token) in ctx.timers {
+            run.push(fire_at, at, Slot::Timer { token });
+        }
+    }
+}
 
-        // Flush the tail interval so a merged timeline covers the whole
-        // run even when it ends between cadence boundaries.
-        if let Some((_, on_sample)) = &mut sampler {
-            on_sample(end_time);
-        }
+/// An event's payload: an in-flight message or an armed timer token.
+enum Slot {
+    Message {
+        from: NodeId,
+        msg: Message,
+    },
+    Timer {
+        token: u64,
+    },
+    /// Vacant; the next vacant slot, if any.
+    Free(Option<usize>),
+}
 
-        SimReport {
-            deliveries,
-            messages_sent,
-            messages_dropped,
-            end_time,
+/// Event payloads. A payload is taken out of its slot when its event pops
+/// and the slot is reused, so a run holds what is in flight, not everything
+/// it ever carried. Vacated slots are chained through themselves: the free
+/// list costs no allocation of its own.
+#[derive(Default)]
+struct Slots {
+    events: Vec<Slot>,
+    free: Option<usize>,
+}
+
+impl Slots {
+    fn put(&mut self, event: Slot) -> usize {
+        match self.free {
+            Some(slot) => {
+                let Slot::Free(next) = std::mem::replace(&mut self.events[slot], event) else {
+                    unreachable!("the free list links vacant slots only");
+                };
+                self.free = next;
+                slot
+            }
+            None => {
+                self.events.push(event);
+                self.events.len() - 1
+            }
         }
+    }
+
+    fn take(&mut self, slot: usize) -> Slot {
+        let vacant = Slot::Free(self.free.replace(slot));
+        std::mem::replace(&mut self.events[slot], vacant)
+    }
+}
+
+/// The state of a run in progress: [`Simulation::start`] makes it,
+/// [`Simulation::finish`] turns it into the report.
+struct Run {
+    processes: Vec<Box<dyn Process>>,
+    /// (time, seq, node, payload slot); `seq` is unique, so the slot number
+    /// never decides the order.
+    queue: BinaryHeap<Reverse<(Time, u64, usize, usize)>>,
+    events: Slots,
+    seq: u64,
+    fault_seq: u64,
+    now: Time,
+    report: SimReport,
+    m_msgs: Option<Arc<Counter>>,
+    m_bytes: Option<Arc<Counter>>,
+    m_delivs: Option<Arc<Counter>>,
+    m_dropped: Option<Arc<Counter>>,
+    m_latency: Option<Arc<Histogram>>,
+    m_wire: Option<Arc<WireAccountant>>,
+    next_sample: Option<Time>,
+}
+
+impl Run {
+    fn push(&mut self, at: Time, node: NodeId, event: Slot) {
+        let slot = self.events.put(event);
+        self.queue.push(Reverse((at, self.seq, node.index(), slot)));
+        self.seq += 1;
     }
 }
 

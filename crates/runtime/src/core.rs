@@ -269,9 +269,12 @@ pub struct NodeCore {
     backoffs: HashMap<MemberId, Backoff>,
     /// Private RNG driving retry jitter (seeded from the config seed).
     rng: StdRng,
-    /// Excommunicated peers heard from recently: keep their link open until
-    /// the recorded deadline so the rejoin handshake can complete.
-    revenant_grace: HashMap<MemberId, u64>,
+    /// Links the reconcile pass would take down but must not yet, each with
+    /// its deadline: an excommunicated peer heard from recently (so the
+    /// rejoin handshake can complete), a caller from outside the overlay
+    /// (so it can be heard out), a link a heal just dropped (so what is in
+    /// flight on it lands).
+    link_grace: HashMap<MemberId, u64>,
     /// When each excommunicated peer's current unbroken run of frames
     /// began ([`Self::readmit_by_observation`]).
     revenant_since: HashMap<MemberId, u64>,
@@ -391,7 +394,7 @@ impl NodeCore {
             // Each node jitters independently, but the whole cluster is
             // still driven by the one configured seed.
             rng: StdRng::seed_from_u64(config.rng_seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            revenant_grace: HashMap::new(),
+            link_grace: HashMap::new(),
             revenant_since: HashMap::new(),
             notice_sent: HashMap::new(),
             awaiting_sync: None,
@@ -561,7 +564,7 @@ impl NodeCore {
         let now = self.now;
         let mut excommunicated = self.crashed.contains(&from);
         if excommunicated {
-            self.revenant_grace.insert(from, now + self.timeout_us);
+            self.link_grace.insert(from, now + self.timeout_us);
             if self.readmit_by_observation(from) {
                 excommunicated = false;
             } else {
@@ -939,8 +942,14 @@ impl NodeCore {
             return;
         }
         self.set_degraded(false, 0);
+        // Whoever the server had healed around is crashed here too — not
+        // "unknown": a member the snapshot wrongly lacks (its `JOIN` raced
+        // the serve) is then found alive by the next grave probe, instead
+        // of staying outside this replica for good.
+        self.crashed = (self.roster.iter().copied())
+            .filter(|&m| m != self.id && !replica.contains(m))
+            .collect();
         self.overlay = Arc::new(replica);
-        self.crashed.clear();
         self.view_changed();
         // Dedup state survives wholesale: wave nonces guarantee that any
         // wave newer than the snapshot floods under an unseen id, while
@@ -948,7 +957,7 @@ impl NodeCore {
         self.last_seen.clear();
         self.next_dial.clear();
         self.backoffs.clear();
-        self.revenant_grace.clear();
+        self.link_grace.clear();
         self.revenant_since.clear();
         self.notice_sent.clear();
         self.crash_reporters.clear();
@@ -1066,7 +1075,7 @@ impl NodeCore {
         if self.crashed.remove(&member) {
             self.view_epoch += 1;
         }
-        self.revenant_grace.remove(&member);
+        self.link_grace.remove(&member);
         self.revenant_since.remove(&member);
         self.notice_sent.remove(&member);
         // A rejoined member's pre-join crash reports are stale evidence.
@@ -1422,13 +1431,21 @@ impl NodeCore {
         self.reconcile();
     }
 
-    /// Applies one churn report: drop removed links, dial added ones (on
-    /// the dialer side), and re-size the Bracha view to the new membership.
+    /// Applies one churn report: let removed links linger, dial added ones
+    /// (on the dialer side), and re-size the Bracha view to the new
+    /// membership.
     fn apply_churn(&mut self, report: &ChurnReport) {
         self.view_changed();
-        for peer in report.removed_for(self.id).collect::<Vec<_>>() {
-            self.drop_link(peer);
-            self.count("runtime.links_dropped");
+        // Make before break: a link the new topology has no use for lingers
+        // for a moment before the reconcile pass takes it down. A wave is
+        // flooded once, best-effort, and a link closed under it takes the
+        // copy in flight along: with two victims at once, a node could apply
+        // one crash, close the links the other's wave was crossing, and keep
+        // a replica nobody else holds — its neighbors-to-be never dial it,
+        // and it suspects them.
+        for peer in report.removed_for(self.id) {
+            let until = self.now + self.timeout_us / 2;
+            self.link_grace.entry(peer).or_insert(until);
         }
         for peer in report.added_for(self.id).collect::<Vec<_>>() {
             if self.id < peer {
@@ -1452,20 +1469,18 @@ impl NodeCore {
     fn reconcile(&mut self) {
         let now = self.now;
         let probe_all = self.probe_all();
-        self.revenant_grace
-            .retain(|_, &mut deadline| now < deadline);
+        self.link_grace.retain(|_, &mut deadline| now < deadline);
 
         // Teardown is dialer-driven so a link is never closed by a node
         // that merely hasn't healed yet; links to crashed members go down
-        // too, unless the peer is a revenant mid-rejoin.
+        // too. Neither while the link is in grace: a revenant mid-rejoin,
+        // or a caller from outside the overlay who is yet to be heard out.
         let unwanted: Vec<MemberId> = (self.links.iter().copied())
             .filter(|peer| {
                 !probe_all
-                    && if self.crashed.contains(peer) {
-                        !self.revenant_grace.contains_key(peer)
-                    } else {
-                        self.id < *peer && !self.desired.contains(peer)
-                    }
+                    && !self.link_grace.contains_key(peer)
+                    && (self.crashed.contains(peer)
+                        || (self.id < *peer && !self.desired.contains(peer)))
             })
             .collect();
         for peer in unwanted {
@@ -1557,13 +1572,22 @@ impl NodeCore {
         }
         self.rec(EventKind::Connect { peer: peer as u32 });
         self.drive(|r, _, _, now, out| r.flush(peer, now, out));
+        if !dialed && !excommunicated && !self.desired.contains(&peer) {
+            // Nobody dials outside the overlay without a reason: a grave
+            // probe that found this node alive and has a dead notice to
+            // deliver, a degraded node that must see a full timeout of
+            // frames before it believes its eyes. Hanging up at once — the
+            // dialer-side teardown, when this side has the lower id — would
+            // leave the caller's stale exclusion standing for good.
+            self.link_grace.insert(peer, now + 2 * self.timeout_us);
+        }
         if excommunicated {
             // Hold the link open long enough for the rejoin handshake. A
             // grave probe that found its target alive says so at once: even
             // if the peer's own reconcile pass tears the probe link down, a
             // healthy peer answers with a flooded `JOIN` wave that reaches
             // us through the mesh. (Degraded nodes already probe everyone.)
-            self.revenant_grace.insert(peer, now + self.timeout_us);
+            self.link_grace.insert(peer, now + self.timeout_us);
             if dialed && !self.probe_all() {
                 self.count("runtime.grave_probes_hit");
                 self.maybe_send_dead_notice(peer);

@@ -16,14 +16,17 @@
 //! silent rather than refusing, so survivors learn of it from heartbeat
 //! silence alone — the general case sockets shortcut with an EOF.
 //!
-//! [`SimCluster`] is the harness: outages (crash, optional revival),
-//! scheduled inputs, then [`SimCluster::run`]. A revival reboots a blank
-//! core the way [`crate::Cluster::rejoin`] does: the survivors' replica
-//! with this node admitted, a pending `JOIN`, the still-dead members as
-//! initial crashes, a fresh life for its wave nonces.
+//! [`SimCluster`] is the harness, and it is [`crate::Cluster`]'s shape in
+//! virtual time: [`SimCluster::launch`], then any interleaving of
+//! [`SimCluster::run_until`] / [`SimCluster::await_until`] with
+//! [`SimCluster::kill`], [`SimCluster::revive`], [`SimCluster::broadcast`]
+//! and [`SimCluster::inject`], each taking effect at [`SimCluster::now`].
+//! A revival reboots a blank core the way [`crate::Cluster::rejoin`] does:
+//! a survivor's replica with this node admitted, a pending `JOIN`, the
+//! still-dead members as initial crashes, a fresh life for its wave nonces.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,10 +36,11 @@ use bytes::Bytes;
 use lhg_core::overlay::{DynamicOverlay, MemberId};
 use lhg_core::{Constraint, LhgError};
 use lhg_graph::{Graph, NodeId};
+use lhg_net::fifo::fifo_id;
 use lhg_net::message::Message;
 use lhg_net::metrics::MetricsRegistry;
 use lhg_net::sim::{Context, LinkModel, Process, SimReport, Simulation, Time};
-use lhg_trace::{merge_timelines, FlightRecorder};
+use lhg_trace::{merge_timelines, FlightRecorder, TraceCollector};
 
 use crate::core::{Action, BootOpts, Event, NodeCore};
 use crate::wire;
@@ -48,11 +52,10 @@ pub const ACK: u8 = 1;
 pub const FIN: u8 = 2;
 
 const TICK: u64 = 0;
-const REVIVE: u64 = 1;
-const INPUT: u64 = 1 << 32;
+const INPUT: u64 = 1;
 const DIAL: u64 = 1 << 33;
 
-/// Something a scenario makes happen at one node at a scheduled time.
+/// Something a scenario makes happen at one node.
 #[derive(Debug, Clone)]
 pub enum SimInput {
     /// Handed straight to the core (a broadcast to originate, …).
@@ -67,21 +70,44 @@ pub enum SimInput {
     },
 }
 
-/// One node's state, readable after the run.
+/// One node's current life, readable between two slices of the run.
 pub struct SimNodeState {
-    /// The node's core (the rebooted one, after a revival).
+    /// The node's core.
     pub core: NodeCore,
+    /// Broadcast ids delivered, in delivery order.
+    pub delivered: Vec<u64>,
     /// Bracha deliveries, in delivery order.
     pub byz_delivered: Vec<Message>,
+    /// Peers this side holds an open link to, and open requests in flight
+    /// with their deadlines.
+    up: BTreeSet<MemberId>,
+    dialing: BTreeMap<MemberId, Time>,
+    /// What the harness injected and the node has not handled yet.
+    inbox: VecDeque<SimInput>,
+    /// When the live tick chain fires next; a tick armed by an earlier life
+    /// arrives early and is dropped.
+    next_tick: Time,
+}
+
+impl SimNodeState {
+    fn boot(core: NodeCore) -> Self {
+        SimNodeState {
+            core,
+            delivered: Vec::new(),
+            byz_delivered: Vec::new(),
+            up: BTreeSet::new(),
+            dialing: BTreeMap::new(),
+            inbox: VecDeque::new(),
+            next_tick: 0,
+        }
+    }
 }
 
 /// What every node of one run shares.
 struct World {
     config: RuntimeConfig,
-    bootstrap: DynamicOverlay,
     roster: BTreeSet<MemberId>,
     metrics: Arc<MetricsRegistry>,
-    outages: Vec<(MemberId, Time, Option<Time>)>,
     tick_us: Time,
     dial_timeout_us: Time,
 }
@@ -91,69 +117,61 @@ pub struct SimNode {
     id: MemberId,
     world: Rc<World>,
     state: Rc<RefCell<SimNodeState>>,
-    recorder: Arc<FlightRecorder>,
     out: Vec<Action>,
-    /// Peers this side holds an open link to, and open requests in flight
-    /// with their deadlines.
-    up: BTreeSet<MemberId>,
-    dialing: BTreeMap<MemberId, Time>,
-    inputs: Vec<(Time, Option<SimInput>)>,
-    revive_at: Option<Time>,
 }
 
 fn node(member: MemberId) -> NodeId {
     NodeId(member as usize)
 }
 
-impl SimNode {
-    fn hello(&self, payload: &'static [u8]) -> Message {
-        let id = wire::hello_id(self.id);
-        Message::new(id, self.id as u32, Bytes::from_static(payload))
-    }
+fn hello(from: MemberId, payload: &'static [u8]) -> Message {
+    let id = wire::hello_id(from);
+    Message::new(id, from as u32, Bytes::from_static(payload))
+}
 
+impl SimNode {
     /// The event (if any), a tick, then the actions both produced.
-    fn step(&mut self, event: Option<Event>, ctx: &mut Context<'_>) {
-        {
-            let core = &mut self.state.borrow_mut().core;
-            if let Some(ev) = event {
-                core.handle(ev, ctx.now(), &mut self.out);
-            }
-            core.tick(ctx.now(), &mut self.out);
+    fn step(&mut self, st: &mut SimNodeState, event: Option<Event>, ctx: &mut Context<'_>) {
+        if let Some(ev) = event {
+            st.core.handle(ev, ctx.now(), &mut self.out);
         }
-        let mut out = std::mem::take(&mut self.out);
-        for action in out.drain(..) {
+        st.core.tick(ctx.now(), &mut self.out);
+        for action in self.out.drain(..) {
             match action {
-                Action::Send { to, msg } if self.up.contains(&to) => ctx.send(node(to), msg),
+                Action::Send { to, msg } if st.up.contains(&to) => ctx.send(node(to), msg),
                 Action::Send { .. } => {}
                 Action::Flood { msg, except } => {
-                    for &to in self.up.iter().filter(|&&p| Some(p) != except) {
+                    for &to in st.up.iter().filter(|&&p| Some(p) != except) {
                         ctx.send(node(to), msg.clone());
                     }
                 }
                 Action::Dial { peer } => {
                     let timeout = self.world.dial_timeout_us;
-                    self.dialing.insert(peer, ctx.now() + timeout);
-                    ctx.send(node(peer), self.hello(&[]));
+                    st.dialing.insert(peer, ctx.now() + timeout);
+                    ctx.send_setup(node(peer), hello(self.id, &[]));
                     ctx.set_timer(timeout, DIAL | peer);
                 }
                 Action::Close { peer } => {
-                    if self.up.remove(&peer) {
-                        ctx.send(node(peer), self.hello(&[FIN]));
+                    if st.up.remove(&peer) {
+                        ctx.send_setup(node(peer), hello(self.id, &[FIN]));
                     }
                 }
-                Action::Deliver { msg, .. } => ctx.deliver(msg),
+                Action::Deliver { msg, .. } => {
+                    st.delivered.push(msg.broadcast_id);
+                    ctx.deliver(msg);
+                }
                 Action::ByzDeliver { msg } => {
-                    self.state.borrow_mut().byz_delivered.push(msg);
+                    st.byz_delivered.push(msg);
                     self.world.metrics.counter("runtime.byz_delivered").inc();
                 }
             }
         }
-        self.out = out;
     }
 
     /// A hello-class frame from `peer` claiming to be `claimed`.
     fn on_handshake(
         &mut self,
+        st: &mut SimNodeState,
         peer: MemberId,
         claimed: MemberId,
         kind: Option<u8>,
@@ -164,200 +182,140 @@ impl SimNode {
             // once). The core rules on the claimed id; a replaced link is a
             // new connection to it.
             None => {
-                let dialed = self.dialing.remove(&peer).is_some();
-                let accepted = {
-                    let core = &mut self.state.borrow_mut().core;
-                    let up = Event::LinkUp {
-                        peer: claimed,
-                        dialed,
-                    };
-                    core.handle(up, ctx.now(), &mut self.out);
-                    let accepted = core.links().contains(&claimed);
-                    if accepted && claimed != peer {
-                        let down = Event::LinkDown { peer: claimed };
-                        core.handle(down, ctx.now(), &mut self.out);
-                    }
-                    accepted && claimed == peer
+                let dialed = st.dialing.remove(&peer).is_some();
+                let up = Event::LinkUp {
+                    peer: claimed,
+                    dialed,
                 };
-                if accepted {
-                    self.up.insert(peer);
+                st.core.handle(up, ctx.now(), &mut self.out);
+                let mut accepted = st.core.links().contains(&claimed);
+                if accepted && claimed != peer {
+                    let down = Event::LinkDown { peer: claimed };
+                    st.core.handle(down, ctx.now(), &mut self.out);
+                    accepted = false;
                 }
-                ctx.send(
-                    node(peer),
-                    self.hello(if accepted { &[ACK] } else { &[FIN] }),
-                );
-                self.step(None, ctx);
+                if accepted {
+                    st.up.insert(peer);
+                }
+                let answer = if accepted { &[ACK] } else { &[FIN] };
+                ctx.send_setup(node(peer), hello(self.id, answer));
+                self.step(st, None, ctx);
             }
-            Some(ACK) if self.dialing.remove(&peer).is_some() => {
-                self.up.insert(peer);
+            Some(ACK) if st.dialing.remove(&peer).is_some() => {
+                st.up.insert(peer);
                 let dialed = true;
-                self.step(Some(Event::LinkUp { peer, dialed }), ctx);
+                self.step(st, Some(Event::LinkUp { peer, dialed }), ctx);
             }
             // An answer that outlived its request: nobody is waiting.
-            Some(ACK) if !self.up.contains(&peer) => ctx.send(node(peer), self.hello(&[FIN])),
-            Some(FIN) if self.up.remove(&peer) => self.step(Some(Event::LinkDown { peer }), ctx),
+            Some(ACK) if !st.up.contains(&peer) => {
+                ctx.send_setup(node(peer), hello(self.id, &[FIN]));
+            }
+            Some(FIN) if st.up.remove(&peer) => {
+                self.step(st, Some(Event::LinkDown { peer }), ctx);
+            }
             Some(_) => {}
         }
     }
 
-    /// Boots a blank core the way a rejoin does; see the module docs.
-    fn reboot(&mut self, ctx: &mut Context<'_>) {
-        let (w, now) = (&self.world, ctx.now());
-        let dead: BTreeSet<MemberId> = (w.outages.iter())
-            .filter(|&&(m, from, until)| {
-                m != self.id && now >= from && until.is_none_or(|u| now < u)
-            })
-            .map(|o| o.0)
-            .collect();
-        let mut overlay = w.bootstrap.clone();
-        let gone: Vec<MemberId> = dead.iter().copied().chain([self.id]).collect();
-        if overlay.crash_many(&gone).is_ok() {
-            let _ = overlay.admit(self.id);
+    fn on_frame(
+        &mut self,
+        st: &mut SimNodeState,
+        from: NodeId,
+        msg: Message,
+        ctx: &mut Context<'_>,
+    ) {
+        let peer = from.index() as MemberId;
+        if let Some(claimed) = wire::hello_peer(msg.broadcast_id) {
+            self.on_handshake(st, peer, claimed, msg.payload.first().copied(), ctx);
+        } else if st.up.contains(&peer) {
+            self.step(st, Some(Event::Frame { from: peer, msg }), ctx);
+        } else if !st.dialing.contains_key(&peer) {
+            // The sender believes in a link this side closed or never had.
+            ctx.send_setup(from, hello(self.id, &[FIN]));
         }
-        let opts = BootOpts {
-            announce_join: true,
-            initial_crashes: dead,
-            life: (w.roster.len() as u64 + self.id) as u32,
-        };
-        let (metrics, recorder) = (Arc::clone(&w.metrics), Arc::clone(&self.recorder));
-        let roster = w.roster.clone();
-        if let Ok(core) = NodeCore::new(
-            self.id, overlay, roster, &w.config, metrics, recorder, opts, now,
-        ) {
-            self.state.borrow_mut().core = core;
-        }
-        self.up.clear();
-        self.dialing.clear();
-        ctx.set_timer(w.tick_us, TICK);
-        self.step(None, ctx);
     }
 }
 
 impl Process for SimNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        for (i, &(at, _)) in self.inputs.iter().enumerate() {
-            ctx.set_timer(at, INPUT | i as u64);
-        }
-        if let Some(at) = self.revive_at {
-            ctx.set_timer(at, REVIVE);
-        }
-        ctx.set_timer(self.world.tick_us, TICK);
-        self.step(None, ctx);
+        self.on_timer(TICK, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
-        let peer = from.index() as MemberId;
-        if let Some(claimed) = wire::hello_peer(msg.broadcast_id) {
-            self.on_handshake(peer, claimed, msg.payload.first().copied(), ctx);
-        } else if self.up.contains(&peer) {
-            self.step(Some(Event::Frame { from: peer, msg }), ctx);
-        } else if !self.dialing.contains_key(&peer) {
-            // The sender believes in a link this side closed or never had.
-            ctx.send(from, self.hello(&[FIN]));
-        }
+        let state = Rc::clone(&self.state);
+        self.on_frame(&mut state.borrow_mut(), from, msg, ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+        let state = Rc::clone(&self.state);
+        let st = &mut *state.borrow_mut();
         match token {
-            TICK => {
+            TICK if ctx.now() >= st.next_tick => {
+                st.next_tick = ctx.now() + self.world.tick_us;
                 ctx.set_timer(self.world.tick_us, TICK);
-                self.step(None, ctx);
+                self.step(st, None, ctx);
             }
-            REVIVE => self.reboot(ctx),
-            t if t & DIAL != 0 => {
-                let peer = t ^ DIAL;
-                if self.dialing.get(&peer).is_some_and(|&due| ctx.now() >= due) {
-                    self.dialing.remove(&peer);
-                    self.step(Some(Event::DialFailed { peer }), ctx);
-                }
-            }
-            t => match self.inputs[(t ^ INPUT) as usize].1.take() {
-                Some(SimInput::Event(ev)) => self.step(Some(ev), ctx),
-                Some(SimInput::Wire { from, msg }) => self.on_message(node(from), msg, ctx),
+            TICK => {}
+            INPUT => match st.inbox.pop_front() {
+                Some(SimInput::Event(ev)) => self.step(st, Some(ev), ctx),
+                Some(SimInput::Wire { from, msg }) => self.on_frame(st, node(from), msg, ctx),
                 None => {}
             },
+            t => {
+                let peer = t ^ DIAL;
+                if st.dialing.get(&peer).is_some_and(|&due| ctx.now() >= due) {
+                    st.dialing.remove(&peer);
+                    self.step(st, Some(Event::DialFailed { peer }), ctx);
+                }
+            }
         }
     }
 }
 
-/// A scenario: `n` [`SimNode`]s booted from one `constraint`-built
-/// k-connected overlay, plus what happens to them.
+/// `n` [`SimNode`]s booted from one `constraint`-built k-connected overlay,
+/// mid-run: see the module docs.
 pub struct SimCluster {
-    overlay: DynamicOverlay,
-    /// Timing, reliability and byzantine setup, read exactly as the socket
-    /// runtime reads them. `faults` goes to the simulator (virtual time).
-    pub config: RuntimeConfig,
-    /// Link latency model of every K_n edge.
-    pub link: LinkModel,
-    /// Seeds link jitter (node-private jitter comes from `config.rng_seed`).
-    pub seed: u64,
-    outages: Vec<(MemberId, Time, Option<Time>)>,
-    inputs: Vec<(Time, MemberId, SimInput)>,
-}
-
-/// A finished run: the simulator's report plus every node's final state.
-pub struct SimRun {
-    /// Deliveries, message counts and end time, as the simulator saw them.
-    pub report: SimReport,
+    sim: Simulation,
+    world: Rc<World>,
     /// Per-member state, indexed by member id.
     pub nodes: Vec<Rc<RefCell<SimNodeState>>>,
     /// Per-member flight recorders (virtual-time stamps).
     pub recorders: Vec<Arc<FlightRecorder>>,
     /// `runtime.*` counters of every core plus the simulator's `sim.*`.
     pub metrics: Arc<MetricsRegistry>,
+    /// Delivery path records of every traced broadcast.
+    pub tracer: Arc<TraceCollector>,
+    killed: BTreeSet<MemberId>,
+    /// Next node-life ordinal, allocated exactly as [`crate::Cluster`] does:
+    /// boots take 0..n, every revival a fresh one, so control-wave nonces
+    /// never collide across lives.
+    next_life: u32,
+    next_seq: u32,
 }
 
 impl SimCluster {
-    /// A scenario over `DynamicOverlay::bootstrap(constraint, n, k)`.
+    /// Boots `DynamicOverlay::bootstrap(constraint, n, k)` at virtual time
+    /// 0. `config` is read exactly as the socket runtime reads it, except
+    /// that `faults` goes to the simulator (virtual time); `link` is the
+    /// latency model of every K_n edge and `seed` its jitter's (node-private
+    /// jitter comes from `config.rng_seed`).
     ///
     /// # Errors
     ///
     /// The builder's error when (n, k) is out of its domain.
-    pub fn new(
-        constraint: Constraint,
-        n: usize,
-        k: usize,
-        config: RuntimeConfig,
-    ) -> Result<Self, LhgError> {
-        Ok(SimCluster {
-            overlay: DynamicOverlay::bootstrap(constraint, n, k)?,
-            config,
-            link: LinkModel::default(),
-            seed: 0,
-            outages: Vec::new(),
-            inputs: Vec::new(),
-        })
-    }
-
-    /// Fail-stops `member` at `at`; with `revive_at` it reboots blank then.
-    /// The outage must outlast a tick, and start after time 0.
-    pub fn crash(&mut self, member: MemberId, at: Time, revive_at: Option<Time>) -> &mut Self {
-        self.outages.push((member, at, revive_at));
-        self
-    }
-
-    /// Schedules `input` at `member` at time `at`.
-    pub fn input(&mut self, at: Time, member: MemberId, input: SimInput) -> &mut Self {
-        self.inputs.push((at, member, input));
-        self
-    }
-
-    /// Schedules a traced broadcast of `payload` from `origin`; returns its id.
-    pub fn broadcast(&mut self, at: Time, origin: MemberId, payload: Bytes) -> u64 {
-        let id = lhg_net::fifo::fifo_id(origin as u32, self.inputs.len() as u32 + 1);
-        let msg = Message::new(id, origin as u32, payload).with_trace(id);
-        self.input(at, origin, SimInput::Event(Event::Broadcast(msg)));
-        id
-    }
-
-    /// Runs the scenario until the queue drains or `max_time` passes.
     ///
     /// # Panics
     ///
     /// Panics when a byzantine setup needs more members than `n` (n < 3f+1).
-    #[must_use]
-    pub fn run(self, max_time: Time) -> SimRun {
-        let n = self.overlay.len();
+    pub fn launch(
+        constraint: Constraint,
+        n: usize,
+        k: usize,
+        config: RuntimeConfig,
+        link: LinkModel,
+        seed: u64,
+    ) -> Result<Self, LhgError> {
+        let overlay = DynamicOverlay::bootstrap(constraint, n, k)?;
         let mut complete = Graph::with_nodes(n);
         for a in 0..n {
             for b in a + 1..n {
@@ -365,73 +323,163 @@ impl SimCluster {
             }
         }
         let metrics = Arc::new(MetricsRegistry::new());
-        let mut sim = Simulation::new(&complete, self.link, self.seed);
+        let tracer = Arc::new(TraceCollector::new());
+        let mut sim = Simulation::new(&complete, link, seed);
         sim.with_metrics(Arc::clone(&metrics));
-        if let Some(faults) = self.config.faults.clone() {
+        sim.with_trace(Arc::clone(&tracer));
+        if let Some(faults) = config.faults.clone() {
             sim.with_faults(faults);
-        }
-        for &(member, from, until) in &self.outages {
-            sim.down_between(node(member), from, until.unwrap_or(Time::MAX));
         }
         let us = |d: std::time::Duration| d.as_micros() as Time;
         let world = Rc::new(World {
-            tick_us: us(self.config.tick),
-            dial_timeout_us: us(self.config.dial_timeout),
-            config: self.config,
-            roster: self.overlay.members().iter().copied().collect(),
-            bootstrap: self.overlay,
+            tick_us: us(config.tick),
+            dial_timeout_us: us(config.dial_timeout),
+            config,
+            roster: overlay.members().iter().copied().collect(),
             metrics: Arc::clone(&metrics),
-            outages: self.outages,
         });
         let epoch = Instant::now(); // unused: every event carries virtual time
-        let (mut nodes, mut recorders) = (Vec::new(), Vec::new());
-        let mut inputs = self.inputs;
+        let mut cluster = SimCluster {
+            sim,
+            world,
+            nodes: Vec::with_capacity(n),
+            recorders: Vec::with_capacity(n),
+            metrics,
+            tracer,
+            killed: BTreeSet::new(),
+            next_life: 0,
+            next_seq: 0,
+        };
         let mut processes: Vec<Box<dyn Process>> = Vec::with_capacity(n);
         for id in 0..n as MemberId {
-            let capacity = world.config.recorder_capacity;
-            let recorder = Arc::new(FlightRecorder::with_capacity(id as u32, capacity, epoch));
-            let opts = BootOpts {
-                life: id as u32,
-                ..BootOpts::default()
-            };
-            let (overlay, roster) = (world.bootstrap.clone(), world.roster.clone());
-            let (m, r) = (Arc::clone(&metrics), Arc::clone(&recorder));
-            let core = NodeCore::new(id, overlay, roster, &world.config, m, r, opts, 0)
-                .expect("membership supports the byzantine setup");
-            let byz_delivered = Vec::new();
-            let state = Rc::new(RefCell::new(SimNodeState {
-                core,
-                byz_delivered,
-            }));
-            let (mine, rest) = inputs.into_iter().partition(|i| i.1 == id);
-            inputs = rest;
-            let mine: Vec<(Time, MemberId, SimInput)> = mine;
-            let outage = world.outages.iter().find(|o| o.0 == id);
+            let capacity = cluster.world.config.recorder_capacity;
+            let recorder = FlightRecorder::with_capacity(id as u32, capacity, epoch);
+            cluster.recorders.push(Arc::new(recorder));
+            let core = cluster.boot(id, overlay.clone(), BootOpts::default(), 0);
+            let state = Rc::new(RefCell::new(SimNodeState::boot(core)));
             processes.push(Box::new(SimNode {
                 id,
-                world: Rc::clone(&world),
+                world: Rc::clone(&cluster.world),
                 state: Rc::clone(&state),
-                recorder: Arc::clone(&recorder),
                 out: Vec::new(),
-                up: BTreeSet::new(),
-                dialing: BTreeMap::new(),
-                inputs: (mine.into_iter().map(|(at, _, i)| (at, Some(i)))).collect(),
-                revive_at: outage.and_then(|o| o.2),
             }));
-            nodes.push(state);
-            recorders.push(recorder);
+            cluster.nodes.push(state);
         }
-        let report = sim.run(processes, max_time);
-        SimRun {
-            report,
-            nodes,
-            recorders,
-            metrics,
-        }
+        cluster.sim.start(processes);
+        Ok(cluster)
     }
-}
 
-impl SimRun {
+    /// A core for `id`'s next life, booted at `now` on `overlay`.
+    fn boot(
+        &mut self,
+        id: MemberId,
+        overlay: DynamicOverlay,
+        opts: BootOpts,
+        now: Time,
+    ) -> NodeCore {
+        let opts = BootOpts {
+            life: self.next_life,
+            ..opts
+        };
+        self.next_life += 1;
+        let (w, recorder) = (&self.world, Arc::clone(&self.recorders[id as usize]));
+        let (roster, metrics) = (w.roster.clone(), Arc::clone(&w.metrics));
+        NodeCore::new(id, overlay, roster, &w.config, metrics, recorder, opts, now)
+            .expect("membership supports the byzantine setup")
+    }
+
+    /// How far the run has been advanced (µs of virtual time).
+    #[must_use]
+    pub fn now(&self) -> Time {
+        self.sim.now()
+    }
+
+    /// Advances virtual time to `time`.
+    pub fn run_until(&mut self, time: Time) {
+        self.sim.run_until(time);
+    }
+
+    /// Advances virtual time, a heartbeat period at a time, until `cond`
+    /// holds or `timeout_us` has passed; returns the final verdict.
+    pub fn await_until(&mut self, timeout_us: Time, mut cond: impl FnMut(&Self) -> bool) -> bool {
+        let deadline = self.now().saturating_add(timeout_us);
+        let slice = (self.world.config.heartbeat_period.as_micros() as Time).max(1);
+        while !cond(self) {
+            if self.now() >= deadline {
+                return false;
+            }
+            self.run_until((self.now() + slice).min(deadline));
+        }
+        true
+    }
+
+    /// Fail-stops `member` now: it falls silent and handles nothing more.
+    /// `false` if it is unknown or already dead.
+    pub fn kill(&mut self, member: MemberId) -> bool {
+        if member as usize >= self.nodes.len() || !self.killed.insert(member) {
+            return false;
+        }
+        self.sim.crash_at(node(member), self.now());
+        self.nodes[member as usize].borrow_mut().inbox.clear();
+        true
+    }
+
+    /// Reboots a killed `member` blank, now, as [`crate::Cluster::rejoin`]
+    /// does. `false` if it is not dead, or nobody is left to boot from.
+    pub fn revive(&mut self, member: MemberId) -> bool {
+        let survivor = (0..self.nodes.len() as MemberId).find(|m| !self.killed.contains(m));
+        let (Some(survivor), true) = (survivor, self.killed.contains(&member)) else {
+            return false;
+        };
+        // The freshest survivor view; the revenant re-admits itself if the
+        // survivors already excommunicated it.
+        let mut overlay = self.core(survivor, |c| DynamicOverlay::clone(c.overlay()));
+        if !overlay.contains(member) && overlay.admit(member).is_err() {
+            return false;
+        }
+        self.killed.remove(&member);
+        let opts = BootOpts {
+            announce_join: true,
+            initial_crashes: self.killed.clone(),
+            ..BootOpts::default()
+        };
+        let now = self.now();
+        let core = self.boot(member, overlay, opts, now);
+        *self.nodes[member as usize].borrow_mut() = SimNodeState::boot(core);
+        self.sim.revive_at(node(member), now);
+        self.sim.inject_timer(node(member), TICK);
+        true
+    }
+
+    /// Hands `input` to `member` now; `false` (and dropped) if it is dead.
+    pub fn inject(&mut self, member: MemberId, input: SimInput) -> bool {
+        let live = (member as usize) < self.nodes.len() && !self.killed.contains(&member);
+        if live {
+            self.nodes[member as usize]
+                .borrow_mut()
+                .inbox
+                .push_back(input);
+            self.sim.inject_timer(node(member), INPUT);
+        }
+        live
+    }
+
+    /// Originates a traced broadcast of `payload` at `origin` now; returns
+    /// its id, `None` if the origin is dead.
+    pub fn broadcast(&mut self, origin: MemberId, payload: Bytes) -> Option<u64> {
+        let id = fifo_id(origin as u32, self.next_seq + 1);
+        let msg = Message::new(id, origin as u32, payload).with_trace(id);
+        let sent = self.inject(origin, SimInput::Event(Event::Broadcast(msg)));
+        self.next_seq += u32::from(sent);
+        sent.then_some(id)
+    }
+
+    /// Ends the run: deliveries, message counts and end time, as the
+    /// simulator saw them. The nodes' final state stays readable.
+    pub fn finish(&mut self) -> SimReport {
+        self.sim.finish()
+    }
+
     /// Every node's retained events merged into one virtual-time timeline.
     #[must_use]
     pub fn events(&self) -> Vec<lhg_trace::Event> {

@@ -9,7 +9,8 @@ use bytes::Bytes;
 use lhg_core::overlay::MemberId;
 use lhg_core::Constraint;
 use lhg_graph::connectivity::is_k_vertex_connected;
-use lhg_runtime::simnode::{SimCluster, SimRun};
+use lhg_net::sim::LinkModel;
+use lhg_runtime::simnode::SimCluster;
 use lhg_runtime::RuntimeConfig;
 
 const N: usize = 16;
@@ -31,8 +32,20 @@ fn config() -> RuntimeConfig {
     }
 }
 
+fn launch(n: usize, config: RuntimeConfig, seed: u64) -> SimCluster {
+    SimCluster::launch(
+        Constraint::KDiamond,
+        n,
+        K,
+        config,
+        LinkModel::default(),
+        seed,
+    )
+    .unwrap()
+}
+
 /// Runs `scenario` twice and insists on byte-identical timelines.
-fn run_twice(scenario: impl Fn() -> SimRun) -> SimRun {
+fn run_twice(scenario: impl Fn() -> SimCluster) -> SimCluster {
     let (a, b) = (scenario(), scenario());
     assert!(!a.events_jsonl().is_empty());
     assert_eq!(
@@ -43,20 +56,23 @@ fn run_twice(scenario: impl Fn() -> SimRun) -> SimRun {
     a
 }
 
-fn members_of(run: &SimRun, m: MemberId) -> BTreeSet<MemberId> {
+fn members_of(run: &SimCluster, m: MemberId) -> BTreeSet<MemberId> {
     run.core(m, |c| c.overlay().members().iter().copied().collect())
 }
 
 #[test]
 fn staggered_crashes_heal_and_reflood() {
     let victims: [MemberId; K - 1] = [5, 11];
-    let run = run_twice(|| {
-        let mut c = SimCluster::new(Constraint::KDiamond, N, K, config()).unwrap();
-        c.seed = 7;
-        c.crash(victims[0], 300 * MS, None);
-        c.crash(victims[1], 450 * MS, None);
-        c.broadcast(2_000 * MS, 0, Bytes::from_static(b"after the heal"));
-        c.run(2_500 * MS)
+    let mut run = run_twice(|| {
+        let mut c = launch(N, config(), 7);
+        c.run_until(300 * MS);
+        c.kill(victims[0]);
+        c.run_until(450 * MS);
+        c.kill(victims[1]);
+        c.run_until(2_000 * MS);
+        c.broadcast(0, Bytes::from_static(b"after the heal"));
+        c.run_until(2_500 * MS);
+        c
     });
     let survivors: Vec<MemberId> = (0..N as MemberId)
         .filter(|m| !victims.contains(m))
@@ -75,12 +91,8 @@ fn staggered_crashes_heal_and_reflood() {
             assert!(is_k_vertex_connected(c.overlay().graph(), K));
         });
     }
-    let delivered: BTreeSet<usize> = run
-        .report
-        .deliveries
-        .iter()
-        .map(|d| d.node.index())
-        .collect();
+    let report = run.finish();
+    let delivered: BTreeSet<usize> = (report.deliveries.iter()).map(|d| d.node.index()).collect();
     assert_eq!(
         delivered.len(),
         survivors.len(),
@@ -88,7 +100,7 @@ fn staggered_crashes_heal_and_reflood() {
     );
 }
 
-fn counter(run: &SimRun, name: &str) -> u64 {
+fn counter(run: &SimCluster, name: &str) -> u64 {
     run.metrics.counter(name).get()
 }
 
@@ -112,9 +124,9 @@ fn minority_partition_degrades_then_sync_rejoins() {
         });
         let mut cfg = config();
         cfg.faults = Some(std::sync::Arc::new(inj));
-        let mut c = SimCluster::new(Constraint::KDiamond, N, K, cfg).unwrap();
-        c.seed = 3;
-        c.run(5_000 * MS)
+        let mut c = launch(N, cfg, 3);
+        c.run_until(5_000 * MS);
+        c
     });
     let degraded: BTreeSet<u32> = (run.events().iter())
         .filter(|e| matches!(e.kind, EventKind::Degraded { .. }))
@@ -160,12 +172,13 @@ fn frame_crash_traitor_and_forged_notice_move_nobody() {
     // it also "sends" its overlay neighbor 1 a dead notice.
     let run = run_twice(|| {
         let cfg = one_traitor(15, TraitorBehavior::FrameCrash);
-        let mut c = SimCluster::new(Constraint::KDiamond, N, K, cfg).unwrap();
-        c.seed = 11;
+        let mut c = launch(N, cfg, 11);
+        c.run_until(800 * MS);
         let notice = Message::new(wire::crash_id(1, 0xdead), 15, Bytes::new());
         let (from, msg) = (15, notice);
-        c.input(800 * MS, 1, SimInput::Wire { from, msg });
-        c.run(1_500 * MS)
+        c.inject(1, SimInput::Wire { from, msg });
+        c.run_until(1_500 * MS);
+        c
     });
     assert!(counter(&run, "runtime.forged_crash_waves") > 100);
     assert!(counter(&run, "runtime.crash_reports_pending") > 100);
@@ -227,10 +240,11 @@ fn crash_under_corroboration_and_loss_is_applied_everywhere() {
             let mut cfg = one_traitor(traitor, behaviors[seed as usize % behaviors.len()]);
             cfg.rng_seed = seed;
             cfg.faults = Some(std::sync::Arc::new(inj));
-            let mut c = SimCluster::new(Constraint::KDiamond, n as usize, K, cfg).unwrap();
-            c.seed = seed;
-            c.crash(victim, crash_at, None);
-            c.run(crash_at + WINDOWS * timeout_us)
+            let mut c = launch(n as usize, cfg, seed);
+            c.run_until(crash_at);
+            c.kill(victim);
+            c.run_until(crash_at + WINDOWS * timeout_us);
+            c
         };
         let run = if seed % 10 == 0 {
             run_twice(scenario)
@@ -261,12 +275,14 @@ fn bogus_hellos_are_refused_by_the_core() {
         wire::hello_id(4242),
     ];
     let run = run_twice(|| {
-        let mut c = SimCluster::new(Constraint::KDiamond, N, K, config()).unwrap();
+        let mut c = launch(N, config(), 0);
         for (i, hello) in bogus.into_iter().enumerate() {
+            c.run_until((300 + i as u64) * MS);
             let (from, msg) = (12, Message::new(hello, 9, Bytes::new()));
-            c.input((300 + i as u64) * MS, 0, SimInput::Wire { from, msg });
+            c.inject(0, SimInput::Wire { from, msg });
         }
-        c.run(600 * MS)
+        c.run_until(600 * MS);
+        c
     });
     assert_eq!(counter(&run, "runtime.hello_rejected"), 3);
     let everyone: BTreeSet<MemberId> = (1..N as MemberId).collect();
@@ -297,29 +313,35 @@ fn bracha_over_the_vote_exchange_is_deterministic_and_total() {
     let payload = |nonce: u64| Bytes::from(format!("instance {nonce:#x}"));
     let run = run_twice(|| {
         let cfg = one_traitor(traitor, TraitorBehavior::Forge);
-        let mut c = SimCluster::new(Constraint::KDiamond, n, K, cfg).unwrap();
-        c.seed = 23;
-        c.crash(victim, 600 * MS, Some(1_500 * MS));
-        for (at_ms, origin, nonce) in instances {
-            let event = Event::ByzBroadcast {
-                nonce,
-                payload: payload(nonce),
-            };
-            c.input(at_ms * MS, origin, SimInput::Event(event));
-        }
-        c.run(4_000 * MS)
+        let mut c = launch(n, cfg, 23);
+        let mut instances = instances.iter();
+        let mut originate = |c: &mut SimCluster| {
+            let &(at_ms, origin, nonce) = instances.next().unwrap();
+            c.run_until(at_ms * MS);
+            let payload = payload(nonce);
+            c.inject(
+                origin,
+                SimInput::Event(Event::ByzBroadcast { nonce, payload }),
+            );
+        };
+        originate(&mut c);
+        c.run_until(600 * MS);
+        c.kill(victim);
+        originate(&mut c);
+        c.run_until(1_500 * MS);
+        c.revive(victim);
+        originate(&mut c);
+        originate(&mut c);
+        c.run_until(4_000 * MS);
+        c
     });
     for m in (0..n as MemberId).filter(|&m| m != traitor) {
         let state = run.nodes[m as usize].borrow();
-        let mut got: Vec<(u64, Option<u64>)> = (state.byz_delivered.iter())
+        // The victim's reboot is blank: what it certified before the outage
+        // it certifies again in its new life, from catch-up, same digest.
+        let got: Vec<(u64, Option<u64>)> = (state.byz_delivered.iter())
             .map(|d| (d.broadcast_id, d.trace))
             .collect();
-        if m == victim {
-            // The reboot is blank: what it certified before the outage it
-            // certifies again, from catch-up, under the same digest.
-            got.sort_unstable();
-            got.dedup();
-        }
         for (_, _, nonce) in instances {
             let want = (nonce, Some(lhg_byzantine::digest(&payload(nonce))));
             assert_eq!(
@@ -335,4 +357,41 @@ fn bracha_over_the_vote_exchange_is_deterministic_and_total() {
         "the rejoiner caught up"
     );
     assert_eq!(counter(&run, "byz.unsafe_views"), 0);
+}
+
+/// One member dies and comes back twice. Lives come from one cluster-wide
+/// counter, as `Cluster::rejoin` allocates them: a second revival under the
+/// first one's wave nonces would have its `JOIN` absorbed as a stale copy
+/// by every survivor's dedup set.
+#[test]
+fn a_member_killed_and_revived_twice_is_readmitted_both_times() {
+    let victim: MemberId = 6;
+    let survivors = || (0..N as MemberId).filter(|&m| m != victim);
+    let run = run_twice(|| {
+        let mut c = launch(N, config(), 5);
+        for round in 0..2 {
+            c.run_until(c.now() + 300 * MS);
+            assert!(c.kill(victim));
+            let excommunicated = c.await_until(2_000 * MS, |c| {
+                survivors().all(|m| c.core(m, |core| core.crashes_applied().contains(&victim)))
+            });
+            assert!(excommunicated, "round {round}: the crash is detected");
+            assert!(c.revive(victim));
+            let readmitted = c.await_until(2_000 * MS, |c| {
+                (0..N as MemberId).all(|m| members_of(c, m).len() == N)
+                    && survivors().all(|m| c.core(m, |core| core.crashes_applied().is_empty()))
+            });
+            assert!(readmitted, "round {round}: every survivor re-admits it");
+        }
+        c.run_until(c.now() + 500 * MS);
+        c
+    });
+    assert!(counter(&run, "runtime.join_announces") >= 2);
+    let links = run.core(0, |c| c.overlay().links());
+    for m in 0..N as MemberId {
+        run.core(m, |c| {
+            assert_eq!(c.overlay().links(), links, "replica of {m} agrees");
+            assert!(!c.is_degraded() && !c.is_rejoining());
+        });
+    }
 }

@@ -41,15 +41,17 @@ fn detect_repair_reflood() {
         recorder_capacity: 1 << 14,
         ..RuntimeConfig::default()
     };
-    let mut cluster = SimCluster::new(Constraint::KDiamond, n, k, config).unwrap();
-    cluster.link = LinkModel {
+    let link = LinkModel {
         base_latency_us: 500,
         jitter_us: 100,
     };
-    cluster.seed = 11;
-    cluster.crash(victim, crash_at, None);
-    let after = cluster.broadcast(45_000, 0, bytes::Bytes::from_static(b"after the heal"));
-    let run = cluster.run(60_000);
+    let mut run = SimCluster::launch(Constraint::KDiamond, n, k, config, link, 11).unwrap();
+    run.run_until(crash_at);
+    run.kill(victim);
+    run.run_until(45_000);
+    let after = (run.broadcast(0, bytes::Bytes::from_static(b"after the heal"))).unwrap();
+    run.run_until(60_000);
+    let flooded = run.finish();
 
     // Completeness: every overlay neighbor of the victim suspected it, by
     // its own timeout. Accuracy: nobody else was ever suspected.
@@ -99,7 +101,7 @@ fn detect_repair_reflood() {
     // broadcast reached every survivor over it... ---
     let report = validate(healed.graph(), k);
     assert!(report.is_lhg(), "{report:?}");
-    let reached: BTreeSet<NodeId> = (run.report.deliveries.iter())
+    let reached: BTreeSet<NodeId> = (flooded.deliveries.iter())
         .filter(|d| d.broadcast_id == after)
         .map(|d| d.node)
         .collect();
