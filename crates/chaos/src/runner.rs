@@ -62,9 +62,12 @@ const CHURN_TIMEOUT: Duration = Duration::from_secs(15);
 const CONVERGE_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Renders the per-run telemetry summary embedded in `lhg chaos --json`
-/// records: timeline shape plus the per-class wire-cost decomposition
-/// from the registry's accountant.
+/// records: timeline shape, the per-class wire-cost decomposition from the
+/// registry's accountant, and how the reliable plane's acks travelled — in
+/// `ack` frames of their own, or riding on data frames (which is why the
+/// `ack` class can stay near empty under heavy data traffic).
 fn telemetry_json(timeline: &Timeline, metrics: &MetricsRegistry) -> String {
+    let count = |name: &str| serde::Value::U64(metrics.counter(name).get());
     let obj = serde::Value::Obj(vec![
         (
             "samples".to_owned(),
@@ -72,6 +75,13 @@ fn telemetry_json(timeline: &Timeline, metrics: &MetricsRegistry) -> String {
         ),
         ("span_us".to_owned(), serde::Value::U64(timeline.span_us())),
         ("wire".to_owned(), metrics.wire().to_value()),
+        (
+            "acks".to_owned(),
+            serde::Value::Obj(vec![
+                ("frames".to_owned(), count("runtime.acks_sent")),
+                ("piggybacked".to_owned(), count("runtime.acks_piggybacked")),
+            ]),
+        ),
     ]);
     serde_json::to_string(&obj).expect("Value serialization is infallible")
 }
@@ -911,6 +921,13 @@ mod tests {
             "wire decomposition present: {:?}",
             a.telemetry
         );
+        assert!(
+            a.telemetry.as_deref().is_some_and(
+                |t| t.contains("\"acks\":{\"frames\":") && t.contains("\"piggybacked\":")
+            ),
+            "ack split present: {:?}",
+            a.telemetry
+        );
     }
 
     #[test]
@@ -945,6 +962,20 @@ mod tests {
     /// crash wave was crossing; 191 — an installed SYNC snapshot forgot a
     /// member whose `JOIN` had raced the serve. Each fails again with its
     /// fix taken out of `core.rs`.
+    /// Quick mixed seed 169, red in the first sweep after heartbeats went
+    /// to idle links only: survivors 5–7 vetoed the corroborated crash of 4
+    /// because a link that lingered after an earlier heal had carried 4's
+    /// last frame a few ms after the reporters' links did — and nothing
+    /// re-evaluated the veto, nor watched that link. Fails again with
+    /// `lift_stale_vetoes` taken out of `core.rs`.
+    #[test]
+    fn sim_quick_mixed_seed_169_lifts_a_stale_crash_veto() {
+        let plan = FaultPlan::random(169, true);
+        assert_eq!(plan.family, Family::Mixed);
+        let report = run_sim_chaos(&plan);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+    }
+
     #[test]
     fn sim_seeds_that_found_membership_wedges_stay_green() {
         for seed in [51, 60, 191] {

@@ -1247,6 +1247,15 @@ fn run_top(
         wire.link_totals().len()
     )
     .map_err(io_err)?;
+    // Most acks ride on data frames: the `ack` class above counts only the
+    // ones that needed a frame of their own.
+    writeln!(
+        out,
+        "acks: frames={} piggybacked={}",
+        metrics.counter("runtime.acks_sent").get(),
+        metrics.counter("runtime.acks_piggybacked").get(),
+    )
+    .map_err(io_err)?;
     // The rejoin-under-fire ledger: how often the SYNC handshake and byz
     // catch-up had to re-arm, and whether any schedule ran dry. All zeros
     // on a calm cluster; nonzero retries with zero exhaustion is the
@@ -1707,6 +1716,8 @@ mod tests {
         let counters = doc.field("counters").expect("counters");
         assert_eq!(frames, get_u64(counters, "runtime.messages_sent"), "{out}");
         assert_eq!(bytes, get_u64(counters, "runtime.bytes_sent"), "{out}");
+        // Acks that rode on data frames are no frames of their own.
+        get_u64(counters, "runtime.acks_piggybacked");
         assert_eq!(frames, get_u64(&doc, "total_frames"), "{out}");
         assert_eq!(bytes, get_u64(&doc, "total_bytes"), "{out}");
         assert!(get_u64(&doc, "samples") >= 2, "{out}");
@@ -1733,6 +1744,7 @@ mod tests {
         assert!(out.contains("data"), "{out}");
         assert!(out.contains("heartbeat"), "{out}");
         assert!(out.contains("delivery latency"), "{out}");
+        assert!(out.contains("acks: frames="), "{out}");
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //! copy, every forward. [`write_frame`] builds the length prefix, header
 //! and extension block in stack arrays and sends them around the shared
 //! payload with one vectored write: a relay's per-link copies, which
-//! differ only in `link_seq`, never materialise. A retained payload
-//! therefore pins its own frame body (payload + at most 49 bytes) and
-//! nothing larger; bodies are never carved out of a shared read buffer.
+//! differ only in `link_seq` and `link_ack`, never materialise. A retained
+//! payload therefore pins its own frame body (payload + at most 57 bytes)
+//! and nothing larger; bodies are never carved out of a shared read buffer.
 
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};

@@ -10,20 +10,31 @@
 //! L bytes  payload
 //! --- optional extension block (versioned by its flag byte) ---
 //! 1 byte   extension flags (bitmask: 0x01 = trace id, 0x02 = link seq,
-//!                           0x04 = byzantine witness tag)
+//!                           0x04 = byzantine witness tag, 0x08 = link ack)
 //! 8 bytes  trace id        (present iff flag bit 0x01 set)
-//! 8 bytes  link sequence   (present iff flag bit 0x02 set)
+//! 8 bytes  link sequence   (present iff flag bit 0x02 set; never 0)
 //! 12 bytes byz tag         (present iff flag bit 0x04 set:
 //!                           4-byte claimed origin + 8-byte instance nonce)
+//! 8 bytes  link ack        (present iff flag bit 0x08 set; never 0: the
+//!                           cumulative ack the sender's half of this link
+//!                           owes, riding on a data frame)
 //! ```
 //!
 //! The extension block is strictly optional: a frame that ends right after
-//! the payload is a **legacy frame** and decodes with `trace = None` and
-//! `link_seq = None`, so old and new peers interoperate. The flag byte is a
-//! bitmask of known extensions in a fixed field order — decoders reject
-//! flag bits they do not understand rather than silently misparse, and
-//! future extensions claim new bits. A trace-only frame is byte-identical
-//! to the pre-link-seq format.
+//! the payload is a **legacy frame** and decodes with every extension
+//! `None`, so old and new peers interoperate. The flag byte is a bitmask of
+//! known extensions, its fields in bit order — decoders reject flag bits
+//! they do not understand rather than silently misparse, and future
+//! extensions claim new bits. A trace-only frame is byte-identical to the
+//! pre-link-seq format, and a frame without the ack extension to the
+//! pre-piggyback one.
+//!
+//! The two link fields are hop-local (stripped by [`Message::forwarded`])
+//! and start at 1, so they are `Option<NonZeroU64>` — which is also what
+//! keeps `size_of::<Message>()` at 104 bytes with both present: every
+//! in-flight frame of the simulator and every pull-store entry is one.
+
+use std::num::NonZeroU64;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -41,8 +52,12 @@ pub const SEQ_EXT_FLAG: u8 = 0x02;
 /// counting over distinct witnesses is sound up to the traitor budget.
 pub const BYZ_EXT_FLAG: u8 = 0x04;
 
+/// Extension flag bit announcing an 8-byte piggybacked cumulative ack for
+/// the link the frame crosses (see [`crate::reliable`]).
+pub const ACK_EXT_FLAG: u8 = 0x08;
+
 /// All extension flag bits this decoder understands.
-pub const KNOWN_EXT_FLAGS: u8 = TRACE_EXT_FLAG | SEQ_EXT_FLAG | BYZ_EXT_FLAG;
+pub const KNOWN_EXT_FLAGS: u8 = TRACE_EXT_FLAG | SEQ_EXT_FLAG | BYZ_EXT_FLAG | ACK_EXT_FLAG;
 
 /// Encoded size of the trace extension block (flag + trace id).
 pub const TRACE_EXT_LEN: usize = 1 + 8;
@@ -55,8 +70,8 @@ pub const BYZ_TAG_LEN: usize = 4 + 8;
 /// origin, hops, payload length).
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 4;
 
-/// Largest extension block: the flag byte and all three extensions.
-pub const MAX_EXT_LEN: usize = 1 + 8 + 8 + BYZ_TAG_LEN;
+/// Largest extension block: the flag byte and all four extensions.
+pub const MAX_EXT_LEN: usize = 1 + 8 + 8 + BYZ_TAG_LEN + 8;
 
 /// The broadcast-instance identity carried by the byz extension: the
 /// claimed origin plus a per-origin nonce. One `(origin, nonce)` pair
@@ -90,7 +105,12 @@ pub struct Message {
     /// time (see [`crate::reliable`]). Unlike `trace`, this is hop-local:
     /// it is assigned per (sender, receiver) link and stripped on forward.
     /// `None` on legacy frames and best-effort traffic.
-    pub link_seq: Option<u64>,
+    pub link_seq: Option<NonZeroU64>,
+    /// Cumulative ack for the reverse direction of the link this frame
+    /// crosses, attached by the reliable layer when the frame is emitted
+    /// (see [`crate::reliable`]). Hop-local like `link_seq`; `None` when
+    /// the link owed no ack, and on everything but data frames.
+    pub link_ack: Option<NonZeroU64>,
     /// Byzantine witness tag naming the broadcast instance this frame
     /// vouches for. Like `trace` it rides along end to end on forwards.
     /// `None` on legacy frames and non-Byzantine traffic.
@@ -108,6 +128,7 @@ impl Message {
             payload,
             trace: None,
             link_seq: None,
+            link_ack: None,
             byz: None,
         }
     }
@@ -119,10 +140,19 @@ impl Message {
         self
     }
 
-    /// The same message stamped with a per-link sequence number.
+    /// The same message stamped with a per-link sequence number. Sequence
+    /// spaces start at 1: 0 names no frame and leaves the message unstamped.
     #[must_use]
     pub fn with_link_seq(mut self, seq: u64) -> Self {
-        self.link_seq = Some(seq);
+        self.link_seq = NonZeroU64::new(seq);
+        self
+    }
+
+    /// The same message carrying a piggybacked cumulative ack. 0 acks no
+    /// frame and leaves the message without one.
+    #[must_use]
+    pub fn with_link_ack(mut self, cum: u64) -> Self {
+        self.link_ack = NonZeroU64::new(cum);
         self
     }
 
@@ -135,15 +165,16 @@ impl Message {
 
     /// A copy with the hop count incremented (what a forwarder sends).
     /// The trace id and byz tag, if any, ride along unchanged; the link
-    /// sequence is stripped because it only ever names the hop it arrived
-    /// on. The count saturates: `hops` comes straight off the wire, and a
-    /// traitor's `u32::MAX` must neither panic the node loop nor wrap to 0
-    /// and slip back under the hop bound.
+    /// sequence and ack are stripped because they only ever name the hop
+    /// they arrived on. The count saturates: `hops` comes straight off the
+    /// wire, and a traitor's `u32::MAX` must neither panic the node loop
+    /// nor wrap to 0 and slip back under the hop bound.
     #[must_use]
     pub fn forwarded(&self) -> Self {
         Message {
             hops: self.hops.saturating_add(1),
             link_seq: None,
+            link_ack: None,
             ..self.clone()
         }
     }
@@ -160,6 +191,9 @@ impl Message {
         }
         if self.byz.is_some() {
             ext += BYZ_TAG_LEN;
+        }
+        if self.link_ack.is_some() {
+            ext += 8;
         }
         if ext != 0 {
             ext += 1; // the flag byte
@@ -209,12 +243,16 @@ impl Message {
         }
         if let Some(seq) = self.link_seq {
             flags |= SEQ_EXT_FLAG;
-            put(&seq.to_be_bytes());
+            put(&seq.get().to_be_bytes());
         }
         if let Some(tag) = self.byz {
             flags |= BYZ_EXT_FLAG;
             put(&tag.origin.to_be_bytes());
             put(&tag.nonce.to_be_bytes());
+        }
+        if let Some(cum) = self.link_ack {
+            flags |= ACK_EXT_FLAG;
+            put(&cum.get().to_be_bytes());
         }
         ext[0] = flags;
         (ext, if flags == 0 { 0 } else { len })
@@ -222,9 +260,9 @@ impl Message {
 
     /// Decodes from the wire format.
     ///
-    /// Returns `None` on truncated input, unknown extension flag bits, or
-    /// trailing garbage. A frame ending right after the payload decodes as
-    /// legacy (`trace = None`, `link_seq = None`).
+    /// Returns `None` on truncated input, unknown extension flag bits, a
+    /// link sequence or ack of 0, or trailing garbage. A frame ending right
+    /// after the payload decodes as legacy (every extension `None`).
     #[must_use]
     pub fn decode(mut raw: Bytes) -> Option<Self> {
         if raw.len() < HEADER_LEN {
@@ -239,8 +277,8 @@ impl Message {
         }
         let payload = raw.slice(0..len);
         let mut ext = raw.slice(len..raw.len());
-        let (trace, link_seq, byz) = if ext.is_empty() {
-            (None, None, None)
+        let (trace, link_seq, byz, link_ack) = if ext.is_empty() {
+            (None, None, None, None)
         } else {
             let flags = ext.get_u8();
             if flags == 0 || flags & !KNOWN_EXT_FLAGS != 0 {
@@ -248,17 +286,24 @@ impl Message {
             }
             let want = 8 * usize::from(flags & TRACE_EXT_FLAG != 0)
                 + 8 * usize::from(flags & SEQ_EXT_FLAG != 0)
-                + BYZ_TAG_LEN * usize::from(flags & BYZ_EXT_FLAG != 0);
+                + BYZ_TAG_LEN * usize::from(flags & BYZ_EXT_FLAG != 0)
+                + 8 * usize::from(flags & ACK_EXT_FLAG != 0);
             if ext.len() != want {
                 return None;
             }
+            // A link field that is present but 0 is malformed, not absent.
+            let link = |flag: u8, ext: &mut Bytes| match flags & flag {
+                0 => Some(None),
+                _ => NonZeroU64::new(ext.get_u64()).map(Some),
+            };
             let trace = (flags & TRACE_EXT_FLAG != 0).then(|| ext.get_u64());
-            let link_seq = (flags & SEQ_EXT_FLAG != 0).then(|| ext.get_u64());
+            let link_seq = link(SEQ_EXT_FLAG, &mut ext)?;
             let byz = (flags & BYZ_EXT_FLAG != 0).then(|| ByzTag {
                 origin: ext.get_u32(),
                 nonce: ext.get_u64(),
             });
-            (trace, link_seq, byz)
+            let link_ack = link(ACK_EXT_FLAG, &mut ext)?;
+            (trace, link_seq, byz, link_ack)
         };
         Some(Message {
             broadcast_id,
@@ -267,6 +312,7 @@ impl Message {
             payload,
             trace,
             link_seq,
+            link_ack,
             byz,
         })
     }
@@ -275,6 +321,58 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn nz(v: u64) -> Option<NonZeroU64> {
+        NonZeroU64::new(v)
+    }
+
+    #[test]
+    fn both_link_fields_fit_the_message_in_104_bytes() {
+        // Every in-flight simulator frame and every pull-store entry is a
+        // `Message`: a plain `Option<u64>` ack would make each one 112.
+        assert_eq!(size_of::<Message>(), 104);
+    }
+
+    #[test]
+    fn link_ack_round_trips_alone_and_with_every_other_extension() {
+        let m = Message::new(3, 1, Bytes::from_static(b"ack")).with_link_ack(41);
+        let enc = m.encode();
+        assert_eq!(
+            &enc[enc.len() - 9..],
+            &[&[ACK_EXT_FLAG][..], &41u64.to_be_bytes()].concat()[..]
+        );
+        assert_eq!(Message::decode(enc), Some(m));
+        let tag = ByzTag {
+            origin: 2,
+            nonce: 9,
+        };
+        let full = Message::new(3, 1, Bytes::from_static(b"all"))
+            .with_trace(7)
+            .with_link_seq(5)
+            .with_byz(tag)
+            .with_link_ack(u64::MAX);
+        assert_eq!(full.encoded_len(), HEADER_LEN + 3 + MAX_EXT_LEN);
+        let decoded = Message::decode(full.encode()).unwrap();
+        assert_eq!((decoded.link_seq, decoded.link_ack), (nz(5), nz(u64::MAX)));
+        assert_eq!(decoded, full);
+        let f = decoded.forwarded();
+        assert_eq!((f.link_seq, f.link_ack), (None, None), "both hop-local");
+        assert_eq!((f.trace, f.byz), (Some(7), Some(tag)));
+    }
+
+    #[test]
+    fn zero_link_fields_are_unset_by_the_builders_and_refused_on_the_wire() {
+        let m = Message::new(3, 1, Bytes::new())
+            .with_link_seq(0)
+            .with_link_ack(0);
+        assert_eq!((m.link_seq, m.link_ack), (None, None));
+        for flag in [SEQ_EXT_FLAG, ACK_EXT_FLAG] {
+            let mut enc = BytesMut::from(&m.encode()[..]);
+            enc.put_u8(flag);
+            enc.put_u64(0);
+            assert_eq!(Message::decode(enc.freeze()), None, "flag {flag:#x}");
+        }
+    }
 
     #[test]
     fn round_trip() {
@@ -303,7 +401,7 @@ mod tests {
         let m = Message::new(3, 1, Bytes::from_static(b"seq")).with_link_seq(17);
         let decoded = Message::decode(m.encode()).unwrap();
         assert_eq!(decoded, m);
-        assert_eq!(decoded.link_seq, Some(17));
+        assert_eq!(decoded.link_seq, nz(17));
         assert_eq!(decoded.trace, None);
     }
 
@@ -314,7 +412,7 @@ mod tests {
             .with_link_seq(u64::MAX);
         let decoded = Message::decode(m.encode()).unwrap();
         assert_eq!(decoded.trace, Some(0xAA));
-        assert_eq!(decoded.link_seq, Some(u64::MAX));
+        assert_eq!(decoded.link_seq, nz(u64::MAX));
     }
 
     #[test]
@@ -354,7 +452,7 @@ mod tests {
             .with_byz(tag);
         let decoded = Message::decode(m.encode()).unwrap();
         assert_eq!(decoded.trace, Some(0xAA));
-        assert_eq!(decoded.link_seq, Some(17));
+        assert_eq!(decoded.link_seq, nz(17));
         assert_eq!(decoded.byz, Some(tag));
     }
 

@@ -29,6 +29,38 @@
 //!   the discrete-event simulator, and the TCP runtime's node loop — so
 //!   both engines run the same protocol code, not copies of it.
 //!
+//! **Control rides the data.** A link's two directions usually both carry
+//! data, so a clean cumulative ack does not get a frame of its own: the
+//! core attaches whatever ack a link owes to the next data frame it emits
+//! on that link — fresh, forwarded, retransmitted or served — in the
+//! message's 8-byte link-ack extension (never to the copy kept for
+//! retransmission or pulls). A standalone ack frame leaves only when one
+//! of these holds:
+//!
+//! * the ack names **holes** (a frame arrived above a gap): NACKs need the
+//!   ack payload, so the next sweep sends one;
+//! * a **link duplicate** arrived: the peer retransmitted because our ack
+//!   was lost or late, so the next sweep answers it;
+//! * the ack covers **`window / 2`** frames: it leaves at once, so a sender
+//!   streaming into a silent reverse direction never stalls on its window;
+//! * it has been owed for **`rto_us / 4`**: the next sweep sends it.
+//!
+//! Both thresholds come from the existing config. The margin for the last
+//! one: the frame crossed at `t + d`, its ack leaves by `t + d + rto/4 +
+//! tick` and lands by `t + 2d + rto/4 + tick`, so an ack that only waited
+//! for a ride never draws a spurious retransmission while `2d + tick <
+//! ¾·rto` — 30 ms timeouts leave 22.5 ms for the simulator's 10 ms tick
+//! plus a round trip of its ≤ 4.2 ms lossy links, and for the TCP driver's
+//! 5 ms tick plus a loopback round trip.
+//!
+//! **Summaries name only what a neighbor may lack.** Each retained id
+//! carries a bitmask of the peers known to hold it: the peer it came from,
+//! and every peer whose ack (standalone or piggybacked) covered our copy.
+//! An advertisement to P names the retained ids P is not known to hold —
+//! those still in flight to P included — and when there are none, no
+//! summary goes to P: a quiet cluster stays quiet. A link reset forgets
+//! what its peer holds (a revenant reboots blank).
+//!
 //! The layer is engine-agnostic: time is a caller-supplied `u64` of
 //! microseconds (virtual in the simulator, a monotonic-epoch offset in the
 //! runtime), and all state transitions are deterministic in call order.
@@ -43,6 +75,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::Hash;
+use std::num::NonZeroU64;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -92,6 +125,18 @@ impl ReliableConfig {
     #[must_use]
     pub fn summary_ticks(&self) -> u64 {
         self.summary_every.max(1)
+    }
+
+    /// Frames one clean ack may cover before it leaves on its own: half
+    /// the window, so the peer's sender never stalls waiting for a ride.
+    fn ack_flush_frames(&self) -> usize {
+        (self.window / 2).max(1)
+    }
+
+    /// How long a clean ack may wait for a data frame to ride on (see the
+    /// module docs for why a quarter of the retransmit timeout is safe).
+    fn ack_delay_us(&self) -> u64 {
+        self.rto_us / 4
     }
 }
 
@@ -193,6 +238,7 @@ impl LinkSender {
     /// Processes a cumulative ack + NACK list from the peer. Returns the
     /// frames to put on the wire now: immediate retransmissions of every
     /// NACKed hole plus any queued frames the newly-opened window admits.
+    /// A clean ack (no NACKs, nothing queued) allocates nothing.
     pub fn on_ack(
         &mut self,
         cum: u64,
@@ -200,10 +246,7 @@ impl LinkSender {
         cfg: &ReliableConfig,
         now_us: u64,
     ) -> Vec<Message> {
-        let acked: Vec<u64> = self.unacked.range(..=cum).map(|(&s, _)| s).collect();
-        for s in acked {
-            self.unacked.remove(&s);
-        }
+        self.retire(cum, |_| {});
         let mut out = Vec::new();
         for &s in nacks {
             if let Some(f) = self.unacked.get_mut(&s) {
@@ -214,6 +257,17 @@ impl LinkSender {
         }
         self.drain(cfg, now_us, &mut out);
         out
+    }
+
+    /// Drops every frame the cumulative ack `cum` covers from the window,
+    /// oldest first, handing each to `acked` on its way out.
+    fn retire(&mut self, cum: u64, mut acked: impl FnMut(&Message)) {
+        while let Some(entry) = self.unacked.first_entry() {
+            if *entry.key() > cum {
+                break;
+            }
+            acked(&entry.remove().msg);
+        }
     }
 
     /// Retransmit sweep: returns every frame whose retransmit timeout has
@@ -280,8 +334,16 @@ pub struct LinkReceiver {
     cum: u64,
     /// Received sequences above `cum` (out of order).
     above: BTreeSet<u64>,
-    /// A frame arrived since the last ack was produced.
+    /// A frame arrived since the last ack left, piggybacked or standalone;
+    /// `owed` frames did, the first of them at `owed_since` (the core's
+    /// clock: [`Self::on_frame`] has none).
     dirty: bool,
+    owed: usize,
+    owed_since: u64,
+    /// A frame arrived since the last standalone ack that only a
+    /// standalone ack answers: a link duplicate (our ack went missing), or
+    /// any frame while there are holes to NACK.
+    urgent: bool,
 }
 
 impl LinkReceiver {
@@ -298,7 +360,9 @@ impl LinkReceiver {
     /// either way).
     pub fn on_frame(&mut self, seq: u64) -> bool {
         self.dirty = true;
+        self.owed += 1;
         if seq <= self.cum || self.above.contains(&seq) {
+            self.urgent = true;
             return false;
         }
         if seq == self.cum + 1 {
@@ -309,7 +373,44 @@ impl LinkReceiver {
         } else {
             self.above.insert(seq);
         }
+        self.urgent |= !self.above.is_empty();
         true
+    }
+
+    /// [`Self::on_frame`] at `now_us`, which starts the owed ack's clock.
+    fn on_frame_at(&mut self, seq: u64, now_us: u64) -> bool {
+        let fresh = self.on_frame(seq);
+        if self.owed == 1 {
+            self.owed_since = now_us;
+        }
+        fresh
+    }
+
+    /// The cumulative ack a data frame to the peer can carry, if one is
+    /// owed; taking it settles the clean part of the debt. Holes and
+    /// duplicates still wait for a standalone ack ([`Self::ack_due`]).
+    fn piggyback(&mut self) -> Option<NonZeroU64> {
+        if !self.dirty {
+            return None;
+        }
+        let cum = NonZeroU64::new(self.cum)?;
+        self.dirty = false;
+        self.owed = 0;
+        Some(cum)
+    }
+
+    /// `true` when an ack frame of its own is due at `now_us`: the ack
+    /// names holes or answers a duplicate, or a clean ack has covered
+    /// `window / 2` frames or waited `rto_us / 4` for a ride (timed from
+    /// [`Self::on_frame_at`]).
+    fn ack_due(&self, cfg: &ReliableConfig, now_us: u64) -> bool {
+        let waited = now_us.saturating_sub(self.owed_since) >= cfg.ack_delay_us();
+        self.urgent || self.covers_half_window(cfg) || (self.dirty && waited)
+    }
+
+    /// `true` when the clean ack owed covers `window / 2` frames.
+    fn covers_half_window(&self, cfg: &ReliableConfig) -> bool {
+        self.dirty && self.owed >= cfg.ack_flush_frames()
     }
 
     /// `true` when an ack is owed to the peer.
@@ -324,11 +425,13 @@ impl LinkReceiver {
         self.cum
     }
 
-    /// Produces the `(cum, nacks)` payload for an ack frame and clears the
-    /// dirty flag. NACKs name the first [`MAX_NACKS`] holes between the
-    /// cumulative point and the highest sequence seen.
+    /// Produces the `(cum, nacks)` payload for an ack frame and settles
+    /// everything owed. NACKs name the first [`MAX_NACKS`] holes between
+    /// the cumulative point and the highest sequence seen.
     pub fn ack_payload(&mut self) -> (u64, Vec<u64>) {
         self.dirty = false;
+        self.urgent = false;
+        self.owed = 0;
         let mut nacks = Vec::new();
         if let Some(&max) = self.above.iter().next_back() {
             let mut expect = self.cum + 1;
@@ -454,15 +557,66 @@ pub enum SummaryOutcome {
 pub struct TickReport {
     /// Data frames re-sent by the retransmit sweeps.
     pub retransmits: u64,
-    /// Ack frames emitted.
+    /// Standalone ack frames emitted (piggybacked acks are not frames).
     pub acks: u64,
+}
+
+/// A broadcast kept for summaries and pull serving, with the peers known
+/// to hold it ([`Holders`] says which peer each bit stands for).
+#[derive(Debug)]
+struct Retained {
+    msg: Message,
+    held: u64,
+}
+
+/// The peer behind each bit of a [`Retained::held`] mask. A slot is taken
+/// the first time a peer is known to hold something and freed when its
+/// link resets; with all 64 taken, a further peer is never known to hold
+/// anything (its summaries name everything, as before the masks).
+#[derive(Debug)]
+struct Holders<P>(Vec<Option<P>>);
+
+impl<P: Copy + Eq> Holders<P> {
+    /// `peer`'s bit, 0 if it has none.
+    fn bit(&self, peer: P) -> u64 {
+        let slot = self.0.iter().position(|h| *h == Some(peer));
+        slot.map_or(0, |i| 1 << i)
+    }
+
+    /// `peer`'s bit, claiming a free slot for it if it has none yet.
+    fn claim(&mut self, peer: P) -> u64 {
+        let bit = self.bit(peer);
+        if bit != 0 {
+            return bit;
+        }
+        let slot = match self.0.iter().position(Option::is_none) {
+            Some(free) => free,
+            None if self.0.len() < 64 => {
+                self.0.push(None);
+                self.0.len() - 1
+            }
+            None => return 0,
+        };
+        self.0[slot] = Some(peer);
+        1 << slot
+    }
+
+    /// Frees `peer`'s slot; returns the bit it had (0 if none).
+    fn release(&mut self, peer: P) -> u64 {
+        let bit = self.bit(peer);
+        if bit != 0 {
+            self.0[bit.trailing_zeros() as usize] = None;
+        }
+        bit
+    }
 }
 
 /// The reliable-flood data plane as one sans-IO state machine: flooding
 /// over per-link ack/retransmit with anti-entropy repair on top. It owns
 /// the per-peer [`LinkSender`]/[`LinkReceiver`] pairs, the store of recent
-/// broadcasts that summaries advertise and pulls are served from, and the
-/// frames parked while a replaced link waits for its successor.
+/// broadcasts that summaries advertise and pulls are served from (with
+/// who is known to hold each), and the frames parked while a replaced link
+/// waits for its successor.
 ///
 /// Everything environmental is an argument. Time is `now_us`; the live
 /// links are the driver's `peers` list, and sends are emitted in exactly
@@ -485,8 +639,12 @@ pub struct ReliableCore<P> {
     parked: HashMap<P, Vec<Message>>,
     /// Recent data messages retained for pull serving, plus the
     /// insertion-ordered id window backing summaries and eviction.
-    store: HashMap<u64, Message>,
+    store: HashMap<u64, Retained>,
     recent: VecDeque<u64>,
+    /// Who owns which bit of the held masks.
+    holders: Holders<P>,
+    /// Reused buffer for the ids of one summary.
+    summary_ids: Vec<u64>,
 }
 
 impl<P: Copy + Eq + Hash> ReliableCore<P> {
@@ -504,20 +662,32 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             parked: HashMap::new(),
             store: HashMap::new(),
             recent: VecDeque::new(),
+            holders: Holders(Vec::new()),
+            summary_ids: Vec::new(),
         }
     }
 
-    /// Retains `kept` (link stamp stripped) for summaries and pull
-    /// serving, evicting the oldest entry past `store_cap`.
-    fn remember(&mut self, mut kept: Message) {
+    /// Retains `kept` (link fields stripped) for summaries and pull
+    /// serving, as held by the peers in `held`, evicting the oldest entry
+    /// past `store_cap`.
+    fn remember(&mut self, mut kept: Message, held: u64) {
         if self.recent.len() >= self.cfg.store_cap {
             if let Some(old) = self.recent.pop_front() {
                 self.store.remove(&old);
             }
         }
         kept.link_seq = None;
-        self.recent.push_back(kept.broadcast_id);
-        self.store.insert(kept.broadcast_id, kept);
+        kept.link_ack = None;
+        let id = kept.broadcast_id;
+        self.recent.push_back(id);
+        self.store.insert(id, Retained { msg: kept, held });
+    }
+
+    /// Records that the peers in `bits` hold retained broadcast `id`.
+    fn mark_held(store: &mut HashMap<u64, Retained>, id: u64, bits: u64) {
+        if let Some(kept) = store.get_mut(&id) {
+            kept.held |= bits;
+        }
     }
 
     /// Payload bytes this core holds on to: the pull store, every link's
@@ -530,10 +700,27 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// the summary cadence, not for the frame path.
     #[must_use]
     pub fn retained_bytes(&self) -> usize {
-        let store = self.store.values().map(|m| m.payload.len());
+        let store = self.store.values().map(|k| k.msg.payload.len());
         let links = self.tx.values().map(LinkSender::retained_bytes);
         let parked = self.parked.values().flatten().map(|m| m.payload.len());
         store.chain(links).chain(parked).sum()
+    }
+
+    /// Puts data frame `msg` on the link to `to`, carrying the cumulative
+    /// ack that link owes, if any. Every data frame leaves through here.
+    fn emit(&mut self, to: P, mut msg: Message, out: &mut Sends<P>) {
+        msg.link_ack = self.rx.get_mut(&to).and_then(LinkReceiver::piggyback);
+        out.push((to, msg));
+    }
+
+    /// Sends the ack `peer`'s link owes in a frame of its own.
+    fn emit_ack(&mut self, peer: P, out: &mut Sends<P>) {
+        let Some(rx) = self.rx.get_mut(&peer) else {
+            return;
+        };
+        let (cum, nacks) = rx.ack_payload();
+        let ack = encode_ack_payload(cum, &nacks);
+        out.push((peer, Message::new(self.ack_id, self.origin, ack)));
     }
 
     /// Hands `msg` to `to`'s sender; emits it if the window admits it now
@@ -541,7 +728,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     fn send(&mut self, to: P, msg: Message, now_us: u64, out: &mut Sends<P>) {
         let sender = self.tx.entry(to).or_default();
         if let Some(stamped) = sender.send(msg, &self.cfg, now_us) {
-            out.push((to, stamped));
+            self.emit(to, stamped, out);
         }
     }
 
@@ -570,16 +757,19 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         peers: impl IntoIterator<Item = P>,
         out: &mut Sends<P>,
     ) {
-        self.remember(Message {
+        let kept = Message {
             hops: 0,
             ..wire.clone()
-        });
+        };
+        self.remember(kept, 0);
         self.flood(wire, None, now_us, peers, out);
     }
 
-    /// A data frame arrived from `from`: link-level dedup first, then the
-    /// flooding dedup set. A fresh frame is retained and forwarded to
-    /// every peer but `from`; delivering it is the driver's job.
+    /// A data frame arrived from `from`: its piggybacked ack first, then
+    /// link-level dedup, then the flooding dedup set. A fresh frame is
+    /// retained and forwarded to every peer but `from`; delivering it is
+    /// the driver's job. A clean ack that has come to cover `window / 2`
+    /// frames leaves at once, behind the forwards.
     pub fn on_data(
         &mut self,
         from: P,
@@ -589,17 +779,32 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         peers: impl IntoIterator<Item = P>,
         out: &mut Sends<P>,
     ) -> DataOutcome {
+        if let Some(cum) = msg.link_ack {
+            self.acked(from, cum.get(), &[], now_us, out);
+        }
         if let Some(seq) = msg.link_seq {
-            if !self.rx.entry(from).or_default().on_frame(seq) {
+            if !self
+                .rx
+                .entry(from)
+                .or_default()
+                .on_frame_at(seq.get(), now_us)
+            {
                 return DataOutcome::LinkDuplicate;
             }
         }
-        if !seen.insert(msg.broadcast_id) {
-            return DataOutcome::Duplicate;
+        let sender = self.holders.claim(from);
+        let outcome = if seen.insert(msg.broadcast_id) {
+            self.remember(msg.clone(), sender);
+            self.flood(&msg.forwarded(), Some(from), now_us, peers, out);
+            DataOutcome::Fresh
+        } else {
+            Self::mark_held(&mut self.store, msg.broadcast_id, sender);
+            DataOutcome::Duplicate
+        };
+        if (self.rx.get(&from)).is_some_and(|rx| rx.covers_half_window(&self.cfg)) {
+            self.emit_ack(from, out);
         }
-        self.remember(msg.clone());
-        self.flood(&msg.forwarded(), Some(from), now_us, peers, out);
-        DataOutcome::Fresh
+        outcome
     }
 
     /// An ack frame's payload arrived from `from`: NACKed holes are
@@ -608,10 +813,21 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         let Some((cum, nacks)) = decode_ack_payload(payload) else {
             return;
         };
-        if let Some(tx) = self.tx.get_mut(&from) {
-            for frame in tx.on_ack(cum, &nacks, &self.cfg, now_us) {
-                out.push((from, frame));
-            }
+        self.acked(from, cum, &nacks, now_us, out);
+    }
+
+    /// `from` acknowledged everything through `cum` on our link to it,
+    /// standalone or piggybacked: the frames it covers retire — and count
+    /// as held by `from` in the store — and whatever the ack releases
+    /// (NACKed retransmissions, queued frames) goes out.
+    fn acked(&mut self, from: P, cum: u64, nacks: &[u64], now_us: u64, out: &mut Sends<P>) {
+        let Some(tx) = self.tx.get_mut(&from) else {
+            return;
+        };
+        let (bit, store) = (self.holders.claim(from), &mut self.store);
+        tx.retire(cum, |m| Self::mark_held(store, m.broadcast_id, bit));
+        for frame in tx.on_ack(cum, nacks, &self.cfg, now_us) {
+            self.emit(from, frame, out);
         }
     }
 
@@ -641,7 +857,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             Some((true, ids)) => {
                 let mut served = 0;
                 for id in ids {
-                    if let Some(kept) = self.store.get(&id).cloned() {
+                    if let Some(kept) = self.store.get(&id).map(|k| k.msg.clone()) {
                         self.send(from, kept, now_us, out);
                         served += 1;
                     }
@@ -653,7 +869,8 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     }
 
     /// One reliability tick: per peer, the retransmit sweep and then the
-    /// ack its receiver owes, if any.
+    /// standalone ack its receiver owes, if one is due (holes, a duplicate,
+    /// or a clean ack that waited `rto_us / 4`; see the module docs).
     pub fn tick(
         &mut self,
         now_us: u64,
@@ -662,53 +879,57 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     ) -> TickReport {
         let mut report = TickReport::default();
         for peer in peers {
-            if let Some(tx) = self.tx.get_mut(&peer) {
-                for frame in tx.sweep(&self.cfg, now_us) {
-                    out.push((peer, frame));
-                    report.retransmits += 1;
-                }
+            let due = match self.tx.get_mut(&peer) {
+                Some(tx) => tx.sweep(&self.cfg, now_us),
+                None => Vec::new(),
+            };
+            for frame in due {
+                self.emit(peer, frame, out);
+                report.retransmits += 1;
             }
-            if let Some(rx) = self.rx.get_mut(&peer).filter(|rx| rx.dirty()) {
-                let (cum, nacks) = rx.ack_payload();
-                let ack = encode_ack_payload(cum, &nacks);
-                out.push((peer, Message::new(self.ack_id, self.origin, ack)));
+            if (self.rx.get(&peer)).is_some_and(|rx| rx.ack_due(&self.cfg, now_us)) {
+                self.emit_ack(peer, out);
                 report.acks += 1;
             }
         }
         report
     }
 
-    /// Advertises the most recent [`MAX_SUMMARY_IDS`] retained broadcast
-    /// ids to every peer (best-effort frames). Returns whether anything
-    /// was sent: nothing is with no broadcast retained or nobody to tell.
+    /// Advertises to each peer the most recent [`MAX_SUMMARY_IDS`] retained
+    /// broadcast ids it is not known to hold (best-effort frames); a peer
+    /// known to hold them all gets no frame. Returns whether anything was
+    /// sent.
     pub fn advertise(&mut self, peers: impl IntoIterator<Item = P>, out: &mut Sends<P>) -> bool {
-        if self.recent.is_empty() {
-            return false;
-        }
-        let ids: Vec<u64> = self
-            .recent
-            .iter()
-            .rev()
-            .take(MAX_SUMMARY_IDS)
-            .copied()
-            .collect();
-        let summary = Message::new(
-            self.summary_id,
-            self.origin,
-            encode_summary_payload(false, &ids),
-        );
         let before = out.len();
-        out.extend(peers.into_iter().map(|peer| (peer, summary.clone())));
+        for peer in peers {
+            let (bit, store) = (self.holders.bit(peer), &self.store);
+            let lacks = |id: &u64| store.get(id).is_some_and(|k| k.held & bit == 0);
+            self.summary_ids.clear();
+            let recent = self.recent.iter().rev().take(MAX_SUMMARY_IDS);
+            self.summary_ids.extend(recent.filter(|id| lacks(id)));
+            if !self.summary_ids.is_empty() {
+                let advert = encode_summary_payload(false, &self.summary_ids);
+                out.push((peer, Message::new(self.summary_id, self.origin, advert)));
+            }
+        }
         out.len() > before
     }
 
     /// The connection behind `peer` was replaced or lost: both sequence
-    /// spaces restart, and whatever the old sender never got acknowledged
-    /// is parked, unstamped, for [`Self::flush`]. The park is bounded like
-    /// the sender queue (`queue_cap`, oldest dropped first): a peer down
-    /// long enough to overflow it is left to anti-entropy repair.
+    /// spaces restart, whatever the old sender never got acknowledged is
+    /// parked, unstamped, for [`Self::flush`], and what `peer` was known to
+    /// hold is forgotten (whoever answers next may have rebooted blank).
+    /// The park is bounded like the sender queue (`queue_cap`, oldest
+    /// dropped first): a peer down long enough to overflow it is left to
+    /// anti-entropy repair.
     pub fn reset_link(&mut self, peer: P) {
         self.rx.remove(&peer);
+        let bit = self.holders.release(peer);
+        if bit != 0 {
+            for kept in self.store.values_mut() {
+                kept.held &= !bit;
+            }
+        }
         let Some(mut tx) = self.tx.remove(&peer) else {
             return;
         };
@@ -857,6 +1078,8 @@ impl Process for ReliableFlooder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::Arc;
 
     use lhg_graph::Graph;
@@ -866,6 +1089,14 @@ mod tests {
 
     fn msg(id: u64) -> Message {
         Message::new(id, 0, Bytes::from_static(b"m"))
+    }
+
+    fn seq(m: &Message) -> Option<u64> {
+        m.link_seq.map(NonZeroU64::get)
+    }
+
+    fn ack(m: &Message) -> Option<u64> {
+        m.link_ack.map(NonZeroU64::get)
     }
 
     fn cfg() -> ReliableConfig {
@@ -883,8 +1114,8 @@ mod tests {
         let mut tx = LinkSender::new();
         let a = tx.send(msg(1), &cfg(), 0).unwrap();
         let b = tx.send(msg(2), &cfg(), 0).unwrap();
-        assert_eq!(a.link_seq, Some(1));
-        assert_eq!(b.link_seq, Some(2));
+        assert_eq!(seq(&a), Some(1));
+        assert_eq!(seq(&b), Some(2));
         assert_eq!(tx.in_flight(), 2);
     }
 
@@ -901,7 +1132,7 @@ mod tests {
         // surfaces with the next sequence number.
         let out = tx.on_ack(2, &[], &c, 10);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].link_seq, Some(5));
+        assert_eq!(seq(&out[0]), Some(5));
         assert_eq!(out[0].broadcast_id, 99);
         assert_eq!(tx.queued(), 0);
         assert_eq!(tx.in_flight(), 3);
@@ -917,7 +1148,7 @@ mod tests {
         // Peer received 1 and 3: cum=1, hole at 2.
         let out = tx.on_ack(1, &[2], &c, 10);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].link_seq, Some(2));
+        assert_eq!(seq(&out[0]), Some(2));
         assert_eq!(tx.in_flight(), 2, "seqs 2 and 3 still await acks");
     }
 
@@ -1015,7 +1246,7 @@ mod tests {
 
     fn ids(out: &Sends<u32>) -> Vec<(u32, u64, Option<u64>)> {
         out.iter()
-            .map(|(to, m)| (*to, m.broadcast_id, m.link_seq))
+            .map(|(to, m)| (*to, m.broadcast_id, seq(m)))
             .collect()
     }
 
@@ -1100,7 +1331,10 @@ mod tests {
                 DataOutcome::Fresh
             );
         }
-        assert!(out.is_empty(), "the only peer is the sender: no forwards");
+        // No forwards (the only peer is the sender), but once the clean ack
+        // its link owes covered window/2 = 2 frames it left on its own.
+        assert_eq!(ids(&out), vec![(1, ACK_TAG, None)]);
+        out.clear();
         // Id 1 fell out of the 2-entry store; id 3 is retained as received.
         let pull = encode_summary_payload(true, &[1, 3]);
         assert_eq!(
@@ -1139,16 +1373,20 @@ mod tests {
             "forwarded past the sender"
         );
         assert_eq!(out[0].1.hops, 1);
-        assert_eq!(c.tick(10, [1, 2], &mut out).acks, 1);
-        assert_eq!(c.tick(20, [1, 2], &mut out), TickReport::default());
+        // Nothing goes back to 1 for a ride: its clean ack waits rto/4 =
+        // 25 µs, then leaves on its own, once.
+        assert_eq!(c.tick(10, [1, 2], &mut out), TickReport::default());
+        assert_eq!(c.tick(25, [1, 2], &mut out).acks, 1);
+        assert_eq!(c.tick(40, [1, 2], &mut out), TickReport::default());
 
         out.clear();
         assert_eq!(
-            c.on_data(1, &m, &mut seen, 30, [1, 2], &mut out),
+            c.on_data(1, &m, &mut seen, 50, [1, 2], &mut out),
             DataOutcome::LinkDuplicate
         );
         assert!(out.is_empty(), "a retransmitted copy is not re-forwarded");
-        assert_eq!(c.tick(40, [1, 2], &mut out).acks, 1, "but it is re-acked");
+        // Our ack went missing: the next sweep answers, clock or no clock.
+        assert_eq!(c.tick(51, [1, 2], &mut out).acks, 1, "but it is re-acked");
         assert_eq!((out[0].0, out[0].1.broadcast_id), (1, ACK_TAG));
         assert_eq!(
             decode_ack_payload(out[0].1.payload.clone()),
@@ -1175,12 +1413,13 @@ mod tests {
         c.on_data(2, &m, &mut seen, 0, [5, 2, 9], &mut out);
         assert_eq!(order(&out), vec![5, 9], "every peer but the sender");
         out.clear();
-        // Past the rto every link retransmits; link 2 also owes an ack,
-        // which leaves right behind its own sweep.
+        // Past the rto every link retransmits; the ack link 2 owes rides on
+        // the first data frame back to it instead of a frame of its own.
         let report = c.tick(1_000, [2, 9, 5], &mut out);
-        assert_eq!((report.retransmits, report.acks), (5, 1));
-        assert_eq!(order(&out), vec![2, 2, 9, 9, 5, 5]);
-        assert_eq!(out[1].1.broadcast_id, ACK_TAG);
+        assert_eq!((report.retransmits, report.acks), (5, 0));
+        assert_eq!(order(&out), vec![2, 9, 9, 5, 5]);
+        assert_eq!(ack(&out[0].1), Some(1));
+        assert!(out[1..].iter().all(|(_, m)| m.link_ack.is_none()));
         out.clear();
         assert!(c.advertise([5, 9, 2], &mut out));
         assert_eq!(order(&out), vec![5, 9, 2]);
@@ -1213,10 +1452,11 @@ mod tests {
     fn lossless_latency_matches_best_effort_flooding() {
         // Acceptance bound for the reliable layer: ≤5% added latency on
         // clean links. Under zero jitter the comparison is exact — both
-        // flooders forward the instant a fresh frame arrives, and acks,
-        // sweeps, and summaries all ride separate frames that never delay
-        // the data path. Any regression that puts reliability bookkeeping
-        // in front of forwarding shows up here as a hard inequality.
+        // flooders forward the instant a fresh frame arrives; a piggybacked
+        // ack changes a forward's bytes, not its timing, and standalone
+        // acks, sweeps and summaries follow in frames of their own. Any
+        // regression that puts reliability bookkeeping in front of
+        // forwarding shows up here as a hard inequality.
         use crate::broadcast::FloodProcess;
 
         let n = 10;
@@ -1307,5 +1547,299 @@ mod tests {
         };
         assert_eq!(frames(0), frames(1));
         assert!(frames(0) > frames(5));
+    }
+
+    /// `(to, id, piggybacked ack)` of every send.
+    fn acks(out: &Sends<u32>) -> Vec<(u32, u64, Option<u64>)> {
+        out.iter()
+            .map(|(to, m)| (*to, m.broadcast_id, ack(m)))
+            .collect()
+    }
+
+    #[test]
+    fn a_piggybacked_ack_settles_what_the_link_owed() {
+        let mut c = core(cfg()); // rto 100: a clean ack may wait 25 µs
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        c.on_data(1, &msg(1).with_link_seq(1), &mut seen, 0, [1, 2], &mut out);
+        assert_eq!(acks(&out), vec![(2, 1, None)], "2 is owed nothing");
+        out.clear();
+        c.originate(&msg(7), 5, [1, 2], &mut out);
+        assert_eq!(acks(&out), vec![(1, 7, Some(1)), (2, 7, None)]);
+        out.clear();
+        assert_eq!(c.tick(50, [1, 2], &mut out), TickReport::default());
+        assert!(out.is_empty(), "the data frame carried it: no ack frame");
+        // The peer's side: the piggybacked ack retires the frame it covers.
+        let mut peer = core(cfg());
+        peer.originate(&msg(1), 0, [0], &mut out);
+        out.clear();
+        let back = msg(7).with_link_seq(1).with_link_ack(1);
+        peer.on_data(0, &back, &mut seen, 5, [0], &mut out);
+        assert_eq!(peer.tx[&0].in_flight(), 0);
+    }
+
+    #[test]
+    fn a_hole_still_sends_a_standalone_nack_ack_on_the_next_sweep() {
+        let mut c = core(ReliableConfig {
+            window: 64,
+            ..cfg()
+        });
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        c.on_data(1, &msg(1).with_link_seq(1), &mut seen, 0, [1], &mut out);
+        c.on_data(1, &msg(3).with_link_seq(3), &mut seen, 0, [1], &mut out);
+        c.originate(&msg(7), 1, [1], &mut out);
+        assert_eq!(
+            acks(&out),
+            vec![(1, 7, Some(1))],
+            "the cumulative part rides"
+        );
+        out.clear();
+        assert_eq!(c.tick(2, [1], &mut out).acks, 1, "long before rto/4");
+        assert_eq!(
+            decode_ack_payload(out[0].1.payload.clone()),
+            Some((1, vec![2]))
+        );
+        assert_eq!(c.tick(3, [1], &mut out).acks, 0, "once per arrival");
+    }
+
+    #[test]
+    fn a_clean_ack_no_data_frame_carries_leaves_within_rto_over_4_plus_one_tick() {
+        const TICK: u64 = 10;
+        let c = cfg();
+        for arrival in 0..2 * TICK {
+            let mut core = core(c);
+            let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+            core.on_data(
+                1,
+                &msg(1).with_link_seq(1),
+                &mut seen,
+                arrival,
+                [1],
+                &mut out,
+            );
+            let left = (1..)
+                .map(|i| i * TICK)
+                .find(|&t| core.tick(t, [1], &mut out).acks == 1)
+                .expect("the ack leaves");
+            assert!(
+                left >= arrival + c.rto_us / 4,
+                "arrived {arrival}, left {left}"
+            );
+            assert!(
+                left <= arrival + c.rto_us / 4 + TICK,
+                "arrived {arrival}, left {left}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_clean_ack_covering_half_the_window_flushes_at_once() {
+        let mut c = core(ReliableConfig { window: 8, ..cfg() });
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        for seq in 1..=3 {
+            c.on_data(
+                1,
+                &msg(seq).with_link_seq(seq),
+                &mut seen,
+                0,
+                [1, 2],
+                &mut out,
+            );
+        }
+        assert!(out.iter().all(|(to, _)| *to == 2), "3 of 4: still waiting");
+        out.clear();
+        c.on_data(1, &msg(4).with_link_seq(4), &mut seen, 0, [1, 2], &mut out);
+        assert_eq!(
+            acks(&out),
+            vec![(2, 4, None), (1, ACK_TAG, None)],
+            "behind the forward"
+        );
+        assert_eq!(
+            decode_ack_payload(out[1].1.payload.clone()),
+            Some((4, vec![]))
+        );
+        assert_eq!(c.tick(0, [1, 2], &mut out).acks, 0, "and nothing is owed");
+    }
+
+    #[test]
+    fn acks_ride_the_wire_copy_only_never_the_retransmit_or_pull_store_copy() {
+        let mut c = core(cfg());
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        c.on_data(
+            1,
+            &msg(1).with_link_seq(1),
+            &mut seen,
+            0,
+            [1, 2, 3],
+            &mut out,
+        );
+        out.clear();
+        // 2's frame carries 2's ack for our link to it; our forward to 1
+        // carries the ack we owe 1. Neither may be kept.
+        let from2 = msg(5).with_link_seq(1).with_link_ack(1);
+        c.on_data(2, &from2, &mut seen, 1, [1, 2, 3], &mut out);
+        assert_eq!(acks(&out), vec![(1, 5, Some(1)), (3, 5, None)]);
+        out.clear();
+        c.tick(1_000, [1, 3], &mut out);
+        assert_eq!(out.len(), 3, "id 5 to 1; ids 1 and 5 to 3");
+        assert!(out.iter().all(|(_, m)| m.link_ack.is_none()), "retransmits");
+        out.clear();
+        let pull = encode_summary_payload(true, &[1, 5]);
+        assert_eq!(
+            c.on_summary(4, pull, &seen, 2_000, &mut out),
+            SummaryOutcome::Served(2)
+        );
+        assert_eq!(
+            acks(&out),
+            vec![(4, 1, None), (4, 5, None)],
+            "pull-store copies"
+        );
+    }
+
+    #[test]
+    fn summaries_name_only_what_a_neighbor_is_not_known_to_hold() {
+        let mut c = core(cfg());
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        let named = |out: &Sends<u32>| -> Vec<(u32, Vec<u64>)> {
+            (out.iter())
+                .map(|(to, m)| (*to, decode_summary_payload(m.payload.clone()).unwrap().1))
+                .collect()
+        };
+        c.on_data(1, &msg(1).with_link_seq(1), &mut seen, 0, [1, 2], &mut out);
+        c.originate(&msg(2), 0, [1, 2], &mut out);
+        out.clear();
+        // 1 sent id 1; id 2 is in flight to both: it stays in the summary.
+        assert!(c.advertise([1, 2], &mut out));
+        assert_eq!(named(&out), vec![(1, vec![2]), (2, vec![2, 1])]);
+        out.clear();
+        // 1's piggybacked ack covers id 2 and its frame brings id 3: 1 is
+        // known to hold everything retained, so it gets no summary at all.
+        let from1 = msg(3).with_link_seq(2).with_link_ack(1);
+        c.on_data(1, &from1, &mut seen, 1, [1, 2], &mut out);
+        out.clear();
+        assert!(!c.advertise([1], &mut out));
+        assert!(out.is_empty());
+        // 2's standalone ack covers ids 1 and 2; id 3 is still in flight.
+        c.on_ack(2, encode_ack_payload(2, &[]), 2, &mut out);
+        assert!(c.advertise([2], &mut out));
+        assert_eq!(named(&out), vec![(2, vec![3])]);
+        out.clear();
+        // A link reset forgets: whoever answers next may have rebooted blank.
+        c.reset_link(1);
+        assert!(c.advertise([1], &mut out));
+        assert_eq!(named(&out), vec![(1, vec![3, 2, 1])]);
+    }
+
+    /// Records `(arrival time, sender, frame id)` of every message its
+    /// inner process receives.
+    struct Tap {
+        inner: ReliableFlooder,
+        log: Rc<RefCell<Vec<(u64, NodeId, u64)>>>,
+    }
+
+    impl Process for Tap {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.inner.on_start(ctx);
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
+            let entry = (ctx.now(), from, msg.broadcast_id);
+            self.log.borrow_mut().push(entry);
+            self.inner.on_message(from, msg, ctx);
+        }
+
+        fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+            self.inner.on_timer(token, ctx);
+        }
+    }
+
+    type Log = Rc<RefCell<Vec<(u64, NodeId, u64)>>>;
+
+    fn tapped(
+        cfg: ReliableConfig,
+        schedule: &[ScheduledBroadcast],
+        n: usize,
+        horizon: u64,
+    ) -> (Vec<Box<dyn Process>>, Log) {
+        let log = Log::default();
+        let procs = (0..n)
+            .map(|_| {
+                let inner = ReliableFlooder::new(cfg, schedule.to_vec(), horizon);
+                let log = Rc::clone(&log);
+                Box::new(Tap { inner, log }) as Box<dyn Process>
+            })
+            .collect();
+        (procs, log)
+    }
+
+    #[test]
+    fn a_loss_free_run_sends_no_summary_and_falls_silent_once_its_acks_settle() {
+        let (n, horizon) = (10, 1_000_000);
+        let cfg = ReliableConfig::default();
+        let link = LinkModel {
+            base_latency_us: 1_000,
+            jitter_us: 300,
+        };
+        let schedule: Vec<ScheduledBroadcast> = (0..6)
+            .map(|i| ScheduledBroadcast {
+                id: 0x1000 + i,
+                origin: (3 * i % n as u64) as u32,
+                at_us: 2_000 * i,
+            })
+            .collect();
+        let (procs, log) = tapped(cfg, &schedule, n, horizon);
+        let report = Simulation::new(&cycle(n), link, 5).run(procs, horizon);
+        assert_eq!(report.deliveries.len(), n * schedule.len());
+        let log = log.borrow();
+        let data = |id: u64| id & (ACK_TAG | SUMMARY_TAG) == 0;
+        assert!(log.iter().all(|&(.., id)| id != SUMMARY_TAG), "no summary");
+        let last_data = log.iter().filter(|e| data(e.2)).map(|e| e.0).max().unwrap();
+        let last_frame = log.iter().map(|e| e.0).max().unwrap();
+        let settle = cfg.rto_us / 4 + cfg.tick_us + link.base_latency_us + link.jitter_us;
+        assert!(
+            last_frame <= last_data + settle,
+            "only the last acks may follow the last data frame: {last_data} → {last_frame}"
+        );
+        assert!(last_frame < 100_000, "then nothing for 900 ms");
+    }
+
+    #[test]
+    fn a_frame_given_up_after_max_retries_is_advertised_pulled_and_delivered_once() {
+        use crate::fault::Partition;
+
+        let cfg = ReliableConfig {
+            max_retries: 2,
+            ..ReliableConfig::default()
+        };
+        let mut edge = Graph::with_nodes(2);
+        edge.add_edge(NodeId(0), NodeId(1));
+        // 0 → 1 is cut while the frame and both its retransmissions go out
+        // (10, 40 and 70 ms; given up at the 100 ms sweep).
+        let mut inj = FaultInjector::new(1);
+        inj.add_partition(Partition {
+            a: [0].into_iter().collect(),
+            b: [1].into_iter().collect(),
+            from_us: 0,
+            until_us: 200_000,
+            directed: true,
+        });
+        let mut sim = Simulation::new(&edge, LinkModel::default(), 1);
+        sim.with_faults(Arc::new(inj));
+        let schedule = [ScheduledBroadcast {
+            id: 0x1000,
+            origin: 0,
+            at_us: 10_000,
+        }];
+        let (procs, log) = tapped(cfg, &schedule, 2, 1_000_000);
+        let report = sim.run(procs, 1_000_000);
+        let at_1: Vec<u64> = (report.deliveries.iter())
+            .filter(|d| d.node == NodeId(1))
+            .map(|d| d.time)
+            .collect();
+        assert_eq!(at_1.len(), 1, "exactly once: {at_1:?}");
+        assert!(at_1[0] > 200_000, "by repair, after the cut");
+        let pulls = (log.borrow().iter())
+            .filter(|&&(_, from, id)| from == NodeId(1) && id == SUMMARY_TAG)
+            .count();
+        assert_eq!(pulls, 1, "one pull answered one advertisement");
     }
 }

@@ -7,6 +7,7 @@
 //! reassembles it however the stream hands it back.
 
 use std::io::{self, IoSlice, Read, Write};
+use std::num::NonZeroU64;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
@@ -15,7 +16,7 @@ use lhg_net::codec::{
     decode_frame, encode_frame, read_frame, write_frame, CodecError, MAX_FRAME_LEN,
 };
 use lhg_net::fifo::{fifo_id, fifo_parts};
-use lhg_net::message::{ByzTag, Message, BYZ_TAG_LEN, TRACE_EXT_LEN};
+use lhg_net::message::{ByzTag, Message, ACK_EXT_FLAG, BYZ_TAG_LEN, TRACE_EXT_LEN};
 use lhg_net::wirecost::{MessageClass, CLASS_TAG_MASK};
 
 /// The frame encoding as it was before the codec wrote headers into stack
@@ -29,7 +30,8 @@ fn reference_frame(msg: &Message) -> Vec<u8> {
     body.put_slice(&msg.payload);
     let flags = u8::from(msg.trace.is_some())
         | u8::from(msg.link_seq.is_some()) << 1
-        | u8::from(msg.byz.is_some()) << 2;
+        | u8::from(msg.byz.is_some()) << 2
+        | u8::from(msg.link_ack.is_some()) << 3;
     if flags != 0 {
         body.put_u8(flags);
     }
@@ -37,11 +39,14 @@ fn reference_frame(msg: &Message) -> Vec<u8> {
         body.put_u64(trace_id);
     }
     if let Some(seq) = msg.link_seq {
-        body.put_u64(seq);
+        body.put_u64(seq.get());
     }
     if let Some(tag) = msg.byz {
         body.put_u32(tag.origin);
         body.put_u64(tag.nonce);
+    }
+    if let Some(cum) = msg.link_ack {
+        body.put_u64(cum.get());
     }
     let mut frame = Vec::new();
     frame.put_u32(body.len() as u32);
@@ -93,13 +98,14 @@ impl<F: FnMut() -> usize> Read for Chunked<F> {
 
 fn sample(i: u64) -> Message {
     let msg = Message::new(i, i as u32, Bytes::from(format!("payload-{i}")));
-    match i % 3 {
+    match i % 4 {
         0 => msg,
         1 => msg.with_link_seq(i),
-        _ => msg.with_trace(i).with_byz(ByzTag {
+        2 => msg.with_trace(i).with_byz(ByzTag {
             origin: 1,
             nonce: i,
         }),
+        _ => msg.with_link_seq(i).with_link_ack(i + 1),
     }
 }
 
@@ -226,8 +232,9 @@ proptest! {
         ids in (any::<u64>(), any::<u32>(), any::<u32>()),
         len in 0usize..=70_000,
         salt in any::<u8>(),
-        exts in 0u8..8,
+        exts in 0u8..16,
         ext_ids in (any::<u64>(), any::<u64>(), any::<u32>(), any::<u64>()),
+        cum in any::<u64>(),
     ) {
         let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect();
         let (trace_id, seq, origin, nonce) = ext_ids;
@@ -237,7 +244,8 @@ proptest! {
             hops: ids.2,
             payload: Bytes::from(payload),
             trace: (exts & 1 != 0).then_some(trace_id),
-            link_seq: (exts & 2 != 0).then_some(seq),
+            link_seq: NonZeroU64::new(seq).filter(|_| exts & 2 != 0),
+            link_ack: NonZeroU64::new(cum).filter(|_| exts & 8 != 0),
             byz: (exts & 4 != 0).then_some(ByzTag { origin, nonce }),
         };
         let frame = encode_frame(&msg);
@@ -277,6 +285,8 @@ proptest! {
         tagged in any::<bool>(),
         byz_origin in any::<u32>(),
         byz_nonce in any::<u64>(),
+        acked in any::<bool>(),
+        cum in any::<u64>(),
     ) {
         let msg = Message {
             broadcast_id: id,
@@ -284,7 +294,8 @@ proptest! {
             hops,
             payload: Bytes::from(payload),
             trace: traced.then_some(trace_id),
-            link_seq: sequenced.then_some(seq),
+            link_seq: NonZeroU64::new(seq).filter(|_| sequenced),
+            link_ack: NonZeroU64::new(cum).filter(|_| acked),
             byz: tagged.then_some(ByzTag { origin: byz_origin, nonce: byz_nonce }),
         };
         let decoded = Message::decode(msg.encode()).expect("own encoding decodes");
@@ -360,10 +371,10 @@ proptest! {
         flag in any::<u8>(),
         ext_id in any::<u64>(),
     ) {
-        // Force a flag with an unknown bit: setting bit 3 keeps the full
-        // range of "wrong" flags without a rejection filter (bits 0..2 are
-        // the known trace, link-seq and byz extensions).
-        let flag = flag | 0x08;
+        // Force a flag with an unknown bit: setting bit 4 keeps the full
+        // range of "wrong" flags without a rejection filter (bits 0..3 are
+        // the known trace, link-seq, byz and link-ack extensions).
+        let flag = flag | 0x10;
         assert!(flag & !lhg_net::message::KNOWN_EXT_FLAGS != 0);
         let msg = Message::new(11, 2, Bytes::from(payload));
         let mut raw = BytesMut::from(&msg.encode()[..]);
@@ -399,12 +410,14 @@ proptest! {
         // What a relay does to a frame a traitor stamped with hops = MAX:
         // decode, forward, re-encode. The hop count must stay saturated
         // (never wrap back under the hop bound) and nothing may panic.
-        let mut msg = Message::new(id, 1, Bytes::from(payload)).with_link_seq(seq);
+        let mut msg = Message::new(id, 1, Bytes::from(payload))
+            .with_link_seq(seq)
+            .with_link_ack(seq);
         msg.hops = u32::MAX;
         let arrived = decode_frame(&encode_frame(&msg)).expect("framed encoding decodes");
         let relayed = decode_frame(&encode_frame(&arrived.forwarded())).expect("forward decodes");
         prop_assert_eq!(relayed.hops, u32::MAX);
-        prop_assert_eq!(relayed.link_seq, None);
+        prop_assert_eq!((relayed.link_seq, relayed.link_ack), (None, None));
         prop_assert_eq!(relayed.payload, msg.payload);
     }
 
@@ -422,6 +435,69 @@ proptest! {
         let strict = MessageClass::classify_strict(arrived.broadcast_id);
         prop_assert_eq!(strict.is_some(), (id & CLASS_TAG_MASK).count_ones() <= 1);
         prop_assert_eq!(strict == Some(MessageClass::Data), id & CLASS_TAG_MASK == 0);
+    }
+
+    #[test]
+    fn link_ack_alone_round_trips_and_is_its_flag_and_eight_bytes(
+        id in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        cum in 1u64..=u64::MAX,
+    ) {
+        let msg = Message::new(id, 3, Bytes::from(payload)).with_link_ack(cum);
+        let enc = msg.encode();
+        prop_assert_eq!(enc[enc.len() - 9], ACK_EXT_FLAG);
+        prop_assert_eq!(&enc[enc.len() - 8..], &cum.to_be_bytes()[..]);
+        prop_assert_eq!(decode_frame(&encode_frame(&msg)).expect("decodes"), msg);
+    }
+
+    #[test]
+    fn link_ack_with_every_other_extension_round_trips(
+        ids in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let (trace_id, seq, nonce, cum) = ids;
+        let msg = Message::new(9, 3, Bytes::from(payload))
+            .with_trace(trace_id)
+            .with_link_seq(seq | 1)
+            .with_byz(ByzTag { origin: 4, nonce })
+            .with_link_ack(cum | 1);
+        let frame = encode_frame(&msg);
+        prop_assert_eq!(&frame[..], &reference_frame(&msg)[..]);
+        let decoded = decode_frame(&frame).expect("decodes");
+        prop_assert_eq!(decoded.link_ack, NonZeroU64::new(cum | 1));
+        prop_assert_eq!(decoded, msg);
+    }
+
+    #[test]
+    fn truncated_link_acks_are_rejected(
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        sequenced in any::<bool>(),
+        cut in 1usize..8,
+    ) {
+        // Any partial ack — 1..7 of its 8 bytes missing — must fail to
+        // decode rather than misparse as a shorter extension block.
+        let mut msg = Message::new(5, 1, Bytes::from(payload)).with_link_ack(77);
+        if sequenced {
+            msg = msg.with_link_seq(3);
+        }
+        let enc = msg.encode();
+        prop_assert_eq!(Message::decode(enc.slice(0..enc.len() - cut)), None);
+    }
+
+    #[test]
+    fn a_zero_link_ack_is_rejected(
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        sequenced in any::<bool>(),
+    ) {
+        // Cumulative acks start at 1: an ack of 0 on the wire is malformed.
+        let mut msg = Message::new(5, 1, Bytes::from(payload));
+        if sequenced {
+            msg = msg.with_link_seq(3);
+        }
+        let mut raw = BytesMut::from(&msg.with_link_ack(1).encode()[..]);
+        let at = raw.len() - 8;
+        raw[at..].copy_from_slice(&0u64.to_be_bytes());
+        prop_assert_eq!(Message::decode(raw.freeze()), None);
     }
 
     #[test]

@@ -1,18 +1,26 @@
 //! Who owns the bytes, measured: a payload crosses the codec without being
 //! copied. Writing a frame allocates nothing, reading one allocates its
 //! body once, and the decoded payload — with every clone and forward of it
-//! — lives inside that one allocation.
+//! — lives inside that one allocation. And the ack that retires a frame,
+//! standalone or riding on a data frame, allocates nothing at the sender:
+//! once acks ride on most data frames, anything it allocated would be paid
+//! per frame.
 //!
 //! The counting allocator is why this is an integration test (the crates
 //! themselves forbid `unsafe`) and why it is a single `#[test]`: no other
 //! test thread may allocate while a window is open.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use bytes::Bytes;
 use lhg_net::codec::{read_frame, write_frame, MAX_FRAME_LEN};
 use lhg_net::message::Message;
+use lhg_net::reliable::{
+    encode_ack_payload, DataOutcome, LinkSender, ReliableConfig, ReliableCore, ACK_TAG, SUMMARY_TAG,
+};
+use lhg_net::seen::SeenSet;
 
 /// Allocations of at least this many bytes are "payload-sized".
 const LARGE: usize = 1024;
@@ -119,7 +127,7 @@ fn a_payload_is_allocated_once_per_link_crossing() {
     assert_eq!(delivered.payload.as_ptr() as usize, at);
     for (seq, sink) in (100..).zip(&sinks) {
         let relayed = read_frame(&mut &sink[..]).expect("reads").expect("frame");
-        assert_eq!((relayed.hops, relayed.link_seq), (1, Some(seq)));
+        assert_eq!((relayed.hops, relayed.link_seq), (1, NonZeroU64::new(seq)));
         assert_eq!(relayed.payload, msg.payload);
     }
 
@@ -133,4 +141,43 @@ fn a_payload_is_allocated_once_per_link_crossing() {
     let (empty, all, _) = allocs_in(|| (Bytes::new(), Bytes::from(Vec::new())));
     assert!(empty.0.is_empty() && empty.1.is_empty());
     assert_eq!(all, 0);
+
+    clean_acks_allocate_nothing_at_the_sender();
+}
+
+/// One link's sender, then the whole data plane: a clean cumulative ack
+/// retires frames without allocating, whether it came in an ack frame or
+/// on a data frame.
+fn clean_acks_allocate_nothing_at_the_sender() {
+    let cfg = ReliableConfig::default();
+    let frame = |id: u64| Message::new(id, 1, Bytes::from_static(b"payload"));
+
+    let mut tx = LinkSender::new();
+    for id in 1..=16 {
+        tx.send(frame(id), &cfg, 0);
+    }
+    let (released, all, _) = allocs_in(|| tx.on_ack(10, &[], &cfg, 1));
+    assert!(released.is_empty());
+    assert_eq!((tx.in_flight(), all), (6, 0), "LinkSender::on_ack");
+
+    // Peer 1 of a core that has sent it 16 frames and heard from it once.
+    let mut core = ReliableCore::<u32>::new(cfg, 0, ACK_TAG, SUMMARY_TAG);
+    let (mut seen, mut out) = (SeenSet::default(), Vec::with_capacity(64));
+    for id in 1..=16 {
+        seen.insert(id);
+        core.originate(&frame(id), 0, [1], &mut out);
+    }
+    let first = frame(100).with_link_seq(1).with_link_ack(1);
+    core.on_data(1, &first, &mut seen, 1, [1], &mut out);
+    out.clear();
+
+    let standalone = encode_ack_payload(8, &[]);
+    let ((), all, _) = allocs_in(|| core.on_ack(1, standalone, 2, &mut out));
+    assert_eq!((out.len(), all), (0, 0), "a standalone clean ack");
+
+    // A copy of id 5 from 1 (a duplicate here) carrying 1's ack through 16.
+    let riding = frame(5).with_link_seq(2).with_link_ack(16);
+    let (outcome, all, _) = allocs_in(|| core.on_data(1, &riding, &mut seen, 3, [1], &mut out));
+    assert_eq!(outcome, DataOutcome::Duplicate);
+    assert_eq!((out.len(), all), (0, 0), "a piggybacked clean ack");
 }

@@ -16,10 +16,11 @@
 //!   dropped, data to the reliable plane, byz frames to the vote exchange;
 //! * **control waves** — best-effort flooding of crash/join announcements,
 //!   deduplicated forever under per-wave nonces;
-//! * **failure detection** — heartbeats out, `last_seen` in, suspicion past
-//!   the timeout; under a byzantine setup a remote report applies only once
-//!   f+1 distinct origins vouch for it and the victim is not demonstrably
-//!   alive on a direct link;
+//! * **failure detection** — any frame is proof of life, so heartbeats go
+//!   only to links nothing else was sent on for a heartbeat period;
+//!   `last_seen` in, suspicion past the timeout; under a byzantine setup a
+//!   remote report applies only once f+1 distinct origins vouch for it and
+//!   the victim is not demonstrably alive on a direct link;
 //! * **healing** — `crash_many` on the overlay replica, the churn it
 //!   returns turned into `Close`/`Dial`, degraded mode once ≥ k members are
 //!   excommunicated (heal nothing, probe everyone);
@@ -51,7 +52,7 @@ use lhg_byzantine::{
 use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId};
 use lhg_net::backoff::{Backoff, BackoffPolicy};
 use lhg_net::message::Message;
-use lhg_net::metrics::{Gauge, MetricsRegistry};
+use lhg_net::metrics::{Counter, Gauge, MetricsRegistry};
 use lhg_net::reliable::{DataOutcome, ReliableCore, Sends, SummaryOutcome};
 use lhg_net::seen::SeenSet;
 use lhg_trace::{EventKind, FlightRecorder};
@@ -113,9 +114,8 @@ pub enum Action {
         msg: Message,
     },
     /// Write `msg` on every link except the one to `except`: a best-effort
-    /// control flood (heartbeat, crash/join wave, a relayed byz `SEND`),
-    /// one action instead of one [`Action::Send`] and one frame clone per
-    /// link.
+    /// control flood (crash/join wave, a relayed byz `SEND`), one action
+    /// instead of one [`Action::Send`] and one frame clone per link.
     Flood {
         /// The frame.
         msg: Message,
@@ -263,6 +263,11 @@ pub struct NodeCore {
     wave_seq: u16,
     /// Last time each monitored peer produced any frame.
     last_seen: HashMap<MemberId, u64>,
+    /// Last time this core emitted anything on each live link (one entry
+    /// per link), and a lower bound on when the first of them will have
+    /// been silent a full heartbeat period ([`Self::beat_idle_links`]).
+    last_sent: HashMap<MemberId, u64>,
+    next_idle: u64,
     /// Dial backoff: no redial before the recorded time, and the per-peer
     /// jittered exponential state behind it.
     next_dial: HashMap<MemberId, u64>,
@@ -305,11 +310,17 @@ pub struct NodeCore {
     /// data plane holds on to ([`ReliableCore::retained_bytes`]), fresh as
     /// of the latest summary round.
     retained_gauge: Arc<Gauge>,
+    /// `runtime.acks_sent` (ack frames of their own) and
+    /// `runtime.acks_piggybacked` (acks riding on data frames), resolved at
+    /// boot: the frame path counts them without a lookup by name.
+    acks_sent: Arc<Counter>,
+    acks_piggybacked: Arc<Counter>,
     /// The reliable-flood data plane and the reused sink for its sends
     /// (the vote exchange's too), and the one for byz deliveries.
     reliable: ReliableCore<MemberId>,
     outbox: Sends<MemberId>,
     byz_delivered: Vec<ByzDelivery>,
+    /// The FrameCrash script's per-period cadence; heartbeats have none.
     next_beat: u64,
     next_summary: u64,
     next_sweep: u64,
@@ -358,6 +369,8 @@ impl NodeCore {
         let summary_us = beat_us.saturating_mul(config.reliable.summary_ticks());
         let sweep_us = us(config.tick);
         let retained_gauge = metrics.gauge(&format!("runtime.payload_bytes_retained.n{id}"));
+        let acks_sent = metrics.counter("runtime.acks_sent");
+        let acks_piggybacked = metrics.counter("runtime.acks_piggybacked");
         let mut core = NodeCore {
             id,
             k: overlay.k(),
@@ -389,6 +402,8 @@ impl NodeCore {
             life: opts.life,
             wave_seq: 0,
             last_seen: HashMap::new(),
+            last_sent: HashMap::new(),
+            next_idle: now_us + beat_us,
             next_dial: HashMap::new(),
             backoffs: HashMap::new(),
             // Each node jitters independently, but the whole cluster is
@@ -407,6 +422,8 @@ impl NodeCore {
             notice_senders: BTreeSet::new(),
             hb_age_gauges: HashMap::new(),
             retained_gauge,
+            acks_sent,
+            acks_piggybacked,
             reliable: ReliableCore::new(
                 config.reliable,
                 id as u32,
@@ -463,6 +480,7 @@ impl NodeCore {
     pub fn handle(&mut self, event: Event, now_us: u64, out: &mut Vec<Action>) {
         std::mem::swap(&mut self.out, out);
         self.now = now_us;
+        let start = self.out.len();
         match event {
             Event::Frame { from, msg } => self.on_frame(from, msg),
             Event::LinkUp { peer, dialed } => self.on_link_up(peer, dialed),
@@ -490,18 +508,23 @@ impl NodeCore {
                 }
             }
         }
+        self.note_sent(start);
         std::mem::swap(&mut self.out, out);
     }
 
     /// Advances time: whatever periodic duty is due at `now_us` (each
-    /// re-armed as `now + period`), then the suspicion sweep and the
-    /// reconcile pass. Drivers call it after every event and at least
-    /// every [`RuntimeConfig::tick`].
+    /// re-armed as `now + period`), then the suspicion sweep, the reconcile
+    /// pass and, last, a heartbeat on each link that has carried nothing
+    /// for a period. Drivers call it after every event and at least every
+    /// [`RuntimeConfig::tick`].
     pub fn tick(&mut self, now_us: u64, out: &mut Vec<Action>) {
         std::mem::swap(&mut self.out, out);
         self.now = now_us;
+        let start = self.out.len();
         if now_us >= self.next_beat {
-            self.send_heartbeats();
+            if self.behavior() == Some(TraitorBehavior::FrameCrash) {
+                self.mount_frame_crash();
+            }
             self.next_beat = now_us + self.beat_us;
         }
         if now_us >= self.next_summary {
@@ -532,7 +555,32 @@ impl NodeCore {
         if self.rejoining && !self.pending_join_announce && self.awaiting_sync.is_none() {
             self.rejoining = false;
         }
+        self.note_sent(start);
+        self.beat_idle_links();
         std::mem::swap(&mut self.out, out);
+    }
+
+    /// Records that every link the actions from `start` on write to has
+    /// just carried a frame: what [`Self::beat_idle_links`] reads.
+    fn note_sent(&mut self, start: usize) {
+        let now = self.now;
+        for action in &self.out[start..] {
+            match action {
+                Action::Send { to, .. } => {
+                    if let Some(sent) = self.last_sent.get_mut(to) {
+                        *sent = now;
+                    }
+                }
+                Action::Flood { except, .. } => {
+                    for (peer, sent) in &mut self.last_sent {
+                        if Some(*peer) != *except {
+                            *sent = now;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
     }
 
     fn count(&self, name: &str) {
@@ -576,16 +624,17 @@ impl NodeCore {
             peer: from as u32,
             bytes: (msg.encoded_len() + lhg_net::codec::LEN_PREFIX) as u32,
         });
+        if !excommunicated && self.links.contains(&from) && !self.overlay.contains(from) {
+            // A live peer our replica does not know: its JOIN flood must
+            // have been missed. Any frame over a link is ground truth — a
+            // busy link carries data, not heartbeats.
+            self.apply_join(from);
+        }
         match wire::classify(msg.broadcast_id) {
             FrameKind::Malformed => self.count("runtime.malformed_frames"),
             FrameKind::Heartbeat(_) => {
                 // Liveness recorded above; keep the probe in the timeline.
                 self.rec(EventKind::Heartbeat { peer: from as u32 });
-                if !excommunicated && !self.overlay.contains(from) {
-                    // A live peer our replica does not know: its JOIN flood
-                    // must have been missed. Heartbeats are ground truth.
-                    self.apply_join(from);
-                }
             }
             FrameKind::Hello(_) => {} // handshakes are the driver's
             FrameKind::Crash(victim) => {
@@ -708,7 +757,7 @@ impl NodeCore {
             Some(TraitorBehavior::Equivocate) if self.first_attack() => self.mount_equivocation(),
             Some(TraitorBehavior::Forge) if self.first_attack() => self.mount_forgery(),
             // Failure-detector attacks cast no votes; their teeth are in
-            // the heartbeat path (`send_heartbeats`).
+            // the heartbeat path (`tick`, `beat_idle_links`).
             _ => {}
         }
     }
@@ -1118,9 +1167,9 @@ impl NodeCore {
         up
     }
 
-    /// Best-effort flood of a control frame (heartbeat, crash/join wave, a
-    /// relayed byz `SEND`) to every linked peer except `except`. Data
-    /// frames never come this way — they go through [`Self::drive`].
+    /// Best-effort flood of a control frame (crash/join wave, a relayed byz
+    /// `SEND`) to every linked peer except `except`. Data frames never come
+    /// this way — they go through [`Self::drive`].
     fn flood(&mut self, msg: Message, except: Option<MemberId>) {
         if !self.links.is_empty() {
             self.out.push(Action::Flood { msg, except });
@@ -1153,24 +1202,33 @@ impl NodeCore {
         result
     }
 
-    /// Moves the plane's sends into the action sink and keeps the (drained)
-    /// buffer for reuse.
+    /// Moves the planes' sends into the action sink, counting the acks
+    /// among them — frames of their own and acks riding on data — and
+    /// keeps the (drained) buffer for reuse.
     fn push_sends(&mut self, mut sends: Sends<MemberId>) {
-        let out = &mut self.out;
-        out.extend(sends.drain(..).map(|(to, msg)| Action::Send { to, msg }));
+        let ack_id = wire::ack_id(self.id);
+        let (mut standalone, mut riding) = (0, 0);
+        for (to, msg) in sends.drain(..) {
+            standalone += u64::from(msg.broadcast_id == ack_id);
+            riding += u64::from(msg.link_ack.is_some());
+            self.out.push(Action::Send { to, msg });
+        }
         self.outbox = sends;
+        if standalone > 0 {
+            self.acks_sent.add(standalone);
+        }
+        if riding > 0 {
+            self.acks_piggybacked.add(riding);
+        }
     }
 
-    /// Retransmit sweep + ack emission for every live link.
+    /// Retransmit sweep + due standalone acks for every live link.
     fn sweep_reliable(&mut self) {
         let report = self.drive(|r, _, links, now, out| r.tick(now, links, out));
         if report.retransmits > 0 {
             self.metrics
                 .counter("runtime.retransmits")
                 .add(report.retransmits);
-        }
-        if report.acks > 0 {
-            self.metrics.counter("runtime.acks_sent").add(report.acks);
         }
     }
 
@@ -1187,19 +1245,37 @@ impl NodeCore {
         }
     }
 
-    fn send_heartbeats(&mut self) {
-        match self.behavior() {
-            // Plays dead on the control plane: no heartbeats means correct
-            // nodes legitimately excommunicate it — forced churn is the
-            // attack, and the dynamic views must absorb it.
-            Some(TraitorBehavior::SuppressHeartbeat) => return,
-            Some(TraitorBehavior::FrameCrash) => self.mount_frame_crash(),
-            _ => {}
+    /// The detector's send half. Any frame proves this node alive, so a
+    /// heartbeat goes only to a link nothing was sent on for a full period;
+    /// checked on every tick, so no live link is silent for longer than a
+    /// period plus a tick. `next_idle` skips the walk until some link can
+    /// be idle. Allocates nothing.
+    fn beat_idle_links(&mut self) {
+        // Plays dead on the control plane: no heartbeats means correct
+        // nodes legitimately excommunicate it — forced churn is the attack,
+        // and the dynamic views must absorb it.
+        if self.now < self.next_idle || self.behavior() == Some(TraitorBehavior::SuppressHeartbeat)
+        {
+            return;
         }
-        self.flood(self.control(wire::heartbeat_id(self.id)), None);
+        let (now, beat) = (self.now, self.beat_us);
+        let heartbeat = self.control(wire::heartbeat_id(self.id));
+        let mut next = now + beat;
+        for &peer in &self.links {
+            let Some(sent) = self.last_sent.get_mut(&peer) else {
+                continue;
+            };
+            if now.saturating_sub(*sent) >= beat {
+                *sent = now;
+                let msg = heartbeat.clone();
+                self.out.push(Action::Send { to: peer, msg });
+            }
+            next = next.min(*sent + beat);
+        }
+        self.next_idle = next;
     }
 
-    /// FrameCrash traitor: on every heartbeat, flood a freshly-nonced
+    /// FrameCrash traitor: once per heartbeat period, flood a freshly-nonced
     /// forged CRASH wave naming a live victim (the lowest other member).
     /// Every wave carries this traitor's origin, so corroboration counts
     /// the whole barrage as a single reporter — below the f+1 quorum, the
@@ -1259,6 +1335,40 @@ impl NodeCore {
         for peer in suspects {
             self.suspect(peer);
         }
+        self.lift_stale_vetoes();
+    }
+
+    /// `true` while `victim` is demonstrably alive here: its link is up and
+    /// carried a frame within the suspicion timeout.
+    fn directly_live(&self, victim: MemberId) -> bool {
+        self.links.contains(&victim)
+            && (self.last_seen.get(&victim)).is_some_and(|&t| self.now - t <= self.timeout_us)
+    }
+
+    /// A corroborated crash report vetoed because its victim was still
+    /// heard on a direct link stands once that link has been silent a full
+    /// timeout as well. Nobody re-sends a report (each wave floods once),
+    /// and a victim outside the desired set — a link that lingers after a
+    /// heal — is not watched by this node's own detector, so without this
+    /// the veto would be for good. Each link beats only when idle, so the
+    /// last frame on a lingering link can trail the reporters' by up to a
+    /// heartbeat period.
+    fn lift_stale_vetoes(&mut self) {
+        let quorum = self.crash_quorum();
+        if quorum <= 1 || self.crash_reporters.is_empty() {
+            return;
+        }
+        let mut lifted: Vec<MemberId> = (self.crash_reporters.iter())
+            .filter(|(v, reporters)| reporters.len() >= quorum && !self.crashed.contains(v))
+            .map(|(&v, _)| v)
+            .filter(|&v| !self.directly_live(v))
+            .collect();
+        lifted.sort_unstable(); // a hash map's order is no order
+        for victim in lifted {
+            self.crash_reporters.remove(&victim);
+            self.announce_crash(victim);
+            self.apply_crash(victim);
+        }
     }
 
     /// The number of distinct crash reporters required before a flooded
@@ -1275,9 +1385,9 @@ impl NodeCore {
     /// is not demonstrably alive on a direct link (link up, frames within
     /// the suspicion timeout). Either guard alone stops a lone traitor:
     /// forged waves all share the traitor's origin (one voice), and even a
-    /// corroborated-looking wave is vetoed while the victim keeps
-    /// heartbeating at us — our own detector counts itself as a reporter
-    /// the moment the silence becomes real.
+    /// corroborated-looking wave is vetoed while the victim is still heard
+    /// on a direct link — until that link, too, has been silent a full
+    /// timeout ([`Self::lift_stale_vetoes`]).
     ///
     /// A node that applies a corroborated crash **vouches** for it with a
     /// wave of its own. Waves are flooded once, best-effort; with only the
@@ -1302,12 +1412,8 @@ impl NodeCore {
             self.count("runtime.crash_reports_pending");
             return;
         }
-        let directly_live = self.links.contains(&victim)
-            && self
-                .last_seen
-                .get(&victim)
-                .is_some_and(|&t| self.now - t <= self.timeout_us);
-        if directly_live {
+        if self.directly_live(victim) {
+            // Until that link falls silent too (`lift_stale_vetoes`).
             self.count("runtime.crash_vetoes");
             return;
         }
@@ -1562,6 +1668,7 @@ impl NodeCore {
         }
         self.links.insert(peer);
         self.last_seen.insert(peer, now);
+        self.last_sent.insert(peer, now);
         self.reliable.reset_link(peer);
         self.reset_byz_link(peer);
         // A connect alone does not forgive a dial-failure streak: the
@@ -1624,6 +1731,7 @@ impl NodeCore {
             self.rec(EventKind::Disconnect { peer: peer as u32 });
         }
         self.last_seen.remove(&peer);
+        self.last_sent.remove(&peer);
         self.reliable.reset_link(peer);
         self.reset_byz_link(peer);
         if let Some(b) = self.backoffs.get_mut(&peer) {

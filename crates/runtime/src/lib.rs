@@ -22,16 +22,24 @@
 //!    smaller member id dials, the larger accepts.
 //! 2. **Reliable links** ([`lhg_net::reliable`]) — data frames carry
 //!    per-link sequence numbers; cumulative acks with selective NACKs drive
-//!    bounded-window retransmission, and a periodic anti-entropy pass
-//!    (summaries of recently-seen broadcast ids on the heartbeat cadence,
-//!    gaps answered by pulls) repairs whatever per-link retries could not,
-//!    so delivery survives links that drop, duplicate, or reorder frames.
+//!    bounded-window retransmission — a clean ack rides on the next data
+//!    frame going the other way, and gets a frame of its own only for
+//!    holes, duplicates, half a window or a quarter of the retransmit
+//!    timeout — and a periodic anti-entropy pass (summaries, on the
+//!    heartbeat cadence, of the recently-seen broadcast ids each neighbor
+//!    is not known to hold; gaps answered by pulls) repairs whatever
+//!    per-link retries could not, so delivery survives links that drop,
+//!    duplicate, or reorder frames.
 //! 3. **Reliable broadcast** — flooding with per-broadcast dedup; with a
 //!    k-connected topology and at most k−1 crashed nodes, every correct
 //!    node delivers (LHG property P1).
-//! 4. **Failure detection** — periodic heartbeats on every link; a
-//!    configurable silence window marks a neighbor crashed (fail-stop
-//!    model: crashed nodes never speak again, so suspicion is permanent).
+//! 4. **Failure detection** — any frame is proof of life, so a heartbeat
+//!    goes only to a link nothing else was sent on for a heartbeat period
+//!    (checked every tick: no live link is silent longer than a period
+//!    plus a tick), and a busy link carries none; a configurable silence
+//!    window marks a neighbor crashed (fail-stop model: crashed nodes never
+//!    speak again, so suspicion is permanent). A frame from a linked peer
+//!    the replica does not know re-admits it (its `JOIN` was missed).
 //!    With [`RuntimeConfig::byzantine`] set, suspicion is *corroborated*:
 //!    a crash only applies once f+1 distinct reporters (direct silence
 //!    counts as a self-report, and a node that applies a corroborated
@@ -96,7 +104,8 @@ pub use node::{Directory, NodeShared};
 /// heartbeats, a timeout an order of magnitude above the period.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Interval between heartbeats on every live link.
+    /// Longest a live link goes without a frame: a link nothing else was
+    /// sent on for this long gets a heartbeat.
     pub heartbeat_period: Duration,
     /// Silence window after which a neighbor is declared crashed. Must
     /// comfortably exceed `heartbeat_period` to avoid false suspicion.

@@ -668,10 +668,9 @@ mod tests {
                 // And a stamped copy of the same frame still classifies
                 // identically: the link seq rides the extension block,
                 // never the broadcast id.
-                let mut stamped = msg;
-                stamped.link_seq = Some(7);
+                let stamped = msg.with_link_seq(7);
                 let decoded = Message::decode(stamped.encode()).expect("stamped frame decodes");
-                prop_assert_eq!(decoded.link_seq, Some(7));
+                prop_assert_eq!(decoded.link_seq, stamped.link_seq);
                 prop_assert_eq!(
                     classify(decoded.broadcast_id),
                     FrameKind::Heartbeat(member)

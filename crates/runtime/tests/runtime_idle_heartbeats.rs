@@ -1,0 +1,88 @@
+//! Heartbeats go only where nothing else does, over real sockets: a
+//! 16-node K-DIAMOND cluster sends one heartbeat per directed link per
+//! period while idle, and almost none while 500 broadcasts a second keep
+//! every link busy — any frame is proof of life, and the acks that used to
+//! be frames of their own ride on the data.
+
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use lhg_core::overlay::MemberId;
+use lhg_core::Constraint;
+use lhg_runtime::{Cluster, RuntimeConfig};
+
+const N: usize = 16;
+const WINDOW: Duration = Duration::from_secs(1);
+
+/// `(heartbeat, ack, data)` frames written so far, cluster-wide.
+fn frames(c: &Cluster) -> (u64, u64, u64) {
+    let totals = c.metrics().wire().class_totals();
+    let of = |class: &str| {
+        (totals.iter())
+            .find(|t| t.class.name() == class)
+            .map_or(0, |t| t.frames)
+    };
+    (of("heartbeat"), of("ack"), of("data"))
+}
+
+#[test]
+fn heartbeats_fill_idle_links_only() {
+    let config = RuntimeConfig {
+        // Nobody may be suspected while the generator thread competes with
+        // 16 nodes for two cores.
+        heartbeat_timeout: Duration::from_secs(5),
+        ..RuntimeConfig::default()
+    };
+    let period = config.heartbeat_period;
+    let mut c = Cluster::launch(Constraint::KDiamond, N, 3, config).expect("cluster boots");
+    let directed = 2 * c.survivor_graph().expect("members").edge_count() as u64;
+    std::thread::sleep(4 * period);
+
+    let (beats, ..) = frames(&c);
+    std::thread::sleep(WINDOW);
+    let idle = frames(&c).0 - beats;
+    let periods = WINDOW.as_secs_f64() / period.as_secs_f64();
+    let per_link_period = idle as f64 / directed as f64 / periods;
+    // A link beats once silence reaches a period, checked every tick, so
+    // the interval is a period plus up to a tick: ≈ 0.83–1.0 per period.
+    assert!(
+        (0.6..=1.05).contains(&per_link_period),
+        "idle: {idle} heartbeats on {directed} links in {periods} periods"
+    );
+
+    let (beats, acks, data) = frames(&c);
+    let start = Instant::now();
+    let mut sent = 0u32;
+    while start.elapsed() < WINDOW {
+        // 500 broadcasts a second, open loop from rotating origins.
+        let due = (start.elapsed().as_secs_f64() * 500.0) as u32;
+        while sent < due {
+            let origin = MemberId::from(sent % N as u32);
+            c.broadcast(origin, Bytes::from_static(b"busy"))
+                .expect("alive");
+            sent += 1;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (beats2, acks2, data2) = frames(&c);
+    let busy = beats2 - beats;
+    eprintln!(
+        "idle: {per_link_period:.2} heartbeats per link per period; \
+         busy: {busy} heartbeats, {} ack and {} data frames",
+        acks2 - acks,
+        data2 - data
+    );
+    assert!(
+        busy * 10 < idle,
+        "busy: {busy} heartbeats against {idle} idle ones in the same time"
+    );
+    assert!(
+        (acks2 - acks) * 10 < data2 - data,
+        "acks ride on data: {} ack frames for {} data frames",
+        acks2 - acks,
+        data2 - data
+    );
+    assert_eq!(c.metrics().counter("runtime.suspects").get(), 0);
+    assert!(c.metrics().counter("runtime.acks_piggybacked").get() > 0);
+    c.shutdown();
+}

@@ -395,3 +395,71 @@ fn a_member_killed_and_revived_twice_is_readmitted_both_times() {
         });
     }
 }
+
+/// A rejoin whose `JOIN` wave reaches nobody, while 200 bcast/s of data
+/// flow. Every survivor already holds the wave's id — one copy of it,
+/// injected and flooded before the kill, the way a stale copy of an old
+/// wave would be — so each copy of the real wave dies in a dedup set, on
+/// every link. A busy link carries data instead of heartbeats now, so the
+/// repair must ride on data frames: every neighbor re-admits the revenant
+/// within one heartbeat timeout of its revival.
+#[test]
+fn a_rejoin_whose_join_wave_is_lost_on_every_link_is_applied_under_data_load() {
+    use lhg_net::message::Message;
+    use lhg_runtime::simnode::SimInput;
+    use lhg_runtime::wire;
+
+    const VICTIM: MemberId = 6;
+    let timeout_us = config().heartbeat_timeout.as_micros() as u64;
+    let readmitted_by = |c: &SimCluster, members: &BTreeSet<MemberId>| {
+        members.iter().all(|&m| {
+            c.core(m, |core| {
+                core.overlay().contains(VICTIM) && !core.crashes_applied().contains(&VICTIM)
+            })
+        })
+    };
+    let run = run_twice(|| {
+        let mut c = launch(N, config(), 9);
+        // Boots took lives 0..N: the revival's first wave nonce is known.
+        let lost = wire::join_id(VICTIM, wire::wave_nonce(N as u32, 0));
+        c.run_until(200 * MS);
+        let from = c.core(0, |core| *core.links().iter().next().expect("linked"));
+        let msg = Message::new(lost, VICTIM as u32, Bytes::new());
+        c.inject(0, SimInput::Wire { from, msg });
+        c.run_until(300 * MS);
+        assert!(c.kill(VICTIM));
+        let survivors: BTreeSet<MemberId> = (0..N as MemberId).filter(|&m| m != VICTIM).collect();
+        let detected = c.await_until(2_000 * MS, |c| {
+            (survivors.iter()).all(|&m| c.core(m, |core| core.crashes_applied().contains(&VICTIM)))
+        });
+        assert!(detected, "the crash is detected");
+        let notices_before = counter(&c, "runtime.dead_notices");
+        let revived_at = c.now();
+        assert!(c.revive(VICTIM));
+        let neighbors: BTreeSet<MemberId> = c.core(VICTIM, |core| {
+            core.overlay()
+                .neighbors_of(VICTIM)
+                .unwrap()
+                .into_iter()
+                .collect()
+        });
+        let mut origin = 0;
+        while !readmitted_by(&c, &neighbors) {
+            assert!(
+                c.now() < revived_at + timeout_us,
+                "neighbors {neighbors:?} did not re-admit {VICTIM} within one timeout"
+            );
+            origin = (origin + 1) % N as MemberId;
+            c.broadcast(origin, Bytes::from_static(b"load"));
+            c.run_until(c.now() + 5 * MS);
+        }
+        assert!(
+            counter(&c, "runtime.dead_notices") > notices_before,
+            "the wave was lost: the revenant was still excommunicated when it spoke"
+        );
+        let everyone = c.await_until(timeout_us, |c| readmitted_by(c, &survivors));
+        assert!(everyone, "the repaired wave reaches every survivor");
+        c
+    });
+    run.core(VICTIM, |c| assert!(!c.is_rejoining()));
+}
