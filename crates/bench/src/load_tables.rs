@@ -65,7 +65,6 @@ fn e22_config() -> RuntimeConfig {
         dial_backoff: Duration::from_micros(500),
         dial_backoff_cap: Duration::from_micros(8_000),
         dial_timeout: Duration::from_micros(3_000),
-        tick: Duration::from_micros(250),
         recorder_capacity: 1 << 14,
         ..RuntimeConfig::default()
     }
@@ -160,11 +159,11 @@ pub fn e22_detection_latency() -> String {
     }
     out.push_str(
         "shape: detection is independent of n (local monitoring: each node watches only\n\
-         its k neighbors) and bounded by timeout + heartbeat period + tick (a heartbeat\n\
-         goes only to a link silent a full period, checked every tick, so no live link is\n\
-         silent longer than period + tick); healing adds the crash wave's flood (≈\n\
-         diameter hops) and one dial round trip; zero false suspicions at this\n\
-         timeout/latency margin.\n",
+         its k neighbors) and bounded by timeout + heartbeat period (a heartbeat goes\n\
+         to a link the instant it has been silent a full period — the node's own\n\
+         deadline — so no live link is silent longer than that); healing adds the crash\n\
+         wave's flood (≈ diameter hops) and one dial round trip; zero false suspicions\n\
+         at this timeout/latency margin.\n",
     );
     out
 }
@@ -193,7 +192,7 @@ mod tests {
     #[test]
     fn e22_detects_with_zero_false_positives() {
         let c = e22_config();
-        let bound = (c.heartbeat_timeout + c.heartbeat_period + c.tick).as_micros() as u64;
+        let bound = (c.heartbeat_timeout + c.heartbeat_period).as_micros() as u64;
         let out = e22_detection_latency();
         for line in out.lines().filter(|l| {
             l.split_whitespace()
@@ -203,10 +202,7 @@ mod tests {
             let cols: Vec<&str> = line.split_whitespace().collect();
             assert_eq!(cols[4], "0", "false suspicions: {line}");
             let (detect, heal): (u64, u64) = (cols[2].parse().unwrap(), cols[3].parse().unwrap());
-            assert!(
-                detect <= bound,
-                "detection within timeout + period + tick: {line}"
-            );
+            assert!(detect <= bound, "detection within timeout + period: {line}");
             assert!(
                 detect <= heal && heal < 25_000,
                 "heal follows detection: {line}"

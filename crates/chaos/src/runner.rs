@@ -656,7 +656,6 @@ pub fn chaos_config(plan: &FaultPlan, faults: Arc<FaultInjector>) -> RuntimeConf
         dial_backoff_cap: Duration::from_millis(80),
         dial_max_attempts: 8,
         dial_timeout: Duration::from_millis(100),
-        tick: Duration::from_millis(2),
         launch_timeout: Duration::from_secs(10),
         rng_seed: plan.seed,
         // Deep per-node event rings: a failing run's postmortem JSONL

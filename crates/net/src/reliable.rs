@@ -45,13 +45,16 @@
 //!   streaming into a silent reverse direction never stalls on its window;
 //! * it has been owed for **`rto_us / 4`**: the next sweep sends it.
 //!
-//! Both thresholds come from the existing config. The margin for the last
-//! one: the frame crossed at `t + d`, its ack leaves by `t + d + rto/4 +
-//! tick` and lands by `t + 2d + rto/4 + tick`, so an ack that only waited
-//! for a ride never draws a spurious retransmission while `2d + tick <
-//! ¾·rto` — 30 ms timeouts leave 22.5 ms for the simulator's 10 ms tick
-//! plus a round trip of its ≤ 4.2 ms lossy links, and for the TCP driver's
-//! 5 ms tick plus a loopback round trip.
+//! Both thresholds come from the existing config, and so does the sweep
+//! grid, [`ReliableConfig::sweep_us`] = `rto/3`. The margin for the last:
+//! the frame crossed at `t + d`, its ack leaves by `t + d + rto/4 + rto/3`
+//! and lands by `t + 2d + rto/4 + rto/3`, so an ack that only waited for a
+//! ride never draws a spurious retransmission while `2d + rto/3 < ¾·rto` —
+//! 12.5 ms at 30 ms, for a round trip of the simulator's ≤ 4.2 ms lossy
+//! links or of loopback (`rto/12` where `lhg-runtime`'s node sweeps a point
+//! late, behind traffic that stopped just short of it). A grid, not each
+//! ack's exact deadline, lets the wait pay: an ack sent the instant it has
+//! waited `rto/4` leaves just before the reverse data that would carry it.
 //!
 //! **Summaries name only what a neighbor may lack.** Each retained id
 //! carries a bitmask of the peers known to hold it: the peer it came from,
@@ -108,10 +111,7 @@ pub struct ReliableConfig {
     /// Backpressure queue bound; beyond it the oldest queued frame is
     /// dropped (the link is effectively dead and suspicion will reap it).
     pub queue_cap: usize,
-    /// Reliability tick period for [`ReliableFlooder`]: retransmit sweeps
-    /// and ack emission run on this cadence.
-    pub tick_us: u64,
-    /// Send an anti-entropy summary every this many ticks (heartbeat
+    /// Send an anti-entropy summary every this many sweeps (heartbeat
     /// periods on TCP). 0 is read as 1 — see [`ReliableConfig::summary_ticks`].
     pub summary_every: u64,
     /// How many recently-seen broadcasts are retained for summaries and
@@ -125,6 +125,13 @@ impl ReliableConfig {
     #[must_use]
     pub fn summary_ticks(&self) -> u64 {
         self.summary_every.max(1)
+    }
+
+    /// The grid both drivers sweep on (retransmissions, due standalone
+    /// acks): a third of `rto_us`, 10 ms at the default; see the module docs.
+    #[must_use]
+    pub fn sweep_us(&self) -> u64 {
+        (self.rto_us / 3).max(1)
     }
 
     /// Frames one clean ack may cover before it leaves on its own: half
@@ -147,7 +154,6 @@ impl Default for ReliableConfig {
             rto_us: 30_000,
             max_retries: 12,
             queue_cap: 1024,
-            tick_us: 10_000,
             summary_every: 5,
             store_cap: 128,
         }
@@ -868,6 +874,14 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         }
     }
 
+    /// `true` while a sweep could have work — a frame unacked or queued on
+    /// some link, an ack owed: only then need a driver wake for the grid.
+    #[must_use]
+    pub fn pending(&self) -> bool {
+        (self.tx.values()).any(|tx| tx.in_flight() + tx.queued() > 0)
+            || (self.rx.values()).any(|rx| rx.dirty || rx.urgent)
+    }
+
     /// One reliability tick: per peer, the retransmit sweep and then the
     /// standalone ack its receiver owes, if one is due (holes, a duplicate,
     /// or a clean ack that waited `rto_us / 4`; see the module docs).
@@ -977,9 +991,9 @@ const TICK_TOKEN_BASE: u64 = 1 << 32;
 /// `ctx.send`/`ctx.deliver` out — the same data plane the TCP runtime
 /// drives, so lossy chaos runs exercise one protocol on both engines.
 ///
-/// Reliability ticks are pre-armed for the whole horizon at start (a
-/// chained-timer design would die silently the first time a tick landed
-/// inside a fault-injected down window).
+/// Reliability ticks (one per [`ReliableConfig::sweep_us`]) are pre-armed
+/// for the whole horizon at start (a chained-timer design would die
+/// silently the first time a tick landed inside a fault-injected down window).
 pub struct ReliableFlooder {
     schedule: Vec<ScheduledBroadcast>,
     horizon_us: u64,
@@ -1022,8 +1036,8 @@ impl Process for ReliableFlooder {
             }
         }
         let mut tick = 1;
-        while tick * cfg.tick_us <= self.horizon_us {
-            ctx.set_timer(tick * cfg.tick_us, TICK_TOKEN_BASE + tick);
+        while tick * cfg.sweep_us() <= self.horizon_us {
+            ctx.set_timer(tick * cfg.sweep_us(), TICK_TOKEN_BASE + tick);
             tick += 1;
         }
     }
@@ -1794,7 +1808,7 @@ mod tests {
         assert!(log.iter().all(|&(.., id)| id != SUMMARY_TAG), "no summary");
         let last_data = log.iter().filter(|e| data(e.2)).map(|e| e.0).max().unwrap();
         let last_frame = log.iter().map(|e| e.0).max().unwrap();
-        let settle = cfg.rto_us / 4 + cfg.tick_us + link.base_latency_us + link.jitter_us;
+        let settle = cfg.rto_us / 4 + cfg.sweep_us() + link.base_latency_us + link.jitter_us;
         assert!(
             last_frame <= last_data + settle,
             "only the last acks may follow the last data frame: {last_data} → {last_frame}"

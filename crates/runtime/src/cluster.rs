@@ -654,7 +654,7 @@ impl Cluster {
             if Instant::now() >= deadline {
                 return cond();
             }
-            std::thread::sleep(self.config.tick.min(Duration::from_millis(5)));
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 }

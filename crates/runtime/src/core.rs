@@ -6,7 +6,8 @@
 //! passage of time through [`NodeCore::tick`], both stamped with the
 //! driver's monotonic `now_us`; the core appends what should happen next
 //! ([`Action`]: send, dial, close, deliver) to a sink the driver owns,
-//! reuses and executes **in order**. The core touches no socket, thread or
+//! reuses and executes **in order**, and ticks only once its clock reaches
+//! [`NodeCore::next_deadline`]. The core touches no socket, thread or
 //! clock, so the same code runs under two drivers: the socket loop in
 //! [`crate::node`] and the discrete-event adapter in [`crate::simnode`].
 //!
@@ -243,6 +244,8 @@ pub struct NodeCore {
     /// Set for the whole rejoin handshake of a rejoin boot: until the
     /// `JOIN` announcement has flooded and no `SYNC` is outstanding.
     rejoining: bool,
+    /// A transition moved what a tick settles: the next one is due at once.
+    settle: bool,
     /// Every member that may ever be dialed or accepted (the directory).
     roster: BTreeSet<MemberId>,
     /// Peers with a live link, in the order floods walk them, and peers
@@ -264,10 +267,8 @@ pub struct NodeCore {
     /// Last time each monitored peer produced any frame.
     last_seen: HashMap<MemberId, u64>,
     /// Last time this core emitted anything on each live link (one entry
-    /// per link), and a lower bound on when the first of them will have
-    /// been silent a full heartbeat period ([`Self::beat_idle_links`]).
+    /// per link): what [`Self::beat_idle_links`] reads.
     last_sent: HashMap<MemberId, u64>,
-    next_idle: u64,
     /// Dial backoff: no redial before the recorded time, and the per-peer
     /// jittered exponential state behind it.
     next_dial: HashMap<MemberId, u64>,
@@ -310,17 +311,18 @@ pub struct NodeCore {
     /// data plane holds on to ([`ReliableCore::retained_bytes`]), fresh as
     /// of the latest summary round.
     retained_gauge: Arc<Gauge>,
-    /// `runtime.acks_sent` (ack frames of their own) and
-    /// `runtime.acks_piggybacked` (acks riding on data frames), resolved at
-    /// boot: the frame path counts them without a lookup by name.
+    /// `runtime.acks_sent` (ack frames of their own),
+    /// `runtime.acks_piggybacked` (acks riding on data frames) and
+    /// `runtime.core_ticks`, resolved at boot: no lookup by name.
     acks_sent: Arc<Counter>,
     acks_piggybacked: Arc<Counter>,
+    core_ticks: Arc<Counter>,
     /// The reliable-flood data plane and the reused sink for its sends
     /// (the vote exchange's too), and the one for byz deliveries.
     reliable: ReliableCore<MemberId>,
     outbox: Sends<MemberId>,
     byz_delivered: Vec<ByzDelivery>,
-    /// The FrameCrash script's per-period cadence; heartbeats have none.
+    /// The heartbeat-period duty (the FrameCrash script), summaries, sweeps.
     next_beat: u64,
     next_summary: u64,
     next_sweep: u64,
@@ -329,7 +331,7 @@ pub struct NodeCore {
 impl NodeCore {
     /// A node booted at `now_us` with `overlay` as its replica. `roster` is
     /// every member that exists (the address book's keys). Nothing is
-    /// emitted until the first [`Self::tick`].
+    /// emitted until the first [`Self::tick`], which is due at once.
     ///
     /// # Errors
     ///
@@ -367,10 +369,11 @@ impl NodeCore {
         // summary flood (the reliable config's tick-based knob, reread for
         // the heartbeat-driven clock).
         let summary_us = beat_us.saturating_mul(config.reliable.summary_ticks());
-        let sweep_us = us(config.tick);
+        let sweep_us = config.reliable.sweep_us();
         let retained_gauge = metrics.gauge(&format!("runtime.payload_bytes_retained.n{id}"));
         let acks_sent = metrics.counter("runtime.acks_sent");
         let acks_piggybacked = metrics.counter("runtime.acks_piggybacked");
+        let core_ticks = metrics.counter("runtime.core_ticks");
         let mut core = NodeCore {
             id,
             k: overlay.k(),
@@ -394,6 +397,7 @@ impl NodeCore {
             view_epoch: 0,
             degraded: false,
             rejoining: opts.announce_join,
+            settle: true,
             roster,
             links: BTreeSet::new(),
             dialing: BTreeSet::new(),
@@ -403,7 +407,6 @@ impl NodeCore {
             wave_seq: 0,
             last_seen: HashMap::new(),
             last_sent: HashMap::new(),
-            next_idle: now_us + beat_us,
             next_dial: HashMap::new(),
             backoffs: HashMap::new(),
             // Each node jitters independently, but the whole cluster is
@@ -424,6 +427,7 @@ impl NodeCore {
             retained_gauge,
             acks_sent,
             acks_piggybacked,
+            core_ticks,
             reliable: ReliableCore::new(
                 config.reliable,
                 id as u32,
@@ -481,6 +485,7 @@ impl NodeCore {
         std::mem::swap(&mut self.out, out);
         self.now = now_us;
         let start = self.out.len();
+        self.settle |= matches!(event, Event::LinkUp { .. } | Event::LinkDown { .. });
         match event {
             Event::Frame { from, msg } => self.on_frame(from, msg),
             Event::LinkUp { peer, dialed } => self.on_link_up(peer, dialed),
@@ -508,18 +513,49 @@ impl NodeCore {
                 }
             }
         }
+        // A sweep grid point that has come is swept behind the first event
+        // at or after it: acks then owed ride on that event's data instead.
+        self.sweep_reliable();
         self.note_sent(start);
         std::mem::swap(&mut self.out, out);
+    }
+
+    /// The earliest instant any duty is due: the heartbeat period (the
+    /// FrameCrash script) and summary round, an idle link's heartbeat, a
+    /// suspicion expiry, a retry, a dial backoff or link grace running out,
+    /// or `now` while a transition has left a tick something to settle. The
+    /// reliable plane's sweep counts while it has work, and not before its
+    /// grid point and a grid period of quiet: the first event at or after
+    /// the point sweeps it ([`Self::handle`]; why a grid: [`lhg_net::reliable`]).
+    #[must_use]
+    pub fn next_deadline(&self) -> u64 {
+        if self.settle {
+            return self.now;
+        }
+        let quiet = self.next_sweep.max(self.now + self.sweep_us);
+        let sweep = self.reliable.pending().then_some(quiet);
+        let retries = [&self.awaiting_sync, &self.catchup].map(|r| r.as_ref().map(|r| r.due));
+        let timeout = self.timeout_us;
+        let silent = (self.desired.difference(&self.crashed))
+            .map(|p| self.last_seen.get(p).map_or(self.now, |t| t + timeout + 1));
+        let beats = self.behavior() != Some(TraitorBehavior::SuppressHeartbeat);
+        let idle = (self.last_sent.values()).filter_map(|t| beats.then_some(t + self.beat_us));
+        let expiries = self.next_dial.values().chain(self.link_grace.values());
+        let dues = sweep.into_iter().chain(retries.into_iter().flatten());
+        (dues.chain(silent).chain(idle).chain(expiries.copied()))
+            .fold(self.next_beat.min(self.next_summary), u64::min)
     }
 
     /// Advances time: whatever periodic duty is due at `now_us` (each
     /// re-armed as `now + period`), then the suspicion sweep, the reconcile
     /// pass and, last, a heartbeat on each link that has carried nothing
-    /// for a period. Drivers call it after every event and at least every
-    /// [`RuntimeConfig::tick`].
+    /// for a period. Drivers call it once `now_us` reaches
+    /// [`Self::next_deadline`], and only then.
     pub fn tick(&mut self, now_us: u64, out: &mut Vec<Action>) {
         std::mem::swap(&mut self.out, out);
         self.now = now_us;
+        self.settle = false;
+        self.core_ticks.inc();
         let start = self.out.len();
         if now_us >= self.next_beat {
             if self.behavior() == Some(TraitorBehavior::FrameCrash) {
@@ -534,10 +570,7 @@ impl NodeCore {
                 .set(i64::try_from(retained).unwrap_or(i64::MAX));
             self.next_summary = now_us + self.summary_us;
         }
-        if now_us >= self.next_sweep {
-            self.sweep_reliable();
-            self.next_sweep = now_us + self.sweep_us;
-        }
+        self.sweep_reliable();
         if self.awaiting_sync.as_ref().is_some_and(|r| now_us >= r.due) {
             self.retry_sync();
         }
@@ -899,6 +932,7 @@ impl NodeCore {
             self.notice_senders.clear();
         }
         self.rejoin_cooldown = Some(now + self.timeout_us);
+        self.settle = true; // the tick due now probes all, or clears the flag
         if self.degraded || self.awaiting_sync.is_some() {
             self.awaiting_sync = Some(self.retry_schedule(Some(from)));
             self.count("runtime.sync_requests");
@@ -1022,6 +1056,7 @@ impl NodeCore {
         self.rec(EventKind::SyncRejoin { via: via as u32 });
         self.reconcile();
         self.try_announce_join();
+        self.settle = true; // and the rejoin flag, on the tick due now
     }
 
     /// Floods this node's own `JOIN` announcement once at least one link is
@@ -1222,8 +1257,13 @@ impl NodeCore {
         }
     }
 
-    /// Retransmit sweep + due standalone acks for every live link.
+    /// Retransmit sweep + due standalone acks for every live link, once the
+    /// grid point has come; the grid re-arms from here.
     fn sweep_reliable(&mut self) {
+        if self.now < self.next_sweep {
+            return;
+        }
+        self.next_sweep = self.now + self.sweep_us;
         let report = self.drive(|r, _, links, now, out| r.tick(now, links, out));
         if report.retransmits > 0 {
             self.metrics
@@ -1246,21 +1286,19 @@ impl NodeCore {
     }
 
     /// The detector's send half. Any frame proves this node alive, so a
-    /// heartbeat goes only to a link nothing was sent on for a full period;
-    /// checked on every tick, so no live link is silent for longer than a
-    /// period plus a tick. `next_idle` skips the walk until some link can
-    /// be idle. Allocates nothing.
+    /// heartbeat goes only to a link nothing was sent on for a full period.
+    /// [`Self::next_deadline`] names the instant the first link gets there,
+    /// so no live link is silent longer than a period plus the driver's
+    /// wake-up latency. Allocates nothing.
     fn beat_idle_links(&mut self) {
         // Plays dead on the control plane: no heartbeats means correct
         // nodes legitimately excommunicate it — forced churn is the attack,
         // and the dynamic views must absorb it.
-        if self.now < self.next_idle || self.behavior() == Some(TraitorBehavior::SuppressHeartbeat)
-        {
+        if self.behavior() == Some(TraitorBehavior::SuppressHeartbeat) {
             return;
         }
         let (now, beat) = (self.now, self.beat_us);
         let heartbeat = self.control(wire::heartbeat_id(self.id));
-        let mut next = now + beat;
         for &peer in &self.links {
             let Some(sent) = self.last_sent.get_mut(&peer) else {
                 continue;
@@ -1270,9 +1308,7 @@ impl NodeCore {
                 let msg = heartbeat.clone();
                 self.out.push(Action::Send { to: peer, msg });
             }
-            next = next.min(*sent + beat);
         }
-        self.next_idle = next;
     }
 
     /// FrameCrash traitor: once per heartbeat period, flood a freshly-nonced
@@ -1320,7 +1356,7 @@ impl NodeCore {
             // this also covers crash-before-connect (dials keep failing).
             let age = now - *self.last_seen.entry(peer).or_insert(now);
             // `runtime.heartbeat_age_us.n<id>.p<peer>`: µs since this node
-            // last heard from `peer`, fresh as of the latest sweep.
+            // last heard from `peer`, fresh as of the latest tick.
             let (id, metrics) = (self.id, &self.metrics);
             self.hb_age_gauges
                 .entry(peer)
@@ -1575,7 +1611,9 @@ impl NodeCore {
     fn reconcile(&mut self) {
         let now = self.now;
         let probe_all = self.probe_all();
+        // Expired entries go, so that each left is a deadline still ahead.
         self.link_grace.retain(|_, &mut deadline| now < deadline);
+        self.next_dial.retain(|_, &mut due| now < due);
 
         // Teardown is dialer-driven so a link is never closed by a node
         // that merely hasn't healed yet; links to crashed members go down
@@ -1597,7 +1635,7 @@ impl NodeCore {
         let due = |peer: &MemberId| {
             !self.links.contains(peer)
                 && !self.dialing.contains(peer)
-                && self.next_dial.get(peer).is_none_or(|&t| now >= t)
+                && !self.next_dial.contains_key(peer)
         };
         let dials: Vec<MemberId> = if probe_all {
             (self.roster.iter().copied())

@@ -35,17 +35,17 @@
 //!    node delivers (LHG property P1).
 //! 4. **Failure detection** — any frame is proof of life, so a heartbeat
 //!    goes only to a link nothing else was sent on for a heartbeat period
-//!    (checked every tick: no live link is silent longer than a period
-//!    plus a tick), and a busy link carries none; a configurable silence
-//!    window marks a neighbor crashed (fail-stop model: crashed nodes never
-//!    speak again, so suspicion is permanent). A frame from a linked peer
-//!    the replica does not know re-admits it (its `JOIN` was missed).
-//!    With [`RuntimeConfig::byzantine`] set, suspicion is *corroborated*:
-//!    a crash only applies once f+1 distinct reporters (direct silence
-//!    counts as a self-report, and a node that applies a corroborated
-//!    crash vouches for it in turn) agree, and a directly-heartbeating
-//!    peer vetoes the wave — so a lone traitor forging CRASH
-//!    announcements cannot excommunicate a live node.
+//!    (a deadline the core names: no live link is silent longer than a
+//!    period plus wake-up latency), and a busy link carries none; a
+//!    configurable silence window marks a neighbor crashed (fail-stop
+//!    model: crashed nodes never speak again, so suspicion is permanent).
+//!    A frame from a linked peer the replica does not know re-admits it
+//!    (its `JOIN` was missed). With [`RuntimeConfig::byzantine`] set,
+//!    suspicion is *corroborated*: a crash only applies once f+1 distinct
+//!    reporters (direct silence counts as a self-report, and a node that
+//!    applies a corroborated crash vouches for it in turn) agree, and a
+//!    directly-heartbeating peer vetoes the wave — so a lone traitor
+//!    forging CRASH announcements cannot excommunicate a live node.
 //! 5. **Self-healing** — a detected crash is flooded as an announcement;
 //!    every survivor applies it to its
 //!    [`lhg_core::overlay::DynamicOverlay`] replica via `crash_many` and
@@ -122,9 +122,6 @@ pub struct RuntimeConfig {
     pub dial_max_attempts: u32,
     /// Per-attempt TCP connect timeout.
     pub dial_timeout: Duration,
-    /// Main-loop wakeup granularity (heartbeat emission, suspicion checks,
-    /// link reconciliation all run at this cadence when traffic is quiet).
-    pub tick: Duration,
     /// How long [`Cluster::launch`] waits for the initial mesh.
     pub launch_timeout: Duration,
     /// Per-node flight-recorder ring capacity (events retained before the
@@ -139,9 +136,9 @@ pub struct RuntimeConfig {
     /// Per-link reliability knobs ([`lhg_net::reliable`]): retransmit
     /// window/timeout/budget, backpressure queue bound, anti-entropy store
     /// size, and — via `summary_every`, reinterpreted as *heartbeat periods
-    /// per summary* — the anti-entropy cadence. Retransmit sweeps and ack
-    /// emission run on the main-loop [`RuntimeConfig::tick`]; `tick_us` is
-    /// ignored here (it paces the simulator's [`lhg_net::reliable::ReliableFlooder`]).
+    /// per summary* — the anti-entropy cadence. Retransmit sweeps and due
+    /// acks run on the same `rto_us / 3` grid as on the simulator
+    /// ([`lhg_net::reliable::ReliableConfig::sweep_us`]).
     pub reliable: lhg_net::reliable::ReliableConfig,
     /// Byzantine broadcast setup: when set, every node runs a Bracha
     /// echo/ready engine behind a per-link vote exchange
@@ -180,7 +177,6 @@ impl Default for RuntimeConfig {
             dial_backoff_cap: Duration::from_millis(320),
             dial_max_attempts: 12,
             dial_timeout: Duration::from_millis(250),
-            tick: Duration::from_millis(5),
             launch_timeout: Duration::from_secs(10),
             recorder_capacity: lhg_trace::DEFAULT_CAPACITY,
             rng_seed: 0x4C_48_47, // "LHG"

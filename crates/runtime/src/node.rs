@@ -15,8 +15,8 @@
 //! * a **main loop** that owns the write halves, turns channel events into
 //!   core events stamped with the cluster's monotonic clock, and executes
 //!   the actions the core answers with, in order. Periodic duties are the
-//!   core's too: the loop only calls [`NodeCore::tick`] after every event
-//!   and at least every [`crate::RuntimeConfig::tick`].
+//!   core's too: the loop sleeps until [`NodeCore::next_deadline`] and calls
+//!   [`NodeCore::tick`] once that has come, never because a frame did.
 //!
 //! Four things stay here because only the driver can know them:
 //!
@@ -309,7 +309,6 @@ pub(crate) fn spawn_node(
     // Acceptor: poll-accept so the thread can observe the kill flag.
     {
         let (shared, tx, conns) = (Arc::clone(&shared), tx.clone(), Arc::clone(&conns));
-        let poll = config.tick.min(Duration::from_millis(2));
         let hello_timeout = config.dial_timeout;
         let rejected = metrics.counter("runtime.hello_rejected");
         std::thread::spawn(move || loop {
@@ -328,7 +327,7 @@ pub(crate) fn spawn_node(
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(poll);
+                    std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(_) => return,
             }
@@ -495,7 +494,9 @@ impl NodeDriver {
     fn run(mut self, rx: &Receiver<Event>) {
         self.step(None);
         while self.shared.is_alive() {
-            match rx.recv_timeout(self.config.tick) {
+            let due = self.core.next_deadline();
+            let wait = Duration::from_micros(due.saturating_sub(self.recorder.now_us()));
+            match rx.recv_timeout(wait) {
                 Ok(Event::Kill) | Err(RecvTimeoutError::Disconnected) => break,
                 Ok(ev) => {
                     let ev = self.admit(ev);
@@ -511,15 +512,18 @@ impl NodeDriver {
         }
     }
 
-    /// One loop iteration: the event (if any), then a tick, then whatever
-    /// executing the answers stirred up, then publication.
+    /// One loop iteration: the event (if any), then a tick if one is due,
+    /// each followed by what executing its answers stirred up; publication.
     fn step(&mut self, event: Option<core::Event>) {
         if let Some(ev) = event {
             self.core.handle(ev, self.recorder.now_us(), &mut self.out);
             self.execute();
         }
-        self.core.tick(self.recorder.now_us(), &mut self.out);
-        self.execute();
+        let now = self.recorder.now_us();
+        if now >= self.core.next_deadline() {
+            self.core.tick(now, &mut self.out);
+            self.execute();
+        }
         self.publish();
     }
 

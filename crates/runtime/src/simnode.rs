@@ -51,7 +51,7 @@ pub const ACK: u8 = 1;
 /// Handshake payload closing (or refusing) a link.
 pub const FIN: u8 = 2;
 
-const TICK: u64 = 0;
+const WAKE: u64 = 0;
 const INPUT: u64 = 1;
 const DIAL: u64 = 1 << 33;
 
@@ -84,9 +84,9 @@ pub struct SimNodeState {
     dialing: BTreeMap<MemberId, Time>,
     /// What the harness injected and the node has not handled yet.
     inbox: VecDeque<SimInput>,
-    /// When the live tick chain fires next; a tick armed by an earlier life
-    /// arrives early and is dropped.
-    next_tick: Time,
+    /// The deadline the live wake-up timer is armed for; a timer armed
+    /// before it moved (or by an earlier life) finds nothing due.
+    wake: Time,
 }
 
 impl SimNodeState {
@@ -98,7 +98,7 @@ impl SimNodeState {
             up: BTreeSet::new(),
             dialing: BTreeMap::new(),
             inbox: VecDeque::new(),
-            next_tick: 0,
+            wake: 0,
         }
     }
 }
@@ -108,7 +108,6 @@ struct World {
     config: RuntimeConfig,
     roster: BTreeSet<MemberId>,
     metrics: Arc<MetricsRegistry>,
-    tick_us: Time,
     dial_timeout_us: Time,
 }
 
@@ -130,12 +129,21 @@ fn hello(from: MemberId, payload: &'static [u8]) -> Message {
 }
 
 impl SimNode {
-    /// The event (if any), a tick, then the actions both produced.
+    /// The event (if any), a tick if one is due, the wake-up timer pulled in
+    /// to the core's next deadline (now, if a tick left one due), the actions.
     fn step(&mut self, st: &mut SimNodeState, event: Option<Event>, ctx: &mut Context<'_>) {
+        let now = ctx.now();
         if let Some(ev) = event {
-            st.core.handle(ev, ctx.now(), &mut self.out);
+            st.core.handle(ev, now, &mut self.out);
         }
-        st.core.tick(ctx.now(), &mut self.out);
+        if now >= st.core.next_deadline() {
+            st.core.tick(now, &mut self.out);
+        }
+        let due = st.core.next_deadline().max(now);
+        if due < st.wake || st.wake <= now {
+            st.wake = due; // any timer armed before is stale now
+            ctx.set_timer(due - now, WAKE);
+        }
         for action in self.out.drain(..) {
             match action {
                 Action::Send { to, msg } if st.up.contains(&to) => ctx.send(node(to), msg),
@@ -147,7 +155,7 @@ impl SimNode {
                 }
                 Action::Dial { peer } => {
                     let timeout = self.world.dial_timeout_us;
-                    st.dialing.insert(peer, ctx.now() + timeout);
+                    st.dialing.insert(peer, now + timeout);
                     ctx.send_setup(node(peer), hello(self.id, &[]));
                     ctx.set_timer(timeout, DIAL | peer);
                 }
@@ -238,7 +246,7 @@ impl SimNode {
 
 impl Process for SimNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.on_timer(TICK, ctx);
+        self.on_timer(WAKE, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
@@ -250,12 +258,7 @@ impl Process for SimNode {
         let state = Rc::clone(&self.state);
         let st = &mut *state.borrow_mut();
         match token {
-            TICK if ctx.now() >= st.next_tick => {
-                st.next_tick = ctx.now() + self.world.tick_us;
-                ctx.set_timer(self.world.tick_us, TICK);
-                self.step(st, None, ctx);
-            }
-            TICK => {}
+            WAKE => self.step(st, None, ctx),
             INPUT => match st.inbox.pop_front() {
                 Some(SimInput::Event(ev)) => self.step(st, Some(ev), ctx),
                 Some(SimInput::Wire { from, msg }) => self.on_frame(st, node(from), msg, ctx),
@@ -332,7 +335,6 @@ impl SimCluster {
         }
         let us = |d: std::time::Duration| d.as_micros() as Time;
         let world = Rc::new(World {
-            tick_us: us(config.tick),
             dial_timeout_us: us(config.dial_timeout),
             config,
             roster: overlay.members().iter().copied().collect(),
@@ -447,7 +449,7 @@ impl SimCluster {
         let core = self.boot(member, overlay, opts, now);
         *self.nodes[member as usize].borrow_mut() = SimNodeState::boot(core);
         self.sim.revive_at(node(member), now);
-        self.sim.inject_timer(node(member), TICK);
+        self.sim.inject_timer(node(member), WAKE);
         true
     }
 

@@ -26,7 +26,6 @@ fn fast_config(faults: Arc<FaultInjector>) -> RuntimeConfig {
         dial_backoff_cap: Duration::from_millis(80),
         dial_max_attempts: 8,
         dial_timeout: Duration::from_millis(100),
-        tick: Duration::from_millis(2),
         launch_timeout: Duration::from_secs(10),
         faults: Some(faults),
         ..RuntimeConfig::default()

@@ -23,7 +23,6 @@ fn fast_config() -> RuntimeConfig {
         dial_backoff: Duration::from_millis(5),
         dial_backoff_cap: Duration::from_millis(80),
         dial_timeout: Duration::from_millis(100),
-        tick: Duration::from_millis(2),
         launch_timeout: Duration::from_secs(10),
         ..RuntimeConfig::default()
     }

@@ -26,7 +26,6 @@ fn config() -> RuntimeConfig {
         dial_backoff_cap: Duration::from_millis(80),
         dial_max_attempts: 8,
         dial_timeout: Duration::from_millis(100),
-        tick: Duration::from_millis(2),
         recorder_capacity: 1 << 16,
         ..RuntimeConfig::default()
     }

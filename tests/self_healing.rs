@@ -37,7 +37,6 @@ fn detect_repair_reflood() {
         dial_backoff: Duration::from_micros(500),
         dial_backoff_cap: Duration::from_micros(8_000),
         dial_timeout: Duration::from_micros(3_000),
-        tick: Duration::from_micros(250),
         recorder_capacity: 1 << 14,
         ..RuntimeConfig::default()
     };
