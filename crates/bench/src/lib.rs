@@ -128,6 +128,7 @@ pub fn all_experiments() -> Vec<Experiment> {
             workload_tables::e23_origin_sweep,
         ),
         ("e24", "large-n scalability", scale_tables::e24_scale),
+        ("e26", "eager tree vs flood", load_tables::e26_tree_vs_flood),
     ]
 }
 
@@ -135,12 +136,14 @@ pub fn all_experiments() -> Vec<Experiment> {
 mod tests {
     use super::*;
 
+    /// E25 is the `baseline` binary's, so the registry skips it.
     #[test]
     fn registry_is_complete_and_ordered() {
         let exps = all_experiments();
-        assert_eq!(exps.len(), 24);
-        for (i, (id, desc, _)) in exps.iter().enumerate() {
-            assert_eq!(*id, format!("e{}", i + 1));
+        assert_eq!(exps.len(), 25);
+        let numbers = (1..=24).chain([26]);
+        for ((id, desc, _), i) in exps.iter().zip(numbers) {
+            assert_eq!(*id, format!("e{i}"));
             assert!(!desc.is_empty());
         }
     }

@@ -12,7 +12,8 @@
 
 use std::collections::BTreeSet;
 
-use lhg_graph::Graph;
+use lhg_graph::traversal::bfs_parents;
+use lhg_graph::{Graph, NodeId};
 
 use crate::construction::{Constraint, LhgGraph};
 use crate::error::LhgError;
@@ -146,10 +147,29 @@ impl DynamicOverlay {
         Some(
             self.current
                 .graph()
-                .neighbors(lhg_graph::NodeId(pos))
+                .neighbors(NodeId(pos))
                 .map(|w| self.members[w.index()])
                 .collect(),
         )
+    }
+
+    /// `member`'s children in the BFS tree rooted at `origin`, graph order
+    /// breaking ties: the neighbors a broadcast from `origin` is pushed to
+    /// from `member`. `None` when either is unknown or `member` is
+    /// unreachable from `origin`.
+    #[must_use]
+    pub fn tree_children(&self, origin: MemberId, member: MemberId) -> Option<Vec<MemberId>> {
+        let pos = |m| self.members.iter().position(|&x| x == m).map(NodeId);
+        let (root, me) = (pos(origin)?, pos(member)?);
+        let parent = bfs_parents(self.current.graph(), root);
+        if me != root && parent[me.index()].is_none() {
+            return None;
+        }
+        let children = parent
+            .iter()
+            .zip(&self.members)
+            .filter(|(p, _)| **p == Some(me));
+        Some(children.map(|(_, &m)| m).collect())
     }
 
     /// Member-id link set of the current topology.

@@ -30,9 +30,10 @@
 //!    is not known to hold; gaps answered by pulls) repairs whatever
 //!    per-link retries could not, so delivery survives links that drop,
 //!    duplicate, or reorder frames.
-//! 3. **Reliable broadcast** — flooding with per-broadcast dedup; with a
-//!    k-connected topology and at most k−1 crashed nodes, every correct
-//!    node delivers (LHG property P1).
+//! 3. **Reliable broadcast** — a body goes down the origin's BFS tree on
+//!    the replica, every other link gets its id in a summary and pulls it
+//!    if missing, with per-broadcast dedup; with a k-connected topology and
+//!    at most k−1 crashed nodes, every correct node delivers (LHG P1).
 //! 4. **Failure detection** — any frame is proof of life, so a heartbeat
 //!    goes only to a link nothing else was sent on for a heartbeat period
 //!    (a deadline the core names: no live link is silent longer than a

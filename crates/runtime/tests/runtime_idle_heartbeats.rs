@@ -3,7 +3,8 @@
 //! period while idle, and almost none while 500 broadcasts a second keep
 //! every link busy — any frame is proof of life, and the acks that used to
 //! be frames of their own ride on the data. Nodes wake for due duties
-//! only, so under load they tick far less often than they deliver.
+//! only, so under load they tick far less often than they deliver, and a
+//! body crosses each node once, so data frames stay below deliveries.
 
 use std::time::{Duration, Instant};
 
@@ -97,6 +98,13 @@ fn heartbeats_fill_idle_links_only() {
         (acks2 - acks) * 10 < data2 - data,
         "acks ride on data: {} ack frames for {} data frames",
         acks2 - acks,
+        data2 - data
+    );
+    // A body crosses each node once, down the origin's tree: n − 1 data
+    // frames for n deliveries (≈ 2.06 per delivery when every link flooded).
+    assert!(
+        data2 - data <= deliveries,
+        "one body per node: {} data frames for {deliveries} deliveries",
         data2 - data
     );
     assert_eq!(c.metrics().counter("runtime.suspects").get(), 0);
