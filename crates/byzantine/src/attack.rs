@@ -13,7 +13,6 @@ use bytes::Bytes;
 
 use lhg_net::message::ByzTag;
 
-use crate::engine::{InstanceSummary, Phase};
 use crate::frame::{digest, GossipFrame, GossipKind, VoteEntry, VotesFrame};
 
 /// Nonce base for equivocation instances a traitor originates itself.
@@ -53,34 +52,4 @@ pub fn forged_votes(me: u32, victim: u32) -> VotesFrame {
     };
     let said = digest(b"the origin never said this");
     vec![VoteEntry::delta(tag, said, mine(), mine())].into()
-}
-
-/// Forged catch-up: traitor `me`'s poisoned answer to `requester`'s
-/// solicitation — a fabricated already-`Delivered` instance the stable
-/// majority never saw, plus a digest-flipped `Delivered` copy of each of
-/// the traitor's `real` summaries. A correct rejoiner ingests it into a
-/// state that never certifies.
-#[must_use]
-pub fn forged_summaries(
-    me: u32,
-    requester: u32,
-    real: Vec<InstanceSummary>,
-) -> Vec<InstanceSummary> {
-    let payload = Bytes::from_static(b"forged catch-up: majority never delivered this");
-    let fabricated = InstanceSummary {
-        tag: ByzTag {
-            origin: u32::from(requester == 0),
-            nonce: FORGE_NONCE_BASE + 0x500 + u64::from(me),
-        },
-        phase: Phase::Delivered,
-        digest: digest(&payload),
-        payload,
-    };
-    let flipped = real.into_iter().map(|s| InstanceSummary {
-        tag: s.tag,
-        phase: Phase::Delivered,
-        digest: s.digest.wrapping_add(1),
-        payload: Bytes::new(),
-    });
-    std::iter::once(fabricated).chain(flipped).collect()
 }

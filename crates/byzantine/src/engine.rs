@@ -7,8 +7,8 @@
 //! sets a neighbor sent with [`BrachaEngine::absorb_votes`]: an OR and a
 //! popcount, no frame per vote. The frame form of a vote
 //! ([`BrachaEngine::on_gossip`] with an `ECHO`/`READY` [`GossipFrame`]) is
-//! still accepted — catch-up summaries, the probes and the unit tests speak
-//! it — and lands in the same sets. Either way the engine answers with
+//! still accepted — the probes and the unit tests speak it — and lands in
+//! the same sets. Either way the engine answers with
 //! [`Action`]s: this node's own new votes, and at most one delivery per
 //! instance. It never talks to a network.
 //!
@@ -117,29 +117,6 @@ pub enum Action {
     Deliver(ByzDelivery),
 }
 
-/// One node's compact statement about one Bracha instance, served to a
-/// rejoining node during catch-up: the phase the serving node reached, the
-/// digest it committed to, and the payload when the server still holds it.
-///
-/// A summary is an *attestation*, not a command: the receiving engine
-/// treats it as the serving witness's standing ECHO/READY votes
-/// ([`BrachaEngine::ingest_summaries`]), so state only certifies once the
-/// regular quorum thresholds are met across **distinct** attesting peers —
-/// a lone traitor's forged summary is one voice, f short of every quorum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstanceSummary {
-    /// The broadcast instance being summarized.
-    pub tag: ByzTag,
-    /// Phase the serving node had reached for this instance.
-    pub phase: Phase,
-    /// Digest the serving node committed to (readied digest when it
-    /// readied, else the echoed digest).
-    pub digest: u64,
-    /// The payload matching `digest` when the server holds it (re-validated
-    /// by the ingesting side), empty otherwise.
-    pub payload: Bytes,
-}
-
 /// The two witness sets of one digest of one instance.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Votes {
@@ -166,13 +143,6 @@ pub struct Absorbed {
     /// Votes dropped because their witness id is not in the roster, and
     /// inputs dropped because no view ever named their instance's origin.
     pub rejected: u64,
-}
-
-impl std::ops::AddAssign for Absorbed {
-    fn add_assign(&mut self, other: Absorbed) {
-        self.changed |= other.changed;
-        self.rejected += other.rejected;
-    }
 }
 
 /// Per-instance quorum state. Ordered maps throughout: which digest
@@ -375,9 +345,9 @@ impl BrachaEngine {
 
     /// The origin's `SEND` for `digest` of instance `tag`, if this node may
     /// vouch for it: it received that `SEND` itself, or delivered the digest.
-    /// A payload that only ever arrived in someone's `ECHO` or catch-up
-    /// summary is *not* the origin's word — re-serving it as a `SEND` would
-    /// launder a forgery into one.
+    /// A payload that only ever arrived in someone's `ECHO` is *not* the
+    /// origin's word — re-serving it as a `SEND` would launder a forgery
+    /// into one.
     #[must_use]
     pub fn send_frame(&self, tag: ByzTag, digest: u64) -> Option<GossipFrame> {
         let inst = self.instances.get(&tag)?;
@@ -527,75 +497,6 @@ impl BrachaEngine {
             }
         }
         out
-    }
-
-    /// Exports this node's per-instance catch-up summaries, in tag order.
-    ///
-    /// Only instances this node actually *voted* on (phase ≥ Echoed) are
-    /// exported — an instance it merely heard rumors about carries no
-    /// attestation worth serving. The digest is the readied digest when one
-    /// exists (the stronger commitment), else the echoed one; the payload
-    /// rides along when it is still held for that digest.
-    #[must_use]
-    pub fn summaries(&self) -> Vec<InstanceSummary> {
-        let mut out = Vec::new();
-        for (&tag, inst) in &self.instances {
-            let Some(d) = inst.readied.or(inst.echoed) else {
-                continue;
-            };
-            out.push(InstanceSummary {
-                tag,
-                phase: self.phase(tag),
-                digest: d,
-                payload: inst.payloads.get(&d).cloned().unwrap_or_default(),
-            });
-        }
-        out
-    }
-
-    /// Ingests catch-up summaries served by peer `from`, translating each
-    /// into that peer's standing votes: an ECHO when the summary carries a
-    /// payload matching its digest (validated by the regular frame rules),
-    /// and a READY when the peer claims phase ≥ Readied. The votes run
-    /// through the normal quorum machinery, so nothing certifies until f+1
-    /// distinct peers corroborate a READY (amplification) and 2f+1 back a
-    /// delivery — one forged summary set from a traitor moves nothing.
-    pub fn ingest_summaries(&mut self, from: u32, items: &[InstanceSummary]) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.absorb_summaries(from, items, &mut out);
-        out
-    }
-
-    /// [`Self::ingest_summaries`] into a caller-owned sink, reporting what
-    /// changed.
-    pub fn absorb_summaries(
-        &mut self,
-        from: u32,
-        items: &[InstanceSummary],
-        out: &mut Vec<Action>,
-    ) -> Absorbed {
-        let mut total = Absorbed::default();
-        for item in items {
-            if from == self.me || item.phase < Phase::Echoed {
-                continue;
-            }
-            let vote = |kind, payload| GossipFrame {
-                kind,
-                witness: from,
-                tag: item.tag,
-                digest: item.digest,
-                payload,
-            };
-            // The peer's standing ECHO. The frame rules re-validate
-            // payload-vs-digest and drop mismatches, so a forged payload
-            // under a corroborated digest dies here without poisoning the
-            // payload table.
-            total += self.absorb_frame(&vote(GossipKind::Echo, item.payload.clone()), out);
-            if item.phase >= Phase::Readied {
-                total += self.absorb_frame(&vote(GossipKind::Ready, Bytes::new()), out);
-            }
-        }
-        total
     }
 
     /// Processes one incoming gossip frame; returns this node's reaction
@@ -1268,109 +1169,6 @@ mod tests {
         e.bump_view([0, 1, 2, 6]).unwrap();
         assert!(!e.view_is_unsafe());
         assert!(e.broadcast(9, Bytes::new()).is_ok());
-    }
-
-    #[test]
-    fn summaries_export_voted_instances_in_tag_order() {
-        let mut e = BrachaEngine::new(0, cfg());
-        let _ = e.broadcast(2, Bytes::from_static(b"two")).unwrap();
-        let _ = e.broadcast(1, Bytes::from_static(b"one")).unwrap();
-        // An instance it only heard a READY rumor about is not exported.
-        let _ = e.on_gossip(&GossipFrame {
-            kind: GossipKind::Ready,
-            witness: 4,
-            tag: tag(3, 9),
-            digest: 42,
-            payload: Bytes::new(),
-        });
-        let s = e.summaries();
-        assert_eq!(s.len(), 2, "rumor-only instance not exported");
-        assert_eq!(s[0].tag, tag(0, 1));
-        assert_eq!(s[1].tag, tag(0, 2));
-        assert_eq!(s[0].phase, Phase::Echoed);
-        assert_eq!(s[0].digest, digest(b"one"));
-        assert_eq!(s[0].payload, Bytes::from_static(b"one"));
-    }
-
-    #[test]
-    fn corroborated_summaries_deliver_a_missed_instance() {
-        // A rejoiner at n=8, f=1 ingests summaries from 3 = 2f+1 distinct
-        // correct peers, all attesting Delivered on the same digest. Their
-        // READY votes meet the delivery quorum and the payload arrives via
-        // their ECHOs — the rejoiner converges without any live gossip.
-        let mut e = BrachaEngine::new(6, cfg());
-        let t = tag(0, 1);
-        let payload = Bytes::from_static(b"missed while dead");
-        let item = InstanceSummary {
-            tag: t,
-            phase: Phase::Delivered,
-            digest: digest(&payload),
-            payload: payload.clone(),
-        };
-        let mut delivered = Vec::new();
-        for peer in [0u32, 1, 2] {
-            for a in e.ingest_summaries(peer, std::slice::from_ref(&item)) {
-                if let Action::Deliver(d) = a {
-                    delivered.push(d);
-                }
-            }
-        }
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].payload, payload);
-        assert_eq!(e.phase(t), Phase::Delivered);
-        // Re-ingesting the same peers' summaries is idempotent.
-        assert!(e
-            .ingest_summaries(0, std::slice::from_ref(&item))
-            .is_empty());
-    }
-
-    #[test]
-    fn forged_summary_from_one_traitor_moves_nothing() {
-        // A lone traitor serves a summary claiming a fabricated instance
-        // was Delivered. That is one ECHO + one READY vote — f short of
-        // amplification, 2f short of delivery. The rejoiner must neither
-        // ready nor deliver it, and a digest-mismatched payload must not
-        // even enter the payload table.
-        let mut e = BrachaEngine::new(6, cfg());
-        let t = tag(0, 0xF00D);
-        let forged = InstanceSummary {
-            tag: t,
-            phase: Phase::Delivered,
-            digest: digest(b"the majority never saw this"),
-            payload: Bytes::from_static(b"the majority never saw this"),
-        };
-        let actions = e.ingest_summaries(5, std::slice::from_ref(&forged));
-        assert!(deliveries_of(&actions).is_empty());
-        assert_eq!(e.phase(t), Phase::Init, "one vote certifies nothing");
-
-        // A mismatched payload under an honest-looking digest is dropped at
-        // validation: only the READY vote lands.
-        let lying = InstanceSummary {
-            tag: tag(0, 0xBEEF),
-            phase: Phase::Delivered,
-            digest: digest(b"real value"),
-            payload: Bytes::from_static(b"swapped value"),
-        };
-        let actions = e.ingest_summaries(5, std::slice::from_ref(&lying));
-        assert!(deliveries_of(&actions).is_empty());
-        assert_eq!(e.phase(tag(0, 0xBEEF)), Phase::Init);
-    }
-
-    #[test]
-    fn summary_ingest_respects_unsafe_views() {
-        let mut e = BrachaEngine::new(6, cfg());
-        assert!(e.bump_view(0..3).is_err());
-        let item = InstanceSummary {
-            tag: tag(0, 1),
-            phase: Phase::Delivered,
-            digest: digest(b"x"),
-            payload: Bytes::from_static(b"x"),
-        };
-        assert!(e
-            .ingest_summaries(1, std::slice::from_ref(&item))
-            .is_empty());
-        assert_eq!(e.phase(tag(0, 1)), Phase::Init, "unsafe view refuses");
-        assert!(e.unsafe_refusals() > 0);
     }
 
     #[test]

@@ -78,7 +78,7 @@ use lhg_net::message::{ByzTag, Message};
 use lhg_net::reliable::Sends;
 use lhg_net::seen::SeenSet;
 
-use crate::engine::{Action, BrachaEngine, ByzDelivery, InstanceSummary, MembershipView, Votes};
+use crate::engine::{Action, BrachaEngine, ByzDelivery, MembershipView, Votes};
 use crate::frame::{GossipFrame, GossipKind, VoteEntry, VotesFrame};
 use crate::witness::WitnessSet;
 use crate::{BrachaConfig, UnsoundMembership};
@@ -262,25 +262,6 @@ impl<P: Copy + Ord> VoteExchange<P> {
         }
         self.finish(out, delivered);
         rejected
-    }
-
-    /// [`BrachaEngine::ingest_summaries`], with the links told what it
-    /// changed. Returns the votes refused for naming a non-member.
-    pub fn ingest_summaries(
-        &mut self,
-        from: u32,
-        items: &[InstanceSummary],
-        peers: impl IntoIterator<Item = P>,
-        out: &mut Sends<P>,
-        delivered: &mut Vec<ByzDelivery>,
-    ) -> u64 {
-        self.begin(peers);
-        let absorbed = self.engine.absorb_summaries(from, items, &mut self.actions);
-        if absorbed.changed {
-            self.touched.extend(items.iter().map(|i| i.tag));
-        }
-        self.finish(out, delivered);
-        absorbed.rejected
     }
 
     /// One repair round; see rule 5 of the module docs.
@@ -584,7 +565,6 @@ impl<P: Copy + Ord> VoteExchange<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Phase;
     use crate::frame::digest;
     use std::collections::VecDeque;
 
@@ -1100,23 +1080,26 @@ mod tests {
     }
 
     #[test]
-    fn a_payload_that_came_in_a_summary_is_never_re_served_as_the_origins_send() {
-        // A catch-up summary hands node 6 a payload under an instance "of
-        // origin 0" that origin 0 never sent. Node 6 holds the bytes, but
-        // not the origin's word for them: a neighbor that asks gets nothing,
-        // where re-serving them as a SEND would make every correct node
-        // echo a forgery.
+    fn a_payload_that_came_in_an_echo_is_never_re_served_as_the_origins_send() {
+        // Member 5's ECHO frame hands node 6 a payload under an instance "of
+        // origin 0" that origin 0 never sent. Off a link the frame is refused
+        // whole; the engine's frame vocabulary (what probes speak) takes it.
+        // Either way node 6 never holds the origin's word for the bytes: a
+        // neighbor that asks gets nothing, where re-serving them as a SEND
+        // would make every correct node echo a forgery.
         let mut n = Node6::new();
         let (t, payload) = (tag(0, 0xF00D), Bytes::from_static(b"never sent"));
         let d = digest(&payload);
-        let summary = InstanceSummary {
+        let echo = GossipFrame {
+            kind: GossipKind::Echo,
+            witness: 5,
             tag: t,
-            phase: Phase::Echoed,
             digest: d,
             payload: payload.clone(),
         };
-        let (out, delivered) = (&mut n.out, &mut n.delivered);
-        n.x.ingest_summaries(5, &[summary], [1, 2, 7], out, delivered);
+        assert_eq!(n.hears(2, &echo.to_message()), 1);
+        assert_eq!(n.x.engine().payload(t, d), None);
+        assert!(n.x.engine.on_gossip(&echo).is_empty());
         assert_eq!(n.x.engine().payload(t, d), Some(&payload));
         let ask = VoteEntry {
             want_payload: true,

@@ -1,14 +1,13 @@
-//! Byzantine wire codecs: the flooded `SEND`, the per-link `VOTES`
-//! exchange, and the catch-up summaries.
+//! Byzantine wire codecs: the flooded `SEND` and the per-link `VOTES`
+//! exchange.
 //!
 //! A [`GossipFrame`] is one Bracha protocol step as a frame. On the links
 //! of a running cluster only `SEND` travels in that form — flooded over the
 //! LHG overlay like any other broadcast, so the payload crosses each link
 //! once — while echoes and readies travel as witness-set deltas in
 //! [`VotesFrame`]s between neighbors ([`crate::exchange`]). The `ECHO` /
-//! `READY` frame forms remain the engine's input vocabulary (catch-up
-//! summaries, probes and tests speak it). A frame rides in a [`Message`]
-//! as:
+//! `READY` frame forms remain the engine's input vocabulary (probes and
+//! tests speak it). A frame rides in a [`Message`] as:
 //!
 //! ```text
 //! broadcast_id : gossip_frame_id(kind, witness, tag, digest) — BYZ-tagged
@@ -27,7 +26,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use lhg_net::message::{ByzTag, Message};
 
-use crate::engine::{InstanceSummary, Phase};
 use crate::witness::WitnessSet;
 
 /// Tag bit marking a broadcast id as Byzantine gossip (bit 56 — below the
@@ -323,86 +321,6 @@ impl VotesFrame {
     }
 }
 
-fn phase_to_u8(p: Phase) -> u8 {
-    match p {
-        Phase::Init => 0,
-        Phase::Echoed => 1,
-        Phase::Readied => 2,
-        Phase::Delivered => 3,
-    }
-}
-
-fn phase_from_u8(b: u8) -> Option<Phase> {
-    match b {
-        0 => Some(Phase::Init),
-        1 => Some(Phase::Echoed),
-        2 => Some(Phase::Readied),
-        3 => Some(Phase::Delivered),
-        _ => None,
-    }
-}
-
-/// Encodes a summary list for the wire:
-/// `[count u32 | per item: origin u32, nonce u64, phase u8, digest u64,
-/// payload_len u32, payload…]` — the extension of the runtime's SYNC
-/// snapshot, under either driver.
-#[must_use]
-pub fn encode_summaries(items: &[InstanceSummary]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + items.len() * 25);
-    buf.put_u32(u32::try_from(items.len()).unwrap_or(u32::MAX));
-    for item in items {
-        buf.put_u32(item.tag.origin);
-        buf.put_u64(item.tag.nonce);
-        buf.put_u8(phase_to_u8(item.phase));
-        buf.put_u64(item.digest);
-        buf.put_u32(u32::try_from(item.payload.len()).unwrap_or(u32::MAX));
-        buf.put_slice(&item.payload);
-    }
-    buf.freeze()
-}
-
-/// Decodes a summary list; `None` on any truncation, trailing garbage, or
-/// out-of-range phase byte. Never panics on malformed input.
-#[must_use]
-pub fn decode_summaries(b: &[u8]) -> Option<Vec<InstanceSummary>> {
-    fn take<'a>(p: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-        if p.len() < n {
-            return None;
-        }
-        let (head, rest) = p.split_at(n);
-        *p = rest;
-        Some(head)
-    }
-    fn take_u32(p: &mut &[u8]) -> Option<u32> {
-        take(p, 4).map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")))
-    }
-    fn take_u64(p: &mut &[u8]) -> Option<u64> {
-        take(p, 8).map(|b| u64::from_be_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    let mut p = b;
-    let count = take_u32(&mut p)? as usize;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let origin = take_u32(&mut p)?;
-        let nonce = take_u64(&mut p)?;
-        let phase = phase_from_u8(take(&mut p, 1)?[0])?;
-        let dig = take_u64(&mut p)?;
-        let len = take_u32(&mut p)? as usize;
-        let payload = Bytes::copy_from_slice(take(&mut p, len)?);
-        out.push(InstanceSummary {
-            tag: ByzTag { origin, nonce },
-            phase,
-            digest: dig,
-            payload,
-        });
-    }
-    if !p.is_empty() {
-        return None;
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,53 +418,6 @@ mod tests {
     fn truncated_gossip_payload_is_rejected() {
         let m = Message::new(1, 2, Bytes::from_static(b"short")).with_byz(tag());
         assert_eq!(GossipFrame::from_message(&m), None);
-    }
-
-    fn sample_summaries() -> Vec<InstanceSummary> {
-        vec![
-            InstanceSummary {
-                tag: ByzTag {
-                    origin: 1,
-                    nonce: 7,
-                },
-                phase: Phase::Delivered,
-                digest: digest(b"abc"),
-                payload: Bytes::from_static(b"abc"),
-            },
-            InstanceSummary {
-                tag: ByzTag {
-                    origin: 2,
-                    nonce: 0x1000,
-                },
-                phase: Phase::Readied,
-                digest: 42,
-                payload: Bytes::new(),
-            },
-        ]
-    }
-
-    #[test]
-    fn summaries_round_trip_including_empty() {
-        let items = sample_summaries();
-        assert_eq!(decode_summaries(&encode_summaries(&items)), Some(items));
-        assert_eq!(decode_summaries(&encode_summaries(&[])), Some(Vec::new()));
-    }
-
-    #[test]
-    fn malformed_summaries_are_rejected_not_panicked() {
-        let good = encode_summaries(&sample_summaries());
-        assert_eq!(decode_summaries(&[]), None, "empty buffer");
-        assert_eq!(decode_summaries(&good[..good.len() - 1]), None, "truncated");
-        let mut trailing = good.to_vec();
-        trailing.push(0);
-        assert_eq!(decode_summaries(&trailing), None, "trailing garbage");
-        let mut bad_phase = good.to_vec();
-        bad_phase[4 + 12] = 9; // first item's phase byte out of range
-        assert_eq!(decode_summaries(&bad_phase), None, "phase out of range");
-        // Count claiming more items than the buffer holds.
-        let mut lying = BytesMut::new();
-        lying.put_u32(1000);
-        assert_eq!(decode_summaries(&lying.freeze()), None);
     }
 
     fn sample_votes() -> VotesFrame {

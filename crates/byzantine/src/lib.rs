@@ -32,8 +32,8 @@
 //! instance snapshotted.
 //!
 //! * [`frame`] — the wire codecs over [`lhg_net::message::Message`]
-//!   (`SEND` gossip frames, `VOTES` exchange frames, catch-up summaries)
-//!   and the FNV payload digest;
+//!   (`SEND` gossip frames, `VOTES` exchange frames) and the FNV payload
+//!   digest;
 //! * [`witness`] — [`witness::WitnessSet`], the bitmap of member ids;
 //! * [`engine`] — the network-agnostic quorum state machine
 //!   ([`engine::BrachaEngine`]): votes in, this node's votes + deliveries
@@ -42,11 +42,12 @@
 //!   exchange that owns the engine; the one thing both drivers talk to;
 //! * [`sim`] — [`sim::ByzantineFlooder`] for the discrete-event simulator,
 //!   plus seeded traitor processes ([`sim::ByzantineTraitor`]): the
-//!   exchange alone, on a fixed membership. Crashes, rejoins, view churn
-//!   and catch-up are the node's business (`lhg_runtime::core`), and the
-//!   simulator runs that node too (`lhg_runtime::simnode`);
-//! * [`attack`] — the traitor payloads (equivocation pair, forged votes,
-//!   forged catch-up summaries), built once for both engines.
+//!   exchange alone, on a fixed membership. Crashes, rejoins and view
+//!   churn are the node's business (`lhg_runtime::core`), and the
+//!   simulator runs that node too (`lhg_runtime::simnode`). A rejoiner
+//!   catches up through the exchange's repair rule on its fresh links;
+//! * [`attack`] — the traitor payloads (equivocation pair, forged votes),
+//!   built once for both engines.
 //!
 //! The TCP runtime integration lives in `lhg-runtime` (which depends on
 //! this crate), and the adversarial chaos family in `lhg-chaos`.
@@ -61,13 +62,10 @@ pub mod frame;
 pub mod sim;
 pub mod witness;
 
-pub use engine::{
-    Action, BrachaEngine, ByzDelivery, InstanceSummary, MembershipView, Phase, Votes,
-};
+pub use engine::{Action, BrachaEngine, ByzDelivery, MembershipView, Phase, Votes};
 pub use exchange::VoteExchange;
 pub use frame::{
-    decode_summaries, digest, encode_summaries, gossip_frame_id, GossipFrame, GossipKind,
-    VoteEntry, VotesFrame, BYZ_ID_TAG, VOTES_ID,
+    digest, gossip_frame_id, GossipFrame, GossipKind, VoteEntry, VotesFrame, BYZ_ID_TAG, VOTES_ID,
 };
 pub use sim::{
     run_sim_byzantine, run_sim_byzantine_with_metrics, ByzantineFlooder, ByzantineTraitor,

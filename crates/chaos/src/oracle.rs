@@ -98,8 +98,8 @@ pub enum Violation {
     /// A correct node that crashed and rejoined diverged from the stable
     /// majority: after its return it must eventually agree with the
     /// always-up correct nodes on every instance they delivered —
-    /// including broadcasts originated *while it was dead* (byz catch-up
-    /// repairs those) — and it must never contradict integrity on
+    /// including broadcasts originated *while it was dead* (its neighbors'
+    /// repair rounds carry those) — and it must never contradict integrity on
     /// instances it certified before the crash.
     RejoinDivergence {
         /// The rejoined node.

@@ -52,9 +52,10 @@ pub enum Family {
     /// to the full f = ⌊(k−1)/2⌋ budget at k up to 5, including the
     /// failure-detector attacks `frame_crash` / `suppress_heartbeat`)
     /// while a correct node crashes mid-run, **rejoins** while broadcasts
-    /// keep flowing (the upward view bump plus byz catch-up), a second
-    /// correct node then crashes permanently, and every link drops,
-    /// duplicates and reorders throughout. Quorums re-size both ways from
+    /// keep flowing (the upward view bump plus the vote exchange's repair
+    /// of its fresh links), a second correct node then crashes
+    /// permanently, and every link drops, duplicates and reorders
+    /// throughout. Quorums re-size both ways from
     /// the churned membership view; the byzantine oracle applies strictly
     /// among correct survivors, plus `QuorumUnsafe` if any view dips
     /// below 3f+1 and `RejoinDivergence` if the rejoiner disagrees with

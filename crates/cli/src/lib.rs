@@ -1256,20 +1256,15 @@ fn run_top(
         metrics.counter("runtime.acks_piggybacked").get(),
     )
     .map_err(io_err)?;
-    // The rejoin-under-fire ledger: how often the SYNC handshake and byz
-    // catch-up had to re-arm, and whether any schedule ran dry. All zeros
-    // on a calm cluster; nonzero retries with zero exhaustion is the
-    // designed degradation under loss.
+    // The rejoin-under-fire ledger: how often the SYNC handshake had to
+    // re-arm, and whether its schedule ran dry. All zeros on a calm
+    // cluster; nonzero retries with zero exhaustion is the designed
+    // degradation under loss.
     writeln!(
         out,
-        "rejoin: sync_retries={} catchup_solicits={} catchup_retries={} \
-         catchup_ingests={} exhausted={}",
+        "rejoin: sync_retries={} exhausted={}",
         metrics.counter("runtime.sync_retries").get(),
-        metrics.counter("runtime.catchup_solicits").get(),
-        metrics.counter("runtime.catchup_retries").get(),
-        metrics.counter("runtime.catchup_ingests").get(),
-        metrics.counter("runtime.sync_retry_exhausted").get()
-            + metrics.counter("runtime.catchup_exhausted").get(),
+        metrics.counter("runtime.sync_retry_exhausted").get(),
     )
     .map_err(io_err)
 }

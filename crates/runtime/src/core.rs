@@ -30,8 +30,9 @@
 //!   returns turned into `Close`/`Dial`, degraded mode once ≥ k members are
 //!   excommunicated (heal nothing, probe everyone);
 //! * **rejoin** — dead notices, the `JOIN` announcement, the membership
-//!   `SYNC` request/serve/install with bounded jittered retries, byz
-//!   catch-up solicitation;
+//!   `SYNC` request/serve/install with bounded jittered retries (a
+//!   rejoiner's Bracha state catches up through the vote exchange's repair
+//!   rule on its fresh links, nothing here);
 //! * **link policy** — which links are wanted ([`NodeCore::tick`]'s
 //!   reconcile pass) and when a failed dial may be retried. Dials are
 //!   asynchronous: a [`Action::Dial`] is answered, whenever the driver
@@ -52,8 +53,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use lhg_byzantine::{
-    attack, BrachaConfig, ByzDelivery, GossipFrame, GossipKind, InstanceSummary, TraitorBehavior,
-    UnsoundMembership, VoteExchange,
+    attack, BrachaConfig, ByzDelivery, GossipFrame, GossipKind, TraitorBehavior, UnsoundMembership,
+    VoteExchange,
 };
 use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId};
 use lhg_net::backoff::{Backoff, BackoffPolicy};
@@ -169,15 +170,14 @@ pub struct BootOpts {
     pub life: u32,
 }
 
-/// One bounded retry schedule for a rejoin-path request (membership
-/// `SYNC`, byz catch-up solicitation): a jittered exponential backoff
-/// between attempts plus the next per-attempt deadline. Exhaustion clears
-/// the state instead of wedging — a later dead notice restarts the
-/// handshake from scratch.
+/// The bounded retry schedule of a membership `SYNC` request: a jittered
+/// exponential backoff between attempts plus the next per-attempt
+/// deadline. Exhaustion clears the state instead of wedging — a later dead
+/// notice restarts the handshake from scratch.
 struct RetrySchedule {
     backoff: Backoff,
     due: u64,
-    /// The peer the request went to (`None` floods to every live link).
+    /// The peer the request last went to (`None`: no link was up).
     peer: Option<MemberId>,
 }
 
@@ -312,10 +312,6 @@ pub struct NodeCore {
     /// Set while a membership `SYNC` request is outstanding; a missed
     /// per-attempt deadline re-sends it on the backoff until exhausted.
     awaiting_sync: Option<RetrySchedule>,
-    /// Set while a rejoin boot is soliciting Bracha instance summaries;
-    /// retried until a delivery quorum of distinct peers has answered.
-    catchup: Option<RetrySchedule>,
-    catchup_replies: BTreeSet<MemberId>,
     /// After announcing or requesting a rejoin, ignore further dead notices
     /// until this time (they are echoes of the state being repaired).
     rejoin_cooldown: Option<u64>,
@@ -444,8 +440,6 @@ impl NodeCore {
             revenant_since: HashMap::new(),
             notice_sent: HashMap::new(),
             awaiting_sync: None,
-            catchup: None,
-            catchup_replies: BTreeSet::new(),
             rejoin_cooldown: None,
             pending_join_announce: opts.announce_join,
             healing_since: None,
@@ -565,14 +559,14 @@ impl NodeCore {
         }
         let quiet = self.next_sweep.max(self.now + self.sweep_us);
         let sweep = self.reliable.pending().then_some(quiet);
-        let retries = [&self.awaiting_sync, &self.catchup].map(|r| r.as_ref().map(|r| r.due));
+        let retry = self.awaiting_sync.as_ref().map(|r| r.due);
         let timeout = self.timeout_us;
         let silent = (self.desired.difference(&self.crashed))
             .map(|p| self.last_seen.get(p).map_or(self.now, |t| t + timeout + 1));
         let beats = self.behavior() != Some(TraitorBehavior::SuppressHeartbeat);
         let idle = (self.last_sent.values()).filter_map(|t| beats.then_some(t + self.beat_us));
         let expiries = self.next_dial.values().chain(self.link_grace.values());
-        let dues = sweep.into_iter().chain(retries.into_iter().flatten());
+        let dues = sweep.into_iter().chain(retry);
         (dues.chain(silent).chain(idle).chain(expiries.copied()))
             .fold(self.next_beat.min(self.next_summary), u64::min)
     }
@@ -605,9 +599,6 @@ impl NodeCore {
         self.sweep_reliable();
         if self.awaiting_sync.as_ref().is_some_and(|r| now_us >= r.due) {
             self.retry_sync();
-        }
-        if self.catchup.as_ref().is_some_and(|r| now_us >= r.due) {
-            self.retry_catchup();
         }
         self.check_suspicions();
         // A dial-failure streak is forgiven only after the link has stayed
@@ -741,15 +732,12 @@ impl NodeCore {
                 }
             }
             FrameKind::Sync(_) => {
+                // A snapshot nobody is waiting for (a late duplicate) is
+                // dropped.
                 if msg.payload.is_empty() {
                     self.serve_sync(from);
                 } else if self.awaiting_sync.is_some() {
                     self.install_sync(from, &msg.payload);
-                } else if let Some((.., summaries)) = wire::decode_sync_snapshot(&msg.payload) {
-                    // A snapshot we did not request as a membership repair
-                    // (byz catch-up solicitation, or a late duplicate)
-                    // still carries the server's instance summaries.
-                    self.ingest_summaries(from, &summaries);
                 }
             }
             FrameKind::Ack(_) => {
@@ -981,7 +969,12 @@ impl NodeCore {
         self.rejoin_cooldown = Some(now + self.timeout_us);
         self.settle = true; // the tick due now probes all, or clears the flag
         if self.degraded || self.awaiting_sync.is_some() {
-            self.awaiting_sync = Some(self.retry_schedule(Some(from)));
+            // The first retry is due one suspicion timeout from now.
+            self.awaiting_sync = Some(RetrySchedule {
+                backoff: Backoff::new(self.retry),
+                due: now + self.timeout_us,
+                peer: Some(from),
+            });
             self.count("runtime.sync_requests");
             self.send_to(from, self.control(wire::sync_id(self.id)));
         } else {
@@ -995,71 +988,25 @@ impl NodeCore {
         }
     }
 
-    /// A fresh retry schedule whose first deadline is one suspicion
-    /// timeout away.
-    fn retry_schedule(&self, peer: Option<MemberId>) -> RetrySchedule {
-        RetrySchedule {
-            backoff: Backoff::new(self.retry),
-            due: self.now + self.timeout_us,
-            peer,
-        }
-    }
-
-    /// Answers a membership `SYNC` request with a snapshot of our replica —
-    /// but only while that replica is trustworthy (not degraded, not itself
-    /// waiting on a snapshot). Under a byzantine setup the snapshot also
-    /// carries this node's standing Bracha instance summaries
-    /// (`BrachaEngine::summaries`) so a rejoiner can catch up on
-    /// broadcasts that ran while it was down; Equivocate/Forge traitors
-    /// serve forged summaries instead — which corroboration must defeat.
+    /// Answers a membership `SYNC` request with a snapshot of our replica
+    /// ([`wire::encode_membership`]) — but only while that replica is
+    /// trustworthy (not degraded, not itself waiting on a snapshot).
     fn serve_sync(&mut self, from: MemberId) {
         if self.degraded || self.awaiting_sync.is_some() {
             return;
         }
-        let summaries = match self.byz.as_ref() {
-            Some(b) => match b.behavior {
-                None => b.exchange.engine().summaries(),
-                Some(TraitorBehavior::Equivocate | TraitorBehavior::Forge) => {
-                    let real = b.exchange.engine().summaries();
-                    attack::forged_summaries(self.id as u32, from as u32, real)
-                }
-                Some(_) => Vec::new(),
-            },
-            None => Vec::new(),
-        };
-        let payload = wire::encode_sync_snapshot(&self.overlay, &summaries);
+        let payload = wire::encode_membership(&self.overlay);
         let reply = Message::new(wire::sync_id(self.id), self.id as u32, payload);
         if self.send_to(from, reply) {
             self.count("runtime.syncs_served");
         }
     }
 
-    /// Ingests the Bracha summaries riding a SYNC snapshot as the serving
-    /// peer's standing votes. Corroboration happens inside the engine —
-    /// f+1 distinct echo witnesses, 2f+1 distinct ready witnesses — so one
-    /// forged snapshot (or one traitor's serve) moves no instance state,
-    /// while a delivery quorum of honest snapshots completes every
-    /// broadcast the rejoiner slept through. Idempotent per peer.
-    fn ingest_summaries(&mut self, from: MemberId, summaries: &[InstanceSummary]) {
-        if summaries.is_empty() {
-            return;
-        }
-        let ran = self.drive_byz(|x, _, links, out, delivered| {
-            x.ingest_summaries(from as u32, summaries, links, out, delivered)
-        });
-        let Some(rejected) = ran else { return };
-        if rejected > 0 {
-            self.metrics.counter("byz.votes_rejected").add(rejected);
-        }
-        self.count("runtime.catchup_ingests");
-        self.catchup_replies.insert(from);
-    }
-
     /// Installs a membership snapshot served by `via`: rebuild the replica,
     /// admit ourselves, clear all suspicion state, and schedule the `JOIN`
     /// announcement that tells everyone else.
     fn install_sync(&mut self, via: MemberId, payload: &Bytes) {
-        let Some((constraint, k, members, summaries)) = wire::decode_sync_snapshot(payload) else {
+        let Some((constraint, k, members)) = wire::decode_membership(payload) else {
             return;
         };
         if k != self.k {
@@ -1093,9 +1040,6 @@ impl NodeCore {
         self.crash_reporters.clear();
         self.notice_senders.clear();
         self.bump_byz_view();
-        // The snapshot's summaries are the server's standing byz votes:
-        // ingest them now so catch-up starts from this first witness.
-        self.ingest_summaries(via, &summaries);
         self.awaiting_sync = None;
         self.rejoin_cooldown = Some(self.now + self.timeout_us);
         self.pending_join_announce = true;
@@ -1120,14 +1064,6 @@ impl NodeCore {
             member: self.id as u32,
         });
         self.flood(self.control(id), None);
-        // Byz catch-up rides the same moment: the instant we are back on
-        // the mesh, ask every neighbor for its instance summaries so
-        // broadcasts originated while we were down still corroborate and
-        // deliver here. Retried on backoff until a delivery quorum of
-        // distinct peers has answered (`retry_catchup`).
-        if self.solicit_catchup() {
-            self.catchup = Some(self.retry_schedule(None));
-        }
     }
 
     /// The SYNC snapshot never arrived (dropped frame, dead server):
@@ -1154,40 +1090,6 @@ impl NodeCore {
         }
         retry.due = self.now + self.timeout_us + delay;
         self.awaiting_sync = Some(retry);
-    }
-
-    /// Sends an empty `SYNC` request to every live link: each correct
-    /// server answers with a snapshot whose summaries we ingest. Only
-    /// correct byz nodes solicit; returns whether anything was sent.
-    fn solicit_catchup(&mut self) -> bool {
-        if self.byz.as_ref().is_none_or(|b| b.behavior.is_some()) || self.links.is_empty() {
-            return false;
-        }
-        self.count("runtime.catchup_solicits");
-        self.flood(self.control(wire::sync_id(self.id)), None);
-        true
-    }
-
-    /// Re-solicits byz catch-up on the jittered backoff until a delivery
-    /// quorum (2f+1) of distinct peers has answered or the schedule is
-    /// exhausted. Repeat ingests are idempotent, so over-asking is safe.
-    fn retry_catchup(&mut self) {
-        let Some(mut retry) = self.catchup.take() else {
-            return;
-        };
-        let quorum = self.byz.as_ref().map_or(usize::MAX, |b| 2 * b.f + 1);
-        if self.catchup_replies.len() >= quorum {
-            return; // enough distinct witnesses; catch-up is corroborated
-        }
-        let Some(delay) = retry.backoff.next_delay(&mut self.rng) else {
-            self.count("runtime.catchup_exhausted");
-            return;
-        };
-        if self.solicit_catchup() {
-            self.count("runtime.catchup_retries");
-        }
-        retry.due = self.now + self.timeout_us + delay;
-        self.catchup = Some(retry);
     }
 
     /// The next control-wave nonce: this life's cluster-unique ordinal in

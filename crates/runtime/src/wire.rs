@@ -20,7 +20,6 @@
 //! launch ([`MAX_MEMBERS`]).
 
 use bytes::{BufMut, Bytes, BytesMut};
-use lhg_byzantine::InstanceSummary;
 use lhg_core::overlay::{DynamicOverlay, MemberId};
 use lhg_core::Constraint;
 use lhg_net::wirecost::MessageClass;
@@ -214,12 +213,6 @@ pub fn encode_membership(overlay: &DynamicOverlay) -> Bytes {
     buf.freeze()
 }
 
-/// Version byte of the SYNC snapshot's Bracha-summary extension. A legacy
-/// snapshot is exactly the membership block ([`encode_membership`]) and
-/// carries no byte here; an extended snapshot appends this byte plus an
-/// [`lhg_byzantine::encode_summaries`] block.
-pub const SYNC_SNAPSHOT_VERSION: u8 = 1;
-
 /// A 32-bit crash/join wave nonce: the member's cluster-global life number
 /// in the high 16 bits, its per-life wave sequence in the low 16. Lives
 /// are allocated once per (re)join by the cluster, so nonces stay unique
@@ -231,55 +224,8 @@ pub fn wave_nonce(life: u32, seq: u16) -> u32 {
     (life << 16) | u32::from(seq)
 }
 
-/// Serializes a full SYNC snapshot: the membership block, and — when the
-/// serving node runs Byzantine broadcast and has per-instance state — a
-/// versioned extension of its Bracha catch-up summaries. With no
-/// summaries the encoding is **byte-identical** to [`encode_membership`],
-/// so non-Byzantine peers and old nodes interoperate unchanged.
-#[must_use]
-pub fn encode_sync_snapshot(overlay: &DynamicOverlay, summaries: &[InstanceSummary]) -> Bytes {
-    let membership = encode_membership(overlay);
-    if summaries.is_empty() {
-        return membership;
-    }
-    let body = lhg_byzantine::encode_summaries(summaries);
-    let mut buf = BytesMut::with_capacity(membership.len() + 1 + body.len());
-    buf.put_slice(&membership);
-    buf.put_u8(SYNC_SNAPSHOT_VERSION);
-    buf.put_slice(&body);
-    buf.freeze()
-}
-
-/// Parses a SYNC snapshot: a bare membership block (legacy — empty
-/// summary list) or a membership block followed by the versioned summary
-/// extension. `None` on any malformation, never a panic.
-#[must_use]
-pub fn decode_sync_snapshot(
-    payload: &Bytes,
-) -> Option<(Constraint, usize, Vec<MemberId>, Vec<InstanceSummary>)> {
-    let b = payload.as_ref();
-    if b.len() < 6 {
-        return None;
-    }
-    let count = u32::from_be_bytes(b[2..6].try_into().ok()?) as usize;
-    let mlen = count.checked_mul(8).and_then(|m| m.checked_add(6))?;
-    if b.len() < mlen {
-        return None;
-    }
-    let membership = Bytes::copy_from_slice(&b[..mlen]);
-    let (constraint, k, members) = decode_membership(&membership)?;
-    let rest = &b[mlen..];
-    let summaries = if rest.is_empty() {
-        Vec::new()
-    } else if rest[0] == SYNC_SNAPSHOT_VERSION {
-        lhg_byzantine::decode_summaries(&rest[1..])?
-    } else {
-        return None;
-    };
-    Some((constraint, k, members, summaries))
-}
-
-/// Parses an [`encode_membership`] payload; `None` on any malformation.
+/// Parses an [`encode_membership`] payload — a SYNC reply — exactly: `None`
+/// on any malformation, trailing bytes included, never a panic.
 #[must_use]
 pub fn decode_membership(payload: &Bytes) -> Option<(Constraint, usize, Vec<MemberId>)> {
     let b = payload.as_ref();
@@ -294,7 +240,7 @@ pub fn decode_membership(payload: &Bytes) -> Option<(Constraint, usize, Vec<Memb
     };
     let k = b[1] as usize;
     let count = u32::from_be_bytes(b[2..6].try_into().ok()?) as usize;
-    if b.len() != 6 + count * 8 {
+    if count.checked_mul(8).and_then(|m| m.checked_add(6)) != Some(b.len()) {
         return None;
     }
     let members = (0..count)
@@ -428,77 +374,41 @@ mod tests {
         assert!(decode_membership(&Bytes::from_static(&[0, 3, 0, 0, 0, 2, 0, 0])).is_none());
     }
 
+    /// A SYNC snapshot is the membership block in the layout every node
+    /// has always read — constraint code, k, member count, member ids —
+    /// and carries nothing of a node's Bracha state.
     #[test]
     fn sync_snapshot_without_summaries_is_byte_identical_to_legacy() {
         use lhg_core::overlay::DynamicOverlay;
         use lhg_core::Constraint;
 
         let o = DynamicOverlay::bootstrap(Constraint::KTree, 10, 3).unwrap();
-        let snap = encode_sync_snapshot(&o, &[]);
-        assert_eq!(snap, encode_membership(&o), "non-byz wire unchanged");
-        // And a legacy membership-only payload decodes with no summaries.
-        let (constraint, k, members, summaries) = decode_sync_snapshot(&snap).unwrap();
-        assert_eq!((constraint, k), (Constraint::KTree, 3));
-        assert_eq!(members, o.members());
-        assert!(summaries.is_empty());
+        let mut legacy = vec![0, 3];
+        legacy.extend_from_slice(&10u32.to_be_bytes());
+        for &m in o.members() {
+            legacy.extend_from_slice(&m.to_be_bytes());
+        }
+        assert_eq!(encode_membership(&o).as_ref(), legacy.as_slice());
     }
 
-    #[test]
-    fn sync_snapshot_round_trips_with_summaries() {
-        use lhg_byzantine::{digest, InstanceSummary, Phase};
-        use lhg_core::overlay::DynamicOverlay;
-        use lhg_core::Constraint;
-        use lhg_net::message::ByzTag;
-
-        let o = DynamicOverlay::bootstrap(Constraint::KDiamond, 12, 3).unwrap();
-        let items = vec![
-            InstanceSummary {
-                tag: ByzTag {
-                    origin: 2,
-                    nonce: 7,
-                },
-                phase: Phase::Delivered,
-                digest: digest(b"v"),
-                payload: Bytes::from_static(b"v"),
-            },
-            InstanceSummary {
-                tag: ByzTag {
-                    origin: 5,
-                    nonce: 9,
-                },
-                phase: Phase::Readied,
-                digest: 11,
-                payload: Bytes::new(),
-            },
-        ];
-        let snap = encode_sync_snapshot(&o, &items);
-        let (constraint, k, members, summaries) = decode_sync_snapshot(&snap).unwrap();
-        assert_eq!((constraint, k), (Constraint::KDiamond, 3));
-        assert_eq!(members, o.members());
-        assert_eq!(summaries, items);
-        // The membership prefix still decodes standalone for legacy
-        // readers that check exact length — by failing cleanly, not by
-        // mis-parsing.
-        assert!(decode_membership(&snap).is_none());
-    }
-
+    /// A SYNC snapshot is the membership block and nothing after it: any
+    /// trailing bytes, or a count that promises more members than the
+    /// payload holds, and the whole snapshot is refused, never half-read.
     #[test]
     fn sync_snapshot_rejects_malformed_extensions() {
         use lhg_core::overlay::DynamicOverlay;
         use lhg_core::Constraint;
 
-        let o = DynamicOverlay::bootstrap(Constraint::KTree, 8, 3).unwrap();
-        let good = encode_membership(&o);
-        // Unknown version byte.
-        let mut bad = good.to_vec();
-        bad.push(9);
-        assert!(decode_sync_snapshot(&Bytes::from(bad)).is_none());
-        // Version byte with truncated summary block.
-        let mut bad = good.to_vec();
-        bad.push(SYNC_SNAPSHOT_VERSION);
-        bad.extend_from_slice(&[0, 0, 0]);
-        assert!(decode_sync_snapshot(&Bytes::from(bad)).is_none());
-        assert!(decode_sync_snapshot(&Bytes::new()).is_none());
+        let good = encode_membership(&DynamicOverlay::bootstrap(Constraint::KTree, 8, 3).unwrap());
+        assert!(decode_membership(&good).is_some());
+        for tail in [&[1][..], &[9], &[1, 0, 0, 0, 0]] {
+            let mut extended = good.to_vec();
+            extended.extend_from_slice(tail);
+            assert!(decode_membership(&Bytes::from(extended)).is_none());
+        }
+        let mut lying = good.to_vec();
+        lying[2..6].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(decode_membership(&Bytes::from(lying)).is_none());
     }
 
     mod wave_nonce_props {

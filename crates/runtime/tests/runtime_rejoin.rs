@@ -207,6 +207,12 @@ fn dead_notice_burst_coalesces_into_bounded_repairs() {
 /// SYNC request or snapshot can vanish mid-handshake. The jittered retry
 /// schedule (`runtime.sync_retries`) and post-cooldown notices must then
 /// restart the exchange until it lands — degraded-but-never-wedged.
+///
+/// Which repair lands is up to the drops. Usually it is a SYNC snapshot;
+/// but the degraded victim's own dead notices can make the survivors
+/// answer with `JOIN`s, which it applies and leaves degraded mode without
+/// any SYNC. Either is a correct repair, so the test asserts what both
+/// must give — bounded rounds and reconverged replicas — not the path.
 #[test]
 fn rejoin_cooldown_expires_and_repair_survives_lossy_links() {
     let mut inj = FaultInjector::new(0x10_55_1E);
@@ -227,17 +233,20 @@ fn rejoin_cooldown_expires_and_repair_survives_lossy_links() {
 
     isolate_heal_reconverge(&c, &inj);
 
-    assert!(
-        c.metrics().counter("runtime.sync_rejoins").get() >= 1,
-        "the victim resynced despite the drops"
-    );
     // Lossy repairs may take several cooldown windows plus retries, but
-    // still orders of magnitude fewer rounds than one-per-notice.
-    let requests = c.metrics().counter("runtime.sync_requests").get()
-        + c.metrics().counter("runtime.sync_retries").get();
+    // still orders of magnitude fewer rounds than one-per-notice — by
+    // whichever path they ran.
+    let metrics = c.metrics();
+    let rounds = [
+        "runtime.sync_requests",
+        "runtime.sync_retries",
+        "runtime.join_announces",
+    ]
+    .map(|name| metrics.counter(name).get());
+    println!("sync requests, sync retries, join announces: {rounds:?}");
     assert!(
-        requests <= 20,
-        "repair rounds stay bounded under loss, saw {requests}"
+        rounds[..2].iter().sum::<u64>() <= 20 && rounds[2] <= 20,
+        "repair rounds stay bounded under loss, saw {rounds:?}"
     );
 
     let id = c
