@@ -18,20 +18,20 @@
 use lhg_chaos::{run_sim_chaos, FaultPlan};
 
 /// Fingerprint of the 20 report lines. Re-recorded on purpose when the
-/// SYNC-borne Bracha summaries went: a rejoiner no longer asks every link
-/// for a snapshot once its `JOIN` floods, and a SYNC reply is the
-/// membership block alone, so it catches up through the vote exchange's
-/// repair rounds only. Only the four mixed seeds (4, 9, 14, 19) rejoin
-/// under Bracha, and only their lines move: SYNC frames 18 / 14 / 6 / 10
-/// → 0, total frames 11,179 / 9,857 / 4,343 / 5,617 → 11,180 / 9,480 /
-/// 4,327 / 5,545, end times equal but seed 14's (0.90 → 0.89 s). All 20
-/// verdicts and delivery counts are unchanged, and the crash, partition,
-/// lossy and byzantine lines are byte-identical.
-/// (Before: `0x791a_4803_82d2_68cc`, eager trees; earlier
-/// `0x009c_385a_8797_f0ce`, the core naming its next deadline,
-/// `0xe020_352a_c204_5d04`, control traffic riding the data, and
-/// `0x376b_bec3_de79_9423`, the one chaos interpreter.)
-const GOLDEN_FNV1A: u64 = 0xc7bc_8813_21ed_c6b3;
+/// pull store began retiring a body once every overlay neighbor holds it:
+/// an idle link's heartbeat slot now carries the held list an advert has
+/// earned, and adverts name only unretired ids. The crash, partition and
+/// lossy lines move (summary frames up, heartbeats down: seed 0 reads 24 /
+/// 834 → 32 / 823, total frames 966 → 963; seed 7's end time 0.68 →
+/// 0.75 s, every other end time within 10 ms). All 20 verdicts and
+/// delivery counts are unchanged, and the byzantine and mixed lines are
+/// byte-identical.
+/// (Before: `0xc7bc_8813_21ed_c6b3`, one catch-up path; earlier
+/// `0x791a_4803_82d2_68cc`, eager trees, `0x009c_385a_8797_f0ce`, the core
+/// naming its next deadline, `0xe020_352a_c204_5d04`, control traffic
+/// riding the data, and `0x376b_bec3_de79_9423`, the one chaos
+/// interpreter.)
+const GOLDEN_FNV1A: u64 = 0xe503_7876_c445_e898;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

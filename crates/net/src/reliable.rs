@@ -59,10 +59,13 @@
 //! **Summaries name only what a neighbor may lack.** Each retained id
 //! carries a bitmask of the peers known to hold it: the peer it came from,
 //! every peer whose ack (standalone or piggybacked) covered our copy, and
-//! every peer whose own advertisement named it — the last is what keeps a
-//! link that carries no bodies (the node forwards a fresh frame only to
-//! the `peers` its driver passes, in `lhg-runtime` the children of the
-//! origin's tree) from advertising each id both ways every round.
+//! every peer whose own advertisement or held list named it. The last two
+//! are what a link that carries no bodies learns from (the node forwards a
+//! fresh frame only to the `peers` it is handed, in `lhg-runtime` the
+//! children of the origin's tree): an advertisement's receiver owes back a
+//! **held list** (summary mode `0x02`) naming the advertised ids it had
+//! already seen, which [`ReliableCore::answer`] sends when its caller has a
+//! slot for it and which is never answered itself.
 //! An advertisement to P names the retained ids P is not known to hold —
 //! those still in flight to P included — among the [`MAX_SUMMARY_IDS`]
 //! newest, so a driver whose lazy links learn ids only from adverts must
@@ -71,6 +74,18 @@
 //! are none, no
 //! summary goes to P: a quiet cluster stays quiet. A link reset forgets
 //! what its peer holds (a revenant reboots blank).
+//!
+//! **A stored body retires once every neighbor holds it.** The store is
+//! FIFO by count (`store_cap`) as a backstop, and [`ReliableCore::retire`]
+//! drops an entry as soon as every neighbor it is given is known to hold
+//! it. On a connected overlay that every node reads its neighbors from
+//! (the paper's P1 keeps it connected), that loses nothing: if some node
+//! lacks an id that another has, some overlay edge joins a node that has
+//! it to one that lacks it, and the first cannot have retired it — so it
+//! still stores it and advertises it across that edge. The argument needs
+//! one overlay shared by all replicas; `lhg-runtime`'s node retires only
+//! while it knows of no crashed or excommunicated member, and falls back
+//! to FIFO otherwise.
 //!
 //! The layer is engine-agnostic: time is a caller-supplied `u64` of
 //! microseconds (virtual in the simulator, a monotonic-epoch offset in the
@@ -509,18 +524,26 @@ pub const MAX_SUMMARY_IDS: usize = 64;
 const SUMMARY_ADVERTISE: u8 = 0x00;
 /// Summary payload mode byte: pull request for missing ids.
 const SUMMARY_PULL: u8 = 0x01;
+/// Summary payload mode byte: held list, the ids of an advertisement its
+/// receiver had already seen ([`ReliableCore::answer`]).
+const SUMMARY_HELD: u8 = 0x02;
 
 /// Encodes an anti-entropy summary payload. `pull = false` advertises
 /// recently-seen broadcast ids; `pull = true` requests the listed ids.
 #[must_use]
 pub fn encode_summary_payload(pull: bool, ids: &[u64]) -> Bytes {
-    let ids = &ids[..ids.len().min(MAX_SUMMARY_IDS)];
-    let mut buf = BytesMut::with_capacity(1 + 4 + 8 * ids.len());
-    buf.put_u8(if pull {
+    let mode = if pull {
         SUMMARY_PULL
     } else {
         SUMMARY_ADVERTISE
-    });
+    };
+    encode_summary(mode, ids)
+}
+
+fn encode_summary(mode: u8, ids: &[u64]) -> Bytes {
+    let ids = &ids[..ids.len().min(MAX_SUMMARY_IDS)];
+    let mut buf = BytesMut::with_capacity(1 + 4 + 8 * ids.len());
+    buf.put_u8(mode);
     buf.put_u32(ids.len() as u32);
     for &id in ids {
         buf.put_u64(id);
@@ -529,23 +552,33 @@ pub fn encode_summary_payload(pull: bool, ids: &[u64]) -> Bytes {
 }
 
 /// Decodes an anti-entropy summary payload into `(pull, ids)`. `None` on
-/// malformed input or unknown mode bytes.
+/// malformed input, unknown mode bytes and held lists (which are neither an
+/// advertisement nor a pull).
 #[must_use]
-pub fn decode_summary_payload(mut raw: Bytes) -> Option<(bool, Vec<u64>)> {
-    if raw.len() < 5 {
-        return None;
-    }
-    let pull = match raw.get_u8() {
+pub fn decode_summary_payload(raw: Bytes) -> Option<(bool, Vec<u64>)> {
+    let (mode, ids) = read_summary(&raw)?;
+    let pull = match mode {
         SUMMARY_ADVERTISE => false,
         SUMMARY_PULL => true,
         _ => return None,
     };
-    let count = raw.get_u32() as usize;
-    if count > MAX_SUMMARY_IDS || raw.len() != 8 * count {
+    Some((pull, ids.collect()))
+}
+
+/// Reads a summary payload in place: its mode byte and its ids, borrowed
+/// from `raw`. `None` on malformed input or an unknown mode byte.
+fn read_summary(raw: &[u8]) -> Option<(u8, impl Iterator<Item = u64> + Clone + '_)> {
+    let (&mode, rest) = raw.split_first()?;
+    if !matches!(mode, SUMMARY_ADVERTISE | SUMMARY_PULL | SUMMARY_HELD) {
         return None;
     }
-    let ids = (0..count).map(|_| raw.get_u64()).collect();
-    Some((pull, ids))
+    let (count, ids) = rest.split_first_chunk::<4>()?;
+    let count = u32::from_be_bytes(*count) as usize;
+    if count > MAX_SUMMARY_IDS || ids.len() != 8 * count {
+        return None;
+    }
+    let id = |raw: &[u8]| u64::from_be_bytes(raw.try_into().expect("an 8-byte chunk"));
+    Some((mode, ids.chunks_exact(8).map(id)))
 }
 
 /// The sink [`ReliableCore`] transitions append their `(peer, frame)`
@@ -567,7 +600,9 @@ pub enum DataOutcome {
 /// What [`ReliableCore::on_summary`] answered an anti-entropy frame with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SummaryOutcome {
-    /// Malformed, or an advertisement naming nothing we lack.
+    /// Nothing went back: malformed, a held list, or an advertisement naming
+    /// nothing we lack (what it named is owed back, see
+    /// [`ReliableCore::answer`]).
     Ignored,
     /// An advertisement exposed a gap; one pull frame went back.
     Pulled,
@@ -666,6 +701,9 @@ pub struct ReliableCore<P> {
     recent: VecDeque<u64>,
     /// Who owns which bit of the held masks.
     holders: Holders<P>,
+    /// Per peer, the ids its advertisements named that we had already seen:
+    /// the held list [`Self::answer`] owes it, at most [`MAX_SUMMARY_IDS`].
+    owed: HashMap<P, Vec<u64>>,
     /// Reused buffer for the ids of one summary.
     summary_ids: Vec<u64>,
 }
@@ -686,6 +724,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             store: HashMap::new(),
             recent: VecDeque::new(),
             holders: Holders(Vec::new()),
+            owed: HashMap::new(),
             summary_ids: Vec::new(),
         }
     }
@@ -854,11 +893,14 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         }
     }
 
-    /// A summary frame's payload arrived from `from`. An advertisement
-    /// marks what it names as held by `from`, is diffed against `seen` and
-    /// any gap answered with one pull; a pull is served from the store
-    /// over the reliable link. Served copies keep their stored hop count:
-    /// repair traffic is not part of the dissemination tree.
+    /// A summary frame's payload arrived from `from`, read in place. An
+    /// advertisement or a held list marks what it names as held by `from`.
+    /// An advertisement is then diffed against `seen`: any gap is answered
+    /// with one pull, and what we had already seen is owed back as a held
+    /// list ([`Self::answer`]). A held list is never answered. A pull is
+    /// served from the store over the reliable link. Served copies keep
+    /// their stored hop count: repair traffic is not part of the
+    /// dissemination tree.
     pub fn on_summary(
         &mut self,
         from: P,
@@ -867,32 +909,82 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         now_us: u64,
         out: &mut Sends<P>,
     ) -> SummaryOutcome {
-        match decode_summary_payload(payload) {
-            Some((false, mut ids)) => {
-                let bit = self.holders.claim(from);
-                for &id in &ids {
-                    Self::mark_held(&mut self.store, id, bit);
+        let Some((mode, ids)) = read_summary(&payload) else {
+            return SummaryOutcome::Ignored;
+        };
+        if mode == SUMMARY_PULL {
+            let mut served = 0;
+            for id in ids {
+                if let Some(kept) = self.store.get(&id).map(|k| k.msg.clone()) {
+                    self.send(from, kept, now_us, out);
+                    served += 1;
                 }
-                ids.retain(|&id| !seen.contains(id));
-                if ids.is_empty() {
-                    return SummaryOutcome::Ignored;
-                }
-                let pull = encode_summary_payload(true, &ids);
-                out.push((from, Message::new(self.summary_id, self.origin, pull)));
-                SummaryOutcome::Pulled
             }
-            Some((true, ids)) => {
-                let mut served = 0;
-                for id in ids {
-                    if let Some(kept) = self.store.get(&id).map(|k| k.msg.clone()) {
-                        self.send(from, kept, now_us, out);
-                        served += 1;
-                    }
-                }
-                SummaryOutcome::Served(served)
-            }
-            None => SummaryOutcome::Ignored,
+            return SummaryOutcome::Served(served);
         }
+        let bit = self.holders.claim(from);
+        for id in ids.clone() {
+            Self::mark_held(&mut self.store, id, bit);
+        }
+        if mode == SUMMARY_HELD {
+            return SummaryOutcome::Ignored;
+        }
+        let owed = self.owed.entry(from).or_default();
+        self.summary_ids.clear();
+        for id in ids {
+            if !seen.contains(id) {
+                self.summary_ids.push(id);
+            } else if owed.len() < MAX_SUMMARY_IDS && !owed.contains(&id) {
+                owed.push(id);
+            }
+        }
+        if self.summary_ids.is_empty() {
+            return SummaryOutcome::Ignored;
+        }
+        let pull = encode_summary_payload(true, &self.summary_ids);
+        out.push((from, Message::new(self.summary_id, self.origin, pull)));
+        SummaryOutcome::Pulled
+    }
+
+    /// Sends `peer` the held list its advertisements have earned, if any:
+    /// one summary frame naming the ids they named that we had already
+    /// seen, so that `peer` counts us as holding them. Returns whether a
+    /// frame went; `lhg-runtime`'s node sends one in place of a heartbeat.
+    pub fn answer(&mut self, peer: P, out: &mut Sends<P>) -> bool {
+        let Some(owed) = self.owed.get_mut(&peer).filter(|o| !o.is_empty()) else {
+            return false;
+        };
+        let held = encode_summary(SUMMARY_HELD, owed);
+        owed.clear();
+        out.push((peer, Message::new(self.summary_id, self.origin, held)));
+        true
+    }
+
+    /// Drops every stored broadcast that each of `neighbors` is known to
+    /// hold. Nothing retires while one of them has no holder slot (never
+    /// heard from, or its link reset since), nor for an empty list. Sound
+    /// as a stability rule only while every node's `neighbors` come from
+    /// one overlay in which the neighbor relation is symmetric: a node that
+    /// lacks an id then has a neighbor that still stores it (module docs).
+    pub fn retire(&mut self, neighbors: impl IntoIterator<Item = P>) {
+        let mut all = 0;
+        for n in neighbors {
+            match self.holders.bit(n) {
+                0 => return,
+                bit => all |= bit,
+            }
+        }
+        if all == 0 {
+            return;
+        }
+        let store = &mut self.store;
+        self.recent.retain(|id| {
+            let stable = store.get(id).is_some_and(|k| k.held & all == all);
+            if stable {
+                store.remove(id);
+            }
+            !stable
+        });
     }
 
     /// `true` while a sweep could have work — a frame unacked or queued on
@@ -953,12 +1045,13 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// The connection behind `peer` was replaced or lost: both sequence
     /// spaces restart, whatever the old sender never got acknowledged is
     /// parked, unstamped, for [`Self::flush`], and what `peer` was known to
-    /// hold is forgotten (whoever answers next may have rebooted blank).
-    /// The park is bounded like the sender queue (`queue_cap`, oldest
-    /// dropped first): a peer down long enough to overflow it is left to
-    /// anti-entropy repair.
+    /// hold, and the held list we owed it, are forgotten (whoever answers
+    /// next may have rebooted blank). The park is bounded like the sender
+    /// queue (`queue_cap`, oldest dropped first): a peer down long enough to
+    /// overflow it is left to anti-entropy repair.
     pub fn reset_link(&mut self, peer: P) {
         self.rx.remove(&peer);
+        self.owed.remove(&peer);
         let bit = self.holders.release(peer);
         if bit != 0 {
             for kept in self.store.values_mut() {
@@ -1779,6 +1872,151 @@ mod tests {
         assert_eq!(outcome, SummaryOutcome::Ignored, "we hold both: no pull");
         assert!(!c.advertise([5], &mut out), "5 holds both: no advert back");
         assert!(out.is_empty());
+    }
+
+    /// The ids of the held list `frame` carries (`None` if it is not one).
+    fn held_ids(frame: &Message) -> Option<Vec<u64>> {
+        let (mode, ids) = read_summary(&frame.payload)?;
+        (mode == SUMMARY_HELD).then(|| ids.collect())
+    }
+
+    #[test]
+    fn an_advert_naming_ids_we_hold_is_answered_with_exactly_those_ids() {
+        let (mut c, mut seen, mut out) = (core(cfg()), SeenSet::default(), Vec::new());
+        for id in [1, 2, 3] {
+            seen.insert(id);
+        }
+        assert!(!c.answer(5, &mut out), "nothing owed yet");
+        // 5 names two ids we hold, one twice over two rounds, and one we
+        // lack: that one is pulled, the others owed back once each.
+        let advert = encode_summary_payload(false, &[3, 1, 99]);
+        let outcome = c.on_summary(5, advert, &seen, 0, &mut out);
+        assert_eq!(outcome, SummaryOutcome::Pulled);
+        let advert = encode_summary_payload(false, &[3]);
+        c.on_summary(5, advert, &seen, 0, &mut out);
+        out.clear();
+        assert!(!c.answer(6, &mut out), "owed to 5 only");
+        assert!(c.answer(5, &mut out));
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].0, out[0].1.broadcast_id), (5, SUMMARY_TAG));
+        assert_eq!(held_ids(&out[0].1), Some(vec![3, 1]));
+        assert_eq!(decode_summary_payload(out[0].1.payload.clone()), None);
+        assert!(!c.answer(5, &mut out), "paid");
+
+        // A held list marks what it names as held by its sender, and is
+        // never answered: 6 is owed nothing and is not told about id 2.
+        c.originate(&msg(2), 0, [], &mut out);
+        out.clear();
+        let held = encode_summary(SUMMARY_HELD, &[2]);
+        assert_eq!(
+            c.on_summary(6, held, &seen, 0, &mut out),
+            SummaryOutcome::Ignored
+        );
+        assert!(!c.answer(6, &mut out));
+        assert!(!c.advertise([6], &mut out), "6 holds id 2");
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn retire_drops_only_what_every_given_neighbor_holds() {
+        let (mut c, mut seen, mut out) = (core(cfg()), SeenSet::default(), Vec::new());
+        for id in 1..=3 {
+            c.originate(&msg(id), 0, [1, 2], &mut out);
+        }
+        // 1 acks everything, 2 only ids 1 and 2, and 3 advertises id 1.
+        c.on_ack(1, encode_ack_payload(3, &[]), 0, &mut out);
+        c.on_ack(2, encode_ack_payload(2, &[]), 0, &mut out);
+        seen.insert(1);
+        c.on_summary(3, encode_summary_payload(false, &[1]), &seen, 0, &mut out);
+        c.retire([1, 2]);
+        assert_eq!(c.recent, [3], "held by 1 but not by 2");
+        assert_eq!(c.store.len(), 1);
+        c.retire([1]);
+        assert!(c.store.is_empty() && c.recent.is_empty());
+
+        // The store refills; FIFO eviction counts only live entries.
+        for id in 4..=200 {
+            c.originate(&msg(id), 0, [], &mut out);
+        }
+        assert_eq!(c.recent.len(), cfg().store_cap);
+        assert_eq!(c.recent.front(), Some(&(201 - cfg().store_cap as u64)));
+    }
+
+    #[test]
+    fn retire_keeps_everything_for_a_neighbor_with_no_slot_or_a_reset_link() {
+        let (mut c, mut seen, mut out) = (core(cfg()), SeenSet::default(), Vec::new());
+        c.originate(&msg(1), 0, [1, 2], &mut out);
+        c.on_ack(1, encode_ack_payload(1, &[]), 0, &mut out);
+        c.on_ack(2, encode_ack_payload(1, &[]), 0, &mut out);
+        c.retire([1, 2, 9]);
+        assert!(c.store.contains_key(&1), "9 was never heard from");
+        c.retire(std::iter::empty());
+        assert!(c.store.contains_key(&1), "nobody to hand it to");
+
+        // 2's link resets: whoever answers may have rebooted blank. Its new
+        // slot proves nothing about id 1 until it says so.
+        c.reset_link(2);
+        c.retire([1, 2]);
+        assert!(c.store.contains_key(&1));
+        c.on_data(2, &msg(5).with_link_seq(1), &mut seen, 1, [], &mut out);
+        c.retire([1, 2]);
+        assert!(c.store.contains_key(&1), "2 holds id 5, not id 1");
+        assert!(c.store.contains_key(&5), "1 does not hold id 5");
+        seen.insert(1);
+        c.on_summary(2, encode_summary_payload(false, &[1]), &seen, 2, &mut out);
+        c.retire([1, 2]);
+        assert!(!c.store.contains_key(&1), "2's advert named it");
+        assert_eq!(c.recent, [5]);
+    }
+
+    #[test]
+    fn a_reset_link_forgets_the_held_list_owed() {
+        let (mut c, mut seen, mut out) = (core(cfg()), SeenSet::default(), Vec::new());
+        seen.insert(1);
+        c.on_summary(5, encode_summary_payload(false, &[1]), &seen, 0, &mut out);
+        c.reset_link(5);
+        assert!(!c.answer(5, &mut out));
+        // At most one frame's worth is owed.
+        let many: Vec<u64> = (100..100 + 2 * MAX_SUMMARY_IDS as u64).collect();
+        for chunk in many.chunks(MAX_SUMMARY_IDS) {
+            for &id in chunk {
+                seen.insert(id);
+            }
+            c.on_summary(5, encode_summary_payload(false, chunk), &seen, 0, &mut out);
+        }
+        assert!(c.answer(5, &mut out));
+        let want: Vec<u64> = many[..MAX_SUMMARY_IDS].to_vec();
+        assert_eq!(held_ids(&out[0].1), Some(want));
+    }
+
+    #[test]
+    fn the_in_place_reader_refuses_whatever_the_decoder_refuses() {
+        let payload = |mode: u8, count: u32, ids: usize, trailing: usize| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(mode);
+            buf.put_u32(count);
+            (0..ids as u64).for_each(|id| buf.put_u64(id));
+            (0..trailing).for_each(|_| buf.put_u8(0xAB));
+            buf.freeze()
+        };
+        let mut cases = vec![Bytes::new(), Bytes::from_static(b"\x00\x00\x00")];
+        for mode in [SUMMARY_ADVERTISE, SUMMARY_PULL, SUMMARY_HELD, 0x07] {
+            for (count, ids) in [(0, 0), (1, 1), (2, 1), (1, 2), (65, 65), (64, 64)] {
+                for trailing in [0, 1, 7] {
+                    cases.push(payload(mode, count, ids, trailing));
+                }
+            }
+        }
+        for raw in cases {
+            // A held list is read like an advertisement of the same ids.
+            let mut as_advert = raw.to_vec();
+            if as_advert.first() == Some(&SUMMARY_HELD) {
+                as_advert[0] = SUMMARY_ADVERTISE;
+            }
+            let decoded = decode_summary_payload(Bytes::from(as_advert));
+            let read = read_summary(&raw).map(|(_, ids)| ids.collect::<Vec<u64>>());
+            assert_eq!(read, decoded.map(|(_, ids)| ids), "payload {raw:?}");
+        }
     }
 
     /// Records `(arrival time, sender, frame id)` of every message its

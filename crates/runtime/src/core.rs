@@ -18,11 +18,14 @@
 //! * **eager trees** — a fresh data frame goes on only to this node's
 //!   children in the origin's BFS tree on the replica (every link when the
 //!   replica cannot place it); every other link learns the id from the
-//!   reliable plane's adverts, and a node that lacks the body pulls it;
+//!   reliable plane's adverts, and a node that lacks the body pulls it.
+//!   A stored body retires once every overlay neighbor holds it, while no
+//!   member is crashed or excommunicated here;
 //! * **control waves** — best-effort flooding of crash/join announcements,
 //!   deduplicated forever under per-wave nonces;
 //! * **failure detection** — any frame is proof of life, so heartbeats go
-//!   only to links nothing else was sent on for a heartbeat period;
+//!   only to links nothing else was sent on for a heartbeat period (a held
+//!   list owed to the link goes in the heartbeat's place);
 //!   `last_seen` in, suspicion past the timeout; under a byzantine setup a
 //!   remote report applies only once f+1 distinct origins vouch for it and
 //!   the victim is not demonstrably alive on a direct link;
@@ -1223,7 +1226,11 @@ impl NodeCore {
 
     /// Heartbeat-cadence repair channel: one vote-exchange repair round
     /// (every unsettled Bracha instance declared to each linked peer) and
-    /// an advertisement of recently-delivered broadcast ids.
+    /// an advertisement of recently-delivered broadcast ids; then the pull
+    /// store retires what every overlay neighbor holds. Only while no member
+    /// is crashed or excommunicated here: a member cut off, or a revenant,
+    /// may need what it missed, and mid-heal the replicas may disagree on
+    /// who neighbors whom, so the store stays FIFO until then.
     fn send_summaries(&mut self) {
         if self.behavior() == Some(TraitorBehavior::SuppressHeartbeat) {
             return; // any frame would refresh last_seen and spoil the act
@@ -1231,6 +1238,9 @@ impl NodeCore {
         self.drive_byz(|x, _, links, out, _| x.repair(links, out));
         if self.drive(|r, _, links, _, out| r.advertise(links, out)) {
             self.count("runtime.summaries_sent");
+        }
+        if self.crashed.is_empty() {
+            self.reliable.retire(self.desired.iter().copied());
         }
     }
 
@@ -1251,7 +1261,9 @@ impl NodeCore {
     /// heartbeat goes only to a link nothing was sent on for a full period.
     /// [`Self::next_deadline`] names the instant the first link gets there,
     /// so no live link is silent longer than a period plus the driver's
-    /// wake-up latency. Allocates nothing.
+    /// wake-up latency. A link owed a held list ([`ReliableCore::answer`])
+    /// gets that instead: it proves life as well, so answers add no frame.
+    /// Allocates only the held lists' payloads.
     fn beat_idle_links(&mut self) {
         // Plays dead on the control plane: no heartbeats means correct
         // nodes legitimately excommunicate it — forced churn is the attack,
@@ -1261,16 +1273,19 @@ impl NodeCore {
         }
         let (now, beat) = (self.now, self.beat_us);
         let heartbeat = self.control(wire::heartbeat_id(self.id));
+        let mut sends = std::mem::take(&mut self.outbox);
         for &peer in &self.links {
             let Some(sent) = self.last_sent.get_mut(&peer) else {
                 continue;
             };
             if now.saturating_sub(*sent) >= beat {
                 *sent = now;
-                let msg = heartbeat.clone();
-                self.out.push(Action::Send { to: peer, msg });
+                if !self.reliable.answer(peer, &mut sends) {
+                    sends.push((peer, heartbeat.clone()));
+                }
             }
         }
+        self.push_sends(sends);
     }
 
     /// FrameCrash traitor: once per heartbeat period, flood a freshly-nonced

@@ -129,6 +129,52 @@ fn a_cut_tree_edge_is_repaired_by_advert_and_pull_within_two_rounds() {
     assert_eq!(c.metrics.counter("runtime.suspects").get(), 0);
 }
 
+/// The pull store retires a body once every overlay neighbor holds it, but
+/// only while no member is crashed or excommunicated. Here member 5 is cut
+/// off long enough to be excommunicated, misses 20 broadcasts, and comes
+/// back: the survivors, healed around it meanwhile, must still store what
+/// it missed. Retiring against the healed overlay, or against the live
+/// links, leaves 5 without any of them.
+#[test]
+fn a_member_cut_off_while_the_others_broadcast_gets_everything_it_missed() {
+    let (n, isolated) = (16, 5);
+    let faults = Arc::new(FaultInjector::new(29));
+    faults.add_partition_shared(Partition {
+        a: BTreeSet::from([isolated as u32]),
+        b: BTreeSet::new(),
+        from_us: 100 * MS,
+        until_us: 1_500 * MS,
+        directed: false,
+    });
+    let cfg = RuntimeConfig {
+        faults: Some(faults),
+        ..RuntimeConfig::default()
+    };
+    let mut c = launch(n, cfg);
+    let origins: Vec<MemberId> = (0..n as MemberId).filter(|&m| m != isolated).collect();
+    let mut ids = Vec::new();
+    for (i, at) in (800 * MS..1_200 * MS).step_by(20 * MS as usize).enumerate() {
+        c.run_until(at);
+        let payload = Bytes::from_static(b"missed");
+        ids.push(c.broadcast(origins[i % origins.len()], payload).unwrap());
+    }
+    c.run_until(10_000 * MS);
+    assert_eq!(ids.len(), 20);
+    assert!(
+        c.metrics.counter("runtime.suspects").get() > 0,
+        "{isolated} was suspected"
+    );
+    let got = &c.nodes[isolated as usize].borrow().delivered;
+    let counts: Vec<usize> = (ids.iter())
+        .map(|id| got.iter().filter(|&d| d == id).count())
+        .collect();
+    assert_eq!(
+        counts,
+        vec![1; ids.len()],
+        "each id exactly once at {isolated}"
+    );
+}
+
 /// A mid-tree node crashes under a steady stream of broadcasts, at the
 /// shipped timing (25 ms heartbeats, 300 ms timeout, an advert round every
 /// 125 ms). Until the crash is detected its subtrees get bodies only over

@@ -1,8 +1,9 @@
 //! Delivery is a hand-off, not an archive: a node that has delivered a
 //! broadcast keeps its id, not its payload. After hundreds of 32 KiB floods
-//! what a cluster still holds is the bounded pull store and a few bytes of
-//! history per delivery — unless somebody subscribed and does not read, and
-//! then the backlog is exactly that subscriber's queue and nothing else.
+//! what a cluster still holds at rest is a few bytes of history per
+//! delivery — the pull store retires each body once every overlay neighbor
+//! holds it — unless somebody subscribed and does not read, and then the
+//! backlog is exactly that subscriber's queue and nothing else.
 //!
 //! Live heap bytes (allocated − freed) come from a counting allocator,
 //! which is why this is an integration test (the crates forbid `unsafe`)
@@ -72,6 +73,7 @@ fn live_bytes_after_a_run(hoarder: Option<MemberId>) -> isize {
     config.reliable.store_cap = STORE_CAP;
     // No false suspicion on a loaded CI box: a heal is not what is measured.
     config.heartbeat_timeout = Duration::from_secs(10);
+    let summary_period = config.heartbeat_period * config.reliable.summary_ticks() as u32;
     let mut c = Cluster::launch(Constraint::KDiamond, N, K, config).expect("cluster boots");
     let backlog = hoarder.map(|m| (m, c.subscribe(m)));
     let metrics = c.shared_metrics();
@@ -86,22 +88,21 @@ fn live_bytes_after_a_run(hoarder: Option<MemberId>) -> isize {
         }
     }
     // At rest: every delivery counted, and every node's retained-bytes
-    // gauge — republished each summary round — down to what a full pull
-    // store holds, i.e. every window acked. Polled, not slept for: a host
-    // stall must not read as a leak.
+    // gauge — republished each summary round — at 0: every window acked and
+    // every stored body retired. Polled, not slept for: a host stall must
+    // not read as a leak. Then it must hold for two more rounds, so that no
+    // gauge is one published before the last deliveries.
     let want = (BROADCASTS * N) as u64;
     let deliveries = metrics.counter("runtime.deliveries");
     let gauges: Vec<_> = (c.members().iter())
         .map(|m| metrics.gauge(&format!("runtime.payload_bytes_retained.n{m}")))
         .collect();
-    let at_rest = || {
-        let stores_only = |g: i64| g > 0 && g <= (STORE_CAP * PAYLOAD) as i64;
-        deliveries.get() == want && gauges.iter().all(|g| stores_only(g.get()))
-    };
+    let at_rest = || deliveries.get() == want && gauges.iter().all(|g| g.get() == 0);
     let deadline = Instant::now() + Duration::from_secs(30);
     while !at_rest() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
+    std::thread::sleep(2 * summary_period);
     let retained: Vec<i64> = gauges.iter().map(|g| g.get()).collect();
     assert!(
         at_rest(),
@@ -126,13 +127,14 @@ fn live_bytes_after_a_run(hoarder: Option<MemberId>) -> isize {
 
 #[test]
 fn a_node_keeps_ids_not_payloads_and_a_backlog_is_its_subscribers() {
-    // Nobody subscribed: n × (the pull store + frames still in flight) ×
-    // 32 KiB, the trace collector and the id logs. An archive of delivered
-    // messages would be n × 400 × 32 KiB ≈ 75 MiB here.
+    // Nobody subscribed: the trace collector, the id logs and the nodes'
+    // other bookkeeping; no payload. A full pull store on every node would
+    // be n × 8 × 32 KiB = 1.5 MiB, and an archive of delivered messages
+    // n × 400 × 32 KiB ≈ 75 MiB.
     let plain = live_bytes_after_a_run(None);
     eprintln!("live after {BROADCASTS} floods, nobody subscribed: {plain} B");
     assert!(
-        plain <= 8 * MIB,
+        plain <= MIB,
         "{plain} B still live after {BROADCASTS} delivered floods"
     );
 
