@@ -70,7 +70,7 @@
 //! as a relayed frame's `witness` field was (DESIGN §11.1), and a bit for a
 //! non-member counts for nothing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
@@ -97,11 +97,12 @@ enum Repair {
 struct Link {
     /// Votes the peer holds: those it sent and those sent to it.
     has: BTreeMap<(ByzTag, u64), Votes>,
-    /// Instances that may have something pending for this peer.
-    dirty: BTreeSet<ByzTag>,
+    /// Instances that may have something pending for this peer
+    /// ([`add_tags`]).
+    dirty: Vec<ByzTag>,
     /// Instances the peer declared in full: it is owed an answer, a shown
-    /// certificate if nothing else.
-    owed: BTreeSet<ByzTag>,
+    /// certificate if nothing else ([`add_tags`]).
+    owed: Vec<ByzTag>,
     /// This node asked the peer for an answer and has not had it:
     /// echo-only deltas wait.
     awaiting: bool,
@@ -111,6 +112,26 @@ struct Link {
     asked: bool,
     outranked: bool,
     repair: BTreeMap<ByzTag, Repair>,
+}
+
+/// Adds `tags` to a set of instances kept as a `Vec` — ascending and without
+/// repeats, the order a `BTreeSet` iterates in — whose capacity outlives its
+/// contents.
+fn add_tags(set: &mut Vec<ByzTag>, tags: impl IntoIterator<Item = ByzTag>) {
+    set.extend(tags);
+    set.sort_unstable();
+    set.dedup();
+}
+
+/// The most entries or instances a reused buffer keeps room for once it is
+/// emptied. An honest frame is far smaller; a hostile one (up to 65,535
+/// entries) must not pin its size for the node's lifetime.
+const KEPT_CAPACITY: usize = 1024;
+
+/// Empties a reused buffer, keeping at most [`KEPT_CAPACITY`] of its room.
+fn empty<T>(buf: &mut Vec<T>) {
+    buf.clear();
+    buf.shrink_to(KEPT_CAPACITY);
 }
 
 /// What the pending delta of one instance toward one peer contains.
@@ -132,10 +153,16 @@ pub struct VoteExchange<P> {
     round: u64,
     pulls: BTreeMap<(ByzTag, u64), u32>,
     /// Reused scratch: the engine's reactions to one input, the driver's
-    /// peers for one transition, the instances one input touched.
+    /// peers for one transition, the instances one input touched, the
+    /// instances being declared (by the frame being read, or to one peer in
+    /// a repair round; empty between uses), the frame being read and the
+    /// frame being built.
     actions: Vec<Action>,
     peers: Vec<P>,
     touched: Vec<ByzTag>,
+    declared: Vec<ByzTag>,
+    inbox: VotesFrame,
+    outgoing: VotesFrame,
 }
 
 impl<P: Copy + Ord> VoteExchange<P> {
@@ -153,6 +180,9 @@ impl<P: Copy + Ord> VoteExchange<P> {
             actions: Vec::new(),
             peers: Vec::new(),
             touched: Vec::new(),
+            declared: Vec::new(),
+            inbox: VotesFrame::default(),
+            outgoing: VotesFrame::default(),
         }
     }
 
@@ -237,9 +267,13 @@ impl<P: Copy + Ord> VoteExchange<P> {
     ) -> u64 {
         self.begin(peers);
         let mut rejected = 0;
-        if let Some(frame) = VotesFrame::from_message(msg, self.engine.roster_bound()) {
-            rejected = self.on_votes(from, msg.origin, &frame, out);
-        } else if let Some(frame) = GossipFrame::from_message(msg) {
+        let votes = self.inbox.read_from(msg, self.engine.roster_bound());
+        if votes {
+            rejected = self.on_votes(from, msg.origin, out);
+        }
+        // Read whole or refused part way, a hostile frame pins none of its size.
+        empty(&mut self.inbox.entries);
+        if let Some(frame) = (!votes).then(|| GossipFrame::from_message(msg)).flatten() {
             if frame.kind != GossipKind::Send {
                 return 1;
             }
@@ -268,52 +302,62 @@ impl<P: Copy + Ord> VoteExchange<P> {
     pub fn repair(&mut self, peers: impl IntoIterator<Item = P>, out: &mut Sends<P>) {
         self.begin(peers);
         self.round += 1;
-        let mut frames: BTreeMap<P, VotesFrame> = BTreeMap::new();
+        // Votes without the payload they are for: ask one peer that has
+        // voted for the digest, a different one each round.
+        let engine = &self.engine;
+        self.pulls
+            .retain(|&key, _| engine.wanted_payloads().any(|w| w == key));
+        let mut asks = Vec::new();
+        for (tag, digest) in self.askable() {
+            let voters = self.voters(tag, digest).count() as u64;
+            let pick = (self.round % voters) as usize;
+            let peer = (self.voters(tag, digest).nth(pick)).expect("an askable payload has voters");
+            asks.push((peer, tag, digest));
+        }
+        for &(_, tag, digest) in &asks {
+            *self.pulls.entry((tag, digest)).or_default() += 1;
+        }
+        // Then one frame per peer, in peer order: its declaration, its asks.
+        self.peers.sort_unstable();
+        self.peers.dedup();
+        let me = self.engine.id();
         for &peer in &self.peers {
-            let offers: Vec<_> = self.offers(peer).collect();
             let link = self.links.entry(peer).or_default();
             // An answer that is not back a repair period later was lost.
             link.awaiting = false;
-            let frame = frames.entry(peer).or_default();
-            for (tag, offered) in offers {
+            let entries = &mut self.outgoing.entries;
+            (self.declared).extend(Self::offers(&self.engine, self.max_offers, Some(&*link)));
+            for &tag in &self.declared {
                 for (digest, known) in self.engine.votes(tag).filter(|(_, v)| !v.is_empty()) {
                     // The peer holds what it is told, loss aside — and loss
                     // is what its own declaration corrects.
                     let has = link.has.entry((tag, digest)).or_default();
                     has.echo.union_with(&known.echo);
                     has.ready.union_with(&known.ready);
-                    frame.entries.push(VoteEntry {
+                    entries.push(VoteEntry {
                         full: true,
                         ..VoteEntry::delta(tag, digest, known.echo.clone(), known.ready.clone())
                     });
                 }
-                link.repair.insert(tag, Repair::Offered(offered + 1));
+                let offered = link.repair.entry(tag).or_insert(Repair::Offered(0));
+                if let Repair::Offered(n) = offered {
+                    *n += 1;
+                }
             }
-        }
-        // Votes without the payload they are for: ask one peer that has
-        // voted for the digest, a different one each round.
-        let wanted: Vec<(ByzTag, u64)> = self.engine.wanted_payloads().collect();
-        self.pulls.retain(|key, _| wanted.contains(key));
-        let pulls: Vec<_> = self.askable().collect();
-        for ((tag, digest), voters) in pulls {
-            let peer = voters[(self.round % voters.len() as u64) as usize];
-            *self.pulls.entry((tag, digest)).or_default() += 1;
-            let entries = &mut frames.entry(peer).or_default().entries;
-            match entries
-                .iter_mut()
-                .find(|e| (e.tag, e.digest) == (tag, digest))
-            {
-                Some(e) => e.want_payload = true,
-                None => entries.push(VoteEntry {
-                    want_payload: true,
-                    ..VoteEntry::delta(tag, digest, WitnessSet::new(), WitnessSet::new())
-                }),
+            empty(&mut self.declared);
+            for &(_, tag, digest) in asks.iter().filter(|&&(to, ..)| to == peer) {
+                match entries
+                    .iter_mut()
+                    .find(|e| (e.tag, e.digest) == (tag, digest))
+                {
+                    Some(e) => e.want_payload = true,
+                    None => entries.push(VoteEntry {
+                        want_payload: true,
+                        ..VoteEntry::delta(tag, digest, WitnessSet::new(), WitnessSet::new())
+                    }),
+                }
             }
-        }
-        let me = self.engine.id();
-        for (peer, frame) in frames {
-            let link = self.links.entry(peer).or_default();
-            Self::post(me, peer, link, frame, out);
+            Self::post(me, peer, link, &mut self.outgoing, out);
         }
     }
 
@@ -323,69 +367,86 @@ impl<P: Copy + Ord> VoteExchange<P> {
     pub fn repair_pending(&mut self, peers: impl IntoIterator<Item = P>) -> bool {
         self.begin(peers);
         self.askable().next().is_some()
-            || (self.peers.iter()).any(|&p| self.offers(p).next().is_some())
+            || (self.peers.iter()).any(|p| {
+                let link = self.links.get(p);
+                Self::offers(&self.engine, self.max_offers, link)
+                    .next()
+                    .is_some()
+            })
     }
 
-    /// The instances a repair round declares to `peer`, and how often each
-    /// has been declared since the peer last said something new about it:
-    /// those with votes, not settled, not offered `max_offers` times.
-    fn offers(&self, peer: P) -> impl Iterator<Item = (ByzTag, u32)> + '_ {
-        let link = self.links.get(&peer);
-        self.engine.tags().filter_map(move |tag| {
-            let offered = match link.and_then(|l| l.repair.get(&tag)) {
-                Some(Repair::Settled) => return None,
-                Some(&Repair::Offered(n)) => n,
-                None => 0,
-            };
-            let voted = self.engine.votes(tag).any(|(_, v)| !v.is_empty());
-            (voted && offered < self.max_offers).then_some((tag, offered))
-        })
+    /// Whether the next repair round declares `tag` to `link`'s peer: the
+    /// instance has votes, is not settled toward the peer, and was declared
+    /// to it fewer than `max_offers` times since the peer last said
+    /// something new about it.
+    fn declares(engine: &BrachaEngine, max_offers: u32, link: Option<&Link>, tag: ByzTag) -> bool {
+        let offered = match link.and_then(|l| l.repair.get(&tag)) {
+            Some(Repair::Settled) => return false,
+            Some(&Repair::Offered(n)) => n,
+            None => 0,
+        };
+        offered < max_offers && engine.votes(tag).any(|(_, v)| !v.is_empty())
     }
 
-    /// The payloads a repair round asks for, each with the current peers
-    /// that could be asked: digests with votes but no payload, asked for
-    /// fewer than `max_offers` times since the instance last moved, that
-    /// some peer has voted for.
-    fn askable(&self) -> impl Iterator<Item = ((ByzTag, u64), Vec<P>)> + '_ {
+    /// The instances the next repair round declares to `link`'s peer
+    /// ([`Self::declares`]), in tag order.
+    fn offers<'a>(
+        engine: &'a BrachaEngine,
+        max_offers: u32,
+        link: Option<&'a Link>,
+    ) -> impl Iterator<Item = ByzTag> + 'a {
+        (engine.tags()).filter(move |&tag| Self::declares(engine, max_offers, link, tag))
+    }
+
+    /// The payloads a repair round asks for: digests with votes but no
+    /// payload, asked for fewer than `max_offers` times since the instance
+    /// last moved, that some peer could be asked for.
+    fn askable(&self) -> impl Iterator<Item = (ByzTag, u64)> + '_ {
         let open = |key: &(ByzTag, u64)| self.pulls.get(key).is_none_or(|&n| n < self.max_offers);
         (self.engine.wanted_payloads().filter(open))
-            .map(|(tag, digest)| {
-                let voters = Self::voters(&self.links, &self.peers, tag, digest);
-                ((tag, digest), voters)
-            })
-            .filter(|(_, voters)| !voters.is_empty())
+            .filter(|&(tag, digest)| self.voters(tag, digest).next().is_some())
     }
 
-    /// The `peers` known to hold a vote for `digest` of `tag`.
-    fn voters(links: &BTreeMap<P, Link>, peers: &[P], tag: ByzTag, digest: u64) -> Vec<P> {
-        let voted = |p: &P| {
-            let has = links.get(p).and_then(|l| l.has.get(&(tag, digest)));
+    /// The peers, in the driver's order, that a repair round may ask for
+    /// the payload of `digest` of `tag`: those known to hold a vote for it,
+    /// and those the round's declaration is about to tell this node's own.
+    fn voters(&self, tag: ByzTag, digest: u64) -> impl Iterator<Item = P> + '_ {
+        self.peers.iter().copied().filter(move |p| {
+            let link = self.links.get(p);
+            let has = link.and_then(|l| l.has.get(&(tag, digest)));
             has.is_some_and(|v| !v.is_empty())
-        };
-        peers.iter().copied().filter(voted).collect()
+                || Self::declares(&self.engine, self.max_offers, link, tag)
+        })
     }
 
     /// Starts a transition: remembers the driver's peers, in its order.
     fn begin(&mut self, peers: impl IntoIterator<Item = P>) {
         self.peers.clear();
         self.peers.extend(peers);
-        self.touched.clear();
-        self.actions.clear();
+        empty(&mut self.touched);
+        empty(&mut self.actions);
     }
 
-    /// One `VOTES` frame from `from`: its bits into `has` and the engine,
-    /// its declarations and payload requests answered.
-    fn on_votes(&mut self, from: P, sender: u32, frame: &VotesFrame, out: &mut Sends<P>) -> u64 {
+    /// The `VOTES` frame in `inbox`, from `from`: its bits into `has` and
+    /// the engine, its declarations and payload requests answered.
+    fn on_votes(&mut self, from: P, sender: u32, out: &mut Sends<P>) -> u64 {
+        let frame = &self.inbox;
         let link = self.links.entry(from).or_default();
         link.awaiting &= !frame.ack;
         link.asked |= frame.req;
         link.outranked = sender < self.engine.id();
         // A declaration replaces what was believed, per instance.
-        let declared: BTreeSet<ByzTag> =
-            (frame.entries.iter().filter(|e| e.full).map(|e| e.tag)).collect();
-        link.has.retain(|(tag, _), _| !declared.contains(tag));
-        link.owed.extend(&declared);
-        link.dirty.extend(&declared);
+        let declared = &mut self.declared;
+        declared.extend((frame.entries.iter().filter(|e| e.full)).map(|e| e.tag));
+        if !declared.is_empty() {
+            declared.sort_unstable();
+            declared.dedup();
+            link.has
+                .retain(|(tag, _), _| declared.binary_search(tag).is_err());
+            add_tags(&mut link.owed, declared.iter().copied());
+            add_tags(&mut link.dirty, declared.iter().copied());
+        }
+        empty(declared);
         let mut rejected = 0;
         for e in &frame.entries {
             if !(e.echo.is_empty() && e.ready.is_empty()) {
@@ -432,12 +493,14 @@ impl<P: Copy + Ord> VoteExchange<P> {
             }
         }
         // An instance that moved is worth asking about again.
+        self.touched.sort_unstable();
+        self.touched.dedup();
         let touched = &self.touched;
-        self.pulls.retain(|(tag, _), _| !touched.contains(tag));
+        (self.pulls).retain(|(tag, _), _| touched.binary_search(tag).is_err());
         let me = self.engine.id();
         for &peer in &self.peers {
             let link = self.links.entry(peer).or_default();
-            link.dirty.extend(self.touched.iter().copied());
+            add_tags(&mut link.dirty, touched.iter().copied());
             let due = (link.dirty.iter())
                 .map(|&tag| Self::due(&self.engine, link, tag))
                 .max()
@@ -448,9 +511,9 @@ impl<P: Copy + Ord> VoteExchange<P> {
                 || due == Due::Readies
                 || (due == Due::Echoes && !link.awaiting)
             {
-                Self::flush(&self.engine, me, peer, link, out);
+                Self::flush(&self.engine, me, peer, link, &mut self.outgoing, out);
             } else if due == Due::Nothing {
-                link.dirty.clear();
+                empty(&mut link.dirty);
             }
         }
     }
@@ -491,13 +554,19 @@ impl<P: Copy + Ord> VoteExchange<P> {
         due
     }
 
-    /// Builds and sends everything pending for `link`'s peer: rule 3's
-    /// capped delta for each dirty instance, and for a declared instance
-    /// with nothing left to add, the certificate it is owed.
-    fn flush(engine: &BrachaEngine, me: u32, peer: P, link: &mut Link, out: &mut Sends<P>) {
-        let mut frame = VotesFrame::default();
-        let owed = std::mem::take(&mut link.owed);
-        for tag in std::mem::take(&mut link.dirty) {
+    /// Builds in `frame` and sends everything pending for `link`'s peer:
+    /// rule 3's capped delta for each dirty instance, and for a declared
+    /// instance with nothing left to add, the certificate it is owed.
+    fn flush(
+        engine: &BrachaEngine,
+        me: u32,
+        peer: P,
+        link: &mut Link,
+        frame: &mut VotesFrame,
+        out: &mut Sends<P>,
+    ) {
+        let owed = &link.owed;
+        for &tag in &link.dirty {
             let Some((echo_quorum, amplify, delivery)) = Self::caps(engine, tag) else {
                 continue;
             };
@@ -507,7 +576,7 @@ impl<P: Copy + Ord> VoteExchange<P> {
             // differs (a member it falsely suspects) drops some of that, and
             // capping to the same lowest ids again would starve it. What it
             // declared is what it counted.
-            let capped = !owed.contains(&tag);
+            let capped = owed.binary_search(&tag).is_err();
             for (digest, known) in engine.votes(tag) {
                 let has = link.has.entry((tag, digest)).or_default();
                 let held = has.ready.len();
@@ -536,7 +605,7 @@ impl<P: Copy + Ord> VoteExchange<P> {
             }
             let certificate = engine
                 .delivered_digest(tag)
-                .filter(|_| frame.entries.len() == before && owed.contains(&tag));
+                .filter(|_| frame.entries.len() == before && !capped);
             if let Some(digest) = certificate {
                 let known = engine.votes(tag).find(|&(d, _)| d == digest);
                 let mut ready = known.map(|(_, v)| v.ready.clone()).unwrap_or_default();
@@ -545,20 +614,23 @@ impl<P: Copy + Ord> VoteExchange<P> {
                 frame.entries.push(shown);
             }
         }
+        empty(&mut link.owed);
+        empty(&mut link.dirty);
         Self::post(me, peer, link, frame, out);
     }
 
     /// Sends `frame` to `link`'s peer as the next turn of their
     /// conversation: it answers if the peer asked, it asks if it says
     /// something and nothing is being waited for, and it is not sent at all
-    /// if it does neither.
-    fn post(me: u32, peer: P, link: &mut Link, mut frame: VotesFrame, out: &mut Sends<P>) {
+    /// if it does neither. Its entries are cleared either way.
+    fn post(me: u32, peer: P, link: &mut Link, frame: &mut VotesFrame, out: &mut Sends<P>) {
         frame.ack = std::mem::take(&mut link.asked);
         frame.req = !frame.entries.is_empty() && !link.awaiting;
         link.awaiting |= frame.req;
         if frame.ack || !frame.entries.is_empty() {
             out.push((peer, frame.to_message(me)));
         }
+        empty(&mut frame.entries);
     }
 }
 
@@ -567,6 +639,7 @@ mod tests {
     use super::*;
     use crate::frame::digest;
     use std::collections::VecDeque;
+    use std::time::{Duration, Instant};
 
     const MAX_OFFERS: u32 = 3;
 
@@ -908,6 +981,43 @@ mod tests {
         };
         assert_eq!(n.hears(2, &ready.to_message()), 1);
         assert!(n.out.is_empty() && n.x.engine().tags().count() == 1);
+    }
+
+    #[test]
+    fn a_hostile_declaration_costs_about_what_its_votes_cost_and_pins_no_room() {
+        // Peer 2 first fills node 6's table of what it holds with N
+        // instances, then declares N others in full. Testing each held key
+        // against each declared entry would make the second frame cost
+        // N² ≈ 10⁹ steps; it must cost about what the first one did.
+        const N: u64 = 30_000;
+        let mut n = Node6::new();
+        let votes = |full: bool, first: u64| {
+            (first..first + N)
+                .map(|i| VoteEntry {
+                    full,
+                    ..delta(tag(0, i), 77, &[2], &[])
+                })
+                .collect::<Vec<_>>()
+        };
+        let start = Instant::now();
+        n.hears_votes(2, votes(false, 0));
+        let grew = start.elapsed();
+        assert_eq!(n.x.links[&2].has.len(), N as usize);
+        let start = Instant::now();
+        n.hears_votes(2, votes(true, N));
+        let declared = start.elapsed();
+        assert_eq!(n.x.links[&2].has.len(), 2 * N as usize);
+        assert!(
+            declared < grew * 2 + Duration::from_millis(100),
+            "growing took {grew:?}, declaring {declared:?}"
+        );
+        // Neither frame's size outlives it in the reused buffers.
+        let x = &n.x;
+        assert!(x.inbox.entries.capacity() <= KEPT_CAPACITY);
+        assert!(x.outgoing.entries.capacity() <= KEPT_CAPACITY);
+        assert!(x.declared.capacity() <= KEPT_CAPACITY);
+        assert!(x.links[&2].owed.capacity() <= KEPT_CAPACITY);
+        assert!(x.links[&2].dirty.capacity() <= KEPT_CAPACITY);
     }
 
     #[test]

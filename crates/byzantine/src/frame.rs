@@ -271,13 +271,34 @@ impl VotesFrame {
         Message::new(VOTES_ID, sender, buf.freeze())
     }
 
-    /// Decodes a `VOTES` frame; `None` when `msg` is not one, is truncated,
-    /// carries trailing bytes or unknown flag bits, or declares a witness
-    /// set longer than `max_members` ids need. Lengths are checked before
-    /// anything is allocated for them, and entries are decoded one by one —
-    /// a count that promises more than the frame holds reserves nothing.
+    /// Decodes a `VOTES` frame; `None` when [`Self::read_from`] refuses it.
     #[must_use]
     pub fn from_message(msg: &Message, max_members: usize) -> Option<Self> {
+        let mut frame = VotesFrame::default();
+        frame.read_from(msg, max_members).then_some(frame)
+    }
+
+    /// Decodes a `VOTES` frame into `self`, reusing its entries' capacity;
+    /// `false` — and `self` left empty — when `msg` is not one, is
+    /// truncated, carries trailing bytes or unknown flag bits, or declares a
+    /// witness set longer than `max_members` ids need. Lengths are checked
+    /// before anything is allocated for them, and entries are decoded one
+    /// by one — a count that promises more than the frame holds reserves
+    /// nothing.
+    #[must_use]
+    pub fn read_from(&mut self, msg: &Message, max_members: usize) -> bool {
+        self.entries.clear();
+        if self.decode(msg, max_members).is_some() {
+            return true;
+        }
+        self.entries.clear();
+        (self.req, self.ack) = (false, false);
+        false
+    }
+
+    /// [`Self::read_from`]'s body: fills the (empty) entries, `None` at the
+    /// first thing refused.
+    fn decode(&mut self, msg: &Message, max_members: usize) -> Option<()> {
         let mut p: &[u8] = &msg.payload;
         if msg.broadcast_id != VOTES_ID || p.len() < 4 || p[0] != KIND_VOTES {
             return None;
@@ -286,9 +307,10 @@ impl VotesFrame {
         if flags & !(FRAME_REQ | FRAME_ACK) != 0 {
             return None;
         }
+        self.req = flags & FRAME_REQ != 0;
+        self.ack = flags & FRAME_ACK != 0;
         let count = usize::from(u16::from_be_bytes([p[2], p[3]]));
         p = &p[4..];
-        let mut entries = Vec::new();
         for _ in 0..count {
             if p.len() < 21 {
                 return None;
@@ -301,7 +323,7 @@ impl VotesFrame {
             p = rest;
             let echo = WitnessSet::decode(&mut p, max_members)?;
             let ready = WitnessSet::decode(&mut p, max_members)?;
-            entries.push(VoteEntry {
+            self.entries.push(VoteEntry {
                 tag: ByzTag {
                     origin: u32::from_be_bytes(head[..4].try_into().expect("4 bytes")),
                     nonce: u64::from_be_bytes(head[4..12].try_into().expect("8 bytes")),
@@ -313,11 +335,7 @@ impl VotesFrame {
                 ready,
             });
         }
-        p.is_empty().then_some(VotesFrame {
-            req: flags & FRAME_REQ != 0,
-            ack: flags & FRAME_ACK != 0,
-            entries,
-        })
+        p.is_empty().then_some(())
     }
 }
 
@@ -544,6 +562,56 @@ mod tests {
                 prop_assert_eq!(VotesFrame::from_message(&m, 4096), Some(frame));
                 if top > 8 {
                     prop_assert_eq!(VotesFrame::from_message(&m, top - 8), None);
+                }
+            }
+
+            /// `read_from` into a buffer that holds another frame decodes
+            /// exactly what `from_message` decodes — the same frame, or a
+            /// refusal — for the frame, every truncation of it, and every
+            /// flag byte with a bit flipped.
+            #[test]
+            fn read_from_a_used_buffer_agrees_with_from_message(
+                entries in entries(),
+                held in entries(),
+                req in any::<bool>(),
+                sender in any::<u32>(),
+                bit in 0u8..8,
+            ) {
+                let good = VotesFrame { req, ack: !req, entries }.to_message(sender);
+                let with_payload = |payload: Vec<u8>| Message {
+                    payload: Bytes::from(payload),
+                    ..good.clone()
+                };
+                // Where the flag bytes sit: the frame's, then each entry's.
+                let mut flags = vec![1];
+                let mut at = 4;
+                let mut p = &good.payload[4..];
+                while !p.is_empty() {
+                    flags.push(at + 20);
+                    let mut rest = &p[21..];
+                    for _ in 0..2 {
+                        WitnessSet::decode(&mut rest, 4096).expect("an encoded set");
+                    }
+                    at += p.len() - rest.len();
+                    p = rest;
+                }
+                let cuts = (0..good.payload.len()).map(|cut| good.payload[..cut].to_vec());
+                let flips = flags.iter().map(|&at| {
+                    let mut bytes = good.payload.to_vec();
+                    bytes[at] ^= 1 << bit;
+                    bytes
+                });
+                let wire = std::iter::once(good.payload.to_vec()).chain(cuts).chain(flips);
+                let mut buf = VotesFrame { req: true, ack: true, entries: held };
+                for payload in wire {
+                    let m = with_payload(payload);
+                    let expected = VotesFrame::from_message(&m, 256);
+                    let read = buf.read_from(&m, 256);
+                    prop_assert_eq!(read.then(|| buf.clone()), expected);
+                    // Refused or not, the next frame starts from what is left.
+                    if !read {
+                        prop_assert_eq!(&buf, &VotesFrame::default());
+                    }
                 }
             }
         }

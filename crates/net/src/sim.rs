@@ -46,6 +46,14 @@ pub struct Context<'a> {
     now: Time,
     self_id: NodeId,
     neighbors: &'a [NodeId],
+    effects: Effects,
+}
+
+/// What a process did while handling one event. The [`Simulation`] keeps
+/// one set and lends it to every event's [`Context`]; drained after the
+/// event and put back, its buffers keep their capacity.
+#[derive(Default)]
+struct Effects {
     outbox: Vec<(NodeId, Message)>,
     /// Which entries of `outbox` are connection set-up, by index.
     setup: Vec<usize>,
@@ -83,7 +91,7 @@ impl Context<'_> {
             "{to} is not a neighbor of {}",
             self.self_id
         );
-        self.outbox.push((to, msg));
+        self.effects.outbox.push((to, msg));
     }
 
     /// Sends `msg` to `to` as connection set-up: an attached fault
@@ -95,20 +103,20 @@ impl Context<'_> {
     ///
     /// Panics if `to` is not a neighbor.
     pub fn send_setup(&mut self, to: NodeId, msg: Message) {
-        self.setup.push(self.outbox.len());
+        self.effects.setup.push(self.effects.outbox.len());
         self.send(to, msg);
     }
 
     /// Delivers `msg` to the local application (records the delivery).
     pub fn deliver(&mut self, msg: Message) {
-        self.delivered.push(msg);
+        self.effects.delivered.push(msg);
     }
 
     /// Schedules [`Process::on_timer`] to fire on this process after
     /// `delay` (relative to now). `token` is handed back on expiry so one
     /// process can keep several timers apart.
     pub fn set_timer(&mut self, delay: Time, token: u64) {
-        self.timers.push((self.now + delay, token));
+        self.effects.timers.push((self.now + delay, token));
     }
 }
 
@@ -188,6 +196,8 @@ pub struct Simulation {
     /// The run in progress, between [`Simulation::start`] and
     /// [`Simulation::finish`].
     run: Option<Run>,
+    /// Lent to each event's [`Context`] in turn.
+    effects: Effects,
 }
 
 impl Simulation {
@@ -204,6 +214,7 @@ impl Simulation {
             faults: None,
             sampler: None,
             run: None,
+            effects: Effects::default(),
         }
     }
 
@@ -422,10 +433,7 @@ impl Simulation {
             now: time,
             self_id: at,
             neighbors: self.topology.neighbors(at),
-            outbox: Vec::new(),
-            setup: Vec::new(),
-            delivered: Vec::new(),
-            timers: Vec::new(),
+            effects: std::mem::take(&mut self.effects),
         };
         let process = &mut run.processes[at.index()];
         // `parent` is the neighbor whose message was being handled, if any.
@@ -444,7 +452,8 @@ impl Simulation {
             }
             Some(Slot::Free(_)) => unreachable!("a queued event owns its slot"),
         };
-        for d in ctx.delivered {
+        let mut fx = ctx.effects;
+        for d in fx.delivered.drain(..) {
             if let Some(c) = &run.m_delivs {
                 c.inc();
             }
@@ -469,20 +478,21 @@ impl Simulation {
                 trace: d.trace,
             });
         }
-        for (i, (to, msg)) in ctx.outbox.into_iter().enumerate() {
-            let setup = ctx.setup.contains(&i);
+        for (i, (to, msg)) in fx.outbox.drain(..).enumerate() {
+            let setup = fx.setup.contains(&i);
             // Fault decisions key on a per-message counter that advances
             // even for dropped frames, so a plan's verdicts line up
             // run-to-run regardless of what earlier faults removed.
             let (from, dest) = (at.index() as u32, to.index() as u32);
-            let copies = match &self.faults {
-                Some(f) if setup && f.blocked(from, dest, time) => Vec::new(),
+            let decided;
+            let copies: &[u64] = match &self.faults {
+                Some(f) if setup && f.blocked(from, dest, time) => &[],
                 Some(f) if !setup => {
-                    let c = f.decide(from, dest, time, run.fault_seq);
+                    decided = f.decide(from, dest, time, run.fault_seq);
                     run.fault_seq += 1;
-                    c
+                    &decided
                 }
-                _ => vec![0],
+                _ => &[0],
             };
             if copies.is_empty() {
                 run.report.messages_dropped += 1;
@@ -491,7 +501,7 @@ impl Simulation {
                 }
                 continue;
             }
-            for extra in copies {
+            for &extra in copies {
                 run.report.messages_sent += 1;
                 if let Some(c) = &run.m_msgs {
                     c.inc();
@@ -507,9 +517,11 @@ impl Simulation {
                 run.push(time + latency, to, Slot::Message { from: at, msg });
             }
         }
-        for (fire_at, token) in ctx.timers {
+        for (fire_at, token) in fx.timers.drain(..) {
             run.push(fire_at, at, Slot::Timer { token });
         }
+        fx.setup.clear();
+        self.effects = fx;
     }
 }
 
