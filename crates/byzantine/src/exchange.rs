@@ -128,6 +128,11 @@ fn add_tags(set: &mut Vec<ByzTag>, tags: impl IntoIterator<Item = ByzTag>) {
 /// entries) must not pin its size for the node's lifetime.
 const KEPT_CAPACITY: usize = 1024;
 
+/// How many sent `VOTES` payloads an exchange keeps to encode later frames
+/// into: one for each link a wake-up may write to before the driver lets
+/// go of any, with room to spare.
+const SENT_KEPT: usize = 8;
+
 /// Empties a reused buffer, keeping at most [`KEPT_CAPACITY`] of its room.
 fn empty<T>(buf: &mut Vec<T>) {
     buf.clear();
@@ -156,13 +161,15 @@ pub struct VoteExchange<P> {
     /// peers for one transition, the instances one input touched, the
     /// instances being declared (by the frame being read, or to one peer in
     /// a repair round; empty between uses), the frame being read and the
-    /// frame being built.
+    /// frame being built, and the payloads of the last frames sent — the
+    /// next is encoded into one of theirs that the driver has let go of.
     actions: Vec<Action>,
     peers: Vec<P>,
     touched: Vec<ByzTag>,
     declared: Vec<ByzTag>,
     inbox: VotesFrame,
     outgoing: VotesFrame,
+    sent: Vec<Bytes>,
 }
 
 impl<P: Copy + Ord> VoteExchange<P> {
@@ -183,6 +190,7 @@ impl<P: Copy + Ord> VoteExchange<P> {
             declared: Vec::new(),
             inbox: VotesFrame::default(),
             outgoing: VotesFrame::default(),
+            sent: Vec::with_capacity(SENT_KEPT),
         }
     }
 
@@ -357,7 +365,7 @@ impl<P: Copy + Ord> VoteExchange<P> {
                     }),
                 }
             }
-            Self::post(me, peer, link, &mut self.outgoing, out);
+            Self::post(me, peer, link, &mut self.outgoing, &mut self.sent, out);
         }
     }
 
@@ -511,7 +519,8 @@ impl<P: Copy + Ord> VoteExchange<P> {
                 || due == Due::Readies
                 || (due == Due::Echoes && !link.awaiting)
             {
-                Self::flush(&self.engine, me, peer, link, &mut self.outgoing, out);
+                let (frame, sent) = (&mut self.outgoing, &mut self.sent);
+                Self::flush(&self.engine, me, peer, link, frame, sent, out);
             } else if due == Due::Nothing {
                 empty(&mut link.dirty);
             }
@@ -563,6 +572,7 @@ impl<P: Copy + Ord> VoteExchange<P> {
         peer: P,
         link: &mut Link,
         frame: &mut VotesFrame,
+        sent: &mut Vec<Bytes>,
         out: &mut Sends<P>,
     ) {
         let owed = &link.owed;
@@ -616,19 +626,27 @@ impl<P: Copy + Ord> VoteExchange<P> {
         }
         empty(&mut link.owed);
         empty(&mut link.dirty);
-        Self::post(me, peer, link, frame, out);
+        Self::post(me, peer, link, frame, sent, out);
     }
 
     /// Sends `frame` to `link`'s peer as the next turn of their
     /// conversation: it answers if the peer asked, it asks if it says
     /// something and nothing is being waited for, and it is not sent at all
     /// if it does neither. Its entries are cleared either way.
-    fn post(me: u32, peer: P, link: &mut Link, frame: &mut VotesFrame, out: &mut Sends<P>) {
+    fn post(
+        me: u32,
+        peer: P,
+        link: &mut Link,
+        frame: &mut VotesFrame,
+        sent: &mut Vec<Bytes>,
+        out: &mut Sends<P>,
+    ) {
         frame.ack = std::mem::take(&mut link.asked);
         frame.req = !frame.entries.is_empty() && !link.awaiting;
         link.awaiting |= frame.req;
         if frame.ack || !frame.entries.is_empty() {
-            out.push((peer, frame.to_message(me)));
+            let msg = frame.to_message_reusing(me, sent, SENT_KEPT);
+            out.push((peer, msg));
         }
         empty(&mut frame.entries);
     }

@@ -1,7 +1,10 @@
 //! Who owns the bytes, measured: a payload crosses the codec without being
 //! copied. Writing a frame allocates nothing, reading one allocates its
 //! body once, and the decoded payload — with every clone and forward of it
-//! — lives inside that one allocation. And the ack that retires a frame,
+//! — lives inside that one allocation. A link's reader does better for
+//! control frames: it reads each into the buffer of the one before, once
+//! nothing holds that any more, so they cost nothing at all; data bodies
+//! keep an allocation of their own. And the ack that retires a frame,
 //! standalone or riding on a data frame, allocates nothing at the sender:
 //! once acks ride on most data frames, anything it allocated would be paid
 //! per frame.
@@ -15,12 +18,14 @@ use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use bytes::Bytes;
-use lhg_net::codec::{read_frame, write_frame, MAX_FRAME_LEN};
+use lhg_net::codec::{read_frame, write_frame, FrameDecoder, FrameQueue, MAX_FRAME_LEN};
 use lhg_net::message::Message;
 use lhg_net::reliable::{
-    encode_ack_payload, DataOutcome, LinkSender, ReliableConfig, ReliableCore, ACK_TAG, SUMMARY_TAG,
+    encode_ack_payload, encode_summary_payload, DataOutcome, LinkSender, ReliableConfig,
+    ReliableCore, ACK_TAG, SUMMARY_TAG,
 };
 use lhg_net::seen::SeenSet;
+use lhg_net::wirecost::HEARTBEAT_TAG;
 
 /// Allocations of at least this many bytes are "payload-sized".
 const LARGE: usize = 1024;
@@ -143,6 +148,7 @@ fn a_payload_is_allocated_once_per_link_crossing() {
     assert_eq!(all, 0);
 
     clean_acks_allocate_nothing_at_the_sender();
+    a_link_reader_reuses_its_control_buffer();
 }
 
 /// One link's sender, then the whole data plane: a clean cumulative ack
@@ -180,4 +186,74 @@ fn clean_acks_allocate_nothing_at_the_sender() {
     let (outcome, all, _) = allocs_in(|| core.on_data(1, &riding, &mut seen, 3, [1], &mut out));
     assert_eq!(outcome, DataOutcome::Duplicate);
     assert_eq!((out.len(), all), (0, 0), "a piggybacked clean ack");
+}
+
+/// One link's reader and writer over a byte pipe: control frames cost
+/// nothing once the buffer is warm, a data frame costs its own body, and a
+/// held payload is never read over.
+fn a_link_reader_reuses_its_control_buffer() {
+    let (mut wire, mut reader) = (
+        Vec::with_capacity(1 << 16),
+        FrameDecoder::new(MAX_FRAME_LEN),
+    );
+    let mut queue = FrameQueue::with_capacity(8);
+    let mut read = |wire: &mut Vec<u8>, msg: Message| {
+        wire.clear();
+        queue.push(msg);
+        queue.flush(wire).expect("a Vec takes it");
+        allocs_in(|| {
+            reader
+                .read_from(&mut &wire[..])
+                .expect("reads")
+                .expect("a frame")
+        })
+    };
+    let ack = |cum| Message::new(ACK_TAG | 1, 1, encode_ack_payload(cum, &[]));
+    let summary = Message::new(
+        SUMMARY_TAG | 1,
+        1,
+        encode_summary_payload(false, &[7, 8, 9]),
+    );
+    let heartbeat = Message::new(HEARTBEAT_TAG | 1, 1, Bytes::new());
+
+    // A heartbeat still held by the node does not hold its body: its
+    // empty payload is no slice of it.
+    let (beat, _, _) = read(&mut wire, heartbeat.clone());
+    let (_, all, _) = read(&mut wire, ack(5));
+    assert_eq!(
+        all, 0,
+        "a decoded empty-payload frame's payload pins nothing"
+    );
+    assert_eq!(beat, heartbeat);
+
+    // Warm: acks, summaries and heartbeats cost nothing.
+    for msg in [ack(6), summary.clone(), heartbeat.clone(), ack(7)] {
+        let (got, all, _) = read(&mut wire, msg.clone());
+        assert_eq!(
+            (got, all),
+            (msg, 0),
+            "a control frame in a reclaimed buffer"
+        );
+    }
+
+    // A data frame costs exactly one allocation, of its length.
+    let data = Message::new(42, 1, Bytes::from(vec![0x5A; 2048])).with_link_seq(3);
+    let (got, all, large) = read(&mut wire, data.clone());
+    assert_eq!((all, large), (1, 1), "a data frame allocates its own body");
+    let counted =
+        (data.encoded_len() + 2 * size_of::<usize>()).next_multiple_of(align_of::<usize>());
+    assert_eq!(LAST_LARGE_SIZE.load(Relaxed), counted);
+    assert_eq!(got, data);
+
+    // The node keeps a slice of a control frame: the next frame is read
+    // into a fresh buffer, and the held bytes stay what they were.
+    let (kept, _, _) = read(&mut wire, summary.clone());
+    let held = kept.payload.slice(1..);
+    let before = held.to_vec();
+    drop(kept);
+    let (next, all, _) = read(&mut wire, ack(8));
+    assert_eq!((next, all), (ack(8), 1), "a held buffer is not reused");
+    assert_eq!(held.to_vec(), before, "the held bytes are unchanged");
+    let (_, all, _) = read(&mut wire, ack(9));
+    assert_eq!(all, 0, "the fresh buffer is reused in turn");
 }

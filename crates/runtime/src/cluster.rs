@@ -27,7 +27,7 @@ use lhg_telemetry::{PeriodicSampler, TelemetrySampler, Timeline};
 use lhg_trace::{merge_timelines, BroadcastTrace, FlightRecorder, TraceCollector};
 
 use crate::core::{self, BootOpts};
-use crate::node::{spawn_node, BroadcastClock, Directory, Event, NodeHandle, NodeShared};
+use crate::node::{spawn_node, BroadcastClock, Directory, NodeHandle, NodeShared};
 use crate::wire::MAX_MEMBERS;
 use crate::RuntimeConfig;
 
@@ -327,10 +327,9 @@ impl Cluster {
         // The broadcast id doubles as the trace id: every delivery of this
         // message records its path into the cluster's TraceCollector.
         let msg = Message::new(id, origin as u32, payload).with_trace(id);
-        handle
-            .tx
-            .send(Event::App(core::Event::Broadcast(msg)))
-            .map_err(|_| ClusterError::NoSuchMember(origin))?;
+        if !handle.send(core::Event::Broadcast(msg)) {
+            return Err(ClusterError::NoSuchMember(origin));
+        }
         Ok(id)
     }
 
@@ -358,10 +357,9 @@ impl Cluster {
             .get(&origin)
             .ok_or(ClusterError::NoSuchMember(origin))?;
         self.metrics.counter("runtime.byz_broadcasts").inc();
-        handle
-            .tx
-            .send(Event::App(core::Event::ByzBroadcast { nonce, payload }))
-            .map_err(|_| ClusterError::NoSuchMember(origin))?;
+        if !handle.send(core::Event::ByzBroadcast { nonce, payload }) {
+            return Err(ClusterError::NoSuchMember(origin));
+        }
         Ok(())
     }
 
@@ -411,7 +409,7 @@ impl Cluster {
             .nodes
             .get_mut(&member)
             .ok_or(ClusterError::NoSuchMember(member))?;
-        let _ = handle.tx.send(Event::Kill);
+        handle.kill();
         if let Some(main) = handle.main.take() {
             let _ = main.join();
         }
@@ -628,7 +626,7 @@ impl Cluster {
         let members = self.members();
         for member in members {
             if let Some(handle) = self.nodes.get_mut(&member) {
-                let _ = handle.tx.send(Event::Kill);
+                handle.kill();
                 if let Some(main) = handle.main.take() {
                     let _ = main.join();
                 }

@@ -43,8 +43,8 @@
 //! * **traitor scripts** — when and to whom a configured traitor lies.
 //!
 //! What stays with the driver is what only it can know: fault injection,
-//! wire accounting at the write site, connection generations, and the
-//! publication of state to other threads.
+//! wire accounting where a frame is queued, which socket is a peer's link,
+//! and the publication of state to other threads.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -75,7 +75,8 @@ use crate::RuntimeConfig;
 pub enum Event {
     /// A frame arrived from `from` over its current link. Frames of
     /// superseded connections and frames a fault plan blocks never get
-    /// here — connection generations and fault injection are the driver's.
+    /// here — which socket is the link, and fault injection, are the
+    /// driver's.
     Frame {
         /// The linked peer the frame came from.
         from: MemberId,

@@ -4,9 +4,9 @@
 //! Where [`lhg_net::sim`] measures the flooding protocol alone, this crate
 //! runs the whole node: every protocol decision lives in the sans-IO
 //! [`core::NodeCore`] (events in, actions out, time a `u64` of µs), and two
-//! thin drivers execute it — [`node`], where each node is a set of OS
-//! threads owning a loopback [`std::net::TcpListener`], links are TCP
-//! connections and frames are the length-prefixed
+//! thin drivers execute it — [`node`], where each node is one OS thread
+//! polling a loopback [`std::net::TcpListener`] and its links, links are
+//! nonblocking TCP connections and frames are the length-prefixed
 //! [`lhg_net::message::Message`] encoding ([`lhg_net::codec`]) used
 //! everywhere else in the workspace; and [`simnode`], where the same core
 //! is a [`lhg_net::sim::Process`] on the complete graph and a membership
@@ -17,8 +17,8 @@
 //!
 //! 1. **Connection manager** — *which* links are wanted, when a failed
 //!    dial may be retried and which hello is acceptable are decided by the
-//!    core's reconcile pass ([`core`]); dialing, accepting, connection
-//!    generations and fault injection are the driver's ([`node`]). The
+//!    core's reconcile pass ([`core`]); dialing, accepting, reading and
+//!    writing sockets and fault injection are the driver's ([`node`]). The
 //!    smaller member id dials, the larger accepts.
 //! 2. **Reliable links** ([`lhg_net::reliable`]) — data frames carry
 //!    per-link sequence numbers; cumulative acks with selective NACKs drive
@@ -86,7 +86,7 @@
 //! c.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Duration;
@@ -95,6 +95,7 @@ pub mod cluster;
 pub mod core;
 pub mod node;
 pub mod simnode;
+mod sys;
 pub mod wire;
 
 pub use cluster::{Cluster, ClusterError};

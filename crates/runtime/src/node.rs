@@ -2,29 +2,24 @@
 //!
 //! Every protocol decision — dispatch, flooding, failure detection,
 //! healing, rejoin, Byzantine scripts, which links are wanted — lives in
-//! the sans-IO [`crate::core`]. This module is what remains once those are
-//! gone: a loopback [`TcpListener`] and three kinds of threads,
+//! the sans-IO [`crate::core`]. What remains is **one thread per node**: a
+//! loop that waits in `poll` (the `sys` module) on the node's loopback
+//! [`TcpListener`], its links, the strangers it accepted and a wake-up
+//! socket [`crate::Cluster`] writes a byte to after each event it sends,
+//! until the core's next deadline ([`NodeCore::next_deadline`]). Each
+//! wake-up takes the application's events off the channel, accepts, and
+//! reads every ready socket until it would block: a stranger's hello
+//! (hello-sized and within [`crate::RuntimeConfig::dial_timeout`], or it is
+//! dropped), a link's frames ([`FrameDecoder`]) — each handed to the core
+//! as soon as it is whole, so the core has let go of it before the next is
+//! read into the same buffer. The core's answers are executed in order, it
+//! is ticked whenever its deadline has come (never because a frame did),
+//! and each link's queued frames ([`FrameQueue`]) are written as far as its
+//! socket takes them. Sockets are nonblocking, so two nodes writing to each
+//! other cannot deadlock; dials are the one blocking call. A replaced
+//! socket leaves the poll set with its unread bytes: a stale connection's
+//! frames never reach the core. Three more things only the driver knows:
 //!
-//! * an **acceptor** polling the listener; each accepted connection gets a
-//!   **reader** thread that takes the hello off the wire (hello-sized and
-//!   within [`crate::RuntimeConfig::dial_timeout`], or the stranger is
-//!   dropped), registers the write half with the main loop, then decodes
-//!   length-prefixed frames ([`lhg_net::codec::read_frame`]) into the
-//!   node's event channel — each payload a slice of the one buffer the
-//!   socket filled for its frame;
-//! * a **main loop** that owns the write halves, turns channel events into
-//!   core events stamped with the cluster's monotonic clock, and executes
-//!   the actions the core answers with, in order. Periodic duties are the
-//!   core's too: the loop sleeps until [`NodeCore::next_deadline`] and calls
-//!   [`NodeCore::tick`] once that has come, never because a frame did.
-//!
-//! Four things stay here because only the driver can know them:
-//!
-//! * **Connection generations** — every socket (dialed or accepted) gets a
-//!   node-local id; frames and EOFs of a superseded connection are
-//!   discarded before the core sees them, so a stale socket's sequence
-//!   numbers never pollute its replacement's and its death never tears the
-//!   replacement down.
 //! * **Fault injection** — when [`crate::RuntimeConfig::faults`] carries a
 //!   [`lhg_net::fault::FaultInjector`], every frame write, frame read and
 //!   dial consults it, so chaos runs can drop/duplicate frames and cut
@@ -32,39 +27,39 @@
 //!   ignored here (TCP has no timer wheel); the simulator honours them.
 //! * **Wire accounting** — `runtime.messages_sent` / `runtime.bytes_sent`,
 //!   the per-class wire costs and the `FrameTx` event are recorded at the
-//!   one site that writes a frame, which is what makes them reconcile.
-//!   The instruments touched per frame and per delivery are resolved once,
-//!   at boot (`Instruments`); a lookup by name takes the registry's lock.
-//! * **Publication** — the core is single-threaded; [`NodeShared`] is the
-//!   copy of its state other threads may read, republished only when the
-//!   core says it changed. The delivery-latency clock is wall time.
-//!   Deliveries leave the node here too: the id into a log, the message —
-//!   payload and all — to the subscriber's channel or to nobody.
+//!   one site that queues a frame, which is what makes them reconcile.
+//!   Per-frame and per-delivery instruments are resolved once, at boot
+//!   (`Instruments`); a lookup by name takes the registry's lock.
+//! * **Publication** — [`NodeShared`] is the copy of the core's state other
+//!   threads may read, republished only when the core says it changed. The
+//!   delivery-latency clock is wall time. Deliveries leave the node here:
+//!   the id into a log, the message to the subscriber's channel or nobody.
 //!
-//! Link ownership is asymmetric to avoid duplicate connections: the member
-//! with the **smaller id dials**, the larger one accepts.
+//! The member with the **smaller id dials**, the larger one accepts.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 
 use lhg_core::overlay::{DynamicOverlay, MemberId};
-use lhg_net::codec::{read_frame, read_frame_limited, write_frame};
+use lhg_net::codec::{write_frame, FrameDecoder, FrameQueue, MAX_FRAME_LEN};
 use lhg_net::message::{Message, HEADER_LEN, MAX_EXT_LEN};
 use lhg_net::metrics::{Counter, Histogram, MetricsRegistry};
 use lhg_net::wirecost::WireAccountant;
 use lhg_trace::{EventKind, FlightRecorder, PathRecord, TraceCollector};
 
 use crate::core::{self, Action, BootOpts, NodeCore};
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::wire;
 use crate::RuntimeConfig;
 
@@ -76,34 +71,8 @@ pub type Directory = Arc<RwLock<HashMap<MemberId, SocketAddr>>>;
 /// end-to-end latency into the metrics registry.
 pub(crate) type BroadcastClock = Arc<RwLock<HashMap<u64, Instant>>>;
 
-/// Events feeding a node's main loop.
-pub(crate) enum Event {
-    /// A decoded frame arrived from connected peer `from` over connection
-    /// generation `conn`.
-    Frame {
-        from: MemberId,
-        conn: u64,
-        msg: Message,
-    },
-    /// The acceptor finished a handshake: the hello named `peer`, `writer`
-    /// is the write half and `conn` the connection's generation id.
-    Accepted {
-        peer: MemberId,
-        conn: u64,
-        writer: TcpStream,
-    },
-    /// Connection `conn` to `peer` died (EOF or I/O error on the read
-    /// side). During a rejoin both sides may briefly hold two sockets to
-    /// the same peer; only the current one's death is a link failure.
-    PeerClosed { peer: MemberId, conn: u64 },
-    /// The application asks the core for something (a broadcast).
-    App(core::Event),
-    /// Fail-stop: abandon everything immediately, no goodbyes.
-    Kill,
-}
-
 /// Node state observable by the [`crate::Cluster`] orchestrator. All fields
-/// are written by the node's own threads and only read (cheap snapshots)
+/// are written by the node's own thread and only read (cheap snapshots)
 /// from outside.
 pub struct NodeShared {
     /// This node's stable member id.
@@ -132,6 +101,28 @@ pub struct NodeShared {
 }
 
 impl NodeShared {
+    fn new(
+        id: MemberId,
+        addr: SocketAddr,
+        rejoining: bool,
+        overlay: &Arc<DynamicOverlay>,
+        crashes: BTreeSet<MemberId>,
+    ) -> Self {
+        NodeShared {
+            id,
+            addr,
+            alive: AtomicBool::new(true),
+            degraded: AtomicBool::new(false),
+            join_pending: AtomicBool::new(rejoining),
+            delivered: Mutex::new(Vec::new()),
+            subscriber: Mutex::new(None),
+            byz_delivered: Mutex::new(Vec::new()),
+            overlay: Mutex::new(Arc::clone(overlay)),
+            links_up: Mutex::new(BTreeSet::new()),
+            crashes_applied: Mutex::new(crashes),
+        }
+    }
+
     /// `false` once the node was killed (or shut down) — fail-stop.
     #[must_use]
     pub fn is_alive(&self) -> bool {
@@ -256,11 +247,30 @@ impl NodeShared {
 /// A spawned node: its observable state plus the orchestrator's handles.
 pub(crate) struct NodeHandle {
     pub shared: Arc<NodeShared>,
-    pub tx: Sender<Event>,
+    /// Application events for the core, and the writing end of the loop's
+    /// wake-up socket (nonblocking: when it is full, a wake-up is pending).
+    tx: Sender<core::Event>,
+    waker: UnixStream,
     pub main: Option<JoinHandle<()>>,
 }
 
-/// Boots a node: binds threads around `listener` and returns immediately.
+impl NodeHandle {
+    /// Hands `ev` to the node's core and wakes its loop; `false` if the
+    /// loop is gone.
+    pub(crate) fn send(&self, ev: core::Event) -> bool {
+        let sent = self.tx.send(ev).is_ok();
+        let _ = (&self.waker).write(&[1]);
+        sent
+    }
+
+    /// Fail-stop: the loop abandons everything when it wakes, no goodbyes.
+    pub(crate) fn kill(&self) {
+        self.shared.alive.store(false, Ordering::SeqCst);
+        let _ = (&self.waker).write(&[1]);
+    }
+}
+
+/// Boots a node: spawns its thread around `listener` and returns at once.
 /// The node dials its overlay neighbors from its first loop iteration.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_node(
@@ -274,9 +284,12 @@ pub(crate) fn spawn_node(
     recorder: Arc<FlightRecorder>,
     tracer: Arc<TraceCollector>,
     opts: BootOpts,
-) -> std::io::Result<NodeHandle> {
+) -> io::Result<NodeHandle> {
     listener.set_nonblocking(true)?;
     let (tx, rx) = unbounded();
+    let (waker, wake) = UnixStream::pair()?;
+    waker.set_nonblocking(true)?;
+    wake.set_nonblocking(true)?;
     // A boot membership below 3f+1 is a configuration error, surfaced here
     // instead of aborting the process.
     let roster = directory.read().keys().copied().collect();
@@ -287,150 +300,70 @@ pub(crate) fn spawn_node(
         recorder.now_us(),
     );
     let core = NodeCore::new(id, overlay, roster, &config, m, r, opts, now_us)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
-    let shared = Arc::new(NodeShared {
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let addr = listener.local_addr()?;
+    let shared = Arc::new(NodeShared::new(
         id,
-        addr: listener.local_addr()?,
-        alive: AtomicBool::new(true),
-        degraded: AtomicBool::new(false),
-        join_pending: AtomicBool::new(rejoining),
-        delivered: Mutex::new(Vec::new()),
-        subscriber: Mutex::new(None),
-        byz_delivered: Mutex::new(Vec::new()),
-        overlay: Mutex::new(Arc::clone(core.overlay())),
-        links_up: Mutex::new(BTreeSet::new()),
-        crashes_applied: Mutex::new(crashes),
-    });
-
-    // Node-local connection generation counter, shared by the acceptor and
-    // the main loop's dialer so every socket gets a unique id.
-    let conns = Arc::new(AtomicU64::new(0));
-
-    // Acceptor: poll-accept so the thread can observe the kill flag.
-    {
-        let (shared, tx, conns) = (Arc::clone(&shared), tx.clone(), Arc::clone(&conns));
-        let hello_timeout = config.dial_timeout;
-        let rejected = metrics.counter("runtime.hello_rejected");
-        std::thread::spawn(move || loop {
-            if !shared.is_alive() {
-                return; // listener drops, port closes
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_nodelay(true);
-                    let (tx, conns, rejected) = (tx.clone(), Arc::clone(&conns), rejected.clone());
-                    std::thread::spawn(move || {
-                        if !handshake_then_read(stream, hello_timeout, &tx, &conns) {
-                            rejected.inc();
-                        }
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => return,
-            }
-        });
-    }
-
+        addr,
+        rejoining,
+        core.overlay(),
+        crashes,
+    ));
     let driver = NodeDriver {
         id,
         shared: Arc::clone(&shared),
         config,
         directory,
         instruments: Instruments::resolve(&metrics),
-        metrics,
         clock,
         recorder,
         tracer,
-        tx: tx.clone(),
+        rx,
+        wake,
+        listener,
         published_epoch: core.view_epoch(),
         core,
         out: Vec::new(),
         pending: VecDeque::new(),
-        writers: BTreeMap::new(),
-        conn_ids: HashMap::new(),
-        conns,
+        links: BTreeMap::new(),
+        strangers: Vec::new(),
         fault_seqs: HashMap::new(),
         links_dirty: false,
     };
-    let main = Some(std::thread::spawn(move || driver.run(&rx)));
-    Ok(NodeHandle { shared, tx, main })
+    let main = Some(std::thread::spawn(move || driver.run()));
+    Ok(NodeHandle {
+        shared,
+        tx,
+        waker,
+        main,
+    })
 }
 
 /// The largest frame body a hello can have: no payload, any extensions.
 const HELLO_MAX_LEN: usize = HEADER_LEN + MAX_EXT_LEN;
 
-/// A socket whose reads all fail once `deadline` has passed, however the
-/// peer paces its bytes.
-struct ReadUntil<'a> {
-    stream: &'a TcpStream,
+/// Frames a link's queue has room for from the start.
+const QUEUE_ROOM: usize = 8;
+
+/// An accepted connection that has not said who it is. Until it has, it is
+/// entitled to neither memory nor patience: its first frame must be
+/// hello-sized — a longer length prefix is refused before anything is
+/// allocated for it — and complete by `deadline`.
+struct Stranger {
+    stream: TcpStream,
+    reader: FrameDecoder,
     deadline: Instant,
 }
 
-impl Read for ReadUntil<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(io::ErrorKind::TimedOut.into());
-        }
-        self.stream.set_read_timeout(Some(left))?;
-        (&mut self.stream).read(buf)
-    }
+/// One peer's connection: the socket, the frame being read off it and the
+/// frames waiting to be written to it.
+struct Link {
+    stream: TcpStream,
+    reader: FrameDecoder,
+    queue: FrameQueue,
 }
 
-/// Takes the hello off a freshly accepted connection. Until it has said
-/// who it is the peer is a stranger, entitled to neither memory nor
-/// patience: its first frame must be hello-sized — a longer length prefix
-/// is refused before anything is allocated for it — and complete within
-/// `timeout`, so a silent connection cannot park this thread.
-fn read_hello(stream: &TcpStream, timeout: Duration) -> Option<MemberId> {
-    let deadline = Instant::now() + timeout;
-    let mut limited = ReadUntil { stream, deadline };
-    let hello = read_frame_limited(&mut limited, HELLO_MAX_LEN).ok()??;
-    stream.set_read_timeout(None).ok()?;
-    // Protocol violation unless the first frame is a hello.
-    if !hello.payload.is_empty() {
-        return None;
-    }
-    wire::hello_peer(hello.broadcast_id)
-}
-
-/// An accepted connection's thread: the hello, then — once the write half
-/// is registered with the main loop, where the core decides whether the
-/// claimed id is acceptable — the plain reader loop. `false` if the peer
-/// never produced a hello.
-fn handshake_then_read(
-    mut stream: TcpStream,
-    hello_timeout: Duration,
-    tx: &Sender<Event>,
-    conns: &AtomicU64,
-) -> bool {
-    let Some(peer) = read_hello(&stream, hello_timeout) else {
-        return false;
-    };
-    if let Ok(writer) = stream.try_clone() {
-        let conn = conns.fetch_add(1, Ordering::Relaxed);
-        if tx.send(Event::Accepted { peer, conn, writer }).is_ok() {
-            reader_loop(peer, conn, &mut stream, tx);
-        }
-    }
-    true
-}
-
-/// Decodes frames until EOF/error, forwarding each into the main loop.
-fn reader_loop(peer: MemberId, conn: u64, stream: &mut TcpStream, tx: &Sender<Event>) {
-    while let Ok(Some(msg)) = read_frame(stream) {
-        let from = peer;
-        if tx.send(Event::Frame { from, conn, msg }).is_err() {
-            return; // node is gone
-        }
-    }
-    let _ = tx.send(Event::PeerClosed { peer, conn });
-}
-
-/// The instruments the driver touches per frame written and per delivery.
+/// The instruments the driver touches per frame and per delivery.
 struct Instruments {
     messages_sent: Arc<Counter>,
     bytes_sent: Arc<Counter>,
@@ -438,6 +371,9 @@ struct Instruments {
     deliveries: Arc<Counter>,
     byz_delivered: Arc<Counter>,
     delivery_latency_us: Arc<Histogram>,
+    hello_rejected: Arc<Counter>,
+    chaos_frames_blocked: Arc<Counter>,
+    chaos_frames_dropped: Arc<Counter>,
 }
 
 impl Instruments {
@@ -449,18 +385,20 @@ impl Instruments {
             deliveries: metrics.counter("runtime.deliveries"),
             byz_delivered: metrics.counter("runtime.byz_delivered"),
             delivery_latency_us: metrics.histogram("runtime.delivery_latency_us"),
+            hello_rejected: metrics.counter("runtime.hello_rejected"),
+            chaos_frames_blocked: metrics.counter("runtime.chaos_frames_blocked"),
+            chaos_frames_dropped: metrics.counter("runtime.chaos_frames_dropped"),
         }
     }
 }
 
-/// The main loop's owned state: the core plus everything socket-shaped.
-/// Single-threaded; shared observability goes through [`NodeShared`].
+/// The node's thread: the core plus everything socket-shaped. Shared
+/// observability goes through [`NodeShared`].
 struct NodeDriver {
     id: MemberId,
     shared: Arc<NodeShared>,
     config: RuntimeConfig,
     directory: Directory,
-    metrics: Arc<MetricsRegistry>,
     instruments: Instruments,
     clock: BroadcastClock,
     /// This node's flight recorder; its epoch (shared by the whole cluster)
@@ -468,97 +406,188 @@ struct NodeDriver {
     recorder: Arc<FlightRecorder>,
     /// Cluster-wide sink for per-delivery path records.
     tracer: Arc<TraceCollector>,
-    /// Cloned into reader threads spawned for dialed connections.
-    tx: Sender<Event>,
+    /// The application's events, and the socket that says there are some.
+    rx: Receiver<core::Event>,
+    wake: UnixStream,
+    listener: TcpListener,
     core: NodeCore,
     /// The reused action sink, and core events produced while executing it
-    /// (dial outcomes, write failures), fed back once it is drained.
+    /// (dial outcomes), fed back once it is drained.
     out: Vec<Action>,
     pending: VecDeque<core::Event>,
-    /// Write halves of every live connection, keyed by peer id (ordered:
-    /// a flood goes out in the same order on every host), and the
-    /// generation id of the connection currently backing each.
-    writers: BTreeMap<MemberId, TcpStream>,
-    conn_ids: HashMap<MemberId, u64>,
-    /// Source of connection generation ids (shared with the acceptor).
-    conns: Arc<AtomicU64>,
+    /// Every live connection, keyed by peer id (ordered: a flood goes out
+    /// in the same order on every host).
+    links: BTreeMap<MemberId, Link>,
+    strangers: Vec<Stranger>,
     /// Per-peer outbound frame counters keying fault-injection decisions.
     fault_seqs: HashMap<MemberId, u64>,
-    /// [`NodeCore::view_epoch`] as last published, and whether `writers`
+    /// [`NodeCore::view_epoch`] as last published, and whether `links`
     /// changed since [`NodeShared::links_up`] was.
     published_epoch: u64,
     links_dirty: bool,
 }
 
 impl NodeDriver {
-    fn run(mut self, rx: &Receiver<Event>) {
-        self.step(None);
-        while self.shared.is_alive() {
-            let due = self.core.next_deadline();
-            let wait = Duration::from_micros(due.saturating_sub(self.recorder.now_us()));
-            match rx.recv_timeout(wait) {
-                Ok(Event::Kill) | Err(RecvTimeoutError::Disconnected) => break,
-                Ok(ev) => {
-                    let ev = self.admit(ev);
-                    self.step(ev);
-                }
-                Err(RecvTimeoutError::Timeout) => self.step(None),
+    fn run(mut self) {
+        let mut fds = Vec::with_capacity(2 + 2 * QUEUE_ROOM);
+        let mut ready = Vec::with_capacity(QUEUE_ROOM);
+        while self.shared.is_alive() && self.take_events() {
+            self.tick_if_due();
+            self.flush();
+            self.publish();
+            if !self.wait(&mut fds) {
+                break;
+            }
+            ready.clear();
+            let links = self.links.keys().zip(&fds[2..]);
+            ready.extend(links.filter_map(|(&peer, fd)| fd.ready().then_some(peer)));
+            if fds[1].ready() {
+                self.accept();
+            }
+            for i in (0..self.strangers.len()).rev() {
+                self.greet(i);
+            }
+            for &peer in &ready {
+                self.read(peer);
+            }
+            if fds[0].ready() {
+                while (&self.wake).read(&mut [0; 64]).is_ok_and(|n| n > 0) {}
             }
         }
         // Fail-stop: slam every socket shut so peers see EOF, not silence.
         self.shared.retire();
-        for s in self.writers.values() {
-            let _ = s.shutdown(Shutdown::Both);
+        for link in self.links.values() {
+            let _ = link.stream.shutdown(Shutdown::Both);
         }
     }
 
-    /// One loop iteration: the event (if any), then a tick if one is due,
-    /// each followed by what executing its answers stirred up; publication.
-    fn step(&mut self, event: Option<core::Event>) {
-        if let Some(ev) = event {
-            self.core.handle(ev, self.recorder.now_us(), &mut self.out);
-            self.execute();
+    /// Waits in `poll` until a socket is ready or the next deadline — the
+    /// core's, or a stranger's — has come; `false` if waiting failed.
+    fn wait(&self, fds: &mut Vec<PollFd>) -> bool {
+        fds.clear();
+        fds.push(PollFd::new(&self.wake, POLLIN));
+        fds.push(PollFd::new(&self.listener, POLLIN));
+        for link in self.links.values() {
+            let out = if link.queue.is_empty() { 0 } else { POLLOUT };
+            fds.push(PollFd::new(&link.stream, POLLIN | out));
         }
+        fds.extend(
+            self.strangers
+                .iter()
+                .map(|s| PollFd::new(&s.stream, POLLIN)),
+        );
+        let due = self.core.next_deadline();
+        let mut timeout = Duration::from_micros(due.saturating_sub(self.recorder.now_us()));
+        if let Some(first) = self.strangers.iter().map(|s| s.deadline).min() {
+            timeout = timeout.min(first.saturating_duration_since(Instant::now()));
+        }
+        sys::poll(fds, timeout)
+    }
+
+    /// Feeds the core the application's events; `false` once the
+    /// orchestrator is gone.
+    fn take_events(&mut self) -> bool {
+        loop {
+            match self.rx.try_recv() {
+                Ok(ev) => self.handle(ev),
+                Err(TryRecvError::Empty) => return true,
+                Err(TryRecvError::Disconnected) => return false,
+            }
+        }
+    }
+
+    /// One core event, what executing its answers stirred up, and a tick
+    /// if one has come due meanwhile.
+    fn handle(&mut self, ev: core::Event) {
+        self.core.handle(ev, self.recorder.now_us(), &mut self.out);
+        self.execute();
+        self.tick_if_due();
+    }
+
+    fn tick_if_due(&mut self) {
         let now = self.recorder.now_us();
         if now >= self.core.next_deadline() {
             self.core.tick(now, &mut self.out);
             self.execute();
         }
-        self.publish();
     }
 
-    /// Turns a channel event into a core event, or swallows it: connection
-    /// generations and the read-side fault check are settled here.
-    fn admit(&mut self, ev: Event) -> Option<core::Event> {
-        match ev {
-            // A superseded connection's leftovers carry sequence numbers
-            // from a dead link-sequence space; they must not reach the
-            // replacement link's receiver state.
-            Event::Frame { from, conn, .. } if self.conn_ids.get(&from) != Some(&conn) => {
-                self.metrics.counter("runtime.stale_conn_frames").inc();
-                None
+    /// Takes every connection the listener holds in as a stranger.
+    fn accept(&mut self) {
+        while let Ok((stream, _)) = self.listener.accept() {
+            if stream.set_nonblocking(true).is_err() {
+                continue;
             }
-            Event::Frame { from, msg, .. } => {
-                // Read-side partition check: frames already in flight when
-                // a cut activates must not leak through it.
-                let f = self.config.faults.as_ref();
-                if f.is_some_and(|f| f.blocked(from as u32, self.id as u32, f.elapsed_us())) {
-                    self.metrics.counter("runtime.chaos_frames_blocked").inc();
-                    return None;
+            let _ = stream.set_nodelay(true);
+            self.strangers.push(Stranger {
+                stream,
+                reader: FrameDecoder::new(HELLO_MAX_LEN),
+                deadline: Instant::now() + self.config.dial_timeout,
+            });
+        }
+    }
+
+    /// Reads on from stranger `i`. A hello makes it a link — whether the
+    /// claimed id is acceptable is the core's call — and anything else (a
+    /// frame that is no hello, an EOF, an error, or no hello by the
+    /// deadline) gets it dropped.
+    fn greet(&mut self, i: usize) {
+        let s = &mut self.strangers[i];
+        let hello = match s.reader.read_from(&mut s.stream) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock && Instant::now() < s.deadline => {
+                return
+            }
+            Ok(Some(hello)) if hello.payload.is_empty() => wire::hello_peer(hello.broadcast_id),
+            _ => None,
+        };
+        let Stranger {
+            stream, mut reader, ..
+        } = self.strangers.swap_remove(i);
+        let Some(peer) = hello else {
+            self.instruments.hello_rejected.inc();
+            return;
+        };
+        reader.set_max_len(MAX_FRAME_LEN);
+        self.install(peer, stream, reader);
+        let dialed = false;
+        self.handle(core::Event::LinkUp { peer, dialed });
+    }
+
+    /// Hands the core every frame `peer`'s socket holds, one at a time; an
+    /// EOF or a read error takes the link down.
+    fn read(&mut self, peer: MemberId) {
+        while let Some(link) = self.links.get_mut(&peer) {
+            match link.reader.read_from(&mut link.stream) {
+                Ok(Some(msg)) => {
+                    // Read-side partition check: frames already in flight
+                    // when a cut activates must not leak through it.
+                    let f = self.config.faults.as_ref();
+                    if f.is_some_and(|f| f.blocked(peer as u32, self.id as u32, f.elapsed_us())) {
+                        self.instruments.chaos_frames_blocked.inc();
+                        continue;
+                    }
+                    self.handle(core::Event::Frame { from: peer, msg });
                 }
-                Some(core::Event::Frame { from, msg })
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Ok(None) | Err(_) => {
+                    let down = self.uninstall(peer);
+                    return self.handle(down);
+                }
             }
-            Event::Accepted { peer, conn, writer } => {
-                self.install(peer, conn, writer);
-                let dialed = false;
-                Some(core::Event::LinkUp { peer, dialed })
-            }
-            // EOFs from superseded sockets are expected churn.
-            Event::PeerClosed { peer, conn } => {
-                (self.conn_ids.get(&peer) == Some(&conn)).then(|| self.uninstall(peer))
-            }
-            Event::App(ev) => Some(ev),
-            Event::Kill => None,
+        }
+    }
+
+    /// Writes what every link has queued, as far as its socket takes it; a
+    /// failed write takes the link down, which the core hears at once.
+    fn flush(&mut self) {
+        loop {
+            let failed = (self.links.iter_mut())
+                .find_map(|(&peer, l)| l.queue.flush(&mut l.stream).is_err().then_some(peer));
+            let Some(peer) = failed else {
+                return;
+            };
+            let down = self.uninstall(peer);
+            self.handle(down);
         }
     }
 
@@ -570,16 +599,15 @@ impl NodeDriver {
             for action in out.drain(..) {
                 match action {
                     Action::Send { to, msg } => self.send_to(to, &msg),
-                    // A failed write uninstalls its writer mid-flood, so
-                    // the walk is by key, not by borrowed iterator.
+                    // By key: queueing a frame needs the whole driver.
                     Action::Flood { msg, except } => {
-                        let mut next = self.writers.keys().next().copied();
+                        let mut next = self.links.keys().next().copied();
                         while let Some(to) = next {
                             if Some(to) != except {
                                 self.send_to(to, &msg);
                             }
                             let after = (Bound::Excluded(to), Bound::Unbounded);
-                            next = self.writers.range(after).next().map(|(&p, _)| p);
+                            next = self.links.range(after).next().map(|(&p, _)| p);
                         }
                     }
                     Action::Dial { peer } => {
@@ -618,7 +646,7 @@ impl NodeDriver {
         self.shared.degraded.store(degraded, Ordering::SeqCst);
         self.shared.join_pending.store(rejoining, Ordering::SeqCst);
         if std::mem::take(&mut self.links_dirty) {
-            *self.shared.links_up.lock() = self.writers.keys().copied().collect();
+            *self.shared.links_up.lock() = self.links.keys().copied().collect();
         }
     }
 
@@ -651,10 +679,12 @@ impl NodeDriver {
         self.instruments.deliveries.inc();
     }
 
-    /// Sends one frame to `peer` through the fault injector (if any): the
-    /// frame may be swallowed (counted, not a link failure) or written more
-    /// than once (duplicate injection). Injected extra delays are ignored —
-    /// TCP ordering makes per-frame delay infeasible without a timer wheel.
+    /// Queues a frame for `peer` through the fault injector (if any) and
+    /// books it as sent: this is where a blocking write would have
+    /// returned. The frame may be swallowed (counted, not a link failure) or
+    /// queued more than once (duplicate injection). Injected extra delays
+    /// are ignored — TCP ordering makes per-frame delay infeasible without a
+    /// timer wheel. Frames for a peer without a link fall on the floor.
     fn send_to(&mut self, peer: MemberId, msg: &Message) {
         let mut copies = 1;
         if let Some(f) = self.config.faults.as_ref() {
@@ -665,45 +695,31 @@ impl NodeDriver {
             *seq += 1;
             if copies == 0 {
                 // The network ate it; the link is fine.
-                self.metrics.counter("runtime.chaos_frames_dropped").inc();
+                self.instruments.chaos_frames_dropped.inc();
                 self.recorder
                     .record(EventKind::FaultDrop { peer: peer as u32 });
             }
         }
+        let Some(link) = self.links.get_mut(&peer) else {
+            return;
+        };
         for _ in 0..copies {
-            if !self.write_frame_to(peer, msg) {
-                return;
-            }
+            let n = link.queue.push(msg.clone());
+            self.instruments.messages_sent.inc();
+            self.instruments.bytes_sent.add(n as u64);
+            // Same site as the counters above, so per-class totals
+            // reconcile with them exactly (n includes the length prefix).
+            let (id, from, to) = (msg.broadcast_id, self.id as u32, peer as u32);
+            self.instruments.wire.record(from, to, id, n as u64);
+            let (peer, bytes) = (to, n as u32);
+            self.recorder.record(EventKind::FrameTx { peer, bytes });
         }
     }
 
-    /// Writes one frame to `peer`; a failed write tears the link down and
-    /// tells the core (which redials if the link is still wanted). Frames
-    /// for a peer without a link fall on the floor.
-    fn write_frame_to(&mut self, peer: MemberId, msg: &Message) -> bool {
-        let Some(stream) = self.writers.get_mut(&peer) else {
-            return false;
-        };
-        let Ok(n) = write_frame(stream, msg) else {
-            let down = self.uninstall(peer);
-            self.pending.push_back(down);
-            return false;
-        };
-        self.instruments.messages_sent.inc();
-        self.instruments.bytes_sent.add(n as u64);
-        // Same site as the counters above, so per-class totals reconcile
-        // with them exactly (n includes the length prefix).
-        let wire = &self.instruments.wire;
-        wire.record(self.id as u32, peer as u32, msg.broadcast_id, n as u64);
-        let (peer, bytes) = (peer as u32, n as u32);
-        self.recorder.record(EventKind::FrameTx { peer, bytes });
-        true
-    }
-
-    /// Dials `peer`, performs the hello handshake and spawns its reader;
-    /// returns the outcome for the core. Fault-injected partitions block
-    /// dialing too — a cut that only dropped frames could be bypassed by
-    /// reconnecting through it.
+    /// Dials `peer` and performs the hello handshake; returns the outcome
+    /// for the core. Fault-injected partitions block dialing too — a cut
+    /// that only dropped frames could be bypassed by reconnecting through
+    /// it.
     fn dial(&mut self, peer: MemberId) -> core::Event {
         let failed = core::Event::DialFailed { peer };
         let f = self.config.faults.as_ref();
@@ -718,36 +734,46 @@ impl NodeDriver {
         };
         let _ = stream.set_nodelay(true);
         let hello = Message::new(wire::hello_id(self.id), self.id as u32, Bytes::new());
-        let Ok(mut reader) = write_frame(&mut stream, &hello).and(stream.try_clone()) else {
+        if (write_frame(&mut stream, &hello).and(stream.set_nonblocking(true))).is_err() {
             return failed;
-        };
-        let tx = self.tx.clone();
-        let conn = self.conns.fetch_add(1, Ordering::Relaxed);
-        std::thread::spawn(move || reader_loop(peer, conn, &mut reader, &tx));
-        self.install(peer, conn, stream);
+        }
+        self.install(peer, stream, FrameDecoder::new(MAX_FRAME_LEN));
         let dialed = true;
         core::Event::LinkUp { peer, dialed }
     }
 
-    /// Makes connection `conn` the link to `peer`, in place of any older
-    /// socket (whose EOF will then be a stale generation's).
-    fn install(&mut self, peer: MemberId, conn: u64, writer: TcpStream) {
-        if let Some(old) = self.writers.insert(peer, writer) {
-            let _ = old.shutdown(Shutdown::Both);
+    /// Makes `stream` the link to `peer`, in place of any older socket,
+    /// which is shut and leaves the poll set with whatever it held.
+    fn install(&mut self, peer: MemberId, stream: TcpStream, reader: FrameDecoder) {
+        let queue = FrameQueue::with_capacity(QUEUE_ROOM);
+        let link = Link {
+            stream,
+            reader,
+            queue,
+        };
+        if let Some(old) = self.links.insert(peer, link) {
+            old.close();
         }
-        self.conn_ids.insert(peer, conn);
         self.links_dirty = true;
     }
 
     /// Closes and forgets the connection to `peer`, if any; returns the
     /// event that tells the core about a teardown it did not ask for.
     fn uninstall(&mut self, peer: MemberId) -> core::Event {
-        if let Some(s) = self.writers.remove(&peer) {
-            let _ = s.shutdown(Shutdown::Both);
+        if let Some(old) = self.links.remove(&peer) {
+            old.close();
             self.links_dirty = true;
         }
-        self.conn_ids.remove(&peer);
         core::Event::LinkDown { peer }
+    }
+}
+
+impl Link {
+    /// Shuts the socket after what the core sent before closing it, as far
+    /// as the socket takes it now: a blocking write would have sent that.
+    fn close(mut self) {
+        let _ = self.queue.flush(&mut self.stream);
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -758,19 +784,8 @@ mod tests {
 
     fn shared() -> NodeShared {
         let overlay = DynamicOverlay::bootstrap(Constraint::Jd, 6, 2).expect("overlay");
-        NodeShared {
-            id: 0,
-            addr: "127.0.0.1:0".parse().expect("addr"),
-            alive: AtomicBool::new(true),
-            degraded: AtomicBool::new(false),
-            join_pending: AtomicBool::new(false),
-            delivered: Mutex::new(Vec::new()),
-            subscriber: Mutex::new(None),
-            byz_delivered: Mutex::new(Vec::new()),
-            overlay: Mutex::new(Arc::new(overlay)),
-            links_up: Mutex::new(BTreeSet::new()),
-            crashes_applied: Mutex::new(BTreeSet::new()),
-        }
+        let addr = "127.0.0.1:0".parse().expect("addr");
+        NodeShared::new(0, addr, false, &Arc::new(overlay), BTreeSet::new())
     }
 
     #[test]

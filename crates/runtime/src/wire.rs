@@ -29,7 +29,7 @@ pub use lhg_net::reliable::{
 };
 
 /// Tag bit of a handshake frame: the first frame a dialer sends, announcing
-/// its member id so the acceptor can key the connection. The numeric values
+/// its member id so the accepting node can key the connection. The numeric values
 /// of this and the other runtime tags are re-derived from
 /// [`lhg_net::wirecost`], the canonical home of the class-tag bits, so
 /// wire-cost accounting in `lhg-net` classifies runtime control traffic

@@ -1,7 +1,8 @@
 //! The I/O line, enforced: `core.rs` is sans-IO and `node.rs` is only a
 //! driver. A protocol decision creeping back into the socket loop — or a
 //! socket, thread or wall clock into the state machine — fails here, not
-//! in review.
+//! in review. And the crate's one system call the standard library does
+//! not wrap keeps its `unsafe` to `sys.rs`.
 
 fn offenders<'a>(source: &str, banned: &[&'a str]) -> Vec<&'a str> {
     (banned.iter().copied())
@@ -29,4 +30,30 @@ fn core_is_sans_io_and_node_is_only_a_driver() {
         "wire::classify",
     ];
     assert_eq!(offenders(node, &banned), Vec::<&str>::new(), "node.rs");
+}
+
+#[test]
+fn unsafe_code_stays_in_sys() {
+    let unsafe_code = [
+        "unsafe {",
+        "unsafe fn",
+        "unsafe impl",
+        "unsafe extern",
+        "(unsafe_code)]",
+    ];
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = 0;
+    for entry in std::fs::read_dir(src).expect("src/") {
+        let path = entry.expect("an entry").path();
+        let source = std::fs::read_to_string(&path).expect("readable");
+        let found = offenders(&source, &unsafe_code);
+        match path.file_name().and_then(|f| f.to_str()) {
+            Some("sys.rs") => assert!(found.contains(&"unsafe {"), "sys.rs"),
+            // The crate denies unsafe code; sys.rs is the one exception.
+            Some("lib.rs") => assert_eq!(found, ["(unsafe_code)]"], "lib.rs"),
+            _ => assert_eq!(found, Vec::<&str>::new(), "{}", path.display()),
+        }
+        files += 1;
+    }
+    assert!(files >= 7, "{files} files");
 }
