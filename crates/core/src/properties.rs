@@ -12,15 +12,22 @@
 //! * **P5 k-regularity** — every node has degree exactly k (optional:
 //!   marks edge-minimal LHGs).
 //!
+//! [`validate`] makes one pass over one pair of flow networks
+//! ([`Connectivity`]). It computes the exact κ once, and λ from Whitney's
+//! κ ≤ λ ≤ δ: when κ = δ (every LHG) λ = δ needs no flow, and only
+//! otherwise does λ get its own sweep. P1 is κ ≥ k, P2 is λ ≥ k, and P3
+//! reuses both: a link with an endpoint of degree λ drops λ when removed,
+//! and any other link `e` costs two flows between its endpoints on the
+//! same networks with `e`'s arcs disabled
+//! ([`Connectivity::survives_removal`]).
+//!
 //! Besides the flow-based exact checks, [`exhaustive_node_fault_tolerance`]
 //! and [`exhaustive_link_fault_tolerance`] brute-force every removal set of
 //! size ≤ k−1 — exponential, but feasible for the paper-scale examples and
 //! used by experiment E12 to cross-validate the flow results.
 
-use lhg_graph::connectivity::{
-    edge_connectivity, is_k_edge_connected, is_k_vertex_connected, vertex_connectivity,
-};
-use lhg_graph::degree::{harary_edge_lower_bound, is_k_regular};
+use lhg_graph::connectivity::Connectivity;
+use lhg_graph::degree::{degree_stats, harary_edge_lower_bound, is_k_regular};
 use lhg_graph::paths::diameter;
 use lhg_graph::subgraph::SubgraphView;
 use lhg_graph::{Edge, Graph, NodeId};
@@ -85,38 +92,40 @@ pub fn p4_diameter_bound(n: usize, k: usize) -> f64 {
     2.0 * (n.max(2) as f64).ln() / base.ln() + 4.0
 }
 
+/// Exact (κ, λ) of `g`, on `c`'s networks for `g`; λ comes free from
+/// Whitney's κ ≤ λ ≤ δ wherever κ = δ.
+fn connectivities(g: &Graph, c: &mut Connectivity<'_>) -> (usize, usize) {
+    let kappa = c.vertex_connectivity();
+    let delta = degree_stats(g).min;
+    let lambda = if kappa == delta {
+        delta
+    } else {
+        c.edge_connectivity()
+    };
+    (kappa, lambda)
+}
+
+/// P3 on the networks `c` holds for `g`, whose connectivities are κ and λ.
+fn link_minimal(g: &Graph, c: &mut Connectivity<'_>, (kappa, lambda): (usize, usize)) -> bool {
+    // A disconnected (or trivial) graph cannot lose connectivity.
+    lambda > 0
+        && g.edges().all(|e| {
+            // λ(G−e) ≤ min_deg − 1 < λ(G) when an endpoint has degree λ.
+            g.degree(e.a).min(g.degree(e.b)) == lambda || !c.survives_removal(e, kappa, lambda)
+        })
+}
+
 /// Returns `true` if removing any single link reduces node or link
 /// connectivity (LHG property P3).
 ///
 /// Fast path: if an endpoint of the link has degree equal to λ(G), removing
-/// the link forces λ below its old value. Otherwise the connectivities of
-/// `G − e` are recomputed exactly.
+/// the link forces λ below its old value. Otherwise two flows between the
+/// link's endpoints, with the link disabled, decide it exactly.
 #[must_use]
 pub fn is_link_minimal(g: &Graph) -> bool {
-    let kappa = vertex_connectivity(g);
-    let lambda = edge_connectivity(g);
-    if lambda == 0 {
-        // A disconnected (or trivial) graph cannot lose connectivity.
-        return false;
-    }
-    for e in g.edges() {
-        let min_deg = g.degree(e.a).min(g.degree(e.b));
-        if min_deg == lambda {
-            continue; // λ(G−e) ≤ min_deg − 1 < λ(G)
-        }
-        let mut reduced = Graph::with_nodes(g.node_count());
-        for f in g.edges() {
-            if f != e {
-                reduced.add_edge(f.a, f.b);
-            }
-        }
-        let still_node = is_k_vertex_connected(&reduced, kappa);
-        let still_link = is_k_edge_connected(&reduced, lambda);
-        if still_node && still_link {
-            return false;
-        }
-    }
-    true
+    let mut c = Connectivity::new(g);
+    let both = connectivities(g, &mut c);
+    link_minimal(g, &mut c, both)
 }
 
 /// Validates `g` against the full LHG definition for connectivity `k`.
@@ -137,12 +146,14 @@ pub fn validate(g: &Graph, k: usize) -> LhgReport {
     let n = g.node_count();
     let d = diameter(g);
     let bound = p4_diameter_bound(n, k);
+    let mut c = Connectivity::new(g);
+    let (kappa, lambda) = connectivities(g, &mut c);
     LhgReport {
         n,
         k,
-        node_connectivity_ok: is_k_vertex_connected(g, k),
-        link_connectivity_ok: is_k_edge_connected(g, k),
-        link_minimal: is_link_minimal(g),
+        node_connectivity_ok: kappa >= k,
+        link_connectivity_ok: lambda >= k,
+        link_minimal: link_minimal(g, &mut c, (kappa, lambda)),
         diameter: d,
         diameter_bound: bound,
         logarithmic_diameter: d.is_some_and(|d| f64::from(d) <= bound),

@@ -10,21 +10,18 @@
 //! * **vertex connectivity** — the standard node-splitting network (each
 //!   vertex `v` becomes `v_in → v_out` with capacity 1) plus Even's pair
 //!   selection: with `v` a minimum-degree vertex, the global value is the
-//!   minimum of κ(v, w) over non-neighbors `w` of `v` and κ(x, y) over
-//!   non-adjacent pairs of neighbors of `v` (or `n − 1` for complete graphs).
+//!   minimum of `deg(v)`, of κ(v, w) over non-neighbors `w` of `v` and of
+//!   κ(x, y) over non-adjacent pairs of neighbors of `v` (`n − 1` for
+//!   complete graphs, which have no such pair).
 //!
-//! `is_k_*_connected` variants cap every flow at `k` for an early exit —
-//! the validators only need the yes/no answer.
+//! Neither network depends on the pair (a flow from `out(s)` to `in(t)`
+//! never uses the split arcs of `s` or `t`), so each sweep builds one and
+//! runs every pair on it; [`Connectivity`] keeps both for one graph.
+//! `is_k_*_connected` variants cap every flow at `k`.
 
 use crate::flow::FlowNetwork;
 use crate::graph::Edge;
 use crate::{Graph, NodeId};
-
-/// Large finite stand-in for infinite capacity; flows here never exceed the
-/// node count, so `node_count + 1` is safely "infinite".
-fn inf_cap(g: &Graph) -> u64 {
-    g.node_count() as u64 + 1
-}
 
 /// Returns `true` if every pair of distinct nodes is adjacent.
 #[must_use]
@@ -33,11 +30,8 @@ pub fn is_complete(g: &Graph) -> bool {
     g.edge_count() == n * n.saturating_sub(1) / 2
 }
 
-// ---------------------------------------------------------------------------
-// Edge connectivity
-// ---------------------------------------------------------------------------
-
-fn edge_flow_network(g: &Graph) -> FlowNetwork {
+/// Two opposed unit arcs per edge of `g`.
+pub(crate) fn edge_network(g: &Graph) -> FlowNetwork {
     let mut net = FlowNetwork::new(g.node_count());
     for e in g.edges() {
         net.add_edge(e.a.index(), e.b.index(), 1);
@@ -45,6 +39,60 @@ fn edge_flow_network(g: &Graph) -> FlowNetwork {
     }
     net
 }
+
+/// The node-split network: `in(v) = 2v → out(v) = 2v + 1` with capacity 1
+/// for every node, then `out(a) → in(b)` and `out(b) → in(a)` with capacity
+/// `edge_cap` for every edge. Unit edge arcs leave a non-adjacent pair's max
+/// flow at κ(s, t) and give a direct `s`–`t` edge exactly one path.
+pub(crate) fn split_network(g: &Graph, edge_cap: u64) -> FlowNetwork {
+    let mut net = FlowNetwork::new(2 * g.node_count());
+    for v in 0..g.node_count() {
+        net.add_edge(2 * v, 2 * v + 1, 1);
+    }
+    for e in g.edges() {
+        net.add_edge(2 * e.a.index() + 1, 2 * e.b.index(), edge_cap);
+        net.add_edge(2 * e.b.index() + 1, 2 * e.a.index(), edge_cap);
+    }
+    net
+}
+
+/// One flow capped at `cap`, leaving `net` clean for the next.
+fn flow(net: &mut FlowNetwork, s: usize, t: usize, cap: usize) -> usize {
+    let f = net.max_flow_capped(s, t, cap as u64) as usize;
+    net.reset();
+    f
+}
+
+/// `min(λ(G), cap)` on `g`'s edge network: node 0 to every other node.
+fn edge_sweep(g: &Graph, net: &mut FlowNetwork, cap: usize) -> usize {
+    let mut best = cap.min(g.nodes().map(|v| g.degree(v)).min().unwrap_or(0)); // λ ≤ δ
+    for t in 1..g.node_count() {
+        if best == 0 {
+            break;
+        }
+        best = best.min(flow(net, 0, t, best));
+    }
+    best
+}
+
+/// `min(κ(G), cap)` on `g`'s split network, over Even's pairs.
+fn vertex_sweep(g: &Graph, net: &mut FlowNetwork, cap: usize) -> usize {
+    let Some(v) = g.nodes().min_by_key(|&v| g.degree(v)) else {
+        return 0;
+    };
+    let mut best = cap.min(g.degree(v)); // κ ≤ δ
+    for (s, t) in even_pairs(g, v) {
+        if best == 0 {
+            break;
+        }
+        best = best.min(flow(net, 2 * s.index() + 1, 2 * t.index(), best));
+    }
+    best
+}
+
+// ---------------------------------------------------------------------------
+// Edge connectivity
+// ---------------------------------------------------------------------------
 
 /// Maximum number of edge-disjoint paths between `s` and `t` (Menger), the
 /// local edge connectivity λ(s, t). Capped at `cap` if provided.
@@ -54,9 +102,8 @@ fn edge_flow_network(g: &Graph) -> FlowNetwork {
 /// Panics if `s == t` or either is out of bounds.
 #[must_use]
 pub fn local_edge_connectivity(g: &Graph, s: NodeId, t: NodeId, cap: Option<usize>) -> usize {
-    let mut net = edge_flow_network(g);
-    let cap = cap.map_or(u64::MAX, |c| c as u64);
-    net.max_flow_capped(s.index(), t.index(), cap) as usize
+    let cap = cap.unwrap_or(usize::MAX);
+    flow(&mut edge_network(g), s.index(), t.index(), cap)
 }
 
 /// Global edge connectivity λ(G): the minimum number of edges whose removal
@@ -64,38 +111,14 @@ pub fn local_edge_connectivity(g: &Graph, s: NodeId, t: NodeId, cap: Option<usiz
 /// with fewer than two nodes.
 #[must_use]
 pub fn edge_connectivity(g: &Graph) -> usize {
-    let n = g.node_count();
-    if n < 2 || !crate::components::is_connected(g) {
-        return 0;
-    }
-    let mut best = g.degree(NodeId(0)); // λ ≤ min degree ≤ deg(0)
-    for t in 1..n {
-        if best == 0 {
-            break;
-        }
-        best = best.min(local_edge_connectivity(g, NodeId(0), NodeId(t), Some(best)));
-    }
-    best
+    edge_sweep(g, &mut edge_network(g), usize::MAX)
 }
 
 /// Returns `true` if λ(G) ≥ k, i.e. removing any k−1 edges leaves the graph
 /// connected. `k == 0` is vacuously true.
 #[must_use]
 pub fn is_k_edge_connected(g: &Graph, k: usize) -> bool {
-    if k == 0 {
-        return true;
-    }
-    let n = g.node_count();
-    if n < 2 {
-        return false;
-    }
-    if g.nodes().any(|v| g.degree(v) < k) {
-        return false; // min degree bounds λ
-    }
-    if !crate::components::is_connected(g) {
-        return false;
-    }
-    (1..n).all(|t| local_edge_connectivity(g, NodeId(0), NodeId(t), Some(k)) >= k)
+    edge_sweep(g, &mut edge_network(g), k) >= k
 }
 
 /// A minimum edge cut: a smallest set of edges whose removal disconnects the
@@ -111,17 +134,17 @@ pub fn min_edge_cut(g: &Graph) -> Option<Vec<Edge>> {
         return Some(Vec::new());
     }
     // Find the argmin target, then extract the cut from the residual graph.
+    let mut net = edge_network(g);
     let mut best = usize::MAX;
-    let mut best_t = NodeId(1);
+    let mut best_t = 1;
     for t in 1..n {
-        let lam = local_edge_connectivity(g, NodeId(0), NodeId(t), Some(best));
+        let lam = flow(&mut net, 0, t, best);
         if lam < best {
             best = lam;
-            best_t = NodeId(t);
+            best_t = t;
         }
     }
-    let mut net = edge_flow_network(g);
-    net.max_flow(0, best_t.index());
+    net.max_flow(0, best_t);
     // Residual-reachable set from the source = source side of a min cut.
     let reach = net.residual_reachable(0);
     let cut: Vec<Edge> = g
@@ -135,23 +158,6 @@ pub fn min_edge_cut(g: &Graph) -> Option<Vec<Edge>> {
 // ---------------------------------------------------------------------------
 // Vertex connectivity
 // ---------------------------------------------------------------------------
-
-/// Builds the node-split network. Returns (network, in-index fn offset).
-/// For vertex v: in = 2v, out = 2v + 1.
-fn vertex_flow_network(g: &Graph, s: NodeId, t: NodeId) -> FlowNetwork {
-    let n = g.node_count();
-    let inf = inf_cap(g);
-    let mut net = FlowNetwork::new(2 * n);
-    for v in g.nodes() {
-        let cap = if v == s || v == t { inf } else { 1 };
-        net.add_edge(2 * v.index(), 2 * v.index() + 1, cap);
-    }
-    for e in g.edges() {
-        net.add_edge(2 * e.a.index() + 1, 2 * e.b.index(), inf);
-        net.add_edge(2 * e.b.index() + 1, 2 * e.a.index(), inf);
-    }
-    net
-}
 
 /// Maximum number of internally vertex-disjoint paths between non-adjacent
 /// `s` and `t` (Menger), the local vertex connectivity κ(s, t). Capped at
@@ -168,28 +174,20 @@ pub fn local_vertex_connectivity(g: &Graph, s: NodeId, t: NodeId, cap: Option<us
         "local vertex connectivity requires non-adjacent endpoints"
     );
     assert_ne!(s, t, "endpoints must be distinct");
-    let mut net = vertex_flow_network(g, s, t);
-    let cap = cap.map_or(u64::MAX, |c| c as u64);
-    net.max_flow_capped(2 * s.index() + 1, 2 * t.index(), cap) as usize
+    let (out_s, in_t, cap) = (2 * s.index() + 1, 2 * t.index(), cap.unwrap_or(usize::MAX));
+    flow(&mut split_network(g, 1), out_s, in_t, cap)
 }
 
-/// The pairs Even's algorithm must inspect, given min-degree vertex `v`.
-fn even_pairs(g: &Graph, v: NodeId) -> Vec<(NodeId, NodeId)> {
-    let mut pairs = Vec::new();
-    for w in g.nodes() {
-        if w != v && !g.has_edge(v, w) {
-            pairs.push((v, w));
-        }
-    }
-    let neighbors: Vec<NodeId> = g.neighbors(v).collect();
-    for (i, &x) in neighbors.iter().enumerate() {
-        for &y in &neighbors[i + 1..] {
-            if !g.has_edge(x, y) {
-                pairs.push((x, y));
-            }
-        }
-    }
-    pairs
+/// The pairs Even's algorithm must inspect, given min-degree vertex `v`:
+/// `v` with each non-neighbor, then the non-adjacent pairs of its neighbors.
+fn even_pairs(g: &Graph, v: NodeId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    let far = g.nodes().filter(move |&w| w != v && !g.has_edge(v, w));
+    let near = g.neighbors(v).flat_map(move |x| {
+        g.neighbors(v)
+            .filter(move |&y| x < y && !g.has_edge(x, y))
+            .map(move |y| (x, y))
+    });
+    far.map(move |w| (v, w)).chain(near)
 }
 
 /// Global vertex connectivity κ(G): the minimum number of vertices whose
@@ -197,49 +195,14 @@ fn even_pairs(g: &Graph, v: NodeId) -> Vec<(NodeId, NodeId)> {
 /// 0 for disconnected graphs and graphs with fewer than two nodes.
 #[must_use]
 pub fn vertex_connectivity(g: &Graph) -> usize {
-    let n = g.node_count();
-    if n < 2 || !crate::components::is_connected(g) {
-        return 0;
-    }
-    if is_complete(g) {
-        return n - 1;
-    }
-    let v = g.nodes().min_by_key(|&v| g.degree(v)).expect("nonempty");
-    let mut best = g.degree(v); // κ ≤ δ
-    for (s, t) in even_pairs(g, v) {
-        if best == 0 {
-            break;
-        }
-        best = best.min(local_vertex_connectivity(g, s, t, Some(best)));
-    }
-    best
+    vertex_sweep(g, &mut split_network(g, 1), usize::MAX)
 }
 
 /// Returns `true` if κ(G) ≥ k, i.e. removing any k−1 vertices leaves the
 /// graph connected. `k == 0` is vacuously true.
 #[must_use]
 pub fn is_k_vertex_connected(g: &Graph, k: usize) -> bool {
-    if k == 0 {
-        return true;
-    }
-    let n = g.node_count();
-    if n < 2 || n <= k {
-        // κ(G) ≤ n − 1 always, so κ ≥ k needs n ≥ k + 1.
-        return false;
-    }
-    if g.nodes().any(|v| g.degree(v) < k) {
-        return false;
-    }
-    if !crate::components::is_connected(g) {
-        return false;
-    }
-    if is_complete(g) {
-        return n > k;
-    }
-    let v = g.nodes().min_by_key(|&v| g.degree(v)).expect("nonempty");
-    even_pairs(g, v)
-        .into_iter()
-        .all(|(s, t)| local_vertex_connectivity(g, s, t, Some(k)) >= k)
+    vertex_sweep(g, &mut split_network(g, 1), k) >= k
 }
 
 /// A minimum vertex cut: a smallest vertex set whose removal disconnects the
@@ -255,17 +218,18 @@ pub fn min_vertex_cut(g: &Graph) -> Option<Vec<NodeId>> {
         return Some(Vec::new());
     }
     let v = g.nodes().min_by_key(|&v| g.degree(v)).expect("nonempty");
+    // Edge arcs no flow can fill (n + 1 > κ): the cut lies on split arcs.
+    let mut net = split_network(g, n as u64 + 1);
     let mut best = usize::MAX;
     let mut best_pair = None;
     for (s, t) in even_pairs(g, v) {
-        let kappa = local_vertex_connectivity(g, s, t, Some(best));
+        let kappa = flow(&mut net, 2 * s.index() + 1, 2 * t.index(), best);
         if kappa < best {
             best = kappa;
             best_pair = Some((s, t));
         }
     }
     let (s, t) = best_pair.expect("non-complete connected graph has a non-adjacent pair");
-    let mut net = vertex_flow_network(g, s, t);
     net.max_flow(2 * s.index() + 1, 2 * t.index());
     let reach = net.residual_reachable(2 * s.index() + 1);
     // A vertex v is in the cut iff its in-node is reachable but its out-node
@@ -276,6 +240,74 @@ pub fn min_vertex_cut(g: &Graph) -> Option<Vec<NodeId>> {
         .collect();
     debug_assert_eq!(cut.len(), best);
     Some(cut)
+}
+
+/// One graph's edge and split networks, built once and reused by every
+/// question asked of that graph — what validating P1–P3 needs.
+///
+/// # Example
+///
+/// ```
+/// use lhg_graph::connectivity::Connectivity;
+/// use lhg_graph::{Edge, Graph, NodeId};
+///
+/// // A 4-cycle plus the chord 0–2, which it can lose; a cycle edge it cannot.
+/// let ring = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)].map(|(a, b)| (NodeId(a), NodeId(b)));
+/// let g = Graph::from_edges(4, ring);
+/// let mut c = Connectivity::new(&g);
+/// assert_eq!((c.vertex_connectivity(), c.edge_connectivity()), (2, 2));
+/// assert!(c.survives_removal(Edge::new(NodeId(0), NodeId(2)), 2, 2));
+/// assert!(!c.survives_removal(Edge::new(NodeId(0), NodeId(1)), 2, 2));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Connectivity<'g> {
+    g: &'g Graph,
+    vertex: FlowNetwork,
+    edge: FlowNetwork,
+}
+
+impl<'g> Connectivity<'g> {
+    /// Builds `g`'s two networks.
+    #[must_use]
+    pub fn new(g: &'g Graph) -> Self {
+        Connectivity {
+            g,
+            vertex: split_network(g, 1),
+            edge: edge_network(g),
+        }
+    }
+
+    /// κ(G), as [`vertex_connectivity`].
+    pub fn vertex_connectivity(&mut self) -> usize {
+        vertex_sweep(self.g, &mut self.vertex, usize::MAX)
+    }
+
+    /// λ(G), as [`edge_connectivity`].
+    pub fn edge_connectivity(&mut self) -> usize {
+        edge_sweep(self.g, &mut self.edge, usize::MAX)
+    }
+
+    /// Whether `G − e` is still `kappa`-vertex- and `lambda`-edge-connected,
+    /// for `kappa ≤ κ(G)` and `lambda ≤ λ(G)`: two flows between `e`'s
+    /// endpoints `a` and `b`, on the networks of `G` itself.
+    ///
+    /// If `G − e` has a vertex cut `S` with `|S| < kappa ≤ κ(G)`, then
+    /// `G − S` is connected and `G − S − e` is not, so `S` separates `a`
+    /// from `b` in `G − e`: their local κ there is below `kappa` too. The
+    /// same holds for an edge cut smaller than `lambda`, and conversely a
+    /// local value below the bound bounds the global one. As `e`'s unit
+    /// arc crosses every cut between its own ends, each local value in `G`
+    /// is the one in `G − e` plus one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is not an edge of the graph.
+    pub fn survives_removal(&mut self, e: Edge, kappa: usize, lambda: usize) -> bool {
+        assert!(self.g.has_edge(e.a, e.b), "{e} is not an edge of the graph");
+        let (a, b) = (e.a.index(), e.b.index());
+        flow(&mut self.edge, a, b, lambda + 1) > lambda
+            && flow(&mut self.vertex, 2 * a + 1, 2 * b, kappa + 1) > kappa
+    }
 }
 
 #[cfg(test)]

@@ -7,51 +7,50 @@
 //! decomposition, letting tests and experiments *show* the paths rather
 //! than just count them.
 
+use crate::connectivity::{edge_network, split_network};
 use crate::flow::{FlowEdgeId, FlowNetwork};
 use crate::{Graph, NodeId};
 
-/// Cancels opposing flow on antiparallel arc pairs so the path
-/// decomposition cannot walk 2-cycles.
-fn cancel_opposing(net: &FlowNetwork, pairs: &[(FlowEdgeId, FlowEdgeId)]) -> Vec<u64> {
-    let mut flows: Vec<u64> = Vec::new();
-    for &(f, b) in pairs {
-        let ff = net.flow_on(f);
-        let fb = net.flow_on(b);
-        let cancel = ff.min(fb);
-        flows.push(ff - cancel);
-        flows.push(fb - cancel);
-    }
-    flows
+/// Each edge's two arcs in `net`, in `g.edges()` order: the one leaving
+/// network node `tail(a)` for `head(b)`, then the one from `tail(b)` to
+/// `head(a)`.
+fn edge_arcs(
+    g: &Graph,
+    net: &FlowNetwork,
+    tail: impl Fn(usize) -> usize,
+    head: impl Fn(usize) -> usize,
+) -> Vec<(FlowEdgeId, FlowEdgeId)> {
+    let arc = |x: usize, y: usize| {
+        net.find_edge(tail(x), head(y))
+            .expect("every edge has arcs")
+    };
+    g.edges()
+        .map(|e| (arc(e.a.index(), e.b.index()), arc(e.b.index(), e.a.index())))
+        .collect()
 }
 
-/// Maximum set of pairwise **edge-disjoint** paths from `s` to `t`, each
-/// returned as a node sequence `s .. t`. The number of paths equals the
-/// local edge connectivity λ(s, t).
-///
-/// # Panics
-///
-/// Panics if `s == t` or either endpoint is out of bounds.
-#[must_use]
-pub fn edge_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
-    assert_ne!(s, t, "endpoints must be distinct");
-    let n = g.node_count();
-    assert!(s.index() < n && t.index() < n, "endpoint out of bounds");
-
-    let mut net = FlowNetwork::new(n);
-    let mut pairs: Vec<(FlowEdgeId, FlowEdgeId)> = Vec::new();
-    let mut arcs: Vec<(usize, usize)> = Vec::new(); // arc index -> (from, to)
-    for e in g.edges() {
-        let f = net.add_edge(e.a.index(), e.b.index(), 1);
-        let b = net.add_edge(e.b.index(), e.a.index(), 1);
-        pairs.push((f, b));
-        arcs.push((e.a.index(), e.b.index()));
-        arcs.push((e.b.index(), e.a.index()));
+/// Splits the `total` units of flow `net` carries on `pairs` (from
+/// [`edge_arcs`]) into `s → t` node sequences. Opposing flow on an edge is
+/// cancelled first so the decomposition cannot walk 2-cycles.
+fn decompose(
+    g: &Graph,
+    net: &FlowNetwork,
+    pairs: &[(FlowEdgeId, FlowEdgeId)],
+    s: NodeId,
+    t: NodeId,
+    total: u64,
+) -> Vec<Vec<NodeId>> {
+    let mut remaining: Vec<u64> = Vec::with_capacity(2 * pairs.len());
+    let mut arcs: Vec<(usize, usize)> = Vec::with_capacity(2 * pairs.len()); // (from, to)
+    for (e, &(f, b)) in g.edges().zip(pairs) {
+        let (ff, fb) = (net.flow_on(f), net.flow_on(b));
+        let cancel = ff.min(fb);
+        remaining.extend([ff - cancel, fb - cancel]);
+        arcs.extend([(e.a.index(), e.b.index()), (e.b.index(), e.a.index())]);
     }
-    let total = net.max_flow(s.index(), t.index());
-    let mut remaining = cancel_opposing(&net, &pairs);
 
     // Adjacency over arcs with positive remaining flow.
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(); g.node_count()];
     for (i, &(from, _)) in arcs.iter().enumerate() {
         if remaining[i] > 0 {
             out[from].push(i);
@@ -74,6 +73,50 @@ pub fn edge_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> 
         }
         paths.push(path);
     }
+    paths
+}
+
+fn check_endpoints(g: &Graph, s: NodeId, t: NodeId) {
+    assert_ne!(s, t, "endpoints must be distinct");
+    let n = g.node_count();
+    assert!(s.index() < n && t.index() < n, "endpoint out of bounds");
+}
+
+/// Maximum set of pairwise **edge-disjoint** paths from `s` to `t`, each
+/// returned as a node sequence `s .. t`. The number of paths equals the
+/// local edge connectivity λ(s, t).
+///
+/// # Panics
+///
+/// Panics if `s == t` or either endpoint is out of bounds.
+#[must_use]
+pub fn edge_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
+    check_endpoints(g, s, t);
+    let mut net = edge_network(g);
+    let pairs = edge_arcs(g, &net, |v| v, |v| v);
+    let total = net.max_flow(s.index(), t.index());
+    decompose(g, &net, &pairs, s, t, total)
+}
+
+/// `g`'s split network with unit edge arcs (so a direct `s`–`t` edge
+/// carries exactly one path), and each edge's two arcs in it.
+fn path_network(g: &Graph) -> (FlowNetwork, Vec<(FlowEdgeId, FlowEdgeId)>) {
+    let net = split_network(g, 1);
+    let pairs = edge_arcs(g, &net, |v| 2 * v + 1, |v| 2 * v);
+    (net, pairs)
+}
+
+/// The vertex-disjoint paths for one pair on a [`path_network`], leaving
+/// it clean for the next.
+fn split_paths(
+    g: &Graph,
+    (net, pairs): &mut (FlowNetwork, Vec<(FlowEdgeId, FlowEdgeId)>),
+    s: NodeId,
+    t: NodeId,
+) -> Vec<Vec<NodeId>> {
+    let total = net.max_flow(2 * s.index() + 1, 2 * t.index());
+    let paths = decompose(g, net, pairs, s, t, total);
+    net.reset();
     paths
 }
 
@@ -87,59 +130,29 @@ pub fn edge_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> 
 /// Panics if `s == t` or either endpoint is out of bounds.
 #[must_use]
 pub fn vertex_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
-    assert_ne!(s, t, "endpoints must be distinct");
-    let n = g.node_count();
-    assert!(s.index() < n && t.index() < n, "endpoint out of bounds");
+    check_endpoints(g, s, t);
+    split_paths(g, &mut path_network(g), s, t)
+}
 
-    // Node splitting: in(v) = 2v, out(v) = 2v+1; unit split arcs except at
-    // the endpoints. Direct s-t edges are handled by the same network: the
-    // arc out(s) -> in(t) carries that path.
-    let inf = n as u64 + 1;
-    let mut net = FlowNetwork::new(2 * n);
-    for v in 0..n {
-        let cap = if v == s.index() || v == t.index() {
-            inf
-        } else {
-            1
-        };
-        net.add_edge(2 * v, 2 * v + 1, cap);
-    }
-    let mut pairs = Vec::new();
-    let mut arcs: Vec<(usize, usize)> = Vec::new(); // (from node, to node)
-    for e in g.edges() {
-        let f = net.add_edge(2 * e.a.index() + 1, 2 * e.b.index(), 1);
-        let b = net.add_edge(2 * e.b.index() + 1, 2 * e.a.index(), 1);
-        pairs.push((f, b));
-        arcs.push((e.a.index(), e.b.index()));
-        arcs.push((e.b.index(), e.a.index()));
-    }
-    let total = net.max_flow(2 * s.index() + 1, 2 * t.index());
-    let mut remaining = cancel_opposing(&net, &pairs);
-
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, &(from, _)) in arcs.iter().enumerate() {
-        if remaining[i] > 0 {
-            out[from].push(i);
-        }
-    }
-
-    let mut paths = Vec::new();
-    for _ in 0..total {
-        let mut path = vec![s];
-        let mut cur = s.index();
-        while cur != t.index() {
-            let arc = out[cur]
-                .iter()
-                .copied()
-                .find(|&i| remaining[i] > 0)
-                .expect("flow conservation guarantees an outgoing arc");
-            remaining[arc] -= 1;
-            cur = arcs[arc].1;
-            path.push(NodeId(cur));
-        }
-        paths.push(path);
-    }
-    paths
+/// [`vertex_disjoint_paths`] from `s` to every node, on one network built
+/// once: entry `t` is `vertex_disjoint_paths(g, s, t)`, entry `s` is empty.
+///
+/// # Panics
+///
+/// Panics if `s` is out of bounds.
+#[must_use]
+pub fn vertex_disjoint_paths_from(g: &Graph, s: NodeId) -> Vec<Vec<Vec<NodeId>>> {
+    assert!(s.index() < g.node_count(), "endpoint out of bounds");
+    let mut network = path_network(g);
+    g.nodes()
+        .map(|t| {
+            if t == s {
+                Vec::new()
+            } else {
+                split_paths(g, &mut network, s, t)
+            }
+        })
+        .collect()
 }
 
 /// Checks that `paths` are valid s→t paths in `g`, pairwise edge-disjoint,
@@ -315,6 +328,28 @@ mod tests {
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)],
         ];
         assert!(!verify_disjoint(&g, NodeId(0), NodeId(3), &witness, true));
+    }
+
+    #[test]
+    fn all_destinations_of_one_origin_match_the_pairwise_paths() {
+        let g = cycle(7);
+        let mut h = complete(5);
+        h.add_node();
+        h.add_edge(NodeId(4), NodeId(5));
+        for g in [g, h] {
+            for s in g.nodes() {
+                let from = vertex_disjoint_paths_from(&g, s);
+                assert_eq!(from.len(), g.node_count());
+                for t in g.nodes() {
+                    let expected = if s == t {
+                        Vec::new()
+                    } else {
+                        vertex_disjoint_paths(&g, s, t)
+                    };
+                    assert_eq!(from[t.index()], expected, "s={s} t={t}");
+                }
+            }
+        }
     }
 
     #[test]

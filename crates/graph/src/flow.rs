@@ -4,8 +4,13 @@
 //! the LHG properties P1 and P2 are stated in — to unit-capacity max-flow
 //! problems, which [`FlowNetwork::max_flow_capped`] solves with an early
 //! exit: connectivity checks only need to know whether the flow reaches `k`.
+//!
+//! A network is built once and reused for many pairs: [`FlowNetwork::reset`]
+//! restores only the arcs a run pushed flow on, and the BFS and DFS scratch
+//! buffers stay with the network, so a run allocates only while they grow.
 
-use std::collections::VecDeque;
+/// The end of an arc list, and "no level yet".
+const NONE: usize = usize::MAX;
 
 /// Index of a directed edge inside a [`FlowNetwork`].
 ///
@@ -17,6 +22,8 @@ pub struct FlowEdgeId(usize);
 #[derive(Debug, Clone)]
 struct FlowEdge {
     to: usize,
+    /// The next arc out of the same node (`NONE` ends the list).
+    next: usize,
     /// Remaining residual capacity (mutated during augmentation).
     residual: u64,
     /// Capacity the edge was created with (reverse edges: 0).
@@ -36,11 +43,19 @@ struct FlowEdge {
 /// net.add_edge(1, 2, 3);
 /// assert_eq!(net.max_flow(0, 2), 3);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     // edges[i] and edges[i^1] are a forward/backward residual pair.
     edges: Vec<FlowEdge>,
-    head: Vec<Vec<usize>>, // per-node indices into `edges`
+    // Per node, the first and last arc of its list (in insertion order).
+    first: Vec<usize>,
+    last: Vec<usize>,
+    // Kept across runs: BFS, DFS positions and path, arcs that carried flow.
+    level: Vec<usize>,
+    queue: Vec<usize>,
+    iter: Vec<usize>,
+    path: Vec<usize>,
+    touched: Vec<usize>,
 }
 
 impl FlowNetwork {
@@ -48,21 +63,37 @@ impl FlowNetwork {
     #[must_use]
     pub fn new(n: usize) -> Self {
         FlowNetwork {
-            edges: Vec::new(),
-            head: vec![Vec::new(); n],
+            first: vec![NONE; n],
+            last: vec![NONE; n],
+            ..FlowNetwork::default()
         }
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.head.len()
+        self.first.len()
     }
 
     /// Adds a node, returning its index.
     pub fn add_node(&mut self) -> usize {
-        self.head.push(Vec::new());
-        self.head.len() - 1
+        self.first.push(NONE);
+        self.last.push(NONE);
+        self.first.len() - 1
+    }
+
+    fn push_arc(&mut self, from: usize, to: usize, capacity: u64) {
+        let id = self.edges.len();
+        self.edges.push(FlowEdge {
+            to,
+            next: NONE,
+            residual: capacity,
+            original: capacity,
+        });
+        match std::mem::replace(&mut self.last[from], id) {
+            NONE => self.first[from] = id,
+            tail => self.edges[tail].next = id,
+        }
     }
 
     /// Adds a directed edge `from -> to` with the given capacity and its
@@ -72,22 +103,22 @@ impl FlowNetwork {
     ///
     /// Panics if either endpoint is out of bounds.
     pub fn add_edge(&mut self, from: usize, to: usize, capacity: u64) -> FlowEdgeId {
-        assert!(from < self.head.len(), "flow edge source out of bounds");
-        assert!(to < self.head.len(), "flow edge target out of bounds");
+        assert!(from < self.first.len(), "flow edge source out of bounds");
+        assert!(to < self.first.len(), "flow edge target out of bounds");
         let id = self.edges.len();
-        self.edges.push(FlowEdge {
-            to,
-            residual: capacity,
-            original: capacity,
-        });
-        self.edges.push(FlowEdge {
-            to: from,
-            residual: 0,
-            original: 0,
-        });
-        self.head[from].push(id);
-        self.head[to].push(id + 1);
+        self.push_arc(from, to, capacity);
+        self.push_arc(to, from, 0);
         FlowEdgeId(id)
+    }
+
+    /// The first forward edge `from -> to` added, if any.
+    #[must_use]
+    pub(crate) fn find_edge(&self, from: usize, to: usize) -> Option<FlowEdgeId> {
+        let mut a = self.first[from];
+        while a != NONE && (a % 2 == 1 || self.edges[a].to != to) {
+            a = self.edges[a].next;
+        }
+        (a != NONE).then_some(FlowEdgeId(a))
     }
 
     /// Flow currently assigned to a forward edge (after a `max_flow*` call).
@@ -105,94 +136,105 @@ impl FlowNetwork {
     /// cuts.
     #[must_use]
     pub fn residual_reachable(&self, s: usize) -> Vec<bool> {
-        let mut reach = vec![false; self.head.len()];
+        let mut reach = vec![false; self.first.len()];
         reach[s] = true;
         let mut stack = vec![s];
         while let Some(v) = stack.pop() {
-            for &idx in &self.head[v] {
-                let to = self.edges[idx].to;
-                if !reach[to] && self.edges[idx].residual > 0 {
-                    reach[to] = true;
-                    stack.push(to);
+            let mut a = self.first[v];
+            while a != NONE {
+                let e = &self.edges[a];
+                if !reach[e.to] && e.residual > 0 {
+                    reach[e.to] = true;
+                    stack.push(e.to);
                 }
+                a = e.next;
             }
         }
         reach
     }
 
-    /// Resets all flows to zero, keeping the topology.
+    /// Resets all flows to zero, keeping the topology. Only the arcs the
+    /// runs since the last reset pushed flow on are touched.
     pub fn reset(&mut self) {
-        for e in &mut self.edges {
-            e.residual = e.original;
-        }
-    }
-
-    /// BFS level graph; returns `None` when `t` is unreachable.
-    fn levels(&self, s: usize, t: usize) -> Option<Vec<u32>> {
-        let mut level = vec![u32::MAX; self.head.len()];
-        level[s] = 0;
-        let mut q = VecDeque::from([s]);
-        while let Some(v) = q.pop_front() {
-            for &idx in &self.head[v] {
-                let to = self.edges[idx].to;
-                if level[to] == u32::MAX && self.edges[idx].residual > 0 {
-                    level[to] = level[v] + 1;
-                    q.push_back(to);
-                }
+        for &a in &self.touched {
+            for e in [a, a ^ 1] {
+                self.edges[e].residual = self.edges[e].original;
             }
         }
-        (level[t] != u32::MAX).then_some(level)
+        self.touched.clear();
+    }
+
+    /// The level graph, as each node's distance to `t`: a BFS from `t`
+    /// against the residual arcs, until it reaches `s`. Returns `false` when
+    /// it cannot. The DFS then takes only arcs one step closer to `t`, so it
+    /// walks the shortest paths alone and finds the very paths it would on
+    /// a BFS from `s`, without entering the dead ends that BFS also labels.
+    fn levels(&mut self, s: usize, t: usize) -> bool {
+        self.level.clear();
+        self.level.resize(self.first.len(), NONE);
+        self.level[t] = 0;
+        self.queue.clear();
+        self.queue.push(t);
+        let mut head = 0;
+        while let Some(&v) = self.queue.get(head) {
+            head += 1;
+            let mut a = self.first[v];
+            while a != NONE {
+                // `a` leaves `v`; its twin `a ^ 1` is the arc into `v`.
+                let w = self.edges[a].to;
+                if self.level[w] == NONE && self.edges[a ^ 1].residual > 0 {
+                    self.level[w] = self.level[v] + 1;
+                    if w == s {
+                        return true;
+                    }
+                    self.queue.push(w);
+                }
+                a = self.edges[a].next;
+            }
+        }
+        false
     }
 
     /// One augmenting push along the level graph (iterative path walk).
     /// Returns the amount pushed (0 when no admissible path remains).
-    fn dfs_push(
-        &mut self,
-        s: usize,
-        t: usize,
-        level: &[u32],
-        iter: &mut [usize],
-        up_to: u64,
-    ) -> u64 {
-        let mut path: Vec<usize> = Vec::new(); // edge indices along current path
+    fn dfs_push(&mut self, s: usize, t: usize, up_to: u64) -> u64 {
+        self.path.clear(); // arcs along the current path
         let mut v = s;
         loop {
             if v == t {
                 let mut bottleneck = up_to;
-                for &idx in &path {
-                    bottleneck = bottleneck.min(self.edges[idx].residual);
+                for &a in &self.path {
+                    bottleneck = bottleneck.min(self.edges[a].residual);
                 }
                 debug_assert!(bottleneck > 0);
-                for &idx in &path {
-                    self.edges[idx].residual -= bottleneck;
-                    self.edges[idx ^ 1].residual += bottleneck;
+                for &a in &self.path {
+                    self.edges[a].residual -= bottleneck;
+                    self.edges[a ^ 1].residual += bottleneck;
                 }
+                self.touched.extend_from_slice(&self.path);
                 return bottleneck;
             }
             // Advance v's arc iterator to a usable edge.
-            let mut advanced = false;
-            while iter[v] < self.head[v].len() {
-                let idx = self.head[v][iter[v]];
-                let to = self.edges[idx].to;
-                if self.edges[idx].residual > 0 && level[v] + 1 == level[to] {
-                    path.push(idx);
-                    v = to;
-                    advanced = true;
+            let mut a = self.iter[v];
+            while a != NONE {
+                let e = &self.edges[a];
+                if e.residual > 0 && self.level[e.to] == self.level[v] - 1 {
                     break;
                 }
-                iter[v] += 1;
+                a = e.next;
             }
-            if advanced {
-                continue;
-            }
-            // Dead end: backtrack one step (or give up at the source).
-            if let Some(idx) = path.pop() {
-                // The tail of `idx` is the reverse edge's head.
-                let tail = self.edges[idx ^ 1].to;
-                iter[tail] += 1;
+            self.iter[v] = a;
+            if a != NONE {
+                self.path.push(a);
+                v = self.edges[a].to;
+            } else if let Some(a) = self.path.pop() {
+                // Dead end: backtrack one step. The tail of `a` is the
+                // reverse edge's head.
+                let tail = self.edges[a ^ 1].to;
+                self.iter[tail] = self.edges[a].next;
                 v = tail;
             } else {
-                return 0;
+                return 0; // ... or give up at the source.
             }
         }
     }
@@ -214,19 +256,16 @@ impl FlowNetwork {
     /// Panics if `s == t` or either is out of bounds.
     pub fn max_flow_capped(&mut self, s: usize, t: usize, cap: u64) -> u64 {
         assert!(
-            s < self.head.len() && t < self.head.len(),
+            s < self.first.len() && t < self.first.len(),
             "flow endpoint out of bounds"
         );
         assert_ne!(s, t, "max flow requires distinct endpoints");
         let mut flow = 0;
-        while flow < cap {
-            let Some(level) = self.levels(s, t) else {
-                break;
-            };
-            let mut iter = vec![0usize; self.head.len()];
+        while flow < cap && self.levels(s, t) {
+            self.iter.clone_from(&self.first);
             let mut progressed = false;
             while flow < cap {
-                let pushed = self.dfs_push(s, t, &level, &mut iter, cap - flow);
+                let pushed = self.dfs_push(s, t, cap - flow);
                 if pushed == 0 {
                     break;
                 }
@@ -244,6 +283,8 @@ impl FlowNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn single_edge() {
@@ -355,6 +396,44 @@ mod tests {
         assert_eq!(net.max_flow(0, 2), 3);
         net.reset();
         assert_eq!(net.max_flow(0, 2), 3);
+    }
+
+    /// A random network on `n` nodes, and the ids of its edges.
+    fn random_network(seed: u64, n: usize) -> (FlowNetwork, Vec<FlowEdgeId>) {
+        let (mut rng, mut net) = (StdRng::seed_from_u64(seed), FlowNetwork::new(n));
+        let mut ids = Vec::new();
+        for _ in 0..rng.random_range(0..=3 * n) {
+            let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+            if a != b {
+                ids.push(net.add_edge(a, b, rng.random_range(1..=3)));
+            }
+        }
+        (net, ids)
+    }
+
+    #[test]
+    fn a_reset_network_agrees_with_a_fresh_one() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for seed in 0..60 {
+            let n = rng.random_range(2..=14);
+            let (mut reused, ids) = random_network(seed, n);
+            for _ in 0..12 {
+                let (s, t) = (rng.random_range(0..n), rng.random_range(0..n));
+                if s == t {
+                    continue;
+                }
+                let full = random_network(seed, n).0.max_flow(s, t);
+                // A capped run that may stop early, then an uncapped one,
+                // each reset before the next.
+                let cap = rng.random_range(1..=3);
+                for (limit, expected) in [(cap, full.min(cap)), (u64::MAX, full)] {
+                    let got = reused.max_flow_capped(s, t, limit);
+                    assert_eq!(got, expected, "n={n} s={s} t={t} cap={limit}");
+                    reused.reset();
+                    assert!(ids.iter().all(|&e| reused.flow_on(e) == 0));
+                }
+            }
+        }
     }
 
     #[test]

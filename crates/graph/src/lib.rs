@@ -20,7 +20,8 @@
 //! * [`cuts`] — articulation points and bridges (Tarjan low-link);
 //! * [`flow`] — Dinic max-flow on unit-capacity networks;
 //! * [`connectivity`] — exact edge and vertex connectivity via Menger's
-//!   theorem (max-flow formulations), with early-exit `≥ k` variants;
+//!   theorem (max-flow formulations on networks built once per graph),
+//!   with capped `≥ k` variants;
 //! * [`degree`] — degree statistics, regularity and density checks;
 //! * [`subgraph`] — node/edge deletion views used for failure injection;
 //! * [`io`] — DOT export and a plain edge-list text format.

@@ -3,8 +3,9 @@
 //! The defining property P4 of a Logarithmic Harary Graph is that the
 //! *diameter* — the maximum over all pairs of the shortest-path length — is
 //! `O(log n)`. These helpers compute the exact diameter by an all-sources BFS
-//! sweep (`O(n · m)`), which is affordable at the scales the experiments use
-//! (n up to a few tens of thousands).
+//! sweep (`O(n · m)`) over a flat CSR copy with reused buffers, which is
+//! affordable at the scales the experiments use (n up to a few tens of
+//! thousands).
 
 use crate::traversal::{bfs_distances, Adjacency};
 use crate::NodeId;
@@ -25,34 +26,57 @@ pub fn eccentricity<A: Adjacency + ?Sized>(adj: &A, node: NodeId) -> Option<u32>
     Some(max)
 }
 
+/// Every node's eccentricity in id order, or `None` if the graph is
+/// disconnected: one BFS per source over a flat CSR copy of `adj`, all of
+/// them sharing one distance buffer and one queue.
+fn eccentricities<A: Adjacency + ?Sized>(adj: &A) -> Option<Vec<u32>> {
+    let n = adj.node_count();
+    let mut start = Vec::with_capacity(n + 1);
+    let mut targets: Vec<u32> = Vec::new();
+    start.push(0);
+    for v in 0..n {
+        adj.for_each_neighbor(NodeId(v), &mut |w| targets.push(w.index() as u32));
+        start.push(targets.len());
+    }
+    let mut dist = vec![u32::MAX; n];
+    let mut queue: Vec<u32> = Vec::with_capacity(n);
+    let mut ecc = Vec::with_capacity(n);
+    for source in 0..n {
+        dist.fill(u32::MAX);
+        dist[source] = 0;
+        queue.clear();
+        queue.push(source as u32);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let (v, next) = (v as usize, dist[v as usize] + 1);
+            for &w in &targets[start[v]..start[v + 1]] {
+                if dist[w as usize] == u32::MAX {
+                    dist[w as usize] = next;
+                    queue.push(w);
+                }
+            }
+        }
+        if queue.len() < n {
+            return None;
+        }
+        ecc.push(dist[queue[n - 1] as usize]); // BFS dequeues the farthest last
+    }
+    Some(ecc)
+}
+
 /// Exact diameter (max eccentricity). `None` if the graph is disconnected;
 /// `Some(0)` for graphs with fewer than two nodes.
 #[must_use]
 pub fn diameter<A: Adjacency + ?Sized>(adj: &A) -> Option<u32> {
-    let n = adj.node_count();
-    if n == 0 {
-        return Some(0);
-    }
-    let mut best = 0;
-    for v in 0..n {
-        best = best.max(eccentricity(adj, NodeId(v))?);
-    }
-    Some(best)
+    Some(eccentricities(adj)?.into_iter().max().unwrap_or(0))
 }
 
 /// Exact radius (min eccentricity). `None` if the graph is disconnected;
 /// `Some(0)` for graphs with fewer than two nodes.
 #[must_use]
 pub fn radius<A: Adjacency + ?Sized>(adj: &A) -> Option<u32> {
-    let n = adj.node_count();
-    if n == 0 {
-        return Some(0);
-    }
-    let mut best = u32::MAX;
-    for v in 0..n {
-        best = best.min(eccentricity(adj, NodeId(v))?);
-    }
-    Some(best)
+    Some(eccentricities(adj)?.into_iter().min().unwrap_or(0))
 }
 
 /// Average shortest-path length over all ordered pairs of distinct nodes.

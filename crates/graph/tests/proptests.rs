@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use lhg_graph::components::is_connected;
 use lhg_graph::connectivity::{
     edge_connectivity, is_k_edge_connected, is_k_vertex_connected, min_edge_cut, min_vertex_cut,
-    vertex_connectivity,
+    vertex_connectivity, Connectivity,
 };
 use lhg_graph::degree::degree_stats;
 use lhg_graph::io::{from_edge_list, to_edge_list};
@@ -86,6 +86,22 @@ proptest! {
         }
         for k in 0..=(lambda + 2) {
             prop_assert_eq!(is_k_edge_connected(&g, k), k <= lambda, "k={}", k);
+        }
+    }
+
+    #[test]
+    fn survives_removal_agrees_with_a_rebuilt_graph(g in arb_graph(12)) {
+        let (kappa, lambda) = (vertex_connectivity(&g), edge_connectivity(&g));
+        let mut c = Connectivity::new(&g);
+        prop_assert_eq!((c.vertex_connectivity(), c.edge_connectivity()), (kappa, lambda));
+        for e in g.edges() {
+            let mut h = g.clone();
+            h.remove_edge(e.a, e.b);
+            let (kh, lh) = (vertex_connectivity(&h), edge_connectivity(&h));
+            // Each bound alone, then both: every flow must answer its own part.
+            for (k, l) in [(kappa, 0), (0, lambda), (kappa, lambda)] {
+                prop_assert_eq!(c.survives_removal(e, k, l), kh >= k && lh >= l, "{} k={} l={}", e, k, l);
+            }
         }
     }
 
