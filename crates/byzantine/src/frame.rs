@@ -24,6 +24,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use lhg_net::kept::encode_reusing;
 use lhg_net::message::{ByzTag, Message};
 
 use crate::witness::WitnessSet;
@@ -170,11 +171,6 @@ const KIND_VOTES: u8 = 5;
 /// relayed, never entered in a seen-set — and needs no identity.
 pub const VOTES_ID: u64 = BYZ_ID_TAG | 0x0056_4f54_4553; // "VOTES"
 
-/// The longest payload [`VotesFrame::to_message_reusing`] keeps to encode
-/// into again: an honest frame is far shorter, and a long one is not worth
-/// its room for the node's lifetime.
-const KEPT_LEN: usize = 1024;
-
 const FRAME_REQ: u8 = 0x01;
 const FRAME_ACK: u8 = 0x02;
 const ENTRY_FULL: u8 = 0x01;
@@ -258,46 +254,31 @@ impl VotesFrame {
     /// [`Self::to_message`], encoded into the buffer of one of `kept` — the
     /// payloads of frames sent earlier — that nothing else holds any more
     /// and that has the room. The new payload joins `kept`, which keeps the
-    /// `max` newest, and none longer than 1 KiB.
+    /// `max` newest ([`lhg_net::kept::encode_reusing`]).
     #[must_use]
     pub fn to_message_reusing(&self, sender: u32, kept: &mut Vec<Bytes>, max: usize) -> Message {
         let body: usize = (self.entries.iter())
             .map(|e| 21 + e.echo.encoded_len() + e.ready.encoded_len())
             .sum();
-        let reclaimed = (kept.iter().position(Bytes::is_unique))
-            .and_then(|i| kept.remove(i).try_into_mut().ok())
-            .filter(|buf| buf.capacity() >= 4 + body);
-        let mut buf = match reclaimed {
-            Some(mut buf) => {
-                buf.clear();
-                buf
-            }
-            None => BytesMut::with_capacity(4 + body),
-        };
-        buf.put_u8(KIND_VOTES);
-        buf.put_u8(u8::from(self.req) * FRAME_REQ + u8::from(self.ack) * FRAME_ACK);
-        buf.put_slice(
-            &u16::try_from(self.entries.len())
-                .unwrap_or(u16::MAX)
-                .to_be_bytes(),
-        );
-        for e in self.entries.iter().take(usize::from(u16::MAX)) {
-            buf.put_u32(e.tag.origin);
-            buf.put_u64(e.tag.nonce);
-            buf.put_u64(e.digest);
-            buf.put_u8(
-                u8::from(e.full) * ENTRY_FULL + u8::from(e.want_payload) * ENTRY_WANT_PAYLOAD,
+        let payload = encode_reusing(kept, max, 4 + body, |buf| {
+            buf.put_u8(KIND_VOTES);
+            buf.put_u8(u8::from(self.req) * FRAME_REQ + u8::from(self.ack) * FRAME_ACK);
+            buf.put_slice(
+                &u16::try_from(self.entries.len())
+                    .unwrap_or(u16::MAX)
+                    .to_be_bytes(),
             );
-            e.echo.encode(&mut buf);
-            e.ready.encode(&mut buf);
-        }
-        let payload = buf.freeze();
-        if max > 0 && payload.len() <= KEPT_LEN {
-            if kept.len() >= max {
-                kept.remove(0);
+            for e in self.entries.iter().take(usize::from(u16::MAX)) {
+                buf.put_u32(e.tag.origin);
+                buf.put_u64(e.tag.nonce);
+                buf.put_u64(e.digest);
+                buf.put_u8(
+                    u8::from(e.full) * ENTRY_FULL + u8::from(e.want_payload) * ENTRY_WANT_PAYLOAD,
+                );
+                e.echo.encode(buf);
+                e.ready.encode(buf);
             }
-            kept.push(payload.clone());
-        }
+        });
         Message::new(VOTES_ID, sender, payload)
     }
 

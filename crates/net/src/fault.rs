@@ -26,6 +26,7 @@
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -117,6 +118,42 @@ fn mix64(mut z: u64) -> u64 {
 /// Maps 53 bits of a mixed word to a uniform float in `[0, 1)`.
 fn unit(word: u64) -> f64 {
     (word >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// What [`FaultInjector::decide`] lets through of one frame: the extra
+/// delay (microseconds) of each copy to deliver — none when the frame is
+/// dropped, one normally, two when it is duplicated. Held inline and
+/// `Copy`, so deciding a frame's fate allocates nothing; it dereferences to
+/// the delays as a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Copies {
+    /// The delays; entries past `len` are 0.
+    delays: [u64; 2],
+    len: u8,
+}
+
+impl Copies {
+    /// The frame is dropped.
+    const DROPPED: Copies = Copies {
+        delays: [0; 2],
+        len: 0,
+    };
+
+    /// One copy, `delay` late.
+    fn one(delay: u64) -> Copies {
+        Copies {
+            delays: [delay, 0],
+            len: 1,
+        }
+    }
+}
+
+impl Deref for Copies {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.delays[..usize::from(self.len)]
+    }
 }
 
 /// Compiled, engine-agnostic fault state.
@@ -232,21 +269,21 @@ impl FaultInjector {
 
     /// Decides the fate of frame number `seq` on `from → to` at `now_us`.
     ///
-    /// Returns the extra delays (microseconds) of the copies to deliver: an
-    /// empty vector means the frame is dropped; one entry is normal
-    /// delivery; two entries is a duplicate. Deterministic in
-    /// `(seed, from, to, seq)` — `now_us` only gates partitions.
-    pub fn decide(&self, from: u32, to: u32, now_us: u64, seq: u64) -> Vec<u64> {
+    /// Returns the extra delays (microseconds) of the copies to deliver:
+    /// none means the frame is dropped; one is normal delivery; two is a
+    /// duplicate. Deterministic in `(seed, from, to, seq)` — `now_us` only
+    /// gates partitions — and allocation-free: [`Copies`] is inline.
+    pub fn decide(&self, from: u32, to: u32, now_us: u64, seq: u64) -> Copies {
         if self.blocked(from, to, now_us) {
-            return Vec::new();
+            return Copies::DROPPED;
         }
         let rates = self.rates(from, to);
         if rates.is_clean() {
-            return vec![0];
+            return Copies::one(0);
         }
         let base = mix64(self.seed ^ mix64((u64::from(from) << 32) | u64::from(to)) ^ mix64(seq));
         if rates.drop > 0.0 && unit(base) < rates.drop {
-            return Vec::new();
+            return Copies::DROPPED;
         }
         let mut delay = rates.extra_delay_us;
         if rates.reorder > 0.0 && rates.reorder_window_us > 0 {
@@ -255,14 +292,16 @@ impl FaultInjector {
                 delay += mix64(r) % (rates.reorder_window_us + 1);
             }
         }
-        let mut copies = vec![delay];
         if rates.duplicate > 0.0 {
             let d = mix64(base ^ 0x5A5A_5A5A_5A5A_5A5A);
             if unit(d) < rates.duplicate {
-                copies.push(delay + mix64(d) % 1_000);
+                return Copies {
+                    delays: [delay, delay + mix64(d) % 1_000],
+                    len: 2,
+                };
             }
         }
-        copies
+        Copies::one(delay)
     }
 
     /// Microseconds elapsed since the injector was created; the wall-clock
@@ -280,7 +319,7 @@ mod tests {
     fn clean_injector_passes_everything() {
         let inj = FaultInjector::new(7);
         for seq in 0..100 {
-            assert_eq!(inj.decide(0, 1, 0, seq), vec![0]);
+            assert_eq!(inj.decide(0, 1, 0, seq)[..], [0]);
         }
         assert!(!inj.blocked(0, 1, 0));
     }
@@ -337,7 +376,7 @@ mod tests {
         });
         inj.set_link(4, 5, LinkFaults::default());
         assert!(inj.decide(0, 1, 0, 0).is_empty(), "default drops");
-        assert_eq!(inj.decide(4, 5, 0, 0), vec![0], "override is clean");
+        assert_eq!(inj.decide(4, 5, 0, 0)[..], [0], "override is clean");
     }
 
     #[test]
@@ -397,6 +436,6 @@ mod tests {
         });
         assert!(inj.decide(0, 1, 0, 0).is_empty());
         assert!(inj.decide(1, 0, 0, 0).is_empty());
-        assert_eq!(inj.decide(0, 2, 0, 0), vec![0]);
+        assert_eq!(inj.decide(0, 2, 0, 0)[..], [0]);
     }
 }

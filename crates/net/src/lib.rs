@@ -21,6 +21,9 @@
 //!   ack + selective NACK, retransmit-on-timeout, backpressure) and
 //!   anti-entropy summaries, so flooding's delivery guarantee survives
 //!   lossy links ([`reliable::LinkSender`], [`reliable::ReliableFlooder`]);
+//! * [`kept`] — encode buffers kept for reuse
+//!   ([`kept::encode_reusing`]), so a sender's small frames stop allocating
+//!   once the transport lets go of earlier ones;
 //! * [`seen`] — capacity-capped dedup of seen broadcast ids
 //!   ([`seen::SeenSet`]), bounding flooding state on long-lived nodes.
 //!
@@ -58,6 +61,7 @@ pub mod broadcast;
 pub mod codec;
 pub mod fault;
 pub mod fifo;
+pub mod kept;
 pub mod message;
 pub mod metrics;
 pub mod reliable;

@@ -103,10 +103,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::Hash;
 use std::num::NonZeroU64;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use lhg_graph::NodeId;
 
+use crate::kept::encode_reusing;
 use crate::message::Message;
 use crate::seen::SeenSet;
 use crate::sim::{Context, Process};
@@ -276,7 +277,9 @@ impl LinkSender {
     /// Processes a cumulative ack + NACK list from the peer. Returns the
     /// frames to put on the wire now: immediate retransmissions of every
     /// NACKed hole plus any queued frames the newly-opened window admits.
-    /// A clean ack (no NACKs, nothing queued) allocates nothing.
+    /// A clean ack (no NACKs, nothing queued) allocates nothing. A wrapper
+    /// for callers that want the frames in a `Vec`; [`ReliableCore`] hands
+    /// each one straight to its sink and allocates nothing for any ack.
     pub fn on_ack(
         &mut self,
         cum: u64,
@@ -284,17 +287,30 @@ impl LinkSender {
         cfg: &ReliableConfig,
         now_us: u64,
     ) -> Vec<Message> {
-        self.retire(cum, |_| {});
         let mut out = Vec::new();
-        for &s in nacks {
+        self.on_ack_with(cum, nacks.iter().copied(), cfg, now_us, |m| out.push(m));
+        out
+    }
+
+    /// [`Self::on_ack`], handing each frame to put on the wire to `put`, in
+    /// order.
+    fn on_ack_with(
+        &mut self,
+        cum: u64,
+        nacks: impl IntoIterator<Item = u64>,
+        cfg: &ReliableConfig,
+        now_us: u64,
+        mut put: impl FnMut(Message),
+    ) {
+        self.retire(cum, |_| {});
+        for s in nacks {
             if let Some(f) = self.unacked.get_mut(&s) {
                 f.retries += 1;
                 f.last_tx_us = now_us;
-                out.push(f.msg.clone());
+                put(f.msg.clone());
             }
         }
-        self.drain(cfg, now_us, &mut out);
-        out
+        self.drain(cfg, now_us, put);
     }
 
     /// Drops every frame the cumulative ack `cum` covers from the window,
@@ -309,37 +325,43 @@ impl LinkSender {
     }
 
     /// Retransmit sweep: returns every frame whose retransmit timeout has
-    /// expired (giving up on frames past the retry budget), plus queued
-    /// frames admitted by the space those give-ups freed.
+    /// expired, in sequence order (giving up on frames past the retry
+    /// budget), plus queued frames admitted by the space those give-ups
+    /// freed. A wrapper like [`Self::on_ack`]'s: [`ReliableCore::tick`]
+    /// sweeps in one pass over the window and allocates nothing.
     pub fn sweep(&mut self, cfg: &ReliableConfig, now_us: u64) -> Vec<Message> {
-        let due: Vec<u64> = self
-            .unacked
-            .iter()
-            .filter(|(_, f)| now_us.saturating_sub(f.last_tx_us) >= cfg.rto_us)
-            .map(|(&s, _)| s)
-            .collect();
         let mut out = Vec::new();
-        for s in due {
-            let f = self.unacked.get_mut(&s).expect("seq collected above");
-            if f.retries >= cfg.max_retries {
-                self.unacked.remove(&s);
-                self.given_up += 1;
-            } else {
-                f.retries += 1;
-                f.last_tx_us = now_us;
-                out.push(f.msg.clone());
-            }
-        }
-        self.drain(cfg, now_us, &mut out);
+        self.sweep_with(cfg, now_us, |m| out.push(m));
         out
     }
 
-    fn drain(&mut self, cfg: &ReliableConfig, now_us: u64, out: &mut Vec<Message>) {
+    /// [`Self::sweep`], handing each frame to put on the wire to `put`, in
+    /// order.
+    fn sweep_with(&mut self, cfg: &ReliableConfig, now_us: u64, mut put: impl FnMut(Message)) {
+        let mut given_up = 0;
+        self.unacked.retain(|_, f| {
+            if now_us.saturating_sub(f.last_tx_us) < cfg.rto_us {
+                return true;
+            }
+            if f.retries >= cfg.max_retries {
+                given_up += 1;
+                return false;
+            }
+            f.retries += 1;
+            f.last_tx_us = now_us;
+            put(f.msg.clone());
+            true
+        });
+        self.given_up += given_up;
+        self.drain(cfg, now_us, put);
+    }
+
+    fn drain(&mut self, cfg: &ReliableConfig, now_us: u64, mut put: impl FnMut(Message)) {
         while self.unacked.len() < cfg.window {
             let Some(msg) = self.queued.pop_front() else {
                 break;
             };
-            out.push(self.stamp(msg, now_us));
+            put(self.stamp(msg, now_us));
         }
     }
 
@@ -463,14 +485,15 @@ impl LinkReceiver {
         self.cum
     }
 
-    /// Produces the `(cum, nacks)` payload for an ack frame and settles
-    /// everything owed. NACKs name the first [`MAX_NACKS`] holes between
-    /// the cumulative point and the highest sequence seen.
-    pub fn ack_payload(&mut self) -> (u64, Vec<u64>) {
+    /// Produces an ack frame's payload and settles everything owed: returns
+    /// the cumulative point and writes into `nacks` (emptied first, so a
+    /// caller can reuse one buffer) the first [`MAX_NACKS`] holes between it
+    /// and the highest sequence seen.
+    pub fn ack_payload(&mut self, nacks: &mut Vec<u64>) -> u64 {
         self.dirty = false;
         self.urgent = false;
         self.owed = 0;
-        let mut nacks = Vec::new();
+        nacks.clear();
         if let Some(&max) = self.above.iter().next_back() {
             let mut expect = self.cum + 1;
             for &got in &self.above {
@@ -485,36 +508,51 @@ impl LinkReceiver {
             }
             debug_assert!(expect > max || nacks.len() >= MAX_NACKS);
         }
-        (self.cum, nacks)
+        self.cum
     }
 }
 
 /// Encodes an ack frame payload: cumulative ack + selective NACK list.
 #[must_use]
 pub fn encode_ack_payload(cum: u64, nacks: &[u64]) -> Bytes {
+    encode_ack(&mut Vec::new(), 0, cum, nacks)
+}
+
+/// [`encode_ack_payload`] into a buffer reclaimed from `kept`, which keeps
+/// the `max` newest payloads ([`encode_reusing`]).
+fn encode_ack(kept: &mut Vec<Bytes>, max: usize, cum: u64, nacks: &[u64]) -> Bytes {
     let nacks = &nacks[..nacks.len().min(MAX_NACKS)];
-    let mut buf = BytesMut::with_capacity(8 + 4 + 8 * nacks.len());
-    buf.put_u64(cum);
-    buf.put_u32(nacks.len() as u32);
-    for &s in nacks {
-        buf.put_u64(s);
-    }
-    buf.freeze()
+    encode_reusing(kept, max, 8 + 4 + 8 * nacks.len(), |buf| {
+        buf.put_u64(cum);
+        buf.put_u32(nacks.len() as u32);
+        for &s in nacks {
+            buf.put_u64(s);
+        }
+    })
 }
 
 /// Decodes an ack frame payload. `None` on malformed input.
 #[must_use]
-pub fn decode_ack_payload(mut raw: Bytes) -> Option<(u64, Vec<u64>)> {
-    if raw.len() < 12 {
+pub fn decode_ack_payload(raw: Bytes) -> Option<(u64, Vec<u64>)> {
+    let (cum, nacks) = read_ack(&raw)?;
+    Some((cum, nacks.collect()))
+}
+
+/// Reads an ack payload in place: its cumulative point and its NACKs,
+/// borrowed from `raw`. `None` on malformed input.
+fn read_ack(raw: &[u8]) -> Option<(u64, impl Iterator<Item = u64> + '_)> {
+    let (cum, rest) = raw.split_first_chunk::<8>()?;
+    let (count, nacks) = rest.split_first_chunk::<4>()?;
+    let count = u32::from_be_bytes(*count) as usize;
+    if count > MAX_NACKS || nacks.len() != 8 * count {
         return None;
     }
-    let cum = raw.get_u64();
-    let count = raw.get_u32() as usize;
-    if count > MAX_NACKS || raw.len() != 8 * count {
-        return None;
-    }
-    let nacks = (0..count).map(|_| raw.get_u64()).collect();
-    Some((cum, nacks))
+    Some((u64::from_be_bytes(*cum), nacks.chunks_exact(8).map(be_u64)))
+}
+
+/// The big-endian `u64` an 8-byte chunk holds.
+fn be_u64(raw: &[u8]) -> u64 {
+    u64::from_be_bytes(raw.try_into().expect("an 8-byte chunk"))
 }
 
 /// How many broadcast ids one summary frame carries at most.
@@ -537,18 +575,21 @@ pub fn encode_summary_payload(pull: bool, ids: &[u64]) -> Bytes {
     } else {
         SUMMARY_ADVERTISE
     };
-    encode_summary(mode, ids)
+    encode_summary(&mut Vec::new(), 0, mode, ids)
 }
 
-fn encode_summary(mode: u8, ids: &[u64]) -> Bytes {
+/// Encodes a summary payload of `mode` naming `ids` into a buffer
+/// reclaimed from `kept`, which keeps the `max` newest payloads
+/// ([`encode_reusing`]).
+fn encode_summary(kept: &mut Vec<Bytes>, max: usize, mode: u8, ids: &[u64]) -> Bytes {
     let ids = &ids[..ids.len().min(MAX_SUMMARY_IDS)];
-    let mut buf = BytesMut::with_capacity(1 + 4 + 8 * ids.len());
-    buf.put_u8(mode);
-    buf.put_u32(ids.len() as u32);
-    for &id in ids {
-        buf.put_u64(id);
-    }
-    buf.freeze()
+    encode_reusing(kept, max, 1 + 4 + 8 * ids.len(), |buf| {
+        buf.put_u8(mode);
+        buf.put_u32(ids.len() as u32);
+        for &id in ids {
+            buf.put_u64(id);
+        }
+    })
 }
 
 /// Decodes an anti-entropy summary payload into `(pull, ids)`. `None` on
@@ -577,8 +618,7 @@ fn read_summary(raw: &[u8]) -> Option<(u8, impl Iterator<Item = u64> + Clone + '
     if count > MAX_SUMMARY_IDS || ids.len() != 8 * count {
         return None;
     }
-    let id = |raw: &[u8]| u64::from_be_bytes(raw.try_into().expect("an 8-byte chunk"));
-    Some((mode, ids.chunks_exact(8).map(id)))
+    Some((mode, ids.chunks_exact(8).map(be_u64)))
 }
 
 /// The sink [`ReliableCore`] transitions append their `(peer, frame)`
@@ -704,9 +744,19 @@ pub struct ReliableCore<P> {
     /// Per peer, the ids its advertisements named that we had already seen:
     /// the held list [`Self::answer`] owes it, at most [`MAX_SUMMARY_IDS`].
     owed: HashMap<P, Vec<u64>>,
-    /// Reused buffer for the ids of one summary.
-    summary_ids: Vec<u64>,
+    /// Reused buffer for the ids one summary names or the holes one ack
+    /// NACKs.
+    ids: Vec<u64>,
+    /// The payloads of the last [`CONTROL_KEPT`] ack and summary frames
+    /// sent: the next is encoded into one the driver has let go of.
+    kept: Vec<Bytes>,
 }
+
+/// How many sent ack and summary payloads a [`ReliableCore`] keeps to
+/// encode later ones into: one for each control frame a tick may send
+/// before the transport lets go of any — an ack and an advert to each of a
+/// few neighbors — with room to spare.
+const CONTROL_KEPT: usize = 8;
 
 impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// An idle core whose ack, summary and pull frames carry `origin` and
@@ -725,7 +775,8 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             recent: VecDeque::new(),
             holders: Holders(Vec::new()),
             owed: HashMap::new(),
-            summary_ids: Vec::new(),
+            ids: Vec::new(),
+            kept: Vec::new(),
         }
     }
 
@@ -769,9 +820,10 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     }
 
     /// Puts data frame `msg` on the link to `to`, carrying the cumulative
-    /// ack that link owes, if any. Every data frame leaves through here.
-    fn emit(&mut self, to: P, mut msg: Message, out: &mut Sends<P>) {
-        msg.link_ack = self.rx.get_mut(&to).and_then(LinkReceiver::piggyback);
+    /// ack that link owes, if any (`rx`: the core's receivers, borrowed
+    /// apart from the senders). Every data frame leaves through here.
+    fn emit(rx: &mut HashMap<P, LinkReceiver>, to: P, mut msg: Message, out: &mut Sends<P>) {
+        msg.link_ack = rx.get_mut(&to).and_then(LinkReceiver::piggyback);
         out.push((to, msg));
     }
 
@@ -780,8 +832,8 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         let Some(rx) = self.rx.get_mut(&peer) else {
             return;
         };
-        let (cum, nacks) = rx.ack_payload();
-        let ack = encode_ack_payload(cum, &nacks);
+        let cum = rx.ack_payload(&mut self.ids);
+        let ack = encode_ack(&mut self.kept, CONTROL_KEPT, cum, &self.ids);
         out.push((peer, Message::new(self.ack_id, self.origin, ack)));
     }
 
@@ -790,7 +842,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     fn send(&mut self, to: P, msg: Message, now_us: u64, out: &mut Sends<P>) {
         let sender = self.tx.entry(to).or_default();
         if let Some(stamped) = sender.send(msg, &self.cfg, now_us) {
-            self.emit(to, stamped, out);
+            Self::emit(&mut self.rx, to, stamped, out);
         }
     }
 
@@ -842,7 +894,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         out: &mut Sends<P>,
     ) -> DataOutcome {
         if let Some(cum) = msg.link_ack {
-            self.acked(from, cum.get(), &[], now_us, out);
+            self.acked(from, cum.get(), [], now_us, out);
         }
         if let Some(seq) = msg.link_seq {
             if !self
@@ -869,28 +921,37 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         outcome
     }
 
-    /// An ack frame's payload arrived from `from`: NACKed holes are
-    /// retransmitted at once and the opened window drains the queue.
+    /// An ack frame's payload arrived from `from`, read in place: NACKed
+    /// holes are retransmitted at once and the opened window drains the
+    /// queue.
     pub fn on_ack(&mut self, from: P, payload: Bytes, now_us: u64, out: &mut Sends<P>) {
-        let Some((cum, nacks)) = decode_ack_payload(payload) else {
+        let Some((cum, nacks)) = read_ack(&payload) else {
             return;
         };
-        self.acked(from, cum, &nacks, now_us, out);
+        self.acked(from, cum, nacks, now_us, out);
     }
 
     /// `from` acknowledged everything through `cum` on our link to it,
     /// standalone or piggybacked: the frames it covers retire — and count
     /// as held by `from` in the store — and whatever the ack releases
     /// (NACKed retransmissions, queued frames) goes out.
-    fn acked(&mut self, from: P, cum: u64, nacks: &[u64], now_us: u64, out: &mut Sends<P>) {
+    fn acked(
+        &mut self,
+        from: P,
+        cum: u64,
+        nacks: impl IntoIterator<Item = u64>,
+        now_us: u64,
+        out: &mut Sends<P>,
+    ) {
         let Some(tx) = self.tx.get_mut(&from) else {
             return;
         };
         let (bit, store) = (self.holders.claim(from), &mut self.store);
         tx.retire(cum, |m| Self::mark_held(store, m.broadcast_id, bit));
-        for frame in tx.on_ack(cum, nacks, &self.cfg, now_us) {
-            self.emit(from, frame, out);
-        }
+        let rx = &mut self.rx;
+        tx.on_ack_with(cum, nacks, &self.cfg, now_us, |frame| {
+            Self::emit(rx, from, frame, out);
+        });
     }
 
     /// A summary frame's payload arrived from `from`, read in place. An
@@ -930,18 +991,18 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             return SummaryOutcome::Ignored;
         }
         let owed = self.owed.entry(from).or_default();
-        self.summary_ids.clear();
+        self.ids.clear();
         for id in ids {
             if !seen.contains(id) {
-                self.summary_ids.push(id);
+                self.ids.push(id);
             } else if owed.len() < MAX_SUMMARY_IDS && !owed.contains(&id) {
                 owed.push(id);
             }
         }
-        if self.summary_ids.is_empty() {
+        if self.ids.is_empty() {
             return SummaryOutcome::Ignored;
         }
-        let pull = encode_summary_payload(true, &self.summary_ids);
+        let pull = encode_summary(&mut self.kept, CONTROL_KEPT, SUMMARY_PULL, &self.ids);
         out.push((from, Message::new(self.summary_id, self.origin, pull)));
         SummaryOutcome::Pulled
     }
@@ -954,7 +1015,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         let Some(owed) = self.owed.get_mut(&peer).filter(|o| !o.is_empty()) else {
             return false;
         };
-        let held = encode_summary(SUMMARY_HELD, owed);
+        let held = encode_summary(&mut self.kept, CONTROL_KEPT, SUMMARY_HELD, owed);
         owed.clear();
         out.push((peer, Message::new(self.summary_id, self.origin, held)));
         true
@@ -1006,13 +1067,12 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     ) -> TickReport {
         let mut report = TickReport::default();
         for peer in peers {
-            let due = match self.tx.get_mut(&peer) {
-                Some(tx) => tx.sweep(&self.cfg, now_us),
-                None => Vec::new(),
-            };
-            for frame in due {
-                self.emit(peer, frame, out);
-                report.retransmits += 1;
+            if let Some(tx) = self.tx.get_mut(&peer) {
+                let rx = &mut self.rx;
+                tx.sweep_with(&self.cfg, now_us, |frame| {
+                    Self::emit(rx, peer, frame, out);
+                    report.retransmits += 1;
+                });
             }
             if (self.rx.get(&peer)).is_some_and(|rx| rx.ack_due(&self.cfg, now_us)) {
                 self.emit_ack(peer, out);
@@ -1031,11 +1091,12 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         for peer in peers {
             let (bit, store) = (self.holders.bit(peer), &self.store);
             let lacks = |id: &u64| store.get(id).is_some_and(|k| k.held & bit == 0);
-            self.summary_ids.clear();
+            self.ids.clear();
             let recent = self.recent.iter().rev().take(MAX_SUMMARY_IDS);
-            self.summary_ids.extend(recent.filter(|id| lacks(id)));
-            if !self.summary_ids.is_empty() {
-                let advert = encode_summary_payload(false, &self.summary_ids);
+            self.ids.extend(recent.filter(|id| lacks(id)));
+            if !self.ids.is_empty() {
+                let advert =
+                    encode_summary(&mut self.kept, CONTROL_KEPT, SUMMARY_ADVERTISE, &self.ids);
                 out.push((peer, Message::new(self.summary_id, self.origin, advert)));
             }
         }
@@ -1210,6 +1271,7 @@ mod tests {
     use std::rc::Rc;
     use std::sync::Arc;
 
+    use bytes::BytesMut;
     use lhg_graph::Graph;
 
     use crate::fault::{FaultInjector, LinkFaults};
@@ -1330,8 +1392,8 @@ mod tests {
         rx.on_frame(1);
         rx.on_frame(4);
         rx.on_frame(6);
-        let (cum, nacks) = rx.ack_payload();
-        assert_eq!(cum, 1);
+        let mut nacks = vec![9];
+        assert_eq!(rx.ack_payload(&mut nacks), 1);
         assert_eq!(nacks, vec![2, 3, 5]);
         assert!(!rx.dirty(), "ack emission clears the dirty flag");
     }
@@ -1340,7 +1402,7 @@ mod tests {
     fn duplicate_still_marks_dirty() {
         let mut rx = LinkReceiver::new();
         rx.on_frame(1);
-        rx.ack_payload();
+        rx.ack_payload(&mut Vec::new());
         assert!(!rx.on_frame(1), "retransmitted copy");
         assert!(rx.dirty(), "a duplicate means our ack was lost: re-ack");
     }
@@ -1907,7 +1969,7 @@ mod tests {
         // never answered: 6 is owed nothing and is not told about id 2.
         c.originate(&msg(2), 0, [], &mut out);
         out.clear();
-        let held = encode_summary(SUMMARY_HELD, &[2]);
+        let held = encode_summary(&mut Vec::new(), 0, SUMMARY_HELD, &[2]);
         assert_eq!(
             c.on_summary(6, held, &seen, 0, &mut out),
             SummaryOutcome::Ignored

@@ -366,12 +366,17 @@ impl Simulation {
     /// Panics outside a run ([`Self::start`] … [`Self::finish`]).
     pub fn run_until(&mut self, time: Time) {
         let mut run = self.run.take().expect("run_until outside a run");
-        while let Some(&Reverse((at, _, node, slot))) = run.queue.peek() {
+        while let Some(&Reverse((at, _, node, payload))) = run.queue.peek() {
             if at > time {
                 break;
             }
             run.queue.pop();
-            let event = run.events.take(slot);
+            let (node, event) = if node & TIMER != 0 {
+                (node & !TIMER, Event::Timer { token: payload })
+            } else {
+                let (from, msg) = run.events.take(payload as usize);
+                (node, Event::Message { from, msg })
+            };
             run.report.end_time = run.report.end_time.max(at);
             if let (Some((every, on_sample)), Some(ns)) = (&mut self.sampler, &mut run.next_sample)
             {
@@ -423,12 +428,12 @@ impl Simulation {
     /// Panics outside a run.
     pub fn inject_timer(&mut self, node: NodeId, token: u64) {
         let run = self.run.as_mut().expect("inject_timer outside a run");
-        run.push(run.now, node, Slot::Timer { token });
+        run.push_timer(run.now, node, token);
     }
 
     /// Hands one event (`None`: the start) to `at`'s process, then drains
     /// what it did into the report and the event queue.
-    fn dispatch(&mut self, run: &mut Run, at: NodeId, time: Time, event: Option<Slot>) {
+    fn dispatch(&mut self, run: &mut Run, at: NodeId, time: Time, event: Option<Event>) {
         let mut ctx = Context {
             now: time,
             self_id: at,
@@ -442,15 +447,14 @@ impl Simulation {
                 process.on_start(&mut ctx);
                 None
             }
-            Some(Slot::Message { from, msg }) => {
+            Some(Event::Message { from, msg }) => {
                 process.on_message(from, msg, &mut ctx);
                 Some(from)
             }
-            Some(Slot::Timer { token }) => {
+            Some(Event::Timer { token }) => {
                 process.on_timer(token, &mut ctx);
                 None
             }
-            Some(Slot::Free(_)) => unreachable!("a queued event owns its slot"),
         };
         let mut fx = ctx.effects;
         for d in fx.delivered.drain(..) {
@@ -513,35 +517,35 @@ impl Simulation {
                     w.record(from, dest, msg.broadcast_id, msg.encoded_len() as u64);
                 }
                 let latency = sample_latency_with(self.link, &mut self.rng) + extra;
-                let msg = msg.clone();
-                run.push(time + latency, to, Slot::Message { from: at, msg });
+                run.push_message(time + latency, to, at, msg.clone());
             }
         }
         for (fire_at, token) in fx.timers.drain(..) {
-            run.push(fire_at, at, Slot::Timer { token });
+            run.push_timer(fire_at, at, token);
         }
         fx.setup.clear();
         self.effects = fx;
     }
 }
 
-/// An event's payload: an in-flight message or an armed timer token.
+/// What an event hands its process: a message, or a timer's token.
+enum Event {
+    Message { from: NodeId, msg: Message },
+    Timer { token: u64 },
+}
+
+/// An in-flight message's slot: the message and its sender, or, vacant,
+/// the next vacant slot, if any.
 enum Slot {
-    Message {
-        from: NodeId,
-        msg: Message,
-    },
-    Timer {
-        token: u64,
-    },
-    /// Vacant; the next vacant slot, if any.
+    Message(NodeId, Message),
     Free(Option<usize>),
 }
 
-/// Event payloads. A payload is taken out of its slot when its event pops
-/// and the slot is reused, so a run holds what is in flight, not everything
-/// it ever carried. Vacated slots are chained through themselves: the free
-/// list costs no allocation of its own.
+/// In-flight messages. A message is taken out of its slot when its event
+/// pops and the slot is reused, so a run holds what is in flight, not
+/// everything it ever carried. Vacated slots are chained through
+/// themselves: the free list costs no allocation of its own. A timer needs
+/// no slot: its token rides in its queue entry.
 #[derive(Default)]
 struct Slots {
     events: Vec<Slot>,
@@ -565,19 +569,27 @@ impl Slots {
         }
     }
 
-    fn take(&mut self, slot: usize) -> Slot {
+    fn take(&mut self, slot: usize) -> (NodeId, Message) {
         let vacant = Slot::Free(self.free.replace(slot));
-        std::mem::replace(&mut self.events[slot], vacant)
+        let Slot::Message(from, msg) = std::mem::replace(&mut self.events[slot], vacant) else {
+            unreachable!("a queued message owns its slot");
+        };
+        (from, msg)
     }
 }
+
+/// The tag bit on a queue entry's node field that marks a timer, whose
+/// last field is then its token rather than a message's slot.
+const TIMER: usize = 1 << (usize::BITS - 1);
 
 /// The state of a run in progress: [`Simulation::start`] makes it,
 /// [`Simulation::finish`] turns it into the report.
 struct Run {
     processes: Vec<Box<dyn Process>>,
-    /// (time, seq, node, payload slot); `seq` is unique, so the slot number
-    /// never decides the order.
-    queue: BinaryHeap<Reverse<(Time, u64, usize, usize)>>,
+    /// (time, seq, node, payload): a message's slot, or a timer's token
+    /// when the node carries the [`TIMER`] bit. 32 bytes; `seq` is unique,
+    /// so neither of the last two ever decides the order.
+    queue: BinaryHeap<Reverse<(Time, u64, usize, u64)>>,
     events: Slots,
     seq: u64,
     fault_seq: u64,
@@ -593,9 +605,17 @@ struct Run {
 }
 
 impl Run {
-    fn push(&mut self, at: Time, node: NodeId, event: Slot) {
-        let slot = self.events.put(event);
-        self.queue.push(Reverse((at, self.seq, node.index(), slot)));
+    fn push_message(&mut self, at: Time, to: NodeId, from: NodeId, msg: Message) {
+        let slot = self.events.put(Slot::Message(from, msg));
+        self.push(at, to.index(), slot as u64);
+    }
+
+    fn push_timer(&mut self, at: Time, node: NodeId, token: u64) {
+        self.push(at, node.index() | TIMER, token);
+    }
+
+    fn push(&mut self, at: Time, node: usize, payload: u64) {
+        self.queue.push(Reverse((at, self.seq, node, payload)));
         self.seq += 1;
     }
 }
@@ -938,6 +958,30 @@ mod tests {
             sim.run(procs, 1_000_000)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn timers_ride_in_their_queue_entries_not_in_message_slots() {
+        /// Arms a thousand timers at start; delivers on the last.
+        struct Alarms;
+        impl Process for Alarms {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                (1..=1_000).for_each(|t| ctx.set_timer(t, t));
+            }
+            fn on_message(&mut self, _: NodeId, _: Message, _: &mut Context<'_>) {}
+            fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+                if token == 1_000 {
+                    ctx.deliver(Message::new(token, 0, Bytes::new()));
+                }
+            }
+        }
+        let mut sim = Simulation::new(&path(1), no_jitter(), 0);
+        sim.start(vec![Box::new(Alarms)]);
+        let run = sim.run.as_ref().expect("a run");
+        assert_eq!((run.queue.len(), run.events.events.len()), (1_000, 0));
+        assert_eq!(size_of_val(run.queue.peek().expect("queued")), 32);
+        sim.run_until(u64::MAX);
+        assert_eq!(sim.finish().deliveries[0].time, 1_000);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use lhg_net::fault::{FaultInjector, LinkFaults};
+use lhg_net::fault::{Copies, FaultInjector, LinkFaults};
 use proptest::prelude::*;
 
 /// A lossy-but-sane rate set, mirroring the chaos planner's lossy family.
@@ -107,7 +107,7 @@ proptest! {
         let mut shuffled = seqs.clone();
         shuffled.reverse();
         shuffled.rotate_left(1);
-        let by_seq: std::collections::HashMap<u64, Vec<u64>> = shuffled
+        let by_seq: std::collections::HashMap<u64, Copies> = shuffled
             .iter()
             .map(|&s| (s, inj.decide(1, 2, 0, s)))
             .collect();
