@@ -167,6 +167,13 @@ impl ReliableConfig {
         (self.store_cap / 2).clamp(1, MAX_SUMMARY_IDS)
     }
 
+    /// How long a sender keeps retransmitting a frame before it gives the
+    /// frame up: the first send and `max_retries` retransmissions, `rto_us`
+    /// apart. A receiver skips a hole that has been open this long.
+    fn retransmit_lifetime_us(&self) -> u64 {
+        (u64::from(self.max_retries) + 1).saturating_mul(self.rto_us)
+    }
+
     /// Frames one clean ack may cover before it leaves on its own: half
     /// the window, so the peer's sender never stalls waiting for a ride.
     fn ack_flush_frames(&self) -> usize {
@@ -390,10 +397,12 @@ pub const MAX_NACKS: usize = 32;
 /// Receiver half of one directed reliable link.
 #[derive(Debug, Default)]
 pub struct LinkReceiver {
-    /// Every sequence `<= cum` has been received.
+    /// Every sequence `<= cum` has been received, or skipped as given up.
     cum: u64,
-    /// Received sequences above `cum` (out of order).
+    /// Received sequences above `cum` (out of order), and since when the
+    /// hole below the first of them has been open (the core's clock).
     above: BTreeSet<u64>,
+    hole_since: u64,
     /// A frame arrived since the last ack left, piggybacked or standalone;
     /// `owed` frames did, the first of them at `owed_since` (the core's
     /// clock: [`Self::on_frame`] has none).
@@ -437,13 +446,42 @@ impl LinkReceiver {
         true
     }
 
-    /// [`Self::on_frame`] at `now_us`, which starts the owed ack's clock.
+    /// [`Self::on_frame`] at `now_us`, which starts the owed ack's clock,
+    /// and that of a hole it opens or leaves below the first sequence above
+    /// `cum`.
     fn on_frame_at(&mut self, seq: u64, now_us: u64) -> bool {
+        let (cum, open) = (self.cum, !self.above.is_empty());
         let fresh = self.on_frame(seq);
         if self.owed == 1 {
             self.owed_since = now_us;
         }
+        if !self.above.is_empty() && (!open || self.cum != cum) {
+            self.hole_since = now_us;
+        }
         fresh
+    }
+
+    /// Skips the hole below the first sequence received above `cum` once it
+    /// has been open for the sender's whole retransmit lifetime: the frames
+    /// in it were given up (anti-entropy repairs what they carried), and
+    /// waiting on would hold every later frame's cumulative ack back for
+    /// good. The new ack point is owed at once. Never fires while the
+    /// sender still retransmits: a frame in the hole was sent before the
+    /// frame above it that opened the hole arrived.
+    fn skip_given_up(&mut self, cfg: &ReliableConfig, now_us: u64) {
+        let Some(&first) = self.above.first() else {
+            return;
+        };
+        if now_us.saturating_sub(self.hole_since) < cfg.retransmit_lifetime_us() {
+            return;
+        }
+        self.cum = first - 1;
+        while self.above.remove(&(self.cum + 1)) {
+            self.cum += 1;
+        }
+        self.hole_since = now_us;
+        self.dirty = true;
+        self.urgent = true;
     }
 
     /// The cumulative ack a data frame to the peer can carry, if one is
@@ -1074,7 +1112,11 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
                     report.retransmits += 1;
                 });
             }
-            if (self.rx.get(&peer)).is_some_and(|rx| rx.ack_due(&self.cfg, now_us)) {
+            let rx = self.rx.get_mut(&peer);
+            if rx.is_some_and(|rx| {
+                rx.skip_given_up(&self.cfg, now_us);
+                rx.ack_due(&self.cfg, now_us)
+            }) {
                 self.emit_ack(peer, out);
                 report.acks += 1;
             }
@@ -1267,7 +1309,7 @@ impl Process for ReliableFlooder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
     use std::sync::Arc;
 
@@ -2081,11 +2123,20 @@ mod tests {
         }
     }
 
-    /// Records `(arrival time, sender, frame id)` of every message its
-    /// inner process receives.
+    /// Records `(arrival time, sender, frame id, link seq)` of every message its
+    /// inner process receives, and after every event how many sequences its
+    /// receivers hold above a hole.
     struct Tap {
         inner: ReliableFlooder,
-        log: Rc<RefCell<Vec<(u64, NodeId, u64)>>>,
+        log: Log,
+        above: Rc<Cell<usize>>,
+    }
+
+    impl Tap {
+        fn count_above(&self) {
+            let rx = self.inner.core.rx.values();
+            self.above.set(rx.map(|rx| rx.above.len()).sum());
+        }
     }
 
     impl Process for Tap {
@@ -2094,33 +2145,38 @@ mod tests {
         }
 
         fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
-            let entry = (ctx.now(), from, msg.broadcast_id);
+            let entry = (ctx.now(), from, msg.broadcast_id, seq(&msg));
             self.log.borrow_mut().push(entry);
             self.inner.on_message(from, msg, ctx);
+            self.count_above();
         }
 
         fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
             self.inner.on_timer(token, ctx);
+            self.count_above();
         }
     }
 
-    type Log = Rc<RefCell<Vec<(u64, NodeId, u64)>>>;
+    type Log = Rc<RefCell<Vec<(u64, NodeId, u64, Option<u64>)>>>;
 
+    /// Tapped flooders, the shared log, and each node's count of
+    /// sequences held above a hole.
     fn tapped(
         cfg: ReliableConfig,
         schedule: &[ScheduledBroadcast],
         n: usize,
         horizon: u64,
-    ) -> (Vec<Box<dyn Process>>, Log) {
+    ) -> (Vec<Box<dyn Process>>, Log, Vec<Rc<Cell<usize>>>) {
         let log = Log::default();
-        let procs = (0..n)
-            .map(|_| {
+        let aboves: Vec<Rc<Cell<usize>>> = (0..n).map(|_| Rc::default()).collect();
+        let procs = (aboves.iter())
+            .map(|above| {
                 let inner = ReliableFlooder::new(cfg, schedule.to_vec(), horizon);
-                let log = Rc::clone(&log);
-                Box::new(Tap { inner, log }) as Box<dyn Process>
+                let (log, above) = (Rc::clone(&log), Rc::clone(above));
+                Box::new(Tap { inner, log, above }) as Box<dyn Process>
             })
             .collect();
-        (procs, log)
+        (procs, log, aboves)
     }
 
     #[test]
@@ -2138,12 +2194,12 @@ mod tests {
                 at_us: 2_000 * i,
             })
             .collect();
-        let (procs, log) = tapped(cfg, &schedule, n, horizon);
+        let (procs, log, _) = tapped(cfg, &schedule, n, horizon);
         let report = Simulation::new(&cycle(n), link, 5).run(procs, horizon);
         assert_eq!(report.deliveries.len(), n * schedule.len());
         let log = log.borrow();
         let data = |id: u64| id & (ACK_TAG | SUMMARY_TAG) == 0;
-        assert!(log.iter().all(|&(.., id)| id != SUMMARY_TAG), "no summary");
+        assert!(log.iter().all(|e| e.2 != SUMMARY_TAG), "no summary");
         let last_data = log.iter().filter(|e| data(e.2)).map(|e| e.0).max().unwrap();
         let last_frame = log.iter().map(|e| e.0).max().unwrap();
         let settle = cfg.rto_us / 4 + cfg.sweep_us() + link.base_latency_us + link.jitter_us;
@@ -2155,7 +2211,8 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_given_up_after_max_retries_is_advertised_pulled_and_delivered_once() {
+    fn a_frame_given_up_after_max_retries_is_advertised_pulled_and_delivered_once_and_its_link_goes_on(
+    ) {
         use crate::fault::Partition;
 
         let cfg = ReliableConfig {
@@ -2176,22 +2233,46 @@ mod tests {
         });
         let mut sim = Simulation::new(&edge, LinkModel::default(), 1);
         sim.with_faults(Arc::new(inj));
-        let schedule = [ScheduledBroadcast {
-            id: 0x1000,
-            origin: 0,
-            at_us: 10_000,
-        }];
-        let (procs, log) = tapped(cfg, &schedule, 2, 1_000_000);
+        // The second broadcast goes long after the cut healed.
+        let schedule =
+            [(0x1000, 10_000), (0x2000, 400_000)].map(|(id, at_us)| ScheduledBroadcast {
+                id,
+                origin: 0,
+                at_us,
+            });
+        let (procs, log, above) = tapped(cfg, &schedule, 2, 1_000_000);
         let report = sim.run(procs, 1_000_000);
-        let at_1: Vec<u64> = (report.deliveries.iter())
+        let at_1: Vec<(u64, u64)> = (report.deliveries.iter())
             .filter(|d| d.node == NodeId(1))
-            .map(|d| d.time)
+            .map(|d| (d.broadcast_id, d.time))
             .collect();
-        assert_eq!(at_1.len(), 1, "exactly once: {at_1:?}");
-        assert!(at_1[0] > 200_000, "by repair, after the cut");
-        let pulls = (log.borrow().iter())
-            .filter(|&&(_, from, id)| from == NodeId(1) && id == SUMMARY_TAG)
-            .count();
-        assert_eq!(pulls, 1, "one pull answered one advertisement");
+        assert_eq!(at_1.len(), 2, "each exactly once: {at_1:?}");
+        assert_eq!(at_1[0].0, 0x1000);
+        assert!(at_1[0].1 > 200_000, "by repair, after the cut");
+        let log = log.borrow();
+        let pulls = |from_us, to_us| {
+            (log.iter())
+                .filter(|e| (from_us..to_us).contains(&e.0))
+                .filter(|e| e.1 == NodeId(1) && e.2 == SUMMARY_TAG)
+                .count()
+        };
+        assert_eq!(pulls(0, 400_000), 1, "one pull answered one advertisement");
+
+        // The sequence given up does not hold the link's cumulative ack
+        // back for good. The second broadcast crosses once under its own
+        // link sequence, and once more serving the pull that the summary
+        // round sent with it drew (the advert names what is in flight, and
+        // overtook it); each is acked and never sent again. With the link
+        // wedged, each of the two sequences crossed three times. And no
+        // hole is left open.
+        let data = |e: &&(u64, NodeId, u64, Option<u64>)| e.2 & (ACK_TAG | SUMMARY_TAG) == 0;
+        let later: Vec<(u64, Option<u64>)> = (log.iter())
+            .filter(|e| e.0 > 400_000 && e.1 == NodeId(0))
+            .filter(data)
+            .map(|e| (e.2, e.3))
+            .collect();
+        assert_eq!(pulls(400_000, u64::MAX), 1);
+        assert_eq!(later, [(0x2000, Some(3)), (0x2000, Some(4))]);
+        assert_eq!(above[1].get(), 0, "no sequence held above a hole at rest");
     }
 }
