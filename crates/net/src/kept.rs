@@ -20,7 +20,8 @@ pub const KEPT_LEN: usize = 1024;
 /// first of `kept` — the payloads of frames encoded earlier — that nothing
 /// else holds any more, if it has the room; into a new buffer of exactly
 /// `len` bytes otherwise. The new payload joins `kept`, which keeps the
-/// `max` newest (none when `max` is 0), and none longer than [`KEPT_LEN`].
+/// `max` newest (none when `max` is 0), and none longer than [`KEPT_LEN`];
+/// `kept` grows to room for `max` at once, not by doubling.
 pub fn encode_reusing(
     kept: &mut Vec<Bytes>,
     max: usize,
@@ -43,6 +44,7 @@ pub fn encode_reusing(
         if kept.len() >= max {
             kept.remove(0);
         }
+        kept.reserve_exact(max - kept.len());
         kept.push(payload.clone());
     }
     payload

@@ -17,7 +17,10 @@
 //!   out-of-order sequences above it, detects link-level duplicates
 //!   (retransmitted copies whose ack was lost), and produces `(cum, nacks)`
 //!   ack payloads that name the holes so the sender can retransmit them
-//!   immediately instead of waiting out the timeout.
+//!   immediately instead of waiting out the timeout. A hole that has stayed
+//!   open for the sender's whole retransmit lifetime, `(max_retries + 1) ·
+//!   rto_us`, holds frames the sender gave up: the next tick acks past it,
+//!   so a given-up frame never holds back the acks of the frames after it.
 //! * **Anti-entropy codecs** ([`encode_summary_payload`]) serialize
 //!   summaries of recently-seen broadcast ids; peers diff a summary against
 //!   their own dedup set and pull whatever they are missing, so a
@@ -74,6 +77,16 @@
 //! are none, no
 //! summary goes to P: a quiet cluster stays quiet. A link reset forgets
 //! what its peer holds (a revenant reboots blank).
+//!
+//! **A frame costs no allocation.** The core reads an ack's NACKs and a
+//! summary's ids in place, hands the frames an ack or a sweep releases
+//! straight to its sink, and encodes every ack, advert, pull and held list
+//! into the buffer of one it sent before that the driver has let go of
+//! ([`crate::kept`]; it keeps the last 8, `CONTROL_KEPT`). So once warm, a
+//! control frame allocates nothing; what a data frame still costs is its
+//! unacked-window entry (a `BTreeMap` node now and then). The codecs that
+//! return `Bytes` and `Vec`s ([`encode_ack_payload`], [`LinkSender::on_ack`],
+//! …) are wrappers over the same code, for callers that want values.
 //!
 //! **A stored body retires once every neighbor holds it.** The store is
 //! FIFO by count (`store_cap`) as a backstop, and [`ReliableCore::retire`]
@@ -465,9 +478,10 @@ impl LinkReceiver {
     /// has been open for the sender's whole retransmit lifetime: the frames
     /// in it were given up (anti-entropy repairs what they carried), and
     /// waiting on would hold every later frame's cumulative ack back for
-    /// good. The new ack point is owed at once. Never fires while the
-    /// sender still retransmits: a frame in the hole was sent before the
-    /// frame above it that opened the hole arrived.
+    /// good. The new ack point is owed at once. The hole's frames were all
+    /// sent before the frame that opened it arrived, so by then the sender
+    /// has given each of them up (up to a sweep of slack, which that
+    /// frame's own latency and the ticks' grid cover).
     fn skip_given_up(&mut self, cfg: &ReliableConfig, now_us: u64) {
         let Some(&first) = self.above.first() else {
             return;
@@ -2129,7 +2143,7 @@ mod tests {
     struct Tap {
         inner: ReliableFlooder,
         log: Log,
-        above: Rc<Cell<usize>>,
+        above: Above,
     }
 
     impl Tap {
@@ -2158,6 +2172,7 @@ mod tests {
     }
 
     type Log = Rc<RefCell<Vec<(u64, NodeId, u64, Option<u64>)>>>;
+    type Above = Rc<Cell<usize>>;
 
     /// Tapped flooders, the shared log, and each node's count of
     /// sequences held above a hole.
@@ -2166,9 +2181,9 @@ mod tests {
         schedule: &[ScheduledBroadcast],
         n: usize,
         horizon: u64,
-    ) -> (Vec<Box<dyn Process>>, Log, Vec<Rc<Cell<usize>>>) {
+    ) -> (Vec<Box<dyn Process>>, Log, Vec<Above>) {
         let log = Log::default();
-        let aboves: Vec<Rc<Cell<usize>>> = (0..n).map(|_| Rc::default()).collect();
+        let aboves: Vec<Above> = (0..n).map(|_| Rc::default()).collect();
         let procs = (aboves.iter())
             .map(|above| {
                 let inner = ReliableFlooder::new(cfg, schedule.to_vec(), horizon);
@@ -2211,8 +2226,7 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_given_up_after_max_retries_is_advertised_pulled_and_delivered_once_and_its_link_goes_on(
-    ) {
+    fn a_frame_given_up_after_max_retries_is_advertised_pulled_and_delivered_once() {
         use crate::fault::Partition;
 
         let cfg = ReliableConfig {
