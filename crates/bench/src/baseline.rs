@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use lhg_byzantine::{run_sim_byzantine_with_metrics, ScheduledByzBroadcast};
+use lhg_byzantine::{BrachaConfig, ByzantineFlooder, ScheduledByzBroadcast};
 use lhg_core::kdiamond::build_kdiamond;
 use lhg_graph::NodeId;
 use lhg_net::message::Message;
@@ -207,31 +207,27 @@ pub fn run_bracha_baseline(n: usize) -> BaselineRow {
     let overlay = build_kdiamond(n, K).expect("builds");
     let sched = schedule(n);
     let origin_time: BTreeMap<u64, Time> = sched.iter().map(|&(_, id, at)| (id, at)).collect();
-    let mut by_origin: BTreeMap<NodeId, Vec<ScheduledByzBroadcast>> = BTreeMap::new();
-    for &(origin, nonce, at_us) in &sched {
-        by_origin
-            .entry(origin)
-            .or_default()
-            .push(ScheduledByzBroadcast {
-                nonce,
-                payload: payload(),
-                at_us,
-            });
-    }
-    let schedules: Vec<(NodeId, Vec<ScheduledByzBroadcast>)> = by_origin.into_iter().collect();
+    let cfg = BrachaConfig::for_overlay(n, K).expect("LHG overlays are quorum-sound: n ≥ 2k");
     let horizon = BROADCASTS as Time * STAGGER_US + 1_000_000;
     let started = Instant::now();
     let metrics = Arc::new(MetricsRegistry::new());
-    let report = run_sim_byzantine_with_metrics(
-        overlay.graph(),
-        K,
-        &schedules,
-        &[],
-        LINK,
-        42,
-        horizon,
-        Some(Arc::clone(&metrics)),
-    );
+    let mut sim = Simulation::new(overlay.graph(), LINK, 42);
+    sim.with_metrics(Arc::clone(&metrics));
+    let processes: Vec<Box<dyn Process>> = (0..n)
+        .map(|v| -> Box<dyn Process> {
+            let schedule = (sched.iter())
+                .filter(|&&(o, _, _)| o == NodeId(v))
+                .map(|&(_, nonce, at_us)| ScheduledByzBroadcast {
+                    nonce,
+                    payload: payload(),
+                    at_us,
+                })
+                .collect();
+            let node = ByzantineFlooder::new(v as u32, cfg).with_schedule(schedule);
+            Box::new(node.with_metrics(Arc::clone(&metrics)))
+        })
+        .collect();
+    let report = sim.run(processes, horizon);
     let wall = started.elapsed();
     let latencies: Vec<u64> = report
         .deliveries

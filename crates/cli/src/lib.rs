@@ -11,7 +11,7 @@
 //! lhg cluster   --nodes N --k K [--kill F]    # real-socket self-healing run
 //! lhg observe   --nodes N --k K [--kill F]    # traced run: timeline + hop report
 //! lhg chaos     --seeds N [--engine E]        # seeded fault-injection sweep
-//! lhg byzantine --nodes N --k K [--traitor B] # Bracha broadcast vs. a live traitor
+//! lhg byzantine --nodes N --k K [--traitor B] # one Bracha broadcast vs. a traitor, chaos oracle
 //! lhg top       --nodes N --k K [--json]      # live cluster telemetry by message class
 //! ```
 //!
@@ -30,6 +30,7 @@ use lhg_core::existence::{ex_jd, ex_ktree};
 use lhg_core::jd::build_jd;
 use lhg_core::kdiamond::build_kdiamond;
 use lhg_core::ktree::build_ktree;
+use lhg_core::overlay::DynamicOverlay;
 use lhg_core::planner::plan;
 use lhg_core::properties::validate;
 use lhg_core::regularity::{reg_kdiamond, reg_ktree};
@@ -157,7 +158,7 @@ USAGE:
                [--family crash|partition|lossy|byzantine|mixed] [--k 3..5] [--traitors T]
                [--quick] [--events PATH] [--json PATH]
   lhg byzantine --nodes N --k K [--traitor none|equivocate|forge|silent|replay|frame_crash|suppress_heartbeat]
-               [--seed S] [--constraint C]
+               [--seed S] [--constraint ktree|kdiamond|jd]
   lhg top      --nodes N --k K [--broadcasts B] [--duration-ms D] [--interval-ms I] [--constraint C] [--json]
   lhg help
 ";
@@ -416,8 +417,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             let k: usize = opts.required("k")?;
             let seed: u64 = opts.optional("seed", 42)?;
             let traitor = opts.string("traitor", "forge");
-            let constraint = opts.string("constraint", "kdiamond");
-            run_byzantine_demo(n, k, &traitor, seed, &constraint, out)
+            let constraint = runtime_constraint(&opts.string("constraint", "kdiamond"))?;
+            run_byzantine_demo(n, k, &traitor, seed, constraint, out)
         }
         "top" => {
             let opts = Options::parse_with_switches(rest, &["json"])?;
@@ -885,49 +886,37 @@ fn run_observe(
     }
 }
 
-/// Drives one `lhg byzantine` demo on the discrete-event simulator: build
-/// the overlay, print the Bracha quorum parameters at the full traitor
-/// budget f = ⌊(k−1)/2⌋, plant one traitor (unless `--traitor none`), run
-/// a broadcast from a correct origin, and report what every correct node
-/// delivered. Exits non-zero if the run itself violates agreement,
-/// validity, integrity or exactly-once — the demo doubles as a smoke
-/// check of the protocol.
+/// Drives one `lhg byzantine` demo: print the Bracha quorum parameters at
+/// the full traitor budget f = ⌊(k−1)/2⌋, then run one byzantine fault plan
+/// — node n−1 the traitor (unless `--traitor none`), one broadcast from
+/// node 0, clean links — on the simulator, every node the shipped
+/// `NodeCore`, under the chaos oracle ([`lhg_chaos::run_sim_chaos`]).
+/// Prints the run's summary and wire cost by message class, and fails on
+/// any violation of agreement, validity, integrity or exactly-once.
 fn run_byzantine_demo(
     n: usize,
     k: usize,
     traitor: &str,
     seed: u64,
-    constraint: &str,
+    constraint: Constraint,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    use std::collections::BTreeSet;
-
-    use lhg_byzantine::{
-        max_traitors, run_sim_byzantine, BrachaConfig, ScheduledByzBroadcast, TraitorBehavior,
-        EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE,
-    };
-    use lhg_graph::NodeId;
-    use lhg_net::sim::LinkModel;
+    use lhg_byzantine::{max_traitors, BrachaConfig, TraitorBehavior};
+    use lhg_chaos::{BroadcastSpec, Family, FaultPlan, TraitorSpec, CHAOS_BCAST_BASE};
 
     let io_err = |e: std::io::Error| err(format!("write failed: {e}"));
     let behavior = match traitor {
         "none" => None,
-        "equivocate" => Some(TraitorBehavior::Equivocate),
-        "forge" => Some(TraitorBehavior::Forge),
-        "silent" => Some(TraitorBehavior::Silent),
-        "replay" => Some(TraitorBehavior::Replay),
-        // The failure-detector attacks. On the sim demo they reduce to
-        // vote-withholding (there is no heartbeat plane to lie to); their
-        // forged crash waves and heartbeat suppression bite on the TCP
-        // runtime, where the mixed chaos family exercises them.
-        "frame_crash" => Some(TraitorBehavior::FrameCrash),
-        "suppress_heartbeat" => Some(TraitorBehavior::SuppressHeartbeat),
-        other => {
-            return Err(err(format!(
-                "unknown traitor behavior {other:?} (expected none, equivocate, \
-                 forge, silent, replay, frame_crash or suppress_heartbeat)"
-            )))
-        }
+        name => Some(
+            (TraitorBehavior::ALL.into_iter())
+                .find(|b| b.name() == name)
+                .ok_or_else(|| {
+                    err(format!(
+                        "unknown traitor behavior {name:?} (expected none, equivocate, \
+                         forge, silent, replay, frame_crash or suppress_heartbeat)"
+                    ))
+                })?,
+        ),
     };
     let f = max_traitors(k);
     if behavior.is_some() && f == 0 {
@@ -936,7 +925,7 @@ fn run_byzantine_demo(
              raise --k to 3 or pass --traitor none"
         )));
     }
-    let g = build_topology(constraint, n, k)?;
+    DynamicOverlay::bootstrap(constraint, n, k).map_err(|e| err(e.to_string()))?;
     let cfg = BrachaConfig::for_overlay(n, k).map_err(|e| err(e.to_string()))?;
     writeln!(
         out,
@@ -947,117 +936,51 @@ fn run_byzantine_demo(
         cfg.delivery_quorum()
     )
     .map_err(io_err)?;
-
-    // The traitor is the highest node id; the origin is node 0.
-    let traitors: Vec<(NodeId, TraitorBehavior)> =
-        behavior.iter().map(|&b| (NodeId(n - 1), b)).collect();
     if let Some(b) = behavior {
         writeln!(out, "traitor: node {} plays {}", n - 1, b.name()).map_err(io_err)?;
     }
-    const NONCE: u64 = 1;
-    let schedules = vec![(
-        NodeId(0),
-        vec![ScheduledByzBroadcast {
-            nonce: NONCE,
-            payload: bytes::Bytes::from_static(b"byzantine demo payload"),
+    let plan = FaultPlan {
+        seed,
+        family: Family::Byzantine,
+        n,
+        k,
+        constraint,
+        default_rates: lhg_net::fault::LinkFaults::default(),
+        partitions: Vec::new(),
+        crashes: Vec::new(),
+        traitors: (behavior.into_iter())
+            .map(|behavior| TraitorSpec {
+                node: n as u32 - 1,
+                behavior,
+            })
+            .collect(),
+        broadcasts: vec![BroadcastSpec {
+            origin: 0,
             at_us: 10_000,
         }],
-    )];
-    let report = run_sim_byzantine(
-        &g,
-        k,
-        &schedules,
-        &traitors,
-        LinkModel::default(),
-        seed,
-        2_000_000,
-    );
-
-    // Group correct-node deliveries by instance nonce; `trace` carries the
-    // certified payload digest.
-    let is_correct = |v: usize| behavior.is_none() || v != n - 1;
-    let mut per_instance: BTreeMap<u64, Vec<(u32, Option<u64>)>> = BTreeMap::new();
-    for d in &report.deliveries {
-        if is_correct(d.node.index()) {
-            per_instance
-                .entry(d.broadcast_id)
-                .or_default()
-                .push((d.node.index() as u32, d.trace));
-        }
+        horizon_us: 2_000_000,
+    };
+    let report = lhg_chaos::run_sim_chaos(&plan);
+    writeln!(out, "{}", report.summary()).map_err(io_err)?;
+    if let Some(telemetry) = &report.telemetry {
+        writeln!(out, "telemetry: {telemetry}").map_err(io_err)?;
     }
-    for (nonce, recs) in &per_instance {
-        let nodes: BTreeSet<u32> = recs.iter().map(|&(v, _)| v).collect();
-        if nodes.len() != recs.len() {
-            return Err(err(format!(
-                "exactly-once broken: a node delivered instance {nonce:#x} twice"
-            )));
+    if !report.passed() {
+        for v in &report.violations {
+            writeln!(out, "  - {v}").map_err(io_err)?;
         }
-    }
-
-    let correct_total = n - traitors.len();
-    let delivered = per_instance.get(&NONCE).map_or(0, Vec::len);
-    writeln!(
-        out,
-        "instance {NONCE:#x} from correct origin 0: delivered by {delivered} of \
-         {correct_total} correct nodes"
-    )
-    .map_err(io_err)?;
-    if delivered < correct_total {
         return Err(err(format!(
-            "validity broken: {} correct node(s) never delivered instance {NONCE:#x}",
-            correct_total - delivered
+            "the chaos oracle found {} violation(s)",
+            report.violations.len()
         )));
     }
-
-    match behavior {
-        Some(TraitorBehavior::Equivocate) => {
-            let nonce = EQUIVOCATE_NONCE_BASE + (n - 1) as u64;
-            match per_instance.get(&nonce) {
-                None => writeln!(
-                    out,
-                    "equivocated instance {nonce:#x}: no face reached a delivery quorum"
-                )
-                .map_err(io_err)?,
-                Some(recs) => {
-                    let digests: BTreeSet<Option<u64>> = recs.iter().map(|&(_, d)| d).collect();
-                    if digests.len() > 1 {
-                        return Err(err(format!(
-                            "agreement broken: correct nodes certified both faces of \
-                             instance {nonce:#x}"
-                        )));
-                    }
-                    writeln!(
-                        out,
-                        "equivocated instance {nonce:#x}: {} correct node(s) certified \
-                         the same single face — agreement holds",
-                        recs.len()
-                    )
-                    .map_err(io_err)?;
-                }
-            }
-        }
-        Some(TraitorBehavior::Forge) => {
-            let nonce = FORGE_NONCE_BASE + (n - 1) as u64;
-            if per_instance.contains_key(&nonce) {
-                return Err(err(format!(
-                    "integrity broken: a correct node delivered forged instance {nonce:#x}"
-                )));
-            }
-            writeln!(
-                out,
-                "forged instance {nonce:#x}: rejected by every correct node \
-                 (echo quorum unreachable on one traitor's word)"
-            )
-            .map_err(io_err)?;
-        }
-        _ => {}
-    }
-
+    let correct = plan.correct_nodes().len();
     writeln!(
         out,
-        "byzantine broadcast ok: agreement, validity, integrity and exactly-once all hold \
-         ({} messages, {} µs virtual time)",
-        report.messages_sent, report.end_time
+        "byzantine broadcast ok: instance {CHAOS_BCAST_BASE:#x} from correct origin 0 \
+         delivered by {correct} of {correct} correct nodes; agreement, validity, integrity \
+         and exactly-once all hold ({} µs virtual time)",
+        report.end_time_us
     )
     .map_err(io_err)
 }
@@ -1638,6 +1561,12 @@ mod tests {
         ])
         .unwrap_err();
         assert!(e.message.contains("unknown traitor behavior"), "{e}");
+        // The runtime constructions only, refused as `cluster` refuses.
+        let harary = ["--nodes", "8", "--k", "3", "--constraint", "harary"];
+        let e = run_to_string(&[&["byzantine"], &harary[..]].concat()).unwrap_err();
+        let cluster = run_to_string(&[&["cluster"], &harary[..]].concat()).unwrap_err();
+        assert_eq!(e, cluster);
+        assert!(e.message.contains("unknown constraint \"harary\""), "{e}");
         // k=2 with no traitor is legal: f=0, plain quorum broadcast.
         let out =
             run_to_string(&["byzantine", "--nodes", "6", "--k", "2", "--traitor", "none"]).unwrap();
