@@ -82,11 +82,14 @@
 //! summary's ids in place, hands the frames an ack or a sweep releases
 //! straight to its sink, and encodes every ack, advert, pull and held list
 //! into the buffer of one it sent before that the driver has let go of
-//! ([`crate::kept`]; it keeps the last 8, `CONTROL_KEPT`). So once warm, a
-//! control frame allocates nothing; what a data frame still costs is its
-//! unacked-window entry (a `BTreeMap` node now and then). The codecs that
-//! return `Bytes` and `Vec`s ([`encode_ack_payload`], [`LinkSender::on_ack`],
-//! …) are wrappers over the same code, for callers that want values.
+//! ([`crate::kept`]; it keeps the last 8, `CONTROL_KEPT`). What a data frame
+//! leaves behind lands in dense containers that keep their room: a sender's
+//! unacked window is a ring indexed by sequence, a receiver's out-of-order
+//! sequences a sorted list, and the pull store a ring in arrival order with
+//! an index from id to place. So once warm, neither a control frame nor a
+//! data frame allocates. The codecs that return `Bytes` and `Vec`s
+//! ([`encode_ack_payload`], [`LinkSender::on_ack`], …) are wrappers over the
+//! same code, for callers that want values.
 //!
 //! **A stored body retires once every neighbor holds it.** The store is
 //! FIFO by count (`store_cap`) as a backstop, and [`ReliableCore::retire`]
@@ -112,7 +115,7 @@
 //! absorbed twice: once here (link-level duplicate) and, if it ever slips
 //! past (e.g. after a link reset), again by the dedup set.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::num::NonZeroU64;
 
@@ -225,7 +228,13 @@ struct InFlight {
 #[derive(Debug, Default)]
 pub struct LinkSender {
     next_seq: u64,
-    unacked: BTreeMap<u64, InFlight>,
+    /// The unacked window as a ring indexed by sequence: slot `i` holds
+    /// sequence `next_seq + 1 - len + i`, `None` where a frame was given up
+    /// behind an older one still in flight. The front slot is never `None`,
+    /// and the ring keeps its room as it drains.
+    unacked: VecDeque<Option<InFlight>>,
+    /// The `Some` slots of `unacked`: the frames in flight.
+    live: usize,
     queued: VecDeque<Message>,
     /// Frames dropped after exhausting retries or overflowing the queue.
     given_up: u64,
@@ -241,7 +250,7 @@ impl LinkSender {
     /// Frames currently awaiting an ack.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.unacked.len()
+        self.live
     }
 
     /// Frames parked by backpressure.
@@ -258,9 +267,28 @@ impl LinkSender {
 
     /// Payload bytes referenced by the unacked window and the queue.
     fn retained_bytes(&self) -> usize {
-        let unacked = self.unacked.values().map(|f| f.msg.payload.len());
+        let unacked = self.unacked.iter().flatten().map(|f| f.msg.payload.len());
         let queued = self.queued.iter().map(|m| m.payload.len());
         unacked.chain(queued).sum()
+    }
+
+    /// The sequence in `unacked`'s front slot.
+    fn base(&self) -> u64 {
+        self.next_seq + 1 - self.unacked.len() as u64
+    }
+
+    /// The frame in flight under `seq`, if any: below the window, above
+    /// `next_seq` and given up are all `None`.
+    fn in_flight_mut(&mut self, seq: u64) -> Option<&mut InFlight> {
+        let at = usize::try_from(seq.checked_sub(self.base())?).ok()?;
+        self.unacked.get_mut(at)?.as_mut()
+    }
+
+    /// Pops the slots of frames given up from the front of the window.
+    fn trim(&mut self) {
+        while matches!(self.unacked.front(), Some(None)) {
+            self.unacked.pop_front();
+        }
     }
 
     /// Accepts `msg` for reliable transmission. Returns the stamped frame
@@ -268,7 +296,7 @@ impl LinkSender {
     /// frame was queued (it will surface from a later [`LinkSender::on_ack`]
     /// or [`LinkSender::sweep`] once the window opens).
     pub fn send(&mut self, msg: Message, cfg: &ReliableConfig, now_us: u64) -> Option<Message> {
-        if self.unacked.len() < cfg.window {
+        if self.live < cfg.window {
             Some(self.stamp(msg, now_us))
         } else {
             if self.queued.len() >= cfg.queue_cap {
@@ -283,14 +311,12 @@ impl LinkSender {
     fn stamp(&mut self, msg: Message, now_us: u64) -> Message {
         self.next_seq += 1;
         let stamped = msg.with_link_seq(self.next_seq);
-        self.unacked.insert(
-            self.next_seq,
-            InFlight {
-                msg: stamped.clone(),
-                last_tx_us: now_us,
-                retries: 0,
-            },
-        );
+        self.unacked.push_back(Some(InFlight {
+            msg: stamped.clone(),
+            last_tx_us: now_us,
+            retries: 0,
+        }));
+        self.live += 1;
         stamped
     }
 
@@ -324,7 +350,7 @@ impl LinkSender {
     ) {
         self.retire(cum, |_| {});
         for s in nacks {
-            if let Some(f) = self.unacked.get_mut(&s) {
+            if let Some(f) = self.in_flight_mut(s) {
                 f.retries += 1;
                 f.last_tx_us = now_us;
                 put(f.msg.clone());
@@ -336,12 +362,13 @@ impl LinkSender {
     /// Drops every frame the cumulative ack `cum` covers from the window,
     /// oldest first, handing each to `acked` on its way out.
     fn retire(&mut self, cum: u64, mut acked: impl FnMut(&Message)) {
-        while let Some(entry) = self.unacked.first_entry() {
-            if *entry.key() > cum {
-                break;
+        while !self.unacked.is_empty() && self.base() <= cum {
+            if let Some(f) = self.unacked.pop_front().flatten() {
+                self.live -= 1;
+                acked(&f.msg);
             }
-            acked(&entry.remove().msg);
         }
+        self.trim();
     }
 
     /// Retransmit sweep: returns every frame whose retransmit timeout has
@@ -359,25 +386,30 @@ impl LinkSender {
     /// order.
     fn sweep_with(&mut self, cfg: &ReliableConfig, now_us: u64, mut put: impl FnMut(Message)) {
         let mut given_up = 0;
-        self.unacked.retain(|_, f| {
+        for slot in &mut self.unacked {
+            let Some(f) = slot else {
+                continue;
+            };
             if now_us.saturating_sub(f.last_tx_us) < cfg.rto_us {
-                return true;
+                continue;
             }
             if f.retries >= cfg.max_retries {
+                *slot = None;
                 given_up += 1;
-                return false;
+                continue;
             }
             f.retries += 1;
             f.last_tx_us = now_us;
             put(f.msg.clone());
-            true
-        });
-        self.given_up += given_up;
+        }
+        self.live -= given_up;
+        self.given_up += given_up as u64;
+        self.trim();
         self.drain(cfg, now_us, put);
     }
 
     fn drain(&mut self, cfg: &ReliableConfig, now_us: u64, mut put: impl FnMut(Message)) {
-        while self.unacked.len() < cfg.window {
+        while self.live < cfg.window {
             let Some(msg) = self.queued.pop_front() else {
                 break;
             };
@@ -389,9 +421,7 @@ impl LinkSender {
     /// (unacked then queued, in sequence order) with link stamps removed —
     /// what a reconnecting caller re-sends over the replacement link.
     pub fn take_undelivered(&mut self) -> Vec<Message> {
-        let mut out: Vec<Message> = self
-            .unacked
-            .values()
+        let mut out: Vec<Message> = (self.unacked.iter().flatten())
             .map(|f| {
                 let mut m = f.msg.clone();
                 m.link_seq = None;
@@ -412,9 +442,12 @@ pub const MAX_NACKS: usize = 32;
 pub struct LinkReceiver {
     /// Every sequence `<= cum` has been received, or skipped as given up.
     cum: u64,
-    /// Received sequences above `cum` (out of order), and since when the
-    /// hole below the first of them has been open (the core's clock).
-    above: BTreeSet<u64>,
+    /// Received sequences above `cum` (out of order), sorted, and since
+    /// when the hole below the first of them has been open (the core's
+    /// clock). Arrivals land almost always at the back and leave from the
+    /// front; one entry per sequence received, never one per sequence
+    /// skipped, so a peer's sequence numbers cannot size it.
+    above: VecDeque<u64>,
     hole_since: u64,
     /// A frame arrived since the last ack left, piggybacked or standalone;
     /// `owed` frames did, the first of them at `owed_since` (the core's
@@ -443,20 +476,28 @@ impl LinkReceiver {
     pub fn on_frame(&mut self, seq: u64) -> bool {
         self.dirty = true;
         self.owed += 1;
-        if seq <= self.cum || self.above.contains(&seq) {
-            self.urgent = true;
-            return false;
-        }
         if seq == self.cum + 1 {
             self.cum = seq;
-            while self.above.remove(&(self.cum + 1)) {
-                self.cum += 1;
-            }
+            self.advance();
         } else {
-            self.above.insert(seq);
+            match self.above.binary_search(&seq) {
+                Err(at) if seq > self.cum => self.above.insert(at, seq),
+                _ => {
+                    self.urgent = true;
+                    return false;
+                }
+            }
         }
         self.urgent |= !self.above.is_empty();
         true
+    }
+
+    /// Moves `cum` up over the sequences received just above it.
+    fn advance(&mut self) {
+        while self.above.front() == Some(&(self.cum + 1)) {
+            self.above.pop_front();
+            self.cum += 1;
+        }
     }
 
     /// [`Self::on_frame`] at `now_us`, which starts the owed ack's clock,
@@ -483,16 +524,14 @@ impl LinkReceiver {
     /// has given each of them up (up to a sweep of slack, which that
     /// frame's own latency and the ticks' grid cover).
     fn skip_given_up(&mut self, cfg: &ReliableConfig, now_us: u64) {
-        let Some(&first) = self.above.first() else {
+        let Some(&first) = self.above.front() else {
             return;
         };
         if now_us.saturating_sub(self.hole_since) < cfg.retransmit_lifetime_us() {
             return;
         }
         self.cum = first - 1;
-        while self.above.remove(&(self.cum + 1)) {
-            self.cum += 1;
-        }
+        self.advance();
         self.hole_since = now_us;
         self.dirty = true;
         self.urgent = true;
@@ -546,7 +585,7 @@ impl LinkReceiver {
         self.urgent = false;
         self.owed = 0;
         nacks.clear();
-        if let Some(&max) = self.above.iter().next_back() {
+        if let Some(&max) = self.above.back() {
             let mut expect = self.cum + 1;
             for &got in &self.above {
                 while expect < got && nacks.len() < MAX_NACKS {
@@ -719,6 +758,73 @@ struct Retained {
     held: u64,
 }
 
+/// The pull store: retained broadcasts in arrival order, oldest first — the
+/// order eviction drops them in and, newest first, summaries name them in —
+/// and an index from id to arrival number. One entry per id.
+#[derive(Debug, Default)]
+struct Store {
+    ring: VecDeque<Retained>,
+    /// `ring[i]`'s id → its arrival number, `first + i`.
+    index: HashMap<u64, u64>,
+    /// The arrival number of `ring`'s front entry.
+    first: u64,
+}
+
+impl Store {
+    /// Where in `ring` retained broadcast `id` sits.
+    fn place(&self, id: u64) -> Option<usize> {
+        Some((self.index.get(&id)? - self.first) as usize)
+    }
+
+    fn get(&self, id: u64) -> Option<&Retained> {
+        self.place(id).map(|at| &self.ring[at])
+    }
+
+    /// Records that the peers in `bits` hold retained broadcast `id`.
+    fn mark_held(&mut self, id: u64, bits: u64) {
+        if let Some(at) = self.place(id) {
+            self.ring[at].held |= bits;
+        }
+    }
+
+    /// Retains `kept` as held by the peers in `held`, evicting the oldest
+    /// entry past `cap`. An id stored already (the dedup set forgot it, and
+    /// it came again) gives up its older copy first, so the newer one stays
+    /// until it is the oldest.
+    fn remember(&mut self, kept: Message, held: u64, cap: usize) {
+        let id = kept.broadcast_id;
+        if let Some(older) = self.place(id) {
+            self.ring.remove(older);
+            self.reindex();
+        }
+        if self.ring.len() >= cap {
+            if let Some(old) = self.ring.pop_front() {
+                self.index.remove(&old.msg.broadcast_id);
+                self.first += 1;
+            }
+        }
+        self.index.insert(id, self.first + self.ring.len() as u64);
+        self.ring.push_back(Retained { msg: kept, held });
+    }
+
+    /// Keeps the entries `keep` says to, in order.
+    fn retain(&mut self, keep: impl FnMut(&Retained) -> bool) {
+        let before = self.ring.len();
+        self.ring.retain(keep);
+        if self.ring.len() < before {
+            self.reindex();
+        }
+    }
+
+    /// Renumbers the ring from `first` after entries left its middle.
+    fn reindex(&mut self) {
+        self.index.clear();
+        for (at, kept) in (self.first..).zip(&self.ring) {
+            self.index.insert(kept.msg.broadcast_id, at);
+        }
+    }
+}
+
 /// The peer behind each bit of a [`Retained::held`] mask. A slot is taken
 /// the first time a peer is known to hold something and freed when its
 /// link resets; with all 64 taken, a further peer is never known to hold
@@ -787,10 +893,8 @@ pub struct ReliableCore<P> {
     rx: HashMap<P, LinkReceiver>,
     /// Data frames a torn-down link never delivered, until [`Self::flush`].
     parked: HashMap<P, Vec<Message>>,
-    /// Recent data messages retained for pull serving, plus the
-    /// insertion-ordered id window backing summaries and eviction.
-    store: HashMap<u64, Retained>,
-    recent: VecDeque<u64>,
+    /// Recent data messages retained for summaries and pull serving.
+    store: Store,
     /// Who owns which bit of the held masks.
     holders: Holders<P>,
     /// Per peer, the ids its advertisements named that we had already seen:
@@ -823,8 +927,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             tx: HashMap::new(),
             rx: HashMap::new(),
             parked: HashMap::new(),
-            store: HashMap::new(),
-            recent: VecDeque::new(),
+            store: Store::default(),
             holders: Holders(Vec::new()),
             owed: HashMap::new(),
             ids: Vec::new(),
@@ -836,23 +939,9 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// serving, as held by the peers in `held`, evicting the oldest entry
     /// past `store_cap`.
     fn remember(&mut self, mut kept: Message, held: u64) {
-        if self.recent.len() >= self.cfg.store_cap {
-            if let Some(old) = self.recent.pop_front() {
-                self.store.remove(&old);
-            }
-        }
         kept.link_seq = None;
         kept.link_ack = None;
-        let id = kept.broadcast_id;
-        self.recent.push_back(id);
-        self.store.insert(id, Retained { msg: kept, held });
-    }
-
-    /// Records that the peers in `bits` hold retained broadcast `id`.
-    fn mark_held(store: &mut HashMap<u64, Retained>, id: u64, bits: u64) {
-        if let Some(kept) = store.get_mut(&id) {
-            kept.held |= bits;
-        }
+        self.store.remember(kept, held, self.cfg.store_cap);
     }
 
     /// Payload bytes this core holds on to: the pull store, every link's
@@ -865,7 +954,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// the summary cadence, not for the frame path.
     #[must_use]
     pub fn retained_bytes(&self) -> usize {
-        let store = self.store.values().map(|k| k.msg.payload.len());
+        let store = self.store.ring.iter().map(|k| k.msg.payload.len());
         let links = self.tx.values().map(LinkSender::retained_bytes);
         let parked = self.parked.values().flatten().map(|m| m.payload.len());
         store.chain(links).chain(parked).sum()
@@ -964,7 +1053,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             self.flood(&msg.forwarded(), Some(from), now_us, peers, out);
             DataOutcome::Fresh
         } else {
-            Self::mark_held(&mut self.store, msg.broadcast_id, sender);
+            self.store.mark_held(msg.broadcast_id, sender);
             DataOutcome::Duplicate
         };
         if (self.rx.get(&from)).is_some_and(|rx| rx.covers_half_window(&self.cfg)) {
@@ -999,7 +1088,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             return;
         };
         let (bit, store) = (self.holders.claim(from), &mut self.store);
-        tx.retire(cum, |m| Self::mark_held(store, m.broadcast_id, bit));
+        tx.retire(cum, |m| store.mark_held(m.broadcast_id, bit));
         let rx = &mut self.rx;
         tx.on_ack_with(cum, nacks, &self.cfg, now_us, |frame| {
             Self::emit(rx, from, frame, out);
@@ -1028,7 +1117,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         if mode == SUMMARY_PULL {
             let mut served = 0;
             for id in ids {
-                if let Some(kept) = self.store.get(&id).map(|k| k.msg.clone()) {
+                if let Some(kept) = self.store.get(id).map(|k| k.msg.clone()) {
                     self.send(from, kept, now_us, out);
                     served += 1;
                 }
@@ -1037,7 +1126,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         }
         let bit = self.holders.claim(from);
         for id in ids.clone() {
-            Self::mark_held(&mut self.store, id, bit);
+            self.store.mark_held(id, bit);
         }
         if mode == SUMMARY_HELD {
             return SummaryOutcome::Ignored;
@@ -1090,14 +1179,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         if all == 0 {
             return;
         }
-        let store = &mut self.store;
-        self.recent.retain(|id| {
-            let stable = store.get(id).is_some_and(|k| k.held & all == all);
-            if stable {
-                store.remove(id);
-            }
-            !stable
-        });
+        self.store.retain(|k| k.held & all != all);
     }
 
     /// `true` while a sweep could have work — a frame unacked or queued on
@@ -1145,11 +1227,11 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     pub fn advertise(&mut self, peers: impl IntoIterator<Item = P>, out: &mut Sends<P>) -> bool {
         let before = out.len();
         for peer in peers {
-            let (bit, store) = (self.holders.bit(peer), &self.store);
-            let lacks = |id: &u64| store.get(id).is_some_and(|k| k.held & bit == 0);
+            let bit = self.holders.bit(peer);
+            let recent = self.store.ring.iter().rev().take(MAX_SUMMARY_IDS);
+            let lacking = recent.filter(|k| k.held & bit == 0);
             self.ids.clear();
-            let recent = self.recent.iter().rev().take(MAX_SUMMARY_IDS);
-            self.ids.extend(recent.filter(|id| lacks(id)));
+            self.ids.extend(lacking.map(|k| k.msg.broadcast_id));
             if !self.ids.is_empty() {
                 let advert =
                     encode_summary(&mut self.kept, CONTROL_KEPT, SUMMARY_ADVERTISE, &self.ids);
@@ -1171,7 +1253,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         self.owed.remove(&peer);
         let bit = self.holders.release(peer);
         if bit != 0 {
-            for kept in self.store.values_mut() {
+            for kept in &mut self.store.ring {
                 kept.held &= !bit;
             }
         }
@@ -1415,6 +1497,57 @@ mod tests {
     }
 
     #[test]
+    fn nacks_below_the_window_above_next_seq_or_at_u64_max_are_ignored() {
+        let c = cfg();
+        let mut tx = LinkSender::new();
+        for i in 0..4 {
+            tx.send(msg(i), &c, 0);
+        }
+        tx.on_ack(2, &[], &c, 0);
+        for nack in [0, 1, 2, 5, 6, u64::MAX] {
+            assert!(tx.on_ack(2, &[nack], &c, 10).is_empty(), "NACK {nack}");
+        }
+        assert_eq!(tx.in_flight(), 2);
+        // Nothing was bumped: both frames time out on their first send,
+        // and give up after exactly `max_retries` sweeps.
+        let resent =
+            |tx: &mut LinkSender, now| tx.sweep(&c, now).iter().map(seq).collect::<Vec<_>>();
+        assert_eq!(resent(&mut tx, 100), [Some(3), Some(4)]);
+        assert_eq!(resent(&mut tx, 200), [Some(3), Some(4)]);
+        assert_eq!(resent(&mut tx, 300), [Some(3), Some(4)]);
+        assert!(resent(&mut tx, 400).is_empty());
+        assert_eq!((tx.in_flight(), tx.given_up()), (0, 2));
+    }
+
+    #[test]
+    fn a_frame_given_up_behind_a_live_one_leaves_a_hole_until_the_front_goes() {
+        let c = cfg(); // max_retries 3
+        let mut tx = LinkSender::new();
+        for i in 1..=3 {
+            tx.send(msg(i), &c, 0);
+        }
+        // Seq 2's NACKs spend its retries; seqs 1 and 3 have spent none.
+        for now in [10, 20, 30] {
+            assert_eq!(tx.on_ack(0, &[2], &c, now).len(), 1);
+        }
+        assert_eq!(tx.sweep(&c, 130).len(), 2, "1 and 3 retransmit, 2 gives up");
+        assert_eq!((tx.in_flight(), tx.given_up()), (2, 1));
+        assert_eq!(tx.unacked.len(), 3, "seq 2's slot stays, empty");
+        assert!(tx.unacked[1].is_none());
+        // A NACK of the hole is ignored; acking seq 1 pops the hole too.
+        assert!(tx.on_ack(0, &[2], &c, 140).is_empty());
+        tx.on_ack(1, &[], &c, 150);
+        assert_eq!(tx.unacked.len(), 1);
+        let out = tx.on_ack(1, &[3], &c, 160);
+        assert_eq!(out.iter().map(seq).collect::<Vec<_>>(), [Some(3)]);
+        // The ring keeps its room as it drains.
+        let room = tx.unacked.capacity();
+        tx.on_ack(3, &[], &c, 170);
+        assert!(tx.unacked.is_empty() && tx.in_flight() == 0);
+        assert_eq!(tx.unacked.capacity(), room);
+    }
+
+    #[test]
     fn take_undelivered_returns_unacked_and_queued_unstamped() {
         let c = cfg();
         let mut tx = LinkSender::new();
@@ -1440,6 +1573,23 @@ mod tests {
         assert_eq!(rx.cum(), 1);
         assert!(rx.on_frame(2), "hole fills; cum jumps over 3");
         assert_eq!(rx.cum(), 3);
+    }
+
+    #[test]
+    fn arrivals_in_any_order_keep_the_out_of_order_list_sorted() {
+        let mut rx = LinkReceiver::new();
+        for seq in [9, 4, 7, 5, 12, 3] {
+            assert!(rx.on_frame(seq));
+        }
+        assert!(!rx.on_frame(7), "a duplicate from the middle");
+        assert_eq!(rx.above, [3, 4, 5, 7, 9, 12]);
+        let mut nacks = Vec::new();
+        assert_eq!(rx.ack_payload(&mut nacks), 0);
+        assert_eq!(nacks, [1, 2, 6, 8, 10, 11]);
+        rx.on_frame(1);
+        assert_eq!(rx.cum(), 1);
+        rx.on_frame(2);
+        assert_eq!((rx.cum(), rx.above.len()), (5, 3), "3, 4, 5 left the front");
     }
 
     #[test]
@@ -2035,6 +2185,16 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// The ids `c` stores, oldest first, each checked against the index.
+    fn stored(c: &ReliableCore<u32>) -> Vec<u64> {
+        let ids: Vec<u64> = c.store.ring.iter().map(|k| k.msg.broadcast_id).collect();
+        assert_eq!(c.store.index.len(), ids.len(), "one index entry per id");
+        for &id in &ids {
+            assert_eq!(c.store.get(id).map(|k| k.msg.broadcast_id), Some(id));
+        }
+        ids
+    }
+
     #[test]
     fn retire_drops_only_what_every_given_neighbor_holds() {
         let (mut c, mut seen, mut out) = (core(cfg()), SeenSet::default(), Vec::new());
@@ -2047,17 +2207,102 @@ mod tests {
         seen.insert(1);
         c.on_summary(3, encode_summary_payload(false, &[1]), &seen, 0, &mut out);
         c.retire([1, 2]);
-        assert_eq!(c.recent, [3], "held by 1 but not by 2");
-        assert_eq!(c.store.len(), 1);
+        assert_eq!(stored(&c), [3], "held by 1 but not by 2");
         c.retire([1]);
-        assert!(c.store.is_empty() && c.recent.is_empty());
+        assert!(stored(&c).is_empty());
 
         // The store refills; FIFO eviction counts only live entries.
         for id in 4..=200 {
             c.originate(&msg(id), 0, [], &mut out);
         }
-        assert_eq!(c.recent.len(), cfg().store_cap);
-        assert_eq!(c.recent.front(), Some(&(201 - cfg().store_cap as u64)));
+        let first = 201 - cfg().store_cap as u64;
+        assert_eq!(stored(&c), (first..=200).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn an_id_remembered_twice_stays_servable_until_its_newer_copy_is_evicted() {
+        let mut c = core(ReliableConfig {
+            store_cap: 4,
+            ..cfg()
+        });
+        // The dedup set is smaller than the store: it forgets id 1 while
+        // the store still holds it, and id 1 comes again.
+        let (mut seen, mut out) = (SeenSet::new(2), Vec::new());
+        for (seq, id) in [(1, 1), (2, 2), (3, 3), (4, 1)] {
+            let outcome = c.on_data(9, &msg(id).with_link_seq(seq), &mut seen, 0, [], &mut out);
+            assert_eq!(outcome, DataOutcome::Fresh, "id {id}");
+        }
+        assert_eq!(stored(&c), [2, 3, 1], "one copy, the newer");
+        let served = |c: &mut ReliableCore<u32>, out: &mut Sends<u32>| {
+            let pull = encode_summary_payload(true, &[1]);
+            c.on_summary(5, pull, &SeenSet::default(), 0, out)
+        };
+        // Ids 2 and 3 leave first; id 1 leaves when it is the oldest.
+        for id in [4, 5, 6] {
+            c.originate(&msg(id), 0, [], &mut out);
+            assert_eq!(served(&mut c, &mut out), SummaryOutcome::Served(1));
+        }
+        assert_eq!(stored(&c), [1, 4, 5, 6]);
+        c.originate(&msg(7), 0, [], &mut out);
+        assert_eq!(served(&mut c, &mut out), SummaryOutcome::Served(0));
+        assert_eq!(stored(&c), [4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn every_id_an_advert_names_after_retire_and_remember_can_be_pulled() {
+        let mut c = core(ReliableConfig {
+            store_cap: 8,
+            window: 64,
+            ..cfg()
+        });
+        let mut out = Vec::new();
+        for id in 1..=6 {
+            c.originate(&msg(id), 0, [1, 2], &mut out);
+        }
+        // 1 and 2 hold the odd ids: retiring them leaves holes mid-ring.
+        for peer in [1, 2] {
+            let odd = encode_summary(&mut Vec::new(), 0, SUMMARY_HELD, &[1, 3, 5]);
+            c.on_summary(peer, odd, &SeenSet::default(), 0, &mut out);
+        }
+        c.retire([1, 2]);
+        assert_eq!(stored(&c), [2, 4, 6]);
+        for id in 7..=14 {
+            c.originate(&msg(id), 0, [], &mut out);
+        }
+        assert_eq!(
+            stored(&c),
+            (7..=14).collect::<Vec<u64>>(),
+            "FIFO from the renumbered ring"
+        );
+        out.clear();
+        assert!(c.advertise([3], &mut out));
+        let named = decode_summary_payload(out[0].1.payload.clone()).unwrap().1;
+        assert_eq!(named, (7..=14).rev().collect::<Vec<u64>>(), "newest first");
+        out.clear();
+        let pull = encode_summary_payload(true, &named);
+        let outcome = c.on_summary(3, pull, &SeenSet::default(), 0, &mut out);
+        assert_eq!(outcome, SummaryOutcome::Served(8));
+        let served: Vec<u64> = out.iter().map(|(_, m)| m.broadcast_id).collect();
+        assert_eq!(served, named, "each from its own entry");
+    }
+
+    #[test]
+    fn a_reset_link_clears_the_peers_held_bit_on_every_entry() {
+        let mut c = core(cfg());
+        let mut out = Vec::new();
+        for id in 1..=5 {
+            c.originate(&msg(id), 0, [], &mut out);
+        }
+        let all = encode_summary(&mut Vec::new(), 0, SUMMARY_HELD, &[1, 2, 3, 4, 5]);
+        for peer in [6, 7] {
+            c.on_summary(peer, all.clone(), &SeenSet::default(), 0, &mut out);
+        }
+        let (six, seven) = (c.holders.bit(6), c.holders.bit(7));
+        assert!(c.store.ring.iter().all(|k| k.held == six | seven));
+        c.reset_link(6);
+        assert!(c.store.ring.iter().all(|k| k.held == seven), "every entry");
+        assert!(c.advertise([6], &mut out));
+        assert!(!c.advertise([7], &mut out));
     }
 
     #[test]
@@ -2067,24 +2312,24 @@ mod tests {
         c.on_ack(1, encode_ack_payload(1, &[]), 0, &mut out);
         c.on_ack(2, encode_ack_payload(1, &[]), 0, &mut out);
         c.retire([1, 2, 9]);
-        assert!(c.store.contains_key(&1), "9 was never heard from");
+        assert!(c.store.get(1).is_some(), "9 was never heard from");
         c.retire(std::iter::empty());
-        assert!(c.store.contains_key(&1), "nobody to hand it to");
+        assert!(c.store.get(1).is_some(), "nobody to hand it to");
 
         // 2's link resets: whoever answers may have rebooted blank. Its new
         // slot proves nothing about id 1 until it says so.
         c.reset_link(2);
         c.retire([1, 2]);
-        assert!(c.store.contains_key(&1));
+        assert!(c.store.get(1).is_some());
         c.on_data(2, &msg(5).with_link_seq(1), &mut seen, 1, [], &mut out);
         c.retire([1, 2]);
-        assert!(c.store.contains_key(&1), "2 holds id 5, not id 1");
-        assert!(c.store.contains_key(&5), "1 does not hold id 5");
+        assert!(c.store.get(1).is_some(), "2 holds id 5, not id 1");
+        assert!(c.store.get(5).is_some(), "1 does not hold id 5");
         seen.insert(1);
         c.on_summary(2, encode_summary_payload(false, &[1]), &seen, 2, &mut out);
         c.retire([1, 2]);
-        assert!(!c.store.contains_key(&1), "2's advert named it");
-        assert_eq!(c.recent, [5]);
+        assert!(c.store.get(1).is_none(), "2's advert named it");
+        assert_eq!(stored(&c), [5]);
     }
 
     #[test]
