@@ -2266,24 +2266,29 @@ mod tests {
         }
         c.retire([1, 2]);
         assert_eq!(stored(&c), [2, 4, 6]);
-        for id in 7..=14 {
+        let pull_all_named = |c: &mut ReliableCore<u32>, out: &mut Sends<u32>, want: &[u64]| {
+            out.clear();
+            assert!(c.advertise([3], out));
+            let named = decode_summary_payload(out[0].1.payload.clone()).unwrap().1;
+            assert_eq!(named, want, "newest first");
+            out.clear();
+            let pull = encode_summary_payload(true, &named);
+            let outcome = c.on_summary(3, pull, &SeenSet::default(), 0, out);
+            assert_eq!(outcome, SummaryOutcome::Served(want.len() as u64));
+            let served: Vec<u64> = out.iter().map(|(_, m)| m.broadcast_id).collect();
+            assert_eq!(served, want, "each from its own entry");
+        };
+        for id in 7..=9 {
             c.originate(&msg(id), 0, [], &mut out);
         }
-        assert_eq!(
-            stored(&c),
-            (7..=14).collect::<Vec<u64>>(),
-            "FIFO from the renumbered ring"
-        );
-        out.clear();
-        assert!(c.advertise([3], &mut out));
-        let named = decode_summary_payload(out[0].1.payload.clone()).unwrap().1;
-        assert_eq!(named, (7..=14).rev().collect::<Vec<u64>>(), "newest first");
-        out.clear();
-        let pull = encode_summary_payload(true, &named);
-        let outcome = c.on_summary(3, pull, &SeenSet::default(), 0, &mut out);
-        assert_eq!(outcome, SummaryOutcome::Served(8));
-        let served: Vec<u64> = out.iter().map(|(_, m)| m.broadcast_id).collect();
-        assert_eq!(served, named, "each from its own entry");
+        assert_eq!(stored(&c), [2, 4, 6, 7, 8, 9]);
+        pull_all_named(&mut c, &mut out, &[9, 8, 7, 6, 4, 2]);
+        // Eviction goes on from the renumbered front.
+        for id in 10..=12 {
+            c.originate(&msg(id), 0, [], &mut out);
+        }
+        assert_eq!(stored(&c), [4, 6, 7, 8, 9, 10, 11, 12]);
+        pull_all_named(&mut c, &mut out, &[12, 11, 10, 9, 8, 7, 6, 4]);
     }
 
     #[test]
