@@ -12,7 +12,10 @@
 //!   [`crate::message`]), keeps a bounded window of unacknowledged frames,
 //!   retransmits on timeout, and queues overflow traffic (backpressure)
 //!   until acks open the window. Frames that exhaust their retries are
-//!   dropped from the buffer — anti-entropy repairs the residue.
+//!   dropped from the buffer — anti-entropy repairs the residue. A NACK
+//!   spends a retry like a timeout does, and a frame past its budget is
+//!   not resent however often it is NACKed, so every frame leaves within
+//!   one retransmit lifetime.
 //! * **[`LinkReceiver`]** tracks the cumulative ack point and the set of
 //!   out-of-order sequences above it, detects link-level duplicates
 //!   (retransmitted copies whose ack was lost), and produces `(cum, nacks)`
@@ -350,7 +353,12 @@ impl LinkSender {
     ) {
         self.retire(cum, |_| {});
         for s in nacks {
-            if let Some(f) = self.in_flight_mut(s) {
+            // A frame past its retry budget is not resent: the sweep gives
+            // it up within `rto_us` of its last send, however often the
+            // peer NACKs it, so no frame outlives the retransmit lifetime
+            // and pins the ring's front.
+            let budget = cfg.max_retries;
+            if let Some(f) = self.in_flight_mut(s).filter(|f| f.retries < budget) {
                 f.retries += 1;
                 f.last_tx_us = now_us;
                 put(f.msg.clone());
@@ -446,7 +454,12 @@ pub struct LinkReceiver {
     /// when the hole below the first of them has been open (the core's
     /// clock). Arrivals land almost always at the back and leave from the
     /// front; one entry per sequence received, never one per sequence
-    /// skipped, so a peer's sequence numbers cannot size it.
+    /// skipped, so a peer's sequence numbers cannot size it. Placing an
+    /// arrival moves the shorter side of the list: nothing for one at
+    /// either end (an honest peer's, or a peer sending in descending
+    /// order), but half the list for one aimed at its middle, where a
+    /// `BTreeSet` paid a logarithm. A hostile peer that aims every frame
+    /// there costs CPU quadratic in the entries it keeps open.
     above: VecDeque<u64>,
     hole_since: u64,
     /// A frame arrived since the last ack left, piggybacked or standalone;
@@ -1548,6 +1561,28 @@ mod tests {
     }
 
     #[test]
+    fn a_peer_nacking_the_front_forever_cannot_widen_the_ring() {
+        let c = cfg(); // window 4, rto 100, max_retries 3: lifetime 400
+        let mut tx = LinkSender::new();
+        let mut widest = 0;
+        // For 100 lifetimes the peer never moves `cum` and NACKs the front
+        // every rto / 2, while a frame is offered every 10 µs.
+        for step in 0..4_000u64 {
+            let now = step * 10;
+            tx.send(msg(step), &c, now);
+            if now % 50 == 0 {
+                tx.on_ack(0, &[tx.base()], &c, now);
+            }
+            tx.sweep(&c, now);
+            widest = widest.max(tx.unacked.len());
+        }
+        // The front gives up within its lifetime like every frame behind
+        // it, so the span stays within what one lifetime stamps.
+        assert!(widest <= 2 * c.window, "ring spanned {widest} slots");
+        assert!(tx.given_up() > 300);
+    }
+
+    #[test]
     fn take_undelivered_returns_unacked_and_queued_unstamped() {
         let c = cfg();
         let mut tx = LinkSender::new();
@@ -1590,6 +1625,20 @@ mod tests {
         assert_eq!(rx.cum(), 1);
         rx.on_frame(2);
         assert_eq!((rx.cum(), rx.above.len()), (5, 3), "3, 4, 5 left the front");
+    }
+
+    #[test]
+    fn descending_arrivals_are_all_kept_one_entry_each_and_fill_in_one_step() {
+        let mut rx = LinkReceiver::new();
+        // Each arrival lands at the front of the list; none is dropped.
+        for seq in (2..=2_000).rev() {
+            assert!(rx.on_frame(seq));
+        }
+        assert_eq!(rx.above.len(), 1_999);
+        assert!(rx.above.iter().zip(2..).all(|(&got, want)| got == want));
+        assert!(!rx.on_frame(1_000), "a duplicate from the middle");
+        assert!(rx.on_frame(1));
+        assert_eq!((rx.cum(), rx.above.len()), (2_000, 0));
     }
 
     #[test]

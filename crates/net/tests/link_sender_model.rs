@@ -72,7 +72,8 @@ impl Model {
         let mut out = Vec::new();
         self.unacked.retain(|&seq, _| seq > cum);
         for s in nacks {
-            if let Some(f) = self.unacked.get_mut(s) {
+            let budget = cfg.max_retries;
+            if let Some(f) = self.unacked.get_mut(s).filter(|f| f.retries < budget) {
                 f.retries += 1;
                 f.last_tx_us = now;
                 out.push((f.id, Some(*s)));
