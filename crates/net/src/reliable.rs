@@ -458,8 +458,8 @@ pub struct LinkReceiver {
     /// arrival moves the shorter side of the list: nothing for one at
     /// either end (an honest peer's, or a peer sending in descending
     /// order), but half the list for one aimed at its middle, where a
-    /// `BTreeSet` paid a logarithm. A hostile peer that aims every frame
-    /// there costs CPU quadratic in the entries it keeps open.
+    /// balanced tree paid a logarithm. A hostile peer that aims every
+    /// frame there costs CPU quadratic in the entries it keeps open.
     above: VecDeque<u64>,
     hole_since: u64,
     /// A frame arrived since the last ack left, piggybacked or standalone;
