@@ -58,7 +58,7 @@ use crate::{BrachaConfig, UnsoundMembership};
 pub struct MembershipView {
     /// Monotone churn counter: 0 for an engine built by
     /// [`BrachaEngine::new`], +1 per installed view (a node installs its
-    /// boot membership as the first, then one per applied crash/join/sync).
+    /// boot membership as the first, then one per applied crash or join).
     pub epoch: u64,
     /// Quorum parameters sized for this view's live membership.
     pub cfg: BrachaConfig,

@@ -969,12 +969,14 @@ mod tests {
     }
 
     /// The seeds whose first run on `NodeCore` wedged, one per hole they
-    /// found in it (DESIGN §9 item 7 c–e), full-size as they were found:
+    /// found in it (DESIGN §9 item 7 c–d), full-size as they were found:
     /// 51 — a grave probe from the higher id was hung up on before its dead
     /// notice crossed; 60 — a heal closed the links the other victim's
-    /// crash wave was crossing; 191 — an installed SYNC snapshot forgot a
-    /// member whose `JOIN` had raced the serve. Each fails again with its
-    /// fix taken out of `core.rs`.
+    /// crash wave was crossing. Each fails again with its fix taken out of
+    /// `core.rs`. 191 found a hole in a membership snapshot a degraded
+    /// node could install; a node told it is excommunicated now always
+    /// answers with `JOIN`, so no snapshot exists, and the seed stays here
+    /// as a partition run that must stay green.
     #[test]
     fn sim_seeds_that_found_membership_wedges_stay_green() {
         for seed in [51, 60, 191] {
@@ -983,20 +985,30 @@ mod tests {
         }
     }
 
-    /// Full-size partition seed 1426, the seed the order inside
-    /// `install_sync` (reconcile and `JOIN` flood at once, not on the tick
-    /// that follows) was recorded against: a version that deferred them was
-    /// seen ending it at 2.34 s, past the 2 s virtual-time horizon. The
-    /// plain deferral — both calls dropped, with or without the tick due at
-    /// once — does not reproduce that: the seed stays green, ending at
-    /// 1.15 s as in order, and 0 of 4,000 simulator seeds go red. So this
-    /// keeps the seed green by name; it does not show the order is needed.
+    /// Full-size partition seed 1426: a version of an earlier rejoin
+    /// ordering was once seen ending it at 2.34 s, past the 2 s
+    /// virtual-time horizon, and no later version reproduced that. Its
+    /// degraded nodes answer their dead notices with `JOIN`; this keeps
+    /// the seed green by name.
     #[test]
     fn sim_partition_seed_1426_stays_green() {
         let plan = FaultPlan::random(1426, false);
         assert_eq!(plan.family, Family::Partition);
         let report = run_sim_chaos(&plan);
         assert!(report.passed(), "violations: {:?}", report.violations);
+    }
+
+    /// Seeds whose degraded nodes, before every dead notice was answered
+    /// with `JOIN`, came back another way: full-size 96 and 174 and quick
+    /// 739 by re-admitting a peer seen alive for a suspicion timeout, full-
+    /// size 31 by a membership snapshot. Each must stay green with the one
+    /// rejoin path.
+    #[test]
+    fn sim_seeds_that_took_other_rejoin_paths_stay_green() {
+        for (seed, quick) in [(96, false), (174, false), (31, false), (739, true)] {
+            let report = run_sim_chaos(&FaultPlan::random(seed, quick));
+            assert!(report.passed(), "seed {seed}: {:?}", report.violations);
+        }
     }
 
     #[test]

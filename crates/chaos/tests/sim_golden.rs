@@ -17,21 +17,19 @@
 
 use lhg_chaos::{run_sim_chaos, FaultPlan};
 
-/// Fingerprint of the 20 report lines. Re-recorded on purpose when the
-/// pull store began retiring a body once every overlay neighbor holds it:
-/// an idle link's heartbeat slot now carries the held list an advert has
-/// earned, and adverts name only unretired ids. The crash, partition and
-/// lossy lines move (summary frames up, heartbeats down: seed 0 reads 24 /
-/// 834 → 32 / 823, total frames 966 → 963; seed 7's end time 0.68 →
-/// 0.75 s, every other end time within 10 ms). All 20 verdicts and
-/// delivery counts are unchanged, and the byzantine and mixed lines are
-/// byte-identical.
-/// (Before: `0xc7bc_8813_21ed_c6b3`, one catch-up path; earlier
-/// `0x791a_4803_82d2_68cc`, eager trees, `0x009c_385a_8797_f0ce`, the core
-/// naming its next deadline, `0xe020_352a_c204_5d04`, control traffic
-/// riding the data, and `0x376b_bec3_de79_9423`, the one chaos
-/// interpreter.)
-const GOLDEN_FNV1A: u64 = 0xe503_7876_c445_e898;
+/// Fingerprint of the 20 report lines. Re-recorded on purpose when a node
+/// told it is excommunicated began answering with `JOIN` whatever its
+/// state, and the membership `SYNC` handshake went. Seeds 1 and 16, both
+/// partition runs, move: no `sync` frames (4 and 2 before) and more `join`
+/// frames (197 → 384 and 22 → 326); seed 16 ends at 1.22 s instead of
+/// 1.15 s. All 20 verdicts and delivery counts are unchanged, and the
+/// other 18 lines are byte-identical.
+/// (Before: `0xe503_7876_c445_e898`, pull-store retirement; earlier
+/// `0xc7bc_8813_21ed_c6b3`, one catch-up path, `0x791a_4803_82d2_68cc`,
+/// eager trees, `0x009c_385a_8797_f0ce`, the core naming its next
+/// deadline, `0xe020_352a_c204_5d04`, control traffic riding the data, and
+/// `0x376b_bec3_de79_9423`, the one chaos interpreter.)
+const GOLDEN_FNV1A: u64 = 0x9f51_6254_cb51_8b46;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

@@ -1178,17 +1178,6 @@ fn run_top(
         metrics.counter("runtime.acks_sent").get(),
         metrics.counter("runtime.acks_piggybacked").get(),
     )
-    .map_err(io_err)?;
-    // The rejoin-under-fire ledger: how often the SYNC handshake had to
-    // re-arm, and whether its schedule ran dry. All zeros on a calm
-    // cluster; nonzero retries with zero exhaustion is the designed
-    // degradation under loss.
-    writeln!(
-        out,
-        "rejoin: sync_retries={} exhausted={}",
-        metrics.counter("runtime.sync_retries").get(),
-        metrics.counter("runtime.sync_retry_exhausted").get(),
-    )
     .map_err(io_err)
 }
 

@@ -214,39 +214,6 @@ impl DynamicOverlay {
         Ok((id, self.apply(next, &before)))
     }
 
-    /// Reconstructs an overlay replica from an explicit member list — the
-    /// receiving side of a membership sync (a rejoining node installing a
-    /// snapshot served by a live peer). `members` must be in the serving
-    /// replica's order so both replicas map graph positions identically.
-    ///
-    /// # Errors
-    ///
-    /// [`LhgError::InvalidParams`] if `members` contains duplicates;
-    /// builder errors if the constraint has no graph at this size.
-    pub fn from_parts(
-        constraint: Constraint,
-        k: usize,
-        members: Vec<MemberId>,
-    ) -> Result<Self, LhgError> {
-        let unique: BTreeSet<MemberId> = members.iter().copied().collect();
-        if unique.len() != members.len() {
-            return Err(LhgError::InvalidParams {
-                n: members.len(),
-                k,
-                reason: "duplicate member id",
-            });
-        }
-        let current = build(constraint, members.len(), k)?;
-        let next_id = members.iter().copied().max().map_or(0, |m| m + 1);
-        Ok(DynamicOverlay {
-            k,
-            constraint,
-            members,
-            next_id,
-            current,
-        })
-    }
-
     /// Admits `member` under its **existing** id — the rejoin path, where
     /// every replica must converge on the same membership order without
     /// coordination. The newcomer is spliced in at the canonical position
@@ -586,26 +553,6 @@ mod tests {
         o.admit(50).unwrap();
         let (id, _) = o.join().unwrap();
         assert_eq!(id, 51, "fresh ids never collide with admitted ones");
-    }
-
-    #[test]
-    fn from_parts_matches_a_served_snapshot() {
-        let mut server = DynamicOverlay::bootstrap(Constraint::KDiamond, 12, 3).unwrap();
-        let _ = server.crash_many(&[2, 7]).unwrap();
-        let replica =
-            DynamicOverlay::from_parts(server.constraint(), server.k(), server.members().to_vec())
-                .unwrap();
-        assert_eq!(replica.members(), server.members());
-        assert_eq!(replica.links(), server.links());
-        assert_eq!(replica.constraint(), Constraint::KDiamond);
-    }
-
-    #[test]
-    fn from_parts_rejects_duplicates() {
-        assert!(matches!(
-            DynamicOverlay::from_parts(Constraint::KTree, 3, vec![0, 1, 2, 3, 4, 5, 5, 6]),
-            Err(LhgError::InvalidParams { .. })
-        ));
     }
 
     #[test]

@@ -9,16 +9,13 @@
 //! interleaving, which is what makes chaos failures reproducible from a
 //! printed seed.
 //!
-//! The injector models four fault families:
+//! The injector models three fault families:
 //!
 //! * **link rates** ([`LinkFaults`]) — per-link drop / duplicate /
 //!   extra-delay / reorder probabilities, with a default applying to every
 //!   link and per-link overrides;
 //! * **partitions** ([`Partition`]) — time-windowed, optionally directed
 //!   cuts between two node sets (an empty `b` side means "everyone else");
-//! * **node down windows** — closed-open `[from, until)` intervals during
-//!   which a node is dead; the sim maps these onto crash/recover events and
-//!   the TCP runtime uses them for kill/rejoin schedules;
 //! * **dial blocking** — [`FaultInjector::blocked`] also gates connection
 //!   establishment in the TCP runtime so a partitioned node cannot simply
 //!   re-dial through the cut.
@@ -167,7 +164,6 @@ pub struct FaultInjector {
     default_rates: LinkFaults,
     link_overrides: HashMap<(u32, u32), LinkFaults>,
     partitions: Mutex<Vec<Partition>>,
-    node_down: HashMap<u32, Vec<(u64, u64)>>,
     epoch: Instant,
 }
 
@@ -177,7 +173,6 @@ impl fmt::Debug for FaultInjector {
             .field("seed", &self.seed)
             .field("default_rates", &self.default_rates)
             .field("link_overrides", &self.link_overrides.len())
-            .field("node_down", &self.node_down.len())
             .finish_non_exhaustive()
     }
 }
@@ -190,7 +185,6 @@ impl FaultInjector {
             default_rates: LinkFaults::default(),
             link_overrides: HashMap::new(),
             partitions: Mutex::new(Vec::new()),
-            node_down: HashMap::new(),
             epoch: Instant::now(),
         }
     }
@@ -224,27 +218,6 @@ impl FaultInjector {
     /// Removes every scheduled partition (heals all cuts immediately).
     pub fn clear_partitions(&self) {
         self.partitions.lock().unwrap().clear();
-    }
-
-    /// Marks `node` as down during `[from_us, until_us)`.
-    pub fn set_node_down(&mut self, node: u32, from_us: u64, until_us: u64) {
-        self.node_down
-            .entry(node)
-            .or_default()
-            .push((from_us, until_us));
-    }
-
-    /// True when `node` is inside one of its down windows at `now_us`.
-    pub fn node_down(&self, node: u32, now_us: u64) -> bool {
-        self.node_down
-            .get(&node)
-            .is_some_and(|ws| ws.iter().any(|&(f, u)| now_us >= f && now_us < u))
-    }
-
-    /// The down windows scheduled for `node` (used by the sim to derive
-    /// crash/recover events and by the chaos runner for its oracle).
-    pub fn down_windows(&self, node: u32) -> &[(u64, u64)] {
-        self.node_down.get(&node).map_or(&[], |v| v.as_slice())
     }
 
     /// True when an active partition cuts `from → to` at `now_us`.
@@ -305,7 +278,7 @@ impl FaultInjector {
     }
 
     /// Microseconds elapsed since the injector was created; the wall-clock
-    /// engines use this as `now_us` for partition and down-window checks.
+    /// engines use this as `now_us` for partition checks.
     pub fn elapsed_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
@@ -408,20 +381,6 @@ mod tests {
         inj.clear_partitions();
         assert!(!inj.blocked(0, 2, 150));
         assert!(!inj.blocked(7, 3, 0));
-    }
-
-    #[test]
-    fn node_down_windows() {
-        let mut inj = FaultInjector::new(0);
-        inj.set_node_down(3, 1_000, 2_000);
-        inj.set_node_down(3, 5_000, u64::MAX);
-        assert!(!inj.node_down(3, 500));
-        assert!(inj.node_down(3, 1_500));
-        assert!(!inj.node_down(3, 3_000));
-        assert!(inj.node_down(3, 9_000_000));
-        assert!(!inj.node_down(4, 1_500));
-        assert_eq!(inj.down_windows(3).len(), 2);
-        assert!(inj.down_windows(4).is_empty());
     }
 
     #[test]

@@ -251,14 +251,7 @@ impl Simulation {
     /// Attaches a fault injector: every outbound message consults
     /// [`FaultInjector::decide`] (with virtual time as the clock), so
     /// drops, duplicates, extra delays, reorders, and partitions apply.
-    /// The injector's node down windows are also merged into the
-    /// simulation's own (see [`Simulation::down_between`]).
     pub fn with_faults(&mut self, faults: Arc<FaultInjector>) -> &mut Self {
-        for v in 0..self.topology.node_count() {
-            for &(from, until) in faults.down_windows(v as u32) {
-                self.down[v].push((from, until));
-            }
-        }
         self.faults = Some(faults);
         self
     }

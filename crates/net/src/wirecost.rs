@@ -14,13 +14,13 @@
 //! | 58  | heartbeat | `lhg-runtime` wire |
 //! | 59  | crash wave | `lhg-runtime` wire |
 //! | 60  | join wave | `lhg-runtime` wire |
-//! | 61  | membership sync | `lhg-runtime` wire |
+//! | 61  | reserved: an id carrying it is malformed | — |
 //! | 62  | cumulative ack / NACK | [`crate::reliable`] |
 //! | 63  | anti-entropy summary/pull | [`crate::reliable`] |
 //! | none | flood data | everyone |
 //!
 //! This module is the canonical home of the tag bits the `lhg-net` crate
-//! itself does not stamp (56–61): `lhg_byzantine::frame::BYZ_ID_TAG` and
+//! itself does not stamp (56–60): `lhg_byzantine::frame::BYZ_ID_TAG` and
 //! the `lhg-runtime` wire constants re-derive theirs from here, so the id
 //! space cannot silently fork across crates.
 //!
@@ -50,13 +50,21 @@ pub const HEARTBEAT_TAG: u64 = 1 << 58;
 pub const CRASH_TAG: u64 = 1 << 59;
 /// Tag bit for runtime join waves.
 pub const JOIN_TAG: u64 = 1 << 60;
-/// Tag bit for runtime membership sync frames.
-pub const SYNC_TAG: u64 = 1 << 61;
+/// Reserved tag bit: it names no class, and no correct node stamps it, so
+/// an id carrying it is malformed — never data.
+pub const RESERVED_TAG: u64 = 1 << 61;
 
-/// Every tag bit that names a message class. Ids stamp at most one; an
-/// id carrying two is malformed ([`MessageClass::classify_strict`]).
-pub const CLASS_TAG_MASK: u64 =
-    BYZ_TAG | HELLO_TAG | HEARTBEAT_TAG | CRASH_TAG | JOIN_TAG | SYNC_TAG | ACK_TAG | SUMMARY_TAG;
+/// Every tag bit, the reserved one included. Ids stamp at most one class
+/// bit; an id carrying two, or the reserved bit, is malformed
+/// ([`MessageClass::classify_strict`]).
+pub const CLASS_TAG_MASK: u64 = BYZ_TAG
+    | HELLO_TAG
+    | HEARTBEAT_TAG
+    | CRASH_TAG
+    | JOIN_TAG
+    | RESERVED_TAG
+    | ACK_TAG
+    | SUMMARY_TAG;
 
 /// What a frame on the wire is *for*, recovered from its broadcast id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -75,14 +83,12 @@ pub enum MessageClass {
     Crash,
     /// Join gossip wave.
     Join,
-    /// Membership sync (degraded-mode recovery).
-    Sync,
     /// Byzantine echo/ready gossip.
     Byz,
 }
 
 /// Number of message classes.
-pub const CLASS_COUNT: usize = 9;
+pub const CLASS_COUNT: usize = 8;
 
 impl MessageClass {
     /// Every class, in [`MessageClass::index`] order.
@@ -94,15 +100,15 @@ impl MessageClass {
         MessageClass::Hello,
         MessageClass::Crash,
         MessageClass::Join,
-        MessageClass::Sync,
         MessageClass::Byz,
     ];
 
     /// Classifies a broadcast id by its tag bits: the one mask and the one
     /// match every classifier in the workspace derives from (the runtime's
     /// `wire::classify` included). `None` for an id carrying more than one
-    /// class bit — no correct node stamps such an id, so receivers drop the
-    /// frame as malformed instead of guessing which class was meant.
+    /// class bit, or [`RESERVED_TAG`] — no correct node stamps such an id,
+    /// so receivers drop the frame as malformed instead of guessing which
+    /// class was meant.
     #[must_use]
     pub fn classify_strict(broadcast_id: u64) -> Option<MessageClass> {
         Some(match broadcast_id & CLASS_TAG_MASK {
@@ -113,7 +119,6 @@ impl MessageClass {
             HELLO_TAG => MessageClass::Hello,
             CRASH_TAG => MessageClass::Crash,
             JOIN_TAG => MessageClass::Join,
-            SYNC_TAG => MessageClass::Sync,
             BYZ_TAG => MessageClass::Byz, // the low 56 bits are a digest
             _ => return None,
         })
@@ -144,7 +149,6 @@ impl MessageClass {
             MessageClass::Hello => "hello",
             MessageClass::Crash => "crash",
             MessageClass::Join => "join",
-            MessageClass::Sync => "sync",
             MessageClass::Byz => "byz",
         }
     }
@@ -414,7 +418,6 @@ mod tests {
             MessageClass::classify(JOIN_TAG | (9 << 24) | 7),
             MessageClass::Join
         );
-        assert_eq!(MessageClass::classify(SYNC_TAG | 7), MessageClass::Sync);
         // Byz ids are BYZ_TAG | 56-bit digest: any digest bits below 56.
         assert_eq!(
             MessageClass::classify(BYZ_TAG | 0x00ff_ffff_ffff_ffff),
@@ -424,7 +427,12 @@ mod tests {
 
     #[test]
     fn two_class_bits_are_malformed_but_still_booked() {
-        for id in [HELLO_TAG | HEARTBEAT_TAG | 3, BYZ_TAG | ACK_TAG, u64::MAX] {
+        for id in [
+            HELLO_TAG | HEARTBEAT_TAG | 3,
+            BYZ_TAG | ACK_TAG,
+            RESERVED_TAG | 7,
+            u64::MAX,
+        ] {
             assert_eq!(MessageClass::classify_strict(id), None);
             assert_eq!(MessageClass::classify(id), MessageClass::Byz);
         }
@@ -437,7 +445,6 @@ mod tests {
             HELLO_TAG,
             CRASH_TAG,
             JOIN_TAG,
-            SYNC_TAG,
             BYZ_TAG,
         ];
         for (class, tag) in MessageClass::ALL.into_iter().zip(tags) {

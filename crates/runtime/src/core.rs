@@ -32,10 +32,10 @@
 //! * **healing** — `crash_many` on the overlay replica, the churn it
 //!   returns turned into `Close`/`Dial`, degraded mode once ≥ k members are
 //!   excommunicated (heal nothing, probe everyone);
-//! * **rejoin** — dead notices, the `JOIN` announcement, the membership
-//!   `SYNC` request/serve/install with bounded jittered retries (a
-//!   rejoiner's Bracha state catches up through the vote exchange's repair
-//!   rule on its fresh links, nothing here);
+//! * **rejoin** — dead notices, each answered with a direct `JOIN` and
+//!   the flooded announcement (a rejoiner's Bracha state catches up
+//!   through the vote exchange's repair rule on its fresh links, nothing
+//!   here);
 //! * **link policy** — which links are wanted ([`NodeCore::tick`]'s
 //!   reconcile pass) and when a failed dial may be retried. Dials are
 //!   asynchronous: a [`Action::Dial`] is answered, whenever the driver
@@ -174,17 +174,6 @@ pub struct BootOpts {
     pub life: u32,
 }
 
-/// The bounded retry schedule of a membership `SYNC` request: a jittered
-/// exponential backoff between attempts plus the next per-attempt
-/// deadline. Exhaustion clears the state instead of wedging — a later dead
-/// notice restarts the handshake from scratch.
-struct RetrySchedule {
-    backoff: Backoff,
-    due: u64,
-    /// The peer the request last went to (`None`: no link was up).
-    peer: Option<MemberId>,
-}
-
 /// Per-node Byzantine state: the vote exchange (and the Bracha engine it
 /// owns) plus this node's scripted misbehavior, if it is one of the run's
 /// traitors.
@@ -244,10 +233,9 @@ pub struct NodeCore {
     timeout_us: u64,
     summary_us: u64,
     sweep_us: u64,
-    /// The one retry/backoff policy, for dialing and rejoin-path requests
-    /// alike, with the suspicion timeout as probation window: a link
-    /// healthy that long is genuinely healthy, anything shorter may be one
-    /// beat of a flap.
+    /// The dial retry/backoff policy, with the suspicion timeout as
+    /// probation window: a link healthy that long is genuinely healthy,
+    /// anything shorter may be one beat of a flap.
     retry: BackoffPolicy,
     metrics: Arc<MetricsRegistry>,
     recorder: Arc<FlightRecorder>,
@@ -268,8 +256,8 @@ pub struct NodeCore {
     crashed: BTreeSet<MemberId>,
     view_epoch: u64,
     degraded: bool,
-    /// Set for the whole rejoin handshake of a rejoin boot: until the
-    /// `JOIN` announcement has flooded and no `SYNC` is outstanding.
+    /// Set for the whole rejoin of a rejoin boot: until the `JOIN`
+    /// announcement has flooded.
     rejoining: bool,
     /// A transition moved what a tick settles: the next one is due at once.
     settle: bool,
@@ -308,16 +296,10 @@ pub struct NodeCore {
     /// (so it can be heard out), a link a heal just dropped (so what is in
     /// flight on it lands).
     link_grace: HashMap<MemberId, u64>,
-    /// When each excommunicated peer's current unbroken run of frames
-    /// began ([`Self::readmit_by_observation`]).
-    revenant_since: HashMap<MemberId, u64>,
     /// Last time a dead notice was sent to each revenant (rate limiting).
     notice_sent: HashMap<MemberId, u64>,
-    /// Set while a membership `SYNC` request is outstanding; a missed
-    /// per-attempt deadline re-sends it on the backoff until exhausted.
-    awaiting_sync: Option<RetrySchedule>,
-    /// After announcing or requesting a rejoin, ignore further dead notices
-    /// until this time (they are echoes of the state being repaired).
+    /// After answering a dead notice, ignore further ones until this time
+    /// (they are echoes of the state being repaired).
     rejoin_cooldown: Option<u64>,
     /// Flood a `JOIN` announcement as soon as at least one link is up.
     pending_join_announce: bool,
@@ -441,9 +423,7 @@ impl NodeCore {
             // still driven by the one configured seed.
             rng: StdRng::seed_from_u64(config.rng_seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             link_grace: HashMap::new(),
-            revenant_since: HashMap::new(),
             notice_sent: HashMap::new(),
-            awaiting_sync: None,
             rejoin_cooldown: None,
             pending_join_announce: opts.announce_join,
             healing_since: None,
@@ -496,7 +476,7 @@ impl NodeCore {
         self.degraded
     }
 
-    /// `true` while a rejoin boot's handshake is still in flight.
+    /// `true` from a rejoin boot until its `JOIN` announcement has flooded.
     #[must_use]
     pub fn is_rejoining(&self) -> bool {
         self.rejoining
@@ -551,7 +531,7 @@ impl NodeCore {
 
     /// The earliest instant any duty is due: the heartbeat period (the
     /// FrameCrash script) and summary round, an idle link's heartbeat, a
-    /// suspicion expiry, a retry, a dial backoff or link grace running out,
+    /// suspicion expiry, a dial backoff or link grace running out,
     /// or `now` while a transition has left a tick something to settle. The
     /// reliable plane's sweep counts while it has work, and not before its
     /// grid point and a grid period of quiet: the first event at or after
@@ -563,16 +543,14 @@ impl NodeCore {
         }
         let quiet = self.next_sweep.max(self.now + self.sweep_us);
         let sweep = self.reliable.pending().then_some(quiet);
-        let retry = self.awaiting_sync.as_ref().map(|r| r.due);
         let timeout = self.timeout_us;
         let silent = (self.desired.difference(&self.crashed))
             .map(|p| self.last_seen.get(p).map_or(self.now, |t| t + timeout + 1));
         let beats = self.behavior() != Some(TraitorBehavior::SuppressHeartbeat);
         let idle = (self.last_sent.values()).filter_map(|t| beats.then_some(t + self.beat_us));
         let expiries = self.next_dial.values().chain(self.link_grace.values());
-        let dues = sweep.into_iter().chain(retry);
-        (dues.chain(silent).chain(idle).chain(expiries.copied()))
-            .fold(self.next_beat.min(self.next_summary), u64::min)
+        let dues = sweep.into_iter().chain(silent).chain(idle);
+        (dues.chain(expiries.copied())).fold(self.next_beat.min(self.next_summary), u64::min)
     }
 
     /// Advances time: whatever periodic duty is due at `now_us` (each
@@ -601,9 +579,6 @@ impl NodeCore {
             self.next_summary = now_us + self.summary_us;
         }
         self.sweep_reliable();
-        if self.awaiting_sync.as_ref().is_some_and(|r| now_us >= r.due) {
-            self.retry_sync();
-        }
         self.check_suspicions();
         // A dial-failure streak is forgiven only after the link has stayed
         // healthy for a full probation window (see `lhg_net::backoff`).
@@ -612,7 +587,7 @@ impl NodeCore {
             .retain(|peer, b| !(links.contains(peer) && b.maybe_reset(now_us)));
         self.reconcile();
         self.try_announce_join();
-        if self.rejoining && !self.pending_join_announce && self.awaiting_sync.is_none() {
+        if self.rejoining && !self.pending_join_announce {
             self.rejoining = false;
         }
         self.note_sent(start);
@@ -671,14 +646,10 @@ impl NodeCore {
 
     fn on_frame(&mut self, from: MemberId, msg: Message) {
         let now = self.now;
-        let mut excommunicated = self.crashed.contains(&from);
+        let excommunicated = self.crashed.contains(&from);
         if excommunicated {
             self.link_grace.insert(from, now + self.timeout_us);
-            if self.readmit_by_observation(from) {
-                excommunicated = false;
-            } else {
-                self.maybe_send_dead_notice(from);
-            }
+            self.maybe_send_dead_notice(from);
         }
         self.last_seen.insert(from, now);
         self.rec(EventKind::FrameRx {
@@ -733,15 +704,6 @@ impl NodeCore {
                     });
                     self.flood(msg.forwarded(), Some(from));
                     self.apply_join(member);
-                }
-            }
-            FrameKind::Sync(_) => {
-                // A snapshot nobody is waiting for (a late duplicate) is
-                // dropped.
-                if msg.payload.is_empty() {
-                    self.serve_sync(from);
-                } else if self.awaiting_sync.is_some() {
-                    self.install_sync(from, &msg.payload);
                 }
             }
             FrameKind::Ack(_) => {
@@ -916,42 +878,11 @@ impl NodeCore {
         others.find(|&m| m != self.id)
     }
 
-    /// Degraded-mode ground truth: re-admits an excommunicated peer that
-    /// has been observably alive — frames arriving without a gap — for a
-    /// full suspicion timeout, returning `true` when it does.
-    ///
-    /// This is the only exit from **mutual degradation**: when every node
-    /// has blown its k−1 budget (false suspicions during churn stack on
-    /// real crashes), dead notices turn into `SYNC` requests that no node
-    /// will serve — a deadlock where all links are up and everyone can see
-    /// everyone alive, yet nobody's state machine moves. A degraded
-    /// replica is already untrusted, so direct observation outranks the
-    /// missing join/sync handshake; each node independently re-admits the
-    /// live peers it excommunicated, drops below the budget, exits
-    /// degradation, and then serves syncs to the rest. Healthy nodes never
-    /// take this path — for them the dead-notice → `JOIN` dance works and
-    /// keeps admissions announced cluster-wide.
-    fn readmit_by_observation(&mut self, from: MemberId) -> bool {
-        let (now, timeout) = (self.now, self.timeout_us);
-        // A silent gap longer than the suspicion timeout restarts the
-        // observation window: "continuously alive" must be earned.
-        let gap = self.last_seen.get(&from).is_none_or(|&t| now - t > timeout);
-        let since = self.revenant_since.entry(from).or_insert(now);
-        if gap {
-            *since = now;
-        }
-        if !self.degraded || now - *since < timeout {
-            return false;
-        }
-        self.count("runtime.observed_readmits");
-        self.apply_join(from);
-        true
-    }
-
-    /// Reacts to a direct `CRASH(self)` dead notice from `from`: flood a
-    /// `JOIN` when our replica is healthy (the notifier is simply wrong
-    /// about us), or request a membership snapshot when it is not (we are
-    /// degraded, or already resyncing — our own view cannot be trusted).
+    /// Reacts to a direct `CRASH(self)` dead notice from `from`: the
+    /// notifier is wrong about us, so answer with a direct `JOIN` and flood
+    /// the announcement. A degraded node answers the same way: every
+    /// replica admits a joiner at the same canonical position, so its own
+    /// view need not be trusted for the answer to be right.
     fn on_excommunication_notice(&mut self, from: MemberId) {
         if self.behavior() == Some(TraitorBehavior::SuppressHeartbeat) {
             return; // scripted: it *wants* to stay excommunicated
@@ -972,86 +903,14 @@ impl NodeCore {
         }
         self.rejoin_cooldown = Some(now + self.timeout_us);
         self.settle = true; // the tick due now probes all, or clears the flag
-        if self.degraded || self.awaiting_sync.is_some() {
-            // The first retry is due one suspicion timeout from now.
-            self.awaiting_sync = Some(RetrySchedule {
-                backoff: Backoff::new(self.retry),
-                due: now + self.timeout_us,
-                peer: Some(from),
-            });
-            self.count("runtime.sync_requests");
-            self.send_to(from, self.control(wire::sync_id(self.id)));
-        } else {
-            // Reply with a direct JOIN; the notifier floods it onward and
-            // re-admits us into its replica.
-            self.pending_join_announce = true;
-            let id = wire::join_id(self.id, self.fresh_wave_nonce());
-            self.seen.insert(id);
-            self.send_to(from, self.control(id));
-            self.try_announce_join();
-        }
-    }
 
-    /// Answers a membership `SYNC` request with a snapshot of our replica
-    /// ([`wire::encode_membership`]) — but only while that replica is
-    /// trustworthy (not degraded, not itself waiting on a snapshot).
-    fn serve_sync(&mut self, from: MemberId) {
-        if self.degraded || self.awaiting_sync.is_some() {
-            return;
-        }
-        let payload = wire::encode_membership(&self.overlay);
-        let reply = Message::new(wire::sync_id(self.id), self.id as u32, payload);
-        if self.send_to(from, reply) {
-            self.count("runtime.syncs_served");
-        }
-    }
-
-    /// Installs a membership snapshot served by `via`: rebuild the replica,
-    /// admit ourselves, clear all suspicion state, and schedule the `JOIN`
-    /// announcement that tells everyone else.
-    fn install_sync(&mut self, via: MemberId, payload: &Bytes) {
-        let Some((constraint, k, members)) = wire::decode_membership(payload) else {
-            return;
-        };
-        if k != self.k {
-            return; // a replica from some other cluster generation
-        }
-        let Ok(mut replica) = DynamicOverlay::from_parts(constraint, k, members) else {
-            return;
-        };
-        if !replica.contains(self.id) && replica.admit(self.id).is_err() {
-            return;
-        }
-        self.set_degraded(false, 0);
-        // Whoever the server had healed around is crashed here too — not
-        // "unknown": a member the snapshot wrongly lacks (its `JOIN` raced
-        // the serve) is then found alive by the next grave probe, instead
-        // of staying outside this replica for good.
-        self.crashed = (self.roster.iter().copied())
-            .filter(|&m| m != self.id && !replica.contains(m))
-            .collect();
-        self.overlay = Arc::new(replica);
-        self.view_changed();
-        // Dedup state survives wholesale: wave nonces guarantee that any
-        // wave newer than the snapshot floods under an unseen id, while
-        // stale copies of pre-sync waves stay absorbed.
-        self.last_seen.clear();
-        self.next_dial.clear();
-        self.backoffs.clear();
-        self.link_grace.clear();
-        self.revenant_since.clear();
-        self.notice_sent.clear();
-        self.crash_reporters.clear();
-        self.notice_senders.clear();
-        self.bump_byz_view();
-        self.awaiting_sync = None;
-        self.rejoin_cooldown = Some(self.now + self.timeout_us);
+        // The notifier floods the direct JOIN onward and re-admits us into
+        // its replica.
         self.pending_join_announce = true;
-        self.count("runtime.sync_rejoins");
-        self.rec(EventKind::SyncRejoin { via: via as u32 });
-        self.reconcile();
+        let id = wire::join_id(self.id, self.fresh_wave_nonce());
+        self.seen.insert(id);
+        self.send_to(from, self.control(id));
         self.try_announce_join();
-        self.settle = true; // and the rejoin flag, on the tick due now
     }
 
     /// Floods this node's own `JOIN` announcement once at least one link is
@@ -1068,32 +927,6 @@ impl NodeCore {
             member: self.id as u32,
         });
         self.flood(self.control(id), None);
-    }
-
-    /// The SYNC snapshot never arrived (dropped frame, dead server):
-    /// re-send the request on the jittered backoff instead of waiting for
-    /// the next dead notice. Exhaustion clears the state — bounded work,
-    /// never a wedge; a later notice restarts the handshake from scratch.
-    fn retry_sync(&mut self) {
-        let Some(mut retry) = self.awaiting_sync.take() else {
-            return;
-        };
-        let Some(delay) = retry.backoff.next_delay(&mut self.rng) else {
-            self.count("runtime.sync_retry_exhausted");
-            return;
-        };
-        self.count("runtime.sync_retries");
-        // Prefer the original server; fall back to any live link (the
-        // server itself may have died while we waited).
-        retry.peer = retry
-            .peer
-            .filter(|p| self.links.contains(p))
-            .or_else(|| self.links.first().copied());
-        if let Some(peer) = retry.peer {
-            self.send_to(peer, self.control(wire::sync_id(self.id)));
-        }
-        retry.due = self.now + self.timeout_us + delay;
-        self.awaiting_sync = Some(retry);
     }
 
     /// The next control-wave nonce: this life's cluster-unique ordinal in
@@ -1113,7 +946,6 @@ impl NodeCore {
             self.view_epoch += 1;
         }
         self.link_grace.remove(&member);
-        self.revenant_since.remove(&member);
         self.notice_sent.remove(&member);
         // A rejoined member's pre-join crash reports are stale evidence.
         self.crash_reporters.remove(&member);
@@ -1488,16 +1320,13 @@ impl NodeCore {
     /// a consistent rebuild, above it a rebuild could partition the replica
     /// set (e.g. on the minority side of a network split). Degraded nodes
     /// keep probing every known member until joins bring the count back
-    /// within budget ([`Self::maybe_exit_degraded`]) or a membership sync
-    /// replaces their replica wholesale.
+    /// within budget ([`Self::maybe_exit_degraded`]).
     fn apply_crash(&mut self, victim: MemberId) {
         // Dead notices (victim == self) are handled before classification.
         if victim == self.id || !self.crashed.insert(victim) {
             return;
         }
         self.count("runtime.crashes_applied");
-        // A fresh crash record must not inherit a prior observation run.
-        self.revenant_since.remove(&victim);
         if self.healing_since.is_none() {
             self.healing_since = Some(self.now);
             self.rec(EventKind::HealBegin {
@@ -1576,11 +1405,11 @@ impl NodeCore {
     }
 
     /// `true` while the node is repairing membership knowledge (degraded,
-    /// waiting on a sync, or holding an unannounced join): its notion of
-    /// "desired" cannot be trusted, so it probes **every** known member —
-    /// any live peer is a way back in.
+    /// or holding an unannounced join): its notion of "desired" cannot be
+    /// trusted, so it probes **every** known member — any live peer is a
+    /// way back in.
     fn probe_all(&self) -> bool {
-        self.degraded || self.pending_join_announce || self.awaiting_sync.is_some()
+        self.degraded || self.pending_join_announce
     }
 
     /// Converges links toward the overlay's desired neighbor set: tears
@@ -1698,10 +1527,10 @@ impl NodeCore {
         if !dialed && !excommunicated && !self.desired.contains(&peer) {
             // Nobody dials outside the overlay without a reason: a grave
             // probe that found this node alive and has a dead notice to
-            // deliver, a degraded node that must see a full timeout of
-            // frames before it believes its eyes. Hanging up at once — the
-            // dialer-side teardown, when this side has the lower id — would
-            // leave the caller's stale exclusion standing for good.
+            // deliver, a degraded node probing every member for a way
+            // back in. Hanging up at once — the dialer-side teardown, when
+            // this side has the lower id — would leave the caller's stale
+            // exclusion standing for good.
             self.link_grace.insert(peer, now + 2 * self.timeout_us);
         }
         if excommunicated {

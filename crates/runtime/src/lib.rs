@@ -53,8 +53,9 @@
 //!    applies the returned churn (dial added links, drop removed ones),
 //!    restoring k-connectivity at the smaller n. Replicas converge because
 //!    rebuilds are deterministic in the surviving membership. Past the k−1
-//!    budget a node degrades instead of healing, and an excommunicated
-//!    node rejoins by `JOIN` announcement or membership `SYNC`.
+//!    budget a node degrades instead of healing, and a node told it is
+//!    excommunicated answers with a `JOIN` announcement, which every
+//!    replica applies at the same canonical position.
 //! 6. **Metrics** ([`lhg_net::metrics`]) — counters, gauges and latency
 //!    histograms shared by the whole cluster, exportable as JSON and as
 //!    Prometheus text exposition. Wire-level accounting is recorded by the

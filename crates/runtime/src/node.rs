@@ -81,10 +81,9 @@ pub struct NodeShared {
     pub addr: SocketAddr,
     alive: AtomicBool,
     degraded: AtomicBool,
-    /// Set for the whole rejoin handshake of a rejoin boot: from spawn
-    /// until the `JOIN` announcement has flooded and no membership `SYNC`
-    /// request is outstanding. [`crate::Cluster::rejoin`] refuses to stack
-    /// a second rejoin on top of one still in flight.
+    /// Set for the whole rejoin of a rejoin boot: from spawn until the
+    /// `JOIN` announcement has flooded. [`crate::Cluster::rejoin`] refuses
+    /// to stack a second rejoin on top of one still in flight.
     join_pending: AtomicBool,
     /// Broadcast ids of every application delivery of this life, in
     /// delivery order: 8 B each and complete by contract (the oracles audit
@@ -137,8 +136,7 @@ impl NodeShared {
         self.degraded.load(Ordering::SeqCst)
     }
 
-    /// `true` while a rejoin boot's handshake (JOIN announcement and any
-    /// membership `SYNC`) is still in flight.
+    /// `true` from a rejoin boot until its `JOIN` announcement has flooded.
     #[must_use]
     pub fn is_rejoining(&self) -> bool {
         self.join_pending.load(Ordering::SeqCst)

@@ -19,9 +19,7 @@
 //! never set by data traffic; [`crate::Cluster`] enforces the ceiling at
 //! launch ([`MAX_MEMBERS`]).
 
-use bytes::{BufMut, Bytes, BytesMut};
-use lhg_core::overlay::{DynamicOverlay, MemberId};
-use lhg_core::Constraint;
+use lhg_core::overlay::MemberId;
 use lhg_net::wirecost::MessageClass;
 
 pub use lhg_net::reliable::{
@@ -45,10 +43,6 @@ pub const CRASH_TAG: u64 = lhg_net::wirecost::CRASH_TAG;
 /// Tag bit of a flooded (re)join announcement: the member in the low bits
 /// is (back) in the overlay and every replica must admit it.
 pub const JOIN_TAG: u64 = lhg_net::wirecost::JOIN_TAG;
-/// Tag bit of the membership-sync handshake. An empty payload is a request
-/// (from a node that learned it was excommunicated); a non-empty payload is
-/// the serving replica's snapshot ([`encode_membership`]).
-pub const SYNC_TAG: u64 = lhg_net::wirecost::SYNC_TAG;
 /// Tag bit of a point-to-point link-level ack (cumulative ack + selective
 /// NACK list in the payload, see [`lhg_net::reliable`]). Never forwarded,
 /// never deduplicated. The numeric value is [`lhg_net::reliable::ACK_TAG`]
@@ -87,9 +81,6 @@ pub enum FrameKind {
     Crash(MemberId),
     /// Flooded announcement that the given member (re)joined.
     Join(MemberId),
-    /// Membership sync frame from the given member: request when the
-    /// payload is empty, snapshot reply otherwise.
-    Sync(MemberId),
     /// Link-level cumulative ack + NACK list from the given member.
     Ack(MemberId),
     /// Anti-entropy summary (advertisement or pull) from the given member.
@@ -99,8 +90,9 @@ pub enum FrameKind {
     Byz,
     /// Application broadcast data.
     Data,
-    /// More than one class-tag bit: no correct node stamps such an id, so
-    /// the frame is dropped (never treated as data, whatever else it says).
+    /// More than one class-tag bit, or the reserved bit: no correct node
+    /// stamps such an id, so the frame is dropped (never treated as data,
+    /// whatever else it says).
     Malformed,
 }
 
@@ -117,7 +109,6 @@ pub fn classify(broadcast_id: u64) -> FrameKind {
         Some(MessageClass::Heartbeat) => FrameKind::Heartbeat(member),
         Some(MessageClass::Crash) => FrameKind::Crash(member),
         Some(MessageClass::Join) => FrameKind::Join(member),
-        Some(MessageClass::Sync) => FrameKind::Sync(member),
         Some(MessageClass::Ack) => FrameKind::Ack(member),
         Some(MessageClass::Summary) => FrameKind::Summary(member),
         Some(MessageClass::Byz) => FrameKind::Byz,
@@ -164,13 +155,6 @@ pub fn join_id(member: MemberId, nonce: u32) -> u64 {
     JOIN_TAG | (u64::from(nonce) << NONCE_SHIFT) | member
 }
 
-/// Broadcast id of a membership-sync frame sent by `member`.
-#[must_use]
-pub fn sync_id(member: MemberId) -> u64 {
-    debug_assert!(member < MAX_MEMBERS);
-    SYNC_TAG | member
-}
-
 /// Broadcast id of a link-level ack frame sent by `member`.
 #[must_use]
 pub fn ack_id(member: MemberId) -> u64 {
@@ -192,27 +176,6 @@ pub fn is_control_id(broadcast_id: u64) -> bool {
     broadcast_id & lhg_net::wirecost::CLASS_TAG_MASK != 0
 }
 
-/// Serializes an overlay's membership for a sync reply: constraint code,
-/// k, member count, then the member ids **in the serving replica's order**
-/// so [`lhg_core::overlay::DynamicOverlay::from_parts`] reproduces the
-/// identical graph-position mapping.
-#[must_use]
-pub fn encode_membership(overlay: &DynamicOverlay) -> Bytes {
-    let members = overlay.members();
-    let mut buf = BytesMut::with_capacity(2 + 4 + members.len() * 8);
-    buf.put_u8(match overlay.constraint() {
-        Constraint::KTree => 0,
-        Constraint::KDiamond => 1,
-        Constraint::Jd => 2,
-    });
-    buf.put_u8(overlay.k() as u8);
-    buf.put_u32(members.len() as u32);
-    for &m in members {
-        buf.put_u64(m);
-    }
-    buf.freeze()
-}
-
 /// A 32-bit crash/join wave nonce: the member's cluster-global life number
 /// in the high 16 bits, its per-life wave sequence in the low 16. Lives
 /// are allocated once per (re)join by the cluster, so nonces stay unique
@@ -222,31 +185,6 @@ pub fn encode_membership(overlay: &DynamicOverlay) -> Bytes {
 #[must_use]
 pub fn wave_nonce(life: u32, seq: u16) -> u32 {
     (life << 16) | u32::from(seq)
-}
-
-/// Parses an [`encode_membership`] payload — a SYNC reply — exactly: `None`
-/// on any malformation, trailing bytes included, never a panic.
-#[must_use]
-pub fn decode_membership(payload: &Bytes) -> Option<(Constraint, usize, Vec<MemberId>)> {
-    let b = payload.as_ref();
-    if b.len() < 6 {
-        return None;
-    }
-    let constraint = match b[0] {
-        0 => Constraint::KTree,
-        1 => Constraint::KDiamond,
-        2 => Constraint::Jd,
-        _ => return None,
-    };
-    let k = b[1] as usize;
-    let count = u32::from_be_bytes(b[2..6].try_into().ok()?) as usize;
-    if count.checked_mul(8).and_then(|m| m.checked_add(6)) != Some(b.len()) {
-        return None;
-    }
-    let members = (0..count)
-        .map(|i| u64::from_be_bytes(b[6 + i * 8..14 + i * 8].try_into().unwrap()))
-        .collect();
-    Some((constraint, k, members))
 }
 
 #[cfg(test)]
@@ -260,7 +198,6 @@ mod tests {
         assert_eq!(classify(heartbeat_id(0)), FrameKind::Heartbeat(0));
         assert_eq!(classify(crash_id(11, 0)), FrameKind::Crash(11));
         assert_eq!(classify(join_id(5, 0)), FrameKind::Join(5));
-        assert_eq!(classify(sync_id(3)), FrameKind::Sync(3));
         assert_eq!(classify(ack_id(9)), FrameKind::Ack(9));
         assert_eq!(classify(summary_id(2)), FrameKind::Summary(2));
     }
@@ -274,7 +211,9 @@ mod tests {
             HELLO_TAG | HEARTBEAT_TAG | 4,
             CRASH_TAG | JOIN_TAG | 1,
             BYZ_TAG | ACK_TAG,
-            SUMMARY_TAG | SYNC_TAG | fifo_id(2, 9),
+            SUMMARY_TAG | JOIN_TAG | fifo_id(2, 9),
+            lhg_net::wirecost::RESERVED_TAG | 3,
+            lhg_net::wirecost::RESERVED_TAG | fifo_id(2, 9),
         ] {
             assert_eq!(classify(id), FrameKind::Malformed, "{id:#x}");
             assert_eq!(hello_peer(id), None);
@@ -329,8 +268,7 @@ mod tests {
         assert_ne!(crash_id(1, 0), heartbeat_id(1));
         assert_ne!(heartbeat_id(1), hello_id(1));
         assert_ne!(join_id(1, 0), crash_id(1, 0));
-        assert_ne!(sync_id(1), join_id(1, 0));
-        assert_ne!(ack_id(1), sync_id(1));
+        assert_ne!(ack_id(1), join_id(1, 0));
         assert_ne!(summary_id(1), ack_id(1));
         assert_ne!(ack_id(1), ack_id(2));
     }
@@ -346,69 +284,6 @@ mod tests {
             classify(join_id((MAX_MEMBERS - 1) as MemberId, u32::MAX)),
             FrameKind::Join((MAX_MEMBERS - 1) as MemberId)
         );
-    }
-
-    #[test]
-    fn membership_codec_round_trips() {
-        use lhg_core::overlay::DynamicOverlay;
-        use lhg_core::Constraint;
-
-        let mut o = DynamicOverlay::bootstrap(Constraint::KDiamond, 12, 3).unwrap();
-        let _ = o.crash_many(&[2, 9]).unwrap();
-        let payload = encode_membership(&o);
-        let (constraint, k, members) = decode_membership(&payload).unwrap();
-        assert_eq!(constraint, Constraint::KDiamond);
-        assert_eq!(k, 3);
-        assert_eq!(members, o.members());
-        let replica = DynamicOverlay::from_parts(constraint, k, members).unwrap();
-        assert_eq!(replica.links(), o.links());
-    }
-
-    #[test]
-    fn membership_decode_rejects_malformed_payloads() {
-        use bytes::Bytes;
-
-        assert!(decode_membership(&Bytes::new()).is_none());
-        assert!(decode_membership(&Bytes::from_static(&[9, 3, 0, 0, 0, 0])).is_none());
-        // Truncated member list.
-        assert!(decode_membership(&Bytes::from_static(&[0, 3, 0, 0, 0, 2, 0, 0])).is_none());
-    }
-
-    /// A SYNC snapshot is the membership block in the layout every node
-    /// has always read — constraint code, k, member count, member ids —
-    /// and carries nothing of a node's Bracha state.
-    #[test]
-    fn sync_snapshot_without_summaries_is_byte_identical_to_legacy() {
-        use lhg_core::overlay::DynamicOverlay;
-        use lhg_core::Constraint;
-
-        let o = DynamicOverlay::bootstrap(Constraint::KTree, 10, 3).unwrap();
-        let mut legacy = vec![0, 3];
-        legacy.extend_from_slice(&10u32.to_be_bytes());
-        for &m in o.members() {
-            legacy.extend_from_slice(&m.to_be_bytes());
-        }
-        assert_eq!(encode_membership(&o).as_ref(), legacy.as_slice());
-    }
-
-    /// A SYNC snapshot is the membership block and nothing after it: any
-    /// trailing bytes, or a count that promises more members than the
-    /// payload holds, and the whole snapshot is refused, never half-read.
-    #[test]
-    fn sync_snapshot_rejects_malformed_extensions() {
-        use lhg_core::overlay::DynamicOverlay;
-        use lhg_core::Constraint;
-
-        let good = encode_membership(&DynamicOverlay::bootstrap(Constraint::KTree, 8, 3).unwrap());
-        assert!(decode_membership(&good).is_some());
-        for tail in [&[1][..], &[9], &[1, 0, 0, 0, 0]] {
-            let mut extended = good.to_vec();
-            extended.extend_from_slice(tail);
-            assert!(decode_membership(&Bytes::from(extended)).is_none());
-        }
-        let mut lying = good.to_vec();
-        lying[2..6].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(decode_membership(&Bytes::from(lying)).is_none());
     }
 
     mod wave_nonce_props {
@@ -484,6 +359,7 @@ mod tests {
         //! that never stamped a link sequence number.
 
         use super::*;
+        use bytes::Bytes;
         use lhg_net::message::Message;
         use lhg_net::reliable::{MAX_NACKS, MAX_SUMMARY_IDS};
         use proptest::prelude::*;

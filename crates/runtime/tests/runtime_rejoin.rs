@@ -170,7 +170,7 @@ fn isolate_heal_reconverge(c: &Cluster, inj: &FaultInjector) {
 /// sees its traffic, repeated each heartbeat until it is re-admitted.
 /// `rejoin_cooldown` must coalesce that burst into a bounded number of
 /// repair rounds: without it, every single notice would start a fresh
-/// SYNC/JOIN exchange and the revenant would flap.
+/// `JOIN` exchange and the revenant would flap.
 #[test]
 fn dead_notice_burst_coalesces_into_bounded_repairs() {
     let inj = Arc::new(FaultInjector::new(0xBADD1E));
@@ -179,17 +179,16 @@ fn dead_notice_burst_coalesces_into_bounded_repairs() {
 
     isolate_heal_reconverge(&c, &inj);
 
-    // The degraded victim repairs through the SYNC path...
-    let requests = c.metrics().counter("runtime.sync_requests").get();
-    let rejoins = c.metrics().counter("runtime.sync_rejoins").get();
-    assert!(rejoins >= 1, "the victim resynced at least once");
+    // The degraded victim answers its notices with JOIN announcements...
+    let announces = c.metrics().counter("runtime.join_announces").get();
+    assert!(announces >= 1, "the victim announced itself at least once");
     // ...and the cooldown held the notice burst down to a handful of
     // repair rounds. Notices arrive every heartbeat period (10ms) from
-    // many peers; one request per cooldown window (250ms) is the designed
-    // pace, so anything near one-per-notice is a flap.
+    // many peers; one announcement per cooldown window (250ms) is the
+    // designed pace, so anything near one-per-notice is a flap.
     assert!(
-        requests <= 6,
-        "dead-notice burst must coalesce under rejoin_cooldown, saw {requests} SYNC requests"
+        announces <= 6,
+        "dead-notice burst must coalesce under rejoin_cooldown, saw {announces} JOIN announces"
     );
 
     let id = c
@@ -204,15 +203,9 @@ fn dead_notice_burst_coalesces_into_bounded_repairs() {
 
 /// The cooldown must *expire* correctly when repair frames are lost: with
 /// a seeded injector dropping a quarter of the victim's link traffic, a
-/// SYNC request or snapshot can vanish mid-handshake. The jittered retry
-/// schedule (`runtime.sync_retries`) and post-cooldown notices must then
-/// restart the exchange until it lands — degraded-but-never-wedged.
-///
-/// Which repair lands is up to the drops. Usually it is a SYNC snapshot;
-/// but the degraded victim's own dead notices can make the survivors
-/// answer with `JOIN`s, which it applies and leaves degraded mode without
-/// any SYNC. Either is a correct repair, so the test asserts what both
-/// must give — bounded rounds and reconverged replicas — not the path.
+/// direct `JOIN` or a copy of its flood can vanish. Post-cooldown notices
+/// must then restart the exchange until it lands — degraded-but-never-
+/// wedged — in a bounded number of rounds, with replicas reconverged.
 #[test]
 fn rejoin_cooldown_expires_and_repair_survives_lossy_links() {
     let mut inj = FaultInjector::new(0x10_55_1E);
@@ -233,20 +226,13 @@ fn rejoin_cooldown_expires_and_repair_survives_lossy_links() {
 
     isolate_heal_reconverge(&c, &inj);
 
-    // Lossy repairs may take several cooldown windows plus retries, but
-    // still orders of magnitude fewer rounds than one-per-notice — by
-    // whichever path they ran.
-    let metrics = c.metrics();
-    let rounds = [
-        "runtime.sync_requests",
-        "runtime.sync_retries",
-        "runtime.join_announces",
-    ]
-    .map(|name| metrics.counter(name).get());
-    println!("sync requests, sync retries, join announces: {rounds:?}");
+    // Lossy repairs may take several cooldown windows, but still orders
+    // of magnitude fewer rounds than one-per-notice.
+    let announces = c.metrics().counter("runtime.join_announces").get();
+    println!("join announces: {announces}");
     assert!(
-        rounds[..2].iter().sum::<u64>() <= 20 && rounds[2] <= 20,
-        "repair rounds stay bounded under loss, saw {rounds:?}"
+        announces <= 20,
+        "repair rounds stay bounded under loss, saw {announces} JOIN announces"
     );
 
     let id = c

@@ -3,7 +3,7 @@
 //! shutdown. (A reader thread per connection and an acceptor per node made
 //! it 80.) A single `#[test]`, so no other test's threads are counted.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lhg_core::Constraint;
@@ -34,5 +34,11 @@ fn a_sixteen_node_cluster_adds_one_thread_per_node() {
         during - before
     );
     c.shutdown();
+    // A joined thread leaves the count only once the kernel has reaped it,
+    // which can trail `shutdown` by a moment.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while threads() != before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     assert_eq!(threads(), before, "every node thread was joined");
 }

@@ -104,7 +104,7 @@ fn counter(run: &SimCluster, name: &str) -> u64 {
 }
 
 #[test]
-fn minority_partition_degrades_then_sync_rejoins() {
+fn minority_partition_degrades_then_rejoins() {
     use lhg_net::fault::{FaultInjector, Partition};
     use lhg_trace::EventKind;
 
@@ -133,8 +133,8 @@ fn minority_partition_degrades_then_sync_rejoins() {
         .collect();
     assert_eq!(degraded, minority, "exactly the minority degrades");
     assert!(
-        counter(&run, "runtime.sync_rejoins") >= 2,
-        "both came back by SYNC"
+        counter(&run, "runtime.join_announces") >= 2,
+        "both came back by JOIN"
     );
     let everyone: BTreeSet<MemberId> = (0..N as MemberId).collect();
     let links = run.core(0, |c| c.overlay().links());
@@ -196,7 +196,6 @@ fn frame_crash_traitor_and_forged_notice_move_nobody() {
     }
     // The lone notice reached node 1's rejoin machinery and stopped there.
     assert_eq!(counter(&run, "runtime.join_announces"), 0);
-    assert_eq!(counter(&run, "runtime.sync_requests"), 0);
     assert!(!run.core(1, |c| c.is_rejoining()));
 }
 

@@ -102,12 +102,6 @@ pub enum EventKind {
     /// Suspected failures fell back within the k−1 budget; normal healing
     /// resumed.
     DegradedExit,
-    /// This node rebuilt its overlay from a membership sync served by
-    /// `via` and re-admitted itself (the rejoin handshake).
-    SyncRejoin {
-        /// The member that served the membership snapshot.
-        via: u32,
-    },
     /// Fault injection removed an outbound frame to `peer` (chaos runs).
     FaultDrop {
         /// The intended recipient.
@@ -135,7 +129,6 @@ impl EventKind {
             EventKind::JoinAnnounce { .. } => "join_announce",
             EventKind::Degraded { .. } => "degraded",
             EventKind::DegradedExit => "degraded_exit",
-            EventKind::SyncRejoin { .. } => "sync_rejoin",
             EventKind::FaultDrop { .. } => "fault_drop",
         }
     }
@@ -185,7 +178,6 @@ impl EventKind {
             EventKind::JoinAnnounce { member } => vec![("member", u64::from(member))],
             EventKind::Degraded { active } => vec![("active", u64::from(active))],
             EventKind::DegradedExit => Vec::new(),
-            EventKind::SyncRejoin { via } => vec![("via", u64::from(via))],
             EventKind::FaultDrop { peer } => vec![("peer", u64::from(peer))],
         }
     }
@@ -269,7 +261,6 @@ mod tests {
             EventKind::JoinAnnounce { member: 4 },
             EventKind::Degraded { active: 3 },
             EventKind::DegradedExit,
-            EventKind::SyncRejoin { via: 2 },
             EventKind::FaultDrop { peer: 6 },
         ];
         for k in kinds {
@@ -286,7 +277,6 @@ mod tests {
         assert!(!EventKind::BroadcastAccept { trace_id: 0 }.is_traffic());
         assert!(EventKind::FaultDrop { peer: 0 }.is_traffic());
         assert!(!EventKind::Degraded { active: 2 }.is_traffic());
-        assert!(!EventKind::SyncRejoin { via: 1 }.is_traffic());
         assert!(!EventKind::JoinAnnounce { member: 1 }.is_traffic());
     }
 
