@@ -10,14 +10,18 @@
 //! it is the frames it receives.
 //!
 //! Flooding every vote is what made a broadcast cost 2n+1 floods. Here a
-//! broadcast is **one** flood — the payload — plus an exchange of witness
-//! bitmaps between neighbors that carries each bit over each link at most
-//! once and stops as soon as the neighbor can no longer use it:
+//! broadcast is **one** pass of the payload down a tree, plus an exchange
+//! of witness bitmaps between neighbors that carries each bit over each
+//! link at most once and stops as soon as the neighbor can no longer use
+//! it:
 //!
-//! 1. **SEND is a flood.** The origin's payload-carrying
+//! 1. **SEND rides the eager tree.** The origin's payload-carrying
 //!    [`GossipFrame`] goes to every neighbor; a node that sees its id for
-//!    the first time relays it before validating it, so the payload crosses
-//!    each link once.
+//!    the first time relays it, before validating it, to the relay set its
+//!    driver names: its children in the origin's BFS tree on the driver's
+//!    replica, or every link when the replica cannot place the origin. So
+//!    the payload crosses each node once, in n − 1 frames. What a lost tree
+//!    edge or a mute relay keeps from a subtree, rule 5's pull repairs.
 //! 2. **ECHO and READY are bits.** A vote is a member id in a
 //!    [`WitnessSet`] of the engine; nothing else.
 //! 3. **Per link, `has`** is the union of the bits that peer has sent and
@@ -52,23 +56,32 @@
 //!    from that peer showed the 2f+1 readies of the delivered digest; an
 //!    instance that cannot settle (a forgery stuck short of every quorum, a
 //!    mute peer) is offered `max_offers` times and then left alone until
-//!    the peer says something new about it. A node that has heard votes for
-//!    a digest whose payload it lacks asks one peer that has voted for it
-//!    per round, under the same bound, and is answered with the `SEND`
-//!    frame — which it relays like any first copy, so a flood every link
-//!    of the origin dropped resumes where it broke. A link that goes down or
-//!    comes up forgets its table ([`VoteExchange::reset_link`]), so a
-//!    replaced link or a rejoiner is offered everything again.
+//!    the peer says something new about it. This is also the `SEND`'s lazy
+//!    repair: a node that has heard votes for a digest whose payload it
+//!    lacks asks one peer that has voted for it per round, under the same
+//!    bound — each peer whose own echo it holds first, since a correct node
+//!    echoes only a payload it has — and is answered with the `SEND` frame,
+//!    which it relays like any first copy, so the tree resumes below the
+//!    edge that lost it. A link that goes down or comes up forgets its
+//!    table ([`VoteExchange::reset_link`]), so a replaced link or a
+//!    rejoiner is offered everything again.
 //!
-//! Why the caps keep Totality: a correct node that holds 2f+1 readies hands
-//! a full certificate to every neighbor not known to hold one, a node that
-//! holds f+1 hands those on and their receiver readies by amplification,
-//! and removing f traitors leaves the correct subgraph of a k-connected
-//! overlay connected — so a certificate anywhere reaches every correct
-//! node, whatever was capped on the way. What a relay cannot do is unchanged
-//! from the flooded protocol: a witness *bit* for a member is as unforgeable
-//! as a relayed frame's `witness` field was (DESIGN §11.1), and a bit for a
-//! non-member counts for nothing.
+//! Why the caps and the tree keep Totality: a correct node that holds 2f+1
+//! readies hands a full certificate to every neighbor not known to hold
+//! one, a node that holds f+1 hands those on and their receiver readies by
+//! amplification, and removing f traitors leaves the correct subgraph of a
+//! k-connected overlay connected — so a certificate anywhere reaches every
+//! correct node, whatever was capped on the way. A correct node that
+//! delivered holds the payload, and a certified node that lacks it pulls it
+//! from a neighbor that voted; the pulled copy carries on down its subtree.
+//! So the payload, too, reaches every correct node over that connected
+//! subgraph, however many tree edges a traitor or a lossy link broke: the
+//! tree saves the copies, the pull keeps the k paths. What a relay cannot
+//! do is unchanged from the flooded protocol: a witness *bit* for a member
+//! is as unforgeable as a relayed frame's `witness` field was (DESIGN
+//! §11.1), and a bit for a non-member counts for nothing. A node still
+//! echoes only the first `SEND` it sees, so relaying fewer copies changes
+//! no safety argument.
 
 use std::collections::BTreeMap;
 
@@ -107,10 +120,12 @@ struct Link {
     /// echo-only deltas wait.
     awaiting: bool,
     /// The peer asked for an answer and has not had one. A node that is
-    /// itself `awaiting` puts the answer off if the peer `outranks` it (has
-    /// the lower id), so that two asks that crossed become one conversation.
+    /// itself `awaiting` puts the answer off if the peer outranks it (has
+    /// the lower `id`), so that two asks that crossed become one
+    /// conversation.
     asked: bool,
-    outranked: bool,
+    /// The peer's member id, as its `VOTES` frames name it.
+    id: Option<u32>,
     repair: BTreeMap<ByzTag, Repair>,
 }
 
@@ -226,8 +241,9 @@ impl<P: Copy + Ord> VoteExchange<P> {
         (self.links.get(&peer)).is_some_and(|l| l.repair.get(&tag) == Some(&Repair::Settled))
     }
 
-    /// Originates a broadcast: floods the `SEND` to `peers` and queues this
-    /// node's echo for them.
+    /// Originates a broadcast: sends the `SEND` to `peers` — the root's
+    /// children in its own tree are all its links — and queues this node's
+    /// echo for them.
     ///
     /// # Errors
     ///
@@ -260,16 +276,20 @@ impl<P: Copy + Ord> VoteExchange<P> {
     }
 
     /// Handles one byz-class frame from the link to `from`: a `VOTES` frame
-    /// or a `SEND` (relayed under `seen`, first copy only). Anything else —
-    /// the frame form of a single vote included, which no node sends — is
-    /// dropped. Returns how many votes were refused: those naming a
-    /// non-member, and those that came as frames.
+    /// or a `SEND` (relayed under `seen`, first copy only, to the peers of
+    /// `relay` other than `from`: this node's children in the origin's
+    /// eager tree). Anything else — the frame form of a single vote
+    /// included, which no node sends — is dropped. Returns how many votes
+    /// were refused: those naming a non-member, and those that came as
+    /// frames.
+    #[allow(clippy::too_many_arguments)]
     pub fn on_frame(
         &mut self,
         from: P,
         msg: &Message,
         seen: &mut SeenSet,
         peers: impl IntoIterator<Item = P>,
+        relay: impl IntoIterator<Item = P>,
         out: &mut Sends<P>,
         delivered: &mut Vec<ByzDelivery>,
     ) -> u64 {
@@ -286,11 +306,11 @@ impl<P: Copy + Ord> VoteExchange<P> {
                 return 1;
             }
             if seen.insert(msg.broadcast_id) {
-                // Relay first so the payload keeps crossing the overlay even
+                // Relay first so the payload keeps going down the tree even
                 // if the local engine refuses it.
                 let fwd = msg.forwarded();
-                let others = self.peers.iter().filter(|&&p| p != from);
-                out.extend(others.map(|&p| (p, fwd.clone())));
+                let others = relay.into_iter().filter(|&p| p != from);
+                out.extend(others.map(|p| (p, fwd.clone())));
             } else if !(self.engine.wanted_payloads()).any(|w| w == (frame.tag, frame.digest)) {
                 return 0; // another copy, over another disjoint path
             }
@@ -311,16 +331,30 @@ impl<P: Copy + Ord> VoteExchange<P> {
         self.begin(peers);
         self.round += 1;
         // Votes without the payload they are for: ask one peer that has
-        // voted for the digest, a different one each round.
+        // voted for the digest, a different one each round. Those that
+        // echoed it are asked first, each once, since a correct node echoes
+        // only a payload it holds; then every voter in turn, so that a
+        // traitor's echo cannot hold the pull.
         let engine = &self.engine;
         self.pulls
             .retain(|&key, _| engine.wanted_payloads().any(|w| w == key));
         let mut asks = Vec::new();
         for (tag, digest) in self.askable() {
-            let voters = self.voters(tag, digest).count() as u64;
-            let pick = (self.round % voters) as usize;
-            let peer = (self.voters(tag, digest).nth(pick)).expect("an askable payload has voters");
-            asks.push((peer, tag, digest));
+            let echo = self.engine.votes(tag).find(|&(d, _)| d == digest);
+            let echoed = |p: &P| {
+                let id = self.links.get(p).and_then(|l| l.id);
+                id.zip(echo).is_some_and(|(id, (_, v))| v.echo.contains(id))
+            };
+            let asked = self.pulls.get(&(tag, digest)).map_or(0, |&n| u64::from(n));
+            let holders = self.voters(tag, digest).filter(echoed).count() as u64;
+            let peer = if asked < holders {
+                let pick = (self.round % holders) as usize;
+                self.voters(tag, digest).filter(echoed).nth(pick)
+            } else {
+                let voters = self.voters(tag, digest).count() as u64;
+                self.voters(tag, digest).nth((self.round % voters) as usize)
+            };
+            asks.push((peer.expect("an askable payload has voters"), tag, digest));
         }
         for &(_, tag, digest) in &asks {
             *self.pulls.entry((tag, digest)).or_default() += 1;
@@ -442,7 +476,7 @@ impl<P: Copy + Ord> VoteExchange<P> {
         let link = self.links.entry(from).or_default();
         link.awaiting &= !frame.ack;
         link.asked |= frame.req;
-        link.outranked = sender < self.engine.id();
+        link.id = Some(sender);
         // A declaration replaces what was believed, per instance.
         let declared = &mut self.declared;
         declared.extend((frame.entries.iter().filter(|e| e.full)).map(|e| e.tag));
@@ -513,7 +547,8 @@ impl<P: Copy + Ord> VoteExchange<P> {
                 .map(|&tag| Self::due(&self.engine, link, tag))
                 .max()
                 .unwrap_or(Due::Nothing);
-            let answer = link.asked && !(link.awaiting && link.outranked);
+            let outranked = link.id.is_some_and(|id| id < me);
+            let answer = link.asked && !(link.awaiting && outranked);
             if answer
                 || !link.owed.is_empty()
                 || due == Due::Readies
@@ -707,7 +742,8 @@ mod tests {
         fn hears(&mut self, from: u32, msg: &Message) -> u64 {
             self.out.clear();
             let (seen, out, delivered) = (&mut self.seen, &mut self.out, &mut self.delivered);
-            self.x.on_frame(from, msg, seen, [1, 2, 7], out, delivered)
+            self.x
+                .on_frame(from, msg, seen, [1, 2, 7], [1, 2, 7], out, delivered)
         }
 
         /// A frame of `entries` from peer `from`, neither asking nor answering.
@@ -719,6 +755,9 @@ mod tests {
     /// A complete graph of exchanges with instant links.
     struct Mesh {
         nodes: Vec<(VoteExchange<u32>, SeenSet)>,
+        /// Per node, where it relays a first-seen `SEND`: every other node
+        /// unless a test says otherwise.
+        kids: Vec<Vec<u32>>,
         queue: VecDeque<(u32, u32, Message)>,
         delivered: Vec<Vec<ByzDelivery>>,
         /// Every frame put on a link.
@@ -731,6 +770,9 @@ mod tests {
             Mesh {
                 nodes: (0..n)
                     .map(|v| (VoteExchange::new(v, cfg, MAX_OFFERS), SeenSet::default()))
+                    .collect(),
+                kids: (0..n)
+                    .map(|v| (0..n).filter(|&w| w != v).collect())
                     .collect(),
                 queue: VecDeque::new(),
                 delivered: vec![Vec::new(); n as usize],
@@ -775,7 +817,8 @@ mod tests {
                 let (peers, mut sends) = (self.peers(to), Vec::new());
                 let (x, seen) = &mut self.nodes[to as usize];
                 let delivered = &mut self.delivered[to as usize];
-                x.on_frame(from, &msg, seen, peers, &mut sends, delivered);
+                let relay = self.kids[to as usize].iter().copied();
+                x.on_frame(from, &msg, seen, peers, relay, &mut sends, delivered);
                 self.post(to, sends);
             }
         }
@@ -1139,6 +1182,34 @@ mod tests {
             mesh.delivered[2][0].payload,
             Bytes::from_static(b"the payload")
         );
+    }
+
+    #[test]
+    fn a_send_goes_where_the_driver_relays_it_and_a_pull_resumes_a_cut_subtree() {
+        // The eager tree: the origin's children are all its links, node 4
+        // hangs below node 3, everyone else is a leaf. The origin's copies
+        // to 3 and 4 are lost, as if the edge into 3's subtree had dropped
+        // the SEND.
+        let mut mesh = Mesh::new(7, 2);
+        mesh.kids = vec![Vec::new(); 7];
+        mesh.kids[3] = vec![4];
+        mesh.broadcast(0, 1, b"down the tree");
+        let is_send = |m: &Message| GossipFrame::from_message(m).is_some();
+        mesh.run(|from, to, m| from == 0 && (to == 3 || to == 4) && is_send(m));
+        let sends = |mesh: &Mesh| mesh.wire.iter().filter(|m| is_send(m)).count();
+        assert_eq!(sends(&mesh), 6, "the origin's copies, and no relay");
+        for v in [0, 1, 2, 5, 6] {
+            assert_eq!(mesh.delivered[v].len(), 1, "node {v}");
+        }
+        // Both certify from the votes alone. One repair round at node 3
+        // pulls the payload from a voter, and 3 relays it to its child as
+        // any first copy: the subtree needs no pull of its own.
+        assert!(mesh.delivered[3].is_empty() && mesh.delivered[4].is_empty());
+        mesh.repair(3);
+        mesh.run(|_, _, _| false);
+        assert_eq!(mesh.delivered[3].len(), 1);
+        assert_eq!(mesh.delivered[4].len(), 1);
+        assert_eq!(sends(&mesh), 6 + 2, "one pulled copy, one relayed");
     }
 
     /// Node 6 certifies `payload` of origin 0 from its peers' votes alone,

@@ -5,8 +5,11 @@
 //! over [`VoteExchange`] — frames and timers in, whatever the exchange
 //! appends to its sink out, deliveries to the application via
 //! `ctx.deliver`. The payload floods once (`SEND`, relayed on first
-//! sight, so it crosses the overlay on all k disjoint paths); votes travel
-//! as witness-set deltas between neighbors.
+//! sight to every other link, so it crosses the overlay on all k disjoint
+//! paths); votes travel as witness-set deltas between neighbors. The
+//! flood is this adapter's: it holds no graph to find the eager tree in,
+//! which `lhg_runtime::core::NodeCore` relays the `SEND` down. The adapter
+//! stays as the benchmark's until that workload runs `NodeCore` too.
 //!
 //! Traitors are the node's: `lhg_runtime::core::NodeCore` mounts every
 //! [`crate::TraitorBehavior`], on the simulator through
@@ -153,9 +156,11 @@ impl Process for ByzantineFlooder {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
+        // No graph here: a first-seen SEND goes on to every other link.
         let peers = ctx.neighbors().iter().copied();
         let (seen, sends, delivered) = (&mut self.seen, &mut self.sends, &mut self.delivered);
-        let rejected = (self.exchange).on_frame(from, &msg, seen, peers, sends, delivered);
+        let x = &mut self.exchange;
+        let rejected = x.on_frame(from, &msg, seen, peers.clone(), peers, sends, delivered);
         self.bump_count("byz.votes_rejected", rejected);
         self.emit(ctx);
     }

@@ -224,6 +224,7 @@ impl Mesh {
                 from,
                 &msg.expect("not the end"),
                 seen,
+                peers.clone(),
                 peers,
                 &mut self.sends,
                 &mut self.delivered,

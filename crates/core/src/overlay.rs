@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use lhg_graph::traversal::bfs_parents;
+use lhg_graph::traversal::bfs_parents_into;
 use lhg_graph::{Graph, NodeId};
 
 use crate::construction::{Constraint, LhgGraph};
@@ -143,7 +143,7 @@ impl DynamicOverlay {
     /// Overlay neighbors of `member` (by stable id), or `None` if unknown.
     #[must_use]
     pub fn neighbors_of(&self, member: MemberId) -> Option<Vec<MemberId>> {
-        let pos = self.members.iter().position(|&m| m == member)?;
+        let pos = self.position(member)?;
         Some(
             self.current
                 .graph()
@@ -156,20 +156,17 @@ impl DynamicOverlay {
     /// `member`'s children in the BFS tree rooted at `origin`, graph order
     /// breaking ties: the neighbors a broadcast from `origin` is pushed to
     /// from `member`. `None` when either is unknown or `member` is
-    /// unreachable from `origin`.
+    /// unreachable from `origin`. [`TreeChildren`] answers the same without
+    /// allocating.
     #[must_use]
     pub fn tree_children(&self, origin: MemberId, member: MemberId) -> Option<Vec<MemberId>> {
-        let pos = |m| self.members.iter().position(|&x| x == m).map(NodeId);
-        let (root, me) = (pos(origin)?, pos(member)?);
-        let parent = bfs_parents(self.current.graph(), root);
-        if me != root && parent[me.index()].is_none() {
-            return None;
-        }
-        let children = parent
-            .iter()
-            .zip(&self.members)
-            .filter(|(p, _)| **p == Some(me));
-        Some(children.map(|(_, &m)| m).collect())
+        let mut table = TreeChildren::default();
+        table.reset(self, member);
+        table.get(self, origin).map(<[MemberId]>::to_vec)
+    }
+
+    fn position(&self, member: MemberId) -> Option<usize> {
+        self.members.iter().position(|&m| m == member)
     }
 
     /// Member-id link set of the current topology.
@@ -306,6 +303,79 @@ impl DynamicOverlay {
         let before = self.link_set();
         self.members.retain(|m| !unique.contains(m));
         Ok(self.apply(next, &before))
+    }
+}
+
+/// One member's children in every origin's BFS tree on a replica
+/// ([`DynamicOverlay::tree_children`]), each tree searched on its first
+/// lookup. [`Self::reset`] reserves the room every origin may need, so a
+/// lookup allocates nothing: a node relays each broadcast down its
+/// origin's tree, and looking the tree up must not cost more than the
+/// relay saves.
+#[derive(Debug, Clone, Default)]
+pub struct TreeChildren {
+    /// The member's position on the replica, and its degree there: no tree
+    /// gives it more children than that, so each origin's slot in `kids`
+    /// is that wide.
+    me: Option<usize>,
+    width: usize,
+    /// Per origin position: [`UNSEARCHED`], [`UNPLACED`] or how many
+    /// children its slot holds.
+    len: Vec<u32>,
+    kids: Vec<MemberId>,
+    /// Scratch for one search.
+    parent: Vec<Option<NodeId>>,
+    queue: Vec<NodeId>,
+}
+
+/// A [`TreeChildren`] slot whose origin has not been looked up yet.
+const UNSEARCHED: u32 = u32::MAX;
+/// A [`TreeChildren`] slot whose tree does not reach the member.
+const UNPLACED: u32 = u32::MAX - 1;
+
+impl TreeChildren {
+    /// Forgets every tree and sizes the table for `member` on `overlay`:
+    /// call it whenever the replica changes. Allocates only when the
+    /// replica outgrew every earlier one.
+    pub fn reset(&mut self, overlay: &DynamicOverlay, member: MemberId) {
+        let n = overlay.len();
+        self.me = overlay.position(member);
+        self.width = self.me.map_or(0, |me| overlay.graph().degree(NodeId(me)));
+        self.len.clear();
+        self.len.resize(n, UNSEARCHED);
+        self.kids.clear();
+        self.kids.resize(n * self.width, 0);
+        self.parent.reserve(n);
+        self.queue.reserve(n);
+    }
+
+    /// The member's children in `origin`'s tree on `overlay` — the replica
+    /// the table was last [`Self::reset`] for. `None` when `overlay` cannot
+    /// place the broadcast: `origin` or the member is unknown, or the
+    /// member is unreachable from `origin`.
+    pub fn get(&mut self, overlay: &DynamicOverlay, origin: MemberId) -> Option<&[MemberId]> {
+        let (me, root) = (self.me?, overlay.position(origin)?);
+        let slot = root * self.width;
+        if self.len[root] == UNSEARCHED {
+            let graph = overlay.graph();
+            bfs_parents_into(graph, NodeId(root), &mut self.parent, &mut self.queue);
+            self.len[root] = if me != root && self.parent[me].is_none() {
+                UNPLACED
+            } else {
+                let mut len = 0;
+                for w in graph.neighbors(NodeId(me)) {
+                    if self.parent[w.index()] == Some(NodeId(me)) {
+                        self.kids[slot + len] = overlay.members[w.index()];
+                        len += 1;
+                    }
+                }
+                len as u32
+            };
+        }
+        match self.len[root] {
+            UNPLACED => None,
+            len => Some(&self.kids[slot..slot + len as usize]),
+        }
     }
 }
 

@@ -129,24 +129,42 @@ pub fn bfs_order<A: Adjacency + ?Sized>(adj: &A, source: NodeId) -> Vec<NodeId> 
 /// unreachable nodes).
 #[must_use]
 pub fn bfs_parents<A: Adjacency + ?Sized>(adj: &A, source: NodeId) -> Vec<Option<NodeId>> {
+    let mut parent = Vec::new();
+    bfs_parents_into(adj, source, &mut parent, &mut Vec::new());
+    parent
+}
+
+/// [`bfs_parents`] into `parent`, with `queue` as scratch: both are
+/// overwritten, and neither allocates once it has room for
+/// `adj.node_count()` entries.
+///
+/// # Panics
+///
+/// Panics if `source` is out of bounds.
+pub fn bfs_parents_into<A: Adjacency + ?Sized>(
+    adj: &A,
+    source: NodeId,
+    parent: &mut Vec<Option<NodeId>>,
+    queue: &mut Vec<NodeId>,
+) {
     assert!(
         source.index() < adj.node_count(),
         "source {source} out of bounds"
     );
-    let mut parent = vec![None; adj.node_count()];
-    let mut seen = vec![false; adj.node_count()];
-    seen[source.index()] = true;
-    let mut queue = VecDeque::from([source]);
-    while let Some(v) = queue.pop_front() {
+    parent.clear();
+    parent.resize(adj.node_count(), None);
+    queue.clear();
+    queue.push(source);
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
         adj.for_each_neighbor(v, &mut |w| {
-            if !seen[w.index()] {
-                seen[w.index()] = true;
+            if w != source && parent[w.index()].is_none() {
                 parent[w.index()] = Some(v);
-                queue.push_back(w);
+                queue.push(w);
             }
         });
     }
-    parent
 }
 
 /// One shortest path from `source` to `target` (inclusive), or `None` if

@@ -489,7 +489,7 @@ impl LinkReceiver {
     pub fn on_frame(&mut self, seq: u64) -> bool {
         self.dirty = true;
         self.owed += 1;
-        if seq == self.cum + 1 {
+        if self.cum.checked_add(1) == Some(seq) {
             self.cum = seq;
             self.advance();
         } else {
@@ -507,7 +507,7 @@ impl LinkReceiver {
 
     /// Moves `cum` up over the sequences received just above it.
     fn advance(&mut self) {
-        while self.above.front() == Some(&(self.cum + 1)) {
+        while (self.cum.checked_add(1)).is_some_and(|next| self.above.front() == Some(&next)) {
             self.above.pop_front();
             self.cum += 1;
         }
@@ -598,19 +598,19 @@ impl LinkReceiver {
         self.urgent = false;
         self.owed = 0;
         nacks.clear();
-        if let Some(&max) = self.above.back() {
-            let mut expect = self.cum + 1;
-            for &got in &self.above {
-                while expect < got && nacks.len() < MAX_NACKS {
-                    nacks.push(expect);
-                    expect += 1;
-                }
-                expect = got + 1;
-                if nacks.len() >= MAX_NACKS {
-                    break;
-                }
+        // `above` holds only sequences above `cum`: when `cum` is the top
+        // it is empty, and `expect` is never read.
+        let mut expect = self.cum.saturating_add(1);
+        for &got in &self.above {
+            while expect < got && nacks.len() < MAX_NACKS {
+                nacks.push(expect);
+                expect += 1;
             }
-            debug_assert!(expect > max || nacks.len() >= MAX_NACKS);
+            if nacks.len() >= MAX_NACKS {
+                break;
+            }
+            // No hole lies above `u64::MAX`: it can only come last.
+            expect = got.saturating_add(1);
         }
         self.cum
     }
@@ -739,6 +739,10 @@ pub enum DataOutcome {
     Duplicate,
     /// First receipt: retained and forwarded; the driver delivers it.
     Fresh,
+    /// A link sequence within `window` of `u64::MAX`, which a correct
+    /// sender would need 2⁶⁴ frames to reach: dropped unread, so that no
+    /// peer can take its link's ack point to the top of the sequence space.
+    Refused,
 }
 
 /// What [`ReliableCore::on_summary`] answered an anti-entropy frame with.
@@ -1047,6 +1051,10 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         peers: impl IntoIterator<Item = P>,
         out: &mut Sends<P>,
     ) -> DataOutcome {
+        let top = u64::MAX - self.cfg.window as u64;
+        if msg.link_seq.is_some_and(|seq| seq.get() > top) {
+            return DataOutcome::Refused;
+        }
         if let Some(cum) = msg.link_ack {
             self.acked(from, cum.get(), [], now_us, out);
         }
@@ -1129,7 +1137,12 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         };
         if mode == SUMMARY_PULL {
             let mut served = 0;
-            for id in ids {
+            for (at, id) in ids.clone().enumerate() {
+                // Each id once, however often the pull names it: a pull
+                // names at most MAX_SUMMARY_IDS, so looking back is cheap.
+                if ids.clone().take(at).any(|named| named == id) {
+                    continue;
+                }
                 if let Some(kept) = self.store.get(id).map(|k| k.msg.clone()) {
                     self.send(from, kept, now_us, out);
                     served += 1;
@@ -1639,6 +1652,52 @@ mod tests {
         assert!(!rx.on_frame(1_000), "a duplicate from the middle");
         assert!(rx.on_frame(1));
         assert_eq!((rx.cum(), rx.above.len()), (2_000, 0));
+    }
+
+    #[test]
+    fn a_link_sequence_at_the_top_neither_overflows_nor_is_accepted() {
+        // The receiver's arithmetic is checked: a frame at u64::MAX, and
+        // then its hole skipped, takes the ack point to the top.
+        let mut rx = LinkReceiver::new();
+        assert!(rx.on_frame(u64::MAX));
+        let mut nacks = Vec::new();
+        assert_eq!(rx.ack_payload(&mut nacks), 0);
+        assert_eq!(nacks, (1..=MAX_NACKS as u64).collect::<Vec<_>>());
+        rx.skip_given_up(&cfg(), u64::MAX);
+        assert_eq!(rx.cum(), u64::MAX);
+        assert!(!rx.on_frame(u64::MAX), "nothing lies above the top");
+        assert_eq!(rx.ack_payload(&mut nacks), u64::MAX);
+        assert!(nacks.is_empty());
+        // The core refuses such a frame unread, so no peer gets its link
+        // there: the frames below the refused range still go through.
+        let mut c = core(cfg());
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        let top = u64::MAX - cfg().window as u64;
+        for seq in [u64::MAX, top + 1] {
+            let m = msg(7).with_link_seq(seq);
+            let refused = c.on_data(1, &m, &mut seen, 0, [1], &mut out);
+            assert_eq!(refused, DataOutcome::Refused);
+        }
+        assert!(!seen.contains(7) && out.is_empty());
+        for (id, seq) in [(8, 1), (9, top)] {
+            let m = msg(id).with_link_seq(seq);
+            let fresh = c.on_data(1, &m, &mut seen, 0, [1], &mut out);
+            assert_eq!(fresh, DataOutcome::Fresh);
+        }
+    }
+
+    #[test]
+    fn a_pull_that_names_an_id_again_and_again_is_served_it_once() {
+        let mut c = core(cfg());
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        c.on_data(1, &msg(3).with_link_seq(1), &mut seen, 0, [1], &mut out);
+        out.clear();
+        let pull = encode_summary_payload(true, &[3; MAX_SUMMARY_IDS]);
+        assert_eq!(
+            c.on_summary(2, pull, &seen, 0, &mut out),
+            SummaryOutcome::Served(1)
+        );
+        assert_eq!(ids(&out), vec![(2, 3, Some(1))]);
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //!
 //! * **dispatch** — one classifier ([`wire::classify`]), malformed ids
 //!   dropped, data to the reliable plane, byz frames to the vote exchange;
-//! * **eager trees** — a fresh data frame goes on only to this node's
-//!   children in the origin's BFS tree on the replica (every link when the
-//!   replica cannot place it); every other link learns the id from the
-//!   reliable plane's adverts, and a node that lacks the body pulls it.
+//! * **eager trees** — a fresh data frame, and a first-seen Bracha `SEND`,
+//!   goes on only to this node's children in the origin's BFS tree on the
+//!   replica (every link when the replica cannot place it); for data every
+//!   other link learns the id from the reliable plane's adverts, and a
+//!   node that lacks the body pulls it, while a node that certified a
+//!   `SEND`'s digest without its payload pulls it through the vote
+//!   exchange's repair.
 //!   A stored body retires once every overlay neighbor holds it, while no
 //!   member is crashed or excommunicated here;
 //! * **control waves** — best-effort flooding of crash/join announcements,
@@ -46,7 +49,6 @@
 //! wire accounting where a frame is queued, which socket is a peer's link,
 //! and the publication of state to other threads.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,7 +61,7 @@ use lhg_byzantine::{
     attack, BrachaConfig, ByzDelivery, GossipFrame, GossipKind, TraitorBehavior, UnsoundMembership,
     VoteExchange,
 };
-use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId};
+use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId, TreeChildren};
 use lhg_net::backoff::{Backoff, BackoffPolicy};
 use lhg_net::message::Message;
 use lhg_net::metrics::{Counter, Gauge, MetricsRegistry};
@@ -207,21 +209,6 @@ fn us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// `me`'s children in `origin`'s BFS tree on `overlay`, from `cache` or
-/// computed into it; `None`, and nothing cached, when the replica cannot
-/// place the broadcast.
-fn tree_children<'a>(
-    cache: &'a mut HashMap<MemberId, Vec<MemberId>>,
-    overlay: &DynamicOverlay,
-    me: MemberId,
-    origin: MemberId,
-) -> Option<&'a [MemberId]> {
-    Some(match cache.entry(origin) {
-        Entry::Occupied(kids) => kids.into_mut(),
-        Entry::Vacant(slot) => slot.insert(overlay.tree_children(origin, me)?),
-    })
-}
-
 /// The sans-IO node state machine; see the module docs.
 pub struct NodeCore {
     id: MemberId,
@@ -251,8 +238,8 @@ pub struct NodeCore {
     overlay: Arc<DynamicOverlay>,
     desired: BTreeSet<MemberId>,
     /// Per origin the replica can place, this node's children in its BFS
-    /// tree ([`tree_children`]): filled on first use, cleared with the view.
-    children: HashMap<MemberId, Vec<MemberId>>,
+    /// tree: searched on first use, reset with the view.
+    children: TreeChildren,
     crashed: BTreeSet<MemberId>,
     view_epoch: u64,
     degraded: bool,
@@ -323,10 +310,12 @@ pub struct NodeCore {
     acks_piggybacked: Arc<Counter>,
     core_ticks: Arc<Counter>,
     /// The reliable-flood data plane and the reused sink for its sends
-    /// (the vote exchange's too), and the one for byz deliveries.
+    /// (the vote exchange's too), the one for byz deliveries, and the one
+    /// for the links a `SEND` is relayed on.
     reliable: ReliableCore<MemberId>,
     outbox: Sends<MemberId>,
     byz_delivered: Vec<ByzDelivery>,
+    relay: Vec<MemberId>,
     /// The heartbeat-period duty (the FrameCrash script), summaries, sweeps.
     next_beat: u64,
     next_summary: u64,
@@ -402,7 +391,7 @@ impl NodeCore {
             out: Vec::new(),
             overlay: Arc::new(overlay),
             desired: BTreeSet::new(),
-            children: HashMap::new(),
+            children: TreeChildren::default(),
             crashed: opts.initial_crashes,
             view_epoch: 0,
             degraded: false,
@@ -442,6 +431,7 @@ impl NodeCore {
             ),
             outbox: Vec::new(),
             byz_delivered: Vec::new(),
+            relay: Vec::new(),
             next_beat: now_us + beat_us,
             next_summary: now_us + summary_us,
             next_sweep: now_us + sweep_us,
@@ -632,16 +622,20 @@ impl NodeCore {
     }
 
     /// Replica or crash set changed: refresh the wanted-neighbor cache and
-    /// let the driver know there is something to republish.
+    /// the eager trees, and let the driver know there is something to
+    /// republish.
     fn view_changed(&mut self) {
         self.view_epoch += 1;
-        self.children.clear();
         self.desired = self
             .overlay
             .neighbors_of(self.id)
             .unwrap_or_default()
             .into_iter()
             .collect();
+        // The eager tree's lookups and relay sets allocate nothing from
+        // here until the next view change.
+        self.children.reset(&self.overlay, self.id);
+        self.relay.reserve(self.desired.len());
     }
 
     fn on_frame(&mut self, from: MemberId, msg: Message) {
@@ -722,20 +716,9 @@ impl NodeCore {
             }
             FrameKind::Data => {
                 let mut sends = std::mem::take(&mut self.outbox);
-                // The eager tree: a fresh copy goes on only to this node's
-                // children in the origin's BFS tree on the replica — to
-                // every link when the replica cannot place the broadcast.
-                // A lingering or grace link is no tree edge: it gets none.
-                // Only a copy not seen before is forwarded, so only it
-                // looks the tree up.
-                let origin = MemberId::from(msg.origin);
-                let kids = if self.seen.contains(msg.broadcast_id) {
-                    None
-                } else {
-                    tree_children(&mut self.children, &self.overlay, self.id, origin)
-                };
-                let links = (self.links.iter().copied())
-                    .filter(|p| kids.is_none_or(|kids| kids.contains(p)));
+                let fresh = !self.seen.contains(msg.broadcast_id);
+                let relay = self.eager_tree(fresh.then_some(MemberId::from(msg.origin)));
+                let links = relay.iter().copied();
                 match self
                     .reliable
                     .on_data(from, &msg, &mut self.seen, now, links, &mut sends)
@@ -743,6 +726,8 @@ impl NodeCore {
                     // The ack the copy re-earns goes out on the next sweep.
                     DataOutcome::LinkDuplicate => self.count("runtime.link_dups"),
                     DataOutcome::Duplicate => {}
+                    // A link seq no correct peer reaches.
+                    DataOutcome::Refused => self.count("runtime.malformed_frames"),
                     // Deliver before the forwards the plane emitted.
                     DataOutcome::Fresh => {
                         self.note_retained();
@@ -753,35 +738,61 @@ impl NodeCore {
                         }
                     }
                 }
+                self.relay = relay;
                 self.push_sends(sends);
             }
             FrameKind::Byz => self.on_byz_frame(from, &msg),
         }
     }
 
-    /// A byz-class frame: a flooded `SEND` or a neighbor's `VOTES`. A
-    /// correct node hands it to the vote exchange, which relays, counts and
-    /// answers. A traitor — and a node without a byzantine setup, for
-    /// interop — only passes payloads on: it relays a first-seen `SEND` like
-    /// any flood and neither casts nor forwards votes.
+    /// A byz-class frame: a `SEND` or a neighbor's `VOTES`. A correct node
+    /// hands it to the vote exchange, which relays, counts and answers. A
+    /// node without a byzantine setup, for interop, only passes payloads on:
+    /// it relays a first-seen `SEND` and neither casts nor forwards votes.
+    /// Either relays down the eager tree, as for data
+    /// ([`Self::eager_tree`]); the vote exchange's payload pull repairs what
+    /// a lost tree edge or a mute relay kept from a subtree. A traitor
+    /// floods what it relays, and runs its script.
     fn on_byz_frame(&mut self, from: MemberId, msg: &Message) {
         let behavior = self.behavior();
         if behavior == Some(TraitorBehavior::Silent) {
             return; // swallows the frame entirely
         }
+        let send = GossipFrame::from_message(msg).filter(|f| f.kind == GossipKind::Send);
+        let fresh = !self.seen.contains(msg.broadcast_id);
+        let origin = send.as_ref().map(|f| MemberId::from(f.tag.origin));
+        let relay = self.eager_tree(origin.filter(|_| fresh));
         let ran = self.drive_byz(|x, seen, links, out, delivered| {
-            x.on_frame(from, msg, seen, links, out, delivered)
+            x.on_frame(
+                from,
+                msg,
+                seen,
+                links,
+                relay.iter().copied(),
+                out,
+                delivered,
+            )
         });
-        if let Some(rejected) = ran {
-            if rejected > 0 {
+        match ran {
+            Some(rejected) if rejected > 0 => {
                 self.metrics.counter("byz.votes_rejected").add(rejected);
             }
-            return;
+            Some(_) => {}
+            None if send.is_some() && self.seen.insert(msg.broadcast_id) => {
+                if behavior.is_some() {
+                    self.flood(msg.forwarded(), Some(from));
+                } else {
+                    let fwd = msg.forwarded();
+                    let to = relay.iter().filter(|&&p| p != from);
+                    (self.out).extend(to.map(|&to| Action::Send {
+                        to,
+                        msg: fwd.clone(),
+                    }));
+                }
+            }
+            None => {}
         }
-        let is_send = GossipFrame::from_message(msg).is_some_and(|f| f.kind == GossipKind::Send);
-        if is_send && self.seen.insert(msg.broadcast_id) {
-            self.flood(msg.forwarded(), Some(from));
-        }
+        self.relay = relay;
         match behavior {
             // Pass the identical frame on again: a replayed SEND dies in a
             // correct peer's seen-set, replayed votes OR in bits it holds.
@@ -794,6 +805,23 @@ impl NodeCore {
             // the heartbeat path (`tick`, `beat_idle_links`).
             _ => {}
         }
+    }
+
+    /// The links a broadcast from `origin`, seen here for the first time,
+    /// goes on to: this node's children in the origin's BFS tree on the
+    /// replica, or every link when the replica cannot place it. A lingering
+    /// or grace link is no tree edge: it gets none. No origin, no links:
+    /// only a first copy is forwarded, so only it looks the tree up. The set
+    /// comes in the reused relay buffer, which the caller hands back.
+    fn eager_tree(&mut self, origin: Option<MemberId>) -> Vec<MemberId> {
+        let mut relay = std::mem::take(&mut self.relay);
+        relay.clear();
+        if let Some(origin) = origin {
+            let kids = self.children.get(&self.overlay, origin);
+            let links = self.links.iter().copied();
+            relay.extend(links.filter(|p| kids.is_none_or(|kids| kids.contains(p))));
+        }
+        relay
     }
 
     /// Runs one transition of a *correct* node's vote exchange — handing it
