@@ -43,13 +43,12 @@
 //! * [`sim`] — [`sim::ByzantineFlooder`], a correct node for the
 //!   discrete-event simulator: the exchange alone, on a fixed membership,
 //!   as the benchmark's `sim_bracha` workload runs it;
-//! * [`attack`] — the adversary: the six [`TraitorBehavior`]s and the lies
-//!   they tell (equivocation pair, forged votes), built once.
+//! * [`attack`] — the adversary's names: the six [`TraitorBehavior`]s.
 //!
-//! Traitors, crashes, rejoins and view churn are the node's business:
-//! `lhg_runtime::core::NodeCore` runs the exchange and mounts every
-//! traitor, on TCP and on the simulator (`lhg_runtime::simnode`). A
-//! rejoiner catches up through the exchange's repair rule on its fresh
+//! Crashes, rejoins and view churn are the node's business
+//! (`lhg_runtime::core::NodeCore` runs the exchange, on TCP and on the
+//! simulator), and traitors a wrapper's around it (`lhg_runtime::traitor`).
+//! A rejoiner catches up through the exchange's repair rule on its fresh
 //! links. The adversarial chaos families live in `lhg-chaos`.
 
 #![forbid(unsafe_code)]

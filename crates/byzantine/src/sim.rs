@@ -11,11 +11,9 @@
 //! which `lhg_runtime::core::NodeCore` relays the `SEND` down. The adapter
 //! stays as the benchmark's until that workload runs `NodeCore` too.
 //!
-//! Traitors are the node's: `lhg_runtime::core::NodeCore` mounts every
-//! [`crate::TraitorBehavior`], on the simulator through
-//! `lhg_runtime::simnode`. This process is what the benchmark's
-//! `sim_bracha` workload and the bench baseline measure: correct nodes
-//! and their exchange.
+//! Traitors are `lhg_runtime::traitor`'s, a wrapper around the node's
+//! core. This process is what the benchmark's `sim_bracha` workload and
+//! the bench baseline measure: correct nodes and their exchange.
 //!
 //! Delivered application messages are shaped for an audit: `broadcast_id`
 //! is the instance nonce, `origin` the instance origin, `trace` the

@@ -1,24 +1,8 @@
-//! FIFO-ordered reliable broadcast over flooding.
+//! Per-origin broadcast ids: `(origin, sequence)` packed into one `u64`.
 //!
-//! Flooding delivers every broadcast to every correct process, but network
-//! jitter can reorder broadcasts from the same origin. This module layers
-//! the classic holdback-queue construction on top of the flooding relay:
-//! broadcast ids encode `(origin, sequence)`, and each process delivers an
-//! origin's broadcasts strictly in sequence order, parking early arrivals.
-//!
-//! The ordering core ([`FifoOrder`]) is a pure data structure, unit-tested
-//! in isolation; [`FifoProcess`] plugs it into the discrete-event
-//! simulator.
-
-use std::collections::{BTreeMap, HashMap};
-
-use bytes::Bytes;
-
-use lhg_graph::NodeId;
-
-use crate::message::Message;
-use crate::seen::SeenSet;
-use crate::sim::{Context, Process};
+//! Application data ids on the runtime are minted here — the origin in
+//! the high half, a per-origin sequence number in the low half — so an id
+//! names its origin and its place in that origin's stream.
 
 /// Packs an `(origin, seq)` pair into a broadcast id.
 #[must_use]
@@ -32,245 +16,13 @@ pub fn fifo_parts(id: u64) -> (u32, u32) {
     ((id >> 32) as u32, id as u32)
 }
 
-/// The holdback queue: delivers each origin's messages in sequence order.
-#[derive(Debug, Default)]
-pub struct FifoOrder {
-    next: HashMap<u32, u32>,
-    holdback: BTreeMap<(u32, u32), Message>,
-}
-
-impl FifoOrder {
-    /// Creates an empty queue (every origin starts at sequence 0).
-    #[must_use]
-    pub fn new() -> Self {
-        FifoOrder::default()
-    }
-
-    /// Accepts one (deduplicated) message; returns everything that became
-    /// deliverable, in delivery order.
-    pub fn accept(&mut self, msg: Message) -> Vec<Message> {
-        let (origin, seq) = fifo_parts(msg.broadcast_id);
-        self.holdback.insert((origin, seq), msg);
-        let mut out = Vec::new();
-        let next = self.next.entry(origin).or_insert(0);
-        while let Some(m) = self.holdback.remove(&(origin, *next)) {
-            out.push(m);
-            *next += 1;
-        }
-        out
-    }
-
-    /// Messages parked waiting for earlier sequence numbers.
-    #[must_use]
-    pub fn held_back(&self) -> usize {
-        self.holdback.len()
-    }
-}
-
-/// Flooding relay with FIFO delivery.
-pub struct FifoProcess {
-    /// Broadcasts this process originates at time 0: (seq, payload).
-    originate: Vec<(u32, Bytes)>,
-    seen: SeenSet,
-    order: FifoOrder,
-}
-
-impl FifoProcess {
-    /// A process that only relays and delivers.
-    #[must_use]
-    pub fn relay() -> Self {
-        FifoProcess {
-            originate: Vec::new(),
-            seen: SeenSet::default(),
-            order: FifoOrder::new(),
-        }
-    }
-
-    /// A process that originates `payloads` (sequences 0..len) at time 0.
-    #[must_use]
-    pub fn origin(payloads: Vec<Bytes>) -> Self {
-        FifoProcess {
-            originate: payloads
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| (i as u32, p))
-                .collect(),
-            seen: SeenSet::default(),
-            order: FifoOrder::new(),
-        }
-    }
-
-    fn handle(&mut self, msg: Message, from: Option<NodeId>, ctx: &mut Context<'_>) {
-        if !self.seen.insert(msg.broadcast_id) {
-            return;
-        }
-        for deliverable in self.order.accept(msg.clone()) {
-            ctx.deliver(deliverable);
-        }
-        let fwd = msg.forwarded();
-        for &w in &ctx.neighbors().to_vec() {
-            if Some(w) != from {
-                ctx.send(w, fwd.clone());
-            }
-        }
-    }
-}
-
-impl Process for FifoProcess {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let outgoing = std::mem::take(&mut self.originate);
-        let me = ctx.id().index() as u32;
-        for (seq, payload) in outgoing {
-            let msg = Message::new(fifo_id(me, seq), me, payload);
-            self.handle(msg, None, ctx);
-        }
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
-        self.handle(msg, Some(from), ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{LinkModel, Simulation};
-    use lhg_graph::Graph;
-
-    fn msg(origin: u32, seq: u32) -> Message {
-        Message::new(fifo_id(origin, seq), origin, Bytes::new())
-    }
 
     #[test]
     fn id_round_trips() {
         assert_eq!(fifo_parts(fifo_id(7, 42)), (7, 42));
         assert_eq!(fifo_parts(fifo_id(u32::MAX, 0)), (u32::MAX, 0));
-    }
-
-    #[test]
-    fn in_order_messages_flow_straight_through() {
-        let mut q = FifoOrder::new();
-        assert_eq!(q.accept(msg(1, 0)).len(), 1);
-        assert_eq!(q.accept(msg(1, 1)).len(), 1);
-        assert_eq!(q.held_back(), 0);
-    }
-
-    #[test]
-    fn early_arrival_is_held_back_then_released() {
-        let mut q = FifoOrder::new();
-        assert!(q.accept(msg(1, 2)).is_empty());
-        assert!(q.accept(msg(1, 1)).is_empty());
-        assert_eq!(q.held_back(), 2);
-        let released = q.accept(msg(1, 0));
-        assert_eq!(released.len(), 3, "0, 1 and 2 in order");
-        let seqs: Vec<u32> = released
-            .iter()
-            .map(|m| fifo_parts(m.broadcast_id).1)
-            .collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(q.held_back(), 0);
-    }
-
-    #[test]
-    fn origins_are_independent() {
-        let mut q = FifoOrder::new();
-        assert!(q.accept(msg(1, 1)).is_empty());
-        assert_eq!(
-            q.accept(msg(2, 0)).len(),
-            1,
-            "origin 2 unaffected by origin 1's gap"
-        );
-    }
-
-    fn cycle(n: usize) -> Graph {
-        let mut g = Graph::with_nodes(n);
-        for i in 0..n {
-            g.add_edge(NodeId(i), NodeId((i + 1) % n));
-        }
-        g
-    }
-
-    #[test]
-    fn simulated_fifo_broadcast_delivers_everything_in_order() {
-        let n = 12;
-        let payloads: Vec<Bytes> = (0..5).map(|i| Bytes::from(format!("m{i}"))).collect();
-        let g = cycle(n);
-        // Heavy jitter to force out-of-order arrivals.
-        let mut sim = Simulation::new(
-            &g,
-            LinkModel {
-                base_latency_us: 100,
-                jitter_us: 400,
-            },
-            13,
-        );
-        let processes: Vec<Box<dyn Process>> = (0..n)
-            .map(|v| -> Box<dyn Process> {
-                if v == 0 {
-                    Box::new(FifoProcess::origin(payloads.clone()))
-                } else {
-                    Box::new(FifoProcess::relay())
-                }
-            })
-            .collect();
-        let report = sim.run(processes, u64::MAX);
-
-        // Every node delivers all 5 messages...
-        let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for d in &report.deliveries {
-            per_node[d.node.index()].push(fifo_parts(d.broadcast_id).1);
-        }
-        for (v, seqs) in per_node.iter().enumerate() {
-            assert_eq!(seqs.len(), 5, "node {v} delivered {seqs:?}");
-            // ...in FIFO order (deliveries vector is time-ordered; ties are
-            // emitted in release order by the holdback queue).
-            assert_eq!(*seqs, vec![0, 1, 2, 3, 4], "node {v} order {seqs:?}");
-        }
-    }
-
-    #[test]
-    fn fifo_with_multiple_origins() {
-        let n = 8;
-        let g = cycle(n);
-        let mut sim = Simulation::new(
-            &g,
-            LinkModel {
-                base_latency_us: 100,
-                jitter_us: 300,
-            },
-            7,
-        );
-        let processes: Vec<Box<dyn Process>> = (0..n)
-            .map(|v| -> Box<dyn Process> {
-                match v {
-                    0 => Box::new(FifoProcess::origin(vec![
-                        Bytes::from_static(b"a0"),
-                        Bytes::from_static(b"a1"),
-                    ])),
-                    4 => Box::new(FifoProcess::origin(vec![
-                        Bytes::from_static(b"b0"),
-                        Bytes::from_static(b"b1"),
-                    ])),
-                    _ => Box::new(FifoProcess::relay()),
-                }
-            })
-            .collect();
-        let report = sim.run(processes, u64::MAX);
-        let mut per_node_origin: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for d in &report.deliveries {
-            per_node_origin[d.node.index()].push(fifo_parts(d.broadcast_id));
-        }
-        for (v, deliveries) in per_node_origin.iter().enumerate() {
-            assert_eq!(deliveries.len(), 4, "node {v}: {deliveries:?}");
-            // Per-origin subsequences must be in seq order.
-            for origin in [0u32, 4] {
-                let seqs: Vec<u32> = deliveries
-                    .iter()
-                    .filter(|(o, _)| *o == origin)
-                    .map(|(_, s)| *s)
-                    .collect();
-                assert_eq!(seqs, vec![0, 1], "node {v} origin {origin}");
-            }
-        }
     }
 }

@@ -25,7 +25,8 @@
 //!   ([`kept::encode_reusing`]), so a sender's small frames stop allocating
 //!   once the transport lets go of earlier ones;
 //! * [`seen`] — capacity-capped dedup of seen broadcast ids
-//!   ([`seen::SeenSet`]), bounding flooding state on long-lived nodes.
+//!   ([`seen::SeenSet`]), bounding flooding state on long-lived nodes;
+//! * [`fifo`] — per-origin broadcast ids ([`fifo::fifo_id`]).
 //!
 //! The same protocol runs on real sockets in `lhg-runtime`, which drives
 //! the [`reliable::ReliableCore`] this crate's simulator adapter drives.

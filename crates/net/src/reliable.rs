@@ -186,6 +186,16 @@ impl ReliableConfig {
         (self.store_cap / 2).clamp(1, MAX_SUMMARY_IDS)
     }
 
+    /// The most sequences a receiver holds above its ack point (its
+    /// out-of-order list): four windows. A correct sender has at most a
+    /// window in flight, and its ring spans at most two; an arrival past
+    /// the cap is dropped as if lost, so a peer that leaves a hole open
+    /// and streams on cannot grow the list without bound.
+    #[must_use]
+    pub fn out_of_order_cap(&self) -> usize {
+        self.window.saturating_mul(4).max(1)
+    }
+
     /// How long a sender keeps retransmitting a frame before it gives the
     /// frame up: the first send and `max_retries` retransmissions, `rto_us`
     /// apart. A receiver skips a hole that has been open this long.
@@ -454,7 +464,8 @@ pub struct LinkReceiver {
     /// when the hole below the first of them has been open (the core's
     /// clock). Arrivals land almost always at the back and leave from the
     /// front; one entry per sequence received, never one per sequence
-    /// skipped, so a peer's sequence numbers cannot size it. Placing an
+    /// skipped, so a peer's sequence numbers cannot size it, and at most
+    /// [`ReliableConfig::out_of_order_cap`] of them. Placing an
     /// arrival moves the shorter side of the list: nothing for one at
     /// either end (an honest peer's, or a peer sending in descending
     /// order), but half the list for one aimed at its middle, where a
@@ -515,9 +526,14 @@ impl LinkReceiver {
 
     /// [`Self::on_frame`] at `now_us`, which starts the owed ack's clock,
     /// and that of a hole it opens or leaves below the first sequence above
-    /// `cum`.
-    fn on_frame_at(&mut self, seq: u64, now_us: u64) -> bool {
+    /// `cum`. `None` when the out-of-order list already holds `cap`
+    /// sequences and `seq` would not advance `cum`: the arrival is dropped
+    /// as if lost, neither acked nor delivered.
+    fn on_frame_at(&mut self, seq: u64, now_us: u64, cap: usize) -> Option<bool> {
         let (cum, open) = (self.cum, !self.above.is_empty());
+        if self.above.len() >= cap && cum.checked_add(1) != Some(seq) {
+            return None;
+        }
         let fresh = self.on_frame(seq);
         if self.owed == 1 {
             self.owed_since = now_us;
@@ -525,7 +541,7 @@ impl LinkReceiver {
         if !self.above.is_empty() && (!open || self.cum != cum) {
             self.hole_since = now_us;
         }
-        fresh
+        Some(fresh)
     }
 
     /// Skips the hole below the first sequence received above `cum` once it
@@ -739,9 +755,10 @@ pub enum DataOutcome {
     Duplicate,
     /// First receipt: retained and forwarded; the driver delivers it.
     Fresh,
-    /// A link sequence within `window` of `u64::MAX`, which a correct
-    /// sender would need 2⁶⁴ frames to reach: dropped unread, so that no
-    /// peer can take its link's ack point to the top of the sequence space.
+    /// A link sequence no correct sender reaches, dropped unread: within
+    /// `window` of `u64::MAX` (2⁶⁴ frames away), so that no peer can take
+    /// its link's ack point to the top of the sequence space; or past the
+    /// out-of-order list's cap ([`ReliableConfig::out_of_order_cap`]).
     Refused,
 }
 
@@ -1059,13 +1076,11 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             self.acked(from, cum.get(), [], now_us, out);
         }
         if let Some(seq) = msg.link_seq {
-            if !self
-                .rx
-                .entry(from)
-                .or_default()
-                .on_frame_at(seq.get(), now_us)
-            {
-                return DataOutcome::LinkDuplicate;
+            let rx = self.rx.entry(from).or_default();
+            match rx.on_frame_at(seq.get(), now_us, self.cfg.out_of_order_cap()) {
+                None => return DataOutcome::Refused,
+                Some(false) => return DataOutcome::LinkDuplicate,
+                Some(true) => {}
             }
         }
         let sender = self.holders.claim(from);
@@ -1638,6 +1653,40 @@ mod tests {
         assert_eq!(rx.cum(), 1);
         rx.on_frame(2);
         assert_eq!((rx.cum(), rx.above.len()), (5, 3), "3, 4, 5 left the front");
+    }
+
+    #[test]
+    fn a_hole_left_open_caps_the_out_of_order_list_and_the_link_still_advances() {
+        // A peer leaves seq 1 as a hole and streams 2..=100,000 behind it:
+        // arrivals past the cap are dropped as if lost, unacked, undelivered.
+        let mut c = core(cfg());
+        let cap = cfg().out_of_order_cap() as u64;
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        for seq in 2..=100_000 {
+            let got = c.on_data(1, &msg(seq).with_link_seq(seq), &mut seen, 0, [1], &mut out);
+            let want = if seq <= cap + 1 {
+                DataOutcome::Fresh
+            } else {
+                DataOutcome::Refused
+            };
+            assert_eq!(got, want, "seq {seq}");
+            assert!(c.rx[&1].above.len() as u64 <= cap, "seq {seq}");
+            out.clear();
+        }
+        let got = c.on_data(1, &msg(1).with_link_seq(1), &mut seen, 0, [1], &mut out);
+        assert_eq!(got, DataOutcome::Fresh, "the hole fills");
+        assert_eq!((c.rx[&1].cum(), c.rx[&1].above.len()), (cap + 1, 0));
+        // The frames dropped past the cap come again, and now land.
+        let next = cap + 2;
+        let got = c.on_data(
+            1,
+            &msg(next).with_link_seq(next),
+            &mut seen,
+            0,
+            [1],
+            &mut out,
+        );
+        assert_eq!((got, c.rx[&1].cum()), (DataOutcome::Fresh, next));
     }
 
     #[test]

@@ -337,8 +337,8 @@ impl Cluster {
     /// instance nonce `nonce`. Requires the cluster to have been launched
     /// with [`RuntimeConfig::byzantine`] set; on a plain cluster the event
     /// is accepted but no node votes, so nothing is ever delivered. A
-    /// traitor origin silently refuses to originate (its scripted attack
-    /// fires from the gossip path instead).
+    /// traitor origin holds no vote exchange and originates nothing (its
+    /// script, [`crate::traitor`], fires from the gossip path instead).
     ///
     /// # Errors
     ///

@@ -42,8 +42,10 @@
 //! * **link policy** — which links are wanted ([`NodeCore::tick`]'s
 //!   reconcile pass) and when a failed dial may be retried. Dials are
 //!   asynchronous: a [`Action::Dial`] is answered, whenever the driver
-//!   knows, by [`Event::LinkUp`] or [`Event::DialFailed`];
-//! * **traitor scripts** — when and to whom a configured traitor lies.
+//!   knows, by [`Event::LinkUp`] or [`Event::DialFailed`].
+//!
+//! A node the run lists as a traitor holds no vote exchange here; what it
+//! does beyond relaying is [`crate::traitor`]'s, which wraps the core.
 //!
 //! What stays with the driver is what only it can know: fault injection,
 //! wire accounting where a frame is queued, which socket is a peer's link,
@@ -58,8 +60,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use lhg_byzantine::{
-    attack, BrachaConfig, ByzDelivery, GossipFrame, GossipKind, TraitorBehavior, UnsoundMembership,
-    VoteExchange,
+    BrachaConfig, ByzDelivery, GossipFrame, GossipKind, UnsoundMembership, VoteExchange,
 };
 use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId, TreeChildren};
 use lhg_net::backoff::{Backoff, BackoffPolicy};
@@ -127,8 +128,8 @@ pub enum Action {
         msg: Message,
     },
     /// Write `msg` on every link except the one to `except`: a best-effort
-    /// control flood (crash/join wave, a relayed byz `SEND`), one action
-    /// instead of one [`Action::Send`] and one frame clone per link.
+    /// control flood (a crash or join wave), one action instead of one
+    /// [`Action::Send`] and one frame clone per link.
     Flood {
         /// The frame.
         msg: Message,
@@ -174,20 +175,6 @@ pub struct BootOpts {
     /// rejoin each get a fresh one). Seeds the wave-nonce space so control
     /// waves from different lives of the same member never share an id.
     pub life: u32,
-}
-
-/// Per-node Byzantine state: the vote exchange (and the Bracha engine it
-/// owns) plus this node's scripted misbehavior, if it is one of the run's
-/// traitors.
-struct ByzState {
-    exchange: VoteExchange<MemberId>,
-    /// The traitor budget quorums and corroboration are sized for.
-    f: usize,
-    /// `Some` makes this node a traitor — it never votes honestly.
-    behavior: Option<TraitorBehavior>,
-    /// Equivocate/forge traitors mount their attack exactly once, on the
-    /// first byz frame they observe (so there is a broadcast to disrupt).
-    attacked: bool,
 }
 
 /// A vote exchange whose boot view is `overlay`'s membership.
@@ -261,8 +248,15 @@ pub struct NodeCore {
     /// membership flip is how crash/join waves used to chase each other
     /// into a churn livelock).
     seen: SeenSet,
-    /// `None` relays a byz `SEND` like any flood but never votes or delivers.
-    byz: Option<ByzState>,
+    /// The vote exchange (and the Bracha engine it owns): every node of a
+    /// byzantine setup holds one but the traitors it lists. `None` relays a
+    /// byz `SEND` like data but never votes or delivers.
+    exchange: Option<VoteExchange<MemberId>>,
+    /// The number of distinct crash reporters required before a flooded
+    /// CRASH wave is applied: f+1 under a byzantine setup (so the f
+    /// traitors alone can never excommunicate anyone), 1 otherwise (the
+    /// crash-only fault model trusts every report).
+    crash_quorum: usize,
     life: u32,
     /// Per-life wave counter; with `life` it forms each wave's nonce.
     wave_seq: u16,
@@ -316,7 +310,8 @@ pub struct NodeCore {
     outbox: Sends<MemberId>,
     byz_delivered: Vec<ByzDelivery>,
     relay: Vec<MemberId>,
-    /// The heartbeat-period duty (the FrameCrash script), summaries, sweeps.
+    /// The heartbeat-period tick (the detector's gauges, backoff probation
+    /// and the reconcile pass run at least this often), summaries, sweeps.
     next_beat: u64,
     next_summary: u64,
     next_sweep: u64,
@@ -349,19 +344,11 @@ impl NodeCore {
         // Quorums are sized from an epoch-stamped membership view: each
         // Bracha instance snapshots the view live at its creation, and
         // churn bumps the view (f stays a protocol constant).
-        let byz = match config.byzantine.as_ref() {
-            Some(setup) => Some(ByzState {
-                exchange: byz_exchange(id, &overlay, setup.f, config.reliable.max_retries)?,
-                f: setup.f,
-                behavior: setup
-                    .traitors
-                    .iter()
-                    .find(|(m, _)| *m == id)
-                    .map(|(_, b)| *b),
-                attacked: false,
-            }),
-            None => None,
-        };
+        let (setup, retries) = (config.byzantine.as_ref(), config.reliable.max_retries);
+        let honest = setup.filter(|s| !s.traitors.iter().any(|t| t.0 == id));
+        let exchange = honest
+            .map(|s| byz_exchange(id, &overlay, s.f, retries))
+            .transpose()?;
         let (beat_us, timeout_us) = (us(config.heartbeat_period), us(config.heartbeat_timeout));
         // Anti-entropy cadence: `summary_every` heartbeat periods per
         // summary flood (the reliable config's tick-based knob, reread for
@@ -401,7 +388,8 @@ impl NodeCore {
             links: BTreeSet::new(),
             dialing: BTreeSet::new(),
             seen: SeenSet::default(),
-            byz,
+            exchange,
+            crash_quorum: setup.map_or(1, |s| s.f + 1),
             life: opts.life,
             wave_seq: 0,
             last_seen: HashMap::new(),
@@ -480,47 +468,54 @@ impl NodeCore {
 
     /// Feeds one event; resulting actions are appended to `out`.
     pub fn handle(&mut self, event: Event, now_us: u64, out: &mut Vec<Action>) {
+        self.settle |= matches!(event, Event::LinkUp { .. } | Event::LinkDown { .. });
+        self.transition(now_us, out, |core| {
+            match event {
+                Event::Frame { from, msg } => core.on_frame(from, msg),
+                Event::LinkUp { peer, dialed } => core.on_link_up(peer, dialed),
+                Event::DialFailed { peer } => core.dial_failed(peer),
+                Event::LinkDown { peer } => core.drop_link(peer),
+                Event::Broadcast(msg) => {
+                    core.seen.insert(msg.broadcast_id);
+                    // Send the hop-incremented copy so a receiver's `hops`
+                    // field counts the edges the copy travelled.
+                    let wire = msg.forwarded();
+                    core.deliver(msg, None);
+                    core.drive(|r, _, links, now, out| r.originate(&wire, now, links, out));
+                    core.note_retained();
+                }
+                Event::ByzBroadcast { nonce, payload } => {
+                    // A node without an exchange originates nothing.
+                    let refused = core.drive_byz(|x, seen, links, out, delivered| {
+                        (x.broadcast(nonce, payload, seen, links, out, delivered)).is_err()
+                    });
+                    if refused == Some(true) {
+                        // The live view is below 3f+1: refuse instead of
+                        // certifying under unsound quorums. The chaos oracle
+                        // reads this as QuorumUnsafe.
+                        core.count("byz.unsafe_views");
+                    }
+                }
+            }
+            // A sweep grid point that has come is swept behind the first
+            // event at or after it: acks then owed ride on that event's data.
+            core.sweep_reliable();
+        });
+    }
+
+    /// Runs `step` as one transition at `now_us` with the driver's sink
+    /// swapped in, then records which links its actions wrote to.
+    fn transition(&mut self, now_us: u64, out: &mut Vec<Action>, step: impl FnOnce(&mut Self)) {
         std::mem::swap(&mut self.out, out);
         self.now = now_us;
         let start = self.out.len();
-        self.settle |= matches!(event, Event::LinkUp { .. } | Event::LinkDown { .. });
-        match event {
-            Event::Frame { from, msg } => self.on_frame(from, msg),
-            Event::LinkUp { peer, dialed } => self.on_link_up(peer, dialed),
-            Event::DialFailed { peer } => self.dial_failed(peer),
-            Event::LinkDown { peer } => self.drop_link(peer),
-            Event::Broadcast(msg) => {
-                self.seen.insert(msg.broadcast_id);
-                // Send the hop-incremented copy so a receiver's `hops`
-                // field counts the edges the copy travelled.
-                let wire = msg.forwarded();
-                self.deliver(msg, None);
-                self.drive(|r, _, links, now, out| r.originate(&wire, now, links, out));
-                self.note_retained();
-            }
-            Event::ByzBroadcast { nonce, payload } => {
-                // Traitors never originate honestly; their scripted
-                // attacks fire from the frame path instead.
-                let refused = self.drive_byz(|x, seen, links, out, delivered| {
-                    (x.broadcast(nonce, payload, seen, links, out, delivered)).is_err()
-                });
-                if refused == Some(true) {
-                    // The live view is below 3f+1: refuse instead of
-                    // certifying under unsound quorums. The chaos oracle
-                    // reads this as QuorumUnsafe.
-                    self.count("byz.unsafe_views");
-                }
-            }
-        }
-        // A sweep grid point that has come is swept behind the first event
-        // at or after it: acks then owed ride on that event's data instead.
-        self.sweep_reliable();
+        step(self);
         self.note_sent(start);
         std::mem::swap(&mut self.out, out);
     }
 
-    /// The earliest instant any duty is due: the heartbeat period (the
-    /// FrameCrash script) and summary round, an idle link's heartbeat, a
+    /// The earliest instant any duty is due: the heartbeat-period tick and
+    /// the summary round, an idle link's heartbeat, a
     /// suspicion expiry, a dial backoff or link grace running out,
     /// or `now` while a transition has left a tick something to settle. The
     /// reliable plane's sweep counts while it has work, and not before its
@@ -536,8 +531,7 @@ impl NodeCore {
         let timeout = self.timeout_us;
         let silent = (self.desired.difference(&self.crashed))
             .map(|p| self.last_seen.get(p).map_or(self.now, |t| t + timeout + 1));
-        let beats = self.behavior() != Some(TraitorBehavior::SuppressHeartbeat);
-        let idle = (self.last_sent.values()).filter_map(|t| beats.then_some(t + self.beat_us));
+        let idle = self.last_sent.values().map(|t| t + self.beat_us);
         let expiries = self.next_dial.values().chain(self.link_grace.values());
         let dues = sweep.into_iter().chain(silent).chain(idle);
         (dues.chain(expiries.copied())).fold(self.next_beat.min(self.next_summary), u64::min)
@@ -555,17 +549,13 @@ impl NodeCore {
         self.core_ticks.inc();
         let start = self.out.len();
         if now_us >= self.next_beat {
-            if self.behavior() == Some(TraitorBehavior::FrameCrash) {
-                self.mount_frame_crash();
-            }
             self.next_beat = now_us + self.beat_us;
         }
         if now_us >= self.next_summary {
             self.unadvertised = 0;
             self.send_summaries();
             let retained = self.reliable.retained_bytes();
-            self.retained_gauge
-                .set(i64::try_from(retained).unwrap_or(i64::MAX));
+            (self.retained_gauge).set(i64::try_from(retained).unwrap_or(i64::MAX));
             self.next_summary = now_us + self.summary_us;
         }
         self.sweep_reliable();
@@ -573,13 +563,10 @@ impl NodeCore {
         // A dial-failure streak is forgiven only after the link has stayed
         // healthy for a full probation window (see `lhg_net::backoff`).
         let links = &self.links;
-        self.backoffs
-            .retain(|peer, b| !(links.contains(peer) && b.maybe_reset(now_us)));
+        (self.backoffs).retain(|peer, b| !(links.contains(peer) && b.maybe_reset(now_us)));
         self.reconcile();
         self.try_announce_join();
-        if self.rejoining && !self.pending_join_announce {
-            self.rejoining = false;
-        }
+        self.rejoining &= self.pending_join_announce;
         self.note_sent(start);
         self.beat_idle_links();
         std::mem::swap(&mut self.out, out);
@@ -670,7 +657,7 @@ impl NodeCore {
                     // Under corroboration only a first-hand notice is a
                     // voice: a forged wave about us that f+1 honest
                     // neighbors relayed is still one traitor speaking.
-                    if self.crash_quorum() == 1 || MemberId::from(msg.origin) == from {
+                    if self.crash_quorum == 1 || MemberId::from(msg.origin) == from {
                         self.on_excommunication_notice(from);
                     }
                 } else if excommunicated {
@@ -747,17 +734,13 @@ impl NodeCore {
 
     /// A byz-class frame: a `SEND` or a neighbor's `VOTES`. A correct node
     /// hands it to the vote exchange, which relays, counts and answers. A
-    /// node without a byzantine setup, for interop, only passes payloads on:
-    /// it relays a first-seen `SEND` and neither casts nor forwards votes.
-    /// Either relays down the eager tree, as for data
+    /// node without an exchange (no byzantine setup, or a listed traitor,
+    /// whose script [`crate::traitor`] runs around the core) only passes
+    /// payloads on: it relays a first-seen `SEND` and neither casts nor
+    /// forwards votes. Either relays down the eager tree, as for data
     /// ([`Self::eager_tree`]); the vote exchange's payload pull repairs what
-    /// a lost tree edge or a mute relay kept from a subtree. A traitor
-    /// floods what it relays, and runs its script.
+    /// a lost tree edge or a mute relay kept from a subtree.
     fn on_byz_frame(&mut self, from: MemberId, msg: &Message) {
-        let behavior = self.behavior();
-        if behavior == Some(TraitorBehavior::Silent) {
-            return; // swallows the frame entirely
-        }
         let send = GossipFrame::from_message(msg).filter(|f| f.kind == GossipKind::Send);
         let fresh = !self.seen.contains(msg.broadcast_id);
         let origin = send.as_ref().map(|f| MemberId::from(f.tag.origin));
@@ -779,32 +762,16 @@ impl NodeCore {
             }
             Some(_) => {}
             None if send.is_some() && self.seen.insert(msg.broadcast_id) => {
-                if behavior.is_some() {
-                    self.flood(msg.forwarded(), Some(from));
-                } else {
-                    let fwd = msg.forwarded();
-                    let to = relay.iter().filter(|&&p| p != from);
-                    (self.out).extend(to.map(|&to| Action::Send {
-                        to,
-                        msg: fwd.clone(),
-                    }));
-                }
+                let fwd = msg.forwarded();
+                let to = relay.iter().filter(|&&p| p != from);
+                (self.out).extend(to.map(|&to| Action::Send {
+                    to,
+                    msg: fwd.clone(),
+                }));
             }
             None => {}
         }
         self.relay = relay;
-        match behavior {
-            // Pass the identical frame on again: a replayed SEND dies in a
-            // correct peer's seen-set, replayed votes OR in bits it holds.
-            Some(TraitorBehavior::Replay) => self.flood(msg.forwarded(), Some(from)),
-            // Mounted once, on the first byz frame observed (so there is a
-            // broadcast to disrupt).
-            Some(TraitorBehavior::Equivocate) if self.first_attack() => self.mount_equivocation(),
-            Some(TraitorBehavior::Forge) if self.first_attack() => self.mount_forgery(),
-            // Failure-detector attacks cast no votes; their teeth are in
-            // the heartbeat path (`tick`, `beat_idle_links`).
-            _ => {}
-        }
     }
 
     /// The links a broadcast from `origin`, seen here for the first time,
@@ -827,7 +794,7 @@ impl NodeCore {
     /// Runs one transition of a *correct* node's vote exchange — handing it
     /// the dedup set, the live links and the reusable sinks —
     /// then turns what it emitted into sends and deliveries. `None` when
-    /// this node runs no exchange (no byzantine setup, or a traitor).
+    /// this node holds no exchange (no byzantine setup, or a traitor).
     fn drive_byz<R>(
         &mut self,
         step: impl FnOnce(
@@ -838,17 +805,11 @@ impl NodeCore {
             &mut Vec<ByzDelivery>,
         ) -> R,
     ) -> Option<R> {
-        let byz = self.byz.as_mut().filter(|b| b.behavior.is_none())?;
+        let exchange = self.exchange.as_mut()?;
         let mut sends = std::mem::take(&mut self.outbox);
         let mut delivered = std::mem::take(&mut self.byz_delivered);
         let links = self.links.iter().copied();
-        let result = step(
-            &mut byz.exchange,
-            &mut self.seen,
-            links,
-            &mut sends,
-            &mut delivered,
-        );
+        let result = step(exchange, &mut self.seen, links, &mut sends, &mut delivered);
         self.push_sends(sends);
         let out = &mut self.out;
         out.extend(delivered.drain(..).map(|d| Action::ByzDeliver {
@@ -865,45 +826,9 @@ impl NodeCore {
     /// on `byz.unsafe_views` for the chaos oracle's QuorumUnsafe audit.
     fn bump_byz_view(&mut self) {
         let members = self.overlay.members().iter().map(|&m| m as u32);
-        if (self.byz.as_mut()).is_some_and(|b| b.exchange.bump_view(members).is_err()) {
+        if (self.exchange.as_mut()).is_some_and(|x| x.bump_view(members).is_err()) {
             self.count("byz.unsafe_views");
         }
-    }
-
-    /// This node's scripted misbehavior, if it is one of the run's traitors.
-    fn behavior(&self) -> Option<TraitorBehavior> {
-        self.byz.as_ref().and_then(|b| b.behavior)
-    }
-
-    /// `true` exactly once per traitor life: claims the one scripted attack.
-    fn first_attack(&mut self) -> bool {
-        self.byz
-            .as_mut()
-            .is_some_and(|b| !std::mem::replace(&mut b.attacked, true))
-    }
-
-    /// Mounts [`attack::equivocation_pair`]: one story to even-indexed
-    /// live links (sorted by member id), the other to odd.
-    fn mount_equivocation(&mut self) {
-        let pair = attack::equivocation_pair(self.id as u32).map(|f| f.to_message());
-        for (i, &peer) in self.links.iter().enumerate() {
-            let msg = pair[i % 2].clone();
-            self.seen.insert(msg.broadcast_id);
-            self.out.push(Action::Send { to: peer, msg });
-        }
-    }
-
-    /// Sends [`attack::forged_votes`], impersonating the lowest other
-    /// member of our replica as origin, to every neighbor.
-    fn mount_forgery(&mut self) {
-        let victim = self.lowest_other_member().unwrap_or(self.id);
-        let votes = attack::forged_votes(self.id as u32, victim as u32);
-        self.flood(votes.to_message(self.id as u32), None);
-    }
-
-    fn lowest_other_member(&self) -> Option<MemberId> {
-        let mut others = self.overlay.members().iter().copied();
-        others.find(|&m| m != self.id)
     }
 
     /// Reacts to a direct `CRASH(self)` dead notice from `from`: the
@@ -912,9 +837,6 @@ impl NodeCore {
     /// replica admits a joiner at the same canonical position, so its own
     /// view need not be trusted for the answer to be right.
     fn on_excommunication_notice(&mut self, from: MemberId) {
-        if self.behavior() == Some(TraitorBehavior::SuppressHeartbeat) {
-            return; // scripted: it *wants* to stay excommunicated
-        }
         let now = self.now;
         if self.rejoin_cooldown.is_some_and(|t| now < t) {
             return; // an earlier notice already started the repair
@@ -922,9 +844,9 @@ impl NodeCore {
         // Under a byzantine setup a single notice could be a traitor's
         // forgery; react only once f+1 distinct peers agree we were
         // excommunicated (a lone traitor cannot trigger rejoin flapping).
-        if self.crash_quorum() > 1 {
+        if self.crash_quorum > 1 {
             self.notice_senders.insert(from);
-            if self.notice_senders.len() < self.crash_quorum() {
+            if self.notice_senders.len() < self.crash_quorum {
                 return;
             }
             self.notice_senders.clear();
@@ -1006,18 +928,16 @@ impl NodeCore {
         self.out.push(Action::Deliver { msg, via });
     }
 
-    /// Sends `msg` to `peer` if the link is up; returns whether it was.
-    fn send_to(&mut self, peer: MemberId, msg: Message) -> bool {
-        let up = self.links.contains(&peer);
-        if up {
+    /// Sends `msg` to `peer` if the link is up.
+    fn send_to(&mut self, peer: MemberId, msg: Message) {
+        if self.links.contains(&peer) {
             self.out.push(Action::Send { to: peer, msg });
         }
-        up
     }
 
-    /// Best-effort flood of a control frame (crash/join wave, a relayed byz
-    /// `SEND`) to every linked peer except `except`. Data frames never come
-    /// this way — they go through [`Self::drive`].
+    /// Best-effort flood of a control frame (a crash or join wave) to every
+    /// linked peer except `except`. Data frames never come this way — they
+    /// go through [`Self::drive`].
     fn flood(&mut self, msg: Message, except: Option<MemberId>) {
         if !self.links.is_empty() {
             self.out.push(Action::Flood { msg, except });
@@ -1093,9 +1013,6 @@ impl NodeCore {
     /// may need what it missed, and mid-heal the replicas may disagree on
     /// who neighbors whom, so the store stays FIFO until then.
     fn send_summaries(&mut self) {
-        if self.behavior() == Some(TraitorBehavior::SuppressHeartbeat) {
-            return; // any frame would refresh last_seen and spoil the act
-        }
         self.drive_byz(|x, _, links, out, _| x.repair(links, out));
         if self.drive(|r, _, links, _, out| r.advertise(links, out)) {
             self.count("runtime.summaries_sent");
@@ -1126,12 +1043,6 @@ impl NodeCore {
     /// gets that instead: it proves life as well, so answers add no frame.
     /// Allocates only the held lists' payloads.
     fn beat_idle_links(&mut self) {
-        // Plays dead on the control plane: no heartbeats means correct
-        // nodes legitimately excommunicate it — forced churn is the attack,
-        // and the dynamic views must absorb it.
-        if self.behavior() == Some(TraitorBehavior::SuppressHeartbeat) {
-            return;
-        }
         let (now, beat) = (self.now, self.beat_us);
         let heartbeat = self.control(wire::heartbeat_id(self.id));
         let mut sends = std::mem::take(&mut self.outbox);
@@ -1147,21 +1058,6 @@ impl NodeCore {
             }
         }
         self.push_sends(sends);
-    }
-
-    /// FrameCrash traitor: once per heartbeat period, flood a freshly-nonced
-    /// forged CRASH wave naming a live victim (the lowest other member).
-    /// Every wave carries this traitor's origin, so corroboration counts
-    /// the whole barrage as a single reporter — below the f+1 quorum, the
-    /// still-heartbeating victim survives.
-    fn mount_frame_crash(&mut self) {
-        let Some(victim) = self.lowest_other_member() else {
-            return;
-        };
-        self.count("runtime.forged_crash_waves");
-        let id = wire::crash_id(victim, self.fresh_wave_nonce());
-        self.seen.insert(id);
-        self.flood(self.control(id), None);
     }
 
     /// Sends a direct `CRASH(peer)` *to* `peer`: "you are excommunicated
@@ -1228,7 +1124,7 @@ impl NodeCore {
     /// last frame on a lingering link can trail the reporters' by up to a
     /// heartbeat period.
     fn lift_stale_vetoes(&mut self) {
-        let quorum = self.crash_quorum();
+        let quorum = self.crash_quorum;
         if quorum <= 1 || self.crash_reporters.is_empty() {
             return;
         }
@@ -1240,17 +1136,9 @@ impl NodeCore {
         lifted.sort_unstable(); // a hash map's order is no order
         for victim in lifted {
             self.crash_reporters.remove(&victim);
-            self.announce_crash(victim);
+            self.crash_wave(victim);
             self.apply_crash(victim);
         }
-    }
-
-    /// The number of distinct crash reporters required before a flooded
-    /// CRASH wave is applied: f+1 under a byzantine setup (so the f
-    /// traitors alone can never excommunicate anyone), 1 otherwise (the
-    /// crash-only fault model trusts every report).
-    fn crash_quorum(&self) -> usize {
-        self.byz.as_ref().map_or(1, |b| b.f + 1)
     }
 
     /// Byz-aware corroborated suspicion: records `reporter`'s vote that
@@ -1272,7 +1160,7 @@ impl NodeCore {
     /// timeout, so by induction a live victim never gathers f+1 — and turns
     /// "both of two waves must arrive" into "any two of up to n−1".
     fn note_crash_report(&mut self, victim: MemberId, reporter: MemberId) {
-        let quorum = self.crash_quorum();
+        let quorum = self.crash_quorum;
         if quorum <= 1 {
             self.apply_crash(victim);
             return;
@@ -1292,12 +1180,18 @@ impl NodeCore {
             return;
         }
         self.crash_reporters.remove(&victim);
-        self.announce_crash(victim);
+        self.crash_wave(victim);
         self.apply_crash(victim);
     }
 
+    /// [`Self::crash_wave`] as a transition of its own at `now_us`: the one
+    /// operation a traitor's script ([`crate::traitor`]) asks of the core.
+    pub(crate) fn announce_crash(&mut self, victim: MemberId, now_us: u64, out: &mut Vec<Action>) {
+        self.transition(now_us, out, |core| core.crash_wave(victim));
+    }
+
     /// Floods a freshly-nonced `CRASH(victim)` wave under this node's origin.
-    fn announce_crash(&mut self, victim: MemberId) {
+    fn crash_wave(&mut self, victim: MemberId) {
         let id = wire::crash_id(victim, self.fresh_wave_nonce());
         self.seen.insert(id);
         self.flood(self.control(id), None);
@@ -1315,7 +1209,7 @@ impl NodeCore {
             victim: victim as u32,
             via: self.id as u32,
         });
-        self.announce_crash(victim);
+        self.crash_wave(victim);
         self.apply_crash(victim);
     }
 
@@ -1615,8 +1509,8 @@ impl NodeCore {
     /// A link went down or came up: whoever is at its other end next is
     /// offered every Bracha instance again.
     fn reset_byz_link(&mut self, peer: MemberId) {
-        if let Some(b) = self.byz.as_mut() {
-            b.exchange.reset_link(peer);
+        if let Some(x) = self.exchange.as_mut() {
+            x.reset_link(peer);
         }
     }
 }

@@ -97,6 +97,7 @@ pub mod core;
 pub mod node;
 pub mod simnode;
 mod sys;
+pub mod traitor;
 pub mod wire;
 
 pub use cluster::{Cluster, ClusterError};
@@ -143,10 +144,10 @@ pub struct RuntimeConfig {
     /// acks run on the same `rto_us / 3` grid as on the simulator
     /// ([`lhg_net::reliable::ReliableConfig::sweep_us`]).
     pub reliable: lhg_net::reliable::ReliableConfig,
-    /// Byzantine broadcast setup: when set, every node runs a Bracha
-    /// echo/ready engine behind a per-link vote exchange
-    /// ([`lhg_byzantine`]), and the listed traitor nodes actively
-    /// misbehave. `None` — the default — still relays Bracha payloads
+    /// Byzantine broadcast setup: when set, every node but the listed
+    /// traitors runs a Bracha echo/ready engine behind a per-link vote
+    /// exchange ([`lhg_byzantine`]), and each traitor runs its script
+    /// ([`traitor`]). `None` — the default — still relays Bracha payloads
     /// (`SEND`) but delivers nothing.
     pub byzantine: Option<ByzantineSetup>,
 }

@@ -1,12 +1,13 @@
-//! One overlay node on real sockets: the driver around [`NodeCore`].
+//! One overlay node on real sockets: the driver around a [`Node`].
 //!
 //! Every protocol decision — dispatch, flooding, failure detection,
-//! healing, rejoin, Byzantine scripts, which links are wanted — lives in
-//! the sans-IO [`crate::core`]. What remains is **one thread per node**: a
-//! loop that waits in `poll` (the `sys` module) on the node's loopback
-//! [`TcpListener`], its links, the strangers it accepted and a wake-up
-//! socket [`crate::Cluster`] writes a byte to after each event it sends,
-//! until the core's next deadline ([`NodeCore::next_deadline`]). Each
+//! healing, rejoin, which links are wanted — lives in the sans-IO
+//! [`crate::core`], and a traitor's script in the [`crate::traitor`]
+//! wrapper. What remains is **one thread per node**: a loop that waits in
+//! `poll` (the `sys` module) on the node's loopback [`TcpListener`], its
+//! links, the strangers it accepted and a wake-up socket
+//! [`crate::Cluster`] writes a byte to after each event it sends, until
+//! the node's next deadline ([`Node::next_deadline`]). Each
 //! wake-up takes the application's events off the channel, accepts, and
 //! reads every ready socket until it would block: a stranger's hello
 //! (hello-sized and within [`crate::RuntimeConfig::dial_timeout`], or it is
@@ -58,8 +59,9 @@ use lhg_net::metrics::{Counter, Histogram, MetricsRegistry};
 use lhg_net::wirecost::WireAccountant;
 use lhg_trace::{EventKind, FlightRecorder, PathRecord, TraceCollector};
 
-use crate::core::{self, Action, BootOpts, NodeCore};
+use crate::core::{self, Action, BootOpts};
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
+use crate::traitor::Node;
 use crate::wire;
 use crate::RuntimeConfig;
 
@@ -297,14 +299,14 @@ pub(crate) fn spawn_node(
         Arc::clone(&recorder),
         recorder.now_us(),
     );
-    let core = NodeCore::new(id, overlay, roster, &config, m, r, opts, now_us)
+    let node = Node::new(id, overlay, roster, &config, m, r, opts, now_us)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(NodeShared::new(
         id,
         addr,
         rejoining,
-        core.overlay(),
+        node.core().overlay(),
         crashes,
     ));
     let driver = NodeDriver {
@@ -319,8 +321,8 @@ pub(crate) fn spawn_node(
         rx,
         wake,
         listener,
-        published_epoch: core.view_epoch(),
-        core,
+        published_epoch: node.core().view_epoch(),
+        node,
         out: Vec::new(),
         pending: VecDeque::new(),
         links: BTreeMap::new(),
@@ -408,7 +410,7 @@ struct NodeDriver {
     rx: Receiver<core::Event>,
     wake: UnixStream,
     listener: TcpListener,
-    core: NodeCore,
+    node: Node,
     /// The reused action sink, and core events produced while executing it
     /// (dial outcomes), fed back once it is drained.
     out: Vec<Action>,
@@ -419,7 +421,7 @@ struct NodeDriver {
     strangers: Vec<Stranger>,
     /// Per-peer outbound frame counters keying fault-injection decisions.
     fault_seqs: HashMap<MemberId, u64>,
-    /// [`NodeCore::view_epoch`] as last published, and whether `links`
+    /// [`core::NodeCore::view_epoch`] as last published, and whether `links`
     /// changed since [`NodeShared::links_up`] was.
     published_epoch: u64,
     links_dirty: bool,
@@ -474,7 +476,7 @@ impl NodeDriver {
                 .iter()
                 .map(|s| PollFd::new(&s.stream, POLLIN)),
         );
-        let due = self.core.next_deadline();
+        let due = self.node.next_deadline();
         let mut timeout = Duration::from_micros(due.saturating_sub(self.recorder.now_us()));
         if let Some(first) = self.strangers.iter().map(|s| s.deadline).min() {
             timeout = timeout.min(first.saturating_duration_since(Instant::now()));
@@ -497,15 +499,15 @@ impl NodeDriver {
     /// One core event, what executing its answers stirred up, and a tick
     /// if one has come due meanwhile.
     fn handle(&mut self, ev: core::Event) {
-        self.core.handle(ev, self.recorder.now_us(), &mut self.out);
+        self.node.handle(ev, self.recorder.now_us(), &mut self.out);
         self.execute();
         self.tick_if_due();
     }
 
     fn tick_if_due(&mut self) {
         let now = self.recorder.now_us();
-        if now >= self.core.next_deadline() {
-            self.core.tick(now, &mut self.out);
+        if now >= self.node.next_deadline() {
+            self.node.tick(now, &mut self.out);
             self.execute();
         }
     }
@@ -629,18 +631,19 @@ impl NodeDriver {
             let Some(ev) = self.pending.pop_front() else {
                 return;
             };
-            self.core.handle(ev, self.recorder.now_us(), &mut self.out);
+            self.node.handle(ev, self.recorder.now_us(), &mut self.out);
         }
     }
 
     /// Copies what changed in the core to where other threads can see it.
     fn publish(&mut self) {
-        if self.core.view_epoch() != self.published_epoch {
-            self.published_epoch = self.core.view_epoch();
-            *self.shared.overlay.lock() = Arc::clone(self.core.overlay());
-            *self.shared.crashes_applied.lock() = self.core.crashes_applied().clone();
+        let core = self.node.core();
+        if core.view_epoch() != self.published_epoch {
+            self.published_epoch = core.view_epoch();
+            *self.shared.overlay.lock() = Arc::clone(core.overlay());
+            *self.shared.crashes_applied.lock() = core.crashes_applied().clone();
         }
-        let (degraded, rejoining) = (self.core.is_degraded(), self.core.is_rejoining());
+        let (degraded, rejoining) = (core.is_degraded(), core.is_rejoining());
         self.shared.degraded.store(degraded, Ordering::SeqCst);
         self.shared.join_pending.store(rejoining, Ordering::SeqCst);
         if std::mem::take(&mut self.links_dirty) {

@@ -43,6 +43,7 @@ use lhg_net::sim::{Context, LinkModel, Process, SimReport, Simulation, Time};
 use lhg_trace::{merge_timelines, FlightRecorder, TraceCollector};
 
 use crate::core::{Action, BootOpts, Event, NodeCore};
+use crate::traitor::Node;
 use crate::wire;
 use crate::RuntimeConfig;
 
@@ -72,8 +73,8 @@ pub enum SimInput {
 
 /// One node's current life, readable between two slices of the run.
 pub struct SimNodeState {
-    /// The node's core.
-    pub core: NodeCore,
+    /// The node: its core, behind a traitor's script if it is one.
+    pub node: Node,
     /// Broadcast ids delivered, in delivery order.
     pub delivered: Vec<u64>,
     /// Bracha deliveries, in delivery order.
@@ -90,9 +91,9 @@ pub struct SimNodeState {
 }
 
 impl SimNodeState {
-    fn boot(core: NodeCore) -> Self {
+    fn boot(node: Node) -> Self {
         SimNodeState {
-            core,
+            node,
             delivered: Vec::new(),
             byz_delivered: Vec::new(),
             up: BTreeSet::new(),
@@ -134,12 +135,12 @@ impl SimNode {
     fn step(&mut self, st: &mut SimNodeState, event: Option<Event>, ctx: &mut Context<'_>) {
         let now = ctx.now();
         if let Some(ev) = event {
-            st.core.handle(ev, now, &mut self.out);
+            st.node.handle(ev, now, &mut self.out);
         }
-        if now >= st.core.next_deadline() {
-            st.core.tick(now, &mut self.out);
+        if now >= st.node.next_deadline() {
+            st.node.tick(now, &mut self.out);
         }
-        let due = st.core.next_deadline().max(now);
+        let due = st.node.next_deadline().max(now);
         if due < st.wake || st.wake <= now {
             st.wake = due; // any timer armed before is stale now
             ctx.set_timer(due - now, WAKE);
@@ -195,11 +196,11 @@ impl SimNode {
                     peer: claimed,
                     dialed,
                 };
-                st.core.handle(up, ctx.now(), &mut self.out);
-                let mut accepted = st.core.links().contains(&claimed);
+                st.node.handle(up, ctx.now(), &mut self.out);
+                let mut accepted = st.node.core().links().contains(&claimed);
                 if accepted && claimed != peer {
                     let down = Event::LinkDown { peer: claimed };
-                    st.core.handle(down, ctx.now(), &mut self.out);
+                    st.node.handle(down, ctx.now(), &mut self.out);
                     accepted = false;
                 }
                 if accepted {
@@ -357,8 +358,8 @@ impl SimCluster {
             let capacity = cluster.world.config.recorder_capacity;
             let recorder = FlightRecorder::with_capacity(id as u32, capacity, epoch);
             cluster.recorders.push(Arc::new(recorder));
-            let core = cluster.boot(id, overlay.clone(), BootOpts::default(), 0);
-            let state = Rc::new(RefCell::new(SimNodeState::boot(core)));
+            let node = cluster.boot(id, overlay.clone(), BootOpts::default(), 0);
+            let state = Rc::new(RefCell::new(SimNodeState::boot(node)));
             processes.push(Box::new(SimNode {
                 id,
                 world: Rc::clone(&cluster.world),
@@ -371,14 +372,8 @@ impl SimCluster {
         Ok(cluster)
     }
 
-    /// A core for `id`'s next life, booted at `now` on `overlay`.
-    fn boot(
-        &mut self,
-        id: MemberId,
-        overlay: DynamicOverlay,
-        opts: BootOpts,
-        now: Time,
-    ) -> NodeCore {
+    /// A node for `id`'s next life, booted at `now` on `overlay`.
+    fn boot(&mut self, id: MemberId, overlay: DynamicOverlay, opts: BootOpts, now: Time) -> Node {
         let opts = BootOpts {
             life: self.next_life,
             ..opts
@@ -386,7 +381,7 @@ impl SimCluster {
         self.next_life += 1;
         let (w, recorder) = (&self.world, Arc::clone(&self.recorders[id as usize]));
         let (roster, metrics) = (w.roster.clone(), Arc::clone(&w.metrics));
-        NodeCore::new(id, overlay, roster, &w.config, metrics, recorder, opts, now)
+        Node::new(id, overlay, roster, &w.config, metrics, recorder, opts, now)
             .expect("membership supports the byzantine setup")
     }
 
@@ -446,8 +441,8 @@ impl SimCluster {
             ..BootOpts::default()
         };
         let now = self.now();
-        let core = self.boot(member, overlay, opts, now);
-        *self.nodes[member as usize].borrow_mut() = SimNodeState::boot(core);
+        let life = self.boot(member, overlay, opts, now);
+        *self.nodes[member as usize].borrow_mut() = SimNodeState::boot(life);
         self.sim.revive_at(node(member), now);
         self.sim.inject_timer(node(member), WAKE);
         true
@@ -496,6 +491,6 @@ impl SimCluster {
 
     /// Reads member `m`'s core.
     pub fn core<R>(&self, m: MemberId, read: impl FnOnce(&NodeCore) -> R) -> R {
-        read(&self.nodes[m as usize].borrow().core)
+        read(self.nodes[m as usize].borrow().node.core())
     }
 }

@@ -22,6 +22,10 @@ fn core_is_sans_io_and_node_is_only_a_driver() {
     ];
     assert_eq!(offenders(core, &banned), Vec::<&str>::new(), "core.rs");
 
+    // A traitor's script is the wrapper's (`traitor.rs`), never the core's.
+    let scripts = ["TraitorBehavior", "attack"];
+    assert_eq!(offenders(core, &scripts), Vec::<&str>::new(), "core.rs");
+
     let node = include_str!("../src/node.rs");
     let banned = [
         "BrachaEngine",

@@ -1,6 +1,6 @@
-//! Bracha against every traitor behaviour, on the node that mounts it.
+//! Bracha against every traitor behaviour, on the node that runs it.
 //!
-//! [`NodeCore`](lhg_runtime::core::NodeCore) holds the only traitor
+//! [`Node`] — the core behind a traitor's script — holds the only traitor
 //! implementation; here it runs on the discrete-event simulator
 //! ([`SimCluster`]) over K-DIAMOND(n, 3) — f = 1 — with one traitor of each
 //! of the six behaviours, seeded link delays and three instances from
@@ -8,6 +8,10 @@
 //! and Totality hold, each instance is delivered once, and the vote
 //! exchange goes quiet: the cluster's byz-class frame count
 //! ([`lhg_net::wirecost`]) does not move over the last ten repair periods.
+//! Each script shows in the traitor's own sent frames: `Silent` sends no
+//! byz frame, `SuppressHeartbeat` no heartbeat or summary, `Replay` passes
+//! each byz frame on, `FrameCrash` forges one crash wave per heartbeat
+//! period, and `Equivocate` and `Forge` lie once per life.
 //!
 //! One behaviour keeps a trickle going, by design of the attack: a
 //! `SuppressHeartbeat` traitor is excommunicated for its silence and dials
@@ -17,17 +21,21 @@
 //! behaviour.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use lhg_byzantine::{TraitorBehavior, EQUIVOCATE_NONCE_BASE};
-use lhg_core::overlay::MemberId;
+use lhg_byzantine::{GossipFrame, GossipKind, TraitorBehavior, EQUIVOCATE_NONCE_BASE, VOTES_ID};
+use lhg_core::overlay::{DynamicOverlay, MemberId};
 use lhg_core::Constraint;
+use lhg_net::message::ByzTag;
 use lhg_net::sim::LinkModel;
 use lhg_net::wirecost::MessageClass;
-use lhg_runtime::core::Event;
+use lhg_runtime::core::{Action, BootOpts, Event};
 use lhg_runtime::simnode::{SimCluster, SimInput};
-use lhg_runtime::{ByzantineSetup, RuntimeConfig};
+use lhg_runtime::traitor::Node;
+use lhg_runtime::{ByzantineSetup, MetricsRegistry, RuntimeConfig};
+use lhg_trace::FlightRecorder;
 
 const K: usize = 3;
 const MS: u64 = 1_000;
@@ -54,12 +62,47 @@ fn payload(nonce: u64) -> Bytes {
     Bytes::from(format!("instance {nonce:#x}"))
 }
 
-/// Byz-class frames so far, per directed link `(from, to)`.
-fn byz_frames(cluster: &SimCluster) -> BTreeMap<(u32, u32), u64> {
+/// Frames of `class` so far, per directed link `(from, to)`.
+fn frames(cluster: &SimCluster, class: MessageClass) -> BTreeMap<(u32, u32), u64> {
     let links = cluster.metrics.wire().link_totals().into_iter();
     links
-        .map(|(link, classes)| (link, classes[MessageClass::Byz.index()].frames))
+        .map(|(link, classes)| (link, classes[class.index()].frames))
         .collect()
+}
+
+/// Frames of `class` on the links `side` picks, summed.
+fn frames_on(c: &SimCluster, class: MessageClass, side: impl Fn(&(u32, u32)) -> bool) -> u64 {
+    frames(c, class)
+        .into_iter()
+        .filter(|(l, _)| side(l))
+        .map(|(_, n)| n)
+        .sum()
+}
+
+/// The script, read off the frames the traitor sent (and, for `Replay`,
+/// received) and the waves it counted.
+fn check_script(c: &SimCluster, cfg: &RuntimeConfig, traitor: u32, behavior: TraitorBehavior) {
+    let sent = |class| frames_on(c, class, |&(from, _)| from == traitor);
+    let what = format!("{behavior:?} traitor={traitor}");
+    match behavior {
+        TraitorBehavior::Silent => assert_eq!(sent(MessageClass::Byz), 0, "{what}"),
+        TraitorBehavior::SuppressHeartbeat => {
+            let beats = sent(MessageClass::Heartbeat) + sent(MessageClass::Summary);
+            assert_eq!(beats, 0, "{what}");
+        }
+        TraitorBehavior::Replay => {
+            // Each byz frame goes on to every other link (k = 3 of them at
+            // least), besides the `SEND`s it relays down the eager tree.
+            let got = frames_on(c, MessageClass::Byz, |&(_, to)| to == traitor);
+            assert!(got > 0 && sent(MessageClass::Byz) >= 2 * got, "{what}");
+        }
+        TraitorBehavior::FrameCrash => {
+            let waves = c.metrics.counter("runtime.forged_crash_waves").get();
+            let periods = c.now() / cfg.heartbeat_period.as_micros() as u64;
+            assert_eq!(waves, periods, "{what}: one wave per heartbeat period");
+        }
+        TraitorBehavior::Equivocate | TraitorBehavior::Forge => {}
+    }
 }
 
 /// One run: `n` nodes, the traitor and the origins drawn from `seed`.
@@ -100,9 +143,9 @@ fn check(n: usize, behavior: TraitorBehavior, seed: u64) {
         );
     }
     c.run_until(start + 2_000 * MS);
-    let byz_before = byz_frames(&c);
+    let byz_before = frames(&c, MessageClass::Byz);
     c.run_until(c.now() + 10 * repair_us);
-    let byz_after = byz_frames(&c);
+    let byz_after = frames(&c, MessageClass::Byz);
 
     let what = format!("{behavior:?} n={n} seed={seed} traitor={traitor}");
     // Per instance nonce: which correct node certified which digest.
@@ -162,6 +205,12 @@ fn check(n: usize, behavior: TraitorBehavior, seed: u64) {
         moved.iter().all(|l| trickle && to_traitor(l)),
         "{what}: byz frames still flowing on {moved:?}"
     );
+    check_script(
+        &c,
+        &config(traitor, behavior, seed),
+        traitor as u32,
+        behavior,
+    );
 }
 
 #[test]
@@ -170,5 +219,79 @@ fn bracha_properties_hold_against_every_traitor_and_the_exchange_goes_quiet() {
         for (n, seed) in [(8, 0x5eed_0001), (11, 0x0bad_cafe_0002), (16, 0x7777_0003)] {
             check(n, behavior, seed);
         }
+    }
+}
+
+/// `Equivocate` and `Forge` lie on the first byz frame a life sees, and on
+/// no later one: a traitor wrapped around a core with its overlay links up
+/// is handed three `SEND`s, and the lies among its actions are counted —
+/// one story per link, or one flood of forged votes — in each of two lives.
+#[test]
+fn equivocate_and_forge_lie_once_per_life() {
+    let overlay = DynamicOverlay::bootstrap(Constraint::KDiamond, 8, K).expect("overlay");
+    let roster: BTreeSet<MemberId> = overlay.members().iter().copied().collect();
+    let traitor: MemberId = 7;
+    let links = overlay.neighbors_of(traitor).expect("member");
+    for behavior in [TraitorBehavior::Equivocate, TraitorBehavior::Forge] {
+        let cfg = config(traitor, behavior, 1);
+        for life in 0..2 {
+            let recorder = Arc::new(FlightRecorder::with_capacity(7, 1 << 10, Instant::now()));
+            let metrics = Arc::new(MetricsRegistry::new());
+            let opts = BootOpts {
+                life,
+                ..BootOpts::default()
+            };
+            let (o, r) = (overlay.clone(), roster.clone());
+            let mut node =
+                Node::new(traitor, o, r, &cfg, metrics, recorder, opts, 0).expect("boots");
+            let mut out = Vec::new();
+            for &peer in &links {
+                node.handle(
+                    Event::LinkUp {
+                        peer,
+                        dialed: false,
+                    },
+                    0,
+                    &mut out,
+                );
+            }
+            let mut lies = Vec::new();
+            for nonce in 1..=3 {
+                let payload = payload(nonce);
+                let send = GossipFrame {
+                    kind: GossipKind::Send,
+                    witness: 0,
+                    tag: ByzTag { origin: 0, nonce },
+                    digest: lhg_byzantine::digest(&payload),
+                    payload,
+                };
+                let (from, msg) = (links[0], send.to_message());
+                out.clear();
+                node.handle(Event::Frame { from, msg }, nonce * MS, &mut out);
+                lies.extend(out.iter().filter_map(|a| lie(a, traitor)));
+            }
+            let want = match behavior {
+                TraitorBehavior::Equivocate => links.len(),
+                _ => 1,
+            };
+            assert_eq!(lies.len(), want, "{behavior:?} life {life}: {lies:?}");
+            let stories: BTreeSet<u64> = lies.iter().copied().collect();
+            let told = if want > 1 { 2 } else { 1 };
+            assert_eq!(stories.len(), told, "{behavior:?} life {life}: {lies:?}");
+        }
+    }
+}
+
+/// A traitor's lie among its actions, by the digest it tells: an
+/// equivocation `SEND` under its own instance, or a flooded `VOTES` frame
+/// (0), which a node without a vote exchange sends only forged.
+fn lie(action: &Action, traitor: MemberId) -> Option<u64> {
+    let mine = EQUIVOCATE_NONCE_BASE + traitor;
+    match action {
+        Action::Send { msg, .. } => GossipFrame::from_message(msg)
+            .filter(|f| f.tag.origin == traitor as u32 && f.tag.nonce == mine)
+            .map(|f| f.digest),
+        Action::Flood { msg, .. } => (msg.broadcast_id == VOTES_ID).then_some(0),
+        _ => None,
     }
 }
