@@ -579,6 +579,13 @@ impl LinkReceiver {
         Some(cum)
     }
 
+    /// Data frame `msg` for the peer, carrying the ack this link owes, if
+    /// any ([`Self::piggyback`]). Every data frame leaves through here.
+    fn ride(&mut self, mut msg: Message) -> Message {
+        msg.link_ack = self.piggyback();
+        msg
+    }
+
     /// `true` when an ack frame of its own is due at `now_us`: the ack
     /// names holes or answers a duplicate, or a clean ack has covered
     /// `window / 2` frames or waited `rto_us / 4` for a ride (timed from
@@ -785,7 +792,7 @@ pub struct TickReport {
 }
 
 /// A broadcast kept for summaries and pull serving, with the peers known
-/// to hold it ([`Holders`] says which peer each bit stands for).
+/// to hold it (each bit is one peer's, [`Peer::bit`]).
 #[derive(Debug)]
 struct Retained {
     msg: Message,
@@ -859,54 +866,45 @@ impl Store {
     }
 }
 
-/// The peer behind each bit of a [`Retained::held`] mask. A slot is taken
-/// the first time a peer is known to hold something and freed when its
-/// link resets; with all 64 taken, a further peer is never known to hold
-/// anything (its summaries name everything, as before the masks).
-#[derive(Debug)]
-struct Holders<P>(Vec<Option<P>>);
+/// Everything a [`ReliableCore`] keeps about one peer: both halves of the
+/// link, what a torn-down link never delivered, the held list owed, and the
+/// peer's bit in the store's held masks.
+#[derive(Debug, Default)]
+struct Peer {
+    /// The sender half, from the first frame sent on the link to its reset.
+    tx: Option<LinkSender>,
+    rx: LinkReceiver,
+    /// Data frames a torn-down link never delivered, until
+    /// [`ReliableCore::flush`].
+    parked: Vec<Message>,
+    /// The ids the peer's advertisements named that we had already seen:
+    /// the held list [`ReliableCore::answer`] owes it, at most
+    /// [`MAX_SUMMARY_IDS`].
+    owed: Vec<u64>,
+    /// The peer's bit in every [`Retained::held`] mask; 0 until the peer is
+    /// first known to hold something, and again from its link's reset.
+    bit: u64,
+}
 
-impl<P: Copy + Eq> Holders<P> {
-    /// `peer`'s bit, 0 if it has none.
-    fn bit(&self, peer: P) -> u64 {
-        let slot = self.0.iter().position(|h| *h == Some(peer));
-        slot.map_or(0, |i| 1 << i)
+/// `bit`, a peer's held-mask bit, claiming the lowest free one if it has
+/// none yet (`used`: the bits peers own). With all 64 taken it stays 0 and
+/// the peer is never known to hold anything: its summaries name everything,
+/// as before the masks.
+fn claim(bit: &mut u64, used: &mut u64) -> u64 {
+    if *bit == 0 && *used != u64::MAX {
+        *bit = 1 << (!*used).trailing_zeros();
+        *used |= *bit;
     }
-
-    /// `peer`'s bit, claiming a free slot for it if it has none yet.
-    fn claim(&mut self, peer: P) -> u64 {
-        let bit = self.bit(peer);
-        if bit != 0 {
-            return bit;
-        }
-        let slot = match self.0.iter().position(Option::is_none) {
-            Some(free) => free,
-            None if self.0.len() < 64 => {
-                self.0.push(None);
-                self.0.len() - 1
-            }
-            None => return 0,
-        };
-        self.0[slot] = Some(peer);
-        1 << slot
-    }
-
-    /// Frees `peer`'s slot; returns the bit it had (0 if none).
-    fn release(&mut self, peer: P) -> u64 {
-        let bit = self.bit(peer);
-        if bit != 0 {
-            self.0[bit.trailing_zeros() as usize] = None;
-        }
-        bit
-    }
+    *bit
 }
 
 /// The reliable-flood data plane as one sans-IO state machine: flooding
 /// over per-link ack/retransmit with anti-entropy repair on top. It owns
-/// the per-peer [`LinkSender`]/[`LinkReceiver`] pairs, the store of recent
+/// one record per peer — the [`LinkSender`]/[`LinkReceiver`] pair, the
+/// frames parked while a replaced link waits for its successor, the held
+/// list owed and the peer's held-mask bit — and the store of recent
 /// broadcasts that summaries advertise and pulls are served from (with
-/// who is known to hold each), and the frames parked while a replaced link
-/// waits for its successor.
+/// who is known to hold each).
 ///
 /// Everything environmental is an argument. Time is `now_us`; the live
 /// links are the driver's `peers` list, and sends are emitted in exactly
@@ -923,17 +921,11 @@ pub struct ReliableCore<P> {
     origin: u32,
     ack_id: u64,
     summary_id: u64,
-    tx: HashMap<P, LinkSender>,
-    rx: HashMap<P, LinkReceiver>,
-    /// Data frames a torn-down link never delivered, until [`Self::flush`].
-    parked: HashMap<P, Vec<Message>>,
+    peers: HashMap<P, Peer>,
     /// Recent data messages retained for summaries and pull serving.
     store: Store,
-    /// Who owns which bit of the held masks.
-    holders: Holders<P>,
-    /// Per peer, the ids its advertisements named that we had already seen:
-    /// the held list [`Self::answer`] owes it, at most [`MAX_SUMMARY_IDS`].
-    owed: HashMap<P, Vec<u64>>,
+    /// The held-mask bits some peer owns.
+    used: u64,
     /// Reused buffer for the ids one summary names or the holes one ack
     /// NACKs.
     ids: Vec<u64>,
@@ -958,12 +950,9 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             origin,
             ack_id,
             summary_id,
-            tx: HashMap::new(),
-            rx: HashMap::new(),
-            parked: HashMap::new(),
+            peers: HashMap::new(),
             store: Store::default(),
-            holders: Holders(Vec::new()),
-            owed: HashMap::new(),
+            used: 0,
             ids: Vec::new(),
             kept: Vec::new(),
         }
@@ -989,25 +978,17 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     #[must_use]
     pub fn retained_bytes(&self) -> usize {
         let store = self.store.ring.iter().map(|k| k.msg.payload.len());
-        let links = self.tx.values().map(LinkSender::retained_bytes);
-        let parked = self.parked.values().flatten().map(|m| m.payload.len());
-        store.chain(links).chain(parked).sum()
-    }
-
-    /// Puts data frame `msg` on the link to `to`, carrying the cumulative
-    /// ack that link owes, if any (`rx`: the core's receivers, borrowed
-    /// apart from the senders). Every data frame leaves through here.
-    fn emit(rx: &mut HashMap<P, LinkReceiver>, to: P, mut msg: Message, out: &mut Sends<P>) {
-        msg.link_ack = rx.get_mut(&to).and_then(LinkReceiver::piggyback);
-        out.push((to, msg));
+        let links = self.peers.values().flat_map(|p| &p.tx).map(LinkSender::retained_bytes);
+        let parked = self.peers.values().flat_map(|p| &p.parked);
+        store.chain(links).chain(parked.map(|m| m.payload.len())).sum()
     }
 
     /// Sends the ack `peer`'s link owes in a frame of its own.
     fn emit_ack(&mut self, peer: P, out: &mut Sends<P>) {
-        let Some(rx) = self.rx.get_mut(&peer) else {
+        let Some(p) = self.peers.get_mut(&peer) else {
             return;
         };
-        let cum = rx.ack_payload(&mut self.ids);
+        let cum = p.rx.ack_payload(&mut self.ids);
         let ack = encode_ack(&mut self.kept, CONTROL_KEPT, cum, &self.ids);
         out.push((peer, Message::new(self.ack_id, self.origin, ack)));
     }
@@ -1015,9 +996,10 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// Hands `msg` to `to`'s sender; emits it if the window admits it now
     /// (otherwise it queues and surfaces from a later ack or sweep).
     fn send(&mut self, to: P, msg: Message, now_us: u64, out: &mut Sends<P>) {
-        let sender = self.tx.entry(to).or_default();
+        let peer = self.peers.entry(to).or_default();
+        let sender = peer.tx.get_or_insert_with(LinkSender::new);
         if let Some(stamped) = sender.send(msg, &self.cfg, now_us) {
-            Self::emit(&mut self.rx, to, stamped, out);
+            out.push((to, peer.rx.ride(stamped)));
         }
     }
 
@@ -1075,15 +1057,15 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         if let Some(cum) = msg.link_ack {
             self.acked(from, cum.get(), [], now_us, out);
         }
+        let peer = self.peers.entry(from).or_default();
         if let Some(seq) = msg.link_seq {
-            let rx = self.rx.entry(from).or_default();
-            match rx.on_frame_at(seq.get(), now_us, self.cfg.out_of_order_cap()) {
+            match (peer.rx).on_frame_at(seq.get(), now_us, self.cfg.out_of_order_cap()) {
                 None => return DataOutcome::Refused,
                 Some(false) => return DataOutcome::LinkDuplicate,
                 Some(true) => {}
             }
         }
-        let sender = self.holders.claim(from);
+        let sender = claim(&mut peer.bit, &mut self.used);
         let outcome = if seen.insert(msg.broadcast_id) {
             self.remember(msg.clone(), sender);
             self.flood(&msg.forwarded(), Some(from), now_us, peers, out);
@@ -1092,7 +1074,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             self.store.mark_held(msg.broadcast_id, sender);
             DataOutcome::Duplicate
         };
-        if (self.rx.get(&from)).is_some_and(|rx| rx.covers_half_window(&self.cfg)) {
+        if (self.peers.get(&from)).is_some_and(|p| p.rx.covers_half_window(&self.cfg)) {
             self.emit_ack(from, out);
         }
         outcome
@@ -1120,14 +1102,19 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         now_us: u64,
         out: &mut Sends<P>,
     ) {
-        let Some(tx) = self.tx.get_mut(&from) else {
+        let Some(Peer {
+            tx: Some(tx),
+            rx,
+            bit,
+            ..
+        }) = self.peers.get_mut(&from)
+        else {
             return;
         };
-        let (bit, store) = (self.holders.claim(from), &mut self.store);
+        let (bit, store) = (claim(bit, &mut self.used), &mut self.store);
         tx.retire(cum, |m| store.mark_held(m.broadcast_id, bit));
-        let rx = &mut self.rx;
         tx.on_ack_with(cum, nacks, &self.cfg, now_us, |frame| {
-            Self::emit(rx, from, frame, out);
+            out.push((from, rx.ride(frame)));
         });
     }
 
@@ -1165,14 +1152,15 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
             }
             return SummaryOutcome::Served(served);
         }
-        let bit = self.holders.claim(from);
+        let peer = self.peers.entry(from).or_default();
+        let bit = claim(&mut peer.bit, &mut self.used);
         for id in ids.clone() {
             self.store.mark_held(id, bit);
         }
         if mode == SUMMARY_HELD {
             return SummaryOutcome::Ignored;
         }
-        let owed = self.owed.entry(from).or_default();
+        let owed = &mut peer.owed;
         self.ids.clear();
         for id in ids {
             if !seen.contains(id) {
@@ -1194,7 +1182,8 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// seen, so that `peer` counts us as holding them. Returns whether a
     /// frame went; `lhg-runtime`'s node sends one in place of a heartbeat.
     pub fn answer(&mut self, peer: P, out: &mut Sends<P>) -> bool {
-        let Some(owed) = self.owed.get_mut(&peer).filter(|o| !o.is_empty()) else {
+        let owed = self.peers.get_mut(&peer).map(|p| &mut p.owed);
+        let Some(owed) = owed.filter(|o| !o.is_empty()) else {
             return false;
         };
         let held = encode_summary(&mut self.kept, CONTROL_KEPT, SUMMARY_HELD, owed);
@@ -1212,7 +1201,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     pub fn retire(&mut self, neighbors: impl IntoIterator<Item = P>) {
         let mut all = 0;
         for n in neighbors {
-            match self.holders.bit(n) {
+            match self.peers.get(&n).map_or(0, |p| p.bit) {
                 0 => return,
                 bit => all |= bit,
             }
@@ -1227,8 +1216,10 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// some link, an ack owed: only then need a driver wake for the grid.
     #[must_use]
     pub fn pending(&self) -> bool {
-        (self.tx.values()).any(|tx| tx.in_flight() + tx.queued() > 0)
-            || (self.rx.values()).any(|rx| rx.dirty || rx.urgent)
+        self.peers.values().any(|p| {
+            let sending = p.tx.as_ref().is_some_and(|tx| tx.in_flight() + tx.queued() > 0);
+            sending || p.rx.dirty || p.rx.urgent
+        })
     }
 
     /// One reliability tick: per peer, the retransmit sweep and then the
@@ -1242,18 +1233,17 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     ) -> TickReport {
         let mut report = TickReport::default();
         for peer in peers {
-            if let Some(tx) = self.tx.get_mut(&peer) {
-                let rx = &mut self.rx;
+            let Some(Peer { tx, rx, .. }) = self.peers.get_mut(&peer) else {
+                continue;
+            };
+            if let Some(tx) = tx {
                 tx.sweep_with(&self.cfg, now_us, |frame| {
-                    Self::emit(rx, peer, frame, out);
+                    out.push((peer, rx.ride(frame)));
                     report.retransmits += 1;
                 });
             }
-            let rx = self.rx.get_mut(&peer);
-            if rx.is_some_and(|rx| {
-                rx.skip_given_up(&self.cfg, now_us);
-                rx.ack_due(&self.cfg, now_us)
-            }) {
+            rx.skip_given_up(&self.cfg, now_us);
+            if rx.ack_due(&self.cfg, now_us) {
                 self.emit_ack(peer, out);
                 report.acks += 1;
             }
@@ -1268,7 +1258,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     pub fn advertise(&mut self, peers: impl IntoIterator<Item = P>, out: &mut Sends<P>) -> bool {
         let before = out.len();
         for peer in peers {
-            let bit = self.holders.bit(peer);
+            let bit = self.peers.get(&peer).map_or(0, |p| p.bit);
             let recent = self.store.ring.iter().rev().take(MAX_SUMMARY_IDS);
             let lacking = recent.filter(|k| k.held & bit == 0);
             self.ids.clear();
@@ -1290,36 +1280,39 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// queue (`queue_cap`, oldest dropped first): a peer down long enough to
     /// overflow it is left to anti-entropy repair.
     pub fn reset_link(&mut self, peer: P) {
-        self.rx.remove(&peer);
-        self.owed.remove(&peer);
-        let bit = self.holders.release(peer);
+        let Some(p) = self.peers.get_mut(&peer) else {
+            return;
+        };
+        let Peer {
+            tx, mut parked, bit, ..
+        } = std::mem::take(p);
         if bit != 0 {
+            self.used &= !bit;
             for kept in &mut self.store.ring {
                 kept.held &= !bit;
             }
         }
-        let Some(mut tx) = self.tx.remove(&peer) else {
-            return;
-        };
-        let undelivered = tx.take_undelivered();
-        if !undelivered.is_empty() {
-            let parked = self.parked.entry(peer).or_default();
-            parked.extend(undelivered);
+        if let Some(mut tx) = tx {
+            parked.extend(tx.take_undelivered());
             let excess = parked.len().saturating_sub(self.cfg.queue_cap);
             parked.drain(..excess);
         }
+        p.parked = parked;
     }
 
     /// Abandons the frames parked for `peer` (it was excommunicated; if it
     /// ever rejoins, summaries catch it up instead).
     pub fn abandon(&mut self, peer: P) {
-        self.parked.remove(&peer);
+        if let Some(p) = self.peers.get_mut(&peer) {
+            p.parked = Vec::new();
+        }
     }
 
     /// A replacement link to `peer` is up: re-sends what [`Self::reset_link`]
     /// parked. Duplicates are harmless — the peer's dedup set absorbs them.
     pub fn flush(&mut self, peer: P, now_us: u64, out: &mut Sends<P>) {
-        for msg in self.parked.remove(&peer).unwrap_or_default() {
+        let parked = self.peers.get_mut(&peer).map(|p| std::mem::take(&mut p.parked));
+        for msg in parked.unwrap_or_default() {
             self.send(peer, msg, now_us, out);
         }
     }
@@ -1670,12 +1663,13 @@ mod tests {
                 DataOutcome::Refused
             };
             assert_eq!(got, want, "seq {seq}");
-            assert!(c.rx[&1].above.len() as u64 <= cap, "seq {seq}");
+            assert!(c.peers[&1].rx.above.len() as u64 <= cap, "seq {seq}");
             out.clear();
         }
         let got = c.on_data(1, &msg(1).with_link_seq(1), &mut seen, 0, [1], &mut out);
         assert_eq!(got, DataOutcome::Fresh, "the hole fills");
-        assert_eq!((c.rx[&1].cum(), c.rx[&1].above.len()), (cap + 1, 0));
+        let rx = &c.peers[&1].rx;
+        assert_eq!((rx.cum(), rx.above.len()), (cap + 1, 0));
         // The frames dropped past the cap come again, and now land.
         let next = cap + 2;
         let got = c.on_data(
@@ -1686,7 +1680,7 @@ mod tests {
             [1],
             &mut out,
         );
-        assert_eq!((got, c.rx[&1].cum()), (DataOutcome::Fresh, next));
+        assert_eq!((got, c.peers[&1].rx.cum()), (DataOutcome::Fresh, next));
     }
 
     #[test]
@@ -1815,7 +1809,7 @@ mod tests {
         assert_eq!(ids(&out)[4], (7, 5, Some(5)), "the ack admitted one more");
 
         c.reset_link(7);
-        let parked = &c.parked[&7];
+        let parked = &c.peers[&7].parked;
         assert!(parked.iter().all(|m| m.link_seq.is_none()), "unstamped");
         let parked_ids: Vec<u64> = parked.iter().map(|m| m.broadcast_id).collect();
         // Unacked 2..=5 then queued 6..=12 is 11 frames: the cap keeps the
@@ -1826,7 +1820,7 @@ mod tests {
         c.flush(7, 50, &mut out);
         let want: Vec<_> = (1..=4).map(|i| (7, 4 + i, Some(i))).collect();
         assert_eq!(ids(&out), want, "fresh sequence space from 1");
-        assert!(c.parked.is_empty());
+        assert!(c.peers[&7].parked.is_empty());
     }
 
     #[test]
@@ -2127,7 +2121,7 @@ mod tests {
         out.clear();
         let back = msg(7).with_link_seq(1).with_link_ack(1);
         peer.on_data(0, &back, &mut seen, 5, [0], &mut out);
-        assert_eq!(peer.tx[&0].in_flight(), 0);
+        assert_eq!(peer.peers[&0].tx.as_ref().map(LinkSender::in_flight), Some(0));
     }
 
     #[test]
@@ -2459,7 +2453,7 @@ mod tests {
         for peer in [6, 7] {
             c.on_summary(peer, all.clone(), &SeenSet::default(), 0, &mut out);
         }
-        let (six, seven) = (c.holders.bit(6), c.holders.bit(7));
+        let (six, seven) = (c.peers[&6].bit, c.peers[&7].bit);
         assert!(c.store.ring.iter().all(|k| k.held == six | seven));
         c.reset_link(6);
         assert!(c.store.ring.iter().all(|k| k.held == seven), "every entry");
@@ -2555,8 +2549,8 @@ mod tests {
 
     impl Tap {
         fn count_above(&self) {
-            let rx = self.inner.core.rx.values();
-            self.above.set(rx.map(|rx| rx.above.len()).sum());
+            let peers = self.inner.core.peers.values();
+            self.above.set(peers.map(|p| p.rx.above.len()).sum());
         }
     }
 

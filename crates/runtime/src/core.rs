@@ -51,7 +51,7 @@
 //! wire accounting where a frame is queued, which socket is a peer's link,
 //! and the publication of state to other threads.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -196,6 +196,53 @@ fn us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
+/// Where the link to one peer stands.
+#[derive(Debug, Clone, Copy, Default)]
+enum LinkState {
+    #[default]
+    Down,
+    /// An [`Action::Dial`] is out, unanswered.
+    Dialing,
+    /// Live; `last_sent` is the last time this core emitted anything on it,
+    /// what [`NodeCore::beat_idle_links`] reads.
+    Up { last_sent: u64 },
+}
+
+/// Everything a node keeps about one peer. A record is made the first time
+/// a peer needs one and is only ever reset after, so a transition touches
+/// one record and [`NodeCore::next_deadline`] reads one map.
+#[derive(Default)]
+struct Peer {
+    link: LinkState,
+    /// Last time the peer produced any frame, while it is monitored.
+    last_seen: Option<u64>,
+    /// No redial before this time: the dial backoff's verdict, and the
+    /// per-peer jittered exponential state behind it.
+    redial: Option<u64>,
+    backoff: Option<Backoff>,
+    /// The reconcile pass must leave the link up, wanted or not, until this
+    /// time: an excommunicated peer heard from recently (so the rejoin
+    /// handshake can complete), a caller from outside the overlay (so it
+    /// can be heard out), a link a heal just dropped (so what is in flight
+    /// on it lands). Set on a peer whose link is not up as well — a heal
+    /// drops the crashed victim's — and its expiry is a deadline either way.
+    grace: Option<u64>,
+    /// Last time a dead notice went to the peer (rate limiting).
+    notice_sent: Option<u64>,
+    /// `runtime.heartbeat_age_us.n<id>.p<peer>`, resolved on first use.
+    age_gauge: Option<Arc<Gauge>>,
+}
+
+impl Peer {
+    /// The last time anything was sent on the link, while it is up.
+    fn last_sent(&mut self) -> Option<&mut u64> {
+        match &mut self.link {
+            LinkState::Up { last_sent } => Some(last_sent),
+            LinkState::Down | LinkState::Dialing => None,
+        }
+    }
+}
+
 /// The sans-IO node state machine; see the module docs.
 pub struct NodeCore {
     id: MemberId,
@@ -237,10 +284,13 @@ pub struct NodeCore {
     settle: bool,
     /// Every member that may ever be dialed or accepted (the directory).
     roster: BTreeSet<MemberId>,
-    /// Peers with a live link, in the order floods walk them, and peers
-    /// with a [`Action::Dial`] outstanding.
+    /// One record per peer this node has dialed, linked, watched or
+    /// excommunicated.
+    peers: BTreeMap<MemberId, Peer>,
+    /// The peers whose link is up, in the order relays walk them: the
+    /// frame path's view of `peers`. Only [`Self::on_link_up`] and
+    /// [`Self::drop_link`] write it.
     links: BTreeSet<MemberId>,
-    dialing: BTreeSet<MemberId>,
     /// Flooding dedup: broadcast ids already processed. Entries survive
     /// until the set's capacity cap evicts the oldest — every control wave
     /// floods under a fresh nonce, so a stale copy of an old wave is
@@ -260,25 +310,8 @@ pub struct NodeCore {
     life: u32,
     /// Per-life wave counter; with `life` it forms each wave's nonce.
     wave_seq: u16,
-    /// Last time each monitored peer produced any frame.
-    last_seen: HashMap<MemberId, u64>,
-    /// Last time this core emitted anything on each live link (one entry
-    /// per link): what [`Self::beat_idle_links`] reads.
-    last_sent: HashMap<MemberId, u64>,
-    /// Dial backoff: no redial before the recorded time, and the per-peer
-    /// jittered exponential state behind it.
-    next_dial: HashMap<MemberId, u64>,
-    backoffs: HashMap<MemberId, Backoff>,
     /// Private RNG driving retry jitter (seeded from the config seed).
     rng: StdRng,
-    /// Links the reconcile pass would take down but must not yet, each with
-    /// its deadline: an excommunicated peer heard from recently (so the
-    /// rejoin handshake can complete), a caller from outside the overlay
-    /// (so it can be heard out), a link a heal just dropped (so what is in
-    /// flight on it lands).
-    link_grace: HashMap<MemberId, u64>,
-    /// Last time a dead notice was sent to each revenant (rate limiting).
-    notice_sent: HashMap<MemberId, u64>,
     /// After answering a dead notice, ignore further ones until this time
     /// (they are echoes of the state being repaired).
     rejoin_cooldown: Option<u64>,
@@ -292,7 +325,6 @@ pub struct NodeCore {
     crash_reporters: HashMap<MemberId, BTreeSet<MemberId>>,
     /// Distinct peers that sent us a dead notice (byzantine runs).
     notice_senders: BTreeSet<MemberId>,
-    hb_age_gauges: HashMap<MemberId, Arc<Gauge>>,
     /// `runtime.payload_bytes_retained.n<id>`, resolved at boot: what the
     /// data plane holds on to ([`ReliableCore::retained_bytes`]), fresh as
     /// of the latest summary round.
@@ -385,28 +417,21 @@ impl NodeCore {
             rejoining: opts.announce_join,
             settle: true,
             roster,
+            peers: BTreeMap::new(),
             links: BTreeSet::new(),
-            dialing: BTreeSet::new(),
             seen: SeenSet::default(),
             exchange,
             crash_quorum: setup.map_or(1, |s| s.f + 1),
             life: opts.life,
             wave_seq: 0,
-            last_seen: HashMap::new(),
-            last_sent: HashMap::new(),
-            next_dial: HashMap::new(),
-            backoffs: HashMap::new(),
             // Each node jitters independently, but the whole cluster is
             // still driven by the one configured seed.
             rng: StdRng::seed_from_u64(config.rng_seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            link_grace: HashMap::new(),
-            notice_sent: HashMap::new(),
             rejoin_cooldown: None,
             pending_join_announce: opts.announce_join,
             healing_since: None,
             crash_reporters: HashMap::new(),
             notice_senders: BTreeSet::new(),
-            hb_age_gauges: HashMap::new(),
             retained_gauge,
             acks_sent,
             acks_piggybacked,
@@ -528,13 +553,20 @@ impl NodeCore {
         }
         let quiet = self.next_sweep.max(self.now + self.sweep_us);
         let sweep = self.reliable.pending().then_some(quiet);
-        let timeout = self.timeout_us;
-        let silent = (self.desired.difference(&self.crashed))
-            .map(|p| self.last_seen.get(p).map_or(self.now, |t| t + timeout + 1));
-        let idle = self.last_sent.values().map(|t| t + self.beat_us);
-        let expiries = self.next_dial.values().chain(self.link_grace.values());
-        let dues = sweep.into_iter().chain(silent).chain(idle);
-        (dues.chain(expiries.copied())).fold(self.next_beat.min(self.next_summary), u64::min)
+        let (timeout, beat) = (self.timeout_us, self.beat_us);
+        let silent = (self.desired.difference(&self.crashed)).map(|p| {
+            let seen = self.peers.get(p).and_then(|r| r.last_seen);
+            seen.map_or(self.now, |t| t + timeout + 1)
+        });
+        let own = self.peers.values().flat_map(|r| {
+            let idle = match r.link {
+                LinkState::Up { last_sent } => Some(last_sent + beat),
+                LinkState::Down | LinkState::Dialing => None,
+            };
+            [idle, r.redial, r.grace].into_iter().flatten()
+        });
+        let dues = sweep.into_iter().chain(silent).chain(own);
+        dues.fold(self.next_beat.min(self.next_summary), u64::min)
     }
 
     /// Advances time: whatever periodic duty is due at `now_us` (each
@@ -543,33 +575,37 @@ impl NodeCore {
     /// for a period. Drivers call it once `now_us` reaches
     /// [`Self::next_deadline`], and only then.
     pub fn tick(&mut self, now_us: u64, out: &mut Vec<Action>) {
-        std::mem::swap(&mut self.out, out);
-        self.now = now_us;
         self.settle = false;
         self.core_ticks.inc();
-        let start = self.out.len();
-        if now_us >= self.next_beat {
-            self.next_beat = now_us + self.beat_us;
-        }
-        if now_us >= self.next_summary {
-            self.unadvertised = 0;
-            self.send_summaries();
-            let retained = self.reliable.retained_bytes();
-            (self.retained_gauge).set(i64::try_from(retained).unwrap_or(i64::MAX));
-            self.next_summary = now_us + self.summary_us;
-        }
-        self.sweep_reliable();
-        self.check_suspicions();
-        // A dial-failure streak is forgiven only after the link has stayed
-        // healthy for a full probation window (see `lhg_net::backoff`).
-        let links = &self.links;
-        (self.backoffs).retain(|peer, b| !(links.contains(peer) && b.maybe_reset(now_us)));
-        self.reconcile();
-        self.try_announce_join();
-        self.rejoining &= self.pending_join_announce;
-        self.note_sent(start);
-        self.beat_idle_links();
-        std::mem::swap(&mut self.out, out);
+        self.transition(now_us, out, |core| {
+            if now_us >= core.next_beat {
+                core.next_beat = now_us + core.beat_us;
+            }
+            if now_us >= core.next_summary {
+                core.unadvertised = 0;
+                core.send_summaries();
+                let retained = core.reliable.retained_bytes();
+                (core.retained_gauge).set(i64::try_from(retained).unwrap_or(i64::MAX));
+                core.next_summary = now_us + core.summary_us;
+            }
+            core.sweep_reliable();
+            core.check_suspicions();
+            // A dial-failure streak is forgiven only after the link has
+            // stayed healthy for a full probation window (see
+            // `lhg_net::backoff`).
+            for r in core.peers.values_mut() {
+                let up = matches!(r.link, LinkState::Up { .. });
+                if up && r.backoff.as_mut().is_some_and(|b| b.maybe_reset(now_us)) {
+                    r.backoff = None;
+                }
+            }
+            core.reconcile();
+            core.try_announce_join();
+            core.rejoining &= core.pending_join_announce;
+        });
+        // A transition of its own, so that a link this tick wrote to is not
+        // idle.
+        self.transition(now_us, out, Self::beat_idle_links);
     }
 
     /// Records that every link the actions from `start` on write to has
@@ -579,13 +615,13 @@ impl NodeCore {
         for action in &self.out[start..] {
             match action {
                 Action::Send { to, .. } => {
-                    if let Some(sent) = self.last_sent.get_mut(to) {
+                    if let Some(sent) = self.peers.get_mut(to).and_then(Peer::last_sent) {
                         *sent = now;
                     }
                 }
                 Action::Flood { except, .. } => {
-                    for (peer, sent) in &mut self.last_sent {
-                        if Some(*peer) != *except {
+                    for (peer, r) in &mut self.peers {
+                        if let Some(sent) = r.last_sent().filter(|_| Some(*peer) != *except) {
                             *sent = now;
                         }
                     }
@@ -628,11 +664,12 @@ impl NodeCore {
     fn on_frame(&mut self, from: MemberId, msg: Message) {
         let now = self.now;
         let excommunicated = self.crashed.contains(&from);
+        let r = self.peers.entry(from).or_default();
+        r.last_seen = Some(now);
         if excommunicated {
-            self.link_grace.insert(from, now + self.timeout_us);
+            r.grace = Some(now + self.timeout_us);
             self.maybe_send_dead_notice(from);
         }
-        self.last_seen.insert(from, now);
         self.rec(EventKind::FrameRx {
             peer: from as u32,
             bytes: (msg.encoded_len() + lhg_net::codec::LEN_PREFIX) as u32,
@@ -895,13 +932,17 @@ impl NodeCore {
         if self.crashed.remove(&member) {
             self.view_epoch += 1;
         }
-        self.link_grace.remove(&member);
-        self.notice_sent.remove(&member);
-        // A rejoined member's pre-join crash reports are stale evidence.
+        // A rejoined member starts afresh: heard from now, no grace, no
+        // notice sent, no dial backoff — and its pre-join crash reports
+        // are stale evidence.
+        let r = self.peers.entry(member).or_default();
+        *r = Peer {
+            link: r.link,
+            last_seen: Some(self.now),
+            age_gauge: r.age_gauge.take(),
+            ..Peer::default()
+        };
         self.crash_reporters.remove(&member);
-        self.backoffs.remove(&member);
-        self.next_dial.remove(&member);
-        self.last_seen.insert(member, self.now);
         if !self.overlay.contains(member) {
             if let Ok(report) = Arc::make_mut(&mut self.overlay).admit(member) {
                 self.count("runtime.joins_applied");
@@ -1047,7 +1088,7 @@ impl NodeCore {
         let heartbeat = self.control(wire::heartbeat_id(self.id));
         let mut sends = std::mem::take(&mut self.outbox);
         for &peer in &self.links {
-            let Some(sent) = self.last_sent.get_mut(&peer) else {
+            let Some(sent) = self.peers.get_mut(&peer).and_then(Peer::last_sent) else {
                 continue;
             };
             if now.saturating_sub(*sent) >= beat {
@@ -1064,15 +1105,11 @@ impl NodeCore {
     /// here". Rate-limited so a chatty revenant gets one notice per
     /// half-timeout, not one per frame.
     fn maybe_send_dead_notice(&mut self, peer: MemberId) {
-        let now = self.now;
-        if self
-            .notice_sent
-            .get(&peer)
-            .is_some_and(|&t| now - t < self.timeout_us / 2)
-        {
+        let (now, r) = (self.now, self.peers.entry(peer).or_default());
+        if r.notice_sent.is_some_and(|t| now - t < self.timeout_us / 2) {
             return;
         }
-        self.notice_sent.insert(peer, now);
+        r.notice_sent = Some(now);
         self.count("runtime.dead_notices");
         // Dead notices are point-to-point and never deduplicated, but a
         // fresh nonce keeps them out of any wave's identity space.
@@ -1086,15 +1123,15 @@ impl NodeCore {
         let now = self.now;
         let mut suspects = Vec::new();
         for &peer in self.desired.difference(&self.crashed) {
+            let r = self.peers.entry(peer).or_default();
             // A peer we have never heard from starts its grace period now;
             // this also covers crash-before-connect (dials keep failing).
-            let age = now - *self.last_seen.entry(peer).or_insert(now);
+            let age = now - *r.last_seen.get_or_insert(now);
             // `runtime.heartbeat_age_us.n<id>.p<peer>`: µs since this node
             // last heard from `peer`, fresh as of the latest tick.
             let (id, metrics) = (self.id, &self.metrics);
-            self.hb_age_gauges
-                .entry(peer)
-                .or_insert_with(|| {
+            r.age_gauge
+                .get_or_insert_with(|| {
                     metrics.gauge(&format!("runtime.heartbeat_age_us.n{id}.p{peer}"))
                 })
                 .set(i64::try_from(age).unwrap_or(i64::MAX));
@@ -1111,8 +1148,9 @@ impl NodeCore {
     /// `true` while `victim` is demonstrably alive here: its link is up and
     /// carried a frame within the suspicion timeout.
     fn directly_live(&self, victim: MemberId) -> bool {
+        let r = self.peers.get(&victim);
         self.links.contains(&victim)
-            && (self.last_seen.get(&victim)).is_some_and(|&t| self.now - t <= self.timeout_us)
+            && (r.and_then(|r| r.last_seen)).is_some_and(|t| self.now - t <= self.timeout_us)
     }
 
     /// A corroborated crash report vetoed because its victim was still
@@ -1270,7 +1308,9 @@ impl NodeCore {
             None
         };
         self.drop_link(victim);
-        self.next_dial.remove(&victim);
+        if let Some(r) = self.peers.get_mut(&victim) {
+            r.redial = None;
+        }
         // Frames parked for an excommunicated peer are abandoned; if it
         // ever rejoins, anti-entropy summaries catch it up instead.
         self.reliable.abandon(victim);
@@ -1316,7 +1356,7 @@ impl NodeCore {
         // and it suspects them.
         for peer in report.removed_for(self.id) {
             let until = self.now + self.timeout_us / 2;
-            self.link_grace.entry(peer).or_insert(until);
+            self.peers.entry(peer).or_default().grace.get_or_insert(until);
         }
         for peer in report.added_for(self.id).collect::<Vec<_>>() {
             if self.id < peer {
@@ -1340,9 +1380,11 @@ impl NodeCore {
     fn reconcile(&mut self) {
         let now = self.now;
         let probe_all = self.probe_all();
-        // Expired entries go, so that each left is a deadline still ahead.
-        self.link_grace.retain(|_, &mut deadline| now < deadline);
-        self.next_dial.retain(|_, &mut due| now < due);
+        // Expired deadlines go, so that each left is one still ahead.
+        for r in self.peers.values_mut() {
+            r.grace = r.grace.filter(|&deadline| now < deadline);
+            r.redial = r.redial.filter(|&due| now < due);
+        }
 
         // Teardown is dialer-driven so a link is never closed by a node
         // that merely hasn't healed yet; links to crashed members go down
@@ -1351,7 +1393,7 @@ impl NodeCore {
         let unwanted: Vec<MemberId> = (self.links.iter().copied())
             .filter(|peer| {
                 !probe_all
-                    && !self.link_grace.contains_key(peer)
+                    && (self.peers.get(peer)).is_none_or(|r| r.grace.is_none())
                     && (self.crashed.contains(peer)
                         || (self.id < *peer && !self.desired.contains(peer)))
             })
@@ -1362,9 +1404,8 @@ impl NodeCore {
         }
 
         let due = |peer: &MemberId| {
-            !self.links.contains(peer)
-                && !self.dialing.contains(peer)
-                && !self.next_dial.contains_key(peer)
+            let r = self.peers.get(peer);
+            r.is_none_or(|r| matches!(r.link, LinkState::Down) && r.redial.is_none())
         };
         let dials: Vec<MemberId> = if probe_all {
             (self.roster.iter().copied())
@@ -1407,7 +1448,9 @@ impl NodeCore {
 
     /// Asks the driver for a link to `peer`, unless one is up or underway.
     fn dial(&mut self, peer: MemberId) {
-        if !self.links.contains(&peer) && self.dialing.insert(peer) {
+        let r = self.peers.entry(peer).or_default();
+        if matches!(r.link, LinkState::Down) {
+            r.link = LinkState::Dialing;
             self.out.push(Action::Dial { peer });
         }
     }
@@ -1419,7 +1462,6 @@ impl NodeCore {
     /// the roster does not know never becomes a link that floods and
     /// heartbeats.
     fn on_link_up(&mut self, peer: MemberId, dialed: bool) {
-        self.dialing.remove(&peer);
         if peer == self.id || peer >= wire::MAX_MEMBERS || !self.roster.contains(&peer) {
             self.count("runtime.hello_rejected");
             self.out.push(Action::Close { peer });
@@ -1427,25 +1469,19 @@ impl NodeCore {
         }
         let now = self.now;
         let excommunicated = self.crashed.contains(&peer);
+        self.count(if dialed { "runtime.dials" } else { "runtime.accepts" });
+        let r = self.peers.entry(peer).or_default();
+        r.link = LinkState::Up { last_sent: now };
+        r.last_seen = Some(now);
         if dialed {
-            self.next_dial.remove(&peer);
-            self.count("runtime.dials");
-        } else {
-            self.count("runtime.accepts");
+            r.redial = None;
         }
-        self.links.insert(peer);
-        self.last_seen.insert(peer, now);
-        self.last_sent.insert(peer, now);
-        self.reliable.reset_link(peer);
-        self.reset_byz_link(peer);
         // A connect alone does not forgive a dial-failure streak: the
         // escalated schedule stays until the link survives a full
         // probation window.
-        if let Some(b) = self.backoffs.get_mut(&peer) {
+        if let Some(b) = r.backoff.as_mut() {
             b.connected(now);
         }
-        self.rec(EventKind::Connect { peer: peer as u32 });
-        self.drive(|r, _, _, now, out| r.flush(peer, now, out));
         if !dialed && !excommunicated && !self.desired.contains(&peer) {
             // Nobody dials outside the overlay without a reason: a grave
             // probe that found this node alive and has a dead notice to
@@ -1453,15 +1489,23 @@ impl NodeCore {
             // back in. Hanging up at once — the dialer-side teardown, when
             // this side has the lower id — would leave the caller's stale
             // exclusion standing for good.
-            self.link_grace.insert(peer, now + 2 * self.timeout_us);
+            r.grace = Some(now + 2 * self.timeout_us);
         }
         if excommunicated {
-            // Hold the link open long enough for the rejoin handshake. A
-            // grave probe that found its target alive says so at once: even
-            // if the peer's own reconcile pass tears the probe link down, a
-            // healthy peer answers with a flooded `JOIN` wave that reaches
-            // us through the mesh. (Degraded nodes already probe everyone.)
-            self.link_grace.insert(peer, now + self.timeout_us);
+            // Hold the link open long enough for the rejoin handshake.
+            r.grace = Some(now + self.timeout_us);
+        }
+        self.links.insert(peer);
+        self.reliable.reset_link(peer);
+        self.reset_byz_link(peer);
+        self.rec(EventKind::Connect { peer: peer as u32 });
+        self.drive(|r, _, _, now, out| r.flush(peer, now, out));
+        if excommunicated {
+            // A grave probe that found its target alive says so at once:
+            // even if the peer's own reconcile pass tears the probe link
+            // down, a healthy peer answers with a flooded `JOIN` wave that
+            // reaches us through the mesh. (Degraded nodes already probe
+            // everyone.)
             if dialed && !self.probe_all() {
                 self.count("runtime.grave_probes_hit");
                 self.maybe_send_dead_notice(peer);
@@ -1475,19 +1519,18 @@ impl NodeCore {
     /// on low-frequency probation instead — never permanent abandonment,
     /// because a healed partition must eventually reconnect.
     fn dial_failed(&mut self, peer: MemberId) {
-        self.dialing.remove(&peer);
         self.count("runtime.dial_failures");
-        let policy = self.retry;
-        let backoff = self
-            .backoffs
-            .entry(peer)
-            .or_insert_with(|| Backoff::new(policy));
+        let (policy, r) = (self.retry, self.peers.entry(peer).or_default());
+        if matches!(r.link, LinkState::Dialing) {
+            r.link = LinkState::Down;
+        }
+        let backoff = r.backoff.get_or_insert_with(|| Backoff::new(policy));
         let delay = backoff.next_delay(&mut self.rng).unwrap_or_else(|| {
             backoff.reset();
             self.metrics.counter("runtime.dial_probations").inc();
             policy.cap_us * 8
         });
-        self.next_dial.insert(peer, self.now + delay);
+        r.redial = Some(self.now + delay);
     }
 
     /// Closes and forgets the link to `peer` (if any), parking the reliable
@@ -1497,13 +1540,17 @@ impl NodeCore {
             self.out.push(Action::Close { peer });
             self.rec(EventKind::Disconnect { peer: peer as u32 });
         }
-        self.last_seen.remove(&peer);
-        self.last_sent.remove(&peer);
+        if let Some(r) = self.peers.get_mut(&peer) {
+            if matches!(r.link, LinkState::Up { .. }) {
+                r.link = LinkState::Down;
+            }
+            r.last_seen = None;
+            if let Some(b) = r.backoff.as_mut() {
+                b.disconnected();
+            }
+        }
         self.reliable.reset_link(peer);
         self.reset_byz_link(peer);
-        if let Some(b) = self.backoffs.get_mut(&peer) {
-            b.disconnected();
-        }
     }
 
     /// A link went down or came up: whoever is at its other end next is
