@@ -127,15 +127,6 @@ pub enum Action {
         /// The frame.
         msg: Message,
     },
-    /// Write `msg` on every link except the one to `except`: a best-effort
-    /// control flood (a crash or join wave), one action instead of one
-    /// [`Action::Send`] and one frame clone per link.
-    Flood {
-        /// The frame.
-        msg: Message,
-        /// The peer it came from, if it is a relay.
-        except: Option<MemberId>,
-    },
     /// Open a link to `peer`; answer with [`Event::LinkUp`] or
     /// [`Event::DialFailed`].
     Dial {
@@ -613,20 +604,10 @@ impl NodeCore {
     fn note_sent(&mut self, start: usize) {
         let now = self.now;
         for action in &self.out[start..] {
-            match action {
-                Action::Send { to, .. } => {
-                    if let Some(sent) = self.peers.get_mut(to).and_then(Peer::last_sent) {
-                        *sent = now;
-                    }
+            if let Action::Send { to, .. } = action {
+                if let Some(sent) = self.peers.get_mut(to).and_then(Peer::last_sent) {
+                    *sent = now;
                 }
-                Action::Flood { except, .. } => {
-                    for (peer, r) in &mut self.peers {
-                        if let Some(sent) = r.last_sent().filter(|_| Some(*peer) != *except) {
-                            *sent = now;
-                        }
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -976,13 +957,15 @@ impl NodeCore {
         }
     }
 
-    /// Best-effort flood of a control frame (a crash or join wave) to every
-    /// linked peer except `except`. Data frames never come this way — they
-    /// go through [`Self::drive`].
+    /// Best-effort flood of a control frame (a crash or join wave): one
+    /// send to each linked peer but `except`, in link order. Data frames
+    /// never come this way — they go through [`Self::drive`].
     fn flood(&mut self, msg: Message, except: Option<MemberId>) {
-        if !self.links.is_empty() {
-            self.out.push(Action::Flood { msg, except });
-        }
+        let to = self.links.iter().filter(|&&p| Some(p) != except);
+        (self.out).extend(to.map(|&to| Action::Send {
+            to,
+            msg: msg.clone(),
+        }));
     }
 
     /// Runs one transition of the reliable plane — handing it the dedup

@@ -41,7 +41,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::ops::Bound;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -415,8 +414,7 @@ struct NodeDriver {
     /// (dial outcomes), fed back once it is drained.
     out: Vec<Action>,
     pending: VecDeque<core::Event>,
-    /// Every live connection, keyed by peer id (ordered: a flood goes out
-    /// in the same order on every host).
+    /// Every live connection, keyed by peer id.
     links: BTreeMap<MemberId, Link>,
     strangers: Vec<Stranger>,
     /// Per-peer outbound frame counters keying fault-injection decisions.
@@ -599,17 +597,6 @@ impl NodeDriver {
             for action in out.drain(..) {
                 match action {
                     Action::Send { to, msg } => self.send_to(to, &msg),
-                    // By key: queueing a frame needs the whole driver.
-                    Action::Flood { msg, except } => {
-                        let mut next = self.links.keys().next().copied();
-                        while let Some(to) = next {
-                            if Some(to) != except {
-                                self.send_to(to, &msg);
-                            }
-                            let after = (Bound::Excluded(to), Bound::Unbounded);
-                            next = self.links.range(after).next().map(|(&p, _)| p);
-                        }
-                    }
                     Action::Dial { peer } => {
                         let outcome = self.dial(peer);
                         self.pending.push_back(outcome);

@@ -149,11 +149,6 @@ impl SimNode {
             match action {
                 Action::Send { to, msg } if st.up.contains(&to) => ctx.send(node(to), msg),
                 Action::Send { .. } => {}
-                Action::Flood { msg, except } => {
-                    for &to in st.up.iter().filter(|&&p| Some(p) != except) {
-                        ctx.send(node(to), msg.clone());
-                    }
-                }
                 Action::Dial { peer } => {
                     let timeout = self.world.dial_timeout_us;
                     st.dialing.insert(peer, now + timeout);

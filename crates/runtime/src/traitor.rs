@@ -161,17 +161,26 @@ impl Node {
     fn answer(&mut self, from: MemberId, fwd: Message, out: &mut Vec<Action>) {
         let (me, lie) = (self.id as u32, !std::mem::replace(&mut self.lied, true));
         match self.script {
-            // The identical frame again: a replayed `SEND` dies in a correct
-            // peer's seen-set, replayed votes OR in bits it holds.
-            Some(Replay) => out.push(Action::Flood {
-                msg: fwd,
-                except: Some(from),
-            }),
-            // Impersonates the lowest other member of the replica as origin.
+            // The identical frame again, to every live link but the one it
+            // came on: a replayed `SEND` dies in a correct peer's seen-set,
+            // replayed votes OR in bits it holds.
+            Some(Replay) => {
+                let links = self.core.links().iter().filter(|&&to| to != from);
+                out.extend(links.map(|&to| Action::Send {
+                    to,
+                    msg: fwd.clone(),
+                }));
+            }
+            // Impersonates the lowest other member of the replica as origin,
+            // to every live link.
             Some(Forge) if lie => {
                 let victim = self.lowest_other_member().unwrap_or(self.id) as u32;
                 let msg = forged_votes(me, victim).to_message(me);
-                out.push(Action::Flood { msg, except: None });
+                let links = self.core.links().iter();
+                out.extend(links.map(|&to| Action::Send {
+                    to,
+                    msg: msg.clone(),
+                }));
             }
             // One story to even-indexed live links (by member id), the
             // other to odd.

@@ -41,7 +41,6 @@ fn a_frame_carrying_the_reserved_tag_bit_is_dropped_as_malformed() {
         assert_eq!(malformed, i as u64 + 1, "{id:#x} counted");
         let carries = |a: &Action| match a {
             Action::Deliver { msg, .. }
-            | Action::Flood { msg, .. }
             | Action::Send { msg, .. }
             | Action::ByzDeliver { msg } => msg.broadcast_id == id,
             _ => false,

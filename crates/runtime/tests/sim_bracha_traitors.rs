@@ -225,7 +225,7 @@ fn bracha_properties_hold_against_every_traitor_and_the_exchange_goes_quiet() {
 /// `Equivocate` and `Forge` lie on the first byz frame a life sees, and on
 /// no later one: a traitor wrapped around a core with its overlay links up
 /// is handed three `SEND`s, and the lies among its actions are counted —
-/// one story per link, or one flood of forged votes — in each of two lives.
+/// one story or one frame of forged votes per link — in each of two lives.
 #[test]
 fn equivocate_and_forge_lie_once_per_life() {
     let overlay = DynamicOverlay::bootstrap(Constraint::KDiamond, 8, K).expect("overlay");
@@ -270,28 +270,27 @@ fn equivocate_and_forge_lie_once_per_life() {
                 node.handle(Event::Frame { from, msg }, nonce * MS, &mut out);
                 lies.extend(out.iter().filter_map(|a| lie(a, traitor)));
             }
-            let want = match behavior {
-                TraitorBehavior::Equivocate => links.len(),
+            assert_eq!(lies.len(), links.len(), "{behavior:?} life {life}: {lies:?}");
+            let stories: BTreeSet<u64> = lies.iter().copied().collect();
+            let told = match behavior {
+                TraitorBehavior::Equivocate => 2,
                 _ => 1,
             };
-            assert_eq!(lies.len(), want, "{behavior:?} life {life}: {lies:?}");
-            let stories: BTreeSet<u64> = lies.iter().copied().collect();
-            let told = if want > 1 { 2 } else { 1 };
             assert_eq!(stories.len(), told, "{behavior:?} life {life}: {lies:?}");
         }
     }
 }
 
 /// A traitor's lie among its actions, by the digest it tells: an
-/// equivocation `SEND` under its own instance, or a flooded `VOTES` frame
-/// (0), which a node without a vote exchange sends only forged.
+/// equivocation `SEND` under its own instance, or a `VOTES` frame (0),
+/// which a node without a vote exchange sends only forged.
 fn lie(action: &Action, traitor: MemberId) -> Option<u64> {
     let mine = EQUIVOCATE_NONCE_BASE + traitor;
     match action {
+        Action::Send { msg, .. } if msg.broadcast_id == VOTES_ID => Some(0),
         Action::Send { msg, .. } => GossipFrame::from_message(msg)
             .filter(|f| f.tag.origin == traitor as u32 && f.tag.nonce == mine)
             .map(|f| f.digest),
-        Action::Flood { msg, .. } => (msg.broadcast_id == VOTES_ID).then_some(0),
         _ => None,
     }
 }
