@@ -655,12 +655,6 @@ impl NodeCore {
             peer: from as u32,
             bytes: (msg.encoded_len() + lhg_net::codec::LEN_PREFIX) as u32,
         });
-        if !excommunicated && self.links.contains(&from) && !self.overlay.contains(from) {
-            // A live peer our replica does not know: its JOIN flood must
-            // have been missed. Any frame over a link is ground truth — a
-            // busy link carries data, not heartbeats.
-            self.apply_join(from);
-        }
         match wire::classify(msg.broadcast_id) {
             FrameKind::Malformed => self.count("runtime.malformed_frames"),
             FrameKind::Heartbeat(_) => {

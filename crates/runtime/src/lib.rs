@@ -40,8 +40,7 @@
 //!    period plus wake-up latency), and a busy link carries none; a
 //!    configurable silence window marks a neighbor crashed (fail-stop
 //!    model: crashed nodes never speak again, so suspicion is permanent).
-//!    A frame from a linked peer the replica does not know re-admits it
-//!    (its `JOIN` was missed). With [`RuntimeConfig::byzantine`] set,
+//!    With [`RuntimeConfig::byzantine`] set,
 //!    suspicion is *corroborated*: a crash only applies once f+1 distinct
 //!    reporters (direct silence counts as a self-report, and a node that
 //!    applies a corroborated crash vouches for it in turn) agree, and a
