@@ -978,9 +978,9 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     #[must_use]
     pub fn retained_bytes(&self) -> usize {
         let store = self.store.ring.iter().map(|k| k.msg.payload.len());
-        let links = self.peers.values().flat_map(|p| &p.tx).map(LinkSender::retained_bytes);
-        let parked = self.peers.values().flat_map(|p| &p.parked);
-        store.chain(links).chain(parked.map(|m| m.payload.len())).sum()
+        let links = (self.peers.values().flat_map(|p| &p.tx)).map(LinkSender::retained_bytes);
+        let parked = (self.peers.values().flat_map(|p| &p.parked)).map(|m| m.payload.len());
+        store.chain(links).chain(parked).sum()
     }
 
     /// Sends the ack `peer`'s link owes in a frame of its own.
@@ -1216,10 +1216,9 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// some link, an ack owed: only then need a driver wake for the grid.
     #[must_use]
     pub fn pending(&self) -> bool {
-        self.peers.values().any(|p| {
-            let sending = p.tx.as_ref().is_some_and(|tx| tx.in_flight() + tx.queued() > 0);
-            sending || p.rx.dirty || p.rx.urgent
-        })
+        let sending = |tx: &LinkSender| tx.in_flight() + tx.queued() > 0;
+        (self.peers.values())
+            .any(|p| p.tx.as_ref().is_some_and(sending) || p.rx.dirty || p.rx.urgent)
     }
 
     /// One reliability tick: per peer, the retransmit sweep and then the
@@ -1283,21 +1282,19 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         let Some(p) = self.peers.get_mut(&peer) else {
             return;
         };
-        let Peer {
-            tx, mut parked, bit, ..
-        } = std::mem::take(p);
-        if bit != 0 {
-            self.used &= !bit;
+        let old = std::mem::take(p);
+        if old.bit != 0 {
+            self.used &= !old.bit;
             for kept in &mut self.store.ring {
-                kept.held &= !bit;
+                kept.held &= !old.bit;
             }
         }
-        if let Some(mut tx) = tx {
-            parked.extend(tx.take_undelivered());
-            let excess = parked.len().saturating_sub(self.cfg.queue_cap);
-            parked.drain(..excess);
+        p.parked = old.parked;
+        if let Some(mut tx) = old.tx {
+            p.parked.extend(tx.take_undelivered());
+            let excess = p.parked.len().saturating_sub(self.cfg.queue_cap);
+            p.parked.drain(..excess);
         }
-        p.parked = parked;
     }
 
     /// Abandons the frames parked for `peer` (it was excommunicated; if it
@@ -1311,7 +1308,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// A replacement link to `peer` is up: re-sends what [`Self::reset_link`]
     /// parked. Duplicates are harmless — the peer's dedup set absorbs them.
     pub fn flush(&mut self, peer: P, now_us: u64, out: &mut Sends<P>) {
-        let parked = self.peers.get_mut(&peer).map(|p| std::mem::take(&mut p.parked));
+        let parked = (self.peers.get_mut(&peer)).map(|p| std::mem::take(&mut p.parked));
         for msg in parked.unwrap_or_default() {
             self.send(peer, msg, now_us, out);
         }
@@ -2121,7 +2118,8 @@ mod tests {
         out.clear();
         let back = msg(7).with_link_seq(1).with_link_ack(1);
         peer.on_data(0, &back, &mut seen, 5, [0], &mut out);
-        assert_eq!(peer.peers[&0].tx.as_ref().map(LinkSender::in_flight), Some(0));
+        let tx = peer.peers[&0].tx.as_ref();
+        assert_eq!(tx.map(LinkSender::in_flight), Some(0));
     }
 
     #[test]

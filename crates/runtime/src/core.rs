@@ -28,8 +28,8 @@
 //!   deduplicated forever under per-wave nonces;
 //! * **failure detection** — any frame is proof of life, so heartbeats go
 //!   only to links nothing else was sent on for a heartbeat period (a held
-//!   list owed to the link goes in the heartbeat's place);
-//!   `last_seen` in, suspicion past the timeout; under a byzantine setup a
+//!   list owed to the link goes in the heartbeat's place); each peer's
+//!   last frame in, suspicion past the timeout; under a byzantine setup a
 //!   remote report applies only once f+1 distinct origins vouch for it and
 //!   the victim is not demonstrably alive on a direct link;
 //! * **healing** — `crash_many` on the overlay replica, the churn it
@@ -42,7 +42,9 @@
 //! * **link policy** — which links are wanted ([`NodeCore::tick`]'s
 //!   reconcile pass) and when a failed dial may be retried. Dials are
 //!   asynchronous: a [`Action::Dial`] is answered, whenever the driver
-//!   knows, by [`Event::LinkUp`] or [`Event::DialFailed`].
+//!   knows, by [`Event::LinkUp`] or [`Event::DialFailed`]. Each peer's
+//!   link state, last frame each way, dial backoff, grace and dead notices
+//!   are one record in one map, which every link event sets or resets.
 //!
 //! A node the run lists as a traitor holds no vote exchange here; what it
 //! does beyond relaying is [`crate::traitor`]'s, which wraps the core.
@@ -51,7 +53,7 @@
 //! wire accounting where a frame is queued, which socket is a peer's link,
 //! and the publication of state to other threads.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -188,15 +190,13 @@ fn us(d: Duration) -> u64 {
 }
 
 /// Where the link to one peer stands.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Default, PartialEq)]
 enum LinkState {
     #[default]
     Down,
     /// An [`Action::Dial`] is out, unanswered.
     Dialing,
-    /// Live; `last_sent` is the last time this core emitted anything on it,
-    /// what [`NodeCore::beat_idle_links`] reads.
-    Up { last_sent: u64 },
+    Up,
 }
 
 /// Everything a node keeps about one peer. A record is made the first time
@@ -205,33 +205,26 @@ enum LinkState {
 #[derive(Default)]
 struct Peer {
     link: LinkState,
-    /// Last time the peer produced any frame, while it is monitored.
+    /// Last time the peer produced any frame, while it is monitored, and
+    /// last time this core wrote to it (what idle heartbeats read; a link
+    /// coming up starts it afresh).
     last_seen: Option<u64>,
+    last_sent: u64,
     /// No redial before this time: the dial backoff's verdict, and the
     /// per-peer jittered exponential state behind it.
     redial: Option<u64>,
     backoff: Option<Backoff>,
     /// The reconcile pass must leave the link up, wanted or not, until this
-    /// time: an excommunicated peer heard from recently (so the rejoin
-    /// handshake can complete), a caller from outside the overlay (so it
-    /// can be heard out), a link a heal just dropped (so what is in flight
-    /// on it lands). Set on a peer whose link is not up as well — a heal
-    /// drops the crashed victim's — and its expiry is a deadline either way.
+    /// time: an excommunicated peer heard from recently, a caller from
+    /// outside the overlay, a link a heal just dropped (the crashed
+    /// victim's too, though it is down). A deadline whatever the link.
     grace: Option<u64>,
-    /// Last time a dead notice went to the peer (rate limiting).
+    /// Last time a dead notice went to the peer (rate limiting), and
+    /// whether the peer sent us one since our last answer (byzantine runs).
     notice_sent: Option<u64>,
+    noticed_us: bool,
     /// `runtime.heartbeat_age_us.n<id>.p<peer>`, resolved on first use.
     age_gauge: Option<Arc<Gauge>>,
-}
-
-impl Peer {
-    /// The last time anything was sent on the link, while it is up.
-    fn last_sent(&mut self) -> Option<&mut u64> {
-        match &mut self.link {
-            LinkState::Up { last_sent } => Some(last_sent),
-            LinkState::Down | LinkState::Dialing => None,
-        }
-    }
 }
 
 /// The sans-IO node state machine; see the module docs.
@@ -313,9 +306,7 @@ pub struct NodeCore {
     healing_since: Option<u64>,
     /// Corroborated suspicion: distinct wave origins that have reported
     /// each victim crashed ([`Self::note_crash_report`]).
-    crash_reporters: HashMap<MemberId, BTreeSet<MemberId>>,
-    /// Distinct peers that sent us a dead notice (byzantine runs).
-    notice_senders: BTreeSet<MemberId>,
+    crash_reporters: BTreeMap<MemberId, BTreeSet<MemberId>>,
     /// `runtime.payload_bytes_retained.n<id>`, resolved at boot: what the
     /// data plane holds on to ([`ReliableCore::retained_bytes`]), fresh as
     /// of the latest summary round.
@@ -421,8 +412,7 @@ impl NodeCore {
             rejoin_cooldown: None,
             pending_join_announce: opts.announce_join,
             healing_since: None,
-            crash_reporters: HashMap::new(),
-            notice_senders: BTreeSet::new(),
+            crash_reporters: BTreeMap::new(),
             retained_gauge,
             acks_sent,
             acks_piggybacked,
@@ -550,10 +540,7 @@ impl NodeCore {
             seen.map_or(self.now, |t| t + timeout + 1)
         });
         let own = self.peers.values().flat_map(|r| {
-            let idle = match r.link {
-                LinkState::Up { last_sent } => Some(last_sent + beat),
-                LinkState::Down | LinkState::Dialing => None,
-            };
+            let idle = (r.link == LinkState::Up).then_some(r.last_sent + beat);
             [idle, r.redial, r.grace].into_iter().flatten()
         });
         let dues = sweep.into_iter().chain(silent).chain(own);
@@ -585,7 +572,7 @@ impl NodeCore {
             // stayed healthy for a full probation window (see
             // `lhg_net::backoff`).
             for r in core.peers.values_mut() {
-                let up = matches!(r.link, LinkState::Up { .. });
+                let up = r.link == LinkState::Up;
                 if up && r.backoff.as_mut().is_some_and(|b| b.maybe_reset(now_us)) {
                     r.backoff = None;
                 }
@@ -605,8 +592,8 @@ impl NodeCore {
         let now = self.now;
         for action in &self.out[start..] {
             if let Action::Send { to, .. } = action {
-                if let Some(sent) = self.peers.get_mut(to).and_then(Peer::last_sent) {
-                    *sent = now;
+                if let Some(r) = self.peers.get_mut(to) {
+                    r.last_sent = now;
                 }
             }
         }
@@ -857,11 +844,11 @@ impl NodeCore {
         // forgery; react only once f+1 distinct peers agree we were
         // excommunicated (a lone traitor cannot trigger rejoin flapping).
         if self.crash_quorum > 1 {
-            self.notice_senders.insert(from);
-            if self.notice_senders.len() < self.crash_quorum {
+            self.peers.entry(from).or_default().noticed_us = true;
+            if self.peers.values().filter(|r| r.noticed_us).count() < self.crash_quorum {
                 return;
             }
-            self.notice_senders.clear();
+            self.peers.values_mut().for_each(|r| r.noticed_us = false);
         }
         self.rejoin_cooldown = Some(now + self.timeout_us);
         self.settle = true; // the tick due now probes all, or clears the flag
@@ -907,16 +894,15 @@ impl NodeCore {
         if self.crashed.remove(&member) {
             self.view_epoch += 1;
         }
-        // A rejoined member starts afresh: heard from now, no grace, no
-        // notice sent, no dial backoff — and its pre-join crash reports
-        // are stale evidence.
+        // A rejoined member starts afresh: heard from now, no dial backoff,
+        // no grace, no notice sent — and its pre-join crash reports are
+        // stale evidence.
         let r = self.peers.entry(member).or_default();
-        *r = Peer {
-            link: r.link,
-            last_seen: Some(self.now),
-            age_gauge: r.age_gauge.take(),
-            ..Peer::default()
-        };
+        r.last_seen = Some(self.now);
+        r.redial = None;
+        r.backoff = None;
+        r.grace = None;
+        r.notice_sent = None;
         self.crash_reporters.remove(&member);
         if !self.overlay.contains(member) {
             if let Ok(report) = Arc::make_mut(&mut self.overlay).admit(member) {
@@ -1064,15 +1050,10 @@ impl NodeCore {
         let (now, beat) = (self.now, self.beat_us);
         let heartbeat = self.control(wire::heartbeat_id(self.id));
         let mut sends = std::mem::take(&mut self.outbox);
-        for &peer in &self.links {
-            let Some(sent) = self.peers.get_mut(&peer).and_then(Peer::last_sent) else {
-                continue;
-            };
-            if now.saturating_sub(*sent) >= beat {
-                *sent = now;
-                if !self.reliable.answer(peer, &mut sends) {
-                    sends.push((peer, heartbeat.clone()));
-                }
+        for (&peer, r) in &self.peers {
+            let idle = r.link == LinkState::Up && now.saturating_sub(r.last_sent) >= beat;
+            if idle && !self.reliable.answer(peer, &mut sends) {
+                sends.push((peer, heartbeat.clone()));
             }
         }
         self.push_sends(sends);
@@ -1140,17 +1121,12 @@ impl NodeCore {
     /// heartbeat period.
     fn lift_stale_vetoes(&mut self) {
         let quorum = self.crash_quorum;
-        if quorum <= 1 || self.crash_reporters.is_empty() {
-            return;
-        }
-        let mut lifted: Vec<MemberId> = (self.crash_reporters.iter())
+        let lifted: Vec<MemberId> = (self.crash_reporters.iter())
             .filter(|(v, reporters)| reporters.len() >= quorum && !self.crashed.contains(v))
             .map(|(&v, _)| v)
             .filter(|&v| !self.directly_live(v))
             .collect();
-        lifted.sort_unstable(); // a hash map's order is no order
         for victim in lifted {
-            self.crash_reporters.remove(&victim);
             self.crash_wave(victim);
             self.apply_crash(victim);
         }
@@ -1194,7 +1170,6 @@ impl NodeCore {
             self.count("runtime.crash_vetoes");
             return;
         }
-        self.crash_reporters.remove(&victim);
         self.crash_wave(victim);
         self.apply_crash(victim);
     }
@@ -1263,6 +1238,8 @@ impl NodeCore {
         if victim == self.id || !self.crashed.insert(victim) {
             return;
         }
+        // The reports against the victim have served.
+        self.crash_reporters.remove(&victim);
         self.count("runtime.crashes_applied");
         if self.healing_since.is_none() {
             self.healing_since = Some(self.now);
@@ -1285,9 +1262,7 @@ impl NodeCore {
             None
         };
         self.drop_link(victim);
-        if let Some(r) = self.peers.get_mut(&victim) {
-            r.redial = None;
-        }
+        self.peers.entry(victim).or_default().redial = None;
         // Frames parked for an excommunicated peer are abandoned; if it
         // ever rejoins, anti-entropy summaries catch it up instead.
         self.reliable.abandon(victim);
@@ -1299,7 +1274,7 @@ impl NodeCore {
 
     /// Leaves degraded mode once joins have brought the suspect count back
     /// within the k−1 budget, then applies the heals deferred while the
-    /// budget was blown.
+    /// budget was blown; its caller, [`Self::apply_join`], reconciles.
     fn maybe_exit_degraded(&mut self) {
         if !self.degraded || self.crashed.len() >= self.k {
             return;
@@ -1316,7 +1291,6 @@ impl NodeCore {
                 self.apply_churn(&report);
             }
         }
-        self.reconcile();
     }
 
     /// Applies one churn report: let removed links linger, dial added ones
@@ -1331,9 +1305,10 @@ impl NodeCore {
         // one crash, close the links the other's wave was crossing, and keep
         // a replica nobody else holds — its neighbors-to-be never dial it,
         // and it suspects them.
+        let until = self.now + self.timeout_us / 2;
         for peer in report.removed_for(self.id) {
-            let until = self.now + self.timeout_us / 2;
-            self.peers.entry(peer).or_default().grace.get_or_insert(until);
+            let r = self.peers.entry(peer).or_default();
+            r.grace.get_or_insert(until);
         }
         for peer in report.added_for(self.id).collect::<Vec<_>>() {
             if self.id < peer {
@@ -1382,7 +1357,7 @@ impl NodeCore {
 
         let due = |peer: &MemberId| {
             let r = self.peers.get(peer);
-            r.is_none_or(|r| matches!(r.link, LinkState::Down) && r.redial.is_none())
+            r.is_none_or(|r| r.link == LinkState::Down && r.redial.is_none())
         };
         let dials: Vec<MemberId> = if probe_all {
             (self.roster.iter().copied())
@@ -1426,7 +1401,7 @@ impl NodeCore {
     /// Asks the driver for a link to `peer`, unless one is up or underway.
     fn dial(&mut self, peer: MemberId) {
         let r = self.peers.entry(peer).or_default();
-        if matches!(r.link, LinkState::Down) {
+        if r.link == LinkState::Down {
             r.link = LinkState::Dialing;
             self.out.push(Action::Dial { peer });
         }
@@ -1446,20 +1421,26 @@ impl NodeCore {
         }
         let now = self.now;
         let excommunicated = self.crashed.contains(&peer);
-        self.count(if dialed { "runtime.dials" } else { "runtime.accepts" });
-        let r = self.peers.entry(peer).or_default();
-        r.link = LinkState::Up { last_sent: now };
-        r.last_seen = Some(now);
         if dialed {
-            r.redial = None;
+            self.peers.entry(peer).or_default().redial = None;
+            self.count("runtime.dials");
+        } else {
+            self.count("runtime.accepts");
         }
+        let r = self.peers.entry(peer).or_default();
+        r.link = LinkState::Up;
+        r.last_seen = Some(now);
+        r.last_sent = now;
         // A connect alone does not forgive a dial-failure streak: the
         // escalated schedule stays until the link survives a full
         // probation window.
         if let Some(b) = r.backoff.as_mut() {
             b.connected(now);
         }
-        if !dialed && !excommunicated && !self.desired.contains(&peer) {
+        if excommunicated {
+            // Hold the link open long enough for the rejoin handshake.
+            r.grace = Some(now + self.timeout_us);
+        } else if !dialed && !self.desired.contains(&peer) {
             // Nobody dials outside the overlay without a reason: a grave
             // probe that found this node alive and has a dead notice to
             // deliver, a degraded node probing every member for a way
@@ -1468,25 +1449,17 @@ impl NodeCore {
             // exclusion standing for good.
             r.grace = Some(now + 2 * self.timeout_us);
         }
-        if excommunicated {
-            // Hold the link open long enough for the rejoin handshake.
-            r.grace = Some(now + self.timeout_us);
-        }
         self.links.insert(peer);
-        self.reliable.reset_link(peer);
-        self.reset_byz_link(peer);
+        self.reset_planes(peer);
         self.rec(EventKind::Connect { peer: peer as u32 });
         self.drive(|r, _, _, now, out| r.flush(peer, now, out));
-        if excommunicated {
-            // A grave probe that found its target alive says so at once:
-            // even if the peer's own reconcile pass tears the probe link
-            // down, a healthy peer answers with a flooded `JOIN` wave that
-            // reaches us through the mesh. (Degraded nodes already probe
-            // everyone.)
-            if dialed && !self.probe_all() {
-                self.count("runtime.grave_probes_hit");
-                self.maybe_send_dead_notice(peer);
-            }
+        // A grave probe that found its target alive says so at once: even if
+        // the peer's own reconcile pass tears the probe link down, a healthy
+        // peer answers with a flooded `JOIN` wave that reaches us through
+        // the mesh. (Degraded nodes already probe everyone.)
+        if excommunicated && dialed && !self.probe_all() {
+            self.count("runtime.grave_probes_hit");
+            self.maybe_send_dead_notice(peer);
         }
         self.check_healed();
     }
@@ -1498,7 +1471,7 @@ impl NodeCore {
     fn dial_failed(&mut self, peer: MemberId) {
         self.count("runtime.dial_failures");
         let (policy, r) = (self.retry, self.peers.entry(peer).or_default());
-        if matches!(r.link, LinkState::Dialing) {
+        if r.link == LinkState::Dialing {
             r.link = LinkState::Down;
         }
         let backoff = r.backoff.get_or_insert_with(|| Backoff::new(policy));
@@ -1518,7 +1491,7 @@ impl NodeCore {
             self.rec(EventKind::Disconnect { peer: peer as u32 });
         }
         if let Some(r) = self.peers.get_mut(&peer) {
-            if matches!(r.link, LinkState::Up { .. }) {
+            if r.link == LinkState::Up {
                 r.link = LinkState::Down;
             }
             r.last_seen = None;
@@ -1526,13 +1499,14 @@ impl NodeCore {
                 b.disconnected();
             }
         }
-        self.reliable.reset_link(peer);
-        self.reset_byz_link(peer);
+        self.reset_planes(peer);
     }
 
-    /// A link went down or came up: whoever is at its other end next is
-    /// offered every Bracha instance again.
-    fn reset_byz_link(&mut self, peer: MemberId) {
+    /// A link went down or came up: both planes start it afresh. The
+    /// reliable plane parks what the old link never delivered, and whoever
+    /// is at the other end next is offered every Bracha instance again.
+    fn reset_planes(&mut self, peer: MemberId) {
+        self.reliable.reset_link(peer);
         if let Some(x) = self.exchange.as_mut() {
             x.reset_link(peer);
         }

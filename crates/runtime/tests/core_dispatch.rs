@@ -40,9 +40,9 @@ fn a_frame_carrying_the_reserved_tag_bit_is_dropped_as_malformed() {
         let malformed = metrics.counter("runtime.malformed_frames").get();
         assert_eq!(malformed, i as u64 + 1, "{id:#x} counted");
         let carries = |a: &Action| match a {
-            Action::Deliver { msg, .. }
-            | Action::Send { msg, .. }
-            | Action::ByzDeliver { msg } => msg.broadcast_id == id,
+            Action::Deliver { msg, .. } | Action::Send { msg, .. } | Action::ByzDeliver { msg } => {
+                msg.broadcast_id == id
+            }
             _ => false,
         };
         assert!(!out.iter().any(carries), "{id:#x} went on: {out:?}");

@@ -270,7 +270,11 @@ fn equivocate_and_forge_lie_once_per_life() {
                 node.handle(Event::Frame { from, msg }, nonce * MS, &mut out);
                 lies.extend(out.iter().filter_map(|a| lie(a, traitor)));
             }
-            assert_eq!(lies.len(), links.len(), "{behavior:?} life {life}: {lies:?}");
+            assert_eq!(
+                lies.len(),
+                links.len(),
+                "{behavior:?} life {life}: {lies:?}"
+            );
             let stories: BTreeSet<u64> = lies.iter().copied().collect();
             let told = match behavior {
                 TraitorBehavior::Equivocate => 2,
