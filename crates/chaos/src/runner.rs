@@ -958,8 +958,10 @@ mod tests {
     /// to idle links only: survivors 5–7 vetoed the corroborated crash of 4
     /// because a link that lingered after an earlier heal had carried 4's
     /// last frame a few ms after the reporters' links did — and nothing
-    /// re-evaluated the veto, nor watched that link. Fails again with
-    /// `lift_stale_vetoes` taken out of `core.rs`.
+    /// re-evaluated the veto, nor watched that link. `lift_stale_vetoes`
+    /// was the fix. Taking it out of `core.rs` no longer turns this seed
+    /// red (full-size 1654 below does), so it stays as a mixed run that
+    /// must stay green.
     #[test]
     fn sim_quick_mixed_seed_169_lifts_a_stale_crash_veto() {
         let plan = FaultPlan::random(169, true);
@@ -968,15 +970,64 @@ mod tests {
         assert!(report.passed(), "violations: {:?}", report.violations);
     }
 
+    /// Runs `seed` and asserts it green.
+    fn assert_green(seed: u64, quick: bool, family: Family) {
+        let plan = FaultPlan::random(seed, quick);
+        assert_eq!(plan.family, family);
+        let report = run_sim_chaos(&plan);
+        assert!(report.passed(), "seed {seed}: {:?}", report.violations);
+    }
+
+    /// The seed that keeps crash vouching in `core.rs`. With the wave a
+    /// node floods when it applies a corroborated crash taken out (both
+    /// `crash_wave` calls, in `note_crash_report` and `lift_stale_vetoes`),
+    /// full-size mixed seed 1619 runs past the virtual-time horizon; quick
+    /// 739 and 1619 go red as well.
+    #[test]
+    fn sim_full_mixed_seed_1619_needs_crash_vouching() {
+        assert_green(1619, false, Family::Mixed);
+    }
+
+    /// The seed that keeps `lift_stale_vetoes` in `core.rs`. With it taken
+    /// out, full-size mixed seed 1654 times out detecting the crash of 3
+    /// under byzantine corroboration; quick 1654 and 1994 go red the same
+    /// way.
+    #[test]
+    fn sim_full_mixed_seed_1654_needs_stale_vetoes_lifted() {
+        assert_green(1654, false, Family::Mixed);
+    }
+
+    /// The seed that keeps heal grace in `core.rs`. When a heal closes the
+    /// links it drops at once instead of letting them linger half a
+    /// timeout (`apply_churn`), full-size crash seed 275 times out healing:
+    /// the first of 33 full-size and 16 quick runs that go red.
+    #[test]
+    fn sim_full_crash_seed_275_needs_heal_grace() {
+        assert_green(275, false, Family::Crash);
+    }
+
+    /// Quick mixed seed 1349, the slowest run of either sweep: it ends at
+    /// 1.96 s of its 2 s virtual-time horizon, because a node that got no
+    /// tree copy of a `SEND` pulls the payload over lossy links one repair
+    /// round at a time. Green by name, so that a slower repair shows here.
+    #[test]
+    fn sim_quick_mixed_seed_1349_ends_inside_the_horizon() {
+        assert_green(1349, true, Family::Mixed);
+    }
+
     /// The seeds whose first run on `NodeCore` wedged, one per hole they
-    /// found in it (DESIGN §9 item 7 c–d), full-size as they were found:
+    /// found in it (DESIGN §9 item 7 c–e), full-size as they were found:
     /// 51 — a grave probe from the higher id was hung up on before its dead
     /// notice crossed; 60 — a heal closed the links the other victim's
-    /// crash wave was crossing. Each fails again with its fix taken out of
-    /// `core.rs`. 191 found a hole in a membership snapshot a degraded
-    /// node could install; a node told it is excommunicated now always
-    /// answers with `JOIN`, so no snapshot exists, and the seed stays here
-    /// as a partition run that must stay green.
+    /// crash wave was crossing; 191 — a membership snapshot a degraded
+    /// node could install, gone with the snapshot. Today 191 is the pin
+    /// for two mechanisms of `core.rs`: it fails to reconverge after its
+    /// partition heals with grave probes taken out, and with the grace for
+    /// a caller from outside the overlay taken out (the fix found by 51).
+    /// Neither 51 nor 60 goes red without grave probes, outside-caller
+    /// grace, heal grace (60's fix; full crash 275 pins it), crash
+    /// vouching or stale-veto lifting; both stay as runs that must stay
+    /// green.
     #[test]
     fn sim_seeds_that_found_membership_wedges_stay_green() {
         for seed in [51, 60, 191] {
@@ -1002,7 +1053,8 @@ mod tests {
     /// with `JOIN`, came back another way: full-size 96 and 174 and quick
     /// 739 by re-admitting a peer seen alive for a suspicion timeout, full-
     /// size 31 by a membership snapshot. Each must stay green with the one
-    /// rejoin path.
+    /// rejoin path. Quick 739 also goes red without crash vouching, like
+    /// full-size 1619 above.
     #[test]
     fn sim_seeds_that_took_other_rejoin_paths_stay_green() {
         for (seed, quick) in [(96, false), (174, false), (31, false), (739, true)] {
