@@ -964,13 +964,10 @@ mod tests {
     /// must stay green.
     #[test]
     fn sim_quick_mixed_seed_169_lifts_a_stale_crash_veto() {
-        let plan = FaultPlan::random(169, true);
-        assert_eq!(plan.family, Family::Mixed);
-        let report = run_sim_chaos(&plan);
-        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert_green(169, true, Family::Mixed);
     }
 
-    /// Runs `seed` and asserts it green.
+    /// Runs the plan of `seed`, of `family`, and asserts it green.
     fn assert_green(seed: u64, quick: bool, family: Family) {
         let plan = FaultPlan::random(seed, quick);
         assert_eq!(plan.family, family);
@@ -1043,10 +1040,7 @@ mod tests {
     /// the seed green by name.
     #[test]
     fn sim_partition_seed_1426_stays_green() {
-        let plan = FaultPlan::random(1426, false);
-        assert_eq!(plan.family, Family::Partition);
-        let report = run_sim_chaos(&plan);
-        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert_green(1426, false, Family::Partition);
     }
 
     /// Seeds whose degraded nodes, before every dead notice was answered
