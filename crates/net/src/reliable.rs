@@ -566,23 +566,17 @@ impl LinkReceiver {
         self.urgent = true;
     }
 
-    /// The cumulative ack a data frame to the peer can carry, if one is
-    /// owed; taking it settles the clean part of the debt. Holes and
-    /// duplicates still wait for a standalone ack ([`Self::ack_due`]).
-    fn piggyback(&mut self) -> Option<NonZeroU64> {
-        if !self.dirty {
-            return None;
-        }
-        let cum = NonZeroU64::new(self.cum)?;
-        self.dirty = false;
-        self.owed = 0;
-        Some(cum)
-    }
-
-    /// Data frame `msg` for the peer, carrying the ack this link owes, if
-    /// any ([`Self::piggyback`]). Every data frame leaves through here.
+    /// Data frame `msg` for the peer, carrying the cumulative ack this link
+    /// owes, if one is owed, in place of any it came with; taking it
+    /// settles the clean part of the debt. Holes and duplicates still wait
+    /// for a standalone ack ([`Self::ack_due`]). Every data frame leaves
+    /// through here.
     fn ride(&mut self, mut msg: Message) -> Message {
-        msg.link_ack = self.piggyback();
+        msg.link_ack = NonZeroU64::new(self.cum).filter(|_| self.dirty);
+        if msg.link_ack.is_some() {
+            self.dirty = false;
+            self.owed = 0;
+        }
         msg
     }
 

@@ -206,8 +206,8 @@ enum LinkState {
 struct Peer {
     link: LinkState,
     /// Last time the peer produced any frame, while it is monitored, and
-    /// last time this core wrote to it (what idle heartbeats read; a link
-    /// coming up starts it afresh).
+    /// last time this core wrote to it, which idle heartbeats read while
+    /// the link is up (a link coming up restarts it).
     last_seen: Option<u64>,
     last_sent: u64,
     /// No redial before this time: the dial backoff's verdict, and the

@@ -40,12 +40,12 @@
 //!    period plus wake-up latency), and a busy link carries none; a
 //!    configurable silence window marks a neighbor crashed (fail-stop
 //!    model: crashed nodes never speak again, so suspicion is permanent).
-//!    With [`RuntimeConfig::byzantine`] set,
-//!    suspicion is *corroborated*: a crash only applies once f+1 distinct
-//!    reporters (direct silence counts as a self-report, and a node that
-//!    applies a corroborated crash vouches for it in turn) agree, and a
-//!    directly-heartbeating peer vetoes the wave — so a lone traitor
-//!    forging CRASH announcements cannot excommunicate a live node.
+//!    With [`RuntimeConfig::byzantine`] set, suspicion is *corroborated*:
+//!    a crash only applies once f+1 distinct reporters (direct silence
+//!    counts as a self-report, and a node that applies a corroborated
+//!    crash vouches for it in turn) agree, and a directly-heartbeating
+//!    peer vetoes the wave — so a lone traitor forging CRASH announcements
+//!    cannot excommunicate a live node.
 //! 5. **Self-healing** — a detected crash is flooded as an announcement;
 //!    every survivor applies it to its
 //!    [`lhg_core::overlay::DynamicOverlay`] replica via `crash_many` and
