@@ -117,7 +117,11 @@ pub fn e22_detection_latency() -> String {
         let victim = (n / 2) as MemberId;
         let mut run = e22_run(n, k, Some((victim, crash_time)), 60_000);
         let neighbors: BTreeSet<MemberId> = run.core(victim, |c| {
-            let wanted = c.overlay().neighbors_of(victim).expect("member");
+            let wanted = c
+                .membership()
+                .overlay()
+                .neighbors_of(victim)
+                .expect("member");
             wanted.into_iter().collect()
         });
         let (mut detect, mut heal): (Time, Time) = (0, 0);
@@ -149,7 +153,7 @@ pub fn e22_detection_latency() -> String {
         );
         for m in (0..n as MemberId).filter(|&m| m != victim) {
             run.core(m, |c| {
-                assert_eq!(c.overlay().len(), n - 1, "replica of {m}")
+                assert_eq!(c.membership().overlay().len(), n - 1, "replica of {m}")
             });
         }
         let _ = writeln!(

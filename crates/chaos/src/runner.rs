@@ -213,17 +213,21 @@ impl Driver for SimCluster {
         digests(&self.nodes[member as usize].borrow().byz_delivered)
     }
     fn crashes_applied(&self, member: MemberId) -> BTreeSet<MemberId> {
-        self.core(member, |c| c.crashes_applied().clone())
+        self.core(member, |c| c.membership().crashes_applied().clone())
     }
     fn overlay(&self, member: MemberId) -> DynamicOverlay {
-        self.core(member, |c| DynamicOverlay::clone(c.overlay()))
+        self.core(member, |c| DynamicOverlay::clone(c.membership().overlay()))
     }
     fn is_degraded(&self, member: MemberId) -> bool {
-        self.core(member, |c| c.is_degraded())
+        self.core(member, |c| c.membership().is_degraded())
     }
     fn links_ready(&self, member: MemberId) -> bool {
         self.core(member, |c| {
-            let wanted = c.overlay().neighbors_of(member).unwrap_or_default();
+            let wanted = c
+                .membership()
+                .overlay()
+                .neighbors_of(member)
+                .unwrap_or_default();
             wanted.iter().all(|w| c.links().contains(w))
         })
     }

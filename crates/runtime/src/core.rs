@@ -11,10 +11,13 @@
 //! clock, so the same code runs under two drivers: the socket loop in
 //! [`crate::node`] and the discrete-event adapter in [`crate::simnode`].
 //!
-//! It owns, with [`ReliableCore`] and [`VoteExchange`] as its parts:
+//! It owns three machines, [`Membership`] (who is a member, and what the
+//! node does about a crash or a join), [`ReliableCore`] (the data plane)
+//! and [`VoteExchange`] (Bracha), and what lies between them:
 //!
 //! * **dispatch** — one classifier ([`wire::classify`]), malformed ids
-//!   dropped, data to the reliable plane, byz frames to the vote exchange;
+//!   dropped, every frame to membership first, data to the reliable plane,
+//!   byz frames to the vote exchange;
 //! * **eager trees** — a fresh data frame, and a first-seen Bracha `SEND`,
 //!   goes on only to this node's children in the origin's BFS tree on the
 //!   replica (every link when the replica cannot place it); for data every
@@ -24,27 +27,20 @@
 //!   exchange's repair.
 //!   A stored body retires once every overlay neighbor holds it, while no
 //!   member is crashed or excommunicated here;
-//! * **control waves** — best-effort flooding of crash/join announcements,
-//!   deduplicated forever under per-wave nonces;
 //! * **failure detection** — any frame is proof of life, so heartbeats go
 //!   only to links nothing else was sent on for a heartbeat period (a held
 //!   list owed to the link goes in the heartbeat's place); each peer's
-//!   last frame in, suspicion past the timeout; under a byzantine setup a
-//!   remote report applies only once f+1 distinct origins vouch for it and
-//!   the victim is not demonstrably alive on a direct link;
-//! * **healing** — `crash_many` on the overlay replica, the churn it
-//!   returns turned into `Close`/`Dial`, degraded mode once ≥ k members are
-//!   excommunicated (heal nothing, probe everyone);
-//! * **rejoin** — dead notices, each answered with a direct `JOIN` and
-//!   the flooded announcement (a rejoiner's Bracha state catches up
-//!   through the vote exchange's repair rule on its fresh links, nothing
-//!   here);
+//!   last frame in, and suspicion past the timeout, a verdict membership
+//!   acts on;
 //! * **link policy** — which links are wanted ([`NodeCore::tick`]'s
 //!   reconcile pass) and when a failed dial may be retried. Dials are
 //!   asynchronous: a [`Action::Dial`] is answered, whenever the driver
 //!   knows, by [`Event::LinkUp`] or [`Event::DialFailed`]. Each peer's
-//!   link state, last frame each way, dial backoff, grace and dead notices
-//!   are one record in one map, which every link event sets or resets.
+//!   link state, last frame each way, dial backoff and grace are one record
+//!   in one map, which every link event sets or resets. Membership asks
+//!   for grace, dials, dropped links and reconcile passes ([`Effect`]); the
+//!   core carries them out in the order asked, and answers whether a peer
+//!   is directly live ([`Host`]).
 //!
 //! A node the run lists as a traitor holds no vote exchange here; what it
 //! does beyond relaying is [`crate::traitor`]'s, which wraps the core.
@@ -64,7 +60,7 @@ use rand::SeedableRng;
 use lhg_byzantine::{
     BrachaConfig, ByzDelivery, GossipFrame, GossipKind, UnsoundMembership, VoteExchange,
 };
-use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId, TreeChildren};
+use lhg_core::overlay::{DynamicOverlay, MemberId, TreeChildren};
 use lhg_net::backoff::{Backoff, BackoffPolicy};
 use lhg_net::message::Message;
 use lhg_net::metrics::{Counter, Gauge, MetricsRegistry};
@@ -72,6 +68,7 @@ use lhg_net::reliable::{DataOutcome, ReliableCore, Sends, SummaryOutcome};
 use lhg_net::seen::SeenSet;
 use lhg_trace::{EventKind, FlightRecorder};
 
+use crate::membership::{Effect, Host, Membership};
 use crate::wire::{self, FrameKind};
 use crate::RuntimeConfig;
 
@@ -219,10 +216,6 @@ struct Peer {
     /// outside the overlay, a link a heal just dropped (the crashed
     /// victim's too, though it is down). A deadline whatever the link.
     grace: Option<u64>,
-    /// Last time a dead notice went to the peer (rate limiting), and
-    /// whether the peer sent us one since our last answer (byzantine runs).
-    notice_sent: Option<u64>,
-    noticed_us: bool,
     /// `runtime.heartbeat_age_us.n<id>.p<peer>`, resolved on first use.
     age_gauge: Option<Arc<Gauge>>,
 }
@@ -230,9 +223,6 @@ struct Peer {
 /// The sans-IO node state machine; see the module docs.
 pub struct NodeCore {
     id: MemberId,
-    /// The overlay's connectivity parameter, cached at boot: ≥ k applied
-    /// crashes means the failure budget is blown and healing must stop.
-    k: usize,
     /// Heartbeat period, suspicion timeout, summary and sweep cadence (µs).
     beat_us: u64,
     timeout_us: u64,
@@ -248,22 +238,13 @@ pub struct NodeCore {
     /// for its duration ([`Self::handle`], [`Self::tick`]).
     now: u64,
     out: Vec<Action>,
-    /// This node's overlay replica (shared with whoever the driver
-    /// published it to; copied on the next write), the neighbors it wants
-    /// (cached from the replica) and the members it has declared crashed
-    /// and healed around. `view_epoch` moves whenever replica or crash set
-    /// change, so a driver republishes them only then.
-    overlay: Arc<DynamicOverlay>,
-    desired: BTreeSet<MemberId>,
+    /// Who this node believes is a member, and the reused sink for what it
+    /// asks the core to carry out.
+    membership: Membership,
+    effects: Vec<Effect>,
     /// Per origin the replica can place, this node's children in its BFS
     /// tree: searched on first use, reset with the view.
     children: TreeChildren,
-    crashed: BTreeSet<MemberId>,
-    view_epoch: u64,
-    degraded: bool,
-    /// Set for the whole rejoin of a rejoin boot: until the `JOIN`
-    /// announcement has flooded.
-    rejoining: bool,
     /// A transition moved what a tick settles: the next one is due at once.
     settle: bool,
     /// Every member that may ever be dialed or accepted (the directory).
@@ -286,27 +267,8 @@ pub struct NodeCore {
     /// byzantine setup holds one but the traitors it lists. `None` relays a
     /// byz `SEND` like data but never votes or delivers.
     exchange: Option<VoteExchange<MemberId>>,
-    /// The number of distinct crash reporters required before a flooded
-    /// CRASH wave is applied: f+1 under a byzantine setup (so the f
-    /// traitors alone can never excommunicate anyone), 1 otherwise (the
-    /// crash-only fault model trusts every report).
-    crash_quorum: usize,
-    life: u32,
-    /// Per-life wave counter; with `life` it forms each wave's nonce.
-    wave_seq: u16,
     /// Private RNG driving retry jitter (seeded from the config seed).
     rng: StdRng,
-    /// After answering a dead notice, ignore further ones until this time
-    /// (they are echoes of the state being repaired).
-    rejoin_cooldown: Option<u64>,
-    /// Flood a `JOIN` announcement as soon as at least one link is up.
-    pending_join_announce: bool,
-    /// Set when a crash is first applied; cleared (and timed) once every
-    /// desired link is re-established.
-    healing_since: Option<u64>,
-    /// Corroborated suspicion: distinct wave origins that have reported
-    /// each victim crashed ([`Self::note_crash_report`]).
-    crash_reporters: BTreeMap<MemberId, BTreeSet<MemberId>>,
     /// `runtime.payload_bytes_retained.n<id>`, resolved at boot: what the
     /// data plane holds on to ([`ReliableCore::retained_bytes`]), fresh as
     /// of the latest summary round.
@@ -373,9 +335,10 @@ impl NodeCore {
         let acks_sent = metrics.counter("runtime.acks_sent");
         let acks_piggybacked = metrics.counter("runtime.acks_piggybacked");
         let core_ticks = metrics.counter("runtime.core_ticks");
+        let (m, r) = (Arc::clone(&metrics), Arc::clone(&recorder));
+        let membership = Membership::new(id, overlay, opts, config, m, r);
         let mut core = NodeCore {
             id,
-            k: overlay.k(),
             beat_us,
             timeout_us,
             summary_us,
@@ -390,29 +353,18 @@ impl NodeCore {
             recorder,
             now: now_us,
             out: Vec::new(),
-            overlay: Arc::new(overlay),
-            desired: BTreeSet::new(),
+            membership,
+            effects: Vec::new(),
             children: TreeChildren::default(),
-            crashed: opts.initial_crashes,
-            view_epoch: 0,
-            degraded: false,
-            rejoining: opts.announce_join,
             settle: true,
             roster,
             peers: BTreeMap::new(),
             links: BTreeSet::new(),
             seen: SeenSet::default(),
             exchange,
-            crash_quorum: setup.map_or(1, |s| s.f + 1),
-            life: opts.life,
-            wave_seq: 0,
             // Each node jitters independently, but the whole cluster is
             // still driven by the one configured seed.
             rng: StdRng::seed_from_u64(config.rng_seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            rejoin_cooldown: None,
-            pending_join_announce: opts.announce_join,
-            healing_since: None,
-            crash_reporters: BTreeMap::new(),
             retained_gauge,
             acks_sent,
             acks_piggybacked,
@@ -432,38 +384,16 @@ impl NodeCore {
             unadvertised: 0,
             advert_batch: config.reliable.advert_batch(),
         };
-        core.view_changed();
+        let overlay = Arc::clone(core.membership.overlay());
+        core.view_changed(&overlay);
         Ok(core)
     }
 
-    /// This node's overlay replica; cloning the `Arc` publishes it for free.
+    /// Who this node believes is a member: its replica, the crashes it has
+    /// applied, whether it is degraded or rejoining.
     #[must_use]
-    pub fn overlay(&self) -> &Arc<DynamicOverlay> {
-        &self.overlay
-    }
-
-    /// Members this node has declared crashed and healed around.
-    #[must_use]
-    pub fn crashes_applied(&self) -> &BTreeSet<MemberId> {
-        &self.crashed
-    }
-
-    /// Moves whenever [`Self::overlay`] or [`Self::crashes_applied`] change.
-    #[must_use]
-    pub fn view_epoch(&self) -> u64 {
-        self.view_epoch
-    }
-
-    /// `true` while ≥ k members are excommunicated and healing is suspended.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// `true` from a rejoin boot until its `JOIN` announcement has flooded.
-    #[must_use]
-    pub fn is_rejoining(&self) -> bool {
-        self.rejoining
+    pub fn membership(&self) -> &Membership {
+        &self.membership
     }
 
     /// Peers this node believes it has a live link to.
@@ -535,7 +465,8 @@ impl NodeCore {
         let quiet = self.next_sweep.max(self.now + self.sweep_us);
         let sweep = self.reliable.pending().then_some(quiet);
         let (timeout, beat) = (self.timeout_us, self.beat_us);
-        let silent = (self.desired.difference(&self.crashed)).map(|p| {
+        let m = &self.membership;
+        let silent = (m.desired().difference(m.crashes_applied())).map(|p| {
             let seen = self.peers.get(p).and_then(|r| r.last_seen);
             seen.map_or(self.now, |t| t + timeout + 1)
         });
@@ -578,8 +509,7 @@ impl NodeCore {
                 }
             }
             core.reconcile();
-            core.try_announce_join();
-            core.rejoining &= core.pending_join_announce;
+            core.member(Membership::tick);
         });
         // A transition of its own, so that a link this tick wrote to is not
         // idle.
@@ -612,80 +542,33 @@ impl NodeCore {
         Message::new(id, self.id as u32, Bytes::new())
     }
 
-    /// Replica or crash set changed: refresh the wanted-neighbor cache and
-    /// the eager trees, and let the driver know there is something to
-    /// republish.
-    fn view_changed(&mut self) {
-        self.view_epoch += 1;
-        self.desired = self
-            .overlay
-            .neighbors_of(self.id)
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
+    /// The replica changed: each origin's eager tree is searched afresh.
+    fn view_changed(&mut self, overlay: &DynamicOverlay) {
         // The eager tree's lookups and relay sets allocate nothing from
         // here until the next view change.
-        self.children.reset(&self.overlay, self.id);
-        self.relay.reserve(self.desired.len());
+        self.children.reset(overlay, self.id);
+        self.relay.reserve(self.membership.desired().len());
     }
 
     fn on_frame(&mut self, from: MemberId, msg: Message) {
         let now = self.now;
-        let excommunicated = self.crashed.contains(&from);
-        let r = self.peers.entry(from).or_default();
-        r.last_seen = Some(now);
-        if excommunicated {
-            r.grace = Some(now + self.timeout_us);
-            self.maybe_send_dead_notice(from);
-        }
+        self.peers.entry(from).or_default().last_seen = Some(now);
         self.rec(EventKind::FrameRx {
             peer: from as u32,
             bytes: (msg.encoded_len() + lhg_net::codec::LEN_PREFIX) as u32,
         });
-        match wire::classify(msg.broadcast_id) {
+        let kind = wire::classify(msg.broadcast_id);
+        // Membership hears every frame first: an excommunicated sender is
+        // told so, and crash and join waves are its own.
+        self.member(|m, host, out| m.on_frame(from, &msg, kind, host, out));
+        match kind {
             FrameKind::Malformed => self.count("runtime.malformed_frames"),
             FrameKind::Heartbeat(_) => {
                 // Liveness recorded above; keep the probe in the timeline.
                 self.rec(EventKind::Heartbeat { peer: from as u32 });
             }
-            FrameKind::Hello(_) => {} // handshakes are the driver's
-            FrameKind::Crash(victim) => {
-                if victim == self.id {
-                    // A dead notice: the sender excommunicated *us*. Never
-                    // flooded, never applied — it starts the rejoin path.
-                    // Under corroboration only a first-hand notice is a
-                    // voice: a forged wave about us that f+1 honest
-                    // neighbors relayed is still one traitor speaking.
-                    if self.crash_quorum == 1 || MemberId::from(msg.origin) == from {
-                        self.on_excommunication_notice(from);
-                    }
-                } else if excommunicated {
-                    // Crash gossip from a node we excommunicated could be
-                    // poison (its replica is stale); drop it until the
-                    // sender has rejoined.
-                } else if self.seen.insert(msg.broadcast_id) {
-                    self.rec(EventKind::CrashReport {
-                        victim: victim as u32,
-                        via: from as u32,
-                    });
-                    self.flood(msg.forwarded(), Some(from));
-                    // The wave's *origin* is the reporter, not the relay:
-                    // a traitor re-flooding forged waves under fresh
-                    // nonces still counts as a single voice.
-                    self.note_crash_report(victim, MemberId::from(msg.origin));
-                }
-            }
-            FrameKind::Join(member) => {
-                if excommunicated && member != from {
-                    // A revenant may only announce itself.
-                } else if self.seen.insert(msg.broadcast_id) {
-                    self.rec(EventKind::JoinAnnounce {
-                        member: member as u32,
-                    });
-                    self.flood(msg.forwarded(), Some(from));
-                    self.apply_join(member);
-                }
-            }
+            // Handshakes are the driver's.
+            FrameKind::Hello(_) | FrameKind::Crash(_) | FrameKind::Join(_) => {}
             FrameKind::Ack(_) => {
                 self.drive(|r, _, _, now, out| r.on_ack(from, msg.payload, now, out));
             }
@@ -783,7 +666,7 @@ impl NodeCore {
         let mut relay = std::mem::take(&mut self.relay);
         relay.clear();
         if let Some(origin) = origin {
-            let kids = self.children.get(&self.overlay, origin);
+            let kids = self.children.get(self.membership.overlay(), origin);
             let links = self.links.iter().copied();
             relay.extend(links.filter(|p| kids.is_none_or(|kids| kids.contains(p))));
         }
@@ -818,100 +701,78 @@ impl NodeCore {
         Some(result)
     }
 
-    /// Re-sizes the Bracha membership view after applied churn: instances
-    /// created from here on quorum against — and count votes of — the live
-    /// membership, while in-flight instances keep the view they
-    /// snapshotted. A view below 3f+1 is refused by the engine and counted
-    /// on `byz.unsafe_views` for the chaos oracle's QuorumUnsafe audit.
-    fn bump_byz_view(&mut self) {
-        let members = self.overlay.members().iter().map(|&m| m as u32);
-        if (self.exchange.as_mut()).is_some_and(|x| x.bump_view(members).is_err()) {
-            self.count("byz.unsafe_views");
+    /// Runs one input of the membership machine, answering what it asks from
+    /// the link records, then carries out what it emitted, in order.
+    fn member<R>(
+        &mut self,
+        step: impl FnOnce(&mut Membership, &mut Host, &mut Vec<Effect>) -> R,
+    ) -> R {
+        let mut effects = std::mem::take(&mut self.effects);
+        let (now, timeout, links, peers) = (self.now, self.timeout_us, &self.links, &self.peers);
+        // Directly live: link up, and a frame within the suspicion timeout.
+        let live = |victim: MemberId| {
+            let seen = peers.get(&victim).and_then(|r| r.last_seen);
+            links.contains(&victim) && seen.is_some_and(|t| now - t <= timeout)
+        };
+        let mut host = Host {
+            now,
+            linked: !links.is_empty(),
+            live: &live,
+            seen: &mut self.seen,
+        };
+        let result = step(&mut self.membership, &mut host, &mut effects);
+        for effect in effects.drain(..) {
+            self.carry_out(effect);
         }
+        self.effects = effects;
+        result
     }
 
-    /// Reacts to a direct `CRASH(self)` dead notice from `from`: the
-    /// notifier is wrong about us, so answer with a direct `JOIN` and flood
-    /// the announcement. A degraded node answers the same way: every
-    /// replica admits a joiner at the same canonical position, so its own
-    /// view need not be trusted for the answer to be right.
-    fn on_excommunication_notice(&mut self, from: MemberId) {
-        let now = self.now;
-        if self.rejoin_cooldown.is_some_and(|t| now < t) {
-            return; // an earlier notice already started the repair
-        }
-        // Under a byzantine setup a single notice could be a traitor's
-        // forgery; react only once f+1 distinct peers agree we were
-        // excommunicated (a lone traitor cannot trigger rejoin flapping).
-        if self.crash_quorum > 1 {
-            self.peers.entry(from).or_default().noticed_us = true;
-            if self.peers.values().filter(|r| r.noticed_us).count() < self.crash_quorum {
-                return;
+    /// One thing membership asked for.
+    fn carry_out(&mut self, effect: Effect) {
+        match effect {
+            Effect::Send { to, msg } => self.send_to(to, msg),
+            Effect::Flood { msg, except } => self.flood(msg, except),
+            Effect::Grace { peer, until, heal } => {
+                let grace = &mut self.peers.entry(peer).or_default().grace;
+                if heal {
+                    grace.get_or_insert(until);
+                } else {
+                    *grace = Some(until);
+                }
             }
-            self.peers.values_mut().for_each(|r| r.noticed_us = false);
-        }
-        self.rejoin_cooldown = Some(now + self.timeout_us);
-        self.settle = true; // the tick due now probes all, or clears the flag
-
-        // The notifier floods the direct JOIN onward and re-admits us into
-        // its replica.
-        self.pending_join_announce = true;
-        let id = wire::join_id(self.id, self.fresh_wave_nonce());
-        self.seen.insert(id);
-        self.send_to(from, self.control(id));
-        self.try_announce_join();
-    }
-
-    /// Floods this node's own `JOIN` announcement once at least one link is
-    /// up (flooding into the void would announce to nobody).
-    fn try_announce_join(&mut self) {
-        if !self.pending_join_announce || self.links.is_empty() {
-            return;
-        }
-        self.pending_join_announce = false;
-        let id = wire::join_id(self.id, self.fresh_wave_nonce());
-        self.seen.insert(id);
-        self.count("runtime.join_announces");
-        self.rec(EventKind::JoinAnnounce {
-            member: self.id as u32,
-        });
-        self.flood(self.control(id), None);
-    }
-
-    /// The next control-wave nonce: this life's cluster-unique ordinal in
-    /// the high half, a per-life counter in the low half. No two waves any
-    /// node ever floods share a nonce (until a single life emits 2^16
-    /// waves, by which time the copies of wave 0 are long drained).
-    fn fresh_wave_nonce(&mut self) -> u32 {
-        let nonce = wire::wave_nonce(self.life, self.wave_seq);
-        self.wave_seq = self.wave_seq.wrapping_add(1);
-        nonce
-    }
-
-    /// Applies a (re)join of `member`: clear its crash state, admit it into
-    /// the overlay at the canonical sorted position, and apply the churn.
-    fn apply_join(&mut self, member: MemberId) {
-        if self.crashed.remove(&member) {
-            self.view_epoch += 1;
-        }
-        // A rejoined member starts afresh: heard from now, no dial backoff,
-        // no grace, no notice sent — and its pre-join crash reports are
-        // stale evidence.
-        let r = self.peers.entry(member).or_default();
-        r.last_seen = Some(self.now);
-        r.redial = None;
-        r.backoff = None;
-        r.grace = None;
-        r.notice_sent = None;
-        self.crash_reporters.remove(&member);
-        if !self.overlay.contains(member) {
-            if let Ok(report) = Arc::make_mut(&mut self.overlay).admit(member) {
-                self.count("runtime.joins_applied");
-                self.apply_churn(&report);
+            Effect::Dial(peer) => self.dial(peer),
+            Effect::View(overlay) => {
+                self.view_changed(&overlay);
+                // Re-sizes the Bracha membership view: instances created
+                // from here on quorum against — and count votes of — the
+                // live membership, while in-flight instances keep the view
+                // they snapshotted. A view below 3f+1 is refused by the
+                // engine and counted on `byz.unsafe_views` for the chaos
+                // oracle's QuorumUnsafe audit.
+                let members = overlay.members().iter().map(|&m| m as u32);
+                if (self.exchange.as_mut()).is_some_and(|x| x.bump_view(members).is_err()) {
+                    self.count("byz.unsafe_views");
+                }
             }
+            Effect::Excommunicate(victim) => {
+                self.drop_link(victim);
+                self.peers.entry(victim).or_default().redial = None;
+                // Frames parked for an excommunicated peer are abandoned; if
+                // it ever rejoins, anti-entropy summaries catch it up instead.
+                self.reliable.abandon(victim);
+            }
+            Effect::Readmit(member) => {
+                // Heard from now, no dial backoff, no grace.
+                let r = self.peers.entry(member).or_default();
+                r.last_seen = Some(self.now);
+                r.redial = None;
+                r.backoff = None;
+                r.grace = None;
+            }
+            Effect::Reconcile => self.reconcile(),
+            Effect::Settle => self.settle = true,
         }
-        self.maybe_exit_degraded();
-        self.reconcile();
     }
 
     /// Records an application delivery in the timeline and hands it to the
@@ -1021,8 +882,9 @@ impl NodeCore {
         if self.drive(|r, _, links, _, out| r.advertise(links, out)) {
             self.count("runtime.summaries_sent");
         }
-        if self.crashed.is_empty() {
-            self.reliable.retire(self.desired.iter().copied());
+        let m = &self.membership;
+        if m.crashes_applied().is_empty() {
+            self.reliable.retire(m.desired().iter().copied());
         }
     }
 
@@ -1059,28 +921,13 @@ impl NodeCore {
         self.push_sends(sends);
     }
 
-    /// Sends a direct `CRASH(peer)` *to* `peer`: "you are excommunicated
-    /// here". Rate-limited so a chatty revenant gets one notice per
-    /// half-timeout, not one per frame.
-    fn maybe_send_dead_notice(&mut self, peer: MemberId) {
-        let (now, r) = (self.now, self.peers.entry(peer).or_default());
-        if r.notice_sent.is_some_and(|t| now - t < self.timeout_us / 2) {
-            return;
-        }
-        r.notice_sent = Some(now);
-        self.count("runtime.dead_notices");
-        // Dead notices are point-to-point and never deduplicated, but a
-        // fresh nonce keeps them out of any wave's identity space.
-        let id = wire::crash_id(peer, self.fresh_wave_nonce());
-        self.send_to(peer, self.control(id));
-    }
-
     /// Declares crashed any monitored neighbor silent past the timeout;
     /// refreshes the per-peer heartbeat-age gauges along the way.
     fn check_suspicions(&mut self) {
         let now = self.now;
         let mut suspects = Vec::new();
-        for &peer in self.desired.difference(&self.crashed) {
+        let m = &self.membership;
+        for &peer in m.desired().difference(m.crashes_applied()) {
             let r = self.peers.entry(peer).or_default();
             // A peer we have never heard from starts its grace period now;
             // this also covers crash-before-connect (dials keep failing).
@@ -1098,232 +945,22 @@ impl NodeCore {
             }
         }
         for peer in suspects {
-            self.suspect(peer);
+            self.member(|m, host, out| m.suspect(peer, host, out));
         }
-        self.lift_stale_vetoes();
-    }
-
-    /// `true` while `victim` is demonstrably alive here: its link is up and
-    /// carried a frame within the suspicion timeout.
-    fn directly_live(&self, victim: MemberId) -> bool {
-        let r = self.peers.get(&victim);
-        self.links.contains(&victim)
-            && (r.and_then(|r| r.last_seen)).is_some_and(|t| self.now - t <= self.timeout_us)
-    }
-
-    /// A corroborated crash report vetoed because its victim was still
-    /// heard on a direct link stands once that link has been silent a full
-    /// timeout as well. Nobody re-sends a report (each wave floods once),
-    /// and a victim outside the desired set — a link that lingers after a
-    /// heal — is not watched by this node's own detector, so without this
-    /// the veto would be for good. Each link beats only when idle, so the
-    /// last frame on a lingering link can trail the reporters' by up to a
-    /// heartbeat period.
-    fn lift_stale_vetoes(&mut self) {
-        let quorum = self.crash_quorum;
-        let lifted: Vec<MemberId> = (self.crash_reporters.iter())
-            .filter(|(v, reporters)| reporters.len() >= quorum && !self.crashed.contains(v))
-            .map(|(&v, _)| v)
-            .filter(|&v| !self.directly_live(v))
-            .collect();
+        // Collected first: each lifted veto applies with its own reconcile.
+        let lifted = self.member(|m, host, _| m.lift_stale_vetoes(host));
         for victim in lifted {
-            self.crash_wave(victim);
-            self.apply_crash(victim);
+            self.member(|m, host, out| m.crash(victim, host, out));
         }
     }
 
-    /// Byz-aware corroborated suspicion: records `reporter`'s vote that
-    /// `victim` crashed and applies the crash only once
-    /// [`Self::crash_quorum`] distinct reporters agree **and** the victim
-    /// is not demonstrably alive on a direct link (link up, frames within
-    /// the suspicion timeout). Either guard alone stops a lone traitor:
-    /// forged waves all share the traitor's origin (one voice), and even a
-    /// corroborated-looking wave is vetoed while the victim is still heard
-    /// on a direct link — until that link, too, has been silent a full
-    /// timeout ([`Self::lift_stale_vetoes`]).
-    ///
-    /// A node that applies a corroborated crash **vouches** for it with a
-    /// wave of its own. Waves are flooded once, best-effort; with only the
-    /// victim's k direct neighbors speaking (fewer when one is the traitor)
-    /// a lossy link could leave a node one voice short for good, its stale
-    /// replica then drawing false suspicions from the healed majority. The
-    /// echo is sound — a correct node applies only on f+1 voices or its own
-    /// timeout, so by induction a live victim never gathers f+1 — and turns
-    /// "both of two waves must arrive" into "any two of up to n−1".
-    fn note_crash_report(&mut self, victim: MemberId, reporter: MemberId) {
-        let quorum = self.crash_quorum;
-        if quorum <= 1 {
-            self.apply_crash(victim);
-            return;
-        }
-        if self.crashed.contains(&victim) {
-            return;
-        }
-        let reporters = self.crash_reporters.entry(victim).or_default();
-        reporters.insert(reporter);
-        if reporters.len() < quorum {
-            self.count("runtime.crash_reports_pending");
-            return;
-        }
-        if self.directly_live(victim) {
-            // Until that link falls silent too (`lift_stale_vetoes`).
-            self.count("runtime.crash_vetoes");
-            return;
-        }
-        self.crash_wave(victim);
-        self.apply_crash(victim);
-    }
-
-    /// [`Self::crash_wave`] as a transition of its own at `now_us`: the one
-    /// operation a traitor's script ([`crate::traitor`]) asks of the core.
+    /// [`Membership::crash_wave`] as a transition of its own at `now_us`:
+    /// the one operation a traitor's script ([`crate::traitor`]) asks of
+    /// the core.
     pub(crate) fn announce_crash(&mut self, victim: MemberId, now_us: u64, out: &mut Vec<Action>) {
-        self.transition(now_us, out, |core| core.crash_wave(victim));
-    }
-
-    /// Floods a freshly-nonced `CRASH(victim)` wave under this node's origin.
-    fn crash_wave(&mut self, victim: MemberId) {
-        let id = wire::crash_id(victim, self.fresh_wave_nonce());
-        self.seen.insert(id);
-        self.flood(self.control(id), None);
-    }
-
-    /// Local suspicion: announce the crash to the cluster, then heal.
-    /// Direct evidence (our own heartbeat timeout) applies immediately —
-    /// corroboration guards *remote* reports, not first-hand observation.
-    fn suspect(&mut self, victim: MemberId) {
-        self.count("runtime.suspects");
-        self.rec(EventKind::Suspicion {
-            peer: victim as u32,
+        self.transition(now_us, out, |core| {
+            core.member(|m, host, out| m.crash_wave(victim, host.seen, out));
         });
-        self.rec(EventKind::CrashReport {
-            victim: victim as u32,
-            via: self.id as u32,
-        });
-        self.crash_wave(victim);
-        self.apply_crash(victim);
-    }
-
-    /// Enters or leaves degraded mode (`active` excommunications), keeping
-    /// the counters, the timeline and the `runtime.degraded.n<id>` gauge in
-    /// step; a no-op when already there.
-    fn set_degraded(&mut self, degraded: bool, active: usize) {
-        if std::mem::replace(&mut self.degraded, degraded) == degraded {
-            return;
-        }
-        if degraded {
-            self.count("runtime.degraded_entries");
-            self.rec(EventKind::Degraded {
-                active: active as u32,
-            });
-        } else {
-            self.count("runtime.degraded_exits");
-            self.rec(EventKind::DegradedExit);
-        }
-        self.metrics
-            .gauge(&format!("runtime.degraded.n{}", self.id))
-            .set(i64::from(degraded));
-    }
-
-    /// Removes `victim` from the overlay replica and applies the resulting
-    /// churn: drop removed links, dial added ones. Idempotent per victim.
-    ///
-    /// When this crash pushes the suspect count to ≥ k, the node **stops
-    /// healing** and degrades instead: below the k−1 budget LHG guarantees
-    /// a consistent rebuild, above it a rebuild could partition the replica
-    /// set (e.g. on the minority side of a network split). Degraded nodes
-    /// keep probing every known member until joins bring the count back
-    /// within budget ([`Self::maybe_exit_degraded`]).
-    fn apply_crash(&mut self, victim: MemberId) {
-        // Dead notices (victim == self) are handled before classification.
-        if victim == self.id || !self.crashed.insert(victim) {
-            return;
-        }
-        // The reports against the victim have served.
-        self.crash_reporters.remove(&victim);
-        self.count("runtime.crashes_applied");
-        if self.healing_since.is_none() {
-            self.healing_since = Some(self.now);
-            self.rec(EventKind::HealBegin {
-                victim: victim as u32,
-            });
-        }
-        self.view_epoch += 1;
-        let active = self.crashed.len();
-        let churn = if active >= self.k {
-            self.set_degraded(true, active);
-            None
-        } else if self.overlay.contains(victim) {
-            // A below-floor heal is refused atomically; we then keep the
-            // stale topology minus the dead links. Defensive: the failure
-            // model promises at most k-1 crashes, which never hits the
-            // 2k membership floor from n ≥ 2k + (k-1) launches.
-            Arc::make_mut(&mut self.overlay).crash_many(&[victim]).ok()
-        } else {
-            None
-        };
-        self.drop_link(victim);
-        self.peers.entry(victim).or_default().redial = None;
-        // Frames parked for an excommunicated peer are abandoned; if it
-        // ever rejoins, anti-entropy summaries catch it up instead.
-        self.reliable.abandon(victim);
-        if let Some(report) = churn {
-            self.apply_churn(&report);
-        }
-        self.reconcile();
-    }
-
-    /// Leaves degraded mode once joins have brought the suspect count back
-    /// within the k−1 budget, then applies the heals deferred while the
-    /// budget was blown; its caller, [`Self::apply_join`], reconciles.
-    fn maybe_exit_degraded(&mut self) {
-        if !self.degraded || self.crashed.len() >= self.k {
-            return;
-        }
-        self.set_degraded(false, 0);
-        let stale: Vec<MemberId> = self
-            .crashed
-            .iter()
-            .copied()
-            .filter(|&m| self.overlay.contains(m))
-            .collect();
-        if !stale.is_empty() {
-            if let Ok(report) = Arc::make_mut(&mut self.overlay).crash_many(&stale) {
-                self.apply_churn(&report);
-            }
-        }
-    }
-
-    /// Applies one churn report: let removed links linger, dial added ones
-    /// (on the dialer side), and re-size the Bracha view to the new
-    /// membership.
-    fn apply_churn(&mut self, report: &ChurnReport) {
-        self.view_changed();
-        // Make before break: a link the new topology has no use for lingers
-        // for a moment before the reconcile pass takes it down. A wave is
-        // flooded once, best-effort, and a link closed under it takes the
-        // copy in flight along: with two victims at once, a node could apply
-        // one crash, close the links the other's wave was crossing, and keep
-        // a replica nobody else holds — its neighbors-to-be never dial it,
-        // and it suspects them.
-        let until = self.now + self.timeout_us / 2;
-        for peer in report.removed_for(self.id) {
-            let r = self.peers.entry(peer).or_default();
-            r.grace.get_or_insert(until);
-        }
-        for peer in report.added_for(self.id).collect::<Vec<_>>() {
-            if self.id < peer {
-                self.dial(peer);
-            }
-        }
-        self.bump_byz_view();
-    }
-
-    /// `true` while the node is repairing membership knowledge (degraded,
-    /// or holding an unannounced join): its notion of "desired" cannot be
-    /// trusted, so it probes **every** known member — any live peer is a
-    /// way back in.
-    fn probe_all(&self) -> bool {
-        self.degraded || self.pending_join_announce
     }
 
     /// Converges links toward the overlay's desired neighbor set: tears
@@ -1331,7 +968,7 @@ impl NodeCore {
     /// (with backoff), and closes the healing stopwatch when done.
     fn reconcile(&mut self) {
         let now = self.now;
-        let probe_all = self.probe_all();
+        let probe_all = self.membership.probe_all();
         // Expired deadlines go, so that each left is one still ahead.
         for r in self.peers.values_mut() {
             r.grace = r.grace.filter(|&deadline| now < deadline);
@@ -1342,12 +979,13 @@ impl NodeCore {
         // that merely hasn't healed yet; links to crashed members go down
         // too. Neither while the link is in grace: a revenant mid-rejoin,
         // or a caller from outside the overlay who is yet to be heard out.
+        let m = &self.membership;
         let unwanted: Vec<MemberId> = (self.links.iter().copied())
             .filter(|peer| {
                 !probe_all
                     && (self.peers.get(peer)).is_none_or(|r| r.grace.is_none())
-                    && (self.crashed.contains(peer)
-                        || (self.id < *peer && !self.desired.contains(peer)))
+                    && (m.crashes_applied().contains(peer)
+                        || (self.id < *peer && !m.desired().contains(peer)))
             })
             .collect();
         for peer in unwanted {
@@ -1355,6 +993,7 @@ impl NodeCore {
             self.count("runtime.links_dropped");
         }
 
+        let m = &self.membership;
         let due = |peer: &MemberId| {
             let r = self.peers.get(peer);
             r.is_none_or(|r| r.link == LinkState::Down && r.redial.is_none())
@@ -1371,9 +1010,9 @@ impl NodeCore {
             // of an old crash wave for a **non-neighbor**, where no link
             // exists over which the dead-notice → `JOIN` repair could run.
             // The link-up handler sends the dead notice on contact.
-            (self.desired.iter())
-                .filter(|p| self.id < **p && !self.crashed.contains(p))
-                .chain(&self.crashed)
+            (m.desired().iter())
+                .filter(|p| self.id < **p && !m.crashes_applied().contains(p))
+                .chain(m.crashes_applied())
                 .copied()
                 .filter(due)
                 .collect()
@@ -1381,21 +1020,7 @@ impl NodeCore {
         for peer in dials {
             self.dial(peer);
         }
-        self.check_healed();
-    }
-
-    /// Closes the healing stopwatch once every desired link is up.
-    fn check_healed(&mut self) {
-        let Some(t0) = self.healing_since else { return };
-        if self.desired.is_subset(&self.links) {
-            let took_us = self.now - t0;
-            self.metrics
-                .histogram("runtime.reconnect_time_us")
-                .record(took_us);
-            self.count("runtime.heals");
-            self.rec(EventKind::HealEnd { took_us });
-            self.healing_since = None;
-        }
+        self.membership.check_healed(&self.links, now);
     }
 
     /// Asks the driver for a link to `peer`, unless one is up or underway.
@@ -1420,7 +1045,6 @@ impl NodeCore {
             return;
         }
         let now = self.now;
-        let excommunicated = self.crashed.contains(&peer);
         if dialed {
             self.peers.entry(peer).or_default().redial = None;
             self.count("runtime.dials");
@@ -1437,31 +1061,14 @@ impl NodeCore {
         if let Some(b) = r.backoff.as_mut() {
             b.connected(now);
         }
-        if excommunicated {
-            // Hold the link open long enough for the rejoin handshake.
-            r.grace = Some(now + self.timeout_us);
-        } else if !dialed && !self.desired.contains(&peer) {
-            // Nobody dials outside the overlay without a reason: a grave
-            // probe that found this node alive and has a dead notice to
-            // deliver, a degraded node probing every member for a way
-            // back in. Hanging up at once — the dialer-side teardown, when
-            // this side has the lower id — would leave the caller's stale
-            // exclusion standing for good.
-            r.grace = Some(now + 2 * self.timeout_us);
-        }
         self.links.insert(peer);
         self.reset_planes(peer);
         self.rec(EventKind::Connect { peer: peer as u32 });
         self.drive(|r, _, _, now, out| r.flush(peer, now, out));
-        // A grave probe that found its target alive says so at once: even if
-        // the peer's own reconcile pass tears the probe link down, a healthy
-        // peer answers with a flooded `JOIN` wave that reaches us through
-        // the mesh. (Degraded nodes already probe everyone.)
-        if excommunicated && dialed && !self.probe_all() {
-            self.count("runtime.grave_probes_hit");
-            self.maybe_send_dead_notice(peer);
-        }
-        self.check_healed();
+        // The grace membership holds the link open for, and a grave probe's
+        // dead notice.
+        self.member(|m, host, out| m.on_link_up(peer, dialed, host.now, out));
+        self.membership.check_healed(&self.links, now);
     }
 
     /// Schedules the next dial attempt to `peer` on the jittered exponential

@@ -93,6 +93,7 @@ use std::time::Duration;
 
 pub mod cluster;
 pub mod core;
+pub mod membership;
 pub mod node;
 pub mod simnode;
 mod sys;

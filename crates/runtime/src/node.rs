@@ -305,7 +305,7 @@ pub(crate) fn spawn_node(
         id,
         addr,
         rejoining,
-        node.core().overlay(),
+        node.core().membership().overlay(),
         crashes,
     ));
     let driver = NodeDriver {
@@ -320,7 +320,7 @@ pub(crate) fn spawn_node(
         rx,
         wake,
         listener,
-        published_epoch: node.core().view_epoch(),
+        published_epoch: node.core().membership().view_epoch(),
         node,
         out: Vec::new(),
         pending: VecDeque::new(),
@@ -624,7 +624,7 @@ impl NodeDriver {
 
     /// Copies what changed in the core to where other threads can see it.
     fn publish(&mut self) {
-        let core = self.node.core();
+        let core = self.node.core().membership();
         if core.view_epoch() != self.published_epoch {
             self.published_epoch = core.view_epoch();
             *self.shared.overlay.lock() = Arc::clone(core.overlay());

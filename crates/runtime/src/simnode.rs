@@ -425,7 +425,9 @@ impl SimCluster {
         };
         // The freshest survivor view; the revenant re-admits itself if the
         // survivors already excommunicated it.
-        let mut overlay = self.core(survivor, |c| DynamicOverlay::clone(c.overlay()));
+        let mut overlay = self.core(survivor, |c| {
+            DynamicOverlay::clone(c.membership().overlay())
+        });
         if !overlay.contains(member) && overlay.admit(member).is_err() {
             return false;
         }

@@ -197,7 +197,7 @@ impl Node {
     /// The victim of a forgery or a forged crash wave: the lowest member of
     /// the replica but this node.
     fn lowest_other_member(&self) -> Option<MemberId> {
-        let mut members = self.core.overlay().members().iter().copied();
+        let mut members = self.core.membership().overlay().members().iter().copied();
         members.find(|&m| m != self.id)
     }
 

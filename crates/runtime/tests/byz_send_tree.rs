@@ -62,7 +62,11 @@ fn launch(config: RuntimeConfig) -> SimCluster {
     let ready = c.await_until(2_000 * MS, |c| {
         (0..N as MemberId).all(|m| {
             c.core(m, |core| {
-                let wanted = core.overlay().neighbors_of(m).unwrap_or_default();
+                let wanted = core
+                    .membership()
+                    .overlay()
+                    .neighbors_of(m)
+                    .unwrap_or_default();
                 wanted.iter().all(|w| core.links().contains(w))
             })
         })
@@ -101,8 +105,10 @@ fn delivered(c: &SimCluster, nonce: u64, among: &[MemberId]) -> Vec<MemberId> {
 
 /// `m`'s children in `origin`'s tree on `m`'s own replica.
 fn kids(c: &SimCluster, origin: MemberId, m: MemberId) -> Vec<MemberId> {
-    c.core(m, |core| core.overlay().tree_children(origin, m))
-        .expect("every replica places every member")
+    c.core(m, |core| {
+        core.membership().overlay().tree_children(origin, m)
+    })
+    .expect("every replica places every member")
 }
 
 /// `top` and everything below it in `origin`'s tree.

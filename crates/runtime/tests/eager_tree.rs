@@ -58,7 +58,9 @@ fn each_broadcast_crosses_every_node_once_in_n_minus_1_data_frames() {
         let cfg = config(None);
         let round = summary_us(&cfg);
         let mut c = launch(n, cfg);
-        let diam = c.core(0, |core| diameter(core.overlay().graph())).unwrap();
+        let diam = c
+            .core(0, |core| diameter(core.membership().overlay().graph()))
+            .unwrap();
         // One broadcast per origin, each 10 ms into its own summary round:
         // it is everywhere before any advert could race it.
         for origin in 0..n as MemberId {
@@ -90,8 +92,10 @@ fn a_cut_tree_edge_is_repaired_by_advert_and_pull_within_two_rounds() {
     let origin: MemberId = 0;
     // A tree edge below the origin's own fan-out whose child has a subtree.
     let kids = |c: &SimCluster, m: MemberId| {
-        c.core(m, |core| core.overlay().tree_children(origin, m))
-            .unwrap()
+        c.core(m, |core| {
+            core.membership().overlay().tree_children(origin, m)
+        })
+        .unwrap()
     };
     let (parent, child) = (1..n as MemberId)
         .flat_map(|p| kids(&c, p).into_iter().map(move |ch| (p, ch)))
@@ -199,7 +203,7 @@ fn crash_under_load(rate: Time) -> Vec<(MemberId, usize, usize)> {
     let mut c = launch(n, RuntimeConfig::default());
     // The member that forwards for the most origins.
     let relays = |m: MemberId| {
-        let kids = |o| c.core(m, |core| core.overlay().tree_children(o, m));
+        let kids = |o| c.core(m, |core| core.membership().overlay().tree_children(o, m));
         (0..n as MemberId)
             .filter(|&o| o != m && kids(o).is_some_and(|k| !k.is_empty()))
             .count()

@@ -119,7 +119,11 @@ fn check(n: usize, behavior: TraitorBehavior, seed: u64) {
     let ready = c.await_until(2_000 * MS, |c| {
         (0..n as MemberId).all(|m| {
             c.core(m, |core| {
-                let wanted = core.overlay().neighbors_of(m).unwrap_or_default();
+                let wanted = core
+                    .membership()
+                    .overlay()
+                    .neighbors_of(m)
+                    .unwrap_or_default();
                 wanted.iter().all(|w| core.links().contains(w))
             })
         })

@@ -56,7 +56,9 @@ fn run_twice(scenario: impl Fn() -> SimCluster) -> SimCluster {
 }
 
 fn members_of(run: &SimCluster, m: MemberId) -> BTreeSet<MemberId> {
-    run.core(m, |c| c.overlay().members().iter().copied().collect())
+    run.core(m, |c| {
+        c.membership().overlay().members().iter().copied().collect()
+    })
 }
 
 #[test]
@@ -77,17 +79,28 @@ fn staggered_crashes_heal_and_reflood() {
         .filter(|m| !victims.contains(m))
         .collect();
     let expected: BTreeSet<MemberId> = survivors.iter().copied().collect();
-    let links = run.core(survivors[0], |c| c.overlay().links());
+    let links = run.core(survivors[0], |c| c.membership().overlay().links());
     for &m in &survivors {
         assert_eq!(members_of(&run, m), expected, "replica of {m}");
         run.core(m, |c| {
-            assert_eq!(c.overlay().links(), links, "replica of {m} agrees");
-            assert!(victims.iter().all(|v| c.crashes_applied().contains(v)));
-            assert!(!c.is_degraded());
-            let wanted: BTreeSet<MemberId> =
-                c.overlay().neighbors_of(m).unwrap().into_iter().collect();
+            assert_eq!(
+                c.membership().overlay().links(),
+                links,
+                "replica of {m} agrees"
+            );
+            assert!(victims
+                .iter()
+                .all(|v| c.membership().crashes_applied().contains(v)));
+            assert!(!c.membership().is_degraded());
+            let wanted: BTreeSet<MemberId> = c
+                .membership()
+                .overlay()
+                .neighbors_of(m)
+                .unwrap()
+                .into_iter()
+                .collect();
             assert!(wanted.is_subset(c.links()), "{m} holds every wanted link");
-            assert!(is_k_vertex_connected(c.overlay().graph(), K));
+            assert!(is_k_vertex_connected(c.membership().overlay().graph(), K));
         });
     }
     let report = run.finish();
@@ -137,7 +150,7 @@ fn minority_partition_degrades_then_rejoins() {
         "both came back by JOIN"
     );
     let everyone: BTreeSet<MemberId> = (0..N as MemberId).collect();
-    let links = run.core(0, |c| c.overlay().links());
+    let links = run.core(0, |c| c.membership().overlay().links());
     for m in 0..N as MemberId {
         assert_eq!(
             members_of(&run, m),
@@ -145,8 +158,8 @@ fn minority_partition_degrades_then_rejoins() {
             "replica of {m} is whole again"
         );
         run.core(m, |c| {
-            assert_eq!(c.overlay().links(), links);
-            assert!(!c.is_degraded() && c.crashes_applied().is_empty());
+            assert_eq!(c.membership().overlay().links(), links);
+            assert!(!c.membership().is_degraded() && c.membership().crashes_applied().is_empty());
         });
     }
 }
@@ -196,7 +209,7 @@ fn frame_crash_traitor_and_forged_notice_move_nobody() {
     }
     // The lone notice reached node 1's rejoin machinery and stopped there.
     assert_eq!(counter(&run, "runtime.join_announces"), 0);
-    assert!(!run.core(1, |c| c.is_rejoining()));
+    assert!(!run.core(1, |c| c.membership().is_rejoining()));
 }
 
 /// The shape of chaos mixed seed 104 on TCP ('crash detection of 3 under
@@ -250,7 +263,7 @@ fn crash_under_corroboration_and_loss_is_applied_everywhere() {
             scenario()
         };
         for m in (0..n).filter(|&m| m != traitor && m != victim) {
-            if !run.core(m, |c| c.crashes_applied().contains(&victim)) {
+            if !run.core(m, |c| c.membership().crashes_applied().contains(&victim)) {
                 late.push((seed, m, victim));
             }
         }
@@ -368,13 +381,18 @@ fn a_member_killed_and_revived_twice_is_readmitted_both_times() {
             c.run_until(c.now() + 300 * MS);
             assert!(c.kill(victim));
             let excommunicated = c.await_until(2_000 * MS, |c| {
-                survivors().all(|m| c.core(m, |core| core.crashes_applied().contains(&victim)))
+                survivors().all(|m| {
+                    c.core(m, |core| {
+                        core.membership().crashes_applied().contains(&victim)
+                    })
+                })
             });
             assert!(excommunicated, "round {round}: the crash is detected");
             assert!(c.revive(victim));
             let readmitted = c.await_until(2_000 * MS, |c| {
                 (0..N as MemberId).all(|m| members_of(c, m).len() == N)
-                    && survivors().all(|m| c.core(m, |core| core.crashes_applied().is_empty()))
+                    && survivors()
+                        .all(|m| c.core(m, |core| core.membership().crashes_applied().is_empty()))
             });
             assert!(readmitted, "round {round}: every survivor re-admits it");
         }
@@ -382,11 +400,15 @@ fn a_member_killed_and_revived_twice_is_readmitted_both_times() {
         c
     });
     assert!(counter(&run, "runtime.join_announces") >= 2);
-    let links = run.core(0, |c| c.overlay().links());
+    let links = run.core(0, |c| c.membership().overlay().links());
     for m in 0..N as MemberId {
         run.core(m, |c| {
-            assert_eq!(c.overlay().links(), links, "replica of {m} agrees");
-            assert!(!c.is_degraded() && !c.is_rejoining());
+            assert_eq!(
+                c.membership().overlay().links(),
+                links,
+                "replica of {m} agrees"
+            );
+            assert!(!c.membership().is_degraded() && !c.membership().is_rejoining());
         });
     }
 }
@@ -409,7 +431,8 @@ fn a_rejoin_whose_join_wave_is_lost_on_every_link_is_applied_under_data_load() {
     let readmitted_by = |c: &SimCluster, members: &BTreeSet<MemberId>| {
         members.iter().all(|&m| {
             c.core(m, |core| {
-                core.overlay().contains(VICTIM) && !core.crashes_applied().contains(&VICTIM)
+                core.membership().overlay().contains(VICTIM)
+                    && !core.membership().crashes_applied().contains(&VICTIM)
             })
         })
     };
@@ -425,14 +448,19 @@ fn a_rejoin_whose_join_wave_is_lost_on_every_link_is_applied_under_data_load() {
         assert!(c.kill(VICTIM));
         let survivors: BTreeSet<MemberId> = (0..N as MemberId).filter(|&m| m != VICTIM).collect();
         let detected = c.await_until(2_000 * MS, |c| {
-            (survivors.iter()).all(|&m| c.core(m, |core| core.crashes_applied().contains(&VICTIM)))
+            (survivors.iter()).all(|&m| {
+                c.core(m, |core| {
+                    core.membership().crashes_applied().contains(&VICTIM)
+                })
+            })
         });
         assert!(detected, "the crash is detected");
         let notices_before = counter(&c, "runtime.dead_notices");
         let revived_at = c.now();
         assert!(c.revive(VICTIM));
         let neighbors: BTreeSet<MemberId> = c.core(VICTIM, |core| {
-            core.overlay()
+            core.membership()
+                .overlay()
                 .neighbors_of(VICTIM)
                 .unwrap()
                 .into_iter()
@@ -456,5 +484,5 @@ fn a_rejoin_whose_join_wave_is_lost_on_every_link_is_applied_under_data_load() {
         assert!(everyone, "the repaired wave reaches every survivor");
         c
     });
-    run.core(VICTIM, |c| assert!(!c.is_rejoining()));
+    run.core(VICTIM, |c| assert!(!c.membership().is_rejoining()));
 }

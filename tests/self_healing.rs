@@ -55,7 +55,7 @@ fn detect_repair_reflood() {
     // Completeness: every overlay neighbor of the victim suspected it, by
     // its own timeout. Accuracy: nobody else was ever suspected.
     let neighbors: BTreeSet<MemberId> = run.core(victim, |c| {
-        let wanted = c.overlay().neighbors_of(victim).unwrap();
+        let wanted = c.membership().overlay().neighbors_of(victim).unwrap();
         wanted.into_iter().collect()
     });
     let mut suspected_by = BTreeSet::new();
@@ -83,15 +83,24 @@ fn detect_repair_reflood() {
     // Every survivor — neighbor or not — applied the crash wave, holds the
     // same 23-member replica, and has every link that replica wants.
     let survivors: Vec<MemberId> = (0..n as MemberId).filter(|&m| m != victim).collect();
-    let healed = run.core(survivors[0], |c| c.overlay().clone());
+    let healed = run.core(survivors[0], |c| c.membership().overlay().clone());
     assert_eq!(healed.len(), 23);
     assert!(!healed.members().contains(&victim));
     for &m in &survivors {
         run.core(m, |c| {
-            assert_eq!(c.overlay().links(), healed.links(), "replica of {m}");
-            assert!(c.crashes_applied().contains(&victim));
-            let wanted: BTreeSet<MemberId> =
-                c.overlay().neighbors_of(m).unwrap().into_iter().collect();
+            assert_eq!(
+                c.membership().overlay().links(),
+                healed.links(),
+                "replica of {m}"
+            );
+            assert!(c.membership().crashes_applied().contains(&victim));
+            let wanted: BTreeSet<MemberId> = c
+                .membership()
+                .overlay()
+                .neighbors_of(m)
+                .unwrap()
+                .into_iter()
+                .collect();
             assert!(wanted.is_subset(c.links()), "{m} redialed its new links");
         });
     }
