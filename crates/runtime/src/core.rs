@@ -153,7 +153,22 @@ pub enum Action {
     },
 }
 
-/// How a node enters the cluster: fresh boot or rejoin after a kill.
+/// How a node enters the cluster: who it is, what it knows at boot, and
+/// how it came to boot.
+#[derive(Debug, Clone)]
+pub struct Boot {
+    /// This node's member id.
+    pub id: MemberId,
+    /// Its overlay replica at boot.
+    pub overlay: DynamicOverlay,
+    /// Every member that exists (the address book's keys): every member
+    /// that may ever be dialed or accepted.
+    pub roster: BTreeSet<MemberId>,
+    /// Fresh boot or rejoin.
+    pub opts: BootOpts,
+}
+
+/// Fresh boot or rejoin after a kill.
 #[derive(Debug, Clone, Default)]
 pub struct BootOpts {
     /// Flood a `JOIN` announcement once the first link is up (rejoin path).
@@ -298,25 +313,26 @@ pub struct NodeCore {
 }
 
 impl NodeCore {
-    /// A node booted at `now_us` with `overlay` as its replica. `roster` is
-    /// every member that exists (the address book's keys). Nothing is
-    /// emitted until the first [`Self::tick`], which is due at once.
+    /// A node booted at `now_us` as `boot` says. Nothing is emitted until
+    /// the first [`Self::tick`], which is due at once.
     ///
     /// # Errors
     ///
     /// [`UnsoundMembership`] when a byzantine setup's traitor budget needs
     /// more than the boot membership (n < 3f+1): a configuration error.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        id: MemberId,
-        overlay: DynamicOverlay,
-        roster: BTreeSet<MemberId>,
+        boot: Boot,
         config: &RuntimeConfig,
         metrics: Arc<MetricsRegistry>,
         recorder: Arc<FlightRecorder>,
-        opts: BootOpts,
         now_us: u64,
     ) -> Result<Self, UnsoundMembership> {
+        let Boot {
+            id,
+            overlay,
+            roster,
+            opts,
+        } = boot;
         // Quorums are sized from an epoch-stamped membership view: each
         // Bracha instance snapshots the view live at its creation, and
         // churn bumps the view (f stays a protocol constant).

@@ -58,7 +58,7 @@ use lhg_net::metrics::{Counter, Histogram, MetricsRegistry};
 use lhg_net::wirecost::WireAccountant;
 use lhg_trace::{EventKind, FlightRecorder, PathRecord, TraceCollector};
 
-use crate::core::{self, Action, BootOpts};
+use crate::core::{self, Action, Boot, BootOpts};
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::traitor::Node;
 use crate::wire;
@@ -291,14 +291,20 @@ pub(crate) fn spawn_node(
     wake.set_nonblocking(true)?;
     // A boot membership below 3f+1 is a configuration error, surfaced here
     // instead of aborting the process.
-    let roster = directory.read().keys().copied().collect();
     let (rejoining, crashes) = (opts.announce_join, opts.initial_crashes.clone());
+    let roster = directory.read().keys().copied().collect();
+    let boot = Boot {
+        id,
+        overlay,
+        roster,
+        opts,
+    };
     let (m, r, now_us) = (
         Arc::clone(&metrics),
         Arc::clone(&recorder),
         recorder.now_us(),
     );
-    let node = Node::new(id, overlay, roster, &config, m, r, opts, now_us)
+    let node = Node::new(boot, &config, m, r, now_us)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(NodeShared::new(

@@ -42,7 +42,7 @@ use lhg_net::metrics::MetricsRegistry;
 use lhg_net::sim::{Context, LinkModel, Process, SimReport, Simulation, Time};
 use lhg_trace::{merge_timelines, FlightRecorder, TraceCollector};
 
-use crate::core::{Action, BootOpts, Event, NodeCore};
+use crate::core::{Action, Boot, BootOpts, Event, NodeCore};
 use crate::traitor::Node;
 use crate::wire;
 use crate::RuntimeConfig;
@@ -375,8 +375,14 @@ impl SimCluster {
         };
         self.next_life += 1;
         let (w, recorder) = (&self.world, Arc::clone(&self.recorders[id as usize]));
-        let (roster, metrics) = (w.roster.clone(), Arc::clone(&w.metrics));
-        Node::new(id, overlay, roster, &w.config, metrics, recorder, opts, now)
+        let roster = w.roster.clone();
+        let boot = Boot {
+            id,
+            overlay,
+            roster,
+            opts,
+        };
+        Node::new(boot, &w.config, Arc::clone(&w.metrics), recorder, now)
             .expect("membership supports the byzantine setup")
     }
 

@@ -12,7 +12,6 @@
 //! identity (the "signed-enough" model), so each is one voice: f short of
 //! the f+1 amplification and corroboration thresholds.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -20,12 +19,12 @@ use bytes::Bytes;
 use lhg_byzantine::TraitorBehavior::{self, Equivocate, Forge, Replay, Silent, SuppressHeartbeat};
 use lhg_byzantine::{digest, GossipFrame, GossipKind, UnsoundMembership, VoteEntry, VotesFrame};
 use lhg_byzantine::{EQUIVOCATE_NONCE_BASE, FORGE_NONCE_BASE};
-use lhg_core::overlay::{DynamicOverlay, MemberId};
+use lhg_core::overlay::MemberId;
 use lhg_net::message::{ByzTag, Message};
 use lhg_net::metrics::{Counter, MetricsRegistry};
 use lhg_trace::FlightRecorder;
 
-use crate::core::{Action, BootOpts, Event, NodeCore};
+use crate::core::{Action, Boot, Event, NodeCore};
 use crate::wire::{self, FrameKind};
 use crate::RuntimeConfig;
 
@@ -82,24 +81,21 @@ impl Node {
     /// # Errors
     ///
     /// As [`NodeCore::new`].
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        id: MemberId,
-        overlay: DynamicOverlay,
-        roster: BTreeSet<MemberId>,
+        boot: Boot,
         config: &RuntimeConfig,
         metrics: Arc<MetricsRegistry>,
         recorder: Arc<FlightRecorder>,
-        opts: BootOpts,
         now_us: u64,
     ) -> Result<Self, UnsoundMembership> {
+        let id = boot.id;
         let mut traitors = config.byzantine.iter().flat_map(|s| &s.traitors);
         let script = traitors.find(|t| t.0 == id).map(|t| t.1);
         let frame_crash = script == Some(TraitorBehavior::FrameCrash);
         let waves = frame_crash.then(|| metrics.counter("runtime.forged_crash_waves"));
         let beat_us = u64::try_from(config.heartbeat_period.as_micros()).unwrap_or(u64::MAX);
         Ok(Node {
-            core: NodeCore::new(id, overlay, roster, config, metrics, recorder, opts, now_us)?,
+            core: NodeCore::new(boot, config, metrics, recorder, now_us)?,
             id,
             script,
             lied: false,

@@ -10,7 +10,7 @@ use lhg_core::overlay::{DynamicOverlay, MemberId};
 use lhg_core::Constraint;
 use lhg_net::fifo::fifo_id;
 use lhg_net::message::Message;
-use lhg_runtime::core::{Action, BootOpts, Event, NodeCore};
+use lhg_runtime::core::{Action, Boot, BootOpts, Event, NodeCore};
 use lhg_runtime::{wire, MetricsRegistry, RuntimeConfig};
 use lhg_trace::FlightRecorder;
 
@@ -21,8 +21,14 @@ fn boot(config: &RuntimeConfig) -> (NodeCore, MemberId) {
     let peer = overlay.neighbors_of(0).expect("member")[0];
     let recorder = FlightRecorder::with_capacity(0, 1 << 10, Instant::now());
     let metrics = Arc::new(MetricsRegistry::new());
-    let (opts, recorder) = (BootOpts::default(), Arc::new(recorder));
-    let core = NodeCore::new(0, overlay, roster, config, metrics, recorder, opts, 0);
+    let opts = BootOpts::default();
+    let boot = Boot {
+        id: 0,
+        overlay,
+        roster,
+        opts,
+    };
+    let core = NodeCore::new(boot, config, metrics, Arc::new(recorder), 0);
     (core.expect("boots"), peer)
 }
 

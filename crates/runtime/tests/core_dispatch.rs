@@ -11,7 +11,7 @@ use lhg_core::Constraint;
 use lhg_net::fifo::fifo_id;
 use lhg_net::message::Message;
 use lhg_net::wirecost::RESERVED_TAG;
-use lhg_runtime::core::{Action, BootOpts, Event, NodeCore};
+use lhg_runtime::core::{Action, Boot, BootOpts, Event, NodeCore};
 use lhg_runtime::{MetricsRegistry, RuntimeConfig};
 use lhg_trace::FlightRecorder;
 
@@ -27,8 +27,15 @@ fn a_frame_carrying_the_reserved_tag_bit_is_dropped_as_malformed() {
     let recorder = Arc::new(FlightRecorder::with_capacity(0, 1 << 10, Instant::now()));
     let metrics = Arc::new(MetricsRegistry::new());
     let config = RuntimeConfig::default();
-    let (opts, m) = (BootOpts::default(), Arc::clone(&metrics));
-    let mut core = NodeCore::new(0, overlay, roster, &config, m, recorder, opts, 0).expect("boots");
+    let opts = BootOpts::default();
+    let boot = Boot {
+        id: 0,
+        overlay,
+        roster,
+        opts,
+    };
+    let m = Arc::clone(&metrics);
+    let mut core = NodeCore::new(boot, &config, m, recorder, 0).expect("boots");
     let mut out = Vec::new();
     core.handle(Event::LinkUp { peer, dialed: true }, 0, &mut out);
 

@@ -31,7 +31,7 @@ use lhg_core::Constraint;
 use lhg_net::message::ByzTag;
 use lhg_net::sim::LinkModel;
 use lhg_net::wirecost::MessageClass;
-use lhg_runtime::core::{Action, BootOpts, Event};
+use lhg_runtime::core::{Action, Boot, BootOpts, Event};
 use lhg_runtime::simnode::{SimCluster, SimInput};
 use lhg_runtime::traitor::Node;
 use lhg_runtime::{ByzantineSetup, MetricsRegistry, RuntimeConfig};
@@ -245,9 +245,13 @@ fn equivocate_and_forge_lie_once_per_life() {
                 life,
                 ..BootOpts::default()
             };
-            let (o, r) = (overlay.clone(), roster.clone());
-            let mut node =
-                Node::new(traitor, o, r, &cfg, metrics, recorder, opts, 0).expect("boots");
+            let boot = Boot {
+                id: traitor,
+                overlay: overlay.clone(),
+                roster: roster.clone(),
+                opts,
+            };
+            let mut node = Node::new(boot, &cfg, metrics, recorder, 0).expect("boots");
             let mut out = Vec::new();
             for &peer in &links {
                 node.handle(

@@ -28,7 +28,7 @@ use lhg_byzantine::{digest, GossipFrame, GossipKind};
 use lhg_core::overlay::{DynamicOverlay, MemberId, TreeChildren};
 use lhg_core::Constraint;
 use lhg_net::message::{ByzTag, Message};
-use lhg_runtime::core::{Action, BootOpts, Event, NodeCore};
+use lhg_runtime::core::{Action, Boot, BootOpts, Event, NodeCore};
 use lhg_runtime::{MetricsRegistry, RuntimeConfig};
 use lhg_trace::FlightRecorder;
 
@@ -130,17 +130,14 @@ fn a_relayed_send_allocates_nothing() {
     let recorder = Arc::new(FlightRecorder::with_capacity(0, 1 << 10, Instant::now()));
     let metrics = Arc::new(MetricsRegistry::new());
     let config = RuntimeConfig::default();
-    let mut core = NodeCore::new(
-        0,
+    let opts = BootOpts::default();
+    let boot = Boot {
+        id: 0,
         overlay,
         roster,
-        &config,
-        metrics,
-        recorder,
-        BootOpts::default(),
-        0,
-    )
-    .expect("boots");
+        opts,
+    };
+    let mut core = NodeCore::new(boot, &config, metrics, recorder, 0).expect("boots");
     let mut out = Vec::with_capacity(64);
     for &peer in &links {
         core.handle(Event::LinkUp { peer, dialed: true }, 0, &mut out);
