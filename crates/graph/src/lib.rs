@@ -17,7 +17,6 @@
 //! * [`traversal`] — BFS/DFS primitives;
 //! * [`paths`] — eccentricity, diameter, radius, average path length;
 //! * [`components`] — connected components;
-//! * [`cuts`] — articulation points and bridges (Tarjan low-link);
 //! * [`flow`] — Dinic max-flow on unit-capacity networks;
 //! * [`connectivity`] — exact edge and vertex connectivity via Menger's
 //!   theorem (max-flow formulations on networks built once per graph),
@@ -56,7 +55,6 @@ mod node;
 pub mod betweenness;
 pub mod components;
 pub mod connectivity;
-pub mod cuts;
 pub mod degree;
 pub mod disjoint_paths;
 pub mod flow;
