@@ -18,23 +18,24 @@
 
 use lhg_chaos::{run_sim_chaos, FaultPlan};
 
-/// Fingerprint of the 20 report lines. Re-recorded on purpose when a
-/// frame from a live peer the replica does not know stopped re-admitting
-/// that peer (`NodeCore::on_frame`): a node that missed a revenant's `JOIN`
-/// waves now learns of the rejoin only from another wave or the dead-notice
-/// answer, as every other membership change. The two mixed lines move and
-/// all 20 verdicts stay green; every other line is byte-identical. Seed 4
-/// ends 20 ms later (1.01 → 1.03 s), seed 14 30 ms earlier (0.96 →
-/// 0.93 s), both with the same delivery counts.
-/// (Before: `0x7104_f773_7d2a_f1b7`, traitor scripts outside the core;
-/// earlier `0x95c0_a9f4_33e4_6407`, `SEND` on the eager tree,
+/// Fingerprint of the 20 report lines. Re-recorded on purpose when a lone
+/// dead-notice sender under f+1 corroboration started getting a direct
+/// `JOIN` once per suspicion timeout (`Membership::on_excommunication_notice`):
+/// a correct node that lost every copy of a revenant's `JOIN` wave no
+/// longer keeps it excommunicated for good. Only the mixed line of seed 19
+/// moves (`JOIN` frames 74 → 93, with the heartbeats, hellos and byz
+/// frames around them), with the same end time (1.01 s) and delivery
+/// count (53); all 20 verdicts stay green.
+/// (Before: `0x645a_d6fb_d1e0_7588`, no re-admission of an unknown live
+/// peer on its frames; `0x7104_f773_7d2a_f1b7`, traitor scripts outside
+/// the core; earlier `0x95c0_a9f4_33e4_6407`, `SEND` on the eager tree,
 /// `0x9f51_6254_cb51_8b46`, one rejoin path,
 /// `0xe503_7876_c445_e898`, pull-store retirement, `0xc7bc_8813_21ed_c6b3`,
 /// one catch-up path, `0x791a_4803_82d2_68cc`, eager trees,
 /// `0x009c_385a_8797_f0ce`, the core naming its next deadline,
 /// `0xe020_352a_c204_5d04`, control traffic riding the data, and
 /// `0x376b_bec3_de79_9423`, the one chaos interpreter.)
-const GOLDEN_FNV1A: u64 = 0x645a_d6fb_d1e0_7588;
+const GOLDEN_FNV1A: u64 = 0xb64e_67bc_7b7f_e386;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

@@ -133,9 +133,9 @@ pub struct Membership {
     rejoin_cooldown: Option<u64>,
     /// Last time a dead notice went to each peer (rate limiting).
     notice_sent: BTreeMap<MemberId, u64>,
-    /// The peers that sent us a dead notice since our last answer
-    /// (byzantine runs).
-    notifiers: BTreeSet<MemberId>,
+    /// The peers that sent us a dead notice since our last answer, each
+    /// with the time it started waiting for one (byzantine runs).
+    notifiers: BTreeMap<MemberId, u64>,
 }
 
 impl Membership {
@@ -169,7 +169,7 @@ impl Membership {
             wave_seq: 0,
             rejoin_cooldown: None,
             notice_sent: BTreeMap::new(),
-            notifiers: BTreeSet::new(),
+            notifiers: BTreeMap::new(),
         }
     }
 
@@ -369,8 +369,17 @@ impl Membership {
         // forgery; react only once f+1 distinct peers agree we were
         // excommunicated (a lone traitor cannot trigger rejoin flapping).
         if self.crash_quorum > 1 {
-            self.notifiers.insert(from);
+            let since = *self.notifiers.entry(from).or_insert(now);
             if self.notifiers.len() < self.crash_quorum {
+                // A correct notifier that lost every copy of our `JOIN` wave
+                // would otherwise wait for good: one that has kept at it a
+                // whole timeout gets a direct `JOIN` of its own, once per
+                // timeout, and no rejoin starts here.
+                if now - since >= self.timeout_us {
+                    self.notifiers.insert(from, now);
+                    let msg = self.join(host.seen);
+                    out.push(Effect::Send { to: from, msg });
+                }
                 return;
             }
             self.notifiers.clear();
