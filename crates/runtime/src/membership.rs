@@ -684,3 +684,182 @@ impl Membership {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use lhg_core::Constraint;
+
+    use super::*;
+    use crate::ByzantineSetup;
+
+    /// `RuntimeConfig::default()`'s suspicion timeout (µs).
+    const TIMEOUT: u64 = 300_000;
+
+    /// Member 0 of K-DIAMOND(16, 3), with a traitor budget of `f`.
+    fn member(f: usize) -> Membership {
+        let overlay = DynamicOverlay::bootstrap(Constraint::KDiamond, 16, 3).expect("overlay");
+        let traitors = Vec::new();
+        let byzantine = (f > 0).then_some(ByzantineSetup { f, traitors });
+        let config = RuntimeConfig {
+            byzantine,
+            ..RuntimeConfig::default()
+        };
+        let (metrics, opts) = (Arc::new(MetricsRegistry::new()), BootOpts::default());
+        let recorder = Arc::new(FlightRecorder::with_capacity(0, 64, Instant::now()));
+        Membership::new(0, overlay, opts, &config, metrics, recorder)
+    }
+
+    /// One input at `now`, every member `live` or none; what it emitted.
+    fn run(
+        m: &mut Membership,
+        now: u64,
+        live: bool,
+        step: impl FnOnce(&mut Membership, &mut Host, &mut Vec<Effect>),
+    ) -> Vec<Effect> {
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        let live = move |_| live;
+        let linked = true;
+        let mut host = Host {
+            now,
+            linked,
+            live: &live,
+            seen: &mut seen,
+        };
+        step(m, &mut host, &mut out);
+        out
+    }
+
+    /// A control frame `from` sends under its own origin.
+    fn frame(m: &mut Membership, id: u64, from: MemberId, now: u64, live: bool) -> Vec<Effect> {
+        let (msg, kind) = (
+            Message::new(id, from as u32, Bytes::new()),
+            wire::classify(id),
+        );
+        run(m, now, live, |m, host, out| {
+            m.on_frame(from, &msg, kind, host, out)
+        })
+    }
+
+    /// `reporter`'s own wave reporting `victim` crashed.
+    fn report(m: &mut Membership, victim: MemberId, reporter: MemberId, live: bool) -> Vec<Effect> {
+        frame(
+            m,
+            wire::crash_id(victim, reporter as u32),
+            reporter,
+            1_000,
+            live,
+        )
+    }
+
+    fn excommunicates(effects: &[Effect], victim: MemberId) -> bool {
+        (effects.iter()).any(|e| matches!(e, Effect::Excommunicate(v) if *v == victim))
+    }
+
+    /// The frames emitted, as (kind, origin, except) for a flood and
+    /// (kind, origin, Some(to)) for a direct send.
+    fn frames(effects: &[Effect]) -> Vec<(FrameKind, u32, Option<MemberId>)> {
+        let kind = |msg: &Message| wire::classify(msg.broadcast_id);
+        (effects.iter())
+            .filter_map(|e| match e {
+                Effect::Flood { msg, except } => Some((kind(msg), msg.origin, *except)),
+                Effect::Send { to, msg } => Some((kind(msg), msg.origin, Some(*to))),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_vetoed_report_stands_once_its_victim_has_been_silent_a_timeout() {
+        let (mut m, victim) = (member(1), 5);
+        assert!(!excommunicates(&report(&mut m, victim, 1, true), victim));
+        // Two voices, but the victim is still heard on a direct link.
+        assert!(!excommunicates(&report(&mut m, victim, 2, true), victim));
+        assert_eq!(m.metrics.counter("runtime.crash_vetoes").get(), 1);
+        let mut lifted = Vec::new();
+        run(&mut m, 2_000, true, |m, host, _| {
+            lifted = m.lift_stale_vetoes(host)
+        });
+        assert!(lifted.is_empty(), "lifted while the victim is heard");
+        run(&mut m, 2_000 + TIMEOUT, false, |m, host, _| {
+            lifted = m.lift_stale_vetoes(host);
+        });
+        assert_eq!(lifted, [victim]);
+        let fx = run(&mut m, 2_000 + TIMEOUT, false, |m, host, out| {
+            m.crash(victim, host, out);
+        });
+        assert!(excommunicates(&fx, victim) && m.crashes_applied().contains(&victim));
+    }
+
+    #[test]
+    fn a_corroborated_crash_is_vouched_for_with_a_wave_of_its_own() {
+        let (mut m, victim) = (member(1), 5);
+        assert!(!excommunicates(&report(&mut m, victim, 1, false), victim));
+        let fx = report(&mut m, victim, 2, false);
+        assert!(excommunicates(&fx, victim));
+        // The second voice's wave relayed, then this node's own.
+        let crash = FrameKind::Crash(victim);
+        assert_eq!(frames(&fx), [(crash, 2, Some(2)), (crash, 0, None)]);
+    }
+
+    #[test]
+    fn a_heal_asks_grace_for_every_link_its_churn_removes() {
+        let mut m = member(0);
+        let before = m.desired().clone();
+        let victim = *before.first().expect("a neighbor");
+        let fx = run(&mut m, 1_000, false, |m, host, out| {
+            m.suspect(victim, host, out)
+        });
+        let graced: BTreeSet<MemberId> = (fx.iter())
+            .filter_map(|e| match *e {
+                Effect::Grace { peer, until, heal } => {
+                    assert!(heal && until == 1_000 + TIMEOUT / 2);
+                    Some(peer)
+                }
+                _ => None,
+            })
+            .collect();
+        let removed: BTreeSet<MemberId> = before.difference(m.desired()).copied().collect();
+        assert!(removed.contains(&victim));
+        assert_eq!(graced, removed);
+    }
+
+    #[test]
+    fn dead_notices_inside_the_cooldown_coalesce_into_one_answer() {
+        let mut m = member(0);
+        let mut notice = |from: MemberId, now| {
+            let fx = frame(&mut m, wire::crash_id(0, from as u32), from, now, false);
+            frames(&fx)
+                .into_iter()
+                .filter(|f| f.0 == FrameKind::Join(0))
+                .count()
+        };
+        // A direct `JOIN` to the notifier and the flooded announcement.
+        assert_eq!(notice(1, 1_000), 2);
+        for from in 2..6 {
+            assert_eq!(notice(from, 1_000 + 1_000 * from), 0, "notice from {from}");
+        }
+        assert_eq!(notice(2, 1_000 + TIMEOUT), 2);
+    }
+
+    #[test]
+    fn k_crashes_degrade_and_a_join_back_within_budget_heals_again() {
+        let mut m = member(0);
+        for victim in [3, 7, 11] {
+            assert!(!m.is_degraded());
+            run(&mut m, 1_000, false, |m, host, out| {
+                m.suspect(victim, host, out)
+            });
+        }
+        // The k-th crash is not healed around.
+        assert!(m.is_degraded() && m.overlay().contains(11));
+        frame(&mut m, wire::join_id(7, 1 << 16), 7, 2_000, false);
+        // Back within budget: the deferred heal applies.
+        assert!(!m.is_degraded() && !m.overlay().contains(11));
+        assert_eq!(
+            m.crashes_applied().iter().copied().collect::<Vec<_>>(),
+            [3, 11]
+        );
+    }
+}
