@@ -20,27 +20,21 @@
 //!   byz frames to the vote exchange;
 //! * **eager trees** — a fresh data frame, and a first-seen Bracha `SEND`,
 //!   goes on only to this node's children in the origin's BFS tree on the
-//!   replica (every link when the replica cannot place it); for data every
-//!   other link learns the id from the reliable plane's adverts, and a
-//!   node that lacks the body pulls it, while a node that certified a
-//!   `SEND`'s digest without its payload pulls it through the vote
-//!   exchange's repair.
-//!   A stored body retires once every overlay neighbor holds it, while no
-//!   member is crashed or excommunicated here;
+//!   replica; the planes' repair (adverts and pulls) reaches every other
+//!   link. A stored body retires once every overlay neighbor holds it,
+//!   while no member is crashed or excommunicated here;
 //! * **failure detection** — any frame is proof of life, so heartbeats go
-//!   only to links nothing else was sent on for a heartbeat period (a held
-//!   list owed to the link goes in the heartbeat's place); each peer's
-//!   last frame in, and suspicion past the timeout, a verdict membership
-//!   acts on;
+//!   only to links nothing else was sent on for a heartbeat period; a peer
+//!   silent past the timeout is a verdict for membership;
 //! * **link policy** — which links are wanted ([`NodeCore::tick`]'s
-//!   reconcile pass) and when a failed dial may be retried. Dials are
-//!   asynchronous: a [`Action::Dial`] is answered, whenever the driver
-//!   knows, by [`Event::LinkUp`] or [`Event::DialFailed`]. Each peer's
-//!   link state, last frame each way, dial backoff and grace are one record
-//!   in one map, which every link event sets or resets. Membership asks
-//!   for grace, dials, dropped links and reconcile passes ([`Effect`]); the
-//!   core carries them out in the order asked, and answers whether a peer
-//!   is directly live ([`Host`]).
+//!   reconcile pass) and when a failed dial may be retried; a
+//!   [`Action::Dial`] is answered by [`Event::LinkUp`] or
+//!   [`Event::DialFailed`]. Each peer's link state, last frame each way,
+//!   dial backoff and grace are one record in one map.
+//!
+//! Membership asks for frames, grace, dials, dropped links and reconcile
+//! passes (`Effect`); the core carries them out in the order asked, and
+//! answers whether a peer is directly live (`Host`).
 //!
 //! A node the run lists as a traitor holds no vote exchange here; what it
 //! does beyond relaying is [`crate::traitor`]'s, which wraps the core.
@@ -576,7 +570,7 @@ impl NodeCore {
         let kind = wire::classify(msg.broadcast_id);
         // Membership hears every frame first: an excommunicated sender is
         // told so, and crash and join waves are its own.
-        self.member(|m, host, out| m.on_frame(from, &msg, kind, host, out));
+        self.member(|m, host| m.on_frame(from, &msg, kind, host));
         match kind {
             FrameKind::Malformed => self.count("runtime.malformed_frames"),
             FrameKind::Heartbeat(_) => {
@@ -719,10 +713,7 @@ impl NodeCore {
 
     /// Runs one input of the membership machine, answering what it asks from
     /// the link records, then carries out what it emitted, in order.
-    fn member<R>(
-        &mut self,
-        step: impl FnOnce(&mut Membership, &mut Host, &mut Vec<Effect>) -> R,
-    ) -> R {
+    fn member<R>(&mut self, step: impl FnOnce(&mut Membership, &mut Host) -> R) -> R {
         let mut effects = std::mem::take(&mut self.effects);
         let (now, timeout, links, peers) = (self.now, self.timeout_us, &self.links, &self.peers);
         // Directly live: link up, and a frame within the suspicion timeout.
@@ -735,8 +726,9 @@ impl NodeCore {
             linked: !links.is_empty(),
             live: &live,
             seen: &mut self.seen,
+            out: &mut effects,
         };
-        let result = step(&mut self.membership, &mut host, &mut effects);
+        let result = step(&mut self.membership, &mut host);
         for effect in effects.drain(..) {
             self.carry_out(effect);
         }
@@ -747,15 +739,15 @@ impl NodeCore {
     /// One thing membership asked for.
     fn carry_out(&mut self, effect: Effect) {
         match effect {
-            Effect::Send { to, msg } => self.send_to(to, msg),
-            Effect::Flood { msg, except } => self.flood(msg, except),
-            Effect::Grace { peer, until, heal } => {
-                let grace = &mut self.peers.entry(peer).or_default().grace;
-                if heal {
-                    grace.get_or_insert(until);
-                } else {
-                    *grace = Some(until);
-                }
+            Effect::Send(to, msg) => self.send_to(to, msg),
+            Effect::Flood(msg, except) => self.flood(msg, except),
+            Effect::Grace(peer, until) => self.peers.entry(peer).or_default().grace = Some(until),
+            Effect::HealGrace(peer, until) => {
+                self.peers
+                    .entry(peer)
+                    .or_default()
+                    .grace
+                    .get_or_insert(until);
             }
             Effect::Dial(peer) => self.dial(peer),
             Effect::View(overlay) => {
@@ -961,12 +953,12 @@ impl NodeCore {
             }
         }
         for peer in suspects {
-            self.member(|m, host, out| m.suspect(peer, host, out));
+            self.member(|m, host| m.suspect(peer, host));
         }
         // Collected first: each lifted veto applies with its own reconcile.
-        let lifted = self.member(|m, host, _| m.lift_stale_vetoes(host));
+        let lifted = self.member(|m, host| m.lift_stale_vetoes(host));
         for victim in lifted {
-            self.member(|m, host, out| m.crash(victim, host, out));
+            self.member(|m, host| m.crash(victim, host));
         }
     }
 
@@ -975,7 +967,7 @@ impl NodeCore {
     /// the core.
     pub(crate) fn announce_crash(&mut self, victim: MemberId, now_us: u64, out: &mut Vec<Action>) {
         self.transition(now_us, out, |core| {
-            core.member(|m, host, out| m.crash_wave(victim, host.seen, out));
+            core.member(|m, host| m.crash_wave(victim, host));
         });
     }
 
@@ -1083,7 +1075,7 @@ impl NodeCore {
         self.drive(|r, _, _, now, out| r.flush(peer, now, out));
         // The grace membership holds the link open for, and a grave probe's
         // dead notice.
-        self.member(|m, host, out| m.on_link_up(peer, dialed, host.now, out));
+        self.member(|m, host| m.on_link_up(peer, dialed, host));
         self.membership.check_healed(&self.links, now);
     }
 

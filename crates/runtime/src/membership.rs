@@ -4,10 +4,10 @@
 //!
 //! [`Membership`] is inputs in, effects out, like the [`NodeCore`] that owns
 //! it. Its inputs are the node's own detector verdicts
-//! ([`Membership::suspect`]), the crash and join waves and dead notices
-//! among a peer's frames ([`Membership::on_frame`]), and links coming up
-//! ([`Membership::on_link_up`]). It appends what the node must carry out,
-//! in order, to a sink the node reuses ([`Effect`]): waves to flood, frames
+//! (`suspect`), the crash and join waves and dead notices
+//! among a peer's frames (`on_frame`), and links coming up
+//! (`on_link_up`). It appends what the node must carry out,
+//! in order, to a sink the node reuses (`Effect`): waves to flood, frames
 //! for one peer, the replica's new view with the grace and dials its churn
 //! asks for, excommunications, readmissions and reconcile passes. It owns:
 //!
@@ -25,7 +25,7 @@
 //! * **rejoin** — dead notices, each answered with a direct `JOIN` and the
 //!   flooded announcement.
 //!
-//! It asks its node ([`Host`]) what only the link records know: the time,
+//! It asks its node (`Host`) what only the link records know: the time,
 //! whether any link is up, and whether a member is directly live (its link
 //! up, and a frame on it within the suspicion timeout).
 //!
@@ -48,22 +48,17 @@ use crate::RuntimeConfig;
 /// What [`Membership`] asks its node to do, in the order it must be done.
 #[derive(Debug)]
 pub(crate) enum Effect {
-    /// Send `msg` to `to` if the link is up: a dead notice or a direct `JOIN`.
-    Send { to: MemberId, msg: Message },
-    /// Send `msg` on every live link but `except`'s: a wave, relayed, or this
-    /// node's own when `except` is `None`.
-    Flood {
-        msg: Message,
-        except: Option<MemberId>,
-    },
-    /// Leave the link to `peer` up, wanted or not, until `until`; a `heal`
-    /// grace leaves one already running as it is.
-    Grace {
-        peer: MemberId,
-        until: u64,
-        heal: bool,
-    },
-    /// Dial `peer`: a link the churn added, on the dialer side.
+    /// Send the frame to the peer if the link is up: a dead notice or a
+    /// direct `JOIN`.
+    Send(MemberId, Message),
+    /// Send the frame on every live link but the one named: a wave, relayed,
+    /// or this node's own when none is named.
+    Flood(Message, Option<MemberId>),
+    /// Leave the link to the peer up, wanted or not, until the time given.
+    Grace(MemberId, u64),
+    /// The same for a link a heal removed, unless a grace already runs.
+    HealGrace(MemberId, u64),
+    /// Dial the peer: a link the churn added, on the dialer side.
     Dial(MemberId),
     /// The replica changed under churn; this is the new one.
     View(Arc<DynamicOverlay>),
@@ -78,7 +73,8 @@ pub(crate) enum Effect {
 }
 
 /// What the node lends [`Membership`] for one input: its clock, its dedup
-/// set, and its answers about its links.
+/// set, its answers about its links, and the sink for what membership asks
+/// of it.
 pub(crate) struct Host<'a> {
     pub now: u64,
     /// Some link is up: an announcement would reach somebody.
@@ -87,6 +83,7 @@ pub(crate) struct Host<'a> {
     /// frame within the suspicion timeout.
     pub live: &'a dyn Fn(MemberId) -> bool,
     pub seen: &'a mut SeenSet,
+    pub out: &'a mut Vec<Effect>,
 }
 
 /// Who this node believes is a member, and what it does about it; see the
@@ -238,18 +235,12 @@ impl Membership {
         msg: &Message,
         kind: FrameKind,
         host: &mut Host,
-        out: &mut Vec<Effect>,
     ) {
-        let now = host.now;
         let excommunicated = self.crashed.contains(&from);
         if excommunicated {
-            let until = now + self.timeout_us;
-            out.push(Effect::Grace {
-                peer: from,
-                until,
-                heal: false,
-            });
-            self.dead_notice(from, now, out);
+            host.out
+                .push(Effect::Grace(from, host.now + self.timeout_us));
+            self.dead_notice(from, host);
         }
         // A dead notice: the sender excommunicated *us*. Never flooded, never
         // applied — it starts the rejoin path. Under corroboration only a
@@ -258,7 +249,7 @@ impl Membership {
         let voice = self.crash_quorum == 1 || MemberId::from(msg.origin) == from;
         match kind {
             FrameKind::Crash(victim) if victim == self.id && voice => {
-                self.on_excommunication_notice(from, host, out);
+                self.on_excommunication_notice(from, host);
             }
             FrameKind::Crash(victim) if victim == self.id => {}
             FrameKind::Crash(_) if excommunicated => {
@@ -267,35 +258,26 @@ impl Membership {
                 // sender has rejoined.
             }
             FrameKind::Crash(victim) if host.seen.insert(msg.broadcast_id) => {
-                self.rec(
-                    now,
-                    EventKind::CrashReport {
-                        victim: victim as u32,
-                        via: from as u32,
-                    },
-                );
-                let except = Some(from);
-                out.push(Effect::Flood {
-                    msg: msg.forwarded(),
-                    except,
-                });
+                let (victim32, via) = (victim as u32, from as u32);
+                let report = EventKind::CrashReport {
+                    victim: victim32,
+                    via,
+                };
+                self.rec(host.now, report);
+                host.out.push(Effect::Flood(msg.forwarded(), Some(from)));
                 // The wave's *origin* is the reporter, not the relay:
                 // a traitor re-flooding forged waves under fresh
                 // nonces still counts as a single voice.
-                self.note_crash_report(victim, MemberId::from(msg.origin), host, out);
+                self.note_crash_report(victim, MemberId::from(msg.origin), host);
             }
             FrameKind::Join(member) if excommunicated && member != from => {
                 // A revenant may only announce itself.
             }
             FrameKind::Join(member) if host.seen.insert(msg.broadcast_id) => {
                 let member32 = member as u32;
-                self.rec(now, EventKind::JoinAnnounce { member: member32 });
-                let except = Some(from);
-                out.push(Effect::Flood {
-                    msg: msg.forwarded(),
-                    except,
-                });
-                self.apply_join(member, now, out);
+                self.rec(host.now, EventKind::JoinAnnounce { member: member32 });
+                host.out.push(Effect::Flood(msg.forwarded(), Some(from)));
+                self.apply_join(member, host);
             }
             _ => {}
         }
@@ -303,21 +285,11 @@ impl Membership {
 
     /// A link to `peer` came up (`dialed`: this node dialed it). The grace
     /// it is held open for, if any, and a grave probe's dead notice.
-    pub(crate) fn on_link_up(
-        &mut self,
-        peer: MemberId,
-        dialed: bool,
-        now: u64,
-        out: &mut Vec<Effect>,
-    ) {
+    pub(crate) fn on_link_up(&mut self, peer: MemberId, dialed: bool, host: &mut Host) {
         if self.crashed.contains(&peer) {
             // Hold the link open long enough for the rejoin handshake.
-            let until = now + self.timeout_us;
-            out.push(Effect::Grace {
-                peer,
-                until,
-                heal: false,
-            });
+            host.out
+                .push(Effect::Grace(peer, host.now + self.timeout_us));
             // A grave probe that found its target alive says so at once:
             // even if the peer's own reconcile pass tears the probe link
             // down, a healthy peer answers with a flooded `JOIN` wave that
@@ -325,7 +297,7 @@ impl Membership {
             // everyone.)
             if dialed && !self.probe_all() {
                 self.count("runtime.grave_probes_hit");
-                self.dead_notice(peer, now, out);
+                self.dead_notice(peer, host);
             }
         } else if !dialed && !self.desired.contains(&peer) {
             // Nobody dials outside the overlay without a reason: a grave
@@ -334,19 +306,15 @@ impl Membership {
             // back in. Hanging up at once — the dialer-side teardown, when
             // this side has the lower id — would leave the caller's stale
             // exclusion standing for good.
-            let until = now + 2 * self.timeout_us;
-            out.push(Effect::Grace {
-                peer,
-                until,
-                heal: false,
-            });
+            host.out
+                .push(Effect::Grace(peer, host.now + 2 * self.timeout_us));
         }
     }
 
     /// The tick's share: flood a pending `JOIN` announcement once a link is
     /// up, and end a rejoin whose announcement has gone.
-    pub(crate) fn tick(&mut self, host: &mut Host, out: &mut Vec<Effect>) {
-        self.try_announce_join(host, out);
+    pub(crate) fn tick(&mut self, host: &mut Host) {
+        self.try_announce_join(host);
         self.rejoining &= self.pending_join_announce;
     }
 
@@ -355,12 +323,7 @@ impl Membership {
     /// the announcement. A degraded node answers the same way: every
     /// replica admits a joiner at the same canonical position, so its own
     /// view need not be trusted for the answer to be right.
-    fn on_excommunication_notice(
-        &mut self,
-        from: MemberId,
-        host: &mut Host,
-        out: &mut Vec<Effect>,
-    ) {
+    fn on_excommunication_notice(&mut self, from: MemberId, host: &mut Host) {
         let now = host.now;
         if self.rejoin_cooldown.is_some_and(|t| now < t) {
             return; // an earlier notice already started the repair
@@ -378,26 +341,26 @@ impl Membership {
                 if now - since >= self.timeout_us {
                     self.notifiers.insert(from, now);
                     let msg = self.join(host.seen);
-                    out.push(Effect::Send { to: from, msg });
+                    host.out.push(Effect::Send(from, msg));
                 }
                 return;
             }
             self.notifiers.clear();
         }
         self.rejoin_cooldown = Some(now + self.timeout_us);
-        out.push(Effect::Settle); // the tick due now probes all, or clears the flag
+        host.out.push(Effect::Settle); // the tick due now probes all, or clears the flag
 
         // The notifier floods the direct JOIN onward and re-admits us into
         // its replica.
         self.pending_join_announce = true;
         let msg = self.join(host.seen);
-        out.push(Effect::Send { to: from, msg });
-        self.try_announce_join(host, out);
+        host.out.push(Effect::Send(from, msg));
+        self.try_announce_join(host);
     }
 
     /// Floods this node's own `JOIN` announcement once at least one link is
     /// up (flooding into the void would announce to nobody).
-    fn try_announce_join(&mut self, host: &mut Host, out: &mut Vec<Effect>) {
+    fn try_announce_join(&mut self, host: &mut Host) {
         if !self.pending_join_announce || !host.linked {
             return;
         }
@@ -406,7 +369,7 @@ impl Membership {
         self.count("runtime.join_announces");
         let member = self.id as u32;
         self.rec(host.now, EventKind::JoinAnnounce { member });
-        out.push(Effect::Flood { msg, except: None });
+        host.out.push(Effect::Flood(msg, None));
     }
 
     /// A `JOIN(self)` under a fresh wave nonce, marked seen: the direct
@@ -429,30 +392,31 @@ impl Membership {
 
     /// Applies a (re)join of `member`: clear its crash state, admit it into
     /// the overlay at the canonical sorted position, and apply the churn.
-    fn apply_join(&mut self, member: MemberId, now: u64, out: &mut Vec<Effect>) {
+    fn apply_join(&mut self, member: MemberId, host: &mut Host) {
         if self.crashed.remove(&member) {
             self.view_epoch += 1;
         }
         // A rejoined member starts afresh: heard from now, no dial backoff,
         // no grace, no notice sent — and its pre-join crash reports are
         // stale evidence.
-        out.push(Effect::Readmit(member));
+        host.out.push(Effect::Readmit(member));
         self.notice_sent.remove(&member);
         self.crash_reporters.remove(&member);
         if !self.overlay.contains(member) {
             if let Ok(report) = Arc::make_mut(&mut self.overlay).admit(member) {
                 self.count("runtime.joins_applied");
-                self.apply_churn(&report, now, out);
+                self.apply_churn(&report, host);
             }
         }
-        self.maybe_exit_degraded(now, out);
-        out.push(Effect::Reconcile);
+        self.maybe_exit_degraded(host);
+        host.out.push(Effect::Reconcile);
     }
 
     /// Sends a direct `CRASH(peer)` *to* `peer`: "you are excommunicated
     /// here". Rate-limited so a chatty revenant gets one notice per
     /// half-timeout, not one per frame.
-    fn dead_notice(&mut self, peer: MemberId, now: u64, out: &mut Vec<Effect>) {
+    fn dead_notice(&mut self, peer: MemberId, host: &mut Host) {
+        let now = host.now;
         if (self.notice_sent.get(&peer)).is_some_and(|&t| now - t < self.timeout_us / 2) {
             return;
         }
@@ -461,8 +425,7 @@ impl Membership {
         // Dead notices are point-to-point and never deduplicated, but a
         // fresh nonce keeps them out of any wave's identity space.
         let id = wire::crash_id(peer, self.fresh_wave_nonce());
-        let msg = self.control(id);
-        out.push(Effect::Send { to: peer, msg });
+        host.out.push(Effect::Send(peer, self.control(id)));
     }
 
     /// A corroborated crash report vetoed because its victim was still
@@ -501,16 +464,10 @@ impl Membership {
     /// echo is sound — a correct node applies only on f+1 voices or its own
     /// timeout, so by induction a live victim never gathers f+1 — and turns
     /// "both of two waves must arrive" into "any two of up to n−1".
-    fn note_crash_report(
-        &mut self,
-        victim: MemberId,
-        reporter: MemberId,
-        host: &mut Host,
-        out: &mut Vec<Effect>,
-    ) {
+    fn note_crash_report(&mut self, victim: MemberId, reporter: MemberId, host: &mut Host) {
         let quorum = self.crash_quorum;
         if quorum <= 1 {
-            self.apply_crash(victim, host.now, out);
+            self.apply_crash(victim, host);
             return;
         }
         if self.crashed.contains(&victim) {
@@ -527,37 +484,31 @@ impl Membership {
             self.count("runtime.crash_vetoes");
             return;
         }
-        self.crash(victim, host, out);
+        self.crash(victim, host);
     }
 
     /// Floods a freshly-nonced `CRASH(victim)` wave under this node's origin.
-    pub(crate) fn crash_wave(
-        &mut self,
-        victim: MemberId,
-        seen: &mut SeenSet,
-        out: &mut Vec<Effect>,
-    ) {
+    pub(crate) fn crash_wave(&mut self, victim: MemberId, host: &mut Host) {
         let id = wire::crash_id(victim, self.fresh_wave_nonce());
-        seen.insert(id);
-        let msg = self.control(id);
-        out.push(Effect::Flood { msg, except: None });
+        host.seen.insert(id);
+        host.out.push(Effect::Flood(self.control(id), None));
     }
 
     /// Announces `victim`'s crash under this node's own voice, then heals.
-    pub(crate) fn crash(&mut self, victim: MemberId, host: &mut Host, out: &mut Vec<Effect>) {
-        self.crash_wave(victim, host.seen, out);
-        self.apply_crash(victim, host.now, out);
+    pub(crate) fn crash(&mut self, victim: MemberId, host: &mut Host) {
+        self.crash_wave(victim, host);
+        self.apply_crash(victim, host);
     }
 
     /// Local suspicion: announce the crash to the cluster, then heal.
     /// Direct evidence (our own heartbeat timeout) applies immediately —
     /// corroboration guards *remote* reports, not first-hand observation.
-    pub(crate) fn suspect(&mut self, victim: MemberId, host: &mut Host, out: &mut Vec<Effect>) {
+    pub(crate) fn suspect(&mut self, victim: MemberId, host: &mut Host) {
         self.count("runtime.suspects");
         let (peer, via) = (victim as u32, self.id as u32);
         self.rec(host.now, EventKind::Suspicion { peer });
         self.rec(host.now, EventKind::CrashReport { victim: peer, via });
-        self.crash(victim, host, out);
+        self.crash(victim, host);
     }
 
     /// Enters or leaves degraded mode (`active` excommunications), keeping
@@ -589,7 +540,8 @@ impl Membership {
     /// set (e.g. on the minority side of a network split). Degraded nodes
     /// keep probing every known member until joins bring the count back
     /// within budget ([`Self::maybe_exit_degraded`]).
-    fn apply_crash(&mut self, victim: MemberId, now: u64, out: &mut Vec<Effect>) {
+    fn apply_crash(&mut self, victim: MemberId, host: &mut Host) {
+        let now = host.now;
         // Dead notices (victim == self) are handled before classification.
         if victim == self.id || !self.crashed.insert(victim) {
             return;
@@ -618,21 +570,21 @@ impl Membership {
         };
         // Frames parked for an excommunicated peer are abandoned; if it
         // ever rejoins, anti-entropy summaries catch it up instead.
-        out.push(Effect::Excommunicate(victim));
+        host.out.push(Effect::Excommunicate(victim));
         if let Some(report) = churn {
-            self.apply_churn(&report, now, out);
+            self.apply_churn(&report, host);
         }
-        out.push(Effect::Reconcile);
+        host.out.push(Effect::Reconcile);
     }
 
     /// Leaves degraded mode once joins have brought the suspect count back
     /// within the k−1 budget, then applies the heals deferred while the
     /// budget was blown; its caller, [`Self::apply_join`], reconciles.
-    fn maybe_exit_degraded(&mut self, now: u64, out: &mut Vec<Effect>) {
+    fn maybe_exit_degraded(&mut self, host: &mut Host) {
         if !self.degraded || self.crashed.len() >= self.k {
             return;
         }
-        self.set_degraded(false, 0, now);
+        self.set_degraded(false, 0, host.now);
         let stale: Vec<MemberId> = self
             .crashed
             .iter()
@@ -641,7 +593,7 @@ impl Membership {
             .collect();
         if !stale.is_empty() {
             if let Ok(report) = Arc::make_mut(&mut self.overlay).crash_many(&stale) {
-                self.apply_churn(&report, now, out);
+                self.apply_churn(&report, host);
             }
         }
     }
@@ -649,11 +601,11 @@ impl Membership {
     /// Applies one churn report: the new view (the node re-sizes the Bracha
     /// view to it), removed links left to linger, added ones dialed on the
     /// dialer side.
-    fn apply_churn(&mut self, report: &ChurnReport, now: u64, out: &mut Vec<Effect>) {
+    fn apply_churn(&mut self, report: &ChurnReport, host: &mut Host) {
         self.view_epoch += 1;
         let desired = self.overlay.neighbors_of(self.id).unwrap_or_default();
         self.desired = desired.into_iter().collect();
-        out.push(Effect::View(Arc::clone(&self.overlay)));
+        host.out.push(Effect::View(Arc::clone(&self.overlay)));
         // Make before break: a link the new topology has no use for lingers
         // for a moment before the reconcile pass takes it down. A wave is
         // flooded once, best-effort, and a link closed under it takes the
@@ -661,13 +613,12 @@ impl Membership {
         // one crash, close the links the other's wave was crossing, and keep
         // a replica nobody else holds — its neighbors-to-be never dial it,
         // and it suspects them.
-        let until = now + self.timeout_us / 2;
-        for peer in report.removed_for(self.id) {
-            let heal = true;
-            out.push(Effect::Grace { peer, until, heal });
-        }
+        let until = host.now + self.timeout_us / 2;
+        let removed = report.removed_for(self.id);
+        host.out
+            .extend(removed.map(|peer| Effect::HealGrace(peer, until)));
         let added = report.added_for(self.id).filter(|&peer| self.id < peer);
-        out.extend(added.map(Effect::Dial));
+        host.out.extend(added.map(Effect::Dial));
     }
 
     /// Closes the healing stopwatch once every desired link is up.
@@ -716,7 +667,7 @@ mod tests {
         m: &mut Membership,
         now: u64,
         live: bool,
-        step: impl FnOnce(&mut Membership, &mut Host, &mut Vec<Effect>),
+        step: impl FnOnce(&mut Membership, &mut Host),
     ) -> Vec<Effect> {
         let (mut seen, mut out) = (SeenSet::default(), Vec::new());
         let live = move |_| live;
@@ -726,8 +677,9 @@ mod tests {
             linked,
             live: &live,
             seen: &mut seen,
+            out: &mut out,
         };
-        step(m, &mut host, &mut out);
+        step(m, &mut host);
         out
     }
 
@@ -737,9 +689,7 @@ mod tests {
             Message::new(id, from as u32, Bytes::new()),
             wire::classify(id),
         );
-        run(m, now, live, |m, host, out| {
-            m.on_frame(from, &msg, kind, host, out)
-        })
+        run(m, now, live, |m, host| m.on_frame(from, &msg, kind, host))
     }
 
     /// `reporter`'s own wave reporting `victim` crashed.
@@ -763,8 +713,8 @@ mod tests {
         let kind = |msg: &Message| wire::classify(msg.broadcast_id);
         (effects.iter())
             .filter_map(|e| match e {
-                Effect::Flood { msg, except } => Some((kind(msg), msg.origin, *except)),
-                Effect::Send { to, msg } => Some((kind(msg), msg.origin, Some(*to))),
+                Effect::Flood(msg, except) => Some((kind(msg), msg.origin, *except)),
+                Effect::Send(to, msg) => Some((kind(msg), msg.origin, Some(*to))),
                 _ => None,
             })
             .collect()
@@ -778,16 +728,16 @@ mod tests {
         assert!(!excommunicates(&report(&mut m, victim, 2, true), victim));
         assert_eq!(m.metrics.counter("runtime.crash_vetoes").get(), 1);
         let mut lifted = Vec::new();
-        run(&mut m, 2_000, true, |m, host, _| {
+        run(&mut m, 2_000, true, |m, host| {
             lifted = m.lift_stale_vetoes(host)
         });
         assert!(lifted.is_empty(), "lifted while the victim is heard");
-        run(&mut m, 2_000 + TIMEOUT, false, |m, host, _| {
+        run(&mut m, 2_000 + TIMEOUT, false, |m, host| {
             lifted = m.lift_stale_vetoes(host);
         });
         assert_eq!(lifted, [victim]);
-        let fx = run(&mut m, 2_000 + TIMEOUT, false, |m, host, out| {
-            m.crash(victim, host, out);
+        let fx = run(&mut m, 2_000 + TIMEOUT, false, |m, host| {
+            m.crash(victim, host)
         });
         assert!(excommunicates(&fx, victim) && m.crashes_applied().contains(&victim));
     }
@@ -808,13 +758,11 @@ mod tests {
         let mut m = member(0);
         let before = m.desired().clone();
         let victim = *before.first().expect("a neighbor");
-        let fx = run(&mut m, 1_000, false, |m, host, out| {
-            m.suspect(victim, host, out)
-        });
+        let fx = run(&mut m, 1_000, false, |m, host| m.suspect(victim, host));
         let graced: BTreeSet<MemberId> = (fx.iter())
             .filter_map(|e| match *e {
-                Effect::Grace { peer, until, heal } => {
-                    assert!(heal && until == 1_000 + TIMEOUT / 2);
+                Effect::HealGrace(peer, until) => {
+                    assert_eq!(until, 1_000 + TIMEOUT / 2);
                     Some(peer)
                 }
                 _ => None,
@@ -848,9 +796,7 @@ mod tests {
         let mut m = member(0);
         for victim in [3, 7, 11] {
             assert!(!m.is_degraded());
-            run(&mut m, 1_000, false, |m, host, out| {
-                m.suspect(victim, host, out)
-            });
+            run(&mut m, 1_000, false, |m, host| m.suspect(victim, host));
         }
         // The k-th crash is not healed around.
         assert!(m.is_degraded() && m.overlay().contains(11));
