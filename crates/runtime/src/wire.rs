@@ -7,12 +7,14 @@
 //! and flooded control waves (crash, join) carry a 32-bit **wave nonce** in
 //! bits 25..57 so every wave gets a fresh id.
 //!
-//! The nonce is what makes crash/join gossip safe to deduplicate forever:
-//! a re-crash or re-join floods under a *new* id, so stale copies of an
-//! old wave still circulating in socket buffers can never be mistaken for
-//! news. (With fixed per-member ids, re-arming the dedup entry on each
-//! membership flip let an old crash wave and an old join wave chase each
-//! other through the mesh indefinitely — a churn livelock.)
+//! The nonce is what makes crash/join gossip safe to deduplicate by id: a
+//! re-crash or re-join floods under a *new* id, so stale copies of an old
+//! wave still circulating in socket buffers are absorbed as long as the
+//! dedup set keeps the id — a FIFO that evicts past 2²⁰ ids, long after
+//! the last copy has drained — and can never be mistaken for news. (With
+//! fixed per-member ids, re-arming the dedup entry on each membership flip
+//! let an old crash wave and an old join wave chase each other through the
+//! mesh indefinitely — a churn livelock.)
 //!
 //! Application data ids come from [`lhg_net::fifo::fifo_id`] (origin id in
 //! bits 32..64). Loopback clusters have tiny member ids, so bits 57+ are
