@@ -577,7 +577,7 @@ impl NodeCore {
                 // Liveness recorded above; keep the probe in the timeline.
                 self.rec(EventKind::Heartbeat { peer: from as u32 });
             }
-            // Handshakes are the driver's.
+            // Handshakes are the driver's, waves membership's (above).
             FrameKind::Hello(_) | FrameKind::Crash(_) | FrameKind::Join(_) => {}
             FrameKind::Ack(_) => {
                 self.drive(|r, _, _, now, out| r.on_ack(from, msg.payload, now, out));
@@ -739,8 +739,20 @@ impl NodeCore {
     /// One thing membership asked for.
     fn carry_out(&mut self, effect: Effect) {
         match effect {
-            Effect::Send(to, msg) => self.send_to(to, msg),
-            Effect::Flood(msg, except) => self.flood(msg, except),
+            Effect::Send(to, msg) if self.links.contains(&to) => {
+                self.out.push(Action::Send { to, msg });
+            }
+            Effect::Send(..) => {}
+            // Best-effort: one send to each linked peer but `except`, in
+            // link order. Data frames never come this way — they go
+            // through [`Self::drive`].
+            Effect::Flood(msg, except) => {
+                let to = self.links.iter().filter(|&&p| Some(p) != except);
+                (self.out).extend(to.map(|&to| Action::Send {
+                    to,
+                    msg: msg.clone(),
+                }));
+            }
             Effect::Grace(peer, until) => self.peers.entry(peer).or_default().grace = Some(until),
             Effect::HealGrace(peer, until) => {
                 self.peers
@@ -797,24 +809,6 @@ impl NodeCore {
             });
         }
         self.out.push(Action::Deliver { msg, via });
-    }
-
-    /// Sends `msg` to `peer` if the link is up.
-    fn send_to(&mut self, peer: MemberId, msg: Message) {
-        if self.links.contains(&peer) {
-            self.out.push(Action::Send { to: peer, msg });
-        }
-    }
-
-    /// Best-effort flood of a control frame (a crash or join wave): one
-    /// send to each linked peer but `except`, in link order. Data frames
-    /// never come this way — they go through [`Self::drive`].
-    fn flood(&mut self, msg: Message, except: Option<MemberId>) {
-        let to = self.links.iter().filter(|&&p| Some(p) != except);
-        (self.out).extend(to.map(|&to| Action::Send {
-            to,
-            msg: msg.clone(),
-        }));
     }
 
     /// Runs one transition of the reliable plane — handing it the dedup

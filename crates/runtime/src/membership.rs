@@ -60,7 +60,9 @@ pub(crate) enum Effect {
     HealGrace(MemberId, u64),
     /// Dial the peer: a link the churn added, on the dialer side.
     Dial(MemberId),
-    /// The replica changed under churn; this is the new one.
+    /// The replica changed under churn; this is the new one. A join that
+    /// also lifts degraded mode changes it twice, and the node re-sizes its
+    /// Bracha view to each.
     View(Arc<DynamicOverlay>),
     /// The member is excommunicated: drop its link and what was queued for it.
     Excommunicate(MemberId),
