@@ -191,7 +191,8 @@ fn byz_exchange(
     Ok(exchange)
 }
 
-fn us(d: Duration) -> u64 {
+/// A duration in µs, the core's unit of time.
+pub(crate) fn us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 

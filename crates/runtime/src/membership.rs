@@ -41,7 +41,7 @@ use lhg_net::metrics::MetricsRegistry;
 use lhg_net::seen::SeenSet;
 use lhg_trace::{EventKind, FlightRecorder};
 
-use crate::core::BootOpts;
+use crate::core::{us, BootOpts};
 use crate::wire::{self, FrameKind};
 use crate::RuntimeConfig;
 
@@ -151,7 +151,7 @@ impl Membership {
         Membership {
             id,
             k: overlay.k(),
-            timeout_us: u64::try_from(config.heartbeat_timeout.as_micros()).unwrap_or(u64::MAX),
+            timeout_us: us(config.heartbeat_timeout),
             metrics,
             recorder,
             overlay: Arc::new(overlay),
@@ -260,10 +260,9 @@ impl Membership {
                 // sender has rejoined.
             }
             FrameKind::Crash(victim) if host.seen.insert(msg.broadcast_id) => {
-                let (victim32, via) = (victim as u32, from as u32);
                 let report = EventKind::CrashReport {
-                    victim: victim32,
-                    via,
+                    victim: victim as u32,
+                    via: from as u32,
                 };
                 self.rec(host.now, report);
                 host.out.push(Effect::Flood(msg.forwarded(), Some(from)));

@@ -291,8 +291,8 @@ pub(crate) fn spawn_node(
     wake.set_nonblocking(true)?;
     // A boot membership below 3f+1 is a configuration error, surfaced here
     // instead of aborting the process.
-    let (rejoining, crashes) = (opts.announce_join, opts.initial_crashes.clone());
     let roster = directory.read().keys().copied().collect();
+    let (rejoining, crashes) = (opts.announce_join, opts.initial_crashes.clone());
     let boot = Boot {
         id,
         overlay,
