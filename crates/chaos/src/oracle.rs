@@ -224,8 +224,8 @@ pub struct ChaosReport {
     /// failure (wall-clock stamps on TCP, virtual-time stamps on the
     /// simulator); written to disk by the CLI when `--events` is given.
     pub events_jsonl: Option<String>,
-    /// Pre-rendered JSON object summarizing the run's telemetry timeline
-    /// (sample count, span, per-class wire costs); spliced verbatim into
+    /// Pre-rendered JSON object summarizing the run's wire costs (per-class
+    /// frames and bytes, the ack split); spliced verbatim into
     /// [`ChaosReport::to_json_line`]. The runner renders it so this module
     /// stays free of JSON dependencies.
     pub telemetry: Option<String>,
@@ -384,12 +384,9 @@ mod tests {
             end_time_us: 100,
             deliveries: 8,
             events_jsonl: None,
-            telemetry: Some("{\"samples\":4,\"span_us\":100}".into()),
+            telemetry: Some("{\"wire\":{}}".into()),
         };
         let line = r.to_json_line();
-        assert!(
-            line.ends_with(",\"telemetry\":{\"samples\":4,\"span_us\":100}}"),
-            "{line}"
-        );
+        assert!(line.ends_with(",\"telemetry\":{\"wire\":{}}}"), "{line}");
     }
 }

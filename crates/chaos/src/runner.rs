@@ -32,7 +32,6 @@ use lhg_net::sim::LinkModel;
 use lhg_runtime::core::Event;
 use lhg_runtime::simnode::{SimCluster, SimInput};
 use lhg_runtime::{ByzantineSetup, Cluster, RuntimeConfig};
-use lhg_telemetry::{TelemetrySampler, Timeline};
 use lhg_trace::TraceCollector;
 
 use crate::oracle::{ChaosReport, Engine, Violation};
@@ -43,9 +42,6 @@ pub use crate::plan::CHAOS_BCAST_BASE;
 /// At most this many violations of each kind are reported per run; a
 /// systemic failure produces thousands of identical entries otherwise.
 const MAX_VIOLATIONS_PER_CHECK: usize = 8;
-
-/// Wall-clock sampling cadence of the TCP telemetry timeline.
-const TCP_TELEMETRY_CADENCE: Duration = Duration::from_millis(100);
 
 /// Deadline for a broadcast to reach its audience. Generous: under heavy
 /// loss, delivery rides retransmit timeouts and summary cadences rather
@@ -62,18 +58,13 @@ const CHURN_TIMEOUT: Duration = Duration::from_secs(15);
 const CONVERGE_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Renders the per-run telemetry summary embedded in `lhg chaos --json`
-/// records: timeline shape, the per-class wire-cost decomposition from the
-/// registry's accountant, and how the reliable plane's acks travelled — in
-/// `ack` frames of their own, or riding on data frames (which is why the
-/// `ack` class can stay near empty under heavy data traffic).
-fn telemetry_json(timeline: &Timeline, metrics: &MetricsRegistry) -> String {
+/// records: the per-class wire-cost decomposition from the registry's
+/// accountant, and how the reliable plane's acks travelled — in `ack`
+/// frames of their own, or riding on data frames (which is why the `ack`
+/// class can stay near empty under heavy data traffic).
+fn telemetry_json(metrics: &MetricsRegistry) -> String {
     let count = |name: &str| serde::Value::U64(metrics.counter(name).get());
     let obj = serde::Value::Obj(vec![
-        (
-            "samples".to_owned(),
-            serde::Value::U64(timeline.samples().len() as u64),
-        ),
-        ("span_us".to_owned(), serde::Value::U64(timeline.span_us())),
         ("wire".to_owned(), metrics.wire().to_value()),
         (
             "acks".to_owned(),
@@ -687,7 +678,6 @@ fn report<D: Driver>(
     driver: &D,
     violations: Vec<Violation>,
     end_time_us: u64,
-    timeline: &Timeline,
 ) -> ChaosReport {
     let members = 0..plan.n as MemberId;
     ChaosReport {
@@ -701,7 +691,7 @@ fn report<D: Driver>(
             .map(|m| driver.delivered_ids(m).len() + driver.byz_delivered(m).len())
             .sum(),
         events_jsonl: (!violations.is_empty()).then(|| driver.events_jsonl()),
-        telemetry: Some(telemetry_json(timeline, driver.metrics())),
+        telemetry: Some(telemetry_json(driver.metrics())),
         violations,
     }
 }
@@ -764,18 +754,7 @@ pub fn run_sim_chaos(plan: &FaultPlan) -> ChaosReport {
             phase: "virtual-time horizon".into(),
         });
     }
-    // One sample at the end carries the whole per-class wire decomposition.
-    let mut sampler = TelemetrySampler::new("sim", Arc::clone(&cluster.metrics));
-    sampler.sample(end_time_us);
-    let timeline = lhg_telemetry::merge(vec![sampler.take_samples()]);
-    report(
-        plan,
-        Engine::Sim,
-        &cluster,
-        calibrated,
-        end_time_us,
-        &timeline,
-    )
+    report(plan, Engine::Sim, &cluster, calibrated, end_time_us)
 }
 
 /// Runs `plan` on the real TCP runtime and checks the oracle.
@@ -804,17 +783,8 @@ pub fn run_tcp_chaos(plan: &FaultPlan) -> ChaosReport {
             }
         }
     };
-    cluster.start_telemetry(TCP_TELEMETRY_CADENCE);
     let violations = execute(plan, &mut cluster, &faults, plan.n as u32 - 1);
-    let timeline = cluster.stop_telemetry().expect("started above");
-    let report = report(
-        plan,
-        Engine::Tcp,
-        &cluster,
-        violations,
-        elapsed_us(),
-        &timeline,
-    );
+    let report = report(plan, Engine::Tcp, &cluster, violations, elapsed_us());
     cluster.shutdown();
     report
 }
@@ -931,6 +901,32 @@ mod tests {
             "ack split present: {:?}",
             a.telemetry
         );
+    }
+
+    /// The simulator's per-class wire totals reconcile with its own send
+    /// counters, frame for frame and byte for byte, on lossy links: a
+    /// dropped frame is in neither, a duplicate in both.
+    #[test]
+    fn sim_wire_classes_reconcile_with_the_send_counters_under_loss() {
+        let plan = FaultPlan::random(7, true);
+        assert_eq!(plan.family, Family::Lossy);
+        let rates = plan.default_rates;
+        assert!(rates.drop > 0.0 && rates.duplicate > 0.0, "{rates:?}");
+        let (mut cluster, violations) = simulate(&plan, LinkModel::default(), plan.n as u32 - 1);
+        assert!(violations.is_empty(), "{violations:?}");
+        let report = cluster.finish();
+        let counter = |name: &str| cluster.metrics.counter(name).get();
+        assert!(
+            counter("sim.messages_dropped") > 0,
+            "the plan dropped frames"
+        );
+        let classes = cluster.metrics.wire().class_totals();
+        assert!(classes.iter().filter(|t| t.frames > 0).count() >= 3);
+        let frames: u64 = classes.iter().map(|t| t.frames).sum();
+        let bytes: u64 = classes.iter().map(|t| t.bytes).sum();
+        assert_eq!(frames, counter("sim.messages_sent"));
+        assert_eq!(frames, report.messages_sent);
+        assert_eq!(bytes, counter("sim.bytes_sent"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! lhg observe   --nodes N --k K [--kill F]    # traced run: timeline + hop report
 //! lhg chaos     --seeds N [--engine E]        # seeded fault-injection sweep
 //! lhg byzantine --nodes N --k K [--traitor B] # one Bracha broadcast vs. a traitor, chaos oracle
-//! lhg top       --nodes N --k K [--json]      # live cluster telemetry by message class
+//! lhg top       --nodes N --k K [--json]      # cluster wire costs by message class
 //! ```
 //!
 //! All logic lives in [`run`], which writes to any `io::Write` — the tests
@@ -68,13 +68,11 @@ struct Options {
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Options, CliError> {
-        Options::parse_with_switches(args, &[])
-    }
-
-    /// Like [`Options::parse`], but keys listed in `switches` are bare
-    /// boolean flags (`--quick`) that take no value and parse as `true`.
-    fn parse_with_switches(args: &[String], switches: &[&str]) -> Result<Options, CliError> {
+    /// Parses `--key value` pairs for a subcommand that takes the options
+    /// named in `keys`, plus the bare boolean flags named in `switches`
+    /// (`--quick`), which take no value and parse as `true`. Any other key
+    /// is an error.
+    fn parse(args: &[String], keys: &[&str], switches: &[&str]) -> Result<Options, CliError> {
         let mut flags = BTreeMap::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -86,6 +84,17 @@ impl Options {
             if switches.contains(&key) {
                 flags.insert(key.to_string(), "true".to_string());
                 continue;
+            }
+            if !keys.contains(&key) {
+                let known: Vec<String> = keys
+                    .iter()
+                    .chain(switches)
+                    .map(|k| format!("--{k}"))
+                    .collect();
+                return Err(err(format!(
+                    "unknown option --{key} (expected one of {})",
+                    known.join(", ")
+                )));
             }
             let value = it
                 .next()
@@ -159,7 +168,7 @@ USAGE:
                [--quick] [--events PATH] [--json PATH]
   lhg byzantine --nodes N --k K [--traitor none|equivocate|forge|silent|replay|frame_crash|suppress_heartbeat]
                [--seed S] [--constraint ktree|kdiamond|jd]
-  lhg top      --nodes N --k K [--broadcasts B] [--duration-ms D] [--interval-ms I] [--constraint C] [--json]
+  lhg top      --nodes N --k K [--broadcasts B] [--duration-ms D] [--constraint C] [--json]
   lhg help
 ";
 
@@ -181,7 +190,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             Ok(())
         }
         "generate" => {
-            let opts = Options::parse(rest)?;
+            let opts = Options::parse(rest, &["constraint", "n", "k", "format"], &[])?;
             let n: usize = opts.required("n")?;
             let k: usize = opts.required("k")?;
             let constraint = opts.string("constraint", "kdiamond");
@@ -209,7 +218,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             }
         }
         "validate" => {
-            let opts = Options::parse(rest)?;
+            let opts = Options::parse(rest, &["k", "file"], &[])?;
             let k: usize = opts.required("k")?;
             let text = match opts.flags.get("file") {
                 Some(path) => std::fs::read_to_string(path)
@@ -242,7 +251,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(io_err)
         }
         "plan" => {
-            let opts = Options::parse(rest)?;
+            let opts = Options::parse(rest, &["n", "f"], &[])?;
             let n: usize = opts.required("n")?;
             let f: usize = opts.required("f")?;
             let (p, _) = plan(n, f).map_err(|e| err(e.to_string()))?;
@@ -261,7 +270,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(io_err)
         }
         "flood" => {
-            let opts = Options::parse(rest)?;
+            let keys = ["n", "k", "failures", "trials", "seed", "constraint"];
+            let opts = Options::parse(rest, &keys, &[])?;
             let n: usize = opts.required("n")?;
             let k: usize = opts.required("k")?;
             let failures: usize = opts.optional("failures", k - 1)?;
@@ -284,7 +294,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(io_err)
         }
         "census" => {
-            let opts = Options::parse(rest)?;
+            let opts = Options::parse(rest, &["k", "max-n"], &[])?;
             let k: usize = opts.required("k")?;
             let max_n: usize = opts.optional("max-n", 4 * k + 10)?;
             writeln!(
@@ -306,7 +316,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             Ok(())
         }
         "cluster" => {
-            let opts = Options::parse(rest)?;
+            let keys = ["nodes", "k", "kill", "constraint", "metrics"];
+            let opts = Options::parse(rest, &keys, &[])?;
             let n: usize = opts.required("nodes")?;
             let k: usize = opts.required("k")?;
             let kill: usize = opts.optional("kill", 0)?;
@@ -316,7 +327,16 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             run_cluster(n, k, kill, constraint, &metrics_mode, out)
         }
         "observe" => {
-            let opts = Options::parse(rest)?;
+            let keys = [
+                "nodes",
+                "k",
+                "kill",
+                "broadcasts",
+                "constraint",
+                "format",
+                "events",
+            ];
+            let opts = Options::parse(rest, &keys, &[])?;
             let n: usize = opts.required("nodes")?;
             let k: usize = opts.required("k")?;
             let kill: usize = opts.optional("kill", 0)?;
@@ -345,7 +365,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             )
         }
         "chaos" => {
-            let opts = Options::parse_with_switches(rest, &["quick"])?;
+            let keys = [
+                "seeds", "seed", "engine", "family", "k", "traitors", "events", "json",
+            ];
+            let opts = Options::parse(rest, &keys, &["quick"])?;
             let seeds: u64 = opts.optional("seeds", 10)?;
             let base_seed: u64 = opts.optional("seed", 0)?;
             let quick: bool = opts.optional("quick", false)?;
@@ -412,7 +435,8 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             )
         }
         "byzantine" => {
-            let opts = Options::parse(rest)?;
+            let keys = ["nodes", "k", "seed", "traitor", "constraint"];
+            let opts = Options::parse(rest, &keys, &[])?;
             let n: usize = opts.required("nodes")?;
             let k: usize = opts.required("k")?;
             let seed: u64 = opts.optional("seed", 42)?;
@@ -421,28 +445,16 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             run_byzantine_demo(n, k, &traitor, seed, constraint, out)
         }
         "top" => {
-            let opts = Options::parse_with_switches(rest, &["json"])?;
+            let keys = ["nodes", "k", "broadcasts", "duration-ms", "constraint"];
+            let opts = Options::parse(rest, &keys, &["json"])?;
             let n: usize = opts.required("nodes")?;
             let k: usize = opts.required("k")?;
             let broadcasts: usize = opts.optional("broadcasts", 4)?;
             let duration_ms: u64 = opts.optional("duration-ms", 500)?;
-            let interval_ms: u64 = opts.optional("interval-ms", 100)?;
             let constraint = runtime_constraint(&opts.string("constraint", "kdiamond"))?;
             let json: bool = opts.optional("json", false)?;
             check_failure_model(n, k, 0)?;
-            if interval_ms == 0 {
-                return Err(err("--interval-ms must be at least 1"));
-            }
-            run_top(
-                n,
-                k,
-                broadcasts,
-                duration_ms,
-                interval_ms,
-                constraint,
-                json,
-                out,
-            )
+            run_top(n, k, broadcasts, duration_ms, constraint, json, out)
         }
         other => Err(err(format!("unknown command {other:?}\n{USAGE}"))),
     }
@@ -993,13 +1005,11 @@ fn run_byzantine_demo(
 /// *after* shutdown, when no node thread can still bump a counter, so
 /// the per-class sums reconcile exactly with the engine counters
 /// (`runtime.messages_sent` / `runtime.bytes_sent`).
-#[allow(clippy::too_many_arguments)]
 fn run_top(
     n: usize,
     k: usize,
     broadcasts: usize,
     duration_ms: u64,
-    interval_ms: u64,
     constraint: Constraint,
     json: bool,
     out: &mut dyn Write,
@@ -1019,7 +1029,6 @@ fn run_top(
     };
     let mut c = Cluster::launch(constraint, n, k, config)
         .map_err(|e| err(format!("launch failed: {e}")))?;
-    c.start_telemetry(Duration::from_millis(interval_ms));
     let started = Instant::now();
     let members = c.members();
     for b in 0..broadcasts {
@@ -1040,9 +1049,6 @@ fn run_top(
         std::thread::sleep(Duration::from_millis(10));
     }
     let metrics = c.shared_metrics();
-    let timeline = c
-        .stop_telemetry()
-        .ok_or_else(|| err("telemetry sampler vanished"))?;
     c.shutdown();
 
     let wire = metrics.wire();
@@ -1095,10 +1101,6 @@ fn run_top(
             ("k".to_owned(), serde::Value::U64(k as u64)),
             ("span_us".to_owned(), serde::Value::U64(span_us)),
             (
-                "samples".to_owned(),
-                serde::Value::U64(timeline.samples().len() as u64),
-            ),
-            (
                 "total_frames".to_owned(),
                 serde::Value::U64(wire.total_frames()),
             ),
@@ -1128,10 +1130,8 @@ fn run_top(
 
     writeln!(
         out,
-        "cluster n={n} k={k} | span {:.2}s | {} samples | {} broadcasts",
-        span_secs,
-        timeline.samples().len(),
-        broadcasts
+        "cluster n={n} k={k} | span {:.2}s | {} broadcasts",
+        span_secs, broadcasts
     )
     .map_err(io_err)?;
     writeln!(
@@ -1633,7 +1633,6 @@ mod tests {
         get_u64(counters, "runtime.acks_piggybacked");
         assert_eq!(frames, get_u64(&doc, "total_frames"), "{out}");
         assert_eq!(bytes, get_u64(&doc, "total_bytes"), "{out}");
-        assert!(get_u64(&doc, "samples") >= 2, "{out}");
     }
 
     #[test]
@@ -1648,8 +1647,6 @@ mod tests {
             "2",
             "--duration-ms",
             "250",
-            "--interval-ms",
-            "50",
         ])
         .unwrap();
         assert!(out.contains("cluster n=6 k=2"), "{out}");
@@ -1664,7 +1661,34 @@ mod tests {
     fn top_rejects_bad_options() {
         let e =
             run_to_string(&["top", "--nodes", "6", "-k", "2", "--interval-ms", "0"]).unwrap_err();
-        assert!(e.message.contains("interval"), "{e}");
+        assert!(e.message.contains("unknown option --interval-ms"), "{e}");
+    }
+
+    /// Every subcommand names the options it takes: anything else is a
+    /// named error before any work starts, so a stale or misspelt flag in
+    /// a script cannot pass unnoticed.
+    #[test]
+    fn unknown_options_are_named_errors() {
+        let e = run_to_string(&["top", "--nodes", "6", "-k", "2", "--bogus", "1"]).unwrap_err();
+        assert!(e.message.contains("unknown option --bogus"), "{e}");
+        for command in [
+            "generate",
+            "validate",
+            "plan",
+            "flood",
+            "census",
+            "cluster",
+            "observe",
+            "chaos",
+            "byzantine",
+            "top",
+        ] {
+            let e = run_to_string(&[command, "--bogus", "1"]).unwrap_err();
+            assert!(
+                e.message.contains("unknown option --bogus"),
+                "{command}: {e}"
+            );
+        }
     }
 
     #[test]

@@ -101,49 +101,6 @@ impl FloodOutcome {
             .unwrap_or(0)
     }
 
-    /// Records this outcome into `metrics` so round-synchronous floods
-    /// export the same JSON shape as the event-driven and TCP runtimes:
-    /// counters `flood.runs` / `flood.messages_sent`, gauges
-    /// `flood.correct_nodes` / `flood.correct_informed`, histograms
-    /// `flood.inform_round` (one sample per informed node) and
-    /// `flood.quiescence_round`.
-    pub fn record_into(&self, metrics: &lhg_net::metrics::MetricsRegistry) {
-        metrics.counter("flood.runs").inc();
-        metrics
-            .counter("flood.messages_sent")
-            .add(self.messages_sent);
-        metrics
-            .gauge("flood.correct_nodes")
-            .set(self.correct_nodes as i64);
-        metrics
-            .gauge("flood.correct_informed")
-            .set(self.correct_informed as i64);
-        let inform = metrics.histogram("flood.inform_round");
-        for r in self.informed_at.iter().flatten() {
-            inform.record(u64::from(*r));
-        }
-        metrics
-            .histogram("flood.quiescence_round")
-            .record(u64::from(self.quiescence_round));
-    }
-
-    /// Contributes one [`lhg_trace::PathRecord`] per informed node to
-    /// `tracer` under `trace_id`, so round-synchronous floods feed the same
-    /// spanning-tree reconstruction as the event-driven and TCP runtimes.
-    /// Rounds stand in for both hop count and time (`at_us` = round).
-    pub fn record_trace(&self, trace_id: u64, tracer: &lhg_trace::TraceCollector) {
-        for (v, informed) in self.informed_at.iter().enumerate() {
-            let Some(round) = informed else { continue };
-            tracer.record(lhg_trace::PathRecord {
-                trace_id,
-                node: v as u32,
-                parent: self.parents[v].map(|p| p.index() as u32),
-                hops: *round,
-                at_us: u64::from(*round),
-            });
-        }
-    }
-
     /// Coverage curve: for each round `r = 0..=last`, the fraction of
     /// correct nodes informed by the end of round `r`. The figure-style
     /// series experiment E18 plots.
@@ -571,20 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_record_into_metrics() {
-        let t = csr_cycle(8);
-        let out = run_broadcast(&t, NodeId(0), &FailurePlan::none(), Protocol::Flood, 0);
-        let reg = lhg_net::metrics::MetricsRegistry::new();
-        out.record_into(&reg);
-        assert_eq!(reg.counter("flood.runs").get(), 1);
-        assert_eq!(reg.counter("flood.messages_sent").get(), out.messages_sent);
-        assert_eq!(reg.gauge("flood.correct_informed").get(), 8);
-        assert_eq!(reg.histogram("flood.inform_round").count(), 8);
-        let json = reg.snapshot_json();
-        assert!(json.contains("flood.quiescence_round"));
-    }
-
-    #[test]
     fn parents_form_the_dissemination_tree() {
         let t = csr_path(4);
         let out = run_broadcast(&t, NodeId(0), &FailurePlan::none(), Protocol::Flood, 0);
@@ -592,26 +535,6 @@ mod tests {
             out.parents,
             vec![None, Some(NodeId(0)), Some(NodeId(1)), Some(NodeId(2))]
         );
-    }
-
-    #[test]
-    fn record_trace_reconstructs_spanning_tree() {
-        use std::collections::BTreeSet;
-
-        let t = csr_cycle(8);
-        let mut plan = FailurePlan::none();
-        plan.crash_node(NodeId(3), 0);
-        let out = run_broadcast(&t, NodeId(0), &plan, Protocol::Flood, 0);
-        let tracer = lhg_trace::TraceCollector::new();
-        out.record_trace(11, &tracer);
-        let trace = tracer.trace(11).expect("trace recorded");
-        assert_eq!(trace.origin(), Some(0));
-        let survivors: BTreeSet<u32> = (0..8u32).filter(|&v| v != 3).collect();
-        assert!(trace.is_spanning(&survivors));
-        // Node 2 is a dead end past the crash: 0-1-2 one way, 0-7-6-5-4 the
-        // other; realized depth is 4.
-        assert_eq!(trace.max_hops(), 4);
-        assert_eq!(trace.path_from_origin(4), Some(vec![0, 7, 6, 5, 4]));
     }
 
     #[test]

@@ -140,9 +140,9 @@ impl Histogram {
     /// lets a sampler report per-interval rates instead of
     /// cumulative-only values.
     ///
-    /// Bucket counts are diffed per bucket, so a merged timeline can
-    /// recompute interval percentiles; `min`/`max` are lifetime values
-    /// (atomics cannot be rewound per-interval) and are reported as-is.
+    /// Bucket counts are diffed per bucket; `min`/`max` are lifetime
+    /// values (atomics cannot be rewound per-interval) and are not part
+    /// of the delta.
     pub fn delta_since(&self, cursor: &mut HistogramCursor) -> HistogramDelta {
         let mut buckets = [0u64; BUCKETS];
         let mut count = 0u64;
@@ -250,47 +250,6 @@ pub struct HistogramDelta {
     pub count: u64,
     /// Sum of observed values in the interval.
     pub sum: u64,
-}
-
-impl HistogramDelta {
-    /// An empty delta (useful as a merge identity).
-    #[must_use]
-    pub fn empty() -> Self {
-        HistogramDelta {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Accumulates `other` into `self` (bucket-wise addition), so merged
-    /// timelines can recompute interval percentiles across nodes.
-    pub fn merge(&mut self, other: &HistogramDelta) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.wrapping_add(*b);
-        }
-        self.count = self.count.wrapping_add(other.count);
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
-
-    /// Approximate percentile of the interval's observations, as the
-    /// upper bound of the bucket containing the rank (same 2× contract as
-    /// [`Histogram::summary`], minus the lifetime min/max clamp).
-    #[must_use]
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Histogram::bucket_upper(i);
-            }
-        }
-        Histogram::bucket_upper(BUCKETS - 1)
-    }
 }
 
 /// Point-in-time summary of a [`Histogram`].
@@ -706,24 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_delta_merge_recomputes_percentiles() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        for v in [1u64, 2, 3] {
-            a.record(v);
-        }
-        for v in [1000u64, 2000] {
-            b.record(v);
-        }
-        let mut merged = a.delta_since(&mut HistogramCursor::new());
-        merged.merge(&b.delta_since(&mut HistogramCursor::new()));
-        assert_eq!(merged.count, 5);
-        assert_eq!(merged.sum, 3006);
-        assert!(merged.percentile(0.50) >= 3, "median covers 3");
-        assert!(merged.percentile(0.99) >= 2000, "p99 covers max");
-    }
-
-    #[test]
     fn registry_iteration_lists_all_instruments() {
         let reg = MetricsRegistry::new();
         reg.counter("c1").inc();
@@ -801,16 +742,20 @@ mod tests {
             })
         };
         let mut cursor = HistogramCursor::new();
-        let mut seen = HistogramDelta::empty();
+        let (mut count, mut sum) = (0u64, 0u64);
+        let mut read = |d: HistogramDelta| {
+            count += d.count;
+            sum += d.sum;
+        };
         while !writer.is_finished() {
-            seen.merge(&h.delta_since(&mut cursor));
+            read(h.delta_since(&mut cursor));
         }
         writer.join().unwrap();
-        seen.merge(&h.delta_since(&mut cursor));
+        read(h.delta_since(&mut cursor));
         // Interval reads partition the stream: nothing lost, nothing
         // double-counted, even against a live writer.
-        assert_eq!(seen.count, 10_000);
-        assert_eq!(seen.sum, 30_000);
+        assert_eq!(count, 10_000);
+        assert_eq!(sum, 30_000);
     }
 
     #[test]

@@ -180,9 +180,6 @@ impl SimReport {
     }
 }
 
-/// Callback fired at each telemetry cadence boundary (virtual time).
-pub type SamplerHook = Box<dyn FnMut(Time)>;
-
 /// The discrete-event simulator.
 pub struct Simulation {
     topology: CsrGraph,
@@ -192,7 +189,6 @@ pub struct Simulation {
     metrics: Option<Arc<MetricsRegistry>>,
     tracer: Option<Arc<TraceCollector>>,
     faults: Option<Arc<FaultInjector>>,
-    sampler: Option<(Time, SamplerHook)>,
     /// The run in progress, between [`Simulation::start`] and
     /// [`Simulation::finish`].
     run: Option<Run>,
@@ -212,7 +208,6 @@ impl Simulation {
             metrics: None,
             tracer: None,
             faults: None,
-            sampler: None,
             run: None,
             effects: Effects::default(),
         }
@@ -223,19 +218,6 @@ impl Simulation {
     /// histogram `sim.delivery_latency_us` (simulated µs from time 0).
     pub fn with_metrics(&mut self, metrics: Arc<MetricsRegistry>) -> &mut Self {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Arms a virtual-time sampling cadence: during [`Simulation::run`],
-    /// `on_sample` fires at every multiple of `every_us` of simulated time
-    /// the run crosses (before the first event at or past the boundary is
-    /// handled), and once more at the run's end time. Telemetry samplers
-    /// hook here to snapshot the attached metrics registry on the same
-    /// fixed cadence wall-clock engines use, but in virtual µs — the
-    /// simulator stays free of any real-clock dependency.
-    pub fn with_sampler(&mut self, every_us: Time, on_sample: SamplerHook) -> &mut Self {
-        assert!(every_us > 0, "sampling cadence must be positive");
-        self.sampler = Some((every_us, on_sample));
         self
     }
 
@@ -341,7 +323,6 @@ impl Simulation {
             m_dropped: metrics.map(|m| m.counter("sim.messages_dropped")),
             m_latency: metrics.map(|m| m.histogram("sim.delivery_latency_us")),
             m_wire: metrics.map(|m| m.wire()),
-            next_sample: self.sampler.as_ref().map(|&(every, _)| every),
         };
         for v in (0..n).map(NodeId) {
             if !self.is_down(v, 0) {
@@ -371,13 +352,6 @@ impl Simulation {
                 (node, Event::Message { from, msg })
             };
             run.report.end_time = run.report.end_time.max(at);
-            if let (Some((every, on_sample)), Some(ns)) = (&mut self.sampler, &mut run.next_sample)
-            {
-                while *ns <= at {
-                    on_sample(*ns);
-                    *ns += *every;
-                }
-            }
             if !self.is_down(NodeId(node), at) {
                 self.dispatch(&mut run, NodeId(node), at, Some(event));
             }
@@ -392,14 +366,7 @@ impl Simulation {
     ///
     /// Panics outside a run.
     pub fn finish(&mut self) -> SimReport {
-        let run = self.run.take().expect("finish outside a run");
-        // Flush the tail interval so a merged timeline covers the whole
-        // run even when it ends between cadence boundaries. The hook served
-        // this run and goes with it.
-        if let Some((_, mut on_sample)) = self.sampler.take() {
-            on_sample(run.report.end_time);
-        }
-        run.report
+        self.run.take().expect("finish outside a run").report
     }
 
     /// How far the run in progress has been advanced.
@@ -594,7 +561,6 @@ struct Run {
     m_dropped: Option<Arc<Counter>>,
     m_latency: Option<Arc<Histogram>>,
     m_wire: Option<Arc<WireAccountant>>,
-    next_sample: Option<Time>,
 }
 
 impl Run {

@@ -23,7 +23,6 @@ use lhg_graph::Graph;
 use lhg_net::fifo::fifo_id;
 use lhg_net::message::Message;
 use lhg_net::metrics::MetricsRegistry;
-use lhg_telemetry::{PeriodicSampler, TelemetrySampler, Timeline};
 use lhg_trace::{merge_timelines, BroadcastTrace, FlightRecorder, TraceCollector};
 
 use crate::core::{self, BootOpts};
@@ -104,9 +103,6 @@ pub struct Cluster {
     recorders: HashMap<MemberId, Arc<FlightRecorder>>,
     /// Cluster-wide sink of per-broadcast delivery path records.
     tracer: Arc<TraceCollector>,
-    /// Background telemetry sampler over the shared registry, when armed
-    /// (see [`Cluster::start_telemetry`]).
-    telemetry: Option<PeriodicSampler>,
 }
 
 impl Cluster {
@@ -183,7 +179,6 @@ impl Cluster {
             next_life,
             recorders,
             tracer,
-            telemetry: None,
         };
         if !cluster.await_links(cluster.config.launch_timeout) {
             cluster.shutdown();
@@ -215,24 +210,6 @@ impl Cluster {
     #[must_use]
     pub fn metrics_prometheus(&self) -> String {
         self.metrics.prometheus_text()
-    }
-
-    /// Starts background telemetry sampling of the shared registry every
-    /// `interval` of wall-clock time (µs timestamps since the sampler
-    /// spawned). The cluster's nodes all record into one registry, so the
-    /// sampler's stream *is* the cluster-wide timeline — including the
-    /// per-class `wire.*` frame/byte series. Restarting replaces the
-    /// previous sampler, discarding its ring.
-    pub fn start_telemetry(&mut self, interval: Duration) {
-        let sampler = TelemetrySampler::new("cluster", self.metrics.clone());
-        self.telemetry = Some(sampler.spawn_periodic(interval));
-    }
-
-    /// Stops background sampling (one final flush sample) and returns the
-    /// merged timeline; `None` if telemetry was never started.
-    pub fn stop_telemetry(&mut self) -> Option<Timeline> {
-        let sampler = self.telemetry.take()?.stop();
-        Some(lhg_telemetry::merge(vec![sampler.samples()]))
     }
 
     /// The flight recorder of `member`, if it was ever launched.
@@ -616,13 +593,8 @@ impl Cluster {
         }
     }
 
-    /// Stops every remaining node and joins their main threads. Any
-    /// running telemetry sampler is stopped too (its ring is discarded —
-    /// call [`Cluster::stop_telemetry`] first to keep the timeline).
+    /// Stops every remaining node and joins their main threads.
     pub fn shutdown(mut self) {
-        if let Some(telemetry) = self.telemetry.take() {
-            let _ = telemetry.stop();
-        }
         let members = self.members();
         for member in members {
             if let Some(handle) = self.nodes.get_mut(&member) {
@@ -722,7 +694,7 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, lhg_trace::EventKind::BroadcastDeliver { trace_id, .. } if trace_id == id)));
-        // Timeline is time-ordered.
+        // Events are time-ordered.
         assert!(events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
 
         // JSONL dump round-trips through the filesystem.

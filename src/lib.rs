@@ -30,9 +30,9 @@
 //! * [`chaos`] — deterministic chaos engine: seeded fault plans (loss,
 //!   duplication, reordering, partitions, crash/rejoin schedules) executed
 //!   on the simulator and the TCP runtime under an invariant oracle;
-//! * [`telemetry`] — cluster-wide time-series layer over the metrics
-//!   registries: cadenced delta sampling into bounded rings, merged
-//!   timelines with per-second rates, and per-class wire-cost series.
+//! * [`telemetry`] — interval deltas over a metrics registry: what every
+//!   counter, gauge, histogram and wire-cost class did since the last
+//!   sample.
 //!
 //! # Quickstart
 //!
