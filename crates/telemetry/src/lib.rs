@@ -97,8 +97,9 @@ impl TelemetrySampler {
                 counters.push((name, delta));
             }
         }
+        let class_totals = self.registry.wire().class_totals();
         for (i, class) in MessageClass::ALL.into_iter().enumerate() {
-            let totals = self.registry.wire().class_totals()[i];
+            let totals = class_totals[i];
             let (pf, pb) = self.wire_cursor[i];
             self.wire_cursor[i] = (totals.frames, totals.bytes);
             let (df, db) = (
