@@ -140,8 +140,10 @@ pub fn decode_frame(frame: &[u8]) -> Result<Message, CodecError> {
     Message::decode(Bytes::copy_from_slice(&frame[LEN_PREFIX..])).ok_or(CodecError::Malformed)
 }
 
-/// Bytes `msg` takes on the wire as a frame, length prefix included.
-fn frame_len(msg: &Message) -> usize {
+/// Bytes `msg` takes on the wire as a frame, length prefix included: what
+/// every engine counts as the frame's wire bytes.
+#[must_use]
+pub fn frame_len(msg: &Message) -> usize {
     LEN_PREFIX + msg.encoded_len()
 }
 

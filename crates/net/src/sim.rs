@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 use lhg_graph::{CsrGraph, Graph, NodeId};
 use lhg_trace::{PathRecord, TraceCollector};
 
+use crate::codec::frame_len;
 use crate::fault::FaultInjector;
 use crate::message::Message;
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
@@ -216,6 +217,8 @@ impl Simulation {
     /// Attaches a metrics registry; the run records counters
     /// `sim.messages_sent` / `sim.bytes_sent` / `sim.deliveries` and
     /// histogram `sim.delivery_latency_us` (simulated µs from time 0).
+    /// A frame's bytes are [`frame_len`]'s, length prefix included, as on
+    /// a TCP link.
     pub fn with_metrics(&mut self, metrics: Arc<MetricsRegistry>) -> &mut Self {
         self.metrics = Some(metrics);
         self
@@ -470,11 +473,12 @@ impl Simulation {
                 if let Some(c) = &run.m_msgs {
                     c.inc();
                 }
+                let bytes = frame_len(&msg) as u64;
                 if let Some(c) = &run.m_bytes {
-                    c.add(msg.encoded_len() as u64);
+                    c.add(bytes);
                 }
                 if let Some(w) = &run.m_wire {
-                    w.record(from, dest, msg.broadcast_id, msg.encoded_len() as u64);
+                    w.record(from, dest, msg.broadcast_id, bytes);
                 }
                 let latency = sample_latency_with(self.link, &mut self.rng) + extra;
                 run.push_message(time + latency, to, at, msg.clone());
@@ -743,7 +747,11 @@ mod tests {
         let lat = reg.histogram("sim.delivery_latency_us").summary();
         assert_eq!(lat.count, 2);
         assert_eq!(lat.min, 100);
-        assert!(reg.counter("sim.bytes_sent").get() >= 2 * 20);
+        // Two pings, each counted as the frame TCP would carry, length
+        // prefix included.
+        let ping = Message::new(1, 1, Bytes::new());
+        assert_eq!(frame_len(&ping), crate::codec::LEN_PREFIX + ping.encoded_len());
+        assert_eq!(reg.counter("sim.bytes_sent").get(), 2 * frame_len(&ping) as u64);
     }
 
     #[test]

@@ -259,7 +259,8 @@ impl WireAccountant {
     /// Records one encoded frame of `bytes` bytes sent `from → to`,
     /// classified by its broadcast id. `bytes` should be whatever the
     /// engine's own byte counter adds for the same frame, so the views
-    /// stay reconciled.
+    /// stay reconciled — on every engine [`crate::codec::frame_len`], the
+    /// frame with its length prefix.
     pub fn record(&self, from: u32, to: u32, broadcast_id: u64, bytes: u64) {
         let class = MessageClass::classify(broadcast_id);
         self.totals.record(class, bytes);

@@ -566,7 +566,7 @@ impl NodeCore {
         self.peers.entry(from).or_default().last_seen = Some(now);
         self.rec(EventKind::FrameRx {
             peer: from as u32,
-            bytes: (msg.encoded_len() + lhg_net::codec::LEN_PREFIX) as u32,
+            bytes: lhg_net::codec::frame_len(&msg) as u32,
         });
         let kind = wire::classify(msg.broadcast_id);
         // Membership hears every frame first: an excommunicated sender is
