@@ -10,8 +10,8 @@
 //! L bytes  body: one Message in the crate wire format (see crate::message)
 //! ```
 //!
-//! Two kinds of entry points, one layout behind both (the header and
-//! extension-block encoders of [`Message`]):
+//! Two kinds of entry points, one layout behind both (the head encoder of
+//! [`Message`]):
 //!
 //! * [`encode_frame`] / [`decode_frame`] — whole-frame in memory, for
 //!   callers that need a contiguous frame. One allocation each: the frame,
@@ -28,21 +28,23 @@
 //! decoded from, so `Message::payload` is a slice of the allocation the
 //! socket filled — and so is every clone of it: the delivered message, the
 //! pull store's copy, every forward. Which buffer that is depends on the
-//! frame's class, read from its header before the body is:
+//! frame's class, read from the broadcast id in the first 13 bytes of the
+//! frame (prefix, flag byte, id) before the rest is:
 //!
 //! * a **data** body gets an allocation of its own, at exactly its length
 //!   (plus the reference count that will share it, in the same
 //!   allocation). A retained payload therefore pins its own frame body
-//!   (payload + at most 57 bytes) and nothing larger;
+//!   (payload + at most 62 bytes of head) and nothing larger;
 //! * **every other** body is read into the link's reused buffer (at least
 //!   256 bytes, kept up to 4 KiB) — once nothing holds the frame before it
 //!   any more ([`Bytes::try_into_mut`]). A frame whose payload the node
 //!   kept (a Byzantine `SEND`, say) keeps that buffer, and the next frame
-//!   gets a fresh one: kept bytes are never overwritten.
+//!   gets a fresh one: kept bytes are never overwritten. An empty payload
+//!   holds nothing, so a heartbeat never keeps it.
 //!
-//! Writing builds the length prefix, header and extension block of each
-//! frame in stack arrays and sends them around the shared payload with
-//! vectored writes: a relay's per-link copies, which differ only in
+//! Writing builds the length prefix and head of each frame in a stack
+//! array and sends it and the shared payload with vectored writes, two
+//! pieces a frame: a relay's per-link copies, which differ only in
 //! `link_seq` and `link_ack`, never materialise.
 
 use std::collections::VecDeque;
@@ -51,7 +53,7 @@ use std::io::{self, IoSlice, Read, Write};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::message::{Message, HEADER_LEN, MAX_EXT_LEN};
+use crate::message::{Message, FIXED_HEAD_LEN, MAX_HEAD_LEN, MIN_HEAD_LEN};
 use crate::wirecost::MessageClass;
 
 /// Size of the frame length prefix in bytes.
@@ -99,23 +101,26 @@ impl From<CodecError> for io::Error {
     }
 }
 
-/// Length prefix and fixed header of `msg`'s frame: everything that goes
-/// on the wire before the payload.
-fn frame_head(msg: &Message) -> [u8; LEN_PREFIX + HEADER_LEN] {
-    let mut head = [0u8; LEN_PREFIX + HEADER_LEN];
-    head[..LEN_PREFIX].copy_from_slice(&(msg.encoded_len() as u32).to_be_bytes());
-    head[LEN_PREFIX..].copy_from_slice(&msg.header());
-    head
+/// A frame's length prefix and head: everything that goes on the wire
+/// before the payload.
+type FrameHead = [u8; LEN_PREFIX + MAX_HEAD_LEN];
+
+/// Writes `msg`'s length prefix and head into `out`; returns their length.
+fn put_frame_head(msg: &Message, out: &mut FrameHead) -> usize {
+    let head = msg.put_head(&mut out[LEN_PREFIX..]);
+    let body = (head + msg.payload.len()) as u32;
+    out[..LEN_PREFIX].copy_from_slice(&body.to_be_bytes());
+    LEN_PREFIX + head
 }
 
 /// Encodes `msg` as one complete frame (length prefix + body).
 #[must_use]
 pub fn encode_frame(msg: &Message) -> Bytes {
-    let (ext, ext_len) = msg.ext_block();
-    let mut buf = BytesMut::with_capacity(LEN_PREFIX + msg.encoded_len());
-    buf.put_slice(&frame_head(msg));
+    let mut head = [0u8; LEN_PREFIX + MAX_HEAD_LEN];
+    let head_len = put_frame_head(msg, &mut head);
+    let mut buf = BytesMut::with_capacity(head_len + msg.payload.len());
+    buf.put_slice(&head[..head_len]);
     buf.put_slice(&msg.payload);
-    buf.put_slice(&ext[..ext_len]);
     buf.freeze()
 }
 
@@ -163,28 +168,27 @@ fn write_some<'a, W: Write>(
     frames: impl IntoIterator<Item = &'a Message>,
     skip: usize,
 ) -> io::Result<usize> {
-    let mut heads = [[0u8; LEN_PREFIX + HEADER_LEN]; GATHER];
-    let mut exts = [([0u8; MAX_EXT_LEN], 0); GATHER];
+    let mut heads = [[0u8; LEN_PREFIX + MAX_HEAD_LEN]; GATHER];
+    let mut head_lens = [0; GATHER];
     let mut payloads: [&[u8]; GATHER] = [&[]; GATHER];
     let mut count = 0;
     for (i, msg) in frames.into_iter().take(GATHER).enumerate() {
-        heads[i] = frame_head(msg);
-        exts[i] = msg.ext_block();
+        head_lens[i] = put_frame_head(msg, &mut heads[i]);
         payloads[i] = &msg.payload[..];
         count = i + 1;
     }
-    let mut parts = [IoSlice::new(&[]); 3 * GATHER];
+    let mut parts = [IoSlice::new(&[]); 2 * GATHER];
     let mut skip = skip;
     for i in 0..count {
-        let frame: [&[u8]; 3] = [&heads[i], payloads[i], &exts[i].0[..exts[i].1]];
+        let frame: [&[u8]; 2] = [&heads[i][..head_lens[i]], payloads[i]];
         for (j, part) in frame.into_iter().enumerate() {
             let gone = skip.min(part.len());
             skip -= gone;
-            parts[3 * i + j] = IoSlice::new(&part[gone..]);
+            parts[2 * i + j] = IoSlice::new(&part[gone..]);
         }
     }
     loop {
-        match w.write_vectored(&parts[..3 * count]) {
+        match w.write_vectored(&parts[..2 * count]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => return Ok(n),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -195,9 +199,9 @@ fn write_some<'a, W: Write>(
 
 /// Writes `msg` as one frame; returns the number of bytes written.
 ///
-/// Nothing is allocated or copied: prefix, header and extension block are
-/// built on the stack and sent around `msg.payload` with vectored writes —
-/// one `writev` per frame on a socket unless the kernel takes less.
+/// Nothing is allocated or copied: prefix and head are built on the stack
+/// and sent ahead of `msg.payload` with vectored writes — one `writev` per
+/// frame on a socket unless the kernel takes less.
 ///
 /// # Errors
 ///
@@ -297,8 +301,11 @@ pub fn read_frame_limited<R: Read>(r: &mut R, max_len: usize) -> io::Result<Opti
     FrameDecoder::new(max_len).read_from(r)
 }
 
-/// Length prefix and fixed header: what a frame's buffer is chosen by.
-const HEAD_LEN: usize = LEN_PREFIX + HEADER_LEN;
+/// Length prefix, flag byte and broadcast id: what a frame's buffer is
+/// chosen by. Every body is longer than the head's fixed front
+/// ([`MIN_HEAD_LEN`] is refused below), so reading these bytes never reads
+/// into the next frame.
+const HEAD_LEN: usize = LEN_PREFIX + FIXED_HEAD_LEN;
 
 /// Reads the frames of one byte stream, resumably: bytes a read returned
 /// stay here until their frame is whole, so a nonblocking stream can be
@@ -385,24 +392,26 @@ impl FrameDecoder {
     }
 
     /// Refuses the prefix just read before anything is allocated for it: a
-    /// body past the limit, or one too short to hold a header.
+    /// body past the limit, or one too short to hold a head.
     fn check_len(&self) -> io::Result<()> {
         let len = self.body_len();
         if len > self.max_len {
             return Err(CodecError::FrameTooLarge(len).into());
         }
-        if len < HEADER_LEN {
+        if len < MIN_HEAD_LEN {
             return Err(CodecError::Malformed.into());
         }
         Ok(())
     }
 
     fn is_data(&self) -> bool {
-        let id = u64::from_be_bytes(self.head[LEN_PREFIX..LEN_PREFIX + 8].try_into().expect("8"));
+        let id = &self.head[LEN_PREFIX + 1..HEAD_LEN];
+        let id = u64::from_be_bytes(id.try_into().expect("8 bytes"));
         MessageClass::classify_strict(id) == Some(MessageClass::Data)
     }
 
-    /// The buffer the current body is read into, its header already in.
+    /// The buffer the current body is read into, its head's fixed front
+    /// already in.
     fn body_buffer(&mut self) -> BytesMut {
         let len = self.body_len();
         let reclaimed = (!self.is_data())
@@ -422,7 +431,7 @@ impl FrameDecoder {
                 buf
             }
         };
-        body[..HEADER_LEN].copy_from_slice(&self.head[LEN_PREFIX..]);
+        body[..FIXED_HEAD_LEN].copy_from_slice(&self.head[LEN_PREFIX..]);
         body
     }
 }

@@ -26,7 +26,9 @@
 //!   once the transport lets go of earlier ones;
 //! * [`seen`] — capacity-capped dedup of seen broadcast ids
 //!   ([`seen::SeenSet`]), bounding flooding state on long-lived nodes;
-//! * [`fifo`] — per-origin broadcast ids ([`fifo::fifo_id`]).
+//! * [`fifo`] — per-origin broadcast ids ([`fifo::fifo_id`]);
+//! * [`varint`] — the LEB128 integers of the frame head and the ack
+//!   payload, one encoding per value.
 //!
 //! The same protocol runs on real sockets in `lhg-runtime`, which drives
 //! the [`reliable::ReliableCore`] this crate's simulator adapter drives.
@@ -68,4 +70,5 @@ pub mod metrics;
 pub mod reliable;
 pub mod seen;
 pub mod sim;
+pub mod varint;
 pub mod wirecost;

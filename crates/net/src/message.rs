@@ -1,33 +1,41 @@
 //! Wire messages: a minimal binary format over [`bytes::Bytes`].
 //!
-//! Layout (big-endian):
+//! A message is a **head** and the **payload** after it:
 //!
 //! ```text
-//! 8 bytes  broadcast id
-//! 4 bytes  origin node id
-//! 4 bytes  hop count
-//! 4 bytes  payload length L
-//! L bytes  payload
-//! --- optional extension block (versioned by its flag byte) ---
-//! 1 byte   extension flags (bitmask: 0x01 = trace id, 0x02 = link seq,
-//!                           0x04 = byzantine witness tag, 0x08 = link ack)
-//! 8 bytes  trace id        (present iff flag bit 0x01 set)
-//! 8 bytes  link sequence   (present iff flag bit 0x02 set; never 0)
-//! 12 bytes byz tag         (present iff flag bit 0x04 set:
-//!                           4-byte claimed origin + 8-byte instance nonce)
-//! 8 bytes  link ack        (present iff flag bit 0x08 set; never 0: the
+//! 1 byte   flags (bitmask: 0x01 = trace id, 0x02 = link seq,
+//!                 0x04 = byzantine witness tag, 0x08 = link ack)
+//! 8 bytes  broadcast id (big-endian; its top byte holds the class tag)
+//! varint   origin node id (u32)
+//! varint   hop count (u32)
+//! 8 bytes  trace id        (present iff flag 0x01; big-endian)
+//! varint   link sequence   (present iff flag 0x02; u64, never 0)
+//! varint   byz tag origin  (present iff flag 0x04; u32, the claimed origin)
+//! varint   byz tag nonce   (present iff flag 0x04; u64, the instance nonce)
+//! varint   link ack        (present iff flag 0x08; u64, never 0: the
 //!                           cumulative ack the sender's half of this link
 //!                           owes, riding on a data frame)
+//! rest     payload
 //! ```
 //!
-//! The extension block is strictly optional: a frame that ends right after
-//! the payload is a **legacy frame** and decodes with every extension
-//! `None`, so old and new peers interoperate. The flag byte is a bitmask of
-//! known extensions, its fields in bit order — decoders reject flag bits
-//! they do not understand rather than silently misparse, and future
-//! extensions claim new bits. A trace-only frame is byte-identical to the
-//! pre-link-seq format, and a frame without the ack extension to the
-//! pre-piggyback one.
+//! Varints are unsigned LEB128 ([`crate::varint`]). The payload has no
+//! length field: it is the rest of the body, which the frame's length
+//! prefix ([`crate::codec`]) ends. A head takes [`MIN_HEAD_LEN`] (11) to
+//! [`MAX_HEAD_LEN`] (62) bytes: a heartbeat is an 11-byte body, and a
+//! 64-byte data frame with a link sequence and an ack under 128 a 77-byte
+//! one.
+//!
+//! The flag byte and the broadcast id come first, at fixed offsets, so a
+//! stream reader learns a frame's class — and with it the buffer its body
+//! belongs in — from the first [`FIXED_HEAD_LEN`] bytes. The extensions
+//! sit in front of the payload, so a writer sends a frame as two pieces,
+//! its head and the payload it shares with every other copy.
+//!
+//! Every message has exactly one encoding: decoders refuse flag bits they
+//! do not understand (future extensions claim new bits; there is no other
+//! version field), varints that are not minimal, overflow their type or
+//! run past the body, and link fields of 0 — so re-encoding what decoded
+//! gives back the same bytes.
 //!
 //! The two link fields are hop-local (stripped by [`Message::forwarded`])
 //! and start at 1, so they are `Option<NonZeroU64>` — which is also what
@@ -36,42 +44,40 @@
 
 use std::num::NonZeroU64;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+
+use crate::varint::{self, MAX_LEN_U32, MAX_LEN_U64};
 
 /// Extension flag bit announcing an 8-byte trace id.
 pub const TRACE_EXT_FLAG: u8 = 0x01;
 
-/// Extension flag bit announcing an 8-byte per-link sequence number
-/// (see [`crate::reliable`]).
+/// Extension flag bit announcing a per-link sequence number (see
+/// [`crate::reliable`]).
 pub const SEQ_EXT_FLAG: u8 = 0x02;
 
-/// Extension flag bit announcing a 12-byte Byzantine witness tag
-/// (claimed origin + instance nonce) naming the broadcast *instance* a
-/// Bracha echo/ready frame vouches for. "Signed-enough" identity: correct
-/// nodes never emit a tag for an instance they did not witness, so quorum
-/// counting over distinct witnesses is sound up to the traitor budget.
+/// Extension flag bit announcing a Byzantine witness tag (claimed origin +
+/// instance nonce) naming the broadcast *instance* a Bracha echo/ready
+/// frame vouches for. "Signed-enough" identity: correct nodes never emit a
+/// tag for an instance they did not witness, so quorum counting over
+/// distinct witnesses is sound up to the traitor budget.
 pub const BYZ_EXT_FLAG: u8 = 0x04;
 
-/// Extension flag bit announcing an 8-byte piggybacked cumulative ack for
-/// the link the frame crosses (see [`crate::reliable`]).
+/// Extension flag bit announcing a piggybacked cumulative ack for the link
+/// the frame crosses (see [`crate::reliable`]).
 pub const ACK_EXT_FLAG: u8 = 0x08;
 
 /// All extension flag bits this decoder understands.
 pub const KNOWN_EXT_FLAGS: u8 = TRACE_EXT_FLAG | SEQ_EXT_FLAG | BYZ_EXT_FLAG | ACK_EXT_FLAG;
 
-/// Encoded size of the trace extension block (flag + trace id).
-pub const TRACE_EXT_LEN: usize = 1 + 8;
+/// The head's fixed-width front: the flag byte and the broadcast id.
+pub const FIXED_HEAD_LEN: usize = 1 + 8;
 
-/// Encoded size of the byz tag payload within the extension block
-/// (4-byte origin + 8-byte nonce; the shared flag byte is not counted).
-pub const BYZ_TAG_LEN: usize = 4 + 8;
+/// The shortest head: no extensions, origin and hop count under 128.
+pub const MIN_HEAD_LEN: usize = FIXED_HEAD_LEN + 1 + 1;
 
-/// Encoded size of the fixed header in front of the payload (broadcast id,
-/// origin, hops, payload length).
-pub const HEADER_LEN: usize = 8 + 4 + 4 + 4;
-
-/// Largest extension block: the flag byte and all four extensions.
-pub const MAX_EXT_LEN: usize = 1 + 8 + 8 + BYZ_TAG_LEN + 8;
+/// The longest head: every extension, every varint at its widest.
+pub const MAX_HEAD_LEN: usize =
+    FIXED_HEAD_LEN + 2 * MAX_LEN_U32 + 8 + MAX_LEN_U64 + MAX_LEN_U32 + 2 * MAX_LEN_U64;
 
 /// The broadcast-instance identity carried by the byz extension: the
 /// claimed origin plus a per-origin nonce. One `(origin, nonce)` pair
@@ -99,12 +105,12 @@ pub struct Message {
     /// Application payload.
     pub payload: Bytes,
     /// Causal-trace id carried end to end, if the origin enabled tracing.
-    /// `None` on legacy frames and untraced control traffic.
+    /// `None` on untraced traffic.
     pub trace: Option<u64>,
     /// Per-link sequence number stamped by the reliable layer at send
     /// time (see [`crate::reliable`]). Unlike `trace`, this is hop-local:
     /// it is assigned per (sender, receiver) link and stripped on forward.
-    /// `None` on legacy frames and best-effort traffic.
+    /// `None` on best-effort traffic.
     pub link_seq: Option<NonZeroU64>,
     /// Cumulative ack for the reverse direction of the link this frame
     /// crosses, attached by the reliable layer when the frame is emitted
@@ -113,7 +119,7 @@ pub struct Message {
     pub link_ack: Option<NonZeroU64>,
     /// Byzantine witness tag naming the broadcast instance this frame
     /// vouches for. Like `trace` it rides along end to end on forwards.
-    /// `None` on legacy frames and non-Byzantine traffic.
+    /// `None` on non-Byzantine traffic.
     pub byz: Option<ByzTag>,
 }
 
@@ -179,137 +185,116 @@ impl Message {
         }
     }
 
-    /// Serialized size in bytes.
+    /// Serialized size in bytes: head and payload.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        let mut ext = 0;
-        if self.trace.is_some() {
-            ext += 8;
-        }
-        if self.link_seq.is_some() {
-            ext += 8;
-        }
-        if self.byz.is_some() {
-            ext += BYZ_TAG_LEN;
-        }
-        if self.link_ack.is_some() {
-            ext += 8;
-        }
-        if ext != 0 {
-            ext += 1; // the flag byte
-        }
-        HEADER_LEN + self.payload.len() + ext
+        let link = |v: Option<NonZeroU64>| v.map_or(0, |v| varint::len(v.get()));
+        FIXED_HEAD_LEN
+            + varint::len(self.origin.into())
+            + varint::len(self.hops.into())
+            + self.trace.map_or(0, |_| 8)
+            + link(self.link_seq)
+            + self.byz.map_or(0, |t| {
+                varint::len(t.origin.into()) + varint::len(t.nonce)
+            })
+            + link(self.link_ack)
+            + self.payload.len()
     }
 
-    /// Encodes to the wire format. Messages with no extensions produce
-    /// byte-identical legacy frames; trace-only messages produce frames
-    /// identical to the pre-link-seq format.
+    /// Encodes to the wire format.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let (ext, ext_len) = self.ext_block();
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_slice(&self.header());
+        let mut head = [0u8; MAX_HEAD_LEN];
+        let head_len = self.put_head(&mut head);
+        let mut buf = BytesMut::with_capacity(head_len + self.payload.len());
+        buf.put_slice(&head[..head_len]);
         buf.put_slice(&self.payload);
-        buf.put_slice(&ext[..ext_len]);
         buf.freeze()
     }
 
-    /// The fixed header: everything that goes in front of the payload.
-    /// With [`Self::ext_block`] this is the one place that writes the
-    /// layout; [`Self::encode`] and the frame codec put the payload
-    /// between the two, each in its own way.
-    pub(crate) fn header(&self) -> [u8; HEADER_LEN] {
-        let mut h = [0u8; HEADER_LEN];
-        h[0..8].copy_from_slice(&self.broadcast_id.to_be_bytes());
-        h[8..12].copy_from_slice(&self.origin.to_be_bytes());
-        h[12..16].copy_from_slice(&self.hops.to_be_bytes());
-        h[16..20].copy_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        h
-    }
-
-    /// The extension block that follows the payload and how many of its
-    /// bytes are in use (0 for a legacy frame).
-    pub(crate) fn ext_block(&self) -> ([u8; MAX_EXT_LEN], usize) {
-        let mut ext = [0u8; MAX_EXT_LEN];
-        let mut len = 1; // the flag byte, if any extension follows it
-        let mut put = |field: &[u8]| {
-            ext[len..len + field.len()].copy_from_slice(field);
-            len += field.len();
-        };
+    /// Writes the head — everything in front of the payload — at the front
+    /// of `out` and returns its length. This is the one place that writes
+    /// the layout; [`Self::encode`] and the frame codec put the payload
+    /// after it, each in its own way.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is shorter than the head (never at [`MAX_HEAD_LEN`]).
+    pub(crate) fn put_head(&self, out: &mut [u8]) -> usize {
+        let mut len = FIXED_HEAD_LEN;
+        let mut put = |v: u64| len += varint::put(&mut out[len..], v);
+        put(self.origin.into());
+        put(self.hops.into());
         let mut flags = 0u8;
         if let Some(trace_id) = self.trace {
             flags |= TRACE_EXT_FLAG;
-            put(&trace_id.to_be_bytes());
+            out[len..len + 8].copy_from_slice(&trace_id.to_be_bytes());
+            len += 8;
         }
+        let mut put = |v: u64| len += varint::put(&mut out[len..], v);
         if let Some(seq) = self.link_seq {
             flags |= SEQ_EXT_FLAG;
-            put(&seq.get().to_be_bytes());
+            put(seq.get());
         }
         if let Some(tag) = self.byz {
             flags |= BYZ_EXT_FLAG;
-            put(&tag.origin.to_be_bytes());
-            put(&tag.nonce.to_be_bytes());
+            put(tag.origin.into());
+            put(tag.nonce);
         }
         if let Some(cum) = self.link_ack {
             flags |= ACK_EXT_FLAG;
-            put(&cum.get().to_be_bytes());
+            put(cum.get());
         }
-        ext[0] = flags;
-        (ext, if flags == 0 { 0 } else { len })
+        out[0] = flags;
+        out[1..FIXED_HEAD_LEN].copy_from_slice(&self.broadcast_id.to_be_bytes());
+        len
     }
 
     /// Decodes from the wire format.
     ///
-    /// Returns `None` on truncated input, unknown extension flag bits, a
-    /// link sequence or ack of 0, or trailing garbage. A frame ending right
-    /// after the payload decodes as legacy (every extension `None`).
+    /// Returns `None` on a body too short for its head, unknown flag bits,
+    /// a varint the head may not hold ([`crate::varint`]), or a link
+    /// sequence or ack of 0. The payload is a slice of `raw` — or, when
+    /// empty, [`Bytes::new`], which holds no count on `raw`'s buffer.
     #[must_use]
-    pub fn decode(mut raw: Bytes) -> Option<Self> {
-        if raw.len() < HEADER_LEN {
+    pub fn decode(raw: Bytes) -> Option<Self> {
+        let (&flags, rest) = raw.split_first()?;
+        if flags & !KNOWN_EXT_FLAGS != 0 {
             return None;
         }
-        let broadcast_id = raw.get_u64();
-        let origin = raw.get_u32();
-        let hops = raw.get_u32();
-        let len = raw.get_u32() as usize;
-        if raw.len() < len {
-            return None;
-        }
-        let payload = raw.slice(0..len);
-        let mut ext = raw.slice(len..raw.len());
-        let (trace, link_seq, byz, link_ack) = if ext.is_empty() {
-            (None, None, None, None)
-        } else {
-            let flags = ext.get_u8();
-            if flags == 0 || flags & !KNOWN_EXT_FLAGS != 0 {
-                return None;
+        let (id, mut rest) = rest.split_first_chunk::<8>()?;
+        let origin = varint::read_u32(&mut rest)?;
+        let hops = varint::read_u32(&mut rest)?;
+        let has = |flag: u8| flags & flag != 0;
+        let trace = match has(TRACE_EXT_FLAG) {
+            false => None,
+            true => {
+                let (trace_id, after) = rest.split_first_chunk::<8>()?;
+                rest = after;
+                Some(u64::from_be_bytes(*trace_id))
             }
-            let want = 8 * usize::from(flags & TRACE_EXT_FLAG != 0)
-                + 8 * usize::from(flags & SEQ_EXT_FLAG != 0)
-                + BYZ_TAG_LEN * usize::from(flags & BYZ_EXT_FLAG != 0)
-                + 8 * usize::from(flags & ACK_EXT_FLAG != 0);
-            if ext.len() != want {
-                return None;
-            }
-            // A link field that is present but 0 is malformed, not absent.
-            let link = |flag: u8, ext: &mut Bytes| match flags & flag {
-                0 => Some(None),
-                _ => NonZeroU64::new(ext.get_u64()).map(Some),
-            };
-            let trace = (flags & TRACE_EXT_FLAG != 0).then(|| ext.get_u64());
-            let link_seq = link(SEQ_EXT_FLAG, &mut ext)?;
-            let byz = (flags & BYZ_EXT_FLAG != 0).then(|| ByzTag {
-                origin: ext.get_u32(),
-                nonce: ext.get_u64(),
-            });
-            let link_ack = link(ACK_EXT_FLAG, &mut ext)?;
-            (trace, link_seq, byz, link_ack)
         };
+        // A link field that is present but 0 is malformed, not absent.
+        let link = |flag: u8, rest: &mut &[u8]| match has(flag) {
+            false => Some(None),
+            true => NonZeroU64::new(varint::read_u64(rest)?).map(Some),
+        };
+        let link_seq = link(SEQ_EXT_FLAG, &mut rest)?;
+        let byz = match has(BYZ_EXT_FLAG) {
+            false => None,
+            true => Some(ByzTag {
+                origin: varint::read_u32(&mut rest)?,
+                nonce: varint::read_u64(&mut rest)?,
+            }),
+        };
+        let link_ack = link(ACK_EXT_FLAG, &mut rest)?;
         Some(Message {
-            broadcast_id,
+            broadcast_id: u64::from_be_bytes(*id),
             origin,
             hops,
-            payload,
+            // An empty range is `Bytes::new()`: a control frame's empty
+            // payload must not pin the buffer its body was read into.
+            payload: raw.slice(raw.len() - rest.len()..),
             trace,
             link_seq,
             link_ack,
@@ -326,6 +311,14 @@ mod tests {
         NonZeroU64::new(v)
     }
 
+    /// `m`'s encoding with its head's `at`-th byte onwards replaced by
+    /// `tail`: a hand-made frame that differs from `m`'s in one field.
+    fn patched(m: &Message, at: usize, tail: &[u8]) -> Bytes {
+        let mut enc = m.encode()[..at].to_vec();
+        enc.extend_from_slice(tail);
+        Bytes::from(enc)
+    }
+
     #[test]
     fn both_link_fields_fit_the_message_in_104_bytes() {
         // Every in-flight simulator frame and every pull-store entry is a
@@ -337,23 +330,27 @@ mod tests {
     fn link_ack_round_trips_alone_and_with_every_other_extension() {
         let m = Message::new(3, 1, Bytes::from_static(b"ack")).with_link_ack(41);
         let enc = m.encode();
-        assert_eq!(
-            &enc[enc.len() - 9..],
-            &[&[ACK_EXT_FLAG][..], &41u64.to_be_bytes()].concat()[..]
-        );
+        assert_eq!(enc[0], ACK_EXT_FLAG);
+        // Flags, id, origin, hops, then the ack just ahead of the payload.
+        assert_eq!(&enc[FIXED_HEAD_LEN + 2..], b"\x29ack");
         assert_eq!(Message::decode(enc), Some(m));
         let tag = ByzTag {
-            origin: 2,
-            nonce: 9,
+            origin: u32::MAX,
+            nonce: u64::MAX,
         };
-        let full = Message::new(3, 1, Bytes::from_static(b"all"))
+        let mut full = Message::new(3, u32::MAX, Bytes::from_static(b"all"))
             .with_trace(7)
-            .with_link_seq(5)
+            .with_link_seq(u64::MAX)
             .with_byz(tag)
             .with_link_ack(u64::MAX);
-        assert_eq!(full.encoded_len(), HEADER_LEN + 3 + MAX_EXT_LEN);
+        full.hops = u32::MAX;
+        assert_eq!(full.encoded_len(), MAX_HEAD_LEN + 3);
+        assert_eq!(full.encode().len(), MAX_HEAD_LEN + 3);
         let decoded = Message::decode(full.encode()).unwrap();
-        assert_eq!((decoded.link_seq, decoded.link_ack), (nz(5), nz(u64::MAX)));
+        assert_eq!(
+            (decoded.link_seq, decoded.link_ack),
+            (nz(u64::MAX), nz(u64::MAX))
+        );
         assert_eq!(decoded, full);
         let f = decoded.forwarded();
         assert_eq!((f.link_seq, f.link_ack), (None, None), "both hop-local");
@@ -367,10 +364,11 @@ mod tests {
             .with_link_ack(0);
         assert_eq!((m.link_seq, m.link_ack), (None, None));
         for flag in [SEQ_EXT_FLAG, ACK_EXT_FLAG] {
-            let mut enc = BytesMut::from(&m.encode()[..]);
-            enc.put_u8(flag);
-            enc.put_u64(0);
-            assert_eq!(Message::decode(enc.freeze()), None, "flag {flag:#x}");
+            // The flag set and its varint 0 where the field goes.
+            let mut enc = m.encode().to_vec();
+            enc[0] = flag;
+            enc.push(0);
+            assert_eq!(Message::decode(Bytes::from(enc)), None, "flag {flag:#x}");
         }
     }
 
@@ -384,6 +382,7 @@ mod tests {
     #[test]
     fn empty_payload_round_trips() {
         let m = Message::new(1, 0, Bytes::new());
+        assert_eq!(m.encode().len(), MIN_HEAD_LEN);
         assert_eq!(Message::decode(m.encode()), Some(m));
     }
 
@@ -413,17 +412,6 @@ mod tests {
         let decoded = Message::decode(m.encode()).unwrap();
         assert_eq!(decoded.trace, Some(0xAA));
         assert_eq!(decoded.link_seq, nz(u64::MAX));
-    }
-
-    #[test]
-    fn trace_only_encoding_matches_pre_link_seq_format() {
-        // The old format was: flag byte 0x01 followed by the trace id.
-        // Trace-only frames must stay byte-identical so old peers decode.
-        let m = Message::new(9, 2, Bytes::from_static(b"pay")).with_trace(0x0102_0304);
-        let enc = m.encode();
-        let ext = &enc[enc.len() - TRACE_EXT_LEN..];
-        assert_eq!(ext[0], TRACE_EXT_FLAG);
-        assert_eq!(&ext[1..], 0x0102_0304u64.to_be_bytes());
     }
 
     #[test]
@@ -472,11 +460,17 @@ mod tests {
 
     #[test]
     fn byz_extension_with_wrong_length_is_rejected() {
-        let m = Message::new(1, 2, Bytes::from_static(b"abc"));
-        let mut enc = BytesMut::from(&m.encode()[..]);
-        enc.put_u8(BYZ_EXT_FLAG);
-        enc.put_u32(7); // origin but no nonce: 4 of the 12 tag bytes
-        assert_eq!(Message::decode(enc.freeze()), None);
+        // The byz flag, then the tag's origin and nothing else: its nonce
+        // is cut off, and the frame ends inside the head.
+        let m = Message::new(1, 2, Bytes::new());
+        assert_eq!(Message::decode(patched(&m, 0, &[BYZ_EXT_FLAG])), None);
+        let mut cut = m.encode().to_vec();
+        cut[0] = BYZ_EXT_FLAG;
+        cut.push(7);
+        assert_eq!(Message::decode(Bytes::from(cut.clone())), None);
+        // And a nonce whose varint runs off the end.
+        cut.push(0x80);
+        assert_eq!(Message::decode(Bytes::from(cut)), None);
     }
 
     #[test]
@@ -490,32 +484,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_flag_byte_is_rejected() {
-        let m = Message::new(1, 2, Bytes::from_static(b"abc"));
-        let mut enc = BytesMut::from(&m.encode()[..]);
-        enc.put_u8(0x00);
-        assert_eq!(Message::decode(enc.freeze()), None);
-    }
-
-    #[test]
-    fn legacy_frames_decode_without_trace() {
-        // A hand-built frame with no extension block must decode as legacy.
-        let traced = Message::new(9, 1, Bytes::from_static(b"pay")).with_trace(5);
-        let enc = traced.encode();
-        let legacy = enc.slice(0..enc.len() - TRACE_EXT_LEN);
-        let decoded = Message::decode(legacy).unwrap();
-        assert_eq!(decoded.trace, None);
-        assert_eq!(decoded.payload, traced.payload);
-        assert_eq!(decoded.broadcast_id, 9);
-    }
-
-    #[test]
     fn unknown_extension_flag_is_rejected() {
         let m = Message::new(1, 2, Bytes::from_static(b"abc"));
-        let mut enc = BytesMut::from(&m.encode()[..]);
-        enc.put_u8(0x7E); // not TRACE_EXT_FLAG
-        enc.put_u64(123);
-        assert_eq!(Message::decode(enc.freeze()), None);
+        for unknown in [0x10, 0x20, 0x40, 0x80, 0x7E, 0xFF] {
+            let mut enc = m.encode().to_vec();
+            enc[0] = unknown;
+            assert_eq!(Message::decode(Bytes::from(enc)), None, "{unknown:#x}");
+        }
     }
 
     #[test]
@@ -542,37 +517,56 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated() {
-        assert_eq!(Message::decode(Bytes::from_static(b"short")), None);
-        let m = Message::new(1, 2, Bytes::from_static(b"abcdef"));
+        assert_eq!(Message::decode(Bytes::new()), None);
+        assert_eq!(Message::decode(Bytes::from_static(b"\x00short")), None);
+        // Every cut inside the head — mid id, mid varint, mid trace id,
+        // a missing link field — is refused; with no payload to hide in,
+        // so is every cut of a full head.
+        let mut m = Message::new(1, 300, Bytes::new())
+            .with_trace(1)
+            .with_link_seq(1 << 20)
+            .with_byz(ByzTag {
+                origin: 5,
+                nonce: 1 << 40,
+            })
+            .with_link_ack(1 << 30);
+        m.hops = 200;
         let enc = m.encode();
-        assert_eq!(Message::decode(enc.slice(0..enc.len() - 1)), None);
-        let t = m.with_trace(1);
-        let enc = t.encode();
-        assert_eq!(
-            Message::decode(enc.slice(0..enc.len() - 1)),
-            None,
-            "truncated extension block"
-        );
-    }
-
-    #[test]
-    fn decode_rejects_trailing_garbage() {
-        let m = Message::new(1, 2, Bytes::from_static(b"abc"));
-        let mut enc = BytesMut::from(&m.encode()[..]);
-        enc.put_u8(0xFF);
-        assert_eq!(Message::decode(enc.freeze()), None);
-        let t = Message::new(1, 2, Bytes::from_static(b"abc")).with_trace(4);
-        let mut enc = BytesMut::from(&t.encode()[..]);
-        enc.put_u8(0xFF);
-        assert_eq!(Message::decode(enc.freeze()), None);
+        for cut in 0..enc.len() {
+            assert_eq!(Message::decode(enc.slice(..cut)), None, "cut at {cut}");
+        }
+        assert_eq!(Message::decode(enc), Some(m));
     }
 
     #[test]
     fn encoded_len_matches() {
         let m = Message::new(5, 1, Bytes::from_static(b"12345"));
         assert_eq!(m.encode().len(), m.encoded_len());
-        let t = m.with_trace(9);
+        assert_eq!(m.encoded_len(), MIN_HEAD_LEN + 5);
+        let t = m.with_trace(9).with_link_seq(200).with_link_ack(1);
         assert_eq!(t.encode().len(), t.encoded_len());
-        assert_eq!(t.encoded_len(), 20 + 5 + TRACE_EXT_LEN);
+        assert_eq!(t.encoded_len(), MIN_HEAD_LEN + 8 + 2 + 1 + 5);
+    }
+
+    #[test]
+    fn varints_that_are_padded_or_overflow_are_refused() {
+        // Origin 1 written in two bytes instead of one, then hops 2^32.
+        let m = Message::new(1, 1, Bytes::new());
+        assert_eq!(Message::decode(patched(&m, FIXED_HEAD_LEN, &[0x81, 0x00, 0])), None);
+        let hops = [0x80, 0x80, 0x80, 0x80, 0x10];
+        assert_eq!(Message::decode(patched(&m, FIXED_HEAD_LEN + 1, &hops)), None);
+        let widest = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        let at_the_top = Message::decode(patched(&m, FIXED_HEAD_LEN + 1, &widest));
+        assert_eq!(at_the_top.map(|d| d.hops), Some(u32::MAX));
+    }
+
+    #[test]
+    fn an_empty_payload_holds_nothing_of_the_body() {
+        // A decoded control frame with no payload must not keep the buffer
+        // its body sits in from being reused for the next frame.
+        let body = Message::new(1, 2, Bytes::new()).with_link_ack(3).encode();
+        let decoded = Message::decode(body.clone()).unwrap();
+        assert!(decoded.payload.is_empty());
+        assert!(body.is_unique(), "the payload is no slice of the body");
     }
 }

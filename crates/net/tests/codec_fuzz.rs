@@ -1,10 +1,11 @@
 //! Robustness tests for the wire codec: decoding must never panic, the
 //! encode/decode pair must round-trip arbitrary payloads (with or without
-//! the trace extension), and legacy frames must keep decoding unchanged.
-//! The I/O pair is held to the same bytes: whatever `write_frame` puts on
-//! a stream, however little the stream takes per call, is `encode_frame`'s
-//! output and the encoding of every release before it, and `read_frame`
-//! reassembles it however the stream hands it back.
+//! each extension), and every message has exactly one encoding — whatever
+//! decodes re-encodes to the same bytes. The I/O pair is held to the same
+//! bytes: whatever `write_frame` puts on a stream, however little the
+//! stream takes per call, is `encode_frame`'s output and an independent
+//! field-by-field encoding of the layout, and `read_frame` reassembles it
+//! however the stream hands it back.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::num::NonZeroU64;
@@ -13,41 +14,48 @@ use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 
 use lhg_net::codec::{
-    decode_frame, encode_frame, read_frame, write_frame, CodecError, MAX_FRAME_LEN,
+    decode_frame, encode_frame, frame_len, read_frame, write_frame, CodecError, MAX_FRAME_LEN,
 };
 use lhg_net::fifo::{fifo_id, fifo_parts};
-use lhg_net::message::{ByzTag, Message, ACK_EXT_FLAG, BYZ_TAG_LEN, TRACE_EXT_LEN};
-use lhg_net::wirecost::{MessageClass, CLASS_TAG_MASK};
+use lhg_net::message::{ByzTag, Message, ACK_EXT_FLAG, KNOWN_EXT_FLAGS};
+use lhg_net::wirecost::{MessageClass, CLASS_TAG_MASK, HEARTBEAT_TAG, HELLO_TAG};
 
-/// The frame encoding as it was before the codec wrote headers into stack
-/// arrays: every field appended in wire order to one growing buffer.
+/// Appends `v` as an unsigned LEB128 varint, written out here apart from
+/// the crate's own encoder.
+fn put_leb128(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push((v & 0x7F) as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// The frame encoding written field by field in wire order into one
+/// growing buffer, apart from the codec's stack-array head.
 fn reference_frame(msg: &Message) -> Vec<u8> {
     let mut body = Vec::new();
-    body.put_u64(msg.broadcast_id);
-    body.put_u32(msg.origin);
-    body.put_u32(msg.hops);
-    body.put_u32(msg.payload.len() as u32);
-    body.put_slice(&msg.payload);
     let flags = u8::from(msg.trace.is_some())
         | u8::from(msg.link_seq.is_some()) << 1
         | u8::from(msg.byz.is_some()) << 2
         | u8::from(msg.link_ack.is_some()) << 3;
-    if flags != 0 {
-        body.put_u8(flags);
-    }
+    body.put_u8(flags);
+    body.put_u64(msg.broadcast_id);
+    put_leb128(&mut body, msg.origin.into());
+    put_leb128(&mut body, msg.hops.into());
     if let Some(trace_id) = msg.trace {
         body.put_u64(trace_id);
     }
     if let Some(seq) = msg.link_seq {
-        body.put_u64(seq.get());
+        put_leb128(&mut body, seq.get());
     }
     if let Some(tag) = msg.byz {
-        body.put_u32(tag.origin);
-        body.put_u64(tag.nonce);
+        put_leb128(&mut body, tag.origin.into());
+        put_leb128(&mut body, tag.nonce);
     }
     if let Some(cum) = msg.link_ack {
-        body.put_u64(cum.get());
+        put_leb128(&mut body, cum.get());
     }
+    body.put_slice(&msg.payload);
     let mut frame = Vec::new();
     frame.put_u32(body.len() as u32);
     frame.put_slice(&body);
@@ -129,6 +137,11 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// Bytes of `msg`'s encoding in front of its payload.
+fn head_len(msg: &Message) -> usize {
+    msg.encoded_len() - msg.payload.len()
+}
+
 #[test]
 fn three_literal_frames_are_what_every_release_put_on_the_wire() {
     let legacy = Message::new(0x0102_0304_0506_0708, 9, Bytes::from_static(b"hello"));
@@ -142,22 +155,22 @@ fn three_literal_frames_are_what_every_release_put_on_the_wire() {
         .with_byz(ByzTag {
             origin: 5,
             nonce: 0x0A0B,
-        });
+        })
+        .with_link_ack(300);
     full.hops = 1;
+    // Prefix, flags, id, origin and hops, then the extensions in flag-bit
+    // order, then the payload.
     let pinned = [
-        (
-            legacy,
-            "00000019010203040506070800000009000000000000000568656c6c6f",
-        ),
+        (legacy, "00000010000102030405060708090068656c6c6f"),
         (
             stamped,
-            "00000028000000000000002a0000000700000003000000036c6867\
-             0300000000deadbeef0000000000000011",
+            "0000001703000000000000002a0703\
+             00000000deadbeef116c6867",
         ),
         (
             full,
-            "00000031ffffffffffffffffffffffff0000000100000000\
-             070000000000000001ffffffffffffffff000000050000000000000a0b",
+            "000000260fffffffffffffffffffffffff0f01\
+             0000000000000001ffffffffffffffffff01058b14ac02",
         ),
     ];
     for (msg, want) in pinned {
@@ -319,16 +332,19 @@ proptest! {
 
     #[test]
     fn byz_truncated_tags_are_rejected(
+        byz_origin in any::<u32>(),
         byz_nonce in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..64),
-        cut in 1usize..BYZ_TAG_LEN,
+        cut in 1usize..=15,
     ) {
-        // Any partial byz tag — 1..11 of its 12 bytes missing — must fail
-        // to decode rather than misparse as a shorter extension.
+        // A head that ends anywhere inside its byz tag — the last extension
+        // here — must fail to decode rather than misparse as a shorter one.
         let msg = Message::new(5, 1, Bytes::from(payload))
-            .with_byz(ByzTag { origin: 6, nonce: byz_nonce });
+            .with_byz(ByzTag { origin: byz_origin, nonce: byz_nonce });
         let enc = msg.encode();
-        prop_assert_eq!(Message::decode(enc.slice(0..enc.len() - cut)), None);
+        let tag_len = head_len(&msg) - 11;
+        let cut = cut.min(tag_len);
+        prop_assert_eq!(Message::decode(enc.slice(0..head_len(&msg) - cut)), None);
     }
 
     #[test]
@@ -345,41 +361,22 @@ proptest! {
     }
 
     #[test]
-    fn legacy_frames_without_extension_still_decode(
-        id in any::<u64>(),
-        origin in any::<u32>(),
-        hops in any::<u32>(),
-        payload in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        // Build the pre-extension wire image by hand: header + payload only.
-        let mut raw = BytesMut::with_capacity(20 + payload.len());
-        raw.put_u64(id);
-        raw.put_u32(origin);
-        raw.put_u32(hops);
-        raw.put_u32(payload.len() as u32);
-        raw.put_slice(&payload);
-        let decoded = Message::decode(raw.freeze()).expect("legacy frame decodes");
-        prop_assert_eq!(decoded.trace, None);
-        prop_assert_eq!(decoded.byz, None);
-        prop_assert_eq!(decoded.broadcast_id, id);
-        prop_assert_eq!(decoded.payload, Bytes::from(payload));
-    }
-
-    #[test]
     fn unknown_extension_flags_are_rejected(
         payload in proptest::collection::vec(any::<u8>(), 0..64),
         flag in any::<u8>(),
-        ext_id in any::<u64>(),
+        traced in any::<bool>(),
     ) {
         // Force a flag with an unknown bit: setting bit 4 keeps the full
         // range of "wrong" flags without a rejection filter (bits 0..3 are
         // the known trace, link-seq, byz and link-ack extensions).
         let flag = flag | 0x10;
-        assert!(flag & !lhg_net::message::KNOWN_EXT_FLAGS != 0);
-        let msg = Message::new(11, 2, Bytes::from(payload));
+        assert!(flag & !KNOWN_EXT_FLAGS != 0);
+        let mut msg = Message::new(11, 2, Bytes::from(payload));
+        if traced {
+            msg = msg.with_trace(99);
+        }
         let mut raw = BytesMut::from(&msg.encode()[..]);
-        raw.put_u8(flag);
-        raw.put_u64(ext_id);
+        raw[0] = flag;
         prop_assert_eq!(Message::decode(raw.freeze()), None);
     }
 
@@ -387,18 +384,23 @@ proptest! {
     fn truncated_encodings_are_rejected(
         payload in proptest::collection::vec(any::<u8>(), 0..64),
         traced in any::<bool>(),
-        cut in 1usize..16,
+        cut in 1usize..64,
     ) {
-        let mut msg = Message::new(7, 3, Bytes::from(payload));
+        let mut msg = Message::new(7, 300, Bytes::from(payload));
         if traced {
-            msg = msg.with_trace(99);
+            msg = msg.with_trace(99).with_link_seq(1 << 20);
         }
+        // A body cut inside its head is refused; a cut in the payload only
+        // the frame's length prefix can tell, and the frame decoder does.
         let enc = msg.encode();
-        // Cutting the full extension off a traced frame would yield a valid
-        // legacy frame, so stop one byte short of that.
-        let cut = cut.min(if traced { TRACE_EXT_LEN - 1 } else { enc.len() });
-        let truncated = enc.slice(0..enc.len() - cut);
-        prop_assert_eq!(Message::decode(truncated), None);
+        let inside_head = enc.slice(0..head_len(&msg) - cut.min(head_len(&msg)));
+        prop_assert_eq!(Message::decode(inside_head), None);
+        let frame = encode_frame(&msg);
+        let cut = cut.min(frame.len());
+        prop_assert_eq!(
+            decode_frame(&frame[..frame.len() - cut]),
+            Err(CodecError::Malformed)
+        );
     }
 
     #[test]
@@ -438,15 +440,18 @@ proptest! {
     }
 
     #[test]
-    fn link_ack_alone_round_trips_and_is_its_flag_and_eight_bytes(
+    fn link_ack_alone_round_trips_and_is_its_flag_and_a_varint(
         id in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..64),
         cum in 1u64..=u64::MAX,
     ) {
         let msg = Message::new(id, 3, Bytes::from(payload)).with_link_ack(cum);
         let enc = msg.encode();
-        prop_assert_eq!(enc[enc.len() - 9], ACK_EXT_FLAG);
-        prop_assert_eq!(&enc[enc.len() - 8..], &cum.to_be_bytes()[..]);
+        prop_assert_eq!(enc[0], ACK_EXT_FLAG);
+        // Flags, id, origin 3 and hops 0, then the ack.
+        let mut ack = Vec::new();
+        put_leb128(&mut ack, cum);
+        prop_assert_eq!(&enc[11..head_len(&msg)], &ack[..]);
         prop_assert_eq!(decode_frame(&encode_frame(&msg)).expect("decodes"), msg);
     }
 
@@ -472,16 +477,21 @@ proptest! {
     fn truncated_link_acks_are_rejected(
         payload in proptest::collection::vec(any::<u8>(), 0..64),
         sequenced in any::<bool>(),
-        cut in 1usize..8,
+        cum in 1u64..=u64::MAX,
+        cut in 1usize..=10,
     ) {
-        // Any partial ack — 1..7 of its 8 bytes missing — must fail to
-        // decode rather than misparse as a shorter extension block.
-        let mut msg = Message::new(5, 1, Bytes::from(payload)).with_link_ack(77);
+        // A head that ends anywhere inside its ack — some or all of the
+        // varint's bytes missing — must fail to decode rather than misparse
+        // as a shorter head.
+        let mut msg = Message::new(5, 1, Bytes::from(payload)).with_link_ack(cum);
         if sequenced {
             msg = msg.with_link_seq(3);
         }
+        let mut ack = Vec::new();
+        put_leb128(&mut ack, cum);
+        let cut = cut.min(ack.len());
         let enc = msg.encode();
-        prop_assert_eq!(Message::decode(enc.slice(0..enc.len() - cut)), None);
+        prop_assert_eq!(Message::decode(enc.slice(0..head_len(&msg) - cut)), None);
     }
 
     #[test]
@@ -490,18 +500,76 @@ proptest! {
         sequenced in any::<bool>(),
     ) {
         // Cumulative acks start at 1: an ack of 0 on the wire is malformed.
-        let mut msg = Message::new(5, 1, Bytes::from(payload));
+        let mut msg = Message::new(5, 1, Bytes::new());
         if sequenced {
             msg = msg.with_link_seq(3);
         }
         let mut raw = BytesMut::from(&msg.with_link_ack(1).encode()[..]);
-        let at = raw.len() - 8;
-        raw[at..].copy_from_slice(&0u64.to_be_bytes());
+        let at = raw.len() - 1;
+        raw[at] = 0;
+        raw.put_slice(&payload);
         prop_assert_eq!(Message::decode(raw.freeze()), None);
     }
 
     #[test]
     fn fifo_id_round_trips(origin in any::<u32>(), seq in any::<u32>()) {
         prop_assert_eq!(fifo_parts(fifo_id(origin, seq)), (origin, seq));
+    }
+
+    #[test]
+    fn whatever_decodes_re_encodes_to_the_same_bytes(
+        exts in 0u8..16,
+        fields in (any::<u64>(), any::<u32>(), any::<u32>(), any::<u64>()),
+        link in (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..8),
+        edits in proptest::collection::vec((0usize..64, any::<u8>()), 0..4),
+        noise in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        // One encoding per message: an honest head with a few bytes
+        // overwritten, and bytes that are noise after a known flag byte,
+        // decode — when they do — to a message whose encoding is exactly
+        // them (no padded varint, no zero link field, no stray flag).
+        let (id, origin, hops, trace_id) = fields;
+        let (seq, byz_origin, nonce, cum) = link;
+        let msg = Message {
+            broadcast_id: id,
+            origin: origin >> (origin % 32),
+            hops: hops >> (hops % 32),
+            payload: Bytes::from(payload),
+            trace: (exts & 1 != 0).then_some(trace_id),
+            link_seq: NonZeroU64::new(seq >> (seq % 64)).filter(|_| exts & 2 != 0),
+            link_ack: NonZeroU64::new(cum >> (cum % 64)).filter(|_| exts & 8 != 0),
+            byz: (exts & 4 != 0).then_some(ByzTag { origin: byz_origin, nonce }),
+        };
+        let mut edited = msg.encode().to_vec();
+        for (at, byte) in edits {
+            if let Some(b) = edited.get_mut(at) {
+                *b = byte;
+            }
+        }
+        let noisy = [&[exts][..], &noise[..]].concat();
+        for raw in [edited, noisy] {
+            if let Some(decoded) = Message::decode(Bytes::from(raw.clone())) {
+                prop_assert_eq!(&decoded.encode()[..], &raw[..]);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_heartbeat_a_hello_and_a_small_data_frame_have_pinned_wire_sizes() {
+    // What a frame costs on the wire, prefix included: a liveness probe and
+    // a handshake are 15 bytes, a 64-byte broadcast crossing a reliable
+    // link with its sequence number and a piggybacked ack 81.
+    let heartbeat = Message::new(HEARTBEAT_TAG | 5, 5, Bytes::new());
+    let hello = Message::new(HELLO_TAG | 5, 5, Bytes::new());
+    let mut data = Message::new(fifo_id(5, 1_000), 5, Bytes::from(vec![0xAB; 64]))
+        .with_link_seq(100)
+        .with_link_ack(90);
+    data.hops = 2;
+    for (msg, want) in [(heartbeat, 15), (hello, 15), (data, 81)] {
+        assert_eq!(frame_len(&msg), want, "{msg:?}");
+        assert_eq!(encode_frame(&msg).len(), want);
+        assert_eq!(wire_of(std::slice::from_ref(&msg)).len(), want);
     }
 }

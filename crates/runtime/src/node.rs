@@ -53,7 +53,7 @@ use parking_lot::{Mutex, RwLock};
 
 use lhg_core::overlay::{DynamicOverlay, MemberId};
 use lhg_net::codec::{write_frame, FrameDecoder, FrameQueue, MAX_FRAME_LEN};
-use lhg_net::message::{Message, HEADER_LEN, MAX_EXT_LEN};
+use lhg_net::message::{Message, MAX_HEAD_LEN};
 use lhg_net::metrics::{Counter, Histogram, MetricsRegistry};
 use lhg_net::wirecost::WireAccountant;
 use lhg_trace::{EventKind, FlightRecorder, PathRecord, TraceCollector};
@@ -345,7 +345,7 @@ pub(crate) fn spawn_node(
 }
 
 /// The largest frame body a hello can have: no payload, any extensions.
-const HELLO_MAX_LEN: usize = HEADER_LEN + MAX_EXT_LEN;
+const HELLO_MAX_LEN: usize = MAX_HEAD_LEN;
 
 /// Frames a link's queue has room for from the start.
 const QUEUE_ROOM: usize = 8;
