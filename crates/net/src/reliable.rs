@@ -128,6 +128,7 @@ use lhg_graph::NodeId;
 
 use crate::kept::encode_reusing;
 use crate::message::Message;
+use crate::varint;
 use crate::seen::SeenSet;
 use crate::sim::{Context, Process};
 
@@ -633,7 +634,11 @@ impl LinkReceiver {
     }
 }
 
-/// Encodes an ack frame payload: cumulative ack + selective NACK list.
+/// Encodes an ack frame payload: the cumulative ack, the NACK count and
+/// each NACK as the distance above the one before it (the first above
+/// `cum`), every one a varint ([`crate::varint`]). `nacks` rise strictly
+/// above `cum`, as [`LinkReceiver::ack_payload`] writes them; past
+/// [`MAX_NACKS`] they are cut off. A clean ack under 128 is two bytes.
 #[must_use]
 pub fn encode_ack_payload(cum: u64, nacks: &[u64]) -> Bytes {
     encode_ack(&mut Vec::new(), 0, cum, nacks)
@@ -643,11 +648,17 @@ pub fn encode_ack_payload(cum: u64, nacks: &[u64]) -> Bytes {
 /// the `max` newest payloads ([`encode_reusing`]).
 fn encode_ack(kept: &mut Vec<Bytes>, max: usize, cum: u64, nacks: &[u64]) -> Bytes {
     let nacks = &nacks[..nacks.len().min(MAX_NACKS)];
-    encode_reusing(kept, max, 8 + 4 + 8 * nacks.len(), |buf| {
-        buf.put_u64(cum);
-        buf.put_u32(nacks.len() as u32);
+    // Room for any ack naming this many holes, so that a kept buffer takes
+    // every later ack naming no more.
+    let room = varint::MAX_LEN_U64 * (1 + nacks.len()) + 1;
+    encode_reusing(kept, max, room, |buf| {
+        varint::put_buf(buf, cum);
+        varint::put_buf(buf, nacks.len() as u64);
+        let mut below = cum;
         for &s in nacks {
-            buf.put_u64(s);
+            debug_assert!(s > below, "NACKs rise strictly above the ack point");
+            varint::put_buf(buf, s.wrapping_sub(below));
+            below = s;
         }
     })
 }
@@ -659,16 +670,22 @@ pub fn decode_ack_payload(raw: Bytes) -> Option<(u64, Vec<u64>)> {
     Some((cum, nacks.collect()))
 }
 
-/// Reads an ack payload in place: its cumulative point and its NACKs,
-/// borrowed from `raw`. `None` on malformed input.
-fn read_ack(raw: &[u8]) -> Option<(u64, impl Iterator<Item = u64> + '_)> {
-    let (cum, rest) = raw.split_first_chunk::<8>()?;
-    let (count, nacks) = rest.split_first_chunk::<4>()?;
-    let count = u32::from_be_bytes(*count) as usize;
-    if count > MAX_NACKS || nacks.len() != 8 * count {
-        return None;
+/// Reads an ack payload in place: its cumulative point and its NACKs.
+/// `None` on malformed input: a varint [`crate::varint`] refuses, more than
+/// [`MAX_NACKS`] NACKs, a distance of 0 or one that passes `u64::MAX`, or
+/// bytes after the last NACK.
+fn read_ack(mut raw: &[u8]) -> Option<(u64, impl Iterator<Item = u64>)> {
+    let cum = varint::read_u64(&mut raw)?;
+    let count = varint::read_u64(&mut raw).filter(|&c| c <= MAX_NACKS as u64)? as usize;
+    let mut nacks = [0u64; MAX_NACKS];
+    let mut below = cum;
+    for nack in &mut nacks[..count] {
+        let above = varint::read_u64(&mut raw).filter(|&d| d > 0)?;
+        below = below.checked_add(above)?;
+        *nack = below;
     }
-    Some((u64::from_be_bytes(*cum), nacks.chunks_exact(8).map(be_u64)))
+    raw.is_empty()
+        .then_some((cum, nacks.into_iter().take(count)))
 }
 
 /// The big-endian `u64` an 8-byte chunk holds.
@@ -1757,10 +1774,35 @@ mod tests {
 
     #[test]
     fn ack_payload_round_trips() {
-        let nacks = vec![3, 4, 9];
+        let nacks = vec![18, 19, 300, u64::MAX];
         let raw = encode_ack_payload(17, &nacks);
+        // 17, four NACKs, then 1, 1, 281 and the rest of the way up.
+        assert_eq!(raw[..6], [17, 4, 1, 1, 0x99, 0x02]);
+        assert_eq!(raw.len(), 6 + 10);
         assert_eq!(decode_ack_payload(raw), Some((17, nacks)));
+        assert_eq!(encode_ack_payload(5, &[])[..], [5, 0], "a clean ack");
         assert_eq!(decode_ack_payload(Bytes::from_static(b"xx")), None);
+    }
+
+    #[test]
+    fn ack_payloads_that_overflow_repeat_or_run_on_are_refused() {
+        let refused: [&[u8]; 7] = [
+            &[],
+            &[5],                  // no count
+            &[5, 33],              // past MAX_NACKS
+            &[5, 2, 1],            // a NACK missing
+            &[5, 1, 0],            // a distance of 0: cum itself
+            &[5, 1, 1, 0xEE],      // a byte after the last NACK
+            &[0x80, 0x00, 0],      // a padded cum
+        ];
+        for raw in refused {
+            assert_eq!(decode_ack_payload(Bytes::copy_from_slice(raw)), None, "{raw:02x?}");
+        }
+        // A distance that passes u64::MAX.
+        let mut past = encode_ack_payload(u64::MAX - 1, &[u64::MAX]).to_vec();
+        assert_eq!(decode_ack_payload(Bytes::from(past.clone())), Some((u64::MAX - 1, vec![u64::MAX])));
+        *past.last_mut().unwrap() = 2;
+        assert_eq!(decode_ack_payload(Bytes::from(past)), None);
     }
 
     #[test]

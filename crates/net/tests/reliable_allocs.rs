@@ -37,6 +37,14 @@ use lhg_net::fault::{FaultInjector, LinkFaults};
 use lhg_net::message::Message;
 use lhg_net::reliable::{ReliableConfig, ReliableCore, Sends, ACK_TAG, SUMMARY_TAG};
 use lhg_net::seen::SeenSet;
+use lhg_net::varint::read_u64;
+
+/// An ack payload's cumulative point and NACK count: its first two varints.
+fn ack_head(payload: &[u8]) -> (u64, u64) {
+    let mut raw = payload;
+    let cum = read_u64(&mut raw).expect("an ack payload");
+    (cum, read_u64(&mut raw).expect("an ack payload"))
+}
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
@@ -213,7 +221,7 @@ impl Pair {
     fn book(&mut self, to: u32, msg: &Message) {
         let t = &mut self.tally;
         match (msg.broadcast_id, msg.payload.first()) {
-            (ACK_TAG, _) if msg.payload[8..12] == [0; 4] => t.clean_acks += 1,
+            (ACK_TAG, _) if ack_head(&msg.payload).1 == 0 => t.clean_acks += 1,
             (ACK_TAG, _) => t.nack_acks += 1,
             (SUMMARY_TAG, Some(0)) => t.adverts += 1,
             (SUMMARY_TAG, Some(1)) => t.pulls += 1,
@@ -449,9 +457,9 @@ impl Lossy {
     fn deliver(&mut self, from: u32, to: u32, msg: Message) {
         let t = to as usize;
         if msg.broadcast_id == ACK_TAG {
-            let cum = u64::from_be_bytes(msg.payload[..8].try_into().unwrap());
+            let (cum, nacks) = ack_head(&msg.payload);
             self.acked[t] = self.acked[t].max(cum);
-            if msg.payload[8..12] != [0; 4] {
+            if nacks != 0 {
                 self.traffic.nack_acks += 1;
             }
             self.on(to, |core, _, _, out, now| {

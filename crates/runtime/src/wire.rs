@@ -356,9 +356,9 @@ mod tests {
         //! Property tests for the reliable-layer frames: ack/NACK and
         //! anti-entropy summary payloads must survive the payload codec,
         //! the full [`Message`] frame codec, and classification — and
-        //! legacy frames (no extension block) must keep decoding as
-        //! before, since a reliable node can receive them from a peer
-        //! that never stamped a link sequence number.
+        //! unstamped frames (no extension flag set) must decode and
+        //! classify like stamped ones, since a reliable node receives
+        //! frames no link sequence number was stamped on.
 
         use super::*;
         use bytes::Bytes;
@@ -374,9 +374,12 @@ mod tests {
             #[test]
             fn ack_payloads_round_trip(
                 member in arb_member(),
-                cum in any::<u64>(),
-                nacks in proptest::collection::vec(any::<u64>(), 0..MAX_NACKS),
+                cum in any::<u32>(),
+                gaps in proptest::collection::vec(1..=u64::from(u32::MAX), 0..MAX_NACKS),
             ) {
+                // NACKs rise strictly above the ack point.
+                let (cum, mut below) = (u64::from(cum), u64::from(cum));
+                let nacks: Vec<u64> = gaps.iter().map(|gap| { below += gap; below }).collect();
                 let msg = Message::new(
                     ack_id(member),
                     member as u32,
@@ -417,7 +420,8 @@ mod tests {
                 cum in any::<u64>(),
                 extra in 1usize..40,
             ) {
-                let nacks: Vec<u64> = (0..(MAX_NACKS + extra) as u64).collect();
+                let cum = cum >> 1;
+                let nacks: Vec<u64> = (1..=(MAX_NACKS + extra) as u64).map(|i| cum + i).collect();
                 let (got_cum, got_nacks) =
                     decode_ack_payload(encode_ack_payload(cum, &nacks)).expect("decodes");
                 prop_assert_eq!(got_cum, cum);
@@ -429,9 +433,9 @@ mod tests {
                 prop_assert_eq!(got_ids.as_slice(), &ids[..MAX_SUMMARY_IDS]);
             }
 
-            /// A pre-reliable peer's frame — no extension block at all —
-            /// must decode as legacy (`link_seq = None`) and classify by
-            /// tag exactly as a stamped frame would.
+            /// An unstamped frame — no extension at all — must decode
+            /// with `link_seq = None` and classify by tag exactly as a
+            /// stamped frame would.
             #[test]
             fn legacy_unstamped_frames_classify_unchanged(
                 member in arb_member(),
@@ -442,9 +446,8 @@ mod tests {
                     member as u32,
                     encode_ack_payload(cum, &[]),
                 );
-                // `Message::new` emits no extension when trace and
-                // link_seq are both unset, which is byte-identical to the
-                // legacy encoding.
+                // `Message::new` sets no extension flag: nothing but the
+                // flag byte says trace and link_seq are unset.
                 prop_assert!(msg.trace.is_none() && msg.link_seq.is_none());
                 let decoded = Message::decode(msg.encode()).expect("legacy frame decodes");
                 prop_assert_eq!(decoded.link_seq, None);
@@ -454,7 +457,7 @@ mod tests {
                 );
 
                 // And a stamped copy of the same frame still classifies
-                // identically: the link seq rides the extension block,
+                // identically: the link seq rides the head's extensions,
                 // never the broadcast id.
                 let stamped = msg.with_link_seq(7);
                 let decoded = Message::decode(stamped.encode()).expect("stamped frame decodes");
