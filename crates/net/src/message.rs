@@ -194,9 +194,9 @@ impl Message {
             + varint::len(self.hops.into())
             + self.trace.map_or(0, |_| 8)
             + link(self.link_seq)
-            + self.byz.map_or(0, |t| {
-                varint::len(t.origin.into()) + varint::len(t.nonce)
-            })
+            + self
+                .byz
+                .map_or(0, |t| varint::len(t.origin.into()) + varint::len(t.nonce))
             + link(self.link_ack)
             + self.payload.len()
     }
@@ -552,9 +552,15 @@ mod tests {
     fn varints_that_are_padded_or_overflow_are_refused() {
         // Origin 1 written in two bytes instead of one, then hops 2^32.
         let m = Message::new(1, 1, Bytes::new());
-        assert_eq!(Message::decode(patched(&m, FIXED_HEAD_LEN, &[0x81, 0x00, 0])), None);
+        assert_eq!(
+            Message::decode(patched(&m, FIXED_HEAD_LEN, &[0x81, 0x00, 0])),
+            None
+        );
         let hops = [0x80, 0x80, 0x80, 0x80, 0x10];
-        assert_eq!(Message::decode(patched(&m, FIXED_HEAD_LEN + 1, &hops)), None);
+        assert_eq!(
+            Message::decode(patched(&m, FIXED_HEAD_LEN + 1, &hops)),
+            None
+        );
         let widest = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
         let at_the_top = Message::decode(patched(&m, FIXED_HEAD_LEN + 1, &widest));
         assert_eq!(at_the_top.map(|d| d.hops), Some(u32::MAX));

@@ -128,9 +128,9 @@ use lhg_graph::NodeId;
 
 use crate::kept::encode_reusing;
 use crate::message::Message;
-use crate::varint;
 use crate::seen::SeenSet;
 use crate::sim::{Context, Process};
+use crate::varint;
 
 /// Broadcast id of link-level ack frames (cumulative ack + NACK list in
 /// the payload). Exact value — engines that multiplex per-member control
@@ -648,9 +648,10 @@ pub fn encode_ack_payload(cum: u64, nacks: &[u64]) -> Bytes {
 /// the `max` newest payloads ([`encode_reusing`]).
 fn encode_ack(kept: &mut Vec<Bytes>, max: usize, cum: u64, nacks: &[u64]) -> Bytes {
     let nacks = &nacks[..nacks.len().min(MAX_NACKS)];
-    // Room for any ack naming this many holes, so that a kept buffer takes
-    // every later ack naming no more.
-    let room = varint::MAX_LEN_U64 * (1 + nacks.len()) + 1;
+    // Eight bytes for the point and each distance, which holds any value
+    // under 2^56 (a larger one grows the buffer), and one for the count: a
+    // kept buffer takes every later ack naming no more holes.
+    let room = 8 * (1 + nacks.len()) + 1;
     encode_reusing(kept, max, room, |buf| {
         varint::put_buf(buf, cum);
         varint::put_buf(buf, nacks.len() as u64);
@@ -1788,19 +1789,26 @@ mod tests {
     fn ack_payloads_that_overflow_repeat_or_run_on_are_refused() {
         let refused: [&[u8]; 7] = [
             &[],
-            &[5],                  // no count
-            &[5, 33],              // past MAX_NACKS
-            &[5, 2, 1],            // a NACK missing
-            &[5, 1, 0],            // a distance of 0: cum itself
-            &[5, 1, 1, 0xEE],      // a byte after the last NACK
-            &[0x80, 0x00, 0],      // a padded cum
+            &[5],             // no count
+            &[5, 33],         // past MAX_NACKS
+            &[5, 2, 1],       // a NACK missing
+            &[5, 1, 0],       // a distance of 0: cum itself
+            &[5, 1, 1, 0xEE], // a byte after the last NACK
+            &[0x80, 0x00, 0], // a padded cum
         ];
         for raw in refused {
-            assert_eq!(decode_ack_payload(Bytes::copy_from_slice(raw)), None, "{raw:02x?}");
+            assert_eq!(
+                decode_ack_payload(Bytes::copy_from_slice(raw)),
+                None,
+                "{raw:02x?}"
+            );
         }
         // A distance that passes u64::MAX.
         let mut past = encode_ack_payload(u64::MAX - 1, &[u64::MAX]).to_vec();
-        assert_eq!(decode_ack_payload(Bytes::from(past.clone())), Some((u64::MAX - 1, vec![u64::MAX])));
+        assert_eq!(
+            decode_ack_payload(Bytes::from(past.clone())),
+            Some((u64::MAX - 1, vec![u64::MAX]))
+        );
         *past.last_mut().unwrap() = 2;
         assert_eq!(decode_ack_payload(Bytes::from(past)), None);
     }

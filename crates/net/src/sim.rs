@@ -750,8 +750,14 @@ mod tests {
         // Two pings, each counted as the frame TCP would carry, length
         // prefix included.
         let ping = Message::new(1, 1, Bytes::new());
-        assert_eq!(frame_len(&ping), crate::codec::LEN_PREFIX + ping.encoded_len());
-        assert_eq!(reg.counter("sim.bytes_sent").get(), 2 * frame_len(&ping) as u64);
+        assert_eq!(
+            frame_len(&ping),
+            crate::codec::LEN_PREFIX + ping.encoded_len()
+        );
+        assert_eq!(
+            reg.counter("sim.bytes_sent").get(),
+            2 * frame_len(&ping) as u64
+        );
     }
 
     #[test]

@@ -120,7 +120,16 @@ mod tests {
 
     #[test]
     fn reads_round_trip_and_advance() {
-        for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            300,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
             let mut wire = enc(v);
             wire.push(0xEE);
             let mut raw = &wire[..];
@@ -135,13 +144,16 @@ mod tests {
     fn refuses_cut_long_overflowing_and_padded_forms() {
         let refused: [(&[u8], bool); 8] = [
             (&[], false),
-            (&[0x80], false),                                   // cut short
-            (&[0x80, 0x00], false),                             // padded zero
-            (&[0x81, 0x00], false),                             // padded one
-            (&[0xFF, 0xFF, 0xFF, 0xFF, 0x1F], true),            // 2^35 - 1 in a u32
-            (&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], true),      // six bytes for a u32
-            (&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x03], false), // 2^65 - 1
-            (&[0x80; 11], false),                               // eleven bytes
+            (&[0x80], false),                              // cut short
+            (&[0x80, 0x00], false),                        // padded zero
+            (&[0x81, 0x00], false),                        // padded one
+            (&[0xFF, 0xFF, 0xFF, 0xFF, 0x1F], true),       // 2^35 - 1 in a u32
+            (&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], true), // six bytes for a u32
+            (
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x03],
+                false,
+            ), // 2^65 - 1
+            (&[0x80; 11], false),                          // eleven bytes
         ];
         for (wire, u32_only) in refused {
             let mut raw = wire;
@@ -152,7 +164,10 @@ mod tests {
             }
         }
         // The widest forms each type has are fine.
-        assert_eq!(read_u32(&mut &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F][..]), Some(u32::MAX));
+        assert_eq!(
+            read_u32(&mut &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F][..]),
+            Some(u32::MAX)
+        );
         let top = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
         assert_eq!(read_u64(&mut &top[..]), Some(u64::MAX));
     }
