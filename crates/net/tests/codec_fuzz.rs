@@ -144,7 +144,7 @@ fn head_len(msg: &Message) -> usize {
 
 #[test]
 fn three_literal_frames_are_what_every_release_put_on_the_wire() {
-    let legacy = Message::new(0x0102_0304_0506_0708, 9, Bytes::from_static(b"hello"));
+    let plain = Message::new(0x0102_0304_0506_0708, 9, Bytes::from_static(b"hello"));
     let mut stamped = Message::new(42, 7, Bytes::from_static(b"lhg"))
         .with_trace(0xDEAD_BEEF)
         .with_link_seq(17);
@@ -161,7 +161,7 @@ fn three_literal_frames_are_what_every_release_put_on_the_wire() {
     // Prefix, flags, id, origin and hops, then the extensions in flag-bit
     // order, then the payload.
     let pinned = [
-        (legacy, "00000010000102030405060708090068656c6c6f"),
+        (plain, "00000010000102030405060708090068656c6c6f"),
         (
             stamped,
             "0000001703000000000000002a0703\

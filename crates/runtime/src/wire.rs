@@ -449,7 +449,7 @@ mod tests {
                 // `Message::new` sets no extension flag: nothing but the
                 // flag byte says trace and link_seq are unset.
                 prop_assert!(msg.trace.is_none() && msg.link_seq.is_none());
-                let decoded = Message::decode(msg.encode()).expect("legacy frame decodes");
+                let decoded = Message::decode(msg.encode()).expect("unstamped frame decodes");
                 prop_assert_eq!(decoded.link_seq, None);
                 prop_assert_eq!(
                     classify(decoded.broadcast_id),
