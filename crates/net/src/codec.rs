@@ -116,7 +116,7 @@ fn put_frame_head(msg: &Message, out: &mut FrameHead) -> usize {
 /// Encodes `msg` as one complete frame (length prefix + body).
 #[must_use]
 pub fn encode_frame(msg: &Message) -> Bytes {
-    let mut head = [0u8; LEN_PREFIX + MAX_HEAD_LEN];
+    let mut head: FrameHead = [0; LEN_PREFIX + MAX_HEAD_LEN];
     let head_len = put_frame_head(msg, &mut head);
     let mut buf = BytesMut::with_capacity(head_len + msg.payload.len());
     buf.put_slice(&head[..head_len]);
@@ -168,7 +168,7 @@ fn write_some<'a, W: Write>(
     frames: impl IntoIterator<Item = &'a Message>,
     skip: usize,
 ) -> io::Result<usize> {
-    let mut heads = [[0u8; LEN_PREFIX + MAX_HEAD_LEN]; GATHER];
+    let mut heads: [FrameHead; GATHER] = [[0; LEN_PREFIX + MAX_HEAD_LEN]; GATHER];
     let mut head_lens = [0; GATHER];
     let mut payloads: [&[u8]; GATHER] = [&[]; GATHER];
     let mut count = 0;

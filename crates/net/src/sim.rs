@@ -747,17 +747,9 @@ mod tests {
         let lat = reg.histogram("sim.delivery_latency_us").summary();
         assert_eq!(lat.count, 2);
         assert_eq!(lat.min, 100);
-        // Two pings, each counted as the frame TCP would carry, length
-        // prefix included.
-        let ping = Message::new(1, 1, Bytes::new());
-        assert_eq!(
-            frame_len(&ping),
-            crate::codec::LEN_PREFIX + ping.encoded_len()
-        );
-        assert_eq!(
-            reg.counter("sim.bytes_sent").get(),
-            2 * frame_len(&ping) as u64
-        );
+        // Two pings, each counted as the 15-byte frame a TCP link carries:
+        // length prefix, flag byte, id, origin and hops.
+        assert_eq!(reg.counter("sim.bytes_sent").get(), 2 * 15);
     }
 
     #[test]
