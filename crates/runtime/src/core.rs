@@ -16,8 +16,8 @@
 //! and [`VoteExchange`] (Bracha), and what lies between them:
 //!
 //! * **dispatch** — one classifier ([`wire::classify`]), malformed ids
-//!   dropped, every frame to membership first, data to the reliable plane,
-//!   byz frames to the vote exchange;
+//!   dropped, every frame to membership first, data and waves to the
+//!   reliable plane, byz frames to the vote exchange;
 //! * **eager trees** — a fresh data frame, and a first-seen Bracha `SEND`,
 //!   goes on only to this node's children in the origin's BFS tree on the
 //!   replica; the planes' repair (adverts and pulls) reaches every other
@@ -32,9 +32,10 @@
 //!   [`Event::DialFailed`]. Each peer's link state, last frame each way,
 //!   dial backoff and grace are one record in one map.
 //!
-//! Membership asks for frames, grace, dials, dropped links and reconcile
-//! passes (`Effect`); the core carries them out in the order asked, and
-//! answers whether a peer is directly live (`Host`).
+//! Membership asks for waves, dead notices, grace, dials, dropped links and
+//! reconcile passes (`Effect`); the core carries them out in the order
+//! asked, and answers whether a peer is directly live (`Host`). A fresh
+//! wave goes back to membership, not to the application.
 //!
 //! A node the run lists as a traitor holds no vote exchange here; what it
 //! does beyond relaying is [`crate::traitor`]'s, which wraps the core.
@@ -62,7 +63,7 @@ use lhg_net::reliable::{DataOutcome, ReliableCore, Sends, SummaryOutcome};
 use lhg_net::seen::SeenSet;
 use lhg_trace::{EventKind, FlightRecorder};
 
-use crate::membership::{Effect, Host, Membership};
+use crate::membership::{Effect, Host, Membership, Wave};
 use crate::wire::{self, FrameKind};
 use crate::RuntimeConfig;
 
@@ -268,7 +269,7 @@ pub struct NodeCore {
     links: BTreeSet<MemberId>,
     /// Flooding dedup: broadcast ids already processed. Entries survive
     /// until the set's capacity cap evicts the oldest — every control wave
-    /// floods under a fresh nonce, so a stale copy of an old wave is
+    /// goes under a fresh nonce, so a stale copy of an old wave is
     /// absorbed here instead of being re-applied (re-arming dedup per
     /// membership flip is how crash/join waves used to chase each other
     /// into a churn livelock).
@@ -423,13 +424,11 @@ impl NodeCore {
                 Event::DialFailed { peer } => core.dial_failed(peer),
                 Event::LinkDown { peer } => core.drop_link(peer),
                 Event::Broadcast(msg) => {
-                    core.seen.insert(msg.broadcast_id);
                     // Send the hop-incremented copy so a receiver's `hops`
                     // field counts the edges the copy travelled.
                     let wire = msg.forwarded();
                     core.deliver(msg, None);
-                    core.drive(|r, _, links, now, out| r.originate(&wire, now, links, out));
-                    core.note_retained();
+                    core.originate(&wire);
                 }
                 Event::ByzBroadcast { nonce, payload } => {
                     // A node without an exchange originates nothing.
@@ -548,11 +547,6 @@ impl NodeCore {
         self.recorder.record_at(self.now, kind);
     }
 
-    /// An empty-payload control frame from this node.
-    fn control(&self, id: u64) -> Message {
-        Message::new(id, self.id as u32, Bytes::new())
-    }
-
     /// The replica changed: each origin's eager tree is searched afresh.
     fn view_changed(&mut self, overlay: &DynamicOverlay) {
         // The eager tree's lookups and relay sets allocate nothing from
@@ -570,15 +564,35 @@ impl NodeCore {
         });
         let kind = wire::classify(msg.broadcast_id);
         // Membership hears every frame first: an excommunicated sender is
-        // told so, and crash and join waves are its own.
-        self.member(|m, host| m.on_frame(from, &msg, kind, host));
+        // told so, a dead notice starts the rejoin path, and it rules on
+        // crash and join waves.
+        let wave = self.member(|m, host| m.on_frame(from, &msg, kind, host));
         match kind {
             FrameKind::Malformed => self.count("runtime.malformed_frames"),
             FrameKind::Heartbeat(_) => {
                 // Liveness recorded above; keep the probe in the timeline.
                 self.rec(EventKind::Heartbeat { peer: from as u32 });
             }
-            // Handshakes are the driver's, waves membership's (above).
+            // A wave taken goes on every live link, not down a tree: waves
+            // are rare, and keep alike the replicas that place the trees. A
+            // stale one is marked seen first, so the plane only acks it and
+            // no advert draws a pull of it; a dead notice never enters it.
+            FrameKind::Crash(_) | FrameKind::Join(_) if wave != Wave::Refused => {
+                let take = wave == Wave::Take;
+                if !take {
+                    self.seen.insert(msg.broadcast_id);
+                }
+                if take || msg.link_seq.is_some() {
+                    let outcome = self.drive(|r, seen, links, now, out| {
+                        r.on_data(from, &msg, seen, now, links.filter(|_| take), out)
+                    });
+                    if self.fresh(outcome) {
+                        self.note_retained();
+                        self.member(|m, host| m.on_wave(from, &msg, host));
+                    }
+                }
+            }
+            // Handshakes are the driver's; refused waves stop at membership.
             FrameKind::Hello(_) | FrameKind::Crash(_) | FrameKind::Join(_) => {}
             FrameKind::Ack(_) => {
                 self.drive(|r, _, _, now, out| r.on_ack(from, msg.payload, now, out));
@@ -599,23 +613,15 @@ impl NodeCore {
                 let fresh = !self.seen.contains(msg.broadcast_id);
                 let relay = self.eager_tree(fresh.then_some(MemberId::from(msg.origin)));
                 let links = relay.iter().copied();
-                match self
-                    .reliable
-                    .on_data(from, &msg, &mut self.seen, now, links, &mut sends)
-                {
-                    // The ack the copy re-earns goes out on the next sweep.
-                    DataOutcome::LinkDuplicate => self.count("runtime.link_dups"),
-                    DataOutcome::Duplicate => {}
-                    // A link seq no correct peer reaches.
-                    DataOutcome::Refused => self.count("runtime.malformed_frames"),
-                    // Deliver before the forwards the plane emitted.
-                    DataOutcome::Fresh => {
-                        self.note_retained();
-                        let (trace, hops) = (msg.trace, msg.hops.saturating_add(1));
-                        self.deliver(msg, Some(from));
-                        if let Some(trace_id) = trace {
-                            self.rec(EventKind::BroadcastForward { trace_id, hops });
-                        }
+                let outcome =
+                    (self.reliable).on_data(from, &msg, &mut self.seen, now, links, &mut sends);
+                // Deliver before the forwards the plane emitted.
+                if self.fresh(outcome) {
+                    self.note_retained();
+                    let (trace, hops) = (msg.trace, msg.hops.saturating_add(1));
+                    self.deliver(msg, Some(from));
+                    if let Some(trace_id) = trace {
+                        self.rec(EventKind::BroadcastForward { trace_id, hops });
                     }
                 }
                 self.relay = relay;
@@ -623,6 +629,18 @@ impl NodeCore {
             }
             FrameKind::Byz => self.on_byz_frame(from, &msg),
         }
+    }
+
+    /// Whether the reliable plane took a frame as news, counting what it
+    /// refused: a link duplicate (the ack it re-earns goes out on the next
+    /// sweep) or a link seq no correct peer reaches.
+    fn fresh(&self, outcome: DataOutcome) -> bool {
+        match outcome {
+            DataOutcome::LinkDuplicate => self.count("runtime.link_dups"),
+            DataOutcome::Refused => self.count("runtime.malformed_frames"),
+            DataOutcome::Duplicate | DataOutcome::Fresh => {}
+        }
+        outcome == DataOutcome::Fresh
     }
 
     /// A byz-class frame: a `SEND` or a neighbor's `VOTES`. A correct node
@@ -726,7 +744,6 @@ impl NodeCore {
             now,
             linked: !links.is_empty(),
             live: &live,
-            seen: &mut self.seen,
             out: &mut effects,
         };
         let result = step(&mut self.membership, &mut host);
@@ -744,16 +761,7 @@ impl NodeCore {
                 self.out.push(Action::Send { to, msg });
             }
             Effect::Send(..) => {}
-            // Best-effort: one send to each linked peer but `except`, in
-            // link order. Data frames never come this way — they go
-            // through [`Self::drive`].
-            Effect::Flood(msg, except) => {
-                let to = self.links.iter().filter(|&&p| Some(p) != except);
-                (self.out).extend(to.map(|&to| Action::Send {
-                    to,
-                    msg: msg.clone(),
-                }));
-            }
+            Effect::Wave(msg) => self.originate(&msg),
             Effect::Grace(peer, until) => self.peers.entry(peer).or_default().grace = Some(until),
             Effect::HealGrace(peer, until) => {
                 self.peers
@@ -838,6 +846,14 @@ impl NodeCore {
         result
     }
 
+    /// Originates `wire` on the reliable plane, to every live link: a
+    /// broadcast or a wave of this node's own.
+    fn originate(&mut self, wire: &Message) {
+        self.seen.insert(wire.broadcast_id);
+        self.drive(|r, _, links, now, out| r.originate(wire, now, links, out));
+        self.note_retained();
+    }
+
     /// Moves the planes' sends into the action sink, counting the acks
     /// among them — frames of their own and acks riding on data — and
     /// keeps the (drained) buffer for reuse.
@@ -913,7 +929,7 @@ impl NodeCore {
     /// Allocates only the held lists' payloads.
     fn beat_idle_links(&mut self) {
         let (now, beat) = (self.now, self.beat_us);
-        let heartbeat = self.control(wire::heartbeat_id(self.id));
+        let heartbeat = Message::new(wire::heartbeat_id(self.id), self.id as u32, Bytes::new());
         let mut sends = std::mem::take(&mut self.outbox);
         for (&peer, r) in &self.peers {
             let idle = r.link == LinkState::Up && now.saturating_sub(r.last_sent) >= beat;

@@ -3,27 +3,26 @@
 //! long as every replica heals around the same crashes.
 //!
 //! [`Membership`] is inputs in, effects out, like the [`NodeCore`] that owns
-//! it. Its inputs are the node's own detector verdicts
-//! (`suspect`), the crash and join waves and dead notices
-//! among a peer's frames (`on_frame`), and links coming up
-//! (`on_link_up`). It appends what the node must carry out,
-//! in order, to a sink the node reuses (`Effect`): waves to flood, frames
-//! for one peer, the replica's new view with the grace and dials its churn
-//! asks for, excommunications, readmissions and reconcile passes. It owns:
+//! it. Its inputs are the node's own detector verdicts (`suspect`), a
+//! peer's frames (`on_frame`, which also rules on crash and join waves),
+//! the waves the reliable plane hands back fresh (`on_wave`), and links
+//! coming up (`on_link_up`). It appends what the node must carry out, in
+//! order, to a sink the node reuses (`Effect`): waves, dead notices, the
+//! replica's new view with the grace and dials its churn asks for,
+//! excommunications, readmissions and reconcile passes. It owns:
 //!
 //! * **the replica** — the overlay, the neighbors it wants, the members it
 //!   has declared crashed, and an epoch that moves with any of them;
-//! * **control waves** — best-effort flooding of crash/join announcements,
-//!   each under a fresh nonce, deduplicated in the node's seen-set until its
-//!   FIFO evicts them (past 2²⁰ ids);
+//! * **control waves** — crash/join announcements, each under a fresh
+//!   nonce, which the node carries on its reliable plane like data: once
+//!   sent, a wave arrives;
 //! * **corroboration** — under a byzantine setup a remote report applies
 //!   only once f+1 distinct origins vouch for it and the victim is not
 //!   demonstrably alive on a direct link;
 //! * **healing** — `crash_many` on the replica, the churn it returns turned
 //!   into grace and dials, degraded mode once ≥ k members are
 //!   excommunicated (heal nothing, probe everyone);
-//! * **rejoin** — dead notices, each answered with a direct `JOIN` and the
-//!   flooded announcement.
+//! * **rejoin** — dead notices, each answered with a `JOIN` announcement.
 //!
 //! It asks its node (`Host`) what only the link records know: the time,
 //! whether any link is up, and whether a member is directly live (its link
@@ -38,7 +37,6 @@ use bytes::Bytes;
 use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId};
 use lhg_net::message::Message;
 use lhg_net::metrics::MetricsRegistry;
-use lhg_net::seen::SeenSet;
 use lhg_trace::{EventKind, FlightRecorder};
 
 use crate::core::{us, BootOpts};
@@ -51,9 +49,8 @@ pub(crate) enum Effect {
     /// Send the frame to the peer if the link is up: a dead notice or a
     /// direct `JOIN`.
     Send(MemberId, Message),
-    /// Send the frame on every live link but the one named: a wave, relayed,
-    /// or this node's own when none is named.
-    Flood(Message, Option<MemberId>),
+    /// Originate the wave on the reliable plane, to every live link.
+    Wave(Message),
     /// Leave the link to the peer up, wanted or not, until the time given.
     Grace(MemberId, u64),
     /// The same for a link a heal removed, unless a grace already runs.
@@ -74,9 +71,19 @@ pub(crate) enum Effect {
     Settle,
 }
 
-/// What the node lends [`Membership`] for one input: its clock, its dedup
-/// set, its answers about its links, and the sink for what membership asks
-/// of it.
+/// [`Membership::on_frame`]'s ruling on a crash or join frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wave {
+    /// Not from this sender (another copy may come), or not a wave.
+    Refused,
+    /// For the reliable plane, and [`Membership::on_wave`] if fresh.
+    Take,
+    /// Old news: marked seen and acked, never stored, relayed or applied.
+    Stale,
+}
+
+/// What the node lends [`Membership`] for one input: its clock, its
+/// answers about its links, and the sink for what membership asks of it.
 pub(crate) struct Host<'a> {
     pub now: u64,
     /// Some link is up: an announcement would reach somebody.
@@ -84,7 +91,6 @@ pub(crate) struct Host<'a> {
     /// Whether a member is directly live: its link is up and carried a
     /// frame within the suspicion timeout.
     pub live: &'a dyn Fn(MemberId) -> bool,
-    pub seen: &'a mut SeenSet,
     pub out: &'a mut Vec<Effect>,
 }
 
@@ -109,15 +115,15 @@ pub struct Membership {
     view_epoch: u64,
     degraded: bool,
     /// Set for the whole rejoin of a rejoin boot: until the `JOIN`
-    /// announcement has flooded.
+    /// announcement has gone.
     rejoining: bool,
-    /// Flood a `JOIN` announcement as soon as at least one link is up.
+    /// Send a `JOIN` announcement as soon as at least one link is up.
     pending_join_announce: bool,
     /// Set when a crash is first applied; cleared (and timed) once every
     /// desired link is re-established.
     healing_since: Option<u64>,
-    /// The number of distinct crash reporters required before a flooded
-    /// CRASH wave is applied: f+1 under a byzantine setup (so the f
+    /// The number of distinct crash reporters required before a CRASH wave
+    /// is applied: f+1 under a byzantine setup (so the f
     /// traitors alone can never excommunicate anyone), 1 otherwise (the
     /// crash-only fault model trusts every report).
     crash_quorum: usize,
@@ -132,6 +138,9 @@ pub struct Membership {
     rejoin_cooldown: Option<u64>,
     /// Last time a dead notice went to each peer (rate limiting).
     notice_sent: BTreeMap<MemberId, u64>,
+    /// The nonce of each member's latest `JOIN` applied here: its waves
+    /// under an older nonce were sent before it rejoined.
+    joined: BTreeMap<MemberId, u32>,
     /// The peers that sent us a dead notice since our last answer, each
     /// with the time it started waiting for one (byzantine runs).
     notifiers: BTreeMap<MemberId, u64>,
@@ -168,6 +177,7 @@ impl Membership {
             wave_seq: 0,
             rejoin_cooldown: None,
             notice_sent: BTreeMap::new(),
+            joined: BTreeMap::new(),
             notifiers: BTreeMap::new(),
         }
     }
@@ -196,7 +206,7 @@ impl Membership {
         self.degraded
     }
 
-    /// `true` from a rejoin boot until its `JOIN` announcement has flooded.
+    /// `true` from a rejoin boot until its `JOIN` announcement has gone.
     #[must_use]
     pub fn is_rejoining(&self) -> bool {
         self.rejoining
@@ -229,55 +239,73 @@ impl Membership {
     }
 
     /// A frame from `from`. An excommunicated sender is held on to and told
-    /// so; a crash or join wave is deduplicated, relayed and applied; a
-    /// dead notice about this node starts the rejoin path.
+    /// so, and a dead notice about this node starts the rejoin path. The
+    /// ruling on a crash or join frame comes back ([`Wave`]).
     pub(crate) fn on_frame(
         &mut self,
         from: MemberId,
         msg: &Message,
         kind: FrameKind,
         host: &mut Host,
-    ) {
+    ) -> Wave {
         let excommunicated = self.crashed.contains(&from);
         if excommunicated {
             host.out
                 .push(Effect::Grace(from, host.now + self.timeout_us));
             self.dead_notice(from, host);
         }
-        // A dead notice: the sender excommunicated *us*. Never flooded, never
-        // applied — it starts the rejoin path. Under corroboration only a
-        // first-hand notice is a voice: a forged wave about us that f+1
-        // honest neighbors relayed is still one traitor speaking.
-        let voice = self.crash_quorum == 1 || MemberId::from(msg.origin) == from;
+        let (origin, nonce) = (MemberId::from(msg.origin), wire::nonce_of(msg.broadcast_id));
+        let stale = |m| self.joined.get(&m).is_some_and(|&n| nonce < n);
         match kind {
-            FrameKind::Crash(victim) if victim == self.id && voice => {
-                self.on_excommunication_notice(from, host);
+            // A dead notice: the sender excommunicated *us*. Never relayed,
+            // never applied — it starts the rejoin path. Under corroboration
+            // only a first-hand notice is a voice: a forged wave about us
+            // that f+1 honest neighbors relayed is still one traitor
+            // speaking.
+            FrameKind::Crash(victim) if victim == self.id => {
+                if self.crash_quorum == 1 || origin == from {
+                    self.on_excommunication_notice(from, host);
+                }
+                Wave::Stale
             }
-            FrameKind::Crash(victim) if victim == self.id => {}
-            FrameKind::Crash(_) if excommunicated => {
-                // Crash gossip from a node we excommunicated could be
-                // poison (its replica is stale); drop it until the
-                // sender has rejoined.
-            }
-            FrameKind::Crash(victim) if host.seen.insert(msg.broadcast_id) => {
-                let report = EventKind::CrashReport {
-                    victim: victim as u32,
-                    via: from as u32,
-                };
-                self.rec(host.now, report);
-                host.out.push(Effect::Flood(msg.forwarded(), Some(from)));
-                // The wave's *origin* is the reporter, not the relay:
-                // a traitor re-flooding forged waves under fresh
-                // nonces still counts as a single voice.
+            // Crash gossip from a node we excommunicated could be poison
+            // (its replica is stale): refused until the sender has rejoined.
+            // A revenant may only announce itself.
+            FrameKind::Crash(_) if excommunicated => Wave::Refused,
+            FrameKind::Join(member) if excommunicated && member != from => Wave::Refused,
+            // A wave from an origin excommunicated here, or older than its
+            // latest join, was sent from a replica this node has since ruled
+            // out: the reliable plane would otherwise hand it on long after.
+            FrameKind::Crash(_) if self.crashed.contains(&origin) || stale(origin) => Wave::Stale,
+            FrameKind::Join(member) if stale(member) => Wave::Stale,
+            FrameKind::Crash(_) | FrameKind::Join(_) => Wave::Take,
+            _ => Wave::Refused,
+        }
+    }
+
+    /// A wave the node's reliable plane got here first, from `from`: a crash
+    /// report, or a join to admit.
+    pub(crate) fn on_wave(&mut self, from: MemberId, msg: &Message, host: &mut Host) {
+        match wire::classify(msg.broadcast_id) {
+            FrameKind::Crash(victim) => {
+                let via = from as u32;
+                self.rec(
+                    host.now,
+                    EventKind::CrashReport {
+                        victim: victim as u32,
+                        via,
+                    },
+                );
+                // The wave's *origin* is the reporter, not the relay: a
+                // traitor flooding forged waves under fresh nonces still
+                // counts as a single voice.
                 self.note_crash_report(victim, MemberId::from(msg.origin), host);
             }
-            FrameKind::Join(member) if excommunicated && member != from => {
-                // A revenant may only announce itself.
-            }
-            FrameKind::Join(member) if host.seen.insert(msg.broadcast_id) => {
+            FrameKind::Join(member) => {
                 let member32 = member as u32;
                 self.rec(host.now, EventKind::JoinAnnounce { member: member32 });
-                host.out.push(Effect::Flood(msg.forwarded(), Some(from)));
+                // Newer than any applied before: `on_frame` found it not stale.
+                self.joined.insert(member, wire::nonce_of(msg.broadcast_id));
                 self.apply_join(member, host);
             }
             _ => {}
@@ -293,8 +321,8 @@ impl Membership {
                 .push(Effect::Grace(peer, host.now + self.timeout_us));
             // A grave probe that found its target alive says so at once:
             // even if the peer's own reconcile pass tears the probe link
-            // down, a healthy peer answers with a flooded `JOIN` wave that
-            // reaches us through the mesh. (Degraded nodes already probe
+            // down, a healthy peer answers with a `JOIN` wave that reaches
+            // us through the mesh. (Degraded nodes already probe
             // everyone.)
             if dialed && !self.probe_all() {
                 self.count("runtime.grave_probes_hit");
@@ -312,16 +340,16 @@ impl Membership {
         }
     }
 
-    /// The tick's share: flood a pending `JOIN` announcement once a link is
+    /// The tick's share: send a pending `JOIN` announcement once a link is
     /// up, and end a rejoin whose announcement has gone.
     pub(crate) fn tick(&mut self, host: &mut Host) {
         self.try_announce_join(host);
         self.rejoining &= self.pending_join_announce;
     }
 
-    /// Reacts to a direct `CRASH(self)` dead notice from `from`: the
-    /// notifier is wrong about us, so answer with a direct `JOIN` and flood
-    /// the announcement. A degraded node answers the same way: every
+    /// Reacts to a `CRASH(self)` dead notice from `from`: the notifier is
+    /// wrong about us, so announce a `JOIN`, which the notifier gets like
+    /// every other replica. A degraded node answers the same way: every
     /// replica admits a joiner at the same canonical position, so its own
     /// view need not be trusted for the answer to be right.
     fn on_excommunication_notice(&mut self, from: MemberId, host: &mut Host) {
@@ -341,8 +369,8 @@ impl Membership {
                 // timeout, and no rejoin starts here.
                 if now - since >= self.timeout_us {
                     self.notifiers.insert(from, now);
-                    let msg = self.join(host.seen);
-                    host.out.push(Effect::Send(from, msg));
+                    let id = wire::join_id(self.id, self.fresh_wave_nonce());
+                    host.out.push(Effect::Send(from, self.control(id)));
                 }
                 return;
             }
@@ -350,40 +378,31 @@ impl Membership {
         }
         self.rejoin_cooldown = Some(now + self.timeout_us);
         host.out.push(Effect::Settle); // the tick due now probes all, or clears the flag
-
-        // The notifier floods the direct JOIN onward and re-admits us into
-        // its replica.
+                                       // A direct `JOIN` for the notifier, then the announcement.
+        let id = wire::join_id(self.id, self.fresh_wave_nonce());
+        host.out.push(Effect::Send(from, self.control(id)));
         self.pending_join_announce = true;
-        let msg = self.join(host.seen);
-        host.out.push(Effect::Send(from, msg));
         self.try_announce_join(host);
     }
 
-    /// Floods this node's own `JOIN` announcement once at least one link is
-    /// up (flooding into the void would announce to nobody).
+    /// Sends this node's own `JOIN` announcement, under a fresh wave nonce,
+    /// once at least one link is up (announcing into the void would reach
+    /// nobody).
     fn try_announce_join(&mut self, host: &mut Host) {
         if !self.pending_join_announce || !host.linked {
             return;
         }
         self.pending_join_announce = false;
-        let msg = self.join(host.seen);
+        let id = wire::join_id(self.id, self.fresh_wave_nonce());
         self.count("runtime.join_announces");
         let member = self.id as u32;
         self.rec(host.now, EventKind::JoinAnnounce { member });
-        host.out.push(Effect::Flood(msg, None));
-    }
-
-    /// A `JOIN(self)` under a fresh wave nonce, marked seen: the direct
-    /// answer to a notifier and the flooded announcement alike.
-    fn join(&mut self, seen: &mut SeenSet) -> Message {
-        let id = wire::join_id(self.id, self.fresh_wave_nonce());
-        seen.insert(id);
-        self.control(id)
+        host.out.push(Effect::Wave(self.control(id)));
     }
 
     /// The next control-wave nonce: this life's cluster-unique ordinal in
     /// the high half, a per-life counter in the low half. No two waves any
-    /// node ever floods share a nonce (until a single life emits 2^16
+    /// node ever sends share a nonce (until a single life emits 2^16
     /// waves, by which time the copies of wave 0 are long drained).
     fn fresh_wave_nonce(&mut self) -> u32 {
         let nonce = wire::wave_nonce(self.life, self.wave_seq);
@@ -432,12 +451,11 @@ impl Membership {
     /// A corroborated crash report vetoed because its victim was still
     /// heard on a direct link stands once that link has been silent a full
     /// timeout as well: the victims whose veto lifts now, each for
-    /// [`Self::crash`]. Nobody re-sends a report (each wave floods once),
-    /// and a victim outside the desired set — a link that lingers after a
-    /// heal — is not watched by this node's own detector, so without this
-    /// the veto would be for good. Each link beats only when idle, so the
-    /// last frame on a lingering link can trail the reporters' by up to a
-    /// heartbeat period.
+    /// [`Self::crash`]. Each report arrives once, and a victim outside the
+    /// desired set — a link kept up past a heal — is not watched by this
+    /// node's own detector, so without this the veto would be for good.
+    /// Each link beats only when idle, so the last frame on a lingering link
+    /// can trail the reporters' by up to a heartbeat period.
     pub(crate) fn lift_stale_vetoes(&self, host: &Host) -> Vec<MemberId> {
         let quorum = self.crash_quorum;
         (self.crash_reporters.iter())
@@ -458,13 +476,7 @@ impl Membership {
     /// timeout ([`Self::lift_stale_vetoes`]).
     ///
     /// A node that applies a corroborated crash **vouches** for it with a
-    /// wave of its own. Waves are flooded once, best-effort; with only the
-    /// victim's k direct neighbors speaking (fewer when one is the traitor)
-    /// a lossy link could leave a node one voice short for good, its stale
-    /// replica then drawing false suspicions from the healed majority. The
-    /// echo is sound — a correct node applies only on f+1 voices or its own
-    /// timeout, so by induction a live victim never gathers f+1 — and turns
-    /// "both of two waves must arrive" into "any two of up to n−1".
+    /// wave of its own.
     fn note_crash_report(&mut self, victim: MemberId, reporter: MemberId, host: &mut Host) {
         let quorum = self.crash_quorum;
         if quorum <= 1 {
@@ -488,17 +500,10 @@ impl Membership {
         self.crash(victim, host);
     }
 
-    /// Floods a freshly-nonced `CRASH(victim)` wave under this node's origin.
+    /// Sends a freshly-nonced `CRASH(victim)` wave under this node's origin.
     pub(crate) fn crash_wave(&mut self, victim: MemberId, host: &mut Host) {
         let id = wire::crash_id(victim, self.fresh_wave_nonce());
-        host.seen.insert(id);
-        host.out.push(Effect::Flood(self.control(id), None));
-    }
-
-    /// Announces `victim`'s crash under this node's own voice, then heals.
-    pub(crate) fn crash(&mut self, victim: MemberId, host: &mut Host) {
-        self.crash_wave(victim, host);
-        self.apply_crash(victim, host);
+        host.out.push(Effect::Wave(self.control(id)));
     }
 
     /// Local suspicion: announce the crash to the cluster, then heal.
@@ -510,6 +515,12 @@ impl Membership {
         self.rec(host.now, EventKind::Suspicion { peer });
         self.rec(host.now, EventKind::CrashReport { victim: peer, via });
         self.crash(victim, host);
+    }
+
+    /// Announces `victim`'s crash under this node's own voice, then heals.
+    pub(crate) fn crash(&mut self, victim: MemberId, host: &mut Host) {
+        self.crash_wave(victim, host);
+        self.apply_crash(victim, host);
     }
 
     /// Enters or leaves degraded mode (`active` excommunications), keeping
@@ -586,12 +597,8 @@ impl Membership {
             return;
         }
         self.set_degraded(false, 0, host.now);
-        let stale: Vec<MemberId> = self
-            .crashed
-            .iter()
-            .copied()
-            .filter(|&m| self.overlay.contains(m))
-            .collect();
+        let crashed = self.crashed.iter().copied();
+        let stale: Vec<MemberId> = crashed.filter(|&m| self.overlay.contains(m)).collect();
         if !stale.is_empty() {
             if let Ok(report) = Arc::make_mut(&mut self.overlay).crash_many(&stale) {
                 self.apply_churn(&report, host);
@@ -608,16 +615,14 @@ impl Membership {
         self.desired = desired.into_iter().collect();
         host.out.push(Effect::View(Arc::clone(&self.overlay)));
         // Make before break: a link the new topology has no use for lingers
-        // for a moment before the reconcile pass takes it down. A wave is
-        // flooded once, best-effort, and a link closed under it takes the
-        // copy in flight along: with two victims at once, a node could apply
-        // one crash, close the links the other's wave was crossing, and keep
-        // a replica nobody else holds — its neighbors-to-be never dial it,
-        // and it suspects them.
+        // for a moment before the reconcile pass takes it down, while the
+        // node at its far end may not have healed yet. Closed at once, four
+        // full-size partition seeds of the chaos sweep run past its horizon.
         let until = host.now + self.timeout_us / 2;
-        let removed = report.removed_for(self.id);
-        host.out
-            .extend(removed.map(|peer| Effect::HealGrace(peer, until)));
+        let linger = report
+            .removed_for(self.id)
+            .map(|peer| Effect::HealGrace(peer, until));
+        host.out.extend(linger);
         let added = report.added_for(self.id).filter(|&peer| self.id < peer);
         host.out.extend(added.map(Effect::Dial));
     }
@@ -670,27 +675,32 @@ mod tests {
         live: bool,
         step: impl FnOnce(&mut Membership, &mut Host),
     ) -> Vec<Effect> {
-        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        let mut out = Vec::new();
         let live = move |_| live;
         let linked = true;
         let mut host = Host {
             now,
             linked,
             live: &live,
-            seen: &mut seen,
             out: &mut out,
         };
         step(m, &mut host);
         out
     }
 
-    /// A control frame `from` sends under its own origin.
+    /// A control frame `from` sends under its own origin, handed back as
+    /// news when membership takes it as a wave (the node's plane has not
+    /// seen the id before).
     fn frame(m: &mut Membership, id: u64, from: MemberId, now: u64, live: bool) -> Vec<Effect> {
         let (msg, kind) = (
             Message::new(id, from as u32, Bytes::new()),
             wire::classify(id),
         );
-        run(m, now, live, |m, host| m.on_frame(from, &msg, kind, host))
+        run(m, now, live, |m, host| {
+            if m.on_frame(from, &msg, kind, host) == Wave::Take {
+                m.on_wave(from, &msg, host);
+            }
+        })
     }
 
     /// `reporter`'s own wave reporting `victim` crashed.
@@ -708,14 +718,14 @@ mod tests {
         (effects.iter()).any(|e| matches!(e, Effect::Excommunicate(v) if *v == victim))
     }
 
-    /// The frames emitted, as (kind, origin, except) for a flood and
-    /// (kind, origin, Some(to)) for a direct send.
-    fn frames(effects: &[Effect]) -> Vec<(FrameKind, u32, Option<MemberId>)> {
+    /// The frames emitted, as (kind, None) for a wave and (kind, Some(to))
+    /// for a direct send.
+    fn frames(effects: &[Effect]) -> Vec<(FrameKind, Option<MemberId>)> {
         let kind = |msg: &Message| wire::classify(msg.broadcast_id);
         (effects.iter())
             .filter_map(|e| match e {
-                Effect::Flood(msg, except) => Some((kind(msg), msg.origin, *except)),
-                Effect::Send(to, msg) => Some((kind(msg), msg.origin, Some(*to))),
+                Effect::Wave(msg) => Some((kind(msg), None)),
+                Effect::Send(to, msg) => Some((kind(msg), Some(*to))),
                 _ => None,
             })
             .collect()
@@ -749,9 +759,33 @@ mod tests {
         assert!(!excommunicates(&report(&mut m, victim, 1, false), victim));
         let fx = report(&mut m, victim, 2, false);
         assert!(excommunicates(&fx, victim));
-        // The second voice's wave relayed, then this node's own.
-        let crash = FrameKind::Crash(victim);
-        assert_eq!(frames(&fx), [(crash, 2, Some(2)), (crash, 0, None)]);
+        assert_eq!(frames(&fx), [(FrameKind::Crash(victim), None)]);
+    }
+
+    #[test]
+    fn a_revenant_is_heard_only_on_its_own_join_and_what_it_says_after() {
+        let mut m = member(0);
+        run(&mut m, 1_000, false, |m, host| m.suspect(7, host));
+        let rule = |m: &mut Membership, id: u64, origin: u32| {
+            let (msg, kind) = (Message::new(id, origin, Bytes::new()), wire::classify(id));
+            let mut wave = Wave::Refused;
+            run(m, 2_000, false, |m, host| {
+                wave = m.on_frame(7, &msg, kind, host);
+                if wave == Wave::Take {
+                    m.on_wave(7, &msg, host);
+                }
+            });
+            wave
+        };
+        let nonce = |seq| wire::wave_nonce(7, seq);
+        assert_eq!(rule(&mut m, wire::crash_id(3, nonce(0)), 7), Wave::Refused);
+        assert_eq!(rule(&mut m, wire::join_id(3, 3 << 16), 3), Wave::Refused);
+        assert_eq!(rule(&mut m, wire::join_id(7, nonce(2)), 7), Wave::Take);
+        assert!(m.crashes_applied().is_empty(), "readmitted");
+        // What it said before its join is stale; what it says after is news.
+        assert_eq!(rule(&mut m, wire::crash_id(3, nonce(1)), 7), Wave::Stale);
+        assert_eq!(rule(&mut m, wire::join_id(7, nonce(1)), 7), Wave::Stale);
+        assert_eq!(rule(&mut m, wire::crash_id(3, nonce(3)), 7), Wave::Take);
     }
 
     #[test]
@@ -784,7 +818,7 @@ mod tests {
                 .filter(|f| f.0 == FrameKind::Join(0))
                 .count()
         };
-        // A direct `JOIN` to the notifier and the flooded announcement.
+        // A direct `JOIN` to the notifier and the announcement.
         assert_eq!(notice(1, 1_000), 2);
         for from in 2..6 {
             assert_eq!(notice(from, 1_000 + 1_000 * from), 0, "notice from {from}");

@@ -189,6 +189,12 @@ pub fn wave_nonce(life: u32, seq: u16) -> u32 {
     (life << 16) | u32::from(seq)
 }
 
+/// The wave nonce of a crash or join id: one member's later waves compare greater.
+#[must_use]
+pub fn nonce_of(broadcast_id: u64) -> u32 {
+    (broadcast_id >> NONCE_SHIFT) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

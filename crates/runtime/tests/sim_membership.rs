@@ -486,3 +486,288 @@ fn a_rejoin_whose_join_wave_is_lost_on_every_link_is_applied_under_data_load() {
     });
     run.core(VICTIM, |c| assert!(!c.membership().is_rejoining()));
 }
+
+/// `n` cores of K-DIAMOND(n, K) wired in memory, every frame `LATENCY` late
+/// and every dial answered at once, with one rule on top: the first copy of
+/// each crash wave on each directed link is lost. A driver this small
+/// chooses which frames to drop; the simulator's faults are random.
+struct Mesh {
+    cores: Vec<lhg_runtime::core::NodeCore>,
+    dead: BTreeSet<MemberId>,
+    links: BTreeSet<(MemberId, MemberId)>,
+    /// (time, order) → (member, what happens to it).
+    queue: std::collections::BTreeMap<(u64, u64), (MemberId, lhg_runtime::core::Event)>,
+    order: u64,
+    lost: BTreeSet<(MemberId, MemberId, u64)>,
+}
+
+impl Mesh {
+    const LATENCY: u64 = 500;
+
+    fn launch(n: usize) -> Self {
+        use lhg_core::overlay::DynamicOverlay;
+        use lhg_runtime::core::{Boot, BootOpts, NodeCore};
+        use lhg_runtime::MetricsRegistry;
+        use lhg_trace::FlightRecorder;
+
+        let overlay = DynamicOverlay::bootstrap(Constraint::KDiamond, n, K).unwrap();
+        let roster: BTreeSet<MemberId> = overlay.members().iter().copied().collect();
+        let metrics = std::sync::Arc::new(MetricsRegistry::new());
+        let cores = (0..n as MemberId)
+            .map(|id| {
+                let recorder = FlightRecorder::with_capacity(0, 64, std::time::Instant::now());
+                let opts = BootOpts {
+                    life: id as u32,
+                    ..BootOpts::default()
+                };
+                let (overlay, roster) = (overlay.clone(), roster.clone());
+                let boot = Boot {
+                    id,
+                    overlay,
+                    roster,
+                    opts,
+                };
+                let (m, r) = (
+                    std::sync::Arc::clone(&metrics),
+                    std::sync::Arc::new(recorder),
+                );
+                NodeCore::new(boot, &config(), m, r, 0).unwrap()
+            })
+            .collect();
+        Mesh {
+            cores,
+            dead: BTreeSet::new(),
+            links: BTreeSet::new(),
+            queue: std::collections::BTreeMap::new(),
+            order: 0,
+            lost: BTreeSet::new(),
+        }
+    }
+
+    fn at(&mut self, time: u64, member: MemberId, event: lhg_runtime::core::Event) {
+        self.order += 1;
+        self.queue.insert((time, self.order), (member, event));
+    }
+
+    fn link(a: MemberId, b: MemberId) -> (MemberId, MemberId) {
+        (a.min(b), a.max(b))
+    }
+
+    /// Runs every core and frame due before `until`.
+    fn run_until(&mut self, until: u64) {
+        use lhg_runtime::core::{Action, Event};
+        use lhg_runtime::wire::{self, FrameKind};
+
+        let mut out = Vec::new();
+        loop {
+            let alive = (0..self.cores.len() as MemberId).filter(|m| !self.dead.contains(m));
+            let tick = alive
+                .map(|m| (self.cores[m as usize].next_deadline(), m))
+                .min();
+            let frame = self.queue.keys().next().map(|&(t, _)| t);
+            let (now, m) = match (tick, frame) {
+                (Some((t, m)), f) if f.is_none_or(|f| t < f) && t < until => {
+                    self.cores[m as usize].tick(t, &mut out);
+                    (t, m)
+                }
+                (_, Some(f)) if f < until => {
+                    let (_, (m, event)) = self.queue.pop_first().unwrap();
+                    let gone = match &event {
+                        Event::Frame { from, .. } => !self.links.contains(&Self::link(*from, m)),
+                        _ => false,
+                    };
+                    if self.dead.contains(&m) || gone {
+                        continue;
+                    }
+                    self.cores[m as usize].handle(event, f, &mut out);
+                    (f, m)
+                }
+                _ => return,
+            };
+            let later = now + Self::LATENCY;
+            for action in out.drain(..) {
+                match action {
+                    Action::Send { to, msg } => {
+                        let crash = matches!(wire::classify(msg.broadcast_id), FrameKind::Crash(_));
+                        if !crash || !self.lost.insert((m, to, msg.broadcast_id)) {
+                            self.at(later, to, Event::Frame { from: m, msg });
+                        }
+                    }
+                    Action::Dial { peer } if self.dead.contains(&peer) => {
+                        self.at(later + 100 * MS, m, Event::DialFailed { peer });
+                    }
+                    Action::Dial { peer } => {
+                        self.links.insert(Self::link(m, peer));
+                        self.at(
+                            later,
+                            peer,
+                            Event::LinkUp {
+                                peer: m,
+                                dialed: false,
+                            },
+                        );
+                        self.at(later, m, Event::LinkUp { peer, dialed: true });
+                    }
+                    Action::Close { peer } => {
+                        if self.links.remove(&Self::link(m, peer)) {
+                            self.at(later, peer, Event::LinkDown { peer: m });
+                        }
+                    }
+                    Action::Deliver { .. } | Action::ByzDeliver { .. } => {}
+                }
+            }
+        }
+    }
+}
+
+/// Waves ride the reliable plane: a crash wave whose first copy is lost on
+/// every link it crosses — what a best-effort flood never recovers from —
+/// is retransmitted, and every survivor applies the crash within a few
+/// retransmit timeouts of its detection.
+#[test]
+fn a_crash_wave_whose_first_copy_on_every_link_is_lost_is_applied_everywhere() {
+    let victim: MemberId = 5;
+    let mut mesh = Mesh::launch(N);
+    mesh.run_until(300 * MS);
+    assert_eq!(mesh.links.len(), N * K / 2, "the overlay is linked");
+    mesh.dead.insert(victim);
+    let timeout_us = config().heartbeat_timeout.as_micros() as u64;
+    mesh.run_until(300 * MS + timeout_us + 200 * MS);
+    let lost = mesh.lost.len();
+    assert!(
+        lost >= K * K,
+        "the reporters' first copies were lost: {lost}"
+    );
+    for m in (0..N as MemberId).filter(|&m| m != victim) {
+        let core = &mesh.cores[m as usize];
+        assert!(
+            core.membership().crashes_applied().contains(&victim),
+            "{m} never applied the crash of {victim}"
+        );
+        assert!(!core.membership().overlay().contains(victim), "{m} healed");
+    }
+}
+
+/// Member 0 of K-DIAMOND(N, K), booted with `initial_crashes`, every
+/// overlay neighbor and each of `callers` linked; its core and its links.
+fn linked_core(
+    initial_crashes: BTreeSet<MemberId>,
+    callers: &[MemberId],
+) -> (lhg_runtime::core::NodeCore, Vec<MemberId>) {
+    use lhg_core::overlay::DynamicOverlay;
+    use lhg_runtime::core::{Boot, BootOpts, Event, NodeCore};
+    use lhg_runtime::MetricsRegistry;
+    use lhg_trace::FlightRecorder;
+
+    let overlay = DynamicOverlay::bootstrap(Constraint::KDiamond, N, K).unwrap();
+    let roster = overlay.members().iter().copied().collect();
+    let mut links = overlay.neighbors_of(0).unwrap();
+    links.extend(callers);
+    let opts = BootOpts {
+        initial_crashes,
+        ..BootOpts::default()
+    };
+    let boot = Boot {
+        id: 0,
+        overlay,
+        roster,
+        opts,
+    };
+    let metrics = std::sync::Arc::new(MetricsRegistry::new());
+    let recorder = FlightRecorder::with_capacity(0, 64, std::time::Instant::now());
+    let recorder = std::sync::Arc::new(recorder);
+    let mut core = NodeCore::new(boot, &config(), metrics, recorder, 0).unwrap();
+    for &peer in &links {
+        let dialed = false;
+        core.handle(Event::LinkUp { peer, dialed }, 0, &mut Vec::new());
+    }
+    (core, links)
+}
+
+/// Whether any of `actions` sends a frame carrying `id`, or a summary that
+/// names it.
+fn carries(actions: &[lhg_runtime::core::Action], id: u64) -> bool {
+    use lhg_runtime::core::Action;
+    use lhg_runtime::wire::{self, FrameKind};
+
+    actions.iter().any(|a| match a {
+        Action::Send { msg, .. } if msg.broadcast_id == id => true,
+        Action::Send { msg, .. } => {
+            let summary = matches!(wire::classify(msg.broadcast_id), FrameKind::Summary(_));
+            let named = wire::decode_summary_payload(msg.payload.clone());
+            summary && named.is_some_and(|(_, ids)| ids.contains(&id))
+        }
+        _ => false,
+    })
+}
+
+/// A dead notice is point-to-point: it starts the rejoin path at the node
+/// it names, and goes nowhere else — not relayed as a wave about that
+/// node, and not kept for the reliable plane to advertise.
+#[test]
+fn a_dead_notice_is_never_relayed_or_stored() {
+    use lhg_net::message::Message;
+    use lhg_runtime::core::Event;
+    use lhg_runtime::wire;
+
+    let (mut core, links) = linked_core(BTreeSet::new(), &[]);
+    let (from, notice) = (links[0], wire::crash_id(0, 0xdead));
+    let msg = Message::new(notice, from as u32, Bytes::new());
+    let mut out = Vec::new();
+    core.handle(Event::Frame { from, msg }, MS, &mut out);
+    let announce = |a: &lhg_runtime::core::Action| match a {
+        lhg_runtime::core::Action::Send { msg, .. } => {
+            wire::classify(msg.broadcast_id) == wire::FrameKind::Join(0)
+        }
+        _ => false,
+    };
+    assert!(out.iter().any(announce), "the rejoin path started");
+    // Past two summary rounds, every duty the core names done on time.
+    while core.next_deadline() < 120 * MS {
+        let due = core.next_deadline().max(MS);
+        core.tick(due, &mut out);
+    }
+    assert!(!carries(&out, notice), "the notice went on: {out:?}");
+}
+
+/// Crash gossip from a member excommunicated here, and its relay of
+/// another member's join, stop at this node; its own join is the way back
+/// in, and goes on to every other link.
+#[test]
+fn a_wave_from_an_excommunicated_sender_is_not_relayed() {
+    use lhg_net::message::Message;
+    use lhg_runtime::core::Event;
+    use lhg_runtime::wire;
+
+    let revenant: MemberId = 9;
+    let (mut core, links) = linked_core([revenant].into(), &[revenant]);
+    let mut wave = |id: u64, seq: u64| {
+        let msg = Message::new(id, revenant as u32, Bytes::new()).with_link_seq(seq);
+        let mut out = Vec::new();
+        core.handle(
+            Event::Frame {
+                from: revenant,
+                msg,
+            },
+            seq * MS,
+            &mut out,
+        );
+        out
+    };
+    let gossip = wire::crash_id(3, wire::wave_nonce(40, 0));
+    assert!(!carries(&wave(gossip, 1), gossip), "crash gossip relayed");
+    let other = wire::join_id(3, wire::wave_nonce(40, 1));
+    assert!(!carries(&wave(other, 2), other), "another's join relayed");
+    let own = wire::join_id(revenant, wire::wave_nonce(40, 2));
+    let out = wave(own, 3);
+    let relayed: BTreeSet<MemberId> = (out.iter())
+        .filter_map(|a| match a {
+            lhg_runtime::core::Action::Send { to, msg } if msg.broadcast_id == own => Some(*to),
+            _ => None,
+        })
+        .collect();
+    let others: BTreeSet<MemberId> = links.into_iter().filter(|&p| p != revenant).collect();
+    assert_eq!(relayed, others, "its own join goes on to every other link");
+    let m = core.membership();
+    assert!(m.crashes_applied().is_empty() && !m.crashes_applied().contains(&3));
+}
