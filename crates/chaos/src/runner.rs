@@ -975,13 +975,13 @@ mod tests {
         assert!(report.passed(), "seed {seed}: {:?}", report.violations);
     }
 
-    /// The seed that keeps crash vouching in `core.rs`. With the wave a
-    /// node floods when it applies a corroborated crash taken out (both
-    /// `crash_wave` calls, in `note_crash_report` and `lift_stale_vetoes`),
-    /// full-size mixed seed 1619 runs past the virtual-time horizon; quick
-    /// 739 and 1619 go red as well.
+    /// Full-size mixed seed 1619 ran past the virtual-time horizon while
+    /// crash waves were flooded once, best-effort, and a node that applied
+    /// a corroborated crash did not vouch for it with a wave of its own.
+    /// Waves ride the reliable plane now and vouching is gone: a replay that
+    /// must stay green.
     #[test]
-    fn sim_full_mixed_seed_1619_needs_crash_vouching() {
+    fn sim_full_mixed_seed_1619_stays_green() {
         assert_green(1619, false, Family::Mixed);
     }
 

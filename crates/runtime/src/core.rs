@@ -966,11 +966,7 @@ impl NodeCore {
         for peer in suspects {
             self.member(|m, host| m.suspect(peer, host));
         }
-        // Collected first: each lifted veto applies with its own reconcile.
-        let lifted = self.member(|m, host| m.lift_stale_vetoes(host));
-        for victim in lifted {
-            self.member(|m, host| m.crash(victim, host));
-        }
+        self.member(Membership::lift_stale_vetoes);
     }
 
     /// [`Membership::crash_wave`] as a transition of its own at `now_us`:

@@ -42,12 +42,11 @@
 //!    model: crashed nodes never speak again, so suspicion is permanent).
 //!    With [`RuntimeConfig::byzantine`] set, suspicion is *corroborated*:
 //!    a crash only applies once f+1 distinct reporters (direct silence
-//!    counts as a self-report, and a node that applies a corroborated
-//!    crash vouches for it in turn) agree, and a directly-heartbeating
-//!    peer vetoes the wave — so a lone traitor forging CRASH announcements
+//!    counts as a self-report) agree, and a directly-heartbeating peer
+//!    vetoes the wave — so a lone traitor forging CRASH announcements
 //!    cannot excommunicate a live node.
-//! 5. **Self-healing** — a detected crash is flooded as an announcement;
-//!    every survivor applies it to its
+//! 5. **Self-healing** — a detected crash is announced as a wave that
+//!    layers 2–3 carry like data; every survivor applies it to its
 //!    [`lhg_core::overlay::DynamicOverlay`] replica via `crash_many` and
 //!    applies the returned churn (dial added links, drop removed ones),
 //!    restoring k-connectivity at the smaller n. Replicas converge because

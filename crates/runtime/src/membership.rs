@@ -450,19 +450,22 @@ impl Membership {
 
     /// A corroborated crash report vetoed because its victim was still
     /// heard on a direct link stands once that link has been silent a full
-    /// timeout as well: the victims whose veto lifts now, each for
-    /// [`Self::crash`]. Each report arrives once, and a victim outside the
-    /// desired set — a link kept up past a heal — is not watched by this
-    /// node's own detector, so without this the veto would be for good.
-    /// Each link beats only when idle, so the last frame on a lingering link
-    /// can trail the reporters' by up to a heartbeat period.
-    pub(crate) fn lift_stale_vetoes(&self, host: &Host) -> Vec<MemberId> {
+    /// timeout as well: each victim whose veto lifts now is healed around,
+    /// with its own reconcile pass. Each report arrives once, and a victim
+    /// outside the desired set — a link kept up past a heal — is not watched
+    /// by this node's own detector, so without this the veto would be for
+    /// good. Each link beats only when idle, so the last frame on a
+    /// lingering link can trail the reporters' by up to a heartbeat period.
+    pub(crate) fn lift_stale_vetoes(&mut self, host: &mut Host) {
         let quorum = self.crash_quorum;
-        (self.crash_reporters.iter())
+        let lifted: Vec<MemberId> = (self.crash_reporters.iter())
             .filter(|(v, reporters)| reporters.len() >= quorum && !self.crashed.contains(v))
             .map(|(&v, _)| v)
             .filter(|&v| !(host.live)(v))
-            .collect()
+            .collect();
+        for victim in lifted {
+            self.apply_crash(victim, host);
+        }
     }
 
     /// Byz-aware corroborated suspicion: records `reporter`'s vote that
@@ -474,9 +477,6 @@ impl Membership {
     /// corroborated-looking wave is vetoed while the victim is still heard
     /// on a direct link — until that link, too, has been silent a full
     /// timeout ([`Self::lift_stale_vetoes`]).
-    ///
-    /// A node that applies a corroborated crash **vouches** for it with a
-    /// wave of its own.
     fn note_crash_report(&mut self, victim: MemberId, reporter: MemberId, host: &mut Host) {
         let quorum = self.crash_quorum;
         if quorum <= 1 {
@@ -497,7 +497,7 @@ impl Membership {
             self.count("runtime.crash_vetoes");
             return;
         }
-        self.crash(victim, host);
+        self.apply_crash(victim, host);
     }
 
     /// Sends a freshly-nonced `CRASH(victim)` wave under this node's origin.
@@ -514,11 +514,6 @@ impl Membership {
         let (peer, via) = (victim as u32, self.id as u32);
         self.rec(host.now, EventKind::Suspicion { peer });
         self.rec(host.now, EventKind::CrashReport { victim: peer, via });
-        self.crash(victim, host);
-    }
-
-    /// Announces `victim`'s crash under this node's own voice, then heals.
-    pub(crate) fn crash(&mut self, victim: MemberId, host: &mut Host) {
         self.crash_wave(victim, host);
         self.apply_crash(victim, host);
     }
@@ -738,28 +733,28 @@ mod tests {
         // Two voices, but the victim is still heard on a direct link.
         assert!(!excommunicates(&report(&mut m, victim, 2, true), victim));
         assert_eq!(m.metrics.counter("runtime.crash_vetoes").get(), 1);
-        let mut lifted = Vec::new();
-        run(&mut m, 2_000, true, |m, host| {
-            lifted = m.lift_stale_vetoes(host)
-        });
-        assert!(lifted.is_empty(), "lifted while the victim is heard");
-        run(&mut m, 2_000 + TIMEOUT, false, |m, host| {
-            lifted = m.lift_stale_vetoes(host);
-        });
-        assert_eq!(lifted, [victim]);
-        let fx = run(&mut m, 2_000 + TIMEOUT, false, |m, host| {
-            m.crash(victim, host)
-        });
+        let fx = run(&mut m, 2_000, true, Membership::lift_stale_vetoes);
+        assert!(
+            !excommunicates(&fx, victim),
+            "lifted while the victim is heard"
+        );
+        let fx = run(
+            &mut m,
+            2_000 + TIMEOUT,
+            false,
+            Membership::lift_stale_vetoes,
+        );
         assert!(excommunicates(&fx, victim) && m.crashes_applied().contains(&victim));
+        assert_eq!(frames(&fx), [], "no wave of its own");
     }
 
     #[test]
-    fn a_corroborated_crash_is_vouched_for_with_a_wave_of_its_own() {
+    fn a_corroborated_crash_applies_without_a_wave_of_its_own() {
         let (mut m, victim) = (member(1), 5);
         assert!(!excommunicates(&report(&mut m, victim, 1, false), victim));
         let fx = report(&mut m, victim, 2, false);
         assert!(excommunicates(&fx, victim));
-        assert_eq!(frames(&fx), [(FrameKind::Crash(victim), None)]);
+        assert_eq!(frames(&fx), []);
     }
 
     #[test]
