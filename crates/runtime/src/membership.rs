@@ -141,9 +141,9 @@ pub struct Membership {
     /// The nonce of each member's latest `JOIN` applied here: its waves
     /// under an older nonce were sent before it rejoined.
     joined: BTreeMap<MemberId, u32>,
-    /// The peers that sent us a dead notice since our last answer, each
-    /// with the time it started waiting for one (byzantine runs).
-    notifiers: BTreeMap<MemberId, u64>,
+    /// The peers that sent us a dead notice since our last answer
+    /// (byzantine runs).
+    notifiers: BTreeSet<MemberId>,
 }
 
 impl Membership {
@@ -178,7 +178,7 @@ impl Membership {
             rejoin_cooldown: None,
             notice_sent: BTreeMap::new(),
             joined: BTreeMap::new(),
-            notifiers: BTreeMap::new(),
+            notifiers: BTreeSet::new(),
         }
     }
 
@@ -361,17 +361,8 @@ impl Membership {
         // forgery; react only once f+1 distinct peers agree we were
         // excommunicated (a lone traitor cannot trigger rejoin flapping).
         if self.crash_quorum > 1 {
-            let since = *self.notifiers.entry(from).or_insert(now);
+            self.notifiers.insert(from);
             if self.notifiers.len() < self.crash_quorum {
-                // A correct notifier that lost every copy of our `JOIN` wave
-                // would otherwise wait for good: one that has kept at it a
-                // whole timeout gets a direct `JOIN` of its own, once per
-                // timeout, and no rejoin starts here.
-                if now - since >= self.timeout_us {
-                    self.notifiers.insert(from, now);
-                    let id = wire::join_id(self.id, self.fresh_wave_nonce());
-                    host.out.push(Effect::Send(from, self.control(id)));
-                }
                 return;
             }
             self.notifiers.clear();
