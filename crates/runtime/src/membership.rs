@@ -46,8 +46,7 @@ use crate::RuntimeConfig;
 /// What [`Membership`] asks its node to do, in the order it must be done.
 #[derive(Debug)]
 pub(crate) enum Effect {
-    /// Send the frame to the peer if the link is up: a dead notice or a
-    /// direct `JOIN`.
+    /// Send the frame to the peer if the link is up: a dead notice.
     Send(MemberId, Message),
     /// Originate the wave on the reliable plane, to every live link.
     Wave(Message),
@@ -369,9 +368,6 @@ impl Membership {
         }
         self.rejoin_cooldown = Some(now + self.timeout_us);
         host.out.push(Effect::Settle); // the tick due now probes all, or clears the flag
-                                       // A direct `JOIN` for the notifier, then the announcement.
-        let id = wire::join_id(self.id, self.fresh_wave_nonce());
-        host.out.push(Effect::Send(from, self.control(id)));
         self.pending_join_announce = true;
         self.try_announce_join(host);
     }
@@ -804,12 +800,12 @@ mod tests {
                 .filter(|f| f.0 == FrameKind::Join(0))
                 .count()
         };
-        // A direct `JOIN` to the notifier and the announcement.
-        assert_eq!(notice(1, 1_000), 2);
+        // One announcement, which the notifier gets like everyone else.
+        assert_eq!(notice(1, 1_000), 1);
         for from in 2..6 {
             assert_eq!(notice(from, 1_000 + 1_000 * from), 0, "notice from {from}");
         }
-        assert_eq!(notice(2, 1_000 + TIMEOUT), 2);
+        assert_eq!(notice(2, 1_000 + TIMEOUT), 1);
     }
 
     #[test]
