@@ -959,8 +959,8 @@ mod tests {
     /// because a link that lingered after an earlier heal had carried 4's
     /// last frame a few ms after the reporters' links did — and nothing
     /// re-evaluated the veto, nor watched that link. `lift_stale_vetoes`
-    /// was the fix. Taking it out of `core.rs` no longer turns this seed
-    /// red (full-size 1654 below does), so it stays as a mixed run that
+    /// was the fix. Taking it out no longer turns this seed red (full-size
+    /// 239 below does), so it stays as a mixed run that
     /// must stay green.
     #[test]
     fn sim_quick_mixed_seed_169_lifts_a_stale_crash_veto() {
@@ -985,22 +985,31 @@ mod tests {
         assert_green(1619, false, Family::Mixed);
     }
 
-    /// The seed that keeps `lift_stale_vetoes` in `core.rs`. With it taken
-    /// out, full-size mixed seed 1654 times out detecting the crash of 3
-    /// under byzantine corroboration; quick 1654 and 1994 go red the same
-    /// way.
+    /// The seed that keeps `lift_stale_vetoes` in `membership.rs`. With it
+    /// taken out, full-size mixed seed 239 goes red, and so do full 254 and
+    /// 1219 and quick 639, 759, 1219 and 1684.
     #[test]
-    fn sim_full_mixed_seed_1654_needs_stale_vetoes_lifted() {
-        assert_green(1654, false, Family::Mixed);
+    fn sim_full_mixed_seed_239_needs_stale_vetoes_lifted() {
+        assert_green(239, false, Family::Mixed);
     }
 
-    /// The seed that keeps heal grace in `core.rs`. When a heal closes the
-    /// links it drops at once instead of letting them linger half a
-    /// timeout (`apply_churn`), full-size crash seed 275 times out healing:
-    /// the first of 33 full-size and 16 quick runs that go red.
+    /// The seed that keeps heal grace in `membership.rs`. When a heal
+    /// closes the links it drops at once instead of letting them linger
+    /// half a timeout (`apply_churn`), full-size partition seed 246 runs
+    /// past the virtual-time horizon: the first of 4 full-size runs that go
+    /// red.
     #[test]
-    fn sim_full_crash_seed_275_needs_heal_grace() {
-        assert_green(275, false, Family::Crash);
+    fn sim_full_partition_seed_246_needs_heal_grace() {
+        assert_green(246, false, Family::Partition);
+    }
+
+    /// The seed that keeps the grace for a caller from outside the overlay
+    /// (`Membership::on_link_up`): with it taken out, full-size partition
+    /// seed 31 runs past the virtual-time horizon, the first of 88 full
+    /// and 89 quick runs that go red.
+    #[test]
+    fn sim_full_partition_seed_31_needs_outside_caller_grace() {
+        assert_green(31, false, Family::Partition);
     }
 
     /// Quick mixed seed 1349, the slowest run of either sweep: it ends at
@@ -1017,14 +1026,12 @@ mod tests {
     /// 51 — a grave probe from the higher id was hung up on before its dead
     /// notice crossed; 60 — a heal closed the links the other victim's
     /// crash wave was crossing; 191 — a membership snapshot a degraded
-    /// node could install, gone with the snapshot. Today 191 is the pin
-    /// for two mechanisms of `core.rs`: it fails to reconverge after its
-    /// partition heals with grave probes taken out, and with the grace for
-    /// a caller from outside the overlay taken out (the fix found by 51).
-    /// Neither 51 nor 60 goes red without grave probes, outside-caller
-    /// grace, heal grace (60's fix; full crash 275 pins it), crash
-    /// vouching or stale-veto lifting; both stay as runs that must stay
-    /// green.
+    /// node could install, gone with the snapshot. Since crash and join
+    /// waves ride the reliable plane, 51 is the pin for grave probes: it
+    /// fails to reconverge after its partition heals with them taken out.
+    /// None of the three goes red without the outside-caller grace (51's
+    /// fix; full partition 31 pins it), heal grace (60's fix; full
+    /// partition 246 pins it) or stale-veto lifting.
     #[test]
     fn sim_seeds_that_found_membership_wedges_stay_green() {
         for seed in [51, 60, 191] {

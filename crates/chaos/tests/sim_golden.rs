@@ -18,14 +18,14 @@
 
 use lhg_chaos::{run_sim_chaos, FaultPlan};
 
-/// Fingerprint of the 20 report lines. Re-recorded on purpose when the
-/// frame layout became one compact head (flag byte and id first, varint
-/// fields, no payload-length field), ack payloads became varints, and the
-/// simulator began counting each frame's 4-byte length prefix as TCP
-/// does: every byte total moves and nothing else (the `--json` records of
-/// seeds 0–1999, full and quick, are identical to the parent's once their
-/// byte fields are stripped).
-/// (Before: `0x5889_ab84_fe74_a162`, the telemetry timeline gone;
+/// Fingerprint of the 20 report lines. Re-recorded on purpose when crash
+/// and join waves moved onto the reliable plane (acked, retransmitted,
+/// advertised and pulled like data, stale waves absorbed), crash vouching
+/// and the direct `JOIN`s went, and a heal's grace became a floor under any
+/// grace already running: every run that sends a wave moves its
+/// control-frame counts, and some their end times.
+/// (Before: `0x4bcf_4342_670c_6365`, the compact frame head;
+/// `0x5889_ab84_fe74_a162`, the telemetry timeline gone;
 /// `0xb64e_67bc_7b7f_e386`, a lone dead-notice sender under f+1
 /// corroboration answered with a direct `JOIN`;
 /// `0x645a_d6fb_d1e0_7588`, no re-admission of an unknown live
@@ -37,7 +37,7 @@ use lhg_chaos::{run_sim_chaos, FaultPlan};
 /// `0x009c_385a_8797_f0ce`, the core naming its next deadline,
 /// `0xe020_352a_c204_5d04`, control traffic riding the data, and
 /// `0x376b_bec3_de79_9423`, the one chaos interpreter.)
-const GOLDEN_FNV1A: u64 = 0x4bcf_4342_670c_6365;
+const GOLDEN_FNV1A: u64 = 0x80e9_2afd_66c1_5f7a;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

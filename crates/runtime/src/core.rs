@@ -762,13 +762,9 @@ impl NodeCore {
             }
             Effect::Send(..) => {}
             Effect::Wave(msg) => self.originate(&msg),
-            Effect::Grace(peer, until) => self.peers.entry(peer).or_default().grace = Some(until),
-            Effect::HealGrace(peer, until) => {
-                self.peers
-                    .entry(peer)
-                    .or_default()
-                    .grace
-                    .get_or_insert(until);
+            Effect::Grace(peer, until) => {
+                let grace = &mut self.peers.entry(peer).or_default().grace;
+                *grace = (*grace).max(Some(until));
             }
             Effect::Dial(peer) => self.dial(peer),
             Effect::View(overlay) => {

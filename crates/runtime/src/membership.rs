@@ -50,10 +50,8 @@ pub(crate) enum Effect {
     Send(MemberId, Message),
     /// Originate the wave on the reliable plane, to every live link.
     Wave(Message),
-    /// Leave the link to the peer up, wanted or not, until the time given.
+    /// Leave the link to the peer up, wanted or not, until at least then.
     Grace(MemberId, u64),
-    /// The same for a link a heal removed, unless a grace already runs.
-    HealGrace(MemberId, u64),
     /// Dial the peer: a link the churn added, on the dialer side.
     Dial(MemberId),
     /// The replica changed under churn; this is the new one. A join that
@@ -603,7 +601,7 @@ impl Membership {
         let until = host.now + self.timeout_us / 2;
         let linger = report
             .removed_for(self.id)
-            .map(|peer| Effect::HealGrace(peer, until));
+            .map(|peer| Effect::Grace(peer, until));
         host.out.extend(linger);
         let added = report.added_for(self.id).filter(|&peer| self.id < peer);
         host.out.extend(added.map(Effect::Dial));
@@ -778,7 +776,7 @@ mod tests {
         let fx = run(&mut m, 1_000, false, |m, host| m.suspect(victim, host));
         let graced: BTreeSet<MemberId> = (fx.iter())
             .filter_map(|e| match *e {
-                Effect::HealGrace(peer, until) => {
+                Effect::Grace(peer, until) => {
                     assert_eq!(until, 1_000 + TIMEOUT / 2);
                     Some(peer)
                 }
