@@ -234,11 +234,12 @@ struct Peer {
 /// The sans-IO node state machine; see the module docs.
 pub struct NodeCore {
     id: MemberId,
-    /// Heartbeat period, suspicion timeout, summary and sweep cadence (µs).
+    /// Heartbeat period, suspicion timeout and sweep cadence (µs), and the
+    /// beats per summary round.
     beat_us: u64,
     timeout_us: u64,
-    summary_us: u64,
     sweep_us: u64,
+    summary_ticks: u64,
     /// The dial retry/backoff policy, with the suspicion timeout as
     /// probation window: a link healthy that long is genuinely healthy,
     /// anything shorter may be one beat of a flap.
@@ -298,12 +299,13 @@ pub struct NodeCore {
     byz_delivered: Vec<ByzDelivery>,
     relay: Vec<MemberId>,
     /// The heartbeat-period tick (the detector's gauges, backoff probation
-    /// and the reconcile pass run at least this often), summaries, sweeps.
+    /// and the reconcile pass run at least this often; idle links are beaten
+    /// and summary rounds go out only on it), how many have come, sweeps.
     next_beat: u64,
-    next_summary: u64,
+    beats: u64,
     next_sweep: u64,
     /// Ids the reliable plane retained since the last summary round, and
-    /// how many make the round due at once ([`Self::note_retained`]).
+    /// how many make a round due at the next tick ([`Self::note_retained`]).
     unadvertised: usize,
     advert_batch: usize,
 }
@@ -338,10 +340,6 @@ impl NodeCore {
             .map(|s| byz_exchange(id, &overlay, s.f, retries))
             .transpose()?;
         let (beat_us, timeout_us) = (us(config.heartbeat_period), us(config.heartbeat_timeout));
-        // Anti-entropy cadence: `summary_every` heartbeat periods per
-        // summary flood (the reliable config's tick-based knob, reread for
-        // the heartbeat-driven clock).
-        let summary_us = beat_us.saturating_mul(config.reliable.summary_ticks());
         let sweep_us = config.reliable.sweep_us();
         let retained_gauge = metrics.gauge(&format!("runtime.payload_bytes_retained.n{id}"));
         let acks_sent = metrics.counter("runtime.acks_sent");
@@ -353,8 +351,10 @@ impl NodeCore {
             id,
             beat_us,
             timeout_us,
-            summary_us,
             sweep_us,
+            // Anti-entropy cadence: a summary round every `summary_every`
+            // heartbeat periods.
+            summary_ticks: config.reliable.summary_ticks(),
             retry: BackoffPolicy {
                 base_us: us(config.dial_backoff),
                 cap_us: us(config.dial_backoff_cap),
@@ -391,7 +391,7 @@ impl NodeCore {
             byz_delivered: Vec::new(),
             relay: Vec::new(),
             next_beat: now_us + beat_us,
-            next_summary: now_us + summary_us,
+            beats: 0,
             next_sweep: now_us + sweep_us,
             unadvertised: 0,
             advert_batch: config.reliable.advert_batch(),
@@ -460,10 +460,10 @@ impl NodeCore {
         std::mem::swap(&mut self.out, out);
     }
 
-    /// The earliest instant any duty is due: the heartbeat-period tick and
-    /// the summary round, an idle link's heartbeat, a
-    /// suspicion expiry, a dial backoff or link grace running out,
-    /// or `now` while a transition has left a tick something to settle. The
+    /// The earliest instant any duty is due: the heartbeat-period tick (which
+    /// carries idle links' heartbeats and the summary rounds), a suspicion
+    /// expiry, a dial backoff or link grace running out, or `now` while a
+    /// transition has left a tick something to settle. The
     /// reliable plane's sweep counts while it has work, and not before its
     /// grid point and a grid period of quiet: the first event at or after
     /// the point sweeps it ([`Self::handle`]; why a grid: [`lhg_net::reliable`]).
@@ -474,38 +474,39 @@ impl NodeCore {
         }
         let quiet = self.next_sweep.max(self.now + self.sweep_us);
         let sweep = self.reliable.pending().then_some(quiet);
-        let (timeout, beat) = (self.timeout_us, self.beat_us);
+        let timeout = self.timeout_us;
         let m = &self.membership;
         let silent = (m.desired().difference(m.crashes_applied())).map(|p| {
             let seen = self.peers.get(p).and_then(|r| r.last_seen);
             seen.map_or(self.now, |t| t + timeout + 1)
         });
-        let own = self.peers.values().flat_map(|r| {
-            let idle = (r.link == LinkState::Up).then_some(r.last_sent + beat);
-            [idle, r.redial, r.grace].into_iter().flatten()
-        });
-        let dues = sweep.into_iter().chain(silent).chain(own);
-        dues.fold(self.next_beat.min(self.next_summary), u64::min)
+        let own = self.peers.values().flat_map(|r| [r.redial, r.grace]);
+        let dues = sweep.into_iter().chain(silent).chain(own.flatten());
+        dues.fold(self.next_beat, u64::min)
     }
 
-    /// Advances time: whatever periodic duty is due at `now_us` (each
-    /// re-armed as `now + period`), then the suspicion sweep, the reconcile
-    /// pass and, last, a heartbeat on each link that has carried nothing
-    /// for a period. Drivers call it once `now_us` reaches
-    /// [`Self::next_deadline`], and only then.
+    /// Advances time. On the heartbeat-period tick (re-armed as
+    /// `now + period`), every `summary_every`-th one also a summary round;
+    /// a round also goes once an advert batch is full
+    /// ([`Self::note_retained`]). Then the suspicion sweep, the reconcile
+    /// pass and, last, on the heartbeat-period tick only, a heartbeat on
+    /// each link that has carried nothing for a period. Drivers call it once
+    /// `now_us` reaches [`Self::next_deadline`], and only then.
     pub fn tick(&mut self, now_us: u64, out: &mut Vec<Action>) {
         self.settle = false;
         self.core_ticks.inc();
+        let beat = now_us >= self.next_beat;
+        if beat {
+            self.next_beat = now_us + self.beat_us;
+            self.beats += 1;
+        }
         self.transition(now_us, out, |core| {
-            if now_us >= core.next_beat {
-                core.next_beat = now_us + core.beat_us;
-            }
-            if now_us >= core.next_summary {
+            let round = beat && core.beats % core.summary_ticks == 0;
+            if round || core.unadvertised >= core.advert_batch {
                 core.unadvertised = 0;
                 core.send_summaries();
                 let retained = core.reliable.retained_bytes();
                 (core.retained_gauge).set(i64::try_from(retained).unwrap_or(i64::MAX));
-                core.next_summary = now_us + core.summary_us;
             }
             core.sweep_reliable();
             core.check_suspicions();
@@ -523,7 +524,9 @@ impl NodeCore {
         });
         // A transition of its own, so that a link this tick wrote to is not
         // idle.
-        self.transition(now_us, out, Self::beat_idle_links);
+        if beat {
+            self.transition(now_us, out, Self::beat_idle_links);
+        }
     }
 
     /// Records that every link the actions from `start` on write to has
@@ -905,24 +908,27 @@ impl NodeCore {
 
     /// The reliable plane retained one more id. Once
     /// [`ReliableConfig::advert_batch`] are new since the last summary
-    /// round, the next round is due now: a lazy link then hears every id
-    /// while the store still holds it for the pull, at any broadcast rate.
+    /// round, a tick is due now and sends the next round: a lazy link then
+    /// hears every id while the store still holds it for the pull, at any
+    /// broadcast rate.
     ///
     /// [`ReliableConfig::advert_batch`]: lhg_net::reliable::ReliableConfig::advert_batch
     fn note_retained(&mut self) {
         self.unadvertised += 1;
         if self.unadvertised >= self.advert_batch {
-            self.next_summary = self.now;
+            self.settle = true;
         }
     }
 
-    /// The detector's send half. Any frame proves this node alive, so a
-    /// heartbeat goes only to a link nothing was sent on for a full period.
-    /// [`Self::next_deadline`] names the instant the first link gets there,
-    /// so no live link is silent longer than a period plus the driver's
-    /// wake-up latency. A link owed a held list ([`ReliableCore::answer`])
-    /// gets that instead: it proves life as well, so answers add no frame.
-    /// Allocates only the held lists' payloads.
+    /// The detector's send half, run on the heartbeat-period tick only. Any
+    /// frame proves this node alive, so a heartbeat goes only to a link
+    /// nothing was sent on for a full period. A link's last frame before
+    /// one tick is then followed by another by the tick after next: no live
+    /// link is silent for two periods plus the driver's wake-up latency, and
+    /// an idle node wakes once a period whatever its links' phases. A link
+    /// owed a held list ([`ReliableCore::answer`]) gets that instead: it
+    /// proves life as well, so answers add no frame. Allocates only the held
+    /// lists' payloads.
     fn beat_idle_links(&mut self) {
         let (now, beat) = (self.now, self.beat_us);
         let heartbeat = Message::new(wire::heartbeat_id(self.id), self.id as u32, Bytes::new());
