@@ -18,13 +18,17 @@
 
 use lhg_chaos::{run_sim_chaos, FaultPlan};
 
-/// Fingerprint of the 20 report lines. Re-recorded on purpose when crash
-/// and join waves moved onto the reliable plane (acked, retransmitted,
-/// advertised and pulled like data, stale waves absorbed), crash vouching
-/// and the direct `JOIN`s went, and a heal's grace became a floor under any
-/// grace already running: every run that sends a wave moves its
-/// control-frame counts, and some their end times.
-/// (Before: `0x4bcf_4342_670c_6365`, the compact frame head;
+/// Fingerprint of the 20 report lines. Re-recorded on purpose when a
+/// node's idle-link heartbeats and summary rounds moved onto its
+/// heartbeat-period tick (every link's heartbeat on one phase, the summary
+/// round every `summary_every`-th beat) and a link's redial and grace moved
+/// into its link state (a grace asked for a link that is not up is
+/// dropped, a link that comes up starts with neither): every run moves its
+/// heartbeat counts, and some their end times.
+/// (Before: `0x80e9_2afd_66c1_5f7a`, crash and join waves on the reliable
+/// plane, crash vouching and the direct `JOIN`s gone, a heal's grace a
+/// floor under any grace running;
+/// `0x4bcf_4342_670c_6365`, the compact frame head;
 /// `0x5889_ab84_fe74_a162`, the telemetry timeline gone;
 /// `0xb64e_67bc_7b7f_e386`, a lone dead-notice sender under f+1
 /// corroboration answered with a direct `JOIN`;
@@ -37,7 +41,7 @@ use lhg_chaos::{run_sim_chaos, FaultPlan};
 /// `0x009c_385a_8797_f0ce`, the core naming its next deadline,
 /// `0xe020_352a_c204_5d04`, control traffic riding the data, and
 /// `0x376b_bec3_de79_9423`, the one chaos interpreter.)
-const GOLDEN_FNV1A: u64 = 0x80e9_2afd_66c1_5f7a;
+const GOLDEN_FNV1A: u64 = 0x8fed_72b8_757e_3b5f;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

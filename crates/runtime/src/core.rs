@@ -23,14 +23,14 @@
 //!   replica; the planes' repair (adverts and pulls) reaches every other
 //!   link. A stored body retires once every overlay neighbor holds it,
 //!   while no member is crashed or excommunicated here;
-//! * **failure detection** — any frame is proof of life, so heartbeats go
-//!   only to links nothing else was sent on for a heartbeat period; a peer
-//!   silent past the timeout is a verdict for membership;
+//! * **failure detection** — any frame is proof of life, so on the
+//!   heartbeat-period tick a link nothing was sent on for a period gets a
+//!   heartbeat; a peer silent past the timeout is a verdict for membership;
 //! * **link policy** — which links are wanted ([`NodeCore::tick`]'s
 //!   reconcile pass) and when a failed dial may be retried; a
 //!   [`Action::Dial`] is answered by [`Event::LinkUp`] or
-//!   [`Event::DialFailed`]. Each peer's link state, last frame each way,
-//!   dial backoff and grace are one record in one map.
+//!   [`Event::DialFailed`]. A peer's link state, with its redial or grace,
+//!   its last frame and its dial backoff are one record in one map.
 //!
 //! Membership asks for waves, dead notices, grace, dials, dropped links and
 //! reconcile passes (`Effect`); the core carries them out in the order
@@ -197,14 +197,43 @@ pub(crate) fn us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Where the link to one peer stands.
-#[derive(Default, PartialEq)]
+/// Where the link to one peer stands, with the one deadline each state
+/// may hold.
+#[derive(PartialEq)]
 enum LinkState {
-    #[default]
-    Down,
+    /// No link, and no redial before `redial`: the dial backoff's verdict.
+    Down { redial: Option<u64> },
     /// An [`Action::Dial`] is out, unanswered.
     Dialing,
-    Up,
+    /// Up. `last_sent`: the last time this core wrote to it (or it came
+    /// up), which idle heartbeats read. The reconcile pass leaves it up,
+    /// wanted or not, until `grace`: an excommunicated peer heard from
+    /// recently, a caller from outside the overlay, a link a heal dropped.
+    Up { last_sent: u64, grace: Option<u64> },
+}
+
+impl Default for LinkState {
+    fn default() -> Self {
+        LinkState::Down { redial: None }
+    }
+}
+
+impl LinkState {
+    /// The deadline the state holds: a redial while down, a grace's end
+    /// while up.
+    fn deadline(&self) -> Option<u64> {
+        match *self {
+            LinkState::Down { redial: t } | LinkState::Up { grace: t, .. } => t,
+            LinkState::Dialing => None,
+        }
+    }
+
+    /// Drops the deadline unless it is still after `now`.
+    fn drop_deadline(&mut self, now: u64) {
+        if let LinkState::Down { redial: t } | LinkState::Up { grace: t, .. } = self {
+            *t = t.filter(|&t| now < t);
+        }
+    }
 }
 
 /// Everything a node keeps about one peer. A record is made the first time
@@ -213,20 +242,10 @@ enum LinkState {
 #[derive(Default)]
 struct Peer {
     link: LinkState,
-    /// Last time the peer produced any frame, while it is monitored, and
-    /// last time this core wrote to it, which idle heartbeats read while
-    /// the link is up (a link coming up restarts it).
+    /// Last time the peer produced any frame, while it is monitored.
     last_seen: Option<u64>,
-    last_sent: u64,
-    /// No redial before this time: the dial backoff's verdict, and the
-    /// per-peer jittered exponential state behind it.
-    redial: Option<u64>,
+    /// The jittered exponential dial backoff behind `Down`'s redial.
     backoff: Option<Backoff>,
-    /// The reconcile pass must leave the link up, wanted or not, until this
-    /// time: an excommunicated peer heard from recently, a caller from
-    /// outside the overlay, a link a heal just dropped (the crashed
-    /// victim's too, though it is down). A deadline whatever the link.
-    grace: Option<u64>,
     /// `runtime.heartbeat_age_us.n<id>.p<peer>`, resolved on first use.
     age_gauge: Option<Arc<Gauge>>,
 }
@@ -325,12 +344,7 @@ impl NodeCore {
         recorder: Arc<FlightRecorder>,
         now_us: u64,
     ) -> Result<Self, UnsoundMembership> {
-        let Boot {
-            id,
-            overlay,
-            roster,
-            opts,
-        } = boot;
+        let (id, overlay) = (boot.id, boot.overlay);
         // Quorums are sized from an epoch-stamped membership view: each
         // Bracha instance snapshots the view live at its creation, and
         // churn bumps the view (f stays a protocol constant).
@@ -346,7 +360,7 @@ impl NodeCore {
         let acks_piggybacked = metrics.counter("runtime.acks_piggybacked");
         let core_ticks = metrics.counter("runtime.core_ticks");
         let (m, r) = (Arc::clone(&metrics), Arc::clone(&recorder));
-        let membership = Membership::new(id, overlay, opts, config, m, r);
+        let membership = Membership::new(id, overlay, boot.opts, config, m, r);
         let mut core = NodeCore {
             id,
             beat_us,
@@ -369,7 +383,7 @@ impl NodeCore {
             effects: Vec::new(),
             children: TreeChildren::default(),
             settle: true,
-            roster,
+            roster: boot.roster,
             peers: BTreeMap::new(),
             links: BTreeSet::new(),
             seen: SeenSet::default(),
@@ -450,20 +464,29 @@ impl NodeCore {
     }
 
     /// Runs `step` as one transition at `now_us` with the driver's sink
-    /// swapped in, then records which links its actions wrote to.
+    /// swapped in, then stamps each up link its actions wrote to as having
+    /// just carried a frame: what [`Self::beat_idle_links`] reads.
     fn transition(&mut self, now_us: u64, out: &mut Vec<Action>, step: impl FnOnce(&mut Self)) {
         std::mem::swap(&mut self.out, out);
         self.now = now_us;
         let start = self.out.len();
         step(self);
-        self.note_sent(start);
+        for action in &self.out[start..] {
+            if let Action::Send { to, .. } = action {
+                if let Some(LinkState::Up { last_sent, .. }) =
+                    self.peers.get_mut(to).map(|r| &mut r.link)
+                {
+                    *last_sent = now_us;
+                }
+            }
+        }
         std::mem::swap(&mut self.out, out);
     }
 
     /// The earliest instant any duty is due: the heartbeat-period tick (which
     /// carries idle links' heartbeats and the summary rounds), a suspicion
-    /// expiry, a dial backoff or link grace running out, or `now` while a
-    /// transition has left a tick something to settle. The
+    /// expiry, a link's deadline (a down link's redial, an up link's grace),
+    /// or `now` while a transition has left a tick something to settle. The
     /// reliable plane's sweep counts while it has work, and not before its
     /// grid point and a grid period of quiet: the first event at or after
     /// the point sweeps it ([`Self::handle`]; why a grid: [`lhg_net::reliable`]).
@@ -480,41 +503,40 @@ impl NodeCore {
             let seen = self.peers.get(p).and_then(|r| r.last_seen);
             seen.map_or(self.now, |t| t + timeout + 1)
         });
-        let own = self.peers.values().flat_map(|r| [r.redial, r.grace]);
-        let dues = sweep.into_iter().chain(silent).chain(own.flatten());
+        let own = self.peers.values().filter_map(|r| r.link.deadline());
+        let dues = sweep.into_iter().chain(silent).chain(own);
         dues.fold(self.next_beat, u64::min)
     }
 
-    /// Advances time. On the heartbeat-period tick (re-armed as
-    /// `now + period`), every `summary_every`-th one also a summary round;
-    /// a round also goes once an advert batch is full
-    /// ([`Self::note_retained`]). Then the suspicion sweep, the reconcile
-    /// pass and, last, on the heartbeat-period tick only, a heartbeat on
-    /// each link that has carried nothing for a period. Drivers call it once
-    /// `now_us` reaches [`Self::next_deadline`], and only then.
+    /// Advances time: a summary round on every `summary_every`-th
+    /// heartbeat-period tick (re-armed as `now + period`) and on any tick
+    /// once an advert batch is full, the suspicion sweep, the reconcile pass
+    /// and, on the heartbeat-period tick, a heartbeat on each link that has
+    /// carried nothing for a period. Drivers call it once `now_us` reaches
+    /// [`Self::next_deadline`], and only then.
     pub fn tick(&mut self, now_us: u64, out: &mut Vec<Action>) {
         self.settle = false;
         self.core_ticks.inc();
-        let beat = now_us >= self.next_beat;
+        let beat = self.beat_due(now_us);
         if beat {
             self.next_beat = now_us + self.beat_us;
             self.beats += 1;
         }
         self.transition(now_us, out, |core| {
-            let round = beat && core.beats % core.summary_ticks == 0;
-            if round || core.unadvertised >= core.advert_batch {
-                core.unadvertised = 0;
+            if beat && core.beats % core.summary_ticks == 0
+                || core.unadvertised >= core.advert_batch
+            {
                 core.send_summaries();
-                let retained = core.reliable.retained_bytes();
-                (core.retained_gauge).set(i64::try_from(retained).unwrap_or(i64::MAX));
             }
             core.sweep_reliable();
             core.check_suspicions();
-            // A dial-failure streak is forgiven only after the link has
+            // Spent deadlines go, so that each left is one still ahead, and
+            // a dial-failure streak is forgiven only after the link has
             // stayed healthy for a full probation window (see
             // `lhg_net::backoff`).
             for r in core.peers.values_mut() {
-                let up = r.link == LinkState::Up;
+                r.link.drop_deadline(now_us);
+                let up = matches!(r.link, LinkState::Up { .. });
                 if up && r.backoff.as_mut().is_some_and(|b| b.maybe_reset(now_us)) {
                     r.backoff = None;
                 }
@@ -529,17 +551,9 @@ impl NodeCore {
         }
     }
 
-    /// Records that every link the actions from `start` on write to has
-    /// just carried a frame: what [`Self::beat_idle_links`] reads.
-    fn note_sent(&mut self, start: usize) {
-        let now = self.now;
-        for action in &self.out[start..] {
-            if let Action::Send { to, .. } = action {
-                if let Some(r) = self.peers.get_mut(to) {
-                    r.last_sent = now;
-                }
-            }
-        }
+    /// Whether a tick at `now_us` is the heartbeat-period tick.
+    pub(crate) fn beat_due(&self, now_us: u64) -> bool {
+        now_us >= self.next_beat
     }
 
     fn count(&self, name: &str) {
@@ -659,16 +673,9 @@ impl NodeCore {
         let fresh = !self.seen.contains(msg.broadcast_id);
         let origin = send.as_ref().map(|f| MemberId::from(f.tag.origin));
         let relay = self.eager_tree(origin.filter(|_| fresh));
+        let tree = relay.iter().copied();
         let ran = self.drive_byz(|x, seen, links, out, delivered| {
-            x.on_frame(
-                from,
-                msg,
-                seen,
-                links,
-                relay.iter().copied(),
-                out,
-                delivered,
-            )
+            x.on_frame(from, msg, seen, links, tree, out, delivered)
         });
         match ran {
             Some(rejected) if rejected > 0 => {
@@ -766,8 +773,11 @@ impl NodeCore {
             Effect::Send(..) => {}
             Effect::Wave(msg) => self.originate(&msg),
             Effect::Grace(peer, until) => {
-                let grace = &mut self.peers.entry(peer).or_default().grace;
-                *grace = (*grace).max(Some(until));
+                if let Some(LinkState::Up { grace, .. }) =
+                    self.peers.get_mut(&peer).map(|r| &mut r.link)
+                {
+                    *grace = (*grace).max(Some(until));
+                }
             }
             Effect::Dial(peer) => self.dial(peer),
             Effect::View(overlay) => {
@@ -785,18 +795,16 @@ impl NodeCore {
             }
             Effect::Excommunicate(victim) => {
                 self.drop_link(victim);
-                self.peers.entry(victim).or_default().redial = None;
                 // Frames parked for an excommunicated peer are abandoned; if
                 // it ever rejoins, anti-entropy summaries catch it up instead.
                 self.reliable.abandon(victim);
             }
             Effect::Readmit(member) => {
-                // Heard from now, no dial backoff, no grace.
+                // Heard from now, no dial backoff, no redial or grace.
                 let r = self.peers.entry(member).or_default();
                 r.last_seen = Some(self.now);
-                r.redial = None;
                 r.backoff = None;
-                r.grace = None;
+                r.link.drop_deadline(u64::MAX);
             }
             Effect::Reconcile => self.reconcile(),
             Effect::Settle => self.settle = true,
@@ -833,14 +841,8 @@ impl NodeCore {
         ) -> R,
     ) -> R {
         let mut sends = std::mem::take(&mut self.outbox);
-        let links = self.links.iter().copied();
-        let result = step(
-            &mut self.reliable,
-            &mut self.seen,
-            links,
-            self.now,
-            &mut sends,
-        );
+        let (links, now) = (self.links.iter().copied(), self.now);
+        let result = step(&mut self.reliable, &mut self.seen, links, now, &mut sends);
         self.push_sends(sends);
         result
     }
@@ -896,6 +898,7 @@ impl NodeCore {
     /// may need what it missed, and mid-heal the replicas may disagree on
     /// who neighbors whom, so the store stays FIFO until then.
     fn send_summaries(&mut self) {
+        self.unadvertised = 0;
         self.drive_byz(|x, _, links, out, _| x.repair(links, out));
         if self.drive(|r, _, links, _, out| r.advertise(links, out)) {
             self.count("runtime.summaries_sent");
@@ -904,6 +907,8 @@ impl NodeCore {
         if m.crashes_applied().is_empty() {
             self.reliable.retire(m.desired().iter().copied());
         }
+        let retained = self.reliable.retained_bytes();
+        (self.retained_gauge).set(i64::try_from(retained).unwrap_or(i64::MAX));
     }
 
     /// The reliable plane retained one more id. Once
@@ -920,21 +925,19 @@ impl NodeCore {
         }
     }
 
-    /// The detector's send half, run on the heartbeat-period tick only. Any
-    /// frame proves this node alive, so a heartbeat goes only to a link
-    /// nothing was sent on for a full period. A link's last frame before
-    /// one tick is then followed by another by the tick after next: no live
-    /// link is silent for two periods plus the driver's wake-up latency, and
-    /// an idle node wakes once a period whatever its links' phases. A link
-    /// owed a held list ([`ReliableCore::answer`]) gets that instead: it
-    /// proves life as well, so answers add no frame. Allocates only the held
-    /// lists' payloads.
+    /// The detector's send half, on the heartbeat-period tick: any frame
+    /// proves this node alive, so a heartbeat goes only to a link nothing
+    /// was sent on for a full period. No live link is then silent for two
+    /// periods (plus the driver's wake-up latency), and an idle node wakes
+    /// once a period whatever its links' phases. A link owed a held list
+    /// ([`ReliableCore::answer`]) gets that instead: it proves life as well,
+    /// so answers add no frame. Allocates only the held lists' payloads.
     fn beat_idle_links(&mut self) {
         let (now, beat) = (self.now, self.beat_us);
         let heartbeat = Message::new(wire::heartbeat_id(self.id), self.id as u32, Bytes::new());
         let mut sends = std::mem::take(&mut self.outbox);
         for (&peer, r) in &self.peers {
-            let idle = r.link == LinkState::Up && now.saturating_sub(r.last_sent) >= beat;
+            let idle = matches!(r.link, LinkState::Up { last_sent, .. } if now - last_sent >= beat);
             if idle && !self.reliable.answer(peer, &mut sends) {
                 sends.push((peer, heartbeat.clone()));
             }
@@ -984,14 +987,7 @@ impl NodeCore {
     /// down links the dialer side no longer wants, dials missing ones
     /// (with backoff), and closes the healing stopwatch when done.
     fn reconcile(&mut self) {
-        let now = self.now;
         let probe_all = self.membership.probe_all();
-        // Expired deadlines go, so that each left is one still ahead.
-        for r in self.peers.values_mut() {
-            r.grace = r.grace.filter(|&deadline| now < deadline);
-            r.redial = r.redial.filter(|&due| now < due);
-        }
-
         // Teardown is dialer-driven so a link is never closed by a node
         // that merely hasn't healed yet; links to crashed members go down
         // too. Neither while the link is in grace: a revenant mid-rejoin,
@@ -1000,7 +996,7 @@ impl NodeCore {
         let unwanted: Vec<MemberId> = (self.links.iter().copied())
             .filter(|peer| {
                 !probe_all
-                    && (self.peers.get(peer)).is_none_or(|r| r.grace.is_none())
+                    && (self.peers.get(peer)).is_none_or(|r| r.link.deadline().is_none())
                     && (m.crashes_applied().contains(peer)
                         || (self.id < *peer && !m.desired().contains(peer)))
             })
@@ -1011,10 +1007,8 @@ impl NodeCore {
         }
 
         let m = &self.membership;
-        let due = |peer: &MemberId| {
-            let r = self.peers.get(peer);
-            r.is_none_or(|r| r.link == LinkState::Down && r.redial.is_none())
-        };
+        let down = |r: &Peer| r.link == LinkState::Down { redial: None };
+        let due = |peer: &MemberId| self.peers.get(peer).is_none_or(down);
         let dials: Vec<MemberId> = if probe_all {
             (self.roster.iter().copied())
                 .filter(|p| *p != self.id && due(p))
@@ -1037,13 +1031,14 @@ impl NodeCore {
         for peer in dials {
             self.dial(peer);
         }
-        self.membership.check_healed(&self.links, now);
+        self.membership.check_healed(&self.links, self.now);
     }
 
-    /// Asks the driver for a link to `peer`, unless one is up or underway.
+    /// Asks the driver for a link to `peer`, unless one is up or underway;
+    /// a dial drops a pending redial.
     fn dial(&mut self, peer: MemberId) {
         let r = self.peers.entry(peer).or_default();
-        if r.link == LinkState::Down {
+        if let LinkState::Down { .. } = r.link {
             r.link = LinkState::Dialing;
             self.out.push(Action::Dial { peer });
         }
@@ -1051,10 +1046,10 @@ impl NodeCore {
 
     /// A link to `peer` is up (dialed or accepted), in place of any older
     /// one: the link's sequence spaces restart, and what the old link never
-    /// delivered is re-sent over the new one. The hello's claim is checked
-    /// first — this node's own id, an id outside the member space or one
-    /// the roster does not know never becomes a link that floods and
-    /// heartbeats.
+    /// delivered is re-sent over the new one, and a pending redial or an
+    /// older link's grace goes. The hello's claim is checked first — this
+    /// node's own id, an id outside the member space or one the roster does
+    /// not know never becomes a link that floods and heartbeats.
     fn on_link_up(&mut self, peer: MemberId, dialed: bool) {
         if peer == self.id || peer >= wire::MAX_MEMBERS || !self.roster.contains(&peer) {
             self.count("runtime.hello_rejected");
@@ -1063,15 +1058,16 @@ impl NodeCore {
         }
         let now = self.now;
         if dialed {
-            self.peers.entry(peer).or_default().redial = None;
             self.count("runtime.dials");
         } else {
             self.count("runtime.accepts");
         }
         let r = self.peers.entry(peer).or_default();
-        r.link = LinkState::Up;
+        r.link = LinkState::Up {
+            last_sent: now,
+            grace: None,
+        };
         r.last_seen = Some(now);
-        r.last_sent = now;
         // A connect alone does not forgive a dial-failure streak: the
         // escalated schedule stays until the link survives a full
         // probation window.
@@ -1095,28 +1091,30 @@ impl NodeCore {
     fn dial_failed(&mut self, peer: MemberId) {
         self.count("runtime.dial_failures");
         let (policy, r) = (self.retry, self.peers.entry(peer).or_default());
-        if r.link == LinkState::Dialing {
-            r.link = LinkState::Down;
-        }
         let backoff = r.backoff.get_or_insert_with(|| Backoff::new(policy));
         let delay = backoff.next_delay(&mut self.rng).unwrap_or_else(|| {
             backoff.reset();
             self.metrics.counter("runtime.dial_probations").inc();
             policy.cap_us * 8
         });
-        r.redial = Some(self.now + delay);
+        // A link accepted meanwhile stands.
+        let redial = Some(self.now + delay);
+        if r.link == LinkState::Dialing {
+            r.link = LinkState::Down { redial };
+        }
     }
 
-    /// Closes and forgets the link to `peer` (if any), parking the reliable
-    /// plane's undelivered frames for the replacement link.
+    /// Closes and forgets the link to `peer` (if any) and any redial pending,
+    /// parking the reliable plane's undelivered frames for the replacement
+    /// link.
     fn drop_link(&mut self, peer: MemberId) {
         if self.links.remove(&peer) {
             self.out.push(Action::Close { peer });
             self.rec(EventKind::Disconnect { peer: peer as u32 });
         }
         if let Some(r) = self.peers.get_mut(&peer) {
-            if r.link == LinkState::Up {
-                r.link = LinkState::Down;
+            if r.link != LinkState::Dialing {
+                r.link = LinkState::default();
             }
             r.last_seen = None;
             if let Some(b) = r.backoff.as_mut() {

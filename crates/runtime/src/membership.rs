@@ -50,7 +50,8 @@ pub(crate) enum Effect {
     Send(MemberId, Message),
     /// Originate the wave on the reliable plane, to every live link.
     Wave(Message),
-    /// Leave the link to the peer up, wanted or not, until at least then.
+    /// Leave the link to the peer up, wanted or not, until at least then;
+    /// nothing if it is not up.
     Grace(MemberId, u64),
     /// Dial the peer: a link the churn added, on the dialer side.
     Dial(MemberId),

@@ -69,10 +69,8 @@ pub struct Node {
     script: Option<TraitorBehavior>,
     /// A byz frame has come this life: `Equivocate` and `Forge` have lied.
     lied: bool,
-    /// `FrameCrash` only: its waves, their period and the next one's time.
+    /// `FrameCrash` only: its waves, one on each heartbeat-period tick.
     waves: Option<Arc<Counter>>,
-    beat_us: u64,
-    next_wave: u64,
 }
 
 impl Node {
@@ -93,15 +91,12 @@ impl Node {
         let script = traitors.find(|t| t.0 == id).map(|t| t.1);
         let frame_crash = script == Some(TraitorBehavior::FrameCrash);
         let waves = frame_crash.then(|| metrics.counter("runtime.forged_crash_waves"));
-        let beat_us = u64::try_from(config.heartbeat_period.as_micros()).unwrap_or(u64::MAX);
         Ok(Node {
             core: NodeCore::new(boot, config, metrics, recorder, now_us)?,
             id,
             script,
             lied: false,
             waves,
-            beat_us,
-            next_wave: now_us + beat_us,
         })
     }
 
@@ -111,11 +106,11 @@ impl Node {
         &self.core
     }
 
-    /// [`NodeCore::next_deadline`], or a `FrameCrash` wave's if sooner.
+    /// [`NodeCore::next_deadline`]: a `FrameCrash` wave rides the core's
+    /// heartbeat-period tick.
     #[must_use]
     pub fn next_deadline(&self) -> u64 {
-        let wave = self.waves.as_ref().map_or(u64::MAX, |_| self.next_wave);
-        self.core.next_deadline().min(wave)
+        self.core.next_deadline()
     }
 
     /// [`NodeCore::handle`] behind the script's input filter, then its own
@@ -137,12 +132,11 @@ impl Node {
         self.rewrite(start, out);
     }
 
-    /// [`NodeCore::tick`] behind a `FrameCrash` wave, if one is due,
-    /// through the script's output rewrite.
+    /// [`NodeCore::tick`] behind a `FrameCrash` wave, if the tick is the
+    /// heartbeat-period one, through the script's output rewrite.
     pub fn tick(&mut self, now_us: u64, out: &mut Vec<Action>) {
         let start = out.len();
-        if let Some(waves) = self.waves.as_ref().filter(|_| now_us >= self.next_wave) {
-            self.next_wave = now_us + self.beat_us;
+        if let Some(waves) = self.waves.as_ref().filter(|_| self.core.beat_due(now_us)) {
             if let Some(victim) = self.lowest_other_member() {
                 waves.inc();
                 self.core.announce_crash(victim, now_us, out);
