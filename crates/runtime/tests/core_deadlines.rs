@@ -1,9 +1,9 @@
 //! The core's timing contract, with no driver in between: a `NodeCore`
 //! ticked only at the deadlines it names itself.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lhg_core::overlay::{DynamicOverlay, MemberId};
@@ -17,11 +17,15 @@ use lhg_trace::FlightRecorder;
 /// Member 0 of a 6-node overlay, booted at time 0, and its first neighbor.
 fn boot(config: &RuntimeConfig) -> (NodeCore, MemberId) {
     let overlay = DynamicOverlay::bootstrap(Constraint::Jd, 6, 2).expect("overlay");
-    let roster: BTreeSet<MemberId> = overlay.members().iter().copied().collect();
     let peer = overlay.neighbors_of(0).expect("member")[0];
+    (boot_on(overlay, BootOpts::default(), config), peer)
+}
+
+/// Member 0 of `overlay`, booted at time 0 as `opts` says.
+fn boot_on(overlay: DynamicOverlay, opts: BootOpts, config: &RuntimeConfig) -> NodeCore {
+    let roster: BTreeSet<MemberId> = overlay.members().iter().copied().collect();
     let recorder = FlightRecorder::with_capacity(0, 1 << 10, Instant::now());
     let metrics = Arc::new(MetricsRegistry::new());
-    let opts = BootOpts::default();
     let boot = Boot {
         id: 0,
         overlay,
@@ -29,7 +33,18 @@ fn boot(config: &RuntimeConfig) -> (NodeCore, MemberId) {
         opts,
     };
     let core = NodeCore::new(boot, config, metrics, Arc::new(recorder), 0);
-    (core.expect("boots"), peer)
+    core.expect("boots")
+}
+
+/// Whether `out` dials `peer`.
+fn dials(out: &[Action], peer: MemberId) -> bool {
+    (out.iter()).any(|a| matches!(a, Action::Dial { peer: p } if *p == peer))
+}
+
+/// A heartbeat frame from `peer`.
+fn heartbeat_from(peer: MemberId) -> Event {
+    let msg = Message::new(wire::heartbeat_id(peer), peer as u32, Bytes::new());
+    Event::Frame { from: peer, msg }
 }
 
 /// Feeds `events` at their times and ticks only at the core's own
@@ -115,4 +130,140 @@ fn an_owed_ack_leaves_on_the_sweep_grid_not_at_its_exact_deadline() {
         events.push_back((at, Event::Frame { from: peer, msg }));
     }
     assert_eq!(first_ack(&mut core, peer, events), grid + grid / 20);
+}
+
+/// One clock per node: an idle core wakes once per heartbeat period, on
+/// the heartbeat-period tick, however its links' phases lie, and each
+/// link still carries a frame at least every two periods. Member 0 of a
+/// 16-node K-DIAMOND dials its k = 3 neighbors, whose links come up a
+/// third of a period apart; each neighbor then beats on its own phase.
+/// A core that named one heartbeat deadline per link woke once per link
+/// phase as well: 4 times a period here.
+#[test]
+fn an_idle_core_ticks_once_a_period_and_beats_every_link_within_two() {
+    let config = RuntimeConfig::default();
+    let beat = u64::try_from(config.heartbeat_period.as_micros()).expect("µs");
+    let overlay = DynamicOverlay::bootstrap(Constraint::KDiamond, 16, 3).expect("overlay");
+    let mut core = boot_on(overlay, BootOpts::default(), &config);
+    let (warm, end) = (40 * beat, 80 * beat);
+    // (time, event), popped in time order.
+    let mut events: BTreeMap<(u64, MemberId), Event> = BTreeMap::new();
+    let mut up: BTreeMap<MemberId, u64> = BTreeMap::new(); // last frame to each up link
+    let (mut out, mut ticks, mut worst, mut dials) = (Vec::new(), 0, 0, 0);
+    loop {
+        out.clear();
+        let due = core.next_deadline();
+        let now = match events.first_key_value() {
+            Some((&(at, _), _)) if at < due => {
+                let ((at, peer), ev) = events.pop_first().expect("just seen");
+                if matches!(ev, Event::LinkUp { .. }) {
+                    up.insert(peer, at);
+                } else {
+                    // The neighbor beats again a period later.
+                    events.insert((at + beat, peer), heartbeat_from(peer));
+                }
+                core.handle(ev, at, &mut out);
+                at
+            }
+            _ => {
+                ticks += u64::from((warm..end).contains(&due));
+                core.tick(due, &mut out);
+                due
+            }
+        };
+        if now >= end {
+            break;
+        }
+        for action in &out {
+            match *action {
+                Action::Dial { peer } => {
+                    let at = 1_000 + dials * beat / 3;
+                    dials += 1;
+                    events.insert((at, peer), Event::LinkUp { peer, dialed: true });
+                    events.insert((at + 500, peer), heartbeat_from(peer));
+                }
+                Action::Send { to, .. } => {
+                    let last = up.insert(to, now).expect("sent on an up link");
+                    worst = worst.max(now - last);
+                }
+                _ => {}
+            }
+        }
+    }
+    assert_eq!(up.len(), 3, "all k links came up");
+    assert_eq!(ticks, (end - warm) / beat, "ticks once per period");
+    assert!(worst <= 2 * beat, "a link was silent for {worst} µs");
+    // Nor is any link two periods into a silence when the run ends.
+    for (&peer, &last) in &up {
+        assert!(end - last <= 2 * beat, "link to {peer} silent since {last}");
+    }
+}
+
+/// A link's deadlines live in its state: a redial pending when the link
+/// comes up (here: the peer's own call was accepted) is gone, so when that
+/// link drops the node dials again at once; and a grace asked for a link
+/// that is not up — a frame from an excommunicated member that this node
+/// has no link to — names no deadline.
+#[test]
+fn a_link_that_comes_up_drops_its_redial_and_a_down_link_names_no_grace() {
+    // A heartbeat period longer than the dial backoff and than the grace,
+    // so that neither hides behind the heartbeat-period tick.
+    let config = RuntimeConfig {
+        heartbeat_period: Duration::from_secs(10),
+        heartbeat_timeout: Duration::from_secs(1),
+        ..RuntimeConfig::default()
+    };
+    let timeout = u64::try_from(config.heartbeat_timeout.as_micros()).expect("µs");
+    let (mut core, peer) = boot(&config);
+    let mut out = Vec::new();
+    core.tick(0, &mut out);
+    assert!(dials(&out, peer));
+    core.handle(Event::DialFailed { peer }, 1, &mut out);
+    let redial = core.next_deadline();
+    assert!((2..timeout).contains(&redial), "redial due at {redial}");
+
+    let accepted = Event::LinkUp {
+        peer,
+        dialed: false,
+    };
+    core.handle(accepted, 2, &mut out);
+    core.tick(core.next_deadline(), &mut out);
+    assert!(
+        core.next_deadline() > redial,
+        "the redial outlived the link coming up"
+    );
+    out.clear();
+    core.handle(Event::LinkDown { peer }, 3, &mut out);
+    core.tick(core.next_deadline(), &mut out);
+    assert!(
+        dials(&out, peer),
+        "no dial at once after the link dropped: {out:?}"
+    );
+
+    // Member `gone` is excommunicated from boot, and this node has no link
+    // to it (its grave probe is still dialing). A frame from it asks for a
+    // grace, which a down link cannot hold: the earliest deadline stays
+    // the neighbors' suspicion expiry, heard from just after.
+    let overlay = DynamicOverlay::bootstrap(Constraint::Jd, 6, 2).expect("overlay");
+    let neighbors = overlay.neighbors_of(0).expect("member");
+    let gone = *overlay
+        .members()
+        .iter()
+        .find(|m| !neighbors.contains(m) && **m != 0)
+        .expect("a non-neighbor");
+    let opts = BootOpts {
+        initial_crashes: BTreeSet::from([gone]),
+        ..BootOpts::default()
+    };
+    let mut core = boot_on(overlay, opts, &config);
+    core.tick(0, &mut out);
+    core.handle(heartbeat_from(gone), 20, &mut out);
+    for &n in &neighbors {
+        core.handle(heartbeat_from(n), 30, &mut out);
+    }
+    assert_eq!(
+        core.next_deadline(),
+        30 + timeout + 1,
+        "a down link named a grace"
+    );
 }

@@ -45,10 +45,11 @@ fn heartbeats_fill_idle_links_only() {
     let idle = frames(&c).0 - beats;
     let periods = WINDOW.as_secs_f64() / period.as_secs_f64();
     let per_link_period = idle as f64 / directed as f64 / periods;
-    // A link beats the instant its silence reaches a period — a deadline
-    // the node names itself — so the interval is a period plus the
-    // driver's wake-up latency: ≈ 1.0 per period, below 0.83 only if
-    // wake-ups run a fifth of a period late.
+    // An idle link beats on every heartbeat-period tick — its last frame
+    // is the previous tick's heartbeat — and the tick re-arms a period
+    // after it ran, so the interval is a period plus the driver's wake-up
+    // latency: ≈ 1.0 per period, below 0.83 only if wake-ups run a fifth
+    // of a period late.
     assert!(
         (0.83..=1.05).contains(&per_link_period),
         "idle: {idle} heartbeats on {directed} links in {periods} periods"
