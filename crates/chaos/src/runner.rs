@@ -995,12 +995,12 @@ mod tests {
 
     /// The seed that keeps heal grace in `membership.rs`. When a heal
     /// closes the links it drops at once instead of letting them linger
-    /// half a timeout (`apply_churn`), full-size partition seed 181 runs
-    /// past the virtual-time horizon, and so do full partition 51, 1461 and
-    /// 1906 and full mixed 1009 (no quick run goes red).
+    /// half a timeout (`apply_churn`), full-size partition seed 226 runs
+    /// past the virtual-time horizon, and so does full partition 1471 (no
+    /// quick run goes red).
     #[test]
-    fn sim_full_partition_seed_181_needs_heal_grace() {
-        assert_green(181, false, Family::Partition);
+    fn sim_full_partition_seed_226_needs_heal_grace() {
+        assert_green(226, false, Family::Partition);
     }
 
     /// Full-size partition seed 246 went red without heal grace until idle
@@ -1013,8 +1013,8 @@ mod tests {
 
     /// The seed that keeps the grace for a caller from outside the overlay
     /// (`Membership::on_link_up`): with it taken out, full-size partition
-    /// seed 31 runs past the virtual-time horizon, the first of 103 full
-    /// and 94 quick runs that go red.
+    /// seed 31 runs past the virtual-time horizon, the first of 97 full
+    /// and 92 quick runs that go red.
     #[test]
     fn sim_full_partition_seed_31_needs_outside_caller_grace() {
         assert_green(31, false, Family::Partition);
@@ -1038,10 +1038,9 @@ mod tests {
     /// waves ride the reliable plane, 51 is the pin for grave probes: it
     /// fails to reconverge after its partition heals with them taken out.
     /// Since idle links beat on one phase and a grace lives only on an up
-    /// link, 51 also goes red without heal grace (60's fix; full partition
-    /// 181 pins it) and 191 without the outside-caller grace (51's fix;
-    /// full partition 31 pins it); none goes red without stale-veto
-    /// lifting.
+    /// link, 191 goes red without the outside-caller grace (51's fix; full
+    /// partition 31 pins it); none goes red without heal grace (60's fix;
+    /// full partition 226 pins it) or stale-veto lifting.
     #[test]
     fn sim_seeds_that_found_membership_wedges_stay_green() {
         for seed in [51, 60, 191] {

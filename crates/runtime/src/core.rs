@@ -197,8 +197,7 @@ pub(crate) fn us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Where the link to one peer stands, with the one deadline each state
-/// may hold.
+/// Where the link to one peer stands, and the deadline each state holds.
 #[derive(PartialEq)]
 enum LinkState {
     /// No link, and no redial before `redial`: the dial backoff's verdict.
@@ -219,8 +218,7 @@ impl Default for LinkState {
 }
 
 impl LinkState {
-    /// The deadline the state holds: a redial while down, a grace's end
-    /// while up.
+    /// A down link's redial, or the end of an up link's grace.
     fn deadline(&self) -> Option<u64> {
         match *self {
             LinkState::Down { redial: t } | LinkState::Up { grace: t, .. } => t,
@@ -927,18 +925,20 @@ impl NodeCore {
 
     /// The detector's send half, on the heartbeat-period tick: any frame
     /// proves this node alive, so a heartbeat goes only to a link nothing
-    /// was sent on for a full period. No live link is then silent for two
-    /// periods (plus the driver's wake-up latency), and an idle node wakes
-    /// once a period whatever its links' phases. A link owed a held list
-    /// ([`ReliableCore::answer`]) gets that instead: it proves life as well,
-    /// so answers add no frame. Allocates only the held lists' payloads.
+    /// was sent on for a full period, and no live link is silent for two
+    /// (plus the driver's wake-up latency). A held list owed to the link
+    /// ([`ReliableCore::answer`]) goes in its place, and once the link is
+    /// idle half a period: at the tick nearest the instant it went when
+    /// each link beat on its own phase, so pull-store retirement keeps its
+    /// pace. Allocates only the held lists' payloads.
     fn beat_idle_links(&mut self) {
         let (now, beat) = (self.now, self.beat_us);
         let heartbeat = Message::new(wire::heartbeat_id(self.id), self.id as u32, Bytes::new());
         let mut sends = std::mem::take(&mut self.outbox);
         for (&peer, r) in &self.peers {
-            let idle = matches!(r.link, LinkState::Up { last_sent, .. } if now - last_sent >= beat);
-            if idle && !self.reliable.answer(peer, &mut sends) {
+            let idle = |gap| matches!(r.link, LinkState::Up { last_sent: t, .. } if now - t >= gap);
+            let answered = idle(beat / 2) && self.reliable.answer(peer, &mut sends);
+            if !answered && idle(beat) {
                 sends.push((peer, heartbeat.clone()));
             }
         }
