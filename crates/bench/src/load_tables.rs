@@ -168,11 +168,12 @@ pub fn e22_detection_latency() -> String {
     }
     out.push_str(
         "shape: detection is independent of n (local monitoring: each node watches only\n\
-         its k neighbors) and bounded by timeout + heartbeat period (a heartbeat goes\n\
-         to a link the instant it has been silent a full period — the node's own\n\
-         deadline — so no live link is silent longer than that); healing adds the crash\n\
-         wave's flood (≈ diameter hops) and one dial round trip; zero false suspicions\n\
-         at this timeout/latency margin.\n",
+         its k neighbors): a timeout and a link delay after the victim's last frame on\n\
+         each link, which here went on its heartbeat-period tick at the crash instant,\n\
+         so it is bounded by timeout + heartbeat period. A heartbeat goes on that tick\n\
+         to each link silent for a period, so no live link is silent for two; healing\n\
+         adds the crash wave's flood (≈ diameter hops) and one dial round trip; zero\n\
+         false suspicions at this timeout/latency margin.\n",
     );
     out
 }

@@ -521,7 +521,7 @@ impl NodeCore {
             self.beats += 1;
         }
         self.transition(now_us, out, |core| {
-            if beat && core.beats % core.summary_ticks == 0
+            if (beat && core.beats % core.summary_ticks == 0)
                 || core.unadvertised >= core.advert_batch
             {
                 core.send_summaries();

@@ -34,10 +34,10 @@
 //!    the replica, every other link gets its id in a summary and pulls it
 //!    if missing, with per-broadcast dedup; with a k-connected topology and
 //!    at most k−1 crashed nodes, every correct node delivers (LHG P1).
-//! 4. **Failure detection** — any frame is proof of life, so a heartbeat
-//!    goes only to a link nothing else was sent on for a heartbeat period
-//!    (a deadline the core names: no live link is silent longer than a
-//!    period plus wake-up latency), and a busy link carries none; a
+//! 4. **Failure detection** — any frame is proof of life, so on the node's
+//!    heartbeat-period tick a heartbeat goes only to a link nothing else
+//!    was sent on for a period (no live link is silent for two), and a
+//!    busy link carries none; a
 //!    configurable silence window marks a neighbor crashed (fail-stop
 //!    model: crashed nodes never speak again, so suspicion is permanent).
 //!    With [`RuntimeConfig::byzantine`] set, suspicion is *corroborated*:
@@ -107,8 +107,8 @@ pub use node::{Directory, NodeShared};
 /// heartbeats, a timeout an order of magnitude above the period.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Longest a live link goes without a frame: a link nothing else was
-    /// sent on for this long gets a heartbeat.
+    /// The heartbeat-period tick: on it, a link nothing else was sent on
+    /// for this long gets a heartbeat (no live link goes two without one).
     pub heartbeat_period: Duration,
     /// Silence window after which a neighbor is declared crashed. Must
     /// comfortably exceed `heartbeat_period` to avoid false suspicion.

@@ -440,8 +440,8 @@ impl Membership {
     /// with its own reconcile pass. Each report arrives once, and a victim
     /// outside the desired set — a link kept up past a heal — is not watched
     /// by this node's own detector, so without this the veto would be for
-    /// good. Each link beats only when idle, so the last frame on a
-    /// lingering link can trail the reporters' by up to a heartbeat period.
+    /// good. Idle links beat on their node's heartbeat-period tick, so the
+    /// last frame on a lingering link can trail the reporters' by two periods.
     pub(crate) fn lift_stale_vetoes(&mut self, host: &mut Host) {
         let quorum = self.crash_quorum;
         let lifted: Vec<MemberId> = (self.crash_reporters.iter())
