@@ -204,7 +204,7 @@ impl Driver for SimCluster {
         digests(&self.nodes[member as usize].borrow().byz_delivered)
     }
     fn crashes_applied(&self, member: MemberId) -> BTreeSet<MemberId> {
-        self.core(member, |c| c.membership().crashes_applied().clone())
+        self.core(member, |c| c.membership().crashes_applied())
     }
     fn overlay(&self, member: MemberId) -> DynamicOverlay {
         self.core(member, |c| DynamicOverlay::clone(c.membership().overlay()))
@@ -985,22 +985,60 @@ mod tests {
         assert_green(1619, false, Family::Mixed);
     }
 
-    /// The seed that keeps `lift_stale_vetoes` in `membership.rs`. With it
-    /// taken out, full-size mixed seed 239 goes red, and so do full 254 and
-    /// 1219 and quick 639, 759, 1219 and 1684.
+    /// Full-size mixed seed 239 went red without `lift_stale_vetoes` until
+    /// membership became a lattice of incarnations; it no longer does (full
+    /// mixed 99 pins the mechanism now). A replay that must stay green, under
+    /// its old name.
     #[test]
     fn sim_full_mixed_seed_239_needs_stale_vetoes_lifted() {
         assert_green(239, false, Family::Mixed);
     }
 
-    /// The seed that keeps heal grace in `membership.rs`. When a heal
-    /// closes the links it drops at once instead of letting them linger
-    /// half a timeout (`apply_churn`), full-size partition seed 226 runs
-    /// past the virtual-time horizon, and so does full partition 1471 (no
-    /// quick run goes red).
+    /// The seed that keeps `lift_stale_vetoes` in `membership.rs`. With it
+    /// taken out, full-size mixed seed 99 times out detecting a crash under
+    /// corroboration, and so do full 744 and 1654 and quick 514, 1489, 1654
+    /// and 1994.
+    #[test]
+    fn sim_full_mixed_seed_99_needs_stale_vetoes_lifted() {
+        assert_green(99, false, Family::Mixed);
+    }
+
+    /// Full-size partition seed 226 ran past the horizon without heal grace
+    /// until membership became a lattice of incarnations; it no longer does
+    /// (full mixed 1419 pins the mechanism now). A replay that must stay
+    /// green, under its old name.
     #[test]
     fn sim_full_partition_seed_226_needs_heal_grace() {
         assert_green(226, false, Family::Partition);
+    }
+
+    /// The seed that keeps heal grace in `membership.rs`. When a heal
+    /// closes the links it drops at once instead of letting them linger
+    /// half a timeout (`apply_churn`), full-size mixed seed 1419 times out
+    /// detecting a crash under corroboration (its reporters' waves cross
+    /// the links the heal closed), and so do full mixed 1009 and quick
+    /// mixed 1419.
+    #[test]
+    fn sim_full_mixed_seed_1419_needs_heal_grace() {
+        assert_green(1419, false, Family::Mixed);
+    }
+
+    /// The seed that keeps grave probes (`NodeCore::reconcile` dialing the
+    /// members its replica holds crashed): without them, full-size
+    /// partition seed 36 runs past the horizon, the first of 66 full and
+    /// 80 quick runs that go red.
+    #[test]
+    fn sim_full_partition_seed_36_needs_grave_probes() {
+        assert_green(36, false, Family::Partition);
+    }
+
+    /// The seed that keeps a dead notice about an incarnation this node has
+    /// already left unanswered (`Membership::on_frame`): answering every
+    /// notice, quick mixed seed 1079 times out detecting a crash under
+    /// corroboration (no other run of either sweep goes red).
+    #[test]
+    fn sim_quick_mixed_seed_1079_needs_left_incarnations_unanswered() {
+        assert_green(1079, true, Family::Mixed);
     }
 
     /// Full-size partition seed 246 went red without heal grace until idle
@@ -1034,13 +1072,12 @@ mod tests {
     /// 51 — a grave probe from the higher id was hung up on before its dead
     /// notice crossed; 60 — a heal closed the links the other victim's
     /// crash wave was crossing; 191 — a membership snapshot a degraded
-    /// node could install, gone with the snapshot. Since crash and join
-    /// waves ride the reliable plane, 51 is the pin for grave probes: it
-    /// fails to reconverge after its partition heals with them taken out.
-    /// Since idle links beat on one phase and a grace lives only on an up
-    /// link, 191 goes red without the outside-caller grace (51's fix; full
+    /// node could install, gone with the snapshot. From crash and join
+    /// waves on the reliable plane until membership became a lattice of
+    /// incarnations, 51 was the pin for grave probes; full partition 36 is
+    /// now. 191 goes red without the outside-caller grace (51's fix; full
     /// partition 31 pins it); none goes red without heal grace (60's fix;
-    /// full partition 226 pins it) or stale-veto lifting.
+    /// full mixed 1419 pins it), grave probes or stale-veto lifting.
     #[test]
     fn sim_seeds_that_found_membership_wedges_stay_green() {
         for seed in [51, 60, 191] {

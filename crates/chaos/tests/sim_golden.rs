@@ -18,15 +18,17 @@
 
 use lhg_chaos::{run_sim_chaos, FaultPlan};
 
-/// Fingerprint of the 20 report lines. Re-recorded on purpose when a
-/// node's idle-link heartbeats and summary rounds moved onto its
-/// heartbeat-period tick (every link's heartbeat on one phase, a held list
-/// at the tick nearest its old slot, the summary round every
-/// `summary_every`-th beat) and a link's redial and grace moved
-/// into its link state (a grace asked for a link that is not up is
-/// dropped, a link that comes up starts with neither): every run moves its
-/// heartbeat counts, and some their end times.
-/// (Before: `0x80e9_2afd_66c1_5f7a`, crash and join waves on the reliable
+/// Fingerprint of the 20 report lines. Re-recorded on purpose when
+/// membership became a lattice of incarnations: crash-class bytes move
+/// because every crash wave and dead notice now carries its victim's
+/// incarnation as a one-varint payload, and crash and join frame counts
+/// move because a report or join about an incarnation the member's entry
+/// already dominates is stale (acked, never relayed) and a dead notice about
+/// an incarnation already answered gets no `JOIN`.
+/// (Before: `0x7642_d388_a96d_c5b0`, idle-link heartbeats and summary
+/// rounds on the heartbeat-period tick, a link's redial and grace in its
+/// link state;
+/// `0x80e9_2afd_66c1_5f7a`, crash and join waves on the reliable
 /// plane, crash vouching and the direct `JOIN`s gone, a heal's grace a
 /// floor under any grace running;
 /// `0x4bcf_4342_670c_6365`, the compact frame head;
@@ -42,7 +44,7 @@ use lhg_chaos::{run_sim_chaos, FaultPlan};
 /// `0x009c_385a_8797_f0ce`, the core naming its next deadline,
 /// `0xe020_352a_c204_5d04`, control traffic riding the data, and
 /// `0x376b_bec3_de79_9423`, the one chaos interpreter.)
-const GOLDEN_FNV1A: u64 = 0x7642_d388_a96d_c5b0;
+const GOLDEN_FNV1A: u64 = 0xa67b_f804_4bd4_6f25;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

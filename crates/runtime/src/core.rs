@@ -497,7 +497,7 @@ impl NodeCore {
         let sweep = self.reliable.pending().then_some(quiet);
         let timeout = self.timeout_us;
         let m = &self.membership;
-        let silent = (m.desired().difference(m.crashes_applied())).map(|p| {
+        let silent = (m.desired().iter().filter(|&&p| !m.is_excommunicated(p))).map(|p| {
             let seen = self.peers.get(p).and_then(|r| r.last_seen);
             seen.map_or(self.now, |t| t + timeout + 1)
         });
@@ -902,7 +902,7 @@ impl NodeCore {
             self.count("runtime.summaries_sent");
         }
         let m = &self.membership;
-        if m.crashes_applied().is_empty() {
+        if m.excommunicated().next().is_none() {
             self.reliable.retire(m.desired().iter().copied());
         }
         let retained = self.reliable.retained_bytes();
@@ -951,7 +951,7 @@ impl NodeCore {
         let now = self.now;
         let mut suspects = Vec::new();
         let m = &self.membership;
-        for &peer in m.desired().difference(m.crashes_applied()) {
+        for &peer in m.desired().iter().filter(|&&p| !m.is_excommunicated(p)) {
             let r = self.peers.entry(peer).or_default();
             // A peer we have never heard from starts its grace period now;
             // this also covers crash-before-connect (dials keep failing).
@@ -997,7 +997,7 @@ impl NodeCore {
             .filter(|peer| {
                 !probe_all
                     && (self.peers.get(peer)).is_none_or(|r| r.link.deadline().is_none())
-                    && (m.crashes_applied().contains(peer)
+                    && (m.is_excommunicated(*peer)
                         || (self.id < *peer && !m.desired().contains(peer)))
             })
             .collect();
@@ -1021,10 +1021,9 @@ impl NodeCore {
             // of an old crash wave for a **non-neighbor**, where no link
             // exists over which the dead-notice → `JOIN` repair could run.
             // The link-up handler sends the dead notice on contact.
-            (m.desired().iter())
-                .filter(|p| self.id < **p && !m.crashes_applied().contains(p))
-                .chain(m.crashes_applied())
-                .copied()
+            (m.desired().iter().copied())
+                .filter(|&p| self.id < p && !m.is_excommunicated(p))
+                .chain(m.excommunicated())
                 .filter(due)
                 .collect()
         };

@@ -3,30 +3,25 @@
 //! long as every replica heals around the same crashes.
 //!
 //! [`Membership`] is inputs in, effects out, like the [`NodeCore`] that owns
-//! it. Its inputs are the node's own detector verdicts (`suspect`), a
-//! peer's frames (`on_frame`, which also rules on crash and join waves),
-//! the waves the reliable plane hands back fresh (`on_wave`), and links
-//! coming up (`on_link_up`). It appends what the node must carry out, in
-//! order, to a sink the node reuses (`Effect`): waves, dead notices, the
-//! replica's new view with the grace and dials its churn asks for,
-//! excommunications, readmissions and reconcile passes. It owns:
+//! it: detector verdicts (`suspect`), a peer's frames (`on_frame`, which
+//! rules on crash and join waves), the waves the reliable plane hands back
+//! fresh (`on_wave`) and links coming up (`on_link_up`) in; what the node
+//! must carry out, in order, out (`Effect`). It owns:
 //!
-//! * **the replica** — the overlay, the neighbors it wants, the members it
-//!   has declared crashed, and an epoch that moves with any of them;
-//! * **control waves** — crash/join announcements, each under a fresh
-//!   nonce, which the node carries on its reliable plane like data: once
-//!   sent, a wave arrives;
+//! * **the replica** — the overlay, the neighbors it wants, and one entry
+//!   per member (its incarnation, whether it crashed in it, the reports
+//!   pending against it), merged as a join-semilattice: the replica is the
+//!   join of the waves heard, in whatever order they came;
+//! * **control waves** — crash/join announcements under fresh nonces, on
+//!   the node's reliable plane like data: once sent, a wave arrives;
 //! * **corroboration** — under a byzantine setup a remote report applies
-//!   only once f+1 distinct origins vouch for it and the victim is not
-//!   demonstrably alive on a direct link;
-//! * **healing** — `crash_many` on the replica, the churn it returns turned
-//!   into grace and dials, degraded mode once ≥ k members are
-//!   excommunicated (heal nothing, probe everyone);
-//! * **rejoin** — dead notices, each answered with a `JOIN` announcement.
-//!
-//! It asks its node (`Host`) what only the link records know: the time,
-//! whether any link is up, and whether a member is directly live (its link
-//! up, and a frame on it within the suspicion timeout).
+//!   once f+1 distinct origins name the same incarnation and the victim is
+//!   not demonstrably alive on a direct link;
+//! * **healing** — `crash_many` on the replica, its churn turned into grace
+//!   and dials; degraded (heal nothing, probe everyone) once ≥ k members
+//!   are excommunicated;
+//! * **rejoin** — the first dead notice about each incarnation answered
+//!   with a `JOIN` announcement that starts the next.
 //!
 //! [`NodeCore`]: crate::core::NodeCore
 
@@ -50,14 +45,12 @@ pub(crate) enum Effect {
     Send(MemberId, Message),
     /// Originate the wave on the reliable plane, to every live link.
     Wave(Message),
-    /// Leave the link to the peer up, wanted or not, until at least then;
-    /// nothing if it is not up.
+    /// Leave the link to the peer up, if it is, wanted or not, until at least then.
     Grace(MemberId, u64),
     /// Dial the peer: a link the churn added, on the dialer side.
     Dial(MemberId),
-    /// The replica changed under churn; this is the new one. A join that
-    /// also lifts degraded mode changes it twice, and the node re-sizes its
-    /// Bracha view to each.
+    /// The replica changed under churn; this is the new one, to re-size the
+    /// Bracha view to (twice for a join that also lifts degraded mode).
     View(Arc<DynamicOverlay>),
     /// The member is excommunicated: drop its link and what was queued for it.
     Excommunicate(MemberId),
@@ -92,56 +85,73 @@ pub(crate) struct Host<'a> {
     pub out: &'a mut Vec<Effect>,
 }
 
+/// One member as this replica knows it. Entries merge by a max on
+/// `(incarnation, crashed)`: a later incarnation beats anything said about
+/// an earlier one, and within one `Crashed` beats `Alive`.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct Life {
+    /// Where the latest applied `JOIN` started it ([`wire::incarnation`]).
+    incarnation: u64,
+    crashed: bool,
+    /// Reports short of corroboration: (incarnation named, reporter).
+    reporters: BTreeSet<(u64, MemberId)>,
+}
+
+impl Life {
+    /// Whether merging `(incarnation, crashed)` in would change nothing.
+    fn dominates(&self, incarnation: u64, crashed: bool) -> bool {
+        (incarnation, crashed) <= (self.incarnation, self.crashed)
+    }
+
+    /// Merges `(incarnation, crashed)` in, dropping the reports it moves
+    /// past; whether the entry moved.
+    fn merge(&mut self, incarnation: u64, crashed: bool) -> bool {
+        if self.dominates(incarnation, crashed) {
+            return false;
+        }
+        let at = (incarnation, crashed);
+        (self.incarnation, self.crashed) = at;
+        self.reporters.retain(|&(i, _)| (i, true) > at);
+        true
+    }
+
+    /// Distinct reporters of a crash in `incarnation`.
+    fn voices(&self, incarnation: u64) -> usize {
+        let of = (incarnation, 0)..=(incarnation, MemberId::MAX);
+        self.reporters.range(of).count()
+    }
+}
+
 /// Who this node believes is a member, and what it does about it; see the
 /// module docs.
 pub struct Membership {
     id: MemberId,
-    /// The overlay's connectivity parameter, cached at boot: ≥ k applied
-    /// crashes means the failure budget is blown and healing must stop.
-    k: usize,
     timeout_us: u64,
     metrics: Arc<MetricsRegistry>,
     recorder: Arc<FlightRecorder>,
-    /// This node's overlay replica (shared with whoever the driver
-    /// published it to; copied on the next write), the neighbors it wants
-    /// (cached from the replica) and the members it has declared crashed
-    /// and healed around. `view_epoch` moves whenever replica or crash set
-    /// change, so a driver republishes them only then.
+    /// The replica (shared with whoever the driver published it to; copied
+    /// on write), the neighbors it wants, and each member's entry, this
+    /// node's own included (none: never joined, never reported).
+    /// `view_epoch` moves with the replica and the crashed members.
     overlay: Arc<DynamicOverlay>,
     desired: BTreeSet<MemberId>,
-    crashed: BTreeSet<MemberId>,
+    lives: BTreeMap<MemberId, Life>,
     view_epoch: u64,
     degraded: bool,
-    /// Set for the whole rejoin of a rejoin boot: until the `JOIN`
-    /// announcement has gone.
+    /// From a rejoin boot until its `JOIN` announcement has gone; an
+    /// announcement to send as soon as a link is up.
     rejoining: bool,
-    /// Send a `JOIN` announcement as soon as at least one link is up.
     pending_join_announce: bool,
-    /// Set when a crash is first applied; cleared (and timed) once every
-    /// desired link is re-established.
+    /// From a crash applied until every desired link is up again (timed).
     healing_since: Option<u64>,
-    /// The number of distinct crash reporters required before a CRASH wave
-    /// is applied: f+1 under a byzantine setup (so the f
-    /// traitors alone can never excommunicate anyone), 1 otherwise (the
-    /// crash-only fault model trusts every report).
+    /// Reporters of one (victim, incarnation) before their reports stand:
+    /// f+1 under a byzantine setup (f traitors alone excommunicate nobody).
     crash_quorum: usize,
-    /// Corroborated suspicion: distinct wave origins that have reported
-    /// each victim crashed ([`Self::note_crash_report`]).
-    crash_reporters: BTreeMap<MemberId, BTreeSet<MemberId>>,
+    /// What each wave's nonce is made of ([`Self::fresh_wave_nonce`]).
     life: u32,
-    /// Per-life wave counter; with `life` it forms each wave's nonce.
     wave_seq: u16,
-    /// After answering a dead notice, ignore further ones until this time
-    /// (they are echoes of the state being repaired).
-    rejoin_cooldown: Option<u64>,
     /// Last time a dead notice went to each peer (rate limiting).
     notice_sent: BTreeMap<MemberId, u64>,
-    /// The nonce of each member's latest `JOIN` applied here: its waves
-    /// under an older nonce were sent before it rejoined.
-    joined: BTreeMap<MemberId, u32>,
-    /// The peers that sent us a dead notice since our last answer
-    /// (byzantine runs).
-    notifiers: BTreeSet<MemberId>,
 }
 
 impl Membership {
@@ -154,29 +164,27 @@ impl Membership {
         metrics: Arc<MetricsRegistry>,
         recorder: Arc<FlightRecorder>,
     ) -> Self {
-        let desired = overlay.neighbors_of(id).unwrap_or_default();
+        let (desired, mut lives) = (overlay.neighbors_of(id), BTreeMap::<_, Life>::new());
+        for &m in &opts.initial_crashes {
+            lives.entry(m).or_default().merge(0, true);
+        }
         Membership {
             id,
-            k: overlay.k(),
             timeout_us: us(config.heartbeat_timeout),
             metrics,
             recorder,
             overlay: Arc::new(overlay),
-            desired: desired.into_iter().collect(),
-            crashed: opts.initial_crashes,
+            desired: desired.into_iter().flatten().collect(),
+            lives,
             view_epoch: 1,
             degraded: false,
             rejoining: opts.announce_join,
             pending_join_announce: opts.announce_join,
             healing_since: None,
             crash_quorum: config.byzantine.as_ref().map_or(1, |s| s.f + 1),
-            crash_reporters: BTreeMap::new(),
             life: opts.life,
             wave_seq: 0,
-            rejoin_cooldown: None,
             notice_sent: BTreeMap::new(),
-            joined: BTreeMap::new(),
-            notifiers: BTreeSet::new(),
         }
     }
 
@@ -188,8 +196,17 @@ impl Membership {
 
     /// Members this node has declared crashed and healed around.
     #[must_use]
-    pub fn crashes_applied(&self) -> &BTreeSet<MemberId> {
-        &self.crashed
+    pub fn crashes_applied(&self) -> BTreeSet<MemberId> {
+        self.excommunicated().collect()
+    }
+
+    /// [`Self::crashes_applied`], uncollected.
+    pub(crate) fn excommunicated(&self) -> impl Iterator<Item = MemberId> + '_ {
+        (self.lives.iter()).filter_map(|(&m, life)| life.crashed.then_some(m))
+    }
+
+    pub(crate) fn is_excommunicated(&self, member: MemberId) -> bool {
+        self.lives.get(&member).is_some_and(|life| life.crashed)
     }
 
     /// Moves whenever [`Self::overlay`] or [`Self::crashes_applied`] change.
@@ -216,9 +233,8 @@ impl Membership {
     }
 
     /// `true` while the node is repairing membership knowledge (degraded,
-    /// or holding an unannounced join): its notion of "desired" cannot be
-    /// trusted, so it probes **every** known member — any live peer is a
-    /// way back in.
+    /// or holding an unannounced join): it probes **every** known member,
+    /// since any live peer is a way back in.
     pub(crate) fn probe_all(&self) -> bool {
         self.degraded || self.pending_join_announce
     }
@@ -231,9 +247,16 @@ impl Membership {
         self.recorder.record_at(now, kind);
     }
 
-    /// An empty-payload control frame from this node.
-    fn control(&self, id: u64) -> Message {
-        Message::new(id, self.id as u32, Bytes::new())
+    fn incarnation(&self, member: MemberId) -> u64 {
+        self.lives.get(&member).map_or(0, |life| life.incarnation)
+    }
+
+    /// A freshly-nonced `CRASH(victim)` from this node, naming the victim's
+    /// incarnation as this node knows it: a wave or a dead notice.
+    fn crash_report(&mut self, victim: MemberId) -> Message {
+        let id = wire::crash_id(victim, self.fresh_wave_nonce());
+        let payload = wire::incarnation_payload(self.incarnation(victim));
+        Message::new(id, self.id as u32, payload)
     }
 
     /// A frame from `from`. An excommunicated sender is held on to and told
@@ -246,23 +269,36 @@ impl Membership {
         kind: FrameKind,
         host: &mut Host,
     ) -> Wave {
-        let excommunicated = self.crashed.contains(&from);
+        let excommunicated = self.is_excommunicated(from);
         if excommunicated {
-            host.out
-                .push(Effect::Grace(from, host.now + self.timeout_us));
+            (host.out).push(Effect::Grace(from, host.now + self.timeout_us));
             self.dead_notice(from, host);
         }
-        let (origin, nonce) = (MemberId::from(msg.origin), wire::nonce_of(msg.broadcast_id));
-        let stale = |m| self.joined.get(&m).is_some_and(|&n| nonce < n);
+        // A crash report names the incarnation it is about, or is refused.
+        let named = match kind {
+            FrameKind::Crash(_) => wire::incarnation_of(&msg.payload),
+            FrameKind::Join(_) => Some(0),
+            _ => return Wave::Refused,
+        };
+        let Some(named) = named else {
+            self.count("runtime.malformed_frames");
+            return Wave::Refused;
+        };
+        let (origin, sent_in) = (msg.origin.into(), wire::incarnation(msg.broadcast_id));
+        let dominated = |m, i, crashed| self.lives.get(&m).is_some_and(|l| l.dominates(i, crashed));
         match kind {
-            // A dead notice: the sender excommunicated *us*. Never relayed,
-            // never applied — it starts the rejoin path. Under corroboration
-            // only a first-hand notice is a voice: a forged wave about us
-            // that f+1 honest neighbors relayed is still one traitor
-            // speaking.
+            // A dead notice: the sender excommunicated *us*. The first about
+            // this incarnation (under corroboration, the f+1-th first-hand:
+            // a forged wave that honest nodes relay is still one voice) gets
+            // a `JOIN` announcement, which starts the next incarnation, so
+            // the rest of the burst goes unanswered. Degraded or not: every
+            // replica admits a joiner at the same position.
             FrameKind::Crash(victim) if victim == self.id => {
-                if self.crash_quorum == 1 || origin == from {
-                    self.on_excommunication_notice(from, host);
+                let voice = self.crash_quorum == 1 || origin == from;
+                if voice && self.corroborated(victim, named, from) {
+                    host.out.push(Effect::Settle); // the tick due now probes all, or clears the flag
+                    self.pending_join_announce = true;
+                    self.try_announce_join(host);
                 }
                 Wave::Stale
             }
@@ -271,13 +307,18 @@ impl Membership {
             // A revenant may only announce itself.
             FrameKind::Crash(_) if excommunicated => Wave::Refused,
             FrameKind::Join(member) if excommunicated && member != from => Wave::Refused,
-            // A wave from an origin excommunicated here, or older than its
-            // latest join, was sent from a replica this node has since ruled
-            // out: the reliable plane would otherwise hand it on long after.
-            FrameKind::Crash(_) if self.crashed.contains(&origin) || stale(origin) => Wave::Stale,
-            FrameKind::Join(member) if stale(member) => Wave::Stale,
-            FrameKind::Crash(_) | FrameKind::Join(_) => Wave::Take,
-            _ => Wave::Refused,
+            // A wave from an origin excommunicated here, or sent before its
+            // latest join, came from a replica this node has ruled out; and a
+            // report or join the member's entry dominates is old news.
+            FrameKind::Crash(victim)
+                if self.is_excommunicated(origin)
+                    || dominated(origin, sent_in, false)
+                    || dominated(victim, named, true) =>
+            {
+                Wave::Stale
+            }
+            FrameKind::Join(member) if dominated(member, sent_in, false) => Wave::Stale,
+            _ => Wave::Take,
         }
     }
 
@@ -286,25 +327,25 @@ impl Membership {
     pub(crate) fn on_wave(&mut self, from: MemberId, msg: &Message, host: &mut Host) {
         match wire::classify(msg.broadcast_id) {
             FrameKind::Crash(victim) => {
-                let via = from as u32;
-                self.rec(
-                    host.now,
-                    EventKind::CrashReport {
-                        victim: victim as u32,
-                        via,
-                    },
-                );
+                let (v, via) = (victim as u32, from as u32);
+                self.rec(host.now, EventKind::CrashReport { victim: v, via });
                 // The wave's *origin* is the reporter, not the relay: a
                 // traitor flooding forged waves under fresh nonces still
                 // counts as a single voice.
-                self.note_crash_report(victim, MemberId::from(msg.origin), host);
+                let named = wire::incarnation_of(&msg.payload).unwrap_or_default();
+                if self.corroborated(victim, named, msg.origin.into()) {
+                    if self.crash_quorum > 1 && (host.live)(victim) {
+                        // Until that link falls silent too (`lift_stale_vetoes`).
+                        self.count("runtime.crash_vetoes");
+                    } else {
+                        self.apply_crash(victim, named, host);
+                    }
+                }
             }
             FrameKind::Join(member) => {
                 let member32 = member as u32;
                 self.rec(host.now, EventKind::JoinAnnounce { member: member32 });
-                // Newer than any applied before: `on_frame` found it not stale.
-                self.joined.insert(member, wire::nonce_of(msg.broadcast_id));
-                self.apply_join(member, host);
+                self.apply_join(member, wire::incarnation(msg.broadcast_id), host);
             }
             _ => {}
         }
@@ -313,28 +354,23 @@ impl Membership {
     /// A link to `peer` came up (`dialed`: this node dialed it). The grace
     /// it is held open for, if any, and a grave probe's dead notice.
     pub(crate) fn on_link_up(&mut self, peer: MemberId, dialed: bool, host: &mut Host) {
-        if self.crashed.contains(&peer) {
-            // Hold the link open long enough for the rejoin handshake.
-            host.out
-                .push(Effect::Grace(peer, host.now + self.timeout_us));
-            // A grave probe that found its target alive says so at once:
-            // even if the peer's own reconcile pass tears the probe link
-            // down, a healthy peer answers with a `JOIN` wave that reaches
-            // us through the mesh. (Degraded nodes already probe
-            // everyone.)
+        if self.is_excommunicated(peer) {
+            // Held open for the rejoin handshake. A grave probe that found
+            // its target alive says so at once: even if the peer's reconcile
+            // pass tears the probe link down, its `JOIN` wave reaches us
+            // through the mesh. (Degraded nodes already probe everyone.)
+            (host.out).push(Effect::Grace(peer, host.now + self.timeout_us));
             if dialed && !self.probe_all() {
                 self.count("runtime.grave_probes_hit");
                 self.dead_notice(peer, host);
             }
         } else if !dialed && !self.desired.contains(&peer) {
             // Nobody dials outside the overlay without a reason: a grave
-            // probe that found this node alive and has a dead notice to
-            // deliver, a degraded node probing every member for a way
-            // back in. Hanging up at once — the dialer-side teardown, when
-            // this side has the lower id — would leave the caller's stale
-            // exclusion standing for good.
-            host.out
-                .push(Effect::Grace(peer, host.now + 2 * self.timeout_us));
+            // probe with a dead notice to deliver, a degraded node probing
+            // for a way back in. Hanging up at once (the dialer-side
+            // teardown, when this side has the lower id) would leave the
+            // caller's stale exclusion standing for good.
+            (host.out).push(Effect::Grace(peer, host.now + 2 * self.timeout_us));
         }
     }
 
@@ -345,34 +381,8 @@ impl Membership {
         self.rejoining &= self.pending_join_announce;
     }
 
-    /// Reacts to a `CRASH(self)` dead notice from `from`: the notifier is
-    /// wrong about us, so announce a `JOIN`, which the notifier gets like
-    /// every other replica. A degraded node answers the same way: every
-    /// replica admits a joiner at the same canonical position, so its own
-    /// view need not be trusted for the answer to be right.
-    fn on_excommunication_notice(&mut self, from: MemberId, host: &mut Host) {
-        let now = host.now;
-        if self.rejoin_cooldown.is_some_and(|t| now < t) {
-            return; // an earlier notice already started the repair
-        }
-        // Under a byzantine setup a single notice could be a traitor's
-        // forgery; react only once f+1 distinct peers agree we were
-        // excommunicated (a lone traitor cannot trigger rejoin flapping).
-        if self.crash_quorum > 1 {
-            self.notifiers.insert(from);
-            if self.notifiers.len() < self.crash_quorum {
-                return;
-            }
-            self.notifiers.clear();
-        }
-        self.rejoin_cooldown = Some(now + self.timeout_us);
-        host.out.push(Effect::Settle); // the tick due now probes all, or clears the flag
-        self.pending_join_announce = true;
-        self.try_announce_join(host);
-    }
-
-    /// Sends this node's own `JOIN` announcement, under a fresh wave nonce,
-    /// once at least one link is up (announcing into the void would reach
+    /// Sends this node's own `JOIN` announcement, which starts its next
+    /// incarnation, once a link is up (announcing into the void would reach
     /// nobody).
     fn try_announce_join(&mut self, host: &mut Host) {
         if !self.pending_join_announce || !host.linked {
@@ -380,34 +390,36 @@ impl Membership {
         }
         self.pending_join_announce = false;
         let id = wire::join_id(self.id, self.fresh_wave_nonce());
+        (self.lives.entry(self.id).or_default()).merge(wire::incarnation(id), false);
         self.count("runtime.join_announces");
         let member = self.id as u32;
         self.rec(host.now, EventKind::JoinAnnounce { member });
-        host.out.push(Effect::Wave(self.control(id)));
+        (host.out).push(Effect::Wave(Message::new(id, member, Bytes::new())));
     }
 
     /// The next control-wave nonce: this life's cluster-unique ordinal in
-    /// the high half, a per-life counter in the low half. No two waves any
-    /// node ever sends share a nonce (until a single life emits 2^16
-    /// waves, by which time the copies of wave 0 are long drained).
+    /// the high half, a per-life counter in the low half. No two waves share
+    /// a nonce (until one life emits 2^16), and one member's only grow.
     fn fresh_wave_nonce(&mut self) -> u32 {
         let nonce = wire::wave_nonce(self.life, self.wave_seq);
         self.wave_seq = self.wave_seq.wrapping_add(1);
         nonce
     }
 
-    /// Applies a (re)join of `member`: clear its crash state, admit it into
-    /// the overlay at the canonical sorted position, and apply the churn.
-    fn apply_join(&mut self, member: MemberId, host: &mut Host) {
-        if self.crashed.remove(&member) {
-            self.view_epoch += 1;
+    /// Merges a (re)join of `member` in `incarnation`; if that is news,
+    /// admits it into the overlay at the canonical sorted position and
+    /// applies the churn.
+    fn apply_join(&mut self, member: MemberId, incarnation: u64, host: &mut Host) {
+        let life = self.lives.entry(member).or_default();
+        let was_crashed = life.crashed;
+        if !life.merge(incarnation, false) {
+            return;
         }
+        self.view_epoch += u64::from(was_crashed);
         // A rejoined member starts afresh: heard from now, no dial backoff,
-        // no grace, no notice sent — and its pre-join crash reports are
-        // stale evidence.
+        // no grace, no notice sent.
         host.out.push(Effect::Readmit(member));
         self.notice_sent.remove(&member);
-        self.crash_reporters.remove(&member);
         if !self.overlay.contains(member) {
             if let Ok(report) = Arc::make_mut(&mut self.overlay).admit(member) {
                 self.count("runtime.joins_applied");
@@ -419,8 +431,8 @@ impl Membership {
     }
 
     /// Sends a direct `CRASH(peer)` *to* `peer`: "you are excommunicated
-    /// here". Rate-limited so a chatty revenant gets one notice per
-    /// half-timeout, not one per frame.
+    /// here", at most once a half-timeout. Never deduplicated, but a fresh
+    /// nonce keeps it out of any wave's identity space.
     fn dead_notice(&mut self, peer: MemberId, host: &mut Host) {
         let now = host.now;
         if (self.notice_sent.get(&peer)).is_some_and(|&t| now - t < self.timeout_us / 2) {
@@ -428,68 +440,46 @@ impl Membership {
         }
         self.notice_sent.insert(peer, now);
         self.count("runtime.dead_notices");
-        // Dead notices are point-to-point and never deduplicated, but a
-        // fresh nonce keeps them out of any wave's identity space.
-        let id = wire::crash_id(peer, self.fresh_wave_nonce());
-        host.out.push(Effect::Send(peer, self.control(id)));
+        host.out.push(Effect::Send(peer, self.crash_report(peer)));
     }
 
-    /// A corroborated crash report vetoed because its victim was still
-    /// heard on a direct link stands once that link has been silent a full
-    /// timeout as well: each victim whose veto lifts now is healed around,
-    /// with its own reconcile pass. Each report arrives once, and a victim
-    /// outside the desired set — a link kept up past a heal — is not watched
-    /// by this node's own detector, so without this the veto would be for
-    /// good. Idle links beat on their node's heartbeat-period tick, so the
-    /// last frame on a lingering link can trail the reporters' by two periods.
+    /// A corroborated report vetoed because its victim was heard on a direct
+    /// link stands once that link, too, has been silent a full timeout: this
+    /// node's detector watches no link kept up past a heal, so the veto
+    /// would be for good. (A lingering link beats on its node's tick, so its
+    /// last frame can trail the reporters' by two periods.)
     pub(crate) fn lift_stale_vetoes(&mut self, host: &mut Host) {
-        let quorum = self.crash_quorum;
-        let lifted: Vec<MemberId> = (self.crash_reporters.iter())
-            .filter(|(v, reporters)| reporters.len() >= quorum && !self.crashed.contains(v))
-            .map(|(&v, _)| v)
-            .filter(|&v| !(host.live)(v))
+        let lifted: Vec<(MemberId, u64)> = (self.lives.iter())
+            .flat_map(|(&v, life)| life.reporters.iter().map(move |&(i, _)| (v, i, life)))
+            .filter(|&(v, i, life)| life.voices(i) >= self.crash_quorum && !(host.live)(v))
+            .map(|(v, i, _)| (v, i))
             .collect();
-        for victim in lifted {
-            self.apply_crash(victim, host);
+        for (victim, incarnation) in lifted {
+            self.apply_crash(victim, incarnation, host);
         }
     }
 
-    /// Byz-aware corroborated suspicion: records `reporter`'s vote that
-    /// `victim` crashed and applies the crash only once
-    /// [`Self::crash_quorum`] distinct reporters agree **and** the victim
-    /// is not demonstrably alive on a direct link (link up, frames within
-    /// the suspicion timeout). Either guard alone stops a lone traitor:
-    /// forged waves all share the traitor's origin (one voice), and even a
-    /// corroborated-looking wave is vetoed while the victim is still heard
-    /// on a direct link — until that link, too, has been silent a full
-    /// timeout ([`Self::lift_stale_vetoes`]).
-    fn note_crash_report(&mut self, victim: MemberId, reporter: MemberId, host: &mut Host) {
-        let quorum = self.crash_quorum;
-        if quorum <= 1 {
-            self.apply_crash(victim, host);
-            return;
+    /// Records `reporter`'s voice that `victim` crashed in `incarnation`
+    /// (none if the entry dominates it); whether [`Self::crash_quorum`]
+    /// reporters now name it. With the caller's veto on a victim heard on a
+    /// direct link, either guard alone stops a lone traitor: its forged
+    /// waves are one voice, and the victim it frames is still heard.
+    fn corroborated(&mut self, victim: MemberId, incarnation: u64, reporter: MemberId) -> bool {
+        let life = self.lives.entry(victim).or_default();
+        if life.dominates(incarnation, true) {
+            return false;
         }
-        if self.crashed.contains(&victim) {
-            return;
-        }
-        let reporters = self.crash_reporters.entry(victim).or_default();
-        reporters.insert(reporter);
-        if reporters.len() < quorum {
+        life.reporters.insert((incarnation, reporter));
+        let stands = life.voices(incarnation) >= self.crash_quorum;
+        if !stands {
             self.count("runtime.crash_reports_pending");
-            return;
         }
-        if (host.live)(victim) {
-            // Until that link falls silent too (`lift_stale_vetoes`).
-            self.count("runtime.crash_vetoes");
-            return;
-        }
-        self.apply_crash(victim, host);
+        stands
     }
 
     /// Sends a freshly-nonced `CRASH(victim)` wave under this node's origin.
     pub(crate) fn crash_wave(&mut self, victim: MemberId, host: &mut Host) {
-        let id = wire::crash_id(victim, self.fresh_wave_nonce());
-        host.out.push(Effect::Wave(self.control(id)));
+        host.out.push(Effect::Wave(self.crash_report(victim)));
     }
 
     /// Local suspicion: announce the crash to the cluster, then heal.
@@ -501,7 +491,7 @@ impl Membership {
         self.rec(host.now, EventKind::Suspicion { peer });
         self.rec(host.now, EventKind::CrashReport { victim: peer, via });
         self.crash_wave(victim, host);
-        self.apply_crash(victim, host);
+        self.apply_crash(victim, self.incarnation(victim), host);
     }
 
     /// Enters or leaves degraded mode (`active` excommunications), keeping
@@ -519,28 +509,23 @@ impl Membership {
             self.count("runtime.degraded_exits");
             self.rec(now, EventKind::DegradedExit);
         }
-        self.metrics
-            .gauge(&format!("runtime.degraded.n{}", self.id))
-            .set(i64::from(degraded));
+        let gauge = format!("runtime.degraded.n{}", self.id);
+        self.metrics.gauge(&gauge).set(i64::from(degraded));
     }
 
-    /// Removes `victim` from the overlay replica and applies the resulting
-    /// churn: drop removed links, dial added ones. Idempotent per victim.
-    ///
-    /// When this crash pushes the suspect count to ≥ k, the node **stops
-    /// healing** and degrades instead: below the k−1 budget LHG guarantees
-    /// a consistent rebuild, above it a rebuild could partition the replica
-    /// set (e.g. on the minority side of a network split). Degraded nodes
-    /// keep probing every known member until joins bring the count back
-    /// within budget ([`Self::maybe_exit_degraded`]).
-    fn apply_crash(&mut self, victim: MemberId, host: &mut Host) {
-        let now = host.now;
-        // Dead notices (victim == self) are handled before classification.
-        if victim == self.id || !self.crashed.insert(victim) {
+    /// Merges a crash of `victim` in `incarnation`; if that excommunicates
+    /// it, heals the replica around it and applies the churn. A crash that
+    /// makes ≥ k **stops healing** instead (degraded): below the k−1 budget
+    /// LHG guarantees a consistent rebuild, above it a rebuild could split
+    /// the replica set (say, on a partition's minority side). Joins back
+    /// within budget lift it ([`Self::maybe_exit_degraded`]).
+    fn apply_crash(&mut self, victim: MemberId, incarnation: u64, host: &mut Host) {
+        let (now, life) = (host.now, self.lives.entry(victim).or_default());
+        let was_crashed = life.crashed;
+        // This node's own entry holds only dead notices' voices.
+        if victim == self.id || !life.merge(incarnation, true) || was_crashed {
             return;
         }
-        // The reports against the victim have served.
-        self.crash_reporters.remove(&victim);
         self.count("runtime.crashes_applied");
         if self.healing_since.is_none() {
             self.healing_since = Some(now);
@@ -548,15 +533,13 @@ impl Membership {
             self.rec(now, EventKind::HealBegin { victim });
         }
         self.view_epoch += 1;
-        let active = self.crashed.len();
-        let churn = if active >= self.k {
+        let active = self.excommunicated().count();
+        let churn = if active >= self.overlay.k() {
             self.set_degraded(true, active, now);
             None
         } else if self.overlay.contains(victim) {
-            // A below-floor heal is refused atomically; we then keep the
-            // stale topology minus the dead links. Defensive: the failure
-            // model promises at most k-1 crashes, which never hits the
-            // 2k membership floor from n ≥ 2k + (k-1) launches.
+            // Refused below the 2k floor, keeping the stale topology: never
+            // hit by ≤ k − 1 crashes from n ≥ 2k + (k − 1) launches.
             Arc::make_mut(&mut self.overlay).crash_many(&[victim]).ok()
         } else {
             None
@@ -574,11 +557,11 @@ impl Membership {
     /// within the k−1 budget, then applies the heals deferred while the
     /// budget was blown; its caller, [`Self::apply_join`], reconciles.
     fn maybe_exit_degraded(&mut self, host: &mut Host) {
-        if !self.degraded || self.crashed.len() >= self.k {
+        if !self.degraded || self.excommunicated().count() >= self.overlay.k() {
             return;
         }
         self.set_degraded(false, 0, host.now);
-        let crashed = self.crashed.iter().copied();
+        let crashed = self.excommunicated();
         let stale: Vec<MemberId> = crashed.filter(|&m| self.overlay.contains(m)).collect();
         if !stale.is_empty() {
             if let Ok(report) = Arc::make_mut(&mut self.overlay).crash_many(&stale) {
@@ -600,9 +583,7 @@ impl Membership {
         // node at its far end may not have healed yet. Closed at once, four
         // full-size partition seeds of the chaos sweep run past its horizon.
         let until = host.now + self.timeout_us / 2;
-        let linger = report
-            .removed_for(self.id)
-            .map(|peer| Effect::Grace(peer, until));
+        let linger = report.removed_for(self.id).map(|p| Effect::Grace(p, until));
         host.out.extend(linger);
         let added = report.added_for(self.id).filter(|&peer| self.id < peer);
         host.out.extend(added.map(Effect::Dial));
@@ -610,16 +591,14 @@ impl Membership {
 
     /// Closes the healing stopwatch once every desired link is up.
     pub(crate) fn check_healed(&mut self, links: &BTreeSet<MemberId>, now: u64) {
-        let Some(t0) = self.healing_since else { return };
-        if self.desired.is_subset(links) {
-            let took_us = now - t0;
-            self.metrics
-                .histogram("runtime.reconnect_time_us")
-                .record(took_us);
-            self.count("runtime.heals");
-            self.rec(now, EventKind::HealEnd { took_us });
-            self.healing_since = None;
-        }
+        let Some(t0) = self.healing_since.filter(|_| self.desired.is_subset(links)) else {
+            return;
+        };
+        let took_us = now - t0;
+        (self.metrics.histogram("runtime.reconnect_time_us")).record(took_us);
+        self.count("runtime.heals");
+        self.rec(now, EventKind::HealEnd { took_us });
+        self.healing_since = None;
     }
 }
 
@@ -628,6 +607,9 @@ mod tests {
     use std::time::Instant;
 
     use lhg_core::Constraint;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     use super::*;
     use crate::ByzantineSetup;
@@ -669,30 +651,41 @@ mod tests {
         out
     }
 
-    /// A control frame `from` sends under its own origin, handed back as
-    /// news when membership takes it as a wave (the node's plane has not
-    /// seen the id before).
-    fn frame(m: &mut Membership, id: u64, from: MemberId, now: u64, live: bool) -> Vec<Effect> {
-        let (msg, kind) = (
-            Message::new(id, from as u32, Bytes::new()),
-            wire::classify(id),
-        );
-        run(m, now, live, |m, host| {
-            if m.on_frame(from, &msg, kind, host) == Wave::Take {
-                m.on_wave(from, &msg, host);
-            }
-        })
+    /// A control frame under `origin`'s name; a crash report names the
+    /// victim's incarnation `named`.
+    fn control(id: u64, origin: MemberId, named: u64) -> Message {
+        let payload = match wire::classify(id) {
+            FrameKind::Crash(_) => wire::incarnation_payload(named),
+            _ => Bytes::new(),
+        };
+        Message::new(id, origin as u32, payload)
     }
 
-    /// `reporter`'s own wave reporting `victim` crashed.
+    /// `msg` from `from`, handed back as news when membership takes it as a
+    /// wave (the node's plane has not seen the id before): the ruling, and
+    /// what it emitted.
+    fn offer(
+        m: &mut Membership,
+        msg: &Message,
+        from: MemberId,
+        now: u64,
+        live: bool,
+    ) -> (Wave, Vec<Effect>) {
+        let mut wave = Wave::Refused;
+        let fx = run(m, now, live, |m, host| {
+            wave = m.on_frame(from, msg, wire::classify(msg.broadcast_id), host);
+            if wave == Wave::Take {
+                m.on_wave(from, msg, host);
+            }
+        });
+        (wave, fx)
+    }
+
+    /// `reporter`'s own wave reporting `victim` crashed in its first
+    /// incarnation.
     fn report(m: &mut Membership, victim: MemberId, reporter: MemberId, live: bool) -> Vec<Effect> {
-        frame(
-            m,
-            wire::crash_id(victim, reporter as u32),
-            reporter,
-            1_000,
-            live,
-        )
+        let msg = control(wire::crash_id(victim, reporter as u32), reporter, 0);
+        offer(m, &msg, reporter, 1_000, live).1
     }
 
     fn excommunicates(effects: &[Effect], victim: MemberId) -> bool {
@@ -741,32 +734,133 @@ mod tests {
         let fx = report(&mut m, victim, 2, false);
         assert!(excommunicates(&fx, victim));
         assert_eq!(frames(&fx), []);
+        // Voices count per incarnation: two about different lives are none.
+        let join = wire::join_id(6, 9);
+        let life = wire::incarnation(join);
+        offer(&mut m, &control(join, 6, 0), 6, 1_000, false);
+        let mut said = |reporter: MemberId, named| {
+            let msg = control(wire::crash_id(6, reporter as u32), reporter, named);
+            offer(&mut m, &msg, reporter, 1_000, false)
+        };
+        assert_eq!(said(1, life + 1).0, Wave::Take);
+        assert!(!excommunicates(&said(2, life).1, 6));
+        assert!(excommunicates(&said(3, life).1, 6));
     }
 
     #[test]
     fn a_revenant_is_heard_only_on_its_own_join_and_what_it_says_after() {
         let mut m = member(0);
         run(&mut m, 1_000, false, |m, host| m.suspect(7, host));
-        let rule = |m: &mut Membership, id: u64, origin: u32| {
-            let (msg, kind) = (Message::new(id, origin, Bytes::new()), wire::classify(id));
-            let mut wave = Wave::Refused;
-            run(m, 2_000, false, |m, host| {
-                wave = m.on_frame(7, &msg, kind, host);
-                if wave == Wave::Take {
-                    m.on_wave(7, &msg, host);
-                }
-            });
-            wave
-        };
+        let mut rule = |id: u64, origin| offer(&mut m, &control(id, origin, 0), 7, 2_000, false).0;
         let nonce = |seq| wire::wave_nonce(7, seq);
-        assert_eq!(rule(&mut m, wire::crash_id(3, nonce(0)), 7), Wave::Refused);
-        assert_eq!(rule(&mut m, wire::join_id(3, 3 << 16), 3), Wave::Refused);
-        assert_eq!(rule(&mut m, wire::join_id(7, nonce(2)), 7), Wave::Take);
+        assert_eq!(rule(wire::crash_id(3, nonce(0)), 7), Wave::Refused);
+        assert_eq!(rule(wire::join_id(3, 3 << 16), 3), Wave::Refused);
+        assert_eq!(rule(wire::join_id(7, nonce(2)), 7), Wave::Take);
         assert!(m.crashes_applied().is_empty(), "readmitted");
         // What it said before its join is stale; what it says after is news.
-        assert_eq!(rule(&mut m, wire::crash_id(3, nonce(1)), 7), Wave::Stale);
-        assert_eq!(rule(&mut m, wire::join_id(7, nonce(1)), 7), Wave::Stale);
-        assert_eq!(rule(&mut m, wire::crash_id(3, nonce(3)), 7), Wave::Take);
+        let mut rule = |id: u64, origin| offer(&mut m, &control(id, origin, 0), 7, 2_000, false).0;
+        assert_eq!(rule(wire::crash_id(3, nonce(1)), 7), Wave::Stale);
+        assert_eq!(rule(wire::join_id(7, nonce(1)), 7), Wave::Stale);
+        assert_eq!(rule(wire::crash_id(3, nonce(3)), 7), Wave::Take);
+    }
+
+    /// Quick partition seed 101's interleaving: a replica applies member
+    /// 1's `JOIN`, then a `CRASH(1)` that a reporter which never rejoined
+    /// sent about 1's earlier incarnation. The report is stale whoever sent
+    /// it; one about the new incarnation is news.
+    #[test]
+    fn a_report_about_the_life_before_a_join_is_stale_after_it() {
+        let mut m = member(0);
+        let crash = |reporter: MemberId, named| {
+            let id = wire::crash_id(1, wire::wave_nonce(reporter as u32, 0));
+            control(id, reporter, named)
+        };
+        let (_, fx) = offer(&mut m, &crash(2, 0), 2, 1_000, false);
+        assert!(excommunicates(&fx, 1));
+        let join = wire::join_id(1, wire::wave_nonce(16, 0));
+        let (wave, _) = offer(&mut m, &control(join, 1, 0), 1, 2_000, false);
+        assert_eq!(wave, Wave::Take);
+        assert!(m.crashes_applied().is_empty(), "readmitted");
+        let (wave, fx) = offer(&mut m, &crash(3, 0), 3, 3_000, false);
+        assert_eq!(wave, Wave::Stale);
+        assert!(!excommunicates(&fx, 1) && m.crashes_applied().is_empty());
+        let (wave, fx) = offer(&mut m, &crash(4, wire::incarnation(join)), 4, 4_000, false);
+        assert_eq!(wave, Wave::Take);
+        assert!(excommunicates(&fx, 1));
+    }
+
+    /// The replica is the join of the waves heard: one set of crash waves,
+    /// join waves and dead notices, applied in two random orders, leaves
+    /// the same entries and the same crashes applied — and the same overlay
+    /// unless a replica is degraded, since degraded mode keeps whichever
+    /// k-th crash came first in the overlay until a join lifts it. Victims
+    /// are members 1–9 and reporters 10–15, which never crash or rejoin:
+    /// the reporter-side stale rule orders one origin's own waves, not the
+    /// lattice. A dead notice names this node's first incarnation (0), the
+    /// only one a peer can know before this node has answered.
+    #[test]
+    fn the_replica_is_the_join_of_the_waves_heard_in_any_order() {
+        let joined = |x: u32| wire::wave_nonce(16 + x, 0);
+        let life = |x| wire::incarnation(wire::join_id(0, joined(x)));
+        let named = [0, life(0), life(1)];
+        for case in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let f = (case % 2) as usize;
+            let mut waves = Vec::new();
+            for seq in 0..rng.random_range(4..32u16) {
+                let relay = rng.random_range(10..16u64);
+                let reported = |victim| wire::crash_id(victim, wire::wave_nonce(relay as u32, seq));
+                let msg = match rng.random_range(0..4u32) {
+                    0 | 1 => {
+                        let said = named[rng.random_range(0..3usize)];
+                        control(reported(rng.random_range(1..10u64)), relay, said)
+                    }
+                    2 => {
+                        let member = rng.random_range(1..10u64);
+                        control(
+                            wire::join_id(member, joined(rng.random_range(0..2))),
+                            member,
+                            0,
+                        )
+                    }
+                    _ => control(reported(0), relay, 0),
+                };
+                waves.push((msg, relay));
+            }
+            let mut replay = |rng: &mut StdRng| {
+                waves.shuffle(rng);
+                let mut m = member(f);
+                for (msg, from) in &waves {
+                    offer(&mut m, msg, *from, 1_000, false);
+                }
+                m
+            };
+            let (a, b) = (replay(&mut rng), replay(&mut rng));
+            assert_eq!(a.lives, b.lives, "case {case}");
+            assert_eq!(a.crashes_applied(), b.crashes_applied(), "case {case}");
+            if !a.is_degraded() && !b.is_degraded() {
+                assert_eq!(a.overlay().links(), b.overlay().links(), "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_malformed_incarnation_is_refused_counted_and_never_applied() {
+        let mut m = member(0);
+        // Missing, cut short, non-minimal, and a trailing byte.
+        let refused: [&[u8]; 4] = [&[], &[0x80], &[0x80, 0x00], &[0x00, 0x00]];
+        for (seq, raw) in (0..).zip(refused) {
+            // A crash wave about member 5, and a dead notice about this node.
+            for victim in [5, 0] {
+                let id = wire::crash_id(victim, wire::wave_nonce(3, 2 * seq + victim as u16));
+                let msg = Message::new(id, 3, Bytes::copy_from_slice(raw));
+                let (wave, fx) = offer(&mut m, &msg, 3, 1_000, false);
+                assert_eq!(wave, Wave::Refused, "{raw:02x?}");
+                assert!(fx.is_empty(), "{raw:02x?}: {fx:?}");
+            }
+        }
+        assert_eq!(m.metrics.counter("runtime.malformed_frames").get(), 8);
+        assert!(m.lives.is_empty() && !m.pending_join_announce);
     }
 
     #[test]
@@ -789,22 +883,35 @@ mod tests {
         assert_eq!(graced, removed);
     }
 
+    /// One `JOIN` answers every notice about the incarnation it leaves, at
+    /// any time; a notice about the incarnation it starts is answered again.
+    /// Under corroboration the f+1 voices count per incarnation too.
     #[test]
-    fn dead_notices_inside_the_cooldown_coalesce_into_one_answer() {
-        let mut m = member(0);
-        let mut notice = |from: MemberId, now| {
-            let fx = frame(&mut m, wire::crash_id(0, from as u32), from, now, false);
-            frames(&fx)
-                .into_iter()
-                .filter(|f| f.0 == FrameKind::Join(0))
-                .count()
-        };
-        // One announcement, which the notifier gets like everyone else.
-        assert_eq!(notice(1, 1_000), 1);
-        for from in 2..6 {
-            assert_eq!(notice(from, 1_000 + 1_000 * from), 0, "notice from {from}");
+    fn a_dead_notice_about_an_answered_incarnation_goes_unanswered() {
+        for f in [0, 1] {
+            let mut m = member(f);
+            let mut notice = |from: MemberId, named, now| {
+                let msg = control(wire::crash_id(0, from as u32), from, named);
+                let fx = offer(&mut m, &msg, from, now, false).1;
+                (frames(&fx).into_iter())
+                    .filter(|sent| sent.0 == FrameKind::Join(0))
+                    .count()
+            };
+            for from in 1..=f as MemberId {
+                assert_eq!(notice(from, 0, 1_000), 0, "f = {f}: one voice of {}", f + 1);
+            }
+            // One announcement, which the notifier gets like everyone else.
+            assert_eq!(notice(7, 0, 1_000), 1, "f = {f}");
+            for from in 2..6 {
+                assert_eq!(notice(from, 0, from * TIMEOUT), 0, "f = {f}: from {from}");
+            }
+            // The first announcement (nonce 0) started incarnation 1.
+            for from in 1..=f as MemberId {
+                assert_eq!(notice(from, 1, 9 * TIMEOUT), 0);
+            }
+            assert_eq!(notice(8, 1, 9 * TIMEOUT), 1, "f = {f}");
+            assert_eq!(notice(9, 1, 9 * TIMEOUT), 0, "f = {f}");
         }
-        assert_eq!(notice(2, 1_000 + TIMEOUT), 1);
     }
 
     #[test]
@@ -816,7 +923,13 @@ mod tests {
         }
         // The k-th crash is not healed around.
         assert!(m.is_degraded() && m.overlay().contains(11));
-        frame(&mut m, wire::join_id(7, 1 << 16), 7, 2_000, false);
+        offer(
+            &mut m,
+            &control(wire::join_id(7, 1 << 16), 7, 0),
+            7,
+            2_000,
+            false,
+        );
         // Back within budget: the deferred heal applies.
         assert!(!m.is_degraded() && !m.overlay().contains(11));
         assert_eq!(

@@ -634,7 +634,7 @@ impl NodeDriver {
         if core.view_epoch() != self.published_epoch {
             self.published_epoch = core.view_epoch();
             *self.shared.overlay.lock() = Arc::clone(core.overlay());
-            *self.shared.crashes_applied.lock() = core.crashes_applied().clone();
+            *self.shared.crashes_applied.lock() = core.crashes_applied();
         }
         let (degraded, rejoining) = (core.is_degraded(), core.is_rejoining());
         self.shared.degraded.store(degraded, Ordering::SeqCst);

@@ -21,7 +21,9 @@
 //! never set by data traffic; [`crate::Cluster`] enforces the ceiling at
 //! launch ([`MAX_MEMBERS`]).
 
+use bytes::Bytes;
 use lhg_core::overlay::MemberId;
+use lhg_net::varint;
 use lhg_net::wirecost::MessageClass;
 
 pub use lhg_net::reliable::{
@@ -39,8 +41,8 @@ pub const HELLO_TAG: u64 = lhg_net::wirecost::HELLO_TAG;
 /// deduplicated (the same id repeats every period).
 pub const HEARTBEAT_TAG: u64 = lhg_net::wirecost::HEARTBEAT_TAG;
 /// Tag bit of a flooded crash announcement: the member in the low bits
-/// crashed. Each detection floods under a fresh wave nonce; applying a
-/// crash is idempotent, so concurrent detectors' waves coexist harmlessly.
+/// crashed in the incarnation its payload names ([`incarnation_payload`]).
+/// Each detection floods under a fresh wave nonce; applying one is idempotent.
 pub const CRASH_TAG: u64 = lhg_net::wirecost::CRASH_TAG;
 /// Tag bit of a flooded (re)join announcement: the member in the low bits
 /// is (back) in the overlay and every replica must admit it.
@@ -189,10 +191,28 @@ pub fn wave_nonce(life: u32, seq: u16) -> u32 {
     (life << 16) | u32::from(seq)
 }
 
-/// The wave nonce of a crash or join id: one member's later waves compare greater.
+/// The incarnation a crash or join id's sender was in at the latest, where a
+/// `JOIN` starts: its nonce + 1, so 0 (member 0's first nonce) means "never".
 #[must_use]
-pub fn nonce_of(broadcast_id: u64) -> u32 {
-    (broadcast_id >> NONCE_SHIFT) as u32
+pub fn incarnation(broadcast_id: u64) -> u64 {
+    u64::from((broadcast_id >> NONCE_SHIFT) as u32) + 1
+}
+
+/// The payload of a crash wave or a dead notice: the victim's incarnation
+/// as its sender knew it, one varint.
+#[must_use]
+pub fn incarnation_payload(incarnation: u64) -> Bytes {
+    let mut raw = [0u8; varint::MAX_LEN_U64];
+    let n = varint::put(&mut raw, incarnation);
+    Bytes::copy_from_slice(&raw[..n])
+}
+
+/// The incarnation a crash wave's or dead notice's payload names: `None`
+/// unless it is one strict varint with nothing after it.
+#[must_use]
+pub fn incarnation_of(payload: &[u8]) -> Option<u64> {
+    let mut raw = payload;
+    varint::read_u64(&mut raw).filter(|_| raw.is_empty())
 }
 
 #[cfg(test)]
@@ -292,6 +312,23 @@ mod tests {
             classify(join_id((MAX_MEMBERS - 1) as MemberId, u32::MAX)),
             FrameKind::Join((MAX_MEMBERS - 1) as MemberId)
         );
+    }
+
+    #[test]
+    fn an_incarnation_payload_is_one_strict_varint() {
+        for inc in [0, 1, 127, 128, u64::from(u32::MAX) + 1, u64::MAX] {
+            let payload = incarnation_payload(inc);
+            assert_eq!(payload.len(), varint::len(inc));
+            assert_eq!(incarnation_of(&payload), Some(inc));
+        }
+        // Missing, cut short, padded (non-minimal) or with a byte behind it.
+        let refused: [&[u8]; 5] = [&[], &[0x80], &[0x80, 0x00], &[0x00, 0x00], &[0x05, 0x01]];
+        for raw in refused {
+            assert_eq!(incarnation_of(raw), None, "{raw:02x?}");
+        }
+        // A join's incarnation is its nonce + 1: member 0's first is 1.
+        assert_eq!(incarnation(join_id(0, wave_nonce(0, 0))), 1);
+        assert_eq!(incarnation(crash_id(7, u32::MAX)), 1 << 32);
     }
 
     mod wave_nonce_props {

@@ -168,9 +168,11 @@ fn isolate_heal_reconverge(c: &Cluster, inj: &FaultInjector) {
 /// An excommunicated-but-alive node hears about its own "death" in a burst
 /// of dead notices once its partition heals — one from every peer that
 /// sees its traffic, repeated each heartbeat until it is re-admitted.
-/// `rejoin_cooldown` must coalesce that burst into a bounded number of
-/// repair rounds: without it, every single notice would start a fresh
-/// `JOIN` exchange and the revenant would flap.
+/// The burst must coalesce into a bounded number of repair rounds: a
+/// notice names the incarnation its sender knows, and one `JOIN` answers
+/// every notice about the incarnation it leaves. Answering every single
+/// notice would start a fresh `JOIN` exchange each and the revenant would
+/// flap.
 #[test]
 fn dead_notice_burst_coalesces_into_bounded_repairs() {
     let inj = Arc::new(FaultInjector::new(0xBADD1E));
@@ -182,13 +184,13 @@ fn dead_notice_burst_coalesces_into_bounded_repairs() {
     // The degraded victim answers its notices with JOIN announcements...
     let announces = c.metrics().counter("runtime.join_announces").get();
     assert!(announces >= 1, "the victim announced itself at least once");
-    // ...and the cooldown held the notice burst down to a handful of
-    // repair rounds. Notices arrive every heartbeat period (10ms) from
-    // many peers; one announcement per cooldown window (250ms) is the
-    // designed pace, so anything near one-per-notice is a flap.
+    // ...and the burst came down to a handful of repair rounds. Notices
+    // arrive every heartbeat period (10ms) from many peers; one
+    // announcement per incarnation they name is the designed pace, so
+    // anything near one-per-notice is a flap.
     assert!(
         announces <= 6,
-        "dead-notice burst must coalesce under rejoin_cooldown, saw {announces} JOIN announces"
+        "dead-notice burst must coalesce per incarnation, saw {announces} JOIN announces"
     );
 
     let id = c
@@ -201,13 +203,13 @@ fn dead_notice_burst_coalesces_into_bounded_repairs() {
     c.shutdown();
 }
 
-/// The cooldown must *expire* correctly when repair frames are lost: with
-/// a seeded injector dropping a quarter of the victim's link traffic, a
-/// direct `JOIN` or a copy of its flood can vanish. Post-cooldown notices
-/// must then restart the exchange until it lands — degraded-but-never-
-/// wedged — in a bounded number of rounds, with replicas reconverged.
+/// The repair must land when its frames are lost: with a seeded injector
+/// dropping a quarter of the victim's link traffic, a copy of a `JOIN`
+/// wave or of a dead notice can vanish. The reliable plane re-sends what
+/// was lost, and the exchange lands — degraded-but-never-wedged — in a
+/// bounded number of rounds, with replicas reconverged.
 #[test]
-fn rejoin_cooldown_expires_and_repair_survives_lossy_links() {
+fn repair_survives_lossy_links_in_bounded_rounds() {
     let mut inj = FaultInjector::new(0x10_55_1E);
     let lossy = LinkFaults {
         drop: 0.25,
@@ -226,8 +228,8 @@ fn rejoin_cooldown_expires_and_repair_survives_lossy_links() {
 
     isolate_heal_reconverge(&c, &inj);
 
-    // Lossy repairs may take several cooldown windows, but still orders
-    // of magnitude fewer rounds than one-per-notice.
+    // Lossy repairs may take several rounds, but still orders of
+    // magnitude fewer than one-per-notice.
     let announces = c.metrics().counter("runtime.join_announces").get();
     println!("join announces: {announces}");
     assert!(

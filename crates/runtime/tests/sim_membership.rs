@@ -186,7 +186,8 @@ fn frame_crash_traitor_and_forged_notice_move_nobody() {
         let cfg = one_traitor(15, TraitorBehavior::FrameCrash);
         let mut c = launch(N, cfg, 11);
         c.run_until(800 * MS);
-        let notice = Message::new(wire::crash_id(1, 0xdead), 15, Bytes::new());
+        let named = wire::incarnation_payload(0);
+        let notice = Message::new(wire::crash_id(1, 0xdead), 15, named);
         let (from, msg) = (15, notice);
         c.inject(1, SimInput::Wire { from, msg });
         c.run_until(1_500 * MS);
@@ -712,7 +713,7 @@ fn a_dead_notice_is_never_relayed_or_stored() {
 
     let (mut core, links) = linked_core(BTreeSet::new(), &[]);
     let (from, notice) = (links[0], wire::crash_id(0, 0xdead));
-    let msg = Message::new(notice, from as u32, Bytes::new());
+    let msg = Message::new(notice, from as u32, wire::incarnation_payload(0));
     let mut out = Vec::new();
     core.handle(Event::Frame { from, msg }, MS, &mut out);
     let announce = |a: &lhg_runtime::core::Action| match a {
@@ -742,7 +743,13 @@ fn a_wave_from_an_excommunicated_sender_is_not_relayed() {
     let revenant: MemberId = 9;
     let (mut core, links) = linked_core([revenant].into(), &[revenant]);
     let mut wave = |id: u64, seq: u64| {
-        let msg = Message::new(id, revenant as u32, Bytes::new()).with_link_seq(seq);
+        let crash = matches!(wire::classify(id), wire::FrameKind::Crash(_));
+        let named = if crash {
+            wire::incarnation_payload(0)
+        } else {
+            Bytes::new()
+        };
+        let msg = Message::new(id, revenant as u32, named).with_link_seq(seq);
         let mut out = Vec::new();
         core.handle(
             Event::Frame {
