@@ -960,7 +960,7 @@ mod tests {
     /// last frame a few ms after the reporters' links did — and nothing
     /// re-evaluated the veto, nor watched that link. `lift_stale_vetoes`
     /// was the fix. Taking it out no longer turns this seed red (full-size
-    /// 239 below does), so it stays as a mixed run that
+    /// 744 below does), so it stays as a mixed run that
     /// must stay green.
     #[test]
     fn sim_quick_mixed_seed_169_lifts_a_stale_crash_veto() {
@@ -987,20 +987,20 @@ mod tests {
 
     /// Full-size mixed seed 239 went red without `lift_stale_vetoes` until
     /// membership became a lattice of incarnations; it no longer does (full
-    /// mixed 99 pins the mechanism now). A replay that must stay green, under
-    /// its old name.
+    /// mixed 744 pins the mechanism now). A replay that must stay green,
+    /// under its old name.
     #[test]
     fn sim_full_mixed_seed_239_needs_stale_vetoes_lifted() {
         assert_green(239, false, Family::Mixed);
     }
 
     /// The seed that keeps `lift_stale_vetoes` in `membership.rs`. With it
-    /// taken out, full-size mixed seed 99 times out detecting a crash under
-    /// corroboration, and so do full 744 and 1654 and quick 514, 1489, 1654
-    /// and 1994.
+    /// taken out, full-size mixed seed 744 times out detecting a crash
+    /// under corroboration, and so do full 844 and quick 234, 939, 1214 and
+    /// 1719.
     #[test]
-    fn sim_full_mixed_seed_99_needs_stale_vetoes_lifted() {
-        assert_green(99, false, Family::Mixed);
+    fn sim_full_mixed_seed_744_needs_stale_vetoes_lifted() {
+        assert_green(744, false, Family::Mixed);
     }
 
     /// Full-size partition seed 226 ran past the horizon without heal grace
@@ -1025,19 +1025,21 @@ mod tests {
 
     /// The seed that keeps grave probes (`NodeCore::reconcile` dialing the
     /// members its replica holds crashed): without them, full-size
-    /// partition seed 36 runs past the horizon, the first of 66 full and
-    /// 80 quick runs that go red.
+    /// partition seed 36 runs past the horizon, the first of 69 full and
+    /// 82 quick runs that go red.
     #[test]
     fn sim_full_partition_seed_36_needs_grave_probes() {
         assert_green(36, false, Family::Partition);
     }
 
-    /// The seed that keeps a dead notice about an incarnation this node has
-    /// already left unanswered (`Membership::on_frame`): answering every
-    /// notice, quick mixed seed 1079 times out detecting a crash under
-    /// corroboration (no other run of either sweep goes red).
+    /// Quick mixed seed 1079 timed out detecting a crash under
+    /// corroboration when a dead notice about an incarnation its node had
+    /// already left started a new `JOIN`. Such a notice now gets the old
+    /// `JOIN` again, to its notifier alone, and starting a new one instead
+    /// turns no seed red: `runtime_rejoin`'s burst bound and the unit test
+    /// on `Membership` pin that rule. A replay that must stay green.
     #[test]
-    fn sim_quick_mixed_seed_1079_needs_left_incarnations_unanswered() {
+    fn sim_quick_mixed_seed_1079_stays_green() {
         assert_green(1079, true, Family::Mixed);
     }
 
@@ -1051,8 +1053,8 @@ mod tests {
 
     /// The seed that keeps the grace for a caller from outside the overlay
     /// (`Membership::on_link_up`): with it taken out, full-size partition
-    /// seed 31 runs past the virtual-time horizon, the first of 97 full
-    /// and 92 quick runs that go red.
+    /// seed 31 runs past the virtual-time horizon, the first of 94 full
+    /// and 98 quick runs that go red.
     #[test]
     fn sim_full_partition_seed_31_needs_outside_caller_grace() {
         assert_green(31, false, Family::Partition);

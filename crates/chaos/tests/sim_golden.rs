@@ -24,7 +24,8 @@ use lhg_chaos::{run_sim_chaos, FaultPlan};
 /// incarnation as a one-varint payload, and crash and join frame counts
 /// move because a report or join about an incarnation the member's entry
 /// already dominates is stale (acked, never relayed) and a dead notice about
-/// an incarnation already answered gets no `JOIN`.
+/// an incarnation already answered starts no new one: it gets the `JOIN`
+/// that answered it again, sent to the notifier alone.
 /// (Before: `0x7642_d388_a96d_c5b0`, idle-link heartbeats and summary
 /// rounds on the heartbeat-period tick, a link's redial and grace in its
 /// link state;
@@ -44,7 +45,7 @@ use lhg_chaos::{run_sim_chaos, FaultPlan};
 /// `0x009c_385a_8797_f0ce`, the core naming its next deadline,
 /// `0xe020_352a_c204_5d04`, control traffic riding the data, and
 /// `0x376b_bec3_de79_9423`, the one chaos interpreter.)
-const GOLDEN_FNV1A: u64 = 0xa67b_f804_4bd4_6f25;
+const GOLDEN_FNV1A: u64 = 0x67a7_714e_3784_38b6;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

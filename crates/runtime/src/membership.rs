@@ -3,25 +3,35 @@
 //! long as every replica heals around the same crashes.
 //!
 //! [`Membership`] is inputs in, effects out, like the [`NodeCore`] that owns
-//! it: detector verdicts (`suspect`), a peer's frames (`on_frame`, which
-//! rules on crash and join waves), the waves the reliable plane hands back
-//! fresh (`on_wave`) and links coming up (`on_link_up`) in; what the node
-//! must carry out, in order, out (`Effect`). It owns:
+//! it. Its inputs are the node's own detector verdicts (`suspect`), a
+//! peer's frames (`on_frame`, which also rules on crash and join waves),
+//! the waves the reliable plane hands back fresh (`on_wave`), and links
+//! coming up (`on_link_up`). It appends what the node must carry out, in
+//! order, to a sink the node reuses (`Effect`): waves, dead notices, the
+//! replica's new view with the grace and dials its churn asks for,
+//! excommunications, readmissions and reconcile passes. It owns:
 //!
-//! * **the replica** — the overlay, the neighbors it wants, and one entry
-//!   per member (its incarnation, whether it crashed in it, the reports
-//!   pending against it), merged as a join-semilattice: the replica is the
-//!   join of the waves heard, in whatever order they came;
-//! * **control waves** — crash/join announcements under fresh nonces, on
-//!   the node's reliable plane like data: once sent, a wave arrives;
+//! * **the replica** — the overlay, the neighbors it wants, one entry per
+//!   member (its incarnation, whether it crashed in it, the reports pending
+//!   against it), and an epoch that moves with any of them. Entries merge
+//!   as a join-semilattice: the replica is the join of the waves heard, in
+//!   whatever order they came;
+//! * **control waves** — crash/join announcements, each under a fresh
+//!   nonce, which the node carries on its reliable plane like data: once
+//!   sent, a wave arrives;
 //! * **corroboration** — under a byzantine setup a remote report applies
-//!   once f+1 distinct origins name the same incarnation and the victim is
-//!   not demonstrably alive on a direct link;
-//! * **healing** — `crash_many` on the replica, its churn turned into grace
-//!   and dials; degraded (heal nothing, probe everyone) once ≥ k members
-//!   are excommunicated;
+//!   only once f+1 distinct origins vouch for the victim's incarnation and
+//!   the victim is not demonstrably alive on a direct link;
+//! * **healing** — `crash_many` on the replica, the churn it returns turned
+//!   into grace and dials, degraded mode once ≥ k members are
+//!   excommunicated (heal nothing, probe everyone);
 //! * **rejoin** — the first dead notice about each incarnation answered
-//!   with a `JOIN` announcement that starts the next.
+//!   with a `JOIN` announcement that starts the next; a notice about an
+//!   incarnation already left, with that `JOIN` again, to the notifier.
+//!
+//! It asks its node (`Host`) what only the link records know: the time,
+//! whether any link is up, and whether a member is directly live (its link
+//! up, and a frame on it within the suspicion timeout).
 //!
 //! [`NodeCore`]: crate::core::NodeCore
 
@@ -41,16 +51,19 @@ use crate::RuntimeConfig;
 /// What [`Membership`] asks its node to do, in the order it must be done.
 #[derive(Debug)]
 pub(crate) enum Effect {
-    /// Send the frame to the peer if the link is up: a dead notice.
+    /// Send the frame to the peer if the link is up: a dead notice, or this
+    /// node's latest `JOIN` again.
     Send(MemberId, Message),
     /// Originate the wave on the reliable plane, to every live link.
     Wave(Message),
-    /// Leave the link to the peer up, if it is, wanted or not, until at least then.
+    /// Leave the link to the peer up, wanted or not, until at least then;
+    /// nothing if it is not up.
     Grace(MemberId, u64),
     /// Dial the peer: a link the churn added, on the dialer side.
     Dial(MemberId),
-    /// The replica changed under churn; this is the new one, to re-size the
-    /// Bracha view to (twice for a join that also lifts degraded mode).
+    /// The replica changed under churn; this is the new one. A join that
+    /// also lifts degraded mode changes it twice, and the node re-sizes its
+    /// Bracha view to each.
     View(Arc<DynamicOverlay>),
     /// The member is excommunicated: drop its link and what was queued for it.
     Excommunicate(MemberId),
@@ -93,8 +106,10 @@ struct Life {
     /// Where the latest applied `JOIN` started it ([`wire::incarnation`]).
     incarnation: u64,
     crashed: bool,
-    /// Reports short of corroboration: (incarnation named, reporter).
-    reporters: BTreeSet<(u64, MemberId)>,
+    /// Reports short of corroboration: the highest incarnation each reporter
+    /// has named that the entry does not dominate. One slot per reporter,
+    /// however many incarnations it names.
+    reporters: BTreeMap<MemberId, u64>,
 }
 
 impl Life {
@@ -111,14 +126,16 @@ impl Life {
         }
         let at = (incarnation, crashed);
         (self.incarnation, self.crashed) = at;
-        self.reporters.retain(|&(i, _)| (i, true) > at);
+        self.reporters.retain(|_, &mut i| (i, true) > at);
         true
     }
 
-    /// Distinct reporters of a crash in `incarnation`.
-    fn voices(&self, incarnation: u64) -> usize {
-        let of = (incarnation, 0)..=(incarnation, MemberId::MAX);
-        self.reporters.range(of).count()
+    /// The latest incarnation at least `quorum` reporters each name, or one
+    /// after it: where their reports stand, if they do.
+    fn standing(&self, quorum: usize) -> Option<u64> {
+        let mut named: Vec<u64> = self.reporters.values().copied().collect();
+        named.sort_unstable_by(|a, b| b.cmp(a));
+        named.get(quorum.checked_sub(1)?).copied()
     }
 }
 
@@ -126,29 +143,38 @@ impl Life {
 /// module docs.
 pub struct Membership {
     id: MemberId,
+    /// The overlay's connectivity parameter, cached at boot: ≥ k applied
+    /// crashes means the failure budget is blown and healing must stop.
+    k: usize,
     timeout_us: u64,
     metrics: Arc<MetricsRegistry>,
     recorder: Arc<FlightRecorder>,
-    /// The replica (shared with whoever the driver published it to; copied
-    /// on write), the neighbors it wants, and each member's entry, this
-    /// node's own included (none: never joined, never reported).
-    /// `view_epoch` moves with the replica and the crashed members.
+    /// This node's overlay replica (shared with whoever the driver
+    /// published it to; copied on the next write), the neighbors it wants
+    /// (cached from the replica) and each member's entry, this node's own
+    /// included (none: never joined, never reported). `view_epoch` moves
+    /// whenever replica or crashed members change, so a driver republishes
+    /// them only then.
     overlay: Arc<DynamicOverlay>,
     desired: BTreeSet<MemberId>,
     lives: BTreeMap<MemberId, Life>,
     view_epoch: u64,
     degraded: bool,
-    /// From a rejoin boot until its `JOIN` announcement has gone; an
-    /// announcement to send as soon as a link is up.
+    /// Set for the whole rejoin of a rejoin boot: until the `JOIN`
+    /// announcement has gone.
     rejoining: bool,
+    /// Send a `JOIN` announcement as soon as at least one link is up.
     pending_join_announce: bool,
-    /// From a crash applied until every desired link is up again (timed).
+    /// Set when a crash is first applied; cleared (and timed) once every
+    /// desired link is re-established.
     healing_since: Option<u64>,
-    /// Reporters of one (victim, incarnation) before their reports stand:
-    /// f+1 under a byzantine setup (f traitors alone excommunicate nobody).
+    /// The number of distinct reporters required before a crash report
+    /// about one incarnation stands: f+1 under a byzantine setup (so the f
+    /// traitors alone can never excommunicate anyone), 1 otherwise (the
+    /// crash-only fault model trusts every report).
     crash_quorum: usize,
-    /// What each wave's nonce is made of ([`Self::fresh_wave_nonce`]).
     life: u32,
+    /// Per-life wave counter; with `life` it forms each wave's nonce.
     wave_seq: u16,
     /// Last time a dead notice went to each peer (rate limiting).
     notice_sent: BTreeMap<MemberId, u64>,
@@ -164,17 +190,19 @@ impl Membership {
         metrics: Arc<MetricsRegistry>,
         recorder: Arc<FlightRecorder>,
     ) -> Self {
-        let (desired, mut lives) = (overlay.neighbors_of(id), BTreeMap::<_, Life>::new());
+        let desired = overlay.neighbors_of(id).unwrap_or_default();
+        let mut lives = BTreeMap::<_, Life>::new();
         for &m in &opts.initial_crashes {
             lives.entry(m).or_default().merge(0, true);
         }
         Membership {
             id,
+            k: overlay.k(),
             timeout_us: us(config.heartbeat_timeout),
             metrics,
             recorder,
             overlay: Arc::new(overlay),
-            desired: desired.into_iter().flatten().collect(),
+            desired: desired.into_iter().collect(),
             lives,
             view_epoch: 1,
             degraded: false,
@@ -233,8 +261,9 @@ impl Membership {
     }
 
     /// `true` while the node is repairing membership knowledge (degraded,
-    /// or holding an unannounced join): it probes **every** known member,
-    /// since any live peer is a way back in.
+    /// or holding an unannounced join): its notion of "desired" cannot be
+    /// trusted, so it probes **every** known member — any live peer is a
+    /// way back in.
     pub(crate) fn probe_all(&self) -> bool {
         self.degraded || self.pending_join_announce
     }
@@ -245,6 +274,11 @@ impl Membership {
 
     fn rec(&self, now: u64, kind: EventKind) {
         self.recorder.record_at(now, kind);
+    }
+
+    /// An empty-payload control frame from this node.
+    fn control(&self, id: u64) -> Message {
+        Message::new(id, self.id as u32, Bytes::new())
     }
 
     fn incarnation(&self, member: MemberId) -> u64 {
@@ -271,7 +305,8 @@ impl Membership {
     ) -> Wave {
         let excommunicated = self.is_excommunicated(from);
         if excommunicated {
-            (host.out).push(Effect::Grace(from, host.now + self.timeout_us));
+            host.out
+                .push(Effect::Grace(from, host.now + self.timeout_us));
             self.dead_notice(from, host);
         }
         // A crash report names the incarnation it is about, or is refused.
@@ -284,21 +319,18 @@ impl Membership {
             self.count("runtime.malformed_frames");
             return Wave::Refused;
         };
-        let (origin, sent_in) = (msg.origin.into(), wire::incarnation(msg.broadcast_id));
+        let origin = MemberId::from(msg.origin);
+        let sent_in = wire::incarnation(msg.broadcast_id);
         let dominated = |m, i, crashed| self.lives.get(&m).is_some_and(|l| l.dominates(i, crashed));
         match kind {
-            // A dead notice: the sender excommunicated *us*. The first about
-            // this incarnation (under corroboration, the f+1-th first-hand:
-            // a forged wave that honest nodes relay is still one voice) gets
-            // a `JOIN` announcement, which starts the next incarnation, so
-            // the rest of the burst goes unanswered. Degraded or not: every
-            // replica admits a joiner at the same position.
+            // A dead notice: the sender excommunicated *us*. Never relayed,
+            // never applied — it starts the rejoin path. Under corroboration
+            // only a first-hand notice is a voice: a forged wave about us
+            // that f+1 honest neighbors relayed is still one traitor
+            // speaking.
             FrameKind::Crash(victim) if victim == self.id => {
-                let voice = self.crash_quorum == 1 || origin == from;
-                if voice && self.corroborated(victim, named, from) {
-                    host.out.push(Effect::Settle); // the tick due now probes all, or clears the flag
-                    self.pending_join_announce = true;
-                    self.try_announce_join(host);
+                if self.crash_quorum == 1 || origin == from {
+                    self.on_excommunication_notice(from, named, host);
                 }
                 Wave::Stale
             }
@@ -308,8 +340,9 @@ impl Membership {
             FrameKind::Crash(_) if excommunicated => Wave::Refused,
             FrameKind::Join(member) if excommunicated && member != from => Wave::Refused,
             // A wave from an origin excommunicated here, or sent before its
-            // latest join, came from a replica this node has ruled out; and a
-            // report or join the member's entry dominates is old news.
+            // latest join, was sent from a replica this node has since ruled
+            // out: the reliable plane would otherwise hand it on long after.
+            // A report or join the member's entry dominates is old news.
             FrameKind::Crash(victim)
                 if self.is_excommunicated(origin)
                     || dominated(origin, sent_in, false)
@@ -327,20 +360,18 @@ impl Membership {
     pub(crate) fn on_wave(&mut self, from: MemberId, msg: &Message, host: &mut Host) {
         match wire::classify(msg.broadcast_id) {
             FrameKind::Crash(victim) => {
-                let (v, via) = (victim as u32, from as u32);
-                self.rec(host.now, EventKind::CrashReport { victim: v, via });
+                let via = from as u32;
+                self.rec(
+                    host.now,
+                    EventKind::CrashReport {
+                        victim: victim as u32,
+                        via,
+                    },
+                );
                 // The wave's *origin* is the reporter, not the relay: a
                 // traitor flooding forged waves under fresh nonces still
                 // counts as a single voice.
-                let named = wire::incarnation_of(&msg.payload).unwrap_or_default();
-                if self.corroborated(victim, named, msg.origin.into()) {
-                    if self.crash_quorum > 1 && (host.live)(victim) {
-                        // Until that link falls silent too (`lift_stale_vetoes`).
-                        self.count("runtime.crash_vetoes");
-                    } else {
-                        self.apply_crash(victim, named, host);
-                    }
-                }
+                self.note_crash_report(victim, msg, host);
             }
             FrameKind::Join(member) => {
                 let member32 = member as u32;
@@ -355,22 +386,27 @@ impl Membership {
     /// it is held open for, if any, and a grave probe's dead notice.
     pub(crate) fn on_link_up(&mut self, peer: MemberId, dialed: bool, host: &mut Host) {
         if self.is_excommunicated(peer) {
-            // Held open for the rejoin handshake. A grave probe that found
-            // its target alive says so at once: even if the peer's reconcile
-            // pass tears the probe link down, its `JOIN` wave reaches us
-            // through the mesh. (Degraded nodes already probe everyone.)
-            (host.out).push(Effect::Grace(peer, host.now + self.timeout_us));
+            // Hold the link open long enough for the rejoin handshake.
+            host.out
+                .push(Effect::Grace(peer, host.now + self.timeout_us));
+            // A grave probe that found its target alive says so at once:
+            // even if the peer's own reconcile pass tears the probe link
+            // down, a healthy peer answers with a `JOIN` wave that reaches
+            // us through the mesh. (Degraded nodes already probe
+            // everyone.)
             if dialed && !self.probe_all() {
                 self.count("runtime.grave_probes_hit");
                 self.dead_notice(peer, host);
             }
         } else if !dialed && !self.desired.contains(&peer) {
             // Nobody dials outside the overlay without a reason: a grave
-            // probe with a dead notice to deliver, a degraded node probing
-            // for a way back in. Hanging up at once (the dialer-side
-            // teardown, when this side has the lower id) would leave the
-            // caller's stale exclusion standing for good.
-            (host.out).push(Effect::Grace(peer, host.now + 2 * self.timeout_us));
+            // probe that found this node alive and has a dead notice to
+            // deliver, a degraded node probing every member for a way
+            // back in. Hanging up at once — the dialer-side teardown, when
+            // this side has the lower id — would leave the caller's stale
+            // exclusion standing for good.
+            host.out
+                .push(Effect::Grace(peer, host.now + 2 * self.timeout_us));
         }
     }
 
@@ -381,9 +417,40 @@ impl Membership {
         self.rejoining &= self.pending_join_announce;
     }
 
-    /// Sends this node's own `JOIN` announcement, which starts its next
-    /// incarnation, once a link is up (announcing into the void would reach
-    /// nobody).
+    /// Reacts to a `CRASH(self)` dead notice from `from` naming this node's
+    /// incarnation `named`: the notifier is wrong about us, so announce a `JOIN`, which the notifier gets like
+    /// every other replica. A degraded node answers the same way: every
+    /// replica admits a joiner at the same canonical position, so its own
+    /// view need not be trusted for the answer to be right.
+    ///
+    /// The `JOIN` starts the next incarnation, so the rest of the burst
+    /// about the one it left goes unanswered. A notice about an incarnation
+    /// already left comes from a replica that never heard the `JOIN` which
+    /// left it (a revenant booted since): that `JOIN` goes again, to the
+    /// notifier alone, whose own notices pace it.
+    fn on_excommunication_notice(&mut self, from: MemberId, named: u64, host: &mut Host) {
+        let own = self.incarnation(self.id);
+        if named < own {
+            self.count("runtime.joins_resent");
+            let nonce = u32::try_from(own - 1).expect("an incarnation is a u32 nonce + 1");
+            let id = wire::join_id(self.id, nonce);
+            host.out.push(Effect::Send(from, self.control(id)));
+            return;
+        }
+        // Under a byzantine setup a single notice could be a traitor's
+        // forgery; react only once f+1 distinct peers agree we were
+        // excommunicated (a lone traitor cannot trigger rejoin flapping).
+        if self.corroborated(self.id, named, from).is_none() {
+            return;
+        }
+        host.out.push(Effect::Settle); // the tick due now probes all, or clears the flag
+        self.pending_join_announce = true;
+        self.try_announce_join(host);
+    }
+
+    /// Sends this node's own `JOIN` announcement, under a fresh wave nonce,
+    /// once at least one link is up (announcing into the void would reach
+    /// nobody). It starts this node's next incarnation.
     fn try_announce_join(&mut self, host: &mut Host) {
         if !self.pending_join_announce || !host.linked {
             return;
@@ -394,12 +461,14 @@ impl Membership {
         self.count("runtime.join_announces");
         let member = self.id as u32;
         self.rec(host.now, EventKind::JoinAnnounce { member });
-        (host.out).push(Effect::Wave(Message::new(id, member, Bytes::new())));
+        host.out.push(Effect::Wave(self.control(id)));
     }
 
     /// The next control-wave nonce: this life's cluster-unique ordinal in
-    /// the high half, a per-life counter in the low half. No two waves share
-    /// a nonce (until one life emits 2^16), and one member's only grow.
+    /// the high half, a per-life counter in the low half. No two waves any
+    /// node ever sends share a nonce (until a single life emits 2^16
+    /// waves, by which time the copies of wave 0 are long drained), and one
+    /// member's only grow.
     fn fresh_wave_nonce(&mut self) -> u32 {
         let nonce = wire::wave_nonce(self.life, self.wave_seq);
         self.wave_seq = self.wave_seq.wrapping_add(1);
@@ -407,8 +476,8 @@ impl Membership {
     }
 
     /// Merges a (re)join of `member` in `incarnation`; if that is news,
-    /// admits it into the overlay at the canonical sorted position and
-    /// applies the churn.
+    /// clears its crash state, admits it into the overlay at the canonical
+    /// sorted position, and applies the churn.
     fn apply_join(&mut self, member: MemberId, incarnation: u64, host: &mut Host) {
         let life = self.lives.entry(member).or_default();
         let was_crashed = life.crashed;
@@ -417,7 +486,8 @@ impl Membership {
         }
         self.view_epoch += u64::from(was_crashed);
         // A rejoined member starts afresh: heard from now, no dial backoff,
-        // no grace, no notice sent.
+        // no grace, no notice sent — and the merge dropped its pre-join
+        // crash reports as stale evidence.
         host.out.push(Effect::Readmit(member));
         self.notice_sent.remove(&member);
         if !self.overlay.contains(member) {
@@ -431,8 +501,8 @@ impl Membership {
     }
 
     /// Sends a direct `CRASH(peer)` *to* `peer`: "you are excommunicated
-    /// here", at most once a half-timeout. Never deduplicated, but a fresh
-    /// nonce keeps it out of any wave's identity space.
+    /// here". Rate-limited so a chatty revenant gets one notice per
+    /// half-timeout, not one per frame.
     fn dead_notice(&mut self, peer: MemberId, host: &mut Host) {
         let now = host.now;
         if (self.notice_sent.get(&peer)).is_some_and(|&t| now - t < self.timeout_us / 2) {
@@ -440,38 +510,68 @@ impl Membership {
         }
         self.notice_sent.insert(peer, now);
         self.count("runtime.dead_notices");
+        // Dead notices are point-to-point and never deduplicated, but a
+        // fresh nonce keeps them out of any wave's identity space.
         host.out.push(Effect::Send(peer, self.crash_report(peer)));
     }
 
-    /// A corroborated report vetoed because its victim was heard on a direct
-    /// link stands once that link, too, has been silent a full timeout: this
-    /// node's detector watches no link kept up past a heal, so the veto
-    /// would be for good. (A lingering link beats on its node's tick, so its
-    /// last frame can trail the reporters' by two periods.)
+    /// A corroborated crash report vetoed because its victim was still
+    /// heard on a direct link stands once that link has been silent a full
+    /// timeout as well: each victim whose veto lifts now is healed around,
+    /// with its own reconcile pass. Each report arrives once, and a victim
+    /// outside the desired set — a link kept up past a heal — is not watched
+    /// by this node's own detector, so without this the veto would be for
+    /// good. Idle links beat on their node's heartbeat-period tick, so the
+    /// last frame on a lingering link can trail the reporters' by two periods.
     pub(crate) fn lift_stale_vetoes(&mut self, host: &mut Host) {
+        let quorum = self.crash_quorum;
         let lifted: Vec<(MemberId, u64)> = (self.lives.iter())
-            .flat_map(|(&v, life)| life.reporters.iter().map(move |&(i, _)| (v, i, life)))
-            .filter(|&(v, i, life)| life.voices(i) >= self.crash_quorum && !(host.live)(v))
-            .map(|(v, i, _)| (v, i))
+            .filter_map(|(&v, life)| Some((v, life.standing(quorum)?)))
+            .filter(|&(v, _)| !(host.live)(v))
             .collect();
         for (victim, incarnation) in lifted {
             self.apply_crash(victim, incarnation, host);
         }
     }
 
-    /// Records `reporter`'s voice that `victim` crashed in `incarnation`
-    /// (none if the entry dominates it); whether [`Self::crash_quorum`]
-    /// reporters now name it. With the caller's veto on a victim heard on a
-    /// direct link, either guard alone stops a lone traitor: its forged
-    /// waves are one voice, and the victim it frames is still heard.
-    fn corroborated(&mut self, victim: MemberId, incarnation: u64, reporter: MemberId) -> bool {
-        let life = self.lives.entry(victim).or_default();
-        if life.dominates(incarnation, true) {
-            return false;
+    /// Byz-aware corroborated suspicion: records the vote of `msg`'s origin
+    /// that `victim` crashed in the incarnation `msg` names, and applies
+    /// the crash only once
+    /// [`Self::crash_quorum`] distinct reporters agree **and** the victim
+    /// is not demonstrably alive on a direct link (link up, frames within
+    /// the suspicion timeout). Either guard alone stops a lone traitor:
+    /// forged waves all share the traitor's origin (one voice), and even a
+    /// corroborated-looking wave is vetoed while the victim is still heard
+    /// on a direct link — until that link, too, has been silent a full
+    /// timeout ([`Self::lift_stale_vetoes`]).
+    fn note_crash_report(&mut self, victim: MemberId, msg: &Message, host: &mut Host) {
+        let named = wire::incarnation_of(&msg.payload).unwrap_or_default();
+        let Some(at) = self.corroborated(victim, named, MemberId::from(msg.origin)) else {
+            return;
+        };
+        if self.crash_quorum > 1 && (host.live)(victim) {
+            // Until that link falls silent too (`lift_stale_vetoes`).
+            self.count("runtime.crash_vetoes");
+            return;
         }
-        life.reporters.insert((incarnation, reporter));
-        let stands = life.voices(incarnation) >= self.crash_quorum;
-        if !stands {
+        self.apply_crash(victim, at, host);
+    }
+
+    /// Records `by`'s voice that `victim` crashed in `named` (none if the
+    /// entry dominates it). The incarnation where [`Self::crash_quorum`]
+    /// reporters now stand ([`Life::standing`]), if they do: a reporter
+    /// that names a later incarnation vouches that the earlier ones are
+    /// over, so voices stay order-free while each reporter holds one slot
+    /// per victim.
+    fn corroborated(&mut self, victim: MemberId, named: u64, by: MemberId) -> Option<u64> {
+        let life = self.lives.entry(victim).or_default();
+        if life.dominates(named, true) {
+            return None;
+        }
+        let said = life.reporters.entry(by).or_insert(named);
+        *said = (*said).max(named);
+        let stands = life.standing(self.crash_quorum);
+        if stands.is_none() {
             self.count("runtime.crash_reports_pending");
         }
         stands
@@ -509,18 +609,24 @@ impl Membership {
             self.count("runtime.degraded_exits");
             self.rec(now, EventKind::DegradedExit);
         }
-        let gauge = format!("runtime.degraded.n{}", self.id);
-        self.metrics.gauge(&gauge).set(i64::from(degraded));
+        self.metrics
+            .gauge(&format!("runtime.degraded.n{}", self.id))
+            .set(i64::from(degraded));
     }
 
-    /// Merges a crash of `victim` in `incarnation`; if that excommunicates
-    /// it, heals the replica around it and applies the churn. A crash that
-    /// makes ≥ k **stops healing** instead (degraded): below the k−1 budget
-    /// LHG guarantees a consistent rebuild, above it a rebuild could split
-    /// the replica set (say, on a partition's minority side). Joins back
-    /// within budget lift it ([`Self::maybe_exit_degraded`]).
+    /// Merges a crash of `victim` in `incarnation` into its entry; if that
+    /// excommunicates it, removes it from the overlay replica and applies
+    /// the resulting churn: drop removed links, dial added ones.
+    ///
+    /// When this crash pushes the suspect count to ≥ k, the node **stops
+    /// healing** and degrades instead: below the k−1 budget LHG guarantees
+    /// a consistent rebuild, above it a rebuild could partition the replica
+    /// set (e.g. on the minority side of a network split). Degraded nodes
+    /// keep probing every known member until joins bring the count back
+    /// within budget ([`Self::maybe_exit_degraded`]).
     fn apply_crash(&mut self, victim: MemberId, incarnation: u64, host: &mut Host) {
-        let (now, life) = (host.now, self.lives.entry(victim).or_default());
+        let now = host.now;
+        let life = self.lives.entry(victim).or_default();
         let was_crashed = life.crashed;
         // This node's own entry holds only dead notices' voices.
         if victim == self.id || !life.merge(incarnation, true) || was_crashed {
@@ -534,12 +640,14 @@ impl Membership {
         }
         self.view_epoch += 1;
         let active = self.excommunicated().count();
-        let churn = if active >= self.overlay.k() {
+        let churn = if active >= self.k {
             self.set_degraded(true, active, now);
             None
         } else if self.overlay.contains(victim) {
-            // Refused below the 2k floor, keeping the stale topology: never
-            // hit by ≤ k − 1 crashes from n ≥ 2k + (k − 1) launches.
+            // A below-floor heal is refused atomically; we then keep the
+            // stale topology minus the dead links. Defensive: the failure
+            // model promises at most k-1 crashes, which never hits the
+            // 2k membership floor from n ≥ 2k + (k-1) launches.
             Arc::make_mut(&mut self.overlay).crash_many(&[victim]).ok()
         } else {
             None
@@ -557,7 +665,7 @@ impl Membership {
     /// within the k−1 budget, then applies the heals deferred while the
     /// budget was blown; its caller, [`Self::apply_join`], reconciles.
     fn maybe_exit_degraded(&mut self, host: &mut Host) {
-        if !self.degraded || self.excommunicated().count() >= self.overlay.k() {
+        if !self.degraded || self.excommunicated().count() >= self.k {
             return;
         }
         self.set_degraded(false, 0, host.now);
@@ -583,7 +691,9 @@ impl Membership {
         // node at its far end may not have healed yet. Closed at once, four
         // full-size partition seeds of the chaos sweep run past its horizon.
         let until = host.now + self.timeout_us / 2;
-        let linger = report.removed_for(self.id).map(|p| Effect::Grace(p, until));
+        let linger = report
+            .removed_for(self.id)
+            .map(|peer| Effect::Grace(peer, until));
         host.out.extend(linger);
         let added = report.added_for(self.id).filter(|&peer| self.id < peer);
         host.out.extend(added.map(Effect::Dial));
@@ -591,14 +701,16 @@ impl Membership {
 
     /// Closes the healing stopwatch once every desired link is up.
     pub(crate) fn check_healed(&mut self, links: &BTreeSet<MemberId>, now: u64) {
-        let Some(t0) = self.healing_since.filter(|_| self.desired.is_subset(links)) else {
-            return;
-        };
-        let took_us = now - t0;
-        (self.metrics.histogram("runtime.reconnect_time_us")).record(took_us);
-        self.count("runtime.heals");
-        self.rec(now, EventKind::HealEnd { took_us });
-        self.healing_since = None;
+        let Some(t0) = self.healing_since else { return };
+        if self.desired.is_subset(links) {
+            let took_us = now - t0;
+            self.metrics
+                .histogram("runtime.reconnect_time_us")
+                .record(took_us);
+            self.count("runtime.heals");
+            self.rec(now, EventKind::HealEnd { took_us });
+            self.healing_since = None;
+        }
     }
 }
 
@@ -619,6 +731,12 @@ mod tests {
 
     /// Member 0 of K-DIAMOND(16, 3), with a traitor budget of `f`.
     fn member(f: usize) -> Membership {
+        node(0, f)
+    }
+
+    /// Member `id` of K-DIAMOND(16, 3), freshly booted, with a traitor
+    /// budget of `f`.
+    fn node(id: MemberId, f: usize) -> Membership {
         let overlay = DynamicOverlay::bootstrap(Constraint::KDiamond, 16, 3).expect("overlay");
         let traitors = Vec::new();
         let byzantine = (f > 0).then_some(ByzantineSetup { f, traitors });
@@ -628,7 +746,7 @@ mod tests {
         };
         let (metrics, opts) = (Arc::new(MetricsRegistry::new()), BootOpts::default());
         let recorder = Arc::new(FlightRecorder::with_capacity(0, 64, Instant::now()));
-        Membership::new(0, overlay, opts, &config, metrics, recorder)
+        Membership::new(id, overlay, opts, &config, metrics, recorder)
     }
 
     /// One input at `now`, every member `live` or none; what it emitted.
@@ -734,7 +852,8 @@ mod tests {
         let fx = report(&mut m, victim, 2, false);
         assert!(excommunicates(&fx, victim));
         assert_eq!(frames(&fx), []);
-        // Voices count per incarnation: two about different lives are none.
+        // A report about the life before a join is no voice; one about a
+        // later life vouches that this one is over too.
         let join = wire::join_id(6, 9);
         let life = wire::incarnation(join);
         offer(&mut m, &control(join, 6, 0), 6, 1_000, false);
@@ -742,9 +861,33 @@ mod tests {
             let msg = control(wire::crash_id(6, reporter as u32), reporter, named);
             offer(&mut m, &msg, reporter, 1_000, false)
         };
-        assert_eq!(said(1, life + 1).0, Wave::Take);
-        assert!(!excommunicates(&said(2, life).1, 6));
+        assert_eq!(said(1, 0).0, Wave::Stale);
+        let (wave, fx) = said(2, life + 1);
+        assert!(wave == Wave::Take && !excommunicates(&fx, 6));
         assert!(excommunicates(&said(3, life).1, 6));
+        // The crash stands at `life`; the later report still waits.
+        assert_eq!(m.lives[&6].reporters, BTreeMap::from([(2, life + 1)]));
+    }
+
+    /// One origin naming ever new incarnations of a victim under fresh
+    /// nonces, or of this node in dead notices, holds one slot each: its
+    /// highest, which is still one voice.
+    #[test]
+    fn a_reporter_naming_many_incarnations_holds_one_slot() {
+        let mut m = member(1);
+        for seq in 0..200u16 {
+            for victim in [5, 0] {
+                let id = wire::crash_id(victim, wire::wave_nonce(3, 2 * seq + victim as u16));
+                let named = u64::from(seq) * 7 + 1;
+                let fx = offer(&mut m, &control(id, 3, named), 3, 1_000, false).1;
+                assert!(frames(&fx).is_empty() && !excommunicates(&fx, 5), "{fx:?}");
+            }
+        }
+        for victim in [5, 0] {
+            let highest = BTreeMap::from([(3, 199 * 7 + 1)]);
+            assert_eq!(m.lives[&victim].reporters, highest, "victim {victim}");
+        }
+        assert!(m.crashes_applied().is_empty() && !m.pending_join_announce);
     }
 
     #[test]
@@ -884,34 +1027,97 @@ mod tests {
     }
 
     /// One `JOIN` answers every notice about the incarnation it leaves, at
-    /// any time; a notice about the incarnation it starts is answered again.
-    /// Under corroboration the f+1 voices count per incarnation too.
+    /// any time: a later notifier gets that `JOIN` again, to it alone, and
+    /// no new one starts. A notice about the incarnation it starts is
+    /// answered anew. Under corroboration the f+1 voices count per
+    /// incarnation too.
     #[test]
-    fn a_dead_notice_about_an_answered_incarnation_goes_unanswered() {
+    fn a_dead_notice_about_an_answered_incarnation_starts_no_new_one() {
         for f in [0, 1] {
             let mut m = member(f);
+            // The `JOIN`s announced, and those sent again (to whom).
             let mut notice = |from: MemberId, named, now| {
                 let msg = control(wire::crash_id(0, from as u32), from, named);
-                let fx = offer(&mut m, &msg, from, now, false).1;
-                (frames(&fx).into_iter())
-                    .filter(|sent| sent.0 == FrameKind::Join(0))
-                    .count()
+                let (mut announced, mut resent) = (Vec::new(), Vec::new());
+                for e in offer(&mut m, &msg, from, now, false).1 {
+                    match e {
+                        Effect::Wave(msg) => announced.push(msg.broadcast_id),
+                        Effect::Send(to, msg) => resent.push((to, msg.broadcast_id)),
+                        _ => {}
+                    }
+                }
+                (announced, resent)
             };
+            let none = (vec![], vec![]);
             for from in 1..=f as MemberId {
-                assert_eq!(notice(from, 0, 1_000), 0, "f = {f}: one voice of {}", f + 1);
+                assert_eq!(
+                    notice(from, 0, 1_000),
+                    none,
+                    "f = {f}: one voice of {}",
+                    f + 1
+                );
             }
             // One announcement, which the notifier gets like everyone else.
-            assert_eq!(notice(7, 0, 1_000), 1, "f = {f}");
+            let first = wire::join_id(0, wire::wave_nonce(0, 0));
+            assert_eq!(notice(7, 0, 1_000), (vec![first], vec![]), "f = {f}");
             for from in 2..6 {
-                assert_eq!(notice(from, 0, from * TIMEOUT), 0, "f = {f}: from {from}");
+                let again = (vec![], vec![(from, first)]);
+                assert_eq!(
+                    notice(from, 0, from * TIMEOUT),
+                    again,
+                    "f = {f}: from {from}"
+                );
             }
             // The first announcement (nonce 0) started incarnation 1.
             for from in 1..=f as MemberId {
-                assert_eq!(notice(from, 1, 9 * TIMEOUT), 0);
+                assert_eq!(notice(from, 1, 9 * TIMEOUT), none, "f = {f}");
             }
-            assert_eq!(notice(8, 1, 9 * TIMEOUT), 1, "f = {f}");
-            assert_eq!(notice(9, 1, 9 * TIMEOUT), 0, "f = {f}");
+            let second = wire::join_id(0, wire::wave_nonce(0, 1));
+            assert_eq!(notice(8, 1, 9 * TIMEOUT), (vec![second], vec![]), "f = {f}");
+            assert_eq!(notice(9, 1, 9 * TIMEOUT), (vec![], vec![(9, second)]));
         }
+    }
+
+    /// A revenant boots knowing no incarnation, so it can suspect a member
+    /// that has rejoined only in that member's first life. Its crash wave
+    /// is stale at every replica that applied the `JOIN`, and its dead
+    /// notice gets that `JOIN` again, which readmits the member there.
+    #[test]
+    fn a_revenant_that_never_heard_a_join_is_sent_it_and_readmits() {
+        let (mut p, mut q, mut r) = (member(0), node(4, 0), node(5, 0));
+        // p's first notice starts its next life; q applies the `JOIN`.
+        let notice = control(wire::crash_id(0, wire::wave_nonce(3, 0)), 3, 0);
+        let fx = offer(&mut p, &notice, 3, 1_000, false).1;
+        let Some(Effect::Wave(join)) = fx.into_iter().find(|e| matches!(e, Effect::Wave(_))) else {
+            panic!("no JOIN announced");
+        };
+        assert_eq!(offer(&mut q, &join, 0, 2_000, false).0, Wave::Take);
+        // The revenant suspects p, in the only life it knows of.
+        let fx = run(&mut r, 3_000, false, |m, host| m.suspect(0, host));
+        let Some(Effect::Wave(crash)) = fx.into_iter().find(|e| matches!(e, Effect::Wave(_)))
+        else {
+            panic!("no crash wave");
+        };
+        assert_eq!(offer(&mut q, &crash, 5, 3_000, false).0, Wave::Stale);
+        assert!(q.crashes_applied().is_empty());
+        // A grave probe finds p alive and tells it so.
+        let fx = run(&mut r, 4_000, false, |m, host| m.on_link_up(0, true, host));
+        let Some(Effect::Send(0, dead)) = fx.into_iter().find(|e| matches!(e, Effect::Send(..)))
+        else {
+            panic!("no dead notice");
+        };
+        let (wave, fx) = offer(&mut p, &dead, 5, 5_000, false);
+        assert_eq!(wave, Wave::Stale);
+        let [Effect::Send(5, again)] = &fx[..] else {
+            panic!("{fx:?}");
+        };
+        assert_eq!(again.broadcast_id, join.broadcast_id, "the same `JOIN`");
+        assert_eq!(p.metrics.counter("runtime.join_announces").get(), 1);
+        // The revenant takes it as news and readmits p where q holds it.
+        assert_eq!(offer(&mut r, again, 0, 6_000, false).0, Wave::Take);
+        assert!(r.crashes_applied().is_empty());
+        assert_eq!(r.overlay().links(), q.overlay().links());
+        assert_eq!(r.lives[&0], q.lives[&0]);
     }
 
     #[test]

@@ -414,6 +414,77 @@ fn a_member_killed_and_revived_twice_is_readmitted_both_times() {
     }
 }
 
+/// A revenant boots knowing no member's incarnation. Here member 6 has
+/// rejoined once, then its neighbor `R` dies and comes back, and a cut
+/// between the two makes `R` suspect 6: its crash wave names 6's first
+/// incarnation, which every other replica has moved past, so only `R`
+/// heals around 6. `R`'s dead notices name that left incarnation too; 6
+/// answers them with the `JOIN` that left it, sent to `R` alone, and every
+/// replica is whole and alike again within two timeouts of the cut's end.
+/// Unanswered, `R` stayed apart until another replica happened to suspect
+/// 6 and its fresh `JOIN` reached `R`: 1.67 s after the cut, in this run.
+#[test]
+fn a_revenant_that_suspects_a_rejoined_member_readmits_it() {
+    use lhg_net::fault::{FaultInjector, Partition};
+
+    const P: MemberId = 6;
+    let (cut_at, healed_at) = (14_000 * MS, 14_600 * MS);
+    let timeout_us = config().heartbeat_timeout.as_micros() as u64;
+    let r =
+        launch(N, config(), 11).core(P, |c| c.membership().overlay().neighbors_of(P).unwrap()[0]);
+    let whole = |c: &SimCluster| {
+        let links = c.core(0, |core| core.membership().overlay().links());
+        (0..N as MemberId).all(|m| {
+            c.core(m, |core| {
+                core.membership().crashes_applied().is_empty()
+                    && core.membership().overlay().links() == links
+            })
+        })
+    };
+    let run = run_twice(|| {
+        let mut inj = FaultInjector::new(0xC0FFEE);
+        inj.add_partition(Partition {
+            a: BTreeSet::from([P as u32]),
+            b: BTreeSet::from([r as u32]),
+            from_us: cut_at,
+            until_us: healed_at,
+            directed: false,
+        });
+        let mut cfg = config();
+        cfg.faults = Some(std::sync::Arc::new(inj));
+        let mut c = launch(N, cfg, 11);
+        // Each waits long enough for the plane to retire the `JOIN`s before
+        // it, so the revenant cannot pull 6's.
+        for victim in [P, r] {
+            c.run_until(c.now() + 2_000 * MS);
+            assert!(c.kill(victim));
+            let others = || (0..N as MemberId).filter(move |&m| m != victim);
+            let detected = c.await_until(2_000 * MS, |c| {
+                others().all(|m| {
+                    c.core(m, |core| {
+                        core.membership().crashes_applied().contains(&victim)
+                    })
+                })
+            });
+            assert!(detected, "{victim}'s crash is detected");
+            assert!(c.revive(victim));
+            assert!(c.await_until(2_000 * MS, whole), "{victim} is readmitted");
+        }
+        assert!(c.now() < cut_at, "the rejoins ran past the cut");
+        c.run_until(healed_at);
+        assert!(
+            c.core(r, |core| core.membership().crashes_applied().contains(&P)),
+            "the cut made {r} suspect {P}"
+        );
+        let rejoined = c.await_until(2 * timeout_us, whole);
+        assert!(rejoined, "{r} readmits {P} within two timeouts of the cut");
+        c.run_until(healed_at + 2_000 * MS);
+        c
+    });
+    assert!(counter(&run, "runtime.joins_resent") >= 1);
+    assert!(whole(&run), "and stays whole");
+}
+
 /// A rejoin whose `JOIN` wave reaches nobody, while 200 bcast/s of data
 /// flow. Every survivor already holds the wave's id — one copy of it,
 /// injected and flooded before the kill, the way a stale copy of an old
