@@ -259,20 +259,6 @@ pub fn baseline_json(sizes: &[usize]) -> String {
     baseline_json_for(sizes, sizes)
 }
 
-/// Measures one row for `(mode, n)`.
-///
-/// # Panics
-///
-/// Panics on an unknown mode or a lost delivery.
-#[must_use]
-pub fn run_mode_baseline(mode: &str, n: usize) -> BaselineRow {
-    match mode {
-        "flood" => run_flood_baseline(n),
-        "bracha" => run_bracha_baseline(n),
-        other => panic!("unknown baseline mode {other:?}"),
-    }
-}
-
 /// Like [`baseline_json`] with independent size lists per mode —
 /// flooding scales to n=1024 in seconds, but Bracha's quorum gossip is
 /// O(n²) messages per broadcast, so its list typically stops earlier.

@@ -18,15 +18,16 @@
 
 use lhg_chaos::{run_sim_chaos, FaultPlan};
 
-/// Fingerprint of the 20 report lines. Re-recorded on purpose when
-/// membership became a lattice of incarnations: crash-class bytes move
-/// because every crash wave and dead notice now carries its victim's
-/// incarnation as a one-varint payload, and crash and join frame counts
-/// move because a report or join about an incarnation the member's entry
-/// already dominates is stale (acked, never relayed) and a dead notice about
-/// an incarnation already answered starts no new one: it gets the `JOIN`
-/// that answered it again, sent to the notifier alone.
-/// (Before: `0x7642_d388_a96d_c5b0`, idle-link heartbeats and summary
+/// Fingerprint of the 20 report lines. Re-recorded on purpose when every
+/// summary payload became a sorted id set (a varint count, the smallest id,
+/// varint distances): summary-class bytes move with the payload, and a
+/// pull is served in ascending id order, not in the order the advert named
+/// its ids, so frame order moves where a pull is served.
+/// (Before: `0x67a7_714e_3784_38b6`, membership a lattice of incarnations:
+/// every crash wave and dead notice carries its victim's incarnation, a
+/// report or join the member's entry already dominates is stale, and a
+/// dead notice about an answered incarnation gets that `JOIN` again;
+/// `0x7642_d388_a96d_c5b0`, idle-link heartbeats and summary
 /// rounds on the heartbeat-period tick, a link's redial and grace in its
 /// link state;
 /// `0x80e9_2afd_66c1_5f7a`, crash and join waves on the reliable
@@ -45,7 +46,7 @@ use lhg_chaos::{run_sim_chaos, FaultPlan};
 /// `0x009c_385a_8797_f0ce`, the core naming its next deadline,
 /// `0xe020_352a_c204_5d04`, control traffic riding the data, and
 /// `0x376b_bec3_de79_9423`, the one chaos interpreter.)
-const GOLDEN_FNV1A: u64 = 0x67a7_714e_3784_38b6;
+const GOLDEN_FNV1A: u64 = 0xbf7f_a0ac_7636_a1d6;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

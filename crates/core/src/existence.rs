@@ -36,16 +36,6 @@ pub fn ex_jd(n: usize, k: usize) -> bool {
     is_jd_constructible(n, k)
 }
 
-/// Closed-form `EX` for a constraint.
-#[must_use]
-pub fn ex(constraint: Constraint, n: usize, k: usize) -> bool {
-    match constraint {
-        Constraint::KTree => ex_ktree(n, k),
-        Constraint::KDiamond => ex_kdiamond(n, k),
-        Constraint::Jd => ex_jd(n, k),
-    }
-}
-
 /// Empirical `EX`: attempts the construction and, when it succeeds,
 /// validates P1–P4. Returns `true` only if a genuine LHG came out.
 ///

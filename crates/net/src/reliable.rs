@@ -25,10 +25,13 @@
 //!   rto_us`, holds frames the sender gave up: the next tick acks past it,
 //!   so a given-up frame never holds back the acks of the frames after it.
 //! * **Anti-entropy codecs** ([`encode_summary_payload`]) serialize
-//!   summaries of recently-seen broadcast ids; peers diff a summary against
-//!   their own dedup set and pull whatever they are missing, so a
-//!   broadcast lost on *every* copy is still repaired through any
-//!   surviving path.
+//!   summaries of recently-seen broadcast ids as sets of at most
+//!   [`MAX_SUMMARY_IDS`]: a mode byte, the count, the smallest id and each
+//!   further id as its distance above the one before, all varints
+//!   ([`crate::varint`]), so ids are strictly ascending on the wire and
+//!   each is named once. Peers diff a summary against their own dedup set
+//!   and pull whatever they are missing, so a broadcast lost on *every*
+//!   copy is still repaired through any surviving path.
 //! * **[`ReliableCore`]** is the whole data plane as one sans-IO state
 //!   machine: flooding + per-link reliability + anti-entropy repair. It
 //!   has exactly two drivers — **[`ReliableFlooder`]**, its adapter to
@@ -126,7 +129,7 @@ use bytes::{BufMut, Bytes};
 
 use lhg_graph::NodeId;
 
-use crate::kept::encode_reusing;
+use crate::kept::{encode_reusing, KEPT_LEN};
 use crate::message::Message;
 use crate::seen::SeenSet;
 use crate::sim::{Context, Process};
@@ -689,11 +692,6 @@ fn read_ack(mut raw: &[u8]) -> Option<(u64, impl Iterator<Item = u64>)> {
         .then_some((cum, nacks.into_iter().take(count)))
 }
 
-/// The big-endian `u64` an 8-byte chunk holds.
-fn be_u64(raw: &[u8]) -> u64 {
-    u64::from_be_bytes(raw.try_into().expect("an 8-byte chunk"))
-}
-
 /// How many broadcast ids one summary frame carries at most.
 pub const MAX_SUMMARY_IDS: usize = 64;
 
@@ -706,7 +704,9 @@ const SUMMARY_PULL: u8 = 0x01;
 const SUMMARY_HELD: u8 = 0x02;
 
 /// Encodes an anti-entropy summary payload. `pull = false` advertises
-/// recently-seen broadcast ids; `pull = true` requests the listed ids.
+/// recently-seen broadcast ids; `pull = true` requests the listed ids. A
+/// summary names a set: the first [`MAX_SUMMARY_IDS`] ids given, sorted,
+/// each once.
 #[must_use]
 pub fn encode_summary_payload(pull: bool, ids: &[u64]) -> Bytes {
     let mode = if pull {
@@ -717,23 +717,48 @@ pub fn encode_summary_payload(pull: bool, ids: &[u64]) -> Bytes {
     encode_summary(&mut Vec::new(), 0, mode, ids)
 }
 
-/// Encodes a summary payload of `mode` naming `ids` into a buffer
-/// reclaimed from `kept`, which keeps the `max` newest payloads
-/// ([`encode_reusing`]).
+/// Encodes a summary payload of `mode` naming the set of the first
+/// [`MAX_SUMMARY_IDS`] of `ids` into a buffer reclaimed from `kept`, which
+/// keeps the `max` newest payloads ([`encode_reusing`]): the mode byte, the
+/// count, the smallest id and each further id as its distance above the
+/// one before, every one a varint ([`crate::varint`]). At most
+/// [`MAX_SUMMARY_LEN`] bytes.
 fn encode_summary(kept: &mut Vec<Bytes>, max: usize, mode: u8, ids: &[u64]) -> Bytes {
-    let ids = &ids[..ids.len().min(MAX_SUMMARY_IDS)];
-    encode_reusing(kept, max, 1 + 4 + 8 * ids.len(), |buf| {
-        buf.put_u8(mode);
-        buf.put_u32(ids.len() as u32);
-        for &id in ids {
-            buf.put_u64(id);
-        }
+    let named = &ids[..ids.len().min(MAX_SUMMARY_IDS)];
+    let mut set = [0u64; MAX_SUMMARY_IDS];
+    let set = &mut set[..named.len()];
+    set.copy_from_slice(named);
+    set.sort_unstable();
+    // The smallest id, then the gaps between neighbors; a repeat's gap is 0.
+    let gaps = set.windows(2).map(|w| w[1] - w[0]).filter(|&gap| gap > 0);
+    let mut wire = [0u8; MAX_SUMMARY_LEN];
+    let (mut len, mut count) = (2, 0);
+    for v in set.first().copied().into_iter().chain(gaps) {
+        len += varint::put(&mut wire[len..], v);
+        count += 1;
+    }
+    // A count of at most 64 is a one-byte varint.
+    wire[..2].copy_from_slice(&[mode, count as u8]);
+    // Room as an ack's: eight bytes an id, which holds any distance under
+    // 2^56, and two for the mode and the count, so a kept buffer takes every
+    // later control payload naming no more ids. Ids with a class tag in
+    // their top byte (crash and join waves) take more: then the exact length.
+    encode_reusing(kept, max, len.max(2 + 8 * count), |buf| {
+        buf.put_slice(&wire[..len]);
     })
 }
 
-/// Decodes an anti-entropy summary payload into `(pull, ids)`. `None` on
-/// malformed input, unknown mode bytes and held lists (which are neither an
-/// advertisement nor a pull).
+/// The longest summary payload: the mode byte, a one-byte count and 64
+/// varints that sum to at most `u64::MAX`, so one of them may take ten
+/// bytes (2^63 or more) and the others nine each.
+const MAX_SUMMARY_LEN: usize = 2 + varint::MAX_LEN_U64 + 9 * (MAX_SUMMARY_IDS - 1);
+
+// Every summary payload fits the control pool's kept buffers.
+const _: () = assert!(MAX_SUMMARY_LEN <= KEPT_LEN);
+
+/// Decodes an anti-entropy summary payload into `(pull, ids)`, the ids in
+/// ascending order. `None` on malformed input, unknown mode bytes and held
+/// lists (which are neither an advertisement nor a pull).
 #[must_use]
 pub fn decode_summary_payload(raw: Bytes) -> Option<(bool, Vec<u64>)> {
     let (mode, ids) = read_summary(&raw)?;
@@ -745,19 +770,28 @@ pub fn decode_summary_payload(raw: Bytes) -> Option<(bool, Vec<u64>)> {
     Some((pull, ids.collect()))
 }
 
-/// Reads a summary payload in place: its mode byte and its ids, borrowed
-/// from `raw`. `None` on malformed input or an unknown mode byte.
-fn read_summary(raw: &[u8]) -> Option<(u8, impl Iterator<Item = u64> + Clone + '_)> {
-    let (&mode, rest) = raw.split_first()?;
+/// Reads a summary payload in place: its mode byte and its ids, strictly
+/// ascending. `None` on malformed input: an unknown mode byte, a varint
+/// [`crate::varint`] refuses, more than [`MAX_SUMMARY_IDS`] ids, a distance
+/// of 0 or one that passes `u64::MAX`, or bytes after the last id.
+fn read_summary(raw: &[u8]) -> Option<(u8, impl Iterator<Item = u64> + Clone)> {
+    let (&mode, mut raw) = raw.split_first()?;
     if !matches!(mode, SUMMARY_ADVERTISE | SUMMARY_PULL | SUMMARY_HELD) {
         return None;
     }
-    let (count, ids) = rest.split_first_chunk::<4>()?;
-    let count = u32::from_be_bytes(*count) as usize;
-    if count > MAX_SUMMARY_IDS || ids.len() != 8 * count {
-        return None;
+    let count = varint::read_u64(&mut raw).filter(|&c| c <= MAX_SUMMARY_IDS as u64)? as usize;
+    let mut ids = [0u64; MAX_SUMMARY_IDS];
+    if let Some((first, rest)) = ids[..count].split_first_mut() {
+        *first = varint::read_u64(&mut raw)?;
+        let mut below = *first;
+        for id in rest {
+            let above = varint::read_u64(&mut raw).filter(|&d| d > 0)?;
+            below = below.checked_add(above)?;
+            *id = below;
+        }
     }
-    Some((mode, ids.chunks_exact(8).map(be_u64)))
+    raw.is_empty()
+        .then_some((mode, ids.into_iter().take(count)))
 }
 
 /// The sink [`ReliableCore`] transitions append their `(peer, frame)`
@@ -1135,7 +1169,8 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
     /// An advertisement is then diffed against `seen`: any gap is answered
     /// with one pull, and what we had already seen is owed back as a held
     /// list ([`Self::answer`]). A held list is never answered. A pull is
-    /// served from the store over the reliable link. Served copies keep
+    /// served from the store over the reliable link, in ascending id
+    /// order, each id once (the payload is a set). Served copies keep
     /// their stored hop count: repair traffic is not part of the
     /// dissemination tree.
     pub fn on_summary(
@@ -1151,12 +1186,7 @@ impl<P: Copy + Eq + Hash> ReliableCore<P> {
         };
         if mode == SUMMARY_PULL {
             let mut served = 0;
-            for (at, id) in ids.clone().enumerate() {
-                // Each id once, however often the pull names it: a pull
-                // names at most MAX_SUMMARY_IDS, so looking back is cheap.
-                if ids.clone().take(at).any(|named| named == id) {
-                    continue;
-                }
+            for id in ids {
                 if let Some(kept) = self.store.get(id).map(|k| k.msg.clone()) {
                     self.send(from, kept, now_us, out);
                     served += 1;
@@ -1452,7 +1482,6 @@ mod tests {
     use std::rc::Rc;
     use std::sync::Arc;
 
-    use bytes::BytesMut;
     use lhg_graph::Graph;
 
     use crate::fault::{FaultInjector, LinkFaults};
@@ -1753,6 +1782,23 @@ mod tests {
     }
 
     #[test]
+    fn a_pull_naming_an_id_twice_on_the_wire_is_refused_and_serves_nothing() {
+        let mut c = core(cfg());
+        let (mut seen, mut out) = (SeenSet::default(), Vec::new());
+        c.on_data(1, &msg(3).with_link_seq(1), &mut seen, 0, [1], &mut out);
+        out.clear();
+        // Id 3 and then 63 distances of 0: the pull above, had its encoder
+        // not collapsed the repeats.
+        let mut raw = vec![SUMMARY_PULL, MAX_SUMMARY_IDS as u8, 3];
+        raw.extend([0; MAX_SUMMARY_IDS - 1]);
+        assert_eq!(
+            c.on_summary(2, Bytes::from(raw), &seen, 0, &mut out),
+            SummaryOutcome::Ignored
+        );
+        assert!(out.is_empty());
+    }
+
+    #[test]
     fn ack_payload_names_holes() {
         let mut rx = LinkReceiver::new();
         rx.on_frame(1);
@@ -1817,14 +1863,72 @@ mod tests {
     fn summary_payload_round_trips() {
         let ids = vec![1, 2, 0xFFFF_FFFF_FFFF];
         let raw = encode_summary_payload(false, &ids);
+        // Mode, three ids, then 1 and the distances 1 and 2^48 - 3.
+        assert_eq!(raw[..4], [SUMMARY_ADVERTISE, 3, 1, 1]);
+        assert_eq!(raw.len(), 4 + 7);
         assert_eq!(decode_summary_payload(raw), Some((false, ids.clone())));
         let raw = encode_summary_payload(true, &ids);
         assert_eq!(decode_summary_payload(raw), Some((true, ids)));
+        assert_eq!(encode_summary_payload(true, &[])[..], [SUMMARY_PULL, 0]);
+        assert_eq!(encode_summary_payload(false, &[0])[..], [0, 1, 0], "id 0");
         assert_eq!(
-            decode_summary_payload(Bytes::from_static(b"\x07\x00\x00\x00\x00")),
+            decode_summary_payload(Bytes::from_static(b"\x07\x00")),
             None,
             "unknown mode byte"
         );
+        // A set: the first 64 ids given, sorted, each once.
+        let given: Vec<u64> = [9, 3, 9, 1].into_iter().chain((100..200).rev()).collect();
+        let want: Vec<u64> = [1, 3, 9].into_iter().chain(140..200).collect();
+        let raw = encode_summary_payload(true, &given);
+        assert_eq!(decode_summary_payload(raw), Some((true, want)));
+    }
+
+    #[test]
+    fn the_widest_summary_payload_is_579_bytes() {
+        // A ten-byte first id and 63 nine-byte distances; or a nine-byte
+        // first id, one ten-byte distance and 62 nine-byte ones.
+        let first_wide: Vec<u64> = (0..64).map(|i| (1 << 63) + (i << 56)).collect();
+        let step_wide: Vec<u64> = (0..64)
+            .map(|i: u64| (1 << 56) + (u64::from(i > 0) << 63) + (i.saturating_sub(1) << 56))
+            .collect();
+        for ids in [first_wide, step_wide] {
+            let raw = encode_summary_payload(false, &ids);
+            assert_eq!(raw.len(), MAX_SUMMARY_LEN);
+            assert_eq!(decode_summary_payload(raw), Some((false, ids)));
+        }
+        assert_eq!(MAX_SUMMARY_LEN, 579);
+    }
+
+    #[test]
+    fn summary_payloads_that_overflow_repeat_or_run_on_are_refused() {
+        let mut too_many = vec![65, 0];
+        too_many.extend([1; 64]);
+        let mut past = encode_summary_payload(false, &[u64::MAX - 1, u64::MAX]).to_vec();
+        assert_eq!(past[past.len() - 1], 1, "the last distance");
+        *past.last_mut().unwrap() = 2;
+        let refused: [(&[u8], &str); 9] = [
+            (&[], "no count"),
+            (&too_many, "more than MAX_SUMMARY_IDS"),
+            (&[0x81, 0x00, 5], "a padded count"),
+            (&[1, 0x85, 0x00], "a padded id"),
+            (&[2, 5], "a count larger than the ids present"),
+            (&[2, 5, 0], "a distance of 0: an id named twice"),
+            (&past[1..], "a distance that passes u64::MAX"),
+            (
+                &[
+                    1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02,
+                ],
+                "an id past u64::MAX",
+            ),
+            (&[1, 5, 0xEE], "a byte after the last id"),
+        ];
+        for (rest, why) in refused {
+            for mode in [SUMMARY_ADVERTISE, SUMMARY_PULL, SUMMARY_HELD] {
+                let raw: Vec<u8> = [mode].iter().chain(rest).copied().collect();
+                assert!(read_summary(&raw).is_none(), "{why}: {raw:02x?}");
+                assert_eq!(decode_summary_payload(Bytes::from(raw)), None, "{why}");
+            }
+        }
     }
 
     /// A core for node 0 on the simulator's tags, plus a data frame maker.
@@ -2298,7 +2402,7 @@ mod tests {
         out.clear();
         // 1 sent id 1; id 2 is in flight to both: it stays in the summary.
         assert!(c.advertise([1, 2], &mut out));
-        assert_eq!(named(&out), vec![(1, vec![2]), (2, vec![2, 1])]);
+        assert_eq!(named(&out), vec![(1, vec![2]), (2, vec![1, 2])]);
         out.clear();
         // 1's piggybacked ack covers id 2 and its frame brings id 3: 1 is
         // known to hold everything retained, so it gets no summary at all.
@@ -2315,7 +2419,7 @@ mod tests {
         // A link reset forgets: whoever answers next may have rebooted blank.
         c.reset_link(1);
         assert!(c.advertise([1], &mut out));
-        assert_eq!(named(&out), vec![(1, vec![3, 2, 1])]);
+        assert_eq!(named(&out), vec![(1, vec![1, 2, 3])]);
     }
 
     #[test]
@@ -2360,7 +2464,7 @@ mod tests {
         assert!(c.answer(5, &mut out));
         assert_eq!(out.len(), 1);
         assert_eq!((out[0].0, out[0].1.broadcast_id), (5, SUMMARY_TAG));
-        assert_eq!(held_ids(&out[0].1), Some(vec![3, 1]));
+        assert_eq!(held_ids(&out[0].1), Some(vec![1, 3]));
         assert_eq!(decode_summary_payload(out[0].1.payload.clone()), None);
         assert!(!c.answer(5, &mut out), "paid");
 
@@ -2463,7 +2567,7 @@ mod tests {
             out.clear();
             assert!(c.advertise([3], out));
             let named = decode_summary_payload(out[0].1.payload.clone()).unwrap().1;
-            assert_eq!(named, want, "newest first");
+            assert_eq!(named, want, "a set: ascending");
             out.clear();
             let pull = encode_summary_payload(true, &named);
             let outcome = c.on_summary(3, pull, &SeenSet::default(), 0, out);
@@ -2475,13 +2579,13 @@ mod tests {
             c.originate(&msg(id), 0, [], &mut out);
         }
         assert_eq!(stored(&c), [2, 4, 6, 7, 8, 9]);
-        pull_all_named(&mut c, &mut out, &[9, 8, 7, 6, 4, 2]);
+        pull_all_named(&mut c, &mut out, &[2, 4, 6, 7, 8, 9]);
         // Eviction goes on from the renumbered front.
         for id in 10..=12 {
             c.originate(&msg(id), 0, [], &mut out);
         }
         assert_eq!(stored(&c), [4, 6, 7, 8, 9, 10, 11, 12]);
-        pull_all_named(&mut c, &mut out, &[12, 11, 10, 9, 8, 7, 6, 4]);
+        pull_all_named(&mut c, &mut out, &[4, 6, 7, 8, 9, 10, 11, 12]);
     }
 
     #[test]
@@ -2552,15 +2656,14 @@ mod tests {
 
     #[test]
     fn the_in_place_reader_refuses_whatever_the_decoder_refuses() {
-        let payload = |mode: u8, count: u32, ids: usize, trailing: usize| {
-            let mut buf = BytesMut::new();
-            buf.put_u8(mode);
-            buf.put_u32(count);
-            (0..ids as u64).for_each(|id| buf.put_u64(id));
-            (0..trailing).for_each(|_| buf.put_u8(0xAB));
-            buf.freeze()
+        // Id 0, then distances of 1.
+        let payload = |mode: u8, count: u8, ids: usize, trailing: usize| {
+            let mut raw = vec![mode, count];
+            raw.extend((0..ids).map(|at| u8::from(at > 0)));
+            raw.extend(vec![0xAB; trailing]);
+            Bytes::from(raw)
         };
-        let mut cases = vec![Bytes::new(), Bytes::from_static(b"\x00\x00\x00")];
+        let mut cases = vec![Bytes::new(), Bytes::from_static(b"\x00\x80")];
         for mode in [SUMMARY_ADVERTISE, SUMMARY_PULL, SUMMARY_HELD, 0x07] {
             for (count, ids) in [(0, 0), (1, 1), (2, 1), (1, 2), (65, 65), (64, 64)] {
                 for trailing in [0, 1, 7] {

@@ -452,7 +452,11 @@ mod tests {
                 let (got_pull, got_ids) =
                     decode_summary_payload(decoded.payload).expect("payload decodes");
                 prop_assert_eq!(got_pull, pull);
-                prop_assert_eq!(got_ids, ids);
+                // A summary names a set: sorted, each id once.
+                let mut set = ids;
+                set.sort_unstable();
+                set.dedup();
+                prop_assert_eq!(got_ids, set);
             }
 
             /// Oversized NACK / id lists are truncated by the encoder, not
@@ -470,10 +474,13 @@ mod tests {
                 prop_assert_eq!(got_cum, cum);
                 prop_assert_eq!(got_nacks.as_slice(), &nacks[..MAX_NACKS]);
 
-                let ids: Vec<u64> = (0..(MAX_SUMMARY_IDS + extra) as u64).collect();
+                // Newest first, as an advertisement names them.
+                let ids: Vec<u64> = (0..(MAX_SUMMARY_IDS + extra) as u64).rev().collect();
                 let (_, got_ids) =
                     decode_summary_payload(encode_summary_payload(true, &ids)).expect("decodes");
-                prop_assert_eq!(got_ids.as_slice(), &ids[..MAX_SUMMARY_IDS]);
+                let mut first = ids[..MAX_SUMMARY_IDS].to_vec();
+                first.sort_unstable();
+                prop_assert_eq!(got_ids, first);
             }
 
             /// An unstamped frame — no extension at all — must decode
