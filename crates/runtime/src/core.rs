@@ -16,8 +16,9 @@
 //! and [`VoteExchange`] (Bracha), and what lies between them:
 //!
 //! * **dispatch** — one classifier ([`wire::classify`]), malformed ids
-//!   dropped, every frame to membership first, data and waves to the
-//!   reliable plane, byz frames to the vote exchange;
+//!   dropped, a crash or join frame decoded once (`wire::heard`) for
+//!   membership, data and waves to the reliable plane, byz frames to the
+//!   vote exchange;
 //! * **eager trees** — a fresh data frame, and a first-seen Bracha `SEND`,
 //!   goes on only to this node's children in the origin's BFS tree on the
 //!   replica; the planes' repair (adverts and pulls) reaches every other
@@ -32,10 +33,12 @@
 //!   [`Event::DialFailed`]. A peer's link state, with its redial or grace,
 //!   its last frame and its dial backoff are one record in one map.
 //!
-//! Membership asks for waves, dead notices, grace, dials, dropped links and
-//! reconcile passes (`Effect`); the core carries them out in the order
-//! asked, and answers whether a peer is directly live (`Host`). A fresh
-//! wave goes back to membership, not to the application.
+//! Membership hears only crash and join frames, as values, and any frame
+//! from a member it excommunicated. It asks for waves, dead notices, grace,
+//! dials, dropped links and reconcile passes (`Effect`); the core encodes
+//! the frames (`wire::said`), carries them out in the order asked, and
+//! answers whether a peer is directly live (`Host`). A fresh wave goes back
+//! to membership, not to the application.
 //!
 //! A node the run lists as a traitor holds no vote exchange here; what it
 //! does beyond relaying is [`crate::traitor`]'s, which wraps the core.
@@ -577,38 +580,42 @@ impl NodeCore {
             peer: from as u32,
             bytes: lhg_net::codec::frame_len(&msg) as u32,
         });
-        let kind = wire::classify(msg.broadcast_id);
-        // Membership hears every frame first: an excommunicated sender is
-        // told so, a dead notice starts the rejoin path, and it rules on
-        // crash and join waves.
-        let wave = self.member(|m, host| m.on_frame(from, &msg, kind, host));
-        match kind {
+        // An excommunicated sender is held on to and told so.
+        if self.membership.is_excommunicated(from) {
+            self.member(|m, host| m.excommunicated_sender(from, host));
+        }
+        match wire::classify(msg.broadcast_id) {
             FrameKind::Malformed => self.count("runtime.malformed_frames"),
             FrameKind::Heartbeat(_) => {
                 // Liveness recorded above; keep the probe in the timeline.
                 self.rec(EventKind::Heartbeat { peer: from as u32 });
             }
-            // A wave taken goes on every live link, not down a tree: waves
-            // are rare, and keep alike the replicas that place the trees. A
-            // stale one is marked seen first, so the plane only acks it and
-            // no advert draws a pull of it; a dead notice never enters it.
-            FrameKind::Crash(_) | FrameKind::Join(_) if wave != Wave::Refused => {
+            // Decoded once, for membership to rule on. A wave taken goes on
+            // every live link, not down a tree: waves are rare, and keep
+            // alike the replicas that place the trees. A stale one is marked
+            // seen first, so the plane only acks it and no advert draws a
+            // pull of it; a dead notice never enters it.
+            FrameKind::Crash(_) | FrameKind::Join(_) => {
+                let Some(heard) = wire::heard(self.id, from, &msg) else {
+                    return self.count("runtime.malformed_frames");
+                };
+                let wave = self.member(|m, host| m.on_heard(from, heard, host));
                 let take = wave == Wave::Take;
-                if !take {
+                if wave == Wave::Stale {
                     self.seen.insert(msg.broadcast_id);
                 }
-                if take || msg.link_seq.is_some() {
+                if take || (wave == Wave::Stale && msg.link_seq.is_some()) {
                     let outcome = self.drive(|r, seen, links, now, out| {
                         r.on_data(from, &msg, seen, now, links.filter(|_| take), out)
                     });
                     if self.fresh(outcome) {
                         self.note_retained();
-                        self.member(|m, host| m.on_wave(from, &msg, host));
+                        self.member(|m, host| m.on_wave(from, heard, host));
                     }
                 }
             }
             // Handshakes are the driver's; refused waves stop at membership.
-            FrameKind::Hello(_) | FrameKind::Crash(_) | FrameKind::Join(_) => {}
+            FrameKind::Hello(_) => {}
             FrameKind::Ack(_) => {
                 self.drive(|r, _, _, now, out| r.on_ack(from, msg.payload, now, out));
             }
@@ -765,11 +772,12 @@ impl NodeCore {
     /// One thing membership asked for.
     fn carry_out(&mut self, effect: Effect) {
         match effect {
-            Effect::Send(to, msg) if self.links.contains(&to) => {
+            Effect::Send(to, say) if self.links.contains(&to) => {
+                let msg = wire::said(self.id, say);
                 self.out.push(Action::Send { to, msg });
             }
             Effect::Send(..) => {}
-            Effect::Wave(msg) => self.originate(&msg),
+            Effect::Wave(say) => self.originate(&wire::said(self.id, say)),
             Effect::Grace(peer, until) => {
                 if let Some(LinkState::Up { grace, .. }) =
                     self.peers.get_mut(&peer).map(|r| &mut r.link)

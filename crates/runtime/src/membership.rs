@@ -2,14 +2,16 @@
 //! about. Any k − 1 members may fail and the overlay stays k-connected, as
 //! long as every replica heals around the same crashes.
 //!
-//! [`Membership`] is inputs in, effects out, like the [`NodeCore`] that owns
-//! it. Its inputs are the node's own detector verdicts (`suspect`), a
-//! peer's frames (`on_frame`, which also rules on crash and join waves),
-//! the waves the reliable plane hands back fresh (`on_wave`), and links
+//! [`Membership`] is values in, effects out, like the [`NodeCore`] that
+//! owns it. Its inputs are the node's own detector verdicts (`suspect`),
+//! a frame from a member excommunicated here (`excommunicated_sender`),
+//! what a crash or join frame says (`on_heard`, which rules on it, and
+//! `on_wave` once the reliable plane hands the wave back fresh), and links
 //! coming up (`on_link_up`). It appends what the node must carry out, in
-//! order, to a sink the node reuses (`Effect`): waves, dead notices, the
-//! replica's new view with the grace and dials its churn asks for,
-//! excommunications, readmissions and reconcile passes. It owns:
+//! order, to a sink the node reuses (`Effect`): waves and dead notices
+//! (`Say`, which the node encodes), the replica's new view with the grace
+//! and dials its churn asks for, excommunications, readmissions and
+//! reconcile passes. It owns:
 //!
 //! * **the replica** — the overlay, the neighbors it wants, one entry per
 //!   member (its incarnation, whether it crashed in it, the reports pending
@@ -38,24 +40,88 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use lhg_core::overlay::{ChurnReport, DynamicOverlay, MemberId};
-use lhg_net::message::Message;
 use lhg_net::metrics::MetricsRegistry;
 use lhg_trace::{EventKind, FlightRecorder};
 
 use crate::core::{us, BootOpts};
-use crate::wire::{self, FrameKind};
 use crate::RuntimeConfig;
+
+/// A 32-bit crash/join wave nonce: the member's cluster-global life number
+/// in the high 16 bits, its per-life wave sequence in the low 16. Lives
+/// are allocated once per (re)join by the cluster, so nonces stay unique
+/// across kill/rejoin cycles until the life counter itself wraps at
+/// 2^16 — far beyond the dedup set's eviction horizon (see the
+/// wave-nonce property tests).
+#[must_use]
+pub fn wave_nonce(life: u32, seq: u16) -> u32 {
+    (life << 16) | u32::from(seq)
+}
+
+/// The incarnation a `JOIN` under `nonce` starts: its nonce + 1, so 0
+/// (member 0's first nonce) means "never joined".
+#[must_use]
+pub fn incarnation(nonce: u32) -> u64 {
+    u64::from(nonce) + 1
+}
+
+/// `origin` reports `victim` crashed in `incarnation`; it sent the wave in
+/// its own incarnation `sent_in` at the latest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Report {
+    pub origin: MemberId,
+    pub victim: MemberId,
+    pub incarnation: u64,
+    pub sent_in: u64,
+}
+
+/// `member` (re)joined, starting `incarnation`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Join {
+    pub member: MemberId,
+    pub incarnation: u64,
+}
+
+/// The linked peer `from` excommunicated this node in `incarnation`:
+/// `first_hand` unless `from` only relays another origin's word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Notice {
+    pub from: MemberId,
+    pub incarnation: u64,
+    pub first_hand: bool,
+}
+
+/// What a crash or join frame says, as the node decoded it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Heard {
+    Report(Report),
+    Join(Join),
+    Notice(Notice),
+}
+
+/// A frame membership asks its node to write, as a value the node encodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Say {
+    /// `CRASH(victim)` under `nonce`, naming the victim's `incarnation` as
+    /// this node knows it: a wave, or a dead notice sent to the victim.
+    Crash {
+        victim: MemberId,
+        incarnation: u64,
+        nonce: u32,
+    },
+    /// This node's `JOIN` under `nonce`, which starts its incarnation
+    /// [`incarnation`]`(nonce)`.
+    Join { nonce: u32 },
+}
 
 /// What [`Membership`] asks its node to do, in the order it must be done.
 #[derive(Debug)]
 pub(crate) enum Effect {
     /// Send the frame to the peer if the link is up: a dead notice, or this
     /// node's latest `JOIN` again.
-    Send(MemberId, Message),
+    Send(MemberId, Say),
     /// Originate the wave on the reliable plane, to every live link.
-    Wave(Message),
+    Wave(Say),
     /// Leave the link to the peer up, wanted or not, until at least then;
     /// nothing if it is not up.
     Grace(MemberId, u64),
@@ -75,10 +141,10 @@ pub(crate) enum Effect {
     Settle,
 }
 
-/// [`Membership::on_frame`]'s ruling on a crash or join frame.
+/// [`Membership::on_heard`]'s ruling on a crash or join frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Wave {
-    /// Not from this sender (another copy may come), or not a wave.
+    /// Not from this sender (another copy may come).
     Refused,
     /// For the reliable plane, and [`Membership::on_wave`] if fresh.
     Take,
@@ -103,7 +169,7 @@ pub(crate) struct Host<'a> {
 /// an earlier one, and within one `Crashed` beats `Alive`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct Life {
-    /// Where the latest applied `JOIN` started it ([`wire::incarnation`]).
+    /// Where the latest applied `JOIN` started it ([`incarnation`]).
     incarnation: u64,
     crashed: bool,
     /// Reports short of corroboration: the highest incarnation each reporter
@@ -276,109 +342,85 @@ impl Membership {
         self.recorder.record_at(now, kind);
     }
 
-    /// An empty-payload control frame from this node.
-    fn control(&self, id: u64) -> Message {
-        Message::new(id, self.id as u32, Bytes::new())
-    }
-
     fn incarnation(&self, member: MemberId) -> u64 {
         self.lives.get(&member).map_or(0, |life| life.incarnation)
     }
 
     /// A freshly-nonced `CRASH(victim)` from this node, naming the victim's
     /// incarnation as this node knows it: a wave or a dead notice.
-    fn crash_report(&mut self, victim: MemberId) -> Message {
-        let id = wire::crash_id(victim, self.fresh_wave_nonce());
-        let payload = wire::incarnation_payload(self.incarnation(victim));
-        Message::new(id, self.id as u32, payload)
+    fn crash_report(&mut self, victim: MemberId) -> Say {
+        let (nonce, incarnation) = (self.fresh_wave_nonce(), self.incarnation(victim));
+        Say::Crash {
+            victim,
+            incarnation,
+            nonce,
+        }
     }
 
-    /// A frame from `from`. An excommunicated sender is held on to and told
-    /// so, and a dead notice about this node starts the rejoin path. The
-    /// ruling on a crash or join frame comes back ([`Wave`]).
-    pub(crate) fn on_frame(
-        &mut self,
-        from: MemberId,
-        msg: &Message,
-        kind: FrameKind,
-        host: &mut Host,
-    ) -> Wave {
+    /// A frame from `from`, a member excommunicated here: the link is held
+    /// on to, and the sender told so.
+    pub(crate) fn excommunicated_sender(&mut self, from: MemberId, host: &mut Host) {
+        host.out
+            .push(Effect::Grace(from, host.now + self.timeout_us));
+        self.dead_notice(from, host);
+    }
+
+    /// What a crash or join frame from `from` says: a dead notice starts
+    /// the rejoin path, and the ruling on it as a wave comes back ([`Wave`]).
+    pub(crate) fn on_heard(&mut self, from: MemberId, heard: Heard, host: &mut Host) -> Wave {
         let excommunicated = self.is_excommunicated(from);
-        if excommunicated {
-            host.out
-                .push(Effect::Grace(from, host.now + self.timeout_us));
-            self.dead_notice(from, host);
-        }
-        // A crash report names the incarnation it is about, or is refused.
-        let named = match kind {
-            FrameKind::Crash(_) => wire::incarnation_of(&msg.payload),
-            FrameKind::Join(_) => Some(0),
-            _ => return Wave::Refused,
-        };
-        let Some(named) = named else {
-            self.count("runtime.malformed_frames");
-            return Wave::Refused;
-        };
-        let origin = MemberId::from(msg.origin);
-        let sent_in = wire::incarnation(msg.broadcast_id);
         let dominated = |m, i, crashed| self.lives.get(&m).is_some_and(|l| l.dominates(i, crashed));
-        match kind {
+        match heard {
             // A dead notice: the sender excommunicated *us*. Never relayed,
             // never applied — it starts the rejoin path. Under corroboration
             // only a first-hand notice is a voice: a forged wave about us
             // that f+1 honest neighbors relayed is still one traitor
             // speaking.
-            FrameKind::Crash(victim) if victim == self.id => {
-                if self.crash_quorum == 1 || origin == from {
-                    self.on_excommunication_notice(from, named, host);
+            Heard::Notice(notice) => {
+                if self.crash_quorum == 1 || notice.first_hand {
+                    self.on_excommunication_notice(notice, host);
                 }
                 Wave::Stale
             }
             // Crash gossip from a node we excommunicated could be poison
             // (its replica is stale): refused until the sender has rejoined.
             // A revenant may only announce itself.
-            FrameKind::Crash(_) if excommunicated => Wave::Refused,
-            FrameKind::Join(member) if excommunicated && member != from => Wave::Refused,
+            Heard::Report(_) if excommunicated => Wave::Refused,
+            Heard::Join(join) if excommunicated && join.member != from => Wave::Refused,
             // A wave from an origin excommunicated here, or sent before its
             // latest join, was sent from a replica this node has since ruled
             // out: the reliable plane would otherwise hand it on long after.
             // A report or join the member's entry dominates is old news.
-            FrameKind::Crash(victim)
-                if self.is_excommunicated(origin)
-                    || dominated(origin, sent_in, false)
-                    || dominated(victim, named, true) =>
+            Heard::Report(r)
+                if self.is_excommunicated(r.origin)
+                    || dominated(r.origin, r.sent_in, false)
+                    || dominated(r.victim, r.incarnation, true) =>
             {
                 Wave::Stale
             }
-            FrameKind::Join(member) if dominated(member, sent_in, false) => Wave::Stale,
+            Heard::Join(join) if dominated(join.member, join.incarnation, false) => Wave::Stale,
             _ => Wave::Take,
         }
     }
 
     /// A wave the node's reliable plane got here first, from `from`: a crash
     /// report, or a join to admit.
-    pub(crate) fn on_wave(&mut self, from: MemberId, msg: &Message, host: &mut Host) {
-        match wire::classify(msg.broadcast_id) {
-            FrameKind::Crash(victim) => {
-                let via = from as u32;
-                self.rec(
-                    host.now,
-                    EventKind::CrashReport {
-                        victim: victim as u32,
-                        via,
-                    },
-                );
+    pub(crate) fn on_wave(&mut self, from: MemberId, heard: Heard, host: &mut Host) {
+        match heard {
+            Heard::Report(report) => {
+                let (victim, via) = (report.victim as u32, from as u32);
+                self.rec(host.now, EventKind::CrashReport { victim, via });
                 // The wave's *origin* is the reporter, not the relay: a
                 // traitor flooding forged waves under fresh nonces still
                 // counts as a single voice.
-                self.note_crash_report(victim, msg, host);
+                self.note_crash_report(report, host);
             }
-            FrameKind::Join(member) => {
-                let member32 = member as u32;
-                self.rec(host.now, EventKind::JoinAnnounce { member: member32 });
-                self.apply_join(member, wire::incarnation(msg.broadcast_id), host);
+            Heard::Join(join) => {
+                let member = join.member as u32;
+                self.rec(host.now, EventKind::JoinAnnounce { member });
+                self.apply_join(join, host);
             }
-            _ => {}
+            Heard::Notice(_) => {}
         }
     }
 
@@ -417,8 +459,8 @@ impl Membership {
         self.rejoining &= self.pending_join_announce;
     }
 
-    /// Reacts to a `CRASH(self)` dead notice from `from` naming this node's
-    /// incarnation `named`: the notifier is wrong about us, so announce a `JOIN`, which the notifier gets like
+    /// Reacts to a `CRASH(self)` dead notice: the notifier is wrong about
+    /// us, so announce a `JOIN`, which the notifier gets like
     /// every other replica. A degraded node answers the same way: every
     /// replica admits a joiner at the same canonical position, so its own
     /// view need not be trusted for the answer to be right.
@@ -428,19 +470,21 @@ impl Membership {
     /// already left comes from a replica that never heard the `JOIN` which
     /// left it (a revenant booted since): that `JOIN` goes again, to the
     /// notifier alone, whose own notices pace it.
-    fn on_excommunication_notice(&mut self, from: MemberId, named: u64, host: &mut Host) {
-        let own = self.incarnation(self.id);
-        if named < own {
+    fn on_excommunication_notice(&mut self, notice: Notice, host: &mut Host) {
+        let (own, from) = (self.incarnation(self.id), notice.from);
+        if notice.incarnation < own {
             self.count("runtime.joins_resent");
             let nonce = u32::try_from(own - 1).expect("an incarnation is a u32 nonce + 1");
-            let id = wire::join_id(self.id, nonce);
-            host.out.push(Effect::Send(from, self.control(id)));
+            host.out.push(Effect::Send(from, Say::Join { nonce }));
             return;
         }
         // Under a byzantine setup a single notice could be a traitor's
         // forgery; react only once f+1 distinct peers agree we were
         // excommunicated (a lone traitor cannot trigger rejoin flapping).
-        if self.corroborated(self.id, named, from).is_none() {
+        if self
+            .corroborated(self.id, notice.incarnation, from)
+            .is_none()
+        {
             return;
         }
         host.out.push(Effect::Settle); // the tick due now probes all, or clears the flag
@@ -456,12 +500,12 @@ impl Membership {
             return;
         }
         self.pending_join_announce = false;
-        let id = wire::join_id(self.id, self.fresh_wave_nonce());
-        (self.lives.entry(self.id).or_default()).merge(wire::incarnation(id), false);
+        let nonce = self.fresh_wave_nonce();
+        (self.lives.entry(self.id).or_default()).merge(incarnation(nonce), false);
         self.count("runtime.join_announces");
         let member = self.id as u32;
         self.rec(host.now, EventKind::JoinAnnounce { member });
-        host.out.push(Effect::Wave(self.control(id)));
+        host.out.push(Effect::Wave(Say::Join { nonce }));
     }
 
     /// The next control-wave nonce: this life's cluster-unique ordinal in
@@ -470,18 +514,19 @@ impl Membership {
     /// waves, by which time the copies of wave 0 are long drained), and one
     /// member's only grow.
     fn fresh_wave_nonce(&mut self) -> u32 {
-        let nonce = wire::wave_nonce(self.life, self.wave_seq);
+        let nonce = wave_nonce(self.life, self.wave_seq);
         self.wave_seq = self.wave_seq.wrapping_add(1);
         nonce
     }
 
-    /// Merges a (re)join of `member` in `incarnation`; if that is news,
-    /// clears its crash state, admits it into the overlay at the canonical
-    /// sorted position, and applies the churn.
-    fn apply_join(&mut self, member: MemberId, incarnation: u64, host: &mut Host) {
+    /// Merges a (re)join in; if that is news, clears the member's crash
+    /// state, admits it into the overlay at the canonical sorted position,
+    /// and applies the churn.
+    fn apply_join(&mut self, join: Join, host: &mut Host) {
+        let member = join.member;
         let life = self.lives.entry(member).or_default();
         let was_crashed = life.crashed;
-        if !life.merge(incarnation, false) {
+        if !life.merge(join.incarnation, false) {
             return;
         }
         self.view_epoch += u64::from(was_crashed);
@@ -534,9 +579,9 @@ impl Membership {
         }
     }
 
-    /// Byz-aware corroborated suspicion: records the vote of `msg`'s origin
-    /// that `victim` crashed in the incarnation `msg` names, and applies
-    /// the crash only once
+    /// Byz-aware corroborated suspicion: records the vote of the report's
+    /// origin that its victim crashed in the incarnation it names, and
+    /// applies the crash only once
     /// [`Self::crash_quorum`] distinct reporters agree **and** the victim
     /// is not demonstrably alive on a direct link (link up, frames within
     /// the suspicion timeout). Either guard alone stops a lone traitor:
@@ -544,9 +589,9 @@ impl Membership {
     /// corroborated-looking wave is vetoed while the victim is still heard
     /// on a direct link — until that link, too, has been silent a full
     /// timeout ([`Self::lift_stale_vetoes`]).
-    fn note_crash_report(&mut self, victim: MemberId, msg: &Message, host: &mut Host) {
-        let named = wire::incarnation_of(&msg.payload).unwrap_or_default();
-        let Some(at) = self.corroborated(victim, named, MemberId::from(msg.origin)) else {
+    fn note_crash_report(&mut self, report: Report, host: &mut Host) {
+        let victim = report.victim;
+        let Some(at) = self.corroborated(victim, report.incarnation, report.origin) else {
             return;
         };
         if self.crash_quorum > 1 && (host.live)(victim) {
@@ -769,31 +814,63 @@ mod tests {
         out
     }
 
-    /// A control frame under `origin`'s name; a crash report names the
-    /// victim's incarnation `named`.
-    fn control(id: u64, origin: MemberId, named: u64) -> Message {
-        let payload = match wire::classify(id) {
-            FrameKind::Crash(_) => wire::incarnation_payload(named),
-            _ => Bytes::new(),
-        };
-        Message::new(id, origin as u32, payload)
+    /// What `say` from `sender` is to member `me`, on the link from
+    /// `sender`: what the node decodes from the frame it writes.
+    fn hear(me: MemberId, sender: MemberId, say: Say) -> Heard {
+        match say {
+            Say::Crash {
+                victim,
+                incarnation,
+                nonce,
+            } => crash(me, sender, victim, incarnation, nonce),
+            Say::Join { nonce } => join(sender, nonce),
+        }
     }
 
-    /// `msg` from `from`, handed back as news when membership takes it as a
-    /// wave (the node's plane has not seen the id before): the ruling, and
+    /// `origin`'s `CRASH(victim)` under `nonce`, naming the victim's
+    /// incarnation `named`, as member `me` hears it from `origin`.
+    fn crash(me: MemberId, origin: MemberId, victim: MemberId, named: u64, nonce: u32) -> Heard {
+        let (from, incarnation, first_hand) = (origin, named, true);
+        if victim == me {
+            return Heard::Notice(Notice {
+                from,
+                incarnation,
+                first_hand,
+            });
+        }
+        let sent_in = super::incarnation(nonce);
+        Heard::Report(Report {
+            origin,
+            victim,
+            incarnation,
+            sent_in,
+        })
+    }
+
+    /// `member`'s `JOIN` under `nonce`.
+    fn join(member: MemberId, nonce: u32) -> Heard {
+        let incarnation = incarnation(nonce);
+        Heard::Join(Join {
+            member,
+            incarnation,
+        })
+    }
+
+    /// `heard` from `from`, handed back as news when membership takes it as
+    /// a wave (the node's plane has not seen it before): the ruling, and
     /// what it emitted.
     fn offer(
         m: &mut Membership,
-        msg: &Message,
+        heard: Heard,
         from: MemberId,
         now: u64,
         live: bool,
     ) -> (Wave, Vec<Effect>) {
         let mut wave = Wave::Refused;
         let fx = run(m, now, live, |m, host| {
-            wave = m.on_frame(from, msg, wire::classify(msg.broadcast_id), host);
+            wave = m.on_heard(from, heard, host);
             if wave == Wave::Take {
-                m.on_wave(from, msg, host);
+                m.on_wave(from, heard, host);
             }
         });
         (wave, fx)
@@ -802,22 +879,21 @@ mod tests {
     /// `reporter`'s own wave reporting `victim` crashed in its first
     /// incarnation.
     fn report(m: &mut Membership, victim: MemberId, reporter: MemberId, live: bool) -> Vec<Effect> {
-        let msg = control(wire::crash_id(victim, reporter as u32), reporter, 0);
-        offer(m, &msg, reporter, 1_000, live).1
+        let heard = crash(0, reporter, victim, 0, reporter as u32);
+        offer(m, heard, reporter, 1_000, live).1
     }
 
     fn excommunicates(effects: &[Effect], victim: MemberId) -> bool {
         (effects.iter()).any(|e| matches!(e, Effect::Excommunicate(v) if *v == victim))
     }
 
-    /// The frames emitted, as (kind, None) for a wave and (kind, Some(to))
+    /// The frames emitted, as (frame, None) for a wave and (frame, Some(to))
     /// for a direct send.
-    fn frames(effects: &[Effect]) -> Vec<(FrameKind, Option<MemberId>)> {
-        let kind = |msg: &Message| wire::classify(msg.broadcast_id);
+    fn frames(effects: &[Effect]) -> Vec<(Say, Option<MemberId>)> {
         (effects.iter())
-            .filter_map(|e| match e {
-                Effect::Wave(msg) => Some((kind(msg), None)),
-                Effect::Send(to, msg) => Some((kind(msg), Some(*to))),
+            .filter_map(|e| match *e {
+                Effect::Wave(say) => Some((say, None)),
+                Effect::Send(to, say) => Some((say, Some(to))),
                 _ => None,
             })
             .collect()
@@ -854,12 +930,11 @@ mod tests {
         assert_eq!(frames(&fx), []);
         // A report about the life before a join is no voice; one about a
         // later life vouches that this one is over too.
-        let join = wire::join_id(6, 9);
-        let life = wire::incarnation(join);
-        offer(&mut m, &control(join, 6, 0), 6, 1_000, false);
+        let life = incarnation(9);
+        offer(&mut m, join(6, 9), 6, 1_000, false);
         let mut said = |reporter: MemberId, named| {
-            let msg = control(wire::crash_id(6, reporter as u32), reporter, named);
-            offer(&mut m, &msg, reporter, 1_000, false)
+            let heard = crash(0, reporter, 6, named, reporter as u32);
+            offer(&mut m, heard, reporter, 1_000, false)
         };
         assert_eq!(said(1, 0).0, Wave::Stale);
         let (wave, fx) = said(2, life + 1);
@@ -877,9 +952,9 @@ mod tests {
         let mut m = member(1);
         for seq in 0..200u16 {
             for victim in [5, 0] {
-                let id = wire::crash_id(victim, wire::wave_nonce(3, 2 * seq + victim as u16));
+                let nonce = wave_nonce(3, 2 * seq + victim as u16);
                 let named = u64::from(seq) * 7 + 1;
-                let fx = offer(&mut m, &control(id, 3, named), 3, 1_000, false).1;
+                let fx = offer(&mut m, crash(0, 3, victim, named, nonce), 3, 1_000, false).1;
                 assert!(frames(&fx).is_empty() && !excommunicates(&fx, 5), "{fx:?}");
             }
         }
@@ -894,17 +969,17 @@ mod tests {
     fn a_revenant_is_heard_only_on_its_own_join_and_what_it_says_after() {
         let mut m = member(0);
         run(&mut m, 1_000, false, |m, host| m.suspect(7, host));
-        let mut rule = |id: u64, origin| offer(&mut m, &control(id, origin, 0), 7, 2_000, false).0;
-        let nonce = |seq| wire::wave_nonce(7, seq);
-        assert_eq!(rule(wire::crash_id(3, nonce(0)), 7), Wave::Refused);
-        assert_eq!(rule(wire::join_id(3, 3 << 16), 3), Wave::Refused);
-        assert_eq!(rule(wire::join_id(7, nonce(2)), 7), Wave::Take);
+        let mut rule = |heard| offer(&mut m, heard, 7, 2_000, false).0;
+        let nonce = |seq| wave_nonce(7, seq);
+        assert_eq!(rule(crash(0, 7, 3, 0, nonce(0))), Wave::Refused);
+        assert_eq!(rule(join(3, 3 << 16)), Wave::Refused);
+        assert_eq!(rule(join(7, nonce(2))), Wave::Take);
         assert!(m.crashes_applied().is_empty(), "readmitted");
         // What it said before its join is stale; what it says after is news.
-        let mut rule = |id: u64, origin| offer(&mut m, &control(id, origin, 0), 7, 2_000, false).0;
-        assert_eq!(rule(wire::crash_id(3, nonce(1)), 7), Wave::Stale);
-        assert_eq!(rule(wire::join_id(7, nonce(1)), 7), Wave::Stale);
-        assert_eq!(rule(wire::crash_id(3, nonce(3)), 7), Wave::Take);
+        let mut rule = |heard| offer(&mut m, heard, 7, 2_000, false).0;
+        assert_eq!(rule(crash(0, 7, 3, 0, nonce(1))), Wave::Stale);
+        assert_eq!(rule(join(7, nonce(1))), Wave::Stale);
+        assert_eq!(rule(crash(0, 7, 3, 0, nonce(3))), Wave::Take);
     }
 
     /// Quick partition seed 101's interleaving: a replica applies member
@@ -914,20 +989,17 @@ mod tests {
     #[test]
     fn a_report_about_the_life_before_a_join_is_stale_after_it() {
         let mut m = member(0);
-        let crash = |reporter: MemberId, named| {
-            let id = wire::crash_id(1, wire::wave_nonce(reporter as u32, 0));
-            control(id, reporter, named)
-        };
-        let (_, fx) = offer(&mut m, &crash(2, 0), 2, 1_000, false);
+        let about_1 = |by: MemberId, named| crash(0, by, 1, named, wave_nonce(by as u32, 0));
+        let (_, fx) = offer(&mut m, about_1(2, 0), 2, 1_000, false);
         assert!(excommunicates(&fx, 1));
-        let join = wire::join_id(1, wire::wave_nonce(16, 0));
-        let (wave, _) = offer(&mut m, &control(join, 1, 0), 1, 2_000, false);
+        let joined = wave_nonce(16, 0);
+        let (wave, _) = offer(&mut m, join(1, joined), 1, 2_000, false);
         assert_eq!(wave, Wave::Take);
         assert!(m.crashes_applied().is_empty(), "readmitted");
-        let (wave, fx) = offer(&mut m, &crash(3, 0), 3, 3_000, false);
+        let (wave, fx) = offer(&mut m, about_1(3, 0), 3, 3_000, false);
         assert_eq!(wave, Wave::Stale);
         assert!(!excommunicates(&fx, 1) && m.crashes_applied().is_empty());
-        let (wave, fx) = offer(&mut m, &crash(4, wire::incarnation(join)), 4, 4_000, false);
+        let (wave, fx) = offer(&mut m, about_1(4, incarnation(joined)), 4, 4_000, false);
         assert_eq!(wave, Wave::Take);
         assert!(excommunicates(&fx, 1));
     }
@@ -943,8 +1015,8 @@ mod tests {
     /// only one a peer can know before this node has answered.
     #[test]
     fn the_replica_is_the_join_of_the_waves_heard_in_any_order() {
-        let joined = |x: u32| wire::wave_nonce(16 + x, 0);
-        let life = |x| wire::incarnation(wire::join_id(0, joined(x)));
+        let joined = |x: u32| wave_nonce(16 + x, 0);
+        let life = |x| incarnation(joined(x));
         let named = [0, life(0), life(1)];
         for case in 0..400u64 {
             let mut rng = StdRng::seed_from_u64(case);
@@ -952,29 +1024,23 @@ mod tests {
             let mut waves = Vec::new();
             for seq in 0..rng.random_range(4..32u16) {
                 let relay = rng.random_range(10..16u64);
-                let reported = |victim| wire::crash_id(victim, wire::wave_nonce(relay as u32, seq));
-                let msg = match rng.random_range(0..4u32) {
+                let reported =
+                    |victim, said| crash(0, relay, victim, said, wave_nonce(relay as u32, seq));
+                let heard = match rng.random_range(0..4u32) {
                     0 | 1 => {
                         let said = named[rng.random_range(0..3usize)];
-                        control(reported(rng.random_range(1..10u64)), relay, said)
+                        reported(rng.random_range(1..10u64), said)
                     }
-                    2 => {
-                        let member = rng.random_range(1..10u64);
-                        control(
-                            wire::join_id(member, joined(rng.random_range(0..2))),
-                            member,
-                            0,
-                        )
-                    }
-                    _ => control(reported(0), relay, 0),
+                    2 => join(rng.random_range(1..10u64), joined(rng.random_range(0..2))),
+                    _ => reported(0, 0),
                 };
-                waves.push((msg, relay));
+                waves.push((heard, relay));
             }
             let mut replay = |rng: &mut StdRng| {
                 waves.shuffle(rng);
                 let mut m = member(f);
-                for (msg, from) in &waves {
-                    offer(&mut m, msg, *from, 1_000, false);
+                for &(heard, from) in &waves {
+                    offer(&mut m, heard, from, 1_000, false);
                 }
                 m
             };
@@ -985,25 +1051,6 @@ mod tests {
                 assert_eq!(a.overlay().links(), b.overlay().links(), "case {case}");
             }
         }
-    }
-
-    #[test]
-    fn a_malformed_incarnation_is_refused_counted_and_never_applied() {
-        let mut m = member(0);
-        // Missing, cut short, non-minimal, and a trailing byte.
-        let refused: [&[u8]; 4] = [&[], &[0x80], &[0x80, 0x00], &[0x00, 0x00]];
-        for (seq, raw) in (0..).zip(refused) {
-            // A crash wave about member 5, and a dead notice about this node.
-            for victim in [5, 0] {
-                let id = wire::crash_id(victim, wire::wave_nonce(3, 2 * seq + victim as u16));
-                let msg = Message::new(id, 3, Bytes::copy_from_slice(raw));
-                let (wave, fx) = offer(&mut m, &msg, 3, 1_000, false);
-                assert_eq!(wave, Wave::Refused, "{raw:02x?}");
-                assert!(fx.is_empty(), "{raw:02x?}: {fx:?}");
-            }
-        }
-        assert_eq!(m.metrics.counter("runtime.malformed_frames").get(), 8);
-        assert!(m.lives.is_empty() && !m.pending_join_announce);
     }
 
     #[test]
@@ -1037,13 +1084,12 @@ mod tests {
             let mut m = member(f);
             // The `JOIN`s announced, and those sent again (to whom).
             let mut notice = |from: MemberId, named, now| {
-                let msg = control(wire::crash_id(0, from as u32), from, named);
+                let heard = crash(0, from, 0, named, from as u32);
                 let (mut announced, mut resent) = (Vec::new(), Vec::new());
-                for e in offer(&mut m, &msg, from, now, false).1 {
-                    match e {
-                        Effect::Wave(msg) => announced.push(msg.broadcast_id),
-                        Effect::Send(to, msg) => resent.push((to, msg.broadcast_id)),
-                        _ => {}
+                for (say, to) in frames(&offer(&mut m, heard, from, now, false).1) {
+                    match to {
+                        None => announced.push(say),
+                        Some(to) => resent.push((to, say)),
                     }
                 }
                 (announced, resent)
@@ -1058,7 +1104,9 @@ mod tests {
                 );
             }
             // One announcement, which the notifier gets like everyone else.
-            let first = wire::join_id(0, wire::wave_nonce(0, 0));
+            let first = Say::Join {
+                nonce: wave_nonce(0, 0),
+            };
             assert_eq!(notice(7, 0, 1_000), (vec![first], vec![]), "f = {f}");
             for from in 2..6 {
                 let again = (vec![], vec![(from, first)]);
@@ -1072,7 +1120,9 @@ mod tests {
             for from in 1..=f as MemberId {
                 assert_eq!(notice(from, 1, 9 * TIMEOUT), none, "f = {f}");
             }
-            let second = wire::join_id(0, wire::wave_nonce(0, 1));
+            let second = Say::Join {
+                nonce: wave_nonce(0, 1),
+            };
             assert_eq!(notice(8, 1, 9 * TIMEOUT), (vec![second], vec![]), "f = {f}");
             assert_eq!(notice(9, 1, 9 * TIMEOUT), (vec![], vec![(9, second)]));
         }
@@ -1086,19 +1136,24 @@ mod tests {
     fn a_revenant_that_never_heard_a_join_is_sent_it_and_readmits() {
         let (mut p, mut q, mut r) = (member(0), node(4, 0), node(5, 0));
         // p's first notice starts its next life; q applies the `JOIN`.
-        let notice = control(wire::crash_id(0, wire::wave_nonce(3, 0)), 3, 0);
-        let fx = offer(&mut p, &notice, 3, 1_000, false).1;
+        let fx = offer(&mut p, crash(0, 3, 0, 0, wave_nonce(3, 0)), 3, 1_000, false).1;
         let Some(Effect::Wave(join)) = fx.into_iter().find(|e| matches!(e, Effect::Wave(_))) else {
             panic!("no JOIN announced");
         };
-        assert_eq!(offer(&mut q, &join, 0, 2_000, false).0, Wave::Take);
+        assert_eq!(
+            offer(&mut q, hear(4, 0, join), 0, 2_000, false).0,
+            Wave::Take
+        );
         // The revenant suspects p, in the only life it knows of.
         let fx = run(&mut r, 3_000, false, |m, host| m.suspect(0, host));
         let Some(Effect::Wave(crash)) = fx.into_iter().find(|e| matches!(e, Effect::Wave(_)))
         else {
             panic!("no crash wave");
         };
-        assert_eq!(offer(&mut q, &crash, 5, 3_000, false).0, Wave::Stale);
+        assert_eq!(
+            offer(&mut q, hear(4, 5, crash), 5, 3_000, false).0,
+            Wave::Stale
+        );
         assert!(q.crashes_applied().is_empty());
         // A grave probe finds p alive and tells it so.
         let fx = run(&mut r, 4_000, false, |m, host| m.on_link_up(0, true, host));
@@ -1106,15 +1161,18 @@ mod tests {
         else {
             panic!("no dead notice");
         };
-        let (wave, fx) = offer(&mut p, &dead, 5, 5_000, false);
+        let (wave, fx) = offer(&mut p, hear(0, 5, dead), 5, 5_000, false);
         assert_eq!(wave, Wave::Stale);
-        let [Effect::Send(5, again)] = &fx[..] else {
+        let [Effect::Send(5, again)] = fx[..] else {
             panic!("{fx:?}");
         };
-        assert_eq!(again.broadcast_id, join.broadcast_id, "the same `JOIN`");
+        assert_eq!(again, join, "the same `JOIN`");
         assert_eq!(p.metrics.counter("runtime.join_announces").get(), 1);
         // The revenant takes it as news and readmits p where q holds it.
-        assert_eq!(offer(&mut r, again, 0, 6_000, false).0, Wave::Take);
+        assert_eq!(
+            offer(&mut r, hear(5, 0, again), 0, 6_000, false).0,
+            Wave::Take
+        );
         assert!(r.crashes_applied().is_empty());
         assert_eq!(r.overlay().links(), q.overlay().links());
         assert_eq!(r.lives[&0], q.lives[&0]);
@@ -1129,13 +1187,7 @@ mod tests {
         }
         // The k-th crash is not healed around.
         assert!(m.is_degraded() && m.overlay().contains(11));
-        offer(
-            &mut m,
-            &control(wire::join_id(7, 1 << 16), 7, 0),
-            7,
-            2_000,
-            false,
-        );
+        offer(&mut m, join(7, 1 << 16), 7, 2_000, false);
         // Back within budget: the deferred heal applies.
         assert!(!m.is_degraded() && !m.overlay().contains(11));
         assert_eq!(

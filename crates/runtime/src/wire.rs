@@ -20,11 +20,20 @@
 //! bits 32..64). Loopback clusters have tiny member ids, so bits 57+ are
 //! never set by data traffic; [`crate::Cluster`] enforces the ceiling at
 //! launch ([`MAX_MEMBERS`]).
+//!
+//! Membership's frames are encoded and decoded here, and only here: a
+//! crash or join frame becomes what it says (`heard`: a report, a join or
+//! a dead notice, its incarnation payload read once), and what membership
+//! says becomes a frame (`said`).
 
 use bytes::Bytes;
 use lhg_core::overlay::MemberId;
+use lhg_net::message::Message;
 use lhg_net::varint;
 use lhg_net::wirecost::MessageClass;
+
+pub use crate::membership::wave_nonce;
+use crate::membership::{self, Heard, Join, Notice, Report, Say};
 
 pub use lhg_net::reliable::{
     decode_ack_payload, decode_summary_payload, encode_ack_payload, encode_summary_payload,
@@ -180,22 +189,11 @@ pub fn is_control_id(broadcast_id: u64) -> bool {
     broadcast_id & lhg_net::wirecost::CLASS_TAG_MASK != 0
 }
 
-/// A 32-bit crash/join wave nonce: the member's cluster-global life number
-/// in the high 16 bits, its per-life wave sequence in the low 16. Lives
-/// are allocated once per (re)join by the cluster, so nonces stay unique
-/// across kill/rejoin cycles until the life counter itself wraps at
-/// 2^16 — far beyond the dedup set's eviction horizon (see the
-/// wave-nonce property tests).
-#[must_use]
-pub fn wave_nonce(life: u32, seq: u16) -> u32 {
-    (life << 16) | u32::from(seq)
-}
-
 /// The incarnation a crash or join id's sender was in at the latest, where a
-/// `JOIN` starts: its nonce + 1, so 0 (member 0's first nonce) means "never".
+/// `JOIN` starts ([`crate::membership::incarnation`] of its nonce).
 #[must_use]
 pub fn incarnation(broadcast_id: u64) -> u64 {
-    u64::from((broadcast_id >> NONCE_SHIFT) as u32) + 1
+    membership::incarnation((broadcast_id >> NONCE_SHIFT) as u32)
 }
 
 /// The payload of a crash wave or a dead notice: the victim's incarnation
@@ -213,6 +211,45 @@ pub fn incarnation_payload(incarnation: u64) -> Bytes {
 pub fn incarnation_of(payload: &[u8]) -> Option<u64> {
     let mut raw = payload;
     varint::read_u64(&mut raw).filter(|_| raw.is_empty())
+}
+
+/// What a crash or join frame from the linked peer `from` says to node
+/// `me`, decoded once: a `CRASH(me)` is a dead notice. `None` when a crash
+/// frame's incarnation payload is malformed (a join's payload is not read),
+/// or when `msg` is no crash or join frame.
+pub(crate) fn heard(me: MemberId, from: MemberId, msg: &Message) -> Option<Heard> {
+    let (origin, sent_in) = (MemberId::from(msg.origin), incarnation(msg.broadcast_id));
+    Some(match classify(msg.broadcast_id) {
+        FrameKind::Crash(victim) if victim == me => Heard::Notice(Notice {
+            from,
+            incarnation: incarnation_of(&msg.payload)?,
+            first_hand: origin == from,
+        }),
+        FrameKind::Crash(victim) => Heard::Report(Report {
+            origin,
+            victim,
+            incarnation: incarnation_of(&msg.payload)?,
+            sent_in,
+        }),
+        FrameKind::Join(member) => Heard::Join(Join {
+            member,
+            incarnation: sent_in,
+        }),
+        _ => return None,
+    })
+}
+
+/// The frame node `me` writes for what membership says.
+pub(crate) fn said(me: MemberId, say: Say) -> Message {
+    let (id, payload) = match say {
+        Say::Crash {
+            victim,
+            incarnation,
+            nonce,
+        } => (crash_id(victim, nonce), incarnation_payload(incarnation)),
+        Say::Join { nonce } => (join_id(me, nonce), Bytes::new()),
+    };
+    Message::new(id, me as u32, payload)
 }
 
 #[cfg(test)]
@@ -325,6 +362,21 @@ mod tests {
         let refused: [&[u8]; 5] = [&[], &[0x80], &[0x80, 0x00], &[0x00, 0x00], &[0x05, 0x01]];
         for raw in refused {
             assert_eq!(incarnation_of(raw), None, "{raw:02x?}");
+        }
+        // A crash frame that carries one is no membership input at all; a
+        // join's payload is not read.
+        for raw in refused {
+            let crash = Message::new(crash_id(5, 0), 3, Bytes::copy_from_slice(raw));
+            let notice = Message::new(crash_id(0, 0), 3, Bytes::copy_from_slice(raw));
+            assert_eq!(heard(0, 3, &crash), None, "{raw:02x?}");
+            assert_eq!(heard(0, 3, &notice), None, "{raw:02x?}");
+            let join = Message::new(join_id(5, 0), 5, Bytes::copy_from_slice(raw));
+            let incarnation = 1;
+            let read = Heard::Join(Join {
+                member: 5,
+                incarnation,
+            });
+            assert_eq!(heard(0, 3, &join), Some(read), "{raw:02x?}");
         }
         // A join's incarnation is its nonce + 1: member 0's first is 1.
         assert_eq!(incarnation(join_id(0, wave_nonce(0, 0))), 1);

@@ -1,8 +1,9 @@
 //! The I/O line, enforced: `core.rs` is sans-IO and `node.rs` is only a
 //! driver. A protocol decision creeping back into the socket loop — or a
 //! socket, thread or wall clock into the state machine — fails here, not
-//! in review. And the crate's one system call the standard library does
-//! not wrap keeps its `unsafe` to `sys.rs`.
+//! in review. `membership.rs` takes and says values, never frames: the
+//! wire encoding of its inputs is `wire.rs`'s. And the crate's one system
+//! call the standard library does not wrap keeps its `unsafe` to `sys.rs`.
 
 fn offenders<'a>(source: &str, banned: &[&'a str]) -> Vec<&'a str> {
     (banned.iter().copied())
@@ -34,6 +35,14 @@ fn core_is_sans_io_and_node_is_only_a_driver() {
         "wire::classify",
     ];
     assert_eq!(offenders(node, &banned), Vec::<&str>::new(), "node.rs");
+}
+
+#[test]
+fn membership_names_no_frame() {
+    let membership = include_str!("../src/membership.rs");
+    let banned = ["Message", "Bytes", "FrameKind", "wire::"];
+    let found = offenders(membership, &banned);
+    assert_eq!(found, Vec::<&str>::new(), "membership.rs");
 }
 
 #[test]
