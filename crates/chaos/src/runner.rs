@@ -987,10 +987,9 @@ mod tests {
 
     /// Full-size mixed seed 239 went red without `lift_stale_vetoes` until
     /// membership became a lattice of incarnations; it no longer does (full
-    /// mixed 744 pins the mechanism now). A replay that must stay green,
-    /// under its old name.
+    /// mixed 744 pins the mechanism now). A replay that must stay green.
     #[test]
-    fn sim_full_mixed_seed_239_needs_stale_vetoes_lifted() {
+    fn sim_full_mixed_seed_239_stays_green() {
         assert_green(239, false, Family::Mixed);
     }
 
@@ -1006,9 +1005,9 @@ mod tests {
     /// Full-size partition seed 226 ran past the horizon without heal grace
     /// until membership became a lattice of incarnations; it no longer does
     /// (full mixed 1419 pins the mechanism now). A replay that must stay
-    /// green, under its old name.
+    /// green.
     #[test]
-    fn sim_full_partition_seed_226_needs_heal_grace() {
+    fn sim_full_partition_seed_226_stays_green() {
         assert_green(226, false, Family::Partition);
     }
 

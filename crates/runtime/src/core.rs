@@ -594,17 +594,18 @@ impl NodeCore {
             // every live link, not down a tree: waves are rare, and keep
             // alike the replicas that place the trees. A stale one is marked
             // seen first, so the plane only acks it and no advert draws a
-            // pull of it; a dead notice never enters it.
+            // pull of it; a dead notice never enters it, nor does a refused
+            // wave.
             FrameKind::Crash(_) | FrameKind::Join(_) => {
                 let Some(heard) = wire::heard(self.id, from, &msg) else {
                     return self.count("runtime.malformed_frames");
                 };
                 let wave = self.member(|m, host| m.on_heard(from, heard, host));
-                let take = wave == Wave::Take;
-                if wave == Wave::Stale {
+                let (take, stale) = (wave == Wave::Take, wave == Wave::Stale);
+                if stale {
                     self.seen.insert(msg.broadcast_id);
                 }
-                if take || (wave == Wave::Stale && msg.link_seq.is_some()) {
+                if take || (stale && msg.link_seq.is_some()) {
                     let outcome = self.drive(|r, seen, links, now, out| {
                         r.on_data(from, &msg, seen, now, links.filter(|_| take), out)
                     });
@@ -614,7 +615,7 @@ impl NodeCore {
                     }
                 }
             }
-            // Handshakes are the driver's; refused waves stop at membership.
+            // Handshakes are the driver's.
             FrameKind::Hello(_) => {}
             FrameKind::Ack(_) => {
                 self.drive(|r, _, _, now, out| r.on_ack(from, msg.payload, now, out));

@@ -61,18 +61,16 @@ pub fn wave_nonce(life: u32, seq: u16) -> u32 {
 /// The incarnation a `JOIN` under `nonce` starts: its nonce + 1, so 0
 /// (member 0's first nonce) means "never joined".
 #[must_use]
-pub fn incarnation(nonce: u32) -> u64 {
+pub(crate) fn incarnation(nonce: u32) -> u64 {
     u64::from(nonce) + 1
 }
 
-/// `origin` reports `victim` crashed in `incarnation`; it sent the wave in
-/// its own incarnation `sent_in` at the latest.
+/// `origin` reports `victim` crashed in `incarnation`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Report {
     pub origin: MemberId,
     pub victim: MemberId,
     pub incarnation: u64,
-    pub sent_in: u64,
 }
 
 /// `member` (re)joined, starting `incarnation`.
@@ -387,17 +385,9 @@ impl Membership {
             // A revenant may only announce itself.
             Heard::Report(_) if excommunicated => Wave::Refused,
             Heard::Join(join) if excommunicated && join.member != from => Wave::Refused,
-            // A wave from an origin excommunicated here, or sent before its
-            // latest join, was sent from a replica this node has since ruled
-            // out: the reliable plane would otherwise hand it on long after.
-            // A report or join the member's entry dominates is old news.
-            Heard::Report(r)
-                if self.is_excommunicated(r.origin)
-                    || dominated(r.origin, r.sent_in, false)
-                    || dominated(r.victim, r.incarnation, true) =>
-            {
-                Wave::Stale
-            }
+            // A report or join the member's entry dominates is old news,
+            // whoever sent it and when.
+            Heard::Report(r) if dominated(r.victim, r.incarnation, true) => Wave::Stale,
             Heard::Join(join) if dominated(join.member, join.incarnation, false) => Wave::Stale,
             _ => Wave::Take,
         }
@@ -821,15 +811,15 @@ mod tests {
             Say::Crash {
                 victim,
                 incarnation,
-                nonce,
-            } => crash(me, sender, victim, incarnation, nonce),
+                ..
+            } => crash(me, sender, victim, incarnation),
             Say::Join { nonce } => join(sender, nonce),
         }
     }
 
-    /// `origin`'s `CRASH(victim)` under `nonce`, naming the victim's
-    /// incarnation `named`, as member `me` hears it from `origin`.
-    fn crash(me: MemberId, origin: MemberId, victim: MemberId, named: u64, nonce: u32) -> Heard {
+    /// `origin`'s `CRASH(victim)` naming the victim's incarnation `named`,
+    /// as member `me` hears it from `origin`.
+    fn crash(me: MemberId, origin: MemberId, victim: MemberId, named: u64) -> Heard {
         let (from, incarnation, first_hand) = (origin, named, true);
         if victim == me {
             return Heard::Notice(Notice {
@@ -838,12 +828,10 @@ mod tests {
                 first_hand,
             });
         }
-        let sent_in = super::incarnation(nonce);
         Heard::Report(Report {
             origin,
             victim,
             incarnation,
-            sent_in,
         })
     }
 
@@ -879,7 +867,7 @@ mod tests {
     /// `reporter`'s own wave reporting `victim` crashed in its first
     /// incarnation.
     fn report(m: &mut Membership, victim: MemberId, reporter: MemberId, live: bool) -> Vec<Effect> {
-        let heard = crash(0, reporter, victim, 0, reporter as u32);
+        let heard = crash(0, reporter, victim, 0);
         offer(m, heard, reporter, 1_000, live).1
     }
 
@@ -933,7 +921,7 @@ mod tests {
         let life = incarnation(9);
         offer(&mut m, join(6, 9), 6, 1_000, false);
         let mut said = |reporter: MemberId, named| {
-            let heard = crash(0, reporter, 6, named, reporter as u32);
+            let heard = crash(0, reporter, 6, named);
             offer(&mut m, heard, reporter, 1_000, false)
         };
         assert_eq!(said(1, 0).0, Wave::Stale);
@@ -944,17 +932,16 @@ mod tests {
         assert_eq!(m.lives[&6].reporters, BTreeMap::from([(2, life + 1)]));
     }
 
-    /// One origin naming ever new incarnations of a victim under fresh
-    /// nonces, or of this node in dead notices, holds one slot each: its
-    /// highest, which is still one voice.
+    /// One origin naming ever new incarnations of a victim, or of this node
+    /// in dead notices, holds one slot each: its highest, which is still
+    /// one voice.
     #[test]
     fn a_reporter_naming_many_incarnations_holds_one_slot() {
         let mut m = member(1);
         for seq in 0..200u16 {
             for victim in [5, 0] {
-                let nonce = wave_nonce(3, 2 * seq + victim as u16);
                 let named = u64::from(seq) * 7 + 1;
-                let fx = offer(&mut m, crash(0, 3, victim, named, nonce), 3, 1_000, false).1;
+                let fx = offer(&mut m, crash(0, 3, victim, named), 3, 1_000, false).1;
                 assert!(frames(&fx).is_empty() && !excommunicates(&fx, 5), "{fx:?}");
             }
         }
@@ -965,21 +952,21 @@ mod tests {
         assert!(m.crashes_applied().is_empty() && !m.pending_join_announce);
     }
 
+    /// A revenant's crash gossip and a join it relays for another member
+    /// are refused; its own join readmits it, and what it says after is news.
     #[test]
     fn a_revenant_is_heard_only_on_its_own_join_and_what_it_says_after() {
         let mut m = member(0);
         run(&mut m, 1_000, false, |m, host| m.suspect(7, host));
         let mut rule = |heard| offer(&mut m, heard, 7, 2_000, false).0;
         let nonce = |seq| wave_nonce(7, seq);
-        assert_eq!(rule(crash(0, 7, 3, 0, nonce(0))), Wave::Refused);
+        assert_eq!(rule(crash(0, 7, 3, 0)), Wave::Refused);
         assert_eq!(rule(join(3, 3 << 16)), Wave::Refused);
         assert_eq!(rule(join(7, nonce(2))), Wave::Take);
         assert!(m.crashes_applied().is_empty(), "readmitted");
-        // What it said before its join is stale; what it says after is news.
         let mut rule = |heard| offer(&mut m, heard, 7, 2_000, false).0;
-        assert_eq!(rule(crash(0, 7, 3, 0, nonce(1))), Wave::Stale);
         assert_eq!(rule(join(7, nonce(1))), Wave::Stale);
-        assert_eq!(rule(crash(0, 7, 3, 0, nonce(3))), Wave::Take);
+        assert_eq!(rule(crash(0, 7, 3, 0)), Wave::Take);
     }
 
     /// Quick partition seed 101's interleaving: a replica applies member
@@ -989,7 +976,7 @@ mod tests {
     #[test]
     fn a_report_about_the_life_before_a_join_is_stale_after_it() {
         let mut m = member(0);
-        let about_1 = |by: MemberId, named| crash(0, by, 1, named, wave_nonce(by as u32, 0));
+        let about_1 = |by: MemberId, named| crash(0, by, 1, named);
         let (_, fx) = offer(&mut m, about_1(2, 0), 2, 1_000, false);
         assert!(excommunicates(&fx, 1));
         let joined = wave_nonce(16, 0);
@@ -1008,11 +995,13 @@ mod tests {
     /// join waves and dead notices, applied in two random orders, leaves
     /// the same entries and the same crashes applied — and the same overlay
     /// unless a replica is degraded, since degraded mode keeps whichever
-    /// k-th crash came first in the overlay until a join lifts it. Victims
-    /// are members 1–9 and reporters 10–15, which never crash or rejoin:
-    /// the reporter-side stale rule orders one origin's own waves, not the
-    /// lattice. A dead notice names this node's first incarnation (0), the
-    /// only one a peer can know before this node has answered.
+    /// k-th crash came first in the overlay until a join lifts it. Members
+    /// 1–9 crash and rejoin, and report each other's crashes as much as
+    /// members 10–15 do; each wave comes relayed by one of 10–15, which
+    /// this node never excommunicates (a wave a revenant relays is refused,
+    /// and comes again by another link). A dead notice names this node's
+    /// first incarnation (0), the only one a peer can know before this
+    /// node has answered.
     #[test]
     fn the_replica_is_the_join_of_the_waves_heard_in_any_order() {
         let joined = |x: u32| wave_nonce(16 + x, 0);
@@ -1022,17 +1011,15 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(case);
             let f = (case % 2) as usize;
             let mut waves = Vec::new();
-            for seq in 0..rng.random_range(4..32u16) {
-                let relay = rng.random_range(10..16u64);
-                let reported =
-                    |victim, said| crash(0, relay, victim, said, wave_nonce(relay as u32, seq));
+            for _ in 0..rng.random_range(4..32u16) {
+                let (relay, origin) = (rng.random_range(10..16u64), rng.random_range(1..16u64));
                 let heard = match rng.random_range(0..4u32) {
                     0 | 1 => {
                         let said = named[rng.random_range(0..3usize)];
-                        reported(rng.random_range(1..10u64), said)
+                        crash(0, origin, rng.random_range(1..10u64), said)
                     }
                     2 => join(rng.random_range(1..10u64), joined(rng.random_range(0..2))),
-                    _ => reported(0, 0),
+                    _ => crash(0, relay, 0, 0),
                 };
                 waves.push((heard, relay));
             }
@@ -1084,7 +1071,7 @@ mod tests {
             let mut m = member(f);
             // The `JOIN`s announced, and those sent again (to whom).
             let mut notice = |from: MemberId, named, now| {
-                let heard = crash(0, from, 0, named, from as u32);
+                let heard = crash(0, from, 0, named);
                 let (mut announced, mut resent) = (Vec::new(), Vec::new());
                 for (say, to) in frames(&offer(&mut m, heard, from, now, false).1) {
                     match to {
@@ -1136,7 +1123,7 @@ mod tests {
     fn a_revenant_that_never_heard_a_join_is_sent_it_and_readmits() {
         let (mut p, mut q, mut r) = (member(0), node(4, 0), node(5, 0));
         // p's first notice starts its next life; q applies the `JOIN`.
-        let fx = offer(&mut p, crash(0, 3, 0, 0, wave_nonce(3, 0)), 3, 1_000, false).1;
+        let fx = offer(&mut p, crash(0, 3, 0, 0), 3, 1_000, false).1;
         let Some(Effect::Wave(join)) = fx.into_iter().find(|e| matches!(e, Effect::Wave(_))) else {
             panic!("no JOIN announced");
         };

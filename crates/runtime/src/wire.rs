@@ -189,13 +189,6 @@ pub fn is_control_id(broadcast_id: u64) -> bool {
     broadcast_id & lhg_net::wirecost::CLASS_TAG_MASK != 0
 }
 
-/// The incarnation a crash or join id's sender was in at the latest, where a
-/// `JOIN` starts ([`crate::membership::incarnation`] of its nonce).
-#[must_use]
-pub fn incarnation(broadcast_id: u64) -> u64 {
-    membership::incarnation((broadcast_id >> NONCE_SHIFT) as u32)
-}
-
 /// The payload of a crash wave or a dead notice: the victim's incarnation
 /// as its sender knew it, one varint.
 #[must_use]
@@ -218,7 +211,7 @@ pub fn incarnation_of(payload: &[u8]) -> Option<u64> {
 /// frame's incarnation payload is malformed (a join's payload is not read),
 /// or when `msg` is no crash or join frame.
 pub(crate) fn heard(me: MemberId, from: MemberId, msg: &Message) -> Option<Heard> {
-    let (origin, sent_in) = (MemberId::from(msg.origin), incarnation(msg.broadcast_id));
+    let origin = MemberId::from(msg.origin);
     Some(match classify(msg.broadcast_id) {
         FrameKind::Crash(victim) if victim == me => Heard::Notice(Notice {
             from,
@@ -229,11 +222,12 @@ pub(crate) fn heard(me: MemberId, from: MemberId, msg: &Message) -> Option<Heard
             origin,
             victim,
             incarnation: incarnation_of(&msg.payload)?,
-            sent_in,
         }),
+        // A `JOIN`'s nonce is the incarnation it starts; a crash wave's
+        // nonce only makes its id fresh.
         FrameKind::Join(member) => Heard::Join(Join {
             member,
-            incarnation: sent_in,
+            incarnation: membership::incarnation((msg.broadcast_id >> NONCE_SHIFT) as u32),
         }),
         _ => return None,
     })
@@ -378,9 +372,6 @@ mod tests {
             });
             assert_eq!(heard(0, 3, &join), Some(read), "{raw:02x?}");
         }
-        // A join's incarnation is its nonce + 1: member 0's first is 1.
-        assert_eq!(incarnation(join_id(0, wave_nonce(0, 0))), 1);
-        assert_eq!(incarnation(crash_id(7, u32::MAX)), 1 << 32);
     }
 
     mod wave_nonce_props {
