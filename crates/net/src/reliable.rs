@@ -651,20 +651,51 @@ pub fn encode_ack_payload(cum: u64, nacks: &[u64]) -> Bytes {
 /// the `max` newest payloads ([`encode_reusing`]).
 fn encode_ack(kept: &mut Vec<Bytes>, max: usize, cum: u64, nacks: &[u64]) -> Bytes {
     let nacks = &nacks[..nacks.len().min(MAX_NACKS)];
+    let mut out = Varints::new(&[]);
+    out.put(cum);
+    out.put(nacks.len() as u64);
+    let mut below = cum;
+    for &s in nacks {
+        debug_assert!(s > below, "NACKs rise strictly above the ack point");
+        out.put(s.wrapping_sub(below));
+        below = s;
+    }
     // Eight bytes for the point and each distance, which holds any value
-    // under 2^56 (a larger one grows the buffer), and one for the count: a
-    // kept buffer takes every later ack naming no more holes.
-    let room = 8 * (1 + nacks.len()) + 1;
-    encode_reusing(kept, max, room, |buf| {
-        varint::put_buf(buf, cum);
-        varint::put_buf(buf, nacks.len() as u64);
-        let mut below = cum;
-        for &s in nacks {
-            debug_assert!(s > below, "NACKs rise strictly above the ack point");
-            varint::put_buf(buf, s.wrapping_sub(below));
-            below = s;
+    // under 2^56, and one for the count: a kept buffer takes every later
+    // ack naming no more holes.
+    out.encode(kept, max, 8 * (1 + nacks.len()) + 1)
+}
+
+/// A control payload (an ack's or a summary's) written on the stack as
+/// bytes and varints, then copied once into a kept buffer.
+struct Varints {
+    wire: [u8; MAX_SUMMARY_LEN],
+    len: usize,
+}
+
+impl Varints {
+    /// A payload that starts with `head`.
+    fn new(head: &[u8]) -> Self {
+        let mut wire = [0u8; MAX_SUMMARY_LEN];
+        wire[..head.len()].copy_from_slice(head);
+        Varints {
+            wire,
+            len: head.len(),
         }
-    })
+    }
+
+    fn put(&mut self, v: u64) {
+        self.len += varint::put(&mut self.wire[self.len..], v);
+    }
+
+    /// The payload, in a buffer reclaimed from `kept`, which keeps the `max`
+    /// newest payloads ([`encode_reusing`]), of at least `room` bytes.
+    fn encode(&self, kept: &mut Vec<Bytes>, max: usize, room: usize) -> Bytes {
+        let payload = &self.wire[..self.len];
+        encode_reusing(kept, max, room.max(payload.len()), |buf| {
+            buf.put_slice(payload);
+        })
+    }
 }
 
 /// Decodes an ack frame payload. `None` on malformed input.
@@ -731,27 +762,28 @@ fn encode_summary(kept: &mut Vec<Bytes>, max: usize, mode: u8, ids: &[u64]) -> B
     set.sort_unstable();
     // The smallest id, then the gaps between neighbors; a repeat's gap is 0.
     let gaps = set.windows(2).map(|w| w[1] - w[0]).filter(|&gap| gap > 0);
-    let mut wire = [0u8; MAX_SUMMARY_LEN];
-    let (mut len, mut count) = (2, 0);
+    let (mut out, mut count) = (Varints::new(&[mode, 0]), 0);
     for v in set.first().copied().into_iter().chain(gaps) {
-        len += varint::put(&mut wire[len..], v);
+        out.put(v);
         count += 1;
     }
     // A count of at most 64 is a one-byte varint.
-    wire[..2].copy_from_slice(&[mode, count as u8]);
+    out.wire[1] = count as u8;
     // Room as an ack's: eight bytes an id, which holds any distance under
     // 2^56, and two for the mode and the count, so a kept buffer takes every
     // later control payload naming no more ids. Ids with a class tag in
     // their top byte (crash and join waves) take more: then the exact length.
-    encode_reusing(kept, max, len.max(2 + 8 * count), |buf| {
-        buf.put_slice(&wire[..len]);
-    })
+    out.encode(kept, max, 2 + 8 * count)
 }
 
 /// The longest summary payload: the mode byte, a one-byte count and 64
 /// varints that sum to at most `u64::MAX`, so one of them may take ten
 /// bytes (2^63 or more) and the others nine each.
 const MAX_SUMMARY_LEN: usize = 2 + varint::MAX_LEN_U64 + 9 * (MAX_SUMMARY_IDS - 1);
+
+// The longest ack payload (a point, a count and its distances, ten bytes
+// each at most) fits the same stack array.
+const _: () = assert!(varint::MAX_LEN_U64 * (MAX_NACKS + 2) <= MAX_SUMMARY_LEN);
 
 // Every summary payload fits the control pool's kept buffers.
 const _: () = assert!(MAX_SUMMARY_LEN <= KEPT_LEN);

@@ -11,8 +11,6 @@
 //! (a padded, non-minimal form) is refused. Reading never panics and looks
 //! at each byte once.
 
-use bytes::BufMut;
-
 /// The most bytes a `u32` takes.
 pub const MAX_LEN_U32: usize = 5;
 
@@ -44,13 +42,6 @@ pub fn put(out: &mut [u8], mut v: u64) -> usize {
     }
     out[i] = v as u8;
     i + 1
-}
-
-/// Appends `v` to `buf`.
-pub fn put_buf(buf: &mut impl BufMut, v: u64) {
-    let mut tmp = [0u8; MAX_LEN_U64];
-    let n = put(&mut tmp, v);
-    buf.put_slice(&tmp[..n]);
 }
 
 /// Reads a varint of at most `bits` significant bits off the front of
