@@ -434,66 +434,6 @@ impl MetricsRegistry {
     pub fn snapshot_json(&self) -> String {
         serde_json::to_string_pretty(&self.snapshot()).expect("value trees always render")
     }
-
-    /// Renders every instrument in the Prometheus text exposition format
-    /// (version 0.0.4): counters and gauges as single samples, histograms
-    /// as summary-typed quantile series plus `_sum`/`_count`. Metric names
-    /// are prefixed with `lhg_` and sanitized to `[a-zA-Z0-9_:]`.
-    ///
-    /// Each series gets a `# HELP` line (the original, unsanitized name —
-    /// the only place it survives sanitization), and `# HELP`/`# TYPE`
-    /// headers are emitted once per *sanitized* name: two registry names
-    /// that collapse to the same series (`a.b` and `a:b` both sanitize to
-    /// `lhg_a_b` for counters) would otherwise emit conflicting TYPE
-    /// blocks, which Prometheus rejects at scrape time.
-    #[must_use]
-    pub fn prometheus_text(&self) -> String {
-        fn sanitize(name: &str) -> String {
-            let mut out = String::with_capacity(name.len() + 4);
-            out.push_str("lhg_");
-            for c in name.chars() {
-                if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                    out.push(c);
-                } else {
-                    out.push('_');
-                }
-            }
-            out
-        }
-        fn escape_help(name: &str) -> String {
-            name.replace('\\', "\\\\").replace('\n', "\\n")
-        }
-        let mut out = String::new();
-        let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        let mut header = |out: &mut String, n: &str, name: &str, kind: &str| {
-            if seen.insert(n.to_owned()) {
-                out.push_str(&format!(
-                    "# HELP {n} {}\n# TYPE {n} {kind}\n",
-                    escape_help(name)
-                ));
-            }
-        };
-        for (name, c) in self.counters.read().iter() {
-            let n = sanitize(name);
-            header(&mut out, &n, name, "counter");
-            out.push_str(&format!("{n} {}\n", c.get()));
-        }
-        for (name, g) in self.gauges.read().iter() {
-            let n = sanitize(name);
-            header(&mut out, &n, name, "gauge");
-            out.push_str(&format!("{n} {}\n", g.get()));
-        }
-        for (name, h) in self.histograms.read().iter() {
-            let n = sanitize(name);
-            let s = h.summary();
-            header(&mut out, &n, name, "summary");
-            for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
-                out.push_str(&format!("{n}{{quantile=\"{q}\"}} {v}\n"));
-            }
-            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", s.sum, s.count));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -600,49 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_renders_all_instrument_kinds() {
-        let reg = MetricsRegistry::new();
-        reg.counter("runtime.deliveries").add(7);
-        reg.gauge("runtime.open-links").set(-2);
-        reg.histogram("runtime.delivery_latency_us").record(100);
-        let text = reg.prometheus_text();
-        assert!(text.contains("# TYPE lhg_runtime_deliveries counter\n"));
-        assert!(text.contains("lhg_runtime_deliveries 7\n"));
-        assert!(text.contains("# TYPE lhg_runtime_open_links gauge\n"));
-        assert!(text.contains("lhg_runtime_open_links -2\n"));
-        assert!(text.contains("# TYPE lhg_runtime_delivery_latency_us summary\n"));
-        assert!(text.contains("lhg_runtime_delivery_latency_us{quantile=\"0.5\"} 100\n"));
-        assert!(text.contains("lhg_runtime_delivery_latency_us_sum 100\n"));
-        assert!(text.contains("lhg_runtime_delivery_latency_us_count 1\n"));
-        // Every non-comment line is `name[{labels}] value`.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert_eq!(line.split(' ').count(), 2, "bad exposition line: {line}");
-        }
-    }
-
-    #[test]
-    fn prometheus_text_emits_help_and_dedupes_colliding_types() {
-        let reg = MetricsRegistry::new();
-        // Both sanitize to `lhg_a_b`; the TYPE/HELP block must appear once.
-        reg.counter("a.b").add(1);
-        reg.counter("a-b").add(2);
-        let text = reg.prometheus_text();
-        assert_eq!(
-            text.matches("# TYPE lhg_a_b counter\n").count(),
-            1,
-            "{text}"
-        );
-        assert_eq!(text.matches("# HELP lhg_a_b ").count(), 1, "{text}");
-        // Both samples still render.
-        assert!(text.contains("lhg_a_b 1\n"), "{text}");
-        assert!(text.contains("lhg_a_b 2\n"), "{text}");
-        // Every series carries a HELP line ahead of its TYPE line.
-        let help_pos = text.find("# HELP lhg_a_b").unwrap();
-        let type_pos = text.find("# TYPE lhg_a_b").unwrap();
-        assert!(help_pos < type_pos, "{text}");
-    }
-
-    #[test]
     fn histogram_delta_reads_partition_the_stream() {
         let h = Histogram::default();
         let mut cursor = HistogramCursor::new();
@@ -719,7 +616,6 @@ mod tests {
             }
             // The JSON tree renders without panicking mid-update.
             assert!(serde_json::to_string(&reg.snapshot()).is_ok());
-            let _ = reg.prometheus_text();
         }
         stop.store(true, Ordering::Relaxed);
         let total: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();

@@ -206,12 +206,6 @@ impl Cluster {
         self.metrics.snapshot_json()
     }
 
-    /// Prometheus text-exposition snapshot of every metric.
-    #[must_use]
-    pub fn metrics_prometheus(&self) -> String {
-        self.metrics.prometheus_text()
-    }
-
     /// The flight recorder of `member`, if it was ever launched.
     #[must_use]
     pub fn recorder(&self, member: MemberId) -> Option<&Arc<FlightRecorder>> {

@@ -55,9 +55,9 @@
 //!    excommunicated answers with a `JOIN` announcement, which every
 //!    replica applies at the same canonical position.
 //! 6. **Metrics** ([`lhg_net::metrics`]) — counters, gauges and latency
-//!    histograms shared by the whole cluster, exportable as JSON and as
-//!    Prometheus text exposition. Wire-level accounting is recorded by the
-//!    driver at the one site that writes a frame.
+//!    histograms shared by the whole cluster, exportable as JSON.
+//!    Wire-level accounting is recorded by the driver at the one site that
+//!    writes a frame.
 //! 7. **Observability** ([`lhg_trace`]) — every node feeds a per-node
 //!    [`lhg_trace::FlightRecorder`] (connect/disconnect, frames,
 //!    heartbeats, suspicion, crash reports, healing, broadcast

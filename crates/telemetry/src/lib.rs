@@ -51,7 +51,7 @@ impl Sample {
 /// Delta sampler over one [`MetricsRegistry`]: every [`sample`] call
 /// reports what changed since the previous call. Non-destructive: the
 /// registry's cumulative totals are never reset, so concurrent readers
-/// (Prometheus exposition, `snapshot_json`) are unaffected.
+/// (`snapshot_json`) are unaffected.
 ///
 /// [`sample`]: TelemetrySampler::sample
 #[derive(Debug)]
