@@ -361,15 +361,14 @@ impl BrachaEngine {
         })
     }
 
-    /// Every `(instance, digest)` of an undelivered instance this node has
-    /// heard votes for without holding the payload: what it has to ask a
-    /// neighbor for before it could echo, or deliver.
-    pub fn wanted_payloads(&self) -> impl Iterator<Item = (ByzTag, u64)> + '_ {
-        let undelivered = self.instances.iter().filter(|(_, i)| i.delivered.is_none());
-        undelivered.flat_map(|(&tag, inst)| {
-            (inst.votes.iter())
-                .filter(|(d, v)| !v.is_empty() && !inst.payloads.contains_key(d))
-                .map(move |(&d, _)| (tag, d))
+    /// Whether `digest` of instance `tag` is undelivered, has votes, and has
+    /// no payload here: what this node has to ask a neighbor for before it
+    /// could echo, or deliver.
+    #[must_use]
+    pub fn wants_payload(&self, tag: ByzTag, digest: u64) -> bool {
+        self.instances.get(&tag).is_some_and(|inst| {
+            let voted = inst.votes.get(&digest).is_some_and(|v| !v.is_empty());
+            inst.delivered.is_none() && voted && !inst.payloads.contains_key(&digest)
         })
     }
 

@@ -5,9 +5,9 @@
 //! the simulator's [`crate::sim::ByzantineFlooder`] and the TCP runtime's
 //! node core both feed it frames and send what it appends to their sink. Like
 //! [`lhg_net::reliable::ReliableCore`] it has no socket, timer or counter
-//! inside — the driver's ordered peers are an argument, the driver's
-//! [`SeenSet`] is an argument — and, unlike it, no clock either: what paces
-//! it is the frames it receives.
+//! inside — the driver's ordered peers are an argument — and, unlike it, no
+//! clock either: what paces it is the frames it receives. It counts votes;
+//! relaying is the driver's.
 //!
 //! Flooding every vote is what made a broadcast cost 2n+1 floods. Here a
 //! broadcast is **one** pass of the payload down a tree, plus an exchange
@@ -16,12 +16,15 @@
 //! it:
 //!
 //! 1. **SEND rides the eager tree.** The origin's payload-carrying
-//!    [`GossipFrame`] goes to every neighbor; a node that sees its id for
-//!    the first time relays it, before validating it, to the relay set its
-//!    driver names: its children in the origin's BFS tree on the driver's
-//!    replica, or every link when the replica cannot place the origin. So
-//!    the payload crosses each node once, in n − 1 frames. What a lost tree
-//!    edge or a mute relay keeps from a subtree, rule 5's pull repairs.
+//!    [`GossipFrame`] goes to every neighbor. The driver relays it as it
+//!    relays its other frames: a node that sees its id for the first time
+//!    passes it on, before validating it, to its children in the origin's
+//!    BFS tree on the driver's replica, or to every link when the replica
+//!    cannot place the origin. It hands the exchange a `SEND` only when it
+//!    is a first copy or one the engine wants
+//!    ([`BrachaEngine::wants_payload`]). So the payload crosses each node
+//!    once, in n − 1 frames. What a lost tree edge or a mute relay keeps
+//!    from a subtree, rule 5's repair brings back.
 //! 2. **ECHO and READY are bits.** A vote is a member id in a
 //!    [`WitnessSet`] of the engine; nothing else.
 //! 3. **Per link, `has`** is the union of the bits that peer has sent and
@@ -57,14 +60,14 @@
 //!    instance that cannot settle (a forgery stuck short of every quorum, a
 //!    mute peer) is offered `max_offers` times and then left alone until
 //!    the peer says something new about it. This is also the `SEND`'s lazy
-//!    repair: a node that has heard votes for a digest whose payload it
-//!    lacks asks one peer that has voted for it per round, under the same
-//!    bound — each peer whose own echo it holds first, since a correct node
-//!    echoes only a payload it has — and is answered with the `SEND` frame,
-//!    which it relays like any first copy, so the tree resumes below the
-//!    edge that lost it. A link that goes down or comes up forgets its
-//!    table ([`VoteExchange::reset_link`]), so a replaced link or a
-//!    rejoiner is offered everything again.
+//!    repair: a declared digest whose payload the node lacks asks for it
+//!    (`want_payload`), so one round asks every peer the instance is
+//!    declared to, under the same bound, and a peer that holds the
+//!    origin's `SEND` answers with it. The driver relays the answer like
+//!    any first copy, so the tree resumes below the edge that lost it. A
+//!    link that goes down or comes up forgets its table
+//!    ([`VoteExchange::reset_link`]), so a replaced link or a rejoiner is
+//!    offered everything again.
 //!
 //! Why the caps and the tree keep Totality: a correct node that holds 2f+1
 //! readies hands a full certificate to every neighbor not known to hold
@@ -72,16 +75,17 @@
 //! amplification, and removing f traitors leaves the correct subgraph of a
 //! k-connected overlay connected — so a certificate anywhere reaches every
 //! correct node, whatever was capped on the way. A correct node that
-//! delivered holds the payload, and a certified node that lacks it pulls it
-//! from a neighbor that voted; the pulled copy carries on down its subtree.
-//! So the payload, too, reaches every correct node over that connected
-//! subgraph, however many tree edges a traitor or a lossy link broke: the
-//! tree saves the copies, the pull keeps the k paths. What a relay cannot
-//! do is unchanged from the flooded protocol: a witness *bit* for a member
-//! is as unforgeable as a relayed frame's `witness` field was (DESIGN
-//! §11.1), and a bit for a non-member counts for nothing. A node still
-//! echoes only the first `SEND` it sees, so relaying fewer copies changes
-//! no safety argument.
+//! delivered holds the payload, and a node that lacks it asks all its
+//! neighbors at once: it has at least k ≥ 2f+1 of them, so each round asks
+//! at least f+1 correct ones, and no traitor can be the only one asked.
+//! The answered copy carries on down its subtree. So the payload, too,
+//! reaches every correct node over that connected subgraph, however many
+//! tree edges a traitor or a lossy link broke: the tree saves the copies,
+//! the repair keeps the k paths. What a relay cannot do is unchanged from
+//! the flooded protocol: a witness *bit* for a member is as unforgeable as
+//! a relayed frame's `witness` field was (DESIGN §11.1), and a bit for a
+//! non-member counts for nothing. A node still echoes only the first
+//! `SEND` it sees, so relaying fewer copies changes no safety argument.
 
 use std::collections::BTreeMap;
 
@@ -89,7 +93,6 @@ use bytes::Bytes;
 
 use lhg_net::message::{ByzTag, Message};
 use lhg_net::reliable::Sends;
-use lhg_net::seen::SeenSet;
 
 use crate::engine::{Action, BrachaEngine, ByzDelivery, MembershipView, Votes};
 use crate::frame::{GossipFrame, GossipKind, VoteEntry, VotesFrame};
@@ -168,10 +171,6 @@ pub struct VoteExchange<P> {
     engine: BrachaEngine,
     links: BTreeMap<P, Link>,
     max_offers: u32,
-    /// Repair rounds so far: rotates whom a missing payload is asked of.
-    /// And how often each has been asked for since its instance last moved.
-    round: u64,
-    pulls: BTreeMap<(ByzTag, u64), u32>,
     /// Reused scratch: the engine's reactions to one input, the driver's
     /// peers for one transition, the instances one input touched, the
     /// instances being declared (by the frame being read, or to one peer in
@@ -197,8 +196,6 @@ impl<P: Copy + Ord> VoteExchange<P> {
             engine: BrachaEngine::new(me, cfg),
             links: BTreeMap::new(),
             max_offers,
-            round: 0,
-            pulls: BTreeMap::new(),
             actions: Vec::new(),
             peers: Vec::new(),
             touched: Vec::new(),
@@ -243,7 +240,8 @@ impl<P: Copy + Ord> VoteExchange<P> {
 
     /// Originates a broadcast: sends the `SEND` to `peers` — the root's
     /// children in its own tree are all its links — and queues this node's
-    /// echo for them.
+    /// echo for them. Returns the `SEND`'s broadcast id, for the driver's
+    /// seen-set: a copy that comes back is not relayed again.
     ///
     /// # Errors
     ///
@@ -253,18 +251,18 @@ impl<P: Copy + Ord> VoteExchange<P> {
         &mut self,
         nonce: u64,
         payload: Bytes,
-        seen: &mut SeenSet,
         peers: impl IntoIterator<Item = P>,
         out: &mut Sends<P>,
         delivered: &mut Vec<ByzDelivery>,
-    ) -> Result<(), UnsoundMembership> {
+    ) -> Result<u64, UnsoundMembership> {
         self.begin(peers);
         let actions = self.engine.broadcast(nonce, payload)?;
+        let mut id = 0;
         for action in &actions {
             if let Action::Gossip(frame) = action {
                 if frame.kind == GossipKind::Send {
                     let msg = frame.to_message();
-                    seen.insert(msg.broadcast_id);
+                    id = msg.broadcast_id;
                     out.extend(self.peers.iter().map(|&p| (p, msg.clone())));
                 }
                 self.touched.push(frame.tag);
@@ -272,24 +270,20 @@ impl<P: Copy + Ord> VoteExchange<P> {
         }
         self.actions.extend(actions);
         self.finish(out, delivered);
-        Ok(())
+        Ok(id)
     }
 
     /// Handles one byz-class frame from the link to `from`: a `VOTES` frame
-    /// or a `SEND` (relayed under `seen`, first copy only, to the peers of
-    /// `relay` other than `from`: this node's children in the origin's
-    /// eager tree). Anything else — the frame form of a single vote
-    /// included, which no node sends — is dropped. Returns how many votes
-    /// were refused: those naming a non-member, and those that came as
-    /// frames.
-    #[allow(clippy::too_many_arguments)]
+    /// or a `SEND` the driver has relayed already and hands on only as a
+    /// first copy or one the engine wants (rule 1 of the module docs).
+    /// Anything else — the frame form of a single vote included, which no
+    /// node sends — is dropped. Returns how many votes were refused: those
+    /// naming a non-member, and those that came as frames.
     pub fn on_frame(
         &mut self,
         from: P,
         msg: &Message,
-        seen: &mut SeenSet,
         peers: impl IntoIterator<Item = P>,
-        relay: impl IntoIterator<Item = P>,
         out: &mut Sends<P>,
         delivered: &mut Vec<ByzDelivery>,
     ) -> u64 {
@@ -305,17 +299,6 @@ impl<P: Copy + Ord> VoteExchange<P> {
             if frame.kind != GossipKind::Send {
                 return 1;
             }
-            if seen.insert(msg.broadcast_id) {
-                // Relay first so the payload keeps going down the tree even
-                // if the local engine refuses it.
-                let fwd = msg.forwarded();
-                let others = relay.into_iter().filter(|&p| p != from);
-                out.extend(others.map(|p| (p, fwd.clone())));
-            } else if !(self.engine.wanted_payloads()).any(|w| w == (frame.tag, frame.digest)) {
-                return 0; // another copy, over another disjoint path
-            }
-            // A first copy, or one this node asked for: the engine refused
-            // the first (an unsound view at the time) and votes came since.
             let absorbed = self.engine.absorb_frame(&frame, &mut self.actions);
             rejected = absorbed.rejected;
             if absorbed.changed {
@@ -326,40 +309,11 @@ impl<P: Copy + Ord> VoteExchange<P> {
         rejected
     }
 
-    /// One repair round; see rule 5 of the module docs.
+    /// One repair round; see rule 5 of the module docs. One frame per
+    /// peer, in peer order: its declaration, which asks for every declared
+    /// digest whose payload this node lacks.
     pub fn repair(&mut self, peers: impl IntoIterator<Item = P>, out: &mut Sends<P>) {
         self.begin(peers);
-        self.round += 1;
-        // Votes without the payload they are for: ask one peer that has
-        // voted for the digest, a different one each round. Those that
-        // echoed it are asked first, each once, since a correct node echoes
-        // only a payload it holds; then every voter in turn, so that a
-        // traitor's echo cannot hold the pull.
-        let engine = &self.engine;
-        self.pulls
-            .retain(|&key, _| engine.wanted_payloads().any(|w| w == key));
-        let mut asks = Vec::new();
-        for (tag, digest) in self.askable() {
-            let echo = self.engine.votes(tag).find(|&(d, _)| d == digest);
-            let echoed = |p: &P| {
-                let id = self.links.get(p).and_then(|l| l.id);
-                id.zip(echo).is_some_and(|(id, (_, v))| v.echo.contains(id))
-            };
-            let asked = self.pulls.get(&(tag, digest)).map_or(0, |&n| u64::from(n));
-            let holders = self.voters(tag, digest).filter(echoed).count() as u64;
-            let peer = if asked < holders {
-                let pick = (self.round % holders) as usize;
-                self.voters(tag, digest).filter(echoed).nth(pick)
-            } else {
-                let voters = self.voters(tag, digest).count() as u64;
-                self.voters(tag, digest).nth((self.round % voters) as usize)
-            };
-            asks.push((peer.expect("an askable payload has voters"), tag, digest));
-        }
-        for &(_, tag, digest) in &asks {
-            *self.pulls.entry((tag, digest)).or_default() += 1;
-        }
-        // Then one frame per peer, in peer order: its declaration, its asks.
         self.peers.sort_unstable();
         self.peers.dedup();
         let me = self.engine.id();
@@ -378,6 +332,7 @@ impl<P: Copy + Ord> VoteExchange<P> {
                     has.ready.union_with(&known.ready);
                     entries.push(VoteEntry {
                         full: true,
+                        want_payload: self.engine.wants_payload(tag, digest),
                         ..VoteEntry::delta(tag, digest, known.echo.clone(), known.ready.clone())
                     });
                 }
@@ -387,18 +342,6 @@ impl<P: Copy + Ord> VoteExchange<P> {
                 }
             }
             empty(&mut self.declared);
-            for &(_, tag, digest) in asks.iter().filter(|&&(to, ..)| to == peer) {
-                match entries
-                    .iter_mut()
-                    .find(|e| (e.tag, e.digest) == (tag, digest))
-                {
-                    Some(e) => e.want_payload = true,
-                    None => entries.push(VoteEntry {
-                        want_payload: true,
-                        ..VoteEntry::delta(tag, digest, WitnessSet::new(), WitnessSet::new())
-                    }),
-                }
-            }
             Self::post(me, peer, link, &mut self.outgoing, &mut self.sent, out);
         }
     }
@@ -408,56 +351,30 @@ impl<P: Copy + Ord> VoteExchange<P> {
     /// stop re-arming it once this is `false`.
     pub fn repair_pending(&mut self, peers: impl IntoIterator<Item = P>) -> bool {
         self.begin(peers);
-        self.askable().next().is_some()
-            || (self.peers.iter()).any(|p| {
-                let link = self.links.get(p);
-                Self::offers(&self.engine, self.max_offers, link)
-                    .next()
-                    .is_some()
-            })
+        (self.peers.iter()).any(|p| {
+            let link = self.links.get(p);
+            Self::offers(&self.engine, self.max_offers, link)
+                .next()
+                .is_some()
+        })
     }
 
-    /// Whether the next repair round declares `tag` to `link`'s peer: the
-    /// instance has votes, is not settled toward the peer, and was declared
-    /// to it fewer than `max_offers` times since the peer last said
-    /// something new about it.
-    fn declares(engine: &BrachaEngine, max_offers: u32, link: Option<&Link>, tag: ByzTag) -> bool {
-        let offered = match link.and_then(|l| l.repair.get(&tag)) {
-            Some(Repair::Settled) => return false,
-            Some(&Repair::Offered(n)) => n,
-            None => 0,
-        };
-        offered < max_offers && engine.votes(tag).any(|(_, v)| !v.is_empty())
-    }
-
-    /// The instances the next repair round declares to `link`'s peer
-    /// ([`Self::declares`]), in tag order.
+    /// The instances the next repair round declares to `link`'s peer, in
+    /// tag order: those with votes, not settled toward the peer, and
+    /// declared to it fewer than `max_offers` times since the peer last said
+    /// something new about them.
     fn offers<'a>(
         engine: &'a BrachaEngine,
         max_offers: u32,
         link: Option<&'a Link>,
     ) -> impl Iterator<Item = ByzTag> + 'a {
-        (engine.tags()).filter(move |&tag| Self::declares(engine, max_offers, link, tag))
-    }
-
-    /// The payloads a repair round asks for: digests with votes but no
-    /// payload, asked for fewer than `max_offers` times since the instance
-    /// last moved, that some peer could be asked for.
-    fn askable(&self) -> impl Iterator<Item = (ByzTag, u64)> + '_ {
-        let open = |key: &(ByzTag, u64)| self.pulls.get(key).is_none_or(|&n| n < self.max_offers);
-        (self.engine.wanted_payloads().filter(open))
-            .filter(|&(tag, digest)| self.voters(tag, digest).next().is_some())
-    }
-
-    /// The peers, in the driver's order, that a repair round may ask for
-    /// the payload of `digest` of `tag`: those known to hold a vote for it,
-    /// and those the round's declaration is about to tell this node's own.
-    fn voters(&self, tag: ByzTag, digest: u64) -> impl Iterator<Item = P> + '_ {
-        self.peers.iter().copied().filter(move |p| {
-            let link = self.links.get(p);
-            let has = link.and_then(|l| l.has.get(&(tag, digest)));
-            has.is_some_and(|v| !v.is_empty())
-                || Self::declares(&self.engine, self.max_offers, link, tag)
+        (engine.tags()).filter(move |&tag| {
+            let offered = match link.and_then(|l| l.repair.get(&tag)) {
+                Some(Repair::Settled) => return false,
+                Some(&Repair::Offered(n)) => n,
+                None => 0,
+            };
+            offered < max_offers && engine.votes(tag).any(|(_, v)| !v.is_empty())
         })
     }
 
@@ -534,11 +451,9 @@ impl<P: Copy + Ord> VoteExchange<P> {
                 delivered.push(d);
             }
         }
-        // An instance that moved is worth asking about again.
         self.touched.sort_unstable();
         self.touched.dedup();
         let touched = &self.touched;
-        (self.pulls).retain(|(tag, _), _| touched.binary_search(tag).is_err());
         let me = self.engine.id();
         for &peer in &self.peers {
             let link = self.links.entry(peer).or_default();
@@ -691,6 +606,7 @@ impl<P: Copy + Ord> VoteExchange<P> {
 mod tests {
     use super::*;
     use crate::frame::digest;
+    use lhg_net::seen::SeenSet;
     use std::collections::VecDeque;
     use std::time::{Duration, Instant};
 
@@ -720,6 +636,36 @@ mod tests {
             .collect()
     }
 
+    /// What a driver does with a byz frame from `from` (rule 1): a
+    /// first-seen `SEND` goes on to `kids` other than `from`, and the
+    /// exchange hears a `SEND` only as a first copy or one its engine wants.
+    #[allow(clippy::too_many_arguments)]
+    fn drive(
+        x: &mut VoteExchange<u32>,
+        seen: &mut SeenSet,
+        from: u32,
+        msg: &Message,
+        peers: &[u32],
+        kids: &[u32],
+        out: &mut Sends<u32>,
+        delivered: &mut Vec<ByzDelivery>,
+    ) -> u64 {
+        let send = GossipFrame::from_message(msg).filter(|f| f.kind == GossipKind::Send);
+        if let Some(f) = send {
+            if seen.insert(msg.broadcast_id) {
+                let fwd = msg.forwarded();
+                out.extend(
+                    (kids.iter())
+                        .filter(|&&p| p != from)
+                        .map(|&p| (p, fwd.clone())),
+                );
+            } else if !x.engine().wants_payload(f.tag, f.digest) {
+                return 0; // another copy, over another disjoint path
+            }
+        }
+        x.on_frame(from, msg, peers.iter().copied(), out, delivered)
+    }
+
     /// Node 6 of 8 (f = 1: echo quorum 5, amplification 2, delivery 3) with
     /// peers 1, 2 and 7, and what it sent in answer to its last input.
     struct Node6 {
@@ -741,9 +687,9 @@ mod tests {
 
         fn hears(&mut self, from: u32, msg: &Message) -> u64 {
             self.out.clear();
-            let (seen, out, delivered) = (&mut self.seen, &mut self.out, &mut self.delivered);
-            self.x
-                .on_frame(from, msg, seen, [1, 2, 7], [1, 2, 7], out, delivered)
+            let (x, seen) = (&mut self.x, &mut self.seen);
+            let (out, delivered) = (&mut self.out, &mut self.delivered);
+            drive(x, seen, from, msg, &[1, 2, 7], &[1, 2, 7], out, delivered)
         }
 
         /// A frame of `entries` from peer `from`, neither asking nor answering.
@@ -796,8 +742,8 @@ mod tests {
             let (x, seen) = &mut self.nodes[origin as usize];
             let delivered = &mut self.delivered[origin as usize];
             let payload = Bytes::from_static(payload);
-            x.broadcast(nonce, payload, seen, peers, &mut sends, delivered)
-                .unwrap();
+            let id = (x.broadcast(nonce, payload, peers, &mut sends, delivered)).unwrap();
+            seen.insert(id);
             self.post(origin, sends);
         }
 
@@ -817,8 +763,8 @@ mod tests {
                 let (peers, mut sends) = (self.peers(to), Vec::new());
                 let (x, seen) = &mut self.nodes[to as usize];
                 let delivered = &mut self.delivered[to as usize];
-                let relay = self.kids[to as usize].iter().copied();
-                x.on_frame(from, &msg, seen, peers, relay, &mut sends, delivered);
+                let kids = &self.kids[to as usize];
+                drive(x, seen, from, &msg, &peers, kids, &mut sends, delivered);
                 self.post(to, sends);
             }
         }
@@ -1171,9 +1117,7 @@ mod tests {
         mesh.broadcast(0, 1, b"the payload");
         mesh.run(|_, to, m| to == 2 && GossipFrame::from_message(m).is_some());
         assert!(mesh.delivered[2].is_empty());
-        let want = (tag(0, 1), digest(b"the payload"));
-        let wanted: Vec<_> = mesh.nodes[2].0.engine().wanted_payloads().collect();
-        assert_eq!(wanted, vec![want]);
+        assert!((mesh.nodes[2].0.engine()).wants_payload(tag(0, 1), digest(b"the payload")));
         assert!(mesh.nodes[2].0.repair_pending([0, 1, 3]));
         mesh.repair(2);
         mesh.run(|_, _, _| false);
@@ -1202,30 +1146,46 @@ mod tests {
             assert_eq!(mesh.delivered[v].len(), 1, "node {v}");
         }
         // Both certify from the votes alone. One repair round at node 3
-        // pulls the payload from a voter, and 3 relays it to its child as
-        // any first copy: the subtree needs no pull of its own.
+        // asks every peer; the five that hold the payload answer, and 3
+        // relays the first answer to its child as any first copy: the
+        // subtree needs no round of its own.
         assert!(mesh.delivered[3].is_empty() && mesh.delivered[4].is_empty());
         mesh.repair(3);
         mesh.run(|_, _, _| false);
         assert_eq!(mesh.delivered[3].len(), 1);
         assert_eq!(mesh.delivered[4].len(), 1);
-        assert_eq!(sends(&mesh), 6 + 2, "one pulled copy, one relayed");
+        assert_eq!(sends(&mesh), 6 + 5 + 1, "five answers, one relayed");
+    }
+
+    #[test]
+    fn one_repair_round_asks_every_declared_peer_so_a_lost_ask_costs_no_round() {
+        // Node 2 loses every SEND copy and certifies from the votes alone.
+        // Then every frame it sends to node 1 is lost: the voter that a
+        // round asking one voter at a time would have asked first.
+        let mut mesh = Mesh::new(4, 1);
+        mesh.broadcast(0, 1, b"the payload");
+        mesh.run(|_, to, m| to == 2 && GossipFrame::from_message(m).is_some());
+        assert!(mesh.delivered[2].is_empty());
+        mesh.repair(2);
+        mesh.run(|from, to, _| from == 2 && to == 1);
+        assert_eq!(mesh.delivered[2].len(), 1, "one round is enough");
     }
 
     /// Node 6 certifies `payload` of origin 0 from its peers' votes alone,
-    /// asks peer 1 for it and is answered with origin 0's `SEND`.
+    /// asks every peer for it in one repair round, and is answered with
+    /// origin 0's `SEND` by peer 1.
     fn certify_then_pull(n: &mut Node6, t: ByzTag, payload: &'static [u8]) {
         let d = digest(payload);
         n.hears_votes(2, vec![delta(t, d, &[1, 2, 3], &[1, 2, 3])]);
         assert!(n.delivered.is_empty());
-        assert_eq!(n.x.engine().wanted_payloads().next(), Some((t, d)));
+        assert!(n.x.engine().wants_payload(t, d));
         n.out.clear();
         n.x.repair([1, 2, 7], &mut n.out);
         let asked = |(_, m): &(u32, Message)| {
             VotesFrame::from_message(m, 64)
                 .is_some_and(|f| f.entries.iter().any(|e| e.want_payload))
         };
-        assert_eq!(n.out.iter().filter(|s| asked(s)).count(), 1);
+        assert_eq!(n.out.iter().filter(|s| asked(s)).count(), 3);
         let send = GossipFrame {
             kind: GossipKind::Send,
             witness: t.origin,

@@ -7,9 +7,12 @@
 //! `ctx.deliver`. The payload floods once (`SEND`, relayed on first
 //! sight to every other link, so it crosses the overlay on all k disjoint
 //! paths); votes travel as witness-set deltas between neighbors. The
-//! flood is this adapter's: it holds no graph to find the eager tree in,
-//! which `lhg_runtime::core::NodeCore` relays the `SEND` down. The adapter
-//! stays as the benchmark's until that workload runs `NodeCore` too.
+//! relay is the driver's, here as in `lhg_runtime::core::NodeCore`: the
+//! adapter floods a first-seen `SEND` before the exchange sees it, and
+//! hands the exchange a later copy only if the engine wants its payload.
+//! It floods because it holds no graph to find the eager tree in, which
+//! `NodeCore` relays the `SEND` down. The adapter stays as the benchmark's
+//! until that workload runs `NodeCore` too.
 //!
 //! Traitors are `lhg_runtime::traitor`'s, a wrapper around the node's
 //! core. This process is what the benchmark's `sim_bracha` workload and
@@ -32,6 +35,7 @@ use lhg_net::sim::{Context, Process, Time};
 
 use crate::engine::ByzDelivery;
 use crate::exchange::VoteExchange;
+use crate::frame::{GossipFrame, GossipKind};
 use crate::BrachaConfig;
 
 /// Timer token space for scheduled broadcasts (token = schedule index).
@@ -154,18 +158,31 @@ impl Process for ByzantineFlooder {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<'_>) {
-        // No graph here: a first-seen SEND goes on to every other link.
-        let peers = ctx.neighbors().iter().copied();
-        let (seen, sends, delivered) = (&mut self.seen, &mut self.sends, &mut self.delivered);
-        let x = &mut self.exchange;
-        let rejected = x.on_frame(from, &msg, seen, peers.clone(), peers, sends, delivered);
-        self.bump_count("byz.votes_rejected", rejected);
+        // No graph here: a first-seen SEND goes on to every other link,
+        // before the engine validates it; a later copy, over another
+        // disjoint path, reaches the exchange only if it was asked for.
+        let mut take = true;
+        if let Some(f) = GossipFrame::from_message(&msg).filter(|f| f.kind == GossipKind::Send) {
+            if self.seen.insert(msg.broadcast_id) {
+                let fwd = msg.forwarded();
+                let others = ctx.neighbors().iter().filter(|&&p| p != from);
+                self.sends.extend(others.map(|&p| (p, fwd.clone())));
+            } else {
+                take = self.exchange.engine().wants_payload(f.tag, f.digest);
+            }
+        }
+        if take {
+            let peers = ctx.neighbors().iter().copied();
+            let (sends, delivered) = (&mut self.sends, &mut self.delivered);
+            let rejected = (self.exchange).on_frame(from, &msg, peers, sends, delivered);
+            self.bump_count("byz.votes_rejected", rejected);
+        }
         self.emit(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         let peers = ctx.neighbors().iter().copied();
-        let (seen, sends, delivered) = (&mut self.seen, &mut self.sends, &mut self.delivered);
+        let (sends, delivered) = (&mut self.sends, &mut self.delivered);
         if token == REPAIR_TOKEN {
             // Anti-entropy: declare every unsettled instance to each peer;
             // what a lossy link dropped comes back in the answers.
@@ -174,9 +191,11 @@ impl Process for ByzantineFlooder {
         } else if let Some(b) = self.schedule.get(token as usize) {
             let payload = b.payload.clone();
             // A refusal means the view is unsound (n < 3f+1).
-            let sent = (self.exchange).broadcast(b.nonce, payload, seen, peers, sends, delivered);
-            if sent.is_err() {
-                self.bump_count("byz.unsafe_views", 1);
+            match (self.exchange).broadcast(b.nonce, payload, peers, sends, delivered) {
+                Ok(id) => {
+                    self.seen.insert(id);
+                }
+                Err(_) => self.bump_count("byz.unsafe_views", 1),
             }
         }
         self.emit(ctx);

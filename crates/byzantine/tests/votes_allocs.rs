@@ -22,7 +22,8 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use lhg_byzantine::{
-    BrachaConfig, ByzDelivery, VoteEntry, VoteExchange, VotesFrame, WitnessSet, VOTES_ID,
+    BrachaConfig, ByzDelivery, GossipFrame, GossipKind, VoteEntry, VoteExchange, VotesFrame,
+    WitnessSet, VOTES_ID,
 };
 use lhg_net::codec::{write_frame, FrameDecoder, MAX_FRAME_LEN};
 use lhg_net::message::{ByzTag, Message};
@@ -198,15 +199,8 @@ impl Mesh {
         let (x, seen) = &mut self.nodes[origin as usize];
         let peers = self.peers[origin as usize].iter().copied();
         let payload = Bytes::from_static(b"one instance");
-        (x.broadcast(
-            nonce,
-            payload,
-            seen,
-            peers,
-            &mut self.sends,
-            &mut self.delivered,
-        ))
-        .expect("a sound view");
+        let sent = x.broadcast(nonce, payload, peers, &mut self.sends, &mut self.delivered);
+        seen.insert(sent.expect("a sound view"));
         self.post(origin);
         while let Some((from, to)) = self.queue.pop_front() {
             let n = self.nodes.len() as u32;
@@ -218,17 +212,22 @@ impl Mesh {
                 wire.clear();
                 *read = 0;
             }
+            let msg = msg.expect("not the end");
             let (x, seen) = &mut self.nodes[to as usize];
             let peers = self.peers[to as usize].iter().copied();
-            x.on_frame(
-                from,
-                &msg.expect("not the end"),
-                seen,
-                peers.clone(),
-                peers,
-                &mut self.sends,
-                &mut self.delivered,
-            );
+            // The driver's relay: a first-seen SEND floods on, and a later
+            // copy reaches the exchange only if its engine wants it.
+            let send = GossipFrame::from_message(&msg).filter(|f| f.kind == GossipKind::Send);
+            if let Some(f) = send {
+                if seen.insert(msg.broadcast_id) {
+                    let fwd = msg.forwarded();
+                    let others = peers.clone().filter(|&p| p != from);
+                    self.sends.extend(others.map(|p| (p, fwd.clone())));
+                } else if !x.engine().wants_payload(f.tag, f.digest) {
+                    continue;
+                }
+            }
+            x.on_frame(from, &msg, peers, &mut self.sends, &mut self.delivered);
             self.post(to);
         }
     }

@@ -18,12 +18,13 @@
 
 use lhg_chaos::{run_sim_chaos, FaultPlan};
 
-/// Fingerprint of the 20 report lines. Re-recorded on purpose when every
-/// summary payload became a sorted id set (a varint count, the smallest id,
-/// varint distances): summary-class bytes move with the payload, and a
-/// pull is served in ascending id order, not in the order the advert named
-/// its ids, so frame order moves where a pull is served.
-/// (Before: `0x67a7_714e_3784_38b6`, membership a lattice of incarnations:
+/// Fingerprint of the 20 report lines. Re-recorded on purpose when a
+/// Bracha repair round began to ask every peer it declares to for a
+/// payload it lacks, where it asked one voter per round: byzantine and
+/// mixed runs send other byz frames and end at other times.
+/// (Before: `0xbf7f_a0ac_7636_a1d6`, every summary payload a sorted id set
+/// (a varint count, the smallest id, varint distances), a pull served in
+/// ascending id order; `0x67a7_714e_3784_38b6`, membership a lattice of incarnations:
 /// every crash wave and dead notice carries its victim's incarnation, a
 /// report or join the member's entry already dominates is stale, and a
 /// dead notice about an answered incarnation gets that `JOIN` again;
@@ -46,7 +47,7 @@ use lhg_chaos::{run_sim_chaos, FaultPlan};
 /// `0x009c_385a_8797_f0ce`, the core naming its next deadline,
 /// `0xe020_352a_c204_5d04`, control traffic riding the data, and
 /// `0x376b_bec3_de79_9423`, the one chaos interpreter.)
-const GOLDEN_FNV1A: u64 = 0xbf7f_a0ac_7636_a1d6;
+const GOLDEN_FNV1A: u64 = 0x4ccc_a5cb_f22c_2e20;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {

@@ -21,7 +21,8 @@
 //!   vote exchange;
 //! * **eager trees** — a fresh data frame, and a first-seen Bracha `SEND`,
 //!   goes on only to this node's children in the origin's BFS tree on the
-//!   replica; the planes' repair (adverts and pulls) reaches every other
+//!   replica; the planes' repair (adverts and pulls; for a `SEND`, the
+//!   vote exchange's declarations that ask for it) reaches every other
 //!   link. A stored body retires once every overlay neighbor holds it,
 //!   while no member is crashed or excommunicated here;
 //! * **failure detection** — any frame is proof of life, so on the
@@ -296,8 +297,8 @@ pub struct NodeCore {
     /// into a churn livelock).
     seen: SeenSet,
     /// The vote exchange (and the Bracha engine it owns): every node of a
-    /// byzantine setup holds one but the traitors it lists. `None` relays a
-    /// byz `SEND` like data but never votes or delivers.
+    /// byzantine setup holds one but the traitors it lists. `None` never
+    /// votes or delivers; a `SEND` is relayed either way.
     exchange: Option<VoteExchange<MemberId>>,
     /// Private RNG driving retry jitter (seeded from the config seed).
     rng: StdRng,
@@ -447,14 +448,18 @@ impl NodeCore {
                 }
                 Event::ByzBroadcast { nonce, payload } => {
                     // A node without an exchange originates nothing.
-                    let refused = core.drive_byz(|x, seen, links, out, delivered| {
-                        (x.broadcast(nonce, payload, seen, links, out, delivered)).is_err()
+                    let sent = core.drive_byz(|x, links, out, delivered| {
+                        x.broadcast(nonce, payload, links, out, delivered)
                     });
-                    if refused == Some(true) {
+                    match sent {
+                        Some(Ok(id)) => {
+                            core.seen.insert(id);
+                        }
                         // The live view is below 3f+1: refuse instead of
                         // certifying under unsound quorums. The chaos oracle
                         // reads this as QuorumUnsafe.
-                        core.count("byz.unsafe_views");
+                        Some(Err(_)) => core.count("byz.unsafe_views"),
+                        None => {}
                     }
                 }
             }
@@ -666,29 +671,21 @@ impl NodeCore {
         outcome == DataOutcome::Fresh
     }
 
-    /// A byz-class frame: a `SEND` or a neighbor's `VOTES`. A correct node
-    /// hands it to the vote exchange, which relays, counts and answers. A
-    /// node without an exchange (no byzantine setup, or a listed traitor,
-    /// whose script [`crate::traitor`] runs around the core) only passes
-    /// payloads on: it relays a first-seen `SEND` and neither casts nor
-    /// forwards votes. Either relays down the eager tree, as for data
-    /// ([`Self::eager_tree`]); the vote exchange's payload pull repairs what
-    /// a lost tree edge or a mute relay kept from a subtree.
+    /// A byz-class frame: a `SEND` or a neighbor's `VOTES`. Every node
+    /// relays a first-seen `SEND` down the eager tree, as for data
+    /// ([`Self::eager_tree`]), before anything validates it; the vote
+    /// exchange's repair rounds bring back what a lost tree edge or a mute
+    /// relay kept from a subtree. A correct node then hands the frame to its
+    /// vote exchange, which counts and answers — a `SEND` only as a first
+    /// copy or one the engine wants. A node without an exchange (no
+    /// byzantine setup, or a listed traitor, whose script [`crate::traitor`]
+    /// runs around the core) neither casts nor forwards votes.
     fn on_byz_frame(&mut self, from: MemberId, msg: &Message) {
         let send = GossipFrame::from_message(msg).filter(|f| f.kind == GossipKind::Send);
-        let fresh = !self.seen.contains(msg.broadcast_id);
-        let origin = send.as_ref().map(|f| MemberId::from(f.tag.origin));
-        let relay = self.eager_tree(origin.filter(|_| fresh));
-        let tree = relay.iter().copied();
-        let ran = self.drive_byz(|x, seen, links, out, delivered| {
-            x.on_frame(from, msg, seen, links, tree, out, delivered)
-        });
-        match ran {
-            Some(rejected) if rejected > 0 => {
-                self.metrics.counter("byz.votes_rejected").add(rejected);
-            }
-            Some(_) => {}
-            None if send.is_some() && self.seen.insert(msg.broadcast_id) => {
+        if let Some(f) = send {
+            let fresh = self.seen.insert(msg.broadcast_id);
+            let relay = self.eager_tree(fresh.then_some(MemberId::from(f.tag.origin)));
+            if !relay.is_empty() {
                 let fwd = msg.forwarded();
                 let to = relay.iter().filter(|&&p| p != from);
                 (self.out).extend(to.map(|&to| Action::Send {
@@ -696,9 +693,18 @@ impl NodeCore {
                     msg: fwd.clone(),
                 }));
             }
-            None => {}
+            self.relay = relay;
+            let wanted =
+                (self.exchange.as_ref()).is_some_and(|x| x.engine().wants_payload(f.tag, f.digest));
+            if !fresh && !wanted {
+                return; // another copy, over another disjoint path
+            }
         }
-        self.relay = relay;
+        let ran =
+            self.drive_byz(|x, links, out, delivered| x.on_frame(from, msg, links, out, delivered));
+        if let Some(rejected) = ran.filter(|&r| r > 0) {
+            self.metrics.counter("byz.votes_rejected").add(rejected);
+        }
     }
 
     /// The links a broadcast from `origin`, seen here for the first time,
@@ -719,14 +725,13 @@ impl NodeCore {
     }
 
     /// Runs one transition of a *correct* node's vote exchange — handing it
-    /// the dedup set, the live links and the reusable sinks —
+    /// the live links and the reusable sinks —
     /// then turns what it emitted into sends and deliveries. `None` when
     /// this node holds no exchange (no byzantine setup, or a traitor).
     fn drive_byz<R>(
         &mut self,
         step: impl FnOnce(
             &mut VoteExchange<MemberId>,
-            &mut SeenSet,
             std::iter::Copied<std::collections::btree_set::Iter<'_, MemberId>>,
             &mut Sends<MemberId>,
             &mut Vec<ByzDelivery>,
@@ -736,7 +741,7 @@ impl NodeCore {
         let mut sends = std::mem::take(&mut self.outbox);
         let mut delivered = std::mem::take(&mut self.byz_delivered);
         let links = self.links.iter().copied();
-        let result = step(exchange, &mut self.seen, links, &mut sends, &mut delivered);
+        let result = step(exchange, links, &mut sends, &mut delivered);
         self.push_sends(sends);
         let out = &mut self.out;
         out.extend(delivered.drain(..).map(|d| Action::ByzDeliver {
@@ -906,7 +911,7 @@ impl NodeCore {
     /// who neighbors whom, so the store stays FIFO until then.
     fn send_summaries(&mut self) {
         self.unadvertised = 0;
-        self.drive_byz(|x, _, links, out, _| x.repair(links, out));
+        self.drive_byz(|x, links, out, _| x.repair(links, out));
         if self.drive(|r, _, links, _, out| r.advertise(links, out)) {
             self.count("runtime.summaries_sent");
         }

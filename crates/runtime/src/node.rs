@@ -697,17 +697,26 @@ impl NodeDriver {
         let Some(link) = self.links.get_mut(&peer) else {
             return;
         };
+        let mut n = 0;
         for _ in 0..copies {
-            let n = link.queue.push(msg.clone());
-            self.instruments.messages_sent.inc();
-            self.instruments.bytes_sent.add(n as u64);
-            // Same site as the counters above, so per-class totals
-            // reconcile with them exactly (n includes the length prefix).
-            let (id, from, to) = (msg.broadcast_id, self.id as u32, peer as u32);
-            self.instruments.wire.record(from, to, id, n as u64);
-            let (peer, bytes) = (to, n as u32);
-            self.recorder.record(EventKind::FrameTx { peer, bytes });
+            n = link.queue.push(msg.clone());
         }
+        for _ in 0..copies {
+            self.book(peer, msg, n);
+        }
+    }
+
+    /// Books a frame of `n` bytes (length prefix included) written to
+    /// `peer`: the sent counters, the wire accountant and the flight
+    /// recorder, at one site, so per-class totals reconcile with the
+    /// counters exactly.
+    fn book(&self, peer: MemberId, msg: &Message, n: usize) {
+        self.instruments.messages_sent.inc();
+        self.instruments.bytes_sent.add(n as u64);
+        let (id, from, to) = (msg.broadcast_id, self.id as u32, peer as u32);
+        self.instruments.wire.record(from, to, id, n as u64);
+        let (peer, bytes) = (to, n as u32);
+        self.recorder.record(EventKind::FrameTx { peer, bytes });
     }
 
     /// Dials `peer` and performs the hello handshake; returns the outcome
@@ -728,7 +737,11 @@ impl NodeDriver {
         };
         let _ = stream.set_nodelay(true);
         let hello = Message::new(wire::hello_id(self.id), self.id as u32, Bytes::new());
-        if (write_frame(&mut stream, &hello).and(stream.set_nonblocking(true))).is_err() {
+        let Ok(n) = write_frame(&mut stream, &hello) else {
+            return failed;
+        };
+        self.book(peer, &hello, n);
+        if stream.set_nonblocking(true).is_err() {
             return failed;
         }
         self.install(peer, stream, FrameDecoder::new(MAX_FRAME_LEN));

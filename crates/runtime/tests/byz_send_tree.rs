@@ -1,8 +1,9 @@
 //! Bracha's `SEND` rides the eager tree, in virtual time: a correct node
 //! relays a first-seen `SEND` only to its children in the origin's BFS tree
 //! on its replica, so the payload crosses each node once, and the vote
-//! exchange's payload pull repairs what a lost tree edge or a mute relay
-//! kept from a subtree. Every case runs the real node ([`NodeCore`] on
+//! exchange's repair round, which asks every neighbor it declares to for a
+//! payload the node lacks, brings back what a lost tree edge or a mute
+//! relay kept from a subtree. Every case runs the real node ([`NodeCore`] on
 //! `SimCluster`) over K-DIAMOND(16, 3), f = 1.
 //!
 //! A `SEND` is told from a `VOTES` frame by its size: the payload is
@@ -30,8 +31,9 @@ const K: usize = 3;
 const MS: Time = 1_000;
 const PAYLOAD_LEN: usize = 4096;
 /// How many repair rounds a subtree cut off from the payload may wait for
-/// it: the round that follows its certification pulls it from a neighbor
-/// that echoed, and the pulled copy goes on down the subtree at once.
+/// it: one, the first after its votes arrive, asks every neighbor at once,
+/// and the first answer goes on down the subtree; the other covers the
+/// votes arriving just after a round.
 const REPAIR_ROUNDS: Time = 2;
 
 /// 10 ms heartbeats, so a repair round every 50 ms; nobody is suspected

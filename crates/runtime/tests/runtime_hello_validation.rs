@@ -114,3 +114,26 @@ fn strangers_get_neither_memory_nor_patience() {
     assert!(c.await_delivery(id, Duration::from_secs(5)));
     c.shutdown();
 }
+
+/// A dialer's hello is booked where it is written, as every other frame is:
+/// once the cluster is up, hello-class frames equal the dials, and the wire
+/// accountant's totals equal the sent counters exactly.
+#[test]
+fn a_dialers_hello_is_booked_like_any_other_frame() {
+    let c = Cluster::launch(Constraint::KDiamond, 8, 3, RuntimeConfig::default()).expect("boots");
+    let metrics = c.shared_metrics();
+    c.shutdown();
+    let wire = metrics.wire();
+    let totals = wire.class_totals();
+    let hellos = (totals.iter().find(|t| t.class.name() == "hello")).map_or(0, |t| t.frames);
+    assert!(hellos > 0, "no hello booked");
+    assert_eq!(hellos, metrics.counter("runtime.dials").get());
+    assert_eq!(
+        wire.total_frames(),
+        metrics.counter("runtime.messages_sent").get()
+    );
+    assert_eq!(
+        wire.total_bytes(),
+        metrics.counter("runtime.bytes_sent").get()
+    );
+}
