@@ -26,8 +26,11 @@
 //!   link. A stored body retires once every overlay neighbor holds it,
 //!   while no member is crashed or excommunicated here;
 //! * **failure detection** — any frame is proof of life, so on the
-//!   heartbeat-period tick a link nothing was sent on for a period gets a
-//!   heartbeat; a peer silent past the timeout is a verdict for membership;
+//!   heartbeat-period tick a link nothing was sent on for m periods gets a
+//!   heartbeat, m being the most periods that still fit
+//!   [`BEATS_PER_TIMEOUT`] beats in the suspicion timeout (1 whenever the
+//!   timeout is under 48 periods); a peer silent past the timeout is a
+//!   verdict for membership;
 //! * **link policy** — which links are wanted ([`NodeCore::tick`]'s
 //!   reconcile pass) and when a failed dial may be retried; a
 //!   [`Action::Dial`] is answered by [`Event::LinkUp`] or
@@ -196,6 +199,11 @@ fn byz_exchange(
     Ok(exchange)
 }
 
+/// Beats an idle link sends per suspicion timeout, at least: the pace of
+/// [`NodeCore::beat_idle_links`] is the timeout's, not the tick's. The
+/// chaos sweeps run 25 periods per timeout on links that drop up to 40 %.
+const BEATS_PER_TIMEOUT: u64 = 24;
+
 /// A duration in µs, the core's unit of time.
 pub(crate) fn us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
@@ -255,10 +263,13 @@ struct Peer {
 /// The sans-IO node state machine; see the module docs.
 pub struct NodeCore {
     id: MemberId,
-    /// Heartbeat period, suspicion timeout and sweep cadence (µs), and the
+    /// Heartbeat period, suspicion timeout and sweep cadence (µs), how long
+    /// an up link may stay idle before it is beaten (m ≥ 1 periods, the
+    /// most that fit [`BEATS_PER_TIMEOUT`] beats in a timeout), and the
     /// beats per summary round.
     beat_us: u64,
     timeout_us: u64,
+    idle_us: u64,
     sweep_us: u64,
     summary_ticks: u64,
     /// The dial retry/backoff policy, with the suspicion timeout as
@@ -356,6 +367,7 @@ impl NodeCore {
             .map(|s| byz_exchange(id, &overlay, s.f, retries))
             .transpose()?;
         let (beat_us, timeout_us) = (us(config.heartbeat_period), us(config.heartbeat_timeout));
+        let idle_ticks = (timeout_us / BEATS_PER_TIMEOUT.saturating_mul(beat_us).max(1)).max(1);
         let sweep_us = config.reliable.sweep_us();
         let retained_gauge = metrics.gauge(&format!("runtime.payload_bytes_retained.n{id}"));
         let acks_sent = metrics.counter("runtime.acks_sent");
@@ -367,6 +379,7 @@ impl NodeCore {
             id,
             beat_us,
             timeout_us,
+            idle_us: beat_us * idle_ticks,
             sweep_us,
             // Anti-entropy cadence: a summary round every `summary_every`
             // heartbeat periods.
@@ -518,8 +531,8 @@ impl NodeCore {
     /// heartbeat-period tick (re-armed as `now + period`) and on any tick
     /// once an advert batch is full, the suspicion sweep, the reconcile pass
     /// and, on the heartbeat-period tick, a heartbeat on each link that has
-    /// carried nothing for a period. Drivers call it once `now_us` reaches
-    /// [`Self::next_deadline`], and only then.
+    /// carried nothing for m periods ([`Self::beat_idle_links`]). Drivers
+    /// call it once `now_us` reaches [`Self::next_deadline`], and only then.
     pub fn tick(&mut self, now_us: u64, out: &mut Vec<Action>) {
         self.settle = false;
         self.core_ticks.inc();
@@ -939,20 +952,20 @@ impl NodeCore {
 
     /// The detector's send half, on the heartbeat-period tick: any frame
     /// proves this node alive, so a heartbeat goes only to a link nothing
-    /// was sent on for a full period, and no live link is silent for two
-    /// (plus the driver's wake-up latency). A held list owed to the link
+    /// was sent on for m periods (`idle_us`), and no live link is silent for
+    /// m + 1 (plus the driver's wake-up latency). A held list owed to the link
     /// ([`ReliableCore::answer`]) goes in its place, and once the link is
     /// idle half a period: at the tick nearest the instant it went when
     /// each link beat on its own phase, so pull-store retirement keeps its
     /// pace. Allocates only the held lists' payloads.
     fn beat_idle_links(&mut self) {
-        let (now, beat) = (self.now, self.beat_us);
+        let (now, beat, idle_us) = (self.now, self.beat_us, self.idle_us);
         let heartbeat = Message::new(wire::heartbeat_id(self.id), self.id as u32, Bytes::new());
         let mut sends = std::mem::take(&mut self.outbox);
         for (&peer, r) in &self.peers {
             let idle = |gap| matches!(r.link, LinkState::Up { last_sent: t, .. } if now - t >= gap);
             let answered = idle(beat / 2) && self.reliable.answer(peer, &mut sends);
-            if !answered && idle(beat) {
+            if !answered && idle(idle_us) {
                 sends.push((peer, heartbeat.clone()));
             }
         }

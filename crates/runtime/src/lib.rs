@@ -36,7 +36,8 @@
 //!    at most k−1 crashed nodes, every correct node delivers (LHG P1).
 //! 4. **Failure detection** — any frame is proof of life, so on the node's
 //!    heartbeat-period tick a heartbeat goes only to a link nothing else
-//!    was sent on for a period (no live link is silent for two), and a
+//!    was sent on for m periods, m set by the timeout (no live link is
+//!    silent for m + 1; see [`RuntimeConfig::heartbeat_timeout`]), and a
 //!    busy link carries none; a
 //!    configurable silence window marks a neighbor crashed (fail-stop
 //!    model: crashed nodes never speak again, so suspicion is permanent).
@@ -107,11 +108,16 @@ pub use node::{Directory, NodeShared};
 /// heartbeats, a timeout an order of magnitude above the period.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// The heartbeat-period tick: on it, a link nothing else was sent on
-    /// for this long gets a heartbeat (no live link goes two without one).
+    /// The node's tick: the failure detector, summary rounds, the reconcile
+    /// pass and idle-link heartbeats run on it. A link nothing else was sent
+    /// on for m ticks gets a heartbeat there, m being set by
+    /// `heartbeat_timeout`; no live link goes m + 1 without a frame.
     pub heartbeat_period: Duration,
     /// Silence window after which a neighbor is declared crashed. Must
-    /// comfortably exceed `heartbeat_period` to avoid false suspicion.
+    /// comfortably exceed `heartbeat_period` to avoid false suspicion. It
+    /// also paces idle-link heartbeats: an idle link is beaten every
+    /// m = max(1, ⌊timeout / (24 · period)⌋) ticks, so at least 24 beats
+    /// fit in a timeout, and m = 1 below 48 periods.
     pub heartbeat_timeout: Duration,
     /// Base delay of the jittered exponential redial backoff (the first
     /// retry waits roughly this long; see [`lhg_net::backoff`]).

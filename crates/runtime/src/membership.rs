@@ -556,8 +556,9 @@ impl Membership {
     /// with its own reconcile pass. Each report arrives once, and a victim
     /// outside the desired set — a link kept up past a heal — is not watched
     /// by this node's own detector, so without this the veto would be for
-    /// good. Idle links beat on their node's heartbeat-period tick, so the
-    /// last frame on a lingering link can trail the reporters' by two periods.
+    /// good. An idle link is beaten once every m heartbeat-period ticks (m
+    /// set by the timeout, 1 below 48 periods), so the last frame on a
+    /// lingering link can trail the reporters' by two beat intervals.
     pub(crate) fn lift_stale_vetoes(&mut self, host: &mut Host) {
         let quorum = self.crash_quorum;
         let lifted: Vec<(MemberId, u64)> = (self.lives.iter())

@@ -132,23 +132,32 @@ fn an_owed_ack_leaves_on_the_sweep_grid_not_at_its_exact_deadline() {
     assert_eq!(first_ack(&mut core, peer, events), grid + grid / 20);
 }
 
-/// One clock per node: an idle core wakes once per heartbeat period, on
-/// the heartbeat-period tick, however its links' phases lie, and each
-/// link still carries a frame at least every two periods. Member 0 of a
-/// 16-node K-DIAMOND dials its k = 3 neighbors, whose links come up a
-/// third of a period apart; each neighbor then beats on its own phase.
-/// A core that named one heartbeat deadline per link woke once per link
-/// phase as well: 4 times a period here.
-#[test]
-fn an_idle_core_ticks_once_a_period_and_beats_every_link_within_two() {
-    let config = RuntimeConfig::default();
+/// What an idle core did between `warm` and `end` periods after boot.
+struct Idle {
+    /// The heartbeat period, µs.
+    beat: u64,
+    /// Ticks in the window.
+    ticks: u64,
+    /// Per up link, the times heartbeats left on it in the window.
+    beats: BTreeMap<MemberId, Vec<u64>>,
+    /// The longest any up link went without a frame, the run's end
+    /// included.
+    worst: u64,
+}
+
+/// Member 0 of a 16-node K-DIAMOND under `config`, ticked only at its own
+/// deadlines for `end` heartbeat periods. It dials its k = 3 neighbors,
+/// whose links come up a third of a period apart; each neighbor then
+/// beats on its own phase.
+fn idle_core(config: &RuntimeConfig, warm: u64, end: u64) -> Idle {
     let beat = u64::try_from(config.heartbeat_period.as_micros()).expect("µs");
     let overlay = DynamicOverlay::bootstrap(Constraint::KDiamond, 16, 3).expect("overlay");
-    let mut core = boot_on(overlay, BootOpts::default(), &config);
-    let (warm, end) = (40 * beat, 80 * beat);
+    let mut core = boot_on(overlay, BootOpts::default(), config);
+    let (warm, end) = (warm * beat, end * beat);
     // (time, event), popped in time order.
     let mut events: BTreeMap<(u64, MemberId), Event> = BTreeMap::new();
     let mut up: BTreeMap<MemberId, u64> = BTreeMap::new(); // last frame to each up link
+    let mut beats: BTreeMap<MemberId, Vec<u64>> = BTreeMap::new();
     let (mut out, mut ticks, mut worst, mut dials) = (Vec::new(), 0, 0, 0);
     loop {
         out.clear();
@@ -175,27 +184,119 @@ fn an_idle_core_ticks_once_a_period_and_beats_every_link_within_two() {
             break;
         }
         for action in &out {
-            match *action {
+            match action {
                 Action::Dial { peer } => {
                     let at = 1_000 + dials * beat / 3;
                     dials += 1;
-                    events.insert((at, peer), Event::LinkUp { peer, dialed: true });
-                    events.insert((at + 500, peer), heartbeat_from(peer));
+                    events.insert(
+                        (at, *peer),
+                        Event::LinkUp {
+                            peer: *peer,
+                            dialed: true,
+                        },
+                    );
+                    events.insert((at + 500, *peer), heartbeat_from(*peer));
                 }
-                Action::Send { to, .. } => {
-                    let last = up.insert(to, now).expect("sent on an up link");
+                Action::Send { to, msg } => {
+                    let last = up.insert(*to, now).expect("sent on an up link");
                     worst = worst.max(now - last);
+                    if msg.broadcast_id == wire::heartbeat_id(0) && now >= warm {
+                        beats.entry(*to).or_default().push(now);
+                    }
                 }
                 _ => {}
             }
         }
     }
     assert_eq!(up.len(), 3, "all k links came up");
-    assert_eq!(ticks, (end - warm) / beat, "ticks once per period");
-    assert!(worst <= 2 * beat, "a link was silent for {worst} µs");
-    // Nor is any link two periods into a silence when the run ends.
-    for (&peer, &last) in &up {
-        assert!(end - last <= 2 * beat, "link to {peer} silent since {last}");
+    // Nor is any link deep into a silence when the run ends.
+    for &last in up.values() {
+        worst = worst.max(end - last);
+    }
+    Idle {
+        beat,
+        ticks,
+        beats,
+        worst,
+    }
+}
+
+/// One clock per node: an idle core wakes once per heartbeat period, on
+/// the heartbeat-period tick, however its links' phases lie, and each
+/// link still carries a frame at least every two periods. A core that
+/// named one heartbeat deadline per link woke once per link phase as
+/// well: 4 times a period here.
+#[test]
+fn an_idle_core_ticks_once_a_period_and_beats_every_link_within_two() {
+    let idle = idle_core(&RuntimeConfig::default(), 40, 80);
+    assert_eq!(idle.ticks, 40, "ticks once per period");
+    assert!(
+        idle.worst <= 2 * idle.beat,
+        "a link was silent for {} µs",
+        idle.worst
+    );
+}
+
+/// An idle link is beaten at the suspicion timeout's pace, not the tick's:
+/// once every m = ⌊timeout / (24 · period)⌋ ticks when that is above one.
+/// At 25 ms / 10 s, m = 16: over 160 ticks each idle link carries exactly
+/// ten heartbeats, sixteen ticks apart, and none is silent for more than
+/// sixteen periods plus the tick it came up between. A core that beats
+/// every tick sends 160.
+#[test]
+fn a_long_timeout_beats_an_idle_link_every_m_ticks() {
+    let config = RuntimeConfig {
+        heartbeat_timeout: Duration::from_secs(10),
+        ..RuntimeConfig::default()
+    };
+    let idle = idle_core(&config, 40, 200);
+    assert_eq!(idle.ticks, 160, "ticks once per period");
+    assert_eq!(idle.beats.len(), 3, "every idle link beats");
+    for (peer, times) in &idle.beats {
+        assert_eq!(
+            times.len() as u64,
+            idle.ticks / 16,
+            "beats to {peer}: {times:?}"
+        );
+        for gap in times.windows(2).map(|w| w[1] - w[0]) {
+            assert_eq!(gap, 16 * idle.beat, "beats to {peer}: {times:?}");
+        }
+    }
+    assert!(
+        idle.worst <= 17 * idle.beat,
+        "a link was silent for {} µs",
+        idle.worst
+    );
+}
+
+/// A timeout under 48 periods gives m = 1: every tick beats every idle
+/// link, as the default (25 / 300 ms), the chaos and membership tests'
+/// config (10 / 250 ms) and the self-healing tests' (1 / 10 ms) have it.
+#[test]
+fn a_short_timeout_beats_an_idle_link_every_tick() {
+    for (period, timeout) in [(25, 300), (10, 250), (1, 10)] {
+        let config = RuntimeConfig {
+            heartbeat_period: Duration::from_millis(period),
+            heartbeat_timeout: Duration::from_millis(timeout),
+            ..RuntimeConfig::default()
+        };
+        let idle = idle_core(&config, 40, 140);
+        assert_eq!(
+            idle.ticks, 100,
+            "{period}/{timeout} ms: ticks once per period"
+        );
+        assert_eq!(
+            idle.beats.len(),
+            3,
+            "{period}/{timeout} ms: every idle link beats"
+        );
+        for (peer, times) in &idle.beats {
+            assert_eq!(
+                times.len() as u64,
+                idle.ticks,
+                "{period}/{timeout} ms: beats to {peer}"
+            );
+        }
     }
 }
 

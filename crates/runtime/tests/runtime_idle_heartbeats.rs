@@ -1,7 +1,8 @@
 //! Heartbeats go only where nothing else does, over real sockets: a
-//! 16-node K-DIAMOND cluster sends one heartbeat per directed link per
-//! period while idle, and almost none while 500 broadcasts a second keep
-//! every link busy — any frame is proof of life, and the acks that used to
+//! 16-node K-DIAMOND cluster under a 5 s timeout sends one heartbeat per
+//! directed link every m = ⌊5 s / (24 · 25 ms)⌋ = 8 periods while idle,
+//! and almost none while 500 broadcasts a second keep every link busy —
+//! any frame is proof of life, and the acks that used to
 //! be frames of their own ride on the data. Nodes wake for due duties
 //! only, so under load they tick far less often than they deliver, and a
 //! body crosses each node once, so data frames stay below deliveries.
@@ -14,7 +15,11 @@ use lhg_core::Constraint;
 use lhg_runtime::{Cluster, RuntimeConfig};
 
 const N: usize = 16;
-const WINDOW: Duration = Duration::from_secs(1);
+/// Heartbeat-period ticks per idle beat under the test's 5 s timeout.
+const M: u32 = 8;
+/// 10.5 beat intervals: a link beats 10 or 11 times in it, whatever its
+/// phase, so the count per link per interval reads 0.95 or 1.05.
+const WINDOW: Duration = Duration::from_millis(2_100);
 
 /// `(heartbeat, ack, data)` frames written so far, cluster-wide.
 fn frames(c: &Cluster) -> (u64, u64, u64) {
@@ -38,21 +43,22 @@ fn heartbeats_fill_idle_links_only() {
     let period = config.heartbeat_period;
     let mut c = Cluster::launch(Constraint::KDiamond, N, 3, config).expect("cluster boots");
     let directed = 2 * c.survivor_graph().expect("members").edge_count() as u64;
-    std::thread::sleep(4 * period);
+    std::thread::sleep(M * period);
 
     let (beats, ..) = frames(&c);
+    let start = Instant::now();
     std::thread::sleep(WINDOW);
     let idle = frames(&c).0 - beats;
-    let periods = WINDOW.as_secs_f64() / period.as_secs_f64();
-    let per_link_period = idle as f64 / directed as f64 / periods;
-    // An idle link beats on every heartbeat-period tick — its last frame
-    // is the previous tick's heartbeat — and the tick re-arms a period
-    // after it ran, so the interval is a period plus the driver's wake-up
-    // latency: ≈ 1.0 per period, below 0.83 only if wake-ups run a fifth
-    // of a period late.
+    let intervals = start.elapsed().as_secs_f64() / (M * period).as_secs_f64();
+    let per_link_interval = idle as f64 / directed as f64 / intervals;
+    // An idle link beats on every M-th heartbeat-period tick — its last
+    // frame is the heartbeat M ticks before — and each tick re-arms a
+    // period after it ran, so the interval is M periods plus M of the
+    // driver's wake-up latencies: ≈ 1.0 per interval, below 0.83 only if
+    // wake-ups run a fifth of a period late.
     assert!(
-        (0.83..=1.05).contains(&per_link_period),
-        "idle: {idle} heartbeats on {directed} links in {periods} periods"
+        (0.83..=1.05).contains(&per_link_interval),
+        "idle: {idle} heartbeats on {directed} links in {intervals} beat intervals"
     );
 
     let counter = |c: &Cluster, name: &str| c.metrics().counter(name).get();
@@ -79,7 +85,7 @@ fn heartbeats_fill_idle_links_only() {
     let ticks = counter(&c, "runtime.core_ticks") - ticks;
     let deliveries = counter(&c, "runtime.deliveries") - deliveries;
     eprintln!(
-        "idle: {per_link_period:.2} heartbeats per link per period; \
+        "idle: {per_link_interval:.2} heartbeats per link per {M} periods; \
          busy: {busy} heartbeats, {} ack and {} data frames, \
          {ticks} ticks for {deliveries} deliveries",
         acks2 - acks,
